@@ -27,6 +27,7 @@ from repro.core.caching_model import CachingModel
 from repro.core.features import FeatureEncoder
 from repro.core.labeling import build_labels, caching_targets
 from repro.core.manager import RecMGManager
+from repro.core.prefetch_model import BucketDecoder, PrefetchModel
 from repro.core.training import train_caching_model
 from repro.prefetch import run_breakdown, run_breakdown_sweep
 from repro.traces import (
@@ -973,6 +974,70 @@ def test_model_guided_low_capacity_lift(perf_budget, benchmark,
          "matched+guard", "lift"], rows,
         title="Model-guided serving hit rate at 5% capacity "
               "(clock backend)"))
+    benchmark(lambda: rows)
+
+
+def test_model_inference_throughput(perf_trace, perf_budget, benchmark,
+                                    record_hotpath):
+    """Tape-free ``predict`` / ``predict_indices`` vs the taped forward
+    they replaced on the serving path, side by side on the same chunks.
+
+    Both models sit on the serving path (the sync provider predicts 128
+    chunks per block, ``run()`` 64 per call), so the forward cost is
+    serving cost; the taped ``forward`` builds ~290 ``Tensor`` nodes
+    with closures and temporaries to produce values that are
+    thresholded and dropped.  The tape-free twins must return the
+    same decisions and stay >= 1.3x faster at the default budget (the
+    floor scales down with ``--perf-budget``).
+    """
+    config = RecMGConfig()
+    encoder = FeatureEncoder(config).fit(perf_trace)
+    chunks = encoder.encode_chunks(perf_trace)
+    caching = CachingModel(config, encoder.num_tables)
+    prefetch = PrefetchModel(config, encoder.num_tables)
+    prefetch.set_decoder(BucketDecoder.from_miss_ids(
+        encoder.dense_ids(perf_trace), config.hash_buckets))
+    decode = prefetch.decoder.decode_buckets
+    sides = {
+        "caching": (
+            np.arange(128),
+            lambda sel: caching.predict(chunks, sel=sel),
+            lambda sel: (caching.forward(chunks, sel=sel).data > 0.0
+                         ).astype(np.int8)),
+        "prefetch": (
+            np.arange(64),
+            lambda sel: prefetch.predict_indices(chunks, encoder, sel=sel),
+            lambda sel: decode(prefetch.forward_logits(chunks, sel=sel).data)),
+    }
+    floor = 1.3 * min(1.0, perf_budget / 5.0)
+    rows = []
+    for name, (sel, tape_free, taped) in sides.items():
+        # Interleaved best-of, as in the sharded gate: a noise window
+        # inflates both sides instead of skewing the ratio.
+        free_seconds = taped_seconds = float("inf")
+        for _ in range(15):
+            seconds, free_out = _timed(lambda: tape_free(sel))
+            free_seconds = min(free_seconds, seconds)
+            seconds, taped_out = _timed(lambda: taped(sel))
+            taped_seconds = min(taped_seconds, seconds)
+        assert np.array_equal(free_out, taped_out)
+        keys = len(sel) * config.input_len
+        record_hotpath(f"model_inference_{name}", keys, free_seconds,
+                       ref_seconds=taped_seconds, chunks=len(sel),
+                       us_per_chunk=free_seconds / len(sel) * 1e6,
+                       taped_us_per_chunk=taped_seconds / len(sel) * 1e6,
+                       gated=True)
+        speedup = taped_seconds / free_seconds
+        rows.append([name, len(sel), taped_seconds * 1e3,
+                     free_seconds * 1e3, speedup])
+        if perf_budget > 0:
+            assert speedup >= floor, (
+                f"tape-free {name} inference is only {speedup:.2f}x the "
+                f"taped forward (contract: >= {floor:.2f}x)")
+    print()
+    print(ascii_table(
+        ["model", "chunks", "taped ms", "tape-free ms", "speedup"], rows,
+        title="Model inference: taped forward vs tape-free predict"))
     benchmark(lambda: rows)
 
 

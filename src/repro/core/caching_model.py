@@ -18,8 +18,10 @@ from typing import Optional
 import numpy as np
 
 from ..nn import Embedding, LSTM, Linear, Module, Tensor, concat, softmax
+from ..nn import init as initializers
+from ..nn.functional import softmax_
 from .config import RecMGConfig
-from .features import EncodedChunks
+from .features import EncodedChunks, chunk_inputs
 
 
 class CachingModel(Module):
@@ -39,8 +41,6 @@ class CachingModel(Module):
                  rng=rng)
             for i in range(config.caching_stacks)
         ]
-        from ..nn import init as initializers
-
         self.att_weight = Tensor(
             initializers.xavier_uniform((config.hidden, config.hidden), rng),
             requires_grad=True,
@@ -49,25 +49,11 @@ class CachingModel(Module):
         self.head = Linear(config.hidden, 1, rng=rng)
 
     # ------------------------------------------------------------------
-    def _inputs(self, chunks: EncodedChunks, sel: np.ndarray) -> Tensor:
-        batch = len(sel)
-        length = self.config.input_len
-        tables = self.table_embedding(chunks.table_ids[sel].reshape(-1))
-        rows = self.row_embedding(chunks.hashed_rows[sel].reshape(-1))
-        dim = self.config.embed_dim
-        scalars = Tensor(np.stack([
-            chunks.norm_index[sel].reshape(-1),
-            chunks.freq[sel].reshape(-1),
-        ], axis=1))
-        features = concat([tables, rows, scalars], axis=1)
-        return features.reshape(batch, length, 2 * dim + 2)
-
     def forward(self, chunks: EncodedChunks,
                 sel: Optional[np.ndarray] = None) -> Tensor:
         """Logits of shape (batch, input_len)."""
-        if sel is None:
-            sel = np.arange(len(chunks))
-        states = self._inputs(chunks, sel)
+        states = chunk_inputs(chunks, sel, self.table_embedding,
+                              self.row_embedding, taped=True)
         for layer in self.lstm_layers:
             states, _ = layer(states)                 # (B, L, H)
         batch, length, hidden = states.shape
@@ -84,21 +70,37 @@ class CachingModel(Module):
         return logits.reshape(batch, length)
 
     # ------------------------------------------------------------------
+    def infer(self, chunks: EncodedChunks,
+              sel: Optional[np.ndarray] = None) -> np.ndarray:
+        """Tape-free twin of :meth:`forward` (which stays the training
+        path): the same float64 operations in the same order on plain
+        arrays, so the logits are identical, with no autograd graph.
+        Weights are read from ``param.data`` at call time and nothing is
+        stored on the model, so clone-and-swap retraining,
+        ``load_state_dict`` and a worker sharing the model stay correct.
+        """
+        states = chunk_inputs(chunks, sel, self.table_embedding,
+                              self.row_embedding)
+        for layer in self.lstm_layers:
+            states, _ = layer.infer(states)           # (B, L, H)
+        batch, length, hidden = states.shape
+        projected = states @ self.att_weight.data
+        weights = softmax_(projected @ states.transpose(0, 2, 1))
+        combined = np.empty((batch, length, 2 * hidden))
+        combined[:, :, :hidden] = states
+        combined[:, :, hidden:] = weights @ states
+        hidden_out = self.combine.infer(
+            combined.reshape(batch * length, 2 * hidden))
+        logits = self.head.infer(np.tanh(hidden_out, out=hidden_out))
+        return logits.reshape(batch, length)
+
     def predict(self, chunks: EncodedChunks,
                 sel: Optional[np.ndarray] = None) -> np.ndarray:
         """Binary keep/evict decisions, shape (batch, input_len)."""
-        logits = self.forward(chunks, sel=sel)
-        return (logits.data > 0.0).astype(np.int8)
+        return (self.infer(chunks, sel=sel) > 0.0).astype(np.int8)
 
     def predict_single(self, table_ids: np.ndarray, hashed_rows: np.ndarray,
                        norm_index: np.ndarray, freq: np.ndarray) -> np.ndarray:
         """Decision bits for one raw chunk (used by the online manager)."""
-        chunk = EncodedChunks(
-            table_ids=table_ids.reshape(1, -1),
-            hashed_rows=hashed_rows.reshape(1, -1),
-            norm_index=norm_index.reshape(1, -1),
-            freq=freq.reshape(1, -1),
-            dense_ids=np.zeros_like(table_ids).reshape(1, -1),
-            starts=np.zeros(1, dtype=np.int64),
-        )
+        chunk = EncodedChunks.single(table_ids, hashed_rows, norm_index, freq)
         return self.predict(chunk)[0]

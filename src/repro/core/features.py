@@ -26,6 +26,7 @@ from typing import Dict, Optional
 
 import numpy as np
 
+from ..nn import Embedding, Tensor, concat
 from ..traces.access import ROW_BITS, Trace, remap_to_dense
 from .config import RecMGConfig
 
@@ -50,6 +51,42 @@ class EncodedChunks:
 
     def __len__(self) -> int:
         return int(self.table_ids.shape[0])
+
+    @classmethod
+    def single(cls, table_ids: np.ndarray, hashed_rows: np.ndarray,
+               norm_index: np.ndarray, freq: np.ndarray) -> "EncodedChunks":
+        """One raw chunk as a batch of one (its dense ids unknown)."""
+        return cls(table_ids.reshape(1, -1), hashed_rows.reshape(1, -1),
+                   norm_index.reshape(1, -1), freq.reshape(1, -1),
+                   dense_ids=np.zeros_like(table_ids).reshape(1, -1),
+                   starts=np.zeros(1, dtype=np.int64))
+
+
+def chunk_inputs(chunks: EncodedChunks, sel: Optional[np.ndarray],
+                 table_embedding: Embedding, row_embedding: Embedding,
+                 taped: bool = False):
+    """Both models' input: ``[table emb | row emb | norm index | freq]``
+    per access of the ``sel`` chunks (``None``: all), shape (batch,
+    input_len, 2 * embed_dim + 2).  A plain array for inference; with
+    ``taped`` the same values as a graph node (``take_rows``/``concat``)
+    so embedding gradients flow.  Out-of-range ids raise ``IndexError``.
+    """
+    if sel is None:
+        sel = slice(None)
+    tables, rows = chunks.table_ids[sel], chunks.hashed_rows[sel]
+    batch, length = tables.shape
+    dim = table_embedding.dim
+    out = np.empty((batch, length, 2 * dim + 2))
+    out[:, :, 2 * dim] = chunks.norm_index[sel]
+    out[:, :, 2 * dim + 1] = chunks.freq[sel]
+    if taped:
+        features = concat([table_embedding(tables.reshape(-1)),
+                           row_embedding(rows.reshape(-1)),
+                           Tensor(out[:, :, 2 * dim:].reshape(-1, 2))], axis=1)
+        return features.reshape(batch, length, 2 * dim + 2)
+    out[:, :, :dim] = table_embedding.infer(tables)
+    out[:, :, dim:2 * dim] = row_embedding.infer(rows)
+    return out
 
 
 class FeatureEncoder:
@@ -199,24 +236,34 @@ class FeatureEncoder:
         if not self.fitted:
             raise RuntimeError("encoder not fitted")
         length = self.config.input_len
-        stride = stride or length
         dense = self.dense_ids(trace)
-        tables = self.table_indices(trace)
-        hashed = dense % self.config.hash_buckets
-        norm = self.normalize(dense)
-        starts = np.arange(0, len(dense) - length + 1, stride)
-        if len(starts) == 0:
+        if len(dense) < length:
             raise ValueError(
                 f"trace shorter ({len(dense)}) than one chunk ({length})"
             )
-        idx = starts[:, None] + np.arange(length)[None, :]
-        freq = self.freq_values(dense)
+        return self._chunked(dense, self.table_indices(trace),
+                             stride or length)
+
+    def _chunked(self, dense: np.ndarray, tables: np.ndarray,
+                 stride: int) -> EncodedChunks:
+        """Per-access channels cut into ``input_len`` chunks every
+        ``stride`` accesses: reshaped views of the per-access arrays
+        when the chunks do not overlap, a gather otherwise."""
+        length = self.config.input_len
+        starts = np.arange(0, len(dense) - length + 1, stride)
+        idx = None if stride == length else starts[:, None] + np.arange(length)
+
+        def cut(values: np.ndarray) -> np.ndarray:
+            if idx is None:
+                return values[:len(starts) * length].reshape(-1, length)
+            return values[idx]
+
         return EncodedChunks(
-            table_ids=tables[idx],
-            hashed_rows=hashed[idx],
-            norm_index=norm[idx],
-            freq=freq[idx],
-            dense_ids=dense[idx],
+            table_ids=cut(tables),
+            hashed_rows=cut(dense % self.config.hash_buckets),
+            norm_index=cut(self.normalize(dense)),
+            freq=cut(self.freq_values(dense)),
+            dense_ids=cut(dense),
             starts=starts,
         )
 
@@ -242,17 +289,4 @@ class FeatureEncoder:
         pad = (-dense.size) % length
         if pad:
             dense = np.concatenate([dense, np.full(pad, dense[-1])])
-        tables = self.tables_for_dense(dense)
-        hashed = dense % self.config.hash_buckets
-        norm = self.normalize(dense)
-        freq = self.freq_values(dense)
-        starts = np.arange(0, dense.size, length)
-        idx = starts[:, None] + np.arange(length)[None, :]
-        return EncodedChunks(
-            table_ids=tables[idx],
-            hashed_rows=hashed[idx],
-            norm_index=norm[idx],
-            freq=freq[idx],
-            dense_ids=dense[idx],
-            starts=starts,
-        )
+        return self._chunked(dense, self.tables_for_dense(dense), length)

@@ -1299,10 +1299,13 @@ class RecMGManager:
             record_decisions: bool = False) -> ManagerStats:
         """Serve ``trace`` end to end; returns the access breakdown.
 
-        Model inference is batched across chunks up front — the result
-        is identical to per-chunk inference (the models are stateless
-        across chunks) but an order of magnitude faster, mirroring the
-        paper's batched CPU serving.  ``fast_serve`` selects the bulk
+        The trace is cut by :meth:`FeatureEncoder.encode_chunks` and
+        inference is batched up front, ``inference_batch`` chunks per
+        tape-free ``predict`` / ``predict_indices`` call — identical to
+        per-chunk inference (the models are stateless across chunks)
+        but an order of magnitude faster, mirroring the paper's batched
+        CPU serving; a trace shorter than one chunk is served
+        model-free.  ``fast_serve`` selects the bulk
         demand-serving engine for the backend: the batched exact engine
         (:meth:`_serve_demand_batched_exact`, dense mode) or the
         lazy-heap pre-pass (:meth:`_serve_demand_fast`, dict mode) for
@@ -1319,18 +1322,11 @@ class RecMGManager:
         ``record_decisions`` additionally stores the per-access hit
         booleans in :attr:`last_decisions` (every engine records).
         """
-        from .features import EncodedChunks
-
         self.last_decisions = None
         self._record_hits = [] if record_decisions else None
 
-        config = self.config
         dense = self.encoder.dense_ids(trace)
-        tables = self.encoder.table_indices(trace)
-        hashed = dense % config.hash_buckets
-        norm = self.encoder.normalize(dense)
-        freq = self.encoder.freq_values(dense)
-        length = config.input_len
+        length = self.config.input_len
         n = len(dense)
         num_chunks = n // length
 
@@ -1345,13 +1341,7 @@ class RecMGManager:
         if num_chunks and ((self.caching_model is not None
                             and not use_provider)
                            or self.prefetch_model is not None):
-            starts = np.arange(num_chunks) * length
-            idx = starts[:, None] + np.arange(length)[None, :]
-            chunks = EncodedChunks(
-                table_ids=tables[idx], hashed_rows=hashed[idx],
-                norm_index=norm[idx], freq=freq[idx],
-                dense_ids=dense[idx], starts=starts,
-            )
+            chunks = self.encoder.encode_chunks(trace)
             if self.caching_model is not None and not use_provider:
                 parts = [self.caching_model.predict(
                             chunks, sel=np.arange(lo, min(lo + inference_batch,

@@ -21,9 +21,9 @@ from typing import Optional
 
 import numpy as np
 
-from ..nn import Embedding, Linear, Module, StackedSeq2Seq, Tensor, concat
+from ..nn import Embedding, Linear, Module, StackedSeq2Seq, Tensor, softmax
 from .config import RecMGConfig
-from .features import EncodedChunks
+from .features import EncodedChunks, chunk_inputs
 
 
 class BucketDecoder:
@@ -39,18 +39,24 @@ class BucketDecoder:
     def __init__(self, bucket_hot: np.ndarray, fallback: int) -> None:
         self.bucket_hot = np.asarray(bucket_hot, dtype=np.int64)
         self.fallback = int(fallback)
+        #: Additive -inf over the buckets without a candidate; ``None``
+        #: when every bucket has one and there is nothing to mask.
+        empty = self.bucket_hot < 0
+        self._empty_mask = np.where(empty, -np.inf, 0.0) if empty.any() else None
 
     @classmethod
     def from_miss_ids(cls, miss_dense_ids: np.ndarray,
                       hash_buckets: int) -> "BucketDecoder":
         ids, counts = np.unique(miss_dense_ids, return_counts=True)
         bucket_hot = np.full(hash_buckets, -1, dtype=np.int64)
-        best_count = np.zeros(hash_buckets, dtype=np.int64)
-        for dense_id, count in zip(ids, counts):
-            bucket = int(dense_id) % hash_buckets
-            if count > best_count[bucket]:
-                best_count[bucket] = count
-                bucket_hot[bucket] = dense_id
+        # Per bucket the highest count, lowest dense id among equals:
+        # sort by (bucket, -count, id) and keep each bucket's first row.
+        order = np.lexsort((ids, -counts, ids % hash_buckets))
+        ranked = ids[order]
+        buckets = ranked % hash_buckets
+        first = np.ones(len(ranked), dtype=bool)
+        first[1:] = buckets[1:] != buckets[:-1]
+        bucket_hot[buckets[first]] = ranked[first]
         fallback = int(ids[np.argmax(counts)]) if len(ids) else 0
         return cls(bucket_hot, fallback)
 
@@ -71,8 +77,9 @@ class BucketDecoder:
         """``logits``: (..., num_buckets) scores; returns dense ids of
         the highest-scoring bucket that has a miss candidate."""
         flat = logits.reshape(-1, logits.shape[-1])
-        masked = np.where(self.bucket_hot >= 0, flat, -np.inf)
-        best = np.argmax(masked, axis=1)
+        if self._empty_mask is not None:
+            flat = flat + self._empty_mask
+        best = np.argmax(flat, axis=1)
         ids = self.bucket_hot[best]
         ids = np.where(ids >= 0, ids, self.fallback)
         return ids.reshape(logits.shape[:-1])
@@ -111,25 +118,11 @@ class PrefetchModel(Module):
             rng.normal(0.0, 1.0, size=(config.hash_buckets, config.embed_dim))
         )
 
-    def _inputs(self, chunks: EncodedChunks, sel: np.ndarray) -> Tensor:
-        batch = len(sel)
-        length = self.config.input_len
-        tables = self.table_embedding(chunks.table_ids[sel].reshape(-1))
-        rows = self.row_embedding(chunks.hashed_rows[sel].reshape(-1))
-        dim = self.config.embed_dim
-        scalars = Tensor(np.stack([
-            chunks.norm_index[sel].reshape(-1),
-            chunks.freq[sel].reshape(-1),
-        ], axis=1))
-        features = concat([tables, rows, scalars], axis=1)
-        return features.reshape(batch, length, 2 * dim + 2)
-
     def forward_logits(self, chunks: EncodedChunks,
                        sel: Optional[np.ndarray] = None) -> Tensor:
         """Bucket scores, shape (batch, output_len, hash_buckets)."""
-        if sel is None:
-            sel = np.arange(len(chunks))
-        inputs = self._inputs(chunks, sel)
+        inputs = chunk_inputs(chunks, sel, self.table_embedding,
+                              self.row_embedding, taped=True)
         states = self.backbone(inputs)                  # (B, P, H)
         batch, steps, hidden = states.shape
         hidden_flat = states.reshape(batch * steps, hidden)
@@ -137,13 +130,23 @@ class PrefetchModel(Module):
         logits = self.head(projected)
         return logits.reshape(batch, steps, self.config.hash_buckets)
 
+    def infer_logits(self, chunks: EncodedChunks,
+                     sel: Optional[np.ndarray] = None) -> np.ndarray:
+        """Tape-free twin of :meth:`forward_logits` (which stays the
+        training path): same float64 operations in the same order on
+        plain arrays, weights read from ``param.data`` at call time."""
+        states = self.backbone.infer(chunk_inputs(
+            chunks, sel, self.table_embedding, self.row_embedding))
+        batch, steps, hidden = states.shape
+        projected = self.projection.infer(states.reshape(batch * steps, hidden))
+        logits = self.head.infer(np.tanh(projected, out=projected))
+        return logits.reshape(batch, steps, self.config.hash_buckets)
+
     def forward(self, chunks: EncodedChunks,
                 sel: Optional[np.ndarray] = None) -> Tensor:
         """Emitted points (expected codewords), (batch, output_len, dim)."""
-        from ..nn import softmax as _softmax
-
         logits = self.forward_logits(chunks, sel=sel)
-        probs = _softmax(logits, axis=-1)               # (B, P, K)
+        probs = softmax(logits, axis=-1)               # (B, P, K)
         return probs @ self.target_table                # (B, P, D)
 
     # ------------------------------------------------------------------
@@ -162,18 +165,10 @@ class PrefetchModel(Module):
         """Dense embedding-vector ids to prefetch, (batch, output_len)."""
         if self.decoder is None:
             raise RuntimeError("no decoder attached; call set_decoder()")
-        logits = self.forward_logits(chunks, sel=sel).data
-        return self.decoder.decode_buckets(logits)
+        return self.decoder.decode_buckets(self.infer_logits(chunks, sel=sel))
 
     def predict_single(self, table_ids: np.ndarray, hashed_rows: np.ndarray,
                        norm_index: np.ndarray, freq: np.ndarray,
                        encoder) -> np.ndarray:
-        chunk = EncodedChunks(
-            table_ids=table_ids.reshape(1, -1),
-            hashed_rows=hashed_rows.reshape(1, -1),
-            norm_index=norm_index.reshape(1, -1),
-            freq=freq.reshape(1, -1),
-            dense_ids=np.zeros_like(table_ids).reshape(1, -1),
-            starts=np.zeros(1, dtype=np.int64),
-        )
+        chunk = EncodedChunks.single(table_ids, hashed_rows, norm_index, freq)
         return self.predict_indices(chunk, encoder)[0]

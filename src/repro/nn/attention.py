@@ -14,7 +14,7 @@ from typing import Optional
 import numpy as np
 
 from . import init as initializers
-from .functional import softmax
+from .functional import softmax, softmax_
 from .modules import Linear, Module
 from .tensor import Tensor, concat
 
@@ -37,9 +37,11 @@ class LuongAttention(Module):
         )
         self.combine = Linear(2 * hidden_size, hidden_size, rng=rng)
         self.hidden_size = hidden_size
-        self.last_weights: Optional[np.ndarray] = None
 
-    def forward(self, h: Tensor, states: Tensor) -> Tensor:
+    def forward(self, h: Tensor, states: Tensor,
+                return_weights: bool = False):
+        """Attended state (batch, hidden); with ``return_weights`` also
+        the attention weights (batch, time) as a plain array."""
         # scores: (batch, time) = sum_k (h W)[b, k] * states[b, t, k]
         projected = h @ self.score_weight                       # (B, H)
         batch, time, hidden = states.shape
@@ -47,11 +49,22 @@ class LuongAttention(Module):
         scores = states @ projected.reshape(batch, hidden, 1)
         scores = scores.reshape(batch, time)
         weights = softmax(scores, axis=-1)                      # (B, T)
-        self.last_weights = weights.data.copy()
         # context: (B, H) = sum_t weights[b, t] * states[b, t, :]
         context = (states * weights.reshape(batch, time, 1)).sum(axis=1)
         combined = concat([h, context], axis=1)                 # (B, 2H)
-        return self.combine(combined).tanh()
+        out = self.combine(combined).tanh()
+        return (out, weights.data) if return_weights else out
+
+    def infer(self, h: np.ndarray, states: np.ndarray) -> np.ndarray:
+        """Tape-free :meth:`forward` on plain arrays (same op order)."""
+        batch, time, hidden = states.shape
+        projected = h @ self.score_weight.data
+        scores = (states @ projected.reshape(batch, hidden, 1)
+                  ).reshape(batch, time)
+        weights = softmax_(scores)
+        context = (states * weights.reshape(batch, time, 1)).sum(axis=1)
+        out = self.combine.infer(np.concatenate([h, context], axis=1))
+        return np.tanh(out, out=out)
 
 
 class SelfAttention(Module):

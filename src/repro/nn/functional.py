@@ -16,6 +16,24 @@ def softmax(x: Tensor, axis: int = -1) -> Tensor:
     return exp / exp.sum(axis=axis, keepdims=True)
 
 
+def softmax_(x: np.ndarray) -> np.ndarray:
+    """Tape-free :func:`softmax` over the last axis, in place: the same
+    float64 operations in the same order, so the values are identical
+    (``np.power(s, -1.0)`` is what the tape's division computes)."""
+    x -= x.max(axis=-1, keepdims=True)
+    np.exp(x, out=x)
+    x *= np.power(x.sum(axis=-1, keepdims=True), -1.0)
+    return x
+
+
+def sigmoid_(x: np.ndarray) -> np.ndarray:
+    """Tape-free :meth:`Tensor.sigmoid`, in place (``1 / (1 + exp(-x))``)."""
+    np.negative(x, out=x)
+    np.exp(x, out=x)
+    x += 1.0
+    return np.divide(1.0, x, out=x)
+
+
 def log_softmax(x: Tensor, axis: int = -1) -> Tensor:
     """Numerically stable log-softmax along ``axis``."""
     shifted = x - x.max(axis=axis, keepdims=True).detach()

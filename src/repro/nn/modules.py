@@ -96,6 +96,13 @@ class Linear(Module):
             out = out + self.bias
         return out
 
+    def infer(self, x: np.ndarray) -> np.ndarray:
+        """Tape-free :meth:`forward` on a plain array."""
+        out = x @ self.weight.data
+        if self.bias is not None:
+            out += self.bias.data
+        return out
+
 
 class Embedding(Module):
     """Lookup table mapping integer ids to dense vectors."""
@@ -110,13 +117,20 @@ class Embedding(Module):
             requires_grad=True,
         )
 
-    def forward(self, indices: np.ndarray) -> Tensor:
+    def _checked(self, indices: np.ndarray) -> np.ndarray:
         idx = np.asarray(indices, dtype=np.int64)
         if idx.size and (idx.min() < 0 or idx.max() >= self.num_embeddings):
             raise IndexError(
                 f"embedding index out of range [0, {self.num_embeddings})"
             )
-        return self.weight.take_rows(idx)
+        return idx
+
+    def forward(self, indices: np.ndarray) -> Tensor:
+        return self.weight.take_rows(self._checked(indices))
+
+    def infer(self, indices: np.ndarray) -> np.ndarray:
+        """Tape-free :meth:`forward`: the looked-up rows as an array."""
+        return self.weight.data[self._checked(indices)]
 
 
 class Sequential(Module):

@@ -17,6 +17,7 @@ import numpy as np
 
 from . import init as initializers
 from .attention import LuongAttention
+from .functional import sigmoid_
 from .modules import Module
 from .tensor import Tensor, stack
 
@@ -57,6 +58,27 @@ class LSTMCell(Module):
         h_new = o_gate * c_new.tanh()
         return h_new, c_new
 
+    def infer(self, x: np.ndarray, h: np.ndarray, c: np.ndarray,
+              scratch: np.ndarray) -> np.ndarray:
+        """Tape-free :meth:`forward`: the same float64 operations in
+        the same order on plain arrays, activations in place.  ``c`` is
+        advanced in place, the new ``h`` is a fresh array; ``scratch``
+        is a caller-owned ``(2, batch, 4 * hidden)`` buffer."""
+        hs = self.hidden_size
+        gates = np.matmul(x, self.w_x.data, out=scratch[0])
+        gates += np.matmul(h, self.w_h.data, out=scratch[1])
+        gates += self.bias.data
+        g_gate = np.tanh(gates[:, 2 * hs:3 * hs])
+        # One contiguous pass over all four blocks beats two strided
+        # ones even though the cell block's sigmoid is never read.
+        sigmoid_(gates)
+        c *= gates[:, hs:2 * hs]                      # forget
+        g_gate *= gates[:, :hs]                       # input
+        c += g_gate
+        h_new = np.tanh(c, out=g_gate)
+        h_new *= gates[:, 3 * hs:]                    # output
+        return h_new
+
     def zero_state(self, batch: int) -> Tuple[Tensor, Tensor]:
         return (
             Tensor(np.zeros((batch, self.hidden_size))),
@@ -85,6 +107,18 @@ class LSTM(Module):
             state = (h, c)
             outputs.append(h)
         return stack(outputs, axis=1), state
+
+    def infer(self, x: np.ndarray
+              ) -> Tuple[np.ndarray, Tuple[np.ndarray, np.ndarray]]:
+        """Tape-free :meth:`forward` from the zero state."""
+        batch, steps, _ = x.shape
+        hs = self.hidden_size
+        outputs = np.empty((batch, steps, hs))
+        h, c = np.zeros((batch, hs)), np.zeros((batch, hs))
+        scratch = np.empty((2, batch, 4 * hs))
+        for t in range(steps):
+            h = outputs[:, t, :] = self.cell.infer(x[:, t, :], h, c, scratch)
+        return outputs, (h, c)
 
 
 class Seq2SeqStack(Module):
@@ -115,6 +149,17 @@ class Seq2SeqStack(Module):
             step_input = attended
         return stack(outputs, axis=1)
 
+    def infer(self, x: np.ndarray) -> np.ndarray:
+        """Tape-free :meth:`forward` on a plain array."""
+        enc_states, (h, c) = self.encoder.infer(x)
+        outputs = np.empty((x.shape[0], self.out_steps, self.hidden_size))
+        scratch = np.empty((2, x.shape[0], 4 * self.hidden_size))
+        step_input = h
+        for t in range(self.out_steps):
+            h = self.decoder_cell.infer(step_input, h, c, scratch)
+            step_input = outputs[:, t, :] = self.attention.infer(h, enc_states)
+        return outputs
+
 
 class StackedSeq2Seq(Module):
     """Chains ``num_stacks`` encoder/decoder pairs (Table III sweeps this).
@@ -143,3 +188,9 @@ class StackedSeq2Seq(Module):
         for stack_module in self.stacks:
             out = stack_module(out)
         return out
+
+    def infer(self, x: np.ndarray) -> np.ndarray:
+        """Tape-free :meth:`forward` on a plain array."""
+        for stack_module in self.stacks:
+            x = stack_module.infer(x)
+        return x

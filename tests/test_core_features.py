@@ -107,6 +107,22 @@ class TestChunks:
         chunks = encoder.encode_chunks(tiny_trace.head(500), stride=3)
         assert np.all(np.diff(chunks.starts) == 3)
 
+    def test_reshaped_chunks_match_the_gather(self, encoder, tiny_trace,
+                                              tiny_recmg_config):
+        """Non-overlapping chunks are reshaped views; they must hold
+        what the per-chunk gather (any other stride) selects, with the
+        ragged tail dropped."""
+        length = tiny_recmg_config.input_len
+        head = tiny_trace.head(50 * length + 3)
+        views = encoder.encode_chunks(head)
+        gathered = encoder.encode_chunks(head, stride=1)
+        assert len(views) == 50
+        for field in ("table_ids", "hashed_rows", "norm_index", "freq",
+                      "dense_ids"):
+            assert np.array_equal(getattr(views, field),
+                                  getattr(gathered, field)[::length])
+        assert np.array_equal(views.starts, gathered.starts[::length])
+
     def test_too_short_trace_raises(self, encoder, tiny_trace):
         with pytest.raises(ValueError):
             encoder.encode_chunks(tiny_trace.head(3))

@@ -49,6 +49,15 @@ class TestManagerWithModels:
             test, fast_serve=False)
         assert fast == reference
 
+    def test_trace_shorter_than_a_chunk_is_served_model_free(
+            self, trained_recmg, tiny_trace, tiny_capacity):
+        """``run()`` cuts chunks through ``encode_chunks``, which refuses
+        a trace with no whole chunk; the manager must not ask it to."""
+        short = tiny_trace.head(trained_recmg.config.input_len - 1)
+        stats = trained_recmg.deploy(tiny_capacity).run(short)
+        assert stats.breakdown.total == len(short)
+        assert stats.prefetches_issued == 0
+
     def test_prefetch_hits_only_with_prefetch_model(self, trained_recmg,
                                                     tiny_trace,
                                                     tiny_capacity):

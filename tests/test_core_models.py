@@ -99,6 +99,41 @@ class TestBucketDecoder:
         out = decoder.decode_buckets(logits)
         assert np.all(out == 3)
 
+    def test_from_miss_ids_matches_the_scalar_loop(self, rng):
+        """Highest miss count per bucket, lowest dense id among equal
+        counts (the strict ``>`` of the loop this replaced)."""
+        K = 16
+        for size in (0, 1, 40, 400):
+            miss_ids = rng.integers(0, 6 * K, size=size)
+            ids, counts = np.unique(miss_ids, return_counts=True)
+            expected = np.full(K, -1, dtype=np.int64)
+            best = np.zeros(K, dtype=np.int64)
+            for dense_id, count in zip(ids, counts):
+                if count > best[dense_id % K]:
+                    best[dense_id % K] = count
+                    expected[dense_id % K] = dense_id
+            decoder = BucketDecoder.from_miss_ids(miss_ids, K)
+            assert np.array_equal(decoder.bucket_hot, expected)
+            assert decoder.fallback == (
+                int(ids[np.argmax(counts)]) if size else 0)
+
+    def test_decode_buckets_ties_and_fallback(self, rng):
+        K = 8
+        full = BucketDecoder(np.arange(K) + 100, fallback=7)
+        sparse = BucketDecoder(np.where(np.arange(K) % 3 == 1,
+                                        np.arange(K) + 100, -1), fallback=7)
+        empty = BucketDecoder(np.full(K, -1), fallback=7)
+        logits = rng.integers(0, 3, size=(5, 4, K)).astype(np.float64)
+        for decoder in (full, sparse, empty):
+            hot = decoder.bucket_hot
+            masked = np.where(hot >= 0, logits, -np.inf)
+            first_best = hot[np.argmax(masked, axis=-1)]  # first index wins
+            expected = np.where(first_best >= 0, first_best, 7)
+            assert np.array_equal(decoder.decode_buckets(logits), expected)
+        assert np.all(empty.decode_buckets(logits) == 7)
+        assert np.all(empty.decode(rng.normal(size=(3, 2)),
+                                   rng.normal(size=(K, 2))) == 7)
+
     def test_decode_nearest_codeword(self, rng):
         K, D = 8, 4
         codebook = rng.normal(size=(K, D))
