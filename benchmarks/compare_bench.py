@@ -15,7 +15,9 @@ shared runners where two near-equal engines can easily time 30% apart.
 A gated hot path whose fresh speedup falls more than
 ``--max-regression`` (default 30%) below the committed one fails the
 build; so does a gated hot path that disappears from the fresh run (a
-silently dropped gate reads as a pass otherwise).
+silently dropped gate reads as a pass otherwise) — including one the
+fresh file only *carries over*: bench sessions merge into the existing
+file, and list what they did not re-measure under ``carried_over``.
 
 Gated entries that carry a ``hit_rate_lift`` instead of a ``speedup``
 (the model-guided serving scenarios) gate on the *lift*: a hit-rate
@@ -42,7 +44,21 @@ import json
 import sys
 
 
-def load_speedups(path: str) -> dict:
+def _hot_paths(path: str, measured_only: bool) -> dict:
+    """The entries of one ``BENCH_hotpaths.json``.  ``measured_only``
+    (the fresh side) drops the entries its session did not run but
+    carried over from the file it merged into (``carried_over``, see
+    ``flush_hotpaths`` in ``benchmarks/conftest.py``): a carried-over
+    gate is a gate that went missing from the fresh run."""
+    with open(path) as handle:
+        payload = json.load(handle)
+    skip = payload.get("carried_over", ()) if measured_only else ()
+    return {name: entry
+            for name, entry in payload.get("hot_paths", {}).items()
+            if isinstance(entry, dict) and name not in skip}
+
+
+def load_speedups(path: str, measured_only: bool = False) -> dict:
     """Speedup per *gated* hot path (see module docstring).
 
     Only ``speedup`` and ``gated`` matter; every other metric field an
@@ -53,15 +69,12 @@ def load_speedups(path: str) -> dict:
     vanishing from the fresh run — that check lives in :func:`main`
     and keys on the entry name alone.
     """
-    with open(path) as handle:
-        payload = json.load(handle)
     return {name: entry["speedup"]
-            for name, entry in payload.get("hot_paths", {}).items()
-            if isinstance(entry, dict)
-            and "speedup" in entry and entry.get("gated")}
+            for name, entry in _hot_paths(path, measured_only).items()
+            if "speedup" in entry and entry.get("gated")}
 
 
-def load_lifts(path: str) -> dict:
+def load_lifts(path: str, measured_only: bool = False) -> dict:
     """Hit-rate lift per *gated* lift entry (see module docstring).
 
     Disjoint from :func:`load_speedups` by construction: lift-gated
@@ -69,12 +82,9 @@ def load_lifts(path: str) -> dict:
     ``speedup`` key and never trip the speedup comparison; conversely
     an entry with both keys gates on both axes independently.
     """
-    with open(path) as handle:
-        payload = json.load(handle)
     return {name: entry["hit_rate_lift"]
-            for name, entry in payload.get("hot_paths", {}).items()
-            if isinstance(entry, dict)
-            and "hit_rate_lift" in entry and entry.get("gated")}
+            for name, entry in _hot_paths(path, measured_only).items()
+            if "hit_rate_lift" in entry and entry.get("gated")}
 
 
 def main(argv=None) -> int:
@@ -87,7 +97,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
 
     baseline = load_speedups(args.baseline)
-    fresh = load_speedups(args.fresh)
+    fresh = load_speedups(args.fresh, measured_only=True)
     floor = 1.0 - args.max_regression
     failures = []
     for name in sorted(baseline):
@@ -111,7 +121,7 @@ def main(argv=None) -> int:
               f"the fresh BENCH_hotpaths.json to start gating it)")
 
     baseline_lifts = load_lifts(args.baseline)
-    fresh_lifts = load_lifts(args.fresh)
+    fresh_lifts = load_lifts(args.fresh, measured_only=True)
     for name in sorted(baseline_lifts):
         committed = baseline_lifts[name]
         if committed <= 0:

@@ -18,9 +18,9 @@ from repro.core import RecMG, RecMGConfig
 from repro.traces import load_dataset
 
 #: Accesses/sec per hot path recorded by benchmarks/test_perf_hotpaths.py
-#: via the ``record_hotpath`` fixture; flushed to BENCH_hotpaths.json at
-#: session end so the perf trajectory is tracked across PRs (CI uploads
-#: the file as an artifact).
+#: via the ``record_hotpath`` fixture; merged into BENCH_hotpaths.json at
+#: the end of a passing session so the perf trajectory is tracked across
+#: PRs (CI uploads the file as an artifact).
 _HOTPATH_RESULTS: dict = {}
 
 #: Datasets used by multi-dataset figures (3 of the paper's 5 to bound
@@ -69,18 +69,40 @@ def record_hotpath():
     return _record
 
 
-def pytest_sessionfinish(session, exitstatus):
-    """Flush the hot-path throughput numbers to BENCH_hotpaths.json
-    (repo root) whenever the perf benches ran."""
-    if not _HOTPATH_RESULTS:
-        return
+def flush_hotpaths(path: Path, results: dict, exitstatus: int) -> bool:
+    """Merge one session's hot-path entries into ``path``.
+
+    The file is the committed regression baseline, so a session may
+    only add to it or refresh what it measured: entries it did not run
+    (a ``-k`` selection, a single file) are carried over, named under
+    ``carried_over`` so ``compare_bench.py`` can still tell a gate that
+    silently stopped running; a failed or interrupted session
+    (``exitstatus != 0``) leaves the file untouched — half its entries
+    are missing and the rest may come from the run that failed.
+    Returns whether the file was written.
+    """
+    if not results or exitstatus != 0:
+        return False
+    hot_paths = {}
+    if path.exists():
+        hot_paths = json.loads(path.read_text()).get("hot_paths", {})
+    carried_over = sorted(set(hot_paths) - set(results))
+    hot_paths.update(results)
     payload = {
         "source": "benchmarks/test_perf_hotpaths.py",
         "generated_at": time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime()),
-        "hot_paths": dict(sorted(_HOTPATH_RESULTS.items())),
+        "carried_over": carried_over,
+        "hot_paths": dict(sorted(hot_paths.items())),
     }
-    path = Path(session.config.rootpath) / "BENCH_hotpaths.json"
     path.write_text(json.dumps(payload, indent=2) + "\n")
+    return True
+
+
+def pytest_sessionfinish(session, exitstatus):
+    """Flush the hot-path throughput numbers to BENCH_hotpaths.json
+    (repo root) whenever the perf benches ran and passed."""
+    flush_hotpaths(Path(session.config.rootpath) / "BENCH_hotpaths.json",
+                   _HOTPATH_RESULTS, int(exitstatus))
 
 
 @pytest.fixture(scope="session")

@@ -21,8 +21,12 @@ falling back to ``config.buffer_impl``; see :mod:`repro.cache.buffer`):
   selection pre-reclaims the space it needs, and one bulk scatter
   stores it — decision-for-decision and state-identical to the scalar
   audit loop (the buffer refuses any segment where bulk reclaim could
-  diverge, and the engine splits or falls back).  Dict mode keeps the
-  lazy-heap bulk pre-pass, likewise bit-identical.
+  diverge, and the engine splits or falls back).  Segments of at most
+  ``_SCALAR_FALLBACK`` keys — the 15-key model chunks of :meth:`run`
+  — skip the bulk call, whose fixed cost they cannot amortise, for the
+  scalar loop itself, which the dense buffer's victim queue makes
+  amortised O(1) per eviction.  Dict mode keeps the lazy-heap bulk
+  pre-pass, likewise bit-identical.
 * ``"reference"`` — exact O(n) audit backend; always served through the
   scalar loop.
 * ``"clock"`` — approximate array-backed CLOCK; ``fast_serve`` switches
@@ -158,8 +162,12 @@ class RecMGManager:
 
     #: Block size for bulk serving outside model chunks.
     _SERVE_BLOCK = 512
-    #: Below this length a rejected exact segment goes straight to the
-    #: scalar audit loop instead of splitting further.
+    #: The exact engine serves segments up to this length, and the
+    #: stretches bulk serving rejects, through the scalar loop.  It is
+    #: the measured crossover: model-free on the ``recmg-replay`` trace
+    #: (2-core host) the scalar loop costs ~1.65 us/key and bulk
+    #: ``serve_segment`` ~100 us + 0.5 us/key — 15 keys: 26 vs 107 us,
+    #: 64: 103 vs 118, 96: 168 vs 134, 256: 411 vs 224.
     _SCALAR_FALLBACK = 64
     #: Upper bound on serving blocks in flight when the concurrent
     #: engine pipelines a whole trace (bounds gather-buffer memory
@@ -775,9 +783,14 @@ class RecMGManager:
         buffer).  Serving a segment equals serving its pieces in
         sequence, so the engine just loops over the served prefixes; a
         zero-length serve (not even the first access is bulk-servable)
-        advances through a short scalar slice instead.
+        advances through a short scalar slice instead — as does, from
+        the start, a segment no longer than :attr:`_SCALAR_FALLBACK`
+        (the bulk call's fixed cost exceeds its whole scalar loop).
         """
         segment = np.asarray(segment, dtype=np.int64)
+        if segment.size <= self._SCALAR_FALLBACK:
+            self._serve_demand_slow(segment)
+            return
         prefetched = self._prefetched
         for chunk in iter_serve_segments(self.buffer, segment,
                                          self.config.eviction_speed,

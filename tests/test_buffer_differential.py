@@ -22,7 +22,17 @@ interleavings) drive every backend behind the ``buffer_impl`` knob:
   with scalar ``in`` membership over a probe range that includes
   out-of-range and negative ids (bitmap/dict residency agreement).
 
-A second differential (:func:`test_exact_serving_decision_equivalence`)
+A queue differential (:func:`test_dense_victim_queue_matches_reference`
+and its sharded twin) stresses what scalar ``evict_one`` on the dense
+fast buffer now rests on — a victim queue that persists *across*
+calls: scalar evictions, inserts, touches and demotes interleave with
+the bulk protocol (``serve_segment`` included), with drained-and-
+re-imported populations and live ``ShardedBuffer.rebalance`` calls
+mid-sequence, priorities far above the eviction count (the fallback
+selection), spillover ids, and a queue depth shrunk until refills and
+truncation happen every few evictions.
+
+A further differential (:func:`test_exact_serving_decision_equivalence`)
 runs the *manager* end to end on 200 seeded synthetic traces: the dense
 ``"fast"`` backend's batched serving engine
 (``RecMGManager._serve_demand_batched_exact`` over
@@ -38,7 +48,9 @@ import random
 import numpy as np
 import pytest
 
-from repro.cache import ClockBuffer, FastPriorityBuffer, PriorityBuffer
+from repro.cache import (ClockBuffer, FastPriorityBuffer, PriorityBuffer,
+                         buffer as buffer_module, make_buffer)
+from repro.cache.sharding import backend_for_key
 
 NUM_SEQUENCES = 200
 OPS_PER_SEQUENCE = 120
@@ -64,15 +76,16 @@ OP_WEIGHTS = [
 ]
 
 
-def _gen_ops(rng: random.Random):
+def _gen_ops(rng: random.Random, op_weights=OP_WEIGHTS,
+             max_priority=MAX_PRIORITY):
     """One randomized op sequence (backend-independent description)."""
-    names = [name for name, _ in OP_WEIGHTS]
-    weights = [weight for _, weight in OP_WEIGHTS]
+    names = [name for name, _ in op_weights]
+    weights = [weight for _, weight in op_weights]
     ops = []
     for _ in range(OPS_PER_SEQUENCE):
         op = rng.choices(names, weights=weights)[0]
         key = rng.randrange(KEY_SPACE)
-        priority = rng.randrange(MAX_PRIORITY + 1)
+        priority = rng.randrange(max_priority + 1)
         batch = [rng.randrange(KEY_SPACE)
                  for _ in range(rng.randint(1, 10))]
         count = rng.randint(1, 6)
@@ -86,6 +99,27 @@ def _assert_contains_batch_agrees(buffer) -> None:
     scalar = np.array([int(key) in buffer for key in PROBE], dtype=bool)
     assert bulk.dtype == np.bool_ and bulk.shape == scalar.shape
     assert np.array_equal(bulk, scalar)
+
+
+def _assert_same_state(ref, other) -> None:
+    assert sorted(other.keys()) == sorted(ref.keys())
+    for key in ref.keys():
+        assert other.priority_of(key) == ref.priority_of(key)
+
+
+def _scalar_serve(buffer, keys, priority):
+    """The scalar serving loop ``serve_segment`` is defined against
+    (eviction for space in the key's own shard); returns its victims."""
+    victims = []
+    for key in keys:
+        if key in buffer:
+            buffer.set_priority(key, priority)
+            continue
+        shard = backend_for_key(buffer, key)
+        if shard.is_full:
+            victims.append(shard.evict_one())
+        buffer.insert(key, priority)
+    return victims
 
 
 def _apply_exact_group(ref: PriorityBuffer, others, op):
@@ -133,6 +167,26 @@ def _apply_exact_group(ref: PriorityBuffer, others, op):
         victims = ref.evict_batch(n)
         for buffer in others:
             assert buffer.evict_batch(n) == victims
+    elif kind == "serve_segment":
+        # Dense fast buffers bulk-serve a prefix; everything else (and
+        # the unserved rest) replays the scalar loop.
+        expected = _scalar_serve(ref, batch, priority)
+        for buffer in others:
+            result = getattr(buffer, "serve_segment", lambda *_: None)(
+                np.asarray(batch, dtype=np.int64), priority)
+            served, victims = ((result[0], result[2]) if result is not None
+                               else (0, []))
+            assert victims + _scalar_serve(buffer, batch[served:],
+                                           priority) == expected
+    elif kind == "import_state" and len(ref):
+        # Drain, then reload the drained population in reversed seqno
+        # order — what a rebalance does to a shard, on the same object.
+        keys, prio, seq = ref.export_state()
+        drained = ref.evict_batch(len(ref))
+        ref.import_state(keys, prio, -seq)
+        for buffer in others:
+            assert buffer.evict_batch(len(buffer)) == drained
+            buffer.import_state(keys, prio, -seq)
     for buffer in others:
         assert len(buffer) == len(ref)
     for buffer in group:
@@ -241,11 +295,8 @@ def test_differential_op_sequences(seed):
         _apply_clock(clock, dense, inserted_ever, op)
 
     # Exact group: full key-for-key state agreement at the end.
-    ref_keys = sorted(ref.keys())
     for buffer in exact_others:
-        assert sorted(buffer.keys()) == ref_keys
-        for key in ref_keys:
-            assert buffer.priority_of(key) == ref.priority_of(key)
+        _assert_same_state(ref, buffer)
     fast_dense = exact_others[-1]
     assert fast_dense.residency.count() == len(ref)
     # Drain everything: the remaining victim order must agree too.
@@ -277,11 +328,114 @@ def test_exact_group_priority_parity_mid_sequence():
     for _ in range(4):
         for op in _gen_ops(rng):
             _apply_exact_group(ref, others, op)
-            ref_keys = sorted(ref.keys())
             for buffer in others:
-                assert sorted(buffer.keys()) == ref_keys
-                for key in ref_keys:
-                    assert buffer.priority_of(key) == ref.priority_of(key)
+                _assert_same_state(ref, buffer)
+
+
+# ---------------------------------------------------------------------------
+# Dense victim queue: scalar evict_one interleaved with the bulk protocol.
+
+QUEUE_SEQUENCES = 150
+QUEUE_OP_WEIGHTS = OP_WEIGHTS + [("evict_one", 6), ("serve_segment", 4),
+                                 ("import_state", 1)]
+
+
+def _shrink_queue(monkeypatch, rng: random.Random) -> None:
+    """Most seeds run with a queue a few records deep, so a 120-op
+    sequence refills and truncates many times."""
+    monkeypatch.setattr(buffer_module, "_VICTIM_QUEUE",
+                        rng.choice([1, 2, 5, 1024]))
+
+
+@pytest.mark.parametrize("seed", range(QUEUE_SEQUENCES))
+def test_dense_victim_queue_matches_reference(seed, monkeypatch):
+    """Dense ``FastPriorityBuffer`` vs ``PriorityBuffer``, victim for
+    victim, under scalar/bulk interleavings (see module docstring).
+    ``max_priority`` 400 keeps entries live for the whole sequence: the
+    queue finds no candidate and the fallback selection must answer."""
+    rng = random.Random(9100 + seed)
+    _shrink_queue(monkeypatch, rng)
+    capacity = rng.randint(1, 20)
+    ref = PriorityBuffer(capacity)
+    others = [FastPriorityBuffer(capacity, key_space=DENSE_SPACE)]
+    for op in _gen_ops(rng, QUEUE_OP_WEIGHTS, rng.choice([1, 6, 400])):
+        _apply_exact_group(ref, others, op)
+        _assert_same_state(ref, others[0])
+    if len(ref):
+        assert others[0].evict_batch(len(ref)) == ref.evict_batch(len(ref))
+
+
+@pytest.mark.parametrize("seed", range(40))
+def test_dense_victim_queue_survives_rebalance(seed, monkeypatch):
+    """Sharded dense fast vs sharded reference: scalar serving (each
+    miss evicting in its key's shard), demotes and global evictions,
+    with live ``rebalance`` calls re-drawing capacities and partition
+    mid-sequence — every shard's queue must die with its backend."""
+    rng = random.Random(9500 + seed)
+    _shrink_queue(monkeypatch, rng)
+    kwargs = dict(key_space=DENSE_SPACE, num_shards=rng.choice([2, 3]),
+                  shard_policy=rng.choice(["contiguous", "modulo"]))
+    capacity = rng.randint(kwargs["num_shards"], 18)
+    ref = make_buffer("reference", capacity, **kwargs)
+    dense = make_buffer("fast", capacity, **kwargs)
+    for _ in range(OPS_PER_SEQUENCE):
+        roll = rng.random()
+        batch = [rng.randrange(KEY_SPACE) for _ in range(rng.randint(1, 8))]
+        if roll < 0.5:
+            priority = rng.randrange(MAX_PRIORITY + 1)
+            assert (_scalar_serve(dense, batch, priority)
+                    == _scalar_serve(ref, batch, priority))
+        elif roll < 0.7:
+            resident = [key for key in batch if key in ref]
+            ref.demote_batch(resident)
+            dense.demote_batch(resident)
+        elif roll < 0.85 and len(ref):
+            assert dense.evict_one() == ref.evict_one()
+        elif roll < 0.92 and len(ref):
+            count = rng.randint(1, len(ref))
+            assert dense.evict_batch(count) == ref.evict_batch(count)
+        else:
+            weights = [rng.random() + 0.1
+                       for _ in range(kwargs["num_shards"])]
+            assert dense.rebalance(weights) == ref.rebalance(weights)
+        _assert_same_state(ref, dense)
+    if len(ref):
+        assert dense.evict_batch(len(ref)) == ref.evict_batch(len(ref))
+
+
+def test_import_state_resets_victim_queue():
+    """A record of the pre-import numbering may match an imported
+    ``(key, seqno)`` pair whose priority is no longer zero."""
+    buffer = FastPriorityBuffer(4, key_space=8)
+    for key in range(4):
+        buffer.insert(key, 0)
+    assert buffer.evict_one() == 0      # builds the queue: 1, 2, 3 pending
+    buffer.evict_batch(3)
+    buffer.import_state([1, 2, 3], [5, 0, 0], [1, 2, 3])
+    assert buffer.evict_one() == 2      # 1 is live now; (1, 1) is stale
+
+
+def test_victim_queue_stays_bounded_without_scalar_evictions():
+    """Bulk evictions never pop the queue, so demotes must not grow it
+    without bound — and before any scalar eviction they record
+    nothing at all."""
+    capacity = 48
+    buffer = FastPriorityBuffer(capacity, key_space=256)
+    buffer.put_batch(np.arange(capacity), 2)
+    rng = np.random.default_rng(5)
+    buffer.demote_batch(rng.integers(0, capacity, 15))
+    assert buffer._victims is None
+    buffer.evict_one()                  # the one scalar eviction: queue live
+    peak = 0
+    for step in range(100_000):
+        resident = np.flatnonzero(buffer.residency.bitmap)
+        buffer.demote_batch(rng.choice(resident, 15))
+        if step % 64 == 0:              # churn through the bulk protocol
+            buffer.evict_batch(4)
+            absent = np.flatnonzero(~buffer.residency.bitmap)
+            buffer.put_batch(rng.choice(absent, 4, replace=False), 2)
+        peak = max(peak, len(buffer._victims or ()))
+    assert 0 < peak <= buffer_module._VICTIM_QUEUE + capacity
 
 
 # ---------------------------------------------------------------------------

@@ -94,6 +94,25 @@ def test_vanished_gated_path_fails(compare_bench, tmp_path, capsys):
     assert "missing from the" in capsys.readouterr().err
 
 
+def test_carried_over_gated_path_counts_as_vanished(compare_bench, tmp_path,
+                                                    capsys):
+    """Bench sessions merge into the existing file, so a gate that
+    stopped running is still *present* in the fresh file — listed under
+    ``carried_over``, which must read as missing, on the fresh side
+    only (a committed baseline's carried-over gates still gate)."""
+    entries = {"optgen": 20.0, "serving": 4.0}
+    baseline = tmp_path / "base.json"
+    baseline.write_text(json.dumps(
+        {**_payload(entries), "carried_over": ["serving"]}))
+    fresh = tmp_path / "fresh.json"
+    fresh.write_text(json.dumps(
+        {**_payload(entries), "carried_over": ["serving"]}))
+    assert compare_bench.main([str(baseline), str(fresh)]) == 1
+    assert "serving: gated hot path missing" in capsys.readouterr().err
+    fresh.write_text(json.dumps({**_payload(entries), "carried_over": []}))
+    assert compare_bench.main([str(baseline), str(fresh)]) == 0
+
+
 def test_ungated_entries_never_gate(compare_bench, tmp_path, capsys):
     """Informational entries (no gated flag, or no speedup at all) are
     excluded on both sides: regressing or vanishing is fine."""

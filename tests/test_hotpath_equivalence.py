@@ -152,6 +152,31 @@ class TestManagerServingEngines:
                 == fast_stats.breakdown.cache_hits
                 + fast_stats.breakdown.prefetch_hits)
 
+    @pytest.mark.parametrize("share", [0.05, 0.2])
+    def test_model_chunk_loop_identical_across_exact_backends(
+            self, trained_recmg, tiny_trace, share):
+        """Both trained models in the loop on the held-out tail (unseen
+        keys spill above the vocabulary): ``input_len``-key chunks put
+        the dense ``fast`` engine on its scalar-eviction side, where it
+        must decide exactly like dict mode and the reference backend."""
+        _, tail = tiny_trace.split(0.6)
+        capacity = max(1, int(tiny_trace.num_unique * share))
+        runs = []
+        for buffer_impl, key_space in (("fast", "auto"), ("fast", None),
+                                       ("reference", "auto")):
+            manager = RecMGManager(
+                capacity, trained_recmg.encoder, trained_recmg.config,
+                caching_model=trained_recmg.caching_model,
+                prefetch_model=trained_recmg.prefetch_model,
+                buffer_impl=buffer_impl, key_space=key_space)
+            stats = manager.run(tail, record_decisions=True)
+            runs.append((stats, manager.last_decisions.tolist(),
+                         {key: manager.buffer.priority_of(key)
+                          for key in manager.buffer.keys()}))
+        assert trained_recmg.config.input_len <= RecMGManager._SCALAR_FALLBACK
+        assert runs[0][0].evictions > 0 and runs[0][0].prefetches_issued > 0
+        assert runs[0] == runs[1] == runs[2]
+
 
 BATCH_OPS = st.lists(
     st.one_of(
