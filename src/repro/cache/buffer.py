@@ -230,8 +230,15 @@ def reclaim_batch_space(buffer, uniq: np.ndarray, new_count: int,
             stale = True
 
 
+#: Blocks of at most this many keys take a caller's scalar loop rather
+#: than a bulk call whose fixed cost exceeds that whole loop — one
+#: measured crossover shared by serving (``RecMGManager``, where the
+#: numbers are) and ``serving.priorities.apply_caching_bits``.
+SCALAR_FALLBACK = 64
+
+
 def iter_serve_segments(buffer, segment: np.ndarray, priority: int,
-                        scalar_span: int = 64):
+                        scalar_span: int = SCALAR_FALLBACK):
     """Drive :meth:`FastPriorityBuffer.serve_segment` over a whole
     segment, yielding one chunk per served prefix — the shared loop
     under ``RecMGManager._serve_demand_batched_exact`` and

@@ -73,11 +73,14 @@ class CachingModel(Module):
     def infer(self, chunks: EncodedChunks,
               sel: Optional[np.ndarray] = None) -> np.ndarray:
         """Tape-free twin of :meth:`forward` (which stays the training
-        path): the same float64 operations in the same order on plain
-        arrays, so the logits are identical, with no autograd graph.
-        Weights are read from ``param.data`` at call time and nothing is
-        stored on the model, so clone-and-swap retraining,
-        ``load_state_dict`` and a worker sharing the model stay correct.
+        path): the same operations in the same order on plain arrays in
+        the weights' dtype, with no autograd graph.  On the model itself
+        (float64) the logits are the tape's bit for bit — all that form
+        is kept for; decisions run this method on
+        :meth:`~repro.nn.Module.float32_twin`, a cached copy checked
+        against every ``param.data`` by identity per call over read-only
+        sources, so clone-and-swap retraining, ``load_state_dict`` and
+        optimizer steps all show in the next :meth:`predict`.
         """
         states = chunk_inputs(chunks, sel, self.table_embedding,
                               self.row_embedding)
@@ -86,7 +89,7 @@ class CachingModel(Module):
         batch, length, hidden = states.shape
         projected = states @ self.att_weight.data
         weights = softmax_(projected @ states.transpose(0, 2, 1))
-        combined = np.empty((batch, length, 2 * hidden))
+        combined = np.empty((batch, length, 2 * hidden), dtype=states.dtype)
         combined[:, :, :hidden] = states
         combined[:, :, hidden:] = weights @ states
         hidden_out = self.combine.infer(
@@ -96,8 +99,10 @@ class CachingModel(Module):
 
     def predict(self, chunks: EncodedChunks,
                 sel: Optional[np.ndarray] = None) -> np.ndarray:
-        """Binary keep/evict decisions, shape (batch, input_len)."""
-        return (self.infer(chunks, sel=sel) > 0.0).astype(np.int8)
+        """Binary keep/evict decisions, shape (batch, input_len), from
+        :meth:`infer` on the float32 twin."""
+        logits = self.float32_twin().infer(chunks, sel=sel)
+        return (logits > 0.0).astype(np.int8)
 
     def predict_single(self, table_ids: np.ndarray, hashed_rows: np.ndarray,
                        norm_index: np.ndarray, freq: np.ndarray) -> np.ndarray:

@@ -115,6 +115,7 @@ from typing import Deque, List, Optional, Set, Tuple
 import numpy as np
 
 from ..cache.buffer import (
+    SCALAR_FALLBACK,
     FastPriorityBuffer,
     iter_serve_segments,
     make_buffer,
@@ -168,7 +169,7 @@ class RecMGManager:
     #: (2-core host) the scalar loop costs ~1.65 us/key and bulk
     #: ``serve_segment`` ~100 us + 0.5 us/key — 15 keys: 26 vs 107 us,
     #: 64: 103 vs 118, 96: 168 vs 134, 256: 411 vs 224.
-    _SCALAR_FALLBACK = 64
+    _SCALAR_FALLBACK = SCALAR_FALLBACK
     #: Upper bound on serving blocks in flight when the concurrent
     #: engine pipelines a whole trace (bounds gather-buffer memory
     #: while keeping every shard worker fed across block boundaries).
@@ -370,13 +371,13 @@ class RecMGManager:
         return victim
 
     def _apply_caching_bits(self, keys: np.ndarray, bits: np.ndarray) -> None:
-        """Algorithm 1 lines 4-7 — the bulk caching-bit write shared by
-        the offline chunk pass and the provider sink.  The applier
-        itself lives in :func:`repro.serving.priorities.apply_caching_bits`
-        (one residency gather, last-occurrence-wins dedup, friendly
-        keys to ``eviction_speed + 1`` via ``set_priority_batch``,
-        averse keys demoted), where its scalar-equivalence argument is
-        documented."""
+        """Algorithm 1 lines 4-7 — the caching-bit write shared by the
+        offline chunk pass and the provider sink.  The applier itself
+        lives in :func:`repro.serving.priorities.apply_caching_bits`
+        (resident keys only, last occurrence wins, friendly keys to
+        ``eviction_speed + 1``, averse keys demoted; a scalar loop up
+        to :attr:`_SCALAR_FALLBACK` keys, the bulk protocol beyond),
+        where the equivalence of its two forms is documented."""
         apply_caching_bits(self.buffer, keys, bits,
                            self.config.eviction_speed)
 

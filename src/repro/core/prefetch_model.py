@@ -41,8 +41,10 @@ class BucketDecoder:
         self.fallback = int(fallback)
         #: Additive -inf over the buckets without a candidate; ``None``
         #: when every bucket has one and there is nothing to mask.
+        #: float32 holds both values and widens neither logit dtype.
         empty = self.bucket_hot < 0
-        self._empty_mask = np.where(empty, -np.inf, 0.0) if empty.any() else None
+        self._empty_mask = (np.where(empty, -np.inf, 0.0).astype(np.float32)
+                            if empty.any() else None)
 
     @classmethod
     def from_miss_ids(cls, miss_dense_ids: np.ndarray,
@@ -74,15 +76,25 @@ class BucketDecoder:
         return self.bucket_hot[nearest].reshape(vectors.shape[:-1])
 
     def decode_buckets(self, logits: np.ndarray) -> np.ndarray:
-        """``logits``: (..., num_buckets) scores; returns dense ids of
-        the highest-scoring bucket that has a miss candidate."""
-        flat = logits.reshape(-1, logits.shape[-1])
+        """``logits``: (..., num_buckets) scores, left untouched;
+        returns dense ids of the highest-scoring bucket that has a miss
+        candidate."""
         if self._empty_mask is not None:
-            flat = flat + self._empty_mask
-        best = np.argmax(flat, axis=1)
+            logits = logits + self._empty_mask
+        return self._hot_ids(logits)
+
+    def decode_buckets_(self, logits: np.ndarray) -> np.ndarray:
+        """:meth:`decode_buckets` masking ``logits`` in place — for a
+        caller that owns the array and drops it afterwards."""
+        if self._empty_mask is not None:
+            logits += self._empty_mask
+        return self._hot_ids(logits)
+
+    def _hot_ids(self, masked: np.ndarray) -> np.ndarray:
+        best = np.argmax(masked.reshape(-1, masked.shape[-1]), axis=1)
         ids = self.bucket_hot[best]
         ids = np.where(ids >= 0, ids, self.fallback)
-        return ids.reshape(logits.shape[:-1])
+        return ids.reshape(masked.shape[:-1])
 
 
 class PrefetchModel(Module):
@@ -133,8 +145,10 @@ class PrefetchModel(Module):
     def infer_logits(self, chunks: EncodedChunks,
                      sel: Optional[np.ndarray] = None) -> np.ndarray:
         """Tape-free twin of :meth:`forward_logits` (which stays the
-        training path): same float64 operations in the same order on
-        plain arrays, weights read from ``param.data`` at call time."""
+        training path): same operations in the same order on plain
+        arrays in the weights' dtype — the tape's logits bit for bit on
+        the float64 model, the serving path's on its identity-checked
+        :meth:`~repro.nn.Module.float32_twin` (``CachingModel.infer``)."""
         states = self.backbone.infer(chunk_inputs(
             chunks, sel, self.table_embedding, self.row_embedding))
         batch, steps, hidden = states.shape
@@ -165,7 +179,8 @@ class PrefetchModel(Module):
         """Dense embedding-vector ids to prefetch, (batch, output_len)."""
         if self.decoder is None:
             raise RuntimeError("no decoder attached; call set_decoder()")
-        return self.decoder.decode_buckets(self.infer_logits(chunks, sel=sel))
+        return self.decoder.decode_buckets_(
+            self.float32_twin().infer_logits(chunks, sel=sel))
 
     def predict_single(self, table_ids: np.ndarray, hashed_rows: np.ndarray,
                        norm_index: np.ndarray, freq: np.ndarray,

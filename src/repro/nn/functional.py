@@ -18,7 +18,7 @@ def softmax(x: Tensor, axis: int = -1) -> Tensor:
 
 def softmax_(x: np.ndarray) -> np.ndarray:
     """Tape-free :func:`softmax` over the last axis, in place: the same
-    float64 operations in the same order, so the values are identical
+    operations in the same order, so float64 values are identical
     (``np.power(s, -1.0)`` is what the tape's division computes)."""
     x -= x.max(axis=-1, keepdims=True)
     np.exp(x, out=x)
@@ -27,9 +27,12 @@ def softmax_(x: np.ndarray) -> np.ndarray:
 
 
 def sigmoid_(x: np.ndarray) -> np.ndarray:
-    """Tape-free :meth:`Tensor.sigmoid`, in place (``1 / (1 + exp(-x))``)."""
+    """Tape-free :meth:`Tensor.sigmoid`, in place (``1 / (1 + exp(-x))``).
+    float32 ``exp`` overflows past 88 (float64: 709); the ``inf`` it
+    gives is the right one — the gate saturates at exactly 0."""
     np.negative(x, out=x)
-    np.exp(x, out=x)
+    with np.errstate(over="ignore"):
+        np.exp(x, out=x)
     x += 1.0
     return np.divide(1.0, x, out=x)
 

@@ -60,10 +60,11 @@ class LSTMCell(Module):
 
     def infer(self, x: np.ndarray, h: np.ndarray, c: np.ndarray,
               scratch: np.ndarray) -> np.ndarray:
-        """Tape-free :meth:`forward`: the same float64 operations in
-        the same order on plain arrays, activations in place.  ``c`` is
-        advanced in place, the new ``h`` is a fresh array; ``scratch``
-        is a caller-owned ``(2, batch, 4 * hidden)`` buffer."""
+        """Tape-free :meth:`forward`: the same operations in the same
+        order on plain arrays, activations in place — the tape's values
+        bit for bit in float64, the same code on a float32 twin.  ``c``
+        is advanced in place, the new ``h`` is a fresh array; ``scratch``
+        is a caller-owned ``(2, batch, 4 * hidden)`` buffer, ``x``'s dtype."""
         hs = self.hidden_size
         gates = np.matmul(x, self.w_x.data, out=scratch[0])
         gates += np.matmul(h, self.w_h.data, out=scratch[1])
@@ -113,9 +114,9 @@ class LSTM(Module):
         """Tape-free :meth:`forward` from the zero state."""
         batch, steps, _ = x.shape
         hs = self.hidden_size
-        outputs = np.empty((batch, steps, hs))
-        h, c = np.zeros((batch, hs)), np.zeros((batch, hs))
-        scratch = np.empty((2, batch, 4 * hs))
+        outputs = np.empty((batch, steps, hs), dtype=x.dtype)
+        h, c = np.zeros((2, batch, hs), dtype=x.dtype)
+        scratch = np.empty((2, batch, 4 * hs), dtype=x.dtype)
         for t in range(steps):
             h = outputs[:, t, :] = self.cell.infer(x[:, t, :], h, c, scratch)
         return outputs, (h, c)
@@ -152,8 +153,9 @@ class Seq2SeqStack(Module):
     def infer(self, x: np.ndarray) -> np.ndarray:
         """Tape-free :meth:`forward` on a plain array."""
         enc_states, (h, c) = self.encoder.infer(x)
-        outputs = np.empty((x.shape[0], self.out_steps, self.hidden_size))
-        scratch = np.empty((2, x.shape[0], 4 * self.hidden_size))
+        batch, hs = x.shape[0], self.hidden_size
+        outputs = np.empty((batch, self.out_steps, hs), dtype=x.dtype)
+        scratch = np.empty((2, batch, 4 * hs), dtype=x.dtype)
         step_input = h
         for t in range(self.out_steps):
             h = self.decoder_cell.infer(step_input, h, c, scratch)

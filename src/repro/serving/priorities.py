@@ -7,8 +7,8 @@ offline chunk pass of :meth:`RecMGManager.run`.  This module is the
 seam that puts the model back in the loop without touching the engines
 themselves: a **priority provider** maps a just-served key block to
 per-access caching bits, and the manager sinks those bits through the
-same bulk priority writes (:func:`apply_caching_bits`) the offline
-pass used — Algorithm 1's ``priority[T[i]] = C[i] + eviction_speed``,
+same priority writes (:func:`apply_caching_bits`) the offline pass
+uses — Algorithm 1's ``priority[T[i]] = C[i] + eviction_speed``,
 driven from the live stream.
 
 On a sharded buffer the sink is **per shard**: the block's bits are
@@ -35,13 +35,14 @@ Three implementations, selected by ``priority_mode``:
 * :class:`SyncModelProvider` (``"sync"``) — batched feature encoding +
   ``CachingModel.predict`` per served block, on the serving thread.
   Amortized like every other bulk op, but inference cost lands on the
-  serving critical path: 1920-key blocks serve at ~220 k keys/s vs
-  ~1.5 M model-free on the exact ``fast`` backend (~7x), ~310 k vs
-  ~4.8 M on ``clock`` (~15x; 2-core AVX-512 host, one BLAS thread,
-  numpy 2.4; ~11x / ~33x before ``predict`` went tape-free); decisions are
-  deterministic, which makes this the differential-testable mode
-  (threads == serial stays bit-identical via the shard-pinning
-  argument — the sink runs on the calling thread after the gather).
+  serving critical path: 1920-key blocks serve at ~300 k keys/s vs
+  ~1.0 M model-free on the exact ``fast`` backend (~3.5x), ~450 k vs
+  ~4.5 M on ``clock`` (~10x; 2-core AVX-512 host, one BLAS thread,
+  numpy 2.4; ~6x / ~17x on float64 ``infer``, ~11x / ~33x on the taped
+  forward); decisions are deterministic, which makes this the
+  differential-testable mode (threads == serial stays bit-identical
+  via the shard-pinning argument — the sink runs on the calling
+  thread after the gather).
 * :class:`AsyncModelProvider` (``"async"``) — a background worker
   refreshes a dense per-key bit table; serving reads possibly-stale
   bits with one vectorized gather and never blocks on inference.
@@ -84,6 +85,8 @@ from typing import Deque, Dict, Optional, Tuple
 
 import numpy as np
 
+from ..cache.buffer import SCALAR_FALLBACK
+
 #: Provider selection accepted by ``priority_mode=`` (RecMGConfig field
 #: and RecMGManager constructor argument).
 PRIORITY_MODES = ("none", "sync", "async")
@@ -101,15 +104,20 @@ def apply_caching_bits(buffer, keys: np.ndarray, bits: np.ndarray,
     the aging scale (friendly = ``speed + 1``, averse = demote), which
     is the Hawkeye-style insertion the paper's labels encode.
 
-    Vectorized through the bulk protocol: one ``contains_batch``
-    residency gather classifies the whole block, then the friendly
-    and averse classes land via ``set_priority_batch`` /
-    ``demote_batch``.  Equivalent to the scalar per-key loop: when
-    a key repeats in the block its *last* occurrence's bit wins
-    (last write), positional order is preserved within each class
-    (exact-backend seqno order), and friendly/averse seqnos live in
-    disjoint positive/negative ranges, so cross-class interleaving
-    never affects eviction order.
+    Defined by the scalar sequence: when a key repeats in the block
+    its *last* occurrence's bit wins (last write); the resident
+    friendly keys get ``set_priority``, then the resident averse keys
+    ``demote``, each class in positional order (exact-backend seqno
+    order; friendly/averse seqnos live in disjoint positive/negative
+    ranges, so cross-class interleaving never affects eviction order).
+    Blocks of at most :data:`~repro.cache.buffer.SCALAR_FALLBACK` keys
+    — the 15-key model chunks of ``run()`` — run exactly that loop;
+    longer ones its vectorized form, one ``contains_batch`` residency
+    gather classifying the block and the classes landing via
+    ``set_priority_batch`` / ``demote_batch``: the same state on every
+    backend.  The crossover is measured (dense ``fast`` buffer): bulk
+    ~37-55 us fixed + 0.13 us/key, scalar ~0.7 us/key — 15 keys 54 vs
+    14 us, 64 keys 56 vs 50, 128 keys 74 vs 90.
 
     Tri-state safe: ``-1`` ("no prediction") positions are masked out
     *here*, not just by the manager's pre-filter — a ``-1`` bit must
@@ -129,11 +137,24 @@ def apply_caching_bits(buffer, keys: np.ndarray, bits: np.ndarray,
     friendly/averse subsequences are exactly the global ones.
 
     Shared by the manager's offline chunk pass, the provider sink and
-    :class:`repro.dlrm.inference.BufferClassifier` — one bulk applier,
-    every caller.
+    :class:`repro.dlrm.inference.BufferClassifier` — one applier, every
+    caller, the form chosen by block length alone.
     """
     keys = np.asarray(keys, dtype=np.int64)
     bits = np.asarray(bits)
+    if keys.size <= SCALAR_FALLBACK:
+        last: Dict[int, int] = {}
+        for key, bit in zip(keys.tolist(), bits.tolist()):
+            if bit >= 0 and key in buffer:
+                last.pop(key, None)  # re-insert at the last position
+                last[key] = bit
+        for key, bit in last.items():
+            if bit:
+                buffer.set_priority(key, speed + 1)
+        for key, bit in last.items():
+            if not bit:
+                buffer.demote(key)
+        return
     predicted = bits >= 0
     if not predicted.all():
         if not predicted.any():

@@ -32,6 +32,12 @@ mid-sequence, priorities far above the eviction count (the fallback
 selection), spillover ids, and a queue depth shrunk until refills and
 truncation happen every few evictions.
 
+An applier differential
+(:func:`test_caching_bit_applier_forms_leave_identical_state`) pins the
+two forms of ``serving.priorities.apply_caching_bits`` — the scalar
+loop short blocks take and the bulk protocol — to each other on every
+backend, state for state and victim for victim.
+
 A further differential (:func:`test_exact_serving_decision_equivalence`)
 runs the *manager* end to end on 200 seeded synthetic traces: the dense
 ``"fast"`` backend's batched serving engine
@@ -436,6 +442,79 @@ def test_victim_queue_stays_bounded_without_scalar_evictions():
             buffer.put_batch(rng.choice(absent, 4, replace=False), 2)
         peak = max(peak, len(buffer._victims or ()))
     assert 0 < peak <= buffer_module._VICTIM_QUEUE + capacity
+
+
+# ---------------------------------------------------------------------------
+# apply_caching_bits: the scalar loop vs the bulk protocol.
+
+APPLIER_CAPACITY = 256
+#: Dense universe smaller than the id range: ids above it spill over.
+APPLIER_SPACE = 300
+APPLIER_IDS = 360
+APPLIER_BACKENDS = {
+    "reference": dict(impl="reference"),
+    "fast-dense": dict(impl="fast", key_space=APPLIER_SPACE),
+    "fast-dict": dict(impl="fast"),
+    "clock": dict(impl="clock", key_space=APPLIER_SPACE),
+    "shard-views": dict(impl="fast", key_space=APPLIER_SPACE, num_shards=2),
+}
+
+
+def _backend_states(buffer):
+    """``export_state()`` of every backend under ``buffer`` as lists —
+    exact backends sorted by key (their export order is unspecified),
+    the clock's kept as is (hand order is its state)."""
+    backends = [view.backend for view in getattr(buffer, "shards", ())]
+    states = []
+    for backend in backends or [buffer]:
+        columns = backend.export_state()
+        order = (slice(None) if getattr(backend, "approximate", False)
+                 else np.argsort(columns[0]))
+        states.append([column[order].tolist() for column in columns])
+    return states
+
+
+@pytest.mark.parametrize("size", (1, 15, 63, 64, 65, 200))
+@pytest.mark.parametrize("backend", sorted(APPLIER_BACKENDS))
+def test_caching_bit_applier_forms_leave_identical_state(backend, size,
+                                                         monkeypatch):
+    """Blocks with duplicates, ``-1`` bits, non-resident keys and
+    spill-over ids, sizes straddling the crossover: the applier as it
+    dispatches, forced scalar and forced bulk must leave the same
+    ``export_state()`` (seqnos included) and the same next 200 victims.
+    A sharded buffer takes its bits per shard view, as the manager's
+    sink splits them."""
+    from repro.serving import priorities
+
+    assert 63 < priorities.SCALAR_FALLBACK < 65
+    for seed in range(6):
+        rng = np.random.default_rng([seed, size])
+        resident = rng.choice(APPLIER_IDS, size=240, replace=False)
+        levels = rng.integers(0, MAX_PRIORITY + 1, size=resident.size)
+        pool = rng.choice(APPLIER_IDS + 40, size=max(2, size // 2))
+        keys = rng.choice(pool, size=size)
+        bits = rng.integers(-1, 2, size=size).astype(np.int8)
+        outcomes = []
+        for crossover in (None, 10 ** 9, -1):
+            buffer = make_buffer(capacity=APPLIER_CAPACITY,
+                                 **APPLIER_BACKENDS[backend])
+            for key, level in zip(resident.tolist(), levels.tolist()):
+                _scalar_serve(buffer, [key], level)  # a full shard evicts
+            for _ in range(3):  # dense fast: demotes meet a live queue
+                buffer.evict_one()
+            with monkeypatch.context() as patch:
+                if crossover is not None:
+                    patch.setattr(priorities, "SCALAR_FALLBACK", crossover)
+                if hasattr(buffer, "iter_shard_segments"):
+                    for _, view, positions, sub in \
+                            buffer.iter_shard_segments(keys):
+                        priorities.apply_caching_bits(view, sub,
+                                                      bits[positions], 4)
+                else:
+                    priorities.apply_caching_bits(buffer, keys, bits, 4)
+            outcomes.append((_backend_states(buffer),
+                             [buffer.evict_one() for _ in range(200)]))
+        assert outcomes[0] == outcomes[1] == outcomes[2]
 
 
 # ---------------------------------------------------------------------------

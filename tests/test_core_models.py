@@ -99,6 +99,30 @@ class TestBucketDecoder:
         out = decoder.decode_buckets(logits)
         assert np.all(out == 3)
 
+    @pytest.mark.parametrize("dtype", (np.float32, np.float64))
+    def test_decode_buckets_copies_and_the_in_place_form_does_not(
+            self, rng, dtype):
+        """``decode_buckets`` leaves a caller's logits alone in either
+        dtype; ``decode_buckets_`` is the same decode with the mask
+        written into the array it is handed."""
+        K = 8
+        sparse = BucketDecoder(np.where(np.arange(K) % 3 == 1,
+                                        np.arange(K) + 100, -1), fallback=7)
+        logits = rng.normal(size=(5, 4, K)).astype(dtype)
+        kept = logits.copy()
+        ids = sparse.decode_buckets(logits)
+        assert np.array_equal(logits, kept)
+        assert np.array_equal(ids, sparse.decode_buckets_(logits))
+        assert logits.dtype == dtype
+        assert np.array_equal(logits, np.where(sparse.bucket_hot >= 0,
+                                               kept, -np.inf))
+        # Nothing to mask: the in-place form has nothing to write.
+        full = BucketDecoder(np.arange(K) + 100, fallback=7)
+        unmasked = kept.copy()
+        assert np.array_equal(full.decode_buckets_(unmasked),
+                              full.decode_buckets(kept))
+        assert np.array_equal(unmasked, kept)
+
     def test_from_miss_ids_matches_the_scalar_loop(self, rng):
         """Highest miss count per bucket, lowest dense id among equal
         counts (the strict ``>`` of the loop this replaced)."""

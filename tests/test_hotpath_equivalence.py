@@ -154,28 +154,37 @@ class TestManagerServingEngines:
 
     @pytest.mark.parametrize("share", [0.05, 0.2])
     def test_model_chunk_loop_identical_across_exact_backends(
-            self, trained_recmg, tiny_trace, share):
+            self, trained_recmg, tiny_trace, share, monkeypatch):
         """Both trained models in the loop on the held-out tail (unseen
         keys spill above the vocabulary): ``input_len``-key chunks put
-        the dense ``fast`` engine on its scalar-eviction side, where it
-        must decide exactly like dict mode and the reference backend."""
+        the dense ``fast`` engine on its scalar-eviction side and the
+        caching-bit applier on its scalar loop, where they must decide
+        exactly like dict mode, the reference backend — and the bulk
+        applier the same chunks took before the crossover existed."""
+        from repro.serving import priorities
+
         _, tail = tiny_trace.split(0.6)
         capacity = max(1, int(tiny_trace.num_unique * share))
         runs = []
-        for buffer_impl, key_space in (("fast", "auto"), ("fast", None),
-                                       ("reference", "auto")):
+        for buffer_impl, key_space, bulk_applier in (
+                ("fast", "auto", False), ("fast", None, False),
+                ("reference", "auto", False), ("fast", "auto", True)):
             manager = RecMGManager(
                 capacity, trained_recmg.encoder, trained_recmg.config,
                 caching_model=trained_recmg.caching_model,
                 prefetch_model=trained_recmg.prefetch_model,
                 buffer_impl=buffer_impl, key_space=key_space)
-            stats = manager.run(tail, record_decisions=True)
+            with monkeypatch.context() as patch:
+                if bulk_applier:
+                    patch.setattr(priorities, "SCALAR_FALLBACK", -1)
+                stats = manager.run(tail, record_decisions=True)
             runs.append((stats, manager.last_decisions.tolist(),
                          {key: manager.buffer.priority_of(key)
                           for key in manager.buffer.keys()}))
         assert trained_recmg.config.input_len <= RecMGManager._SCALAR_FALLBACK
+        assert RecMGManager._SCALAR_FALLBACK == priorities.SCALAR_FALLBACK
         assert runs[0][0].evictions > 0 and runs[0][0].prefetches_issued > 0
-        assert runs[0] == runs[1] == runs[2]
+        assert runs[0] == runs[1] == runs[2] == runs[3]
 
 
 BATCH_OPS = st.lists(

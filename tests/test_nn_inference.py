@@ -1,28 +1,43 @@
-"""Tape-free inference twins (``infer``) against the taped ``forward``.
+"""Inference without the tape, in two tiers.
 
-Every layer the two models use, and the models themselves, must give
-the tape's values without building the tape: outputs within 1e-12 of
-the taped forward (they are the same float64 operations in the same
-order) and thresholded bits / decoded indices exactly equal.
+(i) float64.  Every layer's ``infer`` twin, ``CachingModel.infer`` and
+``PrefetchModel.infer_logits`` called on the model itself give the taped
+``forward``'s values without building the tape: within 1e-12 (they are
+the same float64 operations in the same order), bit for bit at the
+default sizes.  This is all the float64 form is kept for.
+
+(ii) float32.  ``predict`` / ``predict_indices`` / ``predict_single``
+run the same methods on the module's float32 twin, so their *decisions*
+must be the float64 ones wherever float64 was not a near-tie
+(``bits_agree`` / ``indices_agree`` in ``decisions.py``, shared with
+the benchmark gate), the twin must track every
+way the repo replaces weights, and it must stay invisible to everything
+that enumerates parameters.
 """
 
+import copy
 import sys
 import threading
+import time
+import warnings
 from dataclasses import replace
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from decisions import bits_agree, indices_agree
 from repro.core import CachingModel, PrefetchModel, RecMGConfig
 from repro.core.features import EncodedChunks, chunk_inputs
+from repro.core.persistence import load_recmg, save_recmg
 from repro.core.prefetch_model import BucketDecoder
-from repro.core.training import clone_caching_model
+from repro.core.training import clone_caching_model, finetune_caching_model
 from repro.nn import (
     Adam, Embedding, LSTM, LSTMCell, Linear, LuongAttention, Seq2SeqStack,
     StackedSeq2Seq, Tensor, bce_with_logits, softmax,
 )
 from repro.nn.functional import sigmoid_, softmax_
+from repro.serving import make_provider
 
 NUM_TABLES = 5
 BATCHES = (1, 7, 64, 128)
@@ -83,6 +98,26 @@ class TestLayers:
         x = rng.normal(size=(9, 13)) * 4.0
         assert np.array_equal(sigmoid_(x.copy()), Tensor(x).sigmoid().data)
         assert np.array_equal(softmax_(x.copy()), softmax(Tensor(x)).data)
+
+    @pytest.mark.parametrize("dtype", (np.float32, np.float64))
+    def test_sigmoid_saturates_without_warning(self, dtype):
+        """``exp(-x)`` overflows below -88 in float32 (float64: -709);
+        the gate must still read exactly 0 there, silently."""
+        x = np.array([-1e4, -800.0, -100.0, 0.0, 100.0, 1e4], dtype=dtype)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            out = sigmoid_(x.copy())
+            cell = LSTMCell(3, 4)
+            for param in cell.parameters():
+                param.data = (param.data * 400.0).astype(dtype)
+            h = cell.infer(np.ones((2, 3), dtype=dtype),
+                           np.ones((2, 4), dtype=dtype),
+                           np.ones((2, 4), dtype=dtype),
+                           np.empty((2, 2, 16), dtype=dtype))
+        assert out.dtype == dtype and h.dtype == dtype
+        assert np.array_equal(out[[0, 1, 3, 4, 5]], [0, 0, 0.5, 1, 1])
+        assert 0.0 <= out[2] < 1e-40  # float64 has not saturated yet
+        assert np.isfinite(h).all()
 
     def test_linear_and_embedding(self, rng):
         linear = Linear(6, 4, rng=rng)
@@ -186,10 +221,8 @@ class TestModels:
         for sel in selections(rng, len(chunks), batch):
             taped = model.forward(chunks, sel=sel)
             assert close(model.infer(chunks, sel=sel), taped)
-            assert np.array_equal(model.predict(chunks, sel=sel),
-                                  (taped.data > 0.0).astype(np.int8))
-        assert np.array_equal(model.predict(chunks),
-                              model.forward(chunks).data > 0.0)
+            bits_agree(model.predict(chunks, sel=sel), taped.data)
+        bits_agree(model.predict(chunks), model.forward(chunks).data)
 
     @pytest.mark.parametrize("stacks", (1, 2, 3))
     @pytest.mark.parametrize("batch", BATCHES)
@@ -200,9 +233,8 @@ class TestModels:
         for sel in selections(rng, len(chunks), batch):
             taped = model.forward_logits(chunks, sel=sel)
             assert close(model.infer_logits(chunks, sel=sel), taped)
-            assert np.array_equal(
-                model.predict_indices(chunks, None, sel=sel),
-                model.decoder.decode_buckets(taped.data))
+            indices_agree(model.predict_indices(chunks, None, sel=sel),
+                          taped.data, model.decoder)
 
     def test_default_config_sizes(self, rng):
         config = RecMGConfig()
@@ -230,25 +262,61 @@ class TestModels:
         caching = caching_model(config, rng)
         taped = caching.forward(chunks)
         assert close(caching.infer(chunks), taped)
-        assert np.array_equal(caching.predict(chunks), taped.data > 0.0)
+        bits_agree(caching.predict(chunks), taped.data)
         prefetch = prefetch_model(config, rng)
         taped = prefetch.forward_logits(chunks)
         assert close(prefetch.infer_logits(chunks), taped)
-        assert np.array_equal(prefetch.predict_indices(chunks, None),
-                              prefetch.decoder.decode_buckets(taped.data))
+        indices_agree(prefetch.predict_indices(chunks, None), taped.data,
+                      prefetch.decoder)
 
 
-class TestWeightsAreReadAtCallTime:
-    """No derived copy of a weight outlives a call, so every way the
-    repo replaces weights shows up in the next ``predict``."""
+class TestFloat32Decisions:
+    def test_predict_runs_on_a_float32_twin(self, rng):
+        chunks = random_chunks(rng, SMALL, count=8)
+        for model in (caching_model(SMALL, rng), prefetch_model(SMALL, rng)):
+            twin = model.float32_twin()
+            assert twin is not model and type(twin) is type(model)
+            assert twin is model.float32_twin()  # kept while current
+            assert all(p.data.dtype == np.float32 for p in twin.parameters())
+            assert all(p.data.dtype == np.float64
+                       for p in model.parameters())
+        assert model.float32_twin().infer_logits(chunks).dtype == np.float32
+        assert model.infer_logits(chunks).dtype == np.float64
 
-    def taped_bits(self, model, chunks):
-        return (model.forward(chunks).data > 0.0).astype(np.int8)
+    def test_trained_system_decides_identically_on_held_out_trace(
+            self, trained_recmg, tiny_trace):
+        """Seeded, so exact: on real (trained) weights float32 changes
+        no decision on any chunk of the held-out tail."""
+        _, held_out = tiny_trace.split(0.6)
+        encoder = trained_recmg.encoder
+        chunks = encoder.encode_chunks(held_out)
+        caching = trained_recmg.caching_model
+        prefetch = trained_recmg.prefetch_model
+        assert len(chunks) == 240
+        assert np.array_equal(caching.predict(chunks),
+                              caching.infer(chunks) > 0.0)
+        assert np.array_equal(
+            prefetch.predict_indices(chunks, encoder),
+            prefetch.decoder.decode_buckets(prefetch.infer_logits(chunks)))
+        first = (chunks.table_ids[0], chunks.hashed_rows[0],
+                 chunks.norm_index[0], chunks.freq[0])
+        assert np.array_equal(caching.predict_single(*first),
+                              caching.infer(chunks)[0] > 0.0)
+        assert np.array_equal(
+            prefetch.predict_single(*first, encoder),
+            prefetch.predict_indices(chunks, encoder)[0])
+
+
+class TestTwinLifecycle:
+    """The float32 twin is kept on the model between calls, so every
+    way the repo replaces weights must show in the *next* ``predict``
+    — each test predicts first, so a twin exists to go stale."""
 
     def test_after_optimizer_step(self, rng):
         chunks = random_chunks(rng, SMALL, count=32)
         model = caching_model(SMALL, rng)
         before = model.infer(chunks)
+        stale_bits, stale_twin = model.predict(chunks), model.float32_twin()
         optimizer = Adam(model.parameters(), lr=0.05)
         targets = Tensor(rng.integers(0, 2, size=before.shape).astype(float))
         for _ in range(3):
@@ -256,24 +324,122 @@ class TestWeightsAreReadAtCallTime:
             bce_with_logits(model.forward(chunks), targets).backward()
             optimizer.step()
         assert not np.allclose(model.infer(chunks), before)
-        assert np.array_equal(model.predict(chunks),
-                              self.taped_bits(model, chunks))
+        bits = model.predict(chunks)
+        bits_agree(bits, model.forward(chunks).data)
+        assert not np.array_equal(bits, stale_bits)
+        assert model.float32_twin() is not stale_twin
 
     def test_after_load_state_dict_and_on_a_clone(self, rng):
         chunks = random_chunks(rng, SMALL, count=32)
         model = caching_model(SMALL, rng)
         other = caching_model(SMALL, rng)
         assert not np.allclose(model.infer(chunks), other.infer(chunks))
+        assert not np.array_equal(model.predict(chunks),
+                                  other.predict(chunks))
         clone = clone_caching_model(other)
         assert np.array_equal(clone.infer(chunks), other.infer(chunks))
+        assert np.array_equal(clone.predict(chunks), other.predict(chunks))
         model.load_state_dict(other.state_dict())
         assert np.array_equal(model.infer(chunks), other.infer(chunks))
+        assert np.array_equal(model.predict(chunks), other.predict(chunks))
         # The clone shares no storage: tuning it leaves the source alone.
-        kept = other.infer(chunks)
-        perturb(clone, rng)
+        kept, kept_bits = other.infer(chunks), other.predict(chunks)
+        targets = rng.integers(0, 2, size=kept.shape).astype(float)
+        finetune_caching_model(clone, chunks, targets, SMALL, epochs=2,
+                               lr=0.05)
         assert np.array_equal(other.infer(chunks), kept)
-        assert np.array_equal(clone.predict(chunks),
-                              self.taped_bits(clone, chunks))
+        assert np.array_equal(other.predict(chunks), kept_bits)
+        bits = clone.predict(chunks)
+        bits_agree(bits, clone.forward(chunks).data)
+        assert not np.array_equal(bits, kept_bits)
+
+    def test_after_provider_swap(self, trained_recmg, tiny_trace,
+                                 tiny_capacity):
+        """``online_retrain_interval``: the provider fine-tunes a clone
+        and swaps it in; its next bits are the tuned model's."""
+        encoder, original = trained_recmg.encoder, trained_recmg.caching_model
+        config = replace(trained_recmg.config, online_retrain_interval=1000,
+                         online_retrain_window=500, online_retrain_epochs=2,
+                         learning_rate=0.05)
+        provider = make_provider("sync", original, encoder, config,
+                                 capacity=tiny_capacity)
+        dense = encoder.dense_ids(tiny_trace)
+        block = dense[-500:]
+        chunks = encoder.encode_dense_chunks(block)
+        original_bits = provider.bits_for(block)
+        for lo in range(0, 2000, 500):
+            provider.observe(dense[lo:lo + 500])
+        assert provider.retrainer.retrains >= 1
+        assert provider.model is not original
+        bits = provider.bits_for(block)
+        bits_agree(bits, provider.model.infer(chunks).reshape(-1))
+        assert not np.array_equal(bits, original_bits)
+        assert np.array_equal(original.predict(chunks).reshape(-1),
+                              original_bits)
+
+    def test_save_load_round_trip(self, trained_recmg, tiny_trace, tmp_path):
+        chunks = trained_recmg.encoder.encode_chunks(tiny_trace.head(300))
+        models = (trained_recmg.caching_model, trained_recmg.prefetch_model)
+        bits = models[0].predict(chunks)
+        indices = models[1].predict_indices(chunks, trained_recmg.encoder)
+        save_recmg(trained_recmg, tmp_path / "recmg.npz")
+        with np.load(tmp_path / "recmg.npz") as archive:
+            saved = {name: archive[name].dtype for name in archive.files
+                     if name.startswith(("caching.", "prefetch."))}
+        assert sorted(saved) == sorted(
+            [f"caching.{name}" for name in models[0].state_dict()]
+            + [f"prefetch.{name}" for name in models[1].state_dict()])
+        assert set(saved.values()) == {np.dtype(np.float64)}
+        restored = load_recmg(tmp_path / "recmg.npz")
+        assert np.array_equal(restored.caching_model.predict(chunks), bits)
+        assert np.array_equal(restored.prefetch_model.predict_indices(
+            chunks, restored.encoder), indices)
+
+    def test_in_place_write_to_a_snapshotted_parameter_raises(self, rng):
+        """The identity check cannot see an in-place write, so the
+        source arrays are read-only once a twin was cast from them."""
+        chunks = random_chunks(rng, SMALL, count=4)
+        model = caching_model(SMALL, rng)
+        model.head.bias.data[...] = 0.25  # never predicted: writable
+        model.predict(chunks)
+        for param in model.parameters():
+            with pytest.raises(ValueError, match="read-only"):
+                param.data[...] = 0.0
+            with pytest.raises(ValueError, match="read-only"):
+                param.data += 1.0
+        # Rebinding is how weights change, and it still works.
+        assert model.predict(chunks).any()
+        model.head.bias.data = model.head.bias.data - 100.0
+        assert not model.predict(chunks).any()
+
+    def test_twin_is_invisible_to_parameter_enumeration(self, rng):
+        chunks = random_chunks(rng, SMALL, count=4)
+        for model in (caching_model(SMALL, rng), prefetch_model(SMALL, rng)):
+            def census():
+                return ([name for name, _ in model.named_parameters()],
+                        list(model.state_dict()), model.num_parameters(),
+                        [id(param) for param in model.parameters()])
+
+            before, attributes = census(), set(vars(copy.deepcopy(model)))
+            twin = model.float32_twin()
+            assert census() == before
+            assert set(vars(twin)) == attributes
+            assert all(array.flags.writeable and array.dtype == np.float64
+                       for array in model.state_dict().values())
+            dup = copy.deepcopy(model)
+            assert set(vars(dup)) == attributes
+            for (name, ours), (_, theirs) in zip(model.named_parameters(),
+                                                 dup.named_parameters()):
+                assert np.array_equal(ours.data, theirs.data), name
+                assert theirs.data.flags.writeable
+                assert not np.shares_memory(ours.data, theirs.data)
+        assert np.array_equal(dup.predict_indices(chunks, None),
+                              model.predict_indices(chunks, None))
+        source = caching_model(SMALL, rng)
+        source.predict(chunks)
+        clone = clone_caching_model(source)
+        assert set(vars(clone)) == set(vars(copy.deepcopy(source)))
+        assert all(p.data.flags.writeable for p in clone.parameters())
 
 
 class TestNoTape:
@@ -317,8 +483,9 @@ class TestConcurrentPredict:
     @pytest.mark.timeout(120)
     def test_threads_share_one_model(self, rng):
         """The async refresh worker and the serving thread may predict
-        on the same model at once: nothing is stored on it, so every
-        thread gets the single-thread answer."""
+        on the same model at once: the one thing stored on it, the
+        float32 twin, is read-only once published, so every thread
+        gets the single-thread answer."""
         chunks = random_chunks(rng, SMALL, count=96)
         caching = caching_model(SMALL, rng)
         prefetch = prefetch_model(SMALL, rng)
@@ -351,3 +518,46 @@ class TestConcurrentPredict:
             sys.setswitchinterval(interval)
         assert not any(thread.is_alive() for thread in threads)
         assert wrong == []
+
+    @pytest.mark.timeout(120)
+    def test_threads_predict_while_the_model_is_retrained_and_swapped(
+            self, rng):
+        """The async provider's shape: readers take whatever model is
+        published, a trainer tunes a clone and swaps it in by reference.
+        Every swap hands the readers a model with no twin yet, which
+        they race to build — and each must still get *that* model's
+        decisions, never a half-cast twin's."""
+        chunks = random_chunks(rng, SMALL, count=24)
+        served = [caching_model(SMALL, rng)]
+        wrong, seen, done = [], set(), threading.Event()
+
+        def read():
+            while not done.is_set():
+                model = served[-1]
+                seen.add(id(model))
+                try:
+                    bits_agree(model.predict(chunks), model.infer(chunks))
+                except Exception as error:  # a reader dying is a failure
+                    wrong.append(error)
+
+        def retrain():
+            for _ in range(60):
+                clone = clone_caching_model(served[-1])
+                perturb(clone, rng, scale=0.1)
+                served.append(clone)
+                time.sleep(0.001)  # let the readers at this model
+            done.set()
+
+        threads = [threading.Thread(target=read) for _ in range(3)]
+        threads.append(threading.Thread(target=retrain))
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert wrong == [] and len(seen) >= 3

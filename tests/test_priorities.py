@@ -535,20 +535,34 @@ def test_sync_provider_retrains_online(world, small_config):
 # capacity-matched labels, and the lift guard.
 # ----------------------------------------------------------------------
 class _RecordingBuffer:
-    """Minimal bulk-protocol stub: everything is resident; records the
+    """Minimal priority-write stub, scalar and bulk protocol (the
+    applier picks by block length): everything is resident; records the
     keys each priority call receives."""
 
     def __init__(self):
         self.promoted = []
         self.demoted = []
+        self.bulk_calls = 0
+
+    def __contains__(self, key):
+        return True
+
+    def set_priority(self, key, priority):
+        self.promoted.append(key)
+
+    def demote(self, key):
+        self.demoted.append(key)
 
     def contains_batch(self, keys):
+        self.bulk_calls += 1
         return np.ones(len(keys), dtype=bool)
 
     def set_priority_batch(self, keys, priority):
+        self.bulk_calls += 1
         self.promoted.extend(np.asarray(keys).tolist())
 
     def demote_batch(self, keys):
+        self.bulk_calls += 1
         self.demoted.extend(np.asarray(keys).tolist())
 
 
@@ -562,6 +576,27 @@ def test_apply_caching_bits_masks_no_prediction_inline():
     apply_caching_bits(buffer, keys, bits, speed=4)
     assert buffer.promoted == [10, 14]
     assert buffer.demoted == [12]
+
+
+@pytest.mark.parametrize("size", [1, 15, 64, 65, 200])
+def test_apply_caching_bits_picks_its_form_by_block_length(size):
+    """Up to the manager's ``_SCALAR_FALLBACK`` keys the applier makes
+    no bulk call at all, past it only bulk calls — and either way the
+    same keys land in the same order, last occurrence winning."""
+    rng = np.random.default_rng(size)
+    keys = rng.integers(0, max(2, size // 2), size=size)
+    bits = rng.integers(-1, 2, size=size).astype(np.int8)
+    buffer = _RecordingBuffer()
+    apply_caching_bits(buffer, keys, bits, speed=4)
+    assert (buffer.bulk_calls == 0) == (size <= RecMGManager._SCALAR_FALLBACK)
+    assert buffer.bulk_calls in (0, 3)
+    last = {}
+    for position, (key, bit) in enumerate(zip(keys.tolist(), bits.tolist())):
+        if bit >= 0:
+            last[key] = (position, bit)
+    ordered = sorted(last, key=lambda key: last[key][0])
+    assert buffer.promoted == [key for key in ordered if last[key][1]]
+    assert buffer.demoted == [key for key in ordered if not last[key][1]]
 
 
 def test_apply_caching_bits_all_unpredicted_is_noop():
