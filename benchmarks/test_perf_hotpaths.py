@@ -595,86 +595,6 @@ def test_drifting_hot_band_rebalancing_lift(perf_budget, benchmark,
     benchmark(lambda: summary)
 
 
-def test_concurrent_serving_throughput(perf_trace, perf_budget, benchmark,
-                                       record_hotpath):
-    """Concurrent shard-worker serving vs the serial shard loop.
-
-    ``concurrency="threads"`` dispatches the 4-shard steady-clock
-    workload to shard-pinned worker threads and pipelines serving
-    blocks (up to 8 in flight), while staying *bit-identical* to the
-    serial shard-wise engine — counters and the per-access decision
-    stream are asserted here, and the 40-seed differential in
-    ``tests/test_sharding.py`` plus the stress suite in
-    ``tests/test_serving_concurrent.py`` pin it exhaustively.
-
-    The throughput gate is core-aware: with >= 2 cores the concurrent
-    engine must reach 1.5x the serial loop; on a single core (this
-    container, some CI runners) real parallelism is impossible, so the
-    contract degrades to an overhead bound — the worker indirection,
-    futures and pipelining may cost at most half the serial throughput
-    (measured ~0.95-1.0x on one core: the pipeline hides most of the
-    dispatch cost).  The recorded entry also carries the latency
-    percentiles, the engine's in-flight pipeline-depth stats (distinct
-    from the admission-queue depth, which this trace-driven run never
-    samples) and per-shard utilization from
-    :class:`repro.serving.metrics.ServingMetrics`, so tail latency is
-    tracked in the bench artifact alongside throughput.
-    """
-    import os
-
-    config = RecMGConfig()
-    encoder = FeatureEncoder(config).fit(perf_trace)
-    steady = max(1, int(perf_trace.num_unique * 0.2))
-
-    def serve(concurrency):
-        manager = RecMGManager(steady, encoder, config,
-                               buffer_impl="clock", num_shards=4,
-                               concurrency=concurrency)
-        stats = manager.run(perf_trace, record_decisions=True)
-        decisions = manager.last_decisions
-        summary = manager.serving_metrics.summary(
-            shard_busy_seconds=manager._pool.busy_seconds()
-            if manager._pool is not None else None)
-        manager.close()
-        return stats, decisions, summary
-
-    serial_seconds, (serial, serial_dec, _) = _timed(
-        lambda: serve("serial"), repeats=3)
-    threads_seconds, (threads, threads_dec, summary) = _timed(
-        lambda: serve("threads"), repeats=3)
-    # Decision identity is unconditional — it is the engine's contract.
-    assert threads == serial
-    assert np.array_equal(threads_dec, serial_dec)
-    record_hotpath(
-        "manager_serving_steady_clock_concurrent", PERF_ACCESSES,
-        threads_seconds, ref_seconds=serial_seconds,
-        num_shards=4, cpu_cores=os.cpu_count(),
-        hit_rate=threads.hit_rate,
-        latency_p50_ms=summary["latency_p50_ms"],
-        latency_p95_ms=summary["latency_p95_ms"],
-        latency_p99_ms=summary["latency_p99_ms"],
-        inflight_depth_mean=summary["inflight_depth_mean"],
-        inflight_depth_max=summary["inflight_depth_max"],
-        shard_utilization=summary.get("shard_utilization"),
-        gated=True)
-    rows = _report("Manager demand serving throughput "
-                   "(steady state, 4-shard clock: threads vs serial)",
-                   threads_seconds, serial_seconds)
-    if perf_budget > 0:
-        ratio = serial_seconds / threads_seconds
-        if (os.cpu_count() or 1) >= 2:
-            assert ratio >= 1.5, (
-                f"concurrent serving is only {ratio:.2f}x the serial "
-                f"shard loop on {os.cpu_count()} cores (contract: >= "
-                f"1.5x with real parallelism available)")
-        else:
-            assert ratio >= 0.5, (
-                f"concurrent serving costs {1 / ratio:.2f}x the serial "
-                f"shard loop on one core — dispatch overhead out of "
-                f"bounds (contract: >= 0.5x without parallelism)")
-    benchmark(lambda: rows)
-
-
 def test_model_guided_serving(perf_budget, benchmark, record_hotpath):
     """Model-in-the-loop serving (PR 8): hit-rate lift of the priority
     providers over model-free serving, and the async provider's tail
@@ -706,7 +626,7 @@ def test_model_guided_serving(perf_budget, benchmark, record_hotpath):
     available (>= 2 cores) async p99 must also stay near the
     model-free p99.  On one core the GIL lets the refresh worker steal
     a serving window, so the cross-mode bound is the whole contract
-    there (same core-aware pattern as the concurrent-serving gate).
+    there.
 
     ``async p99 < sync p99`` already fails on the 2-core host (4.7 ms
     vs 3.0 ms committed), and every gain on the sync path — float32
@@ -847,104 +767,6 @@ def test_model_guided_serving(perf_budget, benchmark, record_hotpath):
                     < latency["none"]["latency_p99_ms"] * 3.0), (
                 "with real parallelism available, async p99 must stay "
                 "near model-free — inference belongs on another core")
-    benchmark(lambda: rows)
-
-
-def test_pipelined_provider_sink_throughput(perf_trace, perf_budget,
-                                            benchmark, record_hotpath):
-    """The un-serialized provider sink (PR 9): pipelined concurrent
-    serving must survive an active priority provider.
-
-    Before this PR an active provider forced ``run()`` onto the
-    per-block barrier loop — every block waited for the slowest shard
-    *and* the whole-buffer priority apply before the next block could
-    dispatch, serializing exactly the engine the concurrent front-end
-    exists to parallelize.  The per-shard sink
-    (:meth:`RecMGManager._submit_sink`) splits each block's bits along
-    the shard route and queues the applies behind the same block's
-    serve jobs, so the 8-deep pipeline keeps its depth under
-    ``priority_mode="async"``.
-
-    Measured: the 4-shard clock workload under the async provider,
-    pipelined (default) vs the barrier form
-    (``_pipeline_sink = False`` — the escape hatch the differential in
-    ``tests/test_sink_pipelining.py`` uses to prove bit-identity).
-    The gate is core-aware like the provider-free concurrent gate:
-    with >= 2 cores the pipelined form must at least match the
-    barrier form (>= 1.0x — it strictly dominates once shards can
-    actually overlap); on one core the contract degrades to the same
-    0.5x overhead bound.  The pipeline engaging at all is asserted
-    unconditionally via the recorded in-flight depth.
-    """
-    import os
-
-    config = RecMGConfig(hidden=32, hash_buckets=1024, caching_epochs=2,
-                         max_train_chunks=500, buffer_impl="clock",
-                         priority_refresh_blocks=2, num_shards=4,
-                         concurrency="threads")
-    head, tail = perf_trace.split(0.3)
-    encoder = FeatureEncoder(config).fit(head)
-    capacity = max(1, int(encoder.vocab_size * 0.2))
-    labels = build_labels(head, capacity, config, encoder)
-    chunks = encoder.encode_chunks(head)
-    model = CachingModel(config, encoder.num_tables)
-    train_caching_model(model, chunks, caching_targets(chunks, labels),
-                        config)
-
-    def serve(pipeline):
-        manager = RecMGManager(capacity, encoder, config,
-                               caching_model=model, priority_mode="async")
-        if not pipeline:
-            manager._pipeline_sink = False
-        stats = manager.run(tail, fast_serve=True)
-        summary = manager.serving_metrics.summary()
-        manager.close()
-        return stats, summary
-
-    # Interleaved best-of: the async refresh worker makes either form
-    # sensitive to transient load (its GIL slices land wherever the
-    # scheduler puts them), so alternate the two measurements rather
-    # than timing one after the other — a slow window then inflates
-    # both candidates, not just one side of the gated ratio.
-    barrier_seconds = pipelined_seconds = float("inf")
-    for _ in range(3):
-        seconds, (barrier_stats, barrier_summary) = _timed(
-            lambda: serve(False))
-        barrier_seconds = min(barrier_seconds, seconds)
-        seconds, (pipelined_stats, summary) = _timed(lambda: serve(True))
-        pipelined_seconds = min(pipelined_seconds, seconds)
-    # The barrier form must not have recorded pipeline depth, and the
-    # pipelined form must have actually kept blocks in flight — the
-    # whole point of the per-shard sink.
-    assert barrier_summary["inflight_depth_max"] == 0
-    assert summary["inflight_depth_max"] >= 2, (
-        "provider sink still forces the barrier path: no pipeline "
-        "depth recorded under priority_mode='async'")
-    record_hotpath(
-        "pipelined_provider_sink_async", len(tail), pipelined_seconds,
-        ref_seconds=barrier_seconds, num_shards=4,
-        cpu_cores=os.cpu_count(),
-        hit_rate=pipelined_stats.hit_rate,
-        barrier_hit_rate=barrier_stats.hit_rate,
-        inflight_depth_mean=summary["inflight_depth_mean"],
-        inflight_depth_max=summary["inflight_depth_max"],
-        gated=True)
-    rows = _report("Pipelined provider sink (async, 4-shard clock: "
-                   "pipelined vs per-block barrier)",
-                   pipelined_seconds, barrier_seconds)
-    if perf_budget > 0:
-        ratio = barrier_seconds / pipelined_seconds
-        if (os.cpu_count() or 1) >= 2:
-            assert ratio >= 1.0, (
-                f"pipelined provider sink is {ratio:.2f}x the barrier "
-                f"form on {os.cpu_count()} cores — un-serializing the "
-                f"sink must not lose throughput with parallelism "
-                f"available")
-        else:
-            assert ratio >= 0.5, (
-                f"pipelined provider sink costs {1 / ratio:.2f}x the "
-                f"barrier form on one core — pipeline bookkeeping "
-                f"overhead out of bounds (contract: >= 0.5x)")
     benchmark(lambda: rows)
 
 

@@ -1,15 +1,15 @@
-"""Concurrent serving daemon: the full admission -> worker-pool stack.
+"""Serving daemon: tenant producer threads -> queue -> batcher -> one
+serving thread.
 
 Replays a multi-tenant access stream through the serving front end the
 way an online deployment would see it: one producer thread per tenant
 enqueues small requests into a bounded :class:`RequestQueue`, a
 :class:`Batcher` coalesces them into demand segments under a
-max-size/max-wait flush policy, and the serving loop feeds each batch
-to :meth:`RecMGManager.serve_batch` on a sharded buffer with
-``concurrency="threads"`` — per-shard worker threads, shard-order
-gather.  A live metrics line (p50/p95/p99 latency, queue depth, batch
-mix) prints as the stream drains; the final report adds per-shard
-worker utilization and the end-to-end hit rate.
+max-size/max-wait flush policy, and the serving loop (this thread)
+feeds each batch to :meth:`RecMGManager.serve_batch` on a sharded
+buffer.  A live metrics line (p50/p95/p99 latency, queue depth, batch
+mix) prints as the stream drains; the final report adds the end-to-end
+hit rate.
 
 With ``--model`` the daemon becomes model-in-the-loop: the head of
 the stream trains a small :class:`CachingModel` on OPTgen labels, and
@@ -31,7 +31,7 @@ serving pause each migration cost).
 
 Defaults drive ~2M keys (~64k requests).  Everything is a ``main()``
 keyword so the smoke test (``tests/test_examples.py``) can run the
-same daemon on a tiny trace with a small pool in well under a second.
+same daemon on a tiny trace in well under a second.
 
 Run:  python examples/serving_daemon.py
       python examples/serving_daemon.py --accesses 5000000
@@ -54,7 +54,6 @@ from repro.traces import SyntheticTraceConfig, generate_multi_tenant_trace
 def main(total_accesses: int = 2_000_000,
          num_tenants: int = 4,
          num_shards: int = 4,
-         num_workers: int = None,
          buffer_impl: str = "clock",
          request_keys: int = 32,
          max_batch_keys: int = 4096,
@@ -74,7 +73,6 @@ def main(total_accesses: int = 2_000_000,
                                         num_tenants=num_tenants)
     config = RecMGConfig(
         buffer_impl=buffer_impl, num_shards=num_shards,
-        concurrency="threads", num_workers=num_workers,
         priority_mode="async" if model else "none",
         online_retrain_interval=(max(max_batch_keys * 8, 4096)
                                  if model and online_retrain else 0),
@@ -147,10 +145,7 @@ def main(total_accesses: int = 2_000_000,
         for thread in producers:
             thread.join()
         wall = time.perf_counter() - began
-        summary = metrics.summary(
-            shard_busy_seconds=manager._pool.busy_seconds()
-            if manager._pool is not None else None,
-            wall_seconds=wall)
+        summary = metrics.summary()
     breakdown = manager.breakdown
     served = breakdown.total
     hits = served - breakdown.on_demand
@@ -164,14 +159,6 @@ def main(total_accesses: int = 2_000_000,
     print(f"queue depth: mean {summary['queue_depth_mean']:.1f} "
           f"max {summary['queue_depth_max']}  "
           f"batch mix {summary['batch_size_histogram']}")
-    if metrics.inflight_depth_samples:
-        # Pipeline depth of the concurrent engine — a different stage
-        # (and unit) than the admission-queue depth above.
-        print(f"in-flight blocks: mean {summary['inflight_depth_mean']:.1f} "
-              f"max {summary['inflight_depth_max']}")
-    if "shard_utilization" in summary:
-        util = "  ".join(f"{u:.0%}" for u in summary["shard_utilization"])
-        print(f"shard utilization: {util}")
     if rebalance_interval:
         caps = "/".join(str(c) for c in manager.buffer.shard_capacities)
         print(f"elastic rebalancing: {summary['rebalance_count']} "
@@ -204,7 +191,6 @@ if __name__ == "__main__":
     parser.add_argument("--accesses", type=int, default=2_000_000,
                         help="total keys to stream (default 2M)")
     parser.add_argument("--shards", type=int, default=4)
-    parser.add_argument("--workers", type=int, default=None)
     parser.add_argument("--buffer", default="clock",
                         choices=["clock", "fast", "reference"])
     parser.add_argument("--model", action="store_true",
@@ -219,6 +205,6 @@ if __name__ == "__main__":
                              "checks (0 = keep the static capacity split)")
     args = parser.parse_args()
     main(total_accesses=args.accesses, num_shards=args.shards,
-         num_workers=args.workers, buffer_impl=args.buffer,
+         buffer_impl=args.buffer,
          model=args.model, online_retrain=args.retrain,
          rebalance_interval=args.rebalance)

@@ -13,8 +13,8 @@ Packages:
 * :mod:`repro.core` -- the RecMG caching + prefetch models and manager
 * :mod:`repro.dlrm` -- numpy DLRM, tiered-memory latency model, end-to-end
   inference timing, linear performance model
-* :mod:`repro.serving` -- concurrent serving front-end (admission queue,
-  batcher, per-shard worker pool, latency/SLO metrics)
+* :mod:`repro.serving` -- serving front-end (admission queue, batcher,
+  model-guided priority providers, latency/SLO metrics)
 * :mod:`repro.analysis` -- geomean and ASCII table/figure rendering
 """
 

@@ -45,10 +45,10 @@ of N× it.  Translation happens at exactly one layer — the
 :class:`CompressedShardView` wrapped around every backend shard:
 
 * callers (the :class:`ShardedBuffer` bulk ops, the manager's sharded
-  and concurrent engines, ``dlrm.inference``, ``prefetch.harness`` and
-  the tests) keep passing **global** keys and receive **global** keys
-  back — victims of ``evict_one``/``evict_batch``/``serve_segment``,
-  ``keys()`` and ``residency_map()`` are decompressed on the way out;
+  engine, ``dlrm.inference``, ``prefetch.harness`` and the tests) keep
+  passing **global** keys and receive **global** keys back — victims
+  of ``evict_one``/``evict_batch``/``serve_segment``, ``keys()`` and
+  ``residency_map()`` are decompressed on the way out;
 * spillover ids (outside ``[0, key_space)``) pass through *unchanged*:
   they route by ``key mod N`` and always fall outside the compressed
   universe too (negative stays negative; ``id >= key_space >=
@@ -123,9 +123,8 @@ migration contract, executed by :class:`ShardRebalancer`:
   **no-op** (bit-identical to not calling it), and spillover ids never
   migrate (``key mod N`` routing is partition-invariant);
 * rebalancing is **not safe against in-flight serving** — the
-  manager's online driver runs it at block boundaries only, and under
-  ``concurrency="threads"`` drains and barriers the shard-pinned
-  workers first (see :mod:`repro.serving.workers`).
+  manager's online driver runs it at block boundaries only, on the
+  serving thread.
 
 All four migration invariants — partition disjointness, residency-union
 preservation, occupancy ≤ new capacity, compressed-universe round-trip
@@ -905,15 +904,10 @@ class ShardedBuffer:
         (:func:`repro.serving.priorities.apply_caching_bits`).
         Duplicates of a key always land in the same shard and
         ``positions`` is ascending, so per-shard dedup/apply is
-        call-for-call identical to the global bulk calls; because the
-        views share no state, the per-shard applies may also run on
-        the shard-pinned workers, concurrently with *other* shards'
-        serves — the split is what lets priority writes pipeline
-        instead of barriering.  The compression memo is safe under
-        that concurrency: entries are immutable ``(ref, compressed)``
-        tuples matched by object identity, so a reader racing this
-        method's priming can only miss (and recompute), never alias a
-        foreign array."""
+        call-for-call identical to the global bulk calls.  Compression
+        memo entries are immutable ``(ref, compressed)`` tuples matched
+        by object identity, so a lookup can only miss (and recompute),
+        never alias a foreign array."""
         arr = np.asarray(keys, dtype=np.int64)
         shard_ids = self.router.route_batch(arr)
         compressed = self.router.compress_routed(arr, shard_ids)
@@ -1079,11 +1073,9 @@ class ShardedBuffer:
           population evict the overflow through their own backend's
           eviction order; the victims come back in ``"evicted"`` so
           callers can keep eviction accounting consistent.
-        * **Not thread-safe against in-flight serving.**  Under
-          ``concurrency="threads"`` the caller must drain and barrier
-          the shard-pinned workers first
-          (:meth:`repro.serving.workers.ShardWorkerPool.barrier`) —
-          the manager's online driver does exactly that.
+        * **Not thread-safe against in-flight serving** — call it
+          between serves, from the serving thread, as the manager's
+          online driver does.
 
         Returns a stats dict: ``changed``, ``migrated_keys`` (keys
         whose shard assignment changed), ``evicted`` (donor-shrink

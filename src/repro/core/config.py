@@ -71,15 +71,6 @@ class RecMGConfig:
     #: ``num_shards > 1``.  See
     #: :func:`repro.cache.sharding.split_capacity`.
     shard_weights: tuple[float, ...] | None = None
-    #: Demand-serving dispatch: ``"serial"`` (shard loop inline on the
-    #: calling thread) or ``"threads"`` (per-shard worker pool;
-    #: requires ``num_shards > 1``).  Bit-identical decisions either
-    #: way — see :mod:`repro.serving` and
-    #: :data:`repro.core.manager.CONCURRENCY_MODES`.
-    concurrency: str = "serial"
-    #: Worker threads for ``concurrency="threads"`` (``None`` = one per
-    #: shard; smaller values time-share shards over fewer workers).
-    num_workers: int | None = None
     #: How the caching model's priorities reach the serving engines:
     #: ``"none"`` (model-free serving, bit-identical to the
     #: provider-free code), ``"sync"`` (batched inference on the
@@ -100,9 +91,7 @@ class RecMGConfig:
     #: withholds the provider's bits while the measured trailing
     #: hit-rate lift is negative — model guidance can degrade to
     #: model-free, never below it.  Off by default: the guard's
-    #: control phases cost a slice of positive lift, and its
-    #: measurement feedback is excluded from the pipelined==barrier
-    #: bit-identity contract.
+    #: control phases cost a slice of positive lift.
     priority_lift_guard: int = 0
     #: Lift-guard trip/untrip hysteresis margin (absolute hit-rate
     #: difference; the guard trips when guided < control - margin and
@@ -125,8 +114,7 @@ class RecMGConfig:
     #: accumulates at the gather against the current capacity split
     #: and, past ``rebalance_threshold``, calls
     #: :meth:`repro.cache.sharding.ShardedBuffer.rebalance` with the
-    #: EWMA weights — at a block boundary, after a full worker
-    #: drain/barrier under ``concurrency="threads"``.
+    #: EWMA weights — at a block boundary.
     rebalance_interval: int = 0
     #: Imbalance trigger for the online rebalancer: rebalance only when
     #: ``max_s |traffic_share_s - capacity_share_s|`` exceeds this.
@@ -176,16 +164,6 @@ class RecMGConfig:
             if not all(math.isfinite(w) and w > 0.0 for w in weights):
                 raise ValueError(
                     "shard_weights must be positive and finite")
-        if self.concurrency not in ("serial", "threads"):
-            raise ValueError(
-                "concurrency must be one of ('serial', 'threads'), "
-                f"got {self.concurrency!r}")
-        if self.concurrency == "threads" and self.num_shards < 2:
-            raise ValueError(
-                "concurrency='threads' dispatches per-shard workers "
-                "and requires num_shards > 1")
-        if self.num_workers is not None and self.num_workers < 1:
-            raise ValueError("num_workers must be >= 1 (or None)")
         from ..serving.priorities import PRIORITY_MODES
 
         if self.priority_mode not in PRIORITY_MODES:

@@ -49,29 +49,12 @@ scalar paths route through
 :func:`repro.cache.sharding.backend_for_key` so a miss evicts from the
 shard that will hold the key.
 
-``concurrency="threads"`` (constructor argument or
-``config.concurrency``; requires a sharded buffer) moves the per-shard
-serves onto a persistent
-:class:`repro.serving.workers.ShardWorkerPool`: each shard is pinned
-to one worker thread (``num_workers`` may be smaller than the shard
-count; shards then time-share workers FIFO), sub-segments are
-dispatched shard-wise and the results gathered back **in shard order**
-— so counters, decision streams and final buffer state are
-*bit-identical* to the serial shard-wise loop (the 40-seed sharded
-differential in ``tests/test_sharding.py`` and the multi-worker stress
-suite in ``tests/test_serving_concurrent.py`` both pin this).  Without
-model chunks, :meth:`RecMGManager.run` additionally *pipelines* serving
-blocks: up to a bounded number of blocks are in flight at once, so a
-worker never idles at a block boundary waiting for its siblings — and
-an active priority provider rides the same pipeline, its per-block
-priority writes split per shard and applied on the pinned workers
-(:meth:`RecMGManager._submit_sink`) instead of forcing a per-block
-barrier (``tests/test_sink_pipelining.py`` pins the bit-identity).
-Per-batch wall latency, queue depth and per-shard utilization land in
-:attr:`RecMGManager.serving_metrics`
-(:class:`repro.serving.metrics.ServingMetrics`);
-:meth:`RecMGManager.serve_batch` is the front door the admission
-queue/batcher stack (:mod:`repro.serving.admission`) drives.
+Serving is one thread (scale-out is processes at the shard boundary —
+see :mod:`repro.serving`).  :meth:`RecMGManager.serve_batch` is the
+front door the admission queue/batcher stack
+(:mod:`repro.serving.admission`) drives; per-batch wall latency and
+queue depth land in :attr:`RecMGManager.serving_metrics`
+(:class:`repro.serving.metrics.ServingMetrics`).
 
 ``rebalance_interval > 0`` (``config.rebalance_interval``) turns on
 **online elastic rebalancing**: the manager accumulates a per-shard
@@ -83,14 +66,10 @@ capacity split.  When the worst shard's imbalance exceeds
 :meth:`repro.cache.sharding.ShardedBuffer.rebalance` with the EWMA
 weights — live key migration between the compressed shard universes,
 eviction state carried (see :mod:`repro.cache.sharding`).  The call
-always lands at a block boundary; under ``concurrency="threads"`` the
-manager first drains its pipeline and runs
-:meth:`repro.serving.workers.ShardWorkerPool.barrier`, so the
-migration never overlaps an in-flight per-shard job and the decision
-stream stays bit-identical to the serial engine rebalancing at the
-same block indices (pinned by ``tests/test_rebalancing.py``).
-Donor-shrink victims count as manager evictions; migrated-key counts
-and the serving pause land in :attr:`RecMGManager.serving_metrics`.
+always lands at a block boundary, between two serves (pinned by
+``tests/test_rebalancing.py``).  Donor-shrink victims count as manager
+evictions; migrated-key counts and the serving pause land in
+:attr:`RecMGManager.serving_metrics`.
 
 Serving is backend-agnostic through the **bulk residency/priority
 protocol** (see :mod:`repro.cache.buffer`): every backend answers
@@ -126,17 +105,11 @@ from ..prefetch.base import Prefetcher
 from ..prefetch.harness import AccessBreakdown
 from ..serving.metrics import ServingMetrics
 from ..serving.priorities import LiftGuard, apply_caching_bits, make_provider
-from ..serving.workers import ShardWorkerPool
 from ..traces.access import Trace
 from .caching_model import CachingModel
 from .config import RecMGConfig
 from .features import FeatureEncoder
 from .prefetch_model import PrefetchModel
-
-#: Engine-dispatch policies accepted by ``concurrency=`` (constructor
-#: argument and :class:`RecMGConfig` field).
-CONCURRENCY_MODES = ("serial", "threads")
-
 
 @dataclass
 class ManagerStats:
@@ -170,20 +143,10 @@ class RecMGManager:
     #: ``serve_segment`` ~100 us + 0.5 us/key — 15 keys: 26 vs 107 us,
     #: 64: 103 vs 118, 96: 168 vs 134, 256: 411 vs 224.
     _SCALAR_FALLBACK = SCALAR_FALLBACK
-    #: Upper bound on serving blocks in flight when the concurrent
-    #: engine pipelines a whole trace (bounds gather-buffer memory
-    #: while keeping every shard worker fed across block boundaries).
-    _MAX_INFLIGHT_BLOCKS = 8
     #: EWMA smoothing factor for the per-shard traffic shares the
     #: online rebalancer tracks (per gathered block/segment; higher =
     #: reacts faster to a drifting hot band, lower = steadier split).
     _REBALANCE_EWMA = 0.2
-    #: Pipeline the streaming tail *through an active provider* (the
-    #: per-shard sink).  True in production; differential tests and the
-    #: pipelined-vs-barrier bench flip it per instance to reproduce the
-    #: per-block barrier form the sink used before it was split
-    #: per shard.
-    _pipeline_sink = True
 
     def __init__(self, capacity: int, encoder: FeatureEncoder,
                  config: RecMGConfig,
@@ -194,8 +157,6 @@ class RecMGManager:
                  num_shards: Optional[int] = None,
                  shard_policy: Optional[str] = None,
                  shard_weights=None,
-                 concurrency: Optional[str] = None,
-                 num_workers: Optional[int] = None,
                  priority_mode: Optional[str] = None,
                  rebalance_interval: Optional[int] = None,
                  rebalance_threshold: Optional[float] = None) -> None:
@@ -234,29 +195,8 @@ class RecMGManager:
                                   num_shards=self.num_shards,
                                   shard_policy=self.shard_policy,
                                   shard_weights=self.shard_weights)
-        # Concurrent dispatch (see module docstring): "serial" keeps the
-        # single-threaded engines; "threads" serves shard sub-segments
-        # on a persistent per-shard worker pool, gathered in shard
-        # order (decision-identical to serial).  The pool is built
-        # lazily on first concurrent serve, so serial managers never
-        # pay a thread.
-        self.concurrency = (concurrency if concurrency is not None
-                            else getattr(config, "concurrency", "serial"))
-        if self.concurrency not in CONCURRENCY_MODES:
-            raise ValueError(
-                f"concurrency must be one of {CONCURRENCY_MODES}, "
-                f"got {self.concurrency!r}")
-        self.num_workers = (num_workers if num_workers is not None
-                            else getattr(config, "num_workers", None))
-        if self.concurrency == "threads" and not isinstance(
-                self.buffer, ShardedBuffer):
-            raise ValueError(
-                "concurrency='threads' dispatches per-shard workers and "
-                "therefore requires num_shards > 1 (a ShardedBuffer); "
-                f"got num_shards={self.num_shards}")
-        self._pool: Optional[ShardWorkerPool] = None
-        #: Per-batch latency / queue-depth / batch-size telemetry; the
-        #: concurrent engine and :meth:`serve_batch` record into it.
+        #: Per-batch latency / queue-depth / batch-size telemetry;
+        #: :meth:`serve_batch` records into it.
         self.serving_metrics = ServingMetrics()
         # Model-in-the-loop serving (see :mod:`repro.serving.priorities`):
         # the provider maps served blocks to caching bits and the sink
@@ -284,9 +224,7 @@ class RecMGManager:
                 margin=getattr(config, "priority_lift_margin", 0.0))
         # Online elastic rebalancing (module docstring): traffic EWMAs
         # accumulated at the gather, checked every ``interval`` served
-        # accesses, migration via ShardedBuffer.rebalance at a block
-        # boundary (after a pipeline drain + worker barrier under
-        # ``concurrency="threads"``).
+        # accesses, migration via ShardedBuffer.rebalance at a block boundary.
         self.rebalance_interval = (
             rebalance_interval if rebalance_interval is not None
             else getattr(config, "rebalance_interval", 0))
@@ -313,22 +251,11 @@ class RecMGManager:
         self._record_hits: Optional[List[bool]] = None
 
     # ------------------------------------------------------------------
-    def _ensure_pool(self) -> ShardWorkerPool:
-        """The persistent shard worker pool (built on first use)."""
-        if self._pool is None or self._pool.closed:
-            self._pool = ShardWorkerPool(self.buffer.num_shards,
-                                         self.num_workers)
-        return self._pool
-
     def close(self) -> None:
-        """Join the worker pool, if one was ever built, and the
-        priority provider's refresh worker (idempotent; serial
-        model-free managers no-op).  The manager remains usable — a
-        later concurrent serve builds a fresh pool — but an async
-        provider stays closed: serving continues on its last refreshed
-        bits, frozen."""
-        if self._pool is not None:
-            self._pool.close()
+        """Join the priority provider's refresh worker (idempotent;
+        model-free managers no-op).  The manager remains usable, but an
+        async provider stays closed: serving continues on its last
+        refreshed bits, frozen."""
         self.priority_provider.close()
 
     def __enter__(self) -> "RecMGManager":
@@ -381,55 +308,22 @@ class RecMGManager:
         apply_caching_bits(self.buffer, keys, bits,
                            self.config.eviction_speed)
 
-    def _provider_bits(self, segment: np.ndarray,
-                       guided: bool = True) -> Optional[Tuple]:
-        """Observe ``segment`` and collect its applicable caching bits.
-
-        The shared front half of both sink forms
-        (:meth:`_sink_provider`, :meth:`_submit_sink`): feed the stream
-        to the provider (always — the async refresh queue and the
-        retraining window must see control blocks too), then, when the
-        block is ``guided``, gather its tri-state bits, sample
-        staleness into :attr:`serving_metrics`, and pre-filter the
-        ``-1`` ("no prediction") positions.  Returns ``(keys, bits)``
-        with only ``>= 0`` bits, or ``None`` when there is nothing to
-        apply — a lift-guard control block (``guided=False``), an
-        empty/unpredicted block, or a wholly cold async table.
-        """
-        provider = self.priority_provider
-        provider.observe(segment)
-        if not guided:
-            return None
-        bits = provider.bits_for(segment)
-        staleness = provider.staleness_blocks()
-        if staleness is not None:
-            self.serving_metrics.record_staleness(staleness)
-        if bits is None:
-            return None
-        valid = bits >= 0
-        if not valid.all():
-            if not valid.any():
-                return None
-            segment = segment[valid]
-            bits = bits[valid]
-        return segment, bits
-
     def _sink_provider(self, segment: np.ndarray,
                        guided: bool = True) -> None:
-        """The provider sink, barrier form: after a block is fully
-        served, feed the stream to the priority provider and apply
-        whatever caching bits it has for the block — Algorithm 1's
-        priority write, driven from the live stream instead of the
-        offline chunk pass.
+        """The provider sink: after a block is fully served, feed the
+        stream to the priority provider (always — the async refresh
+        queue and the retraining window must see control blocks too)
+        and, unless ``guided=False`` (a lift-guard control block, which
+        serves model-free), apply whatever caching bits it has for the
+        block — Algorithm 1's priority write, driven from the live
+        stream instead of the offline chunk pass.
 
         Tri-state bits: positions ``>= 0`` apply through
         :func:`apply_caching_bits`; ``-1`` ("no prediction" — an async
         table slot not yet refreshed, or a spillover key) keeps its
         recency priority, so a cold provider degrades to model-free
         behavior.  Staleness (async refresh lag) is sampled per served
-        block into :attr:`serving_metrics`.  ``guided=False`` (a
-        lift-guard control block) observes but withholds the bits —
-        the block serves model-free.
+        block into :attr:`serving_metrics`.
 
         On a sharded buffer the bits are split along
         ``iter_shard_segments``' route and applied per shard through
@@ -437,92 +331,59 @@ class RecMGManager:
         same one-scatter route the engines serve through, instead of
         the three global scatters the whole-buffer bulk calls would
         cost (the split-identity argument lives on
-        :func:`apply_caching_bits`).  The concurrent streaming path
-        uses :meth:`_submit_sink`, which dispatches exactly these
-        per-shard applies to the pinned workers instead of running
-        them inline.
+        :func:`apply_caching_bits`).
 
-        Called at block granularity from the top-level serve sites
-        (:meth:`serve_batch`, :meth:`run`'s chunk and streaming loops)
-        — never from inside an engine, so an engine's internal
-        fallbacks (e.g. the exact engine's scalar stretches) cannot
-        double-sink a block.
+        Called per block from :meth:`_serve_block` — never from inside
+        an engine, so an engine's internal fallbacks (e.g. the exact
+        engine's scalar stretches) cannot double-sink a block.
         """
         segment = np.asarray(segment, dtype=np.int64)
         if segment.size == 0:
             return
-        got = self._provider_bits(segment, guided)
-        if got is None:
+        provider = self.priority_provider
+        provider.observe(segment)
+        if not guided:
             return
-        keys, bits = got
+        bits = provider.bits_for(segment)
+        staleness = provider.staleness_blocks()
+        if staleness is not None:
+            self.serving_metrics.record_staleness(staleness)
+        if bits is None:
+            return
+        valid = bits >= 0
+        if not valid.all():
+            if not valid.any():
+                return
+            segment = segment[valid]
+            bits = bits[valid]
         buffer = self.buffer
         speed = self.config.eviction_speed
         if isinstance(buffer, ShardedBuffer):
             for _, shard, positions, sub in buffer.iter_shard_segments(
-                    keys):
+                    segment):
                 apply_caching_bits(shard, sub, bits[positions], speed)
         else:
-            apply_caching_bits(buffer, keys, bits, speed)
+            apply_caching_bits(buffer, segment, bits, speed)
 
-    def _submit_sink(self, segment: np.ndarray,
-                     guided: bool = True) -> List:
-        """The provider sink, pipelined form: split the block's bits
-        per shard and dispatch one :func:`apply_caching_bits` job per
-        touched shard to that shard's pinned worker; returns the apply
-        futures (the stream's drain joins them with the block).
-
-        Why this un-serializes the sink: the barrier form's priority
-        writes touch every shard from the gather thread, so they could
-        interleave with in-flight sibling blocks and the old stream
-        path had to drain the whole pipeline around each one.  Split
-        per shard and submitted *after* the same block's serve jobs
-        (one dispatcher thread, per-shard FIFO workers), each shard
-        executes «serve block k → apply block k's bits → serve block
-        k+1» in exactly the serial order, and shards share no keys —
-        the same structural argument that makes the concurrent engine
-        bit-identical to the serial one extends to the sink, so up to
-        :attr:`_MAX_INFLIGHT_BLOCKS` blocks stay in flight straight
-        through an active provider.
-
-        Provider calls (observe, the async table gather or sync
-        inference) run here on the dispatcher thread at submit time —
-        they depend only on the keys and the provider's own state,
-        never on buffer state, so computing bits before the block is
-        gathered changes no decision; only the *applies* must order
-        with serving, and per-shard FIFO orders them.
-        """
-        got = self._provider_bits(segment, guided)
-        if got is None:
-            return []
-        keys, bits = got
-        pool = self._ensure_pool()
-        speed = self.config.eviction_speed
-        return [
-            pool.submit(index, apply_caching_bits, shard, sub,
-                        bits[positions], speed)
-            for index, shard, positions, sub
-            in self.buffer.iter_shard_segments(keys)
-        ]
-
-    def _hits_total(self) -> int:
-        """Served hits so far (demand + prefetch) — the lift guard's
-        measurement counter."""
-        return self.breakdown.cache_hits + self.breakdown.prefetch_hits
-
-    def _guard_begin(self) -> bool:
-        """Decide the next block's lift-guard arm (True = guided;
-        always True without a guard)."""
+    def _serve_block(self, serve, segment: np.ndarray) -> None:
+        """Serve one block through the engine ``serve`` — the serve
+        site :meth:`serve_batch` and both loops of :meth:`run` share.
+        With a priority provider active the lift guard (if any) picks
+        the block's arm first and is credited the demand + prefetch
+        hits the serve measured; the sink then gets the block."""
+        if not self._provider_active:
+            serve(segment)
+            return
         guard = self.lift_guard
-        return True if guard is None else guard.begin_block()
-
-    def _guard_record(self, accesses: int, hits_before: int) -> None:
-        """Feed one gathered block's measured hits to the lift guard
-        (no-op without one); ``hits_before`` is :meth:`_hits_total`
-        sampled before the block's accounting ran."""
-        guard = self.lift_guard
+        guided = True if guard is None else guard.begin_block()
+        breakdown = self.breakdown
+        hits_before = breakdown.cache_hits + breakdown.prefetch_hits
+        serve(segment)
         if guard is not None:
-            guard.record_block(self._hits_total() - hits_before,
-                               accesses)
+            guard.record_block(
+                breakdown.cache_hits + breakdown.prefetch_hits
+                - hits_before, len(segment))
+        self._sink_provider(segment, guided)
 
     def _apply_prefetches(self, predicted: np.ndarray) -> None:
         """Algorithm 1 lines 9-15: fetch P[i] at priority eviction_speed.
@@ -843,89 +704,30 @@ class RecMGManager:
             if counts is not None:
                 counts[index] += positions.size
         if counts is not None:
-            self._note_traffic(counts, int(segment.size))
+            # Fold the block's per-shard access counts into the traffic
+            # EWMA and advance the rebalance-cadence counter.
+            traffic = self._shard_traffic
+            traffic *= 1.0 - self._REBALANCE_EWMA
+            traffic += self._REBALANCE_EWMA * counts
+            self._accesses_since_rebalance += int(segment.size)
         self.evictions += evicted
         first_miss_pos = (np.concatenate(miss_chunks) if miss_chunks
                           else np.zeros(0, dtype=np.int64))
         self._account_segment(segment, first_miss_pos, segment,
                               pf_hits=pf_hits)
 
-    def _submit_block(self, segment: np.ndarray) -> List[Tuple]:
-        """Route ``segment`` and dispatch one :meth:`_serve_subsegment`
-        job per touched shard to the worker pool; returns the
-        ``(positions, future)`` jobs **in shard order** — the order the
-        gather must consume them to reproduce the serial engine.
-
-        The online rebalancer's traffic EWMA is noted here, on the
-        dispatcher thread in block order — the same per-shard counts
-        the serial gather sees at the same block boundary — so the
-        rebalance trigger fires at identical block indices under
-        ``concurrency="serial"`` and ``"threads"`` regardless of how
-        far the pipeline has gathered."""
-        pool = self._ensure_pool()
-        jobs = []
-        counts = (np.zeros(self.buffer.num_shards, dtype=np.float64)
-                  if self.rebalance_interval else None)
-        for index, shard, positions, sub in \
-                self.buffer.iter_shard_segments(segment):
-            jobs.append((positions,
-                         pool.submit(index, self._serve_subsegment,
-                                     shard, sub)))
-            if counts is not None:
-                counts[index] += positions.size
-        if counts is not None:
-            self._note_traffic(counts, int(segment.size))
-        return jobs
-
-    def _gather_block(self, segment: np.ndarray, jobs: List[Tuple]) -> None:
-        """Join a dispatched block's shard jobs in shard order and run
-        the segment-order accounting pass — the single point where
-        worker results touch the shared counters (so the workers never
-        race on them)."""
-        miss_chunks: List[np.ndarray] = []
-        pf_hits = 0
-        evicted = 0
-        for positions, future in jobs:
-            sub_miss, sub_pf, sub_ev = future.result()
-            pf_hits += sub_pf
-            evicted += sub_ev
-            if sub_miss.size:
-                miss_chunks.append(positions[sub_miss])
-        self.evictions += evicted
-        first_miss_pos = (np.concatenate(miss_chunks) if miss_chunks
-                          else np.zeros(0, dtype=np.int64))
-        self._account_segment(segment, first_miss_pos, segment,
-                              pf_hits=pf_hits)
-
-    def _note_traffic(self, counts: np.ndarray, accesses: int) -> None:
-        """Fold one served block's per-shard access counts into the
-        traffic EWMA and advance the rebalance-cadence counter.  Called
-        once per block, from the serial gather
-        (:meth:`_serve_demand_sharded`) or the concurrent dispatcher
-        (:meth:`_submit_block`) — both in block order, so the EWMA
-        state at any block boundary is identical across engines."""
-        traffic = self._shard_traffic
-        traffic *= 1.0 - self._REBALANCE_EWMA
-        traffic += self._REBALANCE_EWMA * counts
-        self._accesses_since_rebalance += accesses
-
-    def _maybe_rebalance(self, drain=None) -> None:
+    def _maybe_rebalance(self) -> None:
         """The online rebalance driver — called at block boundaries by
-        :meth:`run`, :meth:`_serve_stream` and :meth:`serve_batch`.
+        :meth:`run` and :meth:`serve_batch`.
 
         Every :attr:`rebalance_interval` served accesses, compare the
         traffic-EWMA shares against the current capacity split; when
         the worst shard's absolute imbalance exceeds
         :attr:`rebalance_threshold`, rebalance the buffer onto the
-        traffic weights.  The migration is a **barrier job**: ``drain``
-        (the pipelined stream's gather-everything hook) runs first,
-        then :meth:`ShardWorkerPool.barrier` joins every in-flight
-        per-shard job, and only then does the migration run on the
-        calling (dispatcher) thread — shard exclusivity is never
-        violated mid-flight.  Donor-shrink victims count as manager
+        traffic weights.  Donor-shrink victims count as manager
         evictions (their prefetch tags drop, same as any eviction);
-        migrated keys and the full pause (drain + barrier + migration)
-        land in :attr:`serving_metrics` via ``record_rebalance``.
+        migrated keys and the migration pause land in
+        :attr:`serving_metrics` via ``record_rebalance``.
         """
         interval = self.rebalance_interval
         if not interval or self._accesses_since_rebalance < interval:
@@ -941,10 +743,6 @@ class RecMGManager:
                 <= self.rebalance_threshold:
             return
         begin = time.perf_counter()
-        if drain is not None:
-            drain()
-        if self._pool is not None and not self._pool.closed:
-            self._pool.barrier()
         # Floor the weights: a shard whose EWMA decayed to ~0 still
         # needs a positive weight (split_capacity guarantees it one
         # slot either way).
@@ -958,114 +756,19 @@ class RecMGManager:
             self.serving_metrics.record_rebalance(
                 stats["migrated_keys"], time.perf_counter() - begin)
 
-    def _serve_demand_concurrent(self, segment: np.ndarray) -> None:
-        """Concurrent shard-wise serving (``concurrency="threads"``).
-
-        Same route → serve → gather shape as
-        :meth:`_serve_demand_sharded`, with the per-shard sub-segments
-        dispatched to the persistent :class:`ShardWorkerPool` instead
-        of served inline.  Decision identity with the serial loop is
-        structural, not probabilistic: shards hold disjoint key sets,
-        every shard is pinned to exactly one single-thread worker (so a
-        shard's sub-segments execute FIFO in submission order), and the
-        gather consumes futures in shard order — the exact iteration
-        order of the serial engine.  Worker results are pure values
-        (miss positions, prefetch hits, eviction count); all shared
-        counters are written by the gather on the calling thread.
-
-        This is the per-segment *barrier* form — it blocks until the
-        whole segment is gathered, which model-boundary chunks require
-        (a chunk's caching bits/prefetches must land before the next
-        chunk is served).  The no-model streaming path pipelines blocks
-        through :meth:`_serve_stream` instead.
-        """
-        segment = np.asarray(segment, dtype=np.int64)
-        if segment.size == 0:
-            return
-        self._gather_block(segment, self._submit_block(segment))
-
-    def _serve_stream(self, dense: np.ndarray, start: int,
-                      block: int, sink: bool = False) -> None:
-        """Pipelined concurrent serving of the stream tail: keep up to
-        :attr:`_MAX_INFLIGHT_BLOCKS` blocks dispatched ahead of the
-        gather, so shard workers never idle at a block boundary
-        waiting for the slowest sibling.  Per-shard FIFO (all
-        ``_submit_block`` calls happen on this thread, in block order)
-        means each shard still serves its sub-segments in exactly the
-        serial order, and the gathers run in block order here — so
-        counters, decision streams and buffer state stay bit-identical
-        to the serial engine.
-
-        ``sink=True`` (an active priority provider) threads the
-        per-shard provider sink through the same pipeline: each
-        block's bits are computed on this thread right after its serve
-        jobs are submitted and applied as per-shard jobs on the pinned
-        workers (:meth:`_submit_sink`), so priority writes ride the
-        per-shard FIFO instead of forcing a per-block barrier — the
-        pipeline keeps its depth under ``priority_mode="sync"|"async"``
-        and decisions stay bit-identical to the barrier form (pinned
-        by ``tests/test_sink_pipelining.py``).  The drain joins a
-        block's apply futures after its gather (they are queued behind
-        the same block's serve jobs, so this adds no stall) — apply
-        errors propagate and the buffer state is complete when the
-        stream returns.
-
-        Each gathered block records its wall latency (dispatch →
-        gathered) and the in-flight pipeline depth into
-        :attr:`serving_metrics` — as ``inflight_depth``, a distinct
-        stat from the admission-queue ``queue_depth`` that
-        :meth:`serve_batch` records (blocks dispatched ahead of the
-        gather vs requests waiting for admission; same name would mix
-        units)."""
-        pending: Deque[Tuple[np.ndarray, List[Tuple], List, float]] = \
-            deque()
-        metrics = self.serving_metrics
-
-        def drain_one() -> None:
-            segment, jobs, sink_jobs, submitted_at = pending.popleft()
-            hits_before = self._hits_total()
-            self._gather_block(segment, jobs)
-            self._guard_record(int(segment.size), hits_before)
-            for future in sink_jobs:
-                future.result()
-            metrics.record_batch(int(segment.size),
-                                 time.perf_counter() - submitted_at,
-                                 inflight_depth=len(pending))
-
-        def drain_all() -> None:
-            while pending:
-                drain_one()
-
-        for lo in range(start, len(dense), block):
-            segment = np.asarray(dense[lo:lo + block], dtype=np.int64)
-            jobs = self._submit_block(segment)
-            sink_jobs = (self._submit_sink(segment, self._guard_begin())
-                         if sink else [])
-            pending.append((segment, jobs, sink_jobs,
-                            time.perf_counter()))
-            # Rebalance check at the same block boundary the serial
-            # tail checks (the EWMA was noted by _submit_block just
-            # above).  On trigger, every dispatched block — including
-            # this one — is gathered and its sink applied before the
-            # migration starts (drain_all + the worker barrier inside).
-            self._maybe_rebalance(drain=drain_all)
-            if len(pending) >= self._MAX_INFLIGHT_BLOCKS:
-                drain_one()
-        drain_all()
-
     def serve_batch(self, keys: np.ndarray,
                     queue_depth: Optional[int] = None) -> np.ndarray:
         """Serve one coalesced demand segment — the front door the
         admission queue/batcher stack (:mod:`repro.serving.admission`)
         drives, and what an RPC handler would call per batch.
 
-        Dispatches through the same engine selection as :meth:`run`
-        (concurrent when ``concurrency="threads"``), records the
-        batch's wall latency, size and ``queue_depth`` (the admission
-        queue's depth when the batch formed, if the caller tracks one)
-        into :attr:`serving_metrics`, and returns the per-access hit
-        booleans (``True`` = served from the buffer, demand or
-        prefetched; ``False`` = on-demand fetch) in access order.
+        Dispatches through the same engine selection as :meth:`run`,
+        records the batch's wall latency, size and ``queue_depth`` (the
+        admission queue's depth when the batch formed, if the caller
+        tracks one) into :attr:`serving_metrics`, and returns the
+        per-access hit booleans (``True`` = served from the buffer,
+        demand or prefetched; ``False`` = on-demand fetch) in access
+        order.
         """
         keys = np.asarray(keys, dtype=np.int64)
         serve = self._select_engine()
@@ -1073,19 +776,11 @@ class RecMGManager:
         self._record_hits = []
         begin = time.perf_counter()
         try:
-            if self._provider_active:
-                guided = self._guard_begin()
-                hits_before = self._hits_total()
-                serve(keys)
-                self._guard_record(int(keys.size), hits_before)
-                # Provider sink inside the timed section on purpose:
-                # sync inference is on the serving critical path and
-                # must show in the latency percentiles; the async
-                # gather is a cheap table read and the recorded p99
-                # proves it.
-                self._sink_provider(keys, guided)
-            else:
-                serve(keys)
+            # Provider sink inside the timed section on purpose: sync
+            # inference is on the serving critical path and must show
+            # in the latency percentiles; the async gather is a cheap
+            # table read and the recorded p99 proves it.
+            self._serve_block(serve, keys)
             hits = np.asarray(self._record_hits, dtype=bool)
         finally:
             self._record_hits = outer
@@ -1119,18 +814,13 @@ class RecMGManager:
         shard; returns the positions (relative to ``sub``) of its
         demand misses, the number of prefetch hits it consumed, and
         the number of entries it evicted.  Mirrors the single-shard
-        engines minus the shared-counter writes, which the gather
-        (:meth:`_serve_demand_sharded` / :meth:`_gather_block`) runs
-        once for the whole segment — evictions in particular are
-        *returned*, not added to :attr:`evictions` here, because under
-        ``concurrency="threads"`` this method runs on worker threads
-        and ``+=`` on a shared int is a lost-update race.  Prefetch-tag
+        engines minus the shared-counter writes: the results are pure
+        values that the gather (:meth:`_serve_demand_sharded`) folds
+        once for the whole segment, in segment order.  Prefetch-tag
         bookkeeping does land on :attr:`_prefetched` as it happens (a
         tag is consumed in the chunk where its key is first served,
         dropped when its key is evicted — in that order, chunk by
-        chunk): every key and victim this shard touches routes only to
-        this shard, so concurrent workers mutate disjoint tag subsets,
-        and each individual set op is atomic under the GIL."""
+        chunk)."""
         speed = self.config.eviction_speed
         prefetched = self._prefetched
         evicted = 0
@@ -1224,8 +914,8 @@ class RecMGManager:
         """Scalar serving loop against one shard backend; returns the
         relative miss positions, consumed prefetch-hit count and
         eviction count (the shared-counter updates are the gather's
-        job — see :meth:`_serve_subsegment` on why; tag drops land on
-        the shared set as they happen)."""
+        job — see :meth:`_serve_subsegment`; tag drops land on
+        :attr:`_prefetched` as they happen)."""
         speed = self.config.eviction_speed
         prefetched = self._prefetched
         misses: List[int] = []
@@ -1290,11 +980,7 @@ class RecMGManager:
         if isinstance(self.buffer, ShardedBuffer):
             # Shard-wise engine: route whole segments, serve per shard
             # through the matching single-shard scheme (exact shards
-            # stay decision-identical to the scalar audit loop).  The
-            # concurrent engine dispatches the same per-shard serves to
-            # the worker pool and is bit-identical to the serial loop.
-            if self.concurrency == "threads":
-                return self._serve_demand_concurrent
+            # stay decision-identical to the scalar audit loop).
             return self._serve_demand_sharded
         if getattr(self.buffer, "approximate", False):
             return self._serve_demand_batched
@@ -1329,10 +1015,7 @@ class RecMGManager:
         buffer, whose victim order (and hence hit stream) legitimately
         differs from the scalar loop.  The ``"reference"`` backend
         always runs the audit loop.  Sharded buffers route shard-wise
-        (:meth:`_serve_demand_sharded`), and ``concurrency="threads"``
-        swaps in the bit-identical concurrent engine
-        (:meth:`_serve_demand_concurrent`) — pipelined across blocks
-        via :meth:`_serve_stream` once the model chunks are done.
+        (:meth:`_serve_demand_sharded`).
         ``record_decisions`` additionally stores the per-access hit
         booleans in :attr:`last_decisions` (every engine records).
         """
@@ -1381,58 +1064,24 @@ class RecMGManager:
         else:
             for chunk_idx in range(num_chunks):
                 start = chunk_idx * length
-                if use_provider:
-                    guided = self._guard_begin()
-                    hits_before = self._hits_total()
-                    serve(dense[start:start + length])
-                    self._guard_record(length, hits_before)
-                    self._sink_provider(dense[start:start + length],
-                                        guided)
-                else:
-                    serve(dense[start:start + length])
-                    if bits_all is not None:
-                        self._apply_caching_bits(
-                            dense[start:start + length],
-                            bits_all[chunk_idx])
+                chunk = dense[start:start + length]
+                self._serve_block(serve, chunk)
+                if bits_all is not None:
+                    self._apply_caching_bits(chunk, bits_all[chunk_idx])
                 if preds_all is not None:
                     self._apply_prefetches(preds_all[chunk_idx])
-                # Chunk boundaries are block boundaries too: the chunk
-                # engines are barriers (concurrent serves gather fully,
-                # sinks run inline), so a triggered migration overlaps
-                # nothing.
+                # Chunk boundaries are block boundaries too.
                 self._maybe_rebalance()
             tail = num_chunks * length
         # Sharded serving splits every block N ways, so scale the block
         # to keep the per-shard sub-segments at single-shard size (the
-        # scatter itself is one vectorized route).
+        # scatter itself is one vectorized route).  Async mode keeps
+        # *inference* off this path — the sink's table gather and
+        # per-shard priority scatters are cheap bulk ops.
         block = self._SERVE_BLOCK * getattr(self.buffer, "num_shards", 1)
-        if serve == self._serve_demand_concurrent and (
-                not use_provider or self._pipeline_sink):
-            # No model barriers past ``tail``: pipeline the blocks so
-            # shard workers stay busy across block boundaries.  An
-            # active provider rides along — its sink is split per
-            # shard onto the pinned workers (:meth:`_submit_sink`), so
-            # priority writes no longer force a per-block barrier.
-            self._serve_stream(dense, tail, block, sink=use_provider)
-        else:
-            # Serial engines, or the pipelined sink explicitly
-            # disabled (``_pipeline_sink=False`` — the differential/
-            # bench escape hatch): each block is a barrier — serve,
-            # then sink inline (per shard on a sharded buffer).  Async
-            # mode still keeps *inference* off this path — the sink's
-            # table gather and per-shard priority scatters are cheap
-            # bulk ops.
-            for start in range(tail, n, block):
-                segment = dense[start:start + block]
-                if use_provider:
-                    guided = self._guard_begin()
-                    hits_before = self._hits_total()
-                    serve(segment)
-                    self._guard_record(len(segment), hits_before)
-                    self._sink_provider(segment, guided)
-                else:
-                    serve(segment)
-                self._maybe_rebalance()
+        for start in range(tail, n, block):
+            self._serve_block(serve, dense[start:start + block])
+            self._maybe_rebalance()
         if record_decisions:
             self.last_decisions = np.asarray(self._record_hits, dtype=bool)
             self._record_hits = None

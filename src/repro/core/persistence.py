@@ -21,6 +21,11 @@ from .features import FeatureEncoder
 from .prefetch_model import BucketDecoder, PrefetchModel
 from .recmg import RecMG
 
+#: Config keys of archives written while the threaded serving engine
+#: existed; it was pinned bit-identical to the serial shard loop, so
+#: dropping them changes no decision.  Any other unknown key raises.
+_RETIRED_CONFIG_KEYS = ("concurrency", "num_workers")
+
 
 def save_recmg(system: RecMG, path: Union[str, os.PathLike]) -> None:
     """Serialize a fitted RecMG system to ``path`` (.npz)."""
@@ -49,7 +54,10 @@ def save_recmg(system: RecMG, path: Union[str, os.PathLike]) -> None:
 def load_recmg(path: Union[str, os.PathLike]) -> RecMG:
     """Restore a RecMG system saved by :func:`save_recmg`."""
     with np.load(path, allow_pickle=False) as archive:
-        config = RecMGConfig(**json.loads(str(archive["config_json"])))
+        fields = json.loads(str(archive["config_json"]))
+        for key in _RETIRED_CONFIG_KEYS:
+            fields.pop(key, None)
+        config = RecMGConfig(**fields)
         system = RecMG(config)
 
         encoder = FeatureEncoder(config)

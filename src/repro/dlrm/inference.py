@@ -19,7 +19,6 @@ from ..cache.buffer import (
     reclaim_batch_space,
 )
 from ..cache.sharding import backend_for_key
-from ..serving.workers import ShardWorkerPool
 from ..traces.access import Trace
 from .model import DLRM
 from .tiered import TieredMemoryConfig
@@ -169,11 +168,7 @@ class BufferClassifier:
     :meth:`access_batch` scatters the batch shard-wise with one
     vectorized route and classifies each shard's sub-batch through the
     matching scheme above; the scalar path evicts from the routed
-    shard.  ``concurrency="threads"`` dispatches the per-shard
-    classifications to a persistent
-    :class:`~repro.serving.workers.ShardWorkerPool` (shard-pinned
-    workers, shard-order gather — the manager's concurrent engine in
-    miniature), which is bit-identical to the serial shard loop.
+    shard.
 
     ``priority_provider`` puts the caching model in the loop (same seam
     as the manager's ``priority_mode`` — see
@@ -192,36 +187,20 @@ class BufferClassifier:
                  num_shards: int = 1,
                  shard_policy: str = "contiguous",
                  shard_weights=None,
-                 concurrency: str = "serial",
-                 num_workers: Optional[int] = None,
                  priority_provider=None) -> None:
-        if concurrency not in ("serial", "threads"):
-            raise ValueError(
-                "concurrency must be one of ('serial', 'threads'), "
-                f"got {concurrency!r}")
-        if concurrency == "threads" and num_shards < 2:
-            raise ValueError(
-                "concurrency='threads' dispatches per-shard workers "
-                "and requires num_shards > 1")
         self.buffer = make_buffer(buffer_impl, capacity,
                                   key_space=key_space,
                                   num_shards=num_shards,
                                   shard_policy=shard_policy,
                                   shard_weights=shard_weights)
         self.priority = priority
-        self.concurrency = concurrency
-        self.num_workers = num_workers
-        self._pool: Optional[ShardWorkerPool] = None
         self.priority_provider = priority_provider
         self._provider_active = (
             priority_provider is not None
             and getattr(priority_provider, "mode", "none") != "none")
 
     def close(self) -> None:
-        """Join the worker pool and close the provider, if built
-        (idempotent)."""
-        if self._pool is not None:
-            self._pool.close()
+        """Close the provider, if one was passed (idempotent)."""
         if self.priority_provider is not None:
             self.priority_provider.close()
 
@@ -251,9 +230,6 @@ class BufferClassifier:
             return np.zeros(0, dtype=bool)
         hits = self._route_batch(keys)
         if self._provider_active:
-            # Sink after the batch fully resolves (all shard futures
-            # gathered): the provider's bulk priority writes touch
-            # every shard, so they must not race in-flight sub-batches.
             self._sink_provider(keys)
         return hits
 
@@ -265,19 +241,6 @@ class BufferClassifier:
         # Sharded: one vectorized scatter, per-shard classification,
         # one gather back into batch order.
         hits = np.empty(keys.size, dtype=bool)
-        if self.concurrency == "threads":
-            # Shard-pinned workers; only the gather writes ``hits``.
-            if self._pool is None or self._pool.closed:
-                self._pool = ShardWorkerPool(buffer.num_shards,
-                                             self.num_workers)
-            jobs = [
-                (positions,
-                 self._pool.submit(index, self._classify_batch, shard, sub))
-                for index, shard, positions, sub in segments(keys)
-            ]
-            for positions, future in jobs:
-                hits[positions] = future.result()
-            return hits
         for _, shard, positions, sub in segments(keys):
             hits[positions] = self._classify_batch(shard, sub)
         return hits

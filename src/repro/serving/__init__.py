@@ -1,16 +1,14 @@
-"""Concurrent serving front-end: admission, batching, shard workers,
-and latency/SLO metrics.
+"""Serving front-end: admission, batching, model-guided priorities and
+latency/SLO metrics.
 
 The layer that turns the sharded serving library into a traffic-bearing
 engine (see ROADMAP "Serving architecture"):
 
     producers -> RequestQueue -> Batcher -> RecMGManager.serve_batch
-                                              |  route (scatter)
+     (threads)                                |  route (scatter)
                                               v
-                                   ShardWorkerPool (per-shard FIFO)
-                                     ^        |  gather (shard order)
-        per-shard apply jobs (bits   |        v
-        split along the shard route) |
+                                   serial shard loop -> gather
+                                              |
                               PriorityProvider sink -> ServingMetrics
                                   ^ bits        | observe
                                   |             v
@@ -18,17 +16,17 @@ engine (see ROADMAP "Serving architecture"):
                                   ^             | window (every block)
                                   +-- OnlineCachingTrainer (OPTgen)
 
-The sink's priority writes are split per shard and queued on the same
-pinned workers behind each block's serve jobs (``RecMGManager
-._submit_sink``), so the pipelined stream keeps its depth under an
-active provider; an optional :class:`LiftGuard` withholds the bits
-while the measured trailing hit-rate lift is negative.
+Producers are threads; *serving* is one thread.  Shards are disjoint
+flat arrays, so parallelism is processes at the shard boundary.
 
-:mod:`repro.core.manager` consumes :class:`ShardWorkerPool` and
-:class:`ServingMetrics` when ``concurrency="threads"`` and sinks every
-served block through its :class:`PriorityProvider`
-(:mod:`repro.serving.priorities`) when ``priority_mode`` is ``"sync"``
-or ``"async"``; ``examples/serving_daemon.py`` drives the whole stack.
+:mod:`repro.core.manager` records every ``serve_batch`` into
+:class:`ServingMetrics` and, when ``priority_mode`` is ``"sync"`` or
+``"async"``, sinks every served block through its
+:class:`PriorityProvider` (:mod:`repro.serving.priorities`), the
+priority writes split along the shard route; an optional
+:class:`LiftGuard` withholds the bits while the measured trailing
+hit-rate lift is negative.  ``examples/serving_daemon.py`` drives the
+whole stack.
 """
 
 from .admission import Batch, Batcher, QueueClosed, Request, RequestQueue
@@ -43,7 +41,6 @@ from .priorities import (
     apply_caching_bits,
     make_provider,
 )
-from .workers import ShardWorkerPool
 
 __all__ = [
     "AsyncModelProvider",
@@ -58,7 +55,6 @@ __all__ = [
     "Request",
     "RequestQueue",
     "ServingMetrics",
-    "ShardWorkerPool",
     "SyncModelProvider",
     "apply_caching_bits",
     "make_provider",

@@ -1,6 +1,6 @@
 """Admission control: bounded request queue + coalescing batcher.
 
-The front door of the concurrent serving stack.  Producers (per-tenant
+The front door of the serving stack.  Producers (per-tenant
 query streams, the daemon's trace replayer, an RPC handler) enqueue
 small :class:`Request` objects into a bounded :class:`RequestQueue`;
 one :class:`Batcher` drains the queue and coalesces requests into

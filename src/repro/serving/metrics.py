@@ -1,12 +1,12 @@
-"""Latency/SLO observability for the concurrent serving front-end.
+"""Latency/SLO observability for the serving front-end.
 
 The serving path so far reported one number per run — accesses/sec.  A
 traffic-bearing front end needs the latency *distribution* (tail
 latency is the SLO currency: a p99 of 20 ms matters even when the mean
 is 2 ms), the admission queue's depth (the leading indicator of
-overload), the batch-size mix the batcher actually produced, and how
-busy each shard worker was.  :class:`ServingMetrics` records all four
-with O(1) per-batch cost and summarizes them on demand:
+overload) and the batch-size mix the batcher actually produced.
+:class:`ServingMetrics` records all three with O(1) per-batch cost and
+summarizes them on demand:
 
 * **per-batch wall latency** — a fixed-size ring buffer
   (:class:`LatencyWindow`) of the most recent ``window`` batch
@@ -17,18 +17,9 @@ with O(1) per-batch cost and summarizes them on demand:
 * **queue depth** — mean/max over the recorded samples of the
   *admission* queue's depth at each flush (requests waiting to be
   batched — the backpressure signal);
-* **in-flight depth** — mean/max over the concurrent engine's
-  pipeline depth samples (blocks dispatched ahead of the gather).
-  Deliberately a *separate* stat from queue depth: the two measure
-  different stages in different units (waiting requests vs dispatched
-  serving blocks), and folding pipeline depth into the queue-depth
-  stream would corrupt the overload signal;
 * **batch-size histogram** — power-of-two buckets (a batch of 1500
   keys lands in the ``1024-2047`` bucket), enough to see whether the
-  batcher is flushing on size or on deadline;
-* **per-shard busy time** — accumulated by
-  :class:`repro.serving.workers.ShardWorkerPool` and merged into the
-  summary as utilization (busy seconds / wall seconds).
+  batcher is flushing on size or on deadline.
 
 With a model-guided priority provider installed
 (:mod:`repro.serving.priorities`) two more stat families appear:
@@ -48,18 +39,15 @@ more family appears:
 
 * **rebalances** — count, total migrated keys, and the serving pause
   each rebalance cost (:meth:`ServingMetrics.record_rebalance`): the
-  wall time from deciding to rebalance to serving again, including the
-  worker drain/barrier under ``concurrency="threads"``.  Pause time is
+  wall time from deciding to rebalance to serving again.  Pause time is
   the honesty metric of elastic rebalancing — the hit-rate win is
   gated in the benches, the pause is recorded ungated next to it.
 
-Recording is **single-writer per field family**: one thread (the
-gather/drive loop) calls :meth:`ServingMetrics.record_batch` and
+Recording is **single-writer per field family**: the serving thread
+calls :meth:`ServingMetrics.record_batch` and
 :meth:`record_staleness`; inference counters are written by whichever
 thread runs inference — the serving thread in sync mode, the async
-provider's refresh worker otherwise — and by that thread only.  Shard
-busy times are written by the worker threads but each shard's
-accumulator is only ever touched by the worker that owns the shard.
+provider's refresh worker otherwise — and by that thread only.
 So no lock is needed anywhere on the hot path; cross-thread
 :meth:`summary` reads are telemetry (individually atomic fields, no
 torn floats under the GIL, but no cross-field snapshot guarantee).
@@ -74,7 +62,6 @@ across PRs alongside throughput.
 
 from __future__ import annotations
 
-import time
 from typing import Dict, Optional, Sequence
 
 import numpy as np
@@ -139,9 +126,8 @@ class ServingMetrics:
     """Per-batch serving telemetry (see module docstring).
 
     One instance rides on each :class:`repro.core.manager.RecMGManager`;
-    the concurrent engine and :meth:`RecMGManager.serve_batch` record
-    into it, the serving daemon and the perf benches read
-    :meth:`summary`.
+    :meth:`RecMGManager.serve_batch` records into it, the serving
+    daemon and the perf benches read :meth:`summary`.
     """
 
     PERCENTILES = (50.0, 95.0, 99.0)
@@ -154,9 +140,6 @@ class ServingMetrics:
         self.queue_depth_samples = 0
         self.queue_depth_sum = 0
         self.queue_depth_max = 0
-        self.inflight_depth_samples = 0
-        self.inflight_depth_sum = 0
-        self.inflight_depth_max = 0
         self.inference_batches = 0
         self.inference_keys = 0
         self.inference_seconds_total = 0.0
@@ -168,18 +151,13 @@ class ServingMetrics:
         self.rebalance_migrated_keys = 0
         self.rebalance_pause_seconds_total = 0.0
         self.rebalance_pause_seconds_max = 0.0
-        self._started = time.perf_counter()
 
     # -- recording (single consumer) -----------------------------------
     def record_batch(self, size: int, latency_seconds: float,
-                     queue_depth: Optional[int] = None,
-                     inflight_depth: Optional[int] = None) -> None:
+                     queue_depth: Optional[int] = None) -> None:
         """Record one served batch: its key count, wall latency, and —
-        when the caller knows them — the admission-queue depth at the
-        moment the batch was formed (``queue_depth``) and/or the
-        concurrent engine's pipeline depth when the batch gathered
-        (``inflight_depth``).  The two are distinct stats (see module
-        docstring); callers record whichever stage they instrument."""
+        when the caller knows it — the admission-queue depth at the
+        moment the batch was formed (``queue_depth``)."""
         size = int(size)
         self.batches += 1
         self.keys_served += size
@@ -193,12 +171,6 @@ class ServingMetrics:
             self.queue_depth_sum += depth
             if depth > self.queue_depth_max:
                 self.queue_depth_max = depth
-        if inflight_depth is not None:
-            depth = int(inflight_depth)
-            self.inflight_depth_samples += 1
-            self.inflight_depth_sum += depth
-            if depth > self.inflight_depth_max:
-                self.inflight_depth_max = depth
 
     def record_inference(self, seconds: float, keys: int = 0) -> None:
         """Record one model-inference batch (wall time + keys).  Called
@@ -232,9 +204,7 @@ class ServingMetrics:
                          pause_seconds: float) -> None:
         """Record one executed shard rebalance: how many resident keys
         changed shards and how long serving paused for the migration
-        (drain/barrier + export/re-route/import).  Serving-thread only
-        — the rebalance itself runs with the workers quiesced, so the
-        recording thread is the only writer by construction."""
+        (export/re-route/import).  Serving-thread only."""
         self.rebalances += 1
         self.rebalance_migrated_keys += int(migrated_keys)
         self.rebalance_pause_seconds_total += pause_seconds
@@ -260,23 +230,8 @@ class ServingMetrics:
             return 0.0
         return self.queue_depth_sum / self.queue_depth_samples
 
-    @property
-    def inflight_depth_mean(self) -> float:
-        if not self.inflight_depth_samples:
-            return 0.0
-        return self.inflight_depth_sum / self.inflight_depth_samples
-
-    def summary(self, shard_busy_seconds: Optional[Sequence[float]] = None,
-                wall_seconds: Optional[float] = None) -> Dict[str, object]:
-        """Flat summary dict (floats/ints only, JSON-ready).
-
-        ``shard_busy_seconds`` (e.g.
-        :meth:`~repro.serving.workers.ShardWorkerPool.busy_seconds`)
-        adds per-shard utilization against ``wall_seconds`` (defaults
-        to the metrics object's own lifetime).
-        """
-        wall = (wall_seconds if wall_seconds is not None
-                else time.perf_counter() - self._started)
+    def summary(self) -> Dict[str, object]:
+        """Flat summary dict (floats/ints only, JSON-ready)."""
         pct = self.latency.percentiles(self.PERCENTILES)
         out: Dict[str, object] = {
             "batches": self.batches,
@@ -287,8 +242,6 @@ class ServingMetrics:
             "latency_mean_ms": self.latency.mean_seconds * 1e3,
             "queue_depth_mean": self.queue_depth_mean,
             "queue_depth_max": self.queue_depth_max,
-            "inflight_depth_mean": self.inflight_depth_mean,
-            "inflight_depth_max": self.inflight_depth_max,
             "inference_batches": self.inference_batches,
             "inference_mean_ms": self.inference_mean_ms,
             "inference_max_ms": self.inference_seconds_max * 1e3,
@@ -307,7 +260,4 @@ class ServingMetrics:
         if self.latency.total_seconds > 0:
             out["keys_per_sec_busy"] = \
                 self.keys_served / self.latency.total_seconds
-        if shard_busy_seconds is not None and wall > 0:
-            out["shard_utilization"] = [
-                busy / wall for busy in shard_busy_seconds]
         return out

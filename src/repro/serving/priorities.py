@@ -1,7 +1,7 @@
 """Model-in-the-loop priority providers for the serving engines.
 
 The paper's system is ML-*guided* caching, but the fast serving engines
-(batched clock, dense exact, sharded, concurrent) grew up model-free:
+(batched clock, dense exact, sharded) grew up model-free:
 the :class:`~repro.core.caching_model.CachingModel` only ran in the
 offline chunk pass of :meth:`RecMGManager.run`.  This module is the
 seam that puts the model back in the loop without touching the engines
@@ -13,12 +13,8 @@ driven from the live stream.
 
 On a sharded buffer the sink is **per shard**: the block's bits are
 split along ``ShardedBuffer.iter_shard_segments``' route and applied
-through each shard's ``CompressedShardView`` — under
-``concurrency="threads"`` as one ``apply_caching_bits`` job per shard
-on that shard's pinned worker, so a priority write is never a
-cross-shard barrier and the concurrent engine keeps pipelining blocks
-straight through an active provider (see
-:meth:`RecMGManager._submit_sink` and the split-identity argument on
+through each shard's ``CompressedShardView`` (see
+:meth:`RecMGManager._sink_provider` and the split-identity argument on
 :func:`apply_caching_bits`).
 
 :class:`LiftGuard` is the safety valve on top of any provider: an
@@ -40,9 +36,7 @@ Three implementations, selected by ``priority_mode``:
   ~4.5 M on ``clock`` (~10x; 2-core AVX-512 host, one BLAS thread,
   numpy 2.4; ~6x / ~17x on float64 ``infer``, ~11x / ~33x on the taped
   forward); decisions are deterministic, which makes this the
-  differential-testable mode (threads == serial stays bit-identical
-  via the shard-pinning argument — the sink runs on the calling
-  thread after the gather).
+  differential-testable mode.
 * :class:`AsyncModelProvider` (``"async"``) — a background worker
   refreshes a dense per-key bit table; serving reads possibly-stale
   bits with one vectorized gather and never blocks on inference.
@@ -207,14 +201,10 @@ class LiftGuard:
     bias the next comparison.
 
     Driven by the manager at block granularity: :meth:`begin_block`
-    decides the block's arm *at dispatch*, :meth:`record_block` feeds
-    its measured hits back *at gather* — two calls because the
-    pipelined stream keeps up to 8 blocks in flight between the two
-    (the FIFO of decided arms pairs them back up).  That same lag
-    means trip decisions see slightly older measurements under the
-    pipelined engine than under the barrier form, so an *enabled*
-    guard is excluded from the pipelined==barrier bit-identity
-    contract (the guard-off default keeps it).
+    decides the block's arm before it is served, :meth:`record_block`
+    feeds its measured hits back after.  One decision is pending at a
+    time; a :meth:`begin_block` whose block was never recorded (its
+    serve raised) is superseded by the next.
     """
 
     def __init__(self, phase_blocks: int = 8, window_phases: int = 4,
@@ -236,7 +226,7 @@ class LiftGuard:
         self.trips = 0
         self.untrips = 0
         self._begun = 0                      # blocks whose arm is decided
-        self._decided: Deque[bool] = deque()  # arms awaiting measurement
+        self._pending: Optional[bool] = None  # arm awaiting measurement
         self._run_arm: Optional[bool] = None  # arm of the open run
         self._run_hits = 0
         self._run_size = 0
@@ -253,16 +243,17 @@ class LiftGuard:
         minority = (phase % self.probe_every) == self.probe_every - 1
         arm = minority if self.tripped else not minority
         self._begun += 1
-        self._decided.append(arm)
+        self._pending = arm
         return arm
 
     def record_block(self, hits: int, accesses: int) -> None:
-        """Feed one block's measured hits, in dispatch order; pairs
-        with the oldest unmeasured :meth:`begin_block` decision."""
-        if not self._decided:
+        """Feed one block's measured hits; pairs with the pending
+        :meth:`begin_block` decision."""
+        arm = self._pending
+        if arm is None:
             raise RuntimeError("record_block without a matching "
                                "begin_block")
-        arm = self._decided.popleft()
+        self._pending = None
         if self._run_arm is None:
             self._run_arm = arm
         elif arm != self._run_arm:

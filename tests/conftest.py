@@ -18,12 +18,12 @@ def pytest_configure(config):
     if not config.pluginmanager.hasplugin("timeout"):
         # pytest-timeout is a CI dependency (requirements-ci.txt); when
         # it is absent locally the marker must still be known so the
-        # concurrency suite runs warning-free (the limit is then simply
-        # not enforced).
+        # threaded tests (admission queue, shared-model inference) run
+        # warning-free (the limit is then simply not enforced).
         config.addinivalue_line(
             "markers",
             "timeout(seconds): per-test wall-clock limit, enforced by "
-            "pytest-timeout where installed (a hung worker/queue test "
+            "pytest-timeout where installed (a hung queue/thread test "
             "fails instead of wedging CI)")
 
 

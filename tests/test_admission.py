@@ -1,29 +1,15 @@
-"""Concurrent serving front-end: admission units + determinism stress.
-
-Three layers of checking for :mod:`repro.serving` and the manager's
-``concurrency="threads"`` engine:
+"""Admission front-end: queue/batcher units + the end-to-end pipeline.
 
 * **Unit** — :class:`RequestQueue` (FIFO, bounded backpressure, close
-  semantics), :class:`Batcher` (max-size / max-wait flush policy),
-  :class:`ServingMetrics` / :class:`LatencyWindow` (percentiles over a
-  ring window, counts over the whole history, size histogram), and
-  :class:`ShardWorkerPool` (static pinning, per-shard FIFO, busy
-  accounting, idempotent close).
+  semantics) and :class:`Batcher` (max-size / max-wait flush policy).
 * **Integration** — producer threads → queue → batcher →
   :meth:`RecMGManager.serve_batch`: the coalesced stream must be served
   decision-for-decision like the same access stream fed straight to
   the engine, with admission telemetry recorded.
-* **Determinism stress** — the tentpole invariant: the multi-tenant
-  trace served with ``concurrency="threads"`` at 1/2/4/8 workers,
-  repeatedly, must reproduce the serial shard-wise engine *bit for
-  bit* — counters, per-access decision stream, and the union of
-  per-shard residents.  Any cross-thread ordering leak (a shard served
-  off its pinned worker, a gather out of shard order, a racy shared
-  counter) shows up here as a diff, not a flake.
 
 The blocking tests carry ``pytest.mark.timeout`` so a deadlocked queue
-or wedged worker fails fast in CI (pytest-timeout; marker is a no-op
-when the plugin is absent — see ``conftest.py``).
+fails fast in CI (pytest-timeout; marker is a no-op when the plugin is
+absent — see ``conftest.py``).
 """
 
 import threading
@@ -35,15 +21,7 @@ import pytest
 from repro.core import RecMGConfig
 from repro.core.features import FeatureEncoder
 from repro.core.manager import RecMGManager
-from repro.serving import (
-    Batcher,
-    LatencyWindow,
-    QueueClosed,
-    Request,
-    RequestQueue,
-    ServingMetrics,
-    ShardWorkerPool,
-)
+from repro.serving import Batcher, QueueClosed, Request, RequestQueue
 from repro.traces import SyntheticTraceConfig, generate_multi_tenant_trace
 
 TENANT_CONFIG = SyntheticTraceConfig(
@@ -302,203 +280,15 @@ def test_batcher_drains_after_close():
 
 
 # ---------------------------------------------------------------------------
-# Metrics.
+# Manager integration: the admission front door.
 
 
-def test_latency_window_percentiles_and_totals():
-    window = LatencyWindow(window=4)
-    for value in (0.010, 0.020, 0.030, 0.040, 0.050, 0.060):
-        window.record(value)
-    # Counts/totals span the whole history, percentiles the window.
-    assert window.count == 6
-    assert window.total_seconds == pytest.approx(0.210)
-    assert window.percentile(50.0) == pytest.approx(0.045)
-    assert window.percentile(100.0) == pytest.approx(0.060)
-    assert window.mean_seconds == pytest.approx(0.035)
-
-
-def test_serving_metrics_summary_shape():
-    metrics = ServingMetrics()
-    for size, latency, depth in [(100, 0.001, 0), (300, 0.002, 2),
-                                 (600, 0.004, 4)]:
-        metrics.record_batch(size, latency, queue_depth=depth)
-    summary = metrics.summary(shard_busy_seconds=[0.004, 0.002],
-                              wall_seconds=0.010)
-    assert summary["batches"] == 3
-    assert summary["keys_served"] == 1000
-    assert summary["latency_p50_ms"] == pytest.approx(2.0)
-    assert summary["latency_p99_ms"] <= 4.0 + 1e-9
-    assert summary["queue_depth_mean"] == pytest.approx(2.0)
-    assert summary["queue_depth_max"] == 4
-    assert summary["batch_size_histogram"] == {
-        "64-127": 1, "256-511": 1, "512-1023": 1}
-    assert summary["shard_utilization"] == [
-        pytest.approx(0.4), pytest.approx(0.2)]
-
-
-def test_serving_metrics_empty_summary():
-    summary = ServingMetrics().summary()
-    assert summary["batches"] == 0
-    assert summary["keys_served"] == 0
-    assert summary["queue_depth_mean"] == 0.0
-    assert summary["inflight_depth_mean"] == 0.0
-
-
-def test_serving_metrics_rejects_negative_staleness():
-    """A negative staleness sample can only come from a torn read of
-    the provider's queue counters (the bug the locked snapshot in
-    ``AsyncModelProvider.staleness_blocks`` fixes) — reject it loudly
-    instead of folding it into the mean."""
-    metrics = ServingMetrics()
-    metrics.record_staleness(0)
-    metrics.record_staleness(3)
-    with pytest.raises(ValueError, match="negative"):
-        metrics.record_staleness(-1)
-    # The rejected sample must not have perturbed the counters.
-    assert metrics.staleness_samples == 2
-    assert metrics.staleness_max == 3
-
-
-def test_serving_metrics_inflight_depth_is_distinct_stat():
-    """Regression: the concurrent engine's pipeline depth used to be
-    recorded as ``queue_depth``, silently mixing units with the
-    admission-queue depth ``serve_batch`` records.  The two stats must
-    accumulate independently."""
-    metrics = ServingMetrics()
-    # The admission path records queue depth; the pipelined engine
-    # records in-flight depth; some batches record neither.
-    metrics.record_batch(100, 0.001, queue_depth=3)
-    metrics.record_batch(100, 0.001, inflight_depth=7)
-    metrics.record_batch(100, 0.001, queue_depth=5, inflight_depth=1)
-    metrics.record_batch(100, 0.001)
-    assert metrics.queue_depth_samples == 2
-    assert metrics.queue_depth_mean == pytest.approx(4.0)
-    assert metrics.queue_depth_max == 5
-    assert metrics.inflight_depth_samples == 2
-    assert metrics.inflight_depth_mean == pytest.approx(4.0)
-    assert metrics.inflight_depth_max == 7
-    summary = metrics.summary()
-    assert summary["queue_depth_mean"] == pytest.approx(4.0)
-    assert summary["queue_depth_max"] == 5
-    assert summary["inflight_depth_mean"] == pytest.approx(4.0)
-    assert summary["inflight_depth_max"] == 7
-
-
-def test_concurrent_manager_records_inflight_not_queue_depth():
-    """The pipelined trace engine samples its in-flight block depth —
-    and must leave the admission-queue stats untouched (no caller is
-    tracking an admission queue on this path)."""
-    trace = generate_multi_tenant_trace(TENANT_CONFIG, num_tenants=2)
-    config = RecMGConfig(buffer_impl="clock", num_shards=2,
-                         concurrency="threads")
-    encoder = FeatureEncoder(config).fit(trace)
-    capacity = max(2, int(trace.num_unique * 0.2))
-    with RecMGManager(capacity, encoder, config) as manager:
-        manager.run(trace)
-        metrics = manager.serving_metrics
-        assert metrics.inflight_depth_samples > 0
-        assert metrics.queue_depth_samples == 0
-
-
-# ---------------------------------------------------------------------------
-# ShardWorkerPool.
-
-
-def test_worker_pool_validation_and_clamp():
-    with pytest.raises(ValueError):
-        ShardWorkerPool(0)
-    with pytest.raises(ValueError):
-        ShardWorkerPool(2, num_workers=0)
-    with ShardWorkerPool(2, num_workers=8) as pool:
-        assert pool.num_workers == 2  # extras would idle forever
-
-
-@pytest.mark.timeout(30)
-def test_worker_pool_pins_shards_and_keeps_fifo():
-    """Every shard's tasks run on one thread, in submission order,
-    even with fewer workers than shards."""
-    num_shards, per_shard = 4, 25
-    executed = {shard: [] for shard in range(num_shards)}
-    threads = {shard: set() for shard in range(num_shards)}
-
-    def task(shard, step):
-        executed[shard].append(step)
-        threads[shard].add(threading.current_thread().name)
-
-    with ShardWorkerPool(num_shards, num_workers=2) as pool:
-        futures = [pool.submit(shard, task, shard, step)
-                   for step in range(per_shard)
-                   for shard in range(num_shards)]
-        for future in futures:
-            future.result()
-    for shard in range(num_shards):
-        assert executed[shard] == list(range(per_shard))  # FIFO
-        assert len(threads[shard]) == 1  # pinned
-        assert pool.worker_of(shard) == shard % 2
-    # Shards pinned to the same worker share its (single) thread.
-    assert threads[0] == threads[2]
-    assert threads[1] == threads[3]
-    assert threads[0] != threads[1]
-
-
-@pytest.mark.timeout(30)
-def test_worker_pool_busy_accounting_and_close():
-    pool = ShardWorkerPool(2)
-    pool.submit(0, time.sleep, 0.01).result()
-    busy = pool.busy_seconds()
-    assert busy[0] >= 0.005 and busy[1] == 0.0
-    assert 0.0 <= pool.utilization()[1] <= 1.0
-    pool.close()
-    pool.close()  # idempotent
-    assert pool.closed
-    with pytest.raises(RuntimeError):
-        pool.submit(0, time.sleep, 0)
-
-
-def test_worker_pool_rejects_out_of_range_shard():
-    with ShardWorkerPool(2) as pool:
-        with pytest.raises(IndexError):
-            pool.submit(2, time.sleep, 0)
-
-
-# ---------------------------------------------------------------------------
-# Manager integration: knob plumbing + admission front door.
-
-
-def _tenant_setup(num_shards=4, capacity_frac=0.2):
+def _tenant_setup():
     trace = generate_multi_tenant_trace(TENANT_CONFIG, num_tenants=4)
-    config = RecMGConfig(num_shards=num_shards)
+    config = RecMGConfig(num_shards=4)
     encoder = FeatureEncoder(config).fit(trace)
-    capacity = max(num_shards, int(trace.num_unique * capacity_frac))
+    capacity = max(4, int(trace.num_unique * 0.2))
     return trace, config, encoder, capacity
-
-
-def test_threads_requires_sharded_buffer():
-    trace, config, encoder, capacity = _tenant_setup()
-    with pytest.raises(ValueError, match="num_shards"):
-        RecMGManager(capacity, encoder, RecMGConfig(),
-                     concurrency="threads")
-    with pytest.raises(ValueError, match="concurrency"):
-        RecMGManager(capacity, encoder, config, concurrency="fibers")
-    with pytest.raises(ValueError, match="concurrency"):
-        RecMGConfig(concurrency="fibers")
-    with pytest.raises(ValueError, match="num_shards"):
-        RecMGConfig(concurrency="threads", num_shards=1)
-    with pytest.raises(ValueError, match="num_workers"):
-        RecMGConfig(num_workers=0)
-
-
-def test_concurrency_knob_flows_from_config():
-    trace, config, encoder, capacity = _tenant_setup()
-    config = RecMGConfig(num_shards=4, concurrency="threads",
-                         num_workers=2)
-    with RecMGManager(capacity, encoder, config) as manager:
-        assert manager.concurrency == "threads"
-        assert manager.num_workers == 2
-        manager.run(trace.head(600))
-        assert manager._pool is not None
-        assert manager._pool.num_workers == 2
-    assert manager._pool.closed  # context exit joins the pool
 
 
 @pytest.mark.timeout(60)
@@ -512,8 +302,7 @@ def test_admission_pipeline_matches_direct_serving():
 
     def build():
         return RecMGManager(capacity, encoder, config,
-                            buffer_impl="fast", num_shards=4,
-                            concurrency="threads", num_workers=2)
+                            buffer_impl="fast", num_shards=4)
 
     queue = RequestQueue(maxsize=64)
 
@@ -544,44 +333,3 @@ def test_admission_pipeline_matches_direct_serving():
         direct_hits = np.concatenate([
             reference.serve_batch(batch) for batch in served_keys])
     assert np.array_equal(pipeline_hits, direct_hits)
-
-
-# ---------------------------------------------------------------------------
-# Determinism stress: the tentpole invariant, repeated.
-
-STRESS_WORKERS = (1, 2, 4, 8)
-STRESS_REPEATS = 3
-
-
-@pytest.mark.timeout(300)
-@pytest.mark.parametrize("impl", ["fast", "clock"])
-def test_concurrent_serving_is_bit_identical_to_serial(impl):
-    """The multi-tenant trace through ``concurrency="threads"`` at
-    1/2/4/8 workers, repeatedly, must reproduce the serial shard-wise
-    engine exactly: counters, per-access decision stream, and the
-    union of per-shard residents.  Repeats catch schedule-dependent
-    flakiness; worker counts below the shard count exercise shards
-    time-sharing a worker."""
-    trace, config, encoder, capacity = _tenant_setup()
-
-    def run(concurrency, num_workers=None):
-        manager = RecMGManager(capacity, encoder, config,
-                               buffer_impl=impl, num_shards=4,
-                               concurrency=concurrency,
-                               num_workers=num_workers)
-        stats = manager.run(trace, record_decisions=True)
-        counters = (stats.breakdown.cache_hits, stats.breakdown.on_demand,
-                    stats.breakdown.prefetch_hits, stats.evictions)
-        residents = sorted(manager.buffer.keys())
-        decisions = manager.last_decisions.copy()
-        manager.close()
-        return counters, residents, decisions
-
-    serial_counters, serial_residents, serial_decisions = run("serial")
-    for _ in range(STRESS_REPEATS):
-        for workers in STRESS_WORKERS:
-            counters, residents, decisions = run("threads", workers)
-            assert counters == serial_counters, (impl, workers)
-            assert residents == serial_residents, (impl, workers)
-            assert np.array_equal(decisions, serial_decisions), \
-                (impl, workers)

@@ -139,7 +139,7 @@ def test_metric_field_churn_is_tolerated(compare_bench, tmp_path,
 
     fresh_payload = _payload({"serving": 4.1, "hotshard": 1.9})
     # Renamed and newly added metric fields on the fresh side.
-    fresh_payload["hot_paths"]["serving"]["inflight_depth_mean"] = 2.5
+    fresh_payload["hot_paths"]["serving"]["latency_p99_ms"] = 2.5
     fresh_payload["hot_paths"]["hotshard"]["shard_weights"] = \
         [0.85, 0.05, 0.05, 0.05]
     fresh_payload["hot_paths"]["note"] = "not a dict — skipped"

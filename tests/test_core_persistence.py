@@ -1,10 +1,23 @@
 """Round-tripping a trained RecMG system through disk."""
 
+import json
+
 import numpy as np
 import pytest
 
 from repro.core import RecMG
 from repro.core.persistence import load_recmg, save_recmg
+
+
+def _rewrite_config(src, dst, **updates):
+    """Copy archive ``src`` to ``dst`` with ``updates`` merged into its
+    stored config."""
+    with np.load(src, allow_pickle=False) as archive:
+        payload = {name: archive[name] for name in archive.files}
+    config = json.loads(str(payload["config_json"]))
+    config.update(updates)
+    payload["config_json"] = np.array(json.dumps(config))
+    np.savez_compressed(dst, **payload)
 
 
 class TestPersistence:
@@ -47,3 +60,34 @@ class TestPersistence:
         assert original.hit_rate == pytest.approx(replayed.hit_rate)
         assert (original.breakdown.fractions()
                 == replayed.breakdown.fractions())
+
+    def test_archive_with_retired_config_keys_loads(
+            self, trained_recmg, tiny_trace, tiny_capacity, tmp_path):
+        """Archives written while the threaded serving engine existed
+        carry its two config keys.  They must still load, and deploy as
+        the serial shard loop that engine was pinned bit-identical to:
+        decision for decision the same system saved today."""
+        saved = tmp_path / "saved.npz"
+        save_recmg(trained_recmg, saved)
+        today = tmp_path / "today.npz"
+        _rewrite_config(saved, today, num_shards=2)
+        parent = tmp_path / "parent.npz"
+        _rewrite_config(saved, parent, num_shards=2,
+                        concurrency="threads", num_workers=2)
+        _, test = tiny_trace.split(0.6)
+        runs = []
+        for path in (today, parent):
+            manager = load_recmg(path).deploy(tiny_capacity)
+            stats = manager.run(test.head(800), record_decisions=True)
+            runs.append((stats, manager.last_decisions))
+        assert runs[0][0] == runs[1][0]
+        assert np.array_equal(runs[0][1], runs[1][1])
+
+    def test_unknown_config_key_still_raises(self, trained_recmg,
+                                             tmp_path):
+        saved = tmp_path / "saved.npz"
+        save_recmg(trained_recmg, saved)
+        unknown = tmp_path / "unknown.npz"
+        _rewrite_config(saved, unknown, fibers=3)
+        with pytest.raises(TypeError, match="fibers"):
+            load_recmg(unknown)

@@ -11,9 +11,10 @@ The contract under test, in three layers:
 * **The manager seam** — ``priority_mode="sync"`` run() is replayed
   decision-for-decision by a model-free manager plus a manual per-block
   predict/apply loop (the provider is *only* a refactoring of that
-  loop); serial and threaded sharded serving stay decision-identical
-  under the provider; ``record_decisions=True`` keeps working under
-  model-guided and concurrent engines.
+  loop) on single-shard and sharded buffers alike — which pins the
+  sink's per-shard bit split against the whole-buffer applier;
+  ``record_decisions=True`` keeps working under model-guided sharded
+  engines.
 * **Online retraining** — the sliding window trims to size, the
   retrain cadence honors interval+window, the tuned model is a clone
   (the served model's weights are never touched in place), and
@@ -315,20 +316,27 @@ def test_async_worker_error_does_not_freeze_serving(world, small_config):
 # ----------------------------------------------------------------------
 # The manager seam
 # ----------------------------------------------------------------------
-def test_sync_run_equals_manual_replay(world, small_config):
+@pytest.mark.parametrize("num_shards", [1, 4])
+@pytest.mark.parametrize("buffer_impl", ["fast", "clock"])
+def test_sync_run_equals_manual_replay(world, small_config, buffer_impl,
+                                       num_shards):
     """``priority_mode="sync"`` is *only* a refactoring of "serve a
     block, predict it, apply the bits": a model-free manager driven by
     that manual loop must reproduce the sync run decision-for-decision,
-    including final buffer state."""
+    including final buffer state.  The manual loop applies the bits
+    through the *whole-buffer* applier while ``run()`` splits them per
+    shard, so the 4-shard cases pin the split's identity end to end."""
     _, tail, encoder, capacity, model = world
     guided = RecMGManager(capacity, encoder, small_config,
-                          caching_model=model, priority_mode="sync")
+                          caching_model=model, priority_mode="sync",
+                          buffer_impl=buffer_impl, num_shards=num_shards)
     stats = guided.run(tail, fast_serve=True, record_decisions=True)
     decisions = guided.last_decisions
     guided.close()
 
     manual = RecMGManager(capacity, encoder, small_config,
-                          priority_mode="none")
+                          priority_mode="none",
+                          buffer_impl=buffer_impl, num_shards=num_shards)
     serve = manual._select_engine(True)
     block = manual._SERVE_BLOCK * getattr(manual.buffer, "num_shards", 1)
     dense = encoder.dense_ids(tail)
@@ -347,38 +355,20 @@ def test_sync_run_equals_manual_replay(world, small_config):
     np.testing.assert_array_equal(decisions, replayed)
     assert (stats.breakdown.cache_hits
             + stats.breakdown.prefetch_hits) == int(replayed.sum())
+    residents = sorted(guided.buffer.keys())
+    assert residents == sorted(manual.buffer.keys())
+    for key in residents:
+        assert guided.buffer.priority_of(key) == \
+            manual.buffer.priority_of(key)
 
 
-def test_sync_sharded_serial_equals_threads(world):
-    """Provider decisions are thread-layout independent: the sink runs
-    on the calling thread after the gather, so the threaded shard pool
-    must reproduce the serial shard loop bit for bit."""
-    _, tail, encoder, capacity, model = world
-
-    def run(concurrency):
-        config = RecMGConfig(hidden=16, hash_buckets=256,
-                             buffer_impl="clock", num_shards=2,
-                             concurrency=concurrency)
-        manager = RecMGManager(capacity, encoder, config,
-                               caching_model=model, priority_mode="sync")
-        stats = manager.run(tail, fast_serve=True, record_decisions=True)
-        decisions = manager.last_decisions
-        manager.close()
-        return stats, decisions
-
-    serial_stats, serial_dec = run("serial")
-    threads_stats, threads_dec = run("threads")
-    assert serial_stats == threads_stats
-    np.testing.assert_array_equal(serial_dec, threads_dec)
-
-
-def test_record_decisions_under_async_concurrent(world):
+def test_record_decisions_under_async_sharded(world):
     """The satellite pin: ``record_decisions=True`` must deliver one
-    decision per access under the model-guided *and* concurrent
-    engines (the provider sink never touches the recording stream)."""
+    decision per access under the model-guided sharded engine (the
+    provider sink never touches the recording stream)."""
     _, tail, encoder, capacity, model = world
     config = RecMGConfig(hidden=16, hash_buckets=256, buffer_impl="clock",
-                         num_shards=2, concurrency="threads")
+                         num_shards=2)
     manager = RecMGManager(capacity, encoder, config, caching_model=model,
                            priority_mode="async")
     stats = manager.run(tail, record_decisions=True)
@@ -755,11 +745,13 @@ def _drive(guard, guided_rate, control_rate, blocks, size=100):
 def test_lift_guard_trips_on_negative_lift_and_recovers():
     guard = LiftGuard(phase_blocks=1, window_phases=2, probe_every=4)
     # Healthy: 3-in-4 phases guided, 1-in-4 control.
-    assert [guard.begin_block() for _ in range(8)] == \
-        [True, True, True, False] * 2
+    arms = []
     for _ in range(8):
+        arms.append(guard.begin_block())
         guard.record_block(0, 100)
-    assert guard._decided == type(guard._decided)()
+    assert arms == [True, True, True, False] * 2
+    with pytest.raises(RuntimeError, match="begin_block"):
+        guard.record_block(0, 100)  # nothing pending
     # Guided clearly worse: both windows fill, then trip.
     _drive(guard, guided_rate=0.2, control_rate=0.6, blocks=16)
     assert guard.tripped and guard.trips == 1
@@ -774,6 +766,25 @@ def test_lift_guard_trips_on_negative_lift_and_recovers():
     stats = guard.stats()
     assert stats["trips"] == 1 and stats["untrips"] == 1
     assert stats["blocks_decided"] > 0
+
+
+def test_lift_guard_abandoned_block_is_superseded():
+    """A serve that raises between ``begin_block`` and ``record_block``
+    leaves a decision nobody measures.  The next ``begin_block`` must
+    supersede it: the following block's hits land in the arm that call
+    just returned, not in the abandoned block's arm (which would shift
+    every later block onto its predecessor's arm for the rest of the
+    run — here it would credit control's 0.9 to guidance and never
+    trip)."""
+    guard = LiftGuard(phase_blocks=1, window_phases=1, probe_every=2)
+    assert guard.begin_block() is True    # guided — its serve raises
+    assert guard.begin_block() is False   # control
+    guard.record_block(90, 100)
+    assert guard.rate(False) == pytest.approx(0.9)
+    assert guard.rate(True) is None
+    assert guard.begin_block() is True    # guided
+    guard.record_block(10, 100)
+    assert guard.tripped
 
 
 def test_lift_guard_hysteresis_margin_holds_state():

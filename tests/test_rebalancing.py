@@ -1,6 +1,6 @@
 """Online elastic rebalancing: the migration-invariant test battery.
 
-Four layers of checking for :meth:`repro.cache.sharding.ShardedBuffer.
+Three layers of checking for :meth:`repro.cache.sharding.ShardedBuffer.
 rebalance` and the manager's online driver:
 
 * **Migration-invariant fuzz (200 seeds)** — random op/rebalance
@@ -27,16 +27,13 @@ rebalance` and the manager's online driver:
   against its stale larger capacity and over-admitted; ``capacity`` is
   now a delegating property and both directions (shrunk shard rejects,
   grown shard accepts) are pinned here.
-* **Concurrency stress** — the manager's online driver under
-  ``concurrency="threads"`` at 1/2/4 workers (×3 repeats) must
-  reproduce the serial engine bit-for-bit — counters, per-access
-  decisions, final residents, and the rebalance firing at the same
-  block indices — and the pipelined stream must gather every in-flight
-  block and quiesce the worker pool *before* a migration starts.
+
+The manager's online driver is checked through ``serve_batch`` here and
+end to end through ``run()`` by the committed counters of
+``tests/test_golden_backends.py::test_rebalanced_manager_matches_golden``.
 """
 
 import random
-import threading
 
 import numpy as np
 import pytest
@@ -363,7 +360,7 @@ def test_rebalance_shrink_reports_every_victim():
 # Manager-level: the online driver.
 
 
-def _drifting_setup(num_accesses=4000, seed=5):
+def _drifting_setup():
     from repro.core import RecMGConfig
     from repro.core.features import FeatureEncoder
     from repro.traces.synthetic import (
@@ -372,96 +369,11 @@ def _drifting_setup(num_accesses=4000, seed=5):
     )
 
     trace_config = SyntheticTraceConfig(
-        num_accesses=num_accesses, num_tables=4, rows_per_table=100,
-        seed=seed)
+        num_accesses=4000, num_tables=4, rows_per_table=100, seed=5)
     trace = generate_drifting_hot_band_trace(trace_config, num_shards=4)
     config = RecMGConfig(num_shards=4)
     encoder = FeatureEncoder(config).fit(trace)
     return trace, config, encoder
-
-
-def _run_manager(trace, config, encoder, *, concurrency="serial",
-                 num_workers=None, interval=512, impl="fast"):
-    from repro.core.manager import RecMGManager
-
-    manager = RecMGManager(
-        80, encoder, config, buffer_impl=impl, num_shards=4,
-        concurrency=concurrency, num_workers=num_workers,
-        rebalance_interval=interval, rebalance_threshold=0.05)
-    stats = manager.run(trace, record_decisions=True)
-    decisions = manager.last_decisions.copy()
-    residents = sorted(manager.buffer.keys())
-    summary = manager.serving_metrics.summary()
-    capacities = list(manager.buffer.shard_capacities)
-    manager.close()
-    return stats, decisions, residents, summary, capacities
-
-
-@pytest.mark.parametrize("repeat", range(3))
-@pytest.mark.parametrize("num_workers", [1, 2, 4])
-def test_threads_match_serial_under_rebalancing(num_workers, repeat):
-    """Mid-run rebalances fire at the same block indices under the
-    concurrent engine: counters, decisions, residents, final split and
-    rebalance count all match the serial engine, across worker counts
-    and repeats (scheduling nondeterminism must not leak through)."""
-    trace, config, encoder = _drifting_setup(seed=5 + repeat)
-    serial = _run_manager(trace, config, encoder)
-    threaded = _run_manager(trace, config, encoder,
-                            concurrency="threads",
-                            num_workers=num_workers)
-    s_stats, s_dec, s_res, s_sum, s_caps = serial
-    t_stats, t_dec, t_res, t_sum, t_caps = threaded
-    assert s_sum["rebalance_count"] >= 1  # the scenario must trigger
-    assert t_sum["rebalance_count"] == s_sum["rebalance_count"]
-    assert t_sum["rebalance_migrated_keys"] == \
-        s_sum["rebalance_migrated_keys"]
-    assert t_stats == s_stats
-    assert np.array_equal(t_dec, s_dec)
-    assert t_res == s_res
-    assert t_caps == s_caps
-
-
-def test_pipelined_stream_drains_before_migration():
-    """The pipelined no-model stream must gather every in-flight block
-    and quiesce the shard workers before a migration starts: no
-    per-shard serve may be running when ``rebalance`` executes."""
-    from repro.core.manager import RecMGManager
-
-    trace, config, encoder = _drifting_setup()
-    manager = RecMGManager(80, encoder, config, num_shards=4,
-                           concurrency="threads", num_workers=2,
-                           rebalance_interval=512,
-                           rebalance_threshold=0.05)
-    lock = threading.Lock()
-    state = {"inflight": 0, "max_seen": 0, "rebalances": 0}
-
-    inner_serve = manager._serve_subsegment
-
-    def tracked_serve(shard, sub):
-        with lock:
-            state["inflight"] += 1
-            state["max_seen"] = max(state["max_seen"], state["inflight"])
-        try:
-            return inner_serve(shard, sub)
-        finally:
-            with lock:
-                state["inflight"] -= 1
-    manager._serve_subsegment = tracked_serve
-
-    inner_rebalance = manager.buffer.rebalance
-
-    def guarded_rebalance(weights=None):
-        with lock:
-            assert state["inflight"] == 0, \
-                "migration overlapped an in-flight per-shard serve"
-            state["rebalances"] += 1
-        return inner_rebalance(weights)
-    manager.buffer.rebalance = guarded_rebalance
-
-    manager.run(trace)
-    manager.close()
-    assert state["rebalances"] >= 1
-    assert state["max_seen"] >= 1  # jobs really ran through the pool
 
 
 def test_serve_batch_drives_online_rebalancer():

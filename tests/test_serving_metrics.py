@@ -9,7 +9,6 @@ interpolate garbage.  The inference/staleness stat families added for
 the priority providers get the same treatment.
 """
 
-import numpy as np
 import pytest
 
 from repro.serving import LatencyWindow, ServingMetrics
@@ -33,6 +32,18 @@ def test_single_sample_percentiles_collapse_to_it():
     for q in (1.0, 50.0, 95.0, 99.0, 100.0):
         assert window.percentile(q) == pytest.approx(0.25)
     assert window.mean_seconds == pytest.approx(0.25)
+
+
+def test_latency_window_percentiles_and_totals():
+    window = LatencyWindow(window=4)
+    for value in (0.010, 0.020, 0.030, 0.040, 0.050, 0.060):
+        window.record(value)
+    # Counts/totals span the whole history, percentiles the window.
+    assert window.count == 6
+    assert window.total_seconds == pytest.approx(0.210)
+    assert window.percentile(50.0) == pytest.approx(0.045)
+    assert window.percentile(100.0) == pytest.approx(0.060)
+    assert window.mean_seconds == pytest.approx(0.035)
 
 
 def test_window_rejects_nonpositive_size():
@@ -63,11 +74,10 @@ def test_summary_is_stable_with_no_samples():
     assert summary["keys_served"] == 0
     for key in ("latency_p50_ms", "latency_p95_ms", "latency_p99_ms",
                 "latency_mean_ms", "queue_depth_mean",
-                "inflight_depth_mean", "inference_mean_ms",
-                "inference_max_ms", "staleness_mean"):
+                "inference_mean_ms", "inference_max_ms",
+                "staleness_mean"):
         assert summary[key] == 0.0, key
     assert summary["queue_depth_max"] == 0
-    assert summary["inflight_depth_max"] == 0
     assert summary["inference_batches"] == 0
     assert summary["staleness_max"] == 0
     assert summary["batch_size_histogram"] == {}
@@ -88,23 +98,29 @@ def test_zero_busy_seconds_never_divides():
 
 def test_single_batch_summary():
     metrics = ServingMetrics()
-    metrics.record_batch(100, 0.010, queue_depth=3, inflight_depth=2)
+    metrics.record_batch(100, 0.010, queue_depth=3)
     summary = metrics.summary()
     assert summary["latency_p50_ms"] == pytest.approx(10.0)
     assert summary["latency_p99_ms"] == pytest.approx(10.0)
     assert summary["queue_depth_mean"] == pytest.approx(3.0)
-    assert summary["inflight_depth_max"] == 2
     assert summary["batch_size_histogram"] == {"64-127": 1}
     assert summary["keys_per_sec_busy"] == pytest.approx(100 / 0.010)
 
 
-def test_shard_utilization_against_explicit_wall():
+def test_serving_metrics_summary_shape():
     metrics = ServingMetrics()
-    metrics.record_batch(10, 0.001)
-    summary = metrics.summary(shard_busy_seconds=[0.5, 0.25],
-                              wall_seconds=1.0)
-    assert summary["shard_utilization"] == [
-        pytest.approx(0.5), pytest.approx(0.25)]
+    for size, latency, depth in [(100, 0.001, 0), (300, 0.002, 2),
+                                 (600, 0.004, 4)]:
+        metrics.record_batch(size, latency, queue_depth=depth)
+    summary = metrics.summary()
+    assert summary["batches"] == 3
+    assert summary["keys_served"] == 1000
+    assert summary["latency_p50_ms"] == pytest.approx(2.0)
+    assert summary["latency_p99_ms"] <= 4.0 + 1e-9
+    assert summary["queue_depth_mean"] == pytest.approx(2.0)
+    assert summary["queue_depth_max"] == 4
+    assert summary["batch_size_histogram"] == {
+        "64-127": 1, "256-511": 1, "512-1023": 1}
 
 
 # ----------------------------------------------------------------------
@@ -134,6 +150,21 @@ def test_record_staleness_accumulates():
     assert summary["staleness_max"] == 3
 
 
+def test_serving_metrics_rejects_negative_staleness():
+    """A negative staleness sample can only come from a torn read of
+    the provider's queue counters (the bug the locked snapshot in
+    ``AsyncModelProvider.staleness_blocks`` fixes) — reject it loudly
+    instead of folding it into the mean."""
+    metrics = ServingMetrics()
+    metrics.record_staleness(0)
+    metrics.record_staleness(3)
+    with pytest.raises(ValueError, match="negative"):
+        metrics.record_staleness(-1)
+    # The rejected sample must not have perturbed the counters.
+    assert metrics.staleness_samples == 2
+    assert metrics.staleness_max == 3
+
+
 def test_summary_is_json_ready():
     import json
 
@@ -141,6 +172,5 @@ def test_summary_is_json_ready():
     metrics.record_batch(64, 0.002, queue_depth=1)
     metrics.record_inference(0.003, keys=64)
     metrics.record_staleness(2)
-    encoded = json.dumps(metrics.summary(shard_busy_seconds=[0.1],
-                                         wall_seconds=1.0))
+    encoded = json.dumps(metrics.summary())
     assert isinstance(json.loads(encoded), dict)

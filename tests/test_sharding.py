@@ -632,20 +632,16 @@ def test_sharded_exact_serving_decision_equivalence(seed):
     reproduce the scalar audit loop over the same sharded buffer
     decision-for-decision — counters, per-access hit stream, final
     residents/priorities, and full-drain victim order — including
-    prefix-fitted encoders whose tail ids spill over the bitmaps.
-    The ``concurrency="threads"`` engine rides the same 40 seeds: it
-    must be bit-identical to the serial shard-wise engine (and hence
-    to the scalar loop), with the worker count varied per seed."""
+    prefix-fitted encoders whose tail ids spill over the bitmaps."""
     from repro.core.manager import RecMGManager
 
     trace, config, encoder, capacity, num_shards, policy = \
         _manager_setup(seed)
 
-    def run(fast_serve, concurrency="serial", num_workers=None):
+    def run(fast_serve):
         manager = RecMGManager(capacity, encoder, config,
                                buffer_impl="fast", num_shards=num_shards,
-                               shard_policy=policy, concurrency=concurrency,
-                               num_workers=num_workers)
+                               shard_policy=policy)
         stats = manager.run(trace, fast_serve=fast_serve,
                             record_decisions=True)
         manager.close()
@@ -653,27 +649,18 @@ def test_sharded_exact_serving_decision_equivalence(seed):
 
     batched_manager, batched = run(True)
     scalar_manager, scalar = run(False)
-    threaded_manager, threaded = run(True, concurrency="threads",
-                                     num_workers=1 + seed % 4)
     assert isinstance(batched_manager.buffer, ShardedBuffer)
     assert batched == scalar
-    assert threaded == batched
     assert np.array_equal(batched_manager.last_decisions,
                           scalar_manager.last_decisions)
-    assert np.array_equal(threaded_manager.last_decisions,
-                          batched_manager.last_decisions)
     b_buf, s_buf = batched_manager.buffer, scalar_manager.buffer
-    t_buf = threaded_manager.buffer
     assert sorted(b_buf.keys()) == sorted(s_buf.keys())
-    assert sorted(t_buf.keys()) == sorted(s_buf.keys())
     for key in s_buf.keys():
         assert b_buf.priority_of(key) == s_buf.priority_of(key)
-        assert t_buf.priority_of(key) == s_buf.priority_of(key)
     remaining = len(s_buf)
     if remaining:
         drain = s_buf.evict_batch(remaining)
         assert b_buf.evict_batch(remaining) == drain
-        assert t_buf.evict_batch(remaining) == drain
 
 
 @pytest.mark.parametrize("seed", range(0, MANAGER_SEEDS, 2))
