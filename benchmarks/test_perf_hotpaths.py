@@ -17,7 +17,9 @@ longer drop entries from the committed baseline.
 
 import gc
 import importlib.util
+import os
 import time
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -31,7 +33,8 @@ from repro.core.features import FeatureEncoder
 from repro.core.labeling import build_labels, caching_targets
 from repro.core.manager import RecMGManager
 from repro.core.prefetch_model import BucketDecoder, PrefetchModel
-from repro.core.training import train_caching_model
+from repro.core.training import _chamfer_ce_loss, train_caching_model
+from repro.nn import Adam, Tensor, bce_with_logits, clip_grad_norm
 from repro.prefetch import run_breakdown, run_breakdown_sweep
 from repro.traces import (
     SyntheticTraceConfig,
@@ -635,8 +638,6 @@ def test_model_guided_serving(perf_budget, benchmark, record_hotpath):
     ROADMAP item 2's argument (make the worker a process, or cut async
     mode), not a regression of whichever change sped sync up.
     """
-    import os
-
     base = SyntheticTraceConfig(
         num_tables=8, rows_per_table=4096, num_accesses=PERF_ACCESSES,
         num_clusters=64, cluster_block=8, periodic_items=500,
@@ -975,6 +976,92 @@ def test_model_inference_throughput(perf_trace, perf_budget, benchmark,
          "float32 predict ms", "speedup vs tape"], rows,
         title="Model inference: taped forward vs tape-free infer "
               "(float64) vs predict (float32 twin)"))
+    benchmark(lambda: rows)
+
+
+def test_training_tape_step(perf_trace, benchmark, record_hotpath):
+    """One optimizer step of each model on a fixed 32-chunk batch:
+    forward, loss, ``backward()``, clip, Adam — the loop body of
+    ``train_caching_model`` / ``train_prefetch_model``.
+
+    Recorded ungated: best-of-N step time, and what one step leaves
+    behind with the cycle collector off (live ``Tensor`` census and
+    ``tracemalloc`` bytes, numpy buffers included).  The tape is
+    acyclic, so a step's graph dies by reference count when ``loss`` is
+    rebound; the census assertion is a count, not a wall-clock gate, so
+    it holds under ``--perf-budget 0`` too.
+    """
+    config = RecMGConfig()
+    encoder = FeatureEncoder(config).fit(perf_trace)
+    chunks = encoder.encode_chunks(perf_trace)
+    sel = np.arange(32)
+    rng = np.random.default_rng(23)
+    targets = Tensor((rng.random((len(sel), config.input_len)) > 0.5
+                      ).astype(np.float64))
+    windows = rng.integers(0, config.hash_buckets,
+                           size=(len(sel), config.eval_window))
+    caching = CachingModel(config, encoder.num_tables)
+    prefetch = PrefetchModel(config, encoder.num_tables)
+
+    def stepper(model, loss_of):
+        optimizer = Adam(model.parameters(), lr=config.learning_rate)
+
+        def step():
+            loss = loss_of(model)
+            optimizer.zero_grad()
+            loss.backward()
+            clip_grad_norm(model.parameters(), config.grad_clip)
+            optimizer.step()
+        return step
+
+    steps = {
+        "caching": stepper(caching, lambda model: bce_with_logits(
+            model(chunks, sel=sel), targets)),
+        "prefetch": stepper(prefetch, lambda model: _chamfer_ce_loss(
+            model, chunks, sel, windows, config, alpha=config.alpha)),
+    }
+
+    def census():
+        return sum(type(o) is Tensor for o in gc.get_objects())
+
+    step_ms = {}
+    retained_tensors = 0
+    retained_bytes = 0
+    for name, step in steps.items():
+        step()  # first step allocates the optimizer's moments
+        seconds, _ = _timed(step, repeats=7)
+        step_ms[name] = seconds * 1e3
+        gc.collect()
+        gc.disable()
+        tracemalloc.start()
+        try:
+            step()  # every array a step replaces is now a traced one
+            tensors = census()
+            traced = tracemalloc.get_traced_memory()[0]
+            step()
+            retained_bytes += tracemalloc.get_traced_memory()[0] - traced
+            retained_tensors += census() - tensors
+        finally:
+            tracemalloc.stop()
+            gc.enable()
+    record_hotpath(
+        "training_tape_step", len(sel) * config.input_len,
+        (step_ms["caching"] + step_ms["prefetch"]) / 1e3, chunks=len(sel),
+        caching_step_ms=step_ms["caching"],
+        prefetch_step_ms=step_ms["prefetch"],
+        retained_tensors_per_step=retained_tensors,
+        retained_mb_per_step=retained_bytes / 2 ** 20,
+        cpu_cores=os.cpu_count())
+    rows = [[name, len(sel), ms] for name, ms in step_ms.items()]
+    rows.append(["retained tensors / MB (collector off)", retained_tensors,
+                 retained_bytes / 2 ** 20])
+    print()
+    print(ascii_table(["model", "chunks", "step ms"], rows,
+                      title="Training tape: one optimizer step, and what "
+                            "it strands without the cycle collector"))
+    assert retained_tensors == 0, (
+        f"{retained_tensors} tape tensors outlive their training step "
+        f"with the cycle collector off: the tape has a reference cycle")
     benchmark(lambda: rows)
 
 

@@ -3,9 +3,15 @@
 This module is the foundation of the ``repro.nn`` substrate: a small,
 well-tested ``Tensor`` type supporting the operations needed by the RecMG
 caching and prefetch models (seq2seq LSTMs with attention and custom
-losses).  The design follows the classic tape-based approach: every
-operation records a backward closure, and :meth:`Tensor.backward` walks
-the graph in reverse topological order.
+losses).  The design follows the classic tape-based approach, and the
+tape is acyclic by construction: every operation records a closure
+``backward(g)`` that *takes* the upstream gradient and captures only its
+parents and saved arrays, never the result tensor it is stored on.
+:meth:`Tensor.backward` walks the graph in reverse topological order,
+hands each node its ``.grad`` and drops that grad once the closure has
+run (leaf grads and the root's stay).  No reference cycle exists, so a
+graph -- backpropagated or forward-only -- is freed by reference count
+the moment its last name is rebound, without the cycle collector.
 
 Broadcasting follows numpy semantics; gradients are "unbroadcast" (summed
 over the broadcast axes) so shapes always round-trip.
@@ -62,7 +68,7 @@ class Tensor:
         self.data = _as_array(data)
         self.requires_grad = bool(requires_grad)
         self.grad: Optional[np.ndarray] = None
-        self._backward: Optional[Callable[[], None]] = None
+        self._backward: Optional[Callable[[np.ndarray], None]] = None
         self._prev: Tuple["Tensor", ...] = tuple(_prev)
         self.name = name
 
@@ -80,10 +86,6 @@ class Tensor:
     @property
     def size(self) -> int:
         return self.data.size
-
-    def numpy(self) -> np.ndarray:
-        """Return the underlying array (no copy)."""
-        return self.data
 
     def item(self) -> float:
         return float(self.data.item())
@@ -119,11 +121,11 @@ class Tensor:
         other_t = other if isinstance(other, Tensor) else Tensor(other)
         out = self._make_child(self.data + other_t.data, (self, other_t))
 
-        def backward() -> None:
+        def backward(g: np.ndarray) -> None:
             if self.requires_grad:
-                self._accumulate(unbroadcast(out.grad, self.shape))
+                self._accumulate(unbroadcast(g, self.shape))
             if other_t.requires_grad:
-                other_t._accumulate(unbroadcast(out.grad, other_t.shape))
+                other_t._accumulate(unbroadcast(g, other_t.shape))
 
         out._backward = backward
         return out
@@ -134,11 +136,11 @@ class Tensor:
         other_t = other if isinstance(other, Tensor) else Tensor(other)
         out = self._make_child(self.data * other_t.data, (self, other_t))
 
-        def backward() -> None:
+        def backward(g: np.ndarray) -> None:
             if self.requires_grad:
-                self._accumulate(unbroadcast(out.grad * other_t.data, self.shape))
+                self._accumulate(unbroadcast(g * other_t.data, self.shape))
             if other_t.requires_grad:
-                other_t._accumulate(unbroadcast(out.grad * self.data, other_t.shape))
+                other_t._accumulate(unbroadcast(g * self.data, other_t.shape))
 
         out._backward = backward
         return out
@@ -165,9 +167,9 @@ class Tensor:
     def pow(self, exponent: float) -> "Tensor":
         out = self._make_child(np.power(self.data, exponent), (self,))
 
-        def backward() -> None:
+        def backward(g: np.ndarray) -> None:
             if self.requires_grad:
-                grad = exponent * np.power(self.data, exponent - 1.0) * out.grad
+                grad = exponent * np.power(self.data, exponent - 1.0) * g
                 self._accumulate(grad)
 
         out._backward = backward
@@ -179,9 +181,8 @@ class Tensor:
         other_t = other if isinstance(other, Tensor) else Tensor(other)
         out = self._make_child(self.data @ other_t.data, (self, other_t))
 
-        def backward() -> None:
+        def backward(g: np.ndarray) -> None:
             a, b = self.data, other_t.data
-            g = out.grad
             if self.requires_grad:
                 if a.ndim == 1:
                     # (n,) @ (n, m) -> (m,); gA = B @ g
@@ -213,11 +214,12 @@ class Tensor:
     # Elementwise non-linearities
     # ------------------------------------------------------------------
     def exp(self) -> "Tensor":
-        out = self._make_child(np.exp(self.data), (self,))
+        data = np.exp(self.data)
+        out = self._make_child(data, (self,))
 
-        def backward() -> None:
+        def backward(g: np.ndarray) -> None:
             if self.requires_grad:
-                self._accumulate(out.data * out.grad)
+                self._accumulate(data * g)
 
         out._backward = backward
         return out
@@ -225,19 +227,20 @@ class Tensor:
     def log(self) -> "Tensor":
         out = self._make_child(np.log(self.data), (self,))
 
-        def backward() -> None:
+        def backward(g: np.ndarray) -> None:
             if self.requires_grad:
-                self._accumulate(out.grad / self.data)
+                self._accumulate(g / self.data)
 
         out._backward = backward
         return out
 
     def tanh(self) -> "Tensor":
-        out = self._make_child(np.tanh(self.data), (self,))
+        data = np.tanh(self.data)
+        out = self._make_child(data, (self,))
 
-        def backward() -> None:
+        def backward(g: np.ndarray) -> None:
             if self.requires_grad:
-                self._accumulate((1.0 - out.data ** 2) * out.grad)
+                self._accumulate((1.0 - data ** 2) * g)
 
         out._backward = backward
         return out
@@ -246,9 +249,9 @@ class Tensor:
         sig = 1.0 / (1.0 + np.exp(-self.data))
         out = self._make_child(sig, (self,))
 
-        def backward() -> None:
+        def backward(g: np.ndarray) -> None:
             if self.requires_grad:
-                self._accumulate(sig * (1.0 - sig) * out.grad)
+                self._accumulate(sig * (1.0 - sig) * g)
 
         out._backward = backward
         return out
@@ -257,9 +260,9 @@ class Tensor:
         mask = self.data > 0
         out = self._make_child(self.data * mask, (self,))
 
-        def backward() -> None:
+        def backward(g: np.ndarray) -> None:
             if self.requires_grad:
-                self._accumulate(mask * out.grad)
+                self._accumulate(mask * g)
 
         out._backward = backward
         return out
@@ -268,20 +271,9 @@ class Tensor:
         sign = np.sign(self.data)
         out = self._make_child(np.abs(self.data), (self,))
 
-        def backward() -> None:
+        def backward(g: np.ndarray) -> None:
             if self.requires_grad:
-                self._accumulate(sign * out.grad)
-
-        out._backward = backward
-        return out
-
-    def clip(self, low: float, high: float) -> "Tensor":
-        mask = (self.data >= low) & (self.data <= high)
-        out = self._make_child(np.clip(self.data, low, high), (self,))
-
-        def backward() -> None:
-            if self.requires_grad:
-                self._accumulate(mask * out.grad)
+                self._accumulate(sign * g)
 
         out._backward = backward
         return out
@@ -293,15 +285,14 @@ class Tensor:
             keepdims: bool = False) -> "Tensor":
         out = self._make_child(self.data.sum(axis=axis, keepdims=keepdims), (self,))
 
-        def backward() -> None:
+        def backward(g: np.ndarray) -> None:
             if not self.requires_grad:
                 return
-            grad = out.grad
             if axis is not None and not keepdims:
                 axes = (axis,) if isinstance(axis, int) else tuple(axis)
                 for ax in sorted(a % self.ndim for a in axes):
-                    grad = np.expand_dims(grad, ax)
-            self._accumulate(np.broadcast_to(grad, self.shape).copy())
+                    g = np.expand_dims(g, ax)
+            self._accumulate(np.broadcast_to(g, self.shape).copy())
 
         out._backward = backward
         return out
@@ -320,10 +311,10 @@ class Tensor:
         out_data = data if keepdims else np.squeeze(data, axis=axis)
         out = self._make_child(out_data, (self,))
 
-        def backward() -> None:
+        def backward(g: np.ndarray) -> None:
             if not self.requires_grad:
                 return
-            grad = out.grad if keepdims else np.expand_dims(out.grad, axis)
+            grad = g if keepdims else np.expand_dims(g, axis)
             mask = self.data == data
             # Split gradient among ties (matches subgradient convention).
             counts = mask.sum(axis=axis, keepdims=True)
@@ -343,9 +334,9 @@ class Tensor:
             shape = tuple(shape[0])
         out = self._make_child(self.data.reshape(shape), (self,))
 
-        def backward() -> None:
+        def backward(g: np.ndarray) -> None:
             if self.requires_grad:
-                self._accumulate(out.grad.reshape(self.shape))
+                self._accumulate(g.reshape(self.shape))
 
         out._backward = backward
         return out
@@ -355,9 +346,9 @@ class Tensor:
         out = self._make_child(self.data.transpose(axes_t), (self,))
         inverse = np.argsort(axes_t)
 
-        def backward() -> None:
+        def backward(g: np.ndarray) -> None:
             if self.requires_grad:
-                self._accumulate(out.grad.transpose(tuple(inverse)))
+                self._accumulate(g.transpose(tuple(inverse)))
 
         out._backward = backward
         return out
@@ -365,10 +356,16 @@ class Tensor:
     def __getitem__(self, idx) -> "Tensor":
         out = self._make_child(self.data[idx], (self,))
 
-        def backward() -> None:
+        def backward(g: np.ndarray) -> None:
             if self.requires_grad:
                 grad = np.zeros_like(self.data)
-                np.add.at(grad, idx, out.grad)
+                # Slices / ints / Ellipsis select each element at most once,
+                # so assignment equals the scatter-add an array index needs.
+                if all(isinstance(i, (int, slice, type(Ellipsis)))
+                       for i in (idx if isinstance(idx, tuple) else (idx,))):
+                    grad[idx] = g
+                else:
+                    np.add.at(grad, idx, g)
                 self._accumulate(grad)
 
         out._backward = backward
@@ -383,10 +380,10 @@ class Tensor:
         idx = np.asarray(indices, dtype=np.int64)
         out = self._make_child(self.data[idx], (self,))
 
-        def backward() -> None:
+        def backward(g: np.ndarray) -> None:
             if self.requires_grad:
                 grad = np.zeros_like(self.data)
-                np.add.at(grad, idx, out.grad)
+                np.add.at(grad, idx, g)
                 self._accumulate(grad)
 
         out._backward = backward
@@ -426,7 +423,9 @@ class Tensor:
 
         for node in reversed(topo):
             if node._backward is not None and node.grad is not None:
-                node._backward()
+                node._backward(node.grad)
+                if node is not self:
+                    node.grad = None  # consumed: only leaves and the root keep one
 
 
 def concat(tensors: Sequence[Tensor], axis: int = 0) -> Tensor:
@@ -438,12 +437,12 @@ def concat(tensors: Sequence[Tensor], axis: int = 0) -> Tensor:
     sizes = [d.shape[axis] for d in datas]
     offsets = np.cumsum([0] + sizes)
 
-    def backward() -> None:
+    def backward(g: np.ndarray) -> None:
         for tensor, start, stop in zip(tensors, offsets[:-1], offsets[1:]):
             if tensor.requires_grad:
                 slicer = [slice(None)] * out_data.ndim
                 slicer[axis] = slice(int(start), int(stop))
-                tensor._accumulate(out.grad[tuple(slicer)])
+                tensor._accumulate(g[tuple(slicer)])
 
     out._backward = backward
     return out
@@ -455,10 +454,10 @@ def stack(tensors: Sequence[Tensor], axis: int = 0) -> Tensor:
     requires = any(t.requires_grad for t in tensors)
     out = Tensor(out_data, requires_grad=requires, _prev=tuple(tensors) if requires else ())
 
-    def backward() -> None:
+    def backward(g: np.ndarray) -> None:
         for i, tensor in enumerate(tensors):
             if tensor.requires_grad:
-                tensor._accumulate(np.take(out.grad, i, axis=axis))
+                tensor._accumulate(np.take(g, i, axis=axis))
 
     out._backward = backward
     return out

@@ -1,8 +1,18 @@
 """Gradient checks and semantics of the autograd core."""
 
+import gc
+import weakref
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
+from repro.cache import capacity_from_fraction
+from repro.core import (
+    CachingModel, FeatureEncoder, PrefetchModel, build_labels,
+    caching_targets, prefetch_targets, train_caching_model,
+)
+from repro.core.training import _chamfer_ce_loss
 from repro.nn import (
     Tensor, concat, stack, softmax, log_softmax, bce_with_logits,
     cross_entropy, chamfer_loss, chamfer_directed, unbroadcast,
@@ -112,6 +122,16 @@ class TestReductionsAndShapes:
         rows = np.array([0, 1, 1])
         cols = np.array([2, 0, 2])
         check_gradient(lambda x: x[rows, cols].sum(), rng.normal(size=(2, 3)))
+        # Basic indices (slices / ints / Ellipsis) take plain assignment.
+        check_gradient(lambda x: (x[1:, ::2] ** 2.0).sum()
+                       + (x[0] ** 3.0).sum() + x[..., 1].sum() + x[1, 2],
+                       rng.normal(size=(2, 3)))
+        # A mixed (slice, array) tuple and a repeated index must scatter-add.
+        check_gradient(lambda x: (x[:, cols] ** 2.0).sum(),
+                       rng.normal(size=(2, 3)))
+        x = Tensor(rng.normal(size=(2, 3)), requires_grad=True)
+        x[[1, 1, 1]].sum().backward()
+        assert np.array_equal(x.grad, [[0.0, 0.0, 0.0], [3.0, 3.0, 3.0]])
 
     def test_take_rows_accumulates_duplicates(self, rng):
         w = Tensor(rng.normal(size=(4, 2)), requires_grad=True)
@@ -195,6 +215,23 @@ class TestMechanics:
         y.backward()
         assert np.allclose(x.grad, [7.0])
 
+    def test_second_backward_does_not_replay_interior_grads(self):
+        # Interior grads are consumed by the walk, so a second pass adds
+        # one more gradient to the leaf instead of a compounded one.
+        x = Tensor([1.0, 2.0, 3.0], requires_grad=True)
+        y = (x * 2.0).sum()
+        y.backward()
+        y.backward()
+        assert np.array_equal(x.grad, [4.0, 4.0, 4.0])
+
+    def test_two_losses_over_a_shared_subgraph_add_up(self):
+        x0 = np.array([1.0, 2.0, 3.0])
+        x = Tensor(x0, requires_grad=True)
+        a = x * 2.0
+        a.sum().backward()
+        (a * a).sum().backward()
+        assert np.array_equal(x.grad, 2.0 + 8.0 * x0)
+
     def test_detach_cuts_graph(self):
         x = Tensor(np.array([2.0]), requires_grad=True)
         y = (x * 3.0).detach() * x
@@ -206,3 +243,95 @@ class TestMechanics:
         assert unbroadcast(grad, (3, 5)).shape == (3, 5)
         assert unbroadcast(grad, (1, 5)).shape == (1, 5)
         assert np.allclose(unbroadcast(grad, (3, 5)), 4.0)
+
+
+def tensor_census():
+    return sum(type(o) is Tensor for o in gc.get_objects())
+
+
+@pytest.fixture()
+def collector_off():
+    """Everything below must be freed by reference count alone."""
+    gc.collect()
+    gc.disable()
+    try:
+        yield
+    finally:
+        gc.enable()
+
+
+@pytest.mark.usefixtures("collector_off")
+class TestTapeLifetime:
+    """The tape holds no reference cycle: ``Tensor`` has no
+    ``__weakref__`` slot, so liveness is observed through the nodes'
+    arrays and a census of live tensors."""
+
+    @pytest.mark.parametrize("backpropagate", [True, False])
+    def test_graph_dies_with_its_last_name(self, rng, backpropagate):
+        x = Tensor(rng.normal(size=(3, 4)), requires_grad=True)
+        w = Tensor(rng.normal(size=(4, 5)), requires_grad=True)
+        baseline = tensor_census()
+        hidden = (x @ w).tanh()
+        scaled = hidden.exp() * 0.5
+        root = scaled.sum()
+        arrays = [weakref.ref(node.data) for node in (hidden, scaled, root)]
+        if backpropagate:
+            root.backward()
+        del hidden, scaled, root
+        assert [ref() for ref in arrays] == [None, None, None]
+        assert tensor_census() == baseline
+
+    def test_walk_consumes_interior_grads(self, rng):
+        def chain(x):
+            doubled = x * 2.0
+            squashed = doubled.tanh()
+            return doubled, squashed, (squashed ** 2.0).sum()
+
+        x0 = rng.normal(size=(3, 4))
+        x = Tensor(x0.copy(), requires_grad=True)
+        doubled, squashed, root = chain(x)
+        root.backward()
+        assert doubled.grad is None and squashed.grad is None
+        assert np.array_equal(root.grad, np.ones_like(root.data))
+        numeric = numeric_gradient(lambda x: chain(x)[2], x0)
+        assert np.max(np.abs(numeric - x.grad)) < 1e-4
+
+    def test_training_steps_strand_no_tensor(self, tiny_trace,
+                                             tiny_recmg_config):
+        config = replace(tiny_recmg_config, max_train_chunks=64)
+        train, _ = tiny_trace.split(0.6)
+        encoder = FeatureEncoder(config).fit(train)
+        labels = build_labels(train, capacity_from_fraction(tiny_trace, 0.2),
+                              config, encoder)
+        chunks = encoder.encode_chunks(train)
+        targets = caching_targets(chunks, labels)
+        caching = CachingModel(config, encoder.num_tables)
+        # The first call also builds the model's float32 twin.
+        train_caching_model(caching, chunks, targets, config)
+        baseline = tensor_census()
+        train_caching_model(caching, chunks, targets, config)
+        assert tensor_census() == baseline
+
+        prefetch = PrefetchModel(config, encoder.num_tables)
+        sel, _, dense = prefetch_targets(chunks, labels, config, encoder)
+        rows = np.arange(config.batch_size)
+        baseline = tensor_census()
+        loss = _chamfer_ce_loss(prefetch, chunks, sel[rows],
+                                dense[rows] % config.hash_buckets, config,
+                                alpha=config.alpha)
+        loss.backward()
+        del loss
+        assert tensor_census() == baseline
+
+    def test_long_chain_backpropagates_and_frees(self):
+        x = Tensor(np.ones(3), requires_grad=True)
+        baseline = tensor_census()
+        y = x
+        for _ in range(5000):
+            y = y * 1.0 + 0.0
+        tail = weakref.ref(y.data)
+        y.sum().backward()
+        assert np.array_equal(x.grad, np.ones(3))
+        del y
+        assert tail() is None
+        assert tensor_census() == baseline
