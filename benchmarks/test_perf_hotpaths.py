@@ -309,9 +309,10 @@ def test_clock_serving_throughput(perf_trace, perf_budget, benchmark,
     assert dense_exact == exact
     # Approximate victim order: the hit rate must not fall below the
     # exact engines.  One-sided on purpose — the batched-reclaim engine
-    # pre-reclaims with *protected* eviction (``avoid=segment``), which
-    # legitimately lifts the clock hit rate above exact on looping
-    # workloads (measured ~0.62 vs ~0.60 here after protection landed).
+    # reclaims with *protected* eviction (``ClockBuffer.serve_segment``:
+    # no victim is a segment key), which legitimately lifts the clock
+    # hit rate above exact on looping workloads (measured ~0.62 vs
+    # ~0.60 here after protection landed).
     assert clock.hit_rate > exact.hit_rate - 0.05
     record_hotpath("manager_serving_steady_clock_residency", PERF_ACCESSES,
                    clock_seconds, ref_seconds=exact_seconds,
@@ -340,10 +341,11 @@ def test_sharded_serving_throughput(perf_trace, perf_budget, benchmark,
     ``num_shards=4`` partitions the dense id universe across four
     independent clock shards (:mod:`repro.cache.sharding`); the
     manager's shard-wise engine routes each serving block with one
-    vectorized scatter and pre-reclaims per shard with *protected*
-    eviction (``evict_batch(avoid=segment)``), so the routing layer
-    must stay cheap on a balanced trace: the gate is >= 0.65x the
-    single-shard clock path measured side by side.  (The gate was
+    vectorized scatter and serves each shard's share with one
+    ``ClockBuffer.serve_segment`` pass (*protected* reclaim: no victim
+    is a segment key), so the routing layer must stay cheap on a
+    balanced trace: the gate is >= 0.65x the single-shard clock path
+    measured side by side.  (The gate was
     0.9x while the single-shard engine still paid an unprotected
     reclaim plus a residency re-classification; once it adopted the
     same protected single-call reclaim the per-shard path already
@@ -354,9 +356,14 @@ def test_sharded_serving_throughput(perf_trace, perf_budget, benchmark,
     id-compression layer landed: a few percent of translation
     arithmetic on every bulk boundary buys per-id memory independent
     of ``num_shards``, and the rest of the move restores the noise
-    margin the 0.75 gate had been grazing on shared runners.  The
-    protected reclaim also lifts the hit rate on both sides, since no
-    segment key is evicted right before its own refresh.)
+    margin the 0.75 gate had been grazing on shared runners.  PR 23's
+    ``serve_segment`` made *both* sides ~2x faster — same session,
+    2-core host: single 2.57–2.79M -> 5.30–5.54M acc/s, 4-shard
+    1.93–2.06M -> 3.83–4.04M — and the ratio went 0.74–0.76 ->
+    0.72–0.74 (median of 5 sessions 0.73, 5/5 above the gate), so the
+    0.65 stayed.  The protected reclaim also lifts the hit rate on
+    both sides, since no segment key is evicted right before its own
+    refresh.)
 
     The hot-shard run quantifies the degradation a static contiguous
     range partition suffers when one shard absorbs most of the traffic

@@ -62,14 +62,16 @@ Three interchangeable backends implement the buffer protocol
   intermediate passes harvest nothing).  Within one call, victims come
   out in nondecreasing pre-call priority and never outrank a survivor
   (ties broken by hand position instead of insertion order).  The
-  manager picks it for throughput-bound serving: whole guaranteed-miss
-  runs pre-reclaim space with one ``evict_batch`` call instead of
-  per-key heap pops, trading exact victim order for array-speed
-  eviction.  Constructed with ``key_space=N`` the backend goes
-  *array-native*: the key→slot dict is replaced by a dense ``id →
-  slot`` vector plus a :class:`repro.cache.residency.ResidencyIndex`
-  bitmap, so bulk membership and ``put_batch`` run as numpy gathers
-  and scatters with no per-key dict traffic (ids outside ``[0, N)``
+  manager picks it for throughput-bound serving:
+  :meth:`ClockBuffer.serve_segment` classifies a whole demand segment,
+  reclaims the space its new keys need with one *protected* sweep (no
+  victim is a segment key) and stores it, in a single array pass —
+  trading exact victim order for array-speed eviction.  Constructed
+  with ``key_space=N`` the backend goes *array-native*: the key→slot
+  dict is replaced by a dense ``id → slot`` vector plus a
+  :class:`repro.cache.residency.ResidencyIndex` bitmap, so that pass,
+  bulk membership and ``put_batch`` run as numpy gathers and scatters
+  with no sort and no per-key dict traffic (ids outside ``[0, N)``
   spill to a side dict, preserving correctness for unseen keys).
 
 **Bulk residency / priority protocol.**  All backends answer
@@ -151,6 +153,7 @@ import preserves the sweep sequence).  See "Rebalancing" in
 from __future__ import annotations
 
 import heapq
+from itertools import repeat
 from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -184,12 +187,24 @@ def _dict_contains_batch(entries: Dict, keys: Sequence[int]) -> np.ndarray:
                        dtype=bool, count=len(seq))
 
 
-def reclaim_batch_space(buffer, uniq: np.ndarray, new_count: int,
-                        on_victims=None, protect: bool = False
+def _first_touch_mask(scratch: np.ndarray, arr: np.ndarray) -> np.ndarray:
+    """Sort-free first-occurrence mask of ``arr`` over a persistent
+    ``id -> position`` scratch vector covering every id in ``arr``.
+    The reversed scatter leaves each key's *first* position (duplicate
+    indices: last write wins — pinned by a regression test), so the
+    positions agreeing with the map are the first touches.  The scratch
+    is written then read inside this one call and never cleared."""
+    idx = np.arange(arr.size, dtype=scratch.dtype)
+    scratch[arr[::-1]] = idx[::-1]
+    return scratch[arr] == idx
+
+
+def reclaim_batch_space(buffer, uniq: np.ndarray, new_count: int
                         ) -> Tuple[int, bool]:
-    """Evict until ``len(buffer) + new_count <= capacity`` (the
-    batched-reclaim core shared by the manager's clock engine and
-    ``dlrm.inference.BufferClassifier``).
+    """Evict until ``len(buffer) + new_count <= capacity`` — the
+    *unprotected* batched reclaim of
+    ``dlrm.inference.BufferClassifier`` (the manager's clock engines
+    reclaim inside :meth:`ClockBuffer.serve_segment`, protected).
 
     ``uniq`` is the *sorted* distinct key set of the segment being
     served and ``new_count`` how many of them are currently
@@ -198,31 +213,15 @@ def reclaim_batch_space(buffer, uniq: np.ndarray, new_count: int,
     victim that is itself a segment key becomes one more distinct miss
     — victims are unique and were resident, so each adds at most one,
     and a sorted-``uniq`` searchsorted beats re-gathering the whole
-    segment.  ``on_victims`` (if given) observes every ``evict_batch``
-    result, in order, for the caller's accounting.  Returns the final
-    ``new_count`` and whether any victim invalidated the caller's
-    residency snapshot.
-
-    ``protect=True`` passes ``uniq`` as the ``avoid=`` set of a
-    backend whose ``evict_batch`` supports protected eviction
-    (:meth:`ClockBuffer.evict_batch`): no victim is ever a segment
-    key, so the reclaim resolves in one call instead of looping on
-    victim/segment collisions — the sharded serving engine's scheme.
+    segment.  Returns the final ``new_count`` and whether any victim
+    invalidated the caller's residency snapshot.
     """
     stale = False
     while True:
         needed = len(buffer) + new_count - buffer.capacity
         if needed <= 0:
             return new_count, stale
-        if protect:
-            victims = buffer.evict_batch(needed, avoid=uniq)
-            if on_victims is not None:
-                on_victims(victims)
-            return new_count, stale
-        victims = buffer.evict_batch(needed)
-        if on_victims is not None:
-            on_victims(victims)
-        varr = np.asarray(victims, dtype=np.int64)
+        varr = np.asarray(buffer.evict_batch(needed), dtype=np.int64)
         pos = np.minimum(np.searchsorted(uniq, varr), uniq.size - 1)
         evicted_here = int(np.count_nonzero(uniq[pos] == varr))
         if evicted_here:
@@ -244,9 +243,9 @@ def iter_serve_segments(buffer, segment: np.ndarray, priority: int,
     under ``RecMGManager._serve_demand_batched_exact`` and
     ``dlrm.inference.BufferClassifier.access_batch``.
 
-    Yields ``("bulk", start, served, first_miss_positions, victims,
-    uniq)`` for each bulk-served prefix (positions relative to
-    ``start``) and ``("scalar", start, span)`` for the stretches the
+    Yields ``("bulk", start, served, first_miss_positions, victims)``
+    for each bulk-served prefix (positions relative to ``start``) and
+    ``("scalar", start, span)`` for the stretches the
     caller must replay through its own scalar loop: a ``scalar_span``
     slice when not even one access is bulk-servable, or the whole
     remainder when the buffer has no dense mode at all.  Chunks arrive
@@ -260,13 +259,13 @@ def iter_serve_segments(buffer, segment: np.ndarray, priority: int,
         if result is None:  # dict mode: no bulk primitive
             yield ("scalar", position, total - position)
             return
-        served, first_miss, victims, uniq = result
+        served, first_miss, victims = result
         if served == 0:
             span = min(scalar_span, total - position)
             yield ("scalar", position, span)
             position += span
             continue
-        yield ("bulk", position, served, first_miss, victims, uniq)
+        yield ("bulk", position, served, first_miss, victims)
         position += served
 
 
@@ -1161,8 +1160,7 @@ class FastPriorityBuffer:
             [key, first_seq - step] for step, key in enumerate(keys))
 
     def serve_segment(self, segment: np.ndarray, priority: int
-                      ) -> Optional[Tuple[int, np.ndarray, List[int],
-                                          np.ndarray]]:
+                      ) -> Optional[Tuple[int, np.ndarray, np.ndarray]]:
         """Bulk exact demand-serve of a maximal segment prefix (dense
         mode only).
 
@@ -1175,13 +1173,12 @@ class FastPriorityBuffer:
                     buffer.insert(key, priority)
 
         Returns ``None`` in dict mode, else ``(served, first_miss_positions,
-        victims, uniq)``: how many leading accesses were served, the
-        positions (within the served prefix) of each distinct
-        non-resident key's first occurrence — the prefix's only misses
-        — the victims in eviction order, and the served prefix's
-        distinct keys (in first-touch order when every id fits the
-        bitmap, sorted on the spillover fallback — don't rely on
-        either).  ``served`` can fall short of the segment when
+        victims)`` — the one result shape :meth:`ClockBuffer.serve_segment`
+        and the shard views share: how many leading accesses were
+        served, the positions (within the served prefix) of each
+        distinct non-resident key's first occurrence — the prefix's
+        only misses — and the victim keys in eviction order (an int64
+        array).  ``served`` can fall short of the segment when
         bulk reclaim would stop being exact mid-segment; it is 0 (and
         nothing is mutated) only when not even the first access can be
         bulk-served — callers then serve a short slice through the
@@ -1215,22 +1212,16 @@ class FastPriorityBuffer:
         length = int(arr.size)
         empty = np.zeros(0, dtype=np.int64)
         if length == 0:
-            return 0, empty, [], empty
+            return 0, empty, empty
         size0 = self._size
         age0 = self._age
         capacity = self.capacity
         dense_seg = bool(arr.min() >= 0 and arr.max() < self._key_space)
         if dense_seg:
-            # Linear segment indexing on the reusable scratch map: the
-            # reversed scatter leaves each key's *first* position (last
-            # write wins — pinned by a regression test), so positions
-            # agreeing with the map are the first touches.  ``uniq``
-            # comes out in first-touch order, not sorted; nothing below
-            # relies on sortedness.
-            idx = np.arange(length, dtype=np.int64)
-            pos = self._scratch_pos
-            pos[arr[::-1]] = idx[::-1]
-            first_mask = pos[arr] == idx
+            # Linear segment indexing on the reusable scratch map.
+            # ``uniq`` comes out in first-touch order, not sorted;
+            # nothing below relies on sortedness.
+            first_mask = _first_touch_mask(self._scratch_pos, arr)
             first_idx = np.flatnonzero(first_mask)
             uniq = arr[first_idx]
             res_u = self.residency.bitmap[uniq]
@@ -1247,7 +1238,7 @@ class FastPriorityBuffer:
             length = int(np.searchsorted(np.cumsum(first_mask), capacity,
                                          side="right"))
             if length == 0:
-                return 0, empty, [], empty
+                return 0, empty, empty
             arr = arr[:length]
             keep = first_idx < length
             uniq = uniq[keep]
@@ -1337,7 +1328,7 @@ class FastPriorityBuffer:
                 # the trimmed prefix's analysis is a slice of the full
                 # one — no recomputation.
                 if trim == 0:
-                    return 0, empty, [], empty
+                    return 0, empty, empty
                 length = trim
                 arr = arr[:length]
                 keep = first_idx < length
@@ -1392,7 +1383,7 @@ class FastPriorityBuffer:
             self.residency.add_batch(uniq)
         self._size += new_count
         self._next_seq = base + length
-        return length, first_idx[new_u], victims.tolist(), uniq
+        return length, first_idx[new_u], victims
 
     def _pop_valid(self, heap: List[Tuple[int, int, int, int]],
                    zero: bool) -> Optional[int]:
@@ -1463,8 +1454,11 @@ class ClockBuffer:
         self._key = np.full(capacity, -1, dtype=np.int64)
         self._prio = np.zeros(capacity, dtype=np.int64)
         self._valid = np.zeros(capacity, dtype=bool)
-        # Popping the free list hands out slots 0, 1, 2, ... first.
-        self._free: List[int] = list(range(capacity - 1, -1, -1))
+        # Free-slot stack ``_free_slots[:_free_top]``, popped from the
+        # top: slots 0, 1, 2, ... go out first and a freed slot is
+        # reused before an untouched one.
+        self._free_slots = np.arange(capacity - 1, -1, -1, dtype=np.int64)
+        self._free_top = capacity
         self._hand = 0
         if key_space is None:
             self._key_space = 0
@@ -1480,6 +1474,8 @@ class ClockBuffer:
             self._slot_of = np.full(self._key_space, -1, dtype=np.int64)
             self._slot_over = {}
             self.residency = ResidencyIndex(self._key_space)
+            # id -> segment position map of :func:`_first_touch_mask`.
+            self._scratch = np.empty(self._key_space, dtype=np.int32)
 
     # -- membership bookkeeping (dict vs dense mode) -------------------
     def _slot_for(self, key: int) -> int:
@@ -1513,9 +1509,10 @@ class ClockBuffer:
             over = self._slot_over
             for key in victim_keys[~in_range].tolist():
                 del over[key]
-        else:
+            self.residency.discard_batch(victim_keys)
+        else:  # nothing spilled: every resident id fits the bitmap
             self._slot_of[victim_keys] = -1
-        self.residency.discard_batch(victim_keys)
+            self.residency.bitmap[victim_keys] = False
 
     # ------------------------------------------------------------------
     def __contains__(self, key: int) -> bool:
@@ -1524,7 +1521,7 @@ class ClockBuffer:
         return self._slot_for(int(key)) >= 0
 
     def __len__(self) -> int:
-        return self.capacity - len(self._free)
+        return self.capacity - self._free_top
 
     def keys(self) -> Iterator[int]:
         return iter(self._key[self._valid].tolist())
@@ -1557,7 +1554,7 @@ class ClockBuffer:
 
     @property
     def is_full(self) -> bool:
-        return not self._free
+        return not self._free_top
 
     @property
     def key_space(self) -> int:
@@ -1569,11 +1566,12 @@ class ClockBuffer:
 
     def per_id_nbytes(self) -> int:
         """Bytes of state that scale with ``key_space``: the id→slot
-        vector plus the residency bitmap (0 in dict mode; the slot
-        arrays scale with capacity, not the universe)."""
+        and scratch vectors plus the residency bitmap (0 in dict mode;
+        the slot arrays scale with capacity, not the universe)."""
         if self._slot_of is None:
             return 0
-        return int(self._slot_of.nbytes) + self.residency.nbytes
+        return (int(self._slot_of.nbytes + self._scratch.nbytes)
+                + self.residency.nbytes)
 
     def insert(self, key: int, priority: int) -> None:
         """Insert (or refresh) ``key``; caller must ensure space.
@@ -1587,9 +1585,10 @@ class ClockBuffer:
         if slot >= 0:
             self._prio[slot] = max(0, priority)
             return
-        if not self._free:
+        if not self._free_top:
             raise RuntimeError("buffer full; evict first")
-        slot = self._free.pop()
+        self._free_top -= 1
+        slot = int(self._free_slots[self._free_top])
         self._map_add(key, slot)
         self._key[slot] = key
         self._prio[slot] = max(0, priority)
@@ -1628,93 +1627,126 @@ class ClockBuffer:
         """Bulk :meth:`demote` (priority-zero scatter)."""
         self.set_priority_batch(keys, 0)
 
+    # -- bulk classify / store (shared by put_batch and serve_segment) -
+    def _locate(self, arr: np.ndarray) -> Tuple[np.ndarray, bool]:
+        """Slot of every key of the non-empty ``arr`` (-1 = not
+        resident) and whether the segment is *dense* — dense mode and
+        every id inside ``[0, key_space)``, the one range check that
+        keeps negative ids (which a bare gather would wrap) and
+        spillover ids off the dense vectors.  Dense segments take the
+        gather/scatter forms below; dict mode and spillover segments
+        take the slow forms of the same steps."""
+        if self._slot_of is None:
+            lookup = map(self._slot.get, arr.tolist(), repeat(-1))
+        elif arr.min() >= 0 and arr.max() < self._key_space:
+            return self._slot_of[arr], True
+        else:
+            lookup = map(self._slot_for, arr.tolist())
+        return np.fromiter(lookup, dtype=np.int64, count=arr.size), False
+
+    def _first_touches(self, arr: np.ndarray, dense: bool) -> np.ndarray:
+        """First-occurrence mask of ``arr``.  ``flatnonzero`` of it is
+        in segment order, so new keys take slots in *first-touch
+        order* — slot order feeds the hand's tie-breaking and must
+        follow the access stream, not hash or sort order
+        (regression-tested)."""
+        if dense:
+            return _first_touch_mask(self._scratch, arr)
+        first = np.zeros(arr.size, dtype=bool)
+        first[np.unique(arr, return_index=True)[1]] = True
+        return first
+
+    def _store_new(self, new_keys: np.ndarray, priority: int,
+                   dense: bool) -> None:
+        """Give the distinct non-resident ``new_keys`` free slots, in
+        order (the caller guarantees ``new_keys.size`` free slots)."""
+        if not new_keys.size:
+            return
+        top = self._free_top
+        self._free_top = top - new_keys.size
+        new_slots = self._free_slots[self._free_top:top][::-1]
+        if dense:
+            self._slot_of[new_keys] = new_slots
+            self.residency.bitmap[new_keys] = True
+        else:
+            for key, slot in zip(new_keys.tolist(), new_slots.tolist()):
+                self._map_add(key, slot)
+        self._key[new_slots] = new_keys
+        self._prio[new_slots] = priority
+        self._valid[new_slots] = True
+
     def put_batch(self, keys: Sequence[int], priority: int) -> None:
         """Bulk insert-or-refresh at ``priority``.  Raises
         ``RuntimeError`` (like :meth:`insert`) before mutating anything
-        if the new keys exceed the free space.
-
-        This is the serving hot path.  In dense mode membership,
-        first-touch ordering and the slot writes all run as numpy
-        gathers/scatters; in dict mode membership resolves through one
-        dict pass and the slot writes land as two vectorized
-        assignments.  Either way new keys receive slots in *first-touch
-        order* — slot order feeds the hand's tie-breaking, so it must
-        follow the access stream, not hash order (regression-tested).
-        """
-        if self._slot_of is not None:
-            self._put_batch_dense(keys, priority)
-            return
-        key_list = _as_key_list(keys)
-        if not key_list:
-            return
-        slot_map = self._slot
-        slots: List[int] = []
-        new_keys: List[int] = []
-        for key in key_list:
-            slot = slot_map.get(key)
-            if slot is None:
-                new_keys.append(key)
-            else:
-                slots.append(slot)
-        if new_keys:
-            # dict.fromkeys, not set(): sets iterate in integer-hash
-            # order, which used to scramble slot assignment (and thus
-            # hand-order victim tie-breaking) away from first-touch
-            # order.
-            new_list = list(dict.fromkeys(new_keys))
-            if len(self) + len(new_list) > self.capacity:
-                raise RuntimeError("buffer full; evict first")
-            free = self._free
-            new_slots = [free.pop() for _ in new_list]
-            for key, slot in zip(new_list, new_slots):
-                slot_map[key] = slot
-            idx = np.asarray(new_slots, dtype=np.intp)
-            self._key[idx] = np.asarray(new_list, dtype=np.int64)
-            slots.extend(new_slots)
-        idx = np.asarray(slots, dtype=np.intp)
-        self._prio[idx] = max(0, int(priority))
-        self._valid[idx] = True
-
-    def _put_batch_dense(self, keys: Sequence[int], priority: int) -> None:
-        """Array-native ``put_batch``: membership via the slot vector,
-        first-touch ordering via ``np.unique``, slot writes as scatters."""
+        if the new keys exceed the free space.  New keys receive slots
+        in first-touch order (:meth:`_first_touches`)."""
         arr = np.asarray(keys, dtype=np.int64)
         if arr.size == 0:
             return
-        if arr.min() < 0 or arr.max() >= self._key_space:
-            # Spillover ids present: capacity check up front, then the
-            # scalar sequence (rare — unseen keys above the vocabulary).
-            new = [key for key in dict.fromkeys(arr.tolist())
-                   if self._slot_for(key) < 0]
-            if len(self) + len(new) > self.capacity:
+        priority = max(0, int(priority))
+        slots, dense = self._locate(arr)
+        resident = slots >= 0
+        if not resident.all():
+            new_keys = arr[self._first_touches(arr, dense) & ~resident]
+            if new_keys.size > self._free_top:
                 raise RuntimeError("buffer full; evict first")
-            for key in arr.tolist():
-                self.insert(key, priority)
-            return
-        slots = self._slot_of[arr]
-        new_mask = slots < 0
-        if new_mask.any():
-            # First occurrence of each new key, in segment order: the
-            # same first-touch slot-assignment contract as the dict
-            # path's dict.fromkeys.
-            uniq, first = np.unique(arr[new_mask], return_index=True)
-            new_ordered = uniq[np.argsort(first, kind="stable")]
-            count = int(new_ordered.size)
-            free = self._free
-            if len(self) + count > self.capacity:
-                raise RuntimeError("buffer full; evict first")
-            # free.pop() order = the tail of the free list, reversed.
-            new_slots = np.asarray(free[len(free) - count:][::-1],
-                                   dtype=np.int64)
-            del free[len(free) - count:]
-            self._slot_of[new_ordered] = new_slots
-            self.residency.add_batch(new_ordered)
-            self._key[new_slots] = new_ordered
-            touched = np.concatenate((slots[~new_mask], new_slots))
-        else:
-            touched = slots
-        self._prio[touched] = max(0, int(priority))
-        self._valid[touched] = True
+            self._store_new(new_keys, priority, dense)
+            slots = slots[resident]
+        self._prio[slots] = priority
+
+    def serve_segment(self, segment: np.ndarray, priority: int
+                      ) -> Tuple[int, np.ndarray, np.ndarray]:
+        """Bulk demand-serve of a segment in one array pass: classify,
+        *protected* reclaim, store.
+
+        State- and decision-equivalent to the composed protocol it
+        replaced — ``contains_batch``, count the distinct non-resident
+        keys, ``evict_batch(needed, avoid=segment)``, ``put_batch`` —
+        with one slot gather doing the work of all three lookups
+        (fuzz-pinned in ``tests/test_buffer_differential.py``).
+        Protection means no victim is ever a segment key: the clock
+        hand skips over them, so no key is evicted moments before its
+        own refresh (which is why the clock hit rate sits *above* the
+        exact backends on looping workloads).
+
+        Returns ``(served, miss_positions, victims)`` — the result
+        shape of :meth:`FastPriorityBuffer.serve_segment`: how many
+        leading accesses were served, the position of each distinct
+        non-resident key's first occurrence (its only miss) and the
+        victim keys in eviction order.  ``served`` falls short of the
+        segment only when that holds more distinct keys than the
+        buffer has slots and so cannot be made eviction-free: the
+        longest prefix whose distinct keys fit is served (at least one
+        access) and the caller continues with the remainder.
+        """
+        arr = np.asarray(segment, dtype=np.int64)
+        empty = np.zeros(0, dtype=np.int64)
+        if arr.size == 0:
+            return 0, empty, empty
+        priority = max(0, int(priority))
+        slots, dense = self._locate(arr)
+        resident = slots >= 0
+        if resident.all():
+            self._prio[slots] = priority
+            return arr.size, empty, empty
+        first = self._first_touches(arr, dense)
+        if (arr.size > self.capacity
+                and int(np.count_nonzero(first)) > self.capacity):
+            # Stop before the first touch that no longer fits.
+            cut = int(np.flatnonzero(first)[self.capacity])
+            arr, slots = arr[:cut], slots[:cut]
+            first, resident = first[:cut], resident[:cut]
+        miss_positions = np.flatnonzero(first & ~resident)
+        slots = slots[resident]
+        needed = miss_positions.size - self._free_top
+        victims = empty
+        if needed > 0:
+            eligible = self._valid.copy()
+            eligible[slots] = False
+            victims = self._sweep(needed, eligible)
+        self._store_new(arr[miss_positions], priority, dense)
+        self._prio[slots] = priority
+        return arr.size, miss_positions, victims
 
     def export_state(self) -> Tuple[np.ndarray, np.ndarray]:
         """Resident ``(keys, priority)`` arrays in circular hand order
@@ -1749,24 +1781,6 @@ class ClockBuffer:
             raise RuntimeError("cannot evict from an empty buffer")
         return self.evict_batch(1)[0]
 
-    def _avoid_slot_mask(self, avoid: Sequence[int]) -> np.ndarray:
-        """Boolean per-slot mask of the resident ``avoid`` keys (one
-        gather for the in-range ids; only spillover ids loop)."""
-        mask = np.zeros(self.capacity, dtype=bool)
-        arr = np.asarray(avoid, dtype=np.int64)
-        if arr.size == 0:
-            return mask
-        if self._slot_of is not None:
-            in_range = (arr >= 0) & (arr < self._key_space)
-            slots = self._slot_of[arr[in_range]]
-            mask[slots[slots >= 0]] = True
-            arr = arr[~in_range]
-        for key in arr.tolist():
-            slot = self._slot_for(int(key))
-            if slot >= 0:
-                mask[slot] = True
-        return mask
-
     def evict_batch(self, n: int,
                     avoid: Optional[Sequence[int]] = None) -> List[int]:
         """Reclaim ``n`` slots with a batched clock sweep; returns the
@@ -1777,39 +1791,49 @@ class ClockBuffer:
         harvests and ages as if their slots were not there, so none of
         them is ever a victim — the clock analogue of the exact
         engine's protection-aware victim selection
-        (:meth:`FastPriorityBuffer._choose_zero_victims`).  The batched
-        serving engines pass the segment being served, so a reclaim
-        never evicts a key it is about to refresh (which a scalar
-        pre-touch loop would re-fetch one access later).  At least
-        ``n`` non-protected entries must be resident
-        (``RuntimeError`` otherwise).
+        (:meth:`FastPriorityBuffer._choose_zero_victims`), and the
+        reclaim :meth:`serve_segment` runs for the segment it serves.
+        At least ``n`` non-protected entries must be resident
+        (``RuntimeError`` otherwise, before anything is mutated).
         """
         count = int(n)
         if count <= 0:
             return []
+        eligible = self._valid
+        if avoid is not None:
+            eligible = eligible.copy()
+            arr = np.asarray(avoid, dtype=np.int64)
+            if arr.size:
+                slots = self._locate(arr)[0]
+                eligible[slots[slots >= 0]] = False
+        return self._sweep(count, eligible).tolist()
+
+    def _sweep(self, count: int, eligible: np.ndarray) -> np.ndarray:
+        """The batched clock sweep under :meth:`evict_batch` and
+        :meth:`serve_segment`: evict ``count`` (> 0) entries among the
+        ``eligible`` slots — ``_valid`` itself, or a copy with the
+        protected slots cleared, which the sweep consumes — and return
+        their keys in eviction order."""
         valid = self._valid
         prio = self._prio
-        if avoid is not None:
-            eligible = valid & ~self._avoid_slot_mask(avoid)
-        else:
-            eligible = valid
         if count > int(np.count_nonzero(eligible)):
             raise RuntimeError("cannot evict more entries than resident")
-        victims: List[int] = []
+        victims: List[np.ndarray] = []
         while count:
             zeros = np.flatnonzero(eligible & (prio == 0))
             if zeros.size:
                 # Circular hand order: slots at/after the hand first.
                 split = int(np.searchsorted(zeros, self._hand))
-                ordered = np.concatenate((zeros[split:], zeros[:split]))
-                take = ordered[:count]
+                take = np.concatenate((zeros[split:], zeros[:split]))[:count]
                 victim_keys = self._key[take]
                 valid[take] = False
                 if eligible is not valid:
                     eligible[take] = False
                 self._map_discard_batch(victim_keys)
-                self._free.extend(take.tolist())
-                victims.extend(victim_keys.tolist())
+                top = self._free_top
+                self._free_top = top + take.size
+                self._free_slots[top:self._free_top] = take
+                victims.append(victim_keys)
                 count -= int(take.size)
                 self._hand = int(take[-1] + 1) % self.capacity
             if count:
@@ -1824,11 +1848,11 @@ class ClockBuffer:
                 # as they would if the sweep passed over them).
                 step = prio[eligible].min()
                 np.subtract(prio, step, out=prio, where=valid)
-                if avoid is not None:
+                if eligible is not valid:
                     # Protected slots can sit below the eligible
                     # minimum; priorities are floored at zero.
                     np.maximum(prio, 0, out=prio)
-        return victims
+        return victims[0] if len(victims) == 1 else np.concatenate(victims)
 
 
 #: Registry behind the ``buffer_impl=`` knob (manager, dlrm inference,

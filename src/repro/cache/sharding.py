@@ -226,16 +226,19 @@ class ContiguousRangeRouter:
 
     def route_batch(self, keys: Sequence[int]) -> np.ndarray:
         arr = np.asarray(keys, dtype=np.int64)
-        clipped = np.clip(arr, 0, self.key_space - 1)
-        if self._uniform:
-            shards = clipped * self.num_shards // self.key_space
-        else:
-            shards = (np.searchsorted(self._bounds, clipped,
-                                      side="right") - 1).astype(np.int64)
+        if arr.size == 0 or (arr.min() >= 0 and arr.max() < self.key_space):
+            return self._route_owned(arr)  # hot path: no spillover
+        shards = self._route_owned(np.clip(arr, 0, self.key_space - 1))
         out = (arr < 0) | (arr >= self.key_space)
-        if out.any():
-            shards[out] = np.mod(arr[out], self.num_shards)
+        shards[out] = np.mod(arr[out], self.num_shards)
         return shards
+
+    def _route_owned(self, arr: np.ndarray) -> np.ndarray:
+        """Shard of each in-universe id."""
+        if self._uniform:
+            return arr * self.num_shards // self.key_space
+        return (np.searchsorted(self._bounds, arr,
+                                side="right") - 1).astype(np.int64)
 
     def range_of(self, shard: int) -> Tuple[int, int]:
         """In-universe id range ``[lo, hi)`` owned by ``shard``."""
@@ -479,9 +482,9 @@ class CompressedShardView:
     a foreign key would silently alias a local one.
 
     ``serve_segment`` is exposed only when the backend has one (the
-    dense ``"fast"`` backend), so engine dispatch that feature-tests
-    ``hasattr(shard, "serve_segment")`` keeps picking the same scheme
-    it would for the bare backend.
+    ``"fast"`` and ``"clock"`` backends), so engine dispatch that
+    feature-tests ``hasattr(shard, "serve_segment")`` keeps picking the
+    same scheme it would for the bare backend.
     """
 
     def __init__(self, backend, router, shard_index: int) -> None:
@@ -523,9 +526,9 @@ class CompressedShardView:
 
     # -- translation helpers -------------------------------------------
     def _c(self, keys) -> np.ndarray:
-        # Engines hand the *same* segment array to consecutive view
-        # calls (contains_batch -> evict_batch(avoid=) -> put_batch),
-        # so a two-slot identity memo removes the repeat compressions.
+        # Callers hand a view the *same* segment array iter_shard_segments
+        # primed (serve_segment, or contains_batch -> put_batch), so a
+        # two-slot identity memo removes the repeat compressions.
         # Keyed on object identity with a strong reference (no id()
         # reuse); key arrays are never mutated in place after a bulk
         # call, which the bulk protocol already requires.
@@ -619,11 +622,13 @@ class CompressedShardView:
         return self._d_list(victims)
 
     def _serve_segment(self, segment: np.ndarray, priority: int):
+        """Positions need no translation, so only the victims cross
+        the boundary back."""
         result = self.backend.serve_segment(self._c(segment), priority)
         if result is None:  # pragma: no cover - dense backends only
             return None
-        served, first_miss, victims, uniq = result
-        return served, first_miss, self._d_list(victims), self._d(uniq)
+        served, miss_positions, victims = result
+        return served, miss_positions, self._d(victims)
 
 
 def _allocate_evictions(lengths: np.ndarray, count: int) -> np.ndarray:
@@ -894,8 +899,8 @@ class ShardedBuffer:
         The block is compressed once here (``compress_routed``, one
         vectorized pass) and each shard's slice primed into its view's
         compression memo, so the per-shard calls the caller makes next
-        (``contains_batch`` / ``evict_batch(avoid=)`` / ``put_batch``
-        on the yielded ``sub_keys``) skip re-compressing it.
+        (``serve_segment``, or ``contains_batch`` / ``put_batch``, on
+        the yielded ``sub_keys``) skip re-compressing it.
 
         **Per-shard bit-split contract** (the provider sink): a block
         of per-access caching bits may be split along this same route

@@ -30,9 +30,10 @@ falling back to ``config.buffer_impl``; see :mod:`repro.cache.buffer`):
 * ``"reference"`` — exact O(n) audit backend; always served through the
   scalar loop.
 * ``"clock"`` — approximate array-backed CLOCK; ``fast_serve`` switches
-  to the *batched-reclaim* engine, which pre-reclaims space for each
-  whole segment with one :meth:`ClockBuffer.evict_batch` call and then
-  resolves every access through the eviction-free bulk path.  Hit/miss
+  to the *batched-reclaim* engine: one
+  :meth:`~repro.cache.buffer.ClockBuffer.serve_segment` pass per
+  segment classifies it, reclaims the space its new keys need with
+  protected eviction and stores it.  Hit/miss
   streams may differ from the exact backends (approximate victim
   order), but counters stay conserved and capacity is never exceeded.
 
@@ -42,8 +43,8 @@ universe across independent shards
 (:class:`repro.cache.sharding.ShardedBuffer`); ``fast_serve`` then
 routes whole demand segments shard-wise
 (:meth:`RecMGManager._serve_demand_sharded`): one vectorized scatter,
-the matching per-shard batched scheme (batched-reclaim on clock
-shards, bulk-exact ``serve_segment`` on fast shards), one gather back
+the matching per-shard ``serve_segment`` scheme (batched-reclaim on
+clock shards, bulk-exact on fast shards), one gather back
 into segment-order accounting.  Eviction-for-space is per shard — the
 scalar paths route through
 :func:`repro.cache.sharding.backend_for_key` so a miss evicts from the
@@ -75,13 +76,13 @@ Serving is backend-agnostic through the **bulk residency/priority
 protocol** (see :mod:`repro.cache.buffer`): every backend answers
 ``contains_batch(keys) -> bool[:]`` and accepts
 ``set_priority_batch``/``demote_batch``.  The manager fits the encoder's
-dense-id universe as the buffer's ``key_space``, so the clock backend
-classifies a whole segment with one residency-bitmap gather
+dense-id universe as the buffer's ``key_space``, so the dense backends
+classify a whole segment with one gather
 (:class:`repro.cache.residency.ResidencyIndex`) instead of a per-key
-dict loop — both the batched-reclaim engine and the chunk-boundary
-caching-bit writes (:meth:`RecMGManager._apply_caching_bits`) ride on
-it.  The exact backends answer the same calls off their entry dicts, so
-no call site branches on the backend.
+dict loop — the chunk-boundary caching-bit writes
+(:meth:`RecMGManager._apply_caching_bits`) ride on it.  The exact
+backends answer the same calls off their entry dicts, so no call site
+branches on the backend.
 """
 
 from __future__ import annotations
@@ -98,7 +99,6 @@ from ..cache.buffer import (
     FastPriorityBuffer,
     iter_serve_segments,
     make_buffer,
-    reclaim_batch_space,
 )
 from ..cache.sharding import ShardedBuffer, backend_for_key
 from ..prefetch.base import Prefetcher
@@ -110,6 +110,13 @@ from .caching_model import CachingModel
 from .config import RecMGConfig
 from .features import FeatureEncoder
 from .prefetch_model import PrefetchModel
+
+
+def _joined(chunks: List[np.ndarray], dtype) -> np.ndarray:
+    """``chunks`` end to end; an empty ``dtype`` array when there are
+    none."""
+    return np.concatenate(chunks) if chunks else np.zeros(0, dtype=dtype)
+
 
 @dataclass
 class ManagerStats:
@@ -248,7 +255,9 @@ class RecMGManager:
         #: Per-access hit decisions of the last ``run(...,
         #: record_decisions=True)``; None otherwise.
         self.last_decisions: Optional[np.ndarray] = None
-        self._record_hits: Optional[List[bool]] = None
+        #: Hit-record chunks (one bool array per engine call) while a
+        #: ``serve_batch`` / recording ``run`` is open; None otherwise.
+        self._record_hits: Optional[List[np.ndarray]] = None
 
     # ------------------------------------------------------------------
     def close(self) -> None:
@@ -420,9 +429,11 @@ class RecMGManager:
                 self._demand_access(key)
         else:
             buffer = self.buffer  # __contains__ is live on every backend
+            hits = []
             for key in keys:
-                record.append(key in buffer)
+                hits.append(key in buffer)
                 self._demand_access(key)
+            record.append(np.array(hits, dtype=bool))
 
     def _serve_demand_fast(self, segment: np.ndarray) -> None:
         """Bulk demand-serving pre-pass: resolve runs of guaranteed
@@ -468,7 +479,7 @@ class RecMGManager:
             self._finish_eviction_free(keys, miss_idx, new_keys)
             return
 
-        record = self._record_hits
+        record = None if self._record_hits is None else []
         cache_hits = 0
         on_demand = 0
         victims: Set[int] = set()
@@ -528,6 +539,8 @@ class RecMGManager:
             position = miss + 1
         breakdown.cache_hits += cache_hits
         breakdown.on_demand += on_demand
+        if record is not None:
+            self._record_hits.append(np.array(record, dtype=bool))
 
     def _finish_eviction_free(self, keys: List[int], miss_idx: List[int],
                               new_keys: Set[int]) -> None:
@@ -547,14 +560,14 @@ class RecMGManager:
         record = self._record_hits
         length = len(keys)
         if record is not None:
-            segment_hits = [True] * length
+            segment_hits = np.ones(length, dtype=bool)
             seen: Set[int] = set()
             for m in miss_idx:
                 key = keys[m]
                 if key not in seen:
                     seen.add(key)
                     segment_hits[m] = False
-            record.extend(segment_hits)
+            record.append(segment_hits)
         hit_count = length - len(new_keys)
         if prefetched:
             pf_hits = prefetched.intersection(keys)
@@ -567,70 +580,58 @@ class RecMGManager:
         buffer.put_batch(keys, speed)
 
     def _serve_demand_batched(self, segment: np.ndarray) -> None:
-        """Batched-reclaim serving for approximate (clock) backends.
-
-        Instead of deciding one eviction per miss, the whole segment is
-        made eviction-free up front: one *protected*
-        :meth:`~repro.cache.buffer.ClockBuffer.evict_batch` call
-        (``avoid=uniq``) reclaims exactly the space the segment's
-        non-resident keys need, then every access resolves through the
-        bulk eviction-free path.  Protection means a reclaim victim is
-        never a segment key — the clock hand skips over them — so the
-        residency snapshot stays valid (no victim/segment collision
-        re-classification loop) and no key is evicted moments before
-        its own refresh; the same scheme the sharded clock sub-engine
-        (:meth:`_serve_subsegment`) uses, and it is why the clock hit
-        rate sits *above* the exact backends on looping workloads.
-        Reclaim is possible at all only when the segment's distinct
-        keys fit in the buffer (checked below).
-
-        Everything is array-native: residency classifies through
-        ``contains_batch`` (a single bitmap gather on the dense clock
-        backend), distinct-new counting and first-touch miss positions
-        come from ``np.unique``, and the final state lands with one
-        vectorized ``put_batch`` — no per-key dict loop anywhere.
-        """
+        """Batched-reclaim serving for approximate (clock) backends:
+        the whole segment goes through :meth:`_serve_clock` — one
+        :meth:`~repro.cache.buffer.ClockBuffer.serve_segment` pass that
+        classifies it, reclaims the space its non-resident keys need
+        with *protected* eviction and stores it — and the result folds
+        into the counters once.  A segment with more distinct keys
+        than the whole buffer has slots cannot be made eviction-free
+        and takes the scalar path instead."""
         segment = np.asarray(segment, dtype=np.int64)
-        length = segment.size
-        if length == 0:
-            return
-        buffer = self.buffer
-        capacity = self.capacity
-        prefetched = self._prefetched
-        speed = self.config.eviction_speed
-        resident = buffer.contains_batch(segment)
-        if resident.all():
-            # Pure hit-run: membership cannot change, skip the
-            # distinct-key analysis and reclaim loop entirely.
-            uniq = np.unique(segment) if prefetched else segment
-            self._account_segment(segment, np.zeros(0, dtype=np.intp), uniq)
-            buffer.put_batch(segment, speed)
-            return
-        # One unique pass yields the distinct keys *and* each one's
-        # first-occurrence position, so per-key residency is a take
-        # from the segment gather — no second contains_batch.
-        uniq, first_idx = np.unique(segment, return_index=True)
-        if uniq.size > capacity:
-            # Degenerate (segment wider than the whole buffer): cannot
-            # be made eviction-free; serve through the scalar path.
+        # np.unique: the wider-than-capacity slow form — only a segment
+        # longer than the capacity can hold that many distinct keys.
+        if (segment.size > self.capacity
+                and np.unique(segment).size > self.capacity):
             self._serve_demand_slow(segment)
             return
-        def on_victims(victims):
-            self.evictions += len(victims)
-            if prefetched:
-                prefetched.difference_update(victims)
+        first_miss_pos, pf_hits, evicted = self._serve_clock(self.buffer,
+                                                             segment)
+        self.evictions += evicted
+        self._account_segment(segment, first_miss_pos, pf_hits)
 
-        # Protected reclaim: victims never collide with the segment,
-        # so the residency snapshot taken above stays valid.
-        reclaim_batch_space(
-            buffer, uniq, int(np.count_nonzero(~resident[first_idx])),
-            on_victims=on_victims, protect=True)
-        # Distinct new keys miss exactly once, at their first
-        # occurrence (every occurrence of a non-resident key is a
-        # snapshot miss, so the first one is the demand fetch).
-        first_miss_pos = first_idx[~resident[first_idx]]
-        self._account_segment(segment, first_miss_pos, uniq)
-        buffer.put_batch(segment, speed)
+    def _serve_clock(self, backend,
+                     sub: np.ndarray) -> Tuple[np.ndarray, int, int]:
+        """The clock serve loop — the whole buffer's
+        (:meth:`_serve_demand_batched`) and each clock shard's
+        (:meth:`_serve_subsegment`, whose result contract this
+        shares).  One ``serve_segment`` call serves everything unless
+        ``sub`` holds more distinct keys than the backend has slots —
+        routine on a shard, whose capacity is a fraction of the total —
+        where it serves the longest prefix that fits and the loop
+        continues with the remainder: no per-key scalar loop.  Victims
+        are never segment keys (protected reclaim), so every tagged
+        key of a served prefix was resident and hit."""
+        speed = self.config.eviction_speed
+        prefetched = self._prefetched
+        misses: List[np.ndarray] = []
+        pf_hits = 0
+        evicted = 0
+        start = 0
+        total = int(sub.size)
+        while start < total:
+            # ``sub`` itself on the first pass: a slice is a new object
+            # and would miss the shard view's compression memo.
+            rest = sub[start:] if start else sub
+            served, first_miss, victims = backend.serve_segment(rest, speed)
+            evicted += int(victims.size)
+            if prefetched:
+                prefetched.difference_update(victims.tolist())
+                pf_hits += self._consume_prefetch_tags(rest[:served])
+            if first_miss.size:
+                misses.append(start + first_miss)
+            start += served
+        return _joined(misses, np.int64), pf_hits, evicted
 
     def _serve_demand_batched_exact(self, segment: np.ndarray) -> None:
         """Batched *exact* serving for the dense ``"fast"`` backend —
@@ -661,13 +662,12 @@ class RecMGManager:
                 _, start, span = chunk
                 self._serve_demand_slow(segment[start:start + span])
                 continue
-            _, start, served, first_miss_pos, victims, uniq = chunk
-            if victims:
-                self.evictions += len(victims)
-                if prefetched:
-                    prefetched.difference_update(victims)
+            _, start, served, first_miss_pos, victims = chunk
+            self.evictions += int(victims.size)
+            if prefetched:
+                prefetched.difference_update(victims.tolist())
             self._account_segment(segment[start:start + served],
-                                  first_miss_pos, uniq)
+                                  first_miss_pos)
 
     def _serve_demand_sharded(self, segment: np.ndarray) -> None:
         """Shard-wise serving for :class:`ShardedBuffer` backends.
@@ -711,10 +711,8 @@ class RecMGManager:
             traffic += self._REBALANCE_EWMA * counts
             self._accesses_since_rebalance += int(segment.size)
         self.evictions += evicted
-        first_miss_pos = (np.concatenate(miss_chunks) if miss_chunks
-                          else np.zeros(0, dtype=np.int64))
-        self._account_segment(segment, first_miss_pos, segment,
-                              pf_hits=pf_hits)
+        self._account_segment(segment, _joined(miss_chunks, np.int64),
+                              pf_hits)
 
     def _maybe_rebalance(self) -> None:
         """The online rebalance driver — called at block boundaries by
@@ -781,7 +779,7 @@ class RecMGManager:
             # in the latency percentiles; the async gather is a cheap
             # table read and the recorded p99 proves it.
             self._serve_block(serve, keys)
-            hits = np.asarray(self._record_hits, dtype=bool)
+            hits = _joined(self._record_hits, bool)
         finally:
             self._record_hits = outer
         self.serving_metrics.record_batch(
@@ -821,71 +819,16 @@ class RecMGManager:
         tag is consumed in the chunk where its key is first served,
         dropped when its key is evicted — in that order, chunk by
         chunk)."""
-        speed = self.config.eviction_speed
-        prefetched = self._prefetched
-        evicted = 0
-
-        def on_victims(victims):
-            nonlocal evicted
-            evicted += len(victims)
-            if prefetched:
-                prefetched.difference_update(victims)
-
         if getattr(shard, "approximate", False):
-            misses: List[np.ndarray] = []
-            pf_hits = 0
-            start = 0
-            total = int(sub.size)
-            while start < total:
-                rest = sub[start:]
-                resident = shard.contains_batch(rest)
-                if resident.all():
-                    shard.put_batch(rest, speed)
-                    if prefetched:
-                        pf_hits += self._consume_prefetch_tags(
-                            np.unique(rest))
-                    break
-                uniq, first_idx = np.unique(rest, return_index=True)
-                if uniq.size > shard.capacity:
-                    # Wider than the shard (per-shard capacity is a
-                    # fraction of the total): trim to the longest
-                    # prefix whose distinct keys fit, serve it through
-                    # the same batched-reclaim scheme, and continue
-                    # with the remainder — no per-key scalar loop.
-                    first_mask = np.zeros(rest.size, dtype=bool)
-                    first_mask[first_idx] = True
-                    cut = int(np.searchsorted(np.cumsum(first_mask),
-                                              shard.capacity, side="right"))
-                    rest = rest[:cut]
-                    resident = resident[:cut]
-                    keep = first_idx < cut
-                    uniq = uniq[keep]
-                    first_idx = first_idx[keep]
-                else:
-                    cut = int(rest.size)
-                # Protected reclaim (avoid=uniq): one evict_batch call,
-                # no victim/segment collision loop, and no segment key
-                # is evicted right before its own refresh.
-                reclaim_batch_space(
-                    shard, uniq,
-                    int(np.count_nonzero(~resident[first_idx])),
-                    on_victims=on_victims, protect=True)
-                shard.put_batch(rest, speed)
-                # Reclaim victims (never chunk keys — they are
-                # protected) dropped their tags above; every tagged
-                # chunk key was resident, so it hit.
-                pf_hits += self._consume_prefetch_tags(uniq)
-                prefix_miss = first_idx[~resident[first_idx]]
-                if prefix_miss.size:
-                    misses.append(start + prefix_miss)
-                start += cut
-            return ((np.concatenate(misses) if misses
-                     else np.zeros(0, dtype=np.int64)), pf_hits, evicted)
+            return self._serve_clock(shard, sub)
         if (getattr(shard, "residency", None) is not None
                 and hasattr(shard, "serve_segment")):
+            prefetched = self._prefetched
             misses: List[np.ndarray] = []
             pf_hits = 0
-            for chunk in iter_serve_segments(shard, sub, speed,
+            evicted = 0
+            for chunk in iter_serve_segments(shard, sub,
+                                             self.config.eviction_speed,
                                              self._SCALAR_FALLBACK):
                 if chunk[0] == "scalar":
                     _, start, span = chunk
@@ -896,17 +839,19 @@ class RecMGManager:
                     if scalar_miss.size:
                         misses.append(start + scalar_miss)
                 else:
-                    _, start, _, first_miss, victims, uniq = chunk
-                    if victims:
-                        on_victims(victims)
-                    # A victim's in-prefix touch would have trimmed the
-                    # prefix before it, so victims never overlap uniq:
-                    # every tagged prefix key was resident and hit.
-                    pf_hits += self._consume_prefetch_tags(uniq)
+                    _, start, served, first_miss, victims = chunk
+                    evicted += int(victims.size)
+                    if prefetched:
+                        prefetched.difference_update(victims.tolist())
+                        # A victim's in-prefix touch would have trimmed
+                        # the prefix before it, so victims never overlap
+                        # it: every tagged prefix key was resident and
+                        # hit.
+                        pf_hits += self._consume_prefetch_tags(
+                            sub[start:start + served])
                     if len(first_miss):
                         misses.append(start + first_miss)
-            return ((np.concatenate(misses) if misses
-                     else np.zeros(0, dtype=np.int64)), pf_hits, evicted)
+            return _joined(misses, np.int64), pf_hits, evicted
         return self._scalar_subserve(shard, sub)
 
     def _scalar_subserve(self, shard,
@@ -938,20 +883,18 @@ class RecMGManager:
 
     def _account_segment(self, segment: np.ndarray,
                          first_miss_pos: np.ndarray,
-                         uniq: np.ndarray,
                          pf_hits: Optional[int] = None) -> None:
         """Counters and decision recording for a bulk-served segment
         (the batched engines' epilogue; the store is the caller's job).
 
         ``first_miss_pos`` holds the position of each distinct new
-        key's first occurrence (its only miss; later occurrences hit);
-        ``uniq`` holds the segment's distinct keys and is consulted
-        only while prefetch tags exist.  Prefetched keys are always
-        resident (the tag is dropped on eviction), so each one present
-        scores exactly one prefetch hit.  The sharded engine consumes
-        tags chunk by chunk instead (a later chunk's eviction may drop
-        a tag whose key already hit) and passes the consumed count as
-        ``pf_hits``; ``uniq`` is then ignored.
+        key's first occurrence (its only miss; later occurrences hit).
+        Prefetched keys are always resident (the tag is dropped on
+        eviction), so each one present in ``segment`` scores exactly
+        one prefetch hit.  The clock and sharded engines consume tags
+        chunk by chunk instead (a later chunk's eviction may drop a
+        tag whose key already hit) and pass the consumed count as
+        ``pf_hits``.
         """
         length = segment.size
         new_count = int(first_miss_pos.size)
@@ -960,9 +903,9 @@ class RecMGManager:
         if record is not None:
             segment_hits = np.ones(length, dtype=bool)
             segment_hits[first_miss_pos] = False
-            record.extend(segment_hits.tolist())
+            record.append(segment_hits)
         if pf_hits is None:
-            pf_hits = self._consume_prefetch_tags(uniq)
+            pf_hits = self._consume_prefetch_tags(segment)
         hit_count = length - new_count - pf_hits
         if pf_hits:
             breakdown.prefetch_hits += pf_hits
@@ -1083,7 +1026,7 @@ class RecMGManager:
             self._serve_block(serve, dense[start:start + block])
             self._maybe_rebalance()
         if record_decisions:
-            self.last_decisions = np.asarray(self._record_hits, dtype=bool)
+            self.last_decisions = _joined(self._record_hits, bool)
             self._record_hits = None
         return ManagerStats(
             breakdown=self.breakdown,

@@ -277,7 +277,7 @@ class BufferClassifier:
                     hits[start:start + span] = self._access_loop(
                         buffer, keys[start:start + span])
                 else:
-                    _, start, _, first_miss, _, _ = chunk
+                    _, start, _, first_miss, _ = chunk
                     hits[start + first_miss] = False
             return hits
         resident = buffer.contains_batch(keys)

@@ -31,11 +31,13 @@ Three implementations, selected by ``priority_mode``:
 * :class:`SyncModelProvider` (``"sync"``) — batched feature encoding +
   ``CachingModel.predict`` per served block, on the serving thread.
   Amortized like every other bulk op, but inference cost lands on the
-  serving critical path: 1920-key blocks serve at ~300 k keys/s vs
-  ~1.0 M model-free on the exact ``fast`` backend (~3.5x), ~450 k vs
-  ~4.5 M on ``clock`` (~10x; 2-core AVX-512 host, one BLAS thread,
-  numpy 2.4; ~6x / ~17x on float64 ``infer``, ~11x / ~33x on the taped
-  forward); decisions are deterministic, which makes this the
+  serving critical path: 1920-key blocks serve at ~250 k keys/s vs
+  ~1.0 M model-free on the exact ``fast`` backend (~4x), ~390 k vs
+  ~7.0 M on ``clock`` (~18x — inference-bound, so it did not move when
+  ``ClockBuffer.serve_segment`` doubled the model-free side; 2-core
+  AVX-512 host, one BLAS thread, numpy 2.4; on ``fast``, ~6x on
+  float64 ``infer`` and ~11x on the taped forward as of PR 17);
+  decisions are deterministic, which makes this the
   differential-testable mode.
 * :class:`AsyncModelProvider` (``"async"``) — a background worker
   refreshes a dense per-key bit table; serving reads possibly-stale

@@ -32,6 +32,16 @@ mid-sequence, priorities far above the eviction count (the fallback
 selection), spillover ids, and a queue depth shrunk until refills and
 truncation happen every few evictions.
 
+A clock serving differential
+(:func:`test_clock_serve_segment_matches_composed_protocol`, a
+``hypothesis`` fuzz, and its hand-picked twin) drives twin
+:class:`ClockBuffer` s — dense, dict, dense with spillover ids, and
+behind the ``CompressedShardView`` s of a sharded buffer — one through
+``serve_segment``, the other through the composed protocol it replaced
+(``contains_batch`` → first-occurrence count →
+``evict_batch(needed, avoid=segment)`` → ``put_batch``), asserting
+equal results *and* bit-equal state after every step.
+
 An applier differential
 (:func:`test_caching_bit_applier_forms_leave_identical_state`) pins the
 two forms of ``serving.priorities.apply_caching_bits`` — the scalar
@@ -53,6 +63,7 @@ import random
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.cache import (ClockBuffer, FastPriorityBuffer, PriorityBuffer,
                          buffer as buffer_module, make_buffer)
@@ -180,8 +191,8 @@ def _apply_exact_group(ref: PriorityBuffer, others, op):
         for buffer in others:
             result = getattr(buffer, "serve_segment", lambda *_: None)(
                 np.asarray(batch, dtype=np.int64), priority)
-            served, victims = ((result[0], result[2]) if result is not None
-                               else (0, []))
+            served, victims = ((result[0], result[2].tolist())
+                               if result is not None else (0, []))
             assert victims + _scalar_serve(buffer, batch[served:],
                                            priority) == expected
     elif kind == "import_state" and len(ref):
@@ -442,6 +453,223 @@ def test_victim_queue_stays_bounded_without_scalar_evictions():
             buffer.put_batch(rng.choice(absent, 4, replace=False), 2)
         peak = max(peak, len(buffer._victims or ()))
     assert 0 < peak <= buffer_module._VICTIM_QUEUE + capacity
+
+
+# ---------------------------------------------------------------------------
+# ClockBuffer.serve_segment vs the composed protocol it replaced.
+
+#: Fuzzed clock ids: below, inside and above the 20-id dense universe of
+#: the spillover mode (negative ids included — a bare gather would wrap
+#: them).
+CLOCK_IDS = st.integers(-3, 44)
+#: mode -> (id strategy, twin factory).  "views" serves through the
+#: CompressedShardViews of a 3-shard buffer, so victims must come back
+#: as global ids.
+CLOCK_MODES = {
+    "dense": (st.integers(0, 39),
+              lambda capacity: ClockBuffer(capacity, key_space=40)),
+    "dict": (CLOCK_IDS, ClockBuffer),
+    "spillover": (CLOCK_IDS,
+                  lambda capacity: ClockBuffer(capacity, key_space=20)),
+    "views": (CLOCK_IDS,
+              lambda capacity: make_buffer("clock", 3 * capacity,
+                                           key_space=20, num_shards=3)),
+}
+
+
+def _clock_ops(ids):
+    """Op sequences: mostly serves (duplicate-heavy by construction —
+    up to 30 draws from at most 48 ids), the rest stirring the state a
+    serve starts from."""
+    keys = st.lists(ids, max_size=30)
+    return st.lists(st.one_of(
+        st.tuples(st.just("serve"), keys, st.integers(-2, 6)),
+        st.tuples(st.just("serve"), keys, st.integers(-2, 6)),
+        st.tuples(st.just("set_priority_batch"), keys, st.integers(-2, 6)),
+        st.tuples(st.just("evict_batch"), keys, st.integers(1, 5)),
+    ), min_size=1, max_size=25)
+
+
+def _clock_state(buffer: ClockBuffer):
+    """Everything a :class:`ClockBuffer` is — slot arrays, hand, the
+    free stack in order, the id→slot map of its mode and (dense) the
+    residency index."""
+    state = [buffer._key.tolist(), buffer._prio.tolist(),
+             buffer._valid.tolist(), buffer._hand,
+             buffer._free_slots[:buffer._free_top].tolist()]
+    if buffer._slot_of is None:
+        return state + [buffer._slot]
+    return state + [buffer._slot_of.tolist(), buffer._slot_over,
+                    buffer.residency.bitmap.tolist(),
+                    buffer.residency._overflow]
+
+
+def _bulk_pass(buffer, segment: np.ndarray, priority: int):
+    served, misses, victims = buffer.serve_segment(segment, priority)
+    assert misses.dtype.kind == "i" and victims.dtype == np.int64
+    return served, misses.tolist(), victims.tolist()
+
+
+def _composed_pass(buffer, segment: np.ndarray, priority: int,
+                   scalar_store: bool = False):
+    """One pass of the protocol ``serve_segment`` replaced, as the
+    manager's per-shard clock loop composed it (a segment with more
+    distinct keys than slots is cut to the longest prefix that fits);
+    returns ``(served, miss_positions, victims)`` as lists."""
+    if segment.size == 0:
+        return 0, [], []
+    first_idx = np.sort(np.unique(segment, return_index=True)[1])
+    if first_idx.size > buffer.capacity:
+        segment = segment[:first_idx[buffer.capacity]]
+        first_idx = first_idx[:buffer.capacity]
+    resident = buffer.contains_batch(segment)
+    misses = first_idx[~resident[first_idx]]
+    needed = len(buffer) + misses.size - buffer.capacity
+    victims = (buffer.evict_batch(needed, avoid=segment) if needed > 0
+               else [])
+    if scalar_store:
+        for key in segment.tolist():
+            buffer.insert(key, priority)
+    else:
+        buffer.put_batch(segment, priority)
+    return int(segment.size), misses.tolist(), list(victims)
+
+
+#: How each of the three twins serves a pass: the entry under test, the
+#: composed protocol, and the composed protocol storing through a
+#: scalar ``insert`` loop — ``put_batch`` shares ``serve_segment``'s
+#: first-touch and store helpers, ``insert`` shares nothing.
+CLOCK_PASSES = (_bulk_pass, _composed_pass,
+                lambda *args: _composed_pass(*args, scalar_store=True))
+
+
+def _clock_backends(buffer):
+    """The :class:`ClockBuffer` s under a bare clock, a shard view or a
+    sharded buffer."""
+    if hasattr(buffer, "shards"):
+        return [view.backend for view in buffer.shards]
+    return [getattr(buffer, "backend", buffer)]
+
+
+def _assert_twins_agree(twins) -> None:
+    states = [[_clock_state(backend) for backend in _clock_backends(twin)]
+              for twin in twins]
+    assert states[0] == states[1] == states[2]
+
+
+def _serve_clock_twins(twins, keys, priority):
+    """Serve ``keys`` to the end on every twin (bare clocks or shard
+    views), each through its own pass, comparing results and state
+    after every pass; returns the victims."""
+    segment = np.asarray(keys, dtype=np.int64)
+    evicted = []
+    while True:
+        results = [serve(twin, segment, priority)
+                   for serve, twin in zip(CLOCK_PASSES, twins)]
+        assert results[0] == results[1] == results[2]
+        _assert_twins_agree(twins)
+        served, _, victims = results[0]
+        # Protected reclaim: no victim is a key of the served prefix.
+        assert not set(victims) & set(segment[:served].tolist())
+        evicted += victims
+        if served == segment.size:
+            return evicted
+        assert served > 0
+        segment = segment[served:]
+
+
+def _apply_clock_twins(twins, op):
+    kind, keys, value = op
+    if kind == "set_priority_batch":
+        for buffer in twins:
+            buffer.set_priority_batch(
+                [key for key in keys if key in buffer], value)
+    elif kind == "evict_batch":
+        for buffer in twins:
+            if len(buffer):
+                buffer.evict_batch(min(value, len(buffer)))
+    elif hasattr(twins[0], "iter_shard_segments"):
+        block = np.asarray(keys, dtype=np.int64)
+        for routed in zip(*(twin.iter_shard_segments(block)
+                            for twin in twins)):
+            index, view, _, sub = routed[0]
+            held = set(view.keys()) | set(sub.tolist())
+            victims = _serve_clock_twins([item[1] for item in routed],
+                                         sub, value)
+            # Victims come back as global ids, of this very shard.
+            assert set(victims) <= held
+            assert all(twins[0].shard_id_of(key) == index
+                       for key in victims)
+    else:
+        _serve_clock_twins(twins, keys, value)
+
+
+@pytest.mark.parametrize("mode", sorted(CLOCK_MODES))
+def test_clock_serve_segment_matches_composed_protocol(mode):
+    ids, factory = CLOCK_MODES[mode]
+
+    @given(st.integers(1, 12), _clock_ops(ids))
+    @settings(max_examples=150, deadline=None)
+    def check(capacity, ops):
+        twins = [factory(capacity) for _ in CLOCK_PASSES]
+        for op in ops:
+            _apply_clock_twins(twins, op)
+            _assert_twins_agree(twins)
+
+    check()
+
+
+@pytest.mark.parametrize("mode", sorted(CLOCK_MODES))
+def test_clock_serve_segment_edge_segments(mode):
+    """The segment shapes the fuzz may take a while to hit, in one
+    sequence per mode: empty, single key, all resident, duplicate-heavy,
+    ``distinct == capacity`` and ``distinct == capacity + 1`` (the
+    first access that no longer fits ends the served prefix), negative
+    priority (clamps to 0)."""
+    capacity = 6
+    twins = [CLOCK_MODES[mode][1](capacity) for _ in CLOCK_PASSES]
+    # One shard's worth of ids under the "views" router (ids < 7 share
+    # shard 0 of the 20-id universe; spillover ids are 0 mod 3).
+    spill = [] if mode == "dense" else [21, -3]
+    pool = [0, 1, 2, 3, 4, 5, 6] + spill
+    for keys, priority in [
+            ([], 3), ([4], 3), ([4], -2), ([4, 4, 4], 1),
+            ([4, 1, 4, 1, 1, 4, 2, 2], 2),          # duplicate-heavy
+            (pool[:capacity], 3),                   # distinct == capacity
+            (pool[:capacity][::-1], -1),            # all resident, clamps
+            (pool[1:capacity + 1] + pool[:1], 2),   # needs every other slot
+            (pool[:capacity + 1], 4),               # distinct == capacity + 1
+            (pool[::-1] + pool, 0),
+            (spill + [6, 6] + spill, 5)]:
+        _apply_clock_twins(twins, ("serve", keys, priority))
+    backend = _clock_backends(twins[0])[0]
+    assert len(backend) == capacity
+    assert int(backend._prio.min()) >= 0
+
+
+def test_clock_serve_segment_raise_paths_mutate_nothing():
+    """``put_batch`` short of space and a protected sweep short of
+    eligible entries both raise before touching any state."""
+    buffer = ClockBuffer(4, key_space=16)
+    buffer.serve_segment(np.array([1, 2, 3]), 2)
+    before = _clock_state(buffer)
+    with pytest.raises(RuntimeError, match="buffer full"):
+        buffer.put_batch([3, 7, 8, 7], 1)
+    with pytest.raises(RuntimeError, match="more entries"):
+        buffer.evict_batch(2, avoid=[1, 2, 40, -1])
+    assert _clock_state(buffer) == before
+
+
+@pytest.mark.parametrize("key_space", (None, 8))
+def test_clock_out_of_range_ids_never_reach_the_dense_gather(key_space):
+    """A negative id must not wrap onto the id at the other end of the
+    slot vector, nor an id above the universe index past it."""
+    buffer = ClockBuffer(4, key_space=key_space)
+    buffer.put_batch([7, 0], 1)
+    served, misses, victims = buffer.serve_segment(
+        np.array([-1, 8, -8, 7]), 3)
+    assert (served, misses.tolist(), victims.tolist()) == (4, [0, 1, 2], [0])
+    assert sorted(buffer.keys()) == [-8, -1, 7, 8]
 
 
 # ---------------------------------------------------------------------------

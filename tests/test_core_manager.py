@@ -243,6 +243,69 @@ class TestBufferImplKnob:
         assert len(manager.last_decisions) == len(test)
 
 
+class TestHitRecords:
+    """Hit records are arrays end to end: whichever engine serves —
+    bulk, scalar fallback, wider-than-capacity — ``serve_batch`` hands
+    back one ``bool`` per key, and a recording ``run`` the same
+    stream."""
+
+    #: (buffer_impl, key_space, num_shards); dict mode cannot shard.
+    BACKENDS = [(impl, key_space, num_shards)
+                for impl in ("reference", "fast", "clock")
+                for key_space, num_shards in (("auto", 1), ("auto", 4),
+                                              (None, 1))]
+    #: regime -> (capacity, batch size): 15 keys is under every scalar
+    #: fallback, 4 slots (1 per shard) under any batch's distinct keys.
+    REGIMES = {"bulk": (None, 512), "scalar-fallback": (None, 15),
+               "wider-than-capacity": (4, 512)}
+
+    @staticmethod
+    def _manager(system, capacity, backend):
+        impl, key_space, num_shards = backend
+        return RecMGManager(capacity, system.encoder, system.config,
+                            buffer_impl=impl, key_space=key_space,
+                            num_shards=num_shards)
+
+    @pytest.mark.parametrize("regime", sorted(REGIMES))
+    @pytest.mark.parametrize("backend", BACKENDS)
+    def test_serve_batch_returns_one_bool_per_key(self, trained_recmg,
+                                                  tiny_trace, tiny_capacity,
+                                                  backend, regime):
+        capacity, batch = self.REGIMES[regime]
+        manager = self._manager(trained_recmg, capacity or tiny_capacity,
+                                backend)
+        dense = trained_recmg.encoder.dense_ids(tiny_trace)[:2500]
+        hit_count = 0
+        for start in [*range(0, dense.size, batch), dense.size]:  # + empty
+            keys = dense[start:start + batch]
+            hits = manager.serve_batch(keys)
+            assert hits.dtype == np.bool_ and hits.shape == keys.shape
+            hit_count += int(hits.sum())
+            assert manager._record_hits is None
+        assert manager.breakdown.total == dense.size
+        assert manager.breakdown.cache_hits == hit_count
+
+    @pytest.mark.parametrize("capacity", [None, 4])
+    @pytest.mark.parametrize("backend", BACKENDS)
+    def test_recorded_run_equals_serve_batch_returns(self, trained_recmg,
+                                                     tiny_trace,
+                                                     tiny_capacity, backend,
+                                                     capacity):
+        capacity = capacity or tiny_capacity
+        _, test = tiny_trace.split(0.6)
+        recorded = self._manager(trained_recmg, capacity, backend)
+        stats = recorded.run(test, record_decisions=True)
+        twin = self._manager(trained_recmg, capacity, backend)
+        dense = trained_recmg.encoder.dense_ids(test)
+        block = twin._SERVE_BLOCK * backend[2]      # run()'s own blocks
+        returns = [twin.serve_batch(dense[start:start + block])
+                   for start in range(0, dense.size, block)]
+        assert recorded.last_decisions.dtype == np.bool_
+        np.testing.assert_array_equal(recorded.last_decisions,
+                                      np.concatenate(returns))
+        assert twin.breakdown == stats.breakdown
+
+
 class TestPrefetchBudget:
     def test_resident_keys_do_not_consume_budget(self, trained_recmg,
                                                  tiny_capacity):

@@ -337,18 +337,17 @@ def test_sync_run_equals_manual_replay(world, small_config, buffer_impl,
     manual = RecMGManager(capacity, encoder, small_config,
                           priority_mode="none",
                           buffer_impl=buffer_impl, num_shards=num_shards)
-    serve = manual._select_engine(True)
     block = manual._SERVE_BLOCK * getattr(manual.buffer, "num_shards", 1)
     dense = encoder.dense_ids(tail)
-    manual._record_hits = []
+    served = []
     for start in range(0, dense.size, block):
         segment = dense[start:start + block]
-        serve(segment)
+        # Model-free, ``serve_batch`` is exactly the engine's serve.
+        served.append(manual.serve_batch(segment))
         bits = model.predict(
             encoder.encode_dense_chunks(segment)).reshape(-1)[:segment.size]
         manual._apply_caching_bits(segment, bits)
-    replayed = np.asarray(manual._record_hits, dtype=bool)
-    manual._record_hits = None
+    replayed = np.concatenate(served)
     manual.close()
 
     assert len(decisions) == len(tail)

@@ -171,6 +171,21 @@ def test_sharded_per_id_memory_matches_single_shard(impl, policy):
     assert sharded.per_id_nbytes() == single.per_id_nbytes()
 
 
+@pytest.mark.parametrize("impl", ["fast", "clock"])
+def test_per_id_nbytes_counts_every_per_id_array(impl):
+    """Whatever a dense backend allocates per id is in the footprint it
+    reports — the first-touch scratch vector of ``serve_segment``
+    (4 B/id on the clock) included, not only the maps."""
+    key_space = 4096
+    buffer = make_buffer(impl, 512, key_space=key_space)
+    per_id = {name: value for name, value in vars(buffer).items()
+              if isinstance(value, np.ndarray)
+              and value.shape == (key_space,)}
+    assert any("scratch" in name for name in per_id)
+    assert buffer.per_id_nbytes() == buffer.residency.nbytes + sum(
+        value.nbytes for value in per_id.values())
+
+
 # ---------------------------------------------------------------------------
 # Weighted capacity splits.
 
@@ -554,8 +569,8 @@ def test_sharding_differential_op_sequences(seed):
 
 def test_protected_clock_eviction_with_spillover_avoid():
     """ClockBuffer.evict_batch(avoid=...) protects in-range and
-    spillover ids alike (mixed batches keep the vectorized in-range
-    path), ages past protected zeros, and raises on overdraw."""
+    spillover ids alike, ages past protected zeros, and raises on
+    overdraw."""
     buf = ClockBuffer(5, key_space=8)
     buf.put_batch([1, 2, 3, 100], 0)   # 100 spills over the bitmap
     buf.insert(4, 2)
