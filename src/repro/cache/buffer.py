@@ -1159,6 +1159,150 @@ class FastPriorityBuffer:
         self._victims.extend(
             [key, first_seq - step] for step, key in enumerate(keys))
 
+    def serve_chunks(self, dense: np.ndarray, length: int,
+                     bits_all: Optional[np.ndarray],
+                     preds_all: Optional[np.ndarray], speed: int,
+                     budget: int, prefetched: set
+                     ) -> Tuple[np.ndarray, int, int, int]:
+        """Algorithm 1 for a whole block of ``length``-key model chunks
+        in one scalar pass (dense mode) — state for state
+        ``RecMGManager.run``'s per-chunk triple, its oracle
+        (``tests/test_chunk_pass.py``), without that loop's ~35 method
+        calls per chunk.  Per chunk: the demand accesses (hit: refresh
+        at ``speed``; miss: evict when full, insert at ``speed``), then
+        row ``i`` of ``bits_all`` as caching bits (resident keys only,
+        a repeated key's last bit ``>= 0`` wins; friendly to
+        ``speed + 1``, averse demoted, each class in positional order),
+        then row ``i`` of ``preds_all`` as prefetches (non-resident
+        ones, at most ``budget``, tagged in ``prefetched``; a demand
+        hit consumes its key's tag, an eviction drops it).  Either
+        array may be None.  The entry arrays are indexed directly —
+        spillover ids through ``_over``, in the same loop — the victim
+        queue of :meth:`_evict_one_dense` is popped inline, and the
+        counters live in locals, written back even when a malformed
+        input raises mid-pass; past a stale top record or a drained
+        queue, :meth:`evict_one` carries on.  Returns the positions
+        of the demand misses, the prefetch hits consumed and the
+        evictions — the manager's per-engine result contract — plus
+        the prefetches issued.
+        """
+        keys = np.asarray(dense, dtype=np.int64).tolist()
+        bits = None if bits_all is None else np.asarray(bits_all).tolist()
+        preds = None if preds_all is None else np.asarray(preds_all).tolist()
+        bitmap = self.residency.bitmap
+        overflow = self.residency._overflow
+        expiry_of, seq_of, over = self._expiry_of, self._seq_of, self._over
+        key_space = self._key_space
+        capacity = self.capacity
+        queue_bound = _VICTIM_QUEUE + capacity
+        age, size = self._age, self._size
+        next_seq, min_seq = self._next_seq, self._min_seq
+        prefetch_hits = evictions = issued = 0
+        missed: List[int] = []
+
+        def admit(key: int, in_range: bool) -> None:
+            """Insert the non-resident ``key`` at ``speed``, evicting
+            first when full."""
+            nonlocal age, size, next_seq, evictions
+            if size >= capacity:
+                victim = None
+                if self._victims:
+                    victim, seq = self._victims.pop()
+                    if 0 <= victim < key_space:
+                        if bitmap[victim] and seq_of[victim] == seq:
+                            bitmap[victim] = False
+                        else:
+                            victim = None
+                    elif victim in over and over[victim][1] == seq:
+                        overflow.discard(victim)
+                        del over[victim]
+                    else:
+                        victim = None
+                if victim is None:
+                    # The top record was stale, or there is none:
+                    # evict_one carries on — skips the stale ones,
+                    # rebuilds a drained queue.
+                    self._age, self._size = age, size
+                    victim = self.evict_one()
+                prefetched.discard(victim)
+                age += 1
+                evictions += 1
+            else:
+                size += 1
+            if in_range:
+                bitmap[key] = True
+                expiry_of[key] = age + speed
+                seq_of[key] = next_seq
+            else:
+                overflow.add(key)
+                over[key] = (age + speed, next_seq)
+            next_seq += 1
+
+        try:
+            for index in range(len(keys) // length):
+                start = index * length
+                chunk = keys[start:start + length]
+                for position, key in enumerate(chunk, start):
+                    in_range = 0 <= key < key_space
+                    if bitmap[key] if in_range else key in over:
+                        if key in prefetched:
+                            prefetched.discard(key)
+                            prefetch_hits += 1
+                        if in_range:
+                            expiry_of[key] = age + speed
+                            seq_of[key] = next_seq
+                        else:
+                            over[key] = (age + speed, next_seq)
+                        next_seq += 1
+                    else:
+                        missed.append(position)
+                        admit(key, in_range)
+                if bits is not None:
+                    last: Dict[int, int] = {}
+                    for key, bit in zip(chunk, bits[index]):
+                        if bit >= 0:
+                            last.pop(key, None)  # re-insert: last position
+                            last[key] = bit
+                    for key, bit in last.items():
+                        in_range = 0 <= key < key_space
+                        if not (bitmap[key] if in_range else key in over):
+                            continue
+                        if bit:
+                            expiry, seq = age + speed + 1, next_seq
+                            next_seq += 1
+                        else:
+                            min_seq -= 1
+                            expiry, seq = age, min_seq
+                            victims = self._victims
+                            if victims is not None:
+                                # _push_demoted's bound, one key at a time.
+                                if len(victims) >= queue_bound:
+                                    self._victims = None
+                                else:
+                                    victims.append([key, seq])
+                        if in_range:
+                            expiry_of[key] = expiry
+                            seq_of[key] = seq
+                        else:
+                            over[key] = (expiry, seq)
+                if preds is not None:
+                    room = budget
+                    for key in preds[index]:
+                        if room <= 0:
+                            break
+                        in_range = 0 <= key < key_space
+                        if bitmap[key] if in_range else key in over:
+                            continue
+                        room -= 1
+                        issued += 1
+                        admit(key, in_range)
+                        prefetched.add(key)
+        finally:
+            self._age, self._size = age, size
+            self._next_seq, self._min_seq = next_seq, min_seq
+        return (np.asarray(missed, dtype=np.int64), prefetch_hits,
+                evictions, issued)
+
     def serve_segment(self, segment: np.ndarray, priority: int
                       ) -> Optional[Tuple[int, np.ndarray, np.ndarray]]:
         """Bulk exact demand-serve of a maximal segment prefix (dense

@@ -22,11 +22,17 @@ falling back to ``config.buffer_impl``; see :mod:`repro.cache.buffer`):
   stores it — decision-for-decision and state-identical to the scalar
   audit loop (the buffer refuses any segment where bulk reclaim could
   diverge, and the engine splits or falls back).  Segments of at most
-  ``_SCALAR_FALLBACK`` keys — the 15-key model chunks of :meth:`run`
-  — skip the bulk call, whose fixed cost they cannot amortise, for the
-  scalar loop itself, which the dense buffer's victim queue makes
-  amortised O(1) per eviction.  Dict mode keeps the lazy-heap bulk
-  pre-pass, likewise bit-identical.
+  ``_SCALAR_FALLBACK`` keys skip the bulk call, whose fixed cost they
+  cannot amortise, for the scalar loop itself, which the dense
+  buffer's victim queue makes amortised O(1) per eviction.  The 15-key
+  model chunks of :meth:`run` do not reach the engine one by one at
+  all: with no priority provider active, one
+  :meth:`~repro.cache.buffer.FastPriorityBuffer.serve_chunks` pass runs
+  serve -> caching bits -> prefetches for the whole block.  Every other
+  run (``reference``, clock, sharded, dict mode, provider active,
+  ``fast_serve=False``) keeps the per-chunk triple, which is that
+  pass's oracle.  Dict mode keeps the lazy-heap bulk pre-pass,
+  likewise bit-identical.
 * ``"reference"`` — exact O(n) audit backend; always served through the
   scalar loop.
 * ``"clock"`` — approximate array-backed CLOCK; ``fast_serve`` switches
@@ -958,7 +964,10 @@ class RecMGManager:
         buffer, whose victim order (and hence hit stream) legitimately
         differs from the scalar loop.  The ``"reference"`` backend
         always runs the audit loop.  Sharded buffers route shard-wise
-        (:meth:`_serve_demand_sharded`).
+        (:meth:`_serve_demand_sharded`).  Between model barriers the
+        dense exact engine runs the chunk loop (serve, caching bits,
+        prefetches) as one fused buffer pass; everywhere else that
+        loop runs chunk by chunk, and is the pass's oracle.
         ``record_decisions`` additionally stores the per-access hit
         booleans in :attr:`last_decisions` (every engine records).
         """
@@ -981,7 +990,9 @@ class RecMGManager:
         if num_chunks and ((self.caching_model is not None
                             and not use_provider)
                            or self.prefetch_model is not None):
-            chunks = self.encoder.encode_chunks(trace)
+            # The dense ids are in hand: cut them, not the trace again.
+            chunks = self.encoder.encode_dense_chunks(
+                dense[:num_chunks * length])
             if self.caching_model is not None and not use_provider:
                 parts = [self.caching_model.predict(
                             chunks, sel=np.arange(lo, min(lo + inference_batch,
@@ -1004,6 +1015,18 @@ class RecMGManager:
             # large blocks to amortize the bulk pass's per-segment
             # setup — sinking each block when a provider is active.
             tail = 0
+        elif (serve == self._serve_demand_batched_exact and not use_provider
+              and length <= self._SCALAR_FALLBACK):
+            # The exact engine's scalar regime, fused: one buffer pass
+            # runs the loop below for every chunk.
+            tail = num_chunks * length
+            missed, pf_hits, evicted, issued = self.buffer.serve_chunks(
+                dense[:tail], length, bits_all, preds_all,
+                self.config.eviction_speed,
+                self.config.max_prefetch_per_chunk, self._prefetched)
+            self.evictions += evicted
+            self.prefetches_issued += issued
+            self._account_segment(dense[:tail], missed, pf_hits)
         else:
             for chunk_idx in range(num_chunks):
                 start = chunk_idx * length

@@ -107,7 +107,9 @@ def apply_caching_bits(buffer, keys: np.ndarray, bits: np.ndarray,
     order; friendly/averse seqnos live in disjoint positive/negative
     ranges, so cross-class interleaving never affects eviction order).
     Blocks of at most :data:`~repro.cache.buffer.SCALAR_FALLBACK` keys
-    — the 15-key model chunks of ``run()`` — run exactly that loop;
+    run exactly that loop (``run()``'s model chunks too, wherever they
+    are served chunk by chunk; the dense exact engine writes the same
+    state inside ``FastPriorityBuffer.serve_chunks``);
     longer ones its vectorized form, one ``contains_batch`` residency
     gather classifying the block and the classes landing via
     ``set_priority_batch`` / ``demote_batch``: the same state on every
@@ -132,7 +134,7 @@ def apply_caching_bits(buffer, keys: np.ndarray, bits: np.ndarray,
     the global form — shards share no state, and within a shard the
     friendly/averse subsequences are exactly the global ones.
 
-    Shared by the manager's offline chunk pass, the provider sink and
+    Shared by the manager's per-chunk loop, the provider sink and
     :class:`repro.dlrm.inference.BufferClassifier` — one applier, every
     caller, the form chosen by block length alone.
     """
