@@ -166,12 +166,15 @@ def test_exact_serving_throughput(perf_trace, perf_budget, benchmark,
     membership with a per-key dict sweep and paid per-miss heap pops.
     The dense (``key_space``) mode serves through
     :meth:`~repro.cache.buffer.FastPriorityBuffer.serve_segment` — one
-    residency gather, one vectorized victim selection and one bulk
-    scatter per served prefix — and must be at least 2x the dict-mode
-    engine measured side by side (measured ~2.5-2.8x; absolute numbers
-    in ROADMAP's hot-path table), while remaining *decision-for-decision
-    identical*: both are compared against each other and the scalar
-    audit loop below.
+    residency gather, one victim selection over the priority-zero pool
+    (iterated to a fixed point when victims re-miss later in the
+    block) and one bulk scatter per block, one call per block unless a
+    rare trim applies (``serve_calls_per_block``, recorded ungated) —
+    and must be at least 3x the dict-mode engine measured side by side
+    (measured ~5.6x; ~2.5-2.8x while every re-miss ended the served
+    prefix; absolute numbers in ROADMAP's hot-path table), while
+    remaining *decision-for-decision identical*: both are compared
+    against each other and the scalar audit loop below.
     """
     config = RecMGConfig()
     encoder = FeatureEncoder(config).fit(perf_trace)
@@ -186,22 +189,32 @@ def test_exact_serving_throughput(perf_trace, perf_budget, benchmark,
     dense_seconds, (_, dense) = _timed(lambda: serve("auto"), repeats=3)
     dict_seconds, (_, dict_stats) = _timed(lambda: serve(None), repeats=3)
     assert dense == dict_stats
-    # Decision streams (one recorded run each) must match exactly.
-    dense_manager, _ = serve("auto", record=True)
+    # Decision streams (one recorded run each) must match exactly; the
+    # dense one also counts its bulk calls.
+    dense_manager = RecMGManager(steady, encoder, config,
+                                 buffer_impl="fast", key_space="auto")
+    bulk, calls = dense_manager.buffer.serve_segment, []
+    dense_manager.buffer.serve_segment = (
+        lambda segment, priority: calls.append(1) or bulk(segment, priority))
+    dense_manager.run(perf_trace, record_decisions=True)
     dict_manager, _ = serve(None, record=True)
     assert np.array_equal(dense_manager.last_decisions,
                           dict_manager.last_decisions)
+    blocks = -(-PERF_ACCESSES // dense_manager._SERVE_BLOCK)
     record_hotpath("manager_serving_steady_exact_dense", PERF_ACCESSES,
                    dense_seconds, ref_seconds=dict_seconds,
-                   hit_rate=dense.hit_rate, gated=True)
+                   hit_rate=dense.hit_rate,
+                   serve_calls_per_block=len(calls) / blocks, gated=True)
     rows = _report("Manager demand serving throughput "
                    "(steady state, dense exact engine vs dict engine)",
                    dense_seconds, dict_seconds)
+    print(f"serve_segment calls per {dense_manager._SERVE_BLOCK}-key block: "
+          f"{len(calls) / blocks:.2f}")
     if perf_budget > 0:
         speedup = dict_seconds / dense_seconds
-        assert speedup >= 2.0, (
+        assert speedup >= 3.0, (
             f"batched exact serving is only {speedup:.2f}x the dict-mode "
-            f"engine (contract: >= 2x at a steady 20% buffer)")
+            f"engine (contract: >= 3x at a steady 20% buffer)")
     benchmark(lambda: rows)
 
 

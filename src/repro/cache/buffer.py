@@ -42,7 +42,9 @@ Three interchangeable backends implement the buffer protocol
   (identical, victim for victim, to ``n`` scalar ``evict_one`` calls
   — fuzz-checked in ``tests/test_buffer_differential.py``), and
   :meth:`FastPriorityBuffer.serve_segment` bulk-serves a whole demand
-  segment bit-identically to the scalar serving loop.  Scalar
+  segment in one call, bit-identically to the scalar serving loop —
+  a victim the segment touches later re-misses inside the call, the
+  victim choice and the miss set solved together as a fixed point.  Scalar
   ``evict_one`` is exact at amortised O(1) too: a persistent *victim
   queue* — the smallest-seqno priority-zero entries below every live
   entry's seqno, gathered once and popped across calls, demotes pushed
@@ -193,7 +195,8 @@ def _first_touch_mask(scratch: np.ndarray, arr: np.ndarray) -> np.ndarray:
     The reversed scatter leaves each key's *first* position (duplicate
     indices: last write wins — pinned by a regression test), so the
     positions agreeing with the map are the first touches.  The scratch
-    is written then read inside this one call and never cleared."""
+    is never cleared: afterwards it holds each ``arr`` key's first
+    position, and stale values for every other id."""
     idx = np.arange(arr.size, dtype=scratch.dtype)
     scratch[arr[::-1]] = idx[::-1]
     return scratch[arr] == idx
@@ -239,11 +242,12 @@ SCALAR_FALLBACK = 64
 def iter_serve_segments(buffer, segment: np.ndarray, priority: int,
                         scalar_span: int = SCALAR_FALLBACK):
     """Drive :meth:`FastPriorityBuffer.serve_segment` over a whole
-    segment, yielding one chunk per served prefix — the shared loop
-    under ``RecMGManager._serve_demand_batched_exact`` and
+    segment, yielding one chunk per served prefix (the whole segment
+    unless one of its rare trims applies) — the shared loop under
+    ``RecMGManager._serve_demand_batched_exact`` and
     ``dlrm.inference.BufferClassifier.access_batch``.
 
-    Yields ``("bulk", start, served, first_miss_positions, victims)``
+    Yields ``("bulk", start, served, miss_positions, victims)``
     for each bulk-served prefix (positions relative to ``start``) and
     ``("scalar", start, span)`` for the stretches the
     caller must replay through its own scalar loop: a ``scalar_span``
@@ -259,30 +263,26 @@ def iter_serve_segments(buffer, segment: np.ndarray, priority: int,
         if result is None:  # dict mode: no bulk primitive
             yield ("scalar", position, total - position)
             return
-        served, first_miss, victims = result
+        served, misses, victims = result
         if served == 0:
             span = min(scalar_span, total - position)
             yield ("scalar", position, span)
             position += span
             continue
-        yield ("bulk", position, served, first_miss, victims)
+        yield ("bulk", position, served, misses, victims)
         position += served
 
 
 def _exact_victim_sequence(expiry: np.ndarray, seq: np.ndarray, age: int,
-                           count: int) -> Tuple[np.ndarray, Optional[int]]:
+                           count: int) -> np.ndarray:
     """Victim order of ``count`` consecutive exact evictions.
 
     Pure function over candidate entry arrays (one row per resident
     entry): eviction ``k`` happens at age ``age + k`` and removes the
     entry minimizing ``(max(0, expiry - (age + k)), seq)`` — exactly
     the process ``count`` scalar ``evict_one`` calls with no
-    interleaved stores would run.  Returns ``(indices, live_step)``:
-    ``indices`` selects the victims in eviction order; ``live_step`` is
-    the first step whose victim still held *positive* effective
-    priority (``None`` when every victim was zero at its step — the
-    precondition for :meth:`FastPriorityBuffer.serve_segment`'s
-    pre-reclaim proof).  The sequence is prefix-stable: the first ``k``
+    interleaved stores would run.  Returns the indices of the victims
+    in eviction order.  The sequence is prefix-stable: the first ``k``
     victims for any larger ``count`` are the victims of ``k``
     evictions.
 
@@ -304,7 +304,7 @@ def _exact_victim_sequence(expiry: np.ndarray, seq: np.ndarray, age: int,
         chosen = zidx[np.argsort(seq[zidx])]
         late = (~zero) & (expiry <= age + count - 1)
         if not late.any() or int(seq[late].min()) > int(seq[chosen[-1]]):
-            return chosen, None
+            return chosen
     # General path: entries "release" into the zero class when the age
     # reaches their expiry; each step pops the smallest released seqno,
     # or the (expiry, seq)-smallest live entry when nothing is released.
@@ -315,7 +315,6 @@ def _exact_victim_sequence(expiry: np.ndarray, seq: np.ndarray, age: int,
     released: List[Tuple[int, int]] = []
     ptr = 0
     total = int(order.size)
-    live_step: Optional[int] = None
     for k in range(count):
         limit = age + k
         while ptr < total and exp_sorted[ptr] <= limit:
@@ -324,11 +323,9 @@ def _exact_victim_sequence(expiry: np.ndarray, seq: np.ndarray, age: int,
         if released:
             out[k] = heapq.heappop(released)[1]
         else:
-            if live_step is None:
-                live_step = k
             out[k] = order[ptr]
             ptr += 1
-    return out, live_step
+    return out
 
 
 class PriorityBuffer:
@@ -606,8 +603,8 @@ class FastPriorityBuffer:
             self._over: Dict[int, Tuple[int, int]] = {}
             self._size = 0
             # Reusable id -> segment-position map for serve_segment's
-            # linear first/last-occurrence scatters (never reset: only
-            # freshly written slots are read back).
+            # linear first/last-occurrence scatters (never reset: a
+            # slot read back is fresh or checked against the segment).
             self._scratch_pos = np.empty(self._key_space, dtype=np.int64)
             # Victim queue of :meth:`_evict_one_dense`: ``[key, seqno]``
             # records, or None until a scalar eviction builds it.
@@ -938,66 +935,6 @@ class FastPriorityBuffer:
         self._next_seq = max(self._next_seq, int(seq_arr.max()) + 1)
         self._min_seq = min(self._min_seq, int(seq_arr.min()))
 
-    @staticmethod
-    def _choose_zero_victims(expiry: np.ndarray, seq: np.ndarray,
-                             protect: np.ndarray, age: int,
-                             count: int) -> np.ndarray:
-        """Greedy victim choice for :meth:`serve_segment`: up to
-        ``count`` candidate indices from the effective-priority-zero
-        pool in ascending seqno order, where the victim of step ``j``
-        must satisfy ``protect > j`` (its first in-segment touch, if
-        any, comes after eviction ``j`` fires).
-
-        Equivalent to the scalar loop's choice at every step: the
-        zero-class victim is the smallest seqno not yet refreshed by
-        the segment, and a candidate skipped once is refreshed for all
-        later steps too.  Runs one ``argsort`` over the pool plus a
-        short walk over its *protected* members only — unprotected runs
-        between them are assigned wholesale.  A result shorter than
-        ``count`` means the pool ran dry at that step.
-        """
-        pool = np.flatnonzero(expiry <= age)
-        # The greedy needs at most `count` assignments plus however
-        # many protected members get skipped, so only the smallest
-        # (count + protected) seqnos can matter — partition those out
-        # before the (much smaller) sort.
-        depth = count + int(np.count_nonzero(protect[pool] < count))
-        if depth < pool.size:
-            pool = pool[np.argpartition(seq[pool], depth - 1)[:depth]]
-        pool = pool[np.argsort(seq[pool])]
-        pool_prot = protect[pool]
-        prot_positions = np.flatnonzero(pool_prot < count)
-        if not prot_positions.size:
-            return pool[:count]
-        assigned = 0
-        cursor = 0
-        cut = None
-        skipped: List[int] = []
-        for position in prot_positions.tolist():
-            gap = position - cursor
-            if assigned + gap >= count:
-                cut = cursor + (count - assigned)
-                break
-            assigned += gap
-            if int(pool_prot[position]) > assigned:
-                assigned += 1
-                if assigned == count:
-                    cut = position + 1
-                    break
-            else:
-                skipped.append(position)
-            cursor = position + 1
-        if cut is None:
-            tail = pool.size - cursor
-            cut = (cursor + (count - assigned)
-                   if assigned + tail >= count else int(pool.size))
-        kept = [position for position in skipped if position < cut]
-        if not kept:
-            return pool[:cut]
-        mask = np.ones(cut, dtype=bool)
-        mask[kept] = False
-        return pool[:cut][mask]
-
     def _remove_victims_dense(self, victims: np.ndarray, count: int) -> None:
         """Drop ``victims`` (residency + spillover entries) and apply
         the ``count`` aging steps their evictions carry."""
@@ -1075,7 +1012,7 @@ class FastPriorityBuffer:
 
     def _evict_batch_dense(self, count: int) -> List[int]:
         keys, expiry, seq = self._gather_entries()
-        order, _ = _exact_victim_sequence(expiry, seq, self._age, count)
+        order = _exact_victim_sequence(expiry, seq, self._age, count)
         victims = keys[order]
         self._remove_victims_dense(victims, count)
         return victims.tolist()
@@ -1134,7 +1071,7 @@ class FastPriorityBuffer:
             pool = pool[seq[pool] < seq[~zero].min()]
         if not pool.size:
             self._victims = None
-            order, _ = _exact_victim_sequence(expiry, seq, self._age, 1)
+            order = _exact_victim_sequence(expiry, seq, self._age, 1)
             return int(keys[order[0]])
         if pool.size > _VICTIM_QUEUE:
             pool = pool[np.argpartition(seq[pool], _VICTIM_QUEUE - 1)
@@ -1305,8 +1242,7 @@ class FastPriorityBuffer:
 
     def serve_segment(self, segment: np.ndarray, priority: int
                       ) -> Optional[Tuple[int, np.ndarray, np.ndarray]]:
-        """Bulk exact demand-serve of a maximal segment prefix (dense
-        mode only).
+        """Bulk exact demand-serve of a segment (dense mode only).
 
         State- and decision-equivalent to the scalar serving loop::
 
@@ -1316,39 +1252,56 @@ class FastPriorityBuffer:
                     if buffer.is_full: buffer.evict_one()
                     buffer.insert(key, priority)
 
-        Returns ``None`` in dict mode, else ``(served, first_miss_positions,
+        Returns ``None`` in dict mode, else ``(served, miss_positions,
         victims)`` — the one result shape :meth:`ClockBuffer.serve_segment`
         and the shard views share: how many leading accesses were
-        served, the positions (within the served prefix) of each
-        distinct non-resident key's first occurrence — the prefix's
-        only misses — and the victim keys in eviction order (an int64
-        array).  ``served`` can fall short of the segment when
-        bulk reclaim would stop being exact mid-segment; it is 0 (and
-        nothing is mutated) only when not even the first access can be
-        bulk-served — callers then serve a short slice through the
-        scalar loop and try again.
+        served, the ascending positions of the served prefix's misses
+        and the victim keys in eviction order (an int64 array).  Every
+        miss is a distinct key's first occurrence: the key was not
+        resident at the start, or it was evicted before its first touch
+        (a *re-miss* — so a victim may be a key of the served prefix);
+        no key is evicted after its first touch, so callers account
+        one miss per listed position and hits everywhere else.
+        ``served`` is the whole segment unless one of the rare trims
+        below applies; it is 0 (and nothing is mutated) only when not
+        even the first access can be bulk-served — callers then serve a
+        short slice through the scalar loop and try again.
 
-        Why pre-reclaiming a prefix is exact: every in-segment store
-        uses the same ``priority`` and draws a seqno above every
-        pre-segment seqno, and eviction ``k`` happens at age
-        ``_age + k`` regardless of how hits interleave with misses.  A
-        victim that (a) holds effective priority zero at its step and
-        (b) has not been touched by the prefix before that step
-        therefore beats every segment-touched entry (smaller seqno
-        within the zero class) and every live entry (zero effective
-        priority) no matter where the prefix's hits land — the victim
-        sequence, and with it every hit/miss decision, matches the
-        scalar loop bit for bit.  Candidates the segment touches
-        *before* an eviction are handled the way the scalar loop would:
-        the refresh protects them, so victim selection skips them for
-        that step onward (:meth:`_choose_zero_victims`).  The prefix is
-        trimmed only where bulk selection genuinely cannot stand behind
-        the outcome: at the first eviction that would need a
-        mid-segment priority release or a positive-priority pop, or at
-        the first re-access of a key evicted earlier in the segment
-        (that access must re-miss, so the snapshot dies there — the
-        eviction itself stays inside the prefix, serving right up to
-        the offending access).
+        Why it is exact.  Every in-segment store uses the same
+        ``priority`` and draws a seqno above every pre-segment seqno,
+        and eviction ``j`` fires right before the ``(free + 1 + j)``-th
+        miss, at age ``_age + j``, however hits interleave.  So while
+        the *pool* — the entries at effective priority zero at the
+        start — still holds an entry the segment has not touched yet,
+        the smallest-seqno such entry is the scalar loop's victim: it
+        beats every touched or stored entry (smaller seqno) and every
+        live one (zero priority).  The victims are then a greedy walk
+        over the pool in seqno order, where a candidate is eligible for
+        eviction ``j`` while fewer than ``j + 1`` evictions fire before
+        its first touch.  That count depends on the misses, and the
+        misses on the victims: a miss set ``M`` fixes the evictions,
+        the walk picks victims ``V(M)``, and those imply the misses
+        ``F | touches(V(M))`` (``F``: first touches of keys not
+        resident at the start).  The scalar loop's misses are a fixed
+        point of that map — and every fixed point is a consistent run
+        of the deterministic scalar loop, so there is only one.  The
+        map is monotone: added misses only add eviction positions, and
+        the greedy then has evicted a superset at every position
+        (induction over the positions: a victim of the smaller set is
+        either gone already or still the smallest eligible entry).
+        Iterating from ``F`` therefore climbs to the least fixed point,
+        the scalar loop's misses, adding at least one re-miss per round
+        until nothing changes.
+
+        The trims that remain, each rare: a segment holding more
+        distinct keys than the buffer has slots is served up to the
+        first first-touch that no longer fits; and the prefix ends
+        right before the first eviction the pool cannot answer —
+        because it ran dry (the victim would be a mid-segment release
+        or a live entry), or because a live entry with an older seqno
+        than a chosen victim ripens mid-call and could preempt it.  The
+        walk is prefix-stable, so a prefix of the fixed point is the
+        fixed point of the prefix: trimming recomputes nothing.
         """
         if self.residency is None:
             return None
@@ -1362,9 +1315,10 @@ class FastPriorityBuffer:
         capacity = self.capacity
         dense_seg = bool(arr.min() >= 0 and arr.max() < self._key_space)
         if dense_seg:
-            # Linear segment indexing on the reusable scratch map.
-            # ``uniq`` comes out in first-touch order, not sorted;
-            # nothing below relies on sortedness.
+            # Linear segment indexing on the reusable scratch map, which
+            # is left holding each segment key's first position for the
+            # touch lookup below.  ``uniq`` comes out in first-touch
+            # order, not sorted.
             first_mask = _first_touch_mask(self._scratch_pos, arr)
             first_idx = np.flatnonzero(first_mask)
             uniq = arr[first_idx]
@@ -1388,89 +1342,108 @@ class FastPriorityBuffer:
             uniq = uniq[keep]
             first_idx = first_idx[keep]
             res_u = res_u[keep]
-        new_u = ~res_u
-        new_count = int(np.count_nonzero(new_u))
-        n_evict = max(0, size0 + new_count - capacity)
+        fresh = first_idx[~res_u]
+        if not dense_seg:
+            fresh = np.sort(fresh)
+        misses = fresh
+        free = capacity - size0
+        evict_positions = misses[free:]
         victims = empty
-        evict_positions = empty
-        if n_evict:
+        if evict_positions.size:
             keys, expiry, seq = self._gather_entries()
-            # Eviction j fires right before the (free + 1 + j)-th
-            # first-touch insert.  (Dense-path first_idx is already in
-            # ascending position order; np.unique's is in key order.)
-            first_miss_all = first_idx[new_u]
-            if not dense_seg:
-                first_miss_all = np.sort(first_miss_all)
-            evict_positions = first_miss_all[capacity - size0:]
-            # Per-candidate protection: a resident candidate first
-            # touched by the segment at position t is refreshed (new
-            # seqno above every pre-segment one) before any eviction
-            # firing after t, so it is eligible as the victim of
-            # eviction j only while j < protect — the count of
-            # evictions firing before its touch.  Untouched candidates
-            # carry protect = n_evict (always eligible).  Matching runs
-            # over the (smaller) distinct-key side: the in-range
-            # candidate ids are sorted, so each resident segment key
-            # finds its candidate slot with one searchsorted — unless
-            # spillover candidates could match (rare), which falls back
-            # to scanning the candidate side.
-            touch = np.full(keys.size, length, dtype=np.int64)
-            protect = np.full(keys.size, n_evict, dtype=np.int64)
-            is_seg = np.zeros(keys.size, dtype=bool)
-            res_sel = np.flatnonzero(~new_u)
-            if res_sel.size:
-                res_keys = uniq[res_sel]
-                if dense_seg or not self._over:
-                    # In-range candidates lead the gather in sorted id
-                    # order; spillover candidates (out-of-range ids)
-                    # can never equal an in-range segment key.
-                    limit = keys.size - len(self._over)
-                    slot = np.minimum(np.searchsorted(keys[:limit],
-                                                      res_keys),
-                                      keys.size - 1)
-                    matched = keys[slot] == res_keys
-                    cand = slot[matched]
-                else:
-                    sorted_order = np.argsort(keys)
-                    pos = np.minimum(
-                        np.searchsorted(keys[sorted_order], res_keys),
-                        keys.size - 1)
-                    matched = keys[sorted_order[pos]] == res_keys
-                    cand = sorted_order[pos[matched]]
-                is_seg[cand] = True
-                touch[cand] = first_idx[res_sel[matched]]
-                protect[cand] = np.searchsorted(
-                    evict_positions, touch[cand], side="right")
-            chosen = self._choose_zero_victims(expiry, seq, protect,
-                                               age0, n_evict)
+            pool = np.flatnonzero(expiry <= age0)
+            # Each pool entry's first in-segment touch (``length``: none).
+            pool_keys = keys[pool]
+            touch = np.full(pool.size, length, dtype=np.int64)
+            if dense_seg:
+                # In-range ids lead the gather (spillover ones cannot be
+                # segment keys).  The scratch map is never cleared, so an
+                # id the segment lacks reads a stale value: the bounds
+                # check and the key check reject it.
+                inside = int(np.searchsorted(pool,
+                                             keys.size - len(self._over)))
+                ids = pool_keys[:inside]
+                pos = self._scratch_pos[ids]
+                ok = (pos >= 0) & (pos < length)
+                ok[ok] = arr[pos[ok]] == ids[ok]
+                touch[:inside][ok] = pos[ok]
+            else:
+                slot = np.minimum(np.searchsorted(uniq, pool_keys),
+                                  uniq.size - 1)
+                ok = uniq[slot] == pool_keys
+                touch[ok] = first_idx[slot[ok]]
+            # The walk takes one pool entry per eviction or per skipped
+            # (touched) candidate, and a re-miss turns a skip into one
+            # more eviction — so only the smallest (evictions + touched)
+            # seqnos can matter: partition those out before the sort.
+            depth = min(int(pool.size), int(evict_positions.size)
+                        + int(np.count_nonzero(touch < length)))
+            if depth < pool.size:
+                part = np.argpartition(seq[pool], depth - 1)[:depth]
+                pool, touch = pool[part], touch[part]
+            order = np.argsort(seq[pool])
+            pool, touch = pool[order], touch[order]
+            cand = np.flatnonzero(touch < length)
+            cand_touch = touch[cand]
+            remisses = empty
+            while True:
+                count = int(evict_positions.size)
+                # Evictions firing before each touched candidate's touch:
+                # it is eligible for steps below that.  Untouched and
+                # late-touched candidates are assigned wholesale between
+                # the protected ones.
+                level = np.searchsorted(evict_positions, cand_touch)
+                guarded = level < count
+                assigned = cursor = 0
+                cut = None
+                skipped: List[int] = []
+                for position, bound in zip(cand[guarded].tolist(),
+                                           level[guarded].tolist()):
+                    gap = position - cursor
+                    if assigned + gap >= count:
+                        cut = cursor + count - assigned
+                        break
+                    assigned += gap
+                    if bound > assigned:
+                        assigned += 1
+                        if assigned == count:
+                            cut = position + 1
+                            break
+                    else:
+                        skipped.append(position)
+                    cursor = position + 1
+                if cut is None:
+                    # Fewer than ``count`` when the pool runs dry.
+                    cut = min(depth, cursor + count - assigned)
+                taken = np.ones(cut, dtype=bool)
+                taken[skipped] = False
+                picked = cand < cut
+                picked[picked] = taken[cand[picked]]
+                found = cand_touch[picked]
+                # Monotone: the re-misses only grow, so an unchanged
+                # count is the fixed point.
+                if found.size == remisses.size:
+                    break
+                remisses = found
+                misses = np.sort(np.concatenate((fresh, remisses)))
+                evict_positions = misses[free:]
+            chosen = pool[np.flatnonzero(taken)]
             trim = length
-            if chosen.size < n_evict:
-                # The priority-zero pool (with protection skips) ran
-                # dry: later victims would need mid-segment priority
-                # releases or positive-priority pops — stop before the
-                # first eviction bulk selection cannot stand behind.
+            if chosen.size < count:
+                # The pool ran dry: stop before the first eviction it
+                # cannot answer.
                 trim = int(evict_positions[chosen.size])
             if chosen.size:
-                # A still-live entry whose priority ripens mid-batch
-                # can preempt with an older seqno; stop before the
-                # first eviction it could reach (conservative, rare).
-                late = (expiry > age0) & (expiry <= age0 + n_evict - 1)
+                # A still-live entry whose priority ripens mid-call can
+                # preempt with an older seqno; stop before the first
+                # eviction it could reach (conservative, rare).
+                late = (expiry > age0) & (expiry <= age0 + count - 1)
                 if late.any():
-                    smax = int(seq[chosen[-1]])
-                    inter = late & (seq < smax)
+                    inter = late & (seq < seq[chosen[-1]])
                     if inter.any():
                         release = int((expiry[inter] - age0).min())
                         trim = min(trim, int(evict_positions[release]))
-                # A victim evicted before its only touch must re-miss
-                # at that touch: serve right up to it (the eviction
-                # itself stays inside the prefix).
-                chosen_seg = is_seg[chosen]
-                if chosen_seg.any():
-                    trim = min(trim, int(touch[chosen[chosen_seg]].min()))
             if trim < length:
-                # The protected-greedy selection is prefix-stable, so
-                # the trimmed prefix's analysis is a slice of the full
-                # one — no recomputation.
                 if trim == 0:
                     return 0, empty, empty
                 length = trim
@@ -1478,17 +1451,15 @@ class FastPriorityBuffer:
                 keep = first_idx < length
                 uniq = uniq[keep]
                 first_idx = first_idx[keep]
-                new_u = new_u[keep]
-                new_count = int(np.count_nonzero(new_u))
-                n_evict = max(0, size0 + new_count - capacity)
-                evict_positions = evict_positions[:n_evict]
+                misses = misses[:np.searchsorted(misses, length)]
+                evict_positions = evict_positions[
+                    :np.searchsorted(evict_positions, length)]
+            n_evict = int(evict_positions.size)
             if n_evict:
                 # Advances _age to age0 + n_evict; the store expiries
                 # below use the per-position interleaved ages.
                 victims = keys[chosen[:n_evict]]
                 self._remove_victims_dense(victims, n_evict)
-            else:
-                victims = empty
         base = self._next_seq
         if dense_seg:
             # Forward scatter: each key's map entry ends at its *last*
@@ -1500,7 +1471,7 @@ class FastPriorityBuffer:
         else:
             _, last_pos = _last_occurrence(arr)
         seq_vals = base + last_pos
-        if n_evict:
+        if victims.size:
             indicator = np.zeros(length, dtype=np.int64)
             indicator[evict_positions] = 1
             store_age = age0 + np.cumsum(indicator)
@@ -1525,9 +1496,9 @@ class FastPriorityBuffer:
                     seq_vals[spill].tolist()):
                 over[spill_key] = (spill_exp, spill_seq)
             self.residency.add_batch(uniq)
-        self._size += new_count
+        self._size += int(misses.size)
         self._next_seq = base + length
-        return length, first_idx[new_u], victims
+        return length, misses, victims
 
     def _pop_valid(self, heap: List[Tuple[int, int, int, int]],
                    zero: bool) -> Optional[int]:
@@ -1934,8 +1905,8 @@ class ClockBuffer:
         ``avoid`` (optional) *protects* the given keys: the sweep
         harvests and ages as if their slots were not there, so none of
         them is ever a victim — the clock analogue of the exact
-        engine's protection-aware victim selection
-        (:meth:`FastPriorityBuffer._choose_zero_victims`), and the
+        engine's protection-aware walk over its priority-zero pool
+        (:meth:`FastPriorityBuffer.serve_segment`), and the
         reclaim :meth:`serve_segment` runs for the segment it serves.
         At least ``n`` non-protected entries must be resident
         (``RuntimeError`` otherwise, before anything is mutated).

@@ -644,13 +644,13 @@ class RecMGManager:
         decision-for-decision and state-identical to the scalar loop.
 
         :meth:`~repro.cache.buffer.FastPriorityBuffer.serve_segment`
-        resolves a maximal segment prefix with one residency gather,
-        one vectorized victim-sequence selection and one bulk store,
-        trimming exactly where bulk reclaim would stop matching the
-        interleaved scalar order (a reclaim victim touched by the
-        segment, a positive-priority victim, a segment wider than the
+        resolves the segment with one residency gather, one victim
+        selection over the priority-zero pool — iterated to a fixed
+        point when victims re-miss later in the segment — and one bulk
+        store, in one call unless a rare trim applies (the pool runs
+        dry, a live entry ripens mid-call, a segment wider than the
         buffer).  Serving a segment equals serving its pieces in
-        sequence, so the engine just loops over the served prefixes; a
+        sequence, so the engine loops over the served prefixes; a
         zero-length serve (not even the first access is bulk-servable)
         advances through a short scalar slice instead — as does, from
         the start, a segment no longer than :attr:`_SCALAR_FALLBACK`
@@ -848,11 +848,10 @@ class RecMGManager:
                     _, start, served, first_miss, victims = chunk
                     evicted += int(victims.size)
                     if prefetched:
+                        # Drop before consuming: a victim may be a key of
+                        # the prefix, evicted before its first touch and
+                        # re-missed there, and must score no prefetch hit.
                         prefetched.difference_update(victims.tolist())
-                        # A victim's in-prefix touch would have trimmed
-                        # the prefix before it, so victims never overlap
-                        # it: every tagged prefix key was resident and
-                        # hit.
                         pf_hits += self._consume_prefetch_tags(
                             sub[start:start + served])
                     if len(first_miss):
@@ -893,14 +892,17 @@ class RecMGManager:
         """Counters and decision recording for a bulk-served segment
         (the batched engines' epilogue; the store is the caller's job).
 
-        ``first_miss_pos`` holds the position of each distinct new
-        key's first occurrence (its only miss; later occurrences hit).
-        Prefetched keys are always resident (the tag is dropped on
-        eviction), so each one present in ``segment`` scores exactly
-        one prefetch hit.  The clock and sharded engines consume tags
-        chunk by chunk instead (a later chunk's eviction may drop a
-        tag whose key already hit) and pass the consumed count as
-        ``pf_hits``.
+        ``first_miss_pos`` holds the segment's miss positions, each a
+        distinct key's first occurrence — a key not resident when the
+        segment started, or one evicted before its first touch (a
+        re-miss); later occurrences hit.  Prefetched keys are always
+        resident (the tag is dropped on eviction), so the caller must
+        drop the tags of the segment's victims *before* this consume:
+        a re-missed key then scores no prefetch hit, and every other
+        tagged key present in ``segment`` exactly one.  The clock and
+        sharded engines consume tags chunk by chunk instead (a later
+        chunk's eviction may drop a tag whose key already hit) and
+        pass the consumed count as ``pf_hits``.
         """
         length = segment.size
         new_count = int(first_miss_pos.size)

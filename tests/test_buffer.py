@@ -638,24 +638,48 @@ class TestServeSegment:
         for key in a.keys():
             assert a.priority_of(key) == b.priority_of(key)
 
-    def test_partial_serve_stops_before_reaccess_of_victim(self):
-        """A key evicted mid-segment and re-accessed later forces a
-        prefix serve: the re-access must re-miss, so the bulk call
-        stops right before it and the next call re-misses it."""
+    def test_reaccess_of_victim_re_misses_in_the_same_call(self):
+        """A key evicted mid-segment and re-accessed later re-misses
+        inside the same call, and that miss's own eviction can take
+        the next later-touched key (a chain): 3 evicts 1, 1's re-miss
+        evicts 9 (2 was refreshed), 9's evicts 7 — one call, three
+        misses, and state equal to the scalar loop."""
+        a = FastPriorityBuffer(4, key_space=16)
+        b = FastPriorityBuffer(4, key_space=16)
+        for buf in (a, b):
+            buf.put_batch([1, 2, 9, 7], 0)
+        segment = np.array([3, 2, 1, 9, 2], dtype=np.int64)
+        decisions_b, victims_b = self._scalar(b, segment, 0)
+        served, misses, victims = a.serve_segment(segment, 0)
+        assert served == len(segment)
+        assert misses.tolist() == [0, 2, 3]
+        assert victims.tolist() == victims_b == [1, 9, 7]
+        assert decisions_b == [False, True, False, False, True]
+        assert sorted(a.keys()) == sorted(b.keys()) == [1, 2, 3, 9]
+        for key in a.keys():
+            assert a.priority_of(key) == b.priority_of(key)
+        assert a.evict_batch(4) == b.evict_batch(4)
+
+    def test_dry_pool_ends_the_prefix_at_the_eviction_it_cannot_answer(self):
+        """A re-miss whose eviction finds no untouched priority-zero
+        entry left (the victim would be a key the segment stored)
+        ends the served prefix right before that access; the next
+        call serves it."""
         a = FastPriorityBuffer(2, key_space=16)
         a.put_batch([1, 2], 1)
         a.evict_batch(2)  # age entries to zero quickly
         a.put_batch([1, 2], 0)
-        # Segment: 3 misses (evicts 1), then 1 re-accessed -> must stop
-        # before that access.
+        # 3 misses (evicts 1), 2 hits, 1 re-misses with only stored
+        # entries left to evict.
         segment = np.array([3, 2, 1, 2], dtype=np.int64)
-        served, first_miss, victims = a.serve_segment(segment, 0)
+        served, misses, victims = a.serve_segment(segment, 0)
         assert victims.tolist() == [1]
         assert served == 2
-        assert first_miss.tolist() == [0]
-        served2, first_miss2, _ = a.serve_segment(segment[served:], 0)
+        assert misses.tolist() == [0]
+        served2, misses2, victims2 = a.serve_segment(segment[served:], 0)
         assert served2 >= 1
-        assert 0 in first_miss2.tolist()  # the re-miss of key 1
+        assert 0 in misses2.tolist()  # the re-miss of key 1
+        assert victims2.tolist() == [3]
 
     def test_zero_serve_when_first_access_needs_unservable_eviction(self):
         """If even the first access cannot be bulk-served (its eviction

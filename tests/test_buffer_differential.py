@@ -42,6 +42,19 @@ behind the ``CompressedShardView`` s of a sharded buffer — one through
 ``evict_batch(needed, avoid=segment)`` → ``put_batch``), asserting
 equal results *and* bit-equal state after every step.
 
+A cascade differential
+(:func:`test_exact_serve_segment_cascades_match_scalar`) drives twin
+dense :class:`FastPriorityBuffer` s, one through ``serve_segment``, the
+other through the scalar serving loop, over segments shaped so that
+victims re-miss inside the same call and chain: decisions, victims and
+full state equal after every segment, a garbage-filled scratch map
+included, and one call serving the whole segment whenever the scalar
+loop evicted nothing but untouched priority-zero entries with no live
+entry ripening — so falling back to ending the prefix at a re-miss
+fails it.  The same re-miss meets prefetch tags on the manager's
+single and sharded exact engines and on ``BufferClassifier``
+(:func:`test_tagged_victim_re_miss_is_one_on_demand_miss`).
+
 An applier differential
 (:func:`test_caching_bit_applier_forms_leave_identical_state`) pins the
 two forms of ``serving.priorities.apply_caching_bits`` — the scalar
@@ -60,6 +73,7 @@ spillover path mid-serving.
 """
 
 import random
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -456,7 +470,230 @@ def test_victim_queue_stays_bounded_without_scalar_evictions():
 
 
 # ---------------------------------------------------------------------------
-# ClockBuffer.serve_segment vs the composed protocol it replaced.
+# FastPriorityBuffer.serve_segment: in-call re-miss cascades vs the scalar
+# loop.
+
+CASCADE_SEEDS = 200
+#: Dense universe of the cascade fuzz; ids outside it (negative ones and
+#: up to CASCADE_IDS) spill over into ``_over``.
+CASCADE_SPACE = 40
+CASCADE_IDS = 56
+#: What the cascade fuzz must reach (counted per served segment).
+CASCADE_CASES = ("whole", "whole_remiss", "whole_chain", "ripening",
+                 "trimmed", "wide", "spill", "demoted", "garbage")
+
+
+def _fast_state(buffer: FastPriorityBuffer):
+    """Everything a dense :class:`FastPriorityBuffer` is, short of its
+    scratch map and its victim queue (bulk serving never pops it)."""
+    return (buffer.residency.bitmap.tolist(), buffer._expiry_of.tolist(),
+            buffer._seq_of.tolist(), sorted(buffer._over.items()),
+            sorted(buffer.residency._overflow), buffer._age, buffer._size,
+            buffer._next_seq, buffer._min_seq)
+
+
+def _replay(buffer, segment, priority):
+    """The scalar serving loop on ``buffer``, instrumented.  Returns the
+    hit decisions, the victims, whether every victim held priority zero
+    at the start and was untouched when evicted, whether an entry live
+    at the start ripens before the last eviction, and counts: re-misses
+    (misses of keys resident at the start) and chains (evictions fired
+    *by* a re-miss whose victim re-misses later)."""
+    keys, prio, _ = buffer.export_state()
+    start = dict(zip(keys.tolist(), prio.tolist()))
+    touched: set = set()
+    decisions, victims, fired_by = [], [], []
+    clean = True
+    for key in segment:
+        hit = key in buffer
+        decisions.append(hit)
+        if hit:
+            buffer.set_priority(key, priority)
+        else:
+            if buffer.is_full:
+                victim = buffer.evict_one()
+                clean &= victim not in touched and start.get(victim) == 0
+                victims.append(victim)
+                fired_by.append(key)
+            buffer.insert(key, priority)
+        touched.add(key)
+    remissed = {key for key, hit in zip(segment, decisions)
+                if not hit and key in start}
+    ripens = any(0 < level <= len(victims) - 1 for level in start.values())
+    chains = sum(1 for key, victim in zip(fired_by, victims)
+                 if key in remissed and victim in remissed)
+    return decisions, victims, clean, ripens, len(remissed), chains
+
+
+def _bulk_serve(buffer, segment, priority):
+    """Serve ``segment`` through the shared ``iter_serve_segments``
+    driver (a zero-length serve advances one scalar access); returns
+    the decisions, the victims and the first call's served length."""
+    decisions, victims, first = [], [], None
+    arr = np.asarray(segment, dtype=np.int64)
+    for chunk in buffer_module.iter_serve_segments(buffer, arr, priority,
+                                                   scalar_span=1):
+        if chunk[0] == "scalar":
+            key = int(arr[chunk[1]])
+            decisions.append(key in buffer)
+            victims += _scalar_serve(buffer, [key], priority)
+            first = 0 if first is None else first
+            continue
+        _, _, served, misses, evicted = chunk
+        first = served if first is None else first
+        assert np.all(np.diff(misses) > 0) and evicted.dtype == np.int64
+        hits = np.ones(served, dtype=bool)
+        hits[misses] = False
+        decisions += hits.tolist()
+        victims += evicted.tolist()
+    return decisions, victims, first
+
+
+def _cascade_segment(rng: random.Random, buffer, capacity: int,
+                     ids: range):
+    """A segment shaped to cascade: ``"cascade"`` misses first, then the
+    oldest residents — the first victims — in age order, each re-miss
+    evicting the next; ``"mixed"`` draws residents and fresh ids at
+    random; ``"wide"`` holds more distinct keys than slots."""
+    keys, _, seq = buffer.export_state()
+    by_age = keys[np.argsort(seq)].tolist()
+    fresh = [key for key in ids if key not in buffer]
+    shape = rng.choice(["cascade", "cascade", "mixed", "wide"])
+    if shape == "cascade" and fresh:
+        segment = rng.sample(fresh, rng.randint(1, min(len(fresh),
+                                                        capacity)))
+        room = capacity - len(segment)
+        for key in by_age[:rng.randint(0, room)]:
+            segment.append(key)
+            if rng.random() < 0.2:
+                segment.append(rng.choice(segment))
+    elif shape == "wide":
+        segment = rng.sample(fresh + by_age,
+                             min(len(fresh) + len(by_age),
+                                 capacity + rng.randint(1, 4)))
+    else:
+        palette = rng.sample(by_age + fresh,
+                             min(capacity, len(by_age) + len(fresh)))
+        segment = [rng.choice(palette)
+                   for _ in range(rng.randint(1, 3 * capacity))]
+    return segment
+
+
+def _garbage_scratch(rng: random.Random, buffer, length: int) -> str:
+    """Fill the scratch map with what a never-cleared map may hold:
+    negative, huge or stale in-segment positions."""
+    kind = rng.choice(["clean", "negative", "huge", "stale"])
+    scratch = buffer._scratch_pos
+    seeded = np.random.default_rng(rng.randrange(1 << 30))
+    if kind == "negative":
+        scratch[:] = seeded.integers(-(1 << 62), 0, scratch.size)
+    elif kind == "huge":
+        scratch[:] = seeded.integers(1 << 40, 1 << 62, scratch.size)
+    elif kind == "stale":
+        scratch[:] = seeded.integers(0, length + 2, scratch.size)
+    return kind
+
+
+def _cascade_run(seed: int) -> Counter:
+    """One seeded sequence: twin dense fast buffers stirred alike (scalar
+    serves at priorities 0-9, demotes, evictions), then segments served
+    by ``serve_segment`` on one and the scalar loop on the other —
+    decisions, victims and full state equal after every segment, then
+    200 more victims equal.  Returns how often each case came up."""
+    rng = random.Random(9900 + seed)
+    capacity = rng.randint(2, 24)
+    ids = range(-3 if rng.random() < 0.5 else 0,
+                CASCADE_IDS if rng.random() < 0.5 else CASCADE_SPACE)
+    bulk = FastPriorityBuffer(capacity, key_space=CASCADE_SPACE)
+    scalar = FastPriorityBuffer(capacity, key_space=CASCADE_SPACE)
+    twins = (bulk, scalar)
+    stats: Counter = Counter()
+    for _ in range(10):
+        for _ in range(rng.randint(0, 3)):
+            roll = rng.random()
+            keys = [rng.choice(ids) for _ in range(rng.randint(1, capacity))]
+            if roll < 0.6:
+                level = rng.choice([0, 0, rng.randint(1, 9)])
+                for buffer in twins:
+                    _scalar_serve(buffer, keys, level)
+            elif roll < 0.85:
+                for buffer in twins:
+                    buffer.demote_batch([key for key in keys
+                                         if key in buffer])
+            elif len(scalar):
+                assert bulk.evict_one() == scalar.evict_one()
+        segment = _cascade_segment(rng, scalar, capacity, ids)
+        priority = rng.randint(1, 9)
+        stats["wide"] += len(set(segment)) > capacity
+        stats["spill"] += bool(bulk._over) or min(segment) < 0 \
+            or max(segment) >= CASCADE_SPACE
+        stats["demoted"] += scalar._min_seq < 0
+        stats["garbage"] += _garbage_scratch(rng, bulk,
+                                             len(segment)) != "clean"
+        decisions, victims, clean, ripens, remisses, chains = _replay(
+            scalar, segment, priority)
+        bulk_decisions, bulk_victims, first = _bulk_serve(bulk, segment,
+                                                          priority)
+        assert bulk_decisions == decisions
+        assert bulk_victims == victims
+        stats["ripening"] += ripens
+        if clean and not ripens:
+            # Nothing but the pool answered: one call serves it all, re-
+            # misses and chains included.
+            assert first == len(segment)
+            stats["whole"] += 1
+            stats["whole_remiss"] += remisses > 0
+            stats["whole_chain"] += chains > 0
+        stats["trimmed"] += first < len(segment)
+        assert _fast_state(bulk) == _fast_state(scalar)
+    for step in range(200):
+        key, level = 1000 + step, rng.randint(0, 3)  # a miss each
+        assert _scalar_serve(bulk, [key], level) == _scalar_serve(
+            scalar, [key], level)
+    return stats
+
+
+@pytest.mark.parametrize("seed", range(CASCADE_SEEDS))
+def test_exact_serve_segment_cascades_match_scalar(seed):
+    """Small buffers, priorities 1-9, demotes, live entries ripening
+    mid-call, re-miss chains, spillover ids in the segment and in
+    ``_over``, wider-than-capacity segments and a garbage-filled
+    scratch map: ``serve_segment`` matches the scalar loop decision
+    for decision, victim for victim and in full state."""
+    _cascade_run(seed)
+
+
+def test_exact_serve_segment_cascade_fuzz_covers_every_case():
+    """The cascade fuzz is not vacuous: across 40 of its seeds each case
+    it names comes up, and one-call serves include re-misses."""
+    stats = sum((_cascade_run(seed) for seed in range(40)), Counter())
+    assert all(stats[case] > 0 for case in CASCADE_CASES), stats
+    assert stats["whole_remiss"] >= 20, stats
+
+
+def test_exact_serve_segment_ignores_scratch_garbage():
+    """The touch lookup reads the scratch map for every pool entry, the
+    segment's keys or not: negative, huge and stale values must change
+    nothing against a fresh twin."""
+    rng = np.random.default_rng(3)
+    ids = rng.permutation(96)
+    # 32 residents at priority zero, a segment over 15 of them and 15
+    # fresh ids: evictions and re-misses, never more keys than slots.
+    segment = rng.choice(np.concatenate((ids[:15], ids[32:47])), 80)
+    outcomes = []
+    for fill in (None, -7, 1 << 62, "stale"):
+        buffer = FastPriorityBuffer(32, key_space=96)
+        buffer.put_batch(ids[:32], 0)
+        if fill == "stale":
+            buffer._scratch_pos[:] = np.arange(96) % segment.size
+        elif fill is not None:
+            buffer._scratch_pos[:] = fill
+        served, misses, victims = buffer.serve_segment(segment, 2)
+        outcomes.append((served, misses.tolist(), victims.tolist(),
+                         _fast_state(buffer)))
+    assert outcomes[0][0] == segment.size and outcomes[0][2]
+    assert all(outcome == outcomes[0] for outcome in outcomes)
+
 
 #: Fuzzed clock ids: below, inside and above the 20-id dense universe of
 #: the spillover mode (negative ids included — a bare gather would wrap
@@ -810,3 +1047,68 @@ def test_exact_serving_decision_equivalence(seed):
     remaining = len(s_buf)
     if remaining:
         assert b_buf.evict_batch(remaining) == s_buf.evict_batch(remaining)
+
+
+@pytest.mark.parametrize("engine", ["single", "sharded", "classifier"])
+def test_tagged_victim_re_miss_is_one_on_demand_miss(engine):
+    """A prefetch-tagged key at priority zero that the segment's first
+    miss evicts and a later access re-touches, inside one bulk call, is
+    one on-demand miss with no prefetch hit and no tag left: the
+    victims' tags drop before the segment's tags are consumed.  The
+    batched exact engine, a sharded exact shard and ``BufferClassifier``
+    (no tags, same re-miss), each against its scalar oracle — the same
+    set-up on the ``reference`` backend."""
+    from repro.core import RecMGConfig
+    from repro.core.features import FeatureEncoder
+    from repro.core.manager import RecMGManager
+    from repro.dlrm import BufferClassifier
+
+    tagged = 150
+    fill = np.arange(79)
+    # 160 misses and evicts `tagged` (demoted last: the smallest seqno);
+    # its re-miss evicts 4; the rest hit.  72 keys, all routed to shard
+    # 0 of the sharded buffer: past the engine's scalar cutoff.
+    segment = np.concatenate(([160, tagged], np.arange(5, 75)))
+    demoted = np.array([3, 4, tagged])
+    outcomes = []
+    for impl in ("fast", "reference"):
+        calls: list = []
+        if engine == "classifier":
+            server = BufferClassifier(80, buffer_impl=impl, priority=2,
+                                      key_space=400)
+            server.access_batch(np.append(fill, tagged))
+            server.buffer.demote_batch(demoted)
+            buffer = server.buffer
+        else:
+            config = RecMGConfig(eviction_speed=2)
+            server = RecMGManager(
+                80 if engine == "single" else 160, FeatureEncoder(config),
+                config, buffer_impl=impl, key_space=400,
+                num_shards=1 if engine == "single" else 2)
+            server.serve_batch(fill)
+            server._apply_prefetches(np.array([tagged]))
+            server._apply_caching_bits(demoted, np.zeros(3, dtype=np.int8))
+            assert server._prefetched == {tagged}
+            buffer = server.buffer
+        target = buffer.shards[0] if engine == "sharded" else buffer
+        bulk = getattr(target, "serve_segment", None)
+        if bulk is not None:
+            target.serve_segment = (lambda seg, prio, bulk=bulk:
+                                    calls.append(len(seg)) or bulk(seg, prio))
+        hits = (server.access_batch(segment) if engine == "classifier"
+                else server.serve_batch(segment))
+        counters = (None if engine == "classifier" else (
+            server.breakdown.cache_hits, server.breakdown.prefetch_hits,
+            server.breakdown.on_demand, server.evictions,
+            server.prefetches_useful, sorted(server._prefetched)))
+        state = sorted((key, buffer.priority_of(key)) for key in buffer.keys())
+        outcomes.append((hits.tolist(), counters, state,
+                         buffer.evict_batch(len(buffer)), calls))
+    fast, reference = outcomes
+    assert fast[:4] == reference[:4]
+    assert fast[4] == [segment.size]        # one bulk call served it all
+    assert fast[0] == [False, False] + [True] * (segment.size - 2)
+    if engine != "classifier":
+        _, prefetch_hits, on_demand, _, useful, tags = fast[1]
+        assert (prefetch_hits, useful, tags) == (0, 0, [])
+        assert on_demand == fill.size + 2
