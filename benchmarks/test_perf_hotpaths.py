@@ -697,16 +697,15 @@ def test_drifting_hot_band_rebalancing_lift(perf_budget, benchmark,
     benchmark(lambda: summary)
 
 
-def test_model_guided_serving(perf_budget, benchmark, record_hotpath):
-    """Model-in-the-loop serving (PR 8): hit-rate lift of the priority
-    providers over model-free serving, and the async provider's tail
-    latency staying off the inference hook.
+def test_model_guided_serving(benchmark, record_hotpath):
+    """Model-in-the-loop serving (PR 8): hit-rate lift of sync model
+    guidance over model-free serving, and what it costs in latency.
 
     Per scenario (:func:`repro.traces.model_guided_scenarios`: Zipf,
     hot-shard, multi-tenant — one shared seed-11 config), the first 30%
     of the trace trains a small :class:`CachingModel` on OPTgen labels;
-    the remaining 70% is served three ways on the clock backend at a
-    20% buffer:
+    the remaining 70% is served two ways on the clock backend at a 20%
+    buffer:
 
     * ``priority_mode="none"`` — the model-free baseline (bit-identical
       to the provider-free engines);
@@ -714,36 +713,19 @@ def test_model_guided_serving(perf_budget, benchmark, record_hotpath):
       is deterministic, so ``sync > none`` is asserted unconditionally
       and the recorded entry is **lift-gated** (``gated=True`` with
       ``hit_rate_lift`` and no ``ref_seconds``): once committed, a
-      positive lift may not vanish (see ``benchmarks/compare_bench.py``);
-    * ``"async"`` — the background refresh table.  Its lift rides on
-      refresh timing, so the unconditional floor is only "not worse
-      than model-free beyond noise"; staleness must respect the
-      ``pending_max + 1`` construction bound.
+      positive lift may not vanish (see ``benchmarks/compare_bench.py``).
 
     The latency half drives the zipf scenario through
-    :meth:`RecMGManager.serve_batch` blocks and compares percentiles:
-    async p99 must beat sync p99 (inference off the critical path
-    beats inference on it — its tail is at most one worker GIL hold,
-    sync pays inference *every* block), and with real parallelism
-    available (>= 2 cores) async p99 must also stay near the
-    model-free p99.  On one core the GIL lets the refresh worker steal
-    a serving window, so the cross-mode bound is the whole contract
-    there.
-
-    ``async p99 < sync p99`` already fails on the 2-core host (4.7 ms
-    vs 3.0 ms committed), and every gain on the sync path — float32
-    ``predict`` halves its inference — lowers the bar async must clear,
-    while a thread-bound refresh worker gains nothing from it.  That is
-    ROADMAP item 2's argument (make the worker a process, or cut async
-    mode), not a regression of whichever change sped sync up.
+    :meth:`RecMGManager.serve_batch` blocks and records the none and
+    sync p50/p99 with the host's core count, ungated: sync inference
+    rides the serving thread, so its cost is in every percentile.
     """
     base = SyntheticTraceConfig(
         num_tables=8, rows_per_table=4096, num_accesses=PERF_ACCESSES,
         num_clusters=64, cluster_block=8, periodic_items=500,
         periodic_spacing=7, seed=11)
     config = RecMGConfig(hidden=32, hash_buckets=1024, caching_epochs=2,
-                         max_train_chunks=500, buffer_impl="clock",
-                         priority_refresh_blocks=2)
+                         max_train_chunks=500, buffer_impl="clock")
     rows = []
     latency = {}
     for name, trace in model_guided_scenarios(base):
@@ -761,32 +743,20 @@ def test_model_guided_serving(perf_budget, benchmark, record_hotpath):
                                    caching_model=caching_model,
                                    priority_mode=mode)
             stats = manager.run(tail, fast_serve=True)
-            provider_stats = manager.priority_provider.stats()
             manager.close()
-            return stats, provider_stats
+            return stats
 
-        none_seconds, (none_stats, _) = _timed(
-            lambda: serve("none", None), repeats=2)
-        sync_seconds, (sync_stats, _) = _timed(
+        none_stats = serve("none", None)
+        sync_seconds, sync_stats = _timed(
             lambda: serve("sync", model), repeats=2)
-        async_seconds, (async_stats, async_provider) = _timed(
-            lambda: serve("async", model), repeats=2)
 
         sync_lift = sync_stats.hit_rate - none_stats.hit_rate
-        async_lift = async_stats.hit_rate - none_stats.hit_rate
         # Deterministic decision metric — asserted regardless of
         # --perf-budget: per-block model guidance must beat model-free
         # serving on every committed scenario.
         assert sync_lift > 0, (
             f"sync model-guided serving does not lift hit rate on "
             f"{name}: {sync_stats.hit_rate:.4f} vs model-free "
-            f"{none_stats.hit_rate:.4f}")
-        # The async table's lift depends on refresh timing; the
-        # unconditional floor is only "no worse than model-free beyond
-        # noise" — a cold table degrades to -1 bits, i.e. model-free.
-        assert async_lift >= -0.01, (
-            f"async model-guided serving fell below model-free on "
-            f"{name}: {async_stats.hit_rate:.4f} vs "
             f"{none_stats.hit_rate:.4f}")
         # Lift-gated entry: hit_rate_lift and no ref_seconds, so
         # compare_bench gates the lift, not a speedup.
@@ -795,15 +765,8 @@ def test_model_guided_serving(perf_budget, benchmark, record_hotpath):
                        hit_rate=sync_stats.hit_rate,
                        model_free_hit_rate=none_stats.hit_rate,
                        hit_rate_lift=sync_lift)
-        record_hotpath(f"model_guided_{name}_async", len(tail),
-                       async_seconds,
-                       hit_rate=async_stats.hit_rate,
-                       model_free_hit_rate=none_stats.hit_rate,
-                       hit_rate_lift=async_lift,
-                       table_coverage=async_provider["table_coverage"],
-                       dropped_blocks=async_provider["dropped_blocks"])
         rows.append([name, none_stats.hit_rate, sync_stats.hit_rate,
-                     async_stats.hit_rate, sync_lift, async_lift])
+                     sync_lift])
 
         if name == "zipf":
             # Latency half: the same serving stream through
@@ -820,53 +783,26 @@ def test_model_guided_serving(perf_budget, benchmark, record_hotpath):
                 manager.close()
                 return summary
 
-            for mode, caching_model in (("none", None), ("sync", model),
-                                        ("async", model)):
+            for mode, caching_model in (("none", None), ("sync", model)):
                 latency[mode] = batched(mode, caching_model)
 
-    stale_max = latency["async"]["staleness_max"]
-    # Construction bound: the drop-oldest queue caps refresh lag at
-    # pending_max queued blocks plus the one in flight.
-    assert stale_max <= config.priority_pending_max + 1, (
-        f"async staleness {stale_max} exceeds the pending_max + 1 "
-        f"construction bound ({config.priority_pending_max + 1})")
     record_hotpath(
         "model_guided_serve_batch_latency", PERF_ACCESSES,
-        latency["async"]["latency_mean_ms"] / 1e3, cpu_cores=os.cpu_count(),
+        latency["sync"]["latency_mean_ms"] / 1e3, cpu_cores=os.cpu_count(),
         none_p50_ms=latency["none"]["latency_p50_ms"],
         none_p99_ms=latency["none"]["latency_p99_ms"],
         sync_p50_ms=latency["sync"]["latency_p50_ms"],
         sync_p99_ms=latency["sync"]["latency_p99_ms"],
-        async_p50_ms=latency["async"]["latency_p50_ms"],
-        async_p99_ms=latency["async"]["latency_p99_ms"],
-        async_staleness_mean=latency["async"]["staleness_mean"],
-        async_staleness_max=stale_max,
-        async_inference_batches=latency["async"]["inference_batches"],
         sync_inference_batches=latency["sync"]["inference_batches"])
     print()
     print(ascii_table(
-        ["scenario", "model-free", "sync", "async", "sync lift",
-         "async lift"], rows,
+        ["scenario", "model-free", "sync", "sync lift"], rows,
         title="Model-guided serving hit rate (clock backend, 20% buffer)"))
     print(ascii_table(
         ["mode", "p50 ms", "p99 ms"],
         [[mode, latency[mode]["latency_p50_ms"],
           latency[mode]["latency_p99_ms"]] for mode in latency],
         title="serve_batch latency by priority mode (zipf)"))
-    if perf_budget > 0:
-        assert (latency["async"]["latency_p99_ms"]
-                < latency["sync"]["latency_p99_ms"]), (
-            "async p99 should beat sync p99 — off-critical-path "
-            "inference is the async provider's whole contract")
-        assert (latency["async"]["latency_p50_ms"]
-                < latency["none"]["latency_p50_ms"] * 2.0), (
-            "async median latency drifted past 2x model-free: the "
-            "table gather is supposed to be a cheap bulk read")
-        if (os.cpu_count() or 1) >= 2:
-            assert (latency["async"]["latency_p99_ms"]
-                    < latency["none"]["latency_p99_ms"] * 3.0), (
-                "with real parallelism available, async p99 must stay "
-                "near model-free — inference belongs on another core")
     benchmark(lambda: rows)
 
 
@@ -906,8 +842,7 @@ def test_model_guided_low_capacity_lift(perf_budget, benchmark,
         num_clusters=64, cluster_block=8, periodic_items=500,
         periodic_spacing=7, seed=11)
     config = RecMGConfig(hidden=32, hash_buckets=1024, caching_epochs=2,
-                         max_train_chunks=500, buffer_impl="clock",
-                         priority_refresh_blocks=2)
+                         max_train_chunks=500, buffer_impl="clock")
     rows = []
     for name, trace in model_guided_scenarios(base):
         head, tail = trace.split(0.3)
@@ -927,7 +862,6 @@ def test_model_guided_low_capacity_lift(perf_budget, benchmark,
             cfg = RecMGConfig(
                 hidden=32, hash_buckets=1024, caching_epochs=2,
                 max_train_chunks=500, buffer_impl="clock",
-                priority_refresh_blocks=2,
                 priority_lift_guard=lift_guard)
             manager = RecMGManager(low_capacity, encoder, cfg,
                                    caching_model=caching_model,

@@ -13,13 +13,13 @@ hit rate.
 
 With ``--model`` the daemon becomes model-in-the-loop: the head of
 the stream trains a small :class:`CachingModel` on OPTgen labels, and
-the remainder is served with ``priority_mode="async"`` — a background
-worker refreshes a dense priority table while ``serve_batch`` reads
-possibly-stale bits without ever blocking on inference.  The live
-retraining window (``--retrain``) fine-tunes a clone of the model from
-the stream itself and swaps it in atomically, all off the critical
-path.  The final report then adds the async provider's staleness and
-inference-latency lines next to the serving percentiles.
+the remainder is served with ``priority_mode="sync"`` — every
+``serve_batch`` encodes its block, predicts caching bits and applies
+them, on the serving thread.  The live retraining window
+(``--retrain``) fine-tunes a clone of the model from the stream itself
+and swaps it in.  The final report then adds an inference line (batches
+and mean ms on the serving thread, plus the retrain count) next to the
+serving percentiles, which include that inference.
 
 With ``--rebalance N`` the static capacity split becomes elastic: the
 manager tracks per-shard traffic through an EWMA and, every ``N``
@@ -73,7 +73,7 @@ def main(total_accesses: int = 2_000_000,
                                         num_tenants=num_tenants)
     config = RecMGConfig(
         buffer_impl=buffer_impl, num_shards=num_shards,
-        priority_mode="async" if model else "none",
+        priority_mode="sync" if model else "none",
         online_retrain_interval=(max(max_batch_keys * 8, 4096)
                                  if model and online_retrain else 0),
         rebalance_interval=rebalance_interval,
@@ -92,8 +92,8 @@ def main(total_accesses: int = 2_000_000,
         result = train_caching_model(
             caching_model, chunks, caching_targets(chunks, labels), config)
         print(f"caching model: trained on {len(head):,} head accesses "
-              f"({result.final_metric:.1%} holdout accuracy); async "
-              f"priority refresh"
+              f"({result.final_metric:.1%} holdout accuracy); "
+              f"per-block priorities on the serving thread"
               + (", online retraining on" if online_retrain else ""))
     else:
         serve_trace = trace
@@ -168,18 +168,11 @@ def main(total_accesses: int = 2_000_000,
               f"(max {summary['rebalance_pause_ms_max']:.2f} ms); "
               f"final split {caps}")
     if model:
-        # Read after close(): the refresh worker drains its queue on
-        # shutdown, so the pre-close summary can undercount inference.
         provider = manager.priority_provider.stats()
-        print(f"priority staleness: mean {metrics.staleness_mean:.1f} "
-              f"max {summary['staleness_max']} blocks  "
-              f"(table coverage {provider['table_coverage']:.1%}, "
-              f"{provider['dropped_blocks']} blocks shed)")
-        print(f"async inference: {metrics.inference_batches} batches "
-              f"off the serving thread, mean "
-              f"{metrics.inference_mean_ms:.2f} ms"
-              + (f"; {provider['retrains']} online retrains"
-                 if online_retrain else ""))
+        print(f"model inference: {summary['inference_batches']} batches "
+              f"on the serving thread, mean "
+              f"{summary['inference_mean_ms']:.2f} ms; "
+              f"{provider['retrains']} online retrains")
     print(f"hit rate: {hits / served:.1%} over {served:,} accesses "
           f"({manager.evictions:,} evictions)")
 
@@ -195,7 +188,8 @@ if __name__ == "__main__":
                         choices=["clock", "fast", "reference"])
     parser.add_argument("--model", action="store_true",
                         help="train a caching model on the stream head "
-                             "and serve with the async priority provider")
+                             "and serve with per-block caching priorities "
+                             "on the serving thread")
     parser.add_argument("--retrain", action="store_true",
                         help="with --model: fine-tune the model online "
                              "from the live stream")

@@ -49,8 +49,10 @@ class RecMGConfig:
     #: Snapping radius of the index decoder, as a fraction of the dense
     #: vocabulary (see :class:`repro.core.prefetch_model.IndexDecoder`).
     decode_radius_frac: float = 0.005
-    #: GPU-buffer backend for the online manager: ``"fast"`` (exact,
-    #: lazy-heap), ``"reference"`` (exact, O(n) audit loop) or
+    #: GPU-buffer backend for the online manager: ``"fast"`` (exact;
+    #: with a fitted encoder dense vectors, a victim queue and a
+    #: fixed-point ``serve_segment``, lazy heaps only in dict mode),
+    #: ``"reference"`` (exact, O(n) audit loop) or
     #: ``"clock"`` (approximate array-backed CLOCK with batched
     #: eviction — the throughput-serving choice).  See
     #: :mod:`repro.cache.buffer`.
@@ -73,18 +75,10 @@ class RecMGConfig:
     shard_weights: tuple[float, ...] | None = None
     #: How the caching model's priorities reach the serving engines:
     #: ``"none"`` (model-free serving, bit-identical to the
-    #: provider-free code), ``"sync"`` (batched inference on the
-    #: serving thread, deterministic) or ``"async"`` (background
-    #: refresh of a dense bit table; serving reads possibly-stale bits
-    #: without blocking).  See :mod:`repro.serving.priorities`.
+    #: provider-free code) or ``"sync"`` (batched inference on the
+    #: serving thread, deterministic).  See
+    #: :mod:`repro.serving.priorities`.
     priority_mode: str = "none"
-    #: Async mode: refresh every k-th served block (1 = every block;
-    #: larger values trade staleness for inference cost).
-    priority_refresh_blocks: int = 1
-    #: Async mode: bound on queued refresh blocks.  A full queue drops
-    #: the *oldest* pending block (serving never blocks), which also
-    #: bounds staleness at ``pending_max + 1`` blocks.
-    priority_pending_max: int = 8
     #: Lift-guard phase length in served blocks (0 = guard off).  When
     #: on, the manager runs an online A/B over guided vs model-free
     #: phases (:class:`repro.serving.priorities.LiftGuard`) and
@@ -99,9 +93,8 @@ class RecMGConfig:
     priority_lift_margin: float = 0.0
     #: Online retraining cadence in observed accesses (0 = off).  When
     #: on, the provider relabels its sliding window with the vectorized
-    #: OPTgen, fine-tunes a clone and swaps it in atomically — on the
-    #: refresh worker in async mode.  See
-    #: :class:`repro.core.training.OnlineCachingTrainer`.
+    #: OPTgen, fine-tunes a clone and swaps it in, on the serving
+    #: thread.  See :class:`repro.core.training.OnlineCachingTrainer`.
     online_retrain_interval: int = 0
     #: Sliding-window length (accesses) the retrainer labels and
     #: fine-tunes on.
@@ -170,10 +163,6 @@ class RecMGConfig:
             raise ValueError(
                 f"priority_mode must be one of {PRIORITY_MODES}, "
                 f"got {self.priority_mode!r}")
-        if self.priority_refresh_blocks < 1:
-            raise ValueError("priority_refresh_blocks must be >= 1")
-        if self.priority_pending_max < 1:
-            raise ValueError("priority_pending_max must be >= 1")
         if self.priority_lift_guard < 0:
             raise ValueError("priority_lift_guard must be >= 0 "
                              "(0 disables the lift guard)")

@@ -267,11 +267,10 @@ class RecMGManager:
 
     # ------------------------------------------------------------------
     def close(self) -> None:
-        """Join the priority provider's refresh worker (idempotent;
-        model-free managers no-op).  The manager remains usable, but an
-        async provider stays closed: serving continues on its last
-        refreshed bits, frozen."""
-        self.priority_provider.close()
+        """End of the manager's lifecycle — a no-op: serving is one
+        thread and the manager holds no thread or other resource to
+        release.  Kept, with the context-manager form, so callers can
+        scope a manager without knowing that."""
 
     def __enter__(self) -> "RecMGManager":
         return self
@@ -326,19 +325,17 @@ class RecMGManager:
     def _sink_provider(self, segment: np.ndarray,
                        guided: bool = True) -> None:
         """The provider sink: after a block is fully served, feed the
-        stream to the priority provider (always — the async refresh
-        queue and the retraining window must see control blocks too)
-        and, unless ``guided=False`` (a lift-guard control block, which
-        serves model-free), apply whatever caching bits it has for the
-        block — Algorithm 1's priority write, driven from the live
-        stream instead of the offline chunk pass.
+        stream to the priority provider (always — the retraining window
+        must see control blocks too) and, unless ``guided=False`` (a
+        lift-guard control block, which serves model-free), apply
+        whatever caching bits it has for the block — Algorithm 1's
+        priority write, driven from the live stream instead of the
+        offline chunk pass.
 
         Tri-state bits: positions ``>= 0`` apply through
-        :func:`apply_caching_bits`; ``-1`` ("no prediction" — an async
-        table slot not yet refreshed, or a spillover key) keeps its
-        recency priority, so a cold provider degrades to model-free
-        behavior.  Staleness (async refresh lag) is sampled per served
-        block into :attr:`serving_metrics`.
+        :func:`apply_caching_bits`; ``-1`` ("no prediction") keeps its
+        recency priority, so a provider without a prediction degrades
+        to model-free behavior.
 
         On a sharded buffer the bits are split along
         ``iter_shard_segments``' route and applied per shard through
@@ -360,9 +357,6 @@ class RecMGManager:
         if not guided:
             return
         bits = provider.bits_for(segment)
-        staleness = provider.staleness_blocks()
-        if staleness is not None:
-            self.serving_metrics.record_staleness(staleness)
         if bits is None:
             return
         valid = bits >= 0
@@ -780,10 +774,9 @@ class RecMGManager:
         self._record_hits = []
         begin = time.perf_counter()
         try:
-            # Provider sink inside the timed section on purpose: sync
+            # Provider sink inside the timed section on purpose:
             # inference is on the serving critical path and must show
-            # in the latency percentiles; the async gather is a cheap
-            # table read and the recorded p99 proves it.
+            # in the latency percentiles.
             self._serve_block(serve, keys)
             hits = _joined(self._record_hits, bool)
         finally:
@@ -982,10 +975,10 @@ class RecMGManager:
         num_chunks = n // length
 
         # With a priority provider installed the caching model runs
-        # through the provider seam (per served block, possibly async)
-        # instead of the offline chunk pass — computing bits_all too
-        # would double-apply the bits.  The prefetch model keeps its
-        # offline pass either way.
+        # through the provider seam (per served block) instead of the
+        # offline chunk pass — computing bits_all too would
+        # double-apply the bits.  The prefetch model keeps its offline
+        # pass either way.
         use_provider = self._provider_active
         bits_all = None
         preds_all = None
@@ -1043,9 +1036,7 @@ class RecMGManager:
             tail = num_chunks * length
         # Sharded serving splits every block N ways, so scale the block
         # to keep the per-shard sub-segments at single-shard size (the
-        # scatter itself is one vectorized route).  Async mode keeps
-        # *inference* off this path — the sink's table gather and
-        # per-shard priority scatters are cheap bulk ops.
+        # scatter itself is one vectorized route).
         block = self._SERVE_BLOCK * getattr(self.buffer, "num_shards", 1)
         for start in range(tail, n, block):
             self._serve_block(serve, dense[start:start + block])

@@ -21,10 +21,12 @@ from .features import FeatureEncoder
 from .prefetch_model import BucketDecoder, PrefetchModel
 from .recmg import RecMG
 
-#: Config keys of archives written while the threaded serving engine
-#: existed; it was pinned bit-identical to the serial shard loop, so
-#: dropping them changes no decision.  Any other unknown key raises.
-_RETIRED_CONFIG_KEYS = ("concurrency", "num_workers")
+#: Config keys of retired serving features: the threaded serving engine
+#: (pinned bit-identical to the serial shard loop, so dropping its keys
+#: changes no decision) and the background priority-refresh thread's
+#: two knobs.  Any other unknown key raises.
+_RETIRED_CONFIG_KEYS = ("concurrency", "num_workers",
+                        "priority_refresh_blocks", "priority_pending_max")
 
 
 def save_recmg(system: RecMG, path: Union[str, os.PathLike]) -> None:
@@ -57,6 +59,9 @@ def load_recmg(path: Union[str, os.PathLike]) -> RecMG:
         fields = json.loads(str(archive["config_json"]))
         for key in _RETIRED_CONFIG_KEYS:
             fields.pop(key, None)
+        # Same model and per-block bits, now computed fresh on the serving thread.
+        if fields.get("priority_mode") == "async":
+            fields["priority_mode"] = "sync"
         config = RecMGConfig(**fields)
         system = RecMG(config)
 

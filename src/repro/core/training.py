@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import threading
 import time
 from dataclasses import dataclass
 from typing import List, Optional, Tuple
@@ -190,17 +189,10 @@ class OnlineCachingTrainer:
        chunks (:func:`finetune_caching_model` — the caller keeps
        serving from the original), and
     3. returns the tuned clone for the caller to swap in (a reference
-       assignment, atomic under the GIL).
+       assignment).
 
-    In async mode the *cycle* (label + fine-tune + swap) runs on the
-    provider's refresh worker, off the serving critical path, while
-    :meth:`observe` is called from the serving thread for **every**
-    served block — the refresh queue's thinning/drop-oldest shedding
-    applies to inference refreshes only, never to the training window
-    (a window fed only every k-th block would label a k-times-sparser
-    stream than the one being served).  Window state is therefore
-    guarded by a small lock: ``observe`` appends while the worker may
-    concurrently snapshot :meth:`window_keys` inside :meth:`retrain`.
+    The provider calls :meth:`observe` for **every** served block and
+    runs the whole cycle inline, on the serving thread.
     """
 
     def __init__(self, encoder: FeatureEncoder, config: RecMGConfig,
@@ -226,47 +218,38 @@ class OnlineCachingTrainer:
         self._blocks: List[np.ndarray] = []
         self._held = 0      # accesses currently in the window
         self._since = 0     # accesses observed since the last retrain
-        self._lock = threading.Lock()  # window state (see class doc)
         self.retrains = 0
         self.last_result: Optional[TrainResult] = None
 
     def observe(self, keys: np.ndarray) -> bool:
         """Feed one served block; returns True when a retrain is due
-        (window full and ``interval`` accesses since the last one).
-        Safe to call from the serving thread while a worker-side
-        :meth:`retrain` is in flight."""
+        (window full and ``interval`` accesses since the last one)."""
         keys = np.asarray(keys, dtype=np.int64)
         if keys.size == 0:
             return False
-        with self._lock:
-            self._blocks.append(keys)
-            self._held += keys.size
-            self._since += keys.size
-            # Trim whole blocks from the head while the window stays
-            # full.
-            while self._blocks and (self._held - self._blocks[0].size
-                                    >= self.window):
-                self._held -= self._blocks[0].size
-                self._blocks.pop(0)
-            return (self._since >= self.interval
-                    and self._held >= self.window)
+        self._blocks.append(keys)
+        self._held += keys.size
+        self._since += keys.size
+        # Trim whole blocks from the head while the window stays full.
+        while self._blocks and (self._held - self._blocks[0].size
+                                >= self.window):
+            self._held -= self._blocks[0].size
+            self._blocks.pop(0)
+        return self._since >= self.interval and self._held >= self.window
 
     def window_keys(self) -> np.ndarray:
         """The current window's dense ids, oldest first (trimmed to
-        exactly ``window`` accesses) — a consistent snapshot."""
-        with self._lock:
-            if not self._blocks:
-                return np.empty(0, dtype=np.int64)
-            keys = np.concatenate(self._blocks)
-        return keys[-self.window:]
+        exactly ``window`` accesses)."""
+        if not self._blocks:
+            return np.empty(0, dtype=np.int64)
+        return np.concatenate(self._blocks)[-self.window:]
 
     def retrain(self, model: CachingModel) -> CachingModel:
         """Label the window, fine-tune a clone, return it (see class
         docstring).  Resets the retrain countdown."""
         from .labeling import window_targets
 
-        with self._lock:
-            self._since = 0
+        self._since = 0
         keys = self.window_keys()
         targets = window_targets(keys, self.buffer_capacity, self.config)
         chunks = self.encoder.encode_dense_chunks(keys)

@@ -175,8 +175,8 @@ class BufferClassifier:
     :mod:`repro.serving.priorities`): after each :meth:`access_batch`
     completes, the batch is sunk through the provider and any ``>= 0``
     bits land on resident keys via the shared bulk applier.  Requires
-    driving the classifier with *dense* ids (the provider's feature and
-    table space — the same universe ``key_space`` and the shard routers
+    driving the classifier with *dense* ids (the provider's feature
+    space — the same universe ``key_space`` and the shard routers
     assume); the scalar :meth:`access` path never sinks, the provider
     operates at batch granularity only.
     """
@@ -198,11 +198,6 @@ class BufferClassifier:
         self._provider_active = (
             priority_provider is not None
             and getattr(priority_provider, "mode", "none") != "none")
-
-    def close(self) -> None:
-        """Close the provider, if one was passed (idempotent)."""
-        if self.priority_provider is not None:
-            self.priority_provider.close()
 
     def access(self, key: int, pc: int = 0) -> bool:
         return self._serve_scalar(backend_for_key(self.buffer, int(key)),

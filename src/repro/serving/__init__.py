@@ -10,18 +10,18 @@ engine (see ROADMAP "Serving architecture"):
                                    serial shard loop -> gather
                                               |
                               PriorityProvider sink -> ServingMetrics
-                                  ^ bits        | observe
+                                  ^ bits        | observe (every block)
                                   |             v
-                          CachingModel <- refresh worker (async)
-                                  ^             | window (every block)
-                                  +-- OnlineCachingTrainer (OPTgen)
+                          CachingModel <-- OnlineCachingTrainer (OPTgen)
+                                       swap
 
-Producers are threads; *serving* is one thread.  Shards are disjoint
-flat arrays, so parallelism is processes at the shard boundary.
+Producers are threads; *serving* — inference and retraining included
+— is one thread.  Shards are disjoint flat arrays, so parallelism is
+processes at the shard boundary.
 
 :mod:`repro.core.manager` records every ``serve_batch`` into
-:class:`ServingMetrics` and, when ``priority_mode`` is ``"sync"`` or
-``"async"``, sinks every served block through its
+:class:`ServingMetrics` and, when ``priority_mode`` is ``"sync"``,
+sinks every served block through its
 :class:`PriorityProvider` (:mod:`repro.serving.priorities`), the
 priority writes split along the shard route; an optional
 :class:`LiftGuard` withholds the bits while the measured trailing
@@ -33,7 +33,6 @@ from .admission import Batch, Batcher, QueueClosed, Request, RequestQueue
 from .metrics import LatencyWindow, ServingMetrics
 from .priorities import (
     PRIORITY_MODES,
-    AsyncModelProvider,
     LiftGuard,
     NullProvider,
     PriorityProvider,
@@ -43,7 +42,6 @@ from .priorities import (
 )
 
 __all__ = [
-    "AsyncModelProvider",
     "Batch",
     "Batcher",
     "LatencyWindow",

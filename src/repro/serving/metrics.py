@@ -22,17 +22,11 @@ summarizes them on demand:
   batcher is flushing on size or on deadline.
 
 With a model-guided priority provider installed
-(:mod:`repro.serving.priorities`) two more stat families appear:
+(:mod:`repro.serving.priorities`) one more stat family appears:
 
 * **inference latency** — per-inference-batch wall time and key count
-  (:meth:`ServingMetrics.record_inference`).  In sync mode this time
-  is *inside* the batch latencies above (inference rides the serving
-  thread); in async mode it is disjoint from them — the whole point of
-  the async provider is that the p99 above stays at model-free levels
-  while inference happens elsewhere;
-* **staleness** — the async provider's refresh lag in blocks
-  (:meth:`ServingMetrics.record_staleness`), sampled by the sink at
-  each served block; bounded by the provider's pending queue.
+  (:meth:`ServingMetrics.record_inference`).  This time is *inside*
+  the batch latencies above: inference rides the serving thread.
 
 With online elastic rebalancing enabled (``rebalance_interval``) one
 more family appears:
@@ -43,14 +37,8 @@ more family appears:
   the honesty metric of elastic rebalancing — the hit-rate win is
   gated in the benches, the pause is recorded ungated next to it.
 
-Recording is **single-writer per field family**: the serving thread
-calls :meth:`ServingMetrics.record_batch` and
-:meth:`record_staleness`; inference counters are written by whichever
-thread runs inference — the serving thread in sync mode, the async
-provider's refresh worker otherwise — and by that thread only.
-So no lock is needed anywhere on the hot path; cross-thread
-:meth:`summary` reads are telemetry (individually atomic fields, no
-torn floats under the GIL, but no cross-field snapshot guarantee).
+Recording is **single-writer**: the serving thread writes every field
+family, so no lock is needed anywhere on the hot path.
 
 The summary feeds two places: the serving daemon's live printout
 (``examples/serving_daemon.py``) and the committed perf baseline —
@@ -144,9 +132,6 @@ class ServingMetrics:
         self.inference_keys = 0
         self.inference_seconds_total = 0.0
         self.inference_seconds_max = 0.0
-        self.staleness_samples = 0
-        self.staleness_sum = 0
-        self.staleness_max = 0
         self.rebalances = 0
         self.rebalance_migrated_keys = 0
         self.rebalance_pause_seconds_total = 0.0
@@ -173,32 +158,13 @@ class ServingMetrics:
                 self.queue_depth_max = depth
 
     def record_inference(self, seconds: float, keys: int = 0) -> None:
-        """Record one model-inference batch (wall time + keys).  Called
-        by whichever thread runs inference — the serving thread in sync
-        mode, the async provider's refresh worker otherwise — and only
-        by that thread (see module docstring)."""
+        """Record one model-inference batch (wall time + keys), run on
+        the serving thread by the priority provider."""
         self.inference_batches += 1
         self.inference_keys += int(keys)
         self.inference_seconds_total += seconds
         if seconds > self.inference_seconds_max:
             self.inference_seconds_max = seconds
-
-    def record_staleness(self, blocks: int) -> None:
-        """Record the async provider's refresh lag (in blocks) observed
-        at one served block.  Serving-thread only.
-
-        Rejects negative lag: the provider computes staleness as a
-        locked three-counter snapshot, so a negative value here means
-        a torn read leaked through — fail loudly instead of skewing
-        the mean."""
-        blocks = int(blocks)
-        if blocks < 0:
-            raise ValueError(f"staleness cannot be negative (got "
-                             f"{blocks}); torn counter snapshot?")
-        self.staleness_samples += 1
-        self.staleness_sum += blocks
-        if blocks > self.staleness_max:
-            self.staleness_max = blocks
 
     def record_rebalance(self, migrated_keys: int,
                          pause_seconds: float) -> None:
@@ -217,12 +183,6 @@ class ServingMetrics:
         if not self.inference_batches:
             return 0.0
         return self.inference_seconds_total / self.inference_batches * 1e3
-
-    @property
-    def staleness_mean(self) -> float:
-        if not self.staleness_samples:
-            return 0.0
-        return self.staleness_sum / self.staleness_samples
 
     @property
     def queue_depth_mean(self) -> float:
@@ -245,8 +205,6 @@ class ServingMetrics:
             "inference_batches": self.inference_batches,
             "inference_mean_ms": self.inference_mean_ms,
             "inference_max_ms": self.inference_seconds_max * 1e3,
-            "staleness_mean": self.staleness_mean,
-            "staleness_max": self.staleness_max,
             "rebalance_count": self.rebalances,
             "rebalance_migrated_keys": self.rebalance_migrated_keys,
             "rebalance_pause_ms_total":

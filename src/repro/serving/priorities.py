@@ -23,7 +23,7 @@ windows; while measured lift is negative the manager withholds the
 provider's bits (the block serves as if every bit were ``-1``), so
 model guidance can degrade to model-free but never below it.
 
-Three implementations, selected by ``priority_mode``:
+Two implementations, selected by ``priority_mode``:
 
 * :class:`NullProvider` (``"none"``) — no model anywhere near the
   serving path.  The manager's behavior is bit-identical to the
@@ -37,35 +37,26 @@ Three implementations, selected by ``priority_mode``:
   ``ClockBuffer.serve_segment`` doubled the model-free side; 2-core
   AVX-512 host, one BLAS thread, numpy 2.4; on ``fast``, ~6x on
   float64 ``infer`` and ~11x on the taped forward as of PR 17);
-  decisions are deterministic, which makes this the
-  differential-testable mode.
-* :class:`AsyncModelProvider` (``"async"``) — a background worker
-  refreshes a dense per-key bit table; serving reads possibly-stale
-  bits with one vectorized gather and never blocks on inference.
-  Observed blocks queue on a bounded deque (drop-oldest — overload
-  sheds refresh work, not serving throughput); **staleness** (blocks
-  submitted but not yet refreshed) is bounded by the queue and
-  reported through :meth:`PriorityProvider.staleness_blocks` into
-  :class:`~repro.serving.metrics.ServingMetrics`.
+  decisions are deterministic, which makes model-guided serving
+  differential-testable.
+
+Model guidance runs on the serving thread only: under the GIL a
+refresh thread gets no second core, and one measured a worse p99 than
+this provider (4.2–4.9 vs 1.9–2.9 ms on a 2-core host) for a tenth of
+its hit-rate lift.
 
 Bits are *tri-state* ``int8``: ``1`` cache-friendly, ``0`` cache-
-averse, ``-1`` no prediction (async table slot not yet refreshed, or a
-spillover key outside the dense universe).  The sink applies only
-``>= 0`` positions; everything else keeps its recency priority — so an
-async provider that has not caught up degrades to model-free behavior,
-never to garbage.
+averse, ``-1`` no prediction.  The sink applies only ``>= 0``
+positions; everything else keeps its recency priority, so a provider
+(or a lift-guard control block) without a prediction degrades to
+model-free behavior, never to garbage.
 
-Both model providers accept an optional *retrainer*
+The model provider accepts an optional *retrainer*
 (:class:`~repro.core.training.OnlineCachingTrainer`): the observed
 stream feeds a sliding window which is periodically relabeled with the
 vectorized OPTgen and fine-tuned on a **clone** of the model; the
-tuned clone replaces ``self.model`` by plain reference assignment —
-atomic under the GIL, and the only synchronization the swap needs
-(in-flight predictions keep the old weights).  In async mode the
-window is fed on the serving thread for **every** observed block
-(cheap list work; the refresh interval thins inference, not the
-training stream) while the expensive label/fine-tune/swap cycle runs
-on the refresh worker, off the serving critical path.
+tuned clone replaces ``self.model`` by plain reference assignment
+(the served model's weights are never touched in place).
 
 Imports from :mod:`repro.core` are function-local on purpose:
 :mod:`repro.core.manager` imports this module at its top level, so a
@@ -74,7 +65,6 @@ module-level import back into ``repro.core`` would cycle.
 
 from __future__ import annotations
 
-import threading
 import time
 from collections import deque
 from typing import Deque, Dict, Optional, Tuple
@@ -85,7 +75,7 @@ from ..cache.buffer import SCALAR_FALLBACK
 
 #: Provider selection accepted by ``priority_mode=`` (RecMGConfig field
 #: and RecMGManager constructor argument).
-PRIORITY_MODES = ("none", "sync", "async")
+PRIORITY_MODES = ("none", "sync")
 
 
 def apply_caching_bits(buffer, keys: np.ndarray, bits: np.ndarray,
@@ -318,7 +308,7 @@ class LiftGuard:
 
 class PriorityProvider:
     """Maps served key blocks to per-access caching bits (base class =
-    the ``"none"`` behavior: no observation, no bits, no thread).
+    the ``"none"`` behavior: no observation, no bits).
 
     Contract with the sink (:meth:`RecMGManager._sink_provider`): after
     a block is served, the sink calls :meth:`observe` (feed the stream)
@@ -337,16 +327,8 @@ class PriorityProvider:
         """Tri-state caching bits for ``keys`` (see class docstring)."""
         return None
 
-    def staleness_blocks(self) -> Optional[int]:
-        """Blocks observed but not yet reflected in predictions
-        (``None`` for providers whose predictions are never stale)."""
-        return None
-
-    def close(self) -> None:
-        """Release worker resources (idempotent; base class no-ops)."""
-
     def stats(self) -> Dict[str, float]:
-        """Flat inference/staleness counters (JSON-ready)."""
+        """Flat inference counters (JSON-ready)."""
         return {}
 
 
@@ -356,8 +338,13 @@ class NullProvider(PriorityProvider):
     is installed, so not even a per-block residency gather is added."""
 
 
-class _ModelProviderBase(PriorityProvider):
-    """Shared encode/predict/retrain plumbing of the model providers."""
+class SyncModelProvider(PriorityProvider):
+    """``priority_mode="sync"``: batched inference on the serving
+    thread, one predict per served block.  Deterministic — the
+    differential-testable mode — but inference cost lands on the
+    serving critical path."""
+
+    mode = "sync"
 
     def __init__(self, model, encoder, config, metrics=None,
                  retrainer=None) -> None:
@@ -377,9 +364,18 @@ class _ModelProviderBase(PriorityProvider):
         self.inference_keys = 0
         self.inference_seconds = 0.0
 
-    def _predict(self, keys: np.ndarray) -> np.ndarray:
+    def observe(self, keys: np.ndarray) -> None:
+        """Feed the retraining window; fine-tune + swap when due."""
+        if self.retrainer is not None and self.retrainer.observe(
+                np.asarray(keys, dtype=np.int64)):
+            self.model = self.retrainer.retrain(self.model)
+
+    def bits_for(self, keys: np.ndarray) -> Optional[np.ndarray]:
         """Encode ``keys`` (tail-padded to whole chunks), run the
         model, slice back to the true length; records timing."""
+        keys = np.asarray(keys, dtype=np.int64)
+        if keys.size == 0:
+            return None
         begin = time.perf_counter()
         chunks = self.encoder.encode_dense_chunks(keys)
         bits = self.model.predict(chunks).reshape(-1)[:keys.size]
@@ -391,12 +387,6 @@ class _ModelProviderBase(PriorityProvider):
             self.metrics.record_inference(elapsed, int(keys.size))
         return bits.astype(np.int8)
 
-    def _maybe_retrain(self, keys: np.ndarray) -> None:
-        """Feed the retraining window; fine-tune + swap when due.  The
-        swap is a reference assignment — atomic under the GIL."""
-        if self.retrainer is not None and self.retrainer.observe(keys):
-            self.model = self.retrainer.retrain(self.model)
-
     def stats(self) -> Dict[str, float]:
         return {
             "inference_batches": self.inference_batches,
@@ -405,247 +395,6 @@ class _ModelProviderBase(PriorityProvider):
             "retrains": (self.retrainer.retrains
                          if self.retrainer is not None else 0),
         }
-
-
-class SyncModelProvider(_ModelProviderBase):
-    """``priority_mode="sync"``: batched inference on the serving
-    thread, one predict per served block.  Deterministic — the
-    differential-testable mode — but inference cost lands on the
-    serving critical path."""
-
-    mode = "sync"
-
-    def observe(self, keys: np.ndarray) -> None:
-        self._maybe_retrain(np.asarray(keys, dtype=np.int64))
-
-    def bits_for(self, keys: np.ndarray) -> Optional[np.ndarray]:
-        keys = np.asarray(keys, dtype=np.int64)
-        if keys.size == 0:
-            return None
-        return self._predict(keys)
-
-
-class AsyncModelProvider(_ModelProviderBase):
-    """``priority_mode="async"``: a background worker refreshes a dense
-    per-key bit table; serving gathers possibly-stale bits and never
-    blocks on inference (module docstring has the full story).
-
-    Concurrency notes:
-
-    * The serving thread only *reads* ``self._table`` (one fancy
-      gather) and touches the pending deque under the lock; the worker
-      is the only writer of table slots and inference counters.  A
-      gather racing a scatter may see a mix of old and new bits within
-      one block — by design: stale-but-valid predictions are the whole
-      point, and each ``int8`` slot is written atomically.
-    * ``observe`` never blocks: when the pending queue is full the
-      *oldest* block is dropped (its keys will be observed again if
-      they stay hot), which bounds both memory and staleness.
-    * ``close()`` drains the queued refreshes (bounded by
-      ``pending_max`` blocks) and joins the worker; after close the
-      table is frozen — serving continues on the last refreshed bits.
-    """
-
-    mode = "async"
-
-    def __init__(self, model, encoder, config, key_space: int,
-                 metrics=None, retrainer=None,
-                 refresh_blocks: Optional[int] = None,
-                 pending_max: Optional[int] = None) -> None:
-        super().__init__(model, encoder, config, metrics=metrics,
-                         retrainer=retrainer)
-        if key_space < 1:
-            raise ValueError("async provider needs a dense key_space "
-                             ">= 1 for its bit table")
-        self.refresh_blocks = int(
-            refresh_blocks if refresh_blocks is not None
-            else getattr(config, "priority_refresh_blocks", 1))
-        self.pending_max = int(
-            pending_max if pending_max is not None
-            else getattr(config, "priority_pending_max", 8))
-        if self.refresh_blocks < 1:
-            raise ValueError("refresh_blocks must be >= 1")
-        if self.pending_max < 1:
-            raise ValueError("pending_max must be >= 1")
-        #: -1 = no prediction yet; the worker scatters 0/1 bits in.
-        self._table = np.full(int(key_space), -1, dtype=np.int8)
-        self._pending: Deque[np.ndarray] = deque()
-        self._lock = threading.Lock()
-        self._wake = threading.Condition(self._lock)
-        self._idle = threading.Condition(self._lock)
-        self._closed = False
-        self._retrain_due = False   # a retrain cycle is owed the worker
-        self._retraining = False    # the worker is inside one right now
-        self.observed_blocks = 0    #: blocks seen by observe()
-        self.submitted_blocks = 0   #: blocks enqueued for refresh
-        self.refreshed_blocks = 0   #: blocks the worker completed
-        self.dropped_blocks = 0     #: blocks shed by the bounded queue
-        self.worker_errors = 0      #: refresh cycles that raised
-        self._thread = threading.Thread(target=self._worker_loop,
-                                        name="priority-refresh",
-                                        daemon=True)
-        self._thread.start()
-
-    # -- serving side ---------------------------------------------------
-    def observe(self, keys: np.ndarray) -> None:
-        """Feed one served block: the retraining window sees **every**
-        block, the refresh queue only every ``refresh_blocks``-th.
-
-        These cadences are independent on purpose — the refresh
-        interval thins *inference* cost, but thinning the retraining
-        window with it would starve the trainer (with
-        ``refresh_blocks=k`` it would label a window holding only
-        every k-th block, a k-times-sparser stream than the one being
-        served).  The window append is O(1) list work, cheap enough
-        for the serving thread; the expensive label/fine-tune cycle it
-        occasionally arms still runs on the refresh worker, flagged
-        through ``_retrain_due`` rather than run inline here.
-        """
-        keys = np.asarray(keys, dtype=np.int64)
-        if keys.size == 0:
-            return
-        self.observed_blocks += 1
-        retrain_due = (self.retrainer is not None
-                       and self.retrainer.observe(keys))
-        submit = not (self.observed_blocks - 1) % self.refresh_blocks
-        if not (submit or retrain_due):
-            return
-        with self._wake:
-            if self._closed:
-                return
-            if submit:
-                if len(self._pending) >= self.pending_max:
-                    self._pending.popleft()  # drop-oldest; never block
-                    self.dropped_blocks += 1
-                self._pending.append(keys.copy())
-                self.submitted_blocks += 1
-            if retrain_due:
-                self._retrain_due = True
-            self._wake.notify()
-
-    def bits_for(self, keys: np.ndarray) -> Optional[np.ndarray]:
-        keys = np.asarray(keys, dtype=np.int64)
-        if keys.size == 0:
-            return None
-        table = self._table
-        # Spillover keys (>= key_space) have no table slot: clip the
-        # gather index and force their bits to "no prediction".
-        got = table[np.clip(keys, 0, table.size - 1)]
-        return np.where(keys < table.size, got, np.int8(-1))
-
-    def _staleness_locked(self) -> int:
-        """Counter arithmetic for :meth:`staleness_blocks`; the caller
-        must hold ``self._lock``."""
-        return (self.submitted_blocks - self.refreshed_blocks
-                - self.dropped_blocks)
-
-    def staleness_blocks(self) -> int:
-        """Blocks enqueued but not yet refreshed (in queue or in
-        flight); bounded by ``pending_max + 1`` by construction, and
-        never negative: the three counters are read under the provider
-        lock as one consistent snapshot.  (An unlocked read racing the
-        worker could see ``refreshed_blocks`` advance before the
-        matching ``submitted_blocks`` and report a transient negative
-        lag into :meth:`ServingMetrics.record_staleness`, which
-        rejects it.)"""
-        with self._lock:
-            return self._staleness_locked()
-
-    # -- worker side ----------------------------------------------------
-    def _worker_loop(self) -> None:
-        while True:
-            with self._wake:
-                while (not self._pending and not self._retrain_due
-                       and not self._closed):
-                    self._wake.wait()
-                if self._closed and not self._pending:
-                    # Drained.  A pending retrain is *dropped*, not
-                    # drained: post-close the table is frozen, so a
-                    # freshly tuned model would never predict again.
-                    return
-                keys = None
-                retrain = False
-                if self._pending:
-                    keys = self._pending.popleft()
-                else:  # no refresh backlog: run the owed retrain cycle
-                    self._retrain_due = False
-                    self._retraining = True
-                    retrain = True
-            if keys is not None:
-                try:
-                    self._refresh(keys)
-                except Exception:
-                    # A dying worker must not freeze serving: count it,
-                    # keep draining — unrefreshed slots stay at -1,
-                    # which the sink treats as "no prediction".
-                    self.worker_errors += 1
-                with self._idle:
-                    self.refreshed_blocks += 1
-                    self._idle.notify_all()
-            elif retrain:
-                try:
-                    # Reference-assignment swap: atomic under the GIL,
-                    # in-flight predictions keep the old weights.
-                    self.model = self.retrainer.retrain(self.model)
-                except Exception:
-                    self.worker_errors += 1
-                with self._idle:
-                    self._retraining = False
-                    self._idle.notify_all()
-
-    def _refresh(self, keys: np.ndarray) -> None:
-        bits = self._predict(keys)
-        in_range = keys < self._table.size
-        self._table[keys[in_range]] = bits[in_range]
-        # Staleness is sampled by the *sink* (serving thread) per served
-        # block, keeping each metrics field family single-writer: this
-        # worker owns the inference counters, the serving thread owns
-        # batch latency and staleness.  Retraining is NOT fed here —
-        # the serving thread feeds the window for every observed block
-        # (see observe); refresh blocks are a thinned subset of it.
-
-    # -- lifecycle ------------------------------------------------------
-    def flush(self, timeout: float = 10.0) -> bool:
-        """Block until every submitted block is refreshed and any owed
-        retrain cycle has completed (test/bench hook — serving code
-        never calls this).  Returns False on timeout."""
-        deadline = time.perf_counter() + timeout
-        with self._idle:
-            while (self._staleness_locked() > 0 or self._retrain_due
-                   or self._retraining):
-                remaining = deadline - time.perf_counter()
-                if remaining <= 0:
-                    return False
-                self._idle.wait(remaining)
-        return True
-
-    def close(self) -> None:
-        with self._wake:
-            if self._closed:
-                return
-            self._closed = True
-            self._wake.notify_all()
-        self._thread.join()
-
-    def stats(self) -> Dict[str, float]:
-        out = super().stats()
-        # One consistent counter snapshot (same lock as the worker's
-        # updates) — stats() racing a refresh must not report e.g.
-        # refreshed > submitted or a negative staleness.
-        with self._lock:
-            out.update(
-                observed_blocks=self.observed_blocks,
-                submitted_blocks=self.submitted_blocks,
-                refreshed_blocks=self.refreshed_blocks,
-                dropped_blocks=self.dropped_blocks,
-                staleness_blocks=self._staleness_locked(),
-                worker_errors=self.worker_errors,
-            )
-        # The table read stays outside the lock: racing a scatter is
-        # by-design (each int8 slot is atomic) and coverage is a gauge.
-        out.update(table_coverage=float(
-            np.count_nonzero(self._table >= 0) / self._table.size))
-        return out
 
 
 def make_provider(mode: str, model, encoder, config, metrics=None,
@@ -669,9 +418,5 @@ def make_provider(mode: str, model, encoder, config, metrics=None,
                              "(it sets the OPTgen labeling budget)")
         from ..core.training import OnlineCachingTrainer  # no cycle: lazy
         retrainer = OnlineCachingTrainer(encoder, config, capacity)
-    if mode == "sync":
-        return SyncModelProvider(model, encoder, config, metrics=metrics,
-                                 retrainer=retrainer)
-    return AsyncModelProvider(model, encoder, config,
-                              key_space=encoder.vocab_size,
-                              metrics=metrics, retrainer=retrainer)
+    return SyncModelProvider(model, encoder, config, metrics=metrics,
+                             retrainer=retrainer)

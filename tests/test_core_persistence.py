@@ -66,22 +66,34 @@ class TestPersistence:
         """Archives written while the threaded serving engine existed
         carry its two config keys.  They must still load, and deploy as
         the serial shard loop that engine was pinned bit-identical to:
-        decision for decision the same system saved today."""
+        decision for decision the same system saved today.  Likewise
+        archives of the retired background priority-refresh mode: its
+        two knobs drop and ``"async"`` deploys as ``"sync"``, the same
+        model computing the same per-block bits on the serving
+        thread."""
         saved = tmp_path / "saved.npz"
         save_recmg(trained_recmg, saved)
-        today = tmp_path / "today.npz"
-        _rewrite_config(saved, today, num_shards=2)
-        parent = tmp_path / "parent.npz"
-        _rewrite_config(saved, parent, num_shards=2,
-                        concurrency="threads", num_workers=2)
         _, test = tiny_trace.split(0.6)
-        runs = []
-        for path in (today, parent):
-            manager = load_recmg(path).deploy(tiny_capacity)
-            stats = manager.run(test.head(800), record_decisions=True)
-            runs.append((stats, manager.last_decisions))
-        assert runs[0][0] == runs[1][0]
-        assert np.array_equal(runs[0][1], runs[1][1])
+        cases = [
+            ({"num_shards": 2},
+             {"num_shards": 2, "concurrency": "threads", "num_workers": 2}),
+            ({"priority_mode": "sync"},
+             {"priority_mode": "async", "priority_refresh_blocks": 2,
+              "priority_pending_max": 8}),
+        ]
+        for today_fields, retired_fields in cases:
+            runs = []
+            for name, fields in (("today", today_fields),
+                                 ("retired", retired_fields)):
+                path = tmp_path / f"{name}.npz"
+                _rewrite_config(saved, path, **fields)
+                manager = load_recmg(path).deploy(tiny_capacity)
+                assert manager.priority_mode == today_fields.get(
+                    "priority_mode", "none")
+                stats = manager.run(test.head(800), record_decisions=True)
+                runs.append((stats, manager.last_decisions))
+            assert runs[0][0] == runs[1][0]
+            assert np.array_equal(runs[0][1], runs[1][1])
 
     def test_unknown_config_key_still_raises(self, trained_recmg,
                                              tmp_path):
@@ -90,4 +102,7 @@ class TestPersistence:
         unknown = tmp_path / "unknown.npz"
         _rewrite_config(saved, unknown, fibers=3)
         with pytest.raises(TypeError, match="fibers"):
+            load_recmg(unknown)
+        _rewrite_config(saved, unknown, priority_mode="eventually")
+        with pytest.raises(ValueError, match="priority_mode"):
             load_recmg(unknown)

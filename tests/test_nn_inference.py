@@ -482,10 +482,9 @@ class TestNoTape:
 class TestConcurrentPredict:
     @pytest.mark.timeout(120)
     def test_threads_share_one_model(self, rng):
-        """The async refresh worker and the serving thread may predict
-        on the same model at once: the one thing stored on it, the
-        float32 twin, is read-only once published, so every thread
-        gets the single-thread answer."""
+        """Threads may predict on the same model at once: the one
+        thing stored on it, the float32 twin, is read-only once
+        published, so every thread gets the single-thread answer."""
         chunks = random_chunks(rng, SMALL, count=96)
         caching = caching_model(SMALL, rng)
         prefetch = prefetch_model(SMALL, rng)
@@ -522,8 +521,8 @@ class TestConcurrentPredict:
     @pytest.mark.timeout(120)
     def test_threads_predict_while_the_model_is_retrained_and_swapped(
             self, rng):
-        """The async provider's shape: readers take whatever model is
-        published, a trainer tunes a clone and swaps it in by reference.
+        """Readers take whatever model is published while a trainer
+        tunes a clone and swaps it in by reference.
         Every swap hands the readers a model with no twin yet, which
         they race to build — and each must still get *that* model's
         decisions, never a half-cast twin's."""

@@ -4,17 +4,15 @@ and the online retraining loop (:class:`OnlineCachingTrainer`).
 The contract under test, in three layers:
 
 * **Providers in isolation** — the tri-state bit protocol: sync bits
-  equal an offline predict over the same dense segment; async bits are
-  ``-1`` until the refresh worker lands them and equal the sync bits
-  once it has; spillover keys never get a prediction; the bounded
-  refresh queue drops oldest and never blocks.
+  equal an offline predict over the same dense segment; ``-1`` ("no
+  prediction") positions keep their recency priority in the applier.
 * **The manager seam** — ``priority_mode="sync"`` run() is replayed
   decision-for-decision by a model-free manager plus a manual per-block
   predict/apply loop (the provider is *only* a refactoring of that
   loop) on single-shard and sharded buffers alike — which pins the
   sink's per-shard bit split against the whole-buffer applier;
   ``record_decisions=True`` keeps working under model-guided sharded
-  engines.
+  engines; no priority mode starts a thread.
 * **Online retraining** — the sliding window trims to size, the
   retrain cadence honors interval+window, the tuned model is a clone
   (the served model's weights are never touched in place), and
@@ -45,7 +43,6 @@ from repro.core.training import (
 from repro.cache.optgen import run_optgen
 from repro.serving.priorities import (
     PRIORITY_MODES,
-    AsyncModelProvider,
     LiftGuard,
     NullProvider,
     SyncModelProvider,
@@ -83,8 +80,11 @@ def world(small_config):
 # ----------------------------------------------------------------------
 def test_make_provider_validates_mode(world, small_config):
     _, _, encoder, _, model = world
+    for mode in ("eventually", "async"):
+        with pytest.raises(ValueError, match="priority_mode"):
+            make_provider(mode, model, encoder, small_config)
     with pytest.raises(ValueError, match="priority_mode"):
-        make_provider("eventually", model, encoder, small_config)
+        RecMGConfig(priority_mode="async")
 
 
 def test_make_provider_none_is_null(small_config):
@@ -92,10 +92,7 @@ def test_make_provider_none_is_null(small_config):
     assert isinstance(provider, NullProvider)
     assert provider.mode == "none"
     assert provider.bits_for(np.array([1, 2, 3])) is None
-    assert provider.staleness_blocks() is None
     provider.observe(np.array([1]))
-    provider.close()  # no-op, idempotent
-    provider.close()
 
 
 def test_model_modes_require_model_and_fitted_encoder(world, small_config):
@@ -103,7 +100,7 @@ def test_model_modes_require_model_and_fitted_encoder(world, small_config):
     with pytest.raises(ValueError, match="caching model"):
         make_provider("sync", None, encoder, small_config)
     with pytest.raises(ValueError, match="fitted"):
-        make_provider("async", model, FeatureEncoder(small_config),
+        make_provider("sync", model, FeatureEncoder(small_config),
                       small_config)
 
 
@@ -118,10 +115,6 @@ def test_retrainer_requires_capacity(world):
 def test_config_validates_priority_knobs():
     with pytest.raises(ValueError, match="priority_mode"):
         RecMGConfig(priority_mode="later")
-    with pytest.raises(ValueError, match="refresh_blocks"):
-        RecMGConfig(priority_refresh_blocks=0)
-    with pytest.raises(ValueError, match="pending_max"):
-        RecMGConfig(priority_pending_max=0)
     with pytest.raises(ValueError, match="retrain_interval"):
         RecMGConfig(online_retrain_interval=-1)
     with pytest.raises(ValueError, match="window"):
@@ -187,130 +180,7 @@ def test_sync_bits_match_offline_predict(world, small_config):
     assert bits.dtype == np.int8
     assert set(np.unique(bits)) <= {0, 1}
     assert provider.bits_for(np.empty(0, dtype=np.int64)) is None
-    assert provider.staleness_blocks() is None
     assert provider.stats()["inference_batches"] == 1
-
-
-# ----------------------------------------------------------------------
-# Async provider
-# ----------------------------------------------------------------------
-def test_async_bits_follow_refresh(world, small_config):
-    _, tail, encoder, _, model = world
-    provider = make_provider("async", model, encoder, small_config)
-    assert isinstance(provider, AsyncModelProvider)
-    try:
-        dense = encoder.dense_ids(tail)
-        # Unique keys: the async table is *per key* (a duplicate key's
-        # last position wins the scatter), while sync bits are per
-        # position — only a duplicate-free block compares exactly.
-        in_vocab = np.unique(dense[dense < encoder.vocab_size])[:400]
-        # Before any refresh: the whole table is "no prediction".
-        np.testing.assert_array_equal(
-            provider.bits_for(in_vocab), np.full(in_vocab.size, -1,
-                                                 dtype=np.int8))
-        provider.observe(in_vocab)
-        assert provider.flush(), "refresh worker did not drain"
-        sync = make_provider("sync", model, encoder, small_config)
-        np.testing.assert_array_equal(provider.bits_for(in_vocab),
-                                      sync.bits_for(in_vocab))
-        assert provider.staleness_blocks() == 0
-        stats = provider.stats()
-        assert stats["refreshed_blocks"] == 1
-        assert 0.0 < stats["table_coverage"] <= 1.0
-    finally:
-        provider.close()
-        provider.close()  # idempotent
-    # After close the table is frozen but still readable.
-    assert provider.bits_for(in_vocab[:5]) is not None
-
-
-def test_async_spillover_keys_have_no_prediction(world, small_config):
-    _, _, encoder, _, model = world
-    provider = make_provider("async", model, encoder, small_config)
-    try:
-        spill = np.array([encoder.vocab_size + 7,
-                          encoder.vocab_size + 12_345], dtype=np.int64)
-        provider.observe(spill)
-        assert provider.flush()
-        np.testing.assert_array_equal(provider.bits_for(spill),
-                                      np.array([-1, -1], dtype=np.int8))
-    finally:
-        provider.close()
-
-
-def test_async_queue_drops_oldest_and_never_blocks(world, small_config):
-    _, _, encoder, _, model = world
-    provider = AsyncModelProvider(model, encoder, small_config,
-                                  key_space=encoder.vocab_size,
-                                  pending_max=2, refresh_blocks=1)
-    release = threading.Event()
-    real_predict = provider._predict
-
-    def stalled_predict(keys):
-        release.wait(timeout=10.0)
-        return real_predict(keys)
-
-    provider._predict = stalled_predict
-    try:
-        first = np.array([0, 1], dtype=np.int64)
-        provider.observe(first)
-        # Wait for the worker to take the first block in flight.
-        for _ in range(1000):
-            with provider._lock:
-                if not provider._pending:
-                    break
-            threading.Event().wait(0.005)
-        else:
-            pytest.fail("worker never picked up the first block")
-        provider.observe(np.array([2], dtype=np.int64))
-        provider.observe(np.array([3], dtype=np.int64))
-        # Queue full (pending_max=2): the oldest queued block drops.
-        provider.observe(np.array([4], dtype=np.int64))
-        assert provider.dropped_blocks == 1
-        # Staleness counts in-queue + in-flight, bounded by
-        # pending_max + 1.
-        assert provider.staleness_blocks() <= provider.pending_max + 1
-        release.set()
-        assert provider.flush()
-        assert provider.staleness_blocks() == 0
-    finally:
-        release.set()
-        provider.close()
-
-
-def test_async_refresh_interval_skips_blocks(world, small_config):
-    _, _, encoder, _, model = world
-    provider = AsyncModelProvider(model, encoder, small_config,
-                                  key_space=encoder.vocab_size,
-                                  refresh_blocks=3)
-    try:
-        for i in range(7):
-            provider.observe(np.array([i], dtype=np.int64))
-        assert provider.observed_blocks == 7
-        assert provider.submitted_blocks == 3  # blocks 1, 4, 7
-    finally:
-        provider.close()
-
-
-def test_async_worker_error_does_not_freeze_serving(world, small_config):
-    _, _, encoder, _, model = world
-    provider = AsyncModelProvider(model, encoder, small_config,
-                                  key_space=encoder.vocab_size)
-
-    def broken_predict(keys):
-        raise RuntimeError("inference backend fell over")
-
-    provider._predict = broken_predict
-    try:
-        keys = np.array([1, 2, 3], dtype=np.int64)
-        provider.observe(keys)
-        assert provider.flush(), "errored refresh must still drain"
-        assert provider.worker_errors == 1
-        # Nothing landed: bits stay at "no prediction".
-        np.testing.assert_array_equal(provider.bits_for(keys),
-                                      np.full(3, -1, dtype=np.int8))
-    finally:
-        provider.close()
 
 
 # ----------------------------------------------------------------------
@@ -361,7 +231,7 @@ def test_sync_run_equals_manual_replay(world, small_config, buffer_impl,
             manual.buffer.priority_of(key)
 
 
-def test_record_decisions_under_async_sharded(world):
+def test_record_decisions_under_sync_sharded(world):
     """The satellite pin: ``record_decisions=True`` must deliver one
     decision per access under the model-guided sharded engine (the
     provider sink never touches the recording stream)."""
@@ -369,7 +239,7 @@ def test_record_decisions_under_async_sharded(world):
     config = RecMGConfig(hidden=16, hash_buckets=256, buffer_impl="clock",
                          num_shards=2)
     manager = RecMGManager(capacity, encoder, config, caching_model=model,
-                           priority_mode="async")
+                           priority_mode="sync")
     stats = manager.run(tail, record_decisions=True)
     decisions = manager.last_decisions
     manager.close()
@@ -417,17 +287,28 @@ def test_serve_batch_sinks_through_provider(world, small_config):
     assert summary["inference_mean_ms"] > 0.0
     manager.close()
 
-    manager = RecMGManager(capacity, encoder, small_config,
-                           caching_model=model, priority_mode="async")
-    for lo in range(0, 4096, 512):
-        manager.serve_batch(dense[lo:lo + 512])
-    summary = manager.serving_metrics.summary()
-    # The sink samples staleness per served block, serving thread side.
-    assert summary["staleness_max"] <= small_config.priority_pending_max + 1
-    assert manager.priority_provider.stats()["observed_blocks"] == 8
+
+@pytest.mark.parametrize("retrain", [False, True])
+@pytest.mark.parametrize("mode", PRIORITY_MODES)
+def test_serving_starts_no_thread(world, mode, retrain):
+    """Serving is one thread in every priority mode, online retraining
+    included: building a manager, ``run`` and ``serve_batch`` start no
+    thread, and ``close`` leaves none behind."""
+    _, tail, encoder, capacity, model = world
+    config = RecMGConfig(hidden=16, hash_buckets=256, buffer_impl="clock",
+                         priority_mode=mode,
+                         online_retrain_interval=1500 if retrain else 0,
+                         online_retrain_window=512,
+                         online_retrain_epochs=1)
+    before = set(threading.enumerate())
+    manager = RecMGManager(capacity, encoder, config, caching_model=model)
+    manager.run(tail, fast_serve=True)
+    manager.serve_batch(encoder.dense_ids(tail)[:512])
+    assert set(threading.enumerate()) - before == set()
     manager.close()
-    # close() is propagated to the provider.
-    assert manager.priority_provider._closed
+    assert set(threading.enumerate()) - before == set()
+    if mode != "none" and retrain:
+        assert manager.priority_provider.stats()["retrains"] >= 1
 
 
 # ----------------------------------------------------------------------
@@ -520,8 +401,8 @@ def test_sync_provider_retrains_online(world, small_config):
 
 
 # ----------------------------------------------------------------------
-# PR 9 satellites: applier hardening, retraining-window thinning fix,
-# capacity-matched labels, and the lift guard.
+# PR 9 satellites: applier hardening, capacity-matched labels, and the
+# lift guard.
 # ----------------------------------------------------------------------
 class _RecordingBuffer:
     """Minimal priority-write stub, scalar and bulk protocol (the
@@ -593,85 +474,6 @@ def test_apply_caching_bits_all_unpredicted_is_noop():
     apply_caching_bits(buffer, np.array([1, 2, 3], dtype=np.int64),
                        np.full(3, -1, dtype=np.int8), speed=4)
     assert buffer.promoted == [] and buffer.demoted == []
-
-
-def test_async_retrainer_sees_every_block(world, small_config):
-    """Regression for the retraining-window thinning bug: with
-    ``refresh_blocks=k`` the refresh queue sheds inference, but the
-    retraining window must still be fed **every** observed block —
-    the old early-return starved it to a k-times-sparser stream."""
-    _, _, encoder, capacity, model = world
-    retrainer = OnlineCachingTrainer(encoder, small_config, capacity,
-                                     interval=10**9, window=1024)
-    provider = AsyncModelProvider(model, encoder, small_config,
-                                  key_space=encoder.vocab_size,
-                                  refresh_blocks=3, retrainer=retrainer)
-    try:
-        for i in range(6):
-            provider.observe(np.arange(i * 32, (i + 1) * 32,
-                                       dtype=np.int64))
-        assert provider.observed_blocks == 6
-        assert provider.submitted_blocks == 2  # blocks 1 and 4
-        assert retrainer.window_keys().size == 6 * 32
-    finally:
-        provider.close()
-
-
-def test_async_retrain_runs_on_worker(world, small_config):
-    """The serving thread only *arms* a retrain; the expensive
-    label/fine-tune/swap cycle runs on the refresh worker and
-    ``flush()`` waits it out."""
-    _, tail, encoder, capacity, model = world
-    config = RecMGConfig(hidden=16, hash_buckets=256, caching_epochs=1,
-                         buffer_impl="clock",
-                         priority_refresh_blocks=4,
-                         online_retrain_interval=1500,
-                         online_retrain_window=512,
-                         online_retrain_epochs=1)
-    provider = make_provider("async", model, encoder, config,
-                             capacity=capacity)
-    try:
-        original = provider.model
-        dense = encoder.dense_ids(tail)
-        for lo in range(0, 4096, 512):
-            provider.observe(dense[lo:lo + 512])
-        assert provider.flush(), "flush must drain refreshes + retrain"
-        assert provider.retrainer.retrains >= 1
-        assert provider.model is not original
-        assert provider.worker_errors == 0
-        assert provider.stats()["retrains"] >= 1
-    finally:
-        provider.close()
-
-
-def test_staleness_never_negative_under_concurrent_stats(world,
-                                                         small_config):
-    """stats()/staleness_blocks() snapshot the three queue counters
-    under the provider lock — hammer them against a live worker and
-    assert no torn (negative) snapshot ever surfaces."""
-    _, tail, encoder, _, model = world
-    provider = make_provider("async", model, encoder, small_config)
-    try:
-        dense = encoder.dense_ids(tail)
-        seen = []
-        stop = threading.Event()
-
-        def reader():
-            while not stop.is_set():
-                seen.append(provider.staleness_blocks())
-                seen.append(provider.stats()["staleness_blocks"])
-
-        thread = threading.Thread(target=reader)
-        thread.start()
-        for lo in range(0, 16_384, 256):
-            provider.observe(dense[lo % dense.size:
-                                   lo % dense.size + 256])
-        provider.flush()
-        stop.set()
-        thread.join()
-        assert seen and min(seen) >= 0
-    finally:
-        provider.close()
 
 
 # ----------------------------------------------------------------------

@@ -5,8 +5,8 @@ arbitrary moments — including before any traffic and after exactly one
 batch — so the empty/single-sample behavior is part of the contract:
 every field must be present and finite with no samples recorded, and
 single-sample percentiles must collapse to that sample rather than
-interpolate garbage.  The inference/staleness stat families added for
-the priority providers get the same treatment.
+interpolate garbage.  The inference stat family added for the
+priority providers gets the same treatment.
 """
 
 import pytest
@@ -74,12 +74,10 @@ def test_summary_is_stable_with_no_samples():
     assert summary["keys_served"] == 0
     for key in ("latency_p50_ms", "latency_p95_ms", "latency_p99_ms",
                 "latency_mean_ms", "queue_depth_mean",
-                "inference_mean_ms", "inference_max_ms",
-                "staleness_mean"):
+                "inference_mean_ms", "inference_max_ms"):
         assert summary[key] == 0.0, key
     assert summary["queue_depth_max"] == 0
     assert summary["inference_batches"] == 0
-    assert summary["staleness_max"] == 0
     assert summary["batch_size_histogram"] == {}
     # No busy time recorded: the throughput key is absent, not inf/nan.
     assert "keys_per_sec_busy" not in summary
@@ -124,7 +122,7 @@ def test_serving_metrics_summary_shape():
 
 
 # ----------------------------------------------------------------------
-# Inference / staleness families (priority providers)
+# Inference family (priority providers)
 # ----------------------------------------------------------------------
 def test_record_inference_accumulates():
     metrics = ServingMetrics()
@@ -139,38 +137,11 @@ def test_record_inference_accumulates():
     assert summary["inference_max_ms"] == pytest.approx(10.0)
 
 
-def test_record_staleness_accumulates():
-    metrics = ServingMetrics()
-    for blocks in (0, 3, 1):
-        metrics.record_staleness(blocks)
-    assert metrics.staleness_samples == 3
-    assert metrics.staleness_mean == pytest.approx(4 / 3)
-    summary = metrics.summary()
-    assert summary["staleness_mean"] == pytest.approx(4 / 3)
-    assert summary["staleness_max"] == 3
-
-
-def test_serving_metrics_rejects_negative_staleness():
-    """A negative staleness sample can only come from a torn read of
-    the provider's queue counters (the bug the locked snapshot in
-    ``AsyncModelProvider.staleness_blocks`` fixes) — reject it loudly
-    instead of folding it into the mean."""
-    metrics = ServingMetrics()
-    metrics.record_staleness(0)
-    metrics.record_staleness(3)
-    with pytest.raises(ValueError, match="negative"):
-        metrics.record_staleness(-1)
-    # The rejected sample must not have perturbed the counters.
-    assert metrics.staleness_samples == 2
-    assert metrics.staleness_max == 3
-
-
 def test_summary_is_json_ready():
     import json
 
     metrics = ServingMetrics()
     metrics.record_batch(64, 0.002, queue_depth=1)
     metrics.record_inference(0.003, keys=64)
-    metrics.record_staleness(2)
     encoded = json.dumps(metrics.summary())
     assert isinstance(json.loads(encoded), dict)
