@@ -125,23 +125,35 @@ def test_manager_serving_throughput(perf_trace, perf_budget, benchmark,
         return manager.run(perf_trace, fast_serve=fast_serve)
 
     # Steady state: the buffer is a fraction of the working set, every
-    # miss evicts, and hit runs are short — the bulk pre-pass must at
-    # minimum not regress against the scalar loop.
+    # miss evicts, and hit runs are short — the batched exact engine
+    # must at minimum not regress against the scalar loop.
     steady = max(1, int(perf_trace.num_unique * 0.2))
     fast_seconds, fast = _timed(lambda: serve(steady, True), repeats=3)
     ref_seconds, reference = _timed(lambda: serve(steady, False), repeats=3)
     assert fast == reference
+    # One untimed run counts the bulk calls: a block takes more than
+    # one only where a rare serve_segment trim applies.
+    counted = RecMGManager(steady, encoder, config)
+    bulk, calls = counted.buffer.serve_segment, []
+    counted.buffer.serve_segment = (
+        lambda segment, priority: calls.append(1) or bulk(segment, priority))
+    counted.run(perf_trace)
+    calls_per_block = len(calls) / -(-PERF_ACCESSES // counted._SERVE_BLOCK)
     record_hotpath("manager_serving_steady_exact", PERF_ACCESSES,
-                   fast_seconds, ref_seconds=ref_seconds, gated=True)
+                   fast_seconds, ref_seconds=ref_seconds,
+                   hit_rate=fast.hit_rate,
+                   serve_calls_per_block=calls_per_block, gated=True)
     _report("Manager demand serving throughput (steady state)",
             fast_seconds, ref_seconds)
+    print(f"serve_segment calls per {counted._SERVE_BLOCK}-key block: "
+          f"{calls_per_block:.2f}")
     if perf_budget > 0:
         assert fast_seconds < ref_seconds * 1.2, \
-            "bulk serving pre-pass regressed against the scalar loop"
+            "batched exact serving regressed against the scalar loop"
 
     # Eviction-light regime (buffer sized past the working set, the
     # paper's large-buffer ablations): whole segments resolve through
-    # the bulk path and the pre-pass must win outright.
+    # the bulk path and the engine must win outright.
     roomy = int(perf_trace.num_unique * 1.2) + 1
     fast_seconds, fast = _timed(lambda: serve(roomy, True), repeats=3)
     ref_seconds, reference = _timed(lambda: serve(roomy, False), repeats=3)
@@ -152,137 +164,8 @@ def test_manager_serving_throughput(perf_trace, perf_budget, benchmark,
                    fast_seconds, ref_seconds)
     if perf_budget > 0:
         assert fast_seconds < ref_seconds, \
-            "bulk serving pre-pass should beat the scalar loop when " \
+            "batched exact serving should beat the scalar loop when " \
             "serving is hit-dominated"
-    benchmark(lambda: rows)
-
-
-def test_exact_serving_throughput(perf_trace, perf_budget, benchmark,
-                                  record_hotpath):
-    """Steady-state serving win of the batched *exact* engine (PR 4).
-
-    PR 3 left the exact ``"fast"`` backend at ~385k accesses/sec on
-    this trace at a 20% buffer: the lazy-heap pre-pass still classified
-    membership with a per-key dict sweep and paid per-miss heap pops.
-    The dense (``key_space``) mode serves through
-    :meth:`~repro.cache.buffer.FastPriorityBuffer.serve_segment` — one
-    residency gather, one victim selection over the priority-zero pool
-    (iterated to a fixed point when victims re-miss later in the
-    block) and one bulk scatter per block, one call per block unless a
-    rare trim applies (``serve_calls_per_block``, recorded ungated) —
-    and must be at least 3x the dict-mode engine measured side by side
-    (measured ~5.6x; ~2.5-2.8x while every re-miss ended the served
-    prefix; absolute numbers in ROADMAP's hot-path table), while
-    remaining *decision-for-decision identical*: both are compared
-    against each other and the scalar audit loop below.
-    """
-    config = RecMGConfig()
-    encoder = FeatureEncoder(config).fit(perf_trace)
-    steady = max(1, int(perf_trace.num_unique * 0.2))
-
-    def serve(key_space, record=False):
-        manager = RecMGManager(steady, encoder, config,
-                               buffer_impl="fast", key_space=key_space)
-        stats = manager.run(perf_trace, record_decisions=record)
-        return manager, stats
-
-    dense_seconds, (_, dense) = _timed(lambda: serve("auto"), repeats=3)
-    dict_seconds, (_, dict_stats) = _timed(lambda: serve(None), repeats=3)
-    assert dense == dict_stats
-    # Decision streams (one recorded run each) must match exactly; the
-    # dense one also counts its bulk calls.
-    dense_manager = RecMGManager(steady, encoder, config,
-                                 buffer_impl="fast", key_space="auto")
-    bulk, calls = dense_manager.buffer.serve_segment, []
-    dense_manager.buffer.serve_segment = (
-        lambda segment, priority: calls.append(1) or bulk(segment, priority))
-    dense_manager.run(perf_trace, record_decisions=True)
-    dict_manager, _ = serve(None, record=True)
-    assert np.array_equal(dense_manager.last_decisions,
-                          dict_manager.last_decisions)
-    blocks = -(-PERF_ACCESSES // dense_manager._SERVE_BLOCK)
-    record_hotpath("manager_serving_steady_exact_dense", PERF_ACCESSES,
-                   dense_seconds, ref_seconds=dict_seconds,
-                   hit_rate=dense.hit_rate,
-                   serve_calls_per_block=len(calls) / blocks, gated=True)
-    rows = _report("Manager demand serving throughput "
-                   "(steady state, dense exact engine vs dict engine)",
-                   dense_seconds, dict_seconds)
-    print(f"serve_segment calls per {dense_manager._SERVE_BLOCK}-key block: "
-          f"{len(calls) / blocks:.2f}")
-    if perf_budget > 0:
-        speedup = dict_seconds / dense_seconds
-        assert speedup >= 3.0, (
-            f"batched exact serving is only {speedup:.2f}x the dict-mode "
-            f"engine (contract: >= 3x at a steady 20% buffer)")
-    benchmark(lambda: rows)
-
-
-def test_model_chunk_serving_throughput(perf_trace, perf_budget, benchmark,
-                                        record_hotpath):
-    """The model-chunk regime: ``input_len`` (15) keys per engine call,
-    as ``run()`` drives the buffer between two model barriers.
-
-    Per-call overhead, not per-key work, decides this regime: bulk
-    ``serve_segment`` paid an O(key_space) gather and ~60 small numpy
-    calls per chunk, so the dense exact engine ran at ~0.33-0.48x the
-    dict-mode lazy-heap pre-pass it was meant to replace.  Chunks this
-    short now go to the scalar loop over the dense buffer's victim
-    queue (amortised-O(1) exact ``evict_one``); the dense engine must
-    stay >= 0.9x the dict engine at the default budget (measured
-    ~1.3-1.8x; the floor scales down with ``--perf-budget``), with
-    identical counters — the precondition for deleting dict mode
-    (ROADMAP item 3).  Model-free on purpose: both sides pay the same
-    model and priority-write cost in ``run()``.
-    """
-    config = RecMGConfig()
-    encoder = FeatureEncoder(config).fit(perf_trace)
-    steady = max(1, int(perf_trace.num_unique * 0.2))
-    dense_ids = encoder.dense_ids(perf_trace)
-    length = config.input_len
-    chunks = [dense_ids[low:low + length]
-              for low in range(0, len(dense_ids) - length + 1, length)]
-
-    def serve(key_space):
-        manager = RecMGManager(steady, encoder, config,
-                               buffer_impl="fast", key_space=key_space)
-        engine = manager._select_engine()
-        for chunk in chunks:
-            engine(chunk)
-        return manager.breakdown, manager.evictions
-
-    # Interleaved best-of, as in the sharded gate: a noise window
-    # inflates both sides instead of skewing the ratio.
-    dense_seconds = dict_seconds = float("inf")
-    for _ in range(5):
-        seconds, dense = _timed(lambda: serve("auto"))
-        dense_seconds = min(dense_seconds, seconds)
-        seconds, dict_mode = _timed(lambda: serve(None))
-        dict_seconds = min(dict_seconds, seconds)
-    assert dense == dict_mode
-    accesses = len(chunks) * length
-    record_hotpath("manager_serving_model_chunks_exact", accesses,
-                   dense_seconds, ref_seconds=dict_seconds,
-                   chunk_keys=length,
-                   us_per_chunk=dense_seconds / len(chunks) * 1e6,
-                   dict_us_per_chunk=dict_seconds / len(chunks) * 1e6,
-                   gated=True)
-    rows = [["dense (scalar loop + victim queue)", accesses / dense_seconds,
-             dense_seconds / len(chunks) * 1e6],
-            ["dict (lazy-heap pre-pass)", accesses / dict_seconds,
-             dict_seconds / len(chunks) * 1e6],
-            ["speedup", dict_seconds / dense_seconds, float("nan")]]
-    print()
-    print(ascii_table(["engine", "accesses/sec", "us/chunk"], rows,
-                      title=f"Manager demand serving in {length}-key model "
-                            "chunks (exact fast backend)"))
-    floor = 0.9 * min(1.0, perf_budget / 5.0)
-    if perf_budget > 0:
-        speedup = dict_seconds / dense_seconds
-        assert speedup >= floor, (
-            f"dense exact serving in {length}-key chunks is only "
-            f"{speedup:.2f}x the dict-mode engine (contract: >= "
-            f"{floor:.2f}x)")
     benchmark(lambda: rows)
 
 
@@ -367,38 +250,28 @@ def test_chunk_pass_throughput(perf_trace, perf_budget, benchmark,
 
 def test_clock_serving_throughput(perf_trace, perf_budget, benchmark,
                                   record_hotpath):
-    """Steady-state serving win of the CLOCK backend with the dense-id
-    residency index.
+    """Steady-state serving of the CLOCK backend against the batched
+    exact engine, both over the encoder's id universe.
 
-    PR 1 left demand serving eviction-bound: the exact lazy-heap buffer
-    measured ~385k accesses/sec on this trace at a 20% buffer.  PR 2's
-    ``buffer_impl="clock"`` backend pre-reclaimed space for each whole
-    segment with one ``evict_batch`` sweep (~1.10M, >= 2x).  PR 3 made
-    the whole serving path array-native — membership classifies through
-    the :class:`~repro.cache.residency.ResidencyIndex` bitmap instead
-    of the key→slot dict loop — and must stay at least 2.5x faster than
-    that PR 3-era exact baseline, i.e. the dict-mode ``"fast"`` engine
-    (``key_space=None``) measured side by side.  PR 4's batched exact
-    engine closed most of this gap (see
-    :func:`test_exact_serving_throughput`), so the approximate backend
-    is additionally required not to fall behind the exact dense engine.
+    :meth:`~repro.cache.buffer.ClockBuffer.serve_segment` classifies,
+    reclaims (protected) and stores a whole segment in one sort-free
+    array pass; the exact ``"fast"`` engine serves the same blocks
+    through its fixed-point ``serve_segment``.  The approximate backend
+    may not fall clearly behind the exact one — its throughput is its
+    only excuse for approximate victim order.
     """
     config = RecMGConfig()
     encoder = FeatureEncoder(config).fit(perf_trace)
     steady = max(1, int(perf_trace.num_unique * 0.2))
 
-    def serve(buffer_impl, key_space="auto"):
+    def serve(buffer_impl):
         manager = RecMGManager(steady, encoder, config,
-                               buffer_impl=buffer_impl,
-                               key_space=key_space)
+                               buffer_impl=buffer_impl)
         return manager.run(perf_trace)
 
-    exact_seconds, exact = _timed(lambda: serve("fast", key_space=None),
-                                  repeats=3)
-    dense_seconds, dense_exact = _timed(lambda: serve("fast"), repeats=3)
+    exact_seconds, exact = _timed(lambda: serve("fast"), repeats=3)
     clock_seconds, clock = _timed(lambda: serve("clock"), repeats=3)
     assert clock.breakdown.total == exact.breakdown.total == PERF_ACCESSES
-    assert dense_exact == exact
     # Approximate victim order: the hit rate must not fall below the
     # exact engines.  One-sided on purpose — the batched-reclaim engine
     # reclaims with *protected* eviction (``ClockBuffer.serve_segment``:
@@ -411,15 +284,10 @@ def test_clock_serving_throughput(perf_trace, perf_budget, benchmark,
                    clock_hit_rate=clock.hit_rate,
                    exact_hit_rate=exact.hit_rate, gated=True)
     rows = _report("Manager demand serving throughput "
-                   "(steady state, clock+residency vs dict-mode exact)",
+                   "(steady state, clock vs batched exact)",
                    clock_seconds, exact_seconds)
     if perf_budget > 0:
-        speedup = exact_seconds / clock_seconds
-        assert speedup >= 2.5, (
-            f"clock residency-index serving is only {speedup:.2f}x the "
-            f"dict-mode exact engine (contract: >= 2.5x at a steady 20% "
-            f"buffer)")
-        assert clock_seconds < dense_seconds * 1.35, (
+        assert clock_seconds < exact_seconds * 1.35, (
             "approximate clock serving fell clearly behind the batched "
             "exact engine — its throughput advantage is its only excuse "
             "for approximate victim order")

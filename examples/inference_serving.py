@@ -43,7 +43,8 @@ def main() -> None:
     lru_report = engine.run(test, LRUCache(capacity))
     # Model-free aged-priority buffer on the array-backed CLOCK backend
     # (the cheapest manager the serving loop supports; buffer_impl also
-    # accepts "fast"/"reference" for the exact heap/audit backends).
+    # accepts "fast"/"reference" for the exact victim-queue/audit
+    # backends).
     clock_report = engine.run(test, BufferClassifier(capacity,
                                                      buffer_impl="clock"))
     recmg_report = engine.run(

@@ -9,7 +9,7 @@ lowest priority and then *ages* every entry by decrementing its priority
 
 Three interchangeable backends implement the buffer protocol
 (``insert`` / ``set_priority`` / ``demote`` / ``put_batch`` /
-``evict_one`` / ``evict_batch`` / ``residency_map``); pick one with
+``evict_one`` / ``evict_batch``); pick one with
 :func:`make_buffer` or the ``buffer_impl=`` knob threaded through
 :class:`repro.core.manager.RecMGManager`, ``repro.dlrm.inference`` and
 ``repro.prefetch.harness``:
@@ -19,24 +19,13 @@ Three interchangeable backends implement the buffer protocol
   as the reference in tests.  The manager serves it through the scalar
   audit loop.
 * :class:`FastPriorityBuffer` (``"fast"``, the manager's default) —
-  *exact* semantics at O(log n) per eviction.  Aging by a global
-  decrement is represented implicitly: each entry stores the *age at
-  which its priority reaches zero* (``expiry = age_now + priority``),
-  so ``effective_priority = max(0, expiry - age_now)``.  A lazy min-heap
-  ordered by (expiry, seqno) plus a lazy min-heap of expired entries
-  ordered by seqno reproduce exactly the reference victim choice (see
-  *Eviction order* below).  Heap pushes are deferred: updates land in
-  the entry table plus a dirty set and are flushed to the heaps only
-  when an eviction actually needs them, so a key touched many times
-  between evictions costs one push.  :meth:`put_batch` additionally
-  collapses a whole run of touches into one store per unique key with
-  exact seqno semantics.
-
-  Constructed with ``key_space=N`` the backend goes *array-native*
-  while staying exact: the entry dict and the heaps are replaced by
+  *exact* semantics, array-native.  Aging by a global decrement is
+  represented implicitly: each entry stores the *age at which its
+  priority reaches zero* (``expiry = age_now + priority``), so
+  ``effective_priority = max(0, expiry - age_now)``.  Entries live in
   dense ``id -> (expiry, seqno)`` vectors plus a
   :class:`~repro.cache.residency.ResidencyIndex` bitmap (ids outside
-  ``[0, N)`` spill to a side dict).  The bulk protocol then runs as
+  the universe spill to a side dict).  The bulk protocol runs as
   numpy gathers/scatters, ``evict_batch(n)`` computes the whole victim
   sequence with one vectorized selection over the resident entries
   (identical, victim for victim, to ``n`` scalar ``evict_one`` calls
@@ -49,8 +38,8 @@ Three interchangeable backends implement the buffer protocol
   queue* — the smallest-seqno priority-zero entries below every live
   entry's seqno, gathered once and popped across calls, demotes pushed
   on top, every record validated against the entry's current seqno —
-  so dense mode also covers the scalar-eviction regime (the manager's
-  15-key model chunks); only when no such entry exists (priorities far
+  so the scalar-eviction regime (the manager's 15-key model chunks)
+  costs no heap either; only when no such entry exists (priorities far
   above the eviction count) does a call fall back to one O(capacity)
   selection.
 * :class:`ClockBuffer` (``"clock"``) — *approximate* priorities in
@@ -68,29 +57,36 @@ Three interchangeable backends implement the buffer protocol
   :meth:`ClockBuffer.serve_segment` classifies a whole demand segment,
   reclaims the space its new keys need with one *protected* sweep (no
   victim is a segment key) and stores it, in a single array pass —
-  trading exact victim order for array-speed eviction.  Constructed
-  with ``key_space=N`` the backend goes *array-native*: the key→slot
-  dict is replaced by a dense ``id → slot`` vector plus a
+  trading exact victim order for array-speed eviction.  Membership is
+  a dense ``id → slot`` vector plus a
   :class:`repro.cache.residency.ResidencyIndex` bitmap, so that pass,
   bulk membership and ``put_batch`` run as numpy gathers and scatters
-  with no sort and no per-key dict traffic (ids outside ``[0, N)``
+  with no sort and no per-key dict traffic (ids outside the universe
   spill to a side dict, preserving correctness for unseen keys).
+
+**Id universe.**  The fast and clock backends index their per-id
+state by the ids of ``[0, key_space)`` — the paper treats each
+embedding-vector index as a memory address, and the manager fits that
+universe from the encoder's vocabulary.  ``key_space=0`` (the default)
+is the empty universe: every id, raw packed keys included, takes the
+spillover path, which is exact for any int64 key and differs from an
+in-universe id only in speed.
 
 **Bulk residency / priority protocol.**  All backends answer
 ``contains_batch(keys) -> bool[:]`` (residency of a whole segment in
-one call — a bitmap gather on the dense backends, a dict sweep
-otherwise) and accept ``set_priority_batch(keys, priority)`` and
-``demote_batch(keys)`` for chunk-boundary priority writes.  On the
-exact backends the batch forms are *defined* as the scalar operations
-applied in order (seqno semantics preserved); in dense (``key_space``)
-mode every bulk op is O(1) amortized per key: ``contains_batch`` is
-one bitmap gather, ``put_batch`` / ``set_priority_batch`` /
-``demote_batch`` are one last-occurrence ``np.unique`` plus two
-scatters, and ``evict_batch`` is one candidate gather plus one
-partition-and-sort for the whole victim batch (ids outside the bitmap
-fall back to the scalar path, preserving semantics at dict speed).
-The serving engines in :mod:`repro.core.manager` classify whole
-segments through this protocol instead of per-key dict loops.
+one call — a bitmap gather, spillover ids answered by a set lookup;
+the reference backend without a universe sweeps its dict) and accept
+``set_priority_batch(keys, priority)`` and ``demote_batch(keys)`` for
+chunk-boundary priority writes.  On the exact backends the batch forms
+are *defined* as the scalar operations applied in order (seqno
+semantics preserved); on the fast backend every bulk op is O(1)
+amortized per key: ``contains_batch`` is one bitmap gather,
+``put_batch`` / ``set_priority_batch`` / ``demote_batch`` are one
+last-occurrence ``np.unique`` plus two scatters, and ``evict_batch``
+is one candidate gather plus one partition-and-sort for the whole
+victim batch (spillover ids go through the side dict in the same
+calls).  The serving engines in :mod:`repro.core.manager` classify
+whole segments through this protocol instead of per-key dict loops.
 
 **Eviction order (exact backends).**  ``evict_one`` removes the entry
 minimizing the pair ``(effective_priority, seqno)``.  Seqnos are unique
@@ -105,13 +101,13 @@ most recently demoted key holds the smallest seqno).
 
 A property-based test asserts trace-level equivalence of the exact
 pair, and a differential fuzz suite
-(``tests/test_buffer_differential.py``) drives all backends — including
-the dense (``key_space``) clock mode against the dict mode — through
-randomized op sequences, checking bitmap/dict residency agreement after
-every operation.
+(``tests/test_buffer_differential.py``) drives all backends — each
+array-native one over a universe smaller than the fuzzed ids and over
+the empty one — through randomized op sequences, checking bulk/scalar
+residency agreement after every operation.
 
 **Sharding.**  ``make_buffer(..., num_shards=N, shard_policy=...)``
-(N > 1, ``key_space`` required) wraps N independent dense-mode shards
+(N > 1, ``key_space`` required) wraps N independent shards
 in a :class:`~repro.cache.sharding.ShardedBuffer`: every key routes to
 exactly one shard (contiguous-range or modulo partition of
 ``[0, key_space)``), each bulk op runs as one scatter, per-shard
@@ -180,15 +176,6 @@ def _last_occurrence(arr: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
     return uniq, arr.size - 1 - first_rev
 
 
-def _dict_contains_batch(entries: Dict, keys: Sequence[int]) -> np.ndarray:
-    """Shared dict-backed ``contains_batch``: residency of each key as
-    a boolean array (the exact backends' and the dict-mode clock's
-    answer to the bulk protocol)."""
-    seq = keys.tolist() if isinstance(keys, np.ndarray) else keys
-    return np.fromiter((key in entries for key in seq),
-                       dtype=bool, count=len(seq))
-
-
 def _first_touch_mask(scratch: np.ndarray, arr: np.ndarray) -> np.ndarray:
     """Sort-free first-occurrence mask of ``arr`` over a persistent
     ``id -> position`` scratch vector covering every id in ``arr``.
@@ -249,21 +236,17 @@ def iter_serve_segments(buffer, segment: np.ndarray, priority: int,
 
     Yields ``("bulk", start, served, miss_positions, victims)``
     for each bulk-served prefix (positions relative to ``start``) and
-    ``("scalar", start, span)`` for the stretches the
-    caller must replay through its own scalar loop: a ``scalar_span``
-    slice when not even one access is bulk-servable, or the whole
-    remainder when the buffer has no dense mode at all.  Chunks arrive
-    in segment order and exactly cover it, so a caller that applies
-    them sequentially reproduces the scalar serving loop bit for bit.
+    ``("scalar", start, span)`` for the ``scalar_span`` slices the
+    caller must replay through its own scalar loop when not even one
+    access is bulk-servable.  Chunks arrive in segment order and
+    exactly cover it, so a caller that applies them sequentially
+    reproduces the scalar serving loop bit for bit.
     """
     position = 0
     total = int(segment.size)
     while position < total:
-        result = buffer.serve_segment(segment[position:], priority)
-        if result is None:  # dict mode: no bulk primitive
-            yield ("scalar", position, total - position)
-            return
-        served, misses, victims = result
+        served, misses, victims = buffer.serve_segment(segment[position:],
+                                                       priority)
         if served == 0:
             span = min(scalar_span, total - position)
             yield ("scalar", position, span)
@@ -343,9 +326,6 @@ class PriorityBuffer:
     #: (effective_priority, seqno) total order).
     approximate = False
 
-    #: ``make_buffer`` forwards ``key_space=`` to this backend.
-    supports_key_space = True
-
     def __init__(self, capacity: int,
                  key_space: Optional[int] = None) -> None:
         if capacity < 1:
@@ -367,18 +347,15 @@ class PriorityBuffer:
     def keys(self) -> Iterator[int]:
         return iter(self._priority)
 
-    def residency_map(self) -> Dict[int, int]:
-        """Live read-only view keyed by resident key (for bulk
-        membership classification; values are backend-internal)."""
-        return self._priority
-
     def contains_batch(self, keys: Sequence[int]) -> np.ndarray:
         """Residency of each key as a boolean array (one bitmap gather
         with ``key_space``, a dict sweep otherwise)."""
         if self.residency is not None:
             return self.residency.contains_batch(
                 np.asarray(keys, dtype=np.int64))
-        return _dict_contains_batch(self._priority, keys)
+        seq = keys.tolist() if isinstance(keys, np.ndarray) else keys
+        return np.fromiter(map(self._priority.__contains__, seq),
+                           dtype=bool, count=len(seq))
 
     def priority_of(self, key: int) -> int:
         return self._priority[key]
@@ -389,8 +366,8 @@ class PriorityBuffer:
 
     @property
     def key_space(self) -> int:
-        """Dense-id universe this backend was built over (0 in dict
-        mode).  Sharded construction asserts this against the router's
+        """Dense-id universe this backend was built over (0 without
+        one).  Sharded construction asserts this against the router's
         per-shard universe — see the translation boundary in
         :mod:`repro.cache.sharding`."""
         return self.residency.key_space if self.residency is not None else 0
@@ -531,155 +508,99 @@ class PriorityBuffer:
 
 
 class FastPriorityBuffer:
-    """Heap-based buffer equivalent to :class:`PriorityBuffer`.
+    """Array-native buffer equivalent to :class:`PriorityBuffer`.
 
     ``_age`` is the count of evictions so far; an entry set to priority
     ``p`` at age ``a`` has effective priority ``max(0, (a + p) - _age)``.
+    Entries live in dense ``id -> expiry`` / ``id -> seqno`` vectors
+    over ``[0, key_space)`` plus a
+    :class:`~repro.cache.residency.ResidencyIndex` bitmap; ids outside
+    the universe (every id when ``key_space=0``) spill to a side dict
+    keyed by id, holding the same ``(expiry, seqno)`` pair.
 
     Victim choice follows the same documented ``(effective_priority,
-    seqno)`` total order as the reference: the live heap orders by
-    ``(expiry, seqno)`` — equal effective priorities imply equal
-    expiries, so the seqno tie-break is identical — and the zero heap
-    orders the floored entries purely by seqno, which is the reference
-    order among priority-zero entries.
-
-    ``key_space=N`` selects the *dense* mode: the entry dict and both
-    heaps are replaced by dense ``id -> expiry`` / ``id -> seqno``
-    vectors plus a :class:`~repro.cache.residency.ResidencyIndex`
-    bitmap (ids outside ``[0, N)`` spill to a side dict keyed by id,
-    holding the same ``(expiry, seqno)`` pair).  Victim selection then
-    runs per *batch* instead of per entry: ``evict_batch(n)`` gathers
-    every resident ``(expiry, seqno)`` once and computes the whole
-    victim sequence with :func:`_exact_victim_sequence` — identical,
-    victim for victim, to ``n`` scalar ``evict_one`` calls — and
-    :meth:`serve_segment` bulk-serves a whole demand segment
-    bit-identically to the scalar serving loop.  Scalar ``evict_one``
-    pops a persistent victim queue (:meth:`_evict_one_dense`): one
-    such selection buys up to ``_VICTIM_QUEUE`` exact evictions, so
-    scalar-eviction workloads run in dense mode as well — measured
-    faster than dict mode's O(log n) lazy heaps in the manager's
-    15-key chunk loop.  Both modes honor the identical eviction-order
-    contract (fuzz-checked against each other and the reference in
-    ``tests/test_buffer_differential.py``).
+    seqno)`` total order as the reference, selected per *batch* instead
+    of per entry: ``evict_batch(n)`` gathers every resident ``(expiry,
+    seqno)`` once and computes the whole victim sequence with
+    :func:`_exact_victim_sequence` — identical, victim for victim, to
+    ``n`` scalar ``evict_one`` calls — and :meth:`serve_segment`
+    bulk-serves a whole demand segment bit-identically to the scalar
+    serving loop.  Scalar :meth:`evict_one` pops a persistent victim
+    queue: one such selection buys up to ``_VICTIM_QUEUE`` exact
+    evictions, so scalar-eviction workloads (the manager's 15-key chunk
+    loop) run at amortised O(1) per eviction.  The eviction-order
+    contract is fuzz-checked against the reference in
+    ``tests/test_buffer_differential.py``, over a universe smaller than
+    the fuzzed ids and over the empty one.
     """
 
     #: Exact Algorithm 2 semantics (victims follow the documented
     #: (effective_priority, seqno) total order).
     approximate = False
 
-    #: ``make_buffer`` forwards ``key_space=`` to this backend.
-    supports_key_space = True
-
-    def __init__(self, capacity: int,
-                 key_space: Optional[int] = None) -> None:
+    def __init__(self, capacity: int, key_space: int = 0) -> None:
         if capacity < 1:
             raise ValueError("capacity must be >= 1")
         self.capacity = capacity
         self._age = 0
         self._next_seq = 0
         self._min_seq = 0
-        if key_space is None:
-            self._key_space = 0
-            self.residency: Optional[ResidencyIndex] = None
-            # key -> (expiry, seqno, version)
-            self._entries: Dict[int, Tuple[int, int, int]] = {}
-            self._live_heap: List[Tuple[int, int, int, int]] = []  # (expiry, seq, ver, key)
-            self._zero_heap: List[Tuple[int, int, int, int]] = []  # (seq, ver, expiry, key)
-            # Keys updated since the last eviction whose heap entries
-            # have not been pushed yet: heap pushes are deferred to
-            # eviction time, so a key touched many times between
-            # evictions (the hot serving pattern) costs one push
-            # instead of one per touch.
-            self._dirty: set = set()
-            self._version = 0
-        else:
-            if key_space < 1:
-                raise ValueError("key_space must be >= 1")
-            self._key_space = int(key_space)
-            self.residency = ResidencyIndex(self._key_space)
-            self._expiry_of = np.zeros(self._key_space, dtype=np.int64)
-            self._seq_of = np.zeros(self._key_space, dtype=np.int64)
-            # Spillover ids above the bitmap: id -> (expiry, seqno).
-            self._over: Dict[int, Tuple[int, int]] = {}
-            self._size = 0
-            # Reusable id -> segment-position map for serve_segment's
-            # linear first/last-occurrence scatters (never reset: a
-            # slot read back is fresh or checked against the segment).
-            self._scratch_pos = np.empty(self._key_space, dtype=np.int64)
-            # Victim queue of :meth:`_evict_one_dense`: ``[key, seqno]``
-            # records, or None until a scalar eviction builds it.
-            self._victims: Optional[List[List[int]]] = None
+        self.residency = ResidencyIndex(key_space)
+        self._key_space = self.residency.key_space
+        self._expiry_of = np.zeros(self._key_space, dtype=np.int64)
+        self._seq_of = np.zeros(self._key_space, dtype=np.int64)
+        # Spillover ids outside the universe: id -> (expiry, seqno).
+        self._over: Dict[int, Tuple[int, int]] = {}
+        self._size = 0
+        # Reusable id -> segment-position map for serve_segment's
+        # linear first/last-occurrence scatters (never reset: a
+        # slot read back is fresh or checked against the segment).
+        self._scratch_pos = np.empty(self._key_space, dtype=np.int64)
+        # Victim queue of :meth:`evict_one`: ``[key, seqno]`` records,
+        # or None until a scalar eviction builds it.
+        self._victims: Optional[List[List[int]]] = None
 
     def __contains__(self, key: int) -> bool:
-        if self.residency is None:
-            return key in self._entries
         # Inlined ResidencyIndex.__contains__ (scalar-loop hot spot).
         if 0 <= key < self._key_space:
             return bool(self.residency.bitmap[key])
         return key in self._over
 
     def __len__(self) -> int:
-        if self.residency is not None:
-            return self._size
-        return len(self._entries)
+        return self._size
 
     def keys(self) -> Iterator[int]:
-        if self.residency is not None:
-            return self.residency.resident_keys()
-        return iter(self._entries)
-
-    def residency_map(self) -> Dict[int, Tuple[int, int]]:
-        """Read-only view keyed by resident key (for bulk membership
-        classification; values are backend-internal).  Live in dict
-        mode; a *snapshot* in dense (``key_space``) mode — bulk call
-        sites should prefer :meth:`contains_batch`."""
-        if self.residency is None:
-            return self._entries
-        ids = np.flatnonzero(self.residency.bitmap)
-        snap = dict(zip(ids.tolist(),
-                        zip(self._expiry_of[ids].tolist(),
-                            self._seq_of[ids].tolist())))
-        snap.update(self._over)
-        return snap
+        return self.residency.resident_keys()
 
     def contains_batch(self, keys: Sequence[int]) -> np.ndarray:
-        """Residency of each key as a boolean array: one bitmap gather
-        in dense mode, a dict sweep otherwise."""
-        if self.residency is not None:
-            return self.residency.contains_batch(
-                np.asarray(keys, dtype=np.int64))
-        return _dict_contains_batch(self._entries, keys)
+        """Residency of each key as a boolean array (one bitmap gather;
+        spillover ids answer from the index's overflow set)."""
+        return self.residency.contains_batch(np.asarray(keys, dtype=np.int64))
 
     def priority_of(self, key: int) -> int:
-        if self.residency is not None:
-            key = int(key)
-            if 0 <= key < self._key_space:
-                if not self.residency.bitmap[key]:
-                    raise KeyError(key)
-                return max(0, int(self._expiry_of[key]) - self._age)
-            expiry, _ = self._over[key]
-            return max(0, expiry - self._age)
-        expiry, _, _ = self._entries[key]
+        key = int(key)
+        if 0 <= key < self._key_space:
+            if not self.residency.bitmap[key]:
+                raise KeyError(key)
+            return max(0, int(self._expiry_of[key]) - self._age)
+        expiry, _ = self._over[key]
         return max(0, expiry - self._age)
 
     @property
     def is_full(self) -> bool:
-        return len(self) >= self.capacity
+        return self._size >= self.capacity
 
     @property
     def key_space(self) -> int:
-        """Dense-id universe this backend was built over (0 in dict
-        mode).  Sharded construction asserts this against the router's
-        per-shard universe — see the translation boundary in
+        """Dense-id universe this backend was built over (0: the empty
+        universe).  Sharded construction asserts this against the
+        router's per-shard universe — see the translation boundary in
         :mod:`repro.cache.sharding`."""
         return self._key_space
 
     def per_id_nbytes(self) -> int:
         """Bytes of state that scale with ``key_space``: the expiry/
-        seqno/scratch vectors plus the residency bitmap (0 in dict
-        mode — everything there scales with occupancy)."""
-        if self.residency is None:
-            return 0
+        seqno/scratch vectors plus the residency bitmap."""
         return int(self._expiry_of.nbytes + self._seq_of.nbytes
                    + self._scratch_pos.nbytes) + self.residency.nbytes
 
@@ -689,135 +610,86 @@ class FastPriorityBuffer:
             return
         if self.is_full:
             raise RuntimeError("buffer full; evict first")
-        seq = self._next_seq
+        key = int(key)
+        self._store(key, priority, self._next_seq)
         self._next_seq += 1
-        if self.residency is not None:
-            key = int(key)
-            self._dense_store(key, priority, seq)
-            self.residency.add(key)
-            self._size += 1
-            return
-        self._store(key, priority, seq)
+        self.residency.add(key)
+        self._size += 1
 
     def set_priority(self, key: int, priority: int) -> None:
         """Update priority; also refreshes recency (LRU tie-breaking)."""
         if key not in self:
             raise KeyError(key)
-        seq = self._next_seq
+        self._store(int(key), priority, self._next_seq)
         self._next_seq += 1
-        if self.residency is not None:
-            self._dense_store(int(key), priority, seq)
-            return
-        self._store(key, priority, seq)
+
+    def _resident_last_occurrence(self, arr: np.ndarray
+                                  ) -> Tuple[np.ndarray, np.ndarray]:
+        """:func:`_last_occurrence` of a batch whose keys must all be
+        resident (``KeyError`` before anything is mutated otherwise)."""
+        resident = self.residency.contains_batch(arr)
+        if not resident.all():
+            raise KeyError(int(arr[~resident][0]))
+        return _last_occurrence(arr)
 
     def set_priority_batch(self, keys: Sequence[int], priority: int) -> None:
         """Scalar :meth:`set_priority` per key, in order (exact seqno
-        semantics); every key must be resident.  Dense mode runs the
-        equivalent last-occurrence scatter in one pass (and, like the
-        clock backend, validates residency before mutating)."""
-        if self.residency is not None:
-            arr = np.asarray(keys, dtype=np.int64)
-            length = int(arr.size)
-            if length == 0:
-                return
-            if arr.min() >= 0 and arr.max() < self._key_space:
-                resident = self.residency.bitmap[arr]
-                if not resident.all():
-                    raise KeyError(int(arr[~resident][0]))
-                uniq, last_pos = _last_occurrence(arr)
-                base = self._next_seq
-                self._expiry_of[uniq] = self._age + int(priority)
-                self._seq_of[uniq] = base + last_pos
-                self._next_seq = base + length
-                return
-            for key in arr.tolist():
-                self.set_priority(key, priority)
+        semantics), as one last-occurrence scatter; every key must be
+        resident (validated before anything is mutated)."""
+        arr = np.asarray(keys, dtype=np.int64)
+        if arr.size == 0:
             return
-        for key in _as_key_list(keys):
-            self.set_priority(key, priority)
+        uniq, last_pos = self._resident_last_occurrence(arr)
+        base = self._next_seq
+        self._store_batch(uniq, self._age + int(priority), base + last_pos)
+        self._next_seq = base + int(arr.size)
 
     def demote(self, key: int) -> None:
         """Mark ``key`` as evict-next: priority 0, older than everything."""
         if key not in self:
             raise KeyError(key)
         self._min_seq -= 1
-        if self.residency is not None:
-            key = int(key)
-            self._dense_store(key, 0, self._min_seq)
-            if self._victims is not None:
-                self._push_demoted([key], self._min_seq)
-            return
+        key = int(key)
         self._store(key, 0, self._min_seq)
+        if self._victims is not None:
+            self._push_demoted([key], self._min_seq)
 
     def demote_batch(self, keys: Sequence[int]) -> None:
         """Scalar :meth:`demote` per key, in order (reverse-demote
-        eviction order preserved; dense mode scatters the equivalent
-        descending seqnos in one pass)."""
-        if self.residency is not None:
-            arr = np.asarray(keys, dtype=np.int64)
-            length = int(arr.size)
-            if length == 0:
-                return
-            if arr.min() >= 0 and arr.max() < self._key_space:
-                resident = self.residency.bitmap[arr]
-                if not resident.all():
-                    raise KeyError(int(arr[~resident][0]))
-                uniq, last_pos = _last_occurrence(arr)
-                base = self._min_seq
-                self._expiry_of[uniq] = self._age
-                self._seq_of[uniq] = base - 1 - last_pos
-                self._min_seq = base - length
-                if self._victims is not None:
-                    self._push_demoted(arr.tolist(), base - 1)
-                return
-            for key in arr.tolist():
-                self.demote(key)
+        eviction order preserved), as one scatter of the equivalent
+        descending seqnos."""
+        arr = np.asarray(keys, dtype=np.int64)
+        if arr.size == 0:
             return
-        for key in _as_key_list(keys):
-            self.demote(key)
+        uniq, last_pos = self._resident_last_occurrence(arr)
+        base = self._min_seq
+        self._store_batch(uniq, self._age, base - 1 - last_pos)
+        self._min_seq = base - int(arr.size)
+        if self._victims is not None:
+            self._push_demoted(arr.tolist(), base - 1)
 
     def put_batch(self, keys: Sequence[int], priority: int) -> None:
         """Bulk insert-or-``set_priority``, exactly equivalent to calling
-        the scalar operations for each key in order.
-
-        Only each key's *last* occurrence matters for its final
-        (priority, seqno) pair, so one heap push per unique key suffices
+        the scalar operations for each key in order: only each key's
+        *last* occurrence decides its final (priority, seqno) pair,
         while ``_next_seq`` still advances by the full batch length —
-        subsequent evictions see the same state a scalar loop would
-        produce.  This is the primitive behind the manager's bulk
-        demand-serving pre-pass, so it deliberately avoids per-key numpy
-        round-trips (batches are often runs of a handful of hits).
-        Dense mode instead runs the whole batch as one last-occurrence
-        scatter (O(1) amortized per key); spillover ids fall back to
-        the scalar sequence.
-        """
-        if self.residency is not None:
-            self._put_batch_dense(keys, priority)
+        one residency gather, one last-occurrence pass, two scatters.
+        Raises ``RuntimeError`` (like :meth:`insert`) before mutating
+        anything if the new keys exceed the free space."""
+        arr = np.asarray(keys, dtype=np.int64)
+        if arr.size == 0:
             return
-        key_list = _as_key_list(keys)
-        length = len(key_list)
-        if length == 0:
-            return
-        last_pos: Dict[int, int] = {}
-        for pos, key in enumerate(key_list):
-            last_pos[key] = pos
-        entries = self._entries
-        new = sum(1 for key in last_pos if key not in entries)
-        if len(entries) + new > self.capacity:
+        uniq, last_pos = _last_occurrence(arr)
+        fresh = uniq[~self.residency.contains_batch(uniq)]
+        if self._size + fresh.size > self.capacity:
             raise RuntimeError("buffer full; evict first")
         base = self._next_seq
-        store = self._store
-        for key, pos in last_pos.items():
-            store(key, priority, base + pos)
-        self._next_seq = base + length
+        self._store_batch(uniq, self._age + int(priority), base + last_pos)
+        self.residency.add_batch(fresh)
+        self._size += int(fresh.size)
+        self._next_seq = base + int(arr.size)
 
     def _store(self, key: int, priority: int, seq: int) -> None:
-        self._version += 1
-        self._entries[key] = (self._age + priority, seq, self._version)
-        self._dirty.add(key)
-
-    # -- dense (key_space) internals -----------------------------------
-    def _dense_store(self, key: int, priority: int, seq: int) -> None:
         """Write one entry's (expiry, seqno); membership bookkeeping
         (residency bit, ``_size``) is the caller's job."""
         expiry = self._age + priority
@@ -827,41 +699,29 @@ class FastPriorityBuffer:
         else:
             self._over[key] = (expiry, seq)
 
-    def _put_batch_dense(self, keys: Sequence[int], priority: int) -> None:
-        """Array-native ``put_batch``: one residency gather, one
-        last-occurrence pass, two scatters."""
-        arr = np.asarray(keys, dtype=np.int64)
-        length = int(arr.size)
-        if length == 0:
+    def _store_batch(self, keys: np.ndarray, expiry, seq) -> None:
+        """Write the distinct ``keys``' absolute ``expiry`` and ``seq``
+        (arrays aligned with them, or scalars): one scatter per vector,
+        spillover ids into the side dict.  Membership bookkeeping is
+        the caller's job, as for :meth:`_store`."""
+        if keys.size and keys.min() >= 0 and keys.max() < self._key_space:
+            self._expiry_of[keys] = expiry
+            self._seq_of[keys] = seq
             return
-        if arr.min() < 0 or arr.max() >= self._key_space:
-            # Spillover ids present: capacity check up front, then the
-            # scalar sequence (rare — unseen keys above the vocabulary).
-            new = sum(1 for key in dict.fromkeys(arr.tolist())
-                      if key not in self.residency)
-            if self._size + new > self.capacity:
-                raise RuntimeError("buffer full; evict first")
-            for key in arr.tolist():
-                if key in self.residency:
-                    self.set_priority(key, priority)
-                else:
-                    self.insert(key, priority)
-            return
-        uniq, last_pos = _last_occurrence(arr)
-        fresh = uniq[~self.residency.bitmap[uniq]]
-        if self._size + fresh.size > self.capacity:
-            raise RuntimeError("buffer full; evict first")
-        base = self._next_seq
-        self._expiry_of[uniq] = self._age + int(priority)
-        self._seq_of[uniq] = base + last_pos
-        if fresh.size:
-            self.residency.bitmap[fresh] = True
-            self._size += int(fresh.size)
-        self._next_seq = base + length
+        in_range = (keys >= 0) & (keys < self._key_space)
+        expiry = np.broadcast_to(expiry, keys.shape)
+        seq = np.broadcast_to(seq, keys.shape)
+        self._expiry_of[keys[in_range]] = expiry[in_range]
+        self._seq_of[keys[in_range]] = seq[in_range]
+        spill = ~in_range
+        self._over.update(zip(keys[spill].tolist(),
+                              zip(expiry[spill].tolist(),
+                                  seq[spill].tolist())))
 
     def _gather_entries(self) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
         """All resident entries as (keys, expiry, seqno) arrays —
-        the candidate pool for dense victim selection."""
+        the candidate pool for victim selection (in-universe ids
+        ascending, then the spillover ids)."""
         ids = np.flatnonzero(self.residency.bitmap)
         expiry = self._expiry_of[ids]
         seq = self._seq_of[ids]
@@ -884,16 +744,8 @@ class FastPriorityBuffer:
         :mod:`repro.cache.sharding`).  Priorities come out *effective*
         (aging already applied, floored at 0), so an import into a
         fresh backend reproduces the same future victim sequence."""
-        if self.residency is not None:
-            ids, expiry, seq = self._gather_entries()
-            return ids, np.maximum(0, expiry - self._age), seq
-        count = len(self._entries)
-        keys = np.fromiter(self._entries, dtype=np.int64, count=count)
-        expiry = np.fromiter((self._entries[k][0] for k in keys.tolist()),
-                             dtype=np.int64, count=count)
-        seq = np.fromiter((self._entries[k][1] for k in keys.tolist()),
-                          dtype=np.int64, count=count)
-        return keys, np.maximum(0, expiry - self._age), seq
+        ids, expiry, seq = self._gather_entries()
+        return ids, np.maximum(0, expiry - self._age), seq
 
     def import_state(self, keys: Sequence[int], priorities: Sequence[int],
                      seqnos: Sequence[int]) -> None:
@@ -913,29 +765,15 @@ class FastPriorityBuffer:
             raise RuntimeError("buffer full; evict first")
         if keys_arr.size == 0:
             return
-        if self.residency is not None:
-            in_range = (keys_arr >= 0) & (keys_arr < self._key_space)
-            dense = keys_arr[in_range]
-            self._expiry_of[dense] = self._age + prio_arr[in_range]
-            self._seq_of[dense] = seq_arr[in_range]
-            # The full array: the index registers spillover ids in its
-            # overflow set (membership would miss them otherwise).
-            self.residency.add_batch(keys_arr)
-            for key, p, s in zip(keys_arr[~in_range].tolist(),
-                                 prio_arr[~in_range].tolist(),
-                                 seq_arr[~in_range].tolist()):
-                self._over[key] = (self._age + p, s)
-            self._size = int(keys_arr.size)
-            # Imported seqnos are arbitrary: stale records could match.
-            self._victims = None
-        else:
-            for key, p, s in zip(keys_arr.tolist(), prio_arr.tolist(),
-                                 seq_arr.tolist()):
-                self._store(key, p, s)
+        self._store_batch(keys_arr, self._age + prio_arr, seq_arr)
+        self.residency.add_batch(keys_arr)
+        self._size = int(keys_arr.size)
+        # Imported seqnos are arbitrary: stale records could match.
+        self._victims = None
         self._next_seq = max(self._next_seq, int(seq_arr.max()) + 1)
         self._min_seq = min(self._min_seq, int(seq_arr.min()))
 
-    def _remove_victims_dense(self, victims: np.ndarray, count: int) -> None:
+    def _remove_victims(self, victims: np.ndarray, count: int) -> None:
         """Drop ``victims`` (residency + spillover entries) and apply
         the ``count`` aging steps their evictions carry."""
         self.residency.discard_batch(victims)
@@ -948,76 +786,21 @@ class FastPriorityBuffer:
         self._size -= count
         self._age += count
 
-    def _flush_dirty(self) -> None:
-        """Push the latest snapshot of every dirty key onto its heap.
-
-        Deferred from :meth:`_store`: only the snapshot current at
-        eviction time matters for victim selection, so intermediate
-        updates never touch a heap.
-        """
-        age = self._age
-        entries = self._entries
-        for key in self._dirty:
-            entry = entries.get(key)
-            if entry is None:
-                continue
-            expiry, seq, ver = entry
-            if expiry <= age:
-                heapq.heappush(self._zero_heap, (seq, ver, expiry, key))
-            else:
-                heapq.heappush(self._live_heap, (expiry, seq, ver, key))
-        self._dirty.clear()
-
-    def evict_one(self) -> int:
-        if self.residency is not None:
-            if not self._size:
-                raise RuntimeError("cannot evict from an empty buffer")
-            return self._evict_one_dense()
-        if not self._entries:
-            raise RuntimeError("cannot evict from an empty buffer")
-        if self._dirty:
-            self._flush_dirty()
-        # Migrate entries whose priority has decayed to zero.
-        while self._live_heap and self._live_heap[0][0] <= self._age:
-            expiry, seq, ver, key = heapq.heappop(self._live_heap)
-            entry = self._entries.get(key)
-            if entry is not None and entry == (expiry, seq, ver):
-                heapq.heappush(self._zero_heap, (seq, ver, expiry, key))
-
-        victim = self._pop_valid(self._zero_heap, zero=True)
-        if victim is None:
-            victim = self._pop_valid(self._live_heap, zero=False)
-        if victim is None:
-            raise RuntimeError("heap inconsistency: no valid victim found")
-        del self._entries[victim]
-        self._age += 1  # global aging: everyone's effective priority -1
-        return victim
-
     def evict_batch(self, n: int) -> List[int]:
         """Evict ``n`` entries; exactly ``n`` consecutive
-        :meth:`evict_one` calls.  In dict mode no stores interleave, so
-        the dirty set is flushed at most once and the remaining pops
-        run straight off the heaps (aging still applies between victims
-        via ``_age``); dense mode computes the identical victim
-        sequence in one vectorized selection
+        :meth:`evict_one` calls, computed as one vectorized selection
         (:func:`_exact_victim_sequence`)."""
         count = int(n)
         if count <= 0:
             return []
-        if count > len(self):
+        if count > self._size:
             raise RuntimeError("cannot evict more entries than resident")
-        if self.residency is not None:
-            return self._evict_batch_dense(count)
-        return [self.evict_one() for _ in range(count)]
-
-    def _evict_batch_dense(self, count: int) -> List[int]:
         keys, expiry, seq = self._gather_entries()
-        order = _exact_victim_sequence(expiry, seq, self._age, count)
-        victims = keys[order]
-        self._remove_victims_dense(victims, count)
+        victims = keys[_exact_victim_sequence(expiry, seq, self._age, count)]
+        self._remove_victims(victims, count)
         return victims.tolist()
 
-    def _evict_one_dense(self) -> int:
+    def evict_one(self) -> int:
         """Exact scalar eviction, amortised O(1): pop the victim queue.
 
         The queue is a stack of ``[key, seqno]`` records, seqnos
@@ -1035,6 +818,8 @@ class FastPriorityBuffer:
         (:meth:`_push_demoted`).  Stale records are skipped as they
         surface; a drained queue is rebuilt (:meth:`_refill_victims`).
         """
+        if not self._size:
+            raise RuntimeError("cannot evict from an empty buffer")
         bitmap = self.residency.bitmap
         seq_of = self._seq_of
         over = self._over
@@ -1102,7 +887,7 @@ class FastPriorityBuffer:
                      budget: int, prefetched: set
                      ) -> Tuple[np.ndarray, int, int, int]:
         """Algorithm 1 for a whole block of ``length``-key model chunks
-        in one scalar pass (dense mode) — state for state
+        in one scalar pass — state for state
         ``RecMGManager.run``'s per-chunk triple, its oracle
         (``tests/test_chunk_pass.py``), without that loop's ~35 method
         calls per chunk.  Per chunk: the demand accesses (hit: refresh
@@ -1115,7 +900,7 @@ class FastPriorityBuffer:
         hit consumes its key's tag, an eviction drops it).  Either
         array may be None.  The entry arrays are indexed directly —
         spillover ids through ``_over``, in the same loop — the victim
-        queue of :meth:`_evict_one_dense` is popped inline, and the
+        queue of :meth:`evict_one` is popped inline, and the
         counters live in locals, written back even when a malformed
         input raises mid-pass; past a stale top record or a drained
         queue, :meth:`evict_one` carries on.  Returns the positions
@@ -1241,8 +1026,8 @@ class FastPriorityBuffer:
                 evictions, issued)
 
     def serve_segment(self, segment: np.ndarray, priority: int
-                      ) -> Optional[Tuple[int, np.ndarray, np.ndarray]]:
-        """Bulk exact demand-serve of a segment (dense mode only).
+                      ) -> Tuple[int, np.ndarray, np.ndarray]:
+        """Bulk exact demand-serve of a segment.
 
         State- and decision-equivalent to the scalar serving loop::
 
@@ -1252,8 +1037,8 @@ class FastPriorityBuffer:
                     if buffer.is_full: buffer.evict_one()
                     buffer.insert(key, priority)
 
-        Returns ``None`` in dict mode, else ``(served, miss_positions,
-        victims)`` — the one result shape :meth:`ClockBuffer.serve_segment`
+        Returns ``(served, miss_positions, victims)`` — the one result
+        shape :meth:`ClockBuffer.serve_segment`
         and the shard views share: how many leading accesses were
         served, the ascending positions of the served prefix's misses
         and the victim keys in eviction order (an int64 array).  Every
@@ -1303,8 +1088,6 @@ class FastPriorityBuffer:
         walk is prefix-stable, so a prefix of the fixed point is the
         fixed point of the prefix: trimming recomputes nothing.
         """
-        if self.residency is None:
-            return None
         arr = np.asarray(segment, dtype=np.int64)
         length = int(arr.size)
         empty = np.zeros(0, dtype=np.int64)
@@ -1459,7 +1242,7 @@ class FastPriorityBuffer:
                 # Advances _age to age0 + n_evict; the store expiries
                 # below use the per-position interleaved ages.
                 victims = keys[chosen[:n_evict]]
-                self._remove_victims_dense(victims, n_evict)
+                self._remove_victims(victims, n_evict)
         base = self._next_seq
         if dense_seg:
             # Forward scatter: each key's map entry ends at its *last*
@@ -1479,40 +1262,11 @@ class FastPriorityBuffer:
         else:
             expiry_vals = np.full(uniq.size, age0 + int(priority),
                                   dtype=np.int64)
-        in_range = (None if dense_seg
-                    else (uniq >= 0) & (uniq < self._key_space))
-        if dense_seg or in_range.all():
-            self._expiry_of[uniq] = expiry_vals
-            self._seq_of[uniq] = seq_vals
-            self.residency.bitmap[uniq] = True
-        else:
-            dense_keys = uniq[in_range]
-            self._expiry_of[dense_keys] = expiry_vals[in_range]
-            self._seq_of[dense_keys] = seq_vals[in_range]
-            over = self._over
-            spill = ~in_range
-            for spill_key, spill_exp, spill_seq in zip(
-                    uniq[spill].tolist(), expiry_vals[spill].tolist(),
-                    seq_vals[spill].tolist()):
-                over[spill_key] = (spill_exp, spill_seq)
-            self.residency.add_batch(uniq)
+        self._store_batch(uniq, expiry_vals, seq_vals)
+        self.residency.add_batch(uniq)
         self._size += int(misses.size)
         self._next_seq = base + length
         return length, misses, victims
-
-    def _pop_valid(self, heap: List[Tuple[int, int, int, int]],
-                   zero: bool) -> Optional[int]:
-        while heap:
-            if zero:
-                seq, ver, expiry, key = heap[0]
-            else:
-                expiry, seq, ver, key = heap[0]
-            entry = self._entries.get(key)
-            if entry is not None and entry == (expiry, seq, ver):
-                heapq.heappop(heap)
-                return key
-            heapq.heappop(heap)  # stale
-        return None
 
 
 class ClockBuffer:
@@ -1524,18 +1278,16 @@ class ClockBuffer:
     priority (the multi-bit analogue of CLOCK's reference bit),
     ``demote`` zeroes it.
 
-    Membership bookkeeping has two modes:
-
-    * default (``key_space=None``): a key→slot dict, as any key fits;
-    * dense (``key_space=N``): a dense ``id → slot`` int vector plus a
-      :class:`~repro.cache.residency.ResidencyIndex` bitmap maintained
-      incrementally on every insert/eviction.  ``contains_batch`` is a
-      bitmap gather, ``put_batch``/``set_priority_batch`` are pure
-      numpy scatters, and ``evict_batch`` clears victims in bulk — no
-      per-key dict traffic anywhere on the serving hot path.  Ids
-      outside ``[0, N)`` (the manager's unseen-key ids above the
-      vocabulary) spill to a side dict; the two modes are behaviorally
-      identical (fuzz-checked in ``tests/test_buffer_differential.py``).
+    Membership is a dense ``id → slot`` int vector over
+    ``[0, key_space)`` plus a
+    :class:`~repro.cache.residency.ResidencyIndex` bitmap maintained
+    incrementally on every insert/eviction: ``contains_batch`` is a
+    bitmap gather, ``put_batch``/``set_priority_batch`` are pure numpy
+    scatters, and ``evict_batch`` clears victims in bulk — no per-key
+    dict traffic anywhere on the serving hot path.  Ids outside the
+    universe (the manager's unseen-key ids above the vocabulary; every
+    id when ``key_space=0``) spill to a side dict, with identical
+    behavior (fuzz-checked in ``tests/test_buffer_differential.py``).
 
     :meth:`evict_batch` is the point of the backend: one call reclaims
     many slots by harvesting priority-zero slots in hand order and,
@@ -1558,11 +1310,7 @@ class ClockBuffer:
     #: victim equivalence.
     approximate = True
 
-    #: ``make_buffer`` forwards ``key_space=`` to this backend only.
-    supports_key_space = True
-
-    def __init__(self, capacity: int,
-                 key_space: Optional[int] = None) -> None:
+    def __init__(self, capacity: int, key_space: int = 0) -> None:
         if capacity < 1:
             raise ValueError("capacity must be >= 1")
         self.capacity = capacity
@@ -1575,36 +1323,22 @@ class ClockBuffer:
         self._free_slots = np.arange(capacity - 1, -1, -1, dtype=np.int64)
         self._free_top = capacity
         self._hand = 0
-        if key_space is None:
-            self._key_space = 0
-            self._slot: Optional[Dict[int, int]] = {}
-            self._slot_of: Optional[np.ndarray] = None
-            self._slot_over: Optional[Dict[int, int]] = None
-            self.residency: Optional[ResidencyIndex] = None
-        else:
-            if key_space < 1:
-                raise ValueError("key_space must be >= 1")
-            self._key_space = int(key_space)
-            self._slot = None
-            self._slot_of = np.full(self._key_space, -1, dtype=np.int64)
-            self._slot_over = {}
-            self.residency = ResidencyIndex(self._key_space)
-            # id -> segment position map of :func:`_first_touch_mask`.
-            self._scratch = np.empty(self._key_space, dtype=np.int32)
+        self.residency = ResidencyIndex(key_space)
+        self._key_space = self.residency.key_space
+        self._slot_of = np.full(self._key_space, -1, dtype=np.int64)
+        # Spillover ids outside the universe: id -> slot.
+        self._slot_over: Dict[int, int] = {}
+        # id -> segment position map of :func:`_first_touch_mask`.
+        self._scratch = np.empty(self._key_space, dtype=np.int32)
 
-    # -- membership bookkeeping (dict vs dense mode) -------------------
+    # -- membership bookkeeping ----------------------------------------
     def _slot_for(self, key: int) -> int:
         """Slot of ``key``, or -1 when not resident."""
-        if self._slot_of is None:
-            return self._slot.get(key, -1)
         if 0 <= key < self._key_space:
             return int(self._slot_of[key])
         return self._slot_over.get(key, -1)
 
     def _map_add(self, key: int, slot: int) -> None:
-        if self._slot_of is None:
-            self._slot[key] = slot
-            return
         if 0 <= key < self._key_space:
             self._slot_of[key] = slot
         else:
@@ -1612,27 +1346,28 @@ class ClockBuffer:
         self.residency.add(key)
 
     def _map_discard_batch(self, victim_keys: np.ndarray) -> None:
-        if self._slot_of is None:
-            slot_map = self._slot
-            for key in victim_keys.tolist():
-                del slot_map[key]
-            return
-        if self._slot_over:
-            in_range = ((victim_keys >= 0)
-                        & (victim_keys < self._key_space))
-            self._slot_of[victim_keys[in_range]] = -1
-            over = self._slot_over
-            for key in victim_keys[~in_range].tolist():
-                del over[key]
-            self.residency.discard_batch(victim_keys)
-        else:  # nothing spilled: every resident id fits the bitmap
+        if not self._slot_over:
+            # Nothing spilled: every resident id fits the bitmap.
             self._slot_of[victim_keys] = -1
             self.residency.bitmap[victim_keys] = False
+            return
+        if self._key_space:
+            in_range = ((victim_keys >= 0)
+                        & (victim_keys < self._key_space))
+            inside = victim_keys[in_range]
+            self._slot_of[inside] = -1
+            self.residency.bitmap[inside] = False
+            victim_keys = victim_keys[~in_range]
+        # Spillover victims skip the index's array masks: on the scalar
+        # path they come one at a time, where masks cost more than sets.
+        spill = victim_keys.tolist()
+        over = self._slot_over
+        for key in spill:
+            del over[key]
+        self.residency._overflow.difference_update(spill)
 
     # ------------------------------------------------------------------
     def __contains__(self, key: int) -> bool:
-        if self._slot_of is None:
-            return key in self._slot
         return self._slot_for(int(key)) >= 0
 
     def __len__(self) -> int:
@@ -1641,25 +1376,10 @@ class ClockBuffer:
     def keys(self) -> Iterator[int]:
         return iter(self._key[self._valid].tolist())
 
-    def residency_map(self) -> Dict[int, int]:
-        """Read-only key→slot view for membership classification.
-
-        Live in dict mode; a *snapshot* in dense (``key_space``) mode —
-        bulk call sites should prefer :meth:`contains_batch`, which is
-        always live and array-speed.
-        """
-        if self._slot_of is None:
-            return self._slot
-        slots = np.flatnonzero(self._valid)
-        return dict(zip(self._key[slots].tolist(), slots.tolist()))
-
     def contains_batch(self, keys: Sequence[int]) -> np.ndarray:
-        """Residency of each key as a boolean array: one bitmap gather
-        in dense mode, a dict sweep otherwise."""
-        if self.residency is not None:
-            return self.residency.contains_batch(
-                np.asarray(keys, dtype=np.int64))
-        return _dict_contains_batch(self._slot, keys)
+        """Residency of each key as a boolean array (one bitmap gather;
+        spillover ids answer from the index's overflow set)."""
+        return self.residency.contains_batch(np.asarray(keys, dtype=np.int64))
 
     def priority_of(self, key: int) -> int:
         slot = self._slot_for(int(key))
@@ -1673,18 +1393,16 @@ class ClockBuffer:
 
     @property
     def key_space(self) -> int:
-        """Dense-id universe this backend was built over (0 in dict
-        mode).  Sharded construction asserts this against the router's
-        per-shard universe — see the translation boundary in
+        """Dense-id universe this backend was built over (0: the empty
+        universe).  Sharded construction asserts this against the
+        router's per-shard universe — see the translation boundary in
         :mod:`repro.cache.sharding`."""
         return self._key_space
 
     def per_id_nbytes(self) -> int:
         """Bytes of state that scale with ``key_space``: the id→slot
-        and scratch vectors plus the residency bitmap (0 in dict mode;
-        the slot arrays scale with capacity, not the universe)."""
-        if self._slot_of is None:
-            return 0
+        and scratch vectors plus the residency bitmap (the slot arrays
+        scale with capacity, not the universe)."""
         return (int(self._slot_of.nbytes + self._scratch.nbytes)
                 + self.residency.nbytes)
 
@@ -1718,20 +1436,16 @@ class ClockBuffer:
         self._prio[slot] = max(0, priority)
 
     def set_priority_batch(self, keys: Sequence[int], priority: int) -> None:
-        """Bulk :meth:`set_priority`: one vectorized scatter in dense
-        mode; every key must be resident."""
+        """Bulk :meth:`set_priority`: one slot gather and one scatter;
+        every key must be resident (validated before anything is
+        mutated)."""
         arr = np.asarray(keys, dtype=np.int64)
         if arr.size == 0:
             return
-        if (self._slot_of is not None
-                and arr.min() >= 0 and arr.max() < self._key_space):
-            slots = self._slot_of[arr]
-            if (slots < 0).any():
-                raise KeyError(int(arr[slots < 0][0]))
-            self._prio[slots] = max(0, int(priority))
-            return
-        for key in arr.tolist():
-            self.set_priority(key, priority)
+        slots = self._locate(arr)[0]
+        if (slots < 0).any():
+            raise KeyError(int(arr[slots < 0][0]))
+        self._prio[slots] = max(0, int(priority))
 
     def demote(self, key: int) -> None:
         """Mark ``key`` as evict-soon: priority 0, reclaimed by the
@@ -1745,19 +1459,23 @@ class ClockBuffer:
     # -- bulk classify / store (shared by put_batch and serve_segment) -
     def _locate(self, arr: np.ndarray) -> Tuple[np.ndarray, bool]:
         """Slot of every key of the non-empty ``arr`` (-1 = not
-        resident) and whether the segment is *dense* — dense mode and
-        every id inside ``[0, key_space)``, the one range check that
-        keeps negative ids (which a bare gather would wrap) and
-        spillover ids off the dense vectors.  Dense segments take the
-        gather/scatter forms below; dict mode and spillover segments
-        take the slow forms of the same steps."""
-        if self._slot_of is None:
-            lookup = map(self._slot.get, arr.tolist(), repeat(-1))
-        elif arr.min() >= 0 and arr.max() < self._key_space:
+        resident) and whether the segment is *dense* — every id inside
+        ``[0, key_space)``, the one range check that keeps negative ids
+        (which a bare gather would wrap) and spillover ids off the
+        dense vectors.  Dense segments take the gather/scatter forms
+        below; spillover segments take the slow forms of the same
+        steps (here: the in-range gather plus one side-dict lookup per
+        spillover id)."""
+        if arr.min() >= 0 and arr.max() < self._key_space:
             return self._slot_of[arr], True
-        else:
-            lookup = map(self._slot_for, arr.tolist())
-        return np.fromiter(lookup, dtype=np.int64, count=arr.size), False
+        in_range = (arr >= 0) & (arr < self._key_space)
+        slots = np.full(arr.size, -1, dtype=np.int64)
+        slots[in_range] = self._slot_of[arr[in_range]]
+        spill = np.flatnonzero(~in_range)
+        slots[spill] = np.fromiter(
+            map(self._slot_over.get, arr[spill].tolist(), repeat(-1)),
+            dtype=np.int64, count=spill.size)
+        return slots, False
 
     def _first_touches(self, arr: np.ndarray, dense: bool) -> np.ndarray:
         """First-occurrence mask of ``arr``.  ``flatnonzero`` of it is
@@ -1784,8 +1502,12 @@ class ClockBuffer:
             self._slot_of[new_keys] = new_slots
             self.residency.bitmap[new_keys] = True
         else:
-            for key, slot in zip(new_keys.tolist(), new_slots.tolist()):
-                self._map_add(key, slot)
+            in_range = (new_keys >= 0) & (new_keys < self._key_space)
+            self._slot_of[new_keys[in_range]] = new_slots[in_range]
+            spill = ~in_range
+            self._slot_over.update(zip(new_keys[spill].tolist(),
+                                       new_slots[spill].tolist()))
+            self.residency.add_batch(new_keys)
         self._key[new_slots] = new_keys
         self._prio[new_slots] = priority
         self._valid[new_slots] = True
@@ -1986,22 +1708,19 @@ def make_buffer(impl: str, capacity: int,
                 shard_weights=None):
     """Instantiate a buffer backend by registry name.
 
-    ``key_space`` (dense-id universe size) selects array-native
-    membership — a :class:`~repro.cache.residency.ResidencyIndex`
-    bitmap behind ``contains_batch`` on every built-in backend, plus
-    fully array-native entries on the clock and fast backends.  A
-    registered backend that does not declare ``supports_key_space``
-    raises ``ValueError`` instead of silently ignoring the argument
-    (callers passing a dense universe are owed the dense behavior).
+    ``key_space`` (dense-id universe size) is forwarded to every
+    backend — a :class:`~repro.cache.residency.ResidencyIndex` bitmap
+    behind ``contains_batch`` everywhere, plus array-native entries on
+    the clock and fast backends; ``None`` leaves each backend's own
+    default (the empty universe on clock and fast, no index on the
+    reference).
 
-    ``num_shards > 1`` wraps ``num_shards`` independent dense-mode
-    backends in a :class:`~repro.cache.sharding.ShardedBuffer`
-    partitioning ``[0, key_space)`` by ``shard_policy`` (see
+    ``num_shards > 1`` wraps ``num_shards`` independent backends in a
+    :class:`~repro.cache.sharding.ShardedBuffer` partitioning
+    ``[0, key_space)`` by ``shard_policy`` (see
     :data:`~repro.cache.sharding.SHARD_POLICIES`); it *requires*
-    ``key_space`` — the routers partition the dense id universe, so a
-    dict-membership sharded buffer would have nothing to route over —
-    and raises ``ValueError`` without it, mirroring the
-    ``supports_key_space`` rejection above.  Each shard's backend is
+    ``key_space`` — the routers partition the dense id universe — and
+    raises ``ValueError`` without it.  Each shard's backend is
     built over the router's *compressed* per-shard universe (so sharded
     per-id memory matches the single-shard footprint — see the
     translation boundary in :mod:`repro.cache.sharding`), and
@@ -2023,10 +1742,6 @@ def make_buffer(impl: str, capacity: int,
             raise ValueError(
                 f"unknown buffer_impl {impl!r}; choose from "
                 f"{sorted(BUFFER_IMPLS)}")
-        if not getattr(BUFFER_IMPLS[impl], "supports_key_space", False):
-            raise ValueError(
-                f"buffer_impl {impl!r} does not support key_space=; it "
-                f"would silently fall back to dict membership")
         from .sharding import ShardedBuffer  # lazy: sharding imports us
 
         return ShardedBuffer(impl, capacity, key_space=key_space,
@@ -2041,10 +1756,6 @@ def make_buffer(impl: str, capacity: int,
         raise ValueError(
             f"unknown buffer_impl {impl!r}; choose from "
             f"{sorted(BUFFER_IMPLS)}") from None
-    if key_space is not None:
-        if not getattr(cls, "supports_key_space", False):
-            raise ValueError(
-                f"buffer_impl {impl!r} does not support key_space=; it "
-                f"would silently fall back to dict membership")
-        return cls(capacity, key_space=key_space)
-    return cls(capacity)
+    if key_space is None:
+        return cls(capacity)
+    return cls(capacity, key_space=key_space)

@@ -13,16 +13,18 @@ Keys outside the dense range (the manager assigns unseen keys unique
 ids *above* the vocabulary, see
 :meth:`repro.core.features.FeatureEncoder.dense_ids`) are tracked in a
 spillover set, so correctness never depends on every key fitting the
-bitmap — only throughput does.
+bitmap — only throughput does.  ``key_space=0`` is the empty universe:
+every key spills, e.g. raw packed keys served without a fitted
+vocabulary.
 
 The index is maintained *incrementally by the buffer backends*
 (:mod:`repro.cache.buffer`): :class:`~repro.cache.buffer.ClockBuffer`
-and :class:`~repro.cache.buffer.FastPriorityBuffer` built with
-``key_space=N`` bulk-set bits on ``insert``/``put_batch``/
-``serve_segment`` and bulk-clear them on ``evict_one``/``evict_batch``;
-:class:`~repro.cache.buffer.PriorityBuffer` keeps a mirror of its
-entry dict.  Dict-mode backends answer the same ``contains_batch``
-protocol straight off their entry dicts, so call sites
+and :class:`~repro.cache.buffer.FastPriorityBuffer` always carry one
+and bulk-set bits on ``insert``/``put_batch``/``serve_segment`` and
+bulk-clear them on ``evict_one``/``evict_batch``;
+:class:`~repro.cache.buffer.PriorityBuffer` built with ``key_space``
+keeps a mirror of its entry dict (without one it answers the same
+``contains_batch`` protocol straight off that dict), so call sites
 (``RecMGManager._serve_demand_batched`` and
 ``_serve_demand_batched_exact``, ``_apply_caching_bits``,
 ``prefetch.harness``, ``dlrm.inference``) stay backend-agnostic.
@@ -49,8 +51,8 @@ class ResidencyIndex:
     __slots__ = ("key_space", "bitmap", "_overflow")
 
     def __init__(self, key_space: int) -> None:
-        if key_space < 1:
-            raise ValueError("key_space must be >= 1")
+        if key_space < 0:
+            raise ValueError("key_space must be >= 0")
         self.key_space = int(key_space)
         #: The raw bitmap — exposed so hot call sites can gather
         #: ``bitmap[segment]`` directly once they know the segment is
@@ -116,10 +118,10 @@ class ResidencyIndex:
         out = np.zeros(arr.size, dtype=bool)
         out[in_range] = self.bitmap[arr[in_range]]
         if self._overflow:
-            spill = np.flatnonzero(~in_range)
-            overflow = self._overflow
-            for pos in spill.tolist():
-                out[pos] = int(arr[pos]) in overflow
+            spill = ~in_range
+            out[spill] = np.fromiter(
+                map(self._overflow.__contains__, arr[spill].tolist()),
+                dtype=bool, count=int(np.count_nonzero(spill)))
         return out
 
     # -- bookkeeping ---------------------------------------------------

@@ -47,8 +47,8 @@ of N× it.  Translation happens at exactly one layer — the
 * callers (the :class:`ShardedBuffer` bulk ops, the manager's sharded
   engine, ``dlrm.inference``, ``prefetch.harness`` and the tests) keep
   passing **global** keys and receive **global** keys back — victims
-  of ``evict_one``/``evict_batch``/``serve_segment``, ``keys()`` and
-  ``residency_map()`` are decompressed on the way out;
+  of ``evict_one``/``evict_batch``/``serve_segment`` and ``keys()``
+  are decompressed on the way out;
 * spillover ids (outside ``[0, key_space)``) pass through *unchanged*:
   they route by ``key mod N`` and always fall outside the compressed
   universe too (negative stays negative; ``id >= key_space >=
@@ -575,11 +575,6 @@ class CompressedShardView:
     def is_full(self) -> bool:
         return self.backend.is_full
 
-    def residency_map(self) -> Dict[int, object]:
-        decompress_key = self.router.decompress_key
-        return {decompress_key(self.shard_index, int(local)): value
-                for local, value in self.backend.residency_map().items()}
-
     def contains_batch(self, keys: Sequence[int]) -> np.ndarray:
         return self.backend.contains_batch(self._c(keys))
 
@@ -624,10 +619,8 @@ class CompressedShardView:
     def _serve_segment(self, segment: np.ndarray, priority: int):
         """Positions need no translation, so only the victims cross
         the boundary back."""
-        result = self.backend.serve_segment(self._c(segment), priority)
-        if result is None:  # pragma: no cover - dense backends only
-            return None
-        served, miss_positions, victims = result
+        served, miss_positions, victims = self.backend.serve_segment(
+            self._c(segment), priority)
         return served, miss_positions, self._d(victims)
 
 
@@ -822,8 +815,8 @@ class ShardedBuffer:
 
     See the module docstring for the routing/compression/capacity/
     eviction contract.  ``impl`` names any registered backend
-    (:data:`repro.cache.buffer.BUFFER_IMPLS`); every shard is built in
-    dense mode over its *compressed* universe
+    (:data:`repro.cache.buffer.BUFFER_IMPLS`); every shard is built
+    over its *compressed* universe
     (``router.shard_key_space(s)``) and wrapped in a
     :class:`CompressedShardView`, so the bulk protocol runs
     array-native end to end while every caller — including the serving
@@ -946,15 +939,6 @@ class ShardedBuffer:
         gate on the routed shard (:func:`backend_for_key`), not on
         this global view."""
         return all(shard.is_full for shard in self.shards)
-
-    def residency_map(self) -> Dict[int, object]:
-        """Merged read-only view keyed by resident (global) key (a
-        snapshot — bulk call sites should prefer
-        :meth:`contains_batch`)."""
-        merged: Dict[int, object] = {}
-        for shard in self.shards:
-            merged.update(shard.residency_map())
-        return merged
 
     def contains_batch(self, keys: Sequence[int]) -> np.ndarray:
         """Residency of each key: scatter to shards, one bitmap gather

@@ -50,8 +50,8 @@ class RecMGConfig:
     #: vocabulary (see :class:`repro.core.prefetch_model.IndexDecoder`).
     decode_radius_frac: float = 0.005
     #: GPU-buffer backend for the online manager: ``"fast"`` (exact;
-    #: with a fitted encoder dense vectors, a victim queue and a
-    #: fixed-point ``serve_segment``, lazy heaps only in dict mode),
+    #: dense per-id vectors, a victim queue and a fixed-point
+    #: ``serve_segment``),
     #: ``"reference"`` (exact, O(n) audit loop) or
     #: ``"clock"`` (approximate array-backed CLOCK with batched
     #: eviction — the throughput-serving choice).  See

@@ -14,8 +14,7 @@ prefetch model only on LRU = "LRU+PF" (see :class:`ModelPrefetcher`).
 The buffer backend is selected by ``buffer_impl`` (constructor argument,
 falling back to ``config.buffer_impl``; see :mod:`repro.cache.buffer`):
 
-* ``"fast"`` (default) — exact semantics; with a fitted encoder the
-  buffer runs in dense (``key_space``) mode and ``fast_serve`` uses the
+* ``"fast"`` (default) — exact semantics; ``fast_serve`` uses the
   *batched exact engine* (:meth:`RecMGManager._serve_demand_batched_exact`):
   one residency gather classifies the segment, one vectorized victim
   selection pre-reclaims the space it needs, and one bulk scatter
@@ -23,16 +22,15 @@ falling back to ``config.buffer_impl``; see :mod:`repro.cache.buffer`):
   audit loop (the buffer refuses any segment where bulk reclaim could
   diverge, and the engine splits or falls back).  Segments of at most
   ``_SCALAR_FALLBACK`` keys skip the bulk call, whose fixed cost they
-  cannot amortise, for the scalar loop itself, which the dense
-  buffer's victim queue makes amortised O(1) per eviction.  The 15-key
+  cannot amortise, for the scalar loop itself, which the buffer's
+  victim queue makes amortised O(1) per eviction.  The 15-key
   model chunks of :meth:`run` do not reach the engine one by one at
   all: with no priority provider active, one
   :meth:`~repro.cache.buffer.FastPriorityBuffer.serve_chunks` pass runs
   serve -> caching bits -> prefetches for the whole block.  Every other
-  run (``reference``, clock, sharded, dict mode, provider active,
+  run (``reference``, clock, sharded, provider active,
   ``fast_serve=False``) keeps the per-chunk triple, which is that
-  pass's oracle.  Dict mode keeps the lazy-heap bulk pre-pass,
-  likewise bit-identical.
+  pass's oracle.
 * ``"reference"`` — exact O(n) audit backend; always served through the
   scalar loop.
 * ``"clock"`` — approximate array-backed CLOCK; ``fast_serve`` switches
@@ -82,13 +80,12 @@ Serving is backend-agnostic through the **bulk residency/priority
 protocol** (see :mod:`repro.cache.buffer`): every backend answers
 ``contains_batch(keys) -> bool[:]`` and accepts
 ``set_priority_batch``/``demote_batch``.  The manager fits the encoder's
-dense-id universe as the buffer's ``key_space``, so the dense backends
+dense-id universe as the buffer's ``key_space``, so the backends
 classify a whole segment with one gather
 (:class:`repro.cache.residency.ResidencyIndex`) instead of a per-key
 dict loop — the chunk-boundary caching-bit writes
-(:meth:`RecMGManager._apply_caching_bits`) ride on it.  The exact
-backends answer the same calls off their entry dicts, so no call site
-branches on the backend.
+(:meth:`RecMGManager._apply_caching_bits`) ride on it — and no call
+site branches on the backend.
 """
 
 from __future__ import annotations
@@ -100,12 +97,7 @@ from typing import Deque, List, Optional, Set, Tuple
 
 import numpy as np
 
-from ..cache.buffer import (
-    SCALAR_FALLBACK,
-    FastPriorityBuffer,
-    iter_serve_segments,
-    make_buffer,
-)
+from ..cache.buffer import SCALAR_FALLBACK, iter_serve_segments, make_buffer
 from ..cache.sharding import ShardedBuffer, backend_for_key
 from ..prefetch.base import Prefetcher
 from ..prefetch.harness import AccessBreakdown
@@ -189,16 +181,16 @@ class RecMGManager:
                                           "contiguous"))
         self.shard_weights = (shard_weights if shard_weights is not None
                               else getattr(config, "shard_weights", None))
-        # A fitted encoder fixes the dense-id universe, which lets the
-        # clock and fast backends run array-native membership (residency
-        # bitmap); unseen keys map above the vocabulary and spill
-        # safely.  ``key_space="auto"`` (the default) fits that
-        # universe; ``None`` forces dict membership (the pre-dense
-        # engines, kept measurable for the perf benches); an int pins
-        # an explicit universe.  ``num_shards > 1`` partitions that
-        # universe across independent shards (see
-        # :mod:`repro.cache.sharding`) — it therefore requires a
-        # resolvable key_space (``make_buffer`` rejects otherwise).
+        # A fitted encoder fixes the dense-id universe the clock and
+        # fast backends index their per-id arrays by; unseen keys map
+        # above the vocabulary and spill safely.  ``key_space="auto"``
+        # (the default) fits that universe; an int pins an explicit
+        # one; ``None`` (also "auto" on an unfitted encoder) gives the
+        # backend the empty universe, where every id spills.
+        # ``num_shards > 1`` partitions the universe across independent
+        # shards (see :mod:`repro.cache.sharding`) — it therefore
+        # requires a resolvable key_space (``make_buffer`` rejects
+        # otherwise).
         if key_space == "auto":
             key_space = (encoder.vocab_size
                          if getattr(encoder, "fitted", False)
@@ -435,150 +427,6 @@ class RecMGManager:
                 self._demand_access(key)
             record.append(np.array(hits, dtype=bool))
 
-    def _serve_demand_fast(self, segment: np.ndarray) -> None:
-        """Bulk demand-serving pre-pass: resolve runs of guaranteed
-        hits/misses in bulk, falling back to :meth:`_demand_access` only
-        where an eviction decision is actually needed.
-
-        One residency snapshot classifies the whole segment up front.
-        Two regimes, both producing state and counters identical to the
-        scalar loop:
-
-        * the segment fits without any eviction (warm-up, or an all-hit
-          segment once the buffer is full) → misses *and* hits resolve
-          in bulk: one counter update plus a single
-          :meth:`FastPriorityBuffer.put_batch` over the segment;
-        * otherwise the snapshot-miss positions run through the scalar
-          path (each needs a live eviction decision) while the hit runs
-          between them are bulk-applied.  Hits never change membership,
-          so a snapshot True can only go stale through an eviction; the
-          victims seen so far are tracked and any run touching one falls
-          back to the scalar loop.
-        """
-        keys = segment.tolist() if isinstance(segment, np.ndarray) else segment
-        length = len(keys)
-        if length == 0:
-            return
-        buffer = self.buffer
-        capacity = self.capacity
-        speed = self.config.eviction_speed
-        breakdown = self.breakdown
-        prefetched = self._prefetched
-        # Segments are at most _SERVE_BLOCK (or one model chunk) long
-        # and the classification is dict lookups, so plain comprehensions
-        # beat array round-trips here; the bulk win is in the batched
-        # accounting, the per-unique-key stores, and the inlined
-        # miss/eviction path — not in numpy.
-        entries = buffer._entries
-        store = buffer._store
-        evict_one = buffer.evict_one
-        miss_idx = [i for i, key in enumerate(keys) if key not in entries]
-
-        new_keys = {keys[m] for m in miss_idx}
-        if len(entries) + len(new_keys) <= capacity:
-            self._finish_eviction_free(keys, miss_idx, new_keys)
-            return
-
-        record = None if self._record_hits is None else []
-        cache_hits = 0
-        on_demand = 0
-        victims: Set[int] = set()
-        position = 0
-        for miss in miss_idx + [length]:
-            if miss > position:
-                run = keys[position:miss]
-                if victims and not victims.isdisjoint(run):
-                    # An eviction invalidated part of this run's
-                    # snapshot; replay it through the scalar path (whose
-                    # own evictions must be tracked too).
-                    for key in run:
-                        if record is not None:
-                            record.append(key in entries)
-                        victim = self._demand_access(key)
-                        if victim is not None:
-                            victims.add(victim)
-                else:
-                    # Bulk hit-run: one store per unique key at its
-                    # last-occurrence seqno via put_batch (every key is
-                    # resident, so its capacity check always passes).
-                    hit_count = miss - position
-                    if prefetched:
-                        pf_hits = prefetched.intersection(run)
-                        if pf_hits:
-                            prefetched.difference_update(pf_hits)
-                            breakdown.prefetch_hits += len(pf_hits)
-                            self.prefetches_useful += len(pf_hits)
-                            hit_count -= len(pf_hits)
-                    cache_hits += hit_count
-                    if record is not None:
-                        record.extend([True] * len(run))
-                    buffer.put_batch(run, speed)
-            if miss < length:
-                # Inlined _demand_access for the snapshot-miss position
-                # (it may have turned into a hit via an earlier insert).
-                key = keys[miss]
-                if record is not None:
-                    record.append(key in entries)
-                if key in entries:
-                    if key in prefetched:
-                        prefetched.discard(key)
-                        breakdown.prefetch_hits += 1
-                        self.prefetches_useful += 1
-                    else:
-                        cache_hits += 1
-                    buffer.set_priority(key, speed)
-                else:
-                    on_demand += 1
-                    if len(entries) >= capacity:
-                        victim = evict_one()
-                        prefetched.discard(victim)
-                        self.evictions += 1
-                        victims.add(victim)
-                    store(key, speed, buffer._next_seq)
-                    buffer._next_seq += 1
-            position = miss + 1
-        breakdown.cache_hits += cache_hits
-        breakdown.on_demand += on_demand
-        if record is not None:
-            self._record_hits.append(np.array(record, dtype=bool))
-
-    def _finish_eviction_free(self, keys: List[int], miss_idx: List[int],
-                              new_keys: Set[int]) -> None:
-        """Resolve a whole segment known to fit without any eviction.
-
-        The first touch of each non-resident key is the segment's only
-        miss for that key, everything else hits.  Prefetched keys are
-        always resident (the tag is dropped on eviction), so each one
-        present here scores exactly one prefetch hit.  ``miss_idx`` are
-        the positions whose key is in ``new_keys`` (the non-resident
-        set) under the current residency snapshot.
-        """
-        buffer = self.buffer
-        speed = self.config.eviction_speed
-        breakdown = self.breakdown
-        prefetched = self._prefetched
-        record = self._record_hits
-        length = len(keys)
-        if record is not None:
-            segment_hits = np.ones(length, dtype=bool)
-            seen: Set[int] = set()
-            for m in miss_idx:
-                key = keys[m]
-                if key not in seen:
-                    seen.add(key)
-                    segment_hits[m] = False
-            record.append(segment_hits)
-        hit_count = length - len(new_keys)
-        if prefetched:
-            pf_hits = prefetched.intersection(keys)
-            prefetched.difference_update(pf_hits)
-            breakdown.prefetch_hits += len(pf_hits)
-            self.prefetches_useful += len(pf_hits)
-            hit_count -= len(pf_hits)
-        breakdown.cache_hits += hit_count
-        breakdown.on_demand += len(new_keys)
-        buffer.put_batch(keys, speed)
-
     def _serve_demand_batched(self, segment: np.ndarray) -> None:
         """Batched-reclaim serving for approximate (clock) backends:
         the whole segment goes through :meth:`_serve_clock` — one
@@ -634,7 +482,7 @@ class RecMGManager:
         return _joined(misses, np.int64), pf_hits, evicted
 
     def _serve_demand_batched_exact(self, segment: np.ndarray) -> None:
-        """Batched *exact* serving for the dense ``"fast"`` backend —
+        """Batched *exact* serving for the ``"fast"`` backend —
         decision-for-decision and state-identical to the scalar loop.
 
         :meth:`~repro.cache.buffer.FastPriorityBuffer.serve_segment`
@@ -676,7 +524,7 @@ class RecMGManager:
         shards; each shard then serves its sub-segment through the same
         per-backend scheme the single-shard engines use — the
         batched-reclaim path for approximate (clock) shards, the
-        ``serve_segment`` bulk-exact path for dense ``"fast"`` shards,
+        ``serve_segment`` bulk-exact path for ``"fast"`` shards,
         the scalar audit loop otherwise — and the per-shard miss
         positions gather back into one segment-order accounting pass.
         Shards hold disjoint key sets and never touch each other's
@@ -820,8 +668,7 @@ class RecMGManager:
         chunk)."""
         if getattr(shard, "approximate", False):
             return self._serve_clock(shard, sub)
-        if (getattr(shard, "residency", None) is not None
-                and hasattr(shard, "serve_segment")):
+        if hasattr(shard, "serve_segment"):
             prefetched = self._prefetched
             misses: List[np.ndarray] = []
             pf_hits = 0
@@ -928,13 +775,10 @@ class RecMGManager:
             return self._serve_demand_sharded
         if getattr(self.buffer, "approximate", False):
             return self._serve_demand_batched
-        if isinstance(self.buffer, FastPriorityBuffer):
-            # Dense (key_space) mode serves through the bulk exact
-            # engine; dict mode through the lazy-heap pre-pass.  Both
-            # are decision-identical to the scalar audit loop.
-            return (self._serve_demand_batched_exact
-                    if self.buffer.residency is not None
-                    else self._serve_demand_fast)
+        if hasattr(self.buffer, "serve_segment"):
+            # The bulk exact engine, decision-identical to the scalar
+            # audit loop.
+            return self._serve_demand_batched_exact
         # Exact audit backend ("reference").
         return self._serve_demand_slow
 
@@ -951,16 +795,15 @@ class RecMGManager:
         CPU serving; a trace shorter than one chunk is served
         model-free.  ``fast_serve`` selects the bulk
         demand-serving engine for the backend: the batched exact engine
-        (:meth:`_serve_demand_batched_exact`, dense mode) or the
-        lazy-heap pre-pass (:meth:`_serve_demand_fast`, dict mode) for
-        the exact ``"fast"`` buffer — both bit-identical to the
-        per-access audit loop — or the batched-reclaim engine
+        (:meth:`_serve_demand_batched_exact`) for the exact ``"fast"``
+        buffer — bit-identical to the per-access audit loop — or the
+        batched-reclaim engine
         (:meth:`_serve_demand_batched`) for the approximate ``"clock"``
         buffer, whose victim order (and hence hit stream) legitimately
         differs from the scalar loop.  The ``"reference"`` backend
         always runs the audit loop.  Sharded buffers route shard-wise
         (:meth:`_serve_demand_sharded`).  Between model barriers the
-        dense exact engine runs the chunk loop (serve, caching bits,
+        exact engine runs the chunk loop (serve, caching bits,
         prefetches) as one fused buffer pass; everywhere else that
         loop runs chunk by chunk, and is the pass's oracle.
         ``record_decisions`` additionally stores the per-access hit

@@ -150,17 +150,17 @@ class BufferClassifier:
     manager.  With ``buffer_impl="clock"`` this is the cheapest serving
     configuration: array-backed residency with second-chance eviction;
     pass ``key_space`` (dense key universe) and membership runs off the
-    residency bitmap.
+    residency bitmap — without it (raw packed keys) every key takes the
+    spillover path, with identical decisions.
 
     :meth:`access_batch` serves a whole engine batch at once.  On the
     approximate clock backend it uses the manager's batched-reclaim
     scheme (pre-evict the space the batch needs, then one bulk
-    ``put_batch``); the dense (``key_space``) exact ``"fast"`` backend
-    serves through
+    ``put_batch``); the exact ``"fast"`` backend serves through
     :meth:`~repro.cache.buffer.FastPriorityBuffer.serve_segment`, which
     is bit-identical to the scalar loop — decisions, victims and buffer
-    state included; the remaining exact configurations replay the
-    scalar loop so their per-access eviction interleaving is preserved.
+    state included; the ``"reference"`` backend replays the scalar
+    loop.
 
     ``num_shards > 1`` (with ``key_space``, which the routers require)
     partitions the id universe across shards
@@ -260,8 +260,7 @@ class BufferClassifier:
     def _classify_batch(self, buffer, keys: np.ndarray) -> np.ndarray:
         """Hit booleans for ``keys`` against one single-shard backend."""
         if not getattr(buffer, "approximate", False):
-            if (not hasattr(buffer, "serve_segment")
-                    or getattr(buffer, "residency", None) is None):
+            if not hasattr(buffer, "serve_segment"):
                 return self._access_loop(buffer, keys)
             # Exact bulk path: the shared serve-prefix driver yields
             # bulk prefixes plus the scalar stretches to replay.

@@ -83,15 +83,10 @@ class LRUBufferWithPrefetch:
     breakdowns are identical to ``"ordered"``); ``"clock"`` runs the
     second-chance CLOCK approximation of LRU (insert and re-reference
     at priority 1) on the array-backed buffer.  ``key_space`` (when the
-    keys are dense, e.g. after ``remap_to_dense``) selects array-native
-    clock membership — residency then answers from a
-    :class:`~repro.cache.residency.ResidencyIndex` bitmap instead of a
-    per-key dict sweep, with identical behavior.  The *exact* backends
-    deliberately stay in dict mode here: this harness is a per-access
-    co-simulation loop, and the dense exact mode trades O(log n) scalar
-    heap evictions for O(capacity) batch selections — the right deal
-    only for the batched ``serve_segment`` engines in the manager and
-    ``dlrm.inference``, not for this loop.
+    keys are dense, e.g. after ``remap_to_dense``) is the id universe
+    every backend indexes its residency by — a
+    :class:`~repro.cache.residency.ResidencyIndex` bitmap instead of
+    the spillover path, with identical behavior.
 
     ``num_shards > 1`` (with ``key_space``, required by the routers;
     unsupported on the OrderedDict backend) partitions the id universe
@@ -129,15 +124,8 @@ class LRUBufferWithPrefetch:
             self._refresh_priority = 0
             self._entries: Optional["OrderedDict[int, bool]"] = OrderedDict()
         else:
-            # Dense membership only for the approximate backend (or
-            # when sharding, whose routers require the dense universe):
-            # the exact pair's dense mode pays O(capacity) per *scalar*
-            # eviction, and this harness only ever serves scalar
-            # accesses (see class docstring).
-            dense = buffer_impl == "clock" or num_shards > 1
             self._buffer = make_buffer(
-                buffer_impl, effective,
-                key_space=key_space if dense else None,
+                buffer_impl, effective, key_space=key_space,
                 num_shards=num_shards, shard_policy=shard_policy,
                 shard_weights=shard_weights)
             self._pf_tags = set()
@@ -271,8 +259,8 @@ def run_breakdown(trace: Trace, capacity: int,
                                on_demand=len(keys) - hits)
     tables = trace.table_ids
     # Dense-remapped keys span exactly [0, num_unique): hand the dense
-    # universe to the backend so the clock path runs its residency
-    # bitmap instead of the key→slot dict.
+    # universe to the backend so residency runs off its bitmap instead
+    # of the spillover path.
     key_space = (int(keys.max()) + 1
                  if use_dense_keys and len(keys) else None)
     buffer = LRUBufferWithPrefetch(capacity, prefetcher=prefetcher,

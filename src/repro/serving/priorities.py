@@ -98,7 +98,7 @@ def apply_caching_bits(buffer, keys: np.ndarray, bits: np.ndarray,
     ranges, so cross-class interleaving never affects eviction order).
     Blocks of at most :data:`~repro.cache.buffer.SCALAR_FALLBACK` keys
     run exactly that loop (``run()``'s model chunks too, wherever they
-    are served chunk by chunk; the dense exact engine writes the same
+    are served chunk by chunk; the exact engine writes the same
     state inside ``FastPriorityBuffer.serve_chunks``);
     longer ones its vectorized form, one ``contains_batch`` residency
     gather classifying the block and the classes landing via

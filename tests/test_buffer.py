@@ -359,14 +359,14 @@ class TestClockSlotOrder:
 
     @pytest.mark.parametrize("key_space", [None, 64])
     def test_put_batch_assigns_slots_in_first_touch_order(self, key_space):
-        buf = ClockBuffer(4, key_space=key_space)
+        buf = make_buffer("clock", 4, key_space=key_space)
         # set() iteration would order these 1, 2, 3.
         buf.put_batch([3, 1, 2], 0)
         assert buf.evict_batch(3) == [3, 1, 2]
 
     @pytest.mark.parametrize("key_space", [None, 64])
     def test_duplicates_keep_first_touch_position(self, key_space):
-        buf = ClockBuffer(8, key_space=key_space)
+        buf = make_buffer("clock", 8, key_space=key_space)
         buf.put_batch([5, 3, 5, 2, 3, 7], 0)
         assert buf.evict_batch(4) == [5, 3, 2, 7]
 
@@ -420,7 +420,7 @@ class TestClockBatchAgingStep:
         for _ in range(12):
             capacity = rng.randint(2, 12)
             prios = [rng.randint(0, 3000) for _ in range(capacity)]
-            buf = ClockBuffer(capacity, key_space=key_space)
+            buf = make_buffer("clock", capacity, key_space=key_space)
             for key, priority in enumerate(prios):
                 buf.insert(key, priority)
             n = rng.randint(1, capacity)
@@ -468,29 +468,24 @@ class TestClockDenseMode:
             buf = make_buffer(impl, 4, key_space=32)
             assert buf.residency is not None
             assert buf.residency.key_space == 32
-            assert make_buffer(impl, 4).residency is None
-
-    def test_make_buffer_rejects_key_space_on_unsupporting_backend(self):
-        """A registered backend without ``supports_key_space`` must
-        raise instead of silently ignoring the dense universe (the
-        exact pair used to no-op here)."""
-        from repro.cache.buffer import BUFFER_IMPLS
-
-        class NoDense:
-            def __init__(self, capacity):
-                self.capacity = capacity
-
-        BUFFER_IMPLS["nodense"] = NoDense
-        try:
-            assert isinstance(make_buffer("nodense", 4), NoDense)
-            with pytest.raises(ValueError, match="key_space"):
-                make_buffer("nodense", 4, key_space=32)
-        finally:
-            del BUFFER_IMPLS["nodense"]
+            assert buf.key_space == 32
+        # Without one: the empty universe on the array-native pair, no
+        # index on the reference.
+        for impl in ("clock", "fast"):
+            assert make_buffer(impl, 4).key_space == 0
+            assert make_buffer(impl, 4).residency.key_space == 0
+        assert make_buffer("reference", 4).residency is None
 
     def test_rejects_bad_key_space(self):
-        with pytest.raises(ValueError):
-            ClockBuffer(4, key_space=0)
+        """0 is the empty universe; only a negative one is refused."""
+        from repro.cache import ResidencyIndex
+
+        assert ClockBuffer(4, key_space=0).key_space == 0
+        assert ResidencyIndex(0).count() == 0
+        for make in (ResidencyIndex, lambda k: ClockBuffer(4, key_space=k),
+                     lambda k: FastPriorityBuffer(4, key_space=k)):
+            with pytest.raises(ValueError):
+                make(-1)
 
     def test_spillover_keys_above_key_space(self):
         """The manager maps unseen keys above the vocabulary; they must
@@ -515,21 +510,12 @@ class TestClockDenseMode:
         with pytest.raises(KeyError):
             buf.set_priority_batch(np.array([1, 9]), 2)
 
-    def test_residency_map_is_a_snapshot(self):
-        buf = ClockBuffer(4, key_space=16)
-        buf.put_batch([1, 2], 0)
-        snapshot = buf.residency_map()
-        assert sorted(snapshot) == [1, 2]
-        buf.evict_batch(2)
-        assert sorted(snapshot) == [1, 2]   # snapshot, not live
-        assert len(buf.residency_map()) == 0
-
 
 class TestFastDenseMode:
     """key_space mode of the exact pair: residency bitmap + dense
     (expiry, seqno) vectors on the fast backend, bitmap mirror on the
-    reference backend.  Exhaustive dict/dense equivalence lives in
-    tests/test_buffer_differential.py; these pin the contracts the
+    reference backend.  Exhaustive equivalence with the reference lives
+    in tests/test_buffer_differential.py; these pin the contracts the
     batched serving engine builds on."""
 
     def test_numpy_duplicate_index_assignment_keeps_last(self):
@@ -584,15 +570,6 @@ class TestFastDenseMode:
             buf.put_batch([4, 5], 1)
         assert sorted(buf.keys()) == [1, 2, 3]
 
-    def test_residency_map_is_a_snapshot(self):
-        buf = FastPriorityBuffer(4, key_space=16)
-        buf.put_batch([1, 2], 0)
-        snapshot = buf.residency_map()
-        assert sorted(snapshot) == [1, 2]
-        buf.evict_batch(2)
-        assert sorted(snapshot) == [1, 2]   # snapshot, not live
-        assert len(buf.residency_map()) == 0
-
 
 class TestServeSegment:
     """FastPriorityBuffer.serve_segment: the batched exact serving
@@ -614,9 +591,25 @@ class TestServeSegment:
                 buf.insert(key, priority)
         return decisions, victims
 
-    def test_dict_mode_returns_none(self):
-        assert FastPriorityBuffer(4).serve_segment(
-            np.array([1, 2]), 1) is None
+    def test_empty_universe_serves_packed_keys(self):
+        """``key_space=0``: packed keys (>= 2**40) all spill, and one
+        call still serves the segment exactly like the scalar loop."""
+        base = 3 << 40
+        a, b = FastPriorityBuffer(4), FastPriorityBuffer(4)
+        for buf in (a, b):
+            buf.put_batch([base + 5, base + 7, base + 9], 0)
+        # base+2 evicts base+5, whose re-miss evicts base+7.
+        segment = np.array([base + 1, base + 9, base + 2, base + 5],
+                           dtype=np.int64)
+        decisions_b, victims_b = self._scalar(b, segment, 2)
+        served, first_miss, victims_a = a.serve_segment(segment, 2)
+        assert served == segment.size
+        hits = np.ones(served, dtype=bool)
+        hits[first_miss] = False
+        assert hits.tolist() == decisions_b == [False, True, False, False]
+        assert victims_a.tolist() == victims_b == [base + 5, base + 7]
+        assert sorted(a.keys()) == sorted(b.keys())
+        assert a.evict_batch(4) == b.evict_batch(4)
 
     def test_full_segment_serve_matches_scalar(self):
         a = FastPriorityBuffer(6, key_space=16)

@@ -4,23 +4,27 @@
 put_batch / set_priority_batch / demote_batch / evict_one / evict_batch
 interleavings) drive every backend behind the ``buffer_impl`` knob:
 
-* the exact four (:class:`PriorityBuffer`, :class:`FastPriorityBuffer`,
-  each in dict mode and dense ``key_space`` mode, the dense bitmaps
-  chosen *smaller* than the fuzzed key range so spillover ids are
-  exercised) must agree *key-for-key*: identical victims, identical
-  resident sets, identical effective priorities after every operation;
+* the exact four (:class:`PriorityBuffer` without and with a
+  ``key_space``, :class:`FastPriorityBuffer` over the empty universe —
+  every id spills — and over a ``key_space`` chosen *smaller* than the
+  fuzzed key range so spillover ids mix with in-universe ones) must
+  agree *key-for-key*: identical victims, identical resident sets,
+  identical effective priorities after every operation; the same
+  sequence shifted to packed ids (>= 2**40, as raw ``table << 40 |
+  row`` keys are) drives an empty-universe fast buffer against the
+  reference too;
 * the approximate :class:`ClockBuffer` is checked against its contract
   instead: capacity never exceeded, the resident set is always a subset
   of the keys ever inserted, and within one ``evict_batch`` call the
   victims come out in nondecreasing pre-call priority and never outrank
   a survivor ("evictions prefer lower priority within a sweep");
-* the clock backend runs twice — dict mode and dense
-  (``key_space``) residency-bitmap mode — and the two must agree
+* the clock backend runs twice — over the empty universe and over a
+  ``key_space`` residency bitmap — and the two must agree
   victim-for-victim: identical resident sets, priorities and eviction
   order;
 * after **every** op, every backend's ``contains_batch`` must agree
   with scalar ``in`` membership over a probe range that includes
-  out-of-range and negative ids (bitmap/dict residency agreement).
+  out-of-range and negative ids (bulk/scalar residency agreement).
 
 A queue differential (:func:`test_dense_victim_queue_matches_reference`
 and its sharded twin) stresses what scalar ``evict_one`` on the dense
@@ -35,7 +39,8 @@ truncation happen every few evictions.
 A clock serving differential
 (:func:`test_clock_serve_segment_matches_composed_protocol`, a
 ``hypothesis`` fuzz, and its hand-picked twin) drives twin
-:class:`ClockBuffer` s — dense, dict, dense with spillover ids, and
+:class:`ClockBuffer` s — dense, empty universe (packed ids included),
+dense with spillover ids, and
 behind the ``CompressedShardView`` s of a sharded buffer — one through
 ``serve_segment``, the other through the composed protocol it replaced
 (``contains_batch`` → first-occurrence count →
@@ -94,6 +99,8 @@ MAX_PRIORITY = 6
 #: Probe for contains_batch/scalar agreement: spans below, inside and
 #: above both the bitmap and the fuzzed key range.
 PROBE = np.arange(-3, KEY_SPACE + 8, dtype=np.int64)
+#: Offset of the packed-id twins: table 3, row = the fuzzed key.
+PACKED = 3 << 40
 
 OP_WEIGHTS = [
     ("insert", 6),
@@ -124,10 +131,10 @@ def _gen_ops(rng: random.Random, op_weights=OP_WEIGHTS,
     return ops
 
 
-def _assert_contains_batch_agrees(buffer) -> None:
+def _assert_contains_batch_agrees(buffer, probe=PROBE) -> None:
     """contains_batch must match scalar ``in`` over the probe range."""
-    bulk = buffer.contains_batch(PROBE)
-    scalar = np.array([int(key) in buffer for key in PROBE], dtype=bool)
+    bulk = buffer.contains_batch(probe)
+    scalar = np.array([int(key) in buffer for key in probe], dtype=bool)
     assert bulk.dtype == np.bool_ and bulk.shape == scalar.shape
     assert np.array_equal(bulk, scalar)
 
@@ -153,10 +160,11 @@ def _scalar_serve(buffer, keys, priority):
     return victims
 
 
-def _apply_exact_group(ref: PriorityBuffer, others, op):
-    """Apply one op to every exact backend (dict- and dense-mode
-    reference + fast), asserting key-for-key agreement on victims;
-    validity is decided by the shared state."""
+def _apply_exact_group(ref: PriorityBuffer, others, op, probe=PROBE):
+    """Apply one op to every exact backend (the reference without and
+    with a universe + fast over the empty and a small universe),
+    asserting key-for-key agreement on victims; validity is decided by
+    the shared state."""
     kind, key, priority, batch, count = op
     group = (ref, *others)
     if kind == "insert":
@@ -221,11 +229,17 @@ def _apply_exact_group(ref: PriorityBuffer, others, op):
     for buffer in others:
         assert len(buffer) == len(ref)
     for buffer in group:
-        _assert_contains_batch_agrees(buffer)
+        _assert_contains_batch_agrees(buffer, probe)
+
+
+def _packed(op):
+    """``op`` with every key shifted to a packed id (>= 2**40)."""
+    kind, key, priority, batch, count = op
+    return kind, PACKED + key, priority, [PACKED + k for k in batch], count
 
 
 def _assert_clock_modes_agree(clock: ClockBuffer, dense: ClockBuffer):
-    """Dict-mode and dense-mode clocks are behaviorally identical."""
+    """Empty-universe and dense clocks are behaviorally identical."""
     assert len(clock) == len(dense)
     assert sorted(clock.keys()) == sorted(dense.keys())
     for key in clock.keys():
@@ -315,12 +329,16 @@ def test_differential_op_sequences(seed):
         FastPriorityBuffer(capacity),
         FastPriorityBuffer(capacity, key_space=DENSE_SPACE),
     ]
+    packed_ref = PriorityBuffer(capacity)
+    packed = FastPriorityBuffer(capacity)
     clock = ClockBuffer(capacity)
     dense = ClockBuffer(capacity, key_space=DENSE_SPACE)
     inserted_ever: set = set()
 
     for op in ops:
         _apply_exact_group(ref, exact_others, op)
+        _apply_exact_group(packed_ref, [packed], _packed(op),
+                           probe=PROBE + PACKED)
         if op[0] in ("insert", "put_batch"):
             inserted_ever.update([op[1]] if op[0] == "insert" else op[3])
         _apply_clock(clock, dense, inserted_ever, op)
@@ -328,6 +346,8 @@ def test_differential_op_sequences(seed):
     # Exact group: full key-for-key state agreement at the end.
     for buffer in exact_others:
         _assert_same_state(ref, buffer)
+    _assert_same_state(packed_ref, packed)
+    assert sorted(packed.keys()) == [PACKED + key for key in sorted(ref.keys())]
     fast_dense = exact_others[-1]
     assert fast_dense.residency.count() == len(ref)
     # Drain everything: the remaining victim order must agree too.
@@ -336,6 +356,8 @@ def test_differential_op_sequences(seed):
         drained = ref.evict_batch(remaining)
         for buffer in exact_others:
             assert buffer.evict_batch(remaining) == drained
+        assert packed.evict_batch(remaining) == [PACKED + key
+                                                 for key in drained]
     assert fast_dense.residency.count() == 0
     clock_remaining = len(clock)
     if clock_remaining:
@@ -349,8 +371,8 @@ def test_differential_op_sequences(seed):
 
 def test_exact_group_priority_parity_mid_sequence():
     """Spot-check that parity holds *during* a sequence, not only at the
-    end (priorities age differently per eviction) — dense modes
-    included."""
+    end (priorities age differently per eviction) — with and without
+    a universe."""
     rng = random.Random(4242)
     ref = PriorityBuffer(8)
     others = [PriorityBuffer(8, key_space=DENSE_SPACE),
@@ -699,13 +721,15 @@ def test_exact_serve_segment_ignores_scratch_garbage():
 #: the spillover mode (negative ids included — a bare gather would wrap
 #: them).
 CLOCK_IDS = st.integers(-3, 44)
-#: mode -> (id strategy, twin factory).  "views" serves through the
-#: CompressedShardViews of a 3-shard buffer, so victims must come back
-#: as global ids.
+#: mode -> (id strategy, twin factory).  "empty" has no universe, so
+#: every id spills — packed ones (>= 2**40) too; "views" serves through
+#: the CompressedShardViews of a 3-shard buffer, so victims must come
+#: back as global ids.
 CLOCK_MODES = {
     "dense": (st.integers(0, 39),
               lambda capacity: ClockBuffer(capacity, key_space=40)),
-    "dict": (CLOCK_IDS, ClockBuffer),
+    "empty": (st.one_of(CLOCK_IDS, CLOCK_IDS.map(lambda key: PACKED + key)),
+              ClockBuffer),
     "spillover": (CLOCK_IDS,
                   lambda capacity: ClockBuffer(capacity, key_space=20)),
     "views": (CLOCK_IDS,
@@ -729,16 +753,12 @@ def _clock_ops(ids):
 
 def _clock_state(buffer: ClockBuffer):
     """Everything a :class:`ClockBuffer` is — slot arrays, hand, the
-    free stack in order, the id→slot map of its mode and (dense) the
-    residency index."""
-    state = [buffer._key.tolist(), buffer._prio.tolist(),
-             buffer._valid.tolist(), buffer._hand,
-             buffer._free_slots[:buffer._free_top].tolist()]
-    if buffer._slot_of is None:
-        return state + [buffer._slot]
-    return state + [buffer._slot_of.tolist(), buffer._slot_over,
-                    buffer.residency.bitmap.tolist(),
-                    buffer.residency._overflow]
+    free stack in order, the id→slot maps and the residency index."""
+    return [buffer._key.tolist(), buffer._prio.tolist(),
+            buffer._valid.tolist(), buffer._hand,
+            buffer._free_slots[:buffer._free_top].tolist(),
+            buffer._slot_of.tolist(), buffer._slot_over,
+            buffer.residency.bitmap.tolist(), buffer.residency._overflow]
 
 
 def _bulk_pass(buffer, segment: np.ndarray, priority: int):
@@ -901,7 +921,7 @@ def test_clock_serve_segment_raise_paths_mutate_nothing():
 def test_clock_out_of_range_ids_never_reach_the_dense_gather(key_space):
     """A negative id must not wrap onto the id at the other end of the
     slot vector, nor an id above the universe index past it."""
-    buffer = ClockBuffer(4, key_space=key_space)
+    buffer = make_buffer("clock", 4, key_space=key_space)
     buffer.put_batch([7, 0], 1)
     served, misses, victims = buffer.serve_segment(
         np.array([-1, 8, -8, 7]), 3)
@@ -919,6 +939,7 @@ APPLIER_IDS = 360
 APPLIER_BACKENDS = {
     "reference": dict(impl="reference"),
     "fast-dense": dict(impl="fast", key_space=APPLIER_SPACE),
+    # No universe: every id in the spillover dict.
     "fast-dict": dict(impl="fast"),
     "clock": dict(impl="clock", key_space=APPLIER_SPACE),
     "shard-views": dict(impl="fast", key_space=APPLIER_SPACE, num_shards=2),
@@ -1033,8 +1054,8 @@ def test_exact_serving_decision_equivalence(seed):
 
     batched_manager, batched = run(fast_serve=True)
     scalar_manager, scalar = run(fast_serve=False)
-    assert batched_manager.buffer.residency is not None, \
-        "fitted encoder must select the dense engine"
+    assert batched_manager.buffer.key_space == encoder.vocab_size, \
+        "fitted encoder must give the buffer its universe"
     assert batched == scalar
     assert np.array_equal(batched_manager.last_decisions,
                           scalar_manager.last_decisions)

@@ -249,7 +249,8 @@ class TestHitRecords:
     back one ``bool`` per key, and a recording ``run`` the same
     stream."""
 
-    #: (buffer_impl, key_space, num_shards); dict mode cannot shard.
+    #: (buffer_impl, key_space, num_shards); ``None`` is no universe
+    #: (every id spills), which cannot shard.
     BACKENDS = [(impl, key_space, num_shards)
                 for impl in ("reference", "fast", "clock")
                 for key_space, num_shards in (("auto", 1), ("auto", 4),

@@ -131,7 +131,7 @@ class TestInferenceEngine:
         """The exact ``"fast"`` classifier with its dense universe
         (``key_space``) serves batches through ``serve_segment`` — the
         per-batch hit masks, report, and final buffer state must be
-        bit-identical to the dict-mode scalar replay."""
+        bit-identical to the ``reference`` backend's scalar replay."""
         from repro.dlrm import BufferClassifier
         from repro.traces.access import Trace, remap_to_dense
 
@@ -144,8 +144,8 @@ class TestInferenceEngine:
         engine = InferenceEngine(accesses_per_batch=512)
         batched = BufferClassifier(300, buffer_impl="fast",
                                    key_space=key_space)
-        scalar = BufferClassifier(300, buffer_impl="fast")
-        assert batched.buffer.residency is not None
+        scalar = BufferClassifier(300, buffer_impl="reference")
+        assert batched.buffer.key_space == key_space
         report_batched = engine.run(dense_trace, batched)
         report_scalar = engine.run(dense_trace, scalar)
         assert report_batched.hits == report_scalar.hits

@@ -29,10 +29,11 @@ from repro.core.manager import RecMGManager
 from repro.prefetch import run_breakdown
 from repro.traces import SyntheticTraceConfig, generate_trace
 
-#: (cache_hits, on_demand, evictions) per (buffer_impl, key_space mode)
-#: at a 20% buffer on the golden trace below.  The exact trio must
+#: (cache_hits, on_demand, evictions) per (buffer_impl, key_space) at
+#: a 20% buffer on the golden trace below; ``None`` gives the backend no
+#: universe, so every id takes the spillover path.  The exact trio must
 #: stay identical to each other *and* to these values; the clock pair
-#: approximates (its own committed values, also mode-identical).
+#: approximates (its own committed values, also universe-independent).
 GOLDEN_MANAGER = {
     ("reference", "auto"): (7666, 4334, 4137),
     ("fast", None): (7666, 4334, 4137),
@@ -208,7 +209,7 @@ def test_sharded_goldens_are_self_consistent():
 
 def test_exact_backends_identical_on_golden_trace():
     """The committed goldens themselves must agree across the exact
-    trio and across dense/dict modes of each backend."""
+    trio and with and without each backend's id universe."""
     exact = {GOLDEN_MANAGER[key] for key in GOLDEN_MANAGER
              if key[0] != "clock"}
     assert len(exact) == 1

@@ -159,8 +159,9 @@ class TestManagerServingEngines:
         keys spill above the vocabulary): ``input_len``-key chunks put
         the dense ``fast`` engine on its scalar-eviction side and the
         caching-bit applier on its scalar loop, where they must decide
-        exactly like dict mode, the reference backend — and the bulk
-        applier the same chunks took before the crossover existed."""
+        exactly like the empty universe (every id spilled), the
+        reference backend — and the bulk applier the same chunks took
+        before the crossover existed."""
         from repro.serving import priorities
 
         _, tail = tiny_trace.split(0.6)

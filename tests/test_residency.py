@@ -36,9 +36,17 @@ class TestScalarProtocol:
         idx.discard(100)
         assert 100 not in idx and -7 in idx
 
-    def test_rejects_empty_key_space(self):
+    def test_empty_key_space_spills_every_key(self):
+        idx = ResidencyIndex(0)
+        idx.add(0)
+        idx.add_batch(np.array([5, 3 << 40], dtype=np.int64))
+        assert idx.bitmap.size == 0 and idx.count() == 3
+        assert idx.contains_batch([0, 1, 3 << 40]).tolist() == [
+            True, False, True]
+
+    def test_rejects_negative_key_space(self):
         with pytest.raises(ValueError):
-            ResidencyIndex(0)
+            ResidencyIndex(-1)
 
 
 class TestBatchProtocol:

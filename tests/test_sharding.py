@@ -283,23 +283,6 @@ def test_make_buffer_rejects_shards_without_key_space():
         make_buffer("fast", 8, num_shards=4, shard_policy="modulo")
 
 
-def test_make_buffer_rejects_key_space_on_unsupporting_sharded_backend():
-    """Sharding composes with the PR 4 rejection: a backend that cannot
-    run dense membership cannot shard either."""
-    from repro.cache.buffer import BUFFER_IMPLS
-
-    class NoDense:
-        def __init__(self, capacity):
-            self.capacity = capacity
-
-    BUFFER_IMPLS["nodense"] = NoDense
-    try:
-        with pytest.raises(ValueError, match="key_space"):
-            make_buffer("nodense", 8, key_space=32, num_shards=2)
-    finally:
-        del BUFFER_IMPLS["nodense"]
-
-
 def test_make_buffer_shard_validation():
     with pytest.raises(ValueError, match="num_shards"):
         make_buffer("clock", 8, key_space=32, num_shards=0)
