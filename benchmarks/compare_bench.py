@@ -28,9 +28,15 @@ stop helping), and the entry may not vanish.  Committed non-positive
 lifts never gate (a scenario recorded while the model underperforms
 must not lock that in).
 
+Both files must also hold every gated entry the committed manifest
+(``benchmarks/gated_hotpaths.json``) names, speedup and lift alike:
+comparing the two files with each other alone lets a truncated
+baseline pass against an equally truncated fresh file.
+
 PRs that legitimately change a hot path's profile update the committed
 ``BENCH_hotpaths.json`` in the same commit, which rebaselines the
-check.
+check; PRs that add, rename or delete a gated bench update the
+manifest too.
 
 Usage::
 
@@ -42,6 +48,22 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from pathlib import Path
+
+#: The committed names of every gated speedup and lift entry.
+MANIFEST = Path(__file__).resolve().with_name("gated_hotpaths.json")
+
+
+def manifest_gaps(label: str, speedups: dict, lifts: dict) -> list:
+    """One failure line per gated entry :data:`MANIFEST` names that
+    ``speedups`` / ``lifts`` (one file's, see :func:`load_speedups`)
+    lack."""
+    with open(MANIFEST) as handle:
+        manifest = json.load(handle)
+    missing = ((set(manifest["speedup"]) - set(speedups))
+               | (set(manifest["lift"]) - set(lifts)))
+    return [f"{name}: gated entry named in {MANIFEST.name} missing from "
+            f"the {label} file" for name in sorted(missing)]
 
 
 def _hot_paths(path: str, measured_only: bool) -> dict:
@@ -146,6 +168,8 @@ def main(argv=None) -> int:
     for name in sorted(set(fresh_lifts) - set(baseline_lifts)):
         print(f"NEW {name}: lift {fresh_lifts[name]:+.4f} (not in baseline "
               f"— commit the fresh BENCH_hotpaths.json to start gating it)")
+    failures += manifest_gaps("baseline", baseline, baseline_lifts)
+    failures += manifest_gaps("fresh", fresh, fresh_lifts)
     if failures:
         print("\nHot-path regression check FAILED:", file=sys.stderr)
         for failure in failures:

@@ -9,15 +9,20 @@ lowest priority and then *ages* every entry by decrementing its priority
 
 Three interchangeable backends implement the buffer protocol
 (``insert`` / ``set_priority`` / ``demote`` / ``put_batch`` /
-``evict_one`` / ``evict_batch``); pick one with
+``evict_one`` / ``evict_batch`` / ``serve_segment``); pick one with
 :func:`make_buffer` or the ``buffer_impl=`` knob threaded through
 :class:`repro.core.manager.RecMGManager`, ``repro.dlrm.inference`` and
-``repro.prefetch.harness``:
+``repro.prefetch.harness``.  ``serve_segment(segment, priority)`` is
+*total* on all three, and on the sharded wrapper
+(:class:`~repro.cache.sharding.ShardedBuffer`): one call serves the
+whole demand segment and returns ``(served, miss_positions,
+victims)`` with ``served == len(segment)`` — the buffer serves a
+segment, the manager folds.
 
 * :class:`PriorityBuffer` (``"reference"``) — the literal
   O(n)-per-eviction transcription of Algorithm 2; easy to audit, used
-  as the reference in tests.  The manager serves it through the scalar
-  audit loop.
+  as the reference in tests.  Its ``serve_segment`` is the scalar
+  serving loop itself.
 * :class:`FastPriorityBuffer` (``"fast"``, the manager's default) —
   *exact* semantics, array-native.  Aging by a global decrement is
   represented implicitly: each entry stores the *age at which its
@@ -30,10 +35,12 @@ Three interchangeable backends implement the buffer protocol
   sequence with one vectorized selection over the resident entries
   (identical, victim for victim, to ``n`` scalar ``evict_one`` calls
   — fuzz-checked in ``tests/test_buffer_differential.py``), and
-  :meth:`FastPriorityBuffer.serve_segment` bulk-serves a whole demand
+  :meth:`FastPriorityBuffer.serve_segment` serves a whole demand
   segment in one call, bit-identically to the scalar serving loop —
-  a victim the segment touches later re-misses inside the call, the
-  victim choice and the miss set solved together as a fixed point.  Scalar
+  past :data:`SCALAR_FALLBACK` keys as a bulk pass, where a victim the
+  segment touches later re-misses inside the call, the victim choice
+  and the miss set solved together as a fixed point, and the pass's
+  rare trims are finished inside the call.  Scalar
   ``evict_one`` is exact at amortised O(1) too: a persistent *victim
   queue* — the smallest-seqno priority-zero entries below every live
   entry's seqno, gathered once and popped across calls, demotes pushed
@@ -56,9 +63,11 @@ Three interchangeable backends implement the buffer protocol
   manager picks it for throughput-bound serving:
   :meth:`ClockBuffer.serve_segment` classifies a whole demand segment,
   reclaims the space its new keys need with one *protected* sweep (no
-  victim is a segment key) and stores it, in a single array pass —
-  trading exact victim order for array-speed eviction.  Membership is
-  a dense ``id → slot`` vector plus a
+  victim is a segment key) and stores it, in a single array pass — in
+  one pass per piece of at most half the slots' worth of distinct keys
+  when the segment holds more distinct keys than slots — trading exact
+  victim order for array-speed eviction.  Membership is a dense
+  ``id → slot`` vector plus a
   :class:`repro.cache.residency.ResidencyIndex` bitmap, so that pass,
   bulk membership and ``put_batch`` run as numpy gathers and scatters
   with no sort and no per-key dict traffic (ids outside the universe
@@ -189,71 +198,54 @@ def _first_touch_mask(scratch: np.ndarray, arr: np.ndarray) -> np.ndarray:
     return scratch[arr] == idx
 
 
-def reclaim_batch_space(buffer, uniq: np.ndarray, new_count: int
-                        ) -> Tuple[int, bool]:
-    """Evict until ``len(buffer) + new_count <= capacity`` — the
-    *unprotected* batched reclaim of
-    ``dlrm.inference.BufferClassifier`` (the manager's clock engines
-    reclaim inside :meth:`ClockBuffer.serve_segment`, protected).
-
-    ``uniq`` is the *sorted* distinct key set of the segment being
-    served and ``new_count`` how many of them are currently
-    non-resident; the caller must guarantee ``uniq.size <= capacity``
-    (else the loop could demand more victims than are resident).  A
-    victim that is itself a segment key becomes one more distinct miss
-    — victims are unique and were resident, so each adds at most one,
-    and a sorted-``uniq`` searchsorted beats re-gathering the whole
-    segment.  Returns the final ``new_count`` and whether any victim
-    invalidated the caller's residency snapshot.
-    """
-    stale = False
-    while True:
-        needed = len(buffer) + new_count - buffer.capacity
-        if needed <= 0:
-            return new_count, stale
-        varr = np.asarray(buffer.evict_batch(needed), dtype=np.int64)
-        pos = np.minimum(np.searchsorted(uniq, varr), uniq.size - 1)
-        evicted_here = int(np.count_nonzero(uniq[pos] == varr))
-        if evicted_here:
-            new_count += evicted_here
-            stale = True
-
-
-#: Blocks of at most this many keys take a caller's scalar loop rather
-#: than a bulk call whose fixed cost exceeds that whole loop — one
-#: measured crossover shared by serving (``RecMGManager``, where the
-#: numbers are) and ``serving.priorities.apply_caching_bits``.
+#: Blocks of at most this many keys take a scalar loop rather than a
+#: bulk pass whose fixed cost exceeds that whole loop: inside
+#: :meth:`FastPriorityBuffer.serve_segment`, and in
+#: ``serving.priorities.apply_caching_bits``.  The measured crossover,
+#: model-free on the ``recmg-replay`` trace (2-core host): the scalar
+#: loop costs ~1.65 us/key and the bulk pass ~100 us + 0.5 us/key —
+#: 15 keys: 26 vs 107 us, 64: 103 vs 118, 96: 168 vs 134, 256: 411 vs
+#: 224.
 SCALAR_FALLBACK = 64
 
 
-def iter_serve_segments(buffer, segment: np.ndarray, priority: int,
-                        scalar_span: int = SCALAR_FALLBACK):
-    """Drive :meth:`FastPriorityBuffer.serve_segment` over a whole
-    segment, yielding one chunk per served prefix (the whole segment
-    unless one of its rare trims applies) — the shared loop under
-    ``RecMGManager._serve_demand_batched_exact`` and
-    ``dlrm.inference.BufferClassifier.access_batch``.
-
-    Yields ``("bulk", start, served, miss_positions, victims)``
-    for each bulk-served prefix (positions relative to ``start``) and
-    ``("scalar", start, span)`` for the ``scalar_span`` slices the
-    caller must replay through its own scalar loop when not even one
-    access is bulk-servable.  Chunks arrive in segment order and
-    exactly cover it, so a caller that applies them sequentially
-    reproduces the scalar serving loop bit for bit.
-    """
-    position = 0
-    total = int(segment.size)
-    while position < total:
-        served, misses, victims = buffer.serve_segment(segment[position:],
-                                                       priority)
-        if served == 0:
-            span = min(scalar_span, total - position)
-            yield ("scalar", position, span)
-            position += span
+def _serve_scalar(buffer, arr: np.ndarray, priority: int
+                  ) -> Tuple[int, np.ndarray, np.ndarray]:
+    """The scalar serving loop every ``serve_segment`` is defined
+    against — a hit refreshes the key at ``priority``, a miss evicts
+    one entry when the buffer is full and inserts the key at
+    ``priority`` — in ``serve_segment``'s result shape."""
+    misses: List[int] = []
+    victims: List[int] = []
+    for position, key in enumerate(arr.tolist()):
+        if key in buffer:
+            buffer.set_priority(key, priority)
             continue
-        yield ("bulk", position, served, misses, victims)
-        position += served
+        misses.append(position)
+        if buffer.is_full:
+            victims.append(buffer.evict_one())
+        buffer.insert(key, priority)
+    return (int(arr.size), np.array(misses, dtype=np.int64),
+            np.array(victims, dtype=np.int64))
+
+
+def _serve_in_prefixes(serve_prefix, arr: np.ndarray, priority: int
+                       ) -> Tuple[int, np.ndarray, np.ndarray]:
+    """Make a backend's prefix server total: ``serve_prefix(rest,
+    priority)`` serves at least one leading access of a non-empty
+    ``rest`` and is called again on the remainder until all of ``arr``
+    is served.  The pieces' results join in segment order (miss
+    positions shifted to ``arr``'s)."""
+    served, misses, victims = serve_prefix(arr, priority)
+    if served == arr.size:
+        return served, misses, victims
+    miss_parts, victim_parts = [misses], [victims]
+    while served < arr.size:
+        step, misses, victims = serve_prefix(arr[served:], priority)
+        miss_parts.append(misses + served)
+        victim_parts.append(victims)
+        served += step
+    return served, np.concatenate(miss_parts), np.concatenate(victim_parts)
 
 
 def _exact_victim_sequence(expiry: np.ndarray, seq: np.ndarray, age: int,
@@ -436,6 +428,14 @@ class PriorityBuffer:
                 self.set_priority(key, priority)
             else:
                 self.insert(key, priority)
+
+    def serve_segment(self, segment: Sequence[int], priority: int
+                      ) -> Tuple[int, np.ndarray, np.ndarray]:
+        """Demand-serve ``segment`` through the scalar serving loop
+        itself, in the result shape every backend shares (see
+        :meth:`FastPriorityBuffer.serve_segment`)."""
+        return _serve_scalar(self, np.asarray(segment, dtype=np.int64),
+                             priority)
 
     def export_state(self) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
         """All resident entries as ``(keys, priority, seqno)`` arrays
@@ -1027,30 +1027,59 @@ class FastPriorityBuffer:
 
     def serve_segment(self, segment: np.ndarray, priority: int
                       ) -> Tuple[int, np.ndarray, np.ndarray]:
-        """Bulk exact demand-serve of a segment.
+        """Exact demand-serve of a whole segment.
 
         State- and decision-equivalent to the scalar serving loop::
 
-            for key in segment[:served]:
+            for key in segment:
                 if key in buffer: buffer.set_priority(key, priority)
                 else:
                     if buffer.is_full: buffer.evict_one()
                     buffer.insert(key, priority)
 
         Returns ``(served, miss_positions, victims)`` — the one result
-        shape :meth:`ClockBuffer.serve_segment`
-        and the shard views share: how many leading accesses were
-        served, the ascending positions of the served prefix's misses
-        and the victim keys in eviction order (an int64 array).  Every
-        miss is a distinct key's first occurrence: the key was not
-        resident at the start, or it was evicted before its first touch
-        (a *re-miss* — so a victim may be a key of the served prefix);
-        no key is evicted after its first touch, so callers account
-        one miss per listed position and hits everywhere else.
-        ``served`` is the whole segment unless one of the rare trims
-        below applies; it is 0 (and nothing is mutated) only when not
-        even the first access can be bulk-served — callers then serve a
-        short slice through the scalar loop and try again.
+        shape every backend and shard view shares: ``served`` is always
+        ``len(segment)``, then the ascending positions of the misses
+        and the victim keys in eviction order (an int64 array).  A
+        victim may be a key of the segment: evicted before its first
+        touch, that touch misses (a *re-miss*); evicted after it, its
+        next touch does.
+
+        Segments of at most :data:`SCALAR_FALLBACK` keys run that
+        scalar loop itself.  Longer ones take the bulk pass
+        (:meth:`_serve_bulk`), which serves the whole segment in one
+        go unless one of its rare trims ends the served prefix; the
+        call then finishes the remainder the same way — a short
+        remainder, or one whose first access the pass cannot serve,
+        through the scalar loop.  Serving a segment equals serving its
+        pieces in sequence, so the result is exact either way.
+        """
+        return _serve_in_prefixes(self._serve_prefix,
+                                  np.asarray(segment, dtype=np.int64),
+                                  priority)
+
+    def _serve_prefix(self, arr: np.ndarray, priority: int
+                      ) -> Tuple[int, np.ndarray, np.ndarray]:
+        """Serve a leading piece (at least one access) of a non-empty
+        ``arr``: the bulk pass when ``arr`` is past the crossover and
+        the pass serves anything, else the scalar loop over (at most)
+        the crossover's worth of keys."""
+        if arr.size > SCALAR_FALLBACK:
+            result = self._serve_bulk(arr, priority)
+            if result[0]:
+                return result
+        return _serve_scalar(self, arr[:SCALAR_FALLBACK], priority)
+
+    def _serve_bulk(self, arr: np.ndarray, priority: int
+                    ) -> Tuple[int, np.ndarray, np.ndarray]:
+        """The bulk pass under :meth:`serve_segment`: one residency
+        gather, one victim selection over the priority-zero pool —
+        iterated to a fixed point when victims re-miss later in the
+        segment — and one bulk store.  Returns the
+        :meth:`serve_segment` result of the longest prefix it can
+        serve: the whole segment unless one of the rare trims below
+        applies, and 0 (nothing mutated) when not even the first
+        access can be bulk-served.
 
         Why it is exact.  Every in-segment store uses the same
         ``priority`` and draws a seqno above every pre-segment seqno,
@@ -1088,7 +1117,6 @@ class FastPriorityBuffer:
         walk is prefix-stable, so a prefix of the fixed point is the
         fixed point of the prefix: trimming recomputes nothing.
         """
-        arr = np.asarray(segment, dtype=np.int64)
         length = int(arr.size)
         empty = np.zeros(0, dtype=np.int64)
         if length == 0:
@@ -1533,30 +1561,46 @@ class ClockBuffer:
 
     def serve_segment(self, segment: np.ndarray, priority: int
                       ) -> Tuple[int, np.ndarray, np.ndarray]:
-        """Bulk demand-serve of a segment in one array pass: classify,
+        """Demand-serve a whole segment in array passes: classify,
         *protected* reclaim, store.
 
-        State- and decision-equivalent to the composed protocol it
-        replaced — ``contains_batch``, count the distinct non-resident
-        keys, ``evict_batch(needed, avoid=segment)``, ``put_batch`` —
-        with one slot gather doing the work of all three lookups
-        (fuzz-pinned in ``tests/test_buffer_differential.py``).
-        Protection means no victim is ever a segment key: the clock
-        hand skips over them, so no key is evicted moments before its
-        own refresh (which is why the clock hit rate sits *above* the
-        exact backends on looping workloads).
+        Each pass is state- and decision-equivalent to the composed
+        protocol it replaced — ``contains_batch``, count the distinct
+        non-resident keys, ``evict_batch(needed, avoid=piece)``,
+        ``put_batch`` — with one slot gather doing the work of all
+        three lookups (fuzz-pinned in
+        ``tests/test_buffer_differential.py``).  Protection means no
+        victim is a key of the pass's piece: the clock hand skips over
+        them, so no key is evicted moments before its own refresh
+        (which is why the clock hit rate sits *above* the exact
+        backends on looping workloads).
+
+        One pass serves the whole segment unless that holds more
+        distinct keys than the buffer has slots and so cannot be made
+        eviction-free.  Then each pass takes the longest piece with at
+        most *half* the slots' worth of distinct keys, until the
+        remainder fits: a pass reclaims at most half the buffer, by
+        priority, so the entries the caching model ranks high survive
+        it.  A piece as wide as the buffer would sweep out every entry
+        outside it whatever its priority, and the model's lift at
+        small capacities would vanish (pinned by
+        ``test_model_guided_low_capacity_lift`` in
+        ``benchmarks/test_perf_hotpaths.py``).
 
         Returns ``(served, miss_positions, victims)`` — the result
-        shape of :meth:`FastPriorityBuffer.serve_segment`: how many
-        leading accesses were served, the position of each distinct
-        non-resident key's first occurrence (its only miss) and the
-        victim keys in eviction order.  ``served`` falls short of the
-        segment only when that holds more distinct keys than the
-        buffer has slots and so cannot be made eviction-free: the
-        longest prefix whose distinct keys fit is served (at least one
-        access) and the caller continues with the remainder.
+        shape of :meth:`FastPriorityBuffer.serve_segment`: ``served``
+        is always ``len(segment)``, then the ascending miss positions
+        (each pass's distinct non-resident keys, at their first
+        occurrence in that pass) and the victim keys in eviction order.
         """
-        arr = np.asarray(segment, dtype=np.int64)
+        return _serve_in_prefixes(self._serve_prefix,
+                                  np.asarray(segment, dtype=np.int64),
+                                  priority)
+
+    def _serve_prefix(self, arr: np.ndarray, priority: int
+                      ) -> Tuple[int, np.ndarray, np.ndarray]:
+        """One :meth:`serve_segment` pass over the leading piece of
+        ``arr`` (at least one access of a non-empty ``arr``)."""
         empty = np.zeros(0, dtype=np.int64)
         if arr.size == 0:
             return 0, empty, empty
@@ -1569,8 +1613,8 @@ class ClockBuffer:
         first = self._first_touches(arr, dense)
         if (arr.size > self.capacity
                 and int(np.count_nonzero(first)) > self.capacity):
-            # Stop before the first touch that no longer fits.
-            cut = int(np.flatnonzero(first)[self.capacity])
+            # Stop before the first touch past half the slots.
+            cut = int(np.flatnonzero(first)[max(1, self.capacity // 2)])
             arr, slots = arr[:cut], slots[:cut]
             first, resident = first[:cut], resident[:cut]
         miss_positions = np.flatnonzero(first & ~resident)

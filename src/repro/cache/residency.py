@@ -25,9 +25,8 @@ bulk-clear them on ``evict_one``/``evict_batch``;
 :class:`~repro.cache.buffer.PriorityBuffer` built with ``key_space``
 keeps a mirror of its entry dict (without one it answers the same
 ``contains_batch`` protocol straight off that dict), so call sites
-(``RecMGManager._serve_demand_batched`` and
-``_serve_demand_batched_exact``, ``_apply_caching_bits``,
-``prefetch.harness``, ``dlrm.inference``) stay backend-agnostic.
+(``serving.priorities.apply_caching_bits``, ``prefetch.harness``,
+``ShardedBuffer``'s bulk ops) stay backend-agnostic.
 """
 
 from __future__ import annotations

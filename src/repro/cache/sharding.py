@@ -44,8 +44,8 @@ bitmaps) costs the same total memory as a single-shard buffer instead
 of N× it.  Translation happens at exactly one layer — the
 :class:`CompressedShardView` wrapped around every backend shard:
 
-* callers (the :class:`ShardedBuffer` bulk ops, the manager's sharded
-  engine, ``dlrm.inference``, ``prefetch.harness`` and the tests) keep
+* callers (the :class:`ShardedBuffer` bulk ops, the manager's
+  provider sink, ``prefetch.harness`` and the tests) keep
   passing **global** keys and receive **global** keys back — victims
   of ``evict_one``/``evict_batch``/``serve_segment`` and ``keys()``
   are decompressed on the way out;
@@ -87,10 +87,11 @@ sharding; the single-shard backends keep the exact global contract.
 
 **Bulk protocol.**  Every op of the single-shard bulk protocol
 (``contains_batch`` / ``put_batch`` / ``set_priority_batch`` /
-``demote_batch`` / ``evict_batch``) is implemented as one vectorized
-scatter of the keys to shards (:meth:`ShardRouter.route_batch`),
-per-shard *batched* backend calls through the compressing views, and
-one gather back — no per-key python loop.  Within a shard the original
+``demote_batch`` / ``evict_batch`` / ``serve_segment``) is implemented
+as one vectorized scatter of the keys to shards
+(:meth:`ShardRouter.route_batch`), per-shard *batched* backend calls
+through the compressing views, and one gather back — no per-key python
+loop.  Within a shard the original
 key order is preserved, and ops on distinct shards commute (disjoint
 key sets), so the batch forms keep the single-shard semantics per
 shard.
@@ -481,10 +482,9 @@ class CompressedShardView:
     compression bijections are only defined over a shard's own ids, so
     a foreign key would silently alias a local one.
 
-    ``serve_segment`` is exposed only when the backend has one (the
-    ``"fast"`` and ``"clock"`` backends), so engine dispatch that
-    feature-tests ``hasattr(shard, "serve_segment")`` keeps picking the
-    same scheme it would for the bare backend.
+    ``serve_segment`` is total on every backend, so the view forwards
+    it like any other op: :meth:`ShardedBuffer.serve_segment` calls it
+    once per routed sub-segment, whatever the backend.
     """
 
     def __init__(self, backend, router, shard_index: int) -> None:
@@ -494,8 +494,6 @@ class CompressedShardView:
         self.approximate = bool(getattr(backend, "approximate", False))
         self.residency = getattr(backend, "residency", None)
         self._c_memo: List[Tuple[object, np.ndarray]] = []
-        if hasattr(backend, "serve_segment"):
-            self.serve_segment = self._serve_segment
 
     @property
     def capacity(self) -> int:
@@ -516,9 +514,7 @@ class CompressedShardView:
         across a rebalance — so everything derived from the backend is
         refreshed here: the residency handle and the compression memo
         (the bijection changes with the partition, so memoized
-        compressions are invalid).  The backend *type* never changes
-        across a rebalance, so the ``serve_segment`` feature surface
-        is already correct.
+        compressions are invalid).
         """
         self.backend = backend
         self.residency = getattr(backend, "residency", None)
@@ -616,7 +612,7 @@ class CompressedShardView:
             victims = self.backend.evict_batch(n, avoid=self._c(avoid))
         return self._d_list(victims)
 
-    def _serve_segment(self, segment: np.ndarray, priority: int):
+    def serve_segment(self, segment: np.ndarray, priority: int):
         """Positions need no translation, so only the victims cross
         the boundary back."""
         served, miss_positions, victims = self.backend.serve_segment(
@@ -819,11 +815,11 @@ class ShardedBuffer:
     over its *compressed* universe
     (``router.shard_key_space(s)``) and wrapped in a
     :class:`CompressedShardView`, so the bulk protocol runs
-    array-native end to end while every caller — including the serving
-    engines that consume :meth:`iter_shard_segments` — keeps speaking
-    global ids.  ``approximate`` is inherited from the shard backend —
-    the serving engines pick the batched-reclaim or batched-exact
-    per-shard scheme off it exactly as they do for bare backends.
+    array-native end to end while every caller — including the
+    manager's provider sink, which consumes :meth:`iter_shard_segments`
+    — keeps speaking global ids.  ``approximate`` is inherited from
+    the shard backend (the rebalancer migrates exact and clock state
+    differently).
     ``shard_weights`` (optional) splits the capacity proportionally
     instead of uniformly (:func:`split_capacity`).
     """
@@ -999,6 +995,28 @@ class ShardedBuffer:
         arr = np.asarray(keys, dtype=np.int64)
         for _, shard, _, sub in self.iter_shard_segments(arr):
             shard.demote_batch(sub)
+
+    # -- serving -------------------------------------------------------
+    def serve_segment(self, segment: np.ndarray, priority: int
+                      ) -> Tuple[int, np.ndarray, np.ndarray]:
+        """Demand-serve a whole segment shard-wise: one route
+        (:meth:`iter_shard_segments`), one ``serve_segment`` call per
+        shard's sub-segment, the results gathered back.  Shards hold
+        disjoint key sets and never touch each other's slots, so this
+        is exactly serving N independent buffers, each through its own
+        backend's policy.  Returns the single-buffer result shape:
+        ``served == len(segment)``, the ascending miss positions in
+        ``segment``, and the victims grouped per shard in shard-id
+        order (the :meth:`evict_batch` grouping)."""
+        arr = np.asarray(segment, dtype=np.int64)
+        misses = [np.zeros(0, dtype=np.int64)]
+        victims = [np.zeros(0, dtype=np.int64)]
+        for _, shard, positions, sub in self.iter_shard_segments(arr):
+            _, sub_misses, sub_victims = shard.serve_segment(sub, priority)
+            misses.append(positions[sub_misses])
+            victims.append(sub_victims)
+        return (int(arr.size), np.sort(np.concatenate(misses)),
+                np.concatenate(victims))
 
     # -- eviction ------------------------------------------------------
     def evict_one(self) -> int:

@@ -13,44 +13,32 @@ prefetch model only on LRU = "LRU+PF" (see :class:`ModelPrefetcher`).
 
 The buffer backend is selected by ``buffer_impl`` (constructor argument,
 falling back to ``config.buffer_impl``; see :mod:`repro.cache.buffer`):
-
-* ``"fast"`` (default) — exact semantics; ``fast_serve`` uses the
-  *batched exact engine* (:meth:`RecMGManager._serve_demand_batched_exact`):
-  one residency gather classifies the segment, one vectorized victim
-  selection pre-reclaims the space it needs, and one bulk scatter
-  stores it — decision-for-decision and state-identical to the scalar
-  audit loop (the buffer refuses any segment where bulk reclaim could
-  diverge, and the engine splits or falls back).  Segments of at most
-  ``_SCALAR_FALLBACK`` keys skip the bulk call, whose fixed cost they
-  cannot amortise, for the scalar loop itself, which the buffer's
-  victim queue makes amortised O(1) per eviction.  The 15-key
-  model chunks of :meth:`run` do not reach the engine one by one at
-  all: with no priority provider active, one
-  :meth:`~repro.cache.buffer.FastPriorityBuffer.serve_chunks` pass runs
-  serve -> caching bits -> prefetches for the whole block.  Every other
-  run (``reference``, clock, sharded, provider active,
-  ``fast_serve=False``) keeps the per-chunk triple, which is that
-  pass's oracle.
-* ``"reference"`` — exact O(n) audit backend; always served through the
-  scalar loop.
-* ``"clock"`` — approximate array-backed CLOCK; ``fast_serve`` switches
-  to the *batched-reclaim* engine: one
-  :meth:`~repro.cache.buffer.ClockBuffer.serve_segment` pass per
-  segment classifies it, reclaims the space its new keys need with
-  protected eviction and stores it.  Hit/miss
-  streams may differ from the exact backends (approximate victim
-  order), but counters stay conserved and capacity is never exceeded.
+``"fast"`` (default, exact and array-native), ``"reference"`` (the
+exact O(n) audit backend) or ``"clock"`` (approximate array-backed
+CLOCK with protected reclaim: hit/miss streams may differ from the
+exact backends, but counters stay conserved and capacity is never
+exceeded).  The buffer serves a segment, the manager folds:
+``serve_segment`` is total on every buffer, so ``fast_serve`` is one
+engine, :meth:`RecMGManager._serve_demand_bulk` — one
+``serve_segment`` call per segment and one
+:meth:`~RecMGManager._fold`; on exact backends that is
+decision-for-decision and state-identical to the scalar audit loop
+(:meth:`~RecMGManager._serve_demand_slow`, what ``fast_serve=False``
+runs).  The 15-key model chunks of :meth:`run` do not reach the engine
+one by one on an unsharded ``"fast"`` buffer with no priority provider
+active: one
+:meth:`~repro.cache.buffer.FastPriorityBuffer.serve_chunks` pass runs
+serve -> caching bits -> prefetches for the whole block.  Every other
+run keeps the per-chunk triple, which is that pass's oracle.
 
 ``num_shards > 1`` (constructor argument or ``config.num_shards``,
 with ``shard_policy`` picking the router) partitions the dense id
 universe across independent shards
-(:class:`repro.cache.sharding.ShardedBuffer`); ``fast_serve`` then
-routes whole demand segments shard-wise
-(:meth:`RecMGManager._serve_demand_sharded`): one vectorized scatter,
-the matching per-shard ``serve_segment`` scheme (batched-reclaim on
-clock shards, bulk-exact on fast shards), one gather back
-into segment-order accounting.  Eviction-for-space is per shard — the
-scalar paths route through
+(:class:`repro.cache.sharding.ShardedBuffer`), whose
+``serve_segment`` routes the segment shard-wise: one vectorized
+scatter, one ``serve_segment`` call per shard's sub-segment, one
+gather of the misses and victims.  Eviction-for-space is per shard —
+the scalar paths route through
 :func:`repro.cache.sharding.backend_for_key` so a miss evicts from the
 shard that will hold the key.
 
@@ -63,8 +51,8 @@ queue depth land in :attr:`RecMGManager.serving_metrics`
 
 ``rebalance_interval > 0`` (``config.rebalance_interval``) turns on
 **online elastic rebalancing**: the manager accumulates a per-shard
-traffic EWMA at the block gather (one route already scatters every
-block shard-wise, so the counts are free), and every ``interval``
+traffic EWMA per served block (one ``np.bincount`` of the block's
+route), and every ``interval``
 served accesses compares the traffic shares against the current
 capacity split.  When the worst shard's imbalance exceeds
 ``rebalance_threshold`` it calls
@@ -93,11 +81,11 @@ from __future__ import annotations
 import time
 from collections import deque
 from dataclasses import dataclass
-from typing import Deque, List, Optional, Set, Tuple
+from typing import Deque, List, Optional, Set
 
 import numpy as np
 
-from ..cache.buffer import SCALAR_FALLBACK, iter_serve_segments, make_buffer
+from ..cache.buffer import SCALAR_FALLBACK, FastPriorityBuffer, make_buffer
 from ..cache.sharding import ShardedBuffer, backend_for_key
 from ..prefetch.base import Prefetcher
 from ..prefetch.harness import AccessBreakdown
@@ -141,15 +129,8 @@ class RecMGManager:
 
     #: Block size for bulk serving outside model chunks.
     _SERVE_BLOCK = 512
-    #: The exact engine serves segments up to this length, and the
-    #: stretches bulk serving rejects, through the scalar loop.  It is
-    #: the measured crossover: model-free on the ``recmg-replay`` trace
-    #: (2-core host) the scalar loop costs ~1.65 us/key and bulk
-    #: ``serve_segment`` ~100 us + 0.5 us/key — 15 keys: 26 vs 107 us,
-    #: 64: 103 vs 118, 96: 168 vs 134, 256: 411 vs 224.
-    _SCALAR_FALLBACK = SCALAR_FALLBACK
     #: EWMA smoothing factor for the per-shard traffic shares the
-    #: online rebalancer tracks (per gathered block/segment; higher =
+    #: online rebalancer tracks (per served block/segment; higher =
     #: reacts faster to a drifting hot band, lower = steadier split).
     _REBALANCE_EWMA = 0.2
 
@@ -228,7 +209,7 @@ class RecMGManager:
                 phase_blocks=config.priority_lift_guard,
                 margin=getattr(config, "priority_lift_margin", 0.0))
         # Online elastic rebalancing (module docstring): traffic EWMAs
-        # accumulated at the gather, checked every ``interval`` served
+        # accumulated per served block, checked every ``interval`` served
         # accesses, migration via ShardedBuffer.rebalance at a block boundary.
         self.rebalance_interval = (
             rebalance_interval if rebalance_interval is not None
@@ -309,7 +290,8 @@ class RecMGManager:
         lives in :func:`repro.serving.priorities.apply_caching_bits`
         (resident keys only, last occurrence wins, friendly keys to
         ``eviction_speed + 1``, averse keys demoted; a scalar loop up
-        to :attr:`_SCALAR_FALLBACK` keys, the bulk protocol beyond),
+        to :data:`~repro.cache.buffer.SCALAR_FALLBACK` keys, the bulk
+        protocol beyond),
         where the equivalence of its two forms is documented."""
         apply_caching_bits(self.buffer, keys, bits,
                            self.config.eviction_speed)
@@ -338,8 +320,7 @@ class RecMGManager:
         :func:`apply_caching_bits`).
 
         Called per block from :meth:`_serve_block` — never from inside
-        an engine, so an engine's internal fallbacks (e.g. the exact
-        engine's scalar stretches) cannot double-sink a block.
+        an engine.
         """
         segment = np.asarray(segment, dtype=np.int64)
         if segment.size == 0:
@@ -427,140 +408,23 @@ class RecMGManager:
                 self._demand_access(key)
             record.append(np.array(hits, dtype=bool))
 
-    def _serve_demand_batched(self, segment: np.ndarray) -> None:
-        """Batched-reclaim serving for approximate (clock) backends:
-        the whole segment goes through :meth:`_serve_clock` — one
-        :meth:`~repro.cache.buffer.ClockBuffer.serve_segment` pass that
-        classifies it, reclaims the space its non-resident keys need
-        with *protected* eviction and stores it — and the result folds
-        into the counters once.  A segment with more distinct keys
-        than the whole buffer has slots cannot be made eviction-free
-        and takes the scalar path instead."""
+    def _serve_demand_bulk(self, segment: np.ndarray) -> None:
+        """The bulk engine: one ``serve_segment`` call — total on every
+        buffer: exact on ``reference`` and ``fast``, protected reclaim
+        on ``clock``, one call per routed sub-segment on a
+        :class:`ShardedBuffer` — and one :meth:`_fold`.  With the
+        online rebalancer on, the segment's per-shard access counts
+        also fold into the traffic EWMA."""
         segment = np.asarray(segment, dtype=np.int64)
-        # np.unique: the wider-than-capacity slow form — only a segment
-        # longer than the capacity can hold that many distinct keys.
-        if (segment.size > self.capacity
-                and np.unique(segment).size > self.capacity):
-            self._serve_demand_slow(segment)
-            return
-        first_miss_pos, pf_hits, evicted = self._serve_clock(self.buffer,
-                                                             segment)
-        self.evictions += evicted
-        self._account_segment(segment, first_miss_pos, pf_hits)
-
-    def _serve_clock(self, backend,
-                     sub: np.ndarray) -> Tuple[np.ndarray, int, int]:
-        """The clock serve loop — the whole buffer's
-        (:meth:`_serve_demand_batched`) and each clock shard's
-        (:meth:`_serve_subsegment`, whose result contract this
-        shares).  One ``serve_segment`` call serves everything unless
-        ``sub`` holds more distinct keys than the backend has slots —
-        routine on a shard, whose capacity is a fraction of the total —
-        where it serves the longest prefix that fits and the loop
-        continues with the remainder: no per-key scalar loop.  Victims
-        are never segment keys (protected reclaim), so every tagged
-        key of a served prefix was resident and hit."""
-        speed = self.config.eviction_speed
-        prefetched = self._prefetched
-        misses: List[np.ndarray] = []
-        pf_hits = 0
-        evicted = 0
-        start = 0
-        total = int(sub.size)
-        while start < total:
-            # ``sub`` itself on the first pass: a slice is a new object
-            # and would miss the shard view's compression memo.
-            rest = sub[start:] if start else sub
-            served, first_miss, victims = backend.serve_segment(rest, speed)
-            evicted += int(victims.size)
-            if prefetched:
-                prefetched.difference_update(victims.tolist())
-                pf_hits += self._consume_prefetch_tags(rest[:served])
-            if first_miss.size:
-                misses.append(start + first_miss)
-            start += served
-        return _joined(misses, np.int64), pf_hits, evicted
-
-    def _serve_demand_batched_exact(self, segment: np.ndarray) -> None:
-        """Batched *exact* serving for the ``"fast"`` backend —
-        decision-for-decision and state-identical to the scalar loop.
-
-        :meth:`~repro.cache.buffer.FastPriorityBuffer.serve_segment`
-        resolves the segment with one residency gather, one victim
-        selection over the priority-zero pool — iterated to a fixed
-        point when victims re-miss later in the segment — and one bulk
-        store, in one call unless a rare trim applies (the pool runs
-        dry, a live entry ripens mid-call, a segment wider than the
-        buffer).  Serving a segment equals serving its pieces in
-        sequence, so the engine loops over the served prefixes; a
-        zero-length serve (not even the first access is bulk-servable)
-        advances through a short scalar slice instead — as does, from
-        the start, a segment no longer than :attr:`_SCALAR_FALLBACK`
-        (the bulk call's fixed cost exceeds its whole scalar loop).
-        """
-        segment = np.asarray(segment, dtype=np.int64)
-        if segment.size <= self._SCALAR_FALLBACK:
-            self._serve_demand_slow(segment)
-            return
-        prefetched = self._prefetched
-        for chunk in iter_serve_segments(self.buffer, segment,
-                                         self.config.eviction_speed,
-                                         self._SCALAR_FALLBACK):
-            if chunk[0] == "scalar":
-                _, start, span = chunk
-                self._serve_demand_slow(segment[start:start + span])
-                continue
-            _, start, served, first_miss_pos, victims = chunk
-            self.evictions += int(victims.size)
-            if prefetched:
-                prefetched.difference_update(victims.tolist())
-            self._account_segment(segment[start:start + served],
-                                  first_miss_pos)
-
-    def _serve_demand_sharded(self, segment: np.ndarray) -> None:
-        """Shard-wise serving for :class:`ShardedBuffer` backends.
-
-        One vectorized route scatters the whole demand segment to its
-        shards; each shard then serves its sub-segment through the same
-        per-backend scheme the single-shard engines use — the
-        batched-reclaim path for approximate (clock) shards, the
-        ``serve_segment`` bulk-exact path for ``"fast"`` shards,
-        the scalar audit loop otherwise — and the per-shard miss
-        positions gather back into one segment-order accounting pass.
-        Shards hold disjoint key sets and never touch each other's
-        slots, so serving the sub-segments in shard order is exactly
-        serving N independent buffers: for exact shards the engine is
-        decision-for-decision identical to the scalar audit loop over
-        the sharded buffer (fuzz-checked in ``tests/test_sharding.py``).
-        """
-        segment = np.asarray(segment, dtype=np.int64)
-        if segment.size == 0:
-            return
-        buffer = self.buffer
-        miss_chunks: List[np.ndarray] = []
-        pf_hits = 0
-        evicted = 0
-        counts = (np.zeros(buffer.num_shards, dtype=np.float64)
-                  if self.rebalance_interval else None)
-        for index, shard, positions, sub in buffer.iter_shard_segments(
-                segment):
-            sub_miss, sub_pf, sub_ev = self._serve_subsegment(shard, sub)
-            pf_hits += sub_pf
-            evicted += sub_ev
-            if sub_miss.size:
-                miss_chunks.append(positions[sub_miss])
-            if counts is not None:
-                counts[index] += positions.size
-        if counts is not None:
-            # Fold the block's per-shard access counts into the traffic
-            # EWMA and advance the rebalance-cadence counter.
+        _, misses, victims = self.buffer.serve_segment(
+            segment, self.config.eviction_speed)
+        if self.rebalance_interval and segment.size:
             traffic = self._shard_traffic
             traffic *= 1.0 - self._REBALANCE_EWMA
-            traffic += self._REBALANCE_EWMA * counts
+            traffic += self._REBALANCE_EWMA * np.bincount(
+                self.buffer.route_batch(segment), minlength=traffic.size)
             self._accesses_since_rebalance += int(segment.size)
-        self.evictions += evicted
-        self._account_segment(segment, _joined(miss_chunks, np.int64),
-                              pf_hits)
+        self._fold(segment, misses, victims)
 
     def _maybe_rebalance(self) -> None:
         """The online rebalance driver — called at block boundaries by
@@ -638,122 +502,50 @@ class RecMGManager:
         self._maybe_rebalance()
         return hits
 
-    def _consume_prefetch_tags(self, keys) -> int:
-        """Consume the prefetch tags of the (resident) ``keys`` just
-        served; returns how many scored a prefetch hit.  Called per
-        served chunk — *before* any later chunk's eviction can drop a
-        tag whose key already hit — so the sharded engine counts the
-        same prefetch hits the per-chunk single-shard engines do."""
-        prefetched = self._prefetched
-        if not prefetched:
-            return 0
-        hits = prefetched.intersection(
-            keys.tolist() if isinstance(keys, np.ndarray) else keys)
-        if hits:
-            prefetched.difference_update(hits)
-        return len(hits)
+    def _fold(self, segment: np.ndarray, misses: np.ndarray,
+              victims: np.ndarray) -> None:
+        """Fold one served segment — its miss positions and victims, as
+        ``serve_segment`` returns them — into the counters: the bulk
+        engine's epilogue.
 
-    def _serve_subsegment(self, shard,
-                          sub: np.ndarray) -> Tuple[np.ndarray, int, int]:
-        """Serve ``sub`` (all keys route to ``shard``) on one backend
-        shard; returns the positions (relative to ``sub``) of its
-        demand misses, the number of prefetch hits it consumed, and
-        the number of entries it evicted.  Mirrors the single-shard
-        engines minus the shared-counter writes: the results are pure
-        values that the gather (:meth:`_serve_demand_sharded`) folds
-        once for the whole segment, in segment order.  Prefetch-tag
-        bookkeeping does land on :attr:`_prefetched` as it happens (a
-        tag is consumed in the chunk where its key is first served,
-        dropped when its key is evicted — in that order, chunk by
-        chunk)."""
-        if getattr(shard, "approximate", False):
-            return self._serve_clock(shard, sub)
-        if hasattr(shard, "serve_segment"):
-            prefetched = self._prefetched
-            misses: List[np.ndarray] = []
-            pf_hits = 0
-            evicted = 0
-            for chunk in iter_serve_segments(shard, sub,
-                                             self.config.eviction_speed,
-                                             self._SCALAR_FALLBACK):
-                if chunk[0] == "scalar":
-                    _, start, span = chunk
-                    scalar_miss, scalar_pf, scalar_ev = self._scalar_subserve(
-                        shard, sub[start:start + span])
-                    pf_hits += scalar_pf
-                    evicted += scalar_ev
-                    if scalar_miss.size:
-                        misses.append(start + scalar_miss)
-                else:
-                    _, start, served, first_miss, victims = chunk
-                    evicted += int(victims.size)
-                    if prefetched:
-                        # Drop before consuming: a victim may be a key of
-                        # the prefix, evicted before its first touch and
-                        # re-missed there, and must score no prefetch hit.
-                        prefetched.difference_update(victims.tolist())
-                        pf_hits += self._consume_prefetch_tags(
-                            sub[start:start + served])
-                    if len(first_miss):
-                        misses.append(start + first_miss)
-            return _joined(misses, np.int64), pf_hits, evicted
-        return self._scalar_subserve(shard, sub)
-
-    def _scalar_subserve(self, shard,
-                         sub: np.ndarray) -> Tuple[np.ndarray, int, int]:
-        """Scalar serving loop against one shard backend; returns the
-        relative miss positions, consumed prefetch-hit count and
-        eviction count (the shared-counter updates are the gather's
-        job — see :meth:`_serve_subsegment`; tag drops land on
-        :attr:`_prefetched` as they happen)."""
-        speed = self.config.eviction_speed
-        prefetched = self._prefetched
-        misses: List[int] = []
-        pf_hits = 0
-        evicted = 0
-        for position, key in enumerate(sub.tolist()):
-            if key in shard:
-                if key in prefetched:
-                    prefetched.discard(key)
-                    pf_hits += 1
-                shard.set_priority(key, speed)
-                continue
-            misses.append(position)
-            if shard.is_full:
-                victim = shard.evict_one()
-                prefetched.discard(victim)
-                evicted += 1
-            shard.insert(key, speed)
-        return np.asarray(misses, dtype=np.int64), pf_hits, evicted
-
-    def _account_segment(self, segment: np.ndarray,
-                         first_miss_pos: np.ndarray,
-                         pf_hits: Optional[int] = None) -> None:
-        """Counters and decision recording for a bulk-served segment
-        (the batched engines' epilogue; the store is the caller's job).
-
-        ``first_miss_pos`` holds the segment's miss positions, each a
-        distinct key's first occurrence — a key not resident when the
-        segment started, or one evicted before its first touch (a
-        re-miss); later occurrences hit.  Prefetched keys are always
-        resident (the tag is dropped on eviction), so the caller must
-        drop the tags of the segment's victims *before* this consume:
-        a re-missed key then scores no prefetch hit, and every other
-        tagged key present in ``segment`` exactly one.  The clock and
-        sharded engines consume tags chunk by chunk instead (a later
-        chunk's eviction may drop a tag whose key already hit) and
-        pass the consumed count as ``pf_hits``.
+        Prefetch hits follow one rule on every backend, however many
+        passes a call took inside: a tagged key scores a prefetch hit
+        exactly when its *first* occurrence in the segment hits — the
+        scalar loop's verdict, since a tag is dropped on eviction.
+        Tagged keys are resident when the serve starts, so only a
+        tagged key among the victims can have missed there.  Then the
+        tags of every segment key (consumed, or evicted) and every
+        victim drop.
         """
+        self.evictions += int(victims.size)
+        pf_hits = 0
+        prefetched = self._prefetched
+        if prefetched:
+            keys = segment.tolist()
+            dropped = victims.tolist()
+            tagged = prefetched.intersection(keys)
+            pf_hits = len(tagged)
+            evicted = tagged.intersection(dropped)
+            if evicted:
+                missed = set(misses.tolist())
+                pf_hits -= sum(keys.index(key) in missed for key in evicted)
+            prefetched.difference_update(tagged)
+            prefetched.difference_update(dropped)
+        self._account_segment(segment, misses, pf_hits)
+
+    def _account_segment(self, segment: np.ndarray, misses: np.ndarray,
+                         pf_hits: int) -> None:
+        """Counters and decision recording for a served segment:
+        ``misses`` are its on-demand positions, ``pf_hits`` of its
+        other accesses are prefetch hits, the rest cache hits."""
         length = segment.size
-        new_count = int(first_miss_pos.size)
+        new_count = int(misses.size)
         breakdown = self.breakdown
         record = self._record_hits
         if record is not None:
             segment_hits = np.ones(length, dtype=bool)
-            segment_hits[first_miss_pos] = False
+            segment_hits[misses] = False
             record.append(segment_hits)
-        if pf_hits is None:
-            pf_hits = self._consume_prefetch_tags(segment)
         hit_count = length - new_count - pf_hits
         if pf_hits:
             breakdown.prefetch_hits += pf_hits
@@ -763,24 +555,12 @@ class RecMGManager:
 
     # ------------------------------------------------------------------
     def _select_engine(self, fast_serve: bool = True):
-        """The bulk demand-serving engine for the configured backend —
-        one dispatch shared by :meth:`run` and :meth:`serve_batch` (the
-        engine semantics are documented on :meth:`run`)."""
-        if not fast_serve:
-            return self._serve_demand_slow
-        if isinstance(self.buffer, ShardedBuffer):
-            # Shard-wise engine: route whole segments, serve per shard
-            # through the matching single-shard scheme (exact shards
-            # stay decision-identical to the scalar audit loop).
-            return self._serve_demand_sharded
-        if getattr(self.buffer, "approximate", False):
-            return self._serve_demand_batched
-        if hasattr(self.buffer, "serve_segment"):
-            # The bulk exact engine, decision-identical to the scalar
-            # audit loop.
-            return self._serve_demand_batched_exact
-        # Exact audit backend ("reference").
-        return self._serve_demand_slow
+        """The demand-serving engine — the bulk engine, or its scalar
+        audit oracle for ``fast_serve=False`` — one dispatch shared by
+        :meth:`run` and :meth:`serve_batch` (the engine semantics are
+        documented on :meth:`run`)."""
+        return (self._serve_demand_bulk if fast_serve
+                else self._serve_demand_slow)
 
     def run(self, trace: Trace, inference_batch: int = 64,
             fast_serve: bool = True,
@@ -793,19 +573,17 @@ class RecMGManager:
         per-chunk inference (the models are stateless across chunks)
         but an order of magnitude faster, mirroring the paper's batched
         CPU serving; a trace shorter than one chunk is served
-        model-free.  ``fast_serve`` selects the bulk
-        demand-serving engine for the backend: the batched exact engine
-        (:meth:`_serve_demand_batched_exact`) for the exact ``"fast"``
-        buffer — bit-identical to the per-access audit loop — or the
-        batched-reclaim engine
-        (:meth:`_serve_demand_batched`) for the approximate ``"clock"``
-        buffer, whose victim order (and hence hit stream) legitimately
-        differs from the scalar loop.  The ``"reference"`` backend
-        always runs the audit loop.  Sharded buffers route shard-wise
-        (:meth:`_serve_demand_sharded`).  Between model barriers the
-        exact engine runs the chunk loop (serve, caching bits,
-        prefetches) as one fused buffer pass; everywhere else that
-        loop runs chunk by chunk, and is the pass's oracle.
+        model-free.  ``fast_serve`` selects the bulk engine — one
+        ``serve_segment`` call per segment and one fold
+        (:meth:`_serve_demand_bulk`) — and
+        ``fast_serve=False`` the per-access audit loop
+        (:meth:`_serve_demand_slow`), its oracle: the exact backends
+        are bit-identical to it, while the ``"clock"`` buffer's victim
+        order (and hence hit stream) legitimately differs.  Between
+        model barriers on an unsharded ``"fast"`` buffer the chunk loop
+        (serve, caching bits, prefetches) runs as one fused buffer
+        pass; everywhere else it runs chunk by chunk, and is the
+        pass's oracle.
         ``record_decisions`` additionally stores the per-access hit
         booleans in :attr:`last_decisions` (every engine records).
         """
@@ -853,9 +631,10 @@ class RecMGManager:
             # large blocks to amortize the bulk pass's per-segment
             # setup — sinking each block when a provider is active.
             tail = 0
-        elif (serve == self._serve_demand_batched_exact and not use_provider
-              and length <= self._SCALAR_FALLBACK):
-            # The exact engine's scalar regime, fused: one buffer pass
+        elif (fast_serve and not use_provider
+              and isinstance(self.buffer, FastPriorityBuffer)
+              and length <= SCALAR_FALLBACK):
+            # The exact backend's scalar regime, fused: one buffer pass
             # runs the loop below for every chunk.
             tail = num_chunks * length
             missed, pf_hits, evicted, issued = self.buffer.serve_chunks(

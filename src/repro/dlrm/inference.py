@@ -13,11 +13,7 @@ from typing import List, Optional, Protocol
 
 import numpy as np
 
-from ..cache.buffer import (
-    iter_serve_segments,
-    make_buffer,
-    reclaim_batch_space,
-)
+from ..cache.buffer import make_buffer
 from ..cache.sharding import backend_for_key
 from ..traces.access import Trace
 from .model import DLRM
@@ -153,22 +149,17 @@ class BufferClassifier:
     residency bitmap — without it (raw packed keys) every key takes the
     spillover path, with identical decisions.
 
-    :meth:`access_batch` serves a whole engine batch at once.  On the
-    approximate clock backend it uses the manager's batched-reclaim
-    scheme (pre-evict the space the batch needs, then one bulk
-    ``put_batch``); the exact ``"fast"`` backend serves through
-    :meth:`~repro.cache.buffer.FastPriorityBuffer.serve_segment`, which
-    is bit-identical to the scalar loop — decisions, victims and buffer
-    state included; the ``"reference"`` backend replays the scalar
-    loop.
+    :meth:`access_batch` serves a whole engine batch with one
+    ``serve_segment`` call, total on every buffer: bit-identical to
+    the scalar loop on the exact ``"reference"`` and ``"fast"``
+    backends — decisions, victims and buffer state included — and the
+    manager's clock policy on ``"clock"``.
 
     ``num_shards > 1`` (with ``key_space``, which the routers require)
     partitions the id universe across shards
-    (:class:`~repro.cache.sharding.ShardedBuffer`):
-    :meth:`access_batch` scatters the batch shard-wise with one
-    vectorized route and classifies each shard's sub-batch through the
-    matching scheme above; the scalar path evicts from the routed
-    shard.
+    (:class:`~repro.cache.sharding.ShardedBuffer`, whose
+    ``serve_segment`` scatters the batch shard-wise with one vectorized
+    route); the scalar path evicts from the routed shard.
 
     ``priority_provider`` puts the caching model in the loop (same seam
     as the manager's ``priority_mode`` — see
@@ -212,32 +203,17 @@ class BufferClassifier:
         buffer.insert(key, self.priority)
         return False
 
-    def _access_loop(self, buffer, keys: np.ndarray) -> np.ndarray:
-        return np.fromiter(
-            (self._serve_scalar(buffer, int(key)) for key in keys),
-            dtype=bool, count=len(keys))
-
     def access_batch(self, keys: np.ndarray,
                      pcs: Optional[np.ndarray] = None) -> np.ndarray:
         """Per-access hit booleans for a whole batch (see class doc)."""
         keys = np.asarray(keys, dtype=np.int64)
         if keys.size == 0:
             return np.zeros(0, dtype=bool)
-        hits = self._route_batch(keys)
+        _, misses, _ = self.buffer.serve_segment(keys, self.priority)
+        hits = np.ones(keys.size, dtype=bool)
+        hits[misses] = False
         if self._provider_active:
             self._sink_provider(keys)
-        return hits
-
-    def _route_batch(self, keys: np.ndarray) -> np.ndarray:
-        buffer = self.buffer
-        segments = getattr(buffer, "iter_shard_segments", None)
-        if segments is None:
-            return self._classify_batch(buffer, keys)
-        # Sharded: one vectorized scatter, per-shard classification,
-        # one gather back into batch order.
-        hits = np.empty(keys.size, dtype=bool)
-        for _, shard, positions, sub in segments(keys):
-            hits[positions] = self._classify_batch(shard, sub)
         return hits
 
     def _sink_provider(self, keys: np.ndarray) -> None:
@@ -256,40 +232,6 @@ class BufferClassifier:
             return
         apply_caching_bits(self.buffer, keys[valid], bits[valid],
                            self.priority)
-
-    def _classify_batch(self, buffer, keys: np.ndarray) -> np.ndarray:
-        """Hit booleans for ``keys`` against one single-shard backend."""
-        if not getattr(buffer, "approximate", False):
-            if not hasattr(buffer, "serve_segment"):
-                return self._access_loop(buffer, keys)
-            # Exact bulk path: the shared serve-prefix driver yields
-            # bulk prefixes plus the scalar stretches to replay.
-            hits = np.ones(keys.size, dtype=bool)
-            for chunk in iter_serve_segments(buffer, keys, self.priority):
-                if chunk[0] == "scalar":
-                    _, start, span = chunk
-                    hits[start:start + span] = self._access_loop(
-                        buffer, keys[start:start + span])
-                else:
-                    _, start, _, first_miss, _ = chunk
-                    hits[start + first_miss] = False
-            return hits
-        resident = buffer.contains_batch(keys)
-        if resident.all():
-            buffer.put_batch(keys, self.priority)
-            return np.ones(keys.size, dtype=bool)
-        uniq, first_idx = np.unique(keys, return_index=True)
-        if uniq.size > buffer.capacity:
-            # Batch wider than the buffer: cannot pre-reclaim.
-            return self._access_loop(buffer, keys)
-        _, stale = reclaim_batch_space(
-            buffer, uniq, int(np.count_nonzero(~resident[first_idx])))
-        if stale:  # victims inside the batch re-miss
-            resident = buffer.contains_batch(keys)
-        hits = np.ones(keys.size, dtype=bool)
-        hits[first_idx[~resident[first_idx]]] = False
-        buffer.put_batch(keys, self.priority)
-        return hits
 
 
 class ManagerClassifier:

@@ -97,15 +97,16 @@ def apply_caching_bits(buffer, keys: np.ndarray, bits: np.ndarray,
     order; friendly/averse seqnos live in disjoint positive/negative
     ranges, so cross-class interleaving never affects eviction order).
     Blocks of at most :data:`~repro.cache.buffer.SCALAR_FALLBACK` keys
-    run exactly that loop (``run()``'s model chunks too, wherever they
-    are served chunk by chunk; the exact engine writes the same
-    state inside ``FastPriorityBuffer.serve_chunks``);
+    — the crossover ``serve_segment`` uses inside the ``fast``
+    backend — run exactly that loop (``run()``'s model chunks too,
+    wherever they are served chunk by chunk; ``run()``'s fused pass
+    writes the same state inside ``FastPriorityBuffer.serve_chunks``);
     longer ones its vectorized form, one ``contains_batch`` residency
     gather classifying the block and the classes landing via
     ``set_priority_batch`` / ``demote_batch``: the same state on every
-    backend.  The crossover is measured (dense ``fast`` buffer): bulk
-    ~37-55 us fixed + 0.13 us/key, scalar ~0.7 us/key — 15 keys 54 vs
-    14 us, 64 keys 56 vs 50, 128 keys 74 vs 90.
+    backend.  The crossover holds for the applier too (dense ``fast``
+    buffer): bulk ~37-55 us fixed + 0.13 us/key, scalar ~0.7 us/key —
+    15 keys 54 vs 14 us, 64 keys 56 vs 50, 128 keys 74 vs 90.
 
     Tri-state safe: ``-1`` ("no prediction") positions are masked out
     *here*, not just by the manager's pre-filter — a ``-1`` bit must

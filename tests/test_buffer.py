@@ -9,6 +9,7 @@ from repro.cache import (
     ClockBuffer,
     FastPriorityBuffer,
     PriorityBuffer,
+    buffer as buffer_module,
     make_buffer,
 )
 
@@ -311,6 +312,22 @@ class TestClockSemantics:
             assert sorted(buf.keys()) == keys
             assert buf.evict_batch(3) and len(buf) == 0
 
+    def test_wide_segment_passes_reclaim_at_most_half_the_buffer(self):
+        """A segment with more distinct keys than slots is served in
+        pieces of at most half the slots' worth of distinct keys: each
+        pass evicts by priority, so a high-priority resident outlives
+        a segment of ``capacity + 1`` fresh keys.  One pass over a
+        piece as wide as the buffer would have swept it out."""
+        buf = ClockBuffer(4, key_space=16)
+        buf.put_batch([10, 11, 12], 0)
+        buf.insert(13, 5)
+        segment = np.array([1, 2, 3, 4, 5], dtype=np.int64)
+        served, misses, victims = buf.serve_segment(segment, 1)
+        assert served == segment.size
+        assert misses.tolist() == [0, 1, 2, 3, 4]
+        assert sorted(victims.tolist()) == [1, 2, 10, 11, 12]
+        assert 13 in buf and sorted(buf.keys()) == [3, 4, 5, 13]
+
 
 @pytest.mark.parametrize("impl", ["reference", "fast"])
 class TestBulkProtocolExact:
@@ -576,6 +593,13 @@ class TestServeSegment:
     primitive (scalar-loop equivalence is fuzzed end to end in
     tests/test_buffer_differential.py)."""
 
+    @pytest.fixture(autouse=True)
+    def _bulk_from_the_first_key(self, monkeypatch):
+        """The segments here are short: with the crossover at 1 the
+        bulk pass serves every one of two keys or more instead of the
+        scalar loop (the 1-key cases call ``_serve_bulk`` directly)."""
+        monkeypatch.setattr(buffer_module, "SCALAR_FALLBACK", 1)
+
     @staticmethod
     def _scalar(buf, segment, priority):
         decisions, victims = [], []
@@ -653,43 +677,84 @@ class TestServeSegment:
             assert a.priority_of(key) == b.priority_of(key)
         assert a.evict_batch(4) == b.evict_batch(4)
 
-    def test_dry_pool_ends_the_prefix_at_the_eviction_it_cannot_answer(self):
+    def _assert_total_call_is_scalar(self, build, segment, priority):
+        """On twins from ``build()``, one ``serve_segment`` call — the
+        bulk pass first, the call finishing what it trims — equals the
+        scalar loop: decisions, victims and a full drain."""
+        a, b = build(), build()
+        decisions_b, victims_b = self._scalar(b, segment, priority)
+        served, misses, victims = a.serve_segment(segment, priority)
+        assert served == segment.size
+        hits = np.ones(served, dtype=bool)
+        hits[misses] = False
+        assert hits.tolist() == decisions_b
+        assert victims.tolist() == victims_b
+        assert a.evict_batch(len(b)) == b.evict_batch(len(b))
+
+    def test_dry_pool_ends_the_prefix_at_the_eviction_it_cannot_answer(
+            self):
         """A re-miss whose eviction finds no untouched priority-zero
         entry left (the victim would be a key the segment stored)
-        ends the served prefix right before that access; the next
-        call serves it."""
-        a = FastPriorityBuffer(2, key_space=16)
-        a.put_batch([1, 2], 1)
-        a.evict_batch(2)  # age entries to zero quickly
-        a.put_batch([1, 2], 0)
+        ends the bulk pass's prefix right before that access; the
+        next pass serves it, inside the same total call."""
+        def build():
+            buf = FastPriorityBuffer(2, key_space=16)
+            buf.put_batch([1, 2], 1)
+            buf.evict_batch(2)  # age entries to zero quickly
+            buf.put_batch([1, 2], 0)
+            return buf
+
         # 3 misses (evicts 1), 2 hits, 1 re-misses with only stored
         # entries left to evict.
         segment = np.array([3, 2, 1, 2], dtype=np.int64)
-        served, misses, victims = a.serve_segment(segment, 0)
+        a = build()
+        served, misses, victims = a._serve_bulk(segment, 0)
         assert victims.tolist() == [1]
         assert served == 2
         assert misses.tolist() == [0]
-        served2, misses2, victims2 = a.serve_segment(segment[served:], 0)
+        served2, misses2, victims2 = a._serve_bulk(segment[served:], 0)
         assert served2 >= 1
         assert 0 in misses2.tolist()  # the re-miss of key 1
         assert victims2.tolist() == [3]
+        self._assert_total_call_is_scalar(build, segment, 0)
 
     def test_zero_serve_when_first_access_needs_unservable_eviction(self):
         """If even the first access cannot be bulk-served (its eviction
-        would pop a positive-priority victim), serve_segment refuses
-        without mutating."""
-        buf = FastPriorityBuffer(1, key_space=8)
-        buf.insert(1, 5)   # lone entry, still live
+        would pop a positive-priority victim), the bulk pass refuses
+        without mutating, and the total call serves it through the
+        scalar loop."""
+        def build():
+            buf = FastPriorityBuffer(1, key_space=8)
+            buf.insert(1, 5)   # lone entry, still live
+            return buf
+
+        buf = build()
         before = (len(buf), buf.priority_of(1), buf._next_seq)
-        result = buf.serve_segment(np.array([2], dtype=np.int64), 1)
-        assert result[0] == 0
+        segment = np.array([2], dtype=np.int64)
+        assert buf._serve_bulk(segment, 1)[0] == 0
         assert (len(buf), buf.priority_of(1), buf._next_seq) == before
+        self._assert_total_call_is_scalar(build, segment, 1)
 
     def test_segment_wider_than_buffer_serves_fitting_prefix(self):
-        buf = FastPriorityBuffer(2, key_space=16)
+        def build():
+            return FastPriorityBuffer(2, key_space=16)
+
+        buf = build()
         segment = np.array([1, 2, 1, 3, 4], dtype=np.int64)
-        served, first_miss, victims = buf.serve_segment(segment, 0)
+        served, first_miss, victims = buf._serve_bulk(segment, 0)
         assert served == 3          # distinct keys {1, 2} fit; 3 spills
         assert first_miss.tolist() == [0, 1]
         assert victims.tolist() == []
         assert sorted(buf.keys()) == [1, 2]
+        self._assert_total_call_is_scalar(build, segment, 0)
+
+    @pytest.mark.parametrize("impl", sorted(BUFFER_IMPLS))
+    def test_every_backend_serves_the_whole_segment(self, impl):
+        """``serve_segment`` is total: a segment wider than the buffer,
+        with repeats, is served in one call on every backend."""
+        buf = make_buffer(impl, 3, key_space=16)
+        segment = np.array([1, 2, 1, 3, 4, 5, 1, 2, 6], dtype=np.int64)
+        served, misses, victims = buf.serve_segment(segment, 1)
+        assert served == segment.size
+        assert len(buf) == 3
+        assert misses.size - victims.size == 3

@@ -2,7 +2,9 @@
 
 ~200 randomized operation sequences (insert / set_priority / demote /
 put_batch / set_priority_batch / demote_batch / evict_one / evict_batch
-interleavings) drive every backend behind the ``buffer_impl`` knob:
+/ serve_segment interleavings — every ``serve_segment`` call must serve
+its whole segment, on every backend) drive every backend behind the
+``buffer_impl`` knob:
 
 * the exact four (:class:`PriorityBuffer` without and with a
   ``key_space``, :class:`FastPriorityBuffer` over the empty universe —
@@ -44,21 +46,28 @@ dense with spillover ids, and
 behind the ``CompressedShardView`` s of a sharded buffer — one through
 ``serve_segment``, the other through the composed protocol it replaced
 (``contains_batch`` → first-occurrence count →
-``evict_batch(needed, avoid=segment)`` → ``put_batch``), asserting
-equal results *and* bit-equal state after every step.
+``evict_batch(needed, avoid=piece)`` → ``put_batch``, piece by piece
+while the rest holds more distinct keys than slots, each piece holding
+at most half the slots' worth), asserting equal results *and*
+bit-equal state after every step.
 
 A cascade differential
 (:func:`test_exact_serve_segment_cascades_match_scalar`) drives twin
-dense :class:`FastPriorityBuffer` s, one through ``serve_segment``, the
-other through the scalar serving loop, over segments shaped so that
-victims re-miss inside the same call and chain: decisions, victims and
-full state equal after every segment, a garbage-filled scratch map
-included, and one call serving the whole segment whenever the scalar
-loop evicted nothing but untouched priority-zero entries with no live
-entry ripening — so falling back to ending the prefix at a re-miss
-fails it.  The same re-miss meets prefetch tags on the manager's
-single and sharded exact engines and on ``BufferClassifier``
-(:func:`test_tagged_victim_re_miss_is_one_on_demand_miss`).
+dense :class:`FastPriorityBuffer` s, one through one ``serve_segment``
+call (bulk pass first, whatever it trims finished inside the call),
+the other through the scalar serving loop, over segments shaped so
+that victims re-miss inside the same call and chain: decisions,
+victims and full state equal after every segment, a garbage-filled
+scratch map included, and the first bulk pass serving the whole
+segment whenever the scalar loop evicted nothing but untouched
+priority-zero entries with no live entry ripening — so falling back
+to ending the prefix at a re-miss fails it.  The same re-miss meets
+prefetch tags on the manager's unsharded and sharded exact engines
+and on ``BufferClassifier``
+(:func:`test_tagged_victim_re_miss_is_one_on_demand_miss`), and the
+manager's one fold scores a tag by its key's first occurrence across a
+wide call's internal prefixes on every backend, unsharded and sharded
+(:func:`test_fold_scores_a_tag_by_its_first_occurrence`).
 
 An applier differential
 (:func:`test_caching_bit_applier_forms_leave_identical_state`) pins the
@@ -68,8 +77,8 @@ backend, state for state and victim for victim.
 
 A further differential (:func:`test_exact_serving_decision_equivalence`)
 runs the *manager* end to end on 200 seeded synthetic traces: the dense
-``"fast"`` backend's batched serving engine
-(``RecMGManager._serve_demand_batched_exact`` over
+``"fast"`` backend's bulk serving engine
+(``RecMGManager._serve_demand_bulk`` over
 ``FastPriorityBuffer.serve_segment``) must reproduce the scalar audit
 loop decision-for-decision (``run(record_decisions=True)``), counter
 for counter, and leave the identical buffer state — including runs
@@ -207,16 +216,14 @@ def _apply_exact_group(ref: PriorityBuffer, others, op, probe=PROBE):
         for buffer in others:
             assert buffer.evict_batch(n) == victims
     elif kind == "serve_segment":
-        # Dense fast buffers bulk-serve a prefix; everything else (and
-        # the unserved rest) replays the scalar loop.
+        # Every other backend, the reference one included, serves the
+        # whole segment in one call, equal to the scalar loop.
         expected = _scalar_serve(ref, batch, priority)
         for buffer in others:
-            result = getattr(buffer, "serve_segment", lambda *_: None)(
+            served, _, victims = buffer.serve_segment(
                 np.asarray(batch, dtype=np.int64), priority)
-            served, victims = ((result[0], result[2].tolist())
-                               if result is not None else (0, []))
-            assert victims + _scalar_serve(buffer, batch[served:],
-                                           priority) == expected
+            assert served == len(batch)
+            assert victims.tolist() == expected
     elif kind == "import_state" and len(ref):
         # Drain, then reload the drained population in reversed seqno
         # order — what a rebalance does to a shard, on the same object.
@@ -294,6 +301,13 @@ def _apply_clock(clock: ClockBuffer, dense: ClockBuffer,
         victim = clock.evict_one()
         assert victim not in clock
         assert dense.evict_one() == victim
+    elif kind == "serve_segment":
+        arr = np.asarray(batch, dtype=np.int64)
+        ours = clock.serve_segment(arr, priority)
+        theirs = dense.serve_segment(arr, priority)
+        assert ours[0] == theirs[0] == len(batch)
+        assert ours[1].tolist() == theirs[1].tolist()
+        assert ours[2].tolist() == theirs[2].tolist()
     elif kind == "evict_batch" and len(clock):
         n = min(count, len(clock))
         pre = {k: clock.priority_of(k) for k in clock.keys()}
@@ -317,11 +331,25 @@ def _apply_clock(clock: ClockBuffer, dense: ClockBuffer,
     _assert_contains_batch_agrees(dense)
 
 
+#: The differential's op mix: the buffer protocol plus ``serve_segment``.
+SERVE_OP_WEIGHTS = OP_WEIGHTS + [("serve_segment", 3)]
+
+
+def _pick_crossover(monkeypatch, rng: random.Random) -> None:
+    """The fuzzed segments are short: a crossover of 1 or 3 keys sends
+    them through the fast backend's bulk pass (trims finished by the
+    scalar loop inside the call), the default through its scalar
+    loop."""
+    monkeypatch.setattr(buffer_module, "SCALAR_FALLBACK",
+                        rng.choice([1, 3, buffer_module.SCALAR_FALLBACK]))
+
+
 @pytest.mark.parametrize("seed", range(NUM_SEQUENCES))
-def test_differential_op_sequences(seed):
+def test_differential_op_sequences(seed, monkeypatch):
     rng = random.Random(8800 + seed)
     capacity = rng.randint(1, 16)
-    ops = _gen_ops(rng)
+    ops = _gen_ops(rng, SERVE_OP_WEIGHTS)
+    _pick_crossover(monkeypatch, rng)
 
     ref = PriorityBuffer(capacity)
     exact_others = [
@@ -339,7 +367,7 @@ def test_differential_op_sequences(seed):
         _apply_exact_group(ref, exact_others, op)
         _apply_exact_group(packed_ref, [packed], _packed(op),
                            probe=PROBE + PACKED)
-        if op[0] in ("insert", "put_batch"):
+        if op[0] in ("insert", "put_batch", "serve_segment"):
             inserted_ever.update([op[1]] if op[0] == "insert" else op[3])
         _apply_clock(clock, dense, inserted_ever, op)
 
@@ -408,6 +436,7 @@ def test_dense_victim_queue_matches_reference(seed, monkeypatch):
     queue finds no candidate and the fallback selection must answer."""
     rng = random.Random(9100 + seed)
     _shrink_queue(monkeypatch, rng)
+    _pick_crossover(monkeypatch, rng)
     capacity = rng.randint(1, 20)
     ref = PriorityBuffer(capacity)
     others = [FastPriorityBuffer(capacity, key_space=DENSE_SPACE)]
@@ -500,9 +529,10 @@ CASCADE_SEEDS = 200
 #: up to CASCADE_IDS) spill over into ``_over``.
 CASCADE_SPACE = 40
 CASCADE_IDS = 56
-#: What the cascade fuzz must reach (counted per served segment).
+#: What the cascade fuzz must reach (counted per served segment);
+#: ``"finished"``: the bulk pass trimmed and the call finished the rest.
 CASCADE_CASES = ("whole", "whole_remiss", "whole_chain", "ripening",
-                 "trimmed", "wide", "spill", "demoted", "garbage")
+                 "finished", "wide", "spill", "demoted", "garbage")
 
 
 def _fast_state(buffer: FastPriorityBuffer):
@@ -548,27 +578,31 @@ def _replay(buffer, segment, priority):
 
 
 def _bulk_serve(buffer, segment, priority):
-    """Serve ``segment`` through the shared ``iter_serve_segments``
-    driver (a zero-length serve advances one scalar access); returns
-    the decisions, the victims and the first call's served length."""
-    decisions, victims, first = [], [], None
-    arr = np.asarray(segment, dtype=np.int64)
-    for chunk in buffer_module.iter_serve_segments(buffer, arr, priority,
-                                                   scalar_span=1):
-        if chunk[0] == "scalar":
-            key = int(arr[chunk[1]])
-            decisions.append(key in buffer)
-            victims += _scalar_serve(buffer, [key], priority)
-            first = 0 if first is None else first
-            continue
-        _, _, served, misses, evicted = chunk
-        first = served if first is None else first
-        assert np.all(np.diff(misses) > 0) and evicted.dtype == np.int64
-        hits = np.ones(served, dtype=bool)
-        hits[misses] = False
-        decisions += hits.tolist()
-        victims += evicted.tolist()
-    return decisions, victims, first
+    """Serve ``segment`` with one ``serve_segment`` call (the caller
+    puts the crossover at 1, so the bulk pass runs first on every
+    segment of two keys or more), which must serve all of it; returns
+    the decisions, the victims and what the call's first bulk pass
+    served (0: the scalar loop took the first access; a 1-key segment
+    is the scalar loop's whole, untrimmed)."""
+    passes = []
+    bulk = buffer._serve_bulk
+
+    def counted(arr, level):
+        result = bulk(arr, level)
+        passes.append(result[0])
+        return result
+
+    buffer._serve_bulk = counted
+    try:
+        served, misses, victims = buffer.serve_segment(
+            np.asarray(segment, dtype=np.int64), priority)
+    finally:
+        del buffer._serve_bulk
+    assert served == len(segment)
+    assert np.all(np.diff(misses) > 0) and victims.dtype == np.int64
+    hits = np.ones(served, dtype=bool)
+    hits[misses] = False
+    return hits.tolist(), victims.tolist(), passes[0] if passes else served
 
 
 def _cascade_segment(rng: random.Random, buffer, capacity: int,
@@ -621,7 +655,14 @@ def _cascade_run(seed: int) -> Counter:
     serves at priorities 0-9, demotes, evictions), then segments served
     by ``serve_segment`` on one and the scalar loop on the other —
     decisions, victims and full state equal after every segment, then
-    200 more victims equal.  Returns how often each case came up."""
+    200 more victims equal.  The crossover is 1, so the short segments
+    reach the bulk pass.  Returns how often each case came up."""
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(buffer_module, "SCALAR_FALLBACK", 1)
+        return _cascade_steps(seed)
+
+
+def _cascade_steps(seed: int) -> Counter:
     rng = random.Random(9900 + seed)
     capacity = rng.randint(2, 24)
     ids = range(-3 if rng.random() < 0.5 else 0,
@@ -666,7 +707,7 @@ def _cascade_run(seed: int) -> Counter:
             stats["whole"] += 1
             stats["whole_remiss"] += remisses > 0
             stats["whole_chain"] += chains > 0
-        stats["trimmed"] += first < len(segment)
+        stats["finished"] += first < len(segment)
         assert _fast_state(bulk) == _fast_state(scalar)
     for step in range(200):
         key, level = 1000 + step, rng.randint(0, 3)  # a miss each
@@ -769,27 +810,35 @@ def _bulk_pass(buffer, segment: np.ndarray, priority: int):
 
 def _composed_pass(buffer, segment: np.ndarray, priority: int,
                    scalar_store: bool = False):
-    """One pass of the protocol ``serve_segment`` replaced, as the
-    manager's per-shard clock loop composed it (a segment with more
-    distinct keys than slots is cut to the longest prefix that fits);
-    returns ``(served, miss_positions, victims)`` as lists."""
-    if segment.size == 0:
-        return 0, [], []
-    first_idx = np.sort(np.unique(segment, return_index=True)[1])
-    if first_idx.size > buffer.capacity:
-        segment = segment[:first_idx[buffer.capacity]]
-        first_idx = first_idx[:buffer.capacity]
-    resident = buffer.contains_batch(segment)
-    misses = first_idx[~resident[first_idx]]
-    needed = len(buffer) + misses.size - buffer.capacity
-    victims = (buffer.evict_batch(needed, avoid=segment) if needed > 0
-               else [])
-    if scalar_store:
-        for key in segment.tolist():
-            buffer.insert(key, priority)
-    else:
-        buffer.put_batch(segment, priority)
-    return int(segment.size), misses.tolist(), list(victims)
+    """The protocol ``serve_segment`` replaced — ``contains_batch`` →
+    first-occurrence count → ``evict_batch(needed, avoid=piece)`` →
+    ``put_batch`` — piece by piece: while the rest holds more distinct
+    keys than slots, the longest piece with at most half the slots'
+    worth; returns ``(served, miss_positions, victims)`` as lists."""
+    served, misses, victims = 0, [], []
+    while served < segment.size:
+        piece = segment[served:]
+        first_idx = np.sort(np.unique(piece, return_index=True)[1])
+        if first_idx.size > buffer.capacity:
+            half = max(1, buffer.capacity // 2)
+            piece = piece[:first_idx[half]]
+            first_idx = first_idx[:half]
+        resident = buffer.contains_batch(piece)
+        fresh = first_idx[~resident[first_idx]]
+        needed = len(buffer) + fresh.size - buffer.capacity
+        evicted = (buffer.evict_batch(needed, avoid=piece) if needed > 0
+                   else [])
+        # Protected reclaim: no victim is a key of the piece.
+        assert not set(evicted) & set(piece.tolist())
+        if scalar_store:
+            for key in piece.tolist():
+                buffer.insert(key, priority)
+        else:
+            buffer.put_batch(piece, priority)
+        misses += (served + fresh).tolist()
+        victims += evicted
+        served += int(piece.size)
+    return served, misses, victims
 
 
 #: How each of the three twins serves a pass: the entry under test, the
@@ -815,24 +864,16 @@ def _assert_twins_agree(twins) -> None:
 
 
 def _serve_clock_twins(twins, keys, priority):
-    """Serve ``keys`` to the end on every twin (bare clocks or shard
-    views), each through its own pass, comparing results and state
-    after every pass; returns the victims."""
+    """Serve ``keys`` on every twin (bare clocks or shard views), each
+    through its own pass, comparing results and state; returns the
+    victims."""
     segment = np.asarray(keys, dtype=np.int64)
-    evicted = []
-    while True:
-        results = [serve(twin, segment, priority)
-                   for serve, twin in zip(CLOCK_PASSES, twins)]
-        assert results[0] == results[1] == results[2]
-        _assert_twins_agree(twins)
-        served, _, victims = results[0]
-        # Protected reclaim: no victim is a key of the served prefix.
-        assert not set(victims) & set(segment[:served].tolist())
-        evicted += victims
-        if served == segment.size:
-            return evicted
-        assert served > 0
-        segment = segment[served:]
+    results = [serve(twin, segment, priority)
+               for serve, twin in zip(CLOCK_PASSES, twins)]
+    assert results[0] == results[1] == results[2]
+    assert results[0][0] == segment.size
+    _assert_twins_agree(twins)
+    return results[0][2]
 
 
 def _apply_clock_twins(twins, op):
@@ -880,9 +921,9 @@ def test_clock_serve_segment_matches_composed_protocol(mode):
 def test_clock_serve_segment_edge_segments(mode):
     """The segment shapes the fuzz may take a while to hit, in one
     sequence per mode: empty, single key, all resident, duplicate-heavy,
-    ``distinct == capacity`` and ``distinct == capacity + 1`` (the
-    first access that no longer fits ends the served prefix), negative
-    priority (clamps to 0)."""
+    ``distinct == capacity`` and ``distinct == capacity + 1`` (served
+    in pieces of at most half the slots' worth of distinct keys),
+    negative priority (clamps to 0)."""
     capacity = 6
     twins = [CLOCK_MODES[mode][1](capacity) for _ in CLOCK_PASSES]
     # One shard's worth of ids under the "views" router (ids < 7 share
@@ -1027,7 +1068,7 @@ def _serving_trace(rng: random.Random):
 
 @pytest.mark.parametrize("seed", range(SERVING_SEEDS))
 def test_exact_serving_decision_equivalence(seed):
-    """The dense ``"fast"`` batched serving engine reproduces the
+    """The dense ``"fast"`` bulk serving engine reproduces the
     scalar audit loop decision-for-decision on randomized traces —
     counters, victims (via eviction counts), per-access hit stream and
     the final buffer state all identical.  Encoders fitted on a prefix
@@ -1073,12 +1114,12 @@ def test_exact_serving_decision_equivalence(seed):
 @pytest.mark.parametrize("engine", ["single", "sharded", "classifier"])
 def test_tagged_victim_re_miss_is_one_on_demand_miss(engine):
     """A prefetch-tagged key at priority zero that the segment's first
-    miss evicts and a later access re-touches, inside one bulk call, is
-    one on-demand miss with no prefetch hit and no tag left: the
-    victims' tags drop before the segment's tags are consumed.  The
-    batched exact engine, a sharded exact shard and ``BufferClassifier``
-    (no tags, same re-miss), each against its scalar oracle — the same
-    set-up on the ``reference`` backend."""
+    miss evicts and a later access re-touches, inside one bulk pass, is
+    one on-demand miss with no prefetch hit and no tag left: its first
+    occurrence misses.  The unsharded exact engine, a sharded exact
+    shard and ``BufferClassifier`` (no tags, same re-miss), each
+    against its scalar oracle — the same set-up on the ``reference``
+    backend."""
     from repro.core import RecMGConfig
     from repro.core.features import FeatureEncoder
     from repro.core.manager import RecMGManager
@@ -1111,11 +1152,12 @@ def test_tagged_victim_re_miss_is_one_on_demand_miss(engine):
             server._apply_caching_bits(demoted, np.zeros(3, dtype=np.int8))
             assert server._prefetched == {tagged}
             buffer = server.buffer
-        target = buffer.shards[0] if engine == "sharded" else buffer
-        bulk = getattr(target, "serve_segment", None)
+        target = (buffer.shards[0].backend if engine == "sharded"
+                  else buffer)
+        bulk = getattr(target, "_serve_bulk", None)
         if bulk is not None:
-            target.serve_segment = (lambda seg, prio, bulk=bulk:
-                                    calls.append(len(seg)) or bulk(seg, prio))
+            target._serve_bulk = (lambda seg, prio, bulk=bulk:
+                                  calls.append(len(seg)) or bulk(seg, prio))
         hits = (server.access_batch(segment) if engine == "classifier"
                 else server.serve_batch(segment))
         counters = (None if engine == "classifier" else (
@@ -1127,9 +1169,84 @@ def test_tagged_victim_re_miss_is_one_on_demand_miss(engine):
                          buffer.evict_batch(len(buffer)), calls))
     fast, reference = outcomes
     assert fast[:4] == reference[:4]
-    assert fast[4] == [segment.size]        # one bulk call served it all
+    assert fast[4] == [segment.size]        # one bulk pass served it all
     assert fast[0] == [False, False] + [True] * (segment.size - 2)
     if engine != "classifier":
         _, prefetch_hits, on_demand, _, useful, tags = fast[1]
         assert (prefetch_hits, useful, tags) == (0, 0, [])
         assert on_demand == fill.size + 2
+
+
+@pytest.mark.parametrize("num_shards", [1, 2])
+@pytest.mark.parametrize("impl", ["fast", "clock", "reference"])
+def test_fold_scores_a_tag_by_its_first_occurrence(impl, num_shards):
+    """One call wider than the buffer (or shard) — served in several
+    internal prefixes on ``fast`` and ``clock``, by the scalar loop on
+    ``reference``: the tagged key hits in the first, a later one
+    evicts it, and the segment's last access re-touches it.  The fold
+    scores one prefetch hit (its first occurrence hit), one on-demand
+    miss for the re-touch, and leaves no tag; on the exact backends
+    the engine also equals the ``fast_serve=False`` audit loop,
+    counter for counter."""
+    from repro.core import RecMGConfig
+    from repro.core.features import FeatureEncoder
+    from repro.core.manager import RecMGManager
+
+    tagged = 150
+    # 70 fresh keys between the two touches, every key routed to shard
+    # 0 (ids below 200 of the 400-id universe): far more distinct keys
+    # than its 4 slots, and past the fast backend's crossover.
+    segment = np.concatenate(([tagged], np.arange(20, 90), [tagged]))
+    outcomes = []
+    for fast_serve in (True, False):
+        config = RecMGConfig(eviction_speed=2)
+        manager = RecMGManager(4 * num_shards, FeatureEncoder(config),
+                               config, buffer_impl=impl, key_space=400,
+                               num_shards=num_shards)
+        manager.serve_batch(np.array([10, 11, 12]))
+        manager._apply_prefetches(np.array([tagged]))
+        assert manager._prefetched == {tagged}
+        breakdown = manager.breakdown
+        misses_before = breakdown.on_demand
+        manager._record_hits = []
+        manager._select_engine(fast_serve)(segment)
+        hits = np.concatenate(manager._record_hits).tolist()
+        manager._record_hits = None
+        outcomes.append((hits, breakdown.prefetch_hits,
+                         manager.prefetches_useful,
+                         breakdown.on_demand - misses_before,
+                         breakdown.cache_hits, manager.evictions,
+                         sorted(manager._prefetched)))
+    bulk, audit = outcomes
+    hits, prefetch_hits, useful, misses, _, _, tags = bulk
+    assert hits[0] and not hits[-1]         # first touch hits, re-touch misses
+    assert (prefetch_hits, useful, tags) == (1, 1, [])
+    assert misses == 71                     # the 70 fresh keys + the re-touch
+    if impl != "clock":
+        assert bulk == audit
+
+
+def test_short_fast_subsegments_take_the_scalar_loop():
+    """On ``fast`` shards a sub-segment of at most ``SCALAR_FALLBACK``
+    keys is served by the scalar loop inside ``serve_segment`` — no
+    bulk pass — and a longer one by the bulk pass."""
+    from repro.core import RecMGConfig
+    from repro.core.features import FeatureEncoder
+    from repro.core.manager import RecMGManager
+
+    config = RecMGConfig(eviction_speed=2)
+    manager = RecMGManager(400, FeatureEncoder(config), config,
+                           buffer_impl="fast", key_space=400, num_shards=2)
+    passes: list = []
+    for view in manager.buffer.shards:
+        bulk = view.backend._serve_bulk
+        view.backend._serve_bulk = (lambda arr, prio, bulk=bulk:
+                                    passes.append(arr.size)
+                                    or bulk(arr, prio))
+    # 60 keys per shard, then 80 keys all routed to shard 0.
+    manager.serve_batch(np.concatenate((np.arange(0, 60),
+                                        np.arange(200, 260))))
+    assert passes == []
+    manager.serve_batch(np.arange(100, 180))
+    assert passes == [80]
+    assert buffer_module.SCALAR_FALLBACK == 64

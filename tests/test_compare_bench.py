@@ -12,6 +12,10 @@ The hit-rate-lift gate (model-guided serving entries recorded with
 committed positive lift surviving passes, vanishing (fresh lift <= 0)
 or going missing fails, committed non-positive lifts never gate, and
 lift-only entries must not leak into the speedup comparison.
+
+The manifest of gated names (``benchmarks/gated_hotpaths.json``) must
+fail two equally truncated files, and the committed baseline must hold
+exactly the names it lists.
 """
 
 import importlib.util
@@ -22,13 +26,26 @@ import pytest
 
 _SCRIPT = Path(__file__).resolve().parent.parent / "benchmarks" \
     / "compare_bench.py"
+_MANIFEST = _SCRIPT.with_name("gated_hotpaths.json")
+_BASELINE = _SCRIPT.parent.parent / "BENCH_hotpaths.json"
+
+
+def _write_manifest(path, speedup=(), lift=()):
+    path.write_text(json.dumps({"speedup": list(speedup),
+                                "lift": list(lift)}))
+    return path
 
 
 @pytest.fixture(scope="module")
-def compare_bench():
+def compare_bench(tmp_path_factory):
+    """The script as a module, its manifest emptied: the synthetic
+    fixtures below use their own entry names (the manifest tests set
+    one)."""
     spec = importlib.util.spec_from_file_location("compare_bench", _SCRIPT)
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
+    module.MANIFEST = _write_manifest(
+        tmp_path_factory.mktemp("manifest") / "gated_hotpaths.json")
     return module
 
 
@@ -251,3 +268,42 @@ def test_new_lift_entry_is_informational(compare_bench, tmp_path,
                          {"model_guided_zipf_sync": 0.030})
     assert compare_bench.main([baseline, fresh]) == 0
     assert "NEW model_guided_zipf_sync: lift" in capsys.readouterr().out
+
+
+# ----------------------------------------------------------------------
+# Manifest of gated names
+# ----------------------------------------------------------------------
+def test_equally_truncated_files_fail_against_the_manifest(
+        compare_bench, tmp_path, monkeypatch, capsys):
+    """A baseline that lost a gated entry passes against a fresh file
+    that lost the same one — unless the manifest names it."""
+    baseline = _write_lifts(tmp_path, "base.json",
+                            {"model_guided_zipf_sync": 0.030},
+                            speedups={"optgen": 20.0})
+    fresh = _write_lifts(tmp_path, "fresh.json",
+                         {"model_guided_zipf_sync": 0.025},
+                         speedups={"optgen": 19.0})
+    assert compare_bench.main([baseline, fresh]) == 0
+    monkeypatch.setattr(compare_bench, "MANIFEST", _write_manifest(
+        tmp_path / "manifest.json", speedup=["optgen", "serving"],
+        lift=["model_guided_zipf_sync", "model_guided_tenant_sync"]))
+    assert compare_bench.main([baseline, fresh]) == 1
+    err = capsys.readouterr().err
+    for name in ("serving", "model_guided_tenant_sync"):
+        for side in ("baseline", "fresh"):
+            assert f"{name}: gated entry named in manifest.json missing " \
+                   f"from the {side} file" in err
+    assert "optgen: gated entry" not in err
+
+
+def test_committed_baseline_holds_the_committed_manifest(compare_bench,
+                                                         monkeypatch):
+    """The committed ``BENCH_hotpaths.json`` gates exactly the names the
+    committed manifest lists, so it passes against itself."""
+    monkeypatch.setattr(compare_bench, "MANIFEST", _MANIFEST)
+    manifest = json.loads(_MANIFEST.read_text())
+    assert set(compare_bench.load_speedups(str(_BASELINE))) \
+        == set(manifest["speedup"])
+    assert set(compare_bench.load_lifts(str(_BASELINE))) \
+        == set(manifest["lift"])
+    assert compare_bench.main([str(_BASELINE), str(_BASELINE)]) == 0

@@ -8,6 +8,7 @@ from hypothesis import given, settings, strategies as st
 
 from repro.cache import FastPriorityBuffer, PriorityBuffer, run_optgen, \
     run_optgen_reference
+from repro.cache.buffer import SCALAR_FALLBACK
 from repro.core import RecMGConfig, RecMGManager
 from repro.core.features import FeatureEncoder
 from repro.prefetch import run_breakdown
@@ -182,8 +183,8 @@ class TestManagerServingEngines:
             runs.append((stats, manager.last_decisions.tolist(),
                          {key: manager.buffer.priority_of(key)
                           for key in manager.buffer.keys()}))
-        assert trained_recmg.config.input_len <= RecMGManager._SCALAR_FALLBACK
-        assert RecMGManager._SCALAR_FALLBACK == priorities.SCALAR_FALLBACK
+        assert trained_recmg.config.input_len <= SCALAR_FALLBACK
+        assert SCALAR_FALLBACK == priorities.SCALAR_FALLBACK
         assert runs[0][0].evictions > 0 and runs[0][0].prefetches_issued > 0
         assert runs[0] == runs[1] == runs[2] == runs[3]
 

@@ -40,6 +40,7 @@ from repro.core.training import (
     finetune_for_capacity,
     train_caching_model,
 )
+from repro.cache.buffer import SCALAR_FALLBACK
 from repro.cache.optgen import run_optgen
 from repro.serving.priorities import (
     PRIORITY_MODES,
@@ -450,15 +451,15 @@ def test_apply_caching_bits_masks_no_prediction_inline():
 
 @pytest.mark.parametrize("size", [1, 15, 64, 65, 200])
 def test_apply_caching_bits_picks_its_form_by_block_length(size):
-    """Up to the manager's ``_SCALAR_FALLBACK`` keys the applier makes
-    no bulk call at all, past it only bulk calls — and either way the
-    same keys land in the same order, last occurrence winning."""
+    """Up to ``repro.cache.buffer.SCALAR_FALLBACK`` keys the applier
+    makes no bulk call at all, past it only bulk calls — and either way
+    the same keys land in the same order, last occurrence winning."""
     rng = np.random.default_rng(size)
     keys = rng.integers(0, max(2, size // 2), size=size)
     bits = rng.integers(-1, 2, size=size).astype(np.int8)
     buffer = _RecordingBuffer()
     apply_caching_bits(buffer, keys, bits, speed=4)
-    assert (buffer.bulk_calls == 0) == (size <= RecMGManager._SCALAR_FALLBACK)
+    assert (buffer.bulk_calls == 0) == (size <= SCALAR_FALLBACK)
     assert buffer.bulk_calls in (0, 3)
     last = {}
     for position, (key, bit) in enumerate(zip(keys.tolist(), bits.tolist())):

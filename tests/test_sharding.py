@@ -15,8 +15,9 @@ Three layers of checking for :mod:`repro.cache.sharding`:
   op: every key routes to exactly one shard, per-shard residency
   bitmaps are pairwise disjoint, and their union equals the global
   ``contains_batch`` (spillover ids above the bitmap included).
-* **Manager-level** — the shard-wise serving engine
-  (``RecMGManager._serve_demand_sharded``) must be
+* **Manager-level** — the bulk serving engine over a sharded buffer
+  (``RecMGManager._serve_demand_bulk`` through
+  ``ShardedBuffer.serve_segment``) must be
   decision-for-decision identical to the scalar audit loop over the
   same sharded buffer for exact shards (the clock engine is
   approximate by contract: totals conserved, capacity never exceeded),
@@ -390,6 +391,48 @@ def test_evict_batch_victim_order_is_per_shard():
     # And decidedly not the global priority order: every priority-0
     # entry lives in shard 2, yet shard 0 (a fullest shard) pays first.
     assert shard_ids[0] == 0
+
+
+@pytest.mark.parametrize("impl", ["reference", "fast", "clock"])
+def test_sharded_serve_segment_serves_each_shard_whole(impl):
+    """``ShardedBuffer.serve_segment`` serves the whole segment with
+    one route: misses come back as ascending positions of the segment,
+    victims grouped per shard in shard-id order.  On exact shards it
+    equals the scalar serving loop over the sharded buffer, each miss
+    evicting from its own shard; on clock shards, one view call per
+    shard's sub-segment made by hand on a twin."""
+    buf = ShardedBuffer(impl, 9, key_space=30, num_shards=3)
+    twin = ShardedBuffer(impl, 9, key_space=30, num_shards=3)
+    rng = np.random.default_rng(5)
+    for _ in range(6):
+        segment = rng.integers(-2, 34, size=int(rng.integers(1, 40)))
+        served, misses, victims = buf.serve_segment(segment, 2)
+        assert served == segment.size
+        assert np.all(np.diff(misses) > 0)
+        shard_ids = [buf.shard_id_of(int(key)) for key in victims]
+        assert shard_ids == sorted(shard_ids)
+        expected_misses, grouped = [], [[] for _ in twin.shards]
+        if impl == "clock":
+            for index, view, positions, sub in twin.iter_shard_segments(
+                    segment):
+                _, sub_misses, sub_victims = view.serve_segment(sub, 2)
+                expected_misses += positions[sub_misses].tolist()
+                grouped[index] = sub_victims.tolist()
+        else:
+            for position, key in enumerate(segment.tolist()):
+                view = twin.shard_backend_for(key)
+                if key in view:
+                    view.set_priority(key, 2)
+                    continue
+                expected_misses.append(position)
+                if view.is_full:
+                    grouped[twin.shard_id_of(key)].append(view.evict_one())
+                view.insert(key, 2)
+        assert misses.tolist() == sorted(expected_misses)
+        assert victims.tolist() == [key for group in grouped
+                                    for key in group]
+        assert sorted((key, buf.priority_of(key)) for key in buf.keys()) \
+            == sorted((key, twin.priority_of(key)) for key in twin.keys())
 
 
 # ---------------------------------------------------------------------------
