@@ -8,9 +8,12 @@ rows/series and asserts the qualitative *shape* of the result.
 from __future__ import annotations
 
 import json
+import os
+import platform
 import time
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from repro.cache import capacity_from_fraction
@@ -78,8 +81,10 @@ def flush_hotpaths(path: Path, results: dict, exitstatus: int) -> bool:
     ``carried_over`` so ``compare_bench.py`` can still tell a gate that
     silently stopped running; a failed or interrupted session
     (``exitstatus != 0``) leaves the file untouched — half its entries
-    are missing and the rest may come from the run that failed.
-    Returns whether the file was written.
+    are missing and the rest may come from the run that failed.  The
+    ``host`` header names the machine that wrote the file (core count,
+    python and numpy versions), so a timing is read against its
+    hardware.  Returns whether the file was written.
     """
     if not results or exitstatus != 0:
         return False
@@ -91,6 +96,9 @@ def flush_hotpaths(path: Path, results: dict, exitstatus: int) -> bool:
     payload = {
         "source": "benchmarks/test_perf_hotpaths.py",
         "generated_at": time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime()),
+        "host": {"cpu_cores": os.cpu_count(),
+                 "python": platform.python_version(),
+                 "numpy": np.__version__},
         "carried_over": carried_over,
         "hot_paths": dict(sorted(hot_paths.items())),
     }

@@ -20,6 +20,7 @@ import importlib.util
 import os
 import time
 import tracemalloc
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -254,8 +255,8 @@ def test_clock_serving_throughput(perf_trace, perf_budget, benchmark,
     steady = max(1, int(perf_trace.num_unique * 0.2))
 
     def serve(buffer_impl):
-        manager = RecMGManager(steady, encoder, config,
-                               buffer_impl=buffer_impl)
+        manager = RecMGManager(steady, encoder,
+                               replace(config, buffer_impl=buffer_impl))
         return manager.run(perf_trace)
 
     exact_seconds, exact = _timed(lambda: serve("fast"), repeats=3)
@@ -330,9 +331,9 @@ def test_sharded_serving_throughput(perf_trace, perf_budget, benchmark,
 
     def serve(trace, enc, capacity, num_shards, policy="contiguous",
               weights=None):
-        manager = RecMGManager(capacity, enc, config, buffer_impl="clock",
-                               num_shards=num_shards, shard_policy=policy,
-                               shard_weights=weights)
+        manager = RecMGManager(capacity, enc, replace(
+            config, buffer_impl="clock", num_shards=num_shards,
+            shard_policy=policy, shard_weights=weights))
         return manager.run(trace)
 
     # Interleave the two sides round by round: a transient noise
@@ -465,11 +466,10 @@ def test_drifting_hot_band_rebalancing_lift(perf_budget, benchmark,
     phase_length = -(-len(trace) // num_phases)
 
     def build(interval):
-        return RecMGManager(capacity, encoder, config,
-                            buffer_impl="clock", num_shards=num_shards,
-                            shard_policy="contiguous",
-                            rebalance_interval=interval,
-                            rebalance_threshold=0.05)
+        return RecMGManager(capacity, encoder, replace(
+            config, buffer_impl="clock", num_shards=num_shards,
+            shard_policy="contiguous", rebalance_interval=interval,
+            rebalance_threshold=0.05))
 
     def serve_run(interval):
         manager = build(interval)
@@ -600,9 +600,9 @@ def test_model_guided_serving(benchmark, record_hotpath):
                             caching_targets(chunks, labels), config)
 
         def serve(mode, caching_model):
-            manager = RecMGManager(capacity, encoder, config,
-                                   caching_model=caching_model,
-                                   priority_mode=mode)
+            manager = RecMGManager(capacity, encoder,
+                                   replace(config, priority_mode=mode),
+                                   caching_model=caching_model)
             stats = manager.run(tail, fast_serve=True)
             manager.close()
             return stats
@@ -635,9 +635,9 @@ def test_model_guided_serving(benchmark, record_hotpath):
             dense = encoder.dense_ids(tail)
 
             def batched(mode, caching_model):
-                manager = RecMGManager(capacity, encoder, config,
-                                       caching_model=caching_model,
-                                       priority_mode=mode)
+                manager = RecMGManager(capacity, encoder,
+                                       replace(config, priority_mode=mode),
+                                       caching_model=caching_model)
                 for lo in range(0, dense.size, 512):
                     manager.serve_batch(dense[lo:lo + 512])
                 summary = manager.serving_metrics.summary()
@@ -723,10 +723,9 @@ def test_model_guided_low_capacity_lift(perf_budget, benchmark,
             cfg = RecMGConfig(
                 hidden=32, hash_buckets=1024, caching_epochs=2,
                 max_train_chunks=500, buffer_impl="clock",
-                priority_lift_guard=lift_guard)
+                priority_mode=mode, priority_lift_guard=lift_guard)
             manager = RecMGManager(low_capacity, encoder, cfg,
-                                   caching_model=caching_model,
-                                   priority_mode=mode)
+                                   caching_model=caching_model)
             stats = manager.run(tail, fast_serve=True)
             guard = manager.lift_guard
             manager.close()

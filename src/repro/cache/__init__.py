@@ -35,7 +35,6 @@ from .sharding import (
     ContiguousRangeRouter,
     ModuloRouter,
     ShardedBuffer,
-    backend_for_key,
     make_router,
     split_capacity,
 )
@@ -53,6 +52,6 @@ __all__ = [
     "PriorityBuffer", "FastPriorityBuffer", "ClockBuffer",
     "BUFFER_IMPLS", "make_buffer", "ResidencyIndex",
     "SHARD_POLICIES", "CompressedShardView", "ContiguousRangeRouter",
-    "ModuloRouter", "ShardedBuffer", "backend_for_key", "make_router",
+    "ModuloRouter", "ShardedBuffer", "make_router",
     "split_capacity",
 ]

@@ -10,9 +10,10 @@ lowest priority and then *ages* every entry by decrementing its priority
 Three interchangeable backends implement the buffer protocol
 (``insert`` / ``set_priority`` / ``demote`` / ``put_batch`` /
 ``evict_one`` / ``evict_batch`` / ``serve_segment``); pick one with
-:func:`make_buffer` or the ``buffer_impl=`` knob threaded through
-:class:`repro.core.manager.RecMGManager`, ``repro.dlrm.inference`` and
-``repro.prefetch.harness``.  ``serve_segment(segment, priority)`` is
+:func:`make_buffer` — the manager passes it
+``RecMGConfig.buffer_impl``, ``repro.dlrm.inference.BufferClassifier``
+and ``repro.prefetch.harness`` their own ``buffer_impl=`` argument.
+``serve_segment(segment, priority)`` is
 *total* on all three, and on the sharded wrapper
 (:class:`~repro.cache.sharding.ShardedBuffer`): one call serves the
 whole demand segment and returns ``(served, miss_positions,
@@ -73,20 +74,19 @@ segment, the manager folds.
   with no sort and no per-key dict traffic (ids outside the universe
   spill to a side dict, preserving correctness for unseen keys).
 
-**Id universe.**  The fast and clock backends index their per-id
-state by the ids of ``[0, key_space)`` — the paper treats each
-embedding-vector index as a memory address, and the manager fits that
-universe from the encoder's vocabulary.  ``key_space=0`` (the default)
-is the empty universe: every id, raw packed keys included, takes the
-spillover path, which is exact for any int64 key and differs from an
-in-universe id only in speed.
+**Id universe.**  Every backend keeps its residency bitmap, and the
+fast and clock backends their per-id state, over the ids of
+``[0, key_space)`` — the paper treats each embedding-vector index as a
+memory address, and the manager fits that universe from the encoder's
+vocabulary.  ``key_space=0`` (the default) is the empty universe: every
+id, raw packed keys included, takes the spillover path, which is exact
+for any int64 key and differs from an in-universe id only in speed.
 
 **Bulk residency / priority protocol.**  All backends answer
 ``contains_batch(keys) -> bool[:]`` (residency of a whole segment in
-one call — a bitmap gather, spillover ids answered by a set lookup;
-the reference backend without a universe sweeps its dict) and accept
-``set_priority_batch(keys, priority)`` and ``demote_batch(keys)`` for
-chunk-boundary priority writes.  On the exact backends the batch forms
+one call — a bitmap gather, spillover ids answered by a set lookup)
+and accept ``set_priority_batch(keys, priority)`` and
+``demote_batch(keys)`` for chunk-boundary priority writes.  On the exact backends the batch forms
 are *defined* as the scalar operations applied in order (seqno
 semantics preserved); on the fast backend every bulk op is O(1)
 amortized per key: ``contains_batch`` is one bitmap gather,
@@ -124,10 +124,7 @@ batched calls, and one gather, and capacity/eviction are **per shard**
 — a full shard evicts its own victim even while another shard has free
 slots, so the victim order of a sharded ``evict_batch`` is per-shard
 (grouped in shard-id order), *not* the global ``(effective_priority,
-seqno)`` contract above.  That caveat is a load-bearing part of the
-bulk protocol, not prose: callers that fold ``evict_batch`` victims
-back into per-key state (the manager's gather, the sharded serving
-engines) rely on the grouping, and
+seqno)`` contract above;
 ``tests/test_sharding.py::test_evict_batch_victim_order_is_per_shard``
 pins it — shard-id-grouped, water-filled counts, each group in that
 shard's own standalone eviction order.  Two more load-bearing notes:
@@ -306,20 +303,18 @@ def _exact_victim_sequence(expiry: np.ndarray, seq: np.ndarray, age: int,
 class PriorityBuffer:
     """Reference implementation of Algorithms 1–2 (O(n) eviction).
 
-    ``key_space=N`` keeps a :class:`ResidencyIndex` mirror of the entry
-    dict so ``contains_batch`` answers from the bitmap (one gather)
-    instead of a per-key dict sweep; everything else — including the
-    O(n) audit eviction — is unchanged, and the two modes are
-    behaviorally identical (fuzz-checked in
-    ``tests/test_buffer_differential.py``).
+    A :class:`ResidencyIndex` over ``[0, key_space)`` mirrors the entry
+    dict so ``contains_batch`` answers from the bitmap (one gather);
+    without a universe (``key_space=0``, the default) every key goes to
+    the index's spillover set.  Everything else — including the O(n)
+    audit eviction — runs off the entry dicts.
     """
 
     #: Exact Algorithm 2 semantics (victims follow the documented
     #: (effective_priority, seqno) total order).
     approximate = False
 
-    def __init__(self, capacity: int,
-                 key_space: Optional[int] = None) -> None:
+    def __init__(self, capacity: int, key_space: int = 0) -> None:
         if capacity < 1:
             raise ValueError("capacity must be >= 1")
         self.capacity = capacity
@@ -327,8 +322,7 @@ class PriorityBuffer:
         self._seqno: Dict[int, int] = {}
         self._next_seq = 0
         self._min_seq = 0
-        self.residency: Optional[ResidencyIndex] = (
-            ResidencyIndex(key_space) if key_space is not None else None)
+        self.residency = ResidencyIndex(key_space)
 
     def __contains__(self, key: int) -> bool:
         return key in self._priority
@@ -340,14 +334,9 @@ class PriorityBuffer:
         return iter(self._priority)
 
     def contains_batch(self, keys: Sequence[int]) -> np.ndarray:
-        """Residency of each key as a boolean array (one bitmap gather
-        with ``key_space``, a dict sweep otherwise)."""
-        if self.residency is not None:
-            return self.residency.contains_batch(
-                np.asarray(keys, dtype=np.int64))
-        seq = keys.tolist() if isinstance(keys, np.ndarray) else keys
-        return np.fromiter(map(self._priority.__contains__, seq),
-                           dtype=bool, count=len(seq))
+        """Residency of each key as a boolean array (one bitmap
+        gather)."""
+        return self.residency.contains_batch(np.asarray(keys, dtype=np.int64))
 
     def priority_of(self, key: int) -> int:
         return self._priority[key]
@@ -362,12 +351,12 @@ class PriorityBuffer:
         one).  Sharded construction asserts this against the router's
         per-shard universe — see the translation boundary in
         :mod:`repro.cache.sharding`."""
-        return self.residency.key_space if self.residency is not None else 0
+        return self.residency.key_space
 
     def per_id_nbytes(self) -> int:
         """Bytes of state that scale with ``key_space`` (the residency
         mirror's bitmap; the entry dicts scale with occupancy)."""
-        return self.residency.nbytes if self.residency is not None else 0
+        return self.residency.nbytes
 
     def insert(self, key: int, priority: int) -> None:
         """Insert (or refresh) ``key``; caller must ensure space."""
@@ -376,8 +365,7 @@ class PriorityBuffer:
         self._priority[key] = priority
         self._seqno[key] = self._next_seq
         self._next_seq += 1
-        if self.residency is not None:
-            self.residency.add(key)
+        self.residency.add(key)
 
     def set_priority(self, key: int, priority: int) -> None:
         """Update priority; also refreshes recency (LRU tie-breaking)."""
@@ -470,8 +458,7 @@ class PriorityBuffer:
                              seq_arr.tolist()):
             self._priority[key] = p
             self._seqno[key] = s
-            if self.residency is not None:
-                self.residency.add(key)
+            self.residency.add(key)
         if keys_arr.size:
             self._next_seq = max(self._next_seq, int(seq_arr.max()) + 1)
             self._min_seq = min(self._min_seq, int(seq_arr.min()))
@@ -492,8 +479,7 @@ class PriorityBuffer:
             self._priority[key] = max(0, self._priority[key] - 1)
         del self._priority[victim]
         del self._seqno[victim]
-        if self.residency is not None:
-            self.residency.discard(victim)
+        self.residency.discard(victim)
         return victim
 
     def evict_batch(self, n: int) -> List[int]:
@@ -1736,8 +1722,9 @@ class ClockBuffer:
         return victims[0] if len(victims) == 1 else np.concatenate(victims)
 
 
-#: Registry behind the ``buffer_impl=`` knob (manager, dlrm inference,
-#: prefetch harness): exact reference, exact fast, approximate clock.
+#: Registry behind the ``buffer_impl`` knob (``RecMGConfig``, dlrm
+#: inference, prefetch harness): exact reference, exact fast,
+#: approximate clock.
 BUFFER_IMPLS = {
     "reference": PriorityBuffer,
     "fast": FastPriorityBuffer,
@@ -1755,9 +1742,7 @@ def make_buffer(impl: str, capacity: int,
     ``key_space`` (dense-id universe size) is forwarded to every
     backend — a :class:`~repro.cache.residency.ResidencyIndex` bitmap
     behind ``contains_batch`` everywhere, plus array-native entries on
-    the clock and fast backends; ``None`` leaves each backend's own
-    default (the empty universe on clock and fast, no index on the
-    reference).
+    the clock and fast backends; ``None`` is the empty universe.
 
     ``num_shards > 1`` wraps ``num_shards`` independent backends in a
     :class:`~repro.cache.sharding.ShardedBuffer` partitioning
@@ -1774,7 +1759,7 @@ def make_buffer(impl: str, capacity: int,
     routing layer (``shard_weights`` is rejected there — there is
     nothing to weight).
     """
-    num_shards = 1 if num_shards is None else int(num_shards)
+    num_shards = int(num_shards)
     if num_shards < 1:
         raise ValueError("num_shards must be >= 1")
     if num_shards > 1:
@@ -1800,6 +1785,4 @@ def make_buffer(impl: str, capacity: int,
         raise ValueError(
             f"unknown buffer_impl {impl!r}; choose from "
             f"{sorted(BUFFER_IMPLS)}") from None
-    if key_space is None:
-        return cls(capacity)
-    return cls(capacity, key_space=key_space)
+    return cls(capacity, key_space=key_space or 0)

@@ -18,15 +18,16 @@ every key spills, e.g. raw packed keys served without a fitted
 vocabulary.
 
 The index is maintained *incrementally by the buffer backends*
-(:mod:`repro.cache.buffer`): :class:`~repro.cache.buffer.ClockBuffer`
-and :class:`~repro.cache.buffer.FastPriorityBuffer` always carry one
-and bulk-set bits on ``insert``/``put_batch``/``serve_segment`` and
-bulk-clear them on ``evict_one``/``evict_batch``;
-:class:`~repro.cache.buffer.PriorityBuffer` built with ``key_space``
-keeps a mirror of its entry dict (without one it answers the same
-``contains_batch`` protocol straight off that dict), so call sites
-(``serving.priorities.apply_caching_bits``, ``prefetch.harness``,
-``ShardedBuffer``'s bulk ops) stay backend-agnostic.
+(:mod:`repro.cache.buffer`), every one of which carries one:
+:class:`~repro.cache.buffer.ClockBuffer` and
+:class:`~repro.cache.buffer.FastPriorityBuffer` bulk-set bits on
+``insert``/``put_batch``/``serve_segment`` and bulk-clear them on
+``evict_one``/``evict_batch``;
+:class:`~repro.cache.buffer.PriorityBuffer` keeps its index as a
+mirror of its entry dict (over the empty universe when built without
+``key_space``).  Call sites (``serving.priorities.apply_caching_bits``,
+``prefetch.harness``, ``ShardedBuffer``'s bulk ops) therefore stay
+backend-agnostic.
 """
 
 from __future__ import annotations

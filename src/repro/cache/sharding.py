@@ -45,7 +45,7 @@ of N× it.  Translation happens at exactly one layer — the
 :class:`CompressedShardView` wrapped around every backend shard:
 
 * callers (the :class:`ShardedBuffer` bulk ops, the manager's
-  provider sink, ``prefetch.harness`` and the tests) keep
+  eviction-for-space and provider sink, and the tests) keep
   passing **global** keys and receive **global** keys back — victims
   of ``evict_one``/``evict_batch``/``serve_segment`` and ``keys()``
   are decompressed on the way out;
@@ -392,9 +392,8 @@ class ModuloRouter:
         return key
 
 
-#: Registry behind the ``shard_policy=`` knob (``make_buffer``,
-#: ``RecMGConfig``, ``RecMGManager``, ``dlrm.inference``,
-#: ``prefetch.harness``).
+#: Registry behind the ``shard_policy=`` knob (``make_buffer`` and
+#: ``RecMGConfig.shard_policy``).
 SHARD_POLICIES = {
     "contiguous": ContiguousRangeRouter,
     "modulo": ModuloRouter,
@@ -410,19 +409,6 @@ def make_router(shard_policy: str, num_shards: int, key_space: int):
             f"unknown shard_policy {shard_policy!r}; choose from "
             f"{sorted(SHARD_POLICIES)}") from None
     return cls(num_shards, key_space)
-
-
-def backend_for_key(buffer, key: int):
-    """The single-shard backend responsible for ``key``: the routed
-    shard (a :class:`CompressedShardView`, so global keys keep working)
-    of a :class:`ShardedBuffer`, or ``buffer`` itself otherwise.
-
-    Scalar serving loops (the manager's audit path, the harness and
-    classifier per-access loops) use this so eviction-for-space happens
-    in the shard that actually needs the slot.
-    """
-    route = getattr(buffer, "shard_backend_for", None)
-    return buffer if route is None else route(key)
 
 
 def split_capacity(capacity: int, num_shards: int,
@@ -870,8 +856,8 @@ class ShardedBuffer:
         return self.router.route(key)
 
     def shard_backend_for(self, key: int):
-        """The shard view owning ``key`` (global-key protocol; see
-        :func:`backend_for_key`)."""
+        """The shard view owning ``key`` (global-key protocol) — where
+        a scalar serving loop evicts to make room for ``key``."""
         return self.shards[self.router.route(key)]
 
     def route_batch(self, keys: Sequence[int]) -> np.ndarray:
@@ -932,7 +918,7 @@ class ShardedBuffer:
     def is_full(self) -> bool:
         """True when *every* shard is full.  A single full shard
         already refuses inserts routed to it — scalar call sites must
-        gate on the routed shard (:func:`backend_for_key`), not on
+        gate on the routed shard (:meth:`shard_backend_for`), not on
         this global view."""
         return all(shard.is_full for shard in self.shards)
 
@@ -1023,7 +1009,7 @@ class ShardedBuffer:
         """Evict one entry from the fullest shard (ties break by
         ascending shard id) — the ``count=1`` case of the levelling
         policy.  Serving paths that need space *for a key* must instead
-        evict from that key's shard (:func:`backend_for_key`)."""
+        evict from that key's shard (:meth:`shard_backend_for`)."""
         if not len(self):
             raise RuntimeError("cannot evict from an empty buffer")
         lengths = np.asarray([len(shard) for shard in self.shards])

@@ -14,6 +14,11 @@ class RecMGConfig:
     output sequences of 5, evaluation window 15 (3x the output length),
     one LSTM stack for the caching model, two for the prefetch model,
     Chamfer alpha 0.7, ``eviction_speed`` 4.
+
+    The deployment fields are the one place serving is configured:
+    :class:`repro.core.manager.RecMGManager` reads them and takes no
+    argument that overrides one (derive a variant with
+    ``dataclasses.replace``).
     """
 
     # Sequence geometry.
@@ -46,9 +51,6 @@ class RecMGConfig:
     optgen_fraction: float = 0.8
     #: Cap on prefetch insertions per chunk.
     max_prefetch_per_chunk: int = 5
-    #: Snapping radius of the index decoder, as a fraction of the dense
-    #: vocabulary (see :class:`repro.core.prefetch_model.IndexDecoder`).
-    decode_radius_frac: float = 0.005
     #: GPU-buffer backend for the online manager: ``"fast"`` (exact;
     #: dense per-id vectors, a victim queue and a fixed-point
     #: ``serve_segment``),

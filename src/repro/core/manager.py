@@ -11,10 +11,13 @@ Both models are optional, which yields the paper's ablation variants:
 no models = aged-priority LRU-like buffer; caching model only = "CM";
 prefetch model only on LRU = "LRU+PF" (see :class:`ModelPrefetcher`).
 
-The buffer backend is selected by ``buffer_impl`` (constructor argument,
-falling back to ``config.buffer_impl``; see :mod:`repro.cache.buffer`):
-``"fast"`` (default, exact and array-native), ``"reference"`` (the
-exact O(n) audit backend) or ``"clock"`` (approximate array-backed
+:class:`~repro.core.config.RecMGConfig` is the one place serving is
+configured: the constructor takes the capacity, the encoder, the config,
+the two models and the id universe, and reads every serving setting
+from the config.  ``config.buffer_impl`` selects the buffer backend
+(see :mod:`repro.cache.buffer`): ``"fast"`` (default, exact and
+array-native), ``"reference"`` (the exact O(n) audit backend) or
+``"clock"`` (approximate array-backed
 CLOCK with protected reclaim: hit/miss streams may differ from the
 exact backends, but counters stay conserved and capacity is never
 exceeded).  The buffer serves a segment, the manager folds:
@@ -31,16 +34,14 @@ active: one
 serve -> caching bits -> prefetches for the whole block.  Every other
 run keeps the per-chunk triple, which is that pass's oracle.
 
-``num_shards > 1`` (constructor argument or ``config.num_shards``,
-with ``shard_policy`` picking the router) partitions the dense id
-universe across independent shards
+``config.num_shards > 1`` (with ``config.shard_policy`` picking the
+router) partitions the dense id universe across independent shards
 (:class:`repro.cache.sharding.ShardedBuffer`), whose
 ``serve_segment`` routes the segment shard-wise: one vectorized
 scatter, one ``serve_segment`` call per shard's sub-segment, one
 gather of the misses and victims.  Eviction-for-space is per shard —
-the scalar paths route through
-:func:`repro.cache.sharding.backend_for_key` so a miss evicts from the
-shard that will hold the key.
+the scalar paths evict from the key's routed shard
+(:meth:`RecMGManager._evict_for_space`), the one that will hold it.
 
 Serving is one thread (scale-out is processes at the shard boundary —
 see :mod:`repro.serving`).  :meth:`RecMGManager.serve_batch` is the
@@ -49,13 +50,13 @@ front door the admission queue/batcher stack
 queue depth land in :attr:`RecMGManager.serving_metrics`
 (:class:`repro.serving.metrics.ServingMetrics`).
 
-``rebalance_interval > 0`` (``config.rebalance_interval``) turns on
+``config.rebalance_interval > 0`` turns on
 **online elastic rebalancing**: the manager accumulates a per-shard
 traffic EWMA per served block (one ``np.bincount`` of the block's
 route), and every ``interval``
 served accesses compares the traffic shares against the current
 capacity split.  When the worst shard's imbalance exceeds
-``rebalance_threshold`` it calls
+``config.rebalance_threshold`` it calls
 :meth:`repro.cache.sharding.ShardedBuffer.rebalance` with the EWMA
 weights — live key migration between the compressed shard universes,
 eviction state carried (see :mod:`repro.cache.sharding`).  The call
@@ -86,7 +87,7 @@ from typing import Deque, List, Optional, Set
 import numpy as np
 
 from ..cache.buffer import SCALAR_FALLBACK, FastPriorityBuffer, make_buffer
-from ..cache.sharding import ShardedBuffer, backend_for_key
+from ..cache.sharding import ShardedBuffer
 from ..prefetch.base import Prefetcher
 from ..prefetch.harness import AccessBreakdown
 from ..serving.metrics import ServingMetrics
@@ -138,14 +139,7 @@ class RecMGManager:
                  config: RecMGConfig,
                  caching_model: Optional[CachingModel] = None,
                  prefetch_model: Optional[PrefetchModel] = None,
-                 buffer_impl: Optional[str] = None,
-                 key_space="auto",
-                 num_shards: Optional[int] = None,
-                 shard_policy: Optional[str] = None,
-                 shard_weights=None,
-                 priority_mode: Optional[str] = None,
-                 rebalance_interval: Optional[int] = None,
-                 rebalance_threshold: Optional[float] = None) -> None:
+                 key_space="auto") -> None:
         if capacity < 1:
             raise ValueError("capacity must be >= 1")
         self.capacity = capacity
@@ -153,34 +147,25 @@ class RecMGManager:
         self.config = config
         self.caching_model = caching_model
         self.prefetch_model = prefetch_model
-        self.buffer_impl = (buffer_impl if buffer_impl is not None
-                            else getattr(config, "buffer_impl", "fast"))
-        self.num_shards = (num_shards if num_shards is not None
-                           else getattr(config, "num_shards", 1))
-        self.shard_policy = (shard_policy if shard_policy is not None
-                             else getattr(config, "shard_policy",
-                                          "contiguous"))
-        self.shard_weights = (shard_weights if shard_weights is not None
-                              else getattr(config, "shard_weights", None))
         # A fitted encoder fixes the dense-id universe the clock and
         # fast backends index their per-id arrays by; unseen keys map
         # above the vocabulary and spill safely.  ``key_space="auto"``
         # (the default) fits that universe; an int pins an explicit
         # one; ``None`` (also "auto" on an unfitted encoder) gives the
         # backend the empty universe, where every id spills.
-        # ``num_shards > 1`` partitions the universe across independent
-        # shards (see :mod:`repro.cache.sharding`) — it therefore
-        # requires a resolvable key_space (``make_buffer`` rejects
-        # otherwise).
+        # ``config.num_shards > 1`` partitions the universe across
+        # independent shards (see :mod:`repro.cache.sharding`) — it
+        # therefore requires a resolvable key_space (``make_buffer``
+        # rejects otherwise).
         if key_space == "auto":
             key_space = (encoder.vocab_size
                          if getattr(encoder, "fitted", False)
                          and encoder.vocab_size > 0 else None)
-        self.buffer = make_buffer(self.buffer_impl, capacity,
+        self.buffer = make_buffer(config.buffer_impl, capacity,
                                   key_space=key_space,
-                                  num_shards=self.num_shards,
-                                  shard_policy=self.shard_policy,
-                                  shard_weights=self.shard_weights)
+                                  num_shards=config.num_shards,
+                                  shard_policy=config.shard_policy,
+                                  shard_weights=config.shard_weights)
         #: Per-batch latency / queue-depth / batch-size telemetry;
         #: :meth:`serve_batch` records into it.
         self.serving_metrics = ServingMetrics()
@@ -191,10 +176,8 @@ class RecMGManager:
         # the NullProvider and the sink is never invoked — bit-identical
         # to the provider-free engines (pinned by the goldens and the
         # cross-backend differentials).
-        self.priority_mode = (priority_mode if priority_mode is not None
-                              else getattr(config, "priority_mode", "none"))
         self.priority_provider = make_provider(
-            self.priority_mode, caching_model, encoder, config,
+            config.priority_mode, caching_model, encoder, config,
             metrics=self.serving_metrics, capacity=capacity)
         self._provider_active = self.priority_provider.mode != "none"
         #: Optional lift guard (``config.priority_lift_guard`` > 0 with
@@ -203,28 +186,17 @@ class RecMGManager:
         #: the provider's bits — guidance degrades to model-free, never
         #: below it.  See :class:`repro.serving.priorities.LiftGuard`.
         self.lift_guard: Optional[LiftGuard] = None
-        if self._provider_active and getattr(config,
-                                             "priority_lift_guard", 0):
+        if self._provider_active and config.priority_lift_guard:
             self.lift_guard = LiftGuard(
                 phase_blocks=config.priority_lift_guard,
-                margin=getattr(config, "priority_lift_margin", 0.0))
+                margin=config.priority_lift_margin)
         # Online elastic rebalancing (module docstring): traffic EWMAs
-        # accumulated per served block, checked every ``interval`` served
-        # accesses, migration via ShardedBuffer.rebalance at a block boundary.
-        self.rebalance_interval = (
-            rebalance_interval if rebalance_interval is not None
-            else getattr(config, "rebalance_interval", 0))
-        self.rebalance_threshold = (
-            rebalance_threshold if rebalance_threshold is not None
-            else getattr(config, "rebalance_threshold", 0.1))
-        if self.rebalance_interval and not isinstance(self.buffer,
-                                                      ShardedBuffer):
-            raise ValueError(
-                "rebalance_interval > 0 migrates keys between shards "
-                "and therefore requires num_shards > 1 (a "
-                f"ShardedBuffer); got num_shards={self.num_shards}")
-        self._shard_traffic = np.zeros(
-            getattr(self.buffer, "num_shards", 1), dtype=np.float64)
+        # accumulated per served block, checked every
+        # ``config.rebalance_interval`` served accesses, migration via
+        # ShardedBuffer.rebalance at a block boundary.  RecMGConfig
+        # refuses a rebalance interval without ``num_shards > 1``, so a
+        # rebalancing manager's buffer is always a ShardedBuffer.
+        self._shard_traffic = np.zeros(config.num_shards, dtype=np.float64)
         self._accesses_since_rebalance = 0
         self._prefetched: Set[int] = set()
         self.breakdown = AccessBreakdown()
@@ -252,22 +224,19 @@ class RecMGManager:
         self.close()
 
     # ------------------------------------------------------------------
-    def _evict_for_space(self, key: Optional[int] = None) -> Optional[int]:
-        """Evict until there is room for one insert — of ``key``, when
-        given: on a sharded buffer space must come from the shard that
-        will hold the key (other shards' free slots are unreachable),
-        so the loop targets ``key``'s routed shard."""
-        buffer = (backend_for_key(self.buffer, key) if key is not None
-                  else self.buffer)
-        victim = None
+    def _evict_for_space(self, key: int) -> None:
+        """Evict until there is room to insert ``key``: on a sharded
+        buffer space must come from the shard that will hold the key
+        (other shards' free slots are unreachable), so the loop targets
+        ``key``'s routed shard."""
+        buffer = (self.buffer.shard_backend_for(key)
+                  if isinstance(self.buffer, ShardedBuffer) else self.buffer)
         while buffer.is_full:
-            victim = buffer.evict_one()
-            self._prefetched.discard(victim)
+            self._prefetched.discard(buffer.evict_one())
             self.evictions += 1
-        return victim
 
-    def _demand_access(self, key: int) -> Optional[int]:
-        """Serve one demand access; returns the evicted victim, if any."""
+    def _demand_access(self, key: int) -> None:
+        """Serve one demand access."""
         speed = self.config.eviction_speed
         if key in self.buffer:
             if key in self._prefetched:
@@ -278,11 +247,10 @@ class RecMGManager:
                 self.breakdown.cache_hits += 1
             # Recency refresh; the caching model overrides at chunk end.
             self.buffer.set_priority(key, speed)
-            return None
+            return
         self.breakdown.on_demand += 1
-        victim = self._evict_for_space(key)
+        self._evict_for_space(key)
         self.buffer.insert(key, speed)
-        return victim
 
     def _apply_caching_bits(self, keys: np.ndarray, bits: np.ndarray) -> None:
         """Algorithm 1 lines 4-7 — the caching-bit write shared by the
@@ -418,7 +386,7 @@ class RecMGManager:
         segment = np.asarray(segment, dtype=np.int64)
         _, misses, victims = self.buffer.serve_segment(
             segment, self.config.eviction_speed)
-        if self.rebalance_interval and segment.size:
+        if self.config.rebalance_interval and segment.size:
             traffic = self._shard_traffic
             traffic *= 1.0 - self._REBALANCE_EWMA
             traffic += self._REBALANCE_EWMA * np.bincount(
@@ -430,16 +398,16 @@ class RecMGManager:
         """The online rebalance driver — called at block boundaries by
         :meth:`run` and :meth:`serve_batch`.
 
-        Every :attr:`rebalance_interval` served accesses, compare the
-        traffic-EWMA shares against the current capacity split; when
-        the worst shard's absolute imbalance exceeds
-        :attr:`rebalance_threshold`, rebalance the buffer onto the
+        Every ``config.rebalance_interval`` served accesses, compare
+        the traffic-EWMA shares against the current capacity split;
+        when the worst shard's absolute imbalance exceeds
+        ``config.rebalance_threshold``, rebalance the buffer onto the
         traffic weights.  Donor-shrink victims count as manager
         evictions (their prefetch tags drop, same as any eviction);
         migrated keys and the migration pause land in
         :attr:`serving_metrics` via ``record_rebalance``.
         """
-        interval = self.rebalance_interval
+        interval = self.config.rebalance_interval
         if not interval or self._accesses_since_rebalance < interval:
             return
         self._accesses_since_rebalance = 0
@@ -450,7 +418,7 @@ class RecMGManager:
         shares = traffic / total
         caps = np.asarray(self.buffer.shard_capacities, dtype=np.float64)
         if float(np.abs(shares - caps / caps.sum()).max()) \
-                <= self.rebalance_threshold:
+                <= self.config.rebalance_threshold:
             return
         begin = time.perf_counter()
         # Floor the weights: a shard whose EWMA decayed to ~0 still
@@ -659,7 +627,7 @@ class RecMGManager:
         # Sharded serving splits every block N ways, so scale the block
         # to keep the per-shard sub-segments at single-shard size (the
         # scatter itself is one vectorized route).
-        block = self._SERVE_BLOCK * getattr(self.buffer, "num_shards", 1)
+        block = self._SERVE_BLOCK * self.config.num_shards
         for start in range(tail, n, block):
             self._serve_block(serve, dense[start:start + block])
             self._maybe_rebalance()

@@ -21,12 +21,14 @@ from .features import FeatureEncoder
 from .prefetch_model import BucketDecoder, PrefetchModel
 from .recmg import RecMG
 
-#: Config keys of retired serving features: the threaded serving engine
-#: (pinned bit-identical to the serial shard loop, so dropping its keys
-#: changes no decision) and the background priority-refresh thread's
-#: two knobs.  Any other unknown key raises.
+#: Config keys of retired features: the threaded serving engine (pinned
+#: bit-identical to the serial shard loop, so dropping its keys changes
+#: no decision), the background priority-refresh thread's two knobs and
+#: ``decode_radius_frac``, which nothing ever read.  Any other unknown
+#: key raises.
 _RETIRED_CONFIG_KEYS = ("concurrency", "num_workers",
-                        "priority_refresh_blocks", "priority_pending_max")
+                        "priority_refresh_blocks", "priority_pending_max",
+                        "decode_radius_frac")
 
 
 def save_recmg(system: RecMG, path: Union[str, os.PathLike]) -> None:

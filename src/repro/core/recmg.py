@@ -105,12 +105,9 @@ class RecMG:
 
     # ------------------------------------------------------------------
     def deploy(self, capacity: int, use_caching_model: bool = True,
-               use_prefetch_model: bool = True,
-               buffer_impl: Optional[str] = None) -> RecMGManager:
-        """Build an online manager; model flags give the paper's
-        ablations (CM-only, prefetch-only).  ``buffer_impl`` overrides
-        the configured buffer backend (see :mod:`repro.cache.buffer`).
-        """
+               use_prefetch_model: bool = True) -> RecMGManager:
+        """Build an online manager serving as :attr:`config` says; model
+        flags give the paper's ablations (CM-only, prefetch-only)."""
         if not self.fitted:
             raise RuntimeError("call fit() before deploy()")
         return RecMGManager(
@@ -119,15 +116,12 @@ class RecMG:
             self.config,
             caching_model=self.caching_model if use_caching_model else None,
             prefetch_model=self.prefetch_model if use_prefetch_model else None,
-            buffer_impl=buffer_impl,
         )
 
     def evaluate(self, trace: Trace, capacity: int,
                  use_caching_model: bool = True,
-                 use_prefetch_model: bool = True,
-                 buffer_impl: Optional[str] = None) -> ManagerStats:
+                 use_prefetch_model: bool = True) -> ManagerStats:
         """Deploy and serve ``trace``; returns the access breakdown."""
         manager = self.deploy(capacity, use_caching_model=use_caching_model,
-                              use_prefetch_model=use_prefetch_model,
-                              buffer_impl=buffer_impl)
+                              use_prefetch_model=use_prefetch_model)
         return manager.run(trace)

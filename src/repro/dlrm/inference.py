@@ -14,7 +14,6 @@ from typing import List, Optional, Protocol
 import numpy as np
 
 from ..cache.buffer import make_buffer
-from ..cache.sharding import backend_for_key
 from ..traces.access import Trace
 from .model import DLRM
 from .tiered import TieredMemoryConfig
@@ -153,48 +152,20 @@ class BufferClassifier:
     ``serve_segment`` call, total on every buffer: bit-identical to
     the scalar loop on the exact ``"reference"`` and ``"fast"``
     backends — decisions, victims and buffer state included — and the
-    manager's clock policy on ``"clock"``.
-
-    ``num_shards > 1`` (with ``key_space``, which the routers require)
-    partitions the id universe across shards
-    (:class:`~repro.cache.sharding.ShardedBuffer`, whose
-    ``serve_segment`` scatters the batch shard-wise with one vectorized
-    route); the scalar path evicts from the routed shard.
-
-    ``priority_provider`` puts the caching model in the loop (same seam
-    as the manager's ``priority_mode`` — see
-    :mod:`repro.serving.priorities`): after each :meth:`access_batch`
-    completes, the batch is sunk through the provider and any ``>= 0``
-    bits land on resident keys via the shared bulk applier.  Requires
-    driving the classifier with *dense* ids (the provider's feature
-    space — the same universe ``key_space`` and the shard routers
-    assume); the scalar :meth:`access` path never sinks, the provider
-    operates at batch granularity only.
+    manager's clock policy on ``"clock"``.  Sharded and model-guided
+    serving go through :class:`repro.core.manager.RecMGManager`.
     """
 
     def __init__(self, capacity: int, buffer_impl: str = "clock",
                  priority: int = 4,
-                 key_space: Optional[int] = None,
-                 num_shards: int = 1,
-                 shard_policy: str = "contiguous",
-                 shard_weights=None,
-                 priority_provider=None) -> None:
+                 key_space: Optional[int] = None) -> None:
         self.buffer = make_buffer(buffer_impl, capacity,
-                                  key_space=key_space,
-                                  num_shards=num_shards,
-                                  shard_policy=shard_policy,
-                                  shard_weights=shard_weights)
+                                  key_space=key_space)
         self.priority = priority
-        self.priority_provider = priority_provider
-        self._provider_active = (
-            priority_provider is not None
-            and getattr(priority_provider, "mode", "none") != "none")
 
     def access(self, key: int, pc: int = 0) -> bool:
-        return self._serve_scalar(backend_for_key(self.buffer, int(key)),
-                                  int(key))
-
-    def _serve_scalar(self, buffer, key: int) -> bool:
+        key = int(key)
+        buffer = self.buffer
         if key in buffer:
             buffer.set_priority(key, self.priority)
             return True
@@ -212,26 +183,7 @@ class BufferClassifier:
         _, misses, _ = self.buffer.serve_segment(keys, self.priority)
         hits = np.ones(keys.size, dtype=bool)
         hits[misses] = False
-        if self._provider_active:
-            self._sink_provider(keys)
         return hits
-
-    def _sink_provider(self, keys: np.ndarray) -> None:
-        """Feed a completed batch to the provider and apply returned
-        bits — the :meth:`RecMGManager._sink_provider` contract at the
-        classifier's batch granularity."""
-        from ..serving.priorities import apply_caching_bits
-
-        provider = self.priority_provider
-        provider.observe(keys)
-        bits = provider.bits_for(keys)
-        if bits is None:
-            return
-        valid = bits >= 0
-        if not valid.any():
-            return
-        apply_caching_bits(self.buffer, keys[valid], bits[valid],
-                           self.priority)
 
 
 class ManagerClassifier:

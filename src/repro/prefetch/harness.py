@@ -36,7 +36,6 @@ from typing import Dict, List, Optional
 import numpy as np
 
 from ..cache.buffer import make_buffer
-from ..cache.sharding import backend_for_key
 from ..traces.access import Trace
 from ..traces.reuse import reuse_distances_from_keys
 from .base import Prefetcher
@@ -87,23 +86,13 @@ class LRUBufferWithPrefetch:
     every backend indexes its residency by — a
     :class:`~repro.cache.residency.ResidencyIndex` bitmap instead of
     the spillover path, with identical behavior.
-
-    ``num_shards > 1`` (with ``key_space``, required by the routers;
-    unsupported on the OrderedDict backend) partitions the id universe
-    across shards (:class:`~repro.cache.sharding.ShardedBuffer`):
-    residency and refresh route through the buffer, while
-    eviction-for-space targets the routed shard — per-shard LRU/CLOCK
-    recency, not the global order.
     """
 
     def __init__(self, capacity: int, prefetcher: Optional[Prefetcher] = None,
                  max_prefetches_per_access: int = 4,
                  metadata_fraction: float = 0.0,
                  buffer_impl: str = "ordered",
-                 key_space: Optional[int] = None,
-                 num_shards: int = 1,
-                 shard_policy: str = "contiguous",
-                 shard_weights=None) -> None:
+                 key_space: Optional[int] = None) -> None:
         if capacity < 1:
             raise ValueError("capacity must be >= 1")
         effective = max(1, int(capacity * (1.0 - metadata_fraction)))
@@ -115,19 +104,13 @@ class LRUBufferWithPrefetch:
         # prefetched?) for the classic path, or a priority-buffer
         # backend plus a prefetch-tag set.
         if buffer_impl == "ordered":
-            if num_shards != 1:
-                raise ValueError(
-                    "the OrderedDict LRU backend cannot shard; pick a "
-                    "registered buffer_impl for num_shards > 1")
             self._buffer = None
             self._pf_tags: Optional[set] = None
             self._refresh_priority = 0
             self._entries: Optional["OrderedDict[int, bool]"] = OrderedDict()
         else:
-            self._buffer = make_buffer(
-                buffer_impl, effective, key_space=key_space,
-                num_shards=num_shards, shard_policy=shard_policy,
-                shard_weights=shard_weights)
+            self._buffer = make_buffer(buffer_impl, effective,
+                                       key_space=key_space)
             self._pf_tags = set()
             # Exact backends at constant priority 0 reduce to LRU
             # (victim = oldest seqno); clock needs priority 1 so a
@@ -150,12 +133,8 @@ class LRUBufferWithPrefetch:
             if key in buffer:
                 buffer.set_priority(key, self._refresh_priority)
                 return
-            # Space must come from the shard that will hold the key
-            # (the routed shard of a ShardedBuffer, the buffer itself
-            # otherwise).
-            target = backend_for_key(buffer, key)
-            if target.is_full:
-                victim = target.evict_one()
+            if buffer.is_full:
+                victim = buffer.evict_one()
                 self._pf_tags.discard(victim)
             buffer.insert(key, self._refresh_priority)
             if prefetched:
@@ -217,10 +196,7 @@ def run_breakdown(trace: Trace, capacity: int,
                   metadata_fraction: float = 0.0,
                   use_dense_keys: bool = True,
                   engine: str = "fast",
-                  buffer_impl: str = "ordered",
-                  num_shards: int = 1,
-                  shard_policy: str = "contiguous",
-                  shard_weights=None) -> AccessBreakdown:
+                  buffer_impl: str = "ordered") -> AccessBreakdown:
     """Simulate ``trace`` through an LRU buffer (+ optional prefetcher).
 
     ``use_dense_keys`` remaps packed keys into a dense index space so
@@ -234,10 +210,7 @@ def run_breakdown(trace: Trace, capacity: int,
     residency backend (see :class:`LRUBufferWithPrefetch`); the
     closed-form path only models the exact-LRU backends (``"ordered"``,
     ``"reference"``, ``"fast"``), so the approximate ``"clock"`` backend
-    always simulates.  ``num_shards > 1`` partitions the dense key
-    space across independent shards (requires ``use_dense_keys`` for
-    the routers' universe); per-shard LRU differs from global LRU, so
-    sharded runs always simulate too.
+    always simulates.
     """
     if engine not in ("fast", "reference"):
         raise ValueError(f"unknown breakdown engine: {engine!r}")
@@ -248,8 +221,7 @@ def run_breakdown(trace: Trace, capacity: int,
     else:
         keys = trace.keys()
     exact_lru = buffer_impl in ("ordered", "reference", "fast")
-    if (prefetcher is None and engine == "fast" and exact_lru
-            and num_shards == 1):
+    if prefetcher is None and engine == "fast" and exact_lru:
         if capacity < 1:
             raise ValueError("capacity must be >= 1")
         effective = max(1, int(capacity * (1.0 - metadata_fraction)))
@@ -266,10 +238,7 @@ def run_breakdown(trace: Trace, capacity: int,
     buffer = LRUBufferWithPrefetch(capacity, prefetcher=prefetcher,
                                    metadata_fraction=metadata_fraction,
                                    buffer_impl=buffer_impl,
-                                   key_space=key_space,
-                                   num_shards=num_shards,
-                                   shard_policy=shard_policy,
-                                   shard_weights=shard_weights)
+                                   key_space=key_space)
     for i in range(len(keys)):
         buffer.access(int(keys[i]), pc=int(tables[i]))
     return buffer.breakdown

@@ -73,8 +73,7 @@ import numpy as np
 
 from ..cache.buffer import SCALAR_FALLBACK
 
-#: Provider selection accepted by ``priority_mode=`` (RecMGConfig field
-#: and RecMGManager constructor argument).
+#: Provider selection accepted by ``RecMGConfig.priority_mode``.
 PRIORITY_MODES = ("none", "sync")
 
 
@@ -111,10 +110,9 @@ def apply_caching_bits(buffer, keys: np.ndarray, bits: np.ndarray,
     Tri-state safe: ``-1`` ("no prediction") positions are masked out
     *here*, not just by the manager's pre-filter — a ``-1`` bit must
     keep its key's recency priority, and before this mask a caller
-    that skipped the pre-filter (a direct
-    :class:`repro.dlrm.inference.BufferClassifier` sink, a hand-rolled
-    offline pass) would have silently promoted every unpredicted key
-    as cache-friendly (``-1 != 0``).
+    that skipped the pre-filter (a hand-rolled offline pass) would
+    have silently promoted every unpredicted key as cache-friendly
+    (``-1 != 0``).
 
     Per-shard contract: ``buffer`` may equally be one
     :class:`repro.cache.sharding.CompressedShardView` with ``keys``
@@ -125,9 +123,8 @@ def apply_caching_bits(buffer, keys: np.ndarray, bits: np.ndarray,
     the global form — shards share no state, and within a shard the
     friendly/averse subsequences are exactly the global ones.
 
-    Shared by the manager's per-chunk loop, the provider sink and
-    :class:`repro.dlrm.inference.BufferClassifier` — one applier, every
-    caller, the form chosen by block length alone.
+    Shared by the manager's per-chunk loop and its provider sink — one
+    applier, every caller, the form chosen by block length alone.
     """
     keys = np.asarray(keys, dtype=np.int64)
     bits = np.asarray(bits)
@@ -413,7 +410,7 @@ def make_provider(mode: str, model, encoder, config, metrics=None,
     if mode == "none":
         return NullProvider()
     retrainer = None
-    if getattr(config, "online_retrain_interval", 0):
+    if config.online_retrain_interval:
         if capacity is None:
             raise ValueError("online retraining needs the buffer capacity "
                              "(it sets the OPTgen labeling budget)")

@@ -285,7 +285,7 @@ def test_batcher_drains_after_close():
 
 def _tenant_setup():
     trace = generate_multi_tenant_trace(TENANT_CONFIG, num_tenants=4)
-    config = RecMGConfig(num_shards=4)
+    config = RecMGConfig(buffer_impl="fast", num_shards=4)
     encoder = FeatureEncoder(config).fit(trace)
     capacity = max(4, int(trace.num_unique * 0.2))
     return trace, config, encoder, capacity
@@ -301,8 +301,7 @@ def test_admission_pipeline_matches_direct_serving():
     dense = encoder.dense_ids(trace)[:2048]
 
     def build():
-        return RecMGManager(capacity, encoder, config,
-                            buffer_impl="fast", num_shards=4)
+        return RecMGManager(capacity, encoder, config)
 
     queue = RequestQueue(maxsize=64)
 

@@ -11,8 +11,11 @@ a failed session writes nothing.
 
 import importlib.util
 import json
+import os
+import platform
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 _CONFTEST = Path(__file__).resolve().parent.parent / "benchmarks" \
@@ -64,3 +67,16 @@ def test_session_without_hot_path_entries_writes_nothing(flush_hotpaths,
     path = tmp_path / "BENCH_hotpaths.json"
     assert not flush_hotpaths(path, {}, 0)
     assert not path.exists()
+
+
+def test_written_file_names_its_host(flush_hotpaths, tmp_path):
+    """Timings are only comparable on the hardware that measured them:
+    every written file carries the writing host's core count and
+    python and numpy versions."""
+    path = tmp_path / "BENCH_hotpaths.json"
+    assert flush_hotpaths(path, {"optgen": _entry(20.0)}, 0)
+    assert json.loads(path.read_text())["host"] == {
+        "cpu_cores": os.cpu_count(),
+        "python": platform.python_version(),
+        "numpy": np.__version__,
+    }

@@ -486,12 +486,10 @@ class TestClockDenseMode:
             assert buf.residency is not None
             assert buf.residency.key_space == 32
             assert buf.key_space == 32
-        # Without one: the empty universe on the array-native pair, no
-        # index on the reference.
-        for impl in ("clock", "fast"):
+        # Without one: the empty universe on every backend.
+        for impl in ("clock", "fast", "reference"):
             assert make_buffer(impl, 4).key_space == 0
             assert make_buffer(impl, 4).residency.key_space == 0
-        assert make_buffer("reference", 4).residency is None
 
     def test_rejects_bad_key_space(self):
         """0 is the empty universe; only a negative one is refused."""

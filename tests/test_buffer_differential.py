@@ -94,8 +94,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.cache import (ClockBuffer, FastPriorityBuffer, PriorityBuffer,
-                         buffer as buffer_module, make_buffer)
-from repro.cache.sharding import backend_for_key
+                         ShardedBuffer, buffer as buffer_module, make_buffer)
 
 NUM_SEQUENCES = 200
 OPS_PER_SEQUENCE = 120
@@ -162,7 +161,8 @@ def _scalar_serve(buffer, keys, priority):
         if key in buffer:
             buffer.set_priority(key, priority)
             continue
-        shard = backend_for_key(buffer, key)
+        shard = (buffer.shard_backend_for(key)
+                 if isinstance(buffer, ShardedBuffer) else buffer)
         if shard.is_full:
             victims.append(shard.evict_one())
         buffer.insert(key, priority)
@@ -1080,15 +1080,15 @@ def test_exact_serving_decision_equivalence(seed):
 
     rng = random.Random(7100 + seed)
     trace = _serving_trace(rng)
-    config = RecMGConfig(eviction_speed=rng.choice([1, 2, 4, 9]))
+    config = RecMGConfig(eviction_speed=rng.choice([1, 2, 4, 9]),
+                         buffer_impl="fast")
     fit_on = trace if rng.random() < 0.7 else trace.head(
         max(1, len(trace) // 2))
     encoder = FeatureEncoder(config).fit(fit_on)
     capacity = max(1, int(trace.num_unique * rng.choice([0.05, 0.2, 0.6])))
 
     def run(fast_serve):
-        manager = RecMGManager(capacity, encoder, config,
-                               buffer_impl="fast")
+        manager = RecMGManager(capacity, encoder, config)
         stats = manager.run(trace, fast_serve=fast_serve,
                             record_decisions=True)
         return manager, stats
@@ -1142,11 +1142,11 @@ def test_tagged_victim_re_miss_is_one_on_demand_miss(engine):
             server.buffer.demote_batch(demoted)
             buffer = server.buffer
         else:
-            config = RecMGConfig(eviction_speed=2)
+            config = RecMGConfig(eviction_speed=2, buffer_impl=impl,
+                                 num_shards=1 if engine == "single" else 2)
             server = RecMGManager(
                 80 if engine == "single" else 160, FeatureEncoder(config),
-                config, buffer_impl=impl, key_space=400,
-                num_shards=1 if engine == "single" else 2)
+                config, key_space=400)
             server.serve_batch(fill)
             server._apply_prefetches(np.array([tagged]))
             server._apply_caching_bits(demoted, np.zeros(3, dtype=np.int8))
@@ -1199,10 +1199,10 @@ def test_fold_scores_a_tag_by_its_first_occurrence(impl, num_shards):
     segment = np.concatenate(([tagged], np.arange(20, 90), [tagged]))
     outcomes = []
     for fast_serve in (True, False):
-        config = RecMGConfig(eviction_speed=2)
+        config = RecMGConfig(eviction_speed=2, buffer_impl=impl,
+                             num_shards=num_shards)
         manager = RecMGManager(4 * num_shards, FeatureEncoder(config),
-                               config, buffer_impl=impl, key_space=400,
-                               num_shards=num_shards)
+                               config, key_space=400)
         manager.serve_batch(np.array([10, 11, 12]))
         manager._apply_prefetches(np.array([tagged]))
         assert manager._prefetched == {tagged}
@@ -1234,9 +1234,9 @@ def test_short_fast_subsegments_take_the_scalar_loop():
     from repro.core.features import FeatureEncoder
     from repro.core.manager import RecMGManager
 
-    config = RecMGConfig(eviction_speed=2)
+    config = RecMGConfig(eviction_speed=2, buffer_impl="fast", num_shards=2)
     manager = RecMGManager(400, FeatureEncoder(config), config,
-                           buffer_impl="fast", key_space=400, num_shards=2)
+                           key_space=400)
     passes: list = []
     for view in manager.buffer.shards:
         bulk = view.backend._serve_bulk

@@ -1,9 +1,22 @@
 """Online manager (Algorithms 1-2 runtime) and the model adapter."""
 
+import copy
+import inspect
+from dataclasses import fields, replace
+
 import numpy as np
 import pytest
 
-from repro.core import ModelPrefetcher, RecMGManager
+from repro.core import ModelPrefetcher, RecMG, RecMGConfig, RecMGManager
+
+
+def _with_config(system, **changes):
+    """A view of the fitted ``system`` whose config has ``changes`` —
+    models and encoder shared, so it deploys the same trained system
+    under another serving configuration."""
+    twin = copy.copy(system)
+    twin.config = replace(system.config, **changes)
+    return twin
 
 
 class TestManagerNoModels:
@@ -105,25 +118,16 @@ class TestManagerWithModels:
 
 
 class TestBufferImplKnob:
-    """Backend selection threading (config knob, deploy override) and
-    the clock backend's batched-reclaim serving engine."""
+    """Backend selection (the config knob) and the clock backend's
+    batched-reclaim serving engine."""
 
     def test_config_knob_selects_backend(self, trained_recmg,
                                          tiny_capacity):
-        from dataclasses import replace
-
-        from repro.cache import ClockBuffer, FastPriorityBuffer
+        from repro.cache import ClockBuffer
 
         config = replace(trained_recmg.config, buffer_impl="clock")
         manager = RecMGManager(tiny_capacity, trained_recmg.encoder, config)
         assert isinstance(manager.buffer, ClockBuffer)
-        # Explicit argument overrides the config.
-        manager = RecMGManager(tiny_capacity, trained_recmg.encoder, config,
-                               buffer_impl="fast")
-        assert isinstance(manager.buffer, FastPriorityBuffer)
-        with pytest.raises(ValueError):
-            RecMGManager(tiny_capacity, trained_recmg.encoder,
-                         trained_recmg.config, buffer_impl="nope")
         with pytest.raises(ValueError):
             replace(trained_recmg.config, buffer_impl="nope")
 
@@ -131,7 +135,8 @@ class TestBufferImplKnob:
     def test_every_backend_conserves(self, trained_recmg, tiny_trace,
                                      tiny_capacity, impl):
         _, test = tiny_trace.split(0.6)
-        manager = trained_recmg.deploy(tiny_capacity, buffer_impl=impl)
+        manager = _with_config(trained_recmg,
+                               buffer_impl=impl).deploy(tiny_capacity)
         stats = manager.run(test)
         assert stats.breakdown.total == len(test)
         assert len(manager.buffer) <= tiny_capacity
@@ -144,10 +149,11 @@ class TestBufferImplKnob:
         audit loop vs bulk pre-pass) but share Algorithm 2 semantics —
         identical ManagerStats end to end."""
         _, test = tiny_trace.split(0.6)
-        fast = trained_recmg.evaluate(test, capacity=tiny_capacity,
-                                      buffer_impl="fast")
-        reference = trained_recmg.evaluate(test, capacity=tiny_capacity,
-                                           buffer_impl="reference")
+        fast = _with_config(trained_recmg, buffer_impl="fast").evaluate(
+            test, capacity=tiny_capacity)
+        reference = _with_config(
+            trained_recmg, buffer_impl="reference").evaluate(
+                test, capacity=tiny_capacity)
         assert fast == reference
 
     def test_clock_backend_close_to_exact(self, trained_recmg, tiny_trace,
@@ -155,8 +161,8 @@ class TestBufferImplKnob:
         """Approximate victim order must not wreck the hit rate."""
         _, test = tiny_trace.split(0.6)
         exact = trained_recmg.evaluate(test, capacity=tiny_capacity)
-        clock = trained_recmg.evaluate(test, capacity=tiny_capacity,
-                                       buffer_impl="clock")
+        clock = _with_config(trained_recmg, buffer_impl="clock").evaluate(
+            test, capacity=tiny_capacity)
         assert clock.breakdown.total == exact.breakdown.total
         assert abs(clock.hit_rate - exact.hit_rate) < 0.08
 
@@ -165,7 +171,8 @@ class TestBufferImplKnob:
         """The batched-reclaim engine's recorded hit stream must agree
         with its own counters."""
         _, test = tiny_trace.split(0.6)
-        manager = trained_recmg.deploy(tiny_capacity, buffer_impl="clock")
+        manager = _with_config(trained_recmg,
+                               buffer_impl="clock").deploy(tiny_capacity)
         stats = manager.run(test, record_decisions=True)
         assert len(manager.last_decisions) == len(test)
         hits = int(manager.last_decisions.sum())
@@ -178,7 +185,8 @@ class TestBufferImplKnob:
         """Recording must not perturb the batched-reclaim engine, and
         every counter must stay conserved across the reclaim loop."""
         _, test = tiny_trace.split(0.6)
-        manager = trained_recmg.deploy(tiny_capacity, buffer_impl="clock")
+        manager = _with_config(trained_recmg,
+                               buffer_impl="clock").deploy(tiny_capacity)
         stats = manager.run(test, record_decisions=True)
         decisions = manager.last_decisions
         assert len(decisions) == len(test)
@@ -191,8 +199,8 @@ class TestBufferImplKnob:
         assert len(manager.buffer) <= tiny_capacity
         # Same run without recording: identical stats (recording is
         # observation only, never policy).
-        silent = trained_recmg.deploy(tiny_capacity,
-                                      buffer_impl="clock").run(test)
+        silent = _with_config(trained_recmg, buffer_impl="clock").deploy(
+            tiny_capacity).run(test)
         assert silent == stats
 
     def test_apply_caching_bits_matches_scalar_loop(self, trained_recmg):
@@ -200,8 +208,7 @@ class TestBufferImplKnob:
         set_priority_batch/demote_batch) must be indistinguishable from
         the per-key loop: last occurrence wins for duplicate keys, and
         eviction order is preserved on the exact backends."""
-        config = trained_recmg.config
-        speed = config.eviction_speed
+        speed = trained_recmg.config.eviction_speed
         resident = [1, 2, 3, 4, 5]
         # Duplicates with conflicting bits: key 1 flips 0 -> 1
         # (friendly wins), key 2 flips 1 -> 0 (averse wins); key 6 is
@@ -209,10 +216,9 @@ class TestBufferImplKnob:
         keys = np.array([1, 6, 2, 3, 1, 4, 2])
         bits = np.array([0, 1, 1, 0, 1, 1, 0])
         for impl in ("reference", "fast", "clock"):
-            bulk = RecMGManager(8, trained_recmg.encoder, config,
-                                buffer_impl=impl)
-            scalar = RecMGManager(8, trained_recmg.encoder, config,
-                                  buffer_impl=impl)
+            config = replace(trained_recmg.config, buffer_impl=impl)
+            bulk = RecMGManager(8, trained_recmg.encoder, config)
+            scalar = RecMGManager(8, trained_recmg.encoder, config)
             for manager in (bulk, scalar):
                 for key in resident:
                     manager._demand_access(key)
@@ -236,7 +242,8 @@ class TestBufferImplKnob:
         be made eviction-free; the scalar fallback must still conserve."""
         _, test = tiny_trace.split(0.6)
         manager = RecMGManager(3, trained_recmg.encoder,
-                               trained_recmg.config, buffer_impl="clock")
+                               replace(trained_recmg.config,
+                                       buffer_impl="clock"))
         stats = manager.run(test, record_decisions=True)
         assert stats.breakdown.total == len(test)
         assert len(manager.buffer) <= 3
@@ -263,9 +270,10 @@ class TestHitRecords:
     @staticmethod
     def _manager(system, capacity, backend):
         impl, key_space, num_shards = backend
-        return RecMGManager(capacity, system.encoder, system.config,
-                            buffer_impl=impl, key_space=key_space,
-                            num_shards=num_shards)
+        config = replace(system.config, buffer_impl=impl,
+                         num_shards=num_shards)
+        return RecMGManager(capacity, system.encoder, config,
+                            key_space=key_space)
 
     @pytest.mark.parametrize("regime", sorted(REGIMES))
     @pytest.mark.parametrize("backend", BACKENDS)
@@ -305,6 +313,29 @@ class TestHitRecords:
         np.testing.assert_array_equal(recorded.last_decisions,
                                       np.concatenate(returns))
         assert twin.breakdown == stats.breakdown
+
+
+class TestConfigIsTheOnePlace:
+    """``RecMGConfig`` is the one place serving is configured, and the
+    manager the one front end that shards or applies model bits."""
+
+    def test_no_front_end_argument_shadows_a_config_field(self):
+        config_fields = {field.name for field in fields(RecMGConfig)}
+        for front in (RecMGManager.__init__, RecMG.deploy, RecMG.evaluate):
+            shadowed = (set(inspect.signature(front).parameters)
+                        & config_fields)
+            assert not shadowed, (front.__qualname__, shadowed)
+
+    def test_only_the_manager_shards_or_takes_a_provider(self):
+        from repro.dlrm.inference import BufferClassifier
+        from repro.prefetch.harness import LRUBufferWithPrefetch, run_breakdown
+
+        manager_only = {"num_shards", "shard_policy", "shard_weights",
+                        "priority_provider"}
+        for front in (BufferClassifier.__init__,
+                      LRUBufferWithPrefetch.__init__, run_breakdown):
+            taken = set(inspect.signature(front).parameters) & manager_only
+            assert not taken, (front.__qualname__, taken)
 
 
 class TestPrefetchBudget:

@@ -70,13 +70,15 @@ class TestPersistence:
         archives of the retired background priority-refresh mode: its
         two knobs drop and ``"async"`` deploys as ``"sync"``, the same
         model computing the same per-block bits on the serving
-        thread."""
+        thread.  And archives saved while the never-read
+        ``decode_radius_frac`` field existed."""
         saved = tmp_path / "saved.npz"
         save_recmg(trained_recmg, saved)
         _, test = tiny_trace.split(0.6)
         cases = [
             ({"num_shards": 2},
-             {"num_shards": 2, "concurrency": "threads", "num_workers": 2}),
+             {"num_shards": 2, "concurrency": "threads", "num_workers": 2,
+              "decode_radius_frac": 0.005}),
             ({"priority_mode": "sync"},
              {"priority_mode": "async", "priority_refresh_blocks": 2,
               "priority_pending_max": 8}),
@@ -88,7 +90,7 @@ class TestPersistence:
                 path = tmp_path / f"{name}.npz"
                 _rewrite_config(saved, path, **fields)
                 manager = load_recmg(path).deploy(tiny_capacity)
-                assert manager.priority_mode == today_fields.get(
+                assert manager.config.priority_mode == today_fields.get(
                     "priority_mode", "none")
                 stats = manager.run(test.head(800), record_decisions=True)
                 runs.append((stats, manager.last_decisions))

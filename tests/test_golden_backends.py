@@ -113,10 +113,10 @@ def golden_capacity(golden_trace):
                                                   key=repr))
 def test_manager_backend_matches_golden(golden_trace, golden_capacity,
                                         impl, key_space):
-    config = RecMGConfig()
+    config = RecMGConfig(buffer_impl=impl)
     encoder = FeatureEncoder(config).fit(golden_trace)
     manager = RecMGManager(golden_capacity, encoder, config,
-                           buffer_impl=impl, key_space=key_space)
+                           key_space=key_space)
     stats = manager.run(golden_trace)
     observed = (stats.breakdown.cache_hits, stats.breakdown.on_demand,
                 stats.evictions)
@@ -131,11 +131,10 @@ def test_manager_backend_matches_golden(golden_trace, golden_capacity,
                          sorted(GOLDEN_SHARDED, key=repr))
 def test_sharded_manager_matches_golden(golden_trace, golden_capacity,
                                         impl, num_shards, policy):
-    config = RecMGConfig()
+    config = RecMGConfig(buffer_impl=impl, num_shards=num_shards,
+                         shard_policy=policy)
     encoder = FeatureEncoder(config).fit(golden_trace)
-    manager = RecMGManager(golden_capacity, encoder, config,
-                           buffer_impl=impl, num_shards=num_shards,
-                           shard_policy=policy)
+    manager = RecMGManager(golden_capacity, encoder, config)
     stats = manager.run(golden_trace)
     observed = (stats.breakdown.cache_hits, stats.breakdown.on_demand,
                 stats.evictions)
@@ -163,13 +162,13 @@ def drifting_trace():
                                                  key=repr))
 def test_rebalanced_manager_matches_golden(drifting_trace, impl,
                                            interval):
-    config = RecMGConfig()
+    config = RecMGConfig(buffer_impl=impl, num_shards=4,
+                         shard_policy="contiguous",
+                         rebalance_interval=interval,
+                         rebalance_threshold=0.05)
     encoder = FeatureEncoder(config).fit(drifting_trace)
     capacity = max(1, int(drifting_trace.num_unique * 0.2))
-    manager = RecMGManager(capacity, encoder, config, buffer_impl=impl,
-                           num_shards=4, shard_policy="contiguous",
-                           rebalance_interval=interval,
-                           rebalance_threshold=0.05)
+    manager = RecMGManager(capacity, encoder, config)
     stats = manager.run(drifting_trace)
     summary = manager.serving_metrics.summary()
     observed = (stats.breakdown.cache_hits, stats.breakdown.on_demand,

@@ -2,6 +2,8 @@
 references: OPTgen labeling, bulk manager serving, the vectorized LRU
 breakdown, and the reuse-distance kernel they share."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -172,10 +174,11 @@ class TestManagerServingEngines:
                 ("fast", "auto", False), ("fast", None, False),
                 ("reference", "auto", False), ("fast", "auto", True)):
             manager = RecMGManager(
-                capacity, trained_recmg.encoder, trained_recmg.config,
+                capacity, trained_recmg.encoder,
+                replace(trained_recmg.config, buffer_impl=buffer_impl),
                 caching_model=trained_recmg.caching_model,
                 prefetch_model=trained_recmg.prefetch_model,
-                buffer_impl=buffer_impl, key_space=key_space)
+                key_space=key_space)
             with monkeypatch.context() as patch:
                 if bulk_applier:
                     patch.setattr(priorities, "SCALAR_FALLBACK", -1)

@@ -20,6 +20,7 @@ The contract under test, in three layers:
 """
 
 import threading
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -198,16 +199,19 @@ def test_sync_run_equals_manual_replay(world, small_config, buffer_impl,
     through the *whole-buffer* applier while ``run()`` splits them per
     shard, so the 4-shard cases pin the split's identity end to end."""
     _, tail, encoder, capacity, model = world
-    guided = RecMGManager(capacity, encoder, small_config,
-                          caching_model=model, priority_mode="sync",
-                          buffer_impl=buffer_impl, num_shards=num_shards)
+    guided = RecMGManager(capacity, encoder,
+                          replace(small_config, priority_mode="sync",
+                                  buffer_impl=buffer_impl,
+                                  num_shards=num_shards),
+                          caching_model=model)
     stats = guided.run(tail, fast_serve=True, record_decisions=True)
     decisions = guided.last_decisions
     guided.close()
 
-    manual = RecMGManager(capacity, encoder, small_config,
-                          priority_mode="none",
-                          buffer_impl=buffer_impl, num_shards=num_shards)
+    manual = RecMGManager(capacity, encoder,
+                          replace(small_config, priority_mode="none",
+                                  buffer_impl=buffer_impl,
+                                  num_shards=num_shards))
     block = manual._SERVE_BLOCK * getattr(manual.buffer, "num_shards", 1)
     dense = encoder.dense_ids(tail)
     served = []
@@ -238,9 +242,8 @@ def test_record_decisions_under_sync_sharded(world):
     provider sink never touches the recording stream)."""
     _, tail, encoder, capacity, model = world
     config = RecMGConfig(hidden=16, hash_buckets=256, buffer_impl="clock",
-                         num_shards=2)
-    manager = RecMGManager(capacity, encoder, config, caching_model=model,
-                           priority_mode="sync")
+                         num_shards=2, priority_mode="sync")
+    manager = RecMGManager(capacity, encoder, config, caching_model=model)
     stats = manager.run(tail, record_decisions=True)
     decisions = manager.last_decisions
     manager.close()
@@ -260,8 +263,9 @@ def test_none_mode_with_model_matches_legacy_offline_pass(world,
     _, tail, encoder, capacity, model = world
     runs = []
     for _ in range(2):
-        manager = RecMGManager(capacity, encoder, small_config,
-                               caching_model=model, priority_mode="none")
+        manager = RecMGManager(capacity, encoder,
+                               replace(small_config, priority_mode="none"),
+                               caching_model=model)
         stats = manager.run(tail, fast_serve=True, record_decisions=True)
         runs.append((stats, manager.last_decisions))
         manager.close()
@@ -269,8 +273,8 @@ def test_none_mode_with_model_matches_legacy_offline_pass(world,
     np.testing.assert_array_equal(runs[0][1], runs[1][1])
     # And the offline pass actually fired: decisions differ from a
     # model-free run (the model is trained and must change something).
-    free = RecMGManager(capacity, encoder, small_config,
-                        priority_mode="none")
+    free = RecMGManager(capacity, encoder,
+                        replace(small_config, priority_mode="none"))
     free.run(tail, fast_serve=True, record_decisions=True)
     assert not np.array_equal(runs[0][1], free.last_decisions)
     free.close()
@@ -279,8 +283,9 @@ def test_none_mode_with_model_matches_legacy_offline_pass(world,
 def test_serve_batch_sinks_through_provider(world, small_config):
     _, tail, encoder, capacity, model = world
     dense = encoder.dense_ids(tail)
-    manager = RecMGManager(capacity, encoder, small_config,
-                           caching_model=model, priority_mode="sync")
+    manager = RecMGManager(capacity, encoder,
+                           replace(small_config, priority_mode="sync"),
+                           caching_model=model)
     for lo in range(0, 4096, 512):
         manager.serve_batch(dense[lo:lo + 512])
     summary = manager.serving_metrics.summary()
@@ -623,11 +628,11 @@ def test_manager_lift_guard_floors_adverse_guidance(world, small_config):
     def run(priority_mode, guard, adversarial):
         config = RecMGConfig(hidden=16, hash_buckets=256,
                              buffer_impl="clock",
+                             priority_mode=priority_mode,
                              priority_lift_guard=1 if guard else 0)
         manager = RecMGManager(low_capacity, encoder, config,
                                caching_model=(model if priority_mode
-                                              != "none" else None),
-                               priority_mode=priority_mode)
+                                              != "none" else None))
         manager._SERVE_BLOCK = 256
         if guard:
             # Tighter windows than the config default so the ~8.4k
@@ -658,7 +663,8 @@ def test_manager_lift_guard_floors_adverse_guidance(world, small_config):
 
 def test_manager_lift_guard_off_by_default(world, small_config):
     _, _, encoder, capacity, model = world
-    manager = RecMGManager(capacity, encoder, small_config,
-                           caching_model=model, priority_mode="sync")
+    manager = RecMGManager(capacity, encoder,
+                           replace(small_config, priority_mode="sync"),
+                           caching_model=model)
     assert manager.lift_guard is None
     manager.close()

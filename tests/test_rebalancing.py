@@ -38,7 +38,7 @@ import random
 import numpy as np
 import pytest
 
-from repro.cache import ShardedBuffer, backend_for_key
+from repro.cache import ShardedBuffer
 from repro.cache.sharding import split_capacity
 
 KEY_SPACE = 26
@@ -86,7 +86,7 @@ def _apply_op(buffer, op):
     if kind == "insert":
         if key in buffer:
             buffer.set_priority(key, priority)
-        elif not backend_for_key(buffer, key).is_full:
+        elif not buffer.shard_backend_for(key).is_full:
             buffer.insert(key, priority)
     elif kind == "set_priority":
         if key in buffer:
@@ -380,12 +380,14 @@ def test_serve_batch_drives_online_rebalancer():
     """The admission front door participates: skewed batches through
     serve_batch trigger a rebalance and tilt the split toward the hot
     shard, with the pause accounted in the metrics."""
-    trace, config, encoder = _drifting_setup()
+    from dataclasses import replace
+
     from repro.core.manager import RecMGManager
 
-    manager = RecMGManager(40, encoder, config, num_shards=4,
-                           rebalance_interval=256,
-                           rebalance_threshold=0.05)
+    trace, config, encoder = _drifting_setup()
+
+    manager = RecMGManager(40, encoder, replace(
+        config, rebalance_interval=256, rebalance_threshold=0.05))
     quarter = encoder.vocab_size // 4
     rng = np.random.default_rng(3)
     for _ in range(12):
@@ -404,10 +406,9 @@ def test_serve_batch_drives_online_rebalancer():
 
 
 def test_rebalance_knob_validation():
+    """The config refuses rebalancing without shards, so every manager
+    that rebalances serves a ShardedBuffer."""
     from repro.core import RecMGConfig
-    from repro.core.features import FeatureEncoder
-    from repro.core.manager import RecMGManager
-    from repro.traces.synthetic import SyntheticTraceConfig, generate_trace
 
     with pytest.raises(ValueError, match="rebalance_interval"):
         RecMGConfig(rebalance_interval=-1)
@@ -416,11 +417,6 @@ def test_rebalance_knob_validation():
     with pytest.raises(ValueError, match="rebalance_threshold"):
         RecMGConfig(num_shards=2, rebalance_interval=100,
                     rebalance_threshold=float("inf"))
-    config = RecMGConfig()
-    trace = generate_trace(SyntheticTraceConfig(num_accesses=200))
-    encoder = FeatureEncoder(config).fit(trace)
-    with pytest.raises(ValueError, match="ShardedBuffer"):
-        RecMGManager(10, encoder, config, rebalance_interval=64)
 
 
 def test_rebalance_weight_split_matches_largest_remainder():

@@ -26,6 +26,7 @@ Three layers of checking for :mod:`repro.cache.sharding`:
 """
 
 import random
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -34,7 +35,6 @@ from repro.cache import (
     ClockBuffer,
     FastPriorityBuffer,
     ShardedBuffer,
-    backend_for_key,
     make_buffer,
     make_router,
 )
@@ -470,9 +470,11 @@ def _apply_op(buffer, op):
     same decisions); returns the victims of eviction ops, or None."""
     kind, key, priority, batch, count = op
     if kind == "insert":
+        home = (buffer.shard_backend_for(key)
+                if isinstance(buffer, ShardedBuffer) else buffer)
         if key in buffer:
             buffer.set_priority(key, priority)
-        elif not backend_for_key(buffer, key).is_full:
+        elif not home.is_full:
             buffer.insert(key, priority)
     elif kind == "set_priority":
         if key in buffer:
@@ -680,9 +682,9 @@ def test_sharded_exact_serving_decision_equivalence(seed):
         _manager_setup(seed)
 
     def run(fast_serve):
-        manager = RecMGManager(capacity, encoder, config,
-                               buffer_impl="fast", num_shards=num_shards,
-                               shard_policy=policy)
+        manager = RecMGManager(capacity, encoder, replace(
+            config, buffer_impl="fast", num_shards=num_shards,
+            shard_policy=policy))
         stats = manager.run(trace, fast_serve=fast_serve,
                             record_decisions=True)
         manager.close()
@@ -712,10 +714,11 @@ def test_one_shard_manager_matches_bare_backend(seed):
 
     trace, config, encoder, capacity, _, policy = _manager_setup(seed)
 
-    bare = RecMGManager(capacity, encoder, config, buffer_impl="fast")
+    bare = RecMGManager(capacity, encoder,
+                        replace(config, buffer_impl="fast"))
     bare_stats = bare.run(trace, record_decisions=True)
-    one = RecMGManager(capacity, encoder, config, buffer_impl="fast",
-                       num_shards=1, shard_policy=policy)
+    one = RecMGManager(capacity, encoder, replace(
+        config, buffer_impl="fast", num_shards=1, shard_policy=policy))
     one_stats = one.run(trace, record_decisions=True)
     # num_shards=1 never builds the wrapper: only real sharding pays
     # the routing layer.
@@ -734,8 +737,9 @@ def test_sharded_clock_serving_contract(seed):
 
     trace, config, encoder, capacity, num_shards, policy = \
         _manager_setup(seed)
-    manager = RecMGManager(capacity, encoder, config, buffer_impl="clock",
-                           num_shards=num_shards, shard_policy=policy)
+    manager = RecMGManager(capacity, encoder, replace(
+        config, buffer_impl="clock", num_shards=num_shards,
+        shard_policy=policy))
     stats = manager.run(trace)
     assert stats.breakdown.total == len(trace)
     assert stats.breakdown.prefetch_hits == 0
@@ -772,10 +776,9 @@ def test_sharded_prefetch_accounting_matches_scalar(seed):
         _manager_setup(seed)
 
     def run(fast_serve):
-        manager = RecMGManager(capacity, encoder, config,
-                               buffer_impl="fast", num_shards=num_shards,
-                               shard_policy=policy,
-                               prefetch_model=_StubPrefetchModel())
+        manager = RecMGManager(capacity, encoder, replace(
+            config, buffer_impl="fast", num_shards=num_shards,
+            shard_policy=policy), prefetch_model=_StubPrefetchModel())
         stats = manager.run(trace, fast_serve=fast_serve)
         return stats
 
@@ -796,14 +799,14 @@ def test_sharded_manager_requires_fitted_encoder():
     from repro.core.features import FeatureEncoder
     from repro.core.manager import RecMGManager
 
-    config = RecMGConfig()
+    config = RecMGConfig(num_shards=2)
     with pytest.raises(ValueError, match="key_space"):
-        RecMGManager(8, FeatureEncoder(config), config, num_shards=2)
+        RecMGManager(8, FeatureEncoder(config), config)
 
 
 def test_sharded_manager_via_config_knobs():
-    """RecMGConfig.num_shards / shard_policy thread through without
-    constructor arguments."""
+    """RecMGConfig.num_shards / shard_policy thread through to the
+    manager's buffer."""
     from repro.core import RecMGConfig
     from repro.core.features import FeatureEncoder
     from repro.core.manager import RecMGManager
@@ -840,8 +843,8 @@ def test_sharded_caching_bits_match_bare():
     rng = np.random.default_rng(3)
 
     def build(**kwargs):
-        manager = RecMGManager(12, encoder, config, buffer_impl="fast",
-                               **kwargs)
+        manager = RecMGManager(12, encoder,
+                               replace(config, buffer_impl="fast", **kwargs))
         dense = encoder.dense_ids(trace)[:12]
         manager.buffer.put_batch(dense, config.eviction_speed)
         bits = rng.integers(0, 2, size=dense.size)
@@ -855,50 +858,3 @@ def test_sharded_caching_bits_match_bare():
     for key in dense.tolist():
         assert sharded_buf.priority_of(key) == bare_buf.priority_of(key)
 
-
-# ---------------------------------------------------------------------------
-# Classifier and harness wiring.
-
-
-def test_buffer_classifier_sharded_matches_scalar_totals():
-    from repro.dlrm.inference import BufferClassifier
-    from repro.traces import SyntheticTraceConfig, generate_trace
-    from repro.traces.access import remap_to_dense
-
-    trace = generate_trace(SyntheticTraceConfig(
-        num_tables=2, rows_per_table=64, num_accesses=800, seed=5))
-    keys, _ = remap_to_dense(trace)
-    key_space = int(keys.max()) + 1
-    for impl in ("fast", "clock"):
-        batch = BufferClassifier(10, buffer_impl=impl,
-                                 key_space=key_space, num_shards=2)
-        scalar = BufferClassifier(10, buffer_impl=impl,
-                                  key_space=key_space, num_shards=2)
-        batched_hits = np.concatenate([
-            batch.access_batch(keys[lo:lo + 96])
-            for lo in range(0, len(keys), 96)])
-        scalar_hits = np.array([scalar.access(int(k)) for k in keys])
-        if impl == "fast":
-            # Exact shards: batch classification is bit-identical.
-            assert np.array_equal(batched_hits, scalar_hits)
-        assert batched_hits.size == scalar_hits.size == len(keys)
-        assert len(batch.buffer) <= 10
-
-
-def test_lru_harness_sharded():
-    from repro.prefetch import LRUBufferWithPrefetch, run_breakdown
-    from repro.traces import SyntheticTraceConfig, generate_trace
-
-    trace = generate_trace(SyntheticTraceConfig(
-        num_tables=2, rows_per_table=64, num_accesses=700, seed=6))
-    with pytest.raises(ValueError, match="cannot shard"):
-        LRUBufferWithPrefetch(8, buffer_impl="ordered", num_shards=2)
-    sharded = run_breakdown(trace, 12, buffer_impl="fast", num_shards=3)
-    assert sharded.total == len(trace)
-    # Sharded LRU is per-shard recency — close to, but not necessarily
-    # equal to, global LRU; totals and class counts must still conserve.
-    global_lru = run_breakdown(trace, 12, buffer_impl="fast")
-    assert abs(sharded.hit_rate - global_lru.hit_rate) < 0.2
-    clock = run_breakdown(trace, 12, buffer_impl="clock", num_shards=3,
-                          shard_policy="modulo")
-    assert clock.total == len(trace)
