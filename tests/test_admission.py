@@ -199,9 +199,9 @@ def test_request_queue_blocking_get_survives_spurious_wakeup():
     """Regression: a blocking ``get(timeout=None)`` waited only once —
     a spurious wakeup (or a notify won by a racing close/put
     interleaving) while the queue was open and empty returned ``None``,
-    which ``Batcher.batches()`` reads as closed-and-drained,
-    permanently killing the serving loop.  An open-but-idle queue must
-    never yield ``None`` from a blocking get, whatever wakeups occur."""
+    which a consumer loop reads as closed-and-drained, permanently
+    killing it.  An open-but-idle queue must never yield ``None`` from
+    a blocking get, whatever wakeups occur."""
     queue = RequestQueue(maxsize=4)
     results = []
 
@@ -223,6 +223,170 @@ def test_request_queue_blocking_get_survives_spurious_wakeup():
     assert not thread.is_alive()
     assert len(results) == 1 and results[0] is not None
     assert results[0].keys.tolist() == [42]
+
+
+# ---------------------------------------------------------------------------
+# RequestQueue.get_many: one lock hold per batch.
+
+
+def _start_get_many(queue, max_keys, wait_s):
+    """Run one ``get_many`` on a daemon thread; its result lands in the
+    returned list."""
+    results = []
+    thread = threading.Thread(
+        target=lambda: results.append(queue.get_many(max_keys, wait_s)),
+        daemon=True)
+    thread.start()
+    return thread, results
+
+
+def _wait_until(predicate, timeout=5.0):
+    deadline = time.perf_counter() + timeout
+    while not predicate():
+        if time.perf_counter() > deadline:
+            return False
+        time.sleep(0.001)
+    return True
+
+
+@pytest.mark.timeout(30)
+def test_get_many_takes_queued_requests_up_to_the_key_bound():
+    queue = RequestQueue(maxsize=16)
+    for size in (3, 3, 3, 3):
+        queue.put(Request(keys=np.arange(size)))
+    # 5 keys: the second request crosses the bound and ends the batch.
+    assert [r.keys.size for r in queue.get_many(5, 10.0)] == [3, 3]
+    assert queue.depth_at_take == 2
+    assert [r.keys.size for r in queue.get_many(5, 10.0)] == [3, 3]
+    assert queue.depth_at_take == 0
+
+
+@pytest.mark.timeout(30)
+def test_get_many_close_while_parked_with_partial_batch():
+    """The deadline is far off; ``close()`` ends the wait and hands
+    back what was taken, and the next call is the stop signal."""
+    queue = RequestQueue(maxsize=4)
+    queue.put(Request(keys=np.array([1])))
+    thread, results = _start_get_many(queue, 1024, 60.0)
+    assert _wait_until(lambda: queue._consumers_waiting == 1)
+    queue.close()
+    thread.join(timeout=5)
+    assert not thread.is_alive()
+    assert [r.keys.tolist() for r in results[0]] == [[1]]
+    assert queue.get_many(1024, 60.0) == []
+
+
+@pytest.mark.timeout(30)
+def test_get_many_close_while_parked_empty_returns_empty():
+    queue = RequestQueue(maxsize=4)
+    thread, results = _start_get_many(queue, 1024, 60.0)
+    assert _wait_until(lambda: queue._consumers_waiting == 1)
+    queue.close()
+    thread.join(timeout=5)
+    assert not thread.is_alive()
+    assert results == [[]]
+
+
+@pytest.mark.timeout(30)
+def test_get_many_survives_spurious_wakeup():
+    """Mirror of ``test_request_queue_blocking_get_survives_spurious_wakeup``:
+    ``[]`` means closed-and-drained to ``Batcher.batches()``, so an
+    open, empty queue must never yield it, whatever wakeups occur."""
+    queue = RequestQueue(maxsize=4)
+    thread, results = _start_get_many(queue, 4, 0.0)
+    assert _wait_until(lambda: queue._consumers_waiting == 1)
+    for _ in range(5):  # spurious wakeups: queue still open and empty
+        with queue._lock:
+            queue._not_empty.notify_all()
+        time.sleep(0.01)
+    assert thread.is_alive()
+    assert not results
+    queue.put(Request(keys=np.array([42])))
+    thread.join(timeout=5)
+    assert not thread.is_alive()
+    assert [r.keys.tolist() for r in results[0]] == [[42]]
+
+
+@pytest.mark.timeout(60)
+def test_put_wakes_parked_get_many():
+    """Lost-wakeup regression for the waiter count: ``put`` notifies
+    only while ``_consumers_waiting`` is non-zero, so a consumer that
+    parked without being counted would sleep through the put.  Once
+    deterministically parked, then racing the put many times."""
+    queue = RequestQueue(maxsize=4)
+    thread, results = _start_get_many(queue, 1, 0.0)
+    assert _wait_until(lambda: queue._consumers_waiting == 1)
+    queue.put(Request(keys=np.array([7])))
+    thread.join(timeout=5)
+    assert not thread.is_alive()
+    assert [r.keys.tolist() for r in results[0]] == [[7]]
+
+    for i in range(200):
+        thread, results = _start_get_many(queue, 1, 0.0)
+        queue.put(Request(keys=np.array([i])))
+        thread.join(timeout=5)
+        assert not thread.is_alive(), f"wakeup lost on round {i}"
+        assert [r.keys.tolist() for r in results[0]] == [[i]]
+    assert queue._consumers_waiting == 0
+
+
+@pytest.mark.timeout(30)
+def test_get_many_unblocks_one_producer_per_freed_slot():
+    """One ``get_many`` that takes k requests from a full queue wakes k
+    of the producers blocked on it, not one."""
+    queue = RequestQueue(maxsize=4)
+    for i in range(4):
+        queue.put(Request(keys=np.array([i])))
+    done = []
+
+    def producer(i):
+        queue.put(Request(keys=np.array([100 + i])))
+        done.append(i)
+
+    producers = [threading.Thread(target=producer, args=(i,), daemon=True)
+                 for i in range(6)]
+    for thread in producers:
+        thread.start()
+    time.sleep(0.05)  # let all six park on the full queue
+    assert done == []
+    taken = queue.get_many(4, 0.0)
+    assert [int(r.keys[0]) for r in taken] == [0, 1, 2, 3]
+    assert _wait_until(lambda: len(done) == 4)
+    assert queue.depth() == 4
+    assert len(queue.get_many(4, 0.0)) == 4
+    assert _wait_until(lambda: len(done) == 6)
+    for thread in producers:
+        thread.join(timeout=5)
+        assert not thread.is_alive()
+    assert len(queue.get_many(4, 0.0)) == 2
+    assert queue.depth() == 0
+
+
+@pytest.mark.timeout(30)
+def test_get_many_frees_blocked_producers_before_waiting():
+    """A batch still short after draining a full queue waits for more;
+    the producers blocked on that queue are woken before the wait, so
+    their requests join the batch instead of sitting out the deadline."""
+    queue = RequestQueue(maxsize=2)
+    for i in range(2):
+        queue.put(Request(keys=np.array([i])))
+    done = []
+
+    def producer(i):
+        queue.put(Request(keys=np.array([i])))
+        done.append(i)
+
+    producers = [threading.Thread(target=producer, args=(i,), daemon=True)
+                 for i in (2, 3)]
+    for thread in producers:
+        thread.start()
+    time.sleep(0.05)  # let both park on the full queue
+    thread, results = _start_get_many(queue, 1024, 60.0)
+    assert _wait_until(lambda: len(done) == 2)  # long before the deadline
+    queue.close()
+    thread.join(timeout=5)
+    assert not thread.is_alive()
+    assert sorted(int(r.keys[0]) for r in results[0]) == [0, 1, 2, 3]
 
 
 # ---------------------------------------------------------------------------
@@ -279,6 +443,61 @@ def test_batcher_drains_after_close():
         [0, 1, 2, 3, 4]
 
 
+@pytest.mark.timeout(30)
+def test_batcher_zero_wait_takes_queued_requests_up_to_size_bound():
+    """The deadline bounds only the *waiting*: with ``max_wait_s=0``
+    requests already queued still fill the batch up to the size bound.
+    The queue stays open, so the flushes are the policy's, not close's;
+    each batch records the depth it left behind."""
+    queue = RequestQueue()
+    for i in range(5):
+        queue.put(Request(keys=np.array([i])))
+    batches = Batcher(queue, max_batch_keys=2, max_wait_s=0.0).batches()
+    formed = [next(batches) for _ in range(3)]
+    assert [b.num_requests for b in formed] == [2, 2, 1]
+    assert [b.keys.tolist() for b in formed] == [[0, 1], [2, 3], [4]]
+    assert [b.queue_depth for b in formed] == [3, 1, 0]
+    queue.close()
+    assert list(batches) == []
+
+
+@pytest.mark.timeout(30)
+def test_batcher_request_after_deadline_lands_in_next_batch():
+    """A request put within ``max_wait_s`` of the first pop joins that
+    batch; one put after the deadline has passed starts the next."""
+    queue = RequestQueue()
+    formed = []
+    consumer = threading.Thread(
+        target=lambda: formed.extend(
+            Batcher(queue, max_batch_keys=1024,
+                    max_wait_s=0.05).batches()),
+        daemon=True)
+    consumer.start()
+    queue.put(Request(keys=np.array([1])))
+    assert _wait_until(lambda: queue.depth() == 0)  # first pop done
+    time.sleep(0.3)  # six deadlines
+    queue.put(Request(keys=np.array([2])))
+    queue.close()
+    consumer.join(timeout=5)
+    assert not consumer.is_alive()
+    assert [b.keys.tolist() for b in formed] == [[1], [2]]
+
+    queue = RequestQueue()
+    queue.put(Request(keys=np.array([1])))
+    batches = Batcher(queue, max_batch_keys=1024, max_wait_s=5.0).batches()
+    late = threading.Timer(0.05, queue.put,
+                           args=(Request(keys=np.array([2])),))
+    late.start()
+    closer = threading.Timer(0.3, queue.close)
+    closer.start()
+    try:
+        assert next(batches).keys.tolist() == [1, 2]
+    finally:
+        late.join(timeout=5)
+        closer.join(timeout=5)
+    assert list(batches) == []
+
+
 # ---------------------------------------------------------------------------
 # Manager integration: the admission front door.
 
@@ -332,3 +551,84 @@ def test_admission_pipeline_matches_direct_serving():
         direct_hits = np.concatenate([
             reference.serve_batch(batch) for batch in served_keys])
     assert np.array_equal(pipeline_hits, direct_hits)
+
+
+@pytest.mark.timeout(120)
+def test_contended_pipeline_delivers_each_request_once_in_order():
+    """Four producers against an 8-slot queue, through the batcher into
+    ``serve_batch``: every request is served exactly once, each
+    producer's requests keep their order, no batch passes the size
+    bound by more than its last request, and the batcher makes one
+    ``get_many`` per batch (plus the final empty one) and no other
+    queue call."""
+    trace, config, encoder, capacity = _tenant_setup()
+    dense = encoder.dense_ids(trace)[:4096]
+    rng = np.random.default_rng(5)
+    streams = []
+    for tenant in range(4):
+        own = dense[tenant::4]
+        cuts = np.cumsum(rng.integers(1, 33, size=len(own)))
+        cuts = cuts[cuts < len(own)]
+        streams.append([Request(keys=part, tenant=tenant)
+                        for part in np.split(own, cuts)])
+    max_batch_keys = 64
+    queue = RequestQueue(maxsize=8)
+    calls = {"get_many": 0, "get": 0, "depth": 0}
+    taken = []
+
+    def get_many(max_keys, wait_s):
+        calls["get_many"] += 1
+        requests = RequestQueue.get_many(queue, max_keys, wait_s)
+        taken.append(requests)
+        return requests
+
+    def never(name):
+        def call(*args, **kwargs):
+            calls[name] += 1
+            return getattr(RequestQueue, name)(queue, *args, **kwargs)
+        return call
+
+    queue.get_many = get_many
+    queue.get = never("get")
+    queue.depth = never("depth")
+
+    def producer(stream):
+        for request in stream:
+            queue.put(request)
+
+    producers = [threading.Thread(target=producer, args=(stream,),
+                                  daemon=True) for stream in streams]
+    for thread in producers:
+        thread.start()
+    closer = threading.Thread(
+        target=lambda: ([t.join() for t in producers], queue.close()),
+        daemon=True)
+    closer.start()
+    batches = []
+    with RecMGManager(capacity, encoder, config) as manager:
+        for batch in Batcher(queue, max_batch_keys=max_batch_keys,
+                             max_wait_s=0.001).batches():
+            hits = manager.serve_batch(batch.keys,
+                                       queue_depth=batch.queue_depth)
+            assert len(hits) == len(batch.keys)
+            batches.append(batch)
+        metrics = manager.serving_metrics
+    closer.join(timeout=10)
+    assert not closer.is_alive()
+
+    assert calls == {"get_many": len(batches) + 1, "get": 0, "depth": 0}
+    assert taken[-1] == []
+    groups = taken[:-1]
+    delivered = [request for group in groups for request in group]
+    put = [request for stream in streams for request in stream]
+    assert sorted(map(id, delivered)) == sorted(map(id, put))
+    for tenant, stream in enumerate(streams):
+        assert [r for r in delivered if r.tenant == tenant] == stream
+    for batch, group in zip(batches, groups):
+        sizes = [r.keys.size for r in group]
+        assert sum(sizes[:-1]) < max_batch_keys
+        assert batch.num_requests == len(group)
+        assert np.array_equal(batch.keys,
+                              np.concatenate([r.keys for r in group]))
+        assert 0 <= batch.queue_depth <= queue.maxsize
+    assert metrics.keys_served == len(dense)
