@@ -34,11 +34,13 @@ BENCH_SCALE = 0.15
 
 def pytest_addoption(parser):
     parser.addoption(
-        "--perf-budget", action="store", type=float, default=5.0,
+        "--perf-budget", action="store", type=float, default=0.0,
         help="Minimum speedup of vectorized OPTgen over the reference "
              "implementation enforced by test_perf_hotpaths on a "
-             "50k-access synthetic trace; 0 disables every wall-clock "
-             "assertion in that module.",
+             "50k-access synthetic trace; 0 (the default, so a plain "
+             "pytest run carries no wall-clock gate on a shared host) "
+             "disables every wall-clock assertion in the benches — "
+             "their correctness cross-checks still run.  CI gates at 5.",
     )
 
 

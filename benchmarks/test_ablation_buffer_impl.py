@@ -5,7 +5,7 @@ tests/test_buffer.py); the clock backend approximates them with batched
 sweeps (tests/test_buffer_differential.py).  This bench measures the
 per-access cost of each backend under a scalar serving loop on raw
 packed keys (no id universe: every key takes the spillover path) plus
-the clock backend's batched `evict_batch` advantage over dense ids.
+the clock backend's batched `serve_segment` advantage over dense ids.
 """
 
 import time
@@ -29,22 +29,13 @@ def drive(buffer_cls, keys, capacity):
 
 
 def drive_batched(keys, capacity, key_space, block=512):
-    """Clock serving the way the manager does: pre-reclaim space for a
-    whole block with one evict_batch call, then bulk put_batch, with
-    membership gathered off the residency bitmap through
-    ``contains_batch``."""
+    """Clock serving the way the manager does: one ``serve_segment``
+    call per block — classify off the residency bitmap, one protected
+    sweep for the space the block's new keys need, store."""
     buffer = ClockBuffer(capacity, key_space=key_space)
     keys = np.asarray(keys, dtype=np.int64)
     for lo in range(0, len(keys), block):
-        segment = keys[lo:lo + block]
-        uniq = np.unique(segment)
-        while True:
-            new = int((~buffer.contains_batch(uniq)).sum())
-            needed = len(buffer) + new - capacity
-            if needed <= 0:
-                break
-            buffer.evict_batch(needed)
-        buffer.put_batch(segment, 4)
+        buffer.serve_segment(keys[lo:lo + block], 4)
     return buffer
 
 

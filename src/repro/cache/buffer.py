@@ -8,8 +8,8 @@ lowest priority and then *ages* every entry by decrementing its priority
 (floored at zero), mimicking RRIP.
 
 Three interchangeable backends implement the buffer protocol
-(``insert`` / ``set_priority`` / ``demote`` / ``put_batch`` /
-``evict_one`` / ``evict_batch`` / ``serve_segment``); pick one with
+(``insert`` / ``set_priority`` / ``demote`` / ``evict_one`` /
+``evict_batch`` / ``serve_segment``); pick one with
 :func:`make_buffer` — the manager passes it
 ``RecMGConfig.buffer_impl``, ``repro.dlrm.inference.BufferClassifier``
 and ``repro.prefetch.harness`` their own ``buffer_impl=`` argument.
@@ -69,10 +69,10 @@ segment, the manager folds.
   when the segment holds more distinct keys than slots — trading exact
   victim order for array-speed eviction.  Membership is a dense
   ``id → slot`` vector plus a
-  :class:`repro.cache.residency.ResidencyIndex` bitmap, so that pass,
-  bulk membership and ``put_batch`` run as numpy gathers and scatters
-  with no sort and no per-key dict traffic (ids outside the universe
-  spill to a side dict, preserving correctness for unseen keys).
+  :class:`repro.cache.residency.ResidencyIndex` bitmap, so that pass
+  and bulk membership run as numpy gathers and scatters with no sort
+  and no per-key dict traffic (ids outside the universe spill to a
+  side dict, preserving correctness for unseen keys).
 
 **Id universe.**  Every backend keeps its residency bitmap, and the
 fast and clock backends their per-id state, over the ids of
@@ -86,21 +86,20 @@ for any int64 key and differs from an in-universe id only in speed.
 ``contains_batch(keys) -> bool[:]`` (residency of a whole segment in
 one call — a bitmap gather, spillover ids answered by a set lookup)
 and accept ``set_priority_batch(keys, priority)`` and
-``demote_batch(keys)`` for chunk-boundary priority writes.  On the exact backends the batch forms
-are *defined* as the scalar operations applied in order (seqno
-semantics preserved); on the fast backend every bulk op is O(1)
-amortized per key: ``contains_batch`` is one bitmap gather,
-``put_batch`` / ``set_priority_batch`` / ``demote_batch`` are one
+``demote_batch(keys)``: the caching-bit writes of
+``serving.priorities.apply_caching_bits`` past its scalar crossover.
+On the exact backends the batch forms are *defined* as the scalar
+operations applied in order (seqno semantics preserved); on the fast
+backend ``set_priority_batch`` / ``demote_batch`` are one
 last-occurrence ``np.unique`` plus two scatters, and ``evict_batch``
 is one candidate gather plus one partition-and-sort for the whole
 victim batch (spillover ids go through the side dict in the same
-calls).  The serving engines in :mod:`repro.core.manager` classify
-whole segments through this protocol instead of per-key dict loops.
+calls).  Serving itself goes through ``serve_segment``.
 
 **Eviction order (exact backends).**  ``evict_one`` removes the entry
 minimizing the pair ``(effective_priority, seqno)``.  Seqnos are unique
-by construction — ``insert``/``set_priority``/``put_batch`` draw fresh
-increasing seqnos, ``demote`` draws fresh *decreasing* negative seqnos —
+by construction — ``insert``/``set_priority`` draw fresh increasing
+seqnos, ``demote`` draws fresh *decreasing* negative seqnos —
 so the pair admits no ties and the victim is fully determined by the
 operation history, never by dict/heap internals.  Consequences both
 exact backends honor (regression-tested in ``tests/test_buffer.py``):
@@ -119,15 +118,12 @@ residency agreement after every operation.
 (N > 1, ``key_space`` required) wraps N independent shards
 in a :class:`~repro.cache.sharding.ShardedBuffer`: every key routes to
 exactly one shard (contiguous-range or modulo partition of
-``[0, key_space)``), each bulk op runs as one scatter, per-shard
-batched calls, and one gather, and capacity/eviction are **per shard**
+``[0, key_space)``), ``serve_segment`` runs as one scatter, one
+per-shard call and one gather, and capacity/eviction are **per shard**
 — a full shard evicts its own victim even while another shard has free
-slots, so the victim order of a sharded ``evict_batch`` is per-shard
-(grouped in shard-id order), *not* the global ``(effective_priority,
-seqno)`` contract above;
-``tests/test_sharding.py::test_evict_batch_victim_order_is_per_shard``
-pins it — shard-id-grouped, water-filled counts, each group in that
-shard's own standalone eviction order.  Two more load-bearing notes:
+slots, so a sharded ``serve_segment``'s victims come grouped per shard
+in shard-id order, *not* in the global ``(effective_priority, seqno)``
+order above.  Two more load-bearing notes:
 each shard's backend is constructed over the router's **compressed**
 per-shard universe (``backend.key_space`` reports it, the sharded
 constructor asserts it), with all global↔local id translation confined
@@ -399,24 +395,6 @@ class PriorityBuffer:
         for key in _as_key_list(keys):
             self.demote(key)
 
-    def put_batch(self, keys: Sequence[int], priority: int) -> None:
-        """Equivalent to insert-or-``set_priority`` for each key in order.
-
-        The reference implementation simply loops; the fast buffer
-        overrides this with a bulk version.  Raises ``RuntimeError``
-        (like :meth:`insert`) before mutating anything if the new keys
-        exceed the free space.
-        """
-        key_list = _as_key_list(keys)
-        new = {key for key in key_list if key not in self._priority}
-        if len(self._priority) + len(new) > self.capacity:
-            raise RuntimeError("buffer full; evict first")
-        for key in key_list:
-            if key in self._priority:
-                self.set_priority(key, priority)
-            else:
-                self.insert(key, priority)
-
     def serve_segment(self, segment: Sequence[int], priority: int
                       ) -> Tuple[int, np.ndarray, np.ndarray]:
         """Demand-serve ``segment`` through the scalar serving loop
@@ -653,27 +631,6 @@ class FastPriorityBuffer:
         self._min_seq = base - int(arr.size)
         if self._victims is not None:
             self._push_demoted(arr.tolist(), base - 1)
-
-    def put_batch(self, keys: Sequence[int], priority: int) -> None:
-        """Bulk insert-or-``set_priority``, exactly equivalent to calling
-        the scalar operations for each key in order: only each key's
-        *last* occurrence decides its final (priority, seqno) pair,
-        while ``_next_seq`` still advances by the full batch length —
-        one residency gather, one last-occurrence pass, two scatters.
-        Raises ``RuntimeError`` (like :meth:`insert`) before mutating
-        anything if the new keys exceed the free space."""
-        arr = np.asarray(keys, dtype=np.int64)
-        if arr.size == 0:
-            return
-        uniq, last_pos = _last_occurrence(arr)
-        fresh = uniq[~self.residency.contains_batch(uniq)]
-        if self._size + fresh.size > self.capacity:
-            raise RuntimeError("buffer full; evict first")
-        base = self._next_seq
-        self._store_batch(uniq, self._age + int(priority), base + last_pos)
-        self.residency.add_batch(fresh)
-        self._size += int(fresh.size)
-        self._next_seq = base + int(arr.size)
 
     def _store(self, key: int, priority: int, seq: int) -> None:
         """Write one entry's (expiry, seqno); membership bookkeeping
@@ -1296,17 +1253,19 @@ class ClockBuffer:
     ``[0, key_space)`` plus a
     :class:`~repro.cache.residency.ResidencyIndex` bitmap maintained
     incrementally on every insert/eviction: ``contains_batch`` is a
-    bitmap gather, ``put_batch``/``set_priority_batch`` are pure numpy
-    scatters, and ``evict_batch`` clears victims in bulk — no per-key
-    dict traffic anywhere on the serving hot path.  Ids outside the
+    bitmap gather, ``set_priority_batch`` a pure numpy scatter, and
+    the sweep clears victims in bulk — no per-key dict traffic anywhere
+    on the serving hot path.  Ids outside the
     universe (the manager's unseen-key ids above the vocabulary; every
     id when ``key_space=0``) spill to a side dict, with identical
     behavior (fuzz-checked in ``tests/test_buffer_differential.py``).
 
-    :meth:`evict_batch` is the point of the backend: one call reclaims
-    many slots by harvesting priority-zero slots in hand order and,
-    whenever a sweep runs dry, aging *every* survivor by the minimum
-    surviving priority in a single vectorized subtraction.  Aging
+    The batched sweep is the point of the backend
+    (:meth:`serve_segment`'s protected reclaim, :meth:`evict_batch`):
+    one call reclaims many slots by harvesting priority-zero slots in
+    hand order and, whenever a sweep runs dry, aging *every* survivor
+    by the minimum surviving priority in a single vectorized
+    subtraction.  Aging
     therefore happens once per full sweep instead of once per eviction
     — the approximation that lets a whole batch of evictions cost
     O(capacity) numpy work rather than O(batch · log n) heap pops —
@@ -1470,7 +1429,7 @@ class ClockBuffer:
         """Bulk :meth:`demote` (priority-zero scatter)."""
         self.set_priority_batch(keys, 0)
 
-    # -- bulk classify / store (shared by put_batch and serve_segment) -
+    # -- bulk classify / store (serve_segment's steps) -----------------
     def _locate(self, arr: np.ndarray) -> Tuple[np.ndarray, bool]:
         """Slot of every key of the non-empty ``arr`` (-1 = not
         resident) and whether the segment is *dense* — every id inside
@@ -1526,25 +1485,6 @@ class ClockBuffer:
         self._prio[new_slots] = priority
         self._valid[new_slots] = True
 
-    def put_batch(self, keys: Sequence[int], priority: int) -> None:
-        """Bulk insert-or-refresh at ``priority``.  Raises
-        ``RuntimeError`` (like :meth:`insert`) before mutating anything
-        if the new keys exceed the free space.  New keys receive slots
-        in first-touch order (:meth:`_first_touches`)."""
-        arr = np.asarray(keys, dtype=np.int64)
-        if arr.size == 0:
-            return
-        priority = max(0, int(priority))
-        slots, dense = self._locate(arr)
-        resident = slots >= 0
-        if not resident.all():
-            new_keys = arr[self._first_touches(arr, dense) & ~resident]
-            if new_keys.size > self._free_top:
-                raise RuntimeError("buffer full; evict first")
-            self._store_new(new_keys, priority, dense)
-            slots = slots[resident]
-        self._prio[slots] = priority
-
     def serve_segment(self, segment: np.ndarray, priority: int
                       ) -> Tuple[int, np.ndarray, np.ndarray]:
         """Demand-serve a whole segment in array passes: classify,
@@ -1552,9 +1492,9 @@ class ClockBuffer:
 
         Each pass is state- and decision-equivalent to the composed
         protocol it replaced — ``contains_batch``, count the distinct
-        non-resident keys, ``evict_batch(needed, avoid=piece)``,
-        ``put_batch`` — with one slot gather doing the work of all
-        three lookups (fuzz-pinned in
+        non-resident keys, ``evict_batch(needed, avoid=piece)``, then
+        ``insert`` each key of the piece in order — with one slot
+        gather doing the work of all those lookups (fuzz-pinned in
         ``tests/test_buffer_differential.py``).  Protection means no
         victim is a key of the pass's piece: the clock hand skips over
         them, so no key is evicted moments before its own refresh

@@ -20,13 +20,13 @@ vocabulary.
 The index is maintained *incrementally by the buffer backends*
 (:mod:`repro.cache.buffer`), every one of which carries one:
 :class:`~repro.cache.buffer.ClockBuffer` and
-:class:`~repro.cache.buffer.FastPriorityBuffer` bulk-set bits on
-``insert``/``put_batch``/``serve_segment`` and bulk-clear them on
+:class:`~repro.cache.buffer.FastPriorityBuffer` set bits on
+``insert``/``serve_segment`` and clear them on
 ``evict_one``/``evict_batch``;
 :class:`~repro.cache.buffer.PriorityBuffer` keeps its index as a
 mirror of its entry dict (over the empty universe when built without
 ``key_space``).  Call sites (``serving.priorities.apply_caching_bits``,
-``prefetch.harness``, ``ShardedBuffer``'s bulk ops) therefore stay
+``prefetch.harness``, the shard views) therefore stay
 backend-agnostic.
 """
 

@@ -30,9 +30,10 @@ forms agree key for key (out-of-range ids route by ``key mod N`` under
 both policies, so spillover correctness never depends on the id fitting
 the universe).  Because a key can only ever live in its router shard,
 the per-shard residents are pairwise disjoint and their union *is* the
-global residency — ``contains_batch`` answers by scattering the query
-to shards and gathering the per-shard gathers back (property-tested
-after every op in ``tests/test_sharding.py``).
+global residency — scalar ``key in buffer`` asks the key's own shard,
+and a per-shard ``contains_batch`` over the routed sub-segments
+gathers back to the same answer (property-tested after every op in
+``tests/test_sharding.py``).
 
 **Id compression (the translation boundary).**  Each shard's dense
 backend is built over the *compressed* per-shard universe
@@ -44,11 +45,11 @@ bitmaps) costs the same total memory as a single-shard buffer instead
 of N× it.  Translation happens at exactly one layer — the
 :class:`CompressedShardView` wrapped around every backend shard:
 
-* callers (the :class:`ShardedBuffer` bulk ops, the manager's
-  eviction-for-space and provider sink, and the tests) keep
+* callers (:meth:`ShardedBuffer.serve_segment`, the manager's
+  eviction-for-space and caching-bit applier, and the tests) keep
   passing **global** keys and receive **global** keys back — victims
-  of ``evict_one``/``evict_batch``/``serve_segment`` and ``keys()``
-  are decompressed on the way out;
+  of ``evict_one``/``serve_segment`` and ``keys()`` are decompressed
+  on the way out;
 * spillover ids (outside ``[0, key_space)``) pass through *unchanged*:
   they route by ``key mod N`` and always fall outside the compressed
   universe too (negative stays negative; ``id >= key_space >=
@@ -79,22 +80,25 @@ split that starves the hot shard (see the weighted hot-shard entry in
 ``benchmarks/test_perf_hotpaths.py``).  Eviction decisions are
 **local to a shard**: a full shard evicts its own
 ``(effective_priority, seqno)`` (or clock-order) victim even while
-another shard has free slots, and :meth:`ShardedBuffer.evict_batch` —
-which levels the fullest shards down by water-filling — returns victims
-grouped per shard in shard-id order, *not* in the single-buffer global
-``(effective_priority, seqno)`` order.  This is the documented price of
-sharding; the single-shard backends keep the exact global contract.
+another shard has free slots, and :meth:`ShardedBuffer.serve_segment`
+returns its victims grouped per shard in shard-id order, *not* in the
+single-buffer global ``(effective_priority, seqno)`` order.  This is
+the documented price of sharding; the single-shard backends keep the
+exact global contract.
 
-**Bulk protocol.**  Every op of the single-shard bulk protocol
-(``contains_batch`` / ``put_batch`` / ``set_priority_batch`` /
-``demote_batch`` / ``evict_batch`` / ``serve_segment``) is implemented
-as one vectorized scatter of the keys to shards
-(:meth:`ShardRouter.route_batch`), per-shard *batched* backend calls
-through the compressing views, and one gather back — no per-key python
-loop.  Within a shard the original
-key order is preserved, and ops on distinct shards commute (disjoint
-key sets), so the batch forms keep the single-shard semantics per
-shard.
+**What serving calls.**  A :class:`ShardedBuffer` speaks the scalar
+protocol (``insert`` / ``set_priority`` / ``demote`` and the reads,
+routed per key) and ``serve_segment``, which is one vectorized scatter
+of the segment to shards (:meth:`ShardedBuffer.iter_shard_segments`),
+one ``serve_segment`` call per shard's sub-segment through the
+compressing views, and one gather back — no per-key python loop.
+Within a shard the original key order is preserved, and shards hold
+disjoint key sets, so that is exactly serving N independent buffers.
+Everything else goes to a shard directly: eviction for space to the
+key's own shard (:meth:`ShardedBuffer.shard_backend_for`), and the
+manager's caching-bit applier splits a block along the same route and
+writes each shard's bits through its view's bulk protocol
+(``contains_batch`` / ``set_priority_batch`` / ``demote_batch``).
 
 **Rebalancing (live re-splitting).**  The split chosen at construction
 is not forever: :meth:`ShardedBuffer.rebalance` re-splits the capacity
@@ -463,7 +467,7 @@ class CompressedShardView:
 
     **Precondition**: keys handed to a view must route to its shard
     (``router.route(key) == shard_index``; spillover ids included).
-    The scatter step of every bulk op
+    The scatter step every bulk caller goes through
     (:meth:`ShardedBuffer.iter_shard_segments`) guarantees this; the
     compression bijections are only defined over a shard's own ids, so
     a foreign key would silently alias a local one.
@@ -486,10 +490,8 @@ class CompressedShardView:
         """The backend's capacity, read through — never cached.
 
         A snapshot taken at construction went stale the moment a
-        rebalance shrank the shard, which let ``put_batch``'s
-        raise-before-mutate pre-validation over-admit against the old
-        (larger) capacity in the donor-shrink path (regression-tested
-        in ``tests/test_rebalancing.py``).
+        rebalance shrank the shard (regression-tested in
+        ``tests/test_rebalancing.py``).
         """
         return self.backend.capacity
 
@@ -509,7 +511,7 @@ class CompressedShardView:
     # -- translation helpers -------------------------------------------
     def _c(self, keys) -> np.ndarray:
         # Callers hand a view the *same* segment array iter_shard_segments
-        # primed (serve_segment, or contains_batch -> put_batch), so a
+        # primed (serve_segment, or the applier's contains_batch), so a
         # two-slot identity memo removes the repeat compressions.
         # Keyed on object identity with a strong reference (no id()
         # reuse); key arrays are never mutated in place after a bulk
@@ -525,11 +527,6 @@ class CompressedShardView:
 
     def _d(self, keys) -> np.ndarray:
         return self.router.decompress(self.shard_index, keys)
-
-    def _d_list(self, keys: List[int]) -> List[int]:
-        if not keys:
-            return keys
-        return self._d(np.asarray(keys, dtype=np.int64)).tolist()
 
     @property
     def key_space(self) -> int:
@@ -576,9 +573,6 @@ class CompressedShardView:
         self.backend.demote(
             self.router.compress_key(self.shard_index, int(key)))
 
-    def put_batch(self, keys: Sequence[int], priority: int) -> None:
-        self.backend.put_batch(self._c(keys), priority)
-
     def set_priority_batch(self, keys: Sequence[int],
                            priority: int) -> None:
         self.backend.set_priority_batch(self._c(keys), priority)
@@ -591,53 +585,12 @@ class CompressedShardView:
         return self.router.decompress_key(self.shard_index,
                                           int(self.backend.evict_one()))
 
-    def evict_batch(self, n: int, avoid=None) -> List[int]:
-        if avoid is None:
-            victims = self.backend.evict_batch(n)
-        else:
-            victims = self.backend.evict_batch(n, avoid=self._c(avoid))
-        return self._d_list(victims)
-
     def serve_segment(self, segment: np.ndarray, priority: int):
         """Positions need no translation, so only the victims cross
         the boundary back."""
         served, miss_positions, victims = self.backend.serve_segment(
             self._c(segment), priority)
         return served, miss_positions, self._d(victims)
-
-
-def _allocate_evictions(lengths: np.ndarray, count: int) -> np.ndarray:
-    """Per-shard eviction counts for a global ``evict_batch(count)``.
-
-    Deterministic water-filling: the fullest shards are levelled down
-    until ``count`` victims are allocated, so repeated global eviction
-    drives shard occupancies toward equal — the natural policy for a
-    shared capacity pool.  Ties in fullness break by ascending shard
-    id; when the final level cannot be met exactly, the least-full
-    shards among the levelled group give up one victim fewer.  Raises
-    ``RuntimeError`` when fewer than ``count`` entries are resident,
-    matching the single-shard backends.
-    """
-    total = int(lengths.sum())
-    if count > total:
-        raise RuntimeError("cannot evict more entries than resident")
-    take = np.zeros(lengths.size, dtype=np.int64)
-    if count <= 0:
-        return take
-    order = np.argsort(-lengths, kind="stable")  # fullest first, id ties
-    sorted_len = lengths[order]
-    prefix = np.cumsum(sorted_len)
-    for k in range(1, lengths.size + 1):
-        floor_level = int(sorted_len[k]) if k < lengths.size else 0
-        if int(prefix[k - 1]) - k * floor_level >= count:
-            level = (int(prefix[k - 1]) - count) // k
-            base = sorted_len[:k] - level
-            excess = int(base.sum()) - count
-            if excess:
-                base[k - excess:k] -= 1
-            take[order[:k]] = base
-            return take
-    raise RuntimeError("eviction allocation failed")  # pragma: no cover
 
 
 class ShardRebalancer:
@@ -800,12 +753,12 @@ class ShardedBuffer:
     (:data:`repro.cache.buffer.BUFFER_IMPLS`); every shard is built
     over its *compressed* universe
     (``router.shard_key_space(s)``) and wrapped in a
-    :class:`CompressedShardView`, so the bulk protocol runs
+    :class:`CompressedShardView`, so ``serve_segment`` runs
     array-native end to end while every caller — including the
-    manager's provider sink, which consumes :meth:`iter_shard_segments`
-    — keeps speaking global ids.  ``approximate`` is inherited from
-    the shard backend (the rebalancer migrates exact and clock state
-    differently).
+    manager's caching-bit applier, which consumes
+    :meth:`iter_shard_segments` — keeps speaking global ids.
+    ``approximate`` is inherited from the shard backend (the rebalancer
+    migrates exact and clock state differently).
     ``shard_weights`` (optional) splits the capacity proportionally
     instead of uniformly (:func:`split_capacity`).
     """
@@ -861,7 +814,8 @@ class ShardedBuffer:
         return self.shards[self.router.route(key)]
 
     def route_batch(self, keys: Sequence[int]) -> np.ndarray:
-        """Shard index per key — the scatter step of every bulk op."""
+        """Shard index per key (the manager counts per-shard traffic
+        with it)."""
         return self.router.route_batch(keys)
 
     def iter_shard_segments(self, keys: np.ndarray):
@@ -874,17 +828,18 @@ class ShardedBuffer:
         The block is compressed once here (``compress_routed``, one
         vectorized pass) and each shard's slice primed into its view's
         compression memo, so the per-shard calls the caller makes next
-        (``serve_segment``, or ``contains_batch`` / ``put_batch``, on
-        the yielded ``sub_keys``) skip re-compressing it.
+        (``serve_segment``, or the applier's ``contains_batch``, on the
+        yielded ``sub_keys``) skip re-compressing it.
 
-        **Per-shard bit-split contract** (the provider sink): a block
-        of per-access caching bits may be split along this same route
-        — ``bits[positions]`` rides with ``sub_keys`` — and applied
-        per shard through the yielded view
+        **Per-shard bit-split contract** (the manager's caching-bit
+        applier): a block of per-access caching bits is split along
+        this same route — ``bits[positions]`` rides with ``sub_keys``
+        — and applied per shard through the yielded view
         (:func:`repro.serving.priorities.apply_caching_bits`).
         Duplicates of a key always land in the same shard and
-        ``positions`` is ascending, so per-shard dedup/apply is
-        call-for-call identical to the global bulk calls.  Compression
+        ``positions`` is ascending, so per-shard dedup/apply writes
+        exactly the state of the scalar sequence routed key by key.
+        Compression
         memo entries are immutable ``(ref, compressed)`` tuples matched
         by object identity, so a lookup can only miss (and recompute),
         never alias a foreign array."""
@@ -922,15 +877,6 @@ class ShardedBuffer:
         this global view."""
         return all(shard.is_full for shard in self.shards)
 
-    def contains_batch(self, keys: Sequence[int]) -> np.ndarray:
-        """Residency of each key: scatter to shards, one bitmap gather
-        per shard, gather back by position."""
-        arr = np.asarray(keys, dtype=np.int64)
-        out = np.zeros(arr.size, dtype=bool)
-        for _, shard, positions, sub in self.iter_shard_segments(arr):
-            out[positions] = shard.contains_batch(sub)
-        return out
-
     def per_id_nbytes(self) -> int:
         """Total per-id dense-state bytes across shards — ≈ the
         single-shard footprint, *not* N× it (the point of compression;
@@ -950,38 +896,6 @@ class ShardedBuffer:
     def demote(self, key: int) -> None:
         self.shard_backend_for(int(key)).demote(int(key))
 
-    # -- bulk writes (scatter / per-shard batch / no gather needed) ----
-    def put_batch(self, keys: Sequence[int], priority: int) -> None:
-        """Bulk insert-or-refresh, one batched call per shard.
-
-        Capacity is per shard: the whole batch is validated against
-        every shard's free space *before* any shard mutates, so a
-        ``RuntimeError`` (a sub-batch overflowing its shard, even while
-        other shards have room) leaves the buffer untouched — the same
-        raise-before-mutate contract as the single-shard backends.
-        """
-        arr = np.asarray(keys, dtype=np.int64)
-        if arr.size == 0:
-            return
-        segments = list(self.iter_shard_segments(arr))
-        for _, shard, _, sub in segments:
-            fresh = int(np.count_nonzero(
-                ~shard.contains_batch(np.unique(sub))))
-            if len(shard) + fresh > shard.capacity:
-                raise RuntimeError("buffer full; evict first")
-        for _, shard, _, sub in segments:
-            shard.put_batch(sub, priority)
-
-    def set_priority_batch(self, keys: Sequence[int], priority: int) -> None:
-        arr = np.asarray(keys, dtype=np.int64)
-        for _, shard, _, sub in self.iter_shard_segments(arr):
-            shard.set_priority_batch(sub, priority)
-
-    def demote_batch(self, keys: Sequence[int]) -> None:
-        arr = np.asarray(keys, dtype=np.int64)
-        for _, shard, _, sub in self.iter_shard_segments(arr):
-            shard.demote_batch(sub)
-
     # -- serving -------------------------------------------------------
     def serve_segment(self, segment: np.ndarray, priority: int
                       ) -> Tuple[int, np.ndarray, np.ndarray]:
@@ -993,7 +907,7 @@ class ShardedBuffer:
         backend's policy.  Returns the single-buffer result shape:
         ``served == len(segment)``, the ascending miss positions in
         ``segment``, and the victims grouped per shard in shard-id
-        order (the :meth:`evict_batch` grouping)."""
+        order."""
         arr = np.asarray(segment, dtype=np.int64)
         misses = [np.zeros(0, dtype=np.int64)]
         victims = [np.zeros(0, dtype=np.int64)]
@@ -1003,38 +917,6 @@ class ShardedBuffer:
             victims.append(sub_victims)
         return (int(arr.size), np.sort(np.concatenate(misses)),
                 np.concatenate(victims))
-
-    # -- eviction ------------------------------------------------------
-    def evict_one(self) -> int:
-        """Evict one entry from the fullest shard (ties break by
-        ascending shard id) — the ``count=1`` case of the levelling
-        policy.  Serving paths that need space *for a key* must instead
-        evict from that key's shard (:meth:`shard_backend_for`)."""
-        if not len(self):
-            raise RuntimeError("cannot evict from an empty buffer")
-        lengths = np.asarray([len(shard) for shard in self.shards])
-        return self.shards[int(np.argmax(lengths))].evict_one()
-
-    def evict_batch(self, n: int) -> List[int]:
-        """Evict ``n`` entries globally, levelling the fullest shards
-        down (:func:`_allocate_evictions`).  Victims come out grouped
-        per shard in shard-id order; *within* a shard they follow that
-        shard's own eviction order — there is no cross-shard
-        ``(effective_priority, seqno)`` interleaving (see module
-        docstring and the Sharding note in :mod:`repro.cache.buffer`).
-        This ordering is contract, pinned by
-        ``tests/test_sharding.py::test_evict_batch_victim_order_is_per_shard``."""
-        count = int(n)
-        if count <= 0:
-            return []
-        lengths = np.asarray([len(shard) for shard in self.shards],
-                             dtype=np.int64)
-        allocation = _allocate_evictions(lengths, count)
-        victims: List[int] = []
-        for shard, share in zip(self.shards, allocation.tolist()):
-            if share:
-                victims.extend(shard.evict_batch(share))
-        return victims
 
     # -- rebalancing ---------------------------------------------------
     def rebalance(self, shard_weights: Optional[Sequence[float]] = None

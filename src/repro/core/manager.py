@@ -65,16 +65,21 @@ always lands at a block boundary, between two serves (pinned by
 evictions; migrated-key counts and the serving pause land in
 :attr:`RecMGManager.serving_metrics`.
 
-Serving is backend-agnostic through the **bulk residency/priority
-protocol** (see :mod:`repro.cache.buffer`): every backend answers
-``contains_batch(keys) -> bool[:]`` and accepts
-``set_priority_batch``/``demote_batch``.  The manager fits the encoder's
-dense-id universe as the buffer's ``key_space``, so the backends
-classify a whole segment with one gather
-(:class:`repro.cache.residency.ResidencyIndex`) instead of a per-key
-dict loop — the chunk-boundary caching-bit writes
-(:meth:`RecMGManager._apply_caching_bits`) ride on it — and no call
-site branches on the backend.
+The manager reaches the buffer through the paper's three writes
+(fused into one ``serve_chunks`` pass where :meth:`run` says so):
+``serve_segment`` for demand blocks, the scalar ``insert`` (after
+eviction for space) for prefetches, and one caching-bit applier,
+:meth:`RecMGManager._apply_caching_bits`, shared by the offline chunk
+pass and the provider sink.  Past its scalar crossover the applier
+writes through the bulk residency/priority protocol of
+:mod:`repro.cache.buffer` (``contains_batch`` plus
+``set_priority_batch``/``demote_batch``); on a sharded buffer it splits
+the bits along the shard route and applies each shard's share through
+that shard's view.  The manager fits the encoder's dense-id universe
+as the buffer's ``key_space``, so the backends classify a whole
+segment with one gather (:class:`repro.cache.residency.ResidencyIndex`)
+instead of a per-key dict loop, and no call site branches on the
+backend.
 """
 
 from __future__ import annotations
@@ -253,16 +258,29 @@ class RecMGManager:
         self.buffer.insert(key, speed)
 
     def _apply_caching_bits(self, keys: np.ndarray, bits: np.ndarray) -> None:
-        """Algorithm 1 lines 4-7 — the caching-bit write shared by the
-        offline chunk pass and the provider sink.  The applier itself
-        lives in :func:`repro.serving.priorities.apply_caching_bits`
+        """Algorithm 1 lines 4-7 — the one caching-bit write, shared by
+        the offline chunk pass and the provider sink.  The applier
+        itself lives in :func:`repro.serving.priorities.apply_caching_bits`
         (resident keys only, last occurrence wins, friendly keys to
         ``eviction_speed + 1``, averse keys demoted; a scalar loop up
         to :data:`~repro.cache.buffer.SCALAR_FALLBACK` keys, the bulk
-        protocol beyond),
-        where the equivalence of its two forms is documented."""
-        apply_caching_bits(self.buffer, keys, bits,
-                           self.config.eviction_speed)
+        protocol beyond), where the equivalence of its two forms is
+        documented.
+
+        On a sharded buffer the bits are split along
+        ``iter_shard_segments``' route and applied per shard through
+        its :class:`~repro.cache.sharding.CompressedShardView` — the
+        same one-scatter route the engines serve through (the
+        split-identity argument lives on :func:`apply_caching_bits`).
+        """
+        buffer = self.buffer
+        speed = self.config.eviction_speed
+        if isinstance(buffer, ShardedBuffer):
+            bits = np.asarray(bits)
+            for _, shard, positions, sub in buffer.iter_shard_segments(keys):
+                apply_caching_bits(shard, sub, bits[positions], speed)
+        else:
+            apply_caching_bits(buffer, keys, bits, speed)
 
     def _sink_provider(self, segment: np.ndarray,
                        guided: bool = True) -> None:
@@ -275,17 +293,9 @@ class RecMGManager:
         offline chunk pass.
 
         Tri-state bits: positions ``>= 0`` apply through
-        :func:`apply_caching_bits`; ``-1`` ("no prediction") keeps its
+        :meth:`_apply_caching_bits`; ``-1`` ("no prediction") keeps its
         recency priority, so a provider without a prediction degrades
         to model-free behavior.
-
-        On a sharded buffer the bits are split along
-        ``iter_shard_segments``' route and applied per shard through
-        its :class:`~repro.cache.sharding.CompressedShardView` — the
-        same one-scatter route the engines serve through, instead of
-        the three global scatters the whole-buffer bulk calls would
-        cost (the split-identity argument lives on
-        :func:`apply_caching_bits`).
 
         Called per block from :meth:`_serve_block` — never from inside
         an engine.
@@ -306,14 +316,7 @@ class RecMGManager:
                 return
             segment = segment[valid]
             bits = bits[valid]
-        buffer = self.buffer
-        speed = self.config.eviction_speed
-        if isinstance(buffer, ShardedBuffer):
-            for _, shard, positions, sub in buffer.iter_shard_segments(
-                    segment):
-                apply_caching_bits(shard, sub, bits[positions], speed)
-        else:
-            apply_caching_bits(buffer, segment, bits, speed)
+        self._apply_caching_bits(segment, bits)
 
     def _serve_block(self, serve, segment: np.ndarray) -> None:
         """Serve one block through the engine ``serve`` — the serve

@@ -25,7 +25,7 @@ and the queue depth observed at each flush is the overload signal
 :class:`repro.serving.metrics.ServingMetrics` tracks.
 
 Threading contract: any number of producer threads may ``put``; one
-consumer (the batcher/serving loop) calls ``get_many`` or ``get``.
+consumer (the batcher/serving loop) calls ``get_many``.
 ``close()`` wakes everyone: producers get :class:`QueueClosed` (the
 engine is gone), the consumer drains what is left and stops.  The
 batcher itself is plain iteration —
@@ -77,9 +77,9 @@ class QueueClosed(RuntimeError):
 
 
 class RequestQueue:
-    """Bounded MPSC request queue with blocking put and timed get.
+    """Bounded MPSC request queue: blocking put, one batch per get.
 
-    ``put``, ``get`` and ``get_many`` hold ``_lock`` directly; the two
+    ``put`` and ``get_many`` hold ``_lock`` directly; the two
     conditions share it and are used only to wait and notify.  ``put``
     notifies ``_not_empty`` only while a consumer is parked on it:
     ``_consumers_waiting`` changes only under the lock, and a consumer
@@ -148,35 +148,16 @@ class RequestQueue:
                 self._consumers_waiting -= 1
         return True
 
-    def get(self, timeout: Optional[float] = None) -> Optional[Request]:
-        """Pop the oldest request; ``None`` on timeout or when the
-        queue is closed *and* drained (the consumer's stop signal).
-
-        With ``timeout=None`` the call blocks until an item arrives or
-        the queue closes — never returning ``None`` while the queue is
-        open, whatever wakeups occur.  A consumer loop treats ``None``
-        from a blocking get as closed-and-drained, so a spurious wakeup
-        (or a notify won by a racing close/put interleaving) leaking
-        through as ``None`` would permanently terminate it; the wait
-        (``_await_item``, shared with ``get_many``) therefore re-checks
-        state in a loop.
-        """
-        deadline = (None if timeout is None
-                    else time.perf_counter() + timeout)
-        with self._lock:
-            if not self._await_item(deadline):
-                return None
-            request = self._items.popleft()
-            self._not_full.notify()
-            return request
-
     def get_many(self, max_keys: int, wait_s: float) -> List[Request]:
         """Pop the next batch under one lock hold; ``[]`` only when the
         queue is closed *and* drained (the consumer's stop signal).
 
-        Blocks until the first request arrives — like
-        ``get(timeout=None)``, never returning ``[]`` while the queue
-        is open, whatever wakeups occur.  Then pops requests in FIFO
+        Blocks until the first request arrives, never returning ``[]``
+        while the queue is open, whatever wakeups occur: a consumer
+        loop reads ``[]`` as closed-and-drained, so a spurious wakeup
+        (or a notify won by a racing close/put interleaving) leaking
+        through would permanently stop it; the wait (``_await_item``)
+        therefore re-checks state in a loop.  Then pops requests in FIFO
         order while fewer than ``max_keys`` keys have been taken, so
         the batch overshoots ``max_keys`` by at most its last request.
         When the queue runs dry short of that bound, it waits for more

@@ -11,11 +11,11 @@ same priority writes (:func:`apply_caching_bits`) the offline pass
 uses — Algorithm 1's ``priority[T[i]] = C[i] + eviction_speed``,
 driven from the live stream.
 
-On a sharded buffer the sink is **per shard**: the block's bits are
-split along ``ShardedBuffer.iter_shard_segments``' route and applied
-through each shard's ``CompressedShardView`` (see
-:meth:`RecMGManager._sink_provider` and the split-identity argument on
-:func:`apply_caching_bits`).
+On a sharded buffer every caching-bit write is **per shard**: the
+block's bits are split along ``ShardedBuffer.iter_shard_segments``'
+route and applied through each shard's ``CompressedShardView`` (see
+:meth:`RecMGManager._apply_caching_bits` and the split-identity
+argument on :func:`apply_caching_bits`).
 
 :class:`LiftGuard` is the safety valve on top of any provider: an
 online A/B of guided vs model-free phases over trailing hit-rate
@@ -114,17 +114,20 @@ def apply_caching_bits(buffer, keys: np.ndarray, bits: np.ndarray,
     have silently promoted every unpredicted key as cache-friendly
     (``-1 != 0``).
 
-    Per-shard contract: ``buffer`` may equally be one
+    ``buffer`` is one backend, or one
     :class:`repro.cache.sharding.CompressedShardView` with ``keys``
-    restricted to that shard (the manager's per-shard sink splits a
-    block along ``iter_shard_segments``' route).  Duplicates of a key
-    always land in the same shard and the split preserves positional
-    order, so per-shard dedup + apply is call-for-call identical to
-    the global form — shards share no state, and within a shard the
-    friendly/averse subsequences are exactly the global ones.
+    restricted to that shard: on a sharded buffer
+    :meth:`RecMGManager._apply_caching_bits` splits a block along
+    ``iter_shard_segments``' route and calls this once per shard.
+    Duplicates of a key always land in the same shard and the split
+    preserves positional order, so per-shard dedup + apply writes
+    exactly the state of the scalar sequence routed key by key —
+    shards share no state, and within a shard the friendly/averse
+    subsequences are exactly the block's own.
 
-    Shared by the manager's per-chunk loop and its provider sink — one
-    applier, every caller, the form chosen by block length alone.
+    The manager calls it only from that applier, which its per-chunk
+    loop and its provider sink share — the form chosen by block length
+    alone.
     """
     keys = np.asarray(keys, dtype=np.int64)
     bits = np.asarray(bits)

@@ -44,7 +44,7 @@ def test_request_queue_fifo_and_depth():
     for tenant in range(5):
         queue.put(Request(keys=np.array([tenant]), tenant=tenant))
     assert queue.depth() == 5
-    order = [queue.get().tenant for _ in range(5)]
+    order = [request.tenant for request in queue.get_many(5, 0.0)]
     assert order == [0, 1, 2, 3, 4]
     assert queue.depth() == 0
 
@@ -60,12 +60,6 @@ def test_request_queue_put_times_out_when_full():
     queue.put(Request(keys=np.array([1])))
     with pytest.raises(TimeoutError):
         queue.put(Request(keys=np.array([2])), timeout=0.01)
-
-
-@pytest.mark.timeout(30)
-def test_request_queue_get_times_out_when_empty():
-    queue = RequestQueue(maxsize=1)
-    assert queue.get(timeout=0.01) is None
 
 
 @pytest.mark.timeout(30)
@@ -88,8 +82,8 @@ def test_request_queue_close_wakes_producer_and_drains():
     assert not producer.is_alive()
     assert len(errors) == 1  # woken with QueueClosed, not wedged
     # Pending requests stay drainable after close; then the stop signal.
-    assert queue.get().keys.tolist() == [1]
-    assert queue.get() is None
+    assert [r.keys.tolist() for r in queue.get_many(1, 0.0)] == [[1]]
+    assert queue.get_many(1, 0.0) == []
     with pytest.raises(QueueClosed):
         queue.put(Request(keys=np.array([3])))
 
@@ -110,11 +104,11 @@ def test_request_queue_backpressure_bounds_depth():
     thread.start()
     drained = []
     while True:
-        request = queue.get(timeout=1.0)
-        if request is None:
+        taken = queue.get_many(1, 0.0)  # one 1-key request per call
+        if not taken:
             break
         seen_depths.append(queue.depth())
-        drained.append(int(request.keys[0]))
+        drained.append(int(taken[0].keys[0]))
     thread.join(timeout=5)
     assert drained == list(range(32))  # FIFO end to end
     assert max(seen_depths) <= 4
@@ -180,49 +174,24 @@ def test_request_queue_two_producers_slow_consumer_meet_deadlines():
                  for tenant in range(2)]
     for thread in producers:
         thread.start()
+    # Close once both producers are done (or gave up), so the drain
+    # below ends on the stop signal whatever happened.
+    closer = threading.Thread(
+        target=lambda: ([t.join() for t in producers], queue.close()),
+        daemon=True)
+    closer.start()
     drained = []
-    while len(drained) < 2 * per_producer and not failures:
-        request = queue.get(timeout=5.0)
-        if request is None:
+    while True:
+        taken = queue.get_many(1, 0.0)
+        if not taken:
             break
         time.sleep(0.005)  # slow consumer: keep the slot race alive
-        drained.append(request.tenant)
-    for thread in producers:
-        thread.join(timeout=10)
+        drained.append(taken[0].tenant)
+    closer.join(timeout=10)
+    assert not closer.is_alive()
     assert not failures
     assert len(drained) == 2 * per_producer
     assert sorted(drained) == [0] * per_producer + [1] * per_producer
-
-
-@pytest.mark.timeout(30)
-def test_request_queue_blocking_get_survives_spurious_wakeup():
-    """Regression: a blocking ``get(timeout=None)`` waited only once —
-    a spurious wakeup (or a notify won by a racing close/put
-    interleaving) while the queue was open and empty returned ``None``,
-    which a consumer loop reads as closed-and-drained, permanently
-    killing it.  An open-but-idle queue must never yield ``None`` from
-    a blocking get, whatever wakeups occur."""
-    queue = RequestQueue(maxsize=4)
-    results = []
-
-    def consumer():
-        results.append(queue.get(timeout=None))
-
-    thread = threading.Thread(target=consumer)
-    thread.start()
-    time.sleep(0.02)  # let it park on the empty queue
-    for _ in range(5):  # spurious wakeups: queue still open and empty
-        with queue._lock:
-            queue._not_empty.notify_all()
-        time.sleep(0.01)
-    # The consumer must still be parked — not returned None.
-    assert thread.is_alive()
-    assert not results
-    queue.put(Request(keys=np.array([42])))
-    thread.join(timeout=5)
-    assert not thread.is_alive()
-    assert len(results) == 1 and results[0] is not None
-    assert results[0].keys.tolist() == [42]
 
 
 # ---------------------------------------------------------------------------
@@ -289,9 +258,12 @@ def test_get_many_close_while_parked_empty_returns_empty():
 
 @pytest.mark.timeout(30)
 def test_get_many_survives_spurious_wakeup():
-    """Mirror of ``test_request_queue_blocking_get_survives_spurious_wakeup``:
-    ``[]`` means closed-and-drained to ``Batcher.batches()``, so an
-    open, empty queue must never yield it, whatever wakeups occur."""
+    """Regression: a blocking get that waited only once returned on a
+    spurious wakeup (or a notify won by a racing close/put
+    interleaving) while the queue was open and empty.  ``[]`` means
+    closed-and-drained to ``Batcher.batches()``, permanently stopping
+    it, so an open, empty queue must never yield it, whatever wakeups
+    occur."""
     queue = RequestQueue(maxsize=4)
     thread, results = _start_get_many(queue, 4, 0.0)
     assert _wait_until(lambda: queue._consumers_waiting == 1)
@@ -305,6 +277,29 @@ def test_get_many_survives_spurious_wakeup():
     thread.join(timeout=5)
     assert not thread.is_alive()
     assert [r.keys.tolist() for r in results[0]] == [[42]]
+
+
+@pytest.mark.timeout(30)
+def test_request_queue_blocking_get_survives_spurious_wakeup():
+    """The timed wait after a batch's first pop: spurious wakeups while
+    the queue is empty and the deadline far off neither end the batch
+    early nor lose the request that arrives next (the untimed wait for
+    the first request is ``test_get_many_survives_spurious_wakeup``)."""
+    queue = RequestQueue(maxsize=4)
+    queue.put(Request(keys=np.array([41])))
+    thread, results = _start_get_many(queue, 1024, 60.0)
+    assert _wait_until(lambda: queue._consumers_waiting == 1)
+    for _ in range(5):  # spurious wakeups: queue still open and empty
+        with queue._lock:
+            queue._not_empty.notify_all()
+        time.sleep(0.01)
+    assert thread.is_alive()
+    assert not results
+    queue.put(Request(keys=np.array([42])))
+    queue.close()
+    thread.join(timeout=5)
+    assert not thread.is_alive()
+    assert [r.keys.tolist() for r in results[0]] == [[41], [42]]
 
 
 @pytest.mark.timeout(60)
@@ -559,8 +554,8 @@ def test_contended_pipeline_delivers_each_request_once_in_order():
     ``serve_batch``: every request is served exactly once, each
     producer's requests keep their order, no batch passes the size
     bound by more than its last request, and the batcher makes one
-    ``get_many`` per batch (plus the final empty one) and no other
-    queue call."""
+    ``get_many`` per batch (plus the final empty one) and no ``depth``
+    call."""
     trace, config, encoder, capacity = _tenant_setup()
     dense = encoder.dense_ids(trace)[:4096]
     rng = np.random.default_rng(5)
@@ -573,7 +568,7 @@ def test_contended_pipeline_delivers_each_request_once_in_order():
                         for part in np.split(own, cuts)])
     max_batch_keys = 64
     queue = RequestQueue(maxsize=8)
-    calls = {"get_many": 0, "get": 0, "depth": 0}
+    calls = {"get_many": 0, "depth": 0}
     taken = []
 
     def get_many(max_keys, wait_s):
@@ -589,7 +584,6 @@ def test_contended_pipeline_delivers_each_request_once_in_order():
         return call
 
     queue.get_many = get_many
-    queue.get = never("get")
     queue.depth = never("depth")
 
     def producer(stream):
@@ -616,7 +610,7 @@ def test_contended_pipeline_delivers_each_request_once_in_order():
     closer.join(timeout=10)
     assert not closer.is_alive()
 
-    assert calls == {"get_many": len(batches) + 1, "get": 0, "depth": 0}
+    assert calls == {"get_many": len(batches) + 1, "depth": 0}
     assert taken[-1] == []
     groups = taken[:-1]
     delivered = [request for group in groups for request in group]

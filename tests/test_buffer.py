@@ -14,6 +14,13 @@ from repro.cache import (
 )
 
 
+def _insert_all(buffer, keys, priority):
+    """Insert-or-refresh each key in order (the set-ups' bulk fill; the
+    buffer must have room for the new ones)."""
+    for key in np.asarray(keys).tolist():
+        buffer.insert(key, priority)
+
+
 class TestReferenceSemantics:
     def test_evicts_lowest_priority(self):
         buf = PriorityBuffer(3)
@@ -264,16 +271,6 @@ class TestClockSemantics:
         buf.demote(2)
         assert buf.evict_one() == 2
 
-    def test_put_batch_checks_capacity_before_mutating(self):
-        buf = ClockBuffer(2)
-        buf.insert(1, 1)
-        with pytest.raises(RuntimeError):
-            buf.put_batch([2, 3], 1)
-        assert sorted(buf.keys()) == [1]
-        buf.put_batch([1, 2], 3)        # refresh + fill exactly
-        assert sorted(buf.keys()) == [1, 2]
-        assert buf.priority_of(1) == 3
-
     def test_validations_match_exact_backends(self):
         buf = ClockBuffer(1)
         with pytest.raises(RuntimeError):
@@ -300,7 +297,7 @@ class TestClockSemantics:
         buf.set_priority(2, -5)
         assert buf.priority_of(2) == 0
         assert buf.evict_batch(2) == [1, 2]
-        buf.put_batch([3], -3)
+        buf.insert(3, -3)
         assert buf.priority_of(3) == 0
         assert buf.evict_one() == 3
 
@@ -308,7 +305,7 @@ class TestClockSemantics:
         buf = ClockBuffer(3)
         for generation in range(5):
             keys = list(range(10 * generation, 10 * generation + 3))
-            buf.put_batch(keys, 1)
+            _insert_all(buf, keys, 1)
             assert sorted(buf.keys()) == keys
             assert buf.evict_batch(3) and len(buf) == 0
 
@@ -319,7 +316,7 @@ class TestClockSemantics:
         a segment of ``capacity + 1`` fresh keys.  One pass over a
         piece as wide as the buffer would have swept it out."""
         buf = ClockBuffer(4, key_space=16)
-        buf.put_batch([10, 11, 12], 0)
+        _insert_all(buf, [10, 11, 12], 0)
         buf.insert(13, 5)
         segment = np.array([1, 2, 3, 4, 5], dtype=np.int64)
         served, misses, victims = buf.serve_segment(segment, 1)
@@ -370,27 +367,31 @@ class TestBulkProtocolExact:
 
 
 class TestClockSlotOrder:
-    """Regression (PR 3): ``put_batch`` used to route new keys through
+    """Regression (PR 3): the bulk store used to route new keys through
     ``set()``, so slots — and therefore hand-order victim tie-breaking —
-    followed integer-hash order instead of first-touch order."""
+    followed integer-hash order instead of first-touch order.
+    ``serve_segment`` stores a buffer with free slots in one pass
+    through ``_first_touches``; ``key_space=None`` takes its
+    spillover form, 64 its dense one."""
 
     @pytest.mark.parametrize("key_space", [None, 64])
-    def test_put_batch_assigns_slots_in_first_touch_order(self, key_space):
+    def test_serve_segment_assigns_slots_in_first_touch_order(self,
+                                                              key_space):
         buf = make_buffer("clock", 4, key_space=key_space)
         # set() iteration would order these 1, 2, 3.
-        buf.put_batch([3, 1, 2], 0)
+        buf.serve_segment(np.array([3, 1, 2]), 0)
         assert buf.evict_batch(3) == [3, 1, 2]
 
     @pytest.mark.parametrize("key_space", [None, 64])
     def test_duplicates_keep_first_touch_position(self, key_space):
         buf = make_buffer("clock", 8, key_space=key_space)
-        buf.put_batch([5, 3, 5, 2, 3, 7], 0)
+        buf.serve_segment(np.array([5, 3, 5, 2, 3, 7]), 0)
         assert buf.evict_batch(4) == [5, 3, 2, 7]
 
     def test_mixed_resident_and_new_keys(self):
         buf = ClockBuffer(4)
         buf.insert(9, 0)                 # slot 0
-        buf.put_batch([4, 9, 6], 0)      # new: 4 -> slot 1, 6 -> slot 2
+        buf.serve_segment(np.array([4, 9, 6]), 0)  # 4 -> slot 1, 6 -> 2
         assert buf.evict_batch(3) == [9, 4, 6]
 
 
@@ -508,7 +509,7 @@ class TestClockDenseMode:
         buf = ClockBuffer(3, key_space=8)
         buf.insert(2, 1)
         buf.insert(100, 1)      # spillover
-        buf.put_batch([2, 101], 0)
+        _insert_all(buf, [2, 101], 0)
         assert 100 in buf and 101 in buf
         assert np.array_equal(
             buf.contains_batch(np.array([2, 100, 101, 5])),
@@ -518,7 +519,7 @@ class TestClockDenseMode:
 
     def test_set_priority_batch_scatter(self):
         buf = ClockBuffer(4, key_space=16)
-        buf.put_batch([1, 2, 3], 1)
+        _insert_all(buf, [1, 2, 3], 1)
         buf.set_priority_batch(np.array([3, 1]), 0)
         assert buf.priority_of(3) == 0 and buf.priority_of(1) == 0
         assert buf.priority_of(2) == 1
@@ -549,7 +550,7 @@ class TestFastDenseMode:
         buf = FastPriorityBuffer(3, key_space=8)
         buf.insert(2, 1)
         buf.insert(100, 1)      # spillover
-        buf.put_batch([2, 101], 0)
+        _insert_all(buf, [2, 101], 0)
         assert 100 in buf and 101 in buf
         assert np.array_equal(
             buf.contains_batch(np.array([2, 100, 101, 5])),
@@ -576,14 +577,13 @@ class TestFastDenseMode:
 
     def test_batch_ops_validate_before_scatter(self):
         buf = FastPriorityBuffer(4, key_space=16)
-        buf.put_batch([1, 2, 3], 1)
+        _insert_all(buf, [1, 2, 3], 1)
         with pytest.raises(KeyError):
             buf.set_priority_batch(np.array([1, 9]), 2)
         with pytest.raises(KeyError):
             buf.demote_batch(np.array([1, 9]))
-        with pytest.raises(RuntimeError):
-            buf.put_batch([4, 5], 1)
         assert sorted(buf.keys()) == [1, 2, 3]
+        assert [buf.priority_of(key) for key in (1, 2, 3)] == [1, 1, 1]
 
 
 class TestServeSegment:
@@ -619,7 +619,7 @@ class TestServeSegment:
         base = 3 << 40
         a, b = FastPriorityBuffer(4), FastPriorityBuffer(4)
         for buf in (a, b):
-            buf.put_batch([base + 5, base + 7, base + 9], 0)
+            _insert_all(buf, [base + 5, base + 7, base + 9], 0)
         # base+2 evicts base+5, whose re-miss evicts base+7.
         segment = np.array([base + 1, base + 9, base + 2, base + 5],
                            dtype=np.int64)
@@ -637,7 +637,7 @@ class TestServeSegment:
         a = FastPriorityBuffer(6, key_space=16)
         b = FastPriorityBuffer(6, key_space=16)
         for buf in (a, b):  # two old entries that the misses evict
-            buf.put_batch([11, 12], 0)
+            _insert_all(buf, [11, 12], 0)
         segment = np.array([5, 6, 5, 7, 8, 8, 9], dtype=np.int64)
         decisions_b, victims_b = self._scalar(b, segment, 2)
         served, first_miss, victims_a = a.serve_segment(segment, 2)
@@ -662,7 +662,7 @@ class TestServeSegment:
         a = FastPriorityBuffer(4, key_space=16)
         b = FastPriorityBuffer(4, key_space=16)
         for buf in (a, b):
-            buf.put_batch([1, 2, 9, 7], 0)
+            _insert_all(buf, [1, 2, 9, 7], 0)
         segment = np.array([3, 2, 1, 9, 2], dtype=np.int64)
         decisions_b, victims_b = self._scalar(b, segment, 0)
         served, misses, victims = a.serve_segment(segment, 0)
@@ -697,9 +697,9 @@ class TestServeSegment:
         next pass serves it, inside the same total call."""
         def build():
             buf = FastPriorityBuffer(2, key_space=16)
-            buf.put_batch([1, 2], 1)
+            _insert_all(buf, [1, 2], 1)
             buf.evict_batch(2)  # age entries to zero quickly
-            buf.put_batch([1, 2], 0)
+            _insert_all(buf, [1, 2], 0)
             return buf
 
         # 3 misses (evicts 1), 2 hits, 1 re-misses with only stored

@@ -1,8 +1,8 @@
 """Differential fuzz: one op stream, every buffer backend.
 
 ~200 randomized operation sequences (insert / set_priority / demote /
-put_batch / set_priority_batch / demote_batch / evict_one / evict_batch
-/ serve_segment interleavings — every ``serve_segment`` call must serve
+set_priority_batch / demote_batch / evict_one / evict_batch /
+serve_segment interleavings — every ``serve_segment`` call must serve
 its whole segment, on every backend) drive every backend behind the
 ``buffer_impl`` knob:
 
@@ -33,10 +33,11 @@ and its sharded twin) stresses what scalar ``evict_one`` on the dense
 fast buffer now rests on — a victim queue that persists *across*
 calls: scalar evictions, inserts, touches and demotes interleave with
 the bulk protocol (``serve_segment`` included), with drained-and-
-re-imported populations and live ``ShardedBuffer.rebalance`` calls
-mid-sequence, priorities far above the eviction count (the fallback
-selection), spillover ids, and a queue depth shrunk until refills and
-truncation happen every few evictions.
+re-imported populations and, on sharded twins, per-shard demotes and
+evictions around live ``ShardedBuffer.rebalance`` calls, priorities
+far above the eviction count (the fallback selection), spillover ids,
+and a queue depth shrunk until refills and truncation happen every
+few evictions.
 
 A clock serving differential
 (:func:`test_clock_serve_segment_matches_composed_protocol`, a
@@ -46,9 +47,9 @@ dense with spillover ids, and
 behind the ``CompressedShardView`` s of a sharded buffer — one through
 ``serve_segment``, the other through the composed protocol it replaced
 (``contains_batch`` → first-occurrence count →
-``evict_batch(needed, avoid=piece)`` → ``put_batch``, piece by piece
-while the rest holds more distinct keys than slots, each piece holding
-at most half the slots' worth), asserting equal results *and*
+``evict_batch(needed, avoid=piece)`` → an ``insert`` per key, piece by
+piece while the rest holds more distinct keys than slots, each piece
+holding at most half the slots' worth), asserting equal results *and*
 bit-equal state after every step.
 
 A cascade differential
@@ -94,7 +95,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.cache import (ClockBuffer, FastPriorityBuffer, PriorityBuffer,
-                         ShardedBuffer, buffer as buffer_module, make_buffer)
+                         buffer as buffer_module, make_buffer)
+from sharded_ops import drain, home, per_shard
 
 NUM_SEQUENCES = 200
 OPS_PER_SEQUENCE = 120
@@ -110,11 +112,12 @@ PROBE = np.arange(-3, KEY_SPACE + 8, dtype=np.int64)
 #: Offset of the packed-id twins: table 3, row = the fuzzed key.
 PACKED = 3 << 40
 
+#: The buffer protocol plus ``serve_segment``.
 OP_WEIGHTS = [
     ("insert", 6),
     ("set_priority", 4),
     ("demote", 2),
-    ("put_batch", 3),
+    ("serve_segment", 3),
     ("set_priority_batch", 2),
     ("demote_batch", 1),
     ("evict_one", 4),
@@ -161,8 +164,7 @@ def _scalar_serve(buffer, keys, priority):
         if key in buffer:
             buffer.set_priority(key, priority)
             continue
-        shard = (buffer.shard_backend_for(key)
-                 if isinstance(buffer, ShardedBuffer) else buffer)
+        shard = home(buffer, key)
         if shard.is_full:
             victims.append(shard.evict_one())
         buffer.insert(key, priority)
@@ -189,15 +191,6 @@ def _apply_exact_group(ref: PriorityBuffer, others, op, probe=PROBE):
     elif kind == "demote" and key in ref:
         for buffer in group:
             buffer.demote(key)
-    elif kind == "put_batch":
-        new = {k for k in batch if k not in ref}
-        if len(ref) + len(new) > ref.capacity:
-            for buffer in group:
-                with pytest.raises(RuntimeError):
-                    buffer.put_batch(batch, priority)
-        else:
-            for buffer in group:
-                buffer.put_batch(batch, priority)
     elif kind == "set_priority_batch":
         resident = [k for k in batch if k in ref]
         for buffer in group:
@@ -271,21 +264,6 @@ def _apply_clock(clock: ClockBuffer, dense: ClockBuffer,
         clock.demote(key)
         dense.demote(key)
         assert clock.priority_of(key) == 0
-    elif kind == "put_batch":
-        new = {k for k in batch if k not in clock}
-        if len(clock) + len(new) > clock.capacity:
-            resident_before = sorted(clock.keys())
-            with pytest.raises(RuntimeError):
-                clock.put_batch(batch, priority)
-            with pytest.raises(RuntimeError):
-                dense.put_batch(batch, priority)
-            assert sorted(clock.keys()) == resident_before
-            assert sorted(dense.keys()) == resident_before
-        else:
-            clock.put_batch(batch, priority)
-            dense.put_batch(batch, priority)
-            inserted_ever.update(batch)
-            assert all(clock.priority_of(k) == priority for k in batch)
     elif kind == "set_priority_batch":
         resident = [k for k in batch if k in clock]
         clock.set_priority_batch(resident, priority)
@@ -331,10 +309,6 @@ def _apply_clock(clock: ClockBuffer, dense: ClockBuffer,
     _assert_contains_batch_agrees(dense)
 
 
-#: The differential's op mix: the buffer protocol plus ``serve_segment``.
-SERVE_OP_WEIGHTS = OP_WEIGHTS + [("serve_segment", 3)]
-
-
 def _pick_crossover(monkeypatch, rng: random.Random) -> None:
     """The fuzzed segments are short: a crossover of 1 or 3 keys sends
     them through the fast backend's bulk pass (trims finished by the
@@ -348,7 +322,7 @@ def _pick_crossover(monkeypatch, rng: random.Random) -> None:
 def test_differential_op_sequences(seed, monkeypatch):
     rng = random.Random(8800 + seed)
     capacity = rng.randint(1, 16)
-    ops = _gen_ops(rng, SERVE_OP_WEIGHTS)
+    ops = _gen_ops(rng)
     _pick_crossover(monkeypatch, rng)
 
     ref = PriorityBuffer(capacity)
@@ -367,7 +341,7 @@ def test_differential_op_sequences(seed, monkeypatch):
         _apply_exact_group(ref, exact_others, op)
         _apply_exact_group(packed_ref, [packed], _packed(op),
                            probe=PROBE + PACKED)
-        if op[0] in ("insert", "put_batch", "serve_segment"):
+        if op[0] in ("insert", "serve_segment"):
             inserted_ever.update([op[1]] if op[0] == "insert" else op[3])
         _apply_clock(clock, dense, inserted_ever, op)
 
@@ -450,9 +424,10 @@ def test_dense_victim_queue_matches_reference(seed, monkeypatch):
 @pytest.mark.parametrize("seed", range(40))
 def test_dense_victim_queue_survives_rebalance(seed, monkeypatch):
     """Sharded dense fast vs sharded reference: scalar serving (each
-    miss evicting in its key's shard), demotes and global evictions,
-    with live ``rebalance`` calls re-drawing capacities and partition
-    mid-sequence — every shard's queue must die with its backend."""
+    miss evicting in its key's shard), per-shard demotes and evictions
+    from one key's shard, with live ``rebalance`` calls re-drawing
+    capacities and partition mid-sequence — every shard's queue must
+    die with its backend."""
     rng = random.Random(9500 + seed)
     _shrink_queue(monkeypatch, rng)
     kwargs = dict(key_space=DENSE_SPACE, num_shards=rng.choice([2, 3]),
@@ -469,20 +444,20 @@ def test_dense_victim_queue_survives_rebalance(seed, monkeypatch):
                     == _scalar_serve(ref, batch, priority))
         elif roll < 0.7:
             resident = [key for key in batch if key in ref]
-            ref.demote_batch(resident)
-            dense.demote_batch(resident)
-        elif roll < 0.85 and len(ref):
-            assert dense.evict_one() == ref.evict_one()
-        elif roll < 0.92 and len(ref):
-            count = rng.randint(1, len(ref))
-            assert dense.evict_batch(count) == ref.evict_batch(count)
+            for buffer in (ref, dense):
+                for view, sub in per_shard(buffer, resident):
+                    view.demote_batch(sub)
+        elif roll < 0.92:
+            count = 1 if roll < 0.85 else rng.randint(1, 4)
+            ref_home, dense_home = home(ref, batch[0]), home(dense, batch[0])
+            for _ in range(min(count, len(ref_home))):
+                assert dense_home.evict_one() == ref_home.evict_one()
         else:
             weights = [rng.random() + 0.1
                        for _ in range(kwargs["num_shards"])]
             assert dense.rebalance(weights) == ref.rebalance(weights)
         _assert_same_state(ref, dense)
-    if len(ref):
-        assert dense.evict_batch(len(ref)) == ref.evict_batch(len(ref))
+    assert drain(dense) == drain(ref)
 
 
 def test_import_state_resets_victim_queue():
@@ -503,7 +478,8 @@ def test_victim_queue_stays_bounded_without_scalar_evictions():
     nothing at all."""
     capacity = 48
     buffer = FastPriorityBuffer(capacity, key_space=256)
-    buffer.put_batch(np.arange(capacity), 2)
+    for key in range(capacity):
+        buffer.insert(key, 2)
     rng = np.random.default_rng(5)
     buffer.demote_batch(rng.integers(0, capacity, 15))
     assert buffer._victims is None
@@ -515,7 +491,8 @@ def test_victim_queue_stays_bounded_without_scalar_evictions():
         if step % 64 == 0:              # churn through the bulk protocol
             buffer.evict_batch(4)
             absent = np.flatnonzero(~buffer.residency.bitmap)
-            buffer.put_batch(rng.choice(absent, 4, replace=False), 2)
+            for key in rng.choice(absent, 4, replace=False).tolist():
+                buffer.insert(key, 2)
         peak = max(peak, len(buffer._victims or ()))
     assert 0 < peak <= buffer_module._VICTIM_QUEUE + capacity
 
@@ -746,7 +723,8 @@ def test_exact_serve_segment_ignores_scratch_garbage():
     outcomes = []
     for fill in (None, -7, 1 << 62, "stale"):
         buffer = FastPriorityBuffer(32, key_space=96)
-        buffer.put_batch(ids[:32], 0)
+        for key in ids[:32].tolist():
+            buffer.insert(key, 0)
         if fill == "stale":
             buffer._scratch_pos[:] = np.arange(96) % segment.size
         elif fill is not None:
@@ -808,13 +786,22 @@ def _bulk_pass(buffer, segment: np.ndarray, priority: int):
     return served, misses.tolist(), victims.tolist()
 
 
-def _composed_pass(buffer, segment: np.ndarray, priority: int,
-                   scalar_store: bool = False):
+def _composed_pass(buffer, segment: np.ndarray, priority: int):
     """The protocol ``serve_segment`` replaced — ``contains_batch`` →
-    first-occurrence count → ``evict_batch(needed, avoid=piece)`` →
-    ``put_batch`` — piece by piece: while the rest holds more distinct
-    keys than slots, the longest piece with at most half the slots'
-    worth; returns ``(served, miss_positions, victims)`` as lists."""
+    first-occurrence count → ``evict_batch(needed, avoid=piece)`` → an
+    ``insert`` per key of the piece, in order — piece by piece: while
+    the rest holds more distinct keys than slots, the longest piece
+    with at most half the slots' worth; returns ``(served,
+    miss_positions, victims)`` as lists.  ``insert`` shares nothing
+    with ``serve_segment``'s first-touch and store helpers.  A shard
+    view's twin runs the protocol on its backend, in the shard's
+    compressed ids."""
+    if hasattr(buffer, "backend"):
+        router, shard = buffer.router, buffer.shard_index
+        served, misses, victims = _composed_pass(
+            buffer.backend, router.compress(shard, segment), priority)
+        victims = np.asarray(victims, dtype=np.int64)
+        return served, misses, router.decompress(shard, victims).tolist()
     served, misses, victims = 0, [], []
     while served < segment.size:
         piece = segment[served:]
@@ -830,23 +817,17 @@ def _composed_pass(buffer, segment: np.ndarray, priority: int,
                    else [])
         # Protected reclaim: no victim is a key of the piece.
         assert not set(evicted) & set(piece.tolist())
-        if scalar_store:
-            for key in piece.tolist():
-                buffer.insert(key, priority)
-        else:
-            buffer.put_batch(piece, priority)
+        for key in piece.tolist():
+            buffer.insert(key, priority)
         misses += (served + fresh).tolist()
         victims += evicted
         served += int(piece.size)
     return served, misses, victims
 
 
-#: How each of the three twins serves a pass: the entry under test, the
-#: composed protocol, and the composed protocol storing through a
-#: scalar ``insert`` loop — ``put_batch`` shares ``serve_segment``'s
-#: first-touch and store helpers, ``insert`` shares nothing.
-CLOCK_PASSES = (_bulk_pass, _composed_pass,
-                lambda *args: _composed_pass(*args, scalar_store=True))
+#: How each twin serves a pass: the entry under test, then the
+#: composed protocol.
+CLOCK_PASSES = (_bulk_pass, _composed_pass)
 
 
 def _clock_backends(buffer):
@@ -860,7 +841,7 @@ def _clock_backends(buffer):
 def _assert_twins_agree(twins) -> None:
     states = [[_clock_state(backend) for backend in _clock_backends(twin)]
               for twin in twins]
-    assert states[0] == states[1] == states[2]
+    assert states[0] == states[1]
 
 
 def _serve_clock_twins(twins, keys, priority):
@@ -870,7 +851,7 @@ def _serve_clock_twins(twins, keys, priority):
     segment = np.asarray(keys, dtype=np.int64)
     results = [serve(twin, segment, priority)
                for serve, twin in zip(CLOCK_PASSES, twins)]
-    assert results[0] == results[1] == results[2]
+    assert results[0] == results[1]
     assert results[0][0] == segment.size
     _assert_twins_agree(twins)
     return results[0][2]
@@ -880,12 +861,14 @@ def _apply_clock_twins(twins, op):
     kind, keys, value = op
     if kind == "set_priority_batch":
         for buffer in twins:
-            buffer.set_priority_batch(
-                [key for key in keys if key in buffer], value)
+            resident = [key for key in keys if key in buffer]
+            for target, sub in per_shard(buffer, resident):
+                target.set_priority_batch(sub, value)
     elif kind == "evict_batch":
-        for buffer in twins:
-            if len(buffer):
-                buffer.evict_batch(min(value, len(buffer)))
+        for twin in twins:
+            for backend in _clock_backends(twin):
+                if len(backend):
+                    backend.evict_batch(min(value, len(backend)))
     elif hasattr(twins[0], "iter_shard_segments"):
         block = np.asarray(keys, dtype=np.int64)
         for routed in zip(*(twin.iter_shard_segments(block)
@@ -946,13 +929,11 @@ def test_clock_serve_segment_edge_segments(mode):
 
 
 def test_clock_serve_segment_raise_paths_mutate_nothing():
-    """``put_batch`` short of space and a protected sweep short of
-    eligible entries both raise before touching any state."""
+    """A protected sweep short of eligible entries raises before
+    touching any state."""
     buffer = ClockBuffer(4, key_space=16)
     buffer.serve_segment(np.array([1, 2, 3]), 2)
     before = _clock_state(buffer)
-    with pytest.raises(RuntimeError, match="buffer full"):
-        buffer.put_batch([3, 7, 8, 7], 1)
     with pytest.raises(RuntimeError, match="more entries"):
         buffer.evict_batch(2, avoid=[1, 2, 40, -1])
     assert _clock_state(buffer) == before
@@ -963,7 +944,8 @@ def test_clock_out_of_range_ids_never_reach_the_dense_gather(key_space):
     """A negative id must not wrap onto the id at the other end of the
     slot vector, nor an id above the universe index past it."""
     buffer = make_buffer("clock", 4, key_space=key_space)
-    buffer.put_batch([7, 0], 1)
+    buffer.insert(7, 1)
+    buffer.insert(0, 1)
     served, misses, victims = buffer.serve_segment(
         np.array([-1, 8, -8, 7]), 3)
     assert (served, misses.tolist(), victims.tolist()) == (4, [0, 1, 2], [0])
@@ -1008,7 +990,7 @@ def test_caching_bit_applier_forms_leave_identical_state(backend, size,
     """Blocks with duplicates, ``-1`` bits, non-resident keys and
     spill-over ids, sizes straddling the crossover: the applier as it
     dispatches, forced scalar and forced bulk must leave the same
-    ``export_state()`` (seqnos included) and the same next 200 victims.
+    ``export_state()`` (seqnos included) and the same drain.
     A sharded buffer takes its bits per shard view, as the manager's
     sink splits them."""
     from repro.serving import priorities
@@ -1027,8 +1009,9 @@ def test_caching_bit_applier_forms_leave_identical_state(backend, size,
                                  **APPLIER_BACKENDS[backend])
             for key, level in zip(resident.tolist(), levels.tolist()):
                 _scalar_serve(buffer, [key], level)  # a full shard evicts
-            for _ in range(3):  # dense fast: demotes meet a live queue
-                buffer.evict_one()
+            for shard in getattr(buffer, "shards", [buffer]):
+                for _ in range(3):  # dense fast: demotes meet a live queue
+                    shard.evict_one()
             with monkeypatch.context() as patch:
                 if crossover is not None:
                     patch.setattr(priorities, "SCALAR_FALLBACK", crossover)
@@ -1039,8 +1022,7 @@ def test_caching_bit_applier_forms_leave_identical_state(backend, size,
                                                       bits[positions], 4)
                 else:
                     priorities.apply_caching_bits(buffer, keys, bits, 4)
-            outcomes.append((_backend_states(buffer),
-                             [buffer.evict_one() for _ in range(200)]))
+            outcomes.append((_backend_states(buffer), drain(buffer)))
         assert outcomes[0] == outcomes[1] == outcomes[2]
 
 
@@ -1165,8 +1147,8 @@ def test_tagged_victim_re_miss_is_one_on_demand_miss(engine):
             server.breakdown.on_demand, server.evictions,
             server.prefetches_useful, sorted(server._prefetched)))
         state = sorted((key, buffer.priority_of(key)) for key in buffer.keys())
-        outcomes.append((hits.tolist(), counters, state,
-                         buffer.evict_batch(len(buffer)), calls))
+        outcomes.append((hits.tolist(), counters, state, drain(buffer),
+                         calls))
     fast, reference = outcomes
     assert fast[:4] == reference[:4]
     assert fast[4] == [segment.size]        # one bulk pass served it all

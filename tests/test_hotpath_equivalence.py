@@ -8,8 +8,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.cache import FastPriorityBuffer, PriorityBuffer, run_optgen, \
-    run_optgen_reference
+from repro.cache import run_optgen, run_optgen_reference
 from repro.cache.buffer import SCALAR_FALLBACK
 from repro.core import RecMGConfig, RecMGManager
 from repro.core.features import FeatureEncoder
@@ -190,47 +189,3 @@ class TestManagerServingEngines:
         assert SCALAR_FALLBACK == priorities.SCALAR_FALLBACK
         assert runs[0][0].evictions > 0 and runs[0][0].prefetches_issued > 0
         assert runs[0] == runs[1] == runs[2] == runs[3]
-
-
-BATCH_OPS = st.lists(
-    st.one_of(
-        st.tuples(st.just("batch"),
-                  st.lists(st.integers(0, 20), min_size=1, max_size=12),
-                  st.integers(0, 6)),
-        st.tuples(st.just("evict"), st.just([]), st.just(0)),
-        st.tuples(st.just("demote"), st.lists(st.integers(0, 20),
-                                              min_size=1, max_size=1),
-                  st.just(0)),
-    ),
-    min_size=1, max_size=60,
-)
-
-
-class TestPutBatchParity:
-    @given(BATCH_OPS)
-    @settings(max_examples=50, deadline=None)
-    def test_batch_equals_scalar_sequence(self, ops):
-        """``FastPriorityBuffer.put_batch`` must be indistinguishable
-        from the scalar insert-or-set loop the reference buffer runs."""
-        ref = PriorityBuffer(10)
-        fast = FastPriorityBuffer(10)
-        for op, keys, priority in ops:
-            if op == "batch":
-                new = set(k for k in keys if k not in ref)
-                if len(ref) + len(new) > ref.capacity:
-                    with pytest.raises(RuntimeError):
-                        fast.put_batch(keys, priority)
-                    continue
-                ref.put_batch(keys, priority)
-                fast.put_batch(keys, priority)
-            elif op == "demote" and keys[0] in ref:
-                ref.demote(keys[0])
-                fast.demote(keys[0])
-            elif op == "evict" and len(ref):
-                assert ref.evict_one() == fast.evict_one()
-            assert len(ref) == len(fast)
-        assert sorted(ref.keys()) == sorted(fast.keys())
-        for key in ref.keys():
-            assert ref.priority_of(key) == fast.priority_of(key)
-        while len(ref):
-            assert ref.evict_one() == fast.evict_one()

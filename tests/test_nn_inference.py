@@ -252,6 +252,20 @@ class TestModels:
     @settings(max_examples=40, deadline=None)
     def test_shape_sweep(self, hidden, embed_dim, input_len, output_frac,
                          batch, seed):
+        self._shape_case(hidden, embed_dim, input_len, output_frac, batch,
+                         seed)
+
+    def test_shape_with_one_repeated_near_tie(self):
+        """A shape the sweep found: with one hidden unit every prefetch
+        position shares the same two leading buckets, and 13 of the 28
+        sit inside the near-tie margin.  That is one tie repeated, not
+        13 near-ties, and every decision outside it agrees."""
+        self._shape_case(hidden=1, embed_dim=1, input_len=7,
+                         output_frac=0.5, batch=7, seed=8192)
+
+    @staticmethod
+    def _shape_case(hidden, embed_dim, input_len, output_frac, batch,
+                    seed):
         rng = np.random.default_rng(seed)
         config = RecMGConfig(
             input_len=input_len, hidden=hidden, embed_dim=embed_dim,

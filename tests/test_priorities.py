@@ -43,6 +43,7 @@ from repro.core.training import (
 )
 from repro.cache.buffer import SCALAR_FALLBACK
 from repro.cache.optgen import run_optgen
+from repro.serving import priorities
 from repro.serving.priorities import (
     PRIORITY_MODES,
     LiftGuard,
@@ -53,6 +54,7 @@ from repro.serving.priorities import (
 )
 from repro.traces.access import Trace
 from repro.traces.synthetic import SyntheticTraceConfig, generate_trace
+from sharded_ops import drain
 
 
 @pytest.fixture(scope="module")
@@ -191,13 +193,16 @@ def test_sync_bits_match_offline_predict(world, small_config):
 @pytest.mark.parametrize("num_shards", [1, 4])
 @pytest.mark.parametrize("buffer_impl", ["fast", "clock"])
 def test_sync_run_equals_manual_replay(world, small_config, buffer_impl,
-                                       num_shards):
+                                       num_shards, monkeypatch):
     """``priority_mode="sync"`` is *only* a refactoring of "serve a
     block, predict it, apply the bits": a model-free manager driven by
     that manual loop must reproduce the sync run decision-for-decision,
-    including final buffer state.  The manual loop applies the bits
-    through the *whole-buffer* applier while ``run()`` splits them per
-    shard, so the 4-shard cases pin the split's identity end to end."""
+    including final buffer state.  The manual loop applies each block's
+    bits as the applier's scalar sequence (``SCALAR_FALLBACK`` raised
+    above the block size) on the whole buffer, every key routed to its
+    shard by the buffer's scalar protocol, while ``run()`` splits them
+    per shard: the 4-shard cases pin the split against that sequence
+    end to end."""
     _, tail, encoder, capacity, model = world
     guided = RecMGManager(capacity, encoder,
                           replace(small_config, priority_mode="sync",
@@ -215,13 +220,15 @@ def test_sync_run_equals_manual_replay(world, small_config, buffer_impl,
     block = manual._SERVE_BLOCK * getattr(manual.buffer, "num_shards", 1)
     dense = encoder.dense_ids(tail)
     served = []
+    monkeypatch.setattr(priorities, "SCALAR_FALLBACK", block)
     for start in range(0, dense.size, block):
         segment = dense[start:start + block]
         # Model-free, ``serve_batch`` is exactly the engine's serve.
         served.append(manual.serve_batch(segment))
         bits = model.predict(
             encoder.encode_dense_chunks(segment)).reshape(-1)[:segment.size]
-        manual._apply_caching_bits(segment, bits)
+        apply_caching_bits(manual.buffer, segment, bits,
+                           small_config.eviction_speed)
     replayed = np.concatenate(served)
     manual.close()
 
@@ -234,6 +241,57 @@ def test_sync_run_equals_manual_replay(world, small_config, buffer_impl,
     for key in residents:
         assert guided.buffer.priority_of(key) == \
             manual.buffer.priority_of(key)
+
+
+class _KeyedCachingModel:
+    """An offline caching model whose bit depends on the key and its
+    position in the chunk: repeats of a key in one chunk can disagree,
+    so which occurrence wins shows in the buffer state."""
+
+    def predict(self, chunks, sel):
+        dense = chunks.dense_ids[sel]
+        return ((dense + np.arange(dense.shape[1])) % 3 != 0).astype(np.int8)
+
+
+def test_sharded_chunk_bits_equal_scalar_replay(world, small_config,
+                                                monkeypatch):
+    """A 4-shard exact ``run()`` with an offline caching model writes
+    every chunk's bits through the manager's per-shard split.  A
+    model-free twin serves the same chunks and applies each chunk's
+    bits as the applier's scalar sequence on the whole buffer, every
+    key routed to its shard by the buffer's scalar protocol: decisions,
+    residents, priorities and the drained victim order must agree, so
+    a split that drops, misroutes or reorders a bit fails here."""
+    _, tail, encoder, capacity, _ = world
+    config = replace(small_config, buffer_impl="fast", num_shards=4)
+    model = _KeyedCachingModel()
+    guided = RecMGManager(capacity, encoder, config, caching_model=model)
+    guided.run(tail, record_decisions=True)
+
+    manual = RecMGManager(capacity, encoder, config)
+    dense = encoder.dense_ids(tail)
+    length = config.input_len
+    chunked = dense.size // length * length
+    bits_all = model.predict(encoder.encode_dense_chunks(dense[:chunked]),
+                             sel=slice(None))
+    monkeypatch.setattr(priorities, "SCALAR_FALLBACK", 1 << 30)
+    served = []
+    for index, start in enumerate(range(0, chunked, length)):
+        chunk = dense[start:start + length]
+        served.append(manual.serve_batch(chunk))
+        apply_caching_bits(manual.buffer, chunk, bits_all[index],
+                           config.eviction_speed)
+    block = manual._SERVE_BLOCK * config.num_shards
+    for start in range(chunked, dense.size, block):
+        served.append(manual.serve_batch(dense[start:start + block]))
+
+    np.testing.assert_array_equal(guided.last_decisions,
+                                  np.concatenate(served))
+    residents = sorted(guided.buffer.keys())
+    assert residents == sorted(manual.buffer.keys())
+    assert [guided.buffer.priority_of(key) for key in residents] == \
+        [manual.buffer.priority_of(key) for key in residents]
+    assert drain(guided.buffer) == drain(manual.buffer)
 
 
 def test_record_decisions_under_sync_sharded(world):

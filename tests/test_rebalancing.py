@@ -4,11 +4,12 @@ Three layers of checking for :meth:`repro.cache.sharding.ShardedBuffer.
 rebalance` and the manager's online driver:
 
 * **Migration-invariant fuzz (200 seeds)** — random op/rebalance
-  interleavings over fast and clock backends under both routers.  After
-  *every* rebalance: the partition invariants hold (disjoint per-shard
-  resident sets whose union is the global ``contains_batch``, every
-  resident routes to its shard, compressed residency bitmaps
-  decompress exactly onto the owned residents), the resident union is
+  interleavings (the op vocabulary of ``sharded_ops.py``) over fast
+  and clock backends under both routers.  After *every* rebalance: the
+  partition invariants hold (disjoint per-shard resident sets whose
+  union is scalar membership, every resident routes to its shard,
+  compressed residency bitmaps decompress exactly onto the owned
+  residents), the resident union is
   preserved (``after ∪ evicted == before``, disjointly), every shard's
   occupancy respects its *new* capacity, and — when no donor-shrink
   eviction ran — every survivor keeps its exact effective priority.
@@ -20,13 +21,10 @@ rebalance` and the manager's online driver:
   residents in canonical order (the module docstring's canonical-
   rebuild contract; the committed end-to-end counters live in
   ``tests/test_golden_backends.py``).
-* **Raise-before-mutate regression** — ``put_batch``'s per-shard
-  pre-validation must read the *post-rebalance* capacities.  The
-  original :class:`CompressedShardView` snapshotted ``capacity`` at
-  construction, so a donor shard shrunk by a rebalance kept validating
-  against its stale larger capacity and over-admitted; ``capacity`` is
-  now a delegating property and both directions (shrunk shard rejects,
-  grown shard accepts) are pinned here.
+* **Capacity read-through** — a :class:`CompressedShardView` once
+  snapshotted ``capacity`` at construction, so a donor shard shrunk by
+  a rebalance kept its stale larger capacity; ``capacity`` is a
+  delegating property, pinned here.
 
 The manager's online driver is checked through ``serve_batch`` here and
 end to end through ``run()`` by the committed counters of
@@ -40,77 +38,16 @@ import pytest
 
 from repro.cache import ShardedBuffer
 from repro.cache.sharding import split_capacity
+from sharded_ops import (
+    DENSE_SPACE,
+    apply_op,
+    assert_partition_invariants,
+    drain,
+    gen_ops,
+)
 
-KEY_SPACE = 26
-#: Deliberately smaller than the fuzzed key range: keys >= DENSE_SPACE
-#: exercise spillover ids, which never migrate (they route mod N under
-#: both routers, independent of the range partition).
-DENSE_SPACE = KEY_SPACE - 7
-MAX_PRIORITY = 6
 NUM_SEQUENCES = 200
 OPS_PER_SEQUENCE = 60
-
-PROBE = np.arange(-4, KEY_SPACE + 9, dtype=np.int64)
-
-OP_WEIGHTS = [
-    ("insert", 6),
-    ("set_priority", 4),
-    ("demote", 2),
-    ("put_batch", 3),
-    ("set_priority_batch", 2),
-    ("demote_batch", 1),
-    ("evict_one", 4),
-    ("evict_batch", 3),
-]
-
-
-def _gen_ops(rng: random.Random, count=OPS_PER_SEQUENCE):
-    names = [name for name, _ in OP_WEIGHTS]
-    weights = [weight for _, weight in OP_WEIGHTS]
-    ops = []
-    for _ in range(count):
-        ops.append((rng.choices(names, weights=weights)[0],
-                    rng.randrange(KEY_SPACE),
-                    rng.randrange(MAX_PRIORITY + 1),
-                    [rng.randrange(KEY_SPACE)
-                     for _ in range(rng.randint(1, 10))],
-                    rng.randint(1, 6)))
-    return ops
-
-
-def _apply_op(buffer, op):
-    """Apply one op when locally valid (validity judged from the
-    buffer's own state, so two buffers in identical state make
-    identical decisions); returns eviction victims, if any."""
-    kind, key, priority, batch, count = op
-    if kind == "insert":
-        if key in buffer:
-            buffer.set_priority(key, priority)
-        elif not buffer.shard_backend_for(key).is_full:
-            buffer.insert(key, priority)
-    elif kind == "set_priority":
-        if key in buffer:
-            buffer.set_priority(key, priority)
-    elif kind == "demote":
-        if key in buffer:
-            buffer.demote(key)
-    elif kind == "put_batch":
-        try:
-            buffer.put_batch(batch, priority)
-        except RuntimeError:
-            return "raised"
-    elif kind == "set_priority_batch":
-        buffer.set_priority_batch([k for k in batch if k in buffer],
-                                  priority)
-    elif kind == "demote_batch":
-        buffer.demote_batch([k for k in batch if k in buffer])
-    elif kind == "evict_one":
-        if len(buffer):
-            return [buffer.evict_one()]
-    elif kind == "evict_batch":
-        if len(buffer):
-            return buffer.evict_batch(min(count, len(buffer)))
-    return None
 
 
 def _random_weights(rng: random.Random, num_shards: int):
@@ -118,35 +55,6 @@ def _random_weights(rng: random.Random, num_shards: int):
         return None
     return tuple(rng.choice([0.5, 1.0, 2.0, 3.0, 5.0])
                  for _ in range(num_shards))
-
-
-def _assert_partition_invariants(sharded: ShardedBuffer):
-    """Disjointness, routing coherence, bitmap round-trip — must hold
-    after any op and, in particular, after any rebalance (the routing
-    checks run under whatever partition is *currently* drawn)."""
-    gathered = np.zeros(PROBE.size, dtype=bool)
-    for _, shard, positions, sub in sharded.iter_shard_segments(PROBE):
-        gathered[positions] = shard.contains_batch(sub)
-    assert np.array_equal(gathered, sharded.contains_batch(PROBE))
-    seen = set()
-    for index, shard in enumerate(sharded.shards):
-        resident = list(shard.keys())
-        assert len(resident) <= shard.capacity
-        assert shard.capacity == shard.backend.capacity
-        for key in resident:
-            assert sharded.shard_id_of(key) == index
-            assert key not in seen
-            seen.add(key)
-        # Compressed-universe round-trip on every in-universe survivor:
-        # the residency bitmap covers the compressed ids; its set bits
-        # must decompress exactly onto the shard's owned residents.
-        bitmap_ids = np.flatnonzero(shard.residency.bitmap)
-        decompressed = sharded.router.decompress(index, bitmap_ids)
-        in_universe = sorted(key for key in resident
-                             if 0 <= key < sharded.key_space)
-        assert sorted(decompressed.tolist()) == in_universe
-    assert len(seen) == len(sharded)
-    assert len(sharded) <= sharded.capacity
 
 
 def _checked_rebalance(sharded: ShardedBuffer, weights):
@@ -164,7 +72,7 @@ def _checked_rebalance(sharded: ShardedBuffer, weights):
     assert stats["shard_capacities"] == sharded.shard_capacities
     assert sum(sharded.shard_capacities) == sharded.capacity
     assert all(cap >= 1 for cap in sharded.shard_capacities)
-    _assert_partition_invariants(sharded)
+    assert_partition_invariants(sharded)
     if not evicted and not sharded.approximate:
         # No donor-shrink aging ran: exact survivors carry their
         # effective priorities bit-for-bit across the migration.
@@ -183,7 +91,7 @@ def test_rebalance_fuzz_interleaved_ops(seed):
     policy = rng.choice(["contiguous", "modulo"])
     num_shards = rng.choice([2, 3, 4])
     capacity = rng.randint(num_shards, 16)
-    ops = _gen_ops(rng)
+    ops = gen_ops(rng, OPS_PER_SEQUENCE)
 
     buffers = [
         ShardedBuffer("fast", capacity, key_space=DENSE_SPACE,
@@ -193,7 +101,7 @@ def test_rebalance_fuzz_interleaved_ops(seed):
     ]
     for op in ops:
         for sharded in buffers:
-            _apply_op(sharded, op)
+            apply_op(sharded, op)
             if rng.random() < 0.15:
                 _checked_rebalance(sharded,
                                    _random_weights(rng, num_shards))
@@ -202,11 +110,10 @@ def test_rebalance_fuzz_interleaved_ops(seed):
         # drains cleanly under the final partition.
         _checked_rebalance(sharded, _random_weights(rng, num_shards))
         remaining = len(sharded)
-        if remaining:
-            victims = sharded.evict_batch(remaining)
-            assert len(victims) == len(set(victims)) == remaining
+        victims = drain(sharded)
+        assert len(victims) == len(set(victims)) == remaining
         assert len(sharded) == 0
-        _assert_partition_invariants(sharded)
+        assert_partition_invariants(sharded)
 
 
 @pytest.mark.parametrize("impl", ["fast", "clock"])
@@ -216,13 +123,13 @@ def test_noop_rebalance_is_bit_identical(impl, policy):
     ``changed=False`` before touching any backend: a twin that calls
     it stays decision-identical through an arbitrary op suffix."""
     rng = random.Random(77)
-    prefix, suffix = _gen_ops(rng, 30), _gen_ops(rng, 40)
+    prefix, suffix = gen_ops(rng, 30), gen_ops(rng, 40)
 
     def build():
         buf = ShardedBuffer(impl, 9, key_space=DENSE_SPACE,
                             num_shards=3, shard_policy=policy)
         for op in prefix:
-            _apply_op(buf, op)
+            apply_op(buf, op)
         return buf
 
     plain, poked = build(), build()
@@ -235,13 +142,11 @@ def test_noop_rebalance_is_bit_identical(impl, policy):
     assert first["changed"] and not second["changed"]
     plain.rebalance(weights)
     for op in suffix:
-        assert _apply_op(plain, op) == _apply_op(poked, op)
+        assert apply_op(plain, op) == apply_op(poked, op)
         assert sorted(plain.keys()) == sorted(poked.keys())
         for key in plain.keys():
             assert plain.priority_of(key) == poked.priority_of(key)
-    remaining = len(plain)
-    if remaining:
-        assert plain.evict_batch(remaining) == poked.evict_batch(remaining)
+    assert drain(plain) == drain(poked)
 
 
 @pytest.mark.parametrize("impl", ["fast", "clock"])
@@ -263,8 +168,8 @@ def test_rebalanced_matches_fresh_preseeded_buffer(impl, policy, seed):
 
     lived = ShardedBuffer(impl, capacity, key_space=DENSE_SPACE,
                           num_shards=num_shards, shard_policy=policy)
-    for op in _gen_ops(rng, 50):
-        _apply_op(lived, op)
+    for op in gen_ops(rng, 50):
+        apply_op(lived, op)
     assert lived.rebalance(weights)["changed"]
 
     fresh = ShardedBuffer(impl, capacity, key_space=DENSE_SPACE,
@@ -289,20 +194,17 @@ def test_rebalanced_matches_fresh_preseeded_buffer(impl, policy, seed):
                 prio.tolist()):
             fresh.insert(int(key), int(priority))
 
-    suffix = _gen_ops(rng, 40)
+    suffix = gen_ops(rng, 40)
     for op in suffix:
-        assert _apply_op(lived, op) == _apply_op(fresh, op)
+        assert apply_op(lived, op) == apply_op(fresh, op)
     assert sorted(lived.keys()) == sorted(fresh.keys())
     for key in lived.keys():
         assert lived.priority_of(key) == fresh.priority_of(key)
-    remaining = len(lived)
-    if remaining:
-        assert lived.evict_batch(remaining) == fresh.evict_batch(remaining)
+    assert drain(lived) == drain(fresh)
 
 
 # ---------------------------------------------------------------------------
-# Satellite regression: put_batch pre-validation vs post-rebalance
-# capacities.
+# Shard views read their capacity through.
 
 
 def test_view_capacity_tracks_rebalanced_backend():
@@ -315,36 +217,13 @@ def test_view_capacity_tracks_rebalanced_backend():
     assert buf.shard_capacities == [6, 2]
 
 
-@pytest.mark.parametrize("impl", ["fast", "clock"])
-def test_put_batch_validates_against_rebalanced_capacities(impl):
-    """Raise-before-mutate must consult the *new* split: a shrunk
-    donor shard rejects batches its stale capacity would have
-    over-admitted, and a grown shard accepts batches the stale
-    capacity would have spuriously rejected."""
-    buf = ShardedBuffer(impl, 8, key_space=16, num_shards=2)
-    assert buf.shard_capacities == [4, 4]
-    buf.rebalance((3.0, 1.0))
-    # Contiguous ranges re-split with the weights: shard 0 now owns
-    # [0, 12) at capacity 6, shard 1 owns [12, 16) at capacity 2.
-    assert buf.shard_capacities == [6, 2]
-    before = sorted(buf.keys())
-    with pytest.raises(RuntimeError, match="full"):
-        buf.put_batch([12, 13, 14], 1)  # 3 distinct keys, capacity 2
-    assert sorted(buf.keys()) == before  # untouched on rejection
-    # The grown shard really has the headroom the new split grants.
-    buf.put_batch([0, 2, 4, 6, 8, 10], 1)
-    assert len(buf.shards[0]) == 6
-    # And the shrunk shard admits exactly its new capacity.
-    buf.put_batch([12, 15], 1)
-    assert len(buf.shards[1]) == 2
-
-
 def test_rebalance_shrink_reports_every_victim():
     """Donor shrink picks overflow victims through the backend's own
     eviction order and reports them all."""
     buf = ShardedBuffer("fast", 8, key_space=16, num_shards=2)
     seeded = [0, 1, 2, 3, 8, 9, 10, 11]  # both shards at capacity
-    buf.put_batch(seeded, 0)
+    for key in seeded:
+        buf.insert(key, 0)
     assert len(buf.shards[0]) == 4 and len(buf.shards[1]) == 4
     stats = buf.rebalance((1.0, 3.0))
     # The shrunk donor's overflow left through evict_batch and the

@@ -6,15 +6,16 @@ Three layers of checking for :mod:`repro.cache.sharding`:
   key maps to exactly one shard, contiguous ranges tile the universe),
   ``make_buffer`` validation (``num_shards > 1`` without ``key_space``
   is rejected with a clear error, mirroring the PR 4 ``key_space``
-  rejection), and the deterministic water-filling eviction allocation.
+  rejection).
 * **Op-level differential (200-seed fuzz)** — a 1-shard
   :class:`ShardedBuffer` must be decision-for-decision identical to
   the bare backend it wraps (victims, resident sets, priorities, after
   every op), for the exact and the clock backend alike; simultaneously
   an N>1 sharded buffer must keep the partition invariants after every
   op: every key routes to exactly one shard, per-shard residency
-  bitmaps are pairwise disjoint, and their union equals the global
-  ``contains_batch`` (spillover ids above the bitmap included).
+  bitmaps are pairwise disjoint, and their union equals scalar
+  membership (spillover ids above the bitmap included).  The op
+  vocabulary (``sharded_ops.py``) is what serving calls.
 * **Manager-level** — the bulk serving engine over a sharded buffer
   (``RecMGManager._serve_demand_bulk`` through
   ``ShardedBuffer.serve_segment``) must be
@@ -38,19 +39,18 @@ from repro.cache import (
     make_buffer,
     make_router,
 )
-from repro.cache.sharding import _allocate_evictions
+from sharded_ops import (
+    DENSE_SPACE,
+    PROBE,
+    apply_op,
+    assert_partition_invariants,
+    drain,
+    gen_ops,
+    resident,
+)
 
-KEY_SPACE = 26
-#: Sharded key_space deliberately smaller than the fuzzed key range:
-#: keys >= DENSE_SPACE exercise the spillover routing (key mod N).
-DENSE_SPACE = KEY_SPACE - 7
-MAX_PRIORITY = 6
 NUM_SEQUENCES = 200
 OPS_PER_SEQUENCE = 90
-
-#: Probe spanning below, inside, and above both the bitmap and the
-#: fuzzed key range.
-PROBE = np.arange(-4, KEY_SPACE + 9, dtype=np.int64)
 
 
 # ---------------------------------------------------------------------------
@@ -231,7 +231,8 @@ def test_make_buffer_shard_weights():
     # Fill each shard to its weighted capacity (contiguous routing:
     # shard i owns [32*i, 32*(i+1))) — the global contract holds.
     keys = np.concatenate([np.arange(17), [32, 64, 96]]).astype(np.int64)
-    buf.put_batch(keys, 2)
+    for key in keys.tolist():
+        buf.insert(key, 2)
     assert len(buf) == 20 and buf.is_full
     with pytest.raises(ValueError, match="num_shards > 1"):
         make_buffer("clock", 8, key_space=64, shard_weights=(1.0,))
@@ -319,80 +320,6 @@ def test_make_buffer_sharded_partitions_capacity():
     assert make_buffer("clock", 8, key_space=64, num_shards=2).approximate
 
 
-# ---------------------------------------------------------------------------
-# Eviction allocation (water-filling).
-
-
-def test_allocate_evictions_levels_fullest_shards():
-    lengths = np.array([10, 3, 7, 3], dtype=np.int64)
-    take = _allocate_evictions(lengths, 5)
-    assert take.sum() == 5
-    assert (take <= lengths).all()
-    # Levelling: occupancies after eviction are as equal as possible,
-    # fullest shards pay first.
-    after = (lengths - take).tolist()
-    assert after == [6, 3, 6, 3]
-
-
-def test_allocate_evictions_deterministic_tiebreak():
-    lengths = np.array([4, 4, 4], dtype=np.int64)
-    assert _allocate_evictions(lengths, 2).tolist() == [1, 1, 0]
-    assert _allocate_evictions(lengths, 3).tolist() == [1, 1, 1]
-    assert _allocate_evictions(lengths, 12).tolist() == [4, 4, 4]
-
-
-def test_allocate_evictions_rejects_overdraw():
-    with pytest.raises(RuntimeError):
-        _allocate_evictions(np.array([2, 1], dtype=np.int64), 4)
-
-
-def test_sharded_evict_one_targets_fullest_shard():
-    buf = ShardedBuffer("fast", 6, key_space=30, num_shards=3)
-    # contiguous ranges over 30 ids / 3 shards: [0,10), [10,20), [20,30)
-    buf.put_batch([1, 2, 11], 0)
-    assert buf.shard_id_of(int(buf.evict_one())) == 0  # fullest shard
-    assert len(buf) == 2
-
-
-def _victim_order_fixture():
-    """3 contiguous fast shards ([0,10), [10,20), [20,30)) whose global
-    ``(effective_priority, seqno)`` eviction order would *interleave*
-    shards: the minimum-priority entries all live in shard 2."""
-    buf = ShardedBuffer("fast", 9, key_space=30, num_shards=3)
-    for key, priority in [(0, 5), (1, 5), (2, 5),
-                          (10, 3), (11, 3),
-                          (20, 0), (21, 0), (22, 0)]:
-        buf.insert(key, priority)
-    return buf
-
-
-def test_evict_batch_victim_order_is_per_shard():
-    """Pins the documented :meth:`ShardedBuffer.evict_batch` victim
-    contract (cross-referenced from the bulk-protocol docs in
-    ``cache/buffer.py``): victims come out grouped per shard in
-    shard-id order, the per-shard counts follow the water-filling
-    allocation, and each group is exactly what that shard would have
-    evicted standalone — NOT the global ``(effective_priority, seqno)``
-    interleave a bare backend would produce."""
-    buf = _victim_order_fixture()
-    twin = _victim_order_fixture()
-    lengths = np.array([len(shard) for shard in buf.shards],
-                       dtype=np.int64)
-    shares = _allocate_evictions(lengths, 4)
-    expected = []
-    for shard, share in zip(twin.shards, shares.tolist()):
-        if share:
-            expected.extend(shard.evict_batch(share))
-    victims = buf.evict_batch(4)
-    assert victims == expected
-    # Grouped per shard, groups in shard-id order.
-    shard_ids = [buf.shard_id_of(int(victim)) for victim in victims]
-    assert shard_ids == sorted(shard_ids)
-    # And decidedly not the global priority order: every priority-0
-    # entry lives in shard 2, yet shard 0 (a fullest shard) pays first.
-    assert shard_ids[0] == 0
-
-
 @pytest.mark.parametrize("impl", ["reference", "fast", "clock"])
 def test_sharded_serve_segment_serves_each_shard_whole(impl):
     """``ShardedBuffer.serve_segment`` serves the whole segment with
@@ -438,113 +365,12 @@ def test_sharded_serve_segment_serves_each_shard_whole(impl):
 # ---------------------------------------------------------------------------
 # Op-level differential fuzz: 1-shard == bare; N-shard partition laws.
 
-OP_WEIGHTS = [
-    ("insert", 6),
-    ("set_priority", 4),
-    ("demote", 2),
-    ("put_batch", 3),
-    ("set_priority_batch", 2),
-    ("demote_batch", 1),
-    ("evict_one", 4),
-    ("evict_batch", 3),
-]
-
-
-def _gen_ops(rng: random.Random):
-    names = [name for name, _ in OP_WEIGHTS]
-    weights = [weight for _, weight in OP_WEIGHTS]
-    ops = []
-    for _ in range(OPS_PER_SEQUENCE):
-        ops.append((rng.choices(names, weights=weights)[0],
-                    rng.randrange(KEY_SPACE),
-                    rng.randrange(MAX_PRIORITY + 1),
-                    [rng.randrange(KEY_SPACE)
-                     for _ in range(rng.randint(1, 10))],
-                    rng.randint(1, 6)))
-    return ops
-
-
-def _apply_op(buffer, op):
-    """Apply one op to ``buffer`` when locally valid (validity judged
-    from the buffer's own state, so bare and 1-shard wrappers see the
-    same decisions); returns the victims of eviction ops, or None."""
-    kind, key, priority, batch, count = op
-    if kind == "insert":
-        home = (buffer.shard_backend_for(key)
-                if isinstance(buffer, ShardedBuffer) else buffer)
-        if key in buffer:
-            buffer.set_priority(key, priority)
-        elif not home.is_full:
-            buffer.insert(key, priority)
-    elif kind == "set_priority":
-        if key in buffer:
-            buffer.set_priority(key, priority)
-    elif kind == "demote":
-        if key in buffer:
-            buffer.demote(key)
-    elif kind == "put_batch":
-        before = sorted(buffer.keys())
-        try:
-            buffer.put_batch(batch, priority)
-        except RuntimeError:
-            # Raise-before-mutate: a rejected batch leaves the buffer
-            # untouched (per-shard capacity pre-check on the wrapper).
-            assert sorted(buffer.keys()) == before
-            return "raised"
-    elif kind == "set_priority_batch":
-        buffer.set_priority_batch([k for k in batch if k in buffer],
-                                  priority)
-    elif kind == "demote_batch":
-        buffer.demote_batch([k for k in batch if k in buffer])
-    elif kind == "evict_one":
-        if len(buffer):
-            return [buffer.evict_one()]
-    elif kind == "evict_batch":
-        if len(buffer):
-            return buffer.evict_batch(min(count, len(buffer)))
-    return None
-
-
-def _assert_partition_invariants(sharded: ShardedBuffer):
-    """After any op: every key routes to exactly one shard, the
-    per-shard resident sets are pairwise disjoint, their union is the
-    global contains_batch, and each shard's compressed residency
-    bitmap decompresses exactly onto the global ids it owns."""
-    # Scatter the probe the way every bulk op does: a compressed shard
-    # view only speaks for keys that route to it (the per-shard
-    # bijections alias foreign keys by design), so per-shard answers
-    # are only meaningful for the shard's own sub-segment.
-    gathered = np.zeros(PROBE.size, dtype=bool)
-    for _, shard, positions, sub in sharded.iter_shard_segments(PROBE):
-        gathered[positions] = shard.contains_batch(sub)
-    assert np.array_equal(gathered, sharded.contains_batch(PROBE))
-    # Routing + disjointness: every resident (decompressed) key lives
-    # in exactly its router shard, so the resident sets cannot overlap.
-    seen = set()
-    for index, shard in enumerate(sharded.shards):
-        resident = list(shard.keys())
-        for key in resident:
-            assert sharded.shard_id_of(key) == index
-            assert key not in seen  # a key lives in at most one shard
-            seen.add(key)
-        # The raw bitmap covers the *compressed* universe; its set bits
-        # decompress exactly onto the shard's in-universe residents.
-        bitmap_ids = np.flatnonzero(shard.residency.bitmap)
-        decompressed = sharded.router.decompress(index, bitmap_ids)
-        in_universe = sorted(key for key in resident
-                             if 0 <= key < sharded.key_space)
-        assert sorted(decompressed.tolist()) == in_universe
-    assert len(seen) == len(sharded)
-    assert len(sharded) == sum(len(shard) for shard in sharded.shards)
-    assert len(sharded) <= sharded.capacity
-
-
 @pytest.mark.parametrize("seed", range(NUM_SEQUENCES))
 def test_sharding_differential_op_sequences(seed):
     rng = random.Random(9900 + seed)
     capacity = rng.randint(3, 16)
     policy = rng.choice(["contiguous", "modulo"])
-    ops = _gen_ops(rng)
+    ops = gen_ops(rng, OPS_PER_SEQUENCE)
 
     pairs = [
         (FastPriorityBuffer(capacity, key_space=DENSE_SPACE),
@@ -563,8 +389,8 @@ def test_sharding_differential_op_sequences(seed):
 
     for op in ops:
         for bare, wrapped in pairs:
-            bare_victims = _apply_op(bare, op)
-            wrapped_victims = _apply_op(wrapped, op)
+            bare_victims = apply_op(bare, op)
+            wrapped_victims = apply_op(wrapped, op)
             # Decision-for-decision: same victims, same residents, same
             # priorities, same bulk residency answers.
             assert bare_victims == wrapped_victims
@@ -574,25 +400,21 @@ def test_sharding_differential_op_sequences(seed):
             for key in keys:
                 assert wrapped.priority_of(key) == bare.priority_of(key)
             assert np.array_equal(bare.contains_batch(PROBE),
-                                  wrapped.contains_batch(PROBE))
+                                  resident(wrapped, PROBE))
         for sharded in multi:
-            _apply_op(sharded, op)
-            _assert_partition_invariants(sharded)
+            apply_op(sharded, op)
+            assert_partition_invariants(sharded)
 
     # Drain: remaining victim order still identical for the 1-shard
     # wrappers, and the N-shard buffers drain to empty cleanly.
     for bare, wrapped in pairs:
-        remaining = len(bare)
-        if remaining:
-            assert wrapped.evict_batch(remaining) == \
-                bare.evict_batch(remaining)
+        assert drain(wrapped) == drain(bare)
     for sharded in multi:
         remaining = len(sharded)
-        if remaining:
-            victims = sharded.evict_batch(remaining)
-            assert len(victims) == len(set(victims)) == remaining
+        victims = drain(sharded)
+        assert len(victims) == len(set(victims)) == remaining
         assert len(sharded) == 0
-        _assert_partition_invariants(sharded)
+        assert_partition_invariants(sharded)
 
 
 def test_protected_clock_eviction_with_spillover_avoid():
@@ -600,7 +422,8 @@ def test_protected_clock_eviction_with_spillover_avoid():
     spillover ids alike, ages past protected zeros, and raises on
     overdraw."""
     buf = ClockBuffer(5, key_space=8)
-    buf.put_batch([1, 2, 3, 100], 0)   # 100 spills over the bitmap
+    for key in (1, 2, 3, 100):         # 100 spills over the bitmap
+        buf.insert(key, 0)
     buf.insert(4, 2)
     victims = buf.evict_batch(2, avoid=np.array([1, 100, -3, 50]))
     assert sorted(victims) == [2, 3]   # protected keys survive
@@ -617,15 +440,17 @@ def test_sharded_spillover_keys_route_and_serve():
     """Ids outside [0, key_space) route deterministically (mod N) and
     behave like in-range keys through the whole protocol."""
     buf = ShardedBuffer("clock", 6, key_space=8, num_shards=2)
-    buf.put_batch([1, 100, 101, 7], 2)  # 100 -> shard 0, 101 -> shard 1
+    # 100 -> shard 0, 101 -> shard 1: no shard overflows, no victim.
+    assert buf.serve_segment(np.array([1, 100, 101, 7]), 2)[2].size == 0
     assert 100 in buf and 101 in buf
     assert buf.shard_id_of(100) == 0 and buf.shard_id_of(101) == 1
     assert np.array_equal(
-        buf.contains_batch(np.array([1, 7, 100, 101, 102, -5])),
+        resident(buf, np.array([1, 7, 100, 101, 102, -5])),
         np.array([True, True, True, True, False, False]))
-    buf.demote_batch(np.array([100, 101]))
+    buf.demote(100)
+    buf.demote(101)
     assert buf.priority_of(100) == 0 and buf.priority_of(101) == 0
-    victims = buf.evict_batch(4)
+    victims = drain(buf)
     assert sorted(victims) == [1, 7, 100, 101]
     assert len(buf) == 0
 
@@ -700,10 +525,7 @@ def test_sharded_exact_serving_decision_equivalence(seed):
     assert sorted(b_buf.keys()) == sorted(s_buf.keys())
     for key in s_buf.keys():
         assert b_buf.priority_of(key) == s_buf.priority_of(key)
-    remaining = len(s_buf)
-    if remaining:
-        drain = s_buf.evict_batch(remaining)
-        assert b_buf.evict_batch(remaining) == drain
+    assert drain(b_buf) == drain(s_buf)
 
 
 @pytest.mark.parametrize("seed", range(0, MANAGER_SEEDS, 2))
@@ -747,7 +569,7 @@ def test_sharded_clock_serving_contract(seed):
     assert len(buffer) <= capacity
     for shard in buffer.shards:
         assert len(shard) <= shard.capacity
-    seen = buffer.contains_batch(encoder.dense_ids(trace))
+    seen = resident(buffer, encoder.dense_ids(trace))
     # Everything resident at the end was served from this trace.
     assert len(buffer) == len({int(k) for k in buffer.keys()})
     assert seen.any() or capacity == 0
@@ -829,8 +651,8 @@ def test_sharded_manager_via_config_knobs():
 
 
 def test_sharded_caching_bits_match_bare():
-    """_apply_caching_bits through the sharded bulk protocol lands the
-    same priorities the bare dense backend gets."""
+    """_apply_caching_bits split per shard view lands the same
+    priorities the bare dense backend gets."""
     from repro.core import RecMGConfig
     from repro.core.features import FeatureEncoder
     from repro.core.manager import RecMGManager
@@ -846,7 +668,8 @@ def test_sharded_caching_bits_match_bare():
         manager = RecMGManager(12, encoder,
                                replace(config, buffer_impl="fast", **kwargs))
         dense = encoder.dense_ids(trace)[:12]
-        manager.buffer.put_batch(dense, config.eviction_speed)
+        for key in dense.tolist():
+            manager.buffer.insert(key, config.eviction_speed)
         bits = rng.integers(0, 2, size=dense.size)
         manager._apply_caching_bits(dense, bits)
         return manager.buffer, dense
