@@ -10,6 +10,7 @@ from __future__ import annotations
 import json
 import os
 import platform
+import statistics
 import time
 from pathlib import Path
 
@@ -55,23 +56,40 @@ def record_hotpath():
     """Record one hot path's throughput for BENCH_hotpaths.json.
 
     ``record_hotpath(name, accesses, seconds, ref_seconds=None,
-    **extra)`` — accesses/sec is derived; a reference timing adds the
-    speedup; extra keyword pairs land verbatim in the entry.
+    **extra)`` stores :func:`hotpath_entry` under ``name``.
     """
     def _record(name: str, accesses: int, seconds: float,
                 ref_seconds: float = None, **extra) -> None:
-        entry = {
-            "accesses": int(accesses),
-            "seconds": seconds,
-            "accesses_per_sec": accesses / seconds,
-        }
-        if ref_seconds is not None:
-            entry["reference_seconds"] = ref_seconds
-            entry["reference_accesses_per_sec"] = accesses / ref_seconds
-            entry["speedup"] = ref_seconds / seconds
-        entry.update(extra)
-        _HOTPATH_RESULTS[name] = entry
+        _HOTPATH_RESULTS[name] = hotpath_entry(accesses, seconds,
+                                               ref_seconds, **extra)
     return _record
+
+
+def hotpath_entry(accesses: int, seconds: float,
+                  ref_seconds: float = None, **extra) -> dict:
+    """One BENCH_hotpaths.json entry.
+
+    ``seconds`` is the best of its repeats, and stays what the gates
+    and ``compare_bench.py`` read; when it carries every repeat's time
+    (``times``, as ``test_perf_hotpaths.Timing`` does) the entry adds
+    ``repeats`` and ``seconds_median`` beside it, while a plain float
+    is one run.  accesses/sec is derived; a reference timing adds the
+    speedup; extra keyword pairs land verbatim in the entry.
+    """
+    times = getattr(seconds, "times", (seconds,))
+    entry = {
+        "accesses": int(accesses),
+        "seconds": float(seconds),
+        "repeats": len(times),
+        "seconds_median": float(statistics.median(times)),
+        "accesses_per_sec": accesses / seconds,
+    }
+    if ref_seconds is not None:
+        entry["reference_seconds"] = float(ref_seconds)
+        entry["reference_accesses_per_sec"] = accesses / ref_seconds
+        entry["speedup"] = ref_seconds / seconds
+    entry.update(extra)
+    return entry
 
 
 def flush_hotpaths(path: Path, results: dict, exitstatus: int) -> bool:

@@ -10,7 +10,8 @@ wall-clock assertion in this module, separating load-induced timing
 flakes from correctness failures.
 
 Every measurement is also recorded through the ``record_hotpath``
-fixture; a passing session merges them into ``BENCH_hotpaths.json``
+fixture, with its repeat count and median beside the best-of-N time;
+a passing session merges them into ``BENCH_hotpaths.json``
 (repo root, uploaded as a CI artifact) so the perf trajectory is
 machine-readable across PRs — a failed or partial session can no
 longer drop entries from the committed baseline.
@@ -61,8 +62,27 @@ def perf_trace():
     return generate_trace(config)
 
 
+class Timing(float):
+    """A best-of-N wall time that keeps every repeat: the float value
+    is the best (what the gates and ``compare_bench.py`` read),
+    ``times`` holds all N, from which ``record_hotpath`` adds the
+    repeat count and the median to the entry."""
+
+    def __new__(cls, times):
+        times = tuple(float(t) for t in times)
+        timing = super().__new__(cls, min(times))
+        timing.times = times
+        return timing
+
+
+def _best_of(timings):
+    """One :class:`Timing` over the repeats of several interleaved
+    ``_timed`` calls."""
+    return Timing([t for timing in timings for t in timing.times])
+
+
 def _timed(fn, repeats=1):
-    """Best-of-N wall time and the last result.
+    """Best-of-N wall time (a :class:`Timing`) and the last result.
 
     The collector is paused around each run (``timeit`` does the
     same): a generational GC pass triggered by one measurement's
@@ -70,7 +90,7 @@ def _timed(fn, repeats=1):
     skews the engine-vs-reference ratios these gates assert on —
     the engine that allocates more objects gets billed for the
     other's garbage."""
-    best = float("inf")
+    times = []
     result = None
     gc_was_enabled = gc.isenabled()
     gc.disable()
@@ -78,11 +98,11 @@ def _timed(fn, repeats=1):
         for _ in range(repeats):
             start = time.perf_counter()
             result = fn()
-            best = min(best, time.perf_counter() - start)
+            times.append(time.perf_counter() - start)
     finally:
         if gc_was_enabled:
             gc.enable()
-    return best, result
+    return Timing(times), result
 
 
 def _report(title, fast_seconds, ref_seconds):
@@ -206,12 +226,14 @@ def test_chunk_pass_throughput(perf_trace, perf_budget, benchmark,
         return (manager.breakdown.on_demand, manager.breakdown.prefetch_hits,
                 manager.evictions, manager.prefetches_issued)
 
-    fused_seconds = triple_seconds = float("inf")
+    fused_runs, triple_runs = [], []
     for _ in range(5):
         seconds, fused_counters = _timed(fused)
-        fused_seconds = min(fused_seconds, seconds)
+        fused_runs.append(seconds)
         seconds, triple_counters = _timed(triple)
-        triple_seconds = min(triple_seconds, seconds)
+        triple_runs.append(seconds)
+    fused_seconds = _best_of(fused_runs)
+    triple_seconds = _best_of(triple_runs)
     assert fused_counters == triple_counters
     assert all(count > 0 for count in fused_counters)
     accesses = num_chunks * length
@@ -341,14 +363,16 @@ def test_sharded_serving_throughput(perf_trace, perf_budget, benchmark,
     # window on a shared runner then inflates both measurements
     # instead of silently skewing the ratio (best-of per side, as
     # ``_timed(repeats=3)`` would take, but across alternating runs).
-    single_seconds = sharded_seconds = float("inf")
+    single_runs, sharded_runs = [], []
     for _ in range(5):
         seconds, single = _timed(
             lambda: serve(perf_trace, encoder, steady, 1))
-        single_seconds = min(single_seconds, seconds)
+        single_runs.append(seconds)
         seconds, sharded = _timed(
             lambda: serve(perf_trace, encoder, steady, 4))
-        sharded_seconds = min(sharded_seconds, seconds)
+        sharded_runs.append(seconds)
+    single_seconds = _best_of(single_runs)
+    sharded_seconds = _best_of(sharded_runs)
     assert sharded.breakdown.total == single.breakdown.total == PERF_ACCESSES
     # Protected per-shard reclaim must not cost hit rate vs the
     # single-shard engine on the balanced trace.
@@ -840,14 +864,17 @@ def test_model_inference_throughput(perf_trace, perf_budget, benchmark,
     for name, (sel, float32, float64, taped, agree) in sides.items():
         # Interleaved best-of, as in the sharded gate: a noise window
         # inflates every side instead of skewing the ratios.
-        seconds32 = seconds64 = taped_seconds = float("inf")
+        runs32, runs64, taped_runs = [], [], []
         for _ in range(15):
             seconds, out32 = _timed(lambda: float32(sel))
-            seconds32 = min(seconds32, seconds)
+            runs32.append(seconds)
             seconds, out64 = _timed(lambda: float64(sel))
-            seconds64 = min(seconds64, seconds)
+            runs64.append(seconds)
             seconds, taped_out = _timed(lambda: taped(sel))
-            taped_seconds = min(taped_seconds, seconds)
+            taped_runs.append(seconds)
+        seconds32 = _best_of(runs32)
+        seconds64 = _best_of(runs64)
+        taped_seconds = _best_of(taped_runs)
         assert np.array_equal(out64, taped_out)
         agree(out32, sel)
         keys = len(sel) * config.input_len
@@ -918,13 +945,12 @@ def test_training_tape_step(perf_trace, benchmark, record_hotpath):
     def census():
         return sum(type(o) is Tensor for o in gc.get_objects())
 
-    step_ms = {}
+    step_seconds = {}
     retained_tensors = 0
     retained_bytes = 0
     for name, step in steps.items():
         step()  # first step allocates the optimizer's moments
-        seconds, _ = _timed(step, repeats=7)
-        step_ms[name] = seconds * 1e3
+        step_seconds[name], _ = _timed(step, repeats=7)
         gc.collect()
         gc.disable()
         tracemalloc.start()
@@ -938,9 +964,13 @@ def test_training_tape_step(perf_trace, benchmark, record_hotpath):
         finally:
             tracemalloc.stop()
             gc.enable()
+    step_ms = {name: seconds * 1e3 for name, seconds in step_seconds.items()}
+    # Repeat i of the entry is one caching step plus one prefetch step.
     record_hotpath(
         "training_tape_step", len(sel) * config.input_len,
-        (step_ms["caching"] + step_ms["prefetch"]) / 1e3, chunks=len(sel),
+        Timing([caching + prefetch for caching, prefetch in zip(
+            step_seconds["caching"].times, step_seconds["prefetch"].times)]),
+        chunks=len(sel),
         caching_step_ms=step_ms["caching"],
         prefetch_step_ms=step_ms["prefetch"],
         retained_tensors_per_step=retained_tensors,

@@ -15,11 +15,9 @@ With ``--model`` the daemon becomes model-in-the-loop: the head of
 the stream trains a small :class:`CachingModel` on OPTgen labels, and
 the remainder is served with ``priority_mode="sync"`` — every
 ``serve_batch`` encodes its block, predicts caching bits and applies
-them, on the serving thread.  The live retraining window
-(``--retrain``) fine-tunes a clone of the model from the stream itself
-and swaps it in.  The final report then adds an inference line (batches
-and mean ms on the serving thread, plus the retrain count) next to the
-serving percentiles, which include that inference.
+them, on the serving thread.  The final report then adds an inference
+line (batches and mean ms on the serving thread) next to the serving
+percentiles, which include that inference.
 
 With ``--rebalance N`` the static capacity split becomes elastic: the
 manager tracks per-shard traffic through an EWMA and, every ``N``
@@ -35,7 +33,7 @@ same daemon on a tiny trace in well under a second.
 
 Run:  python examples/serving_daemon.py
       python examples/serving_daemon.py --accesses 5000000
-      python examples/serving_daemon.py --model --retrain
+      python examples/serving_daemon.py --model
 """
 
 import threading
@@ -63,7 +61,6 @@ def main(total_accesses: int = 2_000_000,
          report_every: int = 100,
          model: bool = False,
          train_fraction: float = 0.25,
-         online_retrain: bool = False,
          rebalance_interval: int = 0,
          rebalance_threshold: float = 0.05) -> None:
     trace_config = SyntheticTraceConfig(
@@ -74,8 +71,6 @@ def main(total_accesses: int = 2_000_000,
     config = RecMGConfig(
         buffer_impl=buffer_impl, num_shards=num_shards,
         priority_mode="sync" if model else "none",
-        online_retrain_interval=(max(max_batch_keys * 8, 4096)
-                                 if model and online_retrain else 0),
         rebalance_interval=rebalance_interval,
         rebalance_threshold=rebalance_threshold)
     caching_model = None
@@ -93,8 +88,7 @@ def main(total_accesses: int = 2_000_000,
             caching_model, chunks, caching_targets(chunks, labels), config)
         print(f"caching model: trained on {len(head):,} head accesses "
               f"({result.final_metric:.1%} holdout accuracy); "
-              f"per-block priorities on the serving thread"
-              + (", online retraining on" if online_retrain else ""))
+              f"per-block priorities on the serving thread")
     else:
         serve_trace = trace
         encoder = FeatureEncoder(config).fit(trace)
@@ -168,11 +162,9 @@ def main(total_accesses: int = 2_000_000,
               f"(max {summary['rebalance_pause_ms_max']:.2f} ms); "
               f"final split {caps}")
     if model:
-        provider = manager.priority_provider.stats()
         print(f"model inference: {summary['inference_batches']} batches "
               f"on the serving thread, mean "
-              f"{summary['inference_mean_ms']:.2f} ms; "
-              f"{provider['retrains']} online retrains")
+              f"{summary['inference_mean_ms']:.2f} ms")
     print(f"hit rate: {hits / served:.1%} over {served:,} accesses "
           f"({manager.evictions:,} evictions)")
 
@@ -190,9 +182,6 @@ if __name__ == "__main__":
                         help="train a caching model on the stream head "
                              "and serve with per-block caching priorities "
                              "on the serving thread")
-    parser.add_argument("--retrain", action="store_true",
-                        help="with --model: fine-tune the model online "
-                             "from the live stream")
     parser.add_argument("--rebalance", type=int, default=0,
                         metavar="N",
                         help="served accesses between elastic rebalance "
@@ -200,5 +189,5 @@ if __name__ == "__main__":
     args = parser.parse_args()
     main(total_accesses=args.accesses, num_shards=args.shards,
          buffer_impl=args.buffer,
-         model=args.model, online_retrain=args.retrain,
+         model=args.model,
          rebalance_interval=args.rebalance)

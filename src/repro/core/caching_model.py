@@ -79,7 +79,7 @@ class CachingModel(Module):
         is kept for; decisions run this method on
         :meth:`~repro.nn.Module.float32_twin`, a cached copy checked
         against every ``param.data`` by identity per call over read-only
-        sources, so clone-and-swap retraining, ``load_state_dict`` and
+        sources, so a fine-tuned clone, ``load_state_dict`` and
         optimizer steps all show in the next :meth:`predict`.
         """
         states = chunk_inputs(chunks, sel, self.table_embedding,

@@ -89,20 +89,6 @@ class RecMGConfig:
     #: model-free, never below it.  Off by default: the guard's
     #: control phases cost a slice of positive lift.
     priority_lift_guard: int = 0
-    #: Lift-guard trip/untrip hysteresis margin (absolute hit-rate
-    #: difference; the guard trips when guided < control - margin and
-    #: untrips on the symmetric recovery).
-    priority_lift_margin: float = 0.0
-    #: Online retraining cadence in observed accesses (0 = off).  When
-    #: on, the provider relabels its sliding window with the vectorized
-    #: OPTgen, fine-tunes a clone and swaps it in, on the serving
-    #: thread.  See :class:`repro.core.training.OnlineCachingTrainer`.
-    online_retrain_interval: int = 0
-    #: Sliding-window length (accesses) the retrainer labels and
-    #: fine-tunes on.
-    online_retrain_window: int = 2048
-    #: Fine-tune epochs per retrain cycle.
-    online_retrain_epochs: int = 1
     #: Elastic shard-rebalancing cadence in served accesses (0 = off;
     #: requires ``num_shards > 1`` when on).  Every ``interval``
     #: accesses the manager compares the per-shard traffic EWMAs it
@@ -168,16 +154,6 @@ class RecMGConfig:
         if self.priority_lift_guard < 0:
             raise ValueError("priority_lift_guard must be >= 0 "
                              "(0 disables the lift guard)")
-        if self.priority_lift_margin < 0:
-            raise ValueError("priority_lift_margin must be >= 0")
-        if self.online_retrain_interval < 0:
-            raise ValueError("online_retrain_interval must be >= 0 "
-                             "(0 disables online retraining)")
-        if self.online_retrain_window < self.input_len:
-            raise ValueError("online_retrain_window must cover at least "
-                             "one input chunk")
-        if self.online_retrain_epochs < 1:
-            raise ValueError("online_retrain_epochs must be >= 1")
         if self.rebalance_interval < 0:
             raise ValueError("rebalance_interval must be >= 0 "
                              "(0 disables online rebalancing)")

@@ -273,7 +273,7 @@ class FeatureEncoder:
         """Encode a live *dense-id* segment into non-overlapping chunks
         — the serving-side twin of :meth:`encode_chunks`, for call
         sites that hold a stream of dense ids rather than a trace (the
-        priority providers, the online retrainer).
+        priority provider, capacity-matched fine-tuning).
 
         The tail is right-padded by repeating the segment's last access
         so any length >= 1 encodes; pad positions are real features of

@@ -56,8 +56,8 @@ def build_labels(trace: Trace, buffer_capacity: int, config: RecMGConfig,
 def label_live_window(dense_ids: np.ndarray, buffer_capacity: int,
                       config: RecMGConfig) -> np.ndarray:
     """Per-access keep bits for a *live* dense-id window — the online
-    twin of :func:`build_labels`, for the retraining loop
-    (:class:`repro.core.training.OnlineCachingTrainer`).
+    twin of :func:`build_labels`, for capacity-matched fine-tuning
+    (:func:`repro.core.training.finetune_for_capacity`).
 
     Dense ids round-trip through :meth:`Trace.from_keys` losslessly
     (packing splits and re-joins the same 64-bit value), and OPTgen

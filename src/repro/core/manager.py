@@ -182,8 +182,8 @@ class RecMGManager:
         # to the provider-free engines (pinned by the goldens and the
         # cross-backend differentials).
         self.priority_provider = make_provider(
-            config.priority_mode, caching_model, encoder, config,
-            metrics=self.serving_metrics, capacity=capacity)
+            config.priority_mode, caching_model, encoder,
+            metrics=self.serving_metrics)
         self._provider_active = self.priority_provider.mode != "none"
         #: Optional lift guard (``config.priority_lift_guard`` > 0 with
         #: an active provider): online A/B of guided vs model-free
@@ -193,8 +193,7 @@ class RecMGManager:
         self.lift_guard: Optional[LiftGuard] = None
         if self._provider_active and config.priority_lift_guard:
             self.lift_guard = LiftGuard(
-                phase_blocks=config.priority_lift_guard,
-                margin=config.priority_lift_margin)
+                phase_blocks=config.priority_lift_guard)
         # Online elastic rebalancing (module docstring): traffic EWMAs
         # accumulated per served block, checked every
         # ``config.rebalance_interval`` served accesses, migration via
@@ -282,15 +281,13 @@ class RecMGManager:
         else:
             apply_caching_bits(buffer, keys, bits, speed)
 
-    def _sink_provider(self, segment: np.ndarray,
-                       guided: bool = True) -> None:
-        """The provider sink: after a block is fully served, feed the
-        stream to the priority provider (always — the retraining window
-        must see control blocks too) and, unless ``guided=False`` (a
-        lift-guard control block, which serves model-free), apply
-        whatever caching bits it has for the block — Algorithm 1's
-        priority write, driven from the live stream instead of the
-        offline chunk pass.
+    def _sink_provider(self, segment: np.ndarray) -> None:
+        """The provider sink: after a guided block is fully served,
+        apply whatever caching bits the priority provider has for it —
+        Algorithm 1's priority write, driven from the live stream
+        instead of the offline chunk pass.  A lift-guard control block
+        serves model-free and never reaches the sink, so it makes no
+        provider call.
 
         Tri-state bits: positions ``>= 0`` apply through
         :meth:`_apply_caching_bits`; ``-1`` ("no prediction") keeps its
@@ -303,11 +300,7 @@ class RecMGManager:
         segment = np.asarray(segment, dtype=np.int64)
         if segment.size == 0:
             return
-        provider = self.priority_provider
-        provider.observe(segment)
-        if not guided:
-            return
-        bits = provider.bits_for(segment)
+        bits = self.priority_provider.bits_for(segment)
         if bits is None:
             return
         valid = bits >= 0
@@ -323,7 +316,7 @@ class RecMGManager:
         site :meth:`serve_batch` and both loops of :meth:`run` share.
         With a priority provider active the lift guard (if any) picks
         the block's arm first and is credited the demand + prefetch
-        hits the serve measured; the sink then gets the block."""
+        hits the serve measured; the sink then gets a guided block."""
         if not self._provider_active:
             serve(segment)
             return
@@ -336,7 +329,8 @@ class RecMGManager:
             guard.record_block(
                 breakdown.cache_hits + breakdown.prefetch_hits
                 - hits_before, len(segment))
-        self._sink_provider(segment, guided)
+        if guided:
+            self._sink_provider(segment)
 
     def _apply_prefetches(self, predicted: np.ndarray) -> None:
         """Algorithm 1 lines 9-15: fetch P[i] at priority eviction_speed.

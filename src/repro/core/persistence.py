@@ -23,12 +23,16 @@ from .recmg import RecMG
 
 #: Config keys of retired features: the threaded serving engine (pinned
 #: bit-identical to the serial shard loop, so dropping its keys changes
-#: no decision), the background priority-refresh thread's two knobs and
-#: ``decode_radius_frac``, which nothing ever read.  Any other unknown
-#: key raises.
+#: no decision), the background priority-refresh thread's two knobs,
+#: ``decode_radius_frac``, which nothing ever read, online retraining's
+#: three knobs (the model now serves as trained) and the lift guard's
+#: hysteresis margin (the guard compares the arms directly).  Any other
+#: unknown key raises.
 _RETIRED_CONFIG_KEYS = ("concurrency", "num_workers",
                         "priority_refresh_blocks", "priority_pending_max",
-                        "decode_radius_frac")
+                        "decode_radius_frac", "online_retrain_interval",
+                        "online_retrain_window", "online_retrain_epochs",
+                        "priority_lift_margin")
 
 
 def save_recmg(system: RecMG, path: Union[str, os.PathLike]) -> None:

@@ -87,9 +87,8 @@ def train_caching_model(model: CachingModel, chunks: EncodedChunks,
 def clone_caching_model(model: CachingModel) -> CachingModel:
     """Weight-identical deep copy of a caching model.
 
-    The online retrainer fine-tunes the clone while serving keeps
-    predicting with the original, then swaps by reference assignment —
-    so the two must share no parameter storage."""
+    :func:`finetune_for_capacity` fine-tunes the clone and leaves the
+    original untouched — so the two must share no parameter storage."""
     clone = CachingModel(model.config, model.table_embedding.num_embeddings)
     clone.load_state_dict(model.state_dict())
     return clone
@@ -97,11 +96,11 @@ def clone_caching_model(model: CachingModel) -> CachingModel:
 
 def finetune_caching_model(model: CachingModel, chunks: EncodedChunks,
                            targets: np.ndarray, config: RecMGConfig,
-                           epochs: Optional[int] = None,
+                           epochs: int = 1,
                            lr: Optional[float] = None) -> TrainResult:
-    """Few-epoch in-place fine-tune on a live labeled window.
+    """Few-epoch in-place fine-tune on a recent labeled window.
 
-    The online variant of :func:`train_caching_model`: same weighted
+    The adaptation variant of :func:`train_caching_model`: same weighted
     BCE and clipping, but no holdout split (the window is small and
     recent — every chunk trains) and no shuffling permutation cost per
     epoch beyond the rng draw; ``final_metric`` is *in-sample*
@@ -109,7 +108,6 @@ def finetune_caching_model(model: CachingModel, chunks: EncodedChunks,
     estimate."""
     rng = np.random.default_rng(config.seed + 13)
     n = len(chunks)
-    epochs = epochs if epochs is not None else config.online_retrain_epochs
     lr = lr if lr is not None else config.learning_rate
     pos_rate = float(targets[:n].mean())
     pos_weight = 0.5 / max(pos_rate, 1e-3)
@@ -143,7 +141,7 @@ def finetune_caching_model(model: CachingModel, chunks: EncodedChunks,
 def finetune_for_capacity(model: CachingModel, dense_ids: np.ndarray,
                           buffer_capacity: int, config: RecMGConfig,
                           encoder: FeatureEncoder,
-                          epochs: Optional[int] = None,
+                          epochs: int = 1,
                           lr: Optional[float] = None
                           ) -> Tuple[CachingModel, TrainResult]:
     """Capacity-matched adaptation of an offline caching model.
@@ -157,10 +155,8 @@ def finetune_for_capacity(model: CachingModel, dense_ids: np.ndarray,
     window of the stream the model will serve, e.g. the training head)
     with OPTgen **at the serving capacity**
     (:func:`repro.core.labeling.window_targets`) and fine-tune a
-    *clone* on those labels — the same label-at-capacity rule the
-    online retrainer applies continuously, applied once up front.
-    Returns ``(tuned_model, train_result)``; the original model is
-    untouched.
+    *clone* on those labels, once, before serving.  Returns
+    ``(tuned_model, train_result)``; the original model is untouched.
     """
     dense_ids = np.asarray(dense_ids, dtype=np.int64)
     from .labeling import window_targets
@@ -171,93 +167,6 @@ def finetune_for_capacity(model: CachingModel, dense_ids: np.ndarray,
     result = finetune_caching_model(tuned, chunks, targets, config,
                                     epochs=epochs, lr=lr)
     return tuned, result
-
-
-class OnlineCachingTrainer:
-    """Windowed incremental retraining from the live access stream.
-
-    Rides inside a priority provider
-    (:mod:`repro.serving.priorities`): :meth:`observe` feeds served
-    blocks into a sliding window of the most recent ``window``
-    accesses and reports when a retrain is due (every ``interval``
-    observed accesses, once the window is full); :meth:`retrain` then
-
-    1. relabels the window with the vectorized OPTgen
-       (:func:`repro.core.labeling.label_live_window` at the same
-       ``capacity * optgen_fraction`` budget as offline labeling),
-    2. fine-tunes a **clone** of the current model on the relabeled
-       chunks (:func:`finetune_caching_model` — the caller keeps
-       serving from the original), and
-    3. returns the tuned clone for the caller to swap in (a reference
-       assignment).
-
-    The provider calls :meth:`observe` for **every** served block and
-    runs the whole cycle inline, on the serving thread.
-    """
-
-    def __init__(self, encoder: FeatureEncoder, config: RecMGConfig,
-                 buffer_capacity: int, interval: Optional[int] = None,
-                 window: Optional[int] = None,
-                 epochs: Optional[int] = None) -> None:
-        self.encoder = encoder
-        self.config = config
-        self.buffer_capacity = int(buffer_capacity)
-        self.interval = int(interval if interval is not None
-                            else config.online_retrain_interval)
-        self.window = int(window if window is not None
-                          else config.online_retrain_window)
-        self.epochs = int(epochs if epochs is not None
-                          else config.online_retrain_epochs)
-        if self.interval < 1:
-            raise ValueError("retrain interval must be >= 1")
-        if self.window < config.input_len:
-            raise ValueError("retrain window must cover at least one "
-                             "input chunk")
-        if self.buffer_capacity < 1:
-            raise ValueError("buffer_capacity must be >= 1")
-        self._blocks: List[np.ndarray] = []
-        self._held = 0      # accesses currently in the window
-        self._since = 0     # accesses observed since the last retrain
-        self.retrains = 0
-        self.last_result: Optional[TrainResult] = None
-
-    def observe(self, keys: np.ndarray) -> bool:
-        """Feed one served block; returns True when a retrain is due
-        (window full and ``interval`` accesses since the last one)."""
-        keys = np.asarray(keys, dtype=np.int64)
-        if keys.size == 0:
-            return False
-        self._blocks.append(keys)
-        self._held += keys.size
-        self._since += keys.size
-        # Trim whole blocks from the head while the window stays full.
-        while self._blocks and (self._held - self._blocks[0].size
-                                >= self.window):
-            self._held -= self._blocks[0].size
-            self._blocks.pop(0)
-        return self._since >= self.interval and self._held >= self.window
-
-    def window_keys(self) -> np.ndarray:
-        """The current window's dense ids, oldest first (trimmed to
-        exactly ``window`` accesses)."""
-        if not self._blocks:
-            return np.empty(0, dtype=np.int64)
-        return np.concatenate(self._blocks)[-self.window:]
-
-    def retrain(self, model: CachingModel) -> CachingModel:
-        """Label the window, fine-tune a clone, return it (see class
-        docstring).  Resets the retrain countdown."""
-        from .labeling import window_targets
-
-        self._since = 0
-        keys = self.window_keys()
-        targets = window_targets(keys, self.buffer_capacity, self.config)
-        chunks = self.encoder.encode_dense_chunks(keys)
-        tuned = clone_caching_model(model)
-        self.last_result = finetune_caching_model(
-            tuned, chunks, targets, self.config, epochs=self.epochs)
-        self.retrains += 1
-        return tuned
 
 
 def caching_accuracy(model: CachingModel, chunks: EncodedChunks,

@@ -10,13 +10,12 @@ engine (see ROADMAP "Serving architecture"):
                                    serial shard loop -> gather
                                               |
                               PriorityProvider sink -> ServingMetrics
-                                  ^ bits        | observe (every block)
-                                  |             v
-                          CachingModel <-- OnlineCachingTrainer (OPTgen)
-                                       swap
+                                  ^ bits_for (guided blocks)
+                                  |
+                          CachingModel (trained offline on OPTgen)
 
-Producers are threads; *serving* — inference and retraining included
-— is one thread.  Shards are disjoint flat arrays, so parallelism is
+Producers are threads; *serving* — inference included — is one
+thread.  Shards are disjoint flat arrays, so parallelism is
 processes at the shard boundary.
 
 :mod:`repro.core.manager` records every ``serve_batch`` into

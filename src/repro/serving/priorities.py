@@ -51,16 +51,15 @@ positions; everything else keeps its recency priority, so a provider
 (or a lift-guard control block) without a prediction degrades to
 model-free behavior, never to garbage.
 
-The model provider accepts an optional *retrainer*
-(:class:`~repro.core.training.OnlineCachingTrainer`): the observed
-stream feeds a sliding window which is periodically relabeled with the
-vectorized OPTgen and fine-tuned on a **clone** of the model; the
-tuned clone replaces ``self.model`` by plain reference assignment
-(the served model's weights are never touched in place).
+The model is trained offline and never changes while it serves — an
+inline fine-tune-and-swap loop lost hit rate on three of four measured
+scenarios and paused the serving thread a median 66-475 ms per retrain
+(ROADMAP item 3) — so the provider contract is the single method
+:meth:`PriorityProvider.bits_for`.
 
-Imports from :mod:`repro.core` are function-local on purpose:
-:mod:`repro.core.manager` imports this module at its top level, so a
-module-level import back into ``repro.core`` would cycle.
+This module imports nothing from :mod:`repro.core` at module level:
+:mod:`repro.core.manager` imports it at its top level, so an import
+back into ``repro.core`` would cycle.
 """
 
 from __future__ import annotations
@@ -190,10 +189,10 @@ class LiftGuard:
 
     Completed runs append ``(hits, accesses)`` to the arm's trailing
     window (last ``window_phases`` runs); when both windows are full
-    and the guided rate falls below control minus ``margin`` the guard
-    trips, and it untrips on the symmetric recovery.  Both flips clear
-    the windows — samples measured under the previous regime would
-    bias the next comparison.
+    and the guided rate falls below control the guard trips, and it
+    untrips once guided beats control.  Both flips clear the windows —
+    samples measured under the previous regime would bias the next
+    comparison.
 
     Driven by the manager at block granularity: :meth:`begin_block`
     decides the block's arm before it is served, :meth:`record_block`
@@ -203,7 +202,7 @@ class LiftGuard:
     """
 
     def __init__(self, phase_blocks: int = 8, window_phases: int = 4,
-                 probe_every: int = 8, margin: float = 0.0) -> None:
+                 probe_every: int = 8) -> None:
         if phase_blocks < 1:
             raise ValueError("phase_blocks must be >= 1")
         if window_phases < 1:
@@ -211,12 +210,9 @@ class LiftGuard:
         if probe_every < 2:
             raise ValueError("probe_every must be >= 2 (one arm would "
                              "never be measured)")
-        if margin < 0:
-            raise ValueError("margin must be >= 0")
         self.phase_blocks = int(phase_blocks)
         self.window_phases = int(window_phases)
         self.probe_every = int(probe_every)
-        self.margin = float(margin)
         self.tripped = False
         self.trips = 0
         self.untrips = 0
@@ -284,10 +280,10 @@ class LiftGuard:
             return  # not enough evidence on both arms yet
         guided_rate = self.rate(True)
         control_rate = self.rate(False)
-        if not self.tripped and guided_rate < control_rate - self.margin:
+        if not self.tripped and guided_rate < control_rate:
             self.tripped = True
             self.trips += 1
-        elif self.tripped and guided_rate > control_rate + self.margin:
+        elif self.tripped and guided_rate > control_rate:
             self.tripped = False
             self.untrips += 1
         else:
@@ -309,20 +305,17 @@ class LiftGuard:
 
 class PriorityProvider:
     """Maps served key blocks to per-access caching bits (base class =
-    the ``"none"`` behavior: no observation, no bits).
+    the ``"none"`` behavior: no bits).
 
     Contract with the sink (:meth:`RecMGManager._sink_provider`): after
-    a block is served, the sink calls :meth:`observe` (feed the stream)
-    then :meth:`bits_for` (collect predictions).  ``bits_for`` returns
-    an ``int8`` array of the block's length — ``1`` friendly, ``0``
-    averse, ``-1`` no prediction — or ``None`` when the provider has
-    nothing to say about the whole block.
+    a guided block is served, the sink calls :meth:`bits_for` once; a
+    lift-guard control block makes no provider call.  ``bits_for``
+    returns an ``int8`` array of the block's length — ``1`` friendly,
+    ``0`` averse, ``-1`` no prediction — or ``None`` when the provider
+    has nothing to say about the whole block.
     """
 
     mode = "none"
-
-    def observe(self, keys: np.ndarray) -> None:
-        """Feed one served block of dense ids to the provider."""
 
     def bits_for(self, keys: np.ndarray) -> Optional[np.ndarray]:
         """Tri-state caching bits for ``keys`` (see class docstring)."""
@@ -347,8 +340,7 @@ class SyncModelProvider(PriorityProvider):
 
     mode = "sync"
 
-    def __init__(self, model, encoder, config, metrics=None,
-                 retrainer=None) -> None:
+    def __init__(self, model, encoder, metrics=None) -> None:
         if model is None:
             raise ValueError(f"priority_mode={self.mode!r} requires a "
                              f"caching model")
@@ -358,18 +350,10 @@ class SyncModelProvider(PriorityProvider):
                              f"defines the feature space)")
         self.model = model
         self.encoder = encoder
-        self.config = config
         self.metrics = metrics
-        self.retrainer = retrainer
         self.inference_batches = 0
         self.inference_keys = 0
         self.inference_seconds = 0.0
-
-    def observe(self, keys: np.ndarray) -> None:
-        """Feed the retraining window; fine-tune + swap when due."""
-        if self.retrainer is not None and self.retrainer.observe(
-                np.asarray(keys, dtype=np.int64)):
-            self.model = self.retrainer.retrain(self.model)
 
     def bits_for(self, keys: np.ndarray) -> Optional[np.ndarray]:
         """Encode ``keys`` (tail-padded to whole chunks), run the
@@ -393,31 +377,15 @@ class SyncModelProvider(PriorityProvider):
             "inference_batches": self.inference_batches,
             "inference_keys": self.inference_keys,
             "inference_seconds": self.inference_seconds,
-            "retrains": (self.retrainer.retrains
-                         if self.retrainer is not None else 0),
         }
 
 
-def make_provider(mode: str, model, encoder, config, metrics=None,
-                  capacity: Optional[int] = None) -> PriorityProvider:
-    """Build the provider for ``priority_mode`` (validating the mode).
-
-    ``capacity`` is the buffer capacity — required only when
-    ``config.online_retrain_interval`` enables the retrainer, whose
-    OPTgen labeling budget is ``capacity * optgen_fraction`` (the
-    paper's 80% headroom rule, same as offline labeling).
-    """
+def make_provider(mode: str, model, encoder,
+                  metrics=None) -> PriorityProvider:
+    """Build the provider for ``priority_mode`` (validating the mode)."""
     if mode not in PRIORITY_MODES:
         raise ValueError(f"priority_mode must be one of {PRIORITY_MODES}, "
                          f"got {mode!r}")
     if mode == "none":
         return NullProvider()
-    retrainer = None
-    if config.online_retrain_interval:
-        if capacity is None:
-            raise ValueError("online retraining needs the buffer capacity "
-                             "(it sets the OPTgen labeling budget)")
-        from ..core.training import OnlineCachingTrainer  # no cycle: lazy
-        retrainer = OnlineCachingTrainer(encoder, config, capacity)
-    return SyncModelProvider(model, encoder, config, metrics=metrics,
-                             retrainer=retrainer)
+    return SyncModelProvider(model, encoder, metrics=metrics)

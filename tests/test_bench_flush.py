@@ -6,7 +6,8 @@ aborted or ``-k``-filtered session silently dropped gated entries from
 the baseline.  The writer now merges: a passing session refreshes what
 it measured and carries the rest over (by name, under ``carried_over``,
 which ``compare_bench.py`` reads — see ``tests/test_compare_bench.py``);
-a failed session writes nothing.
+a failed session writes nothing.  Each entry (``hotpath_entry``)
+carries its best time, its repeat count and its median.
 """
 
 import importlib.util
@@ -18,16 +19,25 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-_CONFTEST = Path(__file__).resolve().parent.parent / "benchmarks" \
-    / "conftest.py"
+_BENCHMARKS = Path(__file__).resolve().parent.parent / "benchmarks"
+_CONFTEST = _BENCHMARKS / "conftest.py"
+
+
+def _load(name, path):
+    spec = importlib.util.spec_from_file_location(name, path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
 
 
 @pytest.fixture(scope="module")
-def flush_hotpaths():
-    spec = importlib.util.spec_from_file_location("bench_conftest", _CONFTEST)
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    return module.flush_hotpaths
+def bench_conftest():
+    return _load("bench_conftest", _CONFTEST)
+
+
+@pytest.fixture(scope="module")
+def flush_hotpaths(bench_conftest):
+    return bench_conftest.flush_hotpaths
 
 
 def _entry(speedup):
@@ -80,3 +90,28 @@ def test_written_file_names_its_host(flush_hotpaths, tmp_path):
         "python": platform.python_version(),
         "numpy": np.__version__,
     }
+
+
+def test_entry_records_repeats_and_median_beside_best(bench_conftest):
+    """``_timed`` keeps every repeat's time, and the entry carries the
+    repeat count and the median next to ``seconds``, which stays the
+    best of them (what the gates and ``compare_bench.py`` read)."""
+    perf = _load("perf_hotpaths", _BENCHMARKS / "test_perf_hotpaths.py")
+    seconds, result = perf._timed(lambda: "done", repeats=3)
+    assert result == "done" and len(seconds.times) == 3
+    assert seconds == min(seconds.times)
+    timing = perf.Timing([0.3, 0.1, 0.2, 0.5])
+    entry = bench_conftest.hotpath_entry(1000, timing, ref_seconds=0.4,
+                                         gated=True)
+    assert entry["seconds"] == 0.1
+    assert entry["repeats"] == 4
+    assert entry["seconds_median"] == pytest.approx(0.25)
+    assert entry["accesses_per_sec"] == pytest.approx(10_000)
+    assert entry["speedup"] == pytest.approx(4.0)
+    assert entry["gated"] is True
+    merged = perf._best_of([perf.Timing([0.2]), perf.Timing([0.1, 0.3])])
+    assert merged == 0.1 and merged.times == (0.2, 0.1, 0.3)
+    # A plain float is one run.
+    once = bench_conftest.hotpath_entry(10, 0.5)
+    assert once["repeats"] == 1 and once["seconds_median"] == 0.5
+    json.dumps(entry)

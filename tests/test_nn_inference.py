@@ -37,7 +37,6 @@ from repro.nn import (
     StackedSeq2Seq, Tensor, bce_with_logits, softmax,
 )
 from repro.nn.functional import sigmoid_, softmax_
-from repro.serving import make_provider
 
 NUM_TABLES = 5
 BATCHES = (1, 7, 64, 128)
@@ -366,30 +365,6 @@ class TestTwinLifecycle:
         bits = clone.predict(chunks)
         bits_agree(bits, clone.forward(chunks).data)
         assert not np.array_equal(bits, kept_bits)
-
-    def test_after_provider_swap(self, trained_recmg, tiny_trace,
-                                 tiny_capacity):
-        """``online_retrain_interval``: the provider fine-tunes a clone
-        and swaps it in; its next bits are the tuned model's."""
-        encoder, original = trained_recmg.encoder, trained_recmg.caching_model
-        config = replace(trained_recmg.config, online_retrain_interval=1000,
-                         online_retrain_window=500, online_retrain_epochs=2,
-                         learning_rate=0.05)
-        provider = make_provider("sync", original, encoder, config,
-                                 capacity=tiny_capacity)
-        dense = encoder.dense_ids(tiny_trace)
-        block = dense[-500:]
-        chunks = encoder.encode_dense_chunks(block)
-        original_bits = provider.bits_for(block)
-        for lo in range(0, 2000, 500):
-            provider.observe(dense[lo:lo + 500])
-        assert provider.retrainer.retrains >= 1
-        assert provider.model is not original
-        bits = provider.bits_for(block)
-        bits_agree(bits, provider.model.infer(chunks).reshape(-1))
-        assert not np.array_equal(bits, original_bits)
-        assert np.array_equal(original.predict(chunks).reshape(-1),
-                              original_bits)
 
     def test_save_load_round_trip(self, trained_recmg, tiny_trace, tmp_path):
         chunks = trained_recmg.encoder.encode_chunks(tiny_trace.head(300))

@@ -1,5 +1,5 @@
 """Tests for the priority-provider seam (:mod:`repro.serving.priorities`)
-and the online retraining loop (:class:`OnlineCachingTrainer`).
+and the capacity-matched labels its models can be tuned on.
 
 The contract under test, in three layers:
 
@@ -12,11 +12,11 @@ The contract under test, in three layers:
   loop) on single-shard and sharded buffers alike — which pins the
   sink's per-shard bit split against the whole-buffer applier;
   ``record_decisions=True`` keeps working under model-guided sharded
-  engines; no priority mode starts a thread.
-* **Online retraining** — the sliding window trims to size, the
-  retrain cadence honors interval+window, the tuned model is a clone
-  (the served model's weights are never touched in place), and
-  ``label_live_window`` agrees with a direct OPTgen pass.
+  engines; no priority mode starts a thread; the provider contract is
+  one ``bits_for`` call per guided block.
+* **Live labels** — ``label_live_window`` agrees with a direct OPTgen
+  pass, and a capacity-matched fine-tune returns a clone (the served
+  model's weights are never touched in place).
 """
 
 import threading
@@ -36,7 +36,6 @@ from repro.core.labeling import (
 )
 from repro.core.manager import RecMGManager
 from repro.core.training import (
-    OnlineCachingTrainer,
     clone_caching_model,
     finetune_for_capacity,
     train_caching_model,
@@ -86,47 +85,31 @@ def test_make_provider_validates_mode(world, small_config):
     _, _, encoder, _, model = world
     for mode in ("eventually", "async"):
         with pytest.raises(ValueError, match="priority_mode"):
-            make_provider(mode, model, encoder, small_config)
+            make_provider(mode, model, encoder)
     with pytest.raises(ValueError, match="priority_mode"):
         RecMGConfig(priority_mode="async")
 
 
 def test_make_provider_none_is_null(small_config):
-    provider = make_provider("none", None, None, small_config)
+    provider = make_provider("none", None, None)
     assert isinstance(provider, NullProvider)
     assert provider.mode == "none"
     assert provider.bits_for(np.array([1, 2, 3])) is None
-    provider.observe(np.array([1]))
 
 
 def test_model_modes_require_model_and_fitted_encoder(world, small_config):
     _, _, encoder, _, model = world
     with pytest.raises(ValueError, match="caching model"):
-        make_provider("sync", None, encoder, small_config)
+        make_provider("sync", None, encoder)
     with pytest.raises(ValueError, match="fitted"):
-        make_provider("sync", model, FeatureEncoder(small_config),
-                      small_config)
-
-
-def test_retrainer_requires_capacity(world):
-    _, _, encoder, _, model = world
-    config = RecMGConfig(hidden=16, hash_buckets=256,
-                         online_retrain_interval=1000)
-    with pytest.raises(ValueError, match="capacity"):
-        make_provider("sync", model, encoder, config)
+        make_provider("sync", model, FeatureEncoder(small_config))
 
 
 def test_config_validates_priority_knobs():
     with pytest.raises(ValueError, match="priority_mode"):
         RecMGConfig(priority_mode="later")
-    with pytest.raises(ValueError, match="retrain_interval"):
-        RecMGConfig(online_retrain_interval=-1)
-    with pytest.raises(ValueError, match="window"):
-        RecMGConfig(online_retrain_window=3)  # < input_len (15)
     with pytest.raises(ValueError, match="lift_guard"):
         RecMGConfig(priority_lift_guard=-1)
-    with pytest.raises(ValueError, match="lift_margin"):
-        RecMGConfig(priority_lift_margin=-0.1)
     assert "sync" in PRIORITY_MODES
 
 
@@ -174,7 +157,7 @@ def test_tables_for_dense_covers_spillover(world, small_config):
 # ----------------------------------------------------------------------
 def test_sync_bits_match_offline_predict(world, small_config):
     _, tail, encoder, _, model = world
-    provider = make_provider("sync", model, encoder, small_config)
+    provider = make_provider("sync", model, encoder)
     assert isinstance(provider, SyncModelProvider)
     dense = encoder.dense_ids(tail)[:600]
     bits = provider.bits_for(dense)
@@ -352,18 +335,14 @@ def test_serve_batch_sinks_through_provider(world, small_config):
     manager.close()
 
 
-@pytest.mark.parametrize("retrain", [False, True])
 @pytest.mark.parametrize("mode", PRIORITY_MODES)
-def test_serving_starts_no_thread(world, mode, retrain):
-    """Serving is one thread in every priority mode, online retraining
-    included: building a manager, ``run`` and ``serve_batch`` start no
-    thread, and ``close`` leaves none behind."""
+def test_serving_starts_no_thread(world, mode):
+    """Serving is one thread in every priority mode: building a
+    manager, ``run`` and ``serve_batch`` start no thread, and ``close``
+    leaves none behind."""
     _, tail, encoder, capacity, model = world
     config = RecMGConfig(hidden=16, hash_buckets=256, buffer_impl="clock",
-                         priority_mode=mode,
-                         online_retrain_interval=1500 if retrain else 0,
-                         online_retrain_window=512,
-                         online_retrain_epochs=1)
+                         priority_mode=mode)
     before = set(threading.enumerate())
     manager = RecMGManager(capacity, encoder, config, caching_model=model)
     manager.run(tail, fast_serve=True)
@@ -371,12 +350,61 @@ def test_serving_starts_no_thread(world, mode, retrain):
     assert set(threading.enumerate()) - before == set()
     manager.close()
     assert set(threading.enumerate()) - before == set()
-    if mode != "none" and retrain:
-        assert manager.priority_provider.stats()["retrains"] >= 1
+
+
+def test_provider_contract_is_one_bits_for_per_guided_block(world,
+                                                            small_config):
+    """The sink's whole provider contract: one ``bits_for`` per guided
+    block and no provider call at all on a lift-guard control block.
+    The recording provider also defines ``observe``, so a sink that
+    still fed the stream to its provider would show up here."""
+    _, tail, encoder, capacity, model = world
+    manager = RecMGManager(capacity, encoder,
+                           replace(small_config, priority_mode="sync",
+                                   priority_lift_guard=1),
+                           caching_model=model)
+    events = []
+    predict = manager.priority_provider.bits_for
+
+    class Recording:
+        mode = "sync"
+
+        def observe(self, keys):
+            events.append("observe")
+
+        def bits_for(self, keys):
+            events.append("bits_for")
+            return predict(keys)
+
+    manager.priority_provider = Recording()
+    begin_block = manager.lift_guard.begin_block
+
+    def recorded_begin_block():
+        arm = begin_block()
+        events.append(arm)
+        return arm
+
+    manager.lift_guard.begin_block = recorded_begin_block
+    dense = encoder.dense_ids(tail)
+    for lo in range(0, 24 * 256, 256):
+        manager.serve_batch(dense[lo:lo + 256])
+    manager.close()
+
+    blocks = []
+    for event in events:
+        if isinstance(event, bool):
+            blocks.append((event, []))
+        else:
+            blocks[-1][1].append(event)
+    assert len(blocks) == 24
+    arms = {guided for guided, _ in blocks}
+    assert arms == {True, False}, "both arms must be exercised"
+    for guided, calls in blocks:
+        assert calls == (["bits_for"] if guided else [])
 
 
 # ----------------------------------------------------------------------
-# Online retraining
+# Live labels and clones
 # ----------------------------------------------------------------------
 def test_label_live_window_matches_optgen(world, small_config):
     _, tail, encoder, capacity, _ = world
@@ -386,41 +414,6 @@ def test_label_live_window_matches_optgen(world, small_config):
     expected = run_optgen(Trace.from_keys(dense),
                           budget).cache_friendly.astype(np.float64)
     np.testing.assert_array_equal(bits, expected)
-
-
-def test_trainer_window_and_cadence(world, small_config):
-    _, _, encoder, capacity, _ = world
-    trainer = OnlineCachingTrainer(encoder, small_config, capacity,
-                                   interval=100, window=30)
-    block = np.arange(20, dtype=np.int64)
-    assert not trainer.observe(block)        # since=20, held=20
-    assert not trainer.observe(block + 20)   # since=40, held=40->40
-    assert trainer.window_keys().size <= 30 + 19  # trims whole blocks
-    due = [trainer.observe(block + 40 * i) for i in range(2, 6)]
-    assert due[-1], "retrain must come due once interval+window are met"
-    assert trainer.window_keys().size >= 30
-
-
-def test_trainer_retrain_returns_clone(world, small_config):
-    _, tail, encoder, capacity, model = world
-    trainer = OnlineCachingTrainer(encoder, small_config, capacity,
-                                   interval=64, window=512, epochs=1)
-    dense = encoder.dense_ids(tail)[:1024]
-    trainer.observe(dense)
-    before = model.state_dict()  # returns copies
-    tuned = trainer.retrain(model)
-    assert tuned is not model
-    # The served model's weights were never touched in place.
-    for name, array in model.state_dict().items():
-        np.testing.assert_array_equal(array, before[name])
-    # The clone actually fine-tuned (weights moved).
-    moved = any(not np.array_equal(array, before[name])
-                for name, array in tuned.state_dict().items())
-    assert moved
-    assert trainer.retrains == 1
-    assert trainer.last_result is not None
-    # The countdown reset: the next observe is not immediately due.
-    assert not trainer.observe(dense[:16])
 
 
 def test_clone_caching_model_is_independent(world, small_config):
@@ -440,28 +433,6 @@ def test_clone_caching_model_is_independent(world, small_config):
     np.testing.assert_allclose(
         model.state_dict()[name],
         clone.state_dict()[name] - 1.0, atol=1e-12)
-
-
-def test_sync_provider_retrains_online(world, small_config):
-    """End to end through the provider: the retrainer swaps a tuned
-    clone in, and the provider keeps serving bits afterwards."""
-    _, tail, encoder, capacity, model = world
-    config = RecMGConfig(hidden=16, hash_buckets=256, caching_epochs=1,
-                         buffer_impl="clock",
-                         online_retrain_interval=1500,
-                         online_retrain_window=512,
-                         online_retrain_epochs=1)
-    provider = make_provider("sync", model, encoder, config,
-                             capacity=capacity)
-    dense = encoder.dense_ids(tail)
-    original = provider.model
-    for lo in range(0, 4096, 512):
-        segment = dense[lo:lo + 512]
-        provider.observe(segment)
-        assert provider.bits_for(segment) is not None
-    assert provider.retrainer.retrains >= 1
-    assert provider.model is not original
-    assert provider.stats()["retrains"] >= 1
 
 
 # ----------------------------------------------------------------------
@@ -589,8 +560,6 @@ def test_lift_guard_validates_params():
         LiftGuard(window_phases=0)
     with pytest.raises(ValueError, match="probe_every"):
         LiftGuard(probe_every=1)
-    with pytest.raises(ValueError, match="margin"):
-        LiftGuard(margin=-0.01)
     with pytest.raises(RuntimeError, match="begin_block"):
         LiftGuard().record_block(1, 10)
 
@@ -649,17 +618,6 @@ def test_lift_guard_abandoned_block_is_superseded():
     assert guard.rate(True) is None
     assert guard.begin_block() is True    # guided
     guard.record_block(10, 100)
-    assert guard.tripped
-
-
-def test_lift_guard_hysteresis_margin_holds_state():
-    guard = LiftGuard(phase_blocks=1, window_phases=2, probe_every=2,
-                      margin=0.2)
-    # A small negative lift (inside the margin) must not trip.
-    _drive(guard, guided_rate=0.50, control_rate=0.55, blocks=32)
-    assert not guard.tripped and guard.trips == 0
-    # A large one must.
-    _drive(guard, guided_rate=0.10, control_rate=0.60, blocks=32)
     assert guard.tripped
 
 
