@@ -703,19 +703,15 @@ def test_model_guided_low_capacity_lift(perf_budget, benchmark,
     trains the usual 20%-label model, then
     :func:`repro.core.training.finetune_for_capacity` relabels the
     head at the 5% *serving* capacity and fine-tunes a clone; the 70%
-    tail is served model-free, with the capacity-mismatched model,
-    with the capacity-matched one, and with the matched model under
-    the :class:`repro.serving.priorities.LiftGuard`.
+    tail is served model-free, with the capacity-mismatched model and
+    with the capacity-matched one.
 
     Unconditional (deterministic, sync-mode) asserts:
 
     * the capacity-matched model lifts over model-free on every
       scenario — the acceptance bar for this PR;
     * capacity-matching never does worse than serving the mismatched
-      20%-label model;
-    * the guard keeps the floor: guided-with-guard never falls below
-      model-free (its control probes cost a slice of positive lift,
-      which is why the guard is opt-in rather than default).
+      20%-label model.
 
     The recorded entries are lift-gated (``hit_rate_lift``, no
     ``ref_seconds``): once a positive low-capacity lift is committed
@@ -744,24 +740,22 @@ def test_model_guided_low_capacity_lift(perf_budget, benchmark,
             model, encoder.dense_ids(head), low_capacity, config,
             encoder, epochs=1)
 
-        def serve(caching_model, mode, lift_guard=0):
+        def serve(caching_model, mode):
             cfg = RecMGConfig(
                 hidden=32, hash_buckets=1024, caching_epochs=2,
                 max_train_chunks=500, buffer_impl="clock",
-                priority_mode=mode, priority_lift_guard=lift_guard)
+                priority_mode=mode)
             manager = RecMGManager(low_capacity, encoder, cfg,
                                    caching_model=caching_model)
             stats = manager.run(tail, fast_serve=True)
-            guard = manager.lift_guard
             manager.close()
-            return stats, guard
+            return stats
 
-        free_seconds, (free_stats, _) = _timed(
+        free_seconds, free_stats = _timed(
             lambda: serve(None, "none"), repeats=2)
-        mismatched_stats, _ = serve(model, "sync")
-        tuned_seconds, (tuned_stats, _) = _timed(
+        mismatched_stats = serve(model, "sync")
+        tuned_seconds, tuned_stats = _timed(
             lambda: serve(tuned, "sync"), repeats=2)
-        guarded_stats, guard = serve(tuned, "sync", lift_guard=1)
 
         tuned_lift = tuned_stats.hit_rate - free_stats.hit_rate
         assert tuned_lift > 0, (
@@ -771,26 +765,20 @@ def test_model_guided_low_capacity_lift(perf_budget, benchmark,
         assert tuned_stats.hit_rate >= mismatched_stats.hit_rate, (
             f"capacity-matched fine-tuning lost to the mismatched "
             f"20%-label model on {name}")
-        assert guarded_stats.hit_rate >= free_stats.hit_rate, (
-            f"lift guard broke the model-free floor on {name}: "
-            f"{guarded_stats.hit_rate:.4f} vs "
-            f"{free_stats.hit_rate:.4f}")
         record_hotpath(
             f"model_guided_{name}_lowcap_sync", len(tail),
             tuned_seconds, gated=True,
             hit_rate=tuned_stats.hit_rate,
             model_free_hit_rate=free_stats.hit_rate,
             mismatched_hit_rate=mismatched_stats.hit_rate,
-            guarded_hit_rate=guarded_stats.hit_rate,
-            guard_trips=guard.stats()["trips"],
             hit_rate_lift=tuned_lift)
         rows.append([name, free_stats.hit_rate,
                      mismatched_stats.hit_rate, tuned_stats.hit_rate,
-                     guarded_stats.hit_rate, tuned_lift])
+                     tuned_lift])
     print()
     print(ascii_table(
-        ["scenario", "model-free", "20%-labels", "cap-matched",
-         "matched+guard", "lift"], rows,
+        ["scenario", "model-free", "20%-labels", "cap-matched", "lift"],
+        rows,
         title="Model-guided serving hit rate at 5% capacity "
               "(clock backend)"))
     benchmark(lambda: rows)

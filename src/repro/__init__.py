@@ -14,7 +14,7 @@ Packages:
 * :mod:`repro.dlrm` -- numpy DLRM, tiered-memory latency model, end-to-end
   inference timing, linear performance model
 * :mod:`repro.serving` -- serving front-end (admission queue, batcher,
-  model-guided priority providers, latency/SLO metrics)
+  model-guided priority provider, latency/SLO metrics)
 * :mod:`repro.analysis` -- geomean and ASCII table/figure rendering
 """
 

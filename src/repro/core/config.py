@@ -76,19 +76,12 @@ class RecMGConfig:
     #: :func:`repro.cache.sharding.split_capacity`.
     shard_weights: tuple[float, ...] | None = None
     #: How the caching model's priorities reach the serving engines:
-    #: ``"none"`` (model-free serving, bit-identical to the
-    #: provider-free code) or ``"sync"`` (batched inference on the
-    #: serving thread, deterministic).  See
-    #: :mod:`repro.serving.priorities`.
+    #: ``"none"`` (no priority provider: model-free serving, bit-
+    #: identical to the provider-free code) or ``"sync"`` (a
+    #: :class:`repro.serving.priorities.SyncModelProvider`: batched
+    #: inference on the serving thread, deterministic, applied to
+    #: every served block).
     priority_mode: str = "none"
-    #: Lift-guard phase length in served blocks (0 = guard off).  When
-    #: on, the manager runs an online A/B over guided vs model-free
-    #: phases (:class:`repro.serving.priorities.LiftGuard`) and
-    #: withholds the provider's bits while the measured trailing
-    #: hit-rate lift is negative — model guidance can degrade to
-    #: model-free, never below it.  Off by default: the guard's
-    #: control phases cost a slice of positive lift.
-    priority_lift_guard: int = 0
     #: Elastic shard-rebalancing cadence in served accesses (0 = off;
     #: requires ``num_shards > 1`` when on).  Every ``interval``
     #: accesses the manager compares the per-shard traffic EWMAs it
@@ -151,9 +144,6 @@ class RecMGConfig:
             raise ValueError(
                 f"priority_mode must be one of {PRIORITY_MODES}, "
                 f"got {self.priority_mode!r}")
-        if self.priority_lift_guard < 0:
-            raise ValueError("priority_lift_guard must be >= 0 "
-                             "(0 disables the lift guard)")
         if self.rebalance_interval < 0:
             raise ValueError("rebalance_interval must be >= 0 "
                              "(0 disables online rebalancing)")

@@ -29,7 +29,7 @@ decision-for-decision and state-identical to the scalar audit loop
 (:meth:`~RecMGManager._serve_demand_slow`, what ``fast_serve=False``
 runs).  The 15-key model chunks of :meth:`run` do not reach the engine
 one by one on an unsharded ``"fast"`` buffer with no priority provider
-active: one
+installed: one
 :meth:`~repro.cache.buffer.FastPriorityBuffer.serve_chunks` pass runs
 serve -> caching bits -> prefetches for the whole block.  Every other
 run keeps the per-chunk triple, which is that pass's oracle.
@@ -96,7 +96,7 @@ from ..cache.sharding import ShardedBuffer
 from ..prefetch.base import Prefetcher
 from ..prefetch.harness import AccessBreakdown
 from ..serving.metrics import ServingMetrics
-from ..serving.priorities import LiftGuard, apply_caching_bits, make_provider
+from ..serving.priorities import SyncModelProvider, apply_caching_bits
 from ..traces.access import Trace
 from .caching_model import CachingModel
 from .config import RecMGConfig
@@ -175,25 +175,16 @@ class RecMGManager:
         #: :meth:`serve_batch` records into it.
         self.serving_metrics = ServingMetrics()
         # Model-in-the-loop serving (see :mod:`repro.serving.priorities`):
-        # the provider maps served blocks to caching bits and the sink
-        # (:meth:`_sink_provider`) applies them through the same bulk
-        # priority writes the offline chunk pass uses.  "none" installs
-        # the NullProvider and the sink is never invoked — bit-identical
-        # to the provider-free engines (pinned by the goldens and the
-        # cross-backend differentials).
-        self.priority_provider = make_provider(
-            config.priority_mode, caching_model, encoder,
-            metrics=self.serving_metrics)
-        self._provider_active = self.priority_provider.mode != "none"
-        #: Optional lift guard (``config.priority_lift_guard`` > 0 with
-        #: an active provider): online A/B of guided vs model-free
-        #: phases; while measured lift is negative the sink withholds
-        #: the provider's bits — guidance degrades to model-free, never
-        #: below it.  See :class:`repro.serving.priorities.LiftGuard`.
-        self.lift_guard: Optional[LiftGuard] = None
-        if self._provider_active and config.priority_lift_guard:
-            self.lift_guard = LiftGuard(
-                phase_blocks=config.priority_lift_guard)
+        # with ``priority_mode="sync"`` the provider maps every served
+        # block to caching bits and the sink (:meth:`_sink_provider`)
+        # applies them through the same priority writes the offline
+        # chunk pass uses.  "none" installs no provider and the sink is
+        # never invoked — bit-identical to the provider-free engines
+        # (pinned by the goldens and the cross-backend differentials).
+        self.priority_provider: Optional[SyncModelProvider] = (
+            SyncModelProvider(caching_model, encoder,
+                              metrics=self.serving_metrics)
+            if config.priority_mode == "sync" else None)
         # Online elastic rebalancing (module docstring): traffic EWMAs
         # accumulated per served block, checked every
         # ``config.rebalance_interval`` served accesses, migration via
@@ -282,17 +273,15 @@ class RecMGManager:
             apply_caching_bits(buffer, keys, bits, speed)
 
     def _sink_provider(self, segment: np.ndarray) -> None:
-        """The provider sink: after a guided block is fully served,
-        apply whatever caching bits the priority provider has for it —
+        """The provider sink: after a block is fully served, apply
+        whatever caching bits the priority provider has for it —
         Algorithm 1's priority write, driven from the live stream
-        instead of the offline chunk pass.  A lift-guard control block
-        serves model-free and never reaches the sink, so it makes no
-        provider call.
+        instead of the offline chunk pass.
 
         Tri-state bits: positions ``>= 0`` apply through
         :meth:`_apply_caching_bits`; ``-1`` ("no prediction") keeps its
-        recency priority, so a provider without a prediction degrades
-        to model-free behavior.
+        recency priority, so a position without a prediction keeps its
+        model-free behavior.
 
         Called per block from :meth:`_serve_block` — never from inside
         an engine.
@@ -301,8 +290,6 @@ class RecMGManager:
         if segment.size == 0:
             return
         bits = self.priority_provider.bits_for(segment)
-        if bits is None:
-            return
         valid = bits >= 0
         if not valid.all():
             if not valid.any():
@@ -313,23 +300,10 @@ class RecMGManager:
 
     def _serve_block(self, serve, segment: np.ndarray) -> None:
         """Serve one block through the engine ``serve`` — the serve
-        site :meth:`serve_batch` and both loops of :meth:`run` share.
-        With a priority provider active the lift guard (if any) picks
-        the block's arm first and is credited the demand + prefetch
-        hits the serve measured; the sink then gets a guided block."""
-        if not self._provider_active:
-            serve(segment)
-            return
-        guard = self.lift_guard
-        guided = True if guard is None else guard.begin_block()
-        breakdown = self.breakdown
-        hits_before = breakdown.cache_hits + breakdown.prefetch_hits
+        site :meth:`serve_batch` and both loops of :meth:`run` share —
+        then sink it if a priority provider is installed."""
         serve(segment)
-        if guard is not None:
-            guard.record_block(
-                breakdown.cache_hits + breakdown.prefetch_hits
-                - hits_before, len(segment))
-        if guided:
+        if self.priority_provider is not None:
             self._sink_provider(segment)
 
     def _apply_prefetches(self, predicted: np.ndarray) -> None:
@@ -565,7 +539,7 @@ class RecMGManager:
         # offline chunk pass — computing bits_all too would
         # double-apply the bits.  The prefetch model keeps its offline
         # pass either way.
-        use_provider = self._provider_active
+        use_provider = self.priority_provider is not None
         bits_all = None
         preds_all = None
         if num_chunks and ((self.caching_model is not None
@@ -594,7 +568,7 @@ class RecMGManager:
             # model rides the provider seam at block granularity), so
             # chunk boundaries are irrelevant: serve the whole trace in
             # large blocks to amortize the bulk pass's per-segment
-            # setup — sinking each block when a provider is active.
+            # setup — sinking each block when a provider is installed.
             tail = 0
         elif (fast_serve and not use_provider
               and isinstance(self.buffer, FastPriorityBuffer)

@@ -26,13 +26,14 @@ from .recmg import RecMG
 #: no decision), the background priority-refresh thread's two knobs,
 #: ``decode_radius_frac``, which nothing ever read, online retraining's
 #: three knobs (the model now serves as trained) and the lift guard's
-#: hysteresis margin (the guard compares the arms directly).  Any other
-#: unknown key raises.
+#: margin and phase length (guidance is no longer withheld online, so
+#: a guarded archive serves as plain ``"sync"``).  Any other unknown
+#: key raises.
 _RETIRED_CONFIG_KEYS = ("concurrency", "num_workers",
                         "priority_refresh_blocks", "priority_pending_max",
                         "decode_radius_frac", "online_retrain_interval",
                         "online_retrain_window", "online_retrain_epochs",
-                        "priority_lift_margin")
+                        "priority_lift_margin", "priority_lift_guard")
 
 
 def save_recmg(system: RecMG, path: Union[str, os.PathLike]) -> None:

@@ -9,8 +9,8 @@ engine (see ROADMAP "Serving architecture"):
                                               v
                                    serial shard loop -> gather
                                               |
-                              PriorityProvider sink -> ServingMetrics
-                                  ^ bits_for (guided blocks)
+                            SyncModelProvider sink -> ServingMetrics
+                                  ^ bits_for (every block)
                                   |
                           CachingModel (trained offline on OPTgen)
 
@@ -20,39 +20,24 @@ processes at the shard boundary.
 
 :mod:`repro.core.manager` records every ``serve_batch`` into
 :class:`ServingMetrics` and, when ``priority_mode`` is ``"sync"``,
-sinks every served block through its
-:class:`PriorityProvider` (:mod:`repro.serving.priorities`), the
-priority writes split along the shard route; an optional
-:class:`LiftGuard` withholds the bits while the measured trailing
-hit-rate lift is negative.  ``examples/serving_daemon.py`` drives the
-whole stack.
+sinks every served block through its :class:`SyncModelProvider`
+(:mod:`repro.serving.priorities`), the priority writes split along the
+shard route.  ``examples/serving_daemon.py`` drives the whole stack.
 """
 
 from .admission import Batch, Batcher, QueueClosed, Request, RequestQueue
 from .metrics import LatencyWindow, ServingMetrics
-from .priorities import (
-    PRIORITY_MODES,
-    LiftGuard,
-    NullProvider,
-    PriorityProvider,
-    SyncModelProvider,
-    apply_caching_bits,
-    make_provider,
-)
+from .priorities import PRIORITY_MODES, SyncModelProvider, apply_caching_bits
 
 __all__ = [
     "Batch",
     "Batcher",
     "LatencyWindow",
-    "LiftGuard",
-    "NullProvider",
     "PRIORITY_MODES",
-    "PriorityProvider",
     "QueueClosed",
     "Request",
     "RequestQueue",
     "ServingMetrics",
     "SyncModelProvider",
     "apply_caching_bits",
-    "make_provider",
 ]

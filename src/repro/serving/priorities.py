@@ -1,4 +1,4 @@
-"""Model-in-the-loop priority providers for the serving engines.
+"""The model-in-the-loop priority provider for the serving engines.
 
 The paper's system is ML-*guided* caching, but the fast serving engines
 (batched clock, dense exact, sharded) grew up model-free:
@@ -17,28 +17,19 @@ route and applied through each shard's ``CompressedShardView`` (see
 :meth:`RecMGManager._apply_caching_bits` and the split-identity
 argument on :func:`apply_caching_bits`).
 
-:class:`LiftGuard` is the safety valve on top of any provider: an
-online A/B of guided vs model-free phases over trailing hit-rate
-windows; while measured lift is negative the manager withholds the
-provider's bits (the block serves as if every bit were ``-1``), so
-model guidance can degrade to model-free but never below it.
-
-Two implementations, selected by ``priority_mode``:
-
-* :class:`NullProvider` (``"none"``) — no model anywhere near the
-  serving path.  The manager's behavior is bit-identical to the
-  provider-free code: the sink is never invoked.
-* :class:`SyncModelProvider` (``"sync"``) — batched feature encoding +
-  ``CachingModel.predict`` per served block, on the serving thread.
-  Amortized like every other bulk op, but inference cost lands on the
-  serving critical path: 1920-key blocks serve at ~250 k keys/s vs
-  ~1.0 M model-free on the exact ``fast`` backend (~4x), ~390 k vs
-  ~7.0 M on ``clock`` (~18x — inference-bound, so it did not move when
-  ``ClockBuffer.serve_segment`` doubled the model-free side; 2-core
-  AVX-512 host, one BLAS thread, numpy 2.4; on ``fast``, ~6x on
-  float64 ``infer`` and ~11x on the taped forward as of PR 17);
-  decisions are deterministic, which makes model-guided serving
-  differential-testable.
+The one provider, :class:`SyncModelProvider`, is installed when
+``priority_mode`` is ``"sync"``; with ``"none"`` the manager holds no
+provider and never invokes the sink.  The provider runs batched
+feature encoding + ``CachingModel.predict`` per served block, on the
+serving thread.  Amortized like every other bulk op, but inference
+cost lands on the serving critical path: 1920-key blocks serve at
+~250 k keys/s vs ~1.0 M model-free on the exact ``fast`` backend
+(~4x), ~390 k vs ~7.0 M on ``clock`` (~18x — inference-bound, so it
+did not move when ``ClockBuffer.serve_segment`` doubled the
+model-free side; 2-core AVX-512 host, one BLAS thread, numpy 2.4; on
+``fast``, ~6x on float64 ``infer`` and ~11x on the taped forward as of
+PR 17); decisions are deterministic, which makes model-guided serving
+differential-testable.
 
 Model guidance runs on the serving thread only: under the GIL a
 refresh thread gets no second core, and one measured a worse p99 than
@@ -47,15 +38,16 @@ its hit-rate lift.
 
 Bits are *tri-state* ``int8``: ``1`` cache-friendly, ``0`` cache-
 averse, ``-1`` no prediction.  The sink applies only ``>= 0``
-positions; everything else keeps its recency priority, so a provider
-(or a lift-guard control block) without a prediction degrades to
-model-free behavior, never to garbage.
+positions; everything else keeps its recency priority, so a position
+without a prediction keeps its model-free behavior, never garbage.
 
 The model is trained offline and never changes while it serves — an
 inline fine-tune-and-swap loop lost hit rate on three of four measured
-scenarios and paused the serving thread a median 66-475 ms per retrain
-(ROADMAP item 3) — so the provider contract is the single method
-:meth:`PriorityProvider.bits_for`.
+scenarios and paused the serving thread a median 66-475 ms per
+retrain — and its bits are never withheld online: an A/B lift guard
+sharing the one buffer kept a mismatched model at or above model-free
+on 1 of 30 measured runs.  So the provider contract is the single
+method :meth:`SyncModelProvider.bits_for`.
 
 This module imports nothing from :mod:`repro.core` at module level:
 :mod:`repro.core.manager` imports it at its top level, so an import
@@ -65,8 +57,7 @@ back into ``repro.core`` would cycle.
 from __future__ import annotations
 
 import time
-from collections import deque
-from typing import Deque, Dict, Optional, Tuple
+from typing import Dict, Optional
 
 import numpy as np
 
@@ -125,8 +116,8 @@ def apply_caching_bits(buffer, keys: np.ndarray, bits: np.ndarray,
     subsequences are exactly the block's own.
 
     The manager calls it only from that applier, which its per-chunk
-    loop and its provider sink share — the form chosen by block length
-    alone.
+    loop and — when a :class:`SyncModelProvider` is installed — its
+    provider sink share, the form chosen by block length alone.
     """
     keys = np.asarray(keys, dtype=np.int64)
     bits = np.asarray(bits)
@@ -165,189 +156,27 @@ def apply_caching_bits(buffer, keys: np.ndarray, bits: np.ndarray,
     buffer.demote_batch(res_keys[~res_bits])
 
 
-class LiftGuard:
-    """Trailing-window hit-rate lift guard: model guidance may degrade
-    to model-free, never below it.
-
-    A model trained for one occupancy regime can be actively *harmful*
-    in another (the low-capacity lift inversion: 20%-capacity OPTgen
-    labels overcommit a 5% buffer).  The guard measures the lift
-    online and withholds the provider's bits while it is negative —
-    the served block then behaves exactly like an all ``-1``
-    ("no prediction") block, i.e. model-free.
-
-    Mechanics — an online A/B over *phases* of ``phase_blocks``
-    consecutive served blocks (guidance affects the blocks *after*
-    the bits land, so single-block interleaving would attribute one
-    arm's effect to the other; phase runs keep the attribution error
-    to the phase boundary):
-
-    * **healthy** (not tripped): one phase in ``probe_every`` serves
-      *control* (bits withheld), the rest are guided;
-    * **tripped**: roles invert — one guided probe phase in
-      ``probe_every``, everything else model-free.
-
-    Completed runs append ``(hits, accesses)`` to the arm's trailing
-    window (last ``window_phases`` runs); when both windows are full
-    and the guided rate falls below control the guard trips, and it
-    untrips once guided beats control.  Both flips clear the windows —
-    samples measured under the previous regime would bias the next
-    comparison.
-
-    Driven by the manager at block granularity: :meth:`begin_block`
-    decides the block's arm before it is served, :meth:`record_block`
-    feeds its measured hits back after.  One decision is pending at a
-    time; a :meth:`begin_block` whose block was never recorded (its
-    serve raised) is superseded by the next.
-    """
-
-    def __init__(self, phase_blocks: int = 8, window_phases: int = 4,
-                 probe_every: int = 8) -> None:
-        if phase_blocks < 1:
-            raise ValueError("phase_blocks must be >= 1")
-        if window_phases < 1:
-            raise ValueError("window_phases must be >= 1")
-        if probe_every < 2:
-            raise ValueError("probe_every must be >= 2 (one arm would "
-                             "never be measured)")
-        self.phase_blocks = int(phase_blocks)
-        self.window_phases = int(window_phases)
-        self.probe_every = int(probe_every)
-        self.tripped = False
-        self.trips = 0
-        self.untrips = 0
-        self._begun = 0                      # blocks whose arm is decided
-        self._pending: Optional[bool] = None  # arm awaiting measurement
-        self._run_arm: Optional[bool] = None  # arm of the open run
-        self._run_hits = 0
-        self._run_size = 0
-        self._run_blocks = 0
-        self._windows: Dict[bool, Deque[Tuple[int, int]]] = {
-            True: deque(maxlen=self.window_phases),
-            False: deque(maxlen=self.window_phases),
-        }
-
-    def begin_block(self) -> bool:
-        """Decide the next served block's arm; True = guided (apply
-        the provider's bits), False = control (withhold them)."""
-        phase = self._begun // self.phase_blocks
-        minority = (phase % self.probe_every) == self.probe_every - 1
-        arm = minority if self.tripped else not minority
-        self._begun += 1
-        self._pending = arm
-        return arm
-
-    def record_block(self, hits: int, accesses: int) -> None:
-        """Feed one block's measured hits; pairs with the pending
-        :meth:`begin_block` decision."""
-        arm = self._pending
-        if arm is None:
-            raise RuntimeError("record_block without a matching "
-                               "begin_block")
-        self._pending = None
-        if self._run_arm is None:
-            self._run_arm = arm
-        elif arm != self._run_arm:
-            self._flush_run()
-            self._run_arm = arm
-        self._run_hits += int(hits)
-        self._run_size += int(accesses)
-        self._run_blocks += 1
-        if self._run_blocks >= self.phase_blocks:
-            self._flush_run()
-
-    def rate(self, guided: bool) -> Optional[float]:
-        """Trailing hit rate of one arm (None before any sample)."""
-        window = self._windows[guided]
-        total = sum(size for _, size in window)
-        if not total:
-            return None
-        return sum(hits for hits, _ in window) / total
-
-    def _flush_run(self) -> None:
-        if self._run_size:
-            self._windows[self._run_arm].append(
-                (self._run_hits, self._run_size))
-            self._update_state()
-        self._run_arm = None
-        self._run_hits = self._run_size = self._run_blocks = 0
-
-    def _update_state(self) -> None:
-        guided_win = self._windows[True]
-        control_win = self._windows[False]
-        if (len(guided_win) < guided_win.maxlen
-                or len(control_win) < control_win.maxlen):
-            return  # not enough evidence on both arms yet
-        guided_rate = self.rate(True)
-        control_rate = self.rate(False)
-        if not self.tripped and guided_rate < control_rate:
-            self.tripped = True
-            self.trips += 1
-        elif self.tripped and guided_rate > control_rate:
-            self.tripped = False
-            self.untrips += 1
-        else:
-            return
-        guided_win.clear()
-        control_win.clear()
-
-    def stats(self) -> Dict[str, float]:
-        """Flat guard counters/gauges (JSON-ready)."""
-        return {
-            "tripped": float(self.tripped),
-            "trips": self.trips,
-            "untrips": self.untrips,
-            "guided_rate": self.rate(True),
-            "control_rate": self.rate(False),
-            "blocks_decided": self._begun,
-        }
-
-
-class PriorityProvider:
-    """Maps served key blocks to per-access caching bits (base class =
-    the ``"none"`` behavior: no bits).
-
-    Contract with the sink (:meth:`RecMGManager._sink_provider`): after
-    a guided block is served, the sink calls :meth:`bits_for` once; a
-    lift-guard control block makes no provider call.  ``bits_for``
-    returns an ``int8`` array of the block's length — ``1`` friendly,
-    ``0`` averse, ``-1`` no prediction — or ``None`` when the provider
-    has nothing to say about the whole block.
-    """
-
-    mode = "none"
-
-    def bits_for(self, keys: np.ndarray) -> Optional[np.ndarray]:
-        """Tri-state caching bits for ``keys`` (see class docstring)."""
-        return None
-
-    def stats(self) -> Dict[str, float]:
-        """Flat inference counters (JSON-ready)."""
-        return {}
-
-
-class NullProvider(PriorityProvider):
-    """``priority_mode="none"``: today's model-free serving, bit-
-    identical — the manager skips the sink entirely when this provider
-    is installed, so not even a per-block residency gather is added."""
-
-
-class SyncModelProvider(PriorityProvider):
+class SyncModelProvider:
     """``priority_mode="sync"``: batched inference on the serving
     thread, one predict per served block.  Deterministic — the
     differential-testable mode — but inference cost lands on the
-    serving critical path."""
+    serving critical path.
 
-    mode = "sync"
+    Contract with the sink (:meth:`RecMGManager._sink_provider`): after
+    each block is served, the sink calls :meth:`bits_for` once.  It
+    returns an ``int8`` array of the block's length — ``1`` friendly,
+    ``0`` averse, ``-1`` no prediction — or ``None`` for an empty
+    block.
+    """
 
     def __init__(self, model, encoder, metrics=None) -> None:
         if model is None:
-            raise ValueError(f"priority_mode={self.mode!r} requires a "
-                             f"caching model")
+            raise ValueError("priority_mode='sync' requires a caching "
+                             "model")
         if not getattr(encoder, "fitted", False):
-            raise ValueError(f"priority_mode={self.mode!r} requires a "
-                             f"fitted encoder (the dense-id universe "
-                             f"defines the feature space)")
+            raise ValueError("priority_mode='sync' requires a fitted "
+                             "encoder (the dense-id universe defines the "
+                             "feature space)")
         self.model = model
         self.encoder = encoder
         self.metrics = metrics
@@ -379,13 +208,3 @@ class SyncModelProvider(PriorityProvider):
             "inference_seconds": self.inference_seconds,
         }
 
-
-def make_provider(mode: str, model, encoder,
-                  metrics=None) -> PriorityProvider:
-    """Build the provider for ``priority_mode`` (validating the mode)."""
-    if mode not in PRIORITY_MODES:
-        raise ValueError(f"priority_mode must be one of {PRIORITY_MODES}, "
-                         f"got {mode!r}")
-    if mode == "none":
-        return NullProvider()
-    return SyncModelProvider(model, encoder, metrics=metrics)

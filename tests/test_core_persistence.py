@@ -72,8 +72,8 @@ class TestPersistence:
         model computing the same per-block bits on the serving
         thread.  And archives saved while the never-read
         ``decode_radius_frac`` field existed.  And archives of the
-        retired online retrainer and lift-guard margin: they deploy as
-        static ``"sync"`` serving."""
+        retired online retrainer and of the lift guard (its margin and
+        its phase length): they deploy as static ``"sync"`` serving."""
         saved = tmp_path / "saved.npz"
         save_recmg(trained_recmg, saved)
         _, test = tiny_trace.split(0.6)
@@ -88,6 +88,8 @@ class TestPersistence:
              {"priority_mode": "sync", "online_retrain_interval": 4096,
               "online_retrain_window": 2048, "online_retrain_epochs": 2,
               "priority_lift_margin": 0.05}),
+            ({"priority_mode": "sync"},
+             {"priority_mode": "sync", "priority_lift_guard": 1}),
         ]
         for today_fields, retired_fields in cases:
             runs = []

@@ -13,7 +13,8 @@ The contract under test, in three layers:
   sink's per-shard bit split against the whole-buffer applier;
   ``record_decisions=True`` keeps working under model-guided sharded
   engines; no priority mode starts a thread; the provider contract is
-  one ``bits_for`` call per guided block.
+  one ``bits_for`` call per served block, and ``"none"`` installs no
+  provider.
 * **Live labels** — ``label_live_window`` agrees with a direct OPTgen
   pass, and a capacity-matched fine-tune returns a clone (the served
   model's weights are never touched in place).
@@ -45,11 +46,8 @@ from repro.cache.optgen import run_optgen
 from repro.serving import priorities
 from repro.serving.priorities import (
     PRIORITY_MODES,
-    LiftGuard,
-    NullProvider,
     SyncModelProvider,
     apply_caching_bits,
-    make_provider,
 )
 from repro.traces.access import Trace
 from repro.traces.synthetic import SyntheticTraceConfig, generate_trace
@@ -81,36 +79,36 @@ def world(small_config):
 # ----------------------------------------------------------------------
 # Construction & validation
 # ----------------------------------------------------------------------
-def test_make_provider_validates_mode(world, small_config):
-    _, _, encoder, _, model = world
-    for mode in ("eventually", "async"):
+def test_config_validates_priority_knobs():
+    for mode in ("eventually", "async", "later"):
         with pytest.raises(ValueError, match="priority_mode"):
-            make_provider(mode, model, encoder)
-    with pytest.raises(ValueError, match="priority_mode"):
-        RecMGConfig(priority_mode="async")
+            RecMGConfig(priority_mode=mode)
+    assert PRIORITY_MODES == ("none", "sync")
 
 
-def test_make_provider_none_is_null(small_config):
-    provider = make_provider("none", None, None)
-    assert isinstance(provider, NullProvider)
-    assert provider.mode == "none"
-    assert provider.bits_for(np.array([1, 2, 3])) is None
+def test_none_mode_installs_no_provider(world, small_config):
+    """``priority_mode="none"`` installs no provider even when the
+    manager is handed a caching model: the model then runs only in
+    :meth:`RecMGManager.run`'s offline chunk pass."""
+    _, _, encoder, capacity, model = world
+    manager = RecMGManager(capacity, encoder, small_config,
+                           caching_model=model)
+    assert manager.priority_provider is None
+    sync = RecMGManager(capacity, encoder,
+                        replace(small_config, priority_mode="sync"),
+                        caching_model=model)
+    assert isinstance(sync.priority_provider, SyncModelProvider)
 
 
 def test_model_modes_require_model_and_fitted_encoder(world, small_config):
-    _, _, encoder, _, model = world
+    _, _, encoder, capacity, model = world
     with pytest.raises(ValueError, match="caching model"):
-        make_provider("sync", None, encoder)
+        SyncModelProvider(None, encoder)
     with pytest.raises(ValueError, match="fitted"):
-        make_provider("sync", model, FeatureEncoder(small_config))
-
-
-def test_config_validates_priority_knobs():
-    with pytest.raises(ValueError, match="priority_mode"):
-        RecMGConfig(priority_mode="later")
-    with pytest.raises(ValueError, match="lift_guard"):
-        RecMGConfig(priority_lift_guard=-1)
-    assert "sync" in PRIORITY_MODES
+        SyncModelProvider(model, FeatureEncoder(small_config))
+    with pytest.raises(ValueError, match="caching model"):
+        RecMGManager(capacity, encoder,
+                     replace(small_config, priority_mode="sync"))
 
 
 # ----------------------------------------------------------------------
@@ -157,8 +155,7 @@ def test_tables_for_dense_covers_spillover(world, small_config):
 # ----------------------------------------------------------------------
 def test_sync_bits_match_offline_predict(world, small_config):
     _, tail, encoder, _, model = world
-    provider = make_provider("sync", model, encoder)
-    assert isinstance(provider, SyncModelProvider)
+    provider = SyncModelProvider(model, encoder)
     dense = encoder.dense_ids(tail)[:600]
     bits = provider.bits_for(dense)
     expected = model.predict(
@@ -354,53 +351,36 @@ def test_serving_starts_no_thread(world, mode):
 
 def test_provider_contract_is_one_bits_for_per_guided_block(world,
                                                             small_config):
-    """The sink's whole provider contract: one ``bits_for`` per guided
-    block and no provider call at all on a lift-guard control block.
-    The recording provider also defines ``observe``, so a sink that
-    still fed the stream to its provider would show up here."""
+    """The sink's whole provider contract: every served block is
+    guided, and makes exactly one ``bits_for`` call, for exactly that
+    block.  The
+    recording provider also defines ``observe``, so a sink that still
+    fed the stream to its provider would show up here."""
     _, tail, encoder, capacity, model = world
     manager = RecMGManager(capacity, encoder,
-                           replace(small_config, priority_mode="sync",
-                                   priority_lift_guard=1),
+                           replace(small_config, priority_mode="sync"),
                            caching_model=model)
     events = []
     predict = manager.priority_provider.bits_for
 
     class Recording:
-        mode = "sync"
-
         def observe(self, keys):
-            events.append("observe")
+            events.append(("observe", None))
 
         def bits_for(self, keys):
-            events.append("bits_for")
+            events.append(("bits_for", np.array(keys)))
             return predict(keys)
 
     manager.priority_provider = Recording()
-    begin_block = manager.lift_guard.begin_block
-
-    def recorded_begin_block():
-        arm = begin_block()
-        events.append(arm)
-        return arm
-
-    manager.lift_guard.begin_block = recorded_begin_block
     dense = encoder.dense_ids(tail)
-    for lo in range(0, 24 * 256, 256):
-        manager.serve_batch(dense[lo:lo + 256])
+    blocks = [dense[lo:lo + 256] for lo in range(0, 24 * 256, 256)]
+    for block in blocks:
+        manager.serve_batch(block)
     manager.close()
 
-    blocks = []
-    for event in events:
-        if isinstance(event, bool):
-            blocks.append((event, []))
-        else:
-            blocks[-1][1].append(event)
-    assert len(blocks) == 24
-    arms = {guided for guided, _ in blocks}
-    assert arms == {True, False}, "both arms must be exercised"
-    for guided, calls in blocks:
-        assert calls == (["bits_for"] if guided else [])
+    assert [name for name, _ in events] == ["bits_for"] * len(blocks)
+    for (_, keys), block in zip(events, blocks):
+        np.testing.assert_array_equal(keys, block)
 
 
 # ----------------------------------------------------------------------
@@ -436,8 +416,7 @@ def test_clone_caching_model_is_independent(world, small_config):
 
 
 # ----------------------------------------------------------------------
-# PR 9 satellites: applier hardening, capacity-matched labels, and the
-# lift guard.
+# Applier hardening and capacity-matched labels.
 # ----------------------------------------------------------------------
 class _RecordingBuffer:
     """Minimal priority-write stub, scalar and bulk protocol (the
@@ -548,139 +527,3 @@ def test_finetune_for_capacity_returns_tuned_clone(world, small_config):
     assert moved
     assert len(result.losses) >= 1
     assert result.num_parameters > 0
-
-
-# ----------------------------------------------------------------------
-# LiftGuard (tentpole 2b)
-# ----------------------------------------------------------------------
-def test_lift_guard_validates_params():
-    with pytest.raises(ValueError, match="phase_blocks"):
-        LiftGuard(phase_blocks=0)
-    with pytest.raises(ValueError, match="window_phases"):
-        LiftGuard(window_phases=0)
-    with pytest.raises(ValueError, match="probe_every"):
-        LiftGuard(probe_every=1)
-    with pytest.raises(RuntimeError, match="begin_block"):
-        LiftGuard().record_block(1, 10)
-
-
-def _drive(guard, guided_rate, control_rate, blocks, size=100):
-    """Feed ``blocks`` begin/record pairs with per-arm synthetic hit
-    rates; returns how many were served guided."""
-    guided_blocks = 0
-    for _ in range(blocks):
-        arm = guard.begin_block()
-        guided_blocks += arm
-        rate = guided_rate if arm else control_rate
-        guard.record_block(int(rate * size), size)
-    return guided_blocks
-
-
-def test_lift_guard_trips_on_negative_lift_and_recovers():
-    guard = LiftGuard(phase_blocks=1, window_phases=2, probe_every=4)
-    # Healthy: 3-in-4 phases guided, 1-in-4 control.
-    arms = []
-    for _ in range(8):
-        arms.append(guard.begin_block())
-        guard.record_block(0, 100)
-    assert arms == [True, True, True, False] * 2
-    with pytest.raises(RuntimeError, match="begin_block"):
-        guard.record_block(0, 100)  # nothing pending
-    # Guided clearly worse: both windows fill, then trip.
-    _drive(guard, guided_rate=0.2, control_rate=0.6, blocks=16)
-    assert guard.tripped and guard.trips == 1
-    # Tripped: roles invert — most blocks now run control.
-    guided = _drive(guard, guided_rate=0.2, control_rate=0.6, blocks=8)
-    assert guided <= 2
-    # Guidance recovers: the probe phases measure it beating control
-    # and the guard untrips (windows were cleared on the trip, so only
-    # post-trip samples vote).
-    _drive(guard, guided_rate=0.9, control_rate=0.3, blocks=64)
-    assert guard.untrips == 1 and not guard.tripped
-    stats = guard.stats()
-    assert stats["trips"] == 1 and stats["untrips"] == 1
-    assert stats["blocks_decided"] > 0
-
-
-def test_lift_guard_abandoned_block_is_superseded():
-    """A serve that raises between ``begin_block`` and ``record_block``
-    leaves a decision nobody measures.  The next ``begin_block`` must
-    supersede it: the following block's hits land in the arm that call
-    just returned, not in the abandoned block's arm (which would shift
-    every later block onto its predecessor's arm for the rest of the
-    run — here it would credit control's 0.9 to guidance and never
-    trip)."""
-    guard = LiftGuard(phase_blocks=1, window_phases=1, probe_every=2)
-    assert guard.begin_block() is True    # guided — its serve raises
-    assert guard.begin_block() is False   # control
-    guard.record_block(90, 100)
-    assert guard.rate(False) == pytest.approx(0.9)
-    assert guard.rate(True) is None
-    assert guard.begin_block() is True    # guided
-    guard.record_block(10, 100)
-    assert guard.tripped
-
-
-def test_manager_lift_guard_floors_adverse_guidance(world, small_config):
-    """The low-capacity inversion, forced: an adversarial provider
-    (demote the hot keys, pin the cold ones) at 5% capacity.  The
-    guard must trip and pull the run back to (near) model-free;
-    without it the same guidance craters the hit rate."""
-    _, tail, encoder, _, model = world
-    vocab = encoder.vocab_size
-    low_capacity = max(1, int(vocab * 0.05))
-    dense_tail = encoder.dense_ids(tail)
-    counts = np.bincount(dense_tail[dense_tail < vocab], minlength=vocab)
-    hot = np.zeros(vocab, dtype=bool)
-    hot[np.argsort(counts)[::-1][:max(1, vocab // 5)]] = True
-
-    def adversarial_bits(keys):
-        keys = np.asarray(keys, dtype=np.int64)
-        bits = np.full(keys.size, -1, dtype=np.int8)
-        local = keys < vocab
-        bits[local] = np.where(hot[keys[local]], 0, 1).astype(np.int8)
-        return bits
-
-    def run(priority_mode, guard, adversarial):
-        config = RecMGConfig(hidden=16, hash_buckets=256,
-                             buffer_impl="clock",
-                             priority_mode=priority_mode,
-                             priority_lift_guard=1 if guard else 0)
-        manager = RecMGManager(low_capacity, encoder, config,
-                               caching_model=(model if priority_mode
-                                              != "none" else None))
-        manager._SERVE_BLOCK = 256
-        if guard:
-            # Tighter windows than the config default so the ~8.4k
-            # access tail holds enough phases to trip.
-            manager.lift_guard = LiftGuard(phase_blocks=1,
-                                           window_phases=2,
-                                           probe_every=4)
-        if adversarial:
-            manager.priority_provider.bits_for = adversarial_bits
-        stats = manager.run(tail, fast_serve=True)
-        hits = (stats.breakdown.cache_hits
-                + stats.breakdown.prefetch_hits)
-        guard_obj = manager.lift_guard
-        manager.close()
-        return hits, guard_obj
-
-    model_free, _ = run("none", guard=False, adversarial=False)
-    unguarded, _ = run("sync", guard=False, adversarial=True)
-    guarded, guard = run("sync", guard=True, adversarial=True)
-
-    assert unguarded < model_free  # the inversion is real
-    assert guard is not None and guard.trips >= 1
-    assert guarded > unguarded
-    # Floor: the guarded run stays within the probe phases' cost of
-    # the model-free baseline.
-    assert guarded >= model_free * 0.95
-
-
-def test_manager_lift_guard_off_by_default(world, small_config):
-    _, _, encoder, capacity, model = world
-    manager = RecMGManager(capacity, encoder,
-                           replace(small_config, priority_mode="sync"),
-                           caching_model=model)
-    assert manager.lift_guard is None
-    manager.close()
