@@ -80,10 +80,23 @@ def world(small_config):
 # Construction & validation
 # ----------------------------------------------------------------------
 def test_config_validates_priority_knobs():
-    for mode in ("eventually", "async", "later"):
+    with pytest.raises(ValueError, match="priority_mode"):
+        RecMGConfig(priority_mode="later")
+    assert PRIORITY_MODES == ("none", "sync")
+
+
+def test_make_provider_validates_mode(world, small_config):
+    """Provider selection is the manager reading ``priority_mode``, so
+    a mode without a provider must be refused before any manager sees
+    it — on a fresh config and on one derived with ``replace``."""
+    _, _, encoder, capacity, model = world
+    for mode in ("eventually", "async"):
         with pytest.raises(ValueError, match="priority_mode"):
             RecMGConfig(priority_mode=mode)
-    assert PRIORITY_MODES == ("none", "sync")
+        with pytest.raises(ValueError, match="priority_mode"):
+            RecMGManager(capacity, encoder,
+                         replace(small_config, priority_mode=mode),
+                         caching_model=model)
 
 
 def test_none_mode_installs_no_provider(world, small_config):
