@@ -109,6 +109,14 @@ def load_lifts(path: str, measured_only: bool = False) -> dict:
             if "hit_rate_lift" in entry and entry.get("gated")}
 
 
+def _timings(entry: dict) -> str:
+    """An entry's two timings: beside a failed speedup they tell a
+    slower fast path from a faster reference."""
+    return ", ".join(
+        f"{key} {entry[key]:.4g}" if key in entry else f"{key} n/a"
+        for key in ("seconds", "reference_seconds"))
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("baseline", help="committed BENCH_hotpaths.json")
@@ -120,6 +128,8 @@ def main(argv=None) -> int:
 
     baseline = load_speedups(args.baseline)
     fresh = load_speedups(args.fresh, measured_only=True)
+    baseline_entries = _hot_paths(args.baseline, measured_only=False)
+    fresh_entries = _hot_paths(args.fresh, measured_only=True)
     floor = 1.0 - args.max_regression
     failures = []
     for name in sorted(baseline):
@@ -137,7 +147,9 @@ def main(argv=None) -> int:
             failures.append(
                 f"{name}: speedup regressed to {measured:.2f}x from the "
                 f"committed {committed:.2f}x "
-                f"(> {args.max_regression:.0%} drop)")
+                f"(> {args.max_regression:.0%} drop; committed "
+                f"{_timings(baseline_entries[name])}; fresh "
+                f"{_timings(fresh_entries[name])})")
     for name in sorted(set(fresh) - set(baseline)):
         print(f"NEW {name}: {fresh[name]:.2f}x (not in baseline — commit "
               f"the fresh BENCH_hotpaths.json to start gating it)")

@@ -802,13 +802,14 @@ def test_model_inference_throughput(perf_trace, perf_budget, benchmark,
 
     Both models sit on the serving path (the sync provider predicts 128
     chunks per block, ``run()`` 64 per call), so the forward cost is
-    serving cost; the taped ``forward`` builds ~290 ``Tensor`` nodes
-    with closures and temporaries to produce values that are
-    thresholded and dropped, and float64 doubles the bandwidth of every
-    matmul and ``exp`` for digits no decision reads.  float64 ``infer``
-    must return the tape's decisions exactly, float32 the same ones
-    wherever float64 was not a near-tie, and ``predict`` must stay
-    >= 1.3x faster than the tape at the default budget (the floor
+    serving cost; the taped ``forward`` builds ~30 (caching) and ~250
+    (prefetch) ``Tensor`` nodes with closures and saved activations to
+    produce values that are thresholded and dropped (the LSTMs are one
+    node per sequence or decoder step), and float64 doubles the
+    bandwidth of every matmul and ``exp`` for digits no decision reads.
+    float64 ``infer`` must return the tape's decisions exactly, float32
+    the same ones wherever float64 was not a near-tie, and ``predict``
+    must stay >= 1.3x faster than the tape at the default budget (the floor
     scales down with ``--perf-budget``); the float64 timing is recorded
     ungated, so the entry shows float32 against float64 and not only
     against the tape.
@@ -893,9 +894,10 @@ def test_training_tape_step(perf_trace, benchmark, record_hotpath):
     forward, loss, ``backward()``, clip, Adam — the loop body of
     ``train_caching_model`` / ``train_prefetch_model``.
 
-    Recorded ungated: best-of-N step time, and what one step leaves
-    behind with the cycle collector off (live ``Tensor`` census and
-    ``tracemalloc`` bytes, numpy buffers included).  The tape is
+    Recorded ungated: best-of-N step time, the ``Tensor`` nodes one
+    forward builds (``tape_nodes_per_forward``), and what one step
+    leaves behind with the cycle collector off (live ``Tensor`` census
+    and ``tracemalloc`` bytes, numpy buffers included).  The tape is
     acyclic, so a step's graph dies by reference count when ``loss`` is
     rebound; the census assertion is a count, not a wall-clock gate, so
     it holds under ``--perf-budget 0`` too.
@@ -933,6 +935,15 @@ def test_training_tape_step(perf_trace, benchmark, record_hotpath):
     def census():
         return sum(type(o) is Tensor for o in gc.get_objects())
 
+    def tape_nodes(model):
+        before = census()
+        graph = model(chunks, sel=sel)
+        nodes = census() - before
+        del graph
+        return nodes
+
+    tape_nodes_per_forward = {"caching": tape_nodes(caching),
+                              "prefetch": tape_nodes(prefetch)}
     step_seconds = {}
     retained_tensors = 0
     retained_bytes = 0
@@ -961,14 +972,17 @@ def test_training_tape_step(perf_trace, benchmark, record_hotpath):
         chunks=len(sel),
         caching_step_ms=step_ms["caching"],
         prefetch_step_ms=step_ms["prefetch"],
+        tape_nodes_per_forward=tape_nodes_per_forward,
         retained_tensors_per_step=retained_tensors,
         retained_mb_per_step=retained_bytes / 2 ** 20,
         cpu_cores=os.cpu_count())
-    rows = [[name, len(sel), ms] for name, ms in step_ms.items()]
+    rows = [[name, len(sel), ms, tape_nodes_per_forward[name]]
+            for name, ms in step_ms.items()]
     rows.append(["retained tensors / MB (collector off)", retained_tensors,
-                 retained_bytes / 2 ** 20])
+                 retained_bytes / 2 ** 20, ""])
     print()
-    print(ascii_table(["model", "chunks", "step ms"], rows,
+    print(ascii_table(["model", "chunks", "step ms", "tape nodes / forward"],
+                      rows,
                       title="Training tape: one optimizer step, and what "
                             "it strands without the cycle collector"))
     assert retained_tensors == 0, (

@@ -7,6 +7,11 @@ decoder", Fig. 5).  This module provides:
 * :class:`LSTMCell` / :class:`LSTM` — standard gated recurrence,
 * :class:`Seq2SeqStack` — one encoder/decoder pair with Luong attention,
 * :class:`StackedSeq2Seq` — N chained stacks (Table III varies N).
+
+The recurrence is taped as one node per :class:`LSTM` sequence or
+:class:`LSTMCell` step, with a hand-written backward that keeps the
+primitive per-step ops and grad order: float64 values are unchanged,
+and grads too where no state has more than two grad consumers.
 """
 
 from __future__ import annotations
@@ -22,6 +27,40 @@ from .modules import Module
 from .tensor import Tensor, stack
 
 
+def _step(x, h, c, w_x, w_h, bias):
+    """One LSTM step on arrays: new ``h``, ``c`` and saved activations.
+    One sigmoid over all four gate blocks, as ``infer`` (elementwise)."""
+    hs = h.shape[1]
+    gates = x @ w_x + h @ w_h + bias
+    g = np.tanh(gates[:, 2 * hs:3 * hs])
+    sig = 1.0 / (1.0 + np.exp(-gates))
+    c_new = sig[:, hs:2 * hs] * c + sig[:, :hs] * g
+    tanh_c = np.tanh(c_new)
+    return sig[:, 3 * hs:] * tanh_c, c_new, (sig, g, tanh_c)
+
+
+def _step_grads(dh, dc, x, h, c, acts, w_x, w_h):
+    """Backward of :func:`_step` from the grads of its ``h`` and ``c``
+    (``dc`` from consumers other than the step's own ``tanh``): the
+    grads of ``x``, ``h``, ``c``, ``w_x``, ``w_h`` and ``bias``."""
+    sig, g, tanh_c = acts
+    hs = g.shape[1]
+    dc = (1.0 - tanh_c ** 2) * (dh * sig[:, 3 * hs:]) + dc
+    dgates = sig * (1.0 - sig)
+    dgates[:, :hs] *= dc * g
+    dgates[:, hs:2 * hs] *= dc * c
+    np.multiply(1.0 - g ** 2, dc * sig[:, :hs], out=dgates[:, 2 * hs:3 * hs])
+    dgates[:, 3 * hs:] *= dh * tanh_c
+    return (dgates @ w_x.T, dgates @ w_h.T, dc * sig[:, hs:2 * hs],
+            x.T @ dgates, h.T @ dgates, dgates.sum(axis=0))
+
+
+def _accumulate(tensors, grads) -> None:
+    for tensor, grad in zip(tensors, grads):
+        if tensor.requires_grad:
+            tensor._accumulate(grad)
+
+
 class LSTMCell(Module):
     """Single LSTM step with fused gate weights.
 
@@ -31,7 +70,6 @@ class LSTMCell(Module):
     def __init__(self, input_size: int, hidden_size: int,
                  rng: Optional[np.random.Generator] = None) -> None:
         rng = rng or np.random.default_rng(0)
-        self.input_size = input_size
         self.hidden_size = hidden_size
         self.w_x = Tensor(
             initializers.xavier_uniform((input_size, 4 * hidden_size), rng),
@@ -47,16 +85,21 @@ class LSTMCell(Module):
         self.bias = Tensor(bias, requires_grad=True)
 
     def forward(self, x: Tensor, state: Tuple[Tensor, Tensor]) -> Tuple[Tensor, Tensor]:
+        """One tape node holding the new ``h`` and ``c`` stacked; the
+        pair returned are getitem views of it."""
         h_prev, c_prev = state
-        gates = x @ self.w_x + h_prev @ self.w_h + self.bias
-        hs = self.hidden_size
-        i_gate = gates[:, 0 * hs:1 * hs].sigmoid()
-        f_gate = gates[:, 1 * hs:2 * hs].sigmoid()
-        g_gate = gates[:, 2 * hs:3 * hs].tanh()
-        o_gate = gates[:, 3 * hs:4 * hs].sigmoid()
-        c_new = f_gate * c_prev + i_gate * g_gate
-        h_new = o_gate * c_new.tanh()
-        return h_new, c_new
+        w_x, w_h, bias = self.w_x, self.w_h, self.bias
+        xs, hs, cs = x.data, h_prev.data, c_prev.data
+        h, c, acts = _step(xs, hs, cs, w_x.data, w_h.data, bias.data)
+        out = x._make_child(np.stack([h, c]),
+                            (x, h_prev, c_prev, w_x, w_h, bias))
+
+        def backward(grad: np.ndarray) -> None:
+            _accumulate((x, h_prev, c_prev, w_x, w_h, bias), _step_grads(
+                grad[0], grad[1], xs, hs, cs, acts, w_x.data, w_h.data))
+
+        out._backward = backward
+        return out[0], out[1]
 
     def infer(self, x: np.ndarray, h: np.ndarray, c: np.ndarray,
               scratch: np.ndarray) -> np.ndarray:
@@ -80,12 +123,6 @@ class LSTMCell(Module):
         h_new *= gates[:, 3 * hs:]                    # output
         return h_new
 
-    def zero_state(self, batch: int) -> Tuple[Tensor, Tensor]:
-        return (
-            Tensor(np.zeros((batch, self.hidden_size))),
-            Tensor(np.zeros((batch, self.hidden_size))),
-        )
-
 
 class LSTM(Module):
     """Unrolls an :class:`LSTMCell` over a (batch, time, feat) input."""
@@ -95,19 +132,38 @@ class LSTM(Module):
         self.cell = LSTMCell(input_size, hidden_size, rng=rng)
         self.hidden_size = hidden_size
 
-    def forward(self, x: Tensor,
-                state: Optional[Tuple[Tensor, Tensor]] = None
-                ) -> Tuple[Tensor, Tuple[Tensor, Tensor]]:
-        batch, steps, _ = x.shape
-        if state is None:
-            state = self.cell.zero_state(batch)
-        outputs: List[Tensor] = []
+    def forward(self, x: Tensor) -> Tuple[Tensor, Tuple[Tensor, Tensor]]:
+        """The states of every step and the final ``(h, c)``, from the
+        zero state: getitem views of one tape node (batch, time + 1,
+        hidden) holding each step's ``h``, then the final ``c``."""
+        w_x, w_h, bias = self.cell.w_x, self.cell.w_h, self.cell.bias
+        xs = x.data
+        batch, steps, _ = xs.shape
+        data = np.empty((batch, steps + 1, self.hidden_size))
+        h = c = np.zeros((batch, self.hidden_size))
+        saved = []
         for t in range(steps):
-            step_in = x[:, t, :]
-            h, c = self.cell(step_in, state)
-            state = (h, c)
-            outputs.append(h)
-        return stack(outputs, axis=1), state
+            h_prev, c_prev = h, c
+            h, c, acts = _step(xs[:, t, :], h_prev, c_prev, w_x.data,
+                               w_h.data, bias.data)
+            data[:, t] = h
+            saved.append((h_prev, c_prev, acts))
+        data[:, steps] = c
+        out = x._make_child(data, (x, w_x, w_h, bias))
+
+        def backward(grad: np.ndarray) -> None:
+            dx = np.zeros_like(xs)
+            dh, dc = grad[:, steps - 1], grad[:, steps]
+            for t in range(steps - 1, -1, -1):
+                dx[:, t], dh_prev, dc, *step_grads = _step_grads(
+                    dh, dc, xs[:, t, :], *saved[t], w_x.data, w_h.data)
+                sums = step_grads if t == steps - 1 else [
+                    total + term for total, term in zip(sums, step_grads)]
+                dh = grad[:, t - 1] + dh_prev if t else None
+            _accumulate((x, w_x, w_h, bias), [dx] + sums)
+
+        out._backward = backward
+        return out[:, :steps], (out[:, steps - 1], out[:, steps])
 
     def infer(self, x: np.ndarray
               ) -> Tuple[np.ndarray, Tuple[np.ndarray, np.ndarray]]:

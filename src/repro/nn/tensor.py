@@ -11,7 +11,11 @@ parents and saved arrays, never the result tensor it is stored on.
 hands each node its ``.grad`` and drops that grad once the closure has
 run (leaf grads and the root's stay).  No reference cycle exists, so a
 graph -- backpropagated or forward-only -- is freed by reference count
-the moment its last name is rebound, without the cycle collector.
+the moment its last name is rebound, without the cycle collector.  A
+layer may record one coarse node with a hand-written closure under the
+same contract (the LSTM recurrence in :mod:`repro.nn.rnn`) if it runs
+the primitive ops' arithmetic in their order and sums each leaf's grads
+in the walk's order, so float64 results stay the primitive graph's.
 
 Broadcasting follows numpy semantics; gradients are "unbroadcast" (summed
 over the broadcast axes) so shapes always round-trip.

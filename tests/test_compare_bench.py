@@ -94,6 +94,26 @@ def test_regression_beyond_threshold_fails(compare_bench, tmp_path,
     assert "regressed" in captured.err
 
 
+def test_regression_failure_shows_both_timings(compare_bench, tmp_path,
+                                              capsys):
+    """A failed speedup names each side's ``seconds`` and
+    ``reference_seconds``: here the fast path held and the reference
+    got faster, which the ratio alone cannot tell apart from a slower
+    fast path."""
+    def write(name, reference_seconds):
+        path = tmp_path / name
+        path.write_text(json.dumps({"hot_paths": {"model_inference": {
+            "seconds": 0.004, "reference_seconds": reference_seconds,
+            "speedup": reference_seconds / 0.004, "gated": True}}}))
+        return str(path)
+
+    assert compare_bench.main([write("base.json", 0.02),
+                               write("fresh.json", 0.012)]) == 1
+    err = capsys.readouterr().err
+    assert ("committed seconds 0.004, reference_seconds 0.02; "
+            "fresh seconds 0.004, reference_seconds 0.012") in err
+
+
 def test_regression_within_threshold_passes(compare_bench, tmp_path):
     baseline = _write(tmp_path, "base.json", {"serving": 4.0})
     fresh = _write(tmp_path, "fresh.json", {"serving": 3.0})  # 25% drop

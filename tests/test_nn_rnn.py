@@ -5,16 +5,119 @@ import pytest
 
 from repro.nn import (
     Adam, LSTM, LSTMCell, Linear, LuongAttention, SelfAttention,
-    Seq2SeqStack, StackedSeq2Seq, Tensor,
+    Seq2SeqStack, StackedSeq2Seq, Tensor, softmax, stack,
 )
+from test_nn_tensor import check_gradient
+
+
+def primitive_step(cell, x, h, c):
+    """The oracle: one LSTM step over primitive ``Tensor`` ops, as
+    ``LSTMCell.forward`` taped it before it became one node."""
+    hs = cell.hidden_size
+    gates = x @ cell.w_x + h @ cell.w_h + cell.bias
+    i_gate = gates[:, 0 * hs:1 * hs].sigmoid()
+    f_gate = gates[:, 1 * hs:2 * hs].sigmoid()
+    g_gate = gates[:, 2 * hs:3 * hs].tanh()
+    o_gate = gates[:, 3 * hs:4 * hs].sigmoid()
+    c_new = f_gate * c + i_gate * g_gate
+    return o_gate * c_new.tanh(), c_new
+
+
+def primitive_lstm(lstm, x):
+    batch, steps, _ = x.shape
+    h = c = Tensor(np.zeros((batch, lstm.hidden_size)))
+    outputs = []
+    for t in range(steps):
+        h, c = primitive_step(lstm.cell, x[:, t, :], h, c)
+        outputs.append(h)
+    return stack(outputs, axis=1), (h, c)
+
+
+def attend(states, weight):
+    """Position-aligned attention as the caching model's: ``states``
+    reaches the loss through four consumers."""
+    scores = (states @ weight) @ states.transpose(0, 2, 1)
+    context = softmax(scores, axis=-1) @ states
+    return (states * context).tanh()
+
+
+def lstm_grads(lstm, run, x0, weight):
+    """Output and the grads of ``x`` and the cell's weights after one
+    backward of ``attend`` plus the final ``(h, c)`` through ``run``."""
+    cell = lstm.cell
+    for param in (cell.w_x, cell.w_h, cell.bias):
+        param.zero_grad()
+    x = Tensor(x0, requires_grad=True)
+    out, (h, c) = run(lstm, x)
+    (attend(out, weight).sum() + (h * c).sum()).backward()
+    return [out.data, x.grad, cell.w_x.grad, cell.w_h.grad, cell.bias.grad]
 
 
 class TestLSTM:
     def test_cell_shapes(self, rng):
         cell = LSTMCell(5, 7, rng=rng)
-        h, c = cell.zero_state(3)
-        h2, c2 = cell(Tensor(rng.normal(size=(3, 5))), (h, c))
+        zeros = Tensor(np.zeros((3, 7)))
+        h2, c2 = cell(Tensor(rng.normal(size=(3, 5))), (zeros, zeros))
         assert h2.shape == (3, 7) and c2.shape == (3, 7)
+
+    def test_fused_lstm_is_the_primitive_unroll_bit_for_bit(self, rng):
+        lstm = LSTM(5, 6, rng=rng)
+        x0 = rng.normal(size=(4, 9, 5))
+        weight = Tensor(rng.normal(size=(6, 6)))
+        fused = lstm_grads(lstm, lambda m, x: m(x), x0, weight)
+        oracle = lstm_grads(lstm, primitive_lstm, x0, weight)
+        for got, want in zip(fused, oracle):
+            assert np.array_equal(got, want)
+
+    def test_fused_cell_is_the_primitive_step_bit_for_bit(self, rng):
+        cell = LSTMCell(5, 6, rng=rng)
+        arrays = [rng.normal(size=(4, n)) for n in (5, 6, 6)]
+        results = []
+        for step in (lambda x, h, c: cell(x, (h, c)),
+                     lambda x, h, c: primitive_step(cell, x, h, c)):
+            for param in (cell.w_x, cell.w_h, cell.bias):
+                param.zero_grad()
+            inputs = [Tensor(a, requires_grad=True) for a in arrays]
+            h, c = step(*inputs)
+            ((h * c).sum() + h.tanh().sum()).backward()
+            results.append([h.data, c.data] + [t.grad for t in inputs]
+                           + [cell.w_x.grad, cell.w_h.grad, cell.bias.grad])
+        for got, want in zip(*results):
+            assert np.array_equal(got, want)
+
+    def test_lstm_gradient_wrt_input(self, rng):
+        lstm = LSTM(3, 4, rng=rng)
+        ro, rc = rng.normal(size=(2, 5, 4)), rng.normal(size=(2, 4))
+
+        def loss(x):
+            out, (_, c) = lstm(x)
+            return (out * Tensor(ro)).sum() + (c * Tensor(rc)).sum()
+        check_gradient(loss, rng.normal(size=(2, 5, 3)))
+
+    def test_lstm_gradient_wrt_recurrent_weight(self, rng):
+        lstm = LSTM(3, 4, rng=rng)
+        x = Tensor(rng.normal(size=(2, 5, 3)))
+        ro = rng.normal(size=(2, 5, 4))
+
+        def loss(w_h):
+            lstm.cell.w_h = w_h
+            return (lstm(x)[0] * Tensor(ro)).sum()
+        check_gradient(loss, lstm.cell.w_h.data.copy())
+
+    @pytest.mark.parametrize("wrt", ["h_prev", "c_prev"])
+    def test_cell_gradient_wrt_state(self, rng, wrt):
+        cell = LSTMCell(3, 4, rng=rng)
+        x = Tensor(rng.normal(size=(2, 3)))
+        state = {"h_prev": rng.normal(size=(2, 4)),
+                 "c_prev": rng.normal(size=(2, 4))}
+        rh, rc = rng.normal(size=(2, 4)), rng.normal(size=(2, 4))
+
+        def loss(t):
+            inputs = {k: Tensor(v) for k, v in state.items()}
+            inputs[wrt] = t
+            h, c = cell(x, (inputs["h_prev"], inputs["c_prev"]))
+            return (h * Tensor(rh)).sum() + (c * Tensor(rc)).sum()
+        check_gradient(loss, state[wrt])
 
     def test_unroll_shapes(self, rng):
         lstm = LSTM(5, 7, rng=rng)
@@ -58,6 +161,12 @@ class TestSeq2Seq:
         one = StackedSeq2Seq(4, 6, 3, num_stacks=1, rng=rng)
         two = StackedSeq2Seq(4, 6, 3, num_stacks=2, rng=rng)
         assert two.num_parameters() > one.num_parameters()
+
+    def test_stack_gradient_wrt_input(self, rng):
+        stack_module = Seq2SeqStack(3, 4, out_steps=2, rng=rng)
+        ro = rng.normal(size=(2, 2, 4))
+        check_gradient(lambda x: (stack_module(x) * Tensor(ro)).sum(),
+                       rng.normal(size=(2, 5, 3)))
 
     def test_trainable_end_to_end(self, rng):
         model = StackedSeq2Seq(3, 8, out_steps=2, num_stacks=1, rng=rng)

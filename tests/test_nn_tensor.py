@@ -14,7 +14,7 @@ from repro.core import (
 )
 from repro.core.training import _chamfer_ce_loss
 from repro.nn import (
-    Tensor, concat, stack, softmax, log_softmax, bce_with_logits,
+    LSTM, Tensor, concat, stack, softmax, log_softmax, bce_with_logits,
     cross_entropy, chamfer_loss, chamfer_directed, unbroadcast,
 )
 
@@ -249,6 +249,30 @@ def tensor_census():
     return sum(type(o) is Tensor for o in gc.get_objects())
 
 
+def chain_graph(rng):
+    """Leaves, and a function building primitive nodes to a scalar root."""
+    x = Tensor(rng.normal(size=(3, 4)), requires_grad=True)
+    w = Tensor(rng.normal(size=(4, 5)), requires_grad=True)
+
+    def build():
+        hidden = (x @ w).tanh()
+        scaled = hidden.exp() * 0.5
+        return [hidden, scaled, scaled.sum()]
+    return build
+
+
+def lstm_graph(rng):
+    """The fused ``LSTM`` node, its three views, and a root reading all
+    of them."""
+    lstm = LSTM(4, 5, rng=rng)
+    x = Tensor(rng.normal(size=(2, 6, 4)), requires_grad=True)
+
+    def build():
+        out, (h, c) = lstm(x)
+        return [out._prev[0], out, h, c, out.sum() + (h * c).sum()]
+    return build
+
+
 @pytest.fixture()
 def collector_off():
     """Everything below must be freed by reference count alone."""
@@ -266,19 +290,21 @@ class TestTapeLifetime:
     ``__weakref__`` slot, so liveness is observed through the nodes'
     arrays and a census of live tensors."""
 
-    @pytest.mark.parametrize("backpropagate", [True, False])
-    def test_graph_dies_with_its_last_name(self, rng, backpropagate):
-        x = Tensor(rng.normal(size=(3, 4)), requires_grad=True)
-        w = Tensor(rng.normal(size=(4, 5)), requires_grad=True)
+    @pytest.mark.parametrize("graph, backpropagate", [
+        pytest.param(chain_graph, True, id="True"),
+        pytest.param(chain_graph, False, id="False"),
+        pytest.param(lstm_graph, True, id="lstm-True"),
+        pytest.param(lstm_graph, False, id="lstm-False"),
+    ])
+    def test_graph_dies_with_its_last_name(self, rng, graph, backpropagate):
+        build = graph(rng)
         baseline = tensor_census()
-        hidden = (x @ w).tanh()
-        scaled = hidden.exp() * 0.5
-        root = scaled.sum()
-        arrays = [weakref.ref(node.data) for node in (hidden, scaled, root)]
+        nodes = build()
+        arrays = [weakref.ref(node.data) for node in nodes]
         if backpropagate:
-            root.backward()
-        del hidden, scaled, root
-        assert [ref() for ref in arrays] == [None, None, None]
+            nodes[-1].backward()
+        del nodes
+        assert [ref() for ref in arrays] == [None] * len(arrays)
         assert tensor_census() == baseline
 
     def test_walk_consumes_interior_grads(self, rng):
