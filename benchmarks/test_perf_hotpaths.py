@@ -785,8 +785,9 @@ def test_model_guided_low_capacity_lift(perf_budget, benchmark,
 
 
 def _decision_helpers():
-    """``tests/decisions.py``, by path: the float32-vs-float64 decision
-    comparison the unit tests use (``tests/`` is not a package)."""
+    """``tests/decisions.py``, by path: the float64 copy and the
+    float32-vs-float64 decision comparison the unit tests use
+    (``tests/`` is not a package)."""
     path = Path(__file__).resolve().parent.parent / "tests" / "decisions.py"
     spec = importlib.util.spec_from_file_location("decisions", path)
     module = importlib.util.module_from_spec(spec)
@@ -797,22 +798,20 @@ def _decision_helpers():
 def test_model_inference_throughput(perf_trace, perf_budget, benchmark,
                                     record_hotpath):
     """``predict`` / ``predict_indices`` — tape-free ``infer`` on the
-    model's float32 twin — against the float64 ``infer`` they ran before
-    and the taped forward both replaced, side by side on the same chunks.
+    float32 model — against the float32 taped forward it replaced, side
+    by side on the same chunks.
 
     Both models sit on the serving path (the sync provider predicts 128
     chunks per block, ``run()`` 64 per call), so the forward cost is
     serving cost; the taped ``forward`` builds ~30 (caching) and ~250
     (prefetch) ``Tensor`` nodes with closures and saved activations to
     produce values that are thresholded and dropped (the LSTMs are one
-    node per sequence or decoder step), and float64 doubles the
-    bandwidth of every matmul and ``exp`` for digits no decision reads.
-    float64 ``infer`` must return the tape's decisions exactly, float32
-    the same ones wherever float64 was not a near-tie, and ``predict``
-    must stay >= 1.3x faster than the tape at the default budget (the floor
-    scales down with ``--perf-budget``); the float64 timing is recorded
-    ungated, so the entry shows float32 against float64 and not only
-    against the tape.
+    node per sequence or decoder step).  ``infer`` runs the tape's
+    operations in the tape's order, so ``predict`` must return the
+    taped forward's decisions exactly, and those of the model's float64
+    copy wherever float64 was not a near-tie; it must stay >= 1.3x
+    faster than the tape at the default budget (the floor scales down
+    with ``--perf-budget``).
     """
     config = RecMGConfig()
     encoder = FeatureEncoder(config).fit(perf_trace)
@@ -826,71 +825,66 @@ def test_model_inference_throughput(perf_trace, perf_budget, benchmark,
     # which makes near-ties the rule the decision helper rejects.
     rng = np.random.default_rng(17)
     for param in caching.parameters() + prefetch.parameters():
-        param.data = param.data + rng.normal(0.0, 0.1, size=param.shape)
+        noise = rng.normal(0.0, 0.1, size=param.shape)
+        param.data = (param.data + noise).astype(param.data.dtype)
     decode = prefetch.decoder.decode_buckets
     decisions = _decision_helpers()
+    wide_caching = decisions.float64_copy(caching)
+    wide_prefetch = decisions.float64_copy(prefetch)
     sides = {
         "caching": (
             np.arange(128),
             lambda sel: caching.predict(chunks, sel=sel),
-            lambda sel: (caching.infer(chunks, sel=sel) > 0.0
-                         ).astype(np.int8),
             lambda sel: (caching.forward(chunks, sel=sel).data > 0.0
                          ).astype(np.int8),
             lambda bits, sel: decisions.bits_agree(
-                bits, caching.infer(chunks, sel=sel))),
+                bits, wide_caching.infer(chunks, sel=sel))),
         "prefetch": (
             np.arange(64),
             lambda sel: prefetch.predict_indices(chunks, encoder, sel=sel),
-            lambda sel: decode(prefetch.infer_logits(chunks, sel=sel)),
             lambda sel: decode(prefetch.forward_logits(chunks, sel=sel).data),
             lambda indices, sel: decisions.indices_agree(
-                indices, prefetch.infer_logits(chunks, sel=sel),
+                indices, wide_prefetch.infer_logits(chunks, sel=sel),
                 prefetch.decoder)),
     }
     floor = 1.3 * min(1.0, perf_budget / 5.0)
     rows = []
-    for name, (sel, float32, float64, taped, agree) in sides.items():
+    for name, (sel, predict, taped, agree) in sides.items():
         # Interleaved best-of, as in the sharded gate: a noise window
-        # inflates every side instead of skewing the ratios.
-        runs32, runs64, taped_runs = [], [], []
+        # inflates both sides instead of skewing the ratio.
+        runs, taped_runs = [], []
         for _ in range(15):
-            seconds, out32 = _timed(lambda: float32(sel))
-            runs32.append(seconds)
-            seconds, out64 = _timed(lambda: float64(sel))
-            runs64.append(seconds)
+            seconds, out = _timed(lambda: predict(sel))
+            runs.append(seconds)
             seconds, taped_out = _timed(lambda: taped(sel))
             taped_runs.append(seconds)
-        seconds32 = _best_of(runs32)
-        seconds64 = _best_of(runs64)
+        seconds = _best_of(runs)
         taped_seconds = _best_of(taped_runs)
-        assert np.array_equal(out64, taped_out)
-        agree(out32, sel)
+        assert np.array_equal(out, taped_out)
+        agree(out, sel)
         keys = len(sel) * config.input_len
-        record_hotpath(f"model_inference_{name}", keys, seconds32,
+        record_hotpath(f"model_inference_{name}", keys, seconds,
                        ref_seconds=taped_seconds, chunks=len(sel),
-                       us_per_chunk=seconds32 / len(sel) * 1e6,
-                       float64_us_per_chunk=seconds64 / len(sel) * 1e6,
+                       us_per_chunk=seconds / len(sel) * 1e6,
                        taped_us_per_chunk=taped_seconds / len(sel) * 1e6,
                        gated=True)
-        speedup = taped_seconds / seconds32
-        rows.append([name, len(sel), taped_seconds * 1e3, seconds64 * 1e3,
-                     seconds32 * 1e3, speedup])
+        speedup = taped_seconds / seconds
+        rows.append([name, len(sel), taped_seconds * 1e3, seconds * 1e3,
+                     speedup])
         if perf_budget > 0:
             assert speedup >= floor, (
                 f"tape-free {name} inference is only {speedup:.2f}x the "
                 f"taped forward (contract: >= {floor:.2f}x)")
     print()
     print(ascii_table(
-        ["model", "chunks", "taped ms", "float64 infer ms",
-         "float32 predict ms", "speedup vs tape"], rows,
-        title="Model inference: taped forward vs tape-free infer "
-              "(float64) vs predict (float32 twin)"))
+        ["model", "chunks", "taped ms", "predict ms", "speedup vs tape"],
+        rows,
+        title="Model inference (float32): taped forward vs predict"))
     benchmark(lambda: rows)
 
 
 def test_training_tape_step(perf_trace, benchmark, record_hotpath):
-    """One optimizer step of each model on a fixed 32-chunk batch:
+    """One float32 optimizer step of each model on a fixed 32-chunk batch:
     forward, loss, ``backward()``, clip, Adam — the loop body of
     ``train_caching_model`` / ``train_prefetch_model``.
 
@@ -907,8 +901,7 @@ def test_training_tape_step(perf_trace, benchmark, record_hotpath):
     chunks = encoder.encode_chunks(perf_trace)
     sel = np.arange(32)
     rng = np.random.default_rng(23)
-    targets = Tensor((rng.random((len(sel), config.input_len)) > 0.5
-                      ).astype(np.float64))
+    targets = Tensor(rng.random((len(sel), config.input_len)) > 0.5)
     windows = rng.integers(0, config.hash_buckets,
                            size=(len(sel), config.eval_window))
     caching = CachingModel(config, encoder.num_tables)

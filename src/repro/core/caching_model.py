@@ -74,13 +74,8 @@ class CachingModel(Module):
               sel: Optional[np.ndarray] = None) -> np.ndarray:
         """Tape-free twin of :meth:`forward` (which stays the training
         path): the same operations in the same order on plain arrays in
-        the weights' dtype, with no autograd graph.  On the model itself
-        (float64) the logits are the tape's bit for bit — all that form
-        is kept for; decisions run this method on
-        :meth:`~repro.nn.Module.float32_twin`, a cached copy checked
-        against every ``param.data`` by identity per call over read-only
-        sources, so a fine-tuned clone, ``load_state_dict`` and
-        optimizer steps all show in the next :meth:`predict`.
+        the weights' dtype, with no autograd graph, so the logits are
+        the tape's bit for bit.  :meth:`predict` thresholds them.
         """
         states = chunk_inputs(chunks, sel, self.table_embedding,
                               self.row_embedding)
@@ -100,8 +95,8 @@ class CachingModel(Module):
     def predict(self, chunks: EncodedChunks,
                 sel: Optional[np.ndarray] = None) -> np.ndarray:
         """Binary keep/evict decisions, shape (batch, input_len), from
-        :meth:`infer` on the float32 twin."""
-        logits = self.float32_twin().infer(chunks, sel=sel)
+        :meth:`infer`."""
+        logits = self.infer(chunks, sel=sel)
         return (logits > 0.0).astype(np.int8)
 
     def predict_single(self, table_ids: np.ndarray, hashed_rows: np.ndarray,

@@ -92,7 +92,8 @@ def load_recmg(path: Union[str, os.PathLike]) -> RecMG:
             name[len("prefetch."):]: archive[name]
             for name in archive.files if name.startswith("prefetch.")
         })
-        system.prefetch_model.target_table.data = archive["prefetch_codebook"]
+        codebook = system.prefetch_model.target_table
+        codebook.data = archive["prefetch_codebook"].astype(codebook.data.dtype)
         system.prefetch_model.set_decoder(BucketDecoder(
             archive["decoder_bucket_hot"],
             int(archive["decoder_fallback"]),

@@ -22,6 +22,7 @@ from typing import Optional
 import numpy as np
 
 from ..nn import Embedding, Linear, Module, StackedSeq2Seq, Tensor, softmax
+from ..nn import init as initializers
 from .config import RecMGConfig
 from .features import EncodedChunks, chunk_inputs
 
@@ -126,9 +127,8 @@ class PrefetchModel(Module):
         # stationary (trainable targets would drift under the encoder's
         # own updates); soft bucket scores are differentiable through
         # the expected codeword.
-        self.target_table = Tensor(
-            rng.normal(0.0, 1.0, size=(config.hash_buckets, config.embed_dim))
-        )
+        self.target_table = Tensor(initializers.normal(
+            (config.hash_buckets, config.embed_dim), rng, std=1.0))
 
     def forward_logits(self, chunks: EncodedChunks,
                        sel: Optional[np.ndarray] = None) -> Tensor:
@@ -146,9 +146,8 @@ class PrefetchModel(Module):
                      sel: Optional[np.ndarray] = None) -> np.ndarray:
         """Tape-free twin of :meth:`forward_logits` (which stays the
         training path): same operations in the same order on plain
-        arrays in the weights' dtype — the tape's logits bit for bit on
-        the float64 model, the serving path's on its identity-checked
-        :meth:`~repro.nn.Module.float32_twin` (``CachingModel.infer``)."""
+        arrays in the weights' dtype — the tape's logits bit for bit
+        (``CachingModel.infer``)."""
         states = self.backbone.infer(chunk_inputs(
             chunks, sel, self.table_embedding, self.row_embedding))
         batch, steps, hidden = states.shape
@@ -180,7 +179,7 @@ class PrefetchModel(Module):
         if self.decoder is None:
             raise RuntimeError("no decoder attached; call set_decoder()")
         return self.decoder.decode_buckets_(
-            self.float32_twin().infer_logits(chunks, sel=sel))
+            self.infer_logits(chunks, sel=sel))
 
     def predict_single(self, table_ids: np.ndarray, hashed_rows: np.ndarray,
                        norm_index: np.ndarray, freq: np.ndarray,

@@ -45,6 +45,23 @@ def _train_split(n: int, holdout: float, rng: np.random.Generator
 # ----------------------------------------------------------------------
 # Caching model
 # ----------------------------------------------------------------------
+def _class_weights(targets: np.ndarray) -> Tuple[np.float32, np.float32]:
+    """Inverse-frequency loss weights ``(positive, negative)``."""
+    pos_rate = float(targets.mean())
+    return (np.float32(0.5 / max(pos_rate, 1e-3)),
+            np.float32(0.5 / max(1.0 - pos_rate, 1e-3)))
+
+
+def _weighted_bce(model: CachingModel, chunks: EncodedChunks,
+                  targets: np.ndarray, sel: np.ndarray,
+                  class_weights: Tuple[np.float32, np.float32]) -> Tensor:
+    """Class-weighted BCE of the ``sel`` chunks, all of it float32."""
+    batch_targets = targets[sel].astype(np.float32)
+    weights = np.where(batch_targets > 0.5, *class_weights)
+    return bce_with_logits(model(chunks, sel=sel), Tensor(batch_targets),
+                           weights=Tensor(weights))
+
+
 def train_caching_model(model: CachingModel, chunks: EncodedChunks,
                         targets: np.ndarray, config: RecMGConfig,
                         holdout: float = 0.15) -> TrainResult:
@@ -56,9 +73,7 @@ def train_caching_model(model: CachingModel, chunks: EncodedChunks,
     rng = np.random.default_rng(config.seed)
     n = min(len(chunks), config.max_train_chunks)
     train_sel, test_sel = _train_split(n, holdout, rng)
-    pos_rate = float(targets[:n].mean())
-    pos_weight = 0.5 / max(pos_rate, 1e-3)
-    neg_weight = 0.5 / max(1.0 - pos_rate, 1e-3)
+    class_weights = _class_weights(targets[:n])
 
     optimizer = Adam(model.parameters(), lr=config.learning_rate)
     losses: List[float] = []
@@ -67,11 +82,7 @@ def train_caching_model(model: CachingModel, chunks: EncodedChunks,
         rng.shuffle(train_sel)
         for lo in range(0, len(train_sel), config.batch_size):
             sel = train_sel[lo:lo + config.batch_size]
-            logits = model(chunks, sel=sel)
-            batch_targets = targets[sel]
-            weights = np.where(batch_targets > 0.5, pos_weight, neg_weight)
-            loss = bce_with_logits(logits, Tensor(batch_targets),
-                                   weights=Tensor(weights))
+            loss = _weighted_bce(model, chunks, targets, sel, class_weights)
             optimizer.zero_grad()
             loss.backward()
             clip_grad_norm(model.parameters(), config.grad_clip)
@@ -109,9 +120,7 @@ def finetune_caching_model(model: CachingModel, chunks: EncodedChunks,
     rng = np.random.default_rng(config.seed + 13)
     n = len(chunks)
     lr = lr if lr is not None else config.learning_rate
-    pos_rate = float(targets[:n].mean())
-    pos_weight = 0.5 / max(pos_rate, 1e-3)
-    neg_weight = 0.5 / max(1.0 - pos_rate, 1e-3)
+    class_weights = _class_weights(targets[:n])
 
     optimizer = Adam(model.parameters(), lr=lr)
     losses: List[float] = []
@@ -121,11 +130,7 @@ def finetune_caching_model(model: CachingModel, chunks: EncodedChunks,
         rng.shuffle(train_sel)
         for lo in range(0, n, config.batch_size):
             sel = train_sel[lo:lo + config.batch_size]
-            logits = model(chunks, sel=sel)
-            batch_targets = targets[sel]
-            weights = np.where(batch_targets > 0.5, pos_weight, neg_weight)
-            loss = bce_with_logits(logits, Tensor(batch_targets),
-                                   weights=Tensor(weights))
+            loss = _weighted_bce(model, chunks, targets, sel, class_weights)
             optimizer.zero_grad()
             loss.backward()
             clip_grad_norm(model.parameters(), config.grad_clip)

@@ -7,7 +7,7 @@ seq2seq stacks with attention, the Chamfer-measure loss (paper Eq. 5),
 and Adam/SGD optimizers.
 """
 
-from .tensor import Tensor, concat, stack, zeros, ones, unbroadcast
+from .tensor import Tensor, concat, stack, unbroadcast
 from .functional import softmax, log_softmax, sigmoid, tanh, relu, dropout, linear
 from .modules import Module, Linear, Embedding, Sequential, MLP
 from .rnn import LSTMCell, LSTM, Seq2SeqStack, StackedSeq2Seq
@@ -25,7 +25,7 @@ from .optim import Optimizer, SGD, Adam, clip_grad_norm
 from .serialization import save_module, load_module
 
 __all__ = [
-    "Tensor", "concat", "stack", "zeros", "ones", "unbroadcast",
+    "Tensor", "concat", "stack", "unbroadcast",
     "softmax", "log_softmax", "sigmoid", "tanh", "relu", "dropout", "linear",
     "Module", "Linear", "Embedding", "Sequential", "MLP",
     "LSTMCell", "LSTM", "Seq2SeqStack", "StackedSeq2Seq",

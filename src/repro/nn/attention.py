@@ -87,6 +87,6 @@ class SelfAttention(Module):
         q = self.query(x.reshape(batch * time, dim)).reshape(batch, time, dim)
         k = self.key(x.reshape(batch * time, dim)).reshape(batch, time, dim)
         v = self.value(x.reshape(batch * time, dim)).reshape(batch, time, dim)
-        scores = (q @ k.transpose(0, 2, 1)) * (1.0 / np.sqrt(dim))  # (B, T, T)
+        scores = (q @ k.transpose(0, 2, 1)) * dim ** -0.5  # (B, T, T)
         weights = softmax(scores, axis=-1)
         return weights @ v

@@ -18,8 +18,8 @@ def softmax(x: Tensor, axis: int = -1) -> Tensor:
 
 def softmax_(x: np.ndarray) -> np.ndarray:
     """Tape-free :func:`softmax` over the last axis, in place: the same
-    operations in the same order, so float64 values are identical
-    (``np.power(s, -1.0)`` is what the tape's division computes)."""
+    operations in the same order, so the values are the tape's bit for
+    bit (``np.power(s, -1.0)`` is what the tape's division computes)."""
     x -= x.max(axis=-1, keepdims=True)
     np.exp(x, out=x)
     x *= np.power(x.sum(axis=-1, keepdims=True), -1.0)
@@ -63,7 +63,7 @@ def dropout(x: Tensor, rate: float, rng: Optional[np.random.Generator] = None,
     if rng is None:
         rng = np.random.default_rng()
     keep = 1.0 - rate
-    mask = (rng.random(x.shape) < keep).astype(np.float64) / keep
+    mask = (rng.random(x.shape) < keep).astype(x.data.dtype) / keep
     return x * Tensor(mask)
 
 

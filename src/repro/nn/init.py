@@ -1,4 +1,5 @@
-"""Parameter initializers for the ``repro.nn`` substrate."""
+"""Parameter initializers for the ``repro.nn`` substrate: float64 draws
+returned as :data:`~repro.nn.tensor.DTYPE`."""
 
 from __future__ import annotations
 
@@ -6,24 +7,19 @@ from typing import Tuple
 
 import numpy as np
 
+from .tensor import DTYPE
+
 
 def xavier_uniform(shape: Tuple[int, ...], rng: np.random.Generator) -> np.ndarray:
     """Glorot/Xavier uniform init; suitable for tanh/sigmoid layers."""
     fan_in, fan_out = _fans(shape)
     limit = np.sqrt(6.0 / (fan_in + fan_out))
-    return rng.uniform(-limit, limit, size=shape)
-
-
-def kaiming_uniform(shape: Tuple[int, ...], rng: np.random.Generator) -> np.ndarray:
-    """He uniform init for ReLU layers."""
-    fan_in, _ = _fans(shape)
-    limit = np.sqrt(6.0 / fan_in)
-    return rng.uniform(-limit, limit, size=shape)
+    return rng.uniform(-limit, limit, size=shape).astype(DTYPE)
 
 
 def normal(shape: Tuple[int, ...], rng: np.random.Generator,
            std: float = 0.01) -> np.ndarray:
-    return rng.normal(0.0, std, size=shape)
+    return rng.normal(0.0, std, size=shape).astype(DTYPE)
 
 
 def orthogonal(shape: Tuple[int, ...], rng: np.random.Generator) -> np.ndarray:
@@ -40,12 +36,14 @@ def orthogonal(shape: Tuple[int, ...], rng: np.random.Generator) -> np.ndarray:
         return q * np.sign(np.diag(r))
 
     if rows == cols:
-        return square_orthogonal(rows)
-    if rows < cols:
+        full = square_orthogonal(rows)
+    elif rows < cols:
         blocks = [square_orthogonal(rows) for _ in range(-(-cols // rows))]
-        return np.hstack(blocks)[:, :cols]
-    blocks = [square_orthogonal(cols) for _ in range(-(-rows // cols))]
-    return np.vstack(blocks)[:rows, :]
+        full = np.hstack(blocks)[:, :cols]
+    else:
+        blocks = [square_orthogonal(cols) for _ in range(-(-rows // cols))]
+        full = np.vstack(blocks)[:rows, :]
+    return full.astype(DTYPE)
 
 
 def _fans(shape: Tuple[int, ...]) -> Tuple[int, int]:

@@ -2,13 +2,12 @@
 
 from __future__ import annotations
 
-import copy
 from typing import Dict, Iterator, List, Optional, Tuple
 
 import numpy as np
 
 from . import init as initializers
-from .tensor import Tensor
+from .tensor import DTYPE, Tensor
 
 
 class Module:
@@ -17,39 +16,9 @@ class Module:
     Parameters are discovered by attribute inspection (any ``Tensor``
     attribute with ``requires_grad=True``, plus recursively those of
     sub-``Module`` attributes and items of list attributes).  They are
-    float64, and every update *rebinds* ``param.data`` (optimizer steps,
-    :meth:`load_state_dict`) — the contract :meth:`float32_twin` checks
-    its cached copy against.
+    float32 (:data:`~repro.nn.tensor.DTYPE`); the same module serves
+    ``forward`` for training and ``infer`` for decisions.
     """
-
-    def float32_twin(self) -> "Module":
-        """This module with every parameter cast to float32, for the
-        serving path's ``infer`` calls (same code, half the bandwidth).
-
-        Built on first use and kept while each parameter still holds the
-        very array it was cast from: checked by identity on every call,
-        rebuilt on a mismatch, published by one attribute store (a
-        concurrent caller gets the old twin or the new one).  The source
-        arrays turn read-only, so the one update identity cannot see, an
-        in-place write, raises instead of serving stale weights.  Kept
-        in a dict, which parameter traversal does not enter: the twin is
-        never counted, saved, copied or trained."""
-        cached = vars(self).get("_float32_twin")
-        if cached is None or any(param.data is not data
-                                 for param, data in cached["sources"]):
-            sources = [(param, param.data) for param in self.parameters()]
-            twin = copy.deepcopy(self)
-            for (_, data), param in zip(sources, twin.parameters()):
-                data.flags.writeable = False
-                param.data, param.grad = data.astype(np.float32), None
-            cached = self._float32_twin = {"module": twin, "sources": sources}
-        return cached["module"]
-
-    def __getstate__(self) -> dict:
-        """Copies and pickles carry the parameters, never the twin."""
-        state = dict(vars(self))  # atomic: a twin may be published meanwhile
-        state.pop("_float32_twin", None)
-        return state
 
     def parameters(self) -> List[Tensor]:
         params: List[Tensor] = []
@@ -90,17 +59,19 @@ class Module:
         return {name: param.data.copy() for name, param in self.named_parameters()}
 
     def load_state_dict(self, state: Dict[str, np.ndarray]) -> None:
+        """Copy ``state`` in, each array cast to its parameter's dtype
+        (an archived float64 checkpoint loads into a float32 model)."""
         own = dict(self.named_parameters())
         missing = set(own) - set(state)
         if missing:
             raise KeyError(f"missing parameters in state dict: {sorted(missing)}")
         for name, param in own.items():
-            value = np.asarray(state[name], dtype=np.float64)
+            value = np.array(state[name], dtype=param.data.dtype)
             if value.shape != param.shape:
                 raise ValueError(
                     f"shape mismatch for {name}: {value.shape} != {param.shape}"
                 )
-            param.data = value.copy()
+            param.data = value
 
     def __call__(self, *args, **kwargs):
         return self.forward(*args, **kwargs)
@@ -121,7 +92,8 @@ class Linear(Module):
             initializers.xavier_uniform((in_features, out_features), rng),
             requires_grad=True,
         )
-        self.bias = Tensor(np.zeros(out_features), requires_grad=True) if bias else None
+        self.bias = (Tensor(np.zeros(out_features, dtype=DTYPE), requires_grad=True)
+                     if bias else None)
 
     def forward(self, x: Tensor) -> Tensor:
         out = x @ self.weight

@@ -10,8 +10,10 @@ decoder", Fig. 5).  This module provides:
 
 The recurrence is taped as one node per :class:`LSTM` sequence or
 :class:`LSTMCell` step, with a hand-written backward that keeps the
-primitive per-step ops and grad order: float64 values are unchanged,
-and grads too where no state has more than two grad consumers.
+primitive per-step ops and grad order: values are the primitive
+graph's bit for bit in any dtype, and grads too where no state has more
+than two grad consumers.  Every buffer takes the dtype of the step's
+arithmetic, so float32 weights and inputs train in float32.
 """
 
 from __future__ import annotations
@@ -24,7 +26,7 @@ from . import init as initializers
 from .attention import LuongAttention
 from .functional import sigmoid_
 from .modules import Module
-from .tensor import Tensor, stack
+from .tensor import DTYPE, Tensor, stack
 
 
 def _step(x, h, c, w_x, w_h, bias):
@@ -33,7 +35,7 @@ def _step(x, h, c, w_x, w_h, bias):
     hs = h.shape[1]
     gates = x @ w_x + h @ w_h + bias
     g = np.tanh(gates[:, 2 * hs:3 * hs])
-    sig = 1.0 / (1.0 + np.exp(-gates))
+    sig = sigmoid_(gates)
     c_new = sig[:, hs:2 * hs] * c + sig[:, :hs] * g
     tanh_c = np.tanh(c_new)
     return sig[:, 3 * hs:] * tanh_c, c_new, (sig, g, tanh_c)
@@ -79,7 +81,7 @@ class LSTMCell(Module):
             initializers.orthogonal((hidden_size, 4 * hidden_size), rng),
             requires_grad=True,
         )
-        bias = np.zeros(4 * hidden_size)
+        bias = np.zeros(4 * hidden_size, dtype=DTYPE)
         # Forget-gate bias of 1.0 helps gradient flow early in training.
         bias[hidden_size:2 * hidden_size] = 1.0
         self.bias = Tensor(bias, requires_grad=True)
@@ -105,9 +107,9 @@ class LSTMCell(Module):
               scratch: np.ndarray) -> np.ndarray:
         """Tape-free :meth:`forward`: the same operations in the same
         order on plain arrays, activations in place — the tape's values
-        bit for bit in float64, the same code on a float32 twin.  ``c``
-        is advanced in place, the new ``h`` is a fresh array; ``scratch``
-        is a caller-owned ``(2, batch, 4 * hidden)`` buffer, ``x``'s dtype."""
+        bit for bit.  ``c`` is advanced in place, the new ``h`` is a
+        fresh array; ``scratch`` is a caller-owned ``(2, batch, 4 *
+        hidden)`` buffer, ``x``'s dtype."""
         hs = self.hidden_size
         gates = np.matmul(x, self.w_x.data, out=scratch[0])
         gates += np.matmul(h, self.w_h.data, out=scratch[1])
@@ -139,8 +141,9 @@ class LSTM(Module):
         w_x, w_h, bias = self.cell.w_x, self.cell.w_h, self.cell.bias
         xs = x.data
         batch, steps, _ = xs.shape
-        data = np.empty((batch, steps + 1, self.hidden_size))
-        h = c = np.zeros((batch, self.hidden_size))
+        dtype = np.result_type(xs, w_x.data)
+        data = np.empty((batch, steps + 1, self.hidden_size), dtype=dtype)
+        h = c = np.zeros((batch, self.hidden_size), dtype=dtype)
         saved = []
         for t in range(steps):
             h_prev, c_prev = h, c

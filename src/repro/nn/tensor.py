@@ -15,7 +15,13 @@ the moment its last name is rebound, without the cycle collector.  A
 layer may record one coarse node with a hand-written closure under the
 same contract (the LSTM recurrence in :mod:`repro.nn.rnn`) if it runs
 the primitive ops' arithmetic in their order and sums each leaf's grads
-in the walk's order, so float64 results stay the primitive graph's.
+in the walk's order, so its results are the primitive graph's in any
+dtype.
+
+Values are float32 (:data:`DTYPE`) unless given as floating numpy data,
+which keeps its dtype, so a gradient check builds float64 tensors
+explicitly; an operand that is not a tensor takes the other side's
+dtype.  Every op, grad and optimizer moment follows its operands.
 
 Broadcasting follows numpy semantics; gradients are "unbroadcast" (summed
 over the broadcast axes) so shapes always round-trip.
@@ -29,12 +35,16 @@ import numpy as np
 
 ArrayLike = Union["Tensor", np.ndarray, float, int, list, tuple]
 
+#: The dtype the models train and serve in.
+DTYPE = np.float32
+
 
 def _as_array(data: ArrayLike) -> np.ndarray:
     if isinstance(data, Tensor):
         return data.data
-    arr = np.asarray(data, dtype=np.float64)
-    return arr
+    if isinstance(data, (np.ndarray, np.floating)) and data.dtype.kind == "f":
+        return np.asarray(data)  # a reduction's numpy scalar keeps its dtype too
+    return np.asarray(data, dtype=DTYPE)
 
 
 def unbroadcast(grad: np.ndarray, shape: Tuple[int, ...]) -> np.ndarray:
@@ -112,6 +122,13 @@ class Tensor:
         requires = any(p.requires_grad for p in parents)
         return Tensor(data, requires_grad=requires, _prev=parents if requires else ())
 
+    def _lift(self, other: ArrayLike) -> "Tensor":
+        """``other`` as an operand; a non-tensor takes this tensor's
+        dtype, as numpy treats a Python number."""
+        if isinstance(other, Tensor):
+            return other
+        return Tensor(np.asarray(other, dtype=self.data.dtype))
+
     def _accumulate(self, grad: np.ndarray) -> None:
         if self.grad is None:
             self.grad = grad.copy()
@@ -122,7 +139,7 @@ class Tensor:
     # Arithmetic
     # ------------------------------------------------------------------
     def __add__(self, other: ArrayLike) -> "Tensor":
-        other_t = other if isinstance(other, Tensor) else Tensor(other)
+        other_t = self._lift(other)
         out = self._make_child(self.data + other_t.data, (self, other_t))
 
         def backward(g: np.ndarray) -> None:
@@ -137,7 +154,7 @@ class Tensor:
     __radd__ = __add__
 
     def __mul__(self, other: ArrayLike) -> "Tensor":
-        other_t = other if isinstance(other, Tensor) else Tensor(other)
+        other_t = self._lift(other)
         out = self._make_child(self.data * other_t.data, (self, other_t))
 
         def backward(g: np.ndarray) -> None:
@@ -155,18 +172,18 @@ class Tensor:
         return self * -1.0
 
     def __sub__(self, other: ArrayLike) -> "Tensor":
-        other_t = other if isinstance(other, Tensor) else Tensor(other)
+        other_t = self._lift(other)
         return self + (-other_t)
 
     def __rsub__(self, other: ArrayLike) -> "Tensor":
-        return Tensor(other) + (-self)
+        return self._lift(other) + (-self)
 
     def __truediv__(self, other: ArrayLike) -> "Tensor":
-        other_t = other if isinstance(other, Tensor) else Tensor(other)
+        other_t = self._lift(other)
         return self * other_t.pow(-1.0)
 
     def __rtruediv__(self, other: ArrayLike) -> "Tensor":
-        return Tensor(other) * self.pow(-1.0)
+        return self._lift(other) * self.pow(-1.0)
 
     def pow(self, exponent: float) -> "Tensor":
         out = self._make_child(np.power(self.data, exponent), (self,))
@@ -182,7 +199,7 @@ class Tensor:
     __pow__ = pow
 
     def __matmul__(self, other: "Tensor") -> "Tensor":
-        other_t = other if isinstance(other, Tensor) else Tensor(other)
+        other_t = self._lift(other)
         out = self._make_child(self.data @ other_t.data, (self, other_t))
 
         def backward(g: np.ndarray) -> None:
@@ -250,7 +267,8 @@ class Tensor:
         return out
 
     def sigmoid(self) -> "Tensor":
-        sig = 1.0 / (1.0 + np.exp(-self.data))
+        with np.errstate(over="ignore"):  # exp(-x) = inf gives exactly 0
+            sig = 1.0 / (1.0 + np.exp(-self.data))
         out = self._make_child(sig, (self,))
 
         def backward(g: np.ndarray) -> None:
@@ -321,7 +339,7 @@ class Tensor:
             grad = g if keepdims else np.expand_dims(g, axis)
             mask = self.data == data
             # Split gradient among ties (matches subgradient convention).
-            counts = mask.sum(axis=axis, keepdims=True)
+            counts = mask.sum(axis=axis, keepdims=True, dtype=grad.dtype)
             self._accumulate(mask * grad / counts)
 
         out._backward = backward
@@ -407,7 +425,7 @@ class Tensor:
                     "backward() without an explicit gradient requires a scalar"
                 )
             grad = np.ones_like(self.data)
-        self.grad = np.asarray(grad, dtype=np.float64).reshape(self.shape)
+        self.grad = np.asarray(grad, dtype=self.data.dtype).reshape(self.shape)
 
         topo: List[Tensor] = []
         visited = set()
@@ -466,10 +484,3 @@ def stack(tensors: Sequence[Tensor], axis: int = 0) -> Tensor:
     out._backward = backward
     return out
 
-
-def zeros(shape: Union[int, Tuple[int, ...]], requires_grad: bool = False) -> Tensor:
-    return Tensor(np.zeros(shape), requires_grad=requires_grad)
-
-
-def ones(shape: Union[int, Tuple[int, ...]], requires_grad: bool = False) -> Tensor:
-    return Tensor(np.ones(shape), requires_grad=requires_grad)

@@ -89,7 +89,7 @@ class TransFetchPrefetcher(Prefetcher):
     # ------------------------------------------------------------------
     def _labels_for(self, keys: np.ndarray, pos: int, horizon: int) -> np.ndarray:
         """Multi-hot vector of in-range deltas among the next accesses."""
-        label = np.zeros(self.num_deltas)
+        label = np.zeros(self.num_deltas, dtype=np.float32)
         base = keys[pos]
         for future in keys[pos + 1: pos + 1 + horizon]:
             delta = int(future - base)

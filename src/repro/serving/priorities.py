@@ -26,9 +26,9 @@ cost lands on the serving critical path: 1920-key blocks serve at
 ~250 k keys/s vs ~1.0 M model-free on the exact ``fast`` backend
 (~4x), ~390 k vs ~7.0 M on ``clock`` (~18x — inference-bound, so it
 did not move when ``ClockBuffer.serve_segment`` doubled the
-model-free side; 2-core AVX-512 host, one BLAS thread, numpy 2.4; on
-``fast``, ~6x on float64 ``infer`` and ~11x on the taped forward as of
-PR 17); decisions are deterministic, which makes model-guided serving
+model-free side; 2-core AVX-512 host, one BLAS thread, numpy 2.4;
+``predict`` is the model's float32 ``infer``, with no tape); decisions
+are deterministic, which makes model-guided serving
 differential-testable.
 
 Model guidance runs on the serving thread only: under the GIL a

@@ -1,12 +1,17 @@
-"""float32 decisions against float64 logits — the one comparison every
-float32-vs-float64 assertion goes through (``tests/test_nn_inference.py``
-and, loaded by path, ``benchmarks/test_perf_hotpaths.py``).
+"""float32 decisions against the logits of a float64 copy — the one
+comparison every float32-vs-float64 assertion goes through
+(``tests/test_nn_inference.py`` and, loaded by path,
+``benchmarks/test_perf_hotpaths.py``).
 
-Exact equality of float32 and float64 decisions holds only by luck: a
-logit within ~1e-5 of zero, or two buckets that close, may fall either
-way.  So decisions must agree wherever the float64 margin is clear of
-that, and nearly all positions must be clear.
+The models train and serve in float32.  :func:`float64_copy` casts a
+model's weights up, so its logits are the same weights evaluated
+without float32 rounding.  Exact equality of the two sides' decisions
+holds only by luck: a logit within ~1e-5 of zero, or two buckets that
+close, may fall either way.  So decisions must agree wherever the
+float64 margin is clear of that, and nearly all positions must be clear.
 """
+
+import copy
 
 import numpy as np
 
@@ -16,6 +21,15 @@ import numpy as np
 #: over the shape sweep's space: 2.6e-6; trained bench models: 4.4e-6),
 #: so 1e-4 leaves a 20x berth.
 MARGIN = 1e-4
+
+
+def float64_copy(module):
+    """A deep copy of ``module`` with every parameter cast to float64:
+    the reference a float32 model's decisions are judged against."""
+    wide = copy.deepcopy(module)
+    for param in wide.parameters():
+        param.data = param.data.astype(np.float64)
+    return wide
 
 
 def _agree(got: np.ndarray, want: np.ndarray, margin: np.ndarray,
@@ -35,7 +49,7 @@ def _agree(got: np.ndarray, want: np.ndarray, margin: np.ndarray,
 
 def bits_agree(bits: np.ndarray, logits64: np.ndarray) -> None:
     """float32 ``bits`` against float64 logits; margin ``|logit|``."""
-    assert bits.dtype == np.int8
+    assert bits.dtype == np.int8 and logits64.dtype == np.float64
     _agree(bits, (logits64 > 0.0).astype(np.int8), np.abs(logits64))
 
 
@@ -46,6 +60,7 @@ def indices_agree(indices: np.ndarray, logits64: np.ndarray,
     the pair of buckets it sits between: a model whose every position
     shares the same two leading buckets repeats one tie, however many
     positions it spans."""
+    assert logits64.dtype == np.float64
     masked = np.where(decoder.bucket_hot >= 0, logits64, -np.inf)
     pair = np.argpartition(masked, -2, axis=-1)[..., -2:]
     top = np.take_along_axis(masked, pair, axis=-1)

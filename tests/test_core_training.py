@@ -1,5 +1,7 @@
 """Training pipelines: labeling, losses, metrics."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -9,7 +11,9 @@ from repro.core import (
     caching_accuracy, caching_targets, prefetch_metrics, prefetch_targets,
     train_caching_model, train_prefetch_model, output_collapse_ratio,
 )
+from repro.core import training
 from repro.core.prefetch_model import BucketDecoder
+from repro.nn import Adam, Tensor
 
 
 @pytest.fixture(scope="module")
@@ -54,8 +58,6 @@ class TestLabeling:
 
 class TestCachingTraining:
     def test_loss_decreases_and_accuracy(self, pipeline, rng):
-        from dataclasses import replace
-
         config, encoder, labels, chunks = pipeline
         config = replace(config, caching_epochs=3)
         model = CachingModel(config, encoder.num_tables, rng=rng)
@@ -96,6 +98,52 @@ class TestPrefetchTraining:
         with pytest.raises(ValueError):
             train_prefetch_model(model, chunks, sel, norm, dense, encoder,
                                  config, loss_kind="huber")
+
+
+class TestFloat32Training:
+    def test_one_step_of_each_trainer_stays_float32(self, pipeline,
+                                                     monkeypatch):
+        """The models train in float32 end to end: after one step of
+        each trainer the loss and every parameter's data, grad and
+        Adam moments are float32.  A float64 constant or label array
+        anywhere on the way would widen them (numpy promotes)."""
+        config, encoder, labels, chunks = pipeline
+        config = replace(config, max_train_chunks=config.batch_size)
+        losses, optimizers = [], []
+        backward = Tensor.backward
+
+        def spy_backward(self, grad=None):
+            losses.append(self.data.dtype)
+            backward(self, grad)
+
+        class RecordingAdam(Adam):
+            def __init__(self, *args, **kwargs):
+                super().__init__(*args, **kwargs)
+                optimizers.append(self)
+
+        monkeypatch.setattr(Tensor, "backward", spy_backward)
+        monkeypatch.setattr(training, "Adam", RecordingAdam)
+        targets = caching_targets(chunks, labels)
+        assert targets.dtype == np.float64  # the trainer narrows them
+        train_caching_model(CachingModel(config, encoder.num_tables), chunks,
+                            targets, config)
+        sel, norm, dense = prefetch_targets(chunks, labels, config, encoder)
+        loss_kinds = ("chamfer", "chamfer_forward", "l2")
+        for loss_kind in loss_kinds:
+            model = PrefetchModel(config, encoder.num_tables)
+            model.set_decoder(BucketDecoder.from_miss_ids(
+                labels.dense_ids[labels.miss_positions], config.hash_buckets))
+            train_prefetch_model(model, chunks, sel, norm, dense, encoder,
+                                 config, loss_kind=loss_kind)
+        assert losses == [np.float32] * (1 + len(loss_kinds))
+        assert len(optimizers) == 1 + len(loss_kinds)
+        for optimizer in optimizers:
+            assert optimizer._t == 1
+            for param, m, v in zip(optimizer.params, optimizer._m,
+                                   optimizer._v):
+                assert param.grad is not None
+                assert (param.data.dtype == param.grad.dtype == m.dtype
+                        == v.dtype == np.float32)
 
 
 class TestPrefetchMetrics:

@@ -1,18 +1,17 @@
-"""Inference without the tape, in two tiers.
+"""Inference without the tape, and float32 decisions.
 
-(i) float64.  Every layer's ``infer`` twin, ``CachingModel.infer`` and
-``PrefetchModel.infer_logits`` called on the model itself give the taped
-``forward``'s values without building the tape: within 1e-12 (they are
-the same float64 operations in the same order), bit for bit at the
-default sizes.  This is all the float64 form is kept for.
+(i) Values.  Every layer's ``infer`` twin, ``CachingModel.infer`` and
+``PrefetchModel.infer_logits`` give the taped ``forward``'s values
+without building the tape: they are the same operations in the same
+order, so within 1e-12 in float64 and bit for bit at the default sizes,
+and bit for bit in float32, the dtype the models train and serve in.
 
-(ii) float32.  ``predict`` / ``predict_indices`` / ``predict_single``
-run the same methods on the module's float32 twin, so their *decisions*
-must be the float64 ones wherever float64 was not a near-tie
-(``bits_agree`` / ``indices_agree`` in ``decisions.py``, shared with
-the benchmark gate), the twin must track every
-way the repo replaces weights, and it must stay invisible to everything
-that enumerates parameters.
+(ii) Decisions.  ``predict`` / ``predict_indices`` / ``predict_single``
+run ``infer`` on the float32 model itself, so their *decisions* must be
+those of the model's float64 copy wherever float64 was not a near-tie
+(``float64_copy`` / ``bits_agree`` / ``indices_agree`` in
+``decisions.py``, shared with the benchmark gate), and every way the
+repo replaces weights must show in the next ``predict``.
 """
 
 import copy
@@ -26,7 +25,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from decisions import bits_agree, indices_agree
+from decisions import bits_agree, float64_copy, indices_agree
 from repro.core import CachingModel, PrefetchModel, RecMGConfig
 from repro.core.features import EncodedChunks, chunk_inputs
 from repro.core.persistence import load_recmg, save_recmg
@@ -40,10 +39,26 @@ from repro.nn.functional import sigmoid_, softmax_
 
 NUM_TABLES = 5
 BATCHES = (1, 7, 64, 128)
+DTYPES = (np.float32, np.float64)
 
 
 def close(tape_free: np.ndarray, taped: Tensor) -> bool:
+    """Of one dtype, and equal: exactly in float32, within 1e-12 in
+    float64."""
+    if tape_free.dtype != taped.data.dtype:
+        return False
+    if tape_free.dtype == np.float32:
+        return np.array_equal(tape_free, taped.data)
     return np.allclose(tape_free, taped.data, atol=1e-12, rtol=0)
+
+
+def in_dtype(module, dtype):
+    """``module`` itself in float32, its float64 copy in float64."""
+    return module if dtype == np.float32 else float64_copy(module)
+
+
+def normal(rng, size, dtype):
+    return rng.normal(size=size).astype(dtype)
 
 
 def random_chunks(rng, config, count=160) -> EncodedChunks:
@@ -59,9 +74,11 @@ def random_chunks(rng, config, count=160) -> EncodedChunks:
 
 
 def perturb(model, rng, scale=0.3) -> None:
-    """Move the weights off their initialisation so logits spread."""
+    """Move the weights off their initialisation so logits spread,
+    keeping their dtype."""
     for param in model.parameters():
-        param.data = param.data + rng.normal(0.0, scale, size=param.shape)
+        noise = rng.normal(0.0, scale, size=param.shape)
+        param.data = (param.data + noise).astype(param.data.dtype)
 
 
 def selections(rng, count, batch):
@@ -94,81 +111,92 @@ SMALL = RecMGConfig(input_len=10, output_len=4, embed_dim=8, hidden=16,
 
 class TestLayers:
     def test_activations(self, rng):
-        x = rng.normal(size=(9, 13)) * 4.0
-        assert np.array_equal(sigmoid_(x.copy()), Tensor(x).sigmoid().data)
-        assert np.array_equal(softmax_(x.copy()), softmax(Tensor(x)).data)
+        for dtype in DTYPES:
+            x = normal(rng, (9, 13), dtype) * 4.0
+            sig, soft = Tensor(x).sigmoid().data, softmax(Tensor(x)).data
+            assert sig.dtype == soft.dtype == dtype
+            assert np.array_equal(sigmoid_(x.copy()), sig)
+            assert np.array_equal(softmax_(x.copy()), soft)
 
-    @pytest.mark.parametrize("dtype", (np.float32, np.float64))
+    @pytest.mark.parametrize("dtype", DTYPES)
     def test_sigmoid_saturates_without_warning(self, dtype):
         """``exp(-x)`` overflows below -88 in float32 (float64: -709);
-        the gate must still read exactly 0 there, silently."""
+        the gate must still read exactly 0 there, silently, taped or
+        not."""
         x = np.array([-1e4, -800.0, -100.0, 0.0, 100.0, 1e4], dtype=dtype)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             out = sigmoid_(x.copy())
+            assert np.array_equal(Tensor(x).sigmoid().data, out)
             cell = LSTMCell(3, 4)
             for param in cell.parameters():
                 param.data = (param.data * 400.0).astype(dtype)
-            h = cell.infer(np.ones((2, 3), dtype=dtype),
-                           np.ones((2, 4), dtype=dtype),
-                           np.ones((2, 4), dtype=dtype),
-                           np.empty((2, 2, 16), dtype=dtype))
+            x, h, c = (np.ones((2, n), dtype=dtype) for n in (3, 4, 4))
+            h_taped, _ = cell(Tensor(x), (Tensor(h), Tensor(c.copy())))
+            h = cell.infer(x, h, c, np.empty((2, 2, 16), dtype=dtype))
         assert out.dtype == dtype and h.dtype == dtype
         assert np.array_equal(out[[0, 1, 3, 4, 5]], [0, 0, 0.5, 1, 1])
         assert 0.0 <= out[2] < 1e-40  # float64 has not saturated yet
         assert np.isfinite(h).all()
+        assert np.array_equal(h, h_taped.data)
 
     def test_linear_and_embedding(self, rng):
-        linear = Linear(6, 4, rng=rng)
-        x = rng.normal(size=(11, 6))
-        assert close(linear.infer(x), linear(Tensor(x)))
-        no_bias = Linear(6, 4, rng=rng, bias=False)
-        assert close(no_bias.infer(x), no_bias(Tensor(x)))
-        table = Embedding(12, 5, rng=rng)
-        idx = rng.integers(0, 12, size=(3, 7))
-        assert np.array_equal(table.infer(idx), table(idx).data)
+        for dtype in DTYPES:
+            linear = in_dtype(Linear(6, 4, rng=rng), dtype)
+            x = normal(rng, (11, 6), dtype)
+            assert close(linear.infer(x), linear(Tensor(x)))
+            no_bias = in_dtype(Linear(6, 4, rng=rng, bias=False), dtype)
+            assert close(no_bias.infer(x), no_bias(Tensor(x)))
+            table = in_dtype(Embedding(12, 5, rng=rng), dtype)
+            idx = rng.integers(0, 12, size=(3, 7))
+            assert table.infer(idx).dtype == dtype
+            assert np.array_equal(table.infer(idx), table(idx).data)
 
     @pytest.mark.parametrize("batch", BATCHES)
     def test_lstm(self, rng, batch):
-        cell = LSTMCell(5, 7, rng=rng)
-        x, h, c = (rng.normal(size=s) for s in ((batch, 5), (batch, 7),
-                                                 (batch, 7)))
-        h_taped, c_taped = cell(Tensor(x), (Tensor(h), Tensor(c)))
-        c_free = c.copy()
-        h_free = cell.infer(x, h, c_free, np.empty((2, batch, 28)))
-        assert close(h_free, h_taped) and close(c_free, c_taped)
+        for dtype in DTYPES:
+            cell = in_dtype(LSTMCell(5, 7, rng=rng), dtype)
+            x, h, c = (normal(rng, s, dtype)
+                       for s in ((batch, 5), (batch, 7), (batch, 7)))
+            h_taped, c_taped = cell(Tensor(x), (Tensor(h), Tensor(c)))
+            c_free = c.copy()
+            h_free = cell.infer(x, h, c_free,
+                                np.empty((2, batch, 28), dtype=dtype))
+            assert close(h_free, h_taped) and close(c_free, c_taped)
 
-        lstm = LSTM(5, 7, rng=rng)
-        seq = rng.normal(size=(batch, 9, 5))
-        out_taped, (h_taped, c_taped) = lstm(Tensor(seq))
-        out_free, (h_free, c_free) = lstm.infer(seq)
-        assert close(out_free, out_taped)
-        assert close(h_free, h_taped) and close(c_free, c_taped)
+            lstm = in_dtype(LSTM(5, 7, rng=rng), dtype)
+            seq = normal(rng, (batch, 9, 5), dtype)
+            out_taped, (h_taped, c_taped) = lstm(Tensor(seq))
+            out_free, (h_free, c_free) = lstm.infer(seq)
+            assert close(out_free, out_taped)
+            assert close(h_free, h_taped) and close(c_free, c_taped)
 
     @pytest.mark.parametrize("batch", BATCHES)
     def test_attention_and_stacks(self, rng, batch):
-        attention = LuongAttention(6, rng=rng)
-        h = rng.normal(size=(batch, 6))
-        states = rng.normal(size=(batch, 8, 6))
-        assert close(attention.infer(h, states),
-                     attention(Tensor(h), Tensor(states)))
+        for dtype in DTYPES:
+            attention = in_dtype(LuongAttention(6, rng=rng), dtype)
+            h = normal(rng, (batch, 6), dtype)
+            states = normal(rng, (batch, 8, 6), dtype)
+            assert close(attention.infer(h, states),
+                         attention(Tensor(h), Tensor(states)))
 
-        x = rng.normal(size=(batch, 8, 4))
-        one = Seq2SeqStack(4, 6, out_steps=3, rng=rng)
-        assert close(one.infer(x), one(Tensor(x)))
-        for num_stacks in (1, 2, 3):
-            stacked = StackedSeq2Seq(4, 6, out_steps=3,
-                                     num_stacks=num_stacks, rng=rng)
-            assert close(stacked.infer(x), stacked(Tensor(x)))
+            x = normal(rng, (batch, 8, 4), dtype)
+            one = in_dtype(Seq2SeqStack(4, 6, out_steps=3, rng=rng), dtype)
+            assert close(one.infer(x), one(Tensor(x)))
+            for num_stacks in (1, 2, 3):
+                stacked = in_dtype(StackedSeq2Seq(
+                    4, 6, out_steps=3, num_stacks=num_stacks, rng=rng), dtype)
+                assert close(stacked.infer(x), stacked(Tensor(x)))
 
     def test_in_place_work_stays_in_scratch(self, rng):
         """Only ``c`` (documented) and the scratch are written to."""
-        seq, h, states = (rng.normal(size=s) for s in ((3, 9, 5), (3, 7),
-                                                        (3, 9, 7)))
+        seq, h, states = (normal(rng, s, np.float32)
+                          for s in ((3, 9, 5), (3, 7), (3, 9, 7)))
         kept = [a.copy() for a in (seq, h, states)]
         LSTM(5, 7, rng=rng).infer(seq)
-        LSTMCell(5, 7, rng=rng).infer(seq[:, 0, :], h, np.zeros((3, 7)),
-                                      np.empty((2, 3, 28)))
+        LSTMCell(5, 7, rng=rng).infer(seq[:, 0, :], h,
+                                      np.zeros((3, 7), dtype=np.float32),
+                                      np.empty((2, 3, 28), dtype=np.float32))
         LuongAttention(7, rng=rng).infer(h, states)
         Seq2SeqStack(5, 7, out_steps=3, rng=rng).infer(seq)
         for array, before in zip((seq, h, states), kept):
@@ -211,17 +239,25 @@ class TestFeatureAssembly:
 
 
 class TestModels:
+    """Each float32 model is checked twice: its ``infer`` against its
+    taped forward (exact), and its decisions against its float64
+    copy's logits — whose ``infer`` is checked against its own taped
+    forward too."""
+
     @pytest.mark.parametrize("stacks", (1, 2))
     @pytest.mark.parametrize("batch", BATCHES)
     def test_caching_model(self, rng, stacks, batch):
         config = replace(SMALL, caching_stacks=stacks)
         chunks = random_chunks(rng, config)
         model = caching_model(config, rng)
+        wide = float64_copy(model)
         for sel in selections(rng, len(chunks), batch):
-            taped = model.forward(chunks, sel=sel)
-            assert close(model.infer(chunks, sel=sel), taped)
-            bits_agree(model.predict(chunks, sel=sel), taped.data)
-        bits_agree(model.predict(chunks), model.forward(chunks).data)
+            assert close(model.infer(chunks, sel=sel),
+                         model.forward(chunks, sel=sel))
+            logits64 = wide.infer(chunks, sel=sel)
+            assert close(logits64, wide.forward(chunks, sel=sel))
+            bits_agree(model.predict(chunks, sel=sel), logits64)
+        bits_agree(model.predict(chunks), wide.forward(chunks).data)
 
     @pytest.mark.parametrize("stacks", (1, 2, 3))
     @pytest.mark.parametrize("batch", BATCHES)
@@ -229,21 +265,29 @@ class TestModels:
         config = replace(SMALL, prefetch_stacks=stacks)
         chunks = random_chunks(rng, config)
         model = prefetch_model(config, rng)
+        wide = float64_copy(model)
         for sel in selections(rng, len(chunks), batch):
-            taped = model.forward_logits(chunks, sel=sel)
-            assert close(model.infer_logits(chunks, sel=sel), taped)
+            assert close(model.infer_logits(chunks, sel=sel),
+                         model.forward_logits(chunks, sel=sel))
+            logits64 = wide.infer_logits(chunks, sel=sel)
+            assert close(logits64, wide.forward_logits(chunks, sel=sel))
             indices_agree(model.predict_indices(chunks, None, sel=sel),
-                          taped.data, model.decoder)
+                          logits64, model.decoder)
 
     def test_default_config_sizes(self, rng):
         config = RecMGConfig()
         chunks = random_chunks(rng, config, count=128)
         caching = caching_model(config, rng)
-        assert np.array_equal(caching.infer(chunks),
-                              caching.forward(chunks).data)
         prefetch = prefetch_model(config, rng)
-        assert np.array_equal(prefetch.infer_logits(chunks),
-                              prefetch.forward_logits(chunks).data)
+        for dtype in DTYPES:
+            model = in_dtype(caching, dtype)
+            logits = model.infer(chunks)
+            assert logits.dtype == dtype
+            assert np.array_equal(logits, model.forward(chunks).data)
+            model = in_dtype(prefetch, dtype)
+            logits = model.infer_logits(chunks)
+            assert logits.dtype == dtype
+            assert np.array_equal(logits, model.forward_logits(chunks).data)
 
     @given(hidden=st.integers(1, 20), embed_dim=st.integers(1, 9),
            input_len=st.integers(1, 9), output_frac=st.floats(0.0, 1.0),
@@ -273,74 +317,83 @@ class TestModels:
             prefetch_stacks=1 + seed % 3)
         chunks = random_chunks(rng, config, count=batch)
         caching = caching_model(config, rng)
-        taped = caching.forward(chunks)
-        assert close(caching.infer(chunks), taped)
+        assert close(caching.infer(chunks), caching.forward(chunks))
+        wide = float64_copy(caching)
+        taped = wide.forward(chunks)
+        assert close(wide.infer(chunks), taped)
         bits_agree(caching.predict(chunks), taped.data)
         prefetch = prefetch_model(config, rng)
-        taped = prefetch.forward_logits(chunks)
-        assert close(prefetch.infer_logits(chunks), taped)
+        assert close(prefetch.infer_logits(chunks),
+                     prefetch.forward_logits(chunks))
+        wide = float64_copy(prefetch)
+        taped = wide.forward_logits(chunks)
+        assert close(wide.infer_logits(chunks), taped)
         indices_agree(prefetch.predict_indices(chunks, None), taped.data,
                       prefetch.decoder)
 
 
 class TestFloat32Decisions:
-    def test_predict_runs_on_a_float32_twin(self, rng):
+    def test_predict_runs_infer_in_float32(self, rng):
         chunks = random_chunks(rng, SMALL, count=8)
-        for model in (caching_model(SMALL, rng), prefetch_model(SMALL, rng)):
-            twin = model.float32_twin()
-            assert twin is not model and type(twin) is type(model)
-            assert twin is model.float32_twin()  # kept while current
-            assert all(p.data.dtype == np.float32 for p in twin.parameters())
-            assert all(p.data.dtype == np.float64
-                       for p in model.parameters())
-        assert model.float32_twin().infer_logits(chunks).dtype == np.float32
-        assert model.infer_logits(chunks).dtype == np.float64
+        caching, prefetch = caching_model(SMALL, rng), prefetch_model(SMALL, rng)
+        for model in (caching, prefetch):
+            assert all(p.data.dtype == np.float32 for p in model.parameters())
+        logits = caching.infer(chunks)
+        assert logits.dtype == np.float32
+        assert np.array_equal(caching.predict(chunks), logits > 0.0)
+        logits = prefetch.infer_logits(chunks)
+        assert logits.dtype == np.float32
+        assert np.array_equal(prefetch.predict_indices(chunks, None),
+                              prefetch.decoder.decode_buckets(logits))
 
     def test_trained_system_decides_identically_on_held_out_trace(
             self, trained_recmg, tiny_trace):
         """Seeded, so exact: on real (trained) weights float32 changes
-        no decision on any chunk of the held-out tail."""
+        no decision of the float64 copy on any chunk of the held-out
+        tail."""
         _, held_out = tiny_trace.split(0.6)
         encoder = trained_recmg.encoder
         chunks = encoder.encode_chunks(held_out)
         caching = trained_recmg.caching_model
         prefetch = trained_recmg.prefetch_model
+        wide_caching, wide_prefetch = map(float64_copy, (caching, prefetch))
         assert len(chunks) == 240
+        assert all(p.data.dtype == np.float32
+                   for p in caching.parameters() + prefetch.parameters())
         assert np.array_equal(caching.predict(chunks),
-                              caching.infer(chunks) > 0.0)
+                              wide_caching.infer(chunks) > 0.0)
         assert np.array_equal(
             prefetch.predict_indices(chunks, encoder),
-            prefetch.decoder.decode_buckets(prefetch.infer_logits(chunks)))
+            prefetch.decoder.decode_buckets(wide_prefetch.infer_logits(chunks)))
         first = (chunks.table_ids[0], chunks.hashed_rows[0],
                  chunks.norm_index[0], chunks.freq[0])
         assert np.array_equal(caching.predict_single(*first),
-                              caching.infer(chunks)[0] > 0.0)
+                              wide_caching.infer(chunks)[0] > 0.0)
         assert np.array_equal(
             prefetch.predict_single(*first, encoder),
             prefetch.predict_indices(chunks, encoder)[0])
 
 
 class TestTwinLifecycle:
-    """The float32 twin is kept on the model between calls, so every
-    way the repo replaces weights must show in the *next* ``predict``
-    — each test predicts first, so a twin exists to go stale."""
+    """Every way the repo replaces weights shows in the *next*
+    ``predict``: each test predicts first, so a cache in front of the
+    weights would go stale."""
 
     def test_after_optimizer_step(self, rng):
         chunks = random_chunks(rng, SMALL, count=32)
         model = caching_model(SMALL, rng)
         before = model.infer(chunks)
-        stale_bits, stale_twin = model.predict(chunks), model.float32_twin()
+        stale_bits = model.predict(chunks)
         optimizer = Adam(model.parameters(), lr=0.05)
-        targets = Tensor(rng.integers(0, 2, size=before.shape).astype(float))
+        targets = Tensor(rng.integers(0, 2, size=before.shape))
         for _ in range(3):
             optimizer.zero_grad()
             bce_with_logits(model.forward(chunks), targets).backward()
             optimizer.step()
         assert not np.allclose(model.infer(chunks), before)
         bits = model.predict(chunks)
-        bits_agree(bits, model.forward(chunks).data)
+        bits_agree(bits, float64_copy(model).infer(chunks))
         assert not np.array_equal(bits, stale_bits)
-        assert model.float32_twin() is not stale_twin
 
     def test_after_load_state_dict_and_on_a_clone(self, rng):
         chunks = random_chunks(rng, SMALL, count=32)
@@ -363,7 +416,7 @@ class TestTwinLifecycle:
         assert np.array_equal(other.infer(chunks), kept)
         assert np.array_equal(other.predict(chunks), kept_bits)
         bits = clone.predict(chunks)
-        bits_agree(bits, clone.forward(chunks).data)
+        bits_agree(bits, float64_copy(clone).infer(chunks))
         assert not np.array_equal(bits, kept_bits)
 
     def test_save_load_round_trip(self, trained_recmg, tiny_trace, tmp_path):
@@ -378,57 +431,38 @@ class TestTwinLifecycle:
         assert sorted(saved) == sorted(
             [f"caching.{name}" for name in models[0].state_dict()]
             + [f"prefetch.{name}" for name in models[1].state_dict()])
-        assert set(saved.values()) == {np.dtype(np.float64)}
+        assert set(saved.values()) == {np.dtype(np.float32)}
         restored = load_recmg(tmp_path / "recmg.npz")
         assert np.array_equal(restored.caching_model.predict(chunks), bits)
         assert np.array_equal(restored.prefetch_model.predict_indices(
             chunks, restored.encoder), indices)
 
-    def test_in_place_write_to_a_snapshotted_parameter_raises(self, rng):
-        """The identity check cannot see an in-place write, so the
-        source arrays are read-only once a twin was cast from them."""
-        chunks = random_chunks(rng, SMALL, count=4)
-        model = caching_model(SMALL, rng)
-        model.head.bias.data[...] = 0.25  # never predicted: writable
-        model.predict(chunks)
-        for param in model.parameters():
-            with pytest.raises(ValueError, match="read-only"):
-                param.data[...] = 0.0
-            with pytest.raises(ValueError, match="read-only"):
-                param.data += 1.0
-        # Rebinding is how weights change, and it still works.
-        assert model.predict(chunks).any()
-        model.head.bias.data = model.head.bias.data - 100.0
-        assert not model.predict(chunks).any()
-
-    def test_twin_is_invisible_to_parameter_enumeration(self, rng):
-        chunks = random_chunks(rng, SMALL, count=4)
-        for model in (caching_model(SMALL, rng), prefetch_model(SMALL, rng)):
-            def census():
-                return ([name for name, _ in model.named_parameters()],
-                        list(model.state_dict()), model.num_parameters(),
-                        [id(param) for param in model.parameters()])
-
-            before, attributes = census(), set(vars(copy.deepcopy(model)))
-            twin = model.float32_twin()
-            assert census() == before
-            assert set(vars(twin)) == attributes
-            assert all(array.flags.writeable and array.dtype == np.float64
-                       for array in model.state_dict().values())
-            dup = copy.deepcopy(model)
-            assert set(vars(dup)) == attributes
-            for (name, ours), (_, theirs) in zip(model.named_parameters(),
-                                                 dup.named_parameters()):
-                assert np.array_equal(ours.data, theirs.data), name
-                assert theirs.data.flags.writeable
-                assert not np.shares_memory(ours.data, theirs.data)
-        assert np.array_equal(dup.predict_indices(chunks, None),
-                              model.predict_indices(chunks, None))
-        source = caching_model(SMALL, rng)
-        source.predict(chunks)
-        clone = clone_caching_model(source)
-        assert set(vars(clone)) == set(vars(copy.deepcopy(source)))
-        assert all(p.data.flags.writeable for p in clone.parameters())
+    def test_archived_float64_checkpoint_loads_as_float32(
+            self, trained_recmg, tiny_trace, tmp_path):
+        """An archive saved from float64 weights (as every archive was
+        before the models moved to float32) loads into float32 models,
+        whose decisions are the float64 weights' but for near-ties."""
+        wide = copy.copy(trained_recmg)
+        wide.caching_model = float64_copy(trained_recmg.caching_model)
+        wide.prefetch_model = float64_copy(trained_recmg.prefetch_model)
+        codebook = wide.prefetch_model.target_table
+        codebook.data = codebook.data.astype(np.float64)
+        save_recmg(wide, tmp_path / "recmg64.npz")
+        with np.load(tmp_path / "recmg64.npz") as archive:
+            assert {archive[name].dtype for name in archive.files
+                    if name.startswith(("caching.", "prefetch."))
+                    } == {np.dtype(np.float64)}
+            assert archive["prefetch_codebook"].dtype == np.float64
+        restored = load_recmg(tmp_path / "recmg64.npz")
+        models = (restored.caching_model, restored.prefetch_model)
+        assert all(p.data.dtype == np.float32 for model in models
+                   for p in model.parameters())
+        assert restored.prefetch_model.target_table.data.dtype == np.float32
+        chunks = restored.encoder.encode_chunks(tiny_trace)
+        bits_agree(models[0].predict(chunks), wide.caching_model.infer(chunks))
+        indices_agree(models[1].predict_indices(chunks, restored.encoder),
+                      wide.prefetch_model.infer_logits(chunks),
+                      models[1].decoder)
 
 
 class TestNoTape:
@@ -471,9 +505,9 @@ class TestNoTape:
 class TestConcurrentPredict:
     @pytest.mark.timeout(120)
     def test_threads_share_one_model(self, rng):
-        """Threads may predict on the same model at once: the one
-        thing stored on it, the float32 twin, is read-only once
-        published, so every thread gets the single-thread answer."""
+        """Threads may predict on the same model at once: ``predict``
+        stores nothing on it, so every thread gets the single-thread
+        answer."""
         chunks = random_chunks(rng, SMALL, count=96)
         caching = caching_model(SMALL, rng)
         prefetch = prefetch_model(SMALL, rng)
@@ -511,10 +545,8 @@ class TestConcurrentPredict:
     def test_threads_predict_while_the_model_is_retrained_and_swapped(
             self, rng):
         """Readers take whatever model is published while a trainer
-        tunes a clone and swaps it in by reference.
-        Every swap hands the readers a model with no twin yet, which
-        they race to build — and each must still get *that* model's
-        decisions, never a half-cast twin's."""
+        tunes a clone and swaps it in by reference, and each must get
+        *that* model's decisions."""
         chunks = random_chunks(rng, SMALL, count=24)
         served = [caching_model(SMALL, rng)]
         wrong, seen, done = [], set(), threading.Event()
@@ -524,7 +556,8 @@ class TestConcurrentPredict:
                 model = served[-1]
                 seen.add(id(model))
                 try:
-                    bits_agree(model.predict(chunks), model.infer(chunks))
+                    assert np.array_equal(model.predict(chunks),
+                                          model.infer(chunks) > 0.0)
                 except Exception as error:  # a reader dying is a failure
                     wrong.append(error)
 

@@ -1,8 +1,14 @@
-"""LSTM, seq2seq stacks and attention."""
+"""LSTM, seq2seq stacks and attention.
+
+Gradient checks run on float64 copies of the layers (``float64_copy``)
+with float64 inputs; the fused-vs-primitive parity holds bit for bit in
+float64 and in float32, the dtype the models train in.
+"""
 
 import numpy as np
 import pytest
 
+from decisions import float64_copy
 from repro.nn import (
     Adam, LSTM, LSTMCell, Linear, LuongAttention, SelfAttention,
     Seq2SeqStack, StackedSeq2Seq, Tensor, softmax, stack,
@@ -25,7 +31,7 @@ def primitive_step(cell, x, h, c):
 
 def primitive_lstm(lstm, x):
     batch, steps, _ = x.shape
-    h = c = Tensor(np.zeros((batch, lstm.hidden_size)))
+    h = c = Tensor(np.zeros((batch, lstm.hidden_size), dtype=x.data.dtype))
     outputs = []
     for t in range(steps):
         h, c = primitive_step(lstm.cell, x[:, t, :], h, c)
@@ -61,32 +67,41 @@ class TestLSTM:
         assert h2.shape == (3, 7) and c2.shape == (3, 7)
 
     def test_fused_lstm_is_the_primitive_unroll_bit_for_bit(self, rng):
-        lstm = LSTM(5, 6, rng=rng)
+        lstm32 = LSTM(5, 6, rng=rng)
         x0 = rng.normal(size=(4, 9, 5))
-        weight = Tensor(rng.normal(size=(6, 6)))
-        fused = lstm_grads(lstm, lambda m, x: m(x), x0, weight)
-        oracle = lstm_grads(lstm, primitive_lstm, x0, weight)
-        for got, want in zip(fused, oracle):
-            assert np.array_equal(got, want)
+        weight = rng.normal(size=(6, 6))
+        for lstm, dtype in ((float64_copy(lstm32), np.float64),
+                            (lstm32, np.float32)):
+            args = (x0.astype(dtype), Tensor(weight.astype(dtype)))
+            fused = lstm_grads(lstm, lambda m, x: m(x), *args)
+            oracle = lstm_grads(lstm, primitive_lstm, *args)
+            for got, want in zip(fused, oracle):
+                assert got.dtype == want.dtype == dtype
+                assert np.array_equal(got, want)
 
     def test_fused_cell_is_the_primitive_step_bit_for_bit(self, rng):
-        cell = LSTMCell(5, 6, rng=rng)
+        cell32 = LSTMCell(5, 6, rng=rng)
         arrays = [rng.normal(size=(4, n)) for n in (5, 6, 6)]
-        results = []
-        for step in (lambda x, h, c: cell(x, (h, c)),
-                     lambda x, h, c: primitive_step(cell, x, h, c)):
-            for param in (cell.w_x, cell.w_h, cell.bias):
-                param.zero_grad()
-            inputs = [Tensor(a, requires_grad=True) for a in arrays]
-            h, c = step(*inputs)
-            ((h * c).sum() + h.tanh().sum()).backward()
-            results.append([h.data, c.data] + [t.grad for t in inputs]
-                           + [cell.w_x.grad, cell.w_h.grad, cell.bias.grad])
-        for got, want in zip(*results):
-            assert np.array_equal(got, want)
+        for cell, dtype in ((float64_copy(cell32), np.float64),
+                            (cell32, np.float32)):
+            results = []
+            for step in (lambda x, h, c: cell(x, (h, c)),
+                         lambda x, h, c: primitive_step(cell, x, h, c)):
+                for param in (cell.w_x, cell.w_h, cell.bias):
+                    param.zero_grad()
+                inputs = [Tensor(a.astype(dtype), requires_grad=True)
+                          for a in arrays]
+                h, c = step(*inputs)
+                ((h * c).sum() + h.tanh().sum()).backward()
+                results.append([h.data, c.data] + [t.grad for t in inputs]
+                               + [cell.w_x.grad, cell.w_h.grad,
+                                  cell.bias.grad])
+            for got, want in zip(*results):
+                assert got.dtype == want.dtype == dtype
+                assert np.array_equal(got, want)
 
     def test_lstm_gradient_wrt_input(self, rng):
-        lstm = LSTM(3, 4, rng=rng)
+        lstm = float64_copy(LSTM(3, 4, rng=rng))
         ro, rc = rng.normal(size=(2, 5, 4)), rng.normal(size=(2, 4))
 
         def loss(x):
@@ -95,7 +110,7 @@ class TestLSTM:
         check_gradient(loss, rng.normal(size=(2, 5, 3)))
 
     def test_lstm_gradient_wrt_recurrent_weight(self, rng):
-        lstm = LSTM(3, 4, rng=rng)
+        lstm = float64_copy(LSTM(3, 4, rng=rng))
         x = Tensor(rng.normal(size=(2, 5, 3)))
         ro = rng.normal(size=(2, 5, 4))
 
@@ -106,7 +121,7 @@ class TestLSTM:
 
     @pytest.mark.parametrize("wrt", ["h_prev", "c_prev"])
     def test_cell_gradient_wrt_state(self, rng, wrt):
-        cell = LSTMCell(3, 4, rng=rng)
+        cell = float64_copy(LSTMCell(3, 4, rng=rng))
         x = Tensor(rng.normal(size=(2, 3)))
         state = {"h_prev": rng.normal(size=(2, 4)),
                  "c_prev": rng.normal(size=(2, 4))}
@@ -163,7 +178,7 @@ class TestSeq2Seq:
         assert two.num_parameters() > one.num_parameters()
 
     def test_stack_gradient_wrt_input(self, rng):
-        stack_module = Seq2SeqStack(3, 4, out_steps=2, rng=rng)
+        stack_module = float64_copy(Seq2SeqStack(3, 4, out_steps=2, rng=rng))
         ro = rng.normal(size=(2, 2, 4))
         check_gradient(lambda x: (stack_module(x) * Tensor(ro)).sum(),
                        rng.normal(size=(2, 5, 3)))

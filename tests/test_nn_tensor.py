@@ -1,4 +1,9 @@
-"""Gradient checks and semantics of the autograd core."""
+"""Gradient checks and semantics of the autograd core.
+
+Gradient checks run in float64: ``check_gradient`` builds its tensors
+from a float64 array, and a floating array keeps its dtype (an operand
+that is not a tensor takes the other side's).
+"""
 
 import gc
 import weakref
@@ -14,7 +19,7 @@ from repro.core import (
 )
 from repro.core.training import _chamfer_ce_loss
 from repro.nn import (
-    LSTM, Tensor, concat, stack, softmax, log_softmax, bce_with_logits,
+    LSTM, Tensor, concat, dropout, stack, softmax, log_softmax, bce_with_logits,
     cross_entropy, chamfer_loss, chamfer_directed, unbroadcast,
 )
 
@@ -34,8 +39,11 @@ def numeric_gradient(fn, x0, eps=1e-6):
 
 
 def check_gradient(fn, x0, tol=1e-4):
+    x0 = np.array(x0, dtype=np.float64)
     x = Tensor(x0.copy(), requires_grad=True)
-    fn(x).backward()
+    out = fn(x)
+    out.backward()
+    assert out.data.dtype == x.grad.dtype == np.float64
     numeric = numeric_gradient(fn, x0)
     assert np.max(np.abs(numeric - x.grad)) < tol
 
@@ -238,6 +246,23 @@ class TestMechanics:
         y.backward()
         assert np.allclose(x.grad, [6.0])  # only the second factor
 
+    def test_dtype_rules(self):
+        """float32 by default; floating numpy data keeps its dtype, and
+        an operand that is not a tensor takes the other side's."""
+        for data in ([1.0, 2.0], 3, 0.5, np.arange(3), np.ones(2, bool)):
+            assert Tensor(data).data.dtype == np.float32
+        wide = Tensor(np.ones(3))
+        narrow = Tensor(np.ones(3, dtype=np.float32), requires_grad=True)
+        assert wide.data.dtype == np.float64
+        assert wide.sum().data.dtype == np.float64
+        assert np.array_equal((wide * 0.1).data, np.full(3, 0.1))
+        for out in (narrow + 1.0, 1.0 - narrow, narrow * 0.1, 2.0 / narrow,
+                    narrow ** 2.0, narrow.max(axis=0), narrow.mean(),
+                    dropout(narrow, 0.5, np.random.default_rng(0))):
+            assert out.data.dtype == np.float32
+        (1.0 - narrow.sigmoid() * 0.1).max(axis=0).backward()
+        assert narrow.grad.dtype == np.float32
+
     def test_unbroadcast_shapes(self):
         grad = np.ones((4, 3, 5))
         assert unbroadcast(grad, (3, 5)).shape == (3, 5)
@@ -332,7 +357,6 @@ class TestTapeLifetime:
         chunks = encoder.encode_chunks(train)
         targets = caching_targets(chunks, labels)
         caching = CachingModel(config, encoder.num_tables)
-        # The first call also builds the model's float32 twin.
         train_caching_model(caching, chunks, targets, config)
         baseline = tensor_census()
         train_caching_model(caching, chunks, targets, config)

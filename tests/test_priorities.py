@@ -423,9 +423,8 @@ def test_clone_caching_model_is_independent(world, small_config):
     param.data[...] += 1.0
     assert not np.array_equal(model.state_dict()[name],
                               clone.state_dict()[name])
-    np.testing.assert_allclose(
-        model.state_dict()[name],
-        clone.state_dict()[name] - 1.0, atol=1e-12)
+    np.testing.assert_array_equal(clone.state_dict()[name],
+                                  model.state_dict()[name] + 1.0)
 
 
 # ----------------------------------------------------------------------
