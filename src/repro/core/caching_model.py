@@ -98,9 +98,3 @@ class CachingModel(Module):
         :meth:`infer`."""
         logits = self.infer(chunks, sel=sel)
         return (logits > 0.0).astype(np.int8)
-
-    def predict_single(self, table_ids: np.ndarray, hashed_rows: np.ndarray,
-                       norm_index: np.ndarray, freq: np.ndarray) -> np.ndarray:
-        """Decision bits for one raw chunk (used by the online manager)."""
-        chunk = EncodedChunks.single(table_ids, hashed_rows, norm_index, freq)
-        return self.predict(chunk)[0]

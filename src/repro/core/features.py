@@ -69,7 +69,7 @@ def chunk_inputs(chunks: EncodedChunks, sel: Optional[np.ndarray],
     per access of the ``sel`` chunks (``None``: all), shape (batch,
     input_len, 2 * embed_dim + 2).  A plain array in the embeddings'
     dtype for inference; with ``taped`` the same values as a graph node
-    (``take_rows``/``concat``) so embedding gradients flow.
+    (a row gather and ``concat``) so embedding gradients flow.
     Out-of-range ids raise ``IndexError``.
     """
     if sel is None:

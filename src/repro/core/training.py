@@ -192,6 +192,10 @@ def _chamfer_ce_loss(model: PrefetchModel, chunks: EncodedChunks,
                      config: RecMGConfig, alpha: Optional[float]) -> "Tensor":
     """Bidirectional Chamfer loss (Eq. 5) with cross-entropy distance.
 
+    The prefetch output ``PO`` is scored against a longer evaluation
+    window ``W``: ``alpha * d_CM(PO, W) / |PO| + (1 - alpha) *
+    d_CM(W, PO) / |W|``, where the reverse term stops every output
+    collapsing onto one popular window element.
     The Chamfer structure is kept verbatim — every output point is
     matched to its nearest evaluation-window point and vice versa — but
     the per-pair distance is the cross entropy between the output step's

@@ -3,35 +3,29 @@
 The paper implements its models in PyTorch/C++; this package provides the
 equivalent functionality from scratch so the reproduction has no deep
 learning framework dependency: reverse-mode autograd tensors, LSTM
-seq2seq stacks with attention, the Chamfer-measure loss (paper Eq. 5),
-and Adam/SGD optimizers.
+seq2seq stacks with attention, the caching and baseline losses, and the
+Adam optimizer.  The paper's Chamfer-measure loss (Eq. 5) is
+:func:`repro.core.training._chamfer_ce_loss`.
+
+``__all__`` holds what the models, losses and baselines outside this
+package import; the layers those build on (``LSTMCell``,
+``Seq2SeqStack``, ``LuongAttention``, ``stack``) stay in their modules.
 """
 
-from .tensor import Tensor, concat, stack, unbroadcast
-from .functional import softmax, log_softmax, sigmoid, tanh, relu, dropout, linear
-from .modules import Module, Linear, Embedding, Sequential, MLP
-from .rnn import LSTMCell, LSTM, Seq2SeqStack, StackedSeq2Seq
-from .attention import LuongAttention, SelfAttention
-from .losses import (
-    chamfer_directed,
-    chamfer_loss,
-    chamfer_forward_only,
-    l2_loss,
-    bce_with_logits,
-    cross_entropy,
-    nonoverlap_count,
-)
-from .optim import Optimizer, SGD, Adam, clip_grad_norm
-from .serialization import save_module, load_module
+from .tensor import Tensor, concat
+from .functional import softmax, log_softmax
+from .modules import Module, Linear, Embedding, MLP
+from .rnn import LSTM, StackedSeq2Seq
+from .attention import SelfAttention
+from .losses import l2_loss, bce_with_logits, cross_entropy
+from .optim import Adam, clip_grad_norm
 
 __all__ = [
-    "Tensor", "concat", "stack", "unbroadcast",
-    "softmax", "log_softmax", "sigmoid", "tanh", "relu", "dropout", "linear",
-    "Module", "Linear", "Embedding", "Sequential", "MLP",
-    "LSTMCell", "LSTM", "Seq2SeqStack", "StackedSeq2Seq",
-    "LuongAttention", "SelfAttention",
-    "chamfer_directed", "chamfer_loss", "chamfer_forward_only", "l2_loss",
-    "bce_with_logits", "cross_entropy", "nonoverlap_count",
-    "Optimizer", "SGD", "Adam", "clip_grad_norm",
-    "save_module", "load_module",
+    "Tensor", "concat",
+    "softmax", "log_softmax",
+    "Module", "Linear", "Embedding", "MLP",
+    "LSTM", "StackedSeq2Seq",
+    "SelfAttention",
+    "l2_loss", "bce_with_logits", "cross_entropy",
+    "Adam", "clip_grad_norm",
 ]

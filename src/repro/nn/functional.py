@@ -2,8 +2,6 @@
 
 from __future__ import annotations
 
-from typing import Optional
-
 import numpy as np
 
 from .tensor import Tensor
@@ -41,35 +39,3 @@ def log_softmax(x: Tensor, axis: int = -1) -> Tensor:
     """Numerically stable log-softmax along ``axis``."""
     shifted = x - x.max(axis=axis, keepdims=True).detach()
     return shifted - shifted.exp().sum(axis=axis, keepdims=True).log()
-
-
-def sigmoid(x: Tensor) -> Tensor:
-    return x.sigmoid()
-
-
-def tanh(x: Tensor) -> Tensor:
-    return x.tanh()
-
-
-def relu(x: Tensor) -> Tensor:
-    return x.relu()
-
-
-def dropout(x: Tensor, rate: float, rng: Optional[np.random.Generator] = None,
-            training: bool = True) -> Tensor:
-    """Inverted dropout; identity when not training or ``rate == 0``."""
-    if not training or rate <= 0.0:
-        return x
-    if rng is None:
-        rng = np.random.default_rng()
-    keep = 1.0 - rate
-    mask = (rng.random(x.shape) < keep).astype(x.data.dtype) / keep
-    return x * Tensor(mask)
-
-
-def linear(x: Tensor, weight: Tensor, bias: Optional[Tensor] = None) -> Tensor:
-    """``x @ weight + bias`` with weight of shape (in, out)."""
-    out = x @ weight
-    if bias is not None:
-        out = out + bias
-    return out

@@ -1,16 +1,10 @@
-"""Loss functions, including the paper's bidirectional Chamfer measure.
+"""Loss functions: the prefetch model's L2 ablation baseline and the
+logit losses the caching model and the baselines train on.
 
-The RecMG prefetch model emits a sequence ``PO`` of predicted embedding
-indices and is scored against a *longer* evaluation window ``W`` of
-future accesses.  Counting non-overlapping vectors is not differentiable,
-so the paper builds the distance from the Chamfer Measure (Eq. 4) and
-symmetrizes + normalizes it (Eq. 5):
-
-    dist(PO, W) = alpha   * 1/|PO| * d_CM(PO, W)
-                + (1-alpha) * 1/|W| * d_CM(W, PO)
-
-The second (reverse) term prevents the degenerate solution where every
-element of ``PO`` collapses onto a single popular element of ``W``.
+The paper's bidirectional Chamfer loss (Eq. 5) is not here: it scores
+the prefetch model's bucket distributions against a longer evaluation
+window, so it lives beside that model in
+:func:`repro.core.training._chamfer_ce_loss`.
 """
 
 from __future__ import annotations
@@ -21,53 +15,6 @@ import numpy as np
 
 from .functional import log_softmax
 from .tensor import Tensor
-
-
-def chamfer_directed(a: Tensor, b: Tensor) -> Tensor:
-    """Directed Chamfer distance ``d_CM(a, b)`` (paper Eq. 4), batched.
-
-    Points may be scalars — ``a``: (batch, n), ``b``: (batch, m) — or
-    vectors in a shared metric space — ``a``: (batch, n, d), ``b``:
-    (batch, m, d); vector distance is mean L1 over the ``d`` axis.
-    Returns a scalar: sum over points of min-distance, averaged over
-    batch.  Gradient flows through both arguments via the argmin match.
-    """
-    if a.ndim == 2:
-        batch, n = a.shape
-        _, m = b.shape
-        diff = a.reshape(batch, n, 1) - b.reshape(batch, 1, m)
-        dist = diff.abs()                   # (B, n, m)
-    elif a.ndim == 3:
-        batch, n, dim = a.shape
-        _, m, _ = b.shape
-        diff = a.reshape(batch, n, 1, dim) - b.reshape(batch, 1, m, dim)
-        dist = diff.abs().mean(axis=3)      # (B, n, m)
-    else:
-        raise ValueError("chamfer_directed expects 2-D or 3-D point sets")
-    mins = dist.min(axis=2)                 # (B, n)
-    return mins.sum(axis=1).mean()
-
-
-def chamfer_loss(po: Tensor, window: Tensor, alpha: float = 0.7) -> Tensor:
-    """Bidirectional normalized Chamfer loss (paper Eq. 5).
-
-    ``po``: model output (batch, |PO|); ``window``: evaluation window
-    (batch, |W|) with |W| >= |PO|.  ``alpha`` weights the forward term
-    (paper default 0.7).
-    """
-    if not 0.0 < alpha < 1.0:
-        raise ValueError("alpha must lie in (0, 1)")
-    p_len = po.shape[1]
-    w_len = window.shape[1]
-    forward = chamfer_directed(po, window) * (1.0 / p_len)
-    reverse = chamfer_directed(window, po) * (1.0 / w_len)
-    return forward * alpha + reverse * (1.0 - alpha)
-
-
-def chamfer_forward_only(po: Tensor, window: Tensor) -> Tensor:
-    """Unidirectional Chamfer (Eq. 4 alone) — exhibits the collapse
-    shortcut the paper describes; kept for the ablation bench."""
-    return chamfer_directed(po, window) * (1.0 / po.shape[1])
 
 
 def l2_loss(pred: Tensor, target: Tensor) -> Tensor:
@@ -106,10 +53,3 @@ def cross_entropy(logits: Tensor, labels: np.ndarray) -> Tensor:
     batch = logits.shape[0]
     picked = logp[np.arange(batch), labels]
     return picked.mean() * -1.0
-
-
-def nonoverlap_count(po: np.ndarray, window: np.ndarray) -> int:
-    """The paper's *non-differentiable* objective: number of predicted
-    vectors absent from the window.  Used for evaluation, never training."""
-    return int(sum(1 for x in np.asarray(po).ravel()
-                   if x not in set(np.asarray(window).ravel().tolist())))

@@ -60,11 +60,16 @@ class Module:
 
     def load_state_dict(self, state: Dict[str, np.ndarray]) -> None:
         """Copy ``state`` in, each array cast to its parameter's dtype
-        (an archived float64 checkpoint loads into a float32 model)."""
+        (an archived float64 checkpoint loads into a float32 model).
+        ``state`` must name exactly this module's parameters: a missing
+        or an extra name raises ``KeyError``."""
         own = dict(self.named_parameters())
         missing = set(own) - set(state)
         if missing:
             raise KeyError(f"missing parameters in state dict: {sorted(missing)}")
+        unexpected = set(state) - set(own)
+        if unexpected:
+            raise KeyError(f"unexpected parameters in state dict: {sorted(unexpected)}")
         for name, param in own.items():
             value = np.array(state[name], dtype=param.data.dtype)
             if value.shape != param.shape:
@@ -131,23 +136,11 @@ class Embedding(Module):
         return idx
 
     def forward(self, indices: np.ndarray) -> Tensor:
-        return self.weight.take_rows(self._checked(indices))
+        return self.weight[self._checked(indices)]
 
     def infer(self, indices: np.ndarray) -> np.ndarray:
         """Tape-free :meth:`forward`: the looked-up rows as an array."""
         return self.weight.data[self._checked(indices)]
-
-
-class Sequential(Module):
-    """Chains modules; each must map a single tensor to a single tensor."""
-
-    def __init__(self, *layers: Module) -> None:
-        self.layers = list(layers)
-
-    def forward(self, x: Tensor) -> Tensor:
-        for layer in self.layers:
-            x = layer(x)
-        return x
 
 
 class MLP(Module):

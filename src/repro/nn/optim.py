@@ -1,4 +1,4 @@
-"""Optimizers (SGD with momentum, Adam) and gradient utilities."""
+"""The Adam optimizer and gradient-norm clipping."""
 
 from __future__ import annotations
 
@@ -9,57 +9,26 @@ import numpy as np
 from .tensor import Tensor
 
 
-class Optimizer:
-    """Base optimizer over a fixed parameter list."""
+class Adam:
+    """Adam with bias correction (Kingma & Ba) over a fixed parameter list."""
 
-    def __init__(self, params: Iterable[Tensor], lr: float) -> None:
+    def __init__(self, params: Iterable[Tensor], lr: float = 1e-3,
+                 betas: tuple = (0.9, 0.999), eps: float = 1e-8) -> None:
         self.params: List[Tensor] = list(params)
         if not self.params:
             raise ValueError("optimizer received no parameters")
         if lr <= 0:
             raise ValueError("learning rate must be positive")
         self.lr = lr
-
-    def zero_grad(self) -> None:
-        for param in self.params:
-            param.zero_grad()
-
-    def step(self) -> None:  # pragma: no cover - abstract
-        raise NotImplementedError
-
-
-class SGD(Optimizer):
-    """Stochastic gradient descent with optional classical momentum."""
-
-    def __init__(self, params: Iterable[Tensor], lr: float = 0.01,
-                 momentum: float = 0.0) -> None:
-        super().__init__(params, lr)
-        self.momentum = momentum
-        self._velocity = [np.zeros_like(p.data) for p in self.params]
-
-    def step(self) -> None:
-        for param, vel in zip(self.params, self._velocity):
-            if param.grad is None:
-                continue
-            if self.momentum > 0.0:
-                vel *= self.momentum
-                vel -= self.lr * param.grad
-                param.data = param.data + vel
-            else:
-                param.data = param.data - self.lr * param.grad
-
-
-class Adam(Optimizer):
-    """Adam with bias correction (Kingma & Ba)."""
-
-    def __init__(self, params: Iterable[Tensor], lr: float = 1e-3,
-                 betas: tuple = (0.9, 0.999), eps: float = 1e-8) -> None:
-        super().__init__(params, lr)
         self.beta1, self.beta2 = betas
         self.eps = eps
         self._m = [np.zeros_like(p.data) for p in self.params]
         self._v = [np.zeros_like(p.data) for p in self.params]
         self._t = 0
+
+    def zero_grad(self) -> None:
+        for param in self.params:
+            param.zero_grad()
 
     def step(self) -> None:
         self._t += 1

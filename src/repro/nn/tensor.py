@@ -16,7 +16,9 @@ layer may record one coarse node with a hand-written closure under the
 same contract (the LSTM recurrence in :mod:`repro.nn.rnn`) if it runs
 the primitive ops' arithmetic in their order and sums each leaf's grads
 in the walk's order, so its results are the primitive graph's in any
-dtype.
+dtype.  The elementwise non-linearities are one node shape
+(:meth:`Tensor._unary`) registered per op with its forward and its
+``grad(g, x, out)``, as the tinygrad core registers its functions.
 
 Values are float32 (:data:`DTYPE`) unless given as floating numpy data,
 which keeps its dtype, so a gradient check builds float64 tensors
@@ -29,6 +31,7 @@ over the broadcast axes) so shapes always round-trip.
 
 from __future__ import annotations
 
+from functools import partialmethod
 from typing import Callable, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
@@ -70,21 +73,19 @@ def unbroadcast(grad: np.ndarray, shape: Tuple[int, ...]) -> np.ndarray:
 class Tensor:
     """A numpy-backed tensor participating in reverse-mode autograd."""
 
-    __slots__ = ("data", "grad", "requires_grad", "_backward", "_prev", "name")
+    __slots__ = ("data", "grad", "requires_grad", "_backward", "_prev")
 
     def __init__(
         self,
         data: ArrayLike,
         requires_grad: bool = False,
         _prev: Sequence["Tensor"] = (),
-        name: str = "",
     ) -> None:
         self.data = _as_array(data)
         self.requires_grad = bool(requires_grad)
         self.grad: Optional[np.ndarray] = None
         self._backward: Optional[Callable[[np.ndarray], None]] = None
         self._prev: Tuple["Tensor", ...] = tuple(_prev)
-        self.name = name
 
     # ------------------------------------------------------------------
     # Introspection helpers
@@ -232,70 +233,19 @@ class Tensor:
         return out
 
     # ------------------------------------------------------------------
-    # Elementwise non-linearities
+    # Elementwise non-linearities (``exp`` ... ``abs``, registered below)
     # ------------------------------------------------------------------
-    def exp(self) -> "Tensor":
-        data = np.exp(self.data)
+    def _unary(self, forward: Callable[[np.ndarray], np.ndarray],
+               grad: Callable[..., np.ndarray]) -> "Tensor":
+        """``forward(x)`` as a node whose backward accumulates
+        ``grad(g, x, out)``."""
+        x = self.data
+        data = forward(x)
         out = self._make_child(data, (self,))
 
         def backward(g: np.ndarray) -> None:
             if self.requires_grad:
-                self._accumulate(data * g)
-
-        out._backward = backward
-        return out
-
-    def log(self) -> "Tensor":
-        out = self._make_child(np.log(self.data), (self,))
-
-        def backward(g: np.ndarray) -> None:
-            if self.requires_grad:
-                self._accumulate(g / self.data)
-
-        out._backward = backward
-        return out
-
-    def tanh(self) -> "Tensor":
-        data = np.tanh(self.data)
-        out = self._make_child(data, (self,))
-
-        def backward(g: np.ndarray) -> None:
-            if self.requires_grad:
-                self._accumulate((1.0 - data ** 2) * g)
-
-        out._backward = backward
-        return out
-
-    def sigmoid(self) -> "Tensor":
-        with np.errstate(over="ignore"):  # exp(-x) = inf gives exactly 0
-            sig = 1.0 / (1.0 + np.exp(-self.data))
-        out = self._make_child(sig, (self,))
-
-        def backward(g: np.ndarray) -> None:
-            if self.requires_grad:
-                self._accumulate(sig * (1.0 - sig) * g)
-
-        out._backward = backward
-        return out
-
-    def relu(self) -> "Tensor":
-        mask = self.data > 0
-        out = self._make_child(self.data * mask, (self,))
-
-        def backward(g: np.ndarray) -> None:
-            if self.requires_grad:
-                self._accumulate(mask * g)
-
-        out._backward = backward
-        return out
-
-    def abs(self) -> "Tensor":
-        sign = np.sign(self.data)
-        out = self._make_child(np.abs(self.data), (self,))
-
-        def backward(g: np.ndarray) -> None:
-            if self.requires_grad:
-                self._accumulate(sign * g)
+                self._accumulate(grad(g, x, data))
 
         out._backward = backward
         return out
@@ -345,9 +295,6 @@ class Tensor:
         out._backward = backward
         return out
 
-    def min(self, axis: int, keepdims: bool = False) -> "Tensor":
-        return -((-self).max(axis=axis, keepdims=keepdims))
-
     # ------------------------------------------------------------------
     # Shape manipulation
     # ------------------------------------------------------------------
@@ -393,24 +340,6 @@ class Tensor:
         out._backward = backward
         return out
 
-    def take_rows(self, indices: np.ndarray) -> "Tensor":
-        """Row gather used by embedding lookup: ``out[i] = self[indices[i]]``.
-
-        Gradients accumulate back with ``np.add.at`` so repeated indices
-        sum correctly.
-        """
-        idx = np.asarray(indices, dtype=np.int64)
-        out = self._make_child(self.data[idx], (self,))
-
-        def backward(g: np.ndarray) -> None:
-            if self.requires_grad:
-                grad = np.zeros_like(self.data)
-                np.add.at(grad, idx, g)
-                self._accumulate(grad)
-
-        out._backward = backward
-        return out
-
     # ------------------------------------------------------------------
     # Backward pass
     # ------------------------------------------------------------------
@@ -448,6 +377,24 @@ class Tensor:
                 node._backward(node.grad)
                 if node is not self:
                     node.grad = None  # consumed: only leaves and the root keep one
+
+
+def _register(name: str, forward: Callable[[np.ndarray], np.ndarray],
+              grad: Callable[..., np.ndarray]) -> None:
+    setattr(Tensor, name, partialmethod(Tensor._unary, forward, grad))
+
+
+def _sigmoid(x: np.ndarray) -> np.ndarray:
+    with np.errstate(over="ignore"):  # exp(-x) = inf gives exactly 0
+        return 1.0 / (1.0 + np.exp(-x))
+
+
+_register("exp", np.exp, lambda g, x, out: out * g)
+_register("log", np.log, lambda g, x, out: g / x)
+_register("tanh", np.tanh, lambda g, x, out: (1.0 - out ** 2) * g)
+_register("sigmoid", _sigmoid, lambda g, x, out: out * (1.0 - out) * g)
+_register("relu", lambda x: x * (x > 0), lambda g, x, out: (x > 0) * g)
+_register("abs", np.abs, lambda g, x, out: np.sign(x) * g)
 
 
 def concat(tensors: Sequence[Tensor], axis: int = 0) -> Tensor:

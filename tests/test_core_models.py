@@ -27,16 +27,6 @@ class TestCachingModel:
         bits = model.predict(chunks, sel=np.arange(3))
         assert set(np.unique(bits)).issubset({0, 1})
 
-    def test_predict_single_matches_batch(self, setup, rng):
-        config, encoder, chunks = setup
-        model = CachingModel(config, encoder.num_tables, rng=rng)
-        single = model.predict_single(
-            chunks.table_ids[0], chunks.hashed_rows[0],
-            chunks.norm_index[0], chunks.freq[0],
-        )
-        batch = model.predict(chunks, sel=np.arange(1))[0]
-        assert np.array_equal(single, batch)
-
     def test_stacks_grow_parameters(self, setup, rng):
         config, encoder, _ = setup
         from dataclasses import replace

@@ -32,10 +32,12 @@ from repro.core.persistence import load_recmg, save_recmg
 from repro.core.prefetch_model import BucketDecoder
 from repro.core.training import clone_caching_model, finetune_caching_model
 from repro.nn import (
-    Adam, Embedding, LSTM, LSTMCell, Linear, LuongAttention, Seq2SeqStack,
-    StackedSeq2Seq, Tensor, bce_with_logits, softmax,
+    Adam, Embedding, LSTM, Linear, StackedSeq2Seq, Tensor, bce_with_logits,
+    softmax,
 )
+from repro.nn.attention import LuongAttention
 from repro.nn.functional import sigmoid_, softmax_
+from repro.nn.rnn import LSTMCell, Seq2SeqStack
 
 NUM_TABLES = 5
 BATCHES = (1, 7, 64, 128)
@@ -367,8 +369,6 @@ class TestFloat32Decisions:
             prefetch.decoder.decode_buckets(wide_prefetch.infer_logits(chunks)))
         first = (chunks.table_ids[0], chunks.hashed_rows[0],
                  chunks.norm_index[0], chunks.freq[0])
-        assert np.array_equal(caching.predict_single(*first),
-                              wide_caching.infer(chunks)[0] > 0.0)
         assert np.array_equal(
             prefetch.predict_single(*first, encoder),
             prefetch.predict_indices(chunks, encoder)[0])
@@ -483,8 +483,6 @@ class TestNoTape:
 
         monkeypatch.setattr(Tensor, "__init__", spy)
         caching.predict(chunks)
-        caching.predict_single(chunks.table_ids[0], chunks.hashed_rows[0],
-                               chunks.norm_index[0], chunks.freq[0])
         prefetch.predict_indices(chunks, None)
         assert created == []
         caching.forward(chunks)

@@ -1,12 +1,14 @@
-"""Modules, optimizers and serialization."""
+"""Modules, state dicts and the optimizer."""
 
 import numpy as np
 import pytest
 
-from repro.nn import (
-    Adam, Embedding, Linear, MLP, SGD, Sequential, Tensor,
-    clip_grad_norm, dropout, load_module, save_module,
-)
+from repro.nn import Adam, Embedding, Linear, MLP, Module, Tensor, clip_grad_norm
+
+
+class TwoLayers(Module):
+    def __init__(self, rng):
+        self.layers = [Linear(3, 5, rng=rng), Linear(5, 2, rng=rng)]
 
 
 class TestLinearAndEmbedding:
@@ -42,10 +44,6 @@ class TestLinearAndEmbedding:
         with pytest.raises(ValueError):
             mlp(Tensor(rng.normal(size=(1, 2))))
 
-    def test_sequential_chains(self, rng):
-        model = Sequential(Linear(3, 5, rng=rng), Linear(5, 2, rng=rng))
-        assert model(Tensor(rng.normal(size=(4, 3)))).shape == (4, 2)
-
 
 class TestModuleIntrospection:
     def test_num_parameters(self, rng):
@@ -53,8 +51,7 @@ class TestModuleIntrospection:
         assert layer.num_parameters() == 4 * 7 + 7
 
     def test_named_parameters_nested(self, rng):
-        model = Sequential(Linear(3, 5, rng=rng), Linear(5, 2, rng=rng))
-        names = [name for name, _ in model.named_parameters()]
+        names = [name for name, _ in TwoLayers(rng).named_parameters()]
         assert "layers.0.weight" in names
         assert "layers.1.bias" in names
 
@@ -76,34 +73,24 @@ class TestModuleIntrospection:
         with pytest.raises(KeyError):
             a.load_state_dict({})
 
-    def test_save_load_file(self, rng, tmp_path):
-        a = MLP([3, 5, 2], rng=rng)
-        path = tmp_path / "model.npz"
-        save_module(a, path)
-        b = MLP([3, 5, 2], rng=np.random.default_rng(1234))
-        load_module(b, path)
-        x = Tensor(rng.normal(size=(2, 3)))
-        assert np.allclose(a(x).data, b(x).data)
+    @pytest.mark.parametrize("extra", ["wieght", "layers.0.weight"])
+    def test_load_state_dict_unexpected_key(self, rng, extra):
+        """A state naming a parameter the module does not have loads
+        nothing, even when every parameter it does have is there."""
+        a = Linear(3, 4, rng=rng)
+        before = a.state_dict()
+        state = Linear(3, 4, rng=np.random.default_rng(99)).state_dict()
+        state[extra] = np.zeros((3, 4))
+        with pytest.raises(KeyError, match=f"unexpected.*'{extra}'"):
+            a.load_state_dict(state)
+        for name, value in a.state_dict().items():
+            assert np.array_equal(value, before[name])
 
 
 class TestOptimizers:
     def _loss(self, layer, x, y):
         pred = layer(x)
         return ((pred - y) ** 2.0).mean()
-
-    def test_sgd_decreases_loss(self, rng):
-        layer = Linear(3, 1, rng=rng)
-        x = Tensor(rng.normal(size=(16, 3)))
-        y = Tensor(rng.normal(size=(16, 1)))
-        opt = SGD(layer.parameters(), lr=0.05, momentum=0.9)
-        first = None
-        for _ in range(50):
-            loss = self._loss(layer, x, y)
-            opt.zero_grad()
-            loss.backward()
-            opt.step()
-            first = first if first is not None else loss.item()
-        assert loss.item() < first * 0.5
 
     def test_adam_decreases_loss(self, rng):
         layer = Linear(3, 1, rng=rng)
@@ -121,7 +108,7 @@ class TestOptimizers:
 
     def test_empty_parameters_rejected(self):
         with pytest.raises(ValueError):
-            SGD([], lr=0.1)
+            Adam([], lr=0.1)
 
     def test_negative_lr_rejected(self, rng):
         with pytest.raises(ValueError):
@@ -139,16 +126,3 @@ class TestOptimizers:
         p.grad = np.full(4, 0.01)
         clip_grad_norm([p], max_norm=1.0)
         assert np.allclose(p.grad, 0.01)
-
-
-class TestDropout:
-    def test_identity_when_not_training(self, rng):
-        x = Tensor(rng.normal(size=(4, 4)))
-        assert np.allclose(dropout(x, 0.5, training=False).data, x.data)
-
-    def test_scales_when_training(self, rng):
-        x = Tensor(np.ones((1000,)))
-        out = dropout(x, 0.5, rng=rng, training=True)
-        kept = out.data[out.data > 0]
-        assert np.allclose(kept, 2.0)
-        assert 0.3 < (out.data > 0).mean() < 0.7

@@ -10,9 +10,11 @@ import pytest
 
 from decisions import float64_copy
 from repro.nn import (
-    Adam, LSTM, LSTMCell, Linear, LuongAttention, SelfAttention,
-    Seq2SeqStack, StackedSeq2Seq, Tensor, softmax, stack,
+    Adam, LSTM, Linear, SelfAttention, StackedSeq2Seq, Tensor, softmax,
 )
+from repro.nn.attention import LuongAttention
+from repro.nn.rnn import LSTMCell, Seq2SeqStack
+from repro.nn.tensor import stack
 from test_nn_tensor import check_gradient
 
 

@@ -1,13 +1,11 @@
 """Cross-module property tests: invariants spanning substrates."""
 
-import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.cache import (
     LRUCache, SetAssociativeCache, run_optgen, simulate, simulate_belady,
 )
-from repro.nn import Tensor, chamfer_loss
 from repro.traces import Trace, lru_hit_rate, reuse_distances
 
 KEY_LISTS = st.lists(st.integers(0, 20), min_size=5, max_size=120)
@@ -69,31 +67,3 @@ class TestReuseDistanceDuality:
         warm_fraction = (distances >= 0).mean()
         assert lru_hit_rate(distances, capacity=10_000) == pytest.approx(
             warm_fraction)
-
-
-class TestChamferProperties:
-    @given(st.integers(0, 2 ** 31 - 1))
-    @settings(max_examples=20, deadline=None)
-    def test_nonnegative_and_zero_on_identity(self, seed):
-        rng = np.random.default_rng(seed)
-        points = rng.normal(size=(2, 5))
-        loss = chamfer_loss(Tensor(points), Tensor(points.copy()))
-        assert loss.item() >= -1e-12
-        assert loss.item() < 1e-9
-
-    @given(st.integers(0, 2 ** 31 - 1))
-    @settings(max_examples=20, deadline=None)
-    def test_subset_window_never_increases_forward_term(self, seed):
-        """Adding points to the window can only shrink each output's
-        min-distance — the monotonicity the decoupled-window design
-        (Fig. 12) relies on."""
-        from repro.nn import chamfer_forward_only
-
-        rng = np.random.default_rng(seed)
-        outputs = Tensor(rng.normal(size=(1, 4)))
-        window_small = rng.normal(size=(1, 6))
-        extra = rng.normal(size=(1, 3))
-        window_large = np.concatenate([window_small, extra], axis=1)
-        small = chamfer_forward_only(outputs, Tensor(window_small)).item()
-        large = chamfer_forward_only(outputs, Tensor(window_large)).item()
-        assert large <= small + 1e-12

@@ -9,10 +9,17 @@ The ``nn`` substrate trains and serves in float32: no module under
 ``src/repro/nn`` names ``np.float64`` (a float64 value there widens
 every float32 step it meets) or brings back ``float32_twin``, the
 cached float32 copy serving kept while training ran in float64.
+
+``repro.nn`` exports only what the library uses: every name in
+``repro.nn.__all__`` is imported from the package by some module under
+``src/repro`` outside ``nn/`` (a model, a loss site or a baseline).
 """
 
+import ast
 import re
 from pathlib import Path
+
+import repro.nn
 
 SRC = Path(__file__).resolve().parents[1] / "src" / "repro"
 GC_USE = re.compile(r"\bimport\s+gc\b|\bfrom\s+gc\s+import\b|\bgc\.")
@@ -29,6 +36,26 @@ def _offenders(root: Path, pattern: re.Pattern) -> list:
             path.read_text(encoding="utf-8").splitlines(), start=1)
         if pattern.search(line)
     ]
+
+
+def _dead_exports(root: Path, exports) -> list:
+    """The ``exports`` of ``<root>.nn`` that no module under ``root``
+    outside ``nn/`` imports from that package."""
+    imported = set()
+    for path in sorted(root.rglob("*.py")):
+        parts = path.relative_to(root.parent).parts
+        if parts[1] == "nn":
+            continue
+        package = parts[:-1]
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if not isinstance(node, ast.ImportFrom):
+                continue
+            base = package[:len(package) - node.level + 1] if node.level else ()
+            module = ".".join(base + ((node.module,) if node.module else ()))
+            if module == f"{root.name}.nn":
+                imported.update(alias.name for alias in node.names)
+    return [f"{root.name}.nn.__all__: {name} has no caller outside nn/"
+            for name in exports if name not in imported]
 
 
 def test_library_never_touches_the_garbage_collector():
@@ -59,3 +86,23 @@ def test_gc_pattern_catches_each_form():
         assert GC_USE.search(line), line
     for line in ("import gcd", "logic.collect()", "self.gcount = 1"):
         assert not GC_USE.search(line), line
+
+
+def test_nn_exports_only_what_the_library_imports():
+    offenders = _dead_exports(SRC, repro.nn.__all__)
+    assert not offenders, "\n".join(offenders)
+
+
+def test_dead_export_rule_catches_an_unused_export(tmp_path):
+    root = tmp_path / "repro"
+    for package in ("nn", "core"):
+        (root / package).mkdir(parents=True)
+    (root / "nn" / "__init__.py").write_text(
+        "from .tensor import Tensor, stack, unused\n")
+    (root / "nn" / "rnn.py").write_text("from ..nn import unused\n")
+    (root / "core" / "model.py").write_text(
+        "from ..nn import (\n    Tensor,\n)\nfrom ..nn.tensor import unused\n")
+    (root / "baseline.py").write_text(
+        "def fit():\n    from repro.nn import stack\n    from . import nn\n")
+    assert _dead_exports(root, ["Tensor", "stack", "unused"]) == [
+        "repro.nn.__all__: unused has no caller outside nn/"]
