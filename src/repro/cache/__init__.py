@@ -32,8 +32,7 @@ from .residency import ResidencyIndex
 from .sharding import (
     SHARD_POLICIES,
     CompressedShardView,
-    ContiguousRangeRouter,
-    ModuloRouter,
+    ShardRouter,
     ShardedBuffer,
     make_router,
     split_capacity,
@@ -51,7 +50,7 @@ __all__ = [
     "MockingjayReplacement", "PredictorReplacement",
     "PriorityBuffer", "FastPriorityBuffer", "ClockBuffer",
     "BUFFER_IMPLS", "make_buffer", "ResidencyIndex",
-    "SHARD_POLICIES", "CompressedShardView", "ContiguousRangeRouter",
-    "ModuloRouter", "ShardedBuffer", "make_router",
+    "SHARD_POLICIES", "CompressedShardView", "ShardRouter",
+    "ShardedBuffer", "make_router",
     "split_capacity",
 ]

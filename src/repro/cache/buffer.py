@@ -91,10 +91,9 @@ and accept ``set_priority_batch(keys, priority)`` and
 On the exact backends the batch forms are *defined* as the scalar
 operations applied in order (seqno semantics preserved); on the fast
 backend ``set_priority_batch`` / ``demote_batch`` are one
-last-occurrence ``np.unique`` plus two scatters, and ``evict_batch``
-is one candidate gather plus one partition-and-sort for the whole
-victim batch (spillover ids go through the side dict in the same
-calls).  Serving itself goes through ``serve_segment``.
+last-occurrence ``np.unique`` plus two scatters (spillover ids go
+through the side dict in the same calls).  Serving itself goes through
+``serve_segment``.
 
 **Eviction order (exact backends).**  ``evict_one`` removes the entry
 minimizing the pair ``(effective_priority, seqno)``.  Seqnos are unique
@@ -123,19 +122,17 @@ per-shard call and one gather, and capacity/eviction are **per shard**
 — a full shard evicts its own victim even while another shard has free
 slots, so a sharded ``serve_segment``'s victims come grouped per shard
 in shard-id order, *not* in the global ``(effective_priority, seqno)``
-order above.  Two more load-bearing notes:
-each shard's backend is constructed over the router's **compressed**
-per-shard universe (``backend.key_space`` reports it, the sharded
-constructor asserts it), with all global↔local id translation confined
-to the :class:`~repro.cache.sharding.CompressedShardView` wrapper — so
-per-id state (slot/expiry/seqno vectors, residency bitmaps; see
-``per_id_nbytes``) costs the single-shard footprint, not N×, while
-every caller keeps speaking global ids; and ``shard_weights=`` splits
-the total capacity proportionally (largest-remainder, min one slot per
-shard) instead of uniformly, for skew-matched hot-shard serving.  See
-:mod:`repro.cache.sharding` for the full routing contract; a 1-shard
-wrapper is differential-tested identical to the bare backend in
-``tests/test_sharding.py``.
+order above.  Each shard's backend is constructed over the router's
+**compressed** per-shard universe (``backend.key_space`` reports it,
+the sharded constructor asserts it), so per-id state (see
+``per_id_nbytes``) costs the single-shard footprint, not N×.  A block
+is translated once, at the scatter, and each backend serves its
+shard's local ids; the :class:`~repro.cache.sharding.CompressedShardView`
+is the global-id scalar protocol.  ``shard_weights=`` splits the total capacity
+proportionally (largest-remainder, min one slot per shard) instead of
+uniformly.  See :mod:`repro.cache.sharding` for the full routing
+contract; a 1-shard wrapper is differential-tested identical to the
+bare backend in ``tests/test_sharding.py``.
 
 Each backend also speaks a two-method **state migration** protocol —
 ``export_state()`` / ``import_state(...)`` — used by
@@ -981,8 +978,8 @@ class FastPriorityBuffer:
                     buffer.insert(key, priority)
 
         Returns ``(served, miss_positions, victims)`` — the one result
-        shape every backend and shard view shares: ``served`` is always
-        ``len(segment)``, then the ascending positions of the misses
+        shape every backend and ``ShardedBuffer`` share: ``served`` is
+        always ``len(segment)``, then the ascending positions of the misses
         and the victim keys in eviction order (an int64 array).  A
         victim may be a key of the segment: evicted before its first
         touch, that touch misses (a *re-miss*); evicted after it, its

@@ -10,63 +10,67 @@ that layer on top of the single-shard backends in
 **Routing contract.**  A :class:`ShardedBuffer` is constructed over a
 dense id universe ``[0, key_space)`` (the same universe the
 :class:`~repro.cache.residency.ResidencyIndex` bitmaps cover) and a
-*router* — one of :data:`SHARD_POLICIES`:
+:class:`ShardRouter` under one of :data:`SHARD_POLICIES`:
 
-* ``"contiguous"`` (:class:`ContiguousRangeRouter`) — shard ``s`` owns
-  the contiguous id range ``[ceil(s*K/N), ceil((s+1)*K/N))``.  Dense
-  ids are assigned in sorted packed-key order
-  (:func:`repro.traces.access.remap_to_dense` keeps same-table rows
-  contiguous), so contiguous ranges map to contiguous (table, row)
-  regions — the natural partition for range-partitioned embedding
-  tables, and the one hot-shard workloads stress.
-* ``"modulo"`` (:class:`ModuloRouter`) — shard ``s`` owns every id
-  congruent to ``s`` mod N; a hash-free striping that spreads
-  contiguous hot ranges evenly across shards.
+* ``"contiguous"`` — shard ``s`` owns the contiguous id range
+  ``[ceil(s*K/N), ceil((s+1)*K/N))``.  Dense ids are assigned in
+  sorted packed-key order (:func:`repro.traces.access.remap_to_dense`
+  keeps same-table rows contiguous), so contiguous ranges map to
+  contiguous (table, row) regions — the natural partition for
+  range-partitioned embedding tables, and the one hot-shard workloads
+  stress.
+* ``"modulo"`` — shard ``s`` owns every id congruent to ``s`` mod N; a
+  hash-free striping that spreads contiguous hot ranges evenly across
+  shards.
 
 Routing is **total and deterministic**: every int64 key — including ids
 outside ``[0, key_space)``, which the manager assigns to keys unseen at
 encoder-fit time — maps to exactly one shard, and the scalar and batch
 forms agree key for key (out-of-range ids route by ``key mod N`` under
 both policies, so spillover correctness never depends on the id fitting
-the universe).  Because a key can only ever live in its router shard,
-the per-shard residents are pairwise disjoint and their union *is* the
+the universe).  ``router.route`` is the one place a key's shard is
+computed.  Because a key can only ever live in its router shard, the
+per-shard residents are pairwise disjoint and their union *is* the
 global residency — scalar ``key in buffer`` asks the key's own shard,
-and a per-shard ``contains_batch`` over the routed sub-segments
-gathers back to the same answer (property-tested after every op in
+and a per-shard ``contains_batch`` over the scattered block gathers
+back to the same answer (property-tested after every op in
 ``tests/test_sharding.py``).
 
 **Id compression (the translation boundary).**  Each shard's dense
 backend is built over the *compressed* per-shard universe
-``[0, shard_key_space)``, not the full ``[0, key_space)``: both routers
-admit an exact, vectorized bijection from the ids a shard owns onto a
-dense local range (contiguous: ``id - range_lo``; modulo: ``id // N``),
-so per-id backend state (slot vectors, expiry/seqno vectors, residency
-bitmaps) costs the same total memory as a single-shard buffer instead
-of N× it.  Translation happens at exactly one layer — the
-:class:`CompressedShardView` wrapped around every backend shard:
+``[0, shard_key_space)``, not the full ``[0, key_space)``: shard ``s``
+owns the in-universe ids ``offset[s] + stride * j`` for ``j <
+count[s]`` (contiguous: stride 1, offset the range start; modulo:
+stride N, offset ``s``), and its backend stores ``j``.  So per-id
+backend state (slot vectors, expiry/seqno vectors, residency bitmaps)
+costs the same total memory as a single-shard buffer instead of N×
+it.  Ids are translated once per block, at the scatter:
 
-* callers (:meth:`ShardedBuffer.serve_segment`, the manager's
-  eviction-for-space and caching-bit applier, and the tests) keep
-  passing **global** keys and receive **global** keys back — victims
-  of ``evict_one``/``serve_segment`` and ``keys()`` are decompressed
-  on the way out;
+* :meth:`ShardedBuffer.iter_shard_segments` routes a block and
+  compresses it in one vectorized pass, and yields each shard's local
+  ids; the bulk callers (:meth:`ShardedBuffer.serve_segment` and the
+  manager's caching-bit applier) hand those to the shard's backend and
+  decompress the victims through the router;
+* the :class:`CompressedShardView` around each backend is the
+  global-id *scalar* protocol (``insert`` / ``set_priority`` /
+  ``demote`` / ``evict_one`` and the reads), translating one key at a
+  time — what the routed scalar writes of :class:`ShardedBuffer` and
+  the manager's eviction for space use;
 * spillover ids (outside ``[0, key_space)``) pass through *unchanged*:
   they route by ``key mod N`` and always fall outside the compressed
   universe too (negative stays negative; ``id >= key_space >=
   shard_key_space``), so they land in each backend's existing spillover
   side path and decompression is unambiguous — a stored id in
-  ``[0, shard_key_space)`` inverts the bijection, anything else *is*
-  the global key.
+  ``[0, count)`` inverts the bijection, anything else *is* the global
+  key.
 
 Compression is a **storage transform, not a policy change**: backend
 decisions depend on (priority, seqno, slot/hand) order, never on id
-values, and both bijections are monotonic over a shard's owned ids, so
+values, and the bijection is monotonic over a shard's owned ids, so
 every victim sequence and hit/miss stream is byte-identical to the
 uncompressed layout (pinned by the sharded goldens in
-``tests/test_golden_backends.py`` and the 200-seed fuzz).  View methods
-require their keys to actually route to the view's shard (spillover
-included) — :meth:`ShardedBuffer.iter_shard_segments` scatters first,
-so every production call site satisfies this by construction.
+``tests/test_golden_backends.py`` and the 200-seed fuzz).  Local ids
+are only meaningful to the shard they were routed to.
 
 **Capacity and eviction.**  By default the total capacity splits as
 evenly as the remainder allows: shard ``s`` gets ``capacity // N``
@@ -90,15 +94,14 @@ exact global contract.
 protocol (``insert`` / ``set_priority`` / ``demote`` and the reads,
 routed per key) and ``serve_segment``, which is one vectorized scatter
 of the segment to shards (:meth:`ShardedBuffer.iter_shard_segments`),
-one ``serve_segment`` call per shard's sub-segment through the
-compressing views, and one gather back — no per-key python loop.
-Within a shard the original key order is preserved, and shards hold
-disjoint key sets, so that is exactly serving N independent buffers.
-Everything else goes to a shard directly: eviction for space to the
-key's own shard (:meth:`ShardedBuffer.shard_backend_for`), and the
-manager's caching-bit applier splits a block along the same route and
-writes each shard's bits through its view's bulk protocol
-(``contains_batch`` / ``set_priority_batch`` / ``demote_batch``).
+one backend ``serve_segment`` call per shard's local ids, and one
+gather back — no per-key python loop.  Within a shard the original key
+order is preserved, and shards hold disjoint key sets, so that is
+exactly serving N independent buffers.  Everything else goes to a
+shard directly: eviction for space to the key's own shard view
+(:meth:`ShardedBuffer.shard_backend_for`), and the manager's
+caching-bit applier splits a block along the same scatter and writes
+each shard's bits to its backend in local ids.
 
 **Rebalancing (live re-splitting).**  The split chosen at construction
 is not forever: :meth:`ShardedBuffer.rebalance` re-splits the capacity
@@ -138,7 +141,7 @@ preservation, occupancy ≤ new capacity, compressed-universe round-trip
 
 A 1-shard :class:`ShardedBuffer` is decision-for-decision identical to
 the bare backend (200-seed differential in ``tests/test_sharding.py``;
-both bijections degenerate to the identity at N=1);
+the compression degenerates to the identity at N=1);
 ``make_buffer(..., num_shards=1)`` therefore returns the bare backend
 and only ``num_shards > 1`` pays the routing layer.
 """
@@ -152,42 +155,50 @@ import numpy as np
 from .buffer import make_buffer
 
 
-class ContiguousRangeRouter:
-    """Contiguous-range partition of ``[0, key_space)`` into N shards.
+#: The ``shard_policy=`` names (``make_buffer`` and
+#: ``RecMGConfig.shard_policy``).
+SHARD_POLICIES = ("contiguous", "modulo")
 
-    ``route(key) = key * N // key_space`` for in-universe keys — shard
-    ``s`` owns ``[ceil(s*K/N), ceil((s+1)*K/N))`` (:meth:`range_of`).
-    Out-of-universe keys (spillover ids above the vocabulary, or
-    negative probes) route by ``key mod N``.
 
-    Compression (see module docstring) shifts a shard's owned range
-    down to zero: ``compress(id) = id - range_lo`` — an order-preserving
-    bijection onto ``[0, hi - lo)``.
+class ShardRouter:
+    """A partition of ``[0, key_space)`` into N shards, and each
+    shard's id compression (module docstring).
 
-    The partition is *mutable*: :meth:`set_bounds` re-draws the owned
-    ranges (the repartition half of ``ShardedBuffer.rebalance``; see
-    "Rebalancing" in the module docstring).  Construction always uses
-    the default ceil split — weights never change the partition at
-    build time — and in-universe routing stays a pure arithmetic
-    expression while the bounds equal that default, falling back to a
-    vectorized ``searchsorted`` over the boundary array only after a
-    re-draw.  Out-of-universe keys route by ``key mod N`` under either
-    partition, so spillover routing is rebalance-invariant.
+    Shard ``s`` owns the in-universe ids ``offset[s] + stride * j`` for
+    ``j < count[s]``.  ``"contiguous"``: stride 1 and ``offset[s]`` the
+    start of its range, ``[ceil(s*K/N), ceil((s+1)*K/N))`` at
+    construction (:meth:`range_of`).  ``"modulo"``: stride N and
+    ``offset[s] = s``.  :meth:`compress` maps an owned id to its ``j``
+    — an order-preserving bijection onto ``[0, count[s])`` — and
+    :meth:`decompress` inverts it; ids outside ``[0, key_space)`` pass
+    through both unchanged.
+
+    Only routing differs by policy.  Ids outside the universe route by
+    ``key mod N`` under both (with ``key_space=0``, every id does), and
+    the modulo policy routes in-universe ids the same way.  The
+    contiguous policy routes them by the arithmetic ``key * N //
+    key_space`` while its ranges are the construction-time ceil split,
+    and by a ``searchsorted`` over the boundary array once
+    :meth:`set_bounds` has re-drawn them (the repartition half of
+    ``ShardedBuffer.rebalance``; the modulo partition is fixed, so its
+    rebalance re-splits capacity only).  Spillover routing is therefore
+    rebalance-invariant.
     """
 
-    name = "contiguous"
-
-    #: ``set_bounds`` can re-draw this router's partition (the modulo
-    #: partition is fixed by arithmetic, so its rebalance is
-    #: capacity-only).
-    supports_repartition = True
-
-    def __init__(self, num_shards: int, key_space: int) -> None:
+    def __init__(self, policy: str, num_shards: int, key_space: int) -> None:
+        self.name = policy
         self.num_shards = int(num_shards)
         self.key_space = int(key_space)
-        self._bounds = self.default_bounds(self.num_shards, self.key_space)
-        self._uniform = True
-        self._range_lo = self._bounds[:-1].copy()
+        if policy == "contiguous":
+            self.stride = 1
+            self.set_bounds(self.default_bounds(self.num_shards,
+                                                self.key_space))
+        else:
+            self.stride = self.num_shards
+            self._offset = np.arange(self.num_shards, dtype=np.int64)
+            # ceil((K - s) / N): 0 for every s >= K, since s < N.
+            self._count = -((self._offset - self.key_space)
+                            // self.num_shards)
 
     @staticmethod
     def default_bounds(num_shards: int, key_space: int) -> np.ndarray:
@@ -197,14 +208,16 @@ class ContiguousRangeRouter:
                          for s in range(num_shards + 1)], dtype=np.int64)
 
     def set_bounds(self, bounds: Sequence[int]) -> None:
-        """Re-draw the owned ranges: shard ``s`` now owns
+        """Re-draw the contiguous ranges: shard ``s`` now owns
         ``[bounds[s], bounds[s+1])``.
 
         Only ``ShardedBuffer.rebalance`` may call this, *after*
         exporting every shard's residents under the old partition —
-        the compression bijections change with the ranges, so any
-        state still stored under the old ranges becomes unreadable.
+        the compression changes with the ranges, so any state still
+        stored under the old ranges becomes unreadable.
         """
+        if self.name != "contiguous":
+            raise ValueError("only the contiguous partition can be re-drawn")
         arr = np.asarray(bounds, dtype=np.int64)
         if arr.shape != (self.num_shards + 1,):
             raise ValueError(
@@ -218,11 +231,18 @@ class ContiguousRangeRouter:
         self._uniform = bool(np.array_equal(
             self._bounds, self.default_bounds(self.num_shards,
                                               self.key_space)))
-        self._range_lo = self._bounds[:-1].copy()
+        self._offset = self._bounds[:-1].copy()
+        self._count = np.diff(self._bounds)
 
+    def range_of(self, shard: int) -> Tuple[int, int]:
+        """In-universe id range ``[lo, hi)`` owned by ``shard``
+        (contiguous policy)."""
+        return int(self._bounds[shard]), int(self._bounds[shard + 1])
+
+    # -- routing -------------------------------------------------------
     def route(self, key: int) -> int:
         key = int(key)
-        if 0 <= key < self.key_space:
+        if self.name == "contiguous" and 0 <= key < self.key_space:
             if self._uniform:
                 return key * self.num_shards // self.key_space
             return int(np.searchsorted(self._bounds, key,
@@ -231,6 +251,8 @@ class ContiguousRangeRouter:
 
     def route_batch(self, keys: Sequence[int]) -> np.ndarray:
         arr = np.asarray(keys, dtype=np.int64)
+        if self.name != "contiguous" or self.key_space == 0:
+            return np.mod(arr, self.num_shards)
         if arr.size == 0 or (arr.min() >= 0 and arr.max() < self.key_space):
             return self._route_owned(arr)  # hot path: no spillover
         shards = self._route_owned(np.clip(arr, 0, self.key_space - 1))
@@ -239,180 +261,67 @@ class ContiguousRangeRouter:
         return shards
 
     def _route_owned(self, arr: np.ndarray) -> np.ndarray:
-        """Shard of each in-universe id."""
+        """Contiguous shard of each in-universe id."""
         if self._uniform:
             return arr * self.num_shards // self.key_space
         return (np.searchsorted(self._bounds, arr,
                                 side="right") - 1).astype(np.int64)
 
-    def range_of(self, shard: int) -> Tuple[int, int]:
-        """In-universe id range ``[lo, hi)`` owned by ``shard``."""
-        return int(self._bounds[shard]), int(self._bounds[shard + 1])
-
     # -- compression (exact bijection onto the local universe) ---------
     def shard_key_space(self, shard: int) -> int:
-        """Size of ``shard``'s compressed universe (>= 1 even for an
-        empty owned range, so the dense backends always have a
+        """Size of ``shard``'s compressed universe (>= 1 even for a
+        shard that owns no id, so the dense backends always have a
         bitmap)."""
-        lo, hi = self.range_of(shard)
-        return max(1, hi - lo)
+        return max(1, int(self._count[shard]))
 
-    def compress(self, shard: int, keys: Sequence[int]) -> np.ndarray:
-        """Owned global ids -> local ids in ``[0, hi - lo)``; spillover
-        ids (outside ``[0, key_space)``) pass through unchanged.  Keys
-        must route to ``shard``."""
-        arr = np.asarray(keys, dtype=np.int64)
-        lo = self.range_of(shard)[0]
-        if lo == 0 or arr.size == 0:  # shard 0 (and 1-shard): identity
-            return arr
-        if arr.min() >= 0 and arr.max() < self.key_space:
-            return arr - lo  # hot path: no spillover in the segment
-        in_universe = (arr >= 0) & (arr < self.key_space)
-        return np.where(in_universe, arr - lo, arr)
-
-    def compress_routed(self, keys: Sequence[int],
-                        shard_ids: np.ndarray) -> np.ndarray:
-        """Whole-block :meth:`compress`: ``keys[i]`` is compressed for
-        its own shard ``shard_ids[i]`` (= ``route_batch(keys)``) in one
-        vectorized pass, so the scatter step pays the fixed numpy cost
-        once per block instead of once per shard."""
+    def compress(self, shard, keys: Sequence[int]) -> np.ndarray:
+        """Global ids -> local ids.  ``shard`` is one shard index or
+        one per key (``route_batch(keys)``, the whole-block form), and
+        every key must route to its shard.  Spillover ids (outside
+        ``[0, key_space)``) pass through unchanged."""
         arr = np.asarray(keys, dtype=np.int64)
         if self.num_shards == 1 or arr.size == 0:
             return arr
-        lo = self._range_lo[shard_ids]
+        local = arr - self._offset[shard]
+        if self.stride != 1:
+            local //= self.stride
         if arr.min() >= 0 and arr.max() < self.key_space:
-            return arr - lo  # hot path: no spillover in the block
-        in_universe = (arr >= 0) & (arr < self.key_space)
-        return np.where(in_universe, arr - lo, arr)
+            return local  # hot path: no spillover
+        return np.where((arr >= 0) & (arr < self.key_space), local, arr)
 
-    def decompress(self, shard: int, keys: Sequence[int]) -> np.ndarray:
-        """Inverse of :meth:`compress`: local ids in ``[0, hi - lo)``
-        map back to the owned range, anything else passes through."""
-        arr = np.asarray(keys, dtype=np.int64)
-        lo, hi = self.range_of(shard)
-        if lo == 0 or arr.size == 0:
+    def decompress(self, shard: int, local: Sequence[int]) -> np.ndarray:
+        """Inverse of :meth:`compress` for one shard: local ids in
+        ``[0, count)`` map back to the shard's owned ids, anything else
+        passes through."""
+        arr = np.asarray(local, dtype=np.int64)
+        if self.num_shards == 1 or arr.size == 0:
             return arr
-        if arr.min() >= 0 and arr.max() < hi - lo:
-            return arr + lo  # hot path: all ids local
-        local = (arr >= 0) & (arr < hi - lo)
-        return np.where(local, arr + lo, arr)
+        owned = arr * self.stride + int(self._offset[shard])
+        if arr.min() >= 0 and arr.max() < self._count[shard]:
+            return owned  # hot path: all ids local
+        return np.where((arr >= 0) & (arr < self._count[shard]), owned, arr)
 
     def compress_key(self, shard: int, key: int) -> int:
         key = int(key)
         if 0 <= key < self.key_space:
-            return key - self.range_of(shard)[0]
+            return (key - int(self._offset[shard])) // self.stride
         return key
 
-    def decompress_key(self, shard: int, key: int) -> int:
-        key = int(key)
-        lo, hi = self.range_of(shard)
-        if 0 <= key < hi - lo:
-            return key + lo
-        return key
+    def decompress_key(self, shard: int, local: int) -> int:
+        local = int(local)
+        if 0 <= local < self._count[shard]:
+            return int(self._offset[shard]) + self.stride * local
+        return local
 
 
-class ModuloRouter:
-    """Modulo striping: shard ``s`` owns every id congruent to s mod N
-    (in- and out-of-universe keys alike).
-
-    Compression divides out the stride: ``compress(id) = id // N`` — an
-    order-preserving bijection from the owned in-universe ids onto
-    ``[0, ceil((key_space - s) / N))`` (``decompress(local) = local * N
-    + s``)."""
-
-    name = "modulo"
-
-    #: ``key % N`` is fixed by arithmetic — a rebalance under this
-    #: router re-splits capacity only and never migrates keys.
-    supports_repartition = False
-
-    def __init__(self, num_shards: int, key_space: int) -> None:
-        self.num_shards = int(num_shards)
-        self.key_space = int(key_space)
-
-    def route(self, key: int) -> int:
-        return int(key) % self.num_shards
-
-    def route_batch(self, keys: Sequence[int]) -> np.ndarray:
-        return np.mod(np.asarray(keys, dtype=np.int64), self.num_shards)
-
-    # -- compression (exact bijection onto the local universe) ---------
-    def _owned_count(self, shard: int) -> int:
-        """How many in-universe ids are congruent to ``shard``."""
-        if shard >= self.key_space:
-            return 0
-        return -((-(self.key_space - shard)) // self.num_shards)
-
-    def shard_key_space(self, shard: int) -> int:
-        """Size of ``shard``'s compressed universe (>= 1, see
-        :meth:`ContiguousRangeRouter.shard_key_space`)."""
-        return max(1, self._owned_count(shard))
-
-    def compress(self, shard: int, keys: Sequence[int]) -> np.ndarray:
-        """Owned global ids -> ``id // N``; spillover ids pass through
-        unchanged.  Keys must route to ``shard``."""
-        arr = np.asarray(keys, dtype=np.int64)
-        if self.num_shards == 1 or arr.size == 0:
-            return arr
-        if arr.min() >= 0 and arr.max() < self.key_space:
-            return arr // self.num_shards  # hot path: no spillover
-        in_universe = (arr >= 0) & (arr < self.key_space)
-        return np.where(in_universe, arr // self.num_shards, arr)
-
-    def compress_routed(self, keys: Sequence[int],
-                        shard_ids: np.ndarray) -> np.ndarray:
-        """Whole-block :meth:`compress` (see
-        :meth:`ContiguousRangeRouter.compress_routed`); ``id // N``
-        needs no per-shard term, so ``shard_ids`` is unused here."""
-        arr = np.asarray(keys, dtype=np.int64)
-        if self.num_shards == 1 or arr.size == 0:
-            return arr
-        if arr.min() >= 0 and arr.max() < self.key_space:
-            return arr // self.num_shards  # hot path: no spillover
-        in_universe = (arr >= 0) & (arr < self.key_space)
-        return np.where(in_universe, arr // self.num_shards, arr)
-
-    def decompress(self, shard: int, keys: Sequence[int]) -> np.ndarray:
-        """Inverse of :meth:`compress`: local ids map back to
-        ``local * N + shard``, anything else passes through."""
-        arr = np.asarray(keys, dtype=np.int64)
-        if self.num_shards == 1 or arr.size == 0:
-            return arr
-        if arr.min() >= 0 and arr.max() < self._owned_count(shard):
-            return arr * self.num_shards + shard  # hot path: all local
-        local = (arr >= 0) & (arr < self._owned_count(shard))
-        return np.where(local, arr * self.num_shards + shard, arr)
-
-    def compress_key(self, shard: int, key: int) -> int:
-        key = int(key)
-        if 0 <= key < self.key_space:
-            return key // self.num_shards
-        return key
-
-    def decompress_key(self, shard: int, key: int) -> int:
-        key = int(key)
-        if 0 <= key < self._owned_count(shard):
-            return key * self.num_shards + shard
-        return key
-
-
-#: Registry behind the ``shard_policy=`` knob (``make_buffer`` and
-#: ``RecMGConfig.shard_policy``).
-SHARD_POLICIES = {
-    "contiguous": ContiguousRangeRouter,
-    "modulo": ModuloRouter,
-}
-
-
-def make_router(shard_policy: str, num_shards: int, key_space: int):
-    """Instantiate a shard router by policy name."""
-    try:
-        cls = SHARD_POLICIES[shard_policy]
-    except KeyError:
+def make_router(shard_policy: str, num_shards: int,
+                key_space: int) -> ShardRouter:
+    """Build a shard router by policy name."""
+    if shard_policy not in SHARD_POLICIES:
         raise ValueError(
             f"unknown shard_policy {shard_policy!r}; choose from "
-            f"{sorted(SHARD_POLICIES)}") from None
-    return cls(num_shards, key_space)
+            f"{sorted(SHARD_POLICIES)}")
+    return ShardRouter(shard_policy, num_shards, key_space)
 
 
 def split_capacity(capacity: int, num_shards: int,
@@ -456,34 +365,29 @@ def split_capacity(capacity: int, num_shards: int,
 
 
 class CompressedShardView:
-    """One backend shard behind the global-key protocol.
+    """One backend shard behind the global-id scalar protocol.
 
-    The single point where per-shard id compression happens (module
-    docstring): ``backend`` runs over the compressed universe
-    ``[0, router.shard_key_space(shard_index))`` while every method
-    here speaks global ids — arguments are compressed on the way in,
-    victims/keys/residency decompressed on the way out, and spillover
-    ids pass through untouched in both directions.
+    ``backend`` runs over the compressed universe
+    ``[0, router.shard_key_space(shard_index))``; the methods here take
+    and return global ids, translated one key at a time through the
+    router (spillover ids pass through untouched).  Bulk callers do not
+    come through a view: they take the local ids
+    :meth:`ShardedBuffer.iter_shard_segments` cuts from its one
+    whole-block compression and call ``backend`` directly.
 
     **Precondition**: keys handed to a view must route to its shard
-    (``router.route(key) == shard_index``; spillover ids included).
-    The scatter step every bulk caller goes through
-    (:meth:`ShardedBuffer.iter_shard_segments`) guarantees this; the
-    compression bijections are only defined over a shard's own ids, so
-    a foreign key would silently alias a local one.
-
-    ``serve_segment`` is total on every backend, so the view forwards
-    it like any other op: :meth:`ShardedBuffer.serve_segment` calls it
-    once per routed sub-segment, whatever the backend.
+    (``router.route(key) == shard_index``; spillover ids included) —
+    the compression is only defined over a shard's own ids, so a
+    foreign key would silently alias a local one.
     """
 
-    def __init__(self, backend, router, shard_index: int) -> None:
+    def __init__(self, backend, router: ShardRouter,
+                 shard_index: int) -> None:
         self.backend = backend
         self.router = router
         self.shard_index = int(shard_index)
         self.approximate = bool(getattr(backend, "approximate", False))
         self.residency = getattr(backend, "residency", None)
-        self._c_memo: List[Tuple[object, np.ndarray]] = []
 
     @property
     def capacity(self) -> int:
@@ -499,34 +403,10 @@ class CompressedShardView:
         """Swap in a rebuilt backend (``ShardedBuffer.rebalance`` only).
 
         The view object itself is stable — engines may hold references
-        across a rebalance — so everything derived from the backend is
-        refreshed here: the residency handle and the compression memo
-        (the bijection changes with the partition, so memoized
-        compressions are invalid).
+        across a rebalance — so the residency handle is refreshed here.
         """
         self.backend = backend
         self.residency = getattr(backend, "residency", None)
-        del self._c_memo[:]
-
-    # -- translation helpers -------------------------------------------
-    def _c(self, keys) -> np.ndarray:
-        # Callers hand a view the *same* segment array iter_shard_segments
-        # primed (serve_segment, or the applier's contains_batch), so a
-        # two-slot identity memo removes the repeat compressions.
-        # Keyed on object identity with a strong reference (no id()
-        # reuse); key arrays are never mutated in place after a bulk
-        # call, which the bulk protocol already requires.
-        for ref, compressed in self._c_memo:
-            if ref is keys:
-                return compressed
-        arr = self.router.compress(self.shard_index, keys)
-        if isinstance(keys, np.ndarray):
-            self._c_memo.insert(0, (keys, arr))
-            del self._c_memo[2:]
-        return arr
-
-    def _d(self, keys) -> np.ndarray:
-        return self.router.decompress(self.shard_index, keys)
 
     @property
     def key_space(self) -> int:
@@ -554,9 +434,6 @@ class CompressedShardView:
     def is_full(self) -> bool:
         return self.backend.is_full
 
-    def contains_batch(self, keys: Sequence[int]) -> np.ndarray:
-        return self.backend.contains_batch(self._c(keys))
-
     def per_id_nbytes(self) -> int:
         return self.backend.per_id_nbytes()
 
@@ -573,24 +450,10 @@ class CompressedShardView:
         self.backend.demote(
             self.router.compress_key(self.shard_index, int(key)))
 
-    def set_priority_batch(self, keys: Sequence[int],
-                           priority: int) -> None:
-        self.backend.set_priority_batch(self._c(keys), priority)
-
-    def demote_batch(self, keys: Sequence[int]) -> None:
-        self.backend.demote_batch(self._c(keys))
-
-    # -- eviction / serving (victims come back global) -----------------
     def evict_one(self) -> int:
+        """The backend's victim, as a global id."""
         return self.router.decompress_key(self.shard_index,
                                           int(self.backend.evict_one()))
-
-    def serve_segment(self, segment: np.ndarray, priority: int):
-        """Positions need no translation, so only the victims cross
-        the boundary back."""
-        served, miss_positions, victims = self.backend.serve_segment(
-            self._c(segment), priority)
-        return served, miss_positions, self._d(victims)
 
 
 class ShardRebalancer:
@@ -638,10 +501,10 @@ class ShardRebalancer:
         new_caps = split_capacity(buf.capacity, buf.num_shards,
                                   shard_weights)
         new_bounds: Optional[np.ndarray] = None
-        if (buf.router.supports_repartition
+        if (buf.router.name == "contiguous"
                 and buf.key_space >= buf.num_shards):
             if shard_weights is None:
-                new_bounds = ContiguousRangeRouter.default_bounds(
+                new_bounds = ShardRouter.default_bounds(
                     buf.num_shards, buf.key_space)
             else:
                 sizes = split_capacity(buf.key_space, buf.num_shards,
@@ -665,13 +528,13 @@ class ShardRebalancer:
         exact = not buf.approximate
         # Step 2: export under the old partition (ids leave global).
         exports = []
-        for view in buf.shards:
+        for index, view in enumerate(buf.shards):
             if exact:
                 local_keys, prio, seq = view.backend.export_state()
-                exports.append((view._d(local_keys), prio, seq))
             else:
                 local_keys, prio = view.backend.export_state()
-                exports.append((view._d(local_keys), prio, None))
+                seq = None
+            exports.append((router.decompress(index, local_keys), prio, seq))
         # Step 3: re-draw the partition, re-route, regroup.
         if new_bounds is not None and not bounds_unchanged:
             router.set_bounds(new_bounds)
@@ -753,10 +616,9 @@ class ShardedBuffer:
     (:data:`repro.cache.buffer.BUFFER_IMPLS`); every shard is built
     over its *compressed* universe
     (``router.shard_key_space(s)``) and wrapped in a
-    :class:`CompressedShardView`, so ``serve_segment`` runs
-    array-native end to end while every caller — including the
-    manager's caching-bit applier, which consumes
-    :meth:`iter_shard_segments` — keeps speaking global ids.
+    :class:`CompressedShardView`, the global-id scalar protocol;
+    ``serve_segment`` and the manager's caching-bit applier take the
+    local ids :meth:`iter_shard_segments` yields to the backends.
     ``approximate`` is inherited from the shard backend (the rebalancer
     migrates exact and clock state differently).
     ``shard_weights`` (optional) splits the capacity proportionally
@@ -804,10 +666,6 @@ class ShardedBuffer:
                                         False))
 
     # -- routing -------------------------------------------------------
-    def shard_id_of(self, key: int) -> int:
-        """Shard index owning ``key`` (total: any int64 routes)."""
-        return self.router.route(key)
-
     def shard_backend_for(self, key: int):
         """The shard view owning ``key`` (global-key protocol) — where
         a scalar serving loop evicts to make room for ``key``."""
@@ -820,40 +678,30 @@ class ShardedBuffer:
 
     def iter_shard_segments(self, keys: np.ndarray):
         """Scatter ``keys`` to shards: yields ``(shard_index, view,
-        positions, sub_keys)`` per non-empty shard, where ``positions``
+        positions, local)`` per non-empty shard, where ``positions``
         indexes ``keys`` (ascending, so per-shard order follows the
-        access stream) and ``sub_keys = keys[positions]`` — global
-        ids; ``view`` (a :class:`CompressedShardView`) translates.
-
-        The block is compressed once here (``compress_routed``, one
-        vectorized pass) and each shard's slice primed into its view's
-        compression memo, so the per-shard calls the caller makes next
-        (``serve_segment``, or the applier's ``contains_batch``, on the
-        yielded ``sub_keys``) skip re-compressing it.
+        access stream) and ``local`` holds that shard's local ids of
+        ``keys[positions]``, cut from one compression of the whole
+        block.  Bulk callers hand ``local`` to ``view.backend`` and
+        decompress what comes back (victims) through the router.
 
         **Per-shard bit-split contract** (the manager's caching-bit
         applier): a block of per-access caching bits is split along
-        this same route — ``bits[positions]`` rides with ``sub_keys``
-        — and applied per shard through the yielded view
+        this same route — ``bits[positions]`` rides with ``local`` —
+        and applied per shard to the shard's backend
         (:func:`repro.serving.priorities.apply_caching_bits`).
-        Duplicates of a key always land in the same shard and
-        ``positions`` is ascending, so per-shard dedup/apply writes
-        exactly the state of the scalar sequence routed key by key.
-        Compression
-        memo entries are immutable ``(ref, compressed)`` tuples matched
-        by object identity, so a lookup can only miss (and recompute),
-        never alias a foreign array."""
+        Duplicates of a key always land in the same shard, compression
+        is a bijection there, and ``positions`` is ascending, so
+        per-shard dedup/apply writes exactly the state of the scalar
+        sequence routed key by key."""
         arr = np.asarray(keys, dtype=np.int64)
         shard_ids = self.router.route_batch(arr)
-        compressed = self.router.compress_routed(arr, shard_ids)
+        local = self.router.compress(shard_ids, arr)
         for shard_index in range(self.num_shards):
             positions = np.flatnonzero(shard_ids == shard_index)
             if positions.size:
-                view = self.shards[shard_index]
-                sub = arr[positions]
-                view._c_memo.insert(0, (sub, compressed[positions]))
-                del view._c_memo[2:]
-                yield (shard_index, view, positions, sub)
+                yield (shard_index, self.shards[shard_index], positions,
+                       local[positions])
 
     # -- read protocol -------------------------------------------------
     def __contains__(self, key: int) -> bool:
@@ -911,10 +759,11 @@ class ShardedBuffer:
         arr = np.asarray(segment, dtype=np.int64)
         misses = [np.zeros(0, dtype=np.int64)]
         victims = [np.zeros(0, dtype=np.int64)]
-        for _, shard, positions, sub in self.iter_shard_segments(arr):
-            _, sub_misses, sub_victims = shard.serve_segment(sub, priority)
+        for index, view, positions, local in self.iter_shard_segments(arr):
+            _, sub_misses, sub_victims = view.backend.serve_segment(
+                local, priority)
             misses.append(positions[sub_misses])
-            victims.append(sub_victims)
+            victims.append(self.router.decompress(index, sub_victims))
         return (int(arr.size), np.sort(np.concatenate(misses)),
                 np.concatenate(victims))
 

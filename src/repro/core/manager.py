@@ -74,12 +74,13 @@ pass and the provider sink.  Past its scalar crossover the applier
 writes through the bulk residency/priority protocol of
 :mod:`repro.cache.buffer` (``contains_batch`` plus
 ``set_priority_batch``/``demote_batch``); on a sharded buffer it splits
-the bits along the shard route and applies each shard's share through
-that shard's view.  The manager fits the encoder's dense-id universe
-as the buffer's ``key_space``, so the backends classify a whole
-segment with one gather (:class:`repro.cache.residency.ResidencyIndex`)
-instead of a per-key dict loop, and no call site branches on the
-backend.
+the bits along ``ShardedBuffer.iter_shard_segments``' scatter and
+applies each shard's share to that shard's backend, in the local ids
+the scatter compressed once for the whole block.  The manager fits the
+encoder's dense-id universe as the buffer's ``key_space``, so the
+backends classify a whole segment with one gather
+(:class:`repro.cache.residency.ResidencyIndex`) instead of a per-key
+dict loop, and no call site branches on the backend.
 """
 
 from __future__ import annotations
@@ -258,17 +259,19 @@ class RecMGManager:
         documented.
 
         On a sharded buffer the bits are split along
-        ``iter_shard_segments``' route and applied per shard through
-        its :class:`~repro.cache.sharding.CompressedShardView` — the
-        same one-scatter route the engines serve through (the
-        split-identity argument lives on :func:`apply_caching_bits`).
+        ``iter_shard_segments``' scatter — the same one route and one
+        compression the engines serve through — and applied per shard
+        to its backend, in the shard's local ids (the split-identity
+        argument lives on :func:`apply_caching_bits`).
         """
         buffer = self.buffer
         speed = self.config.eviction_speed
         if isinstance(buffer, ShardedBuffer):
             bits = np.asarray(bits)
-            for _, shard, positions, sub in buffer.iter_shard_segments(keys):
-                apply_caching_bits(shard, sub, bits[positions], speed)
+            for _, view, positions, local in buffer.iter_shard_segments(
+                    keys):
+                apply_caching_bits(view.backend, local, bits[positions],
+                                   speed)
         else:
             apply_caching_bits(buffer, keys, bits, speed)
 

@@ -13,7 +13,7 @@ driven from the live stream.
 
 On a sharded buffer every caching-bit write is **per shard**: the
 block's bits are split along ``ShardedBuffer.iter_shard_segments``'
-route and applied through each shard's ``CompressedShardView`` (see
+scatter and applied to each shard's backend in its local ids (see
 :meth:`RecMGManager._apply_caching_bits` and the split-identity
 argument on :func:`apply_caching_bits`).
 
@@ -104,16 +104,15 @@ def apply_caching_bits(buffer, keys: np.ndarray, bits: np.ndarray,
     have silently promoted every unpredicted key as cache-friendly
     (``-1 != 0``).
 
-    ``buffer`` is one backend, or one
-    :class:`repro.cache.sharding.CompressedShardView` with ``keys``
-    restricted to that shard: on a sharded buffer
+    ``buffer`` is one backend.  On a sharded buffer
     :meth:`RecMGManager._apply_caching_bits` splits a block along
-    ``iter_shard_segments``' route and calls this once per shard.
-    Duplicates of a key always land in the same shard and the split
-    preserves positional order, so per-shard dedup + apply writes
-    exactly the state of the scalar sequence routed key by key —
-    shards share no state, and within a shard the friendly/averse
-    subsequences are exactly the block's own.
+    ``iter_shard_segments``' scatter and calls this once per shard,
+    with that shard's backend and that shard's local ids.  Duplicates
+    of a key always land in the same shard under the same local id,
+    and the split preserves positional order, so per-shard dedup +
+    apply writes exactly the state of the scalar sequence routed key
+    by key — shards share no state, and within a shard the
+    friendly/averse subsequences are exactly the block's own.
 
     The manager calls it only from that applier, which its per-chunk
     loop and — when a :class:`SyncModelProvider` is installed — its
@@ -180,31 +179,19 @@ class SyncModelProvider:
         self.model = model
         self.encoder = encoder
         self.metrics = metrics
-        self.inference_batches = 0
-        self.inference_keys = 0
-        self.inference_seconds = 0.0
 
     def bits_for(self, keys: np.ndarray) -> Optional[np.ndarray]:
         """Encode ``keys`` (tail-padded to whole chunks), run the
-        model, slice back to the true length; records timing."""
+        model, slice back to the true length; records the inference
+        time into ``metrics`` when one is given."""
         keys = np.asarray(keys, dtype=np.int64)
         if keys.size == 0:
             return None
         begin = time.perf_counter()
         chunks = self.encoder.encode_dense_chunks(keys)
         bits = self.model.predict(chunks).reshape(-1)[:keys.size]
-        elapsed = time.perf_counter() - begin
-        self.inference_batches += 1
-        self.inference_keys += int(keys.size)
-        self.inference_seconds += elapsed
         if self.metrics is not None:
-            self.metrics.record_inference(elapsed, int(keys.size))
+            self.metrics.record_inference(time.perf_counter() - begin,
+                                          int(keys.size))
         return bits.astype(np.int8)
-
-    def stats(self) -> Dict[str, float]:
-        return {
-            "inference_batches": self.inference_batches,
-            "inference_keys": self.inference_keys,
-            "inference_seconds": self.inference_seconds,
-        }
 

@@ -1,7 +1,8 @@
 """The op vocabulary of the sharded-buffer fuzzes (``test_sharding.py``
 and ``test_rebalancing.py``): what serving calls on a buffer — the
 routed scalar writes, ``serve_segment``, the bulk priority writes split
-per shard view (as the manager's caching-bit applier splits them) and
+per shard backend in local ids (as the manager's caching-bit applier
+splits them) and
 evictions from a key's own shard (as its eviction for space does) —
 applied the same way to a bare backend, which is its own one shard,
 and to a :class:`ShardedBuffer`.
@@ -54,13 +55,13 @@ def home(buffer, key):
 
 
 def per_shard(buffer, keys):
-    """``keys`` split along the shard route: ``(view, sub_keys)`` pairs,
-    or the bare backend with all of them."""
+    """``keys`` split along the shard scatter: ``(backend, local_ids)``
+    pairs, or the bare backend with all of them."""
     arr = np.asarray(keys, dtype=np.int64)
     if not isinstance(buffer, ShardedBuffer):
         return [(buffer, arr)]
-    return [(view, sub)
-            for _, view, _, sub in buffer.iter_shard_segments(arr)]
+    return [(view.backend, local)
+            for _, view, _, local in buffer.iter_shard_segments(arr)]
 
 
 def resident(buffer, keys):
@@ -68,8 +69,8 @@ def resident(buffer, keys):
     if not isinstance(buffer, ShardedBuffer):
         return buffer.contains_batch(keys)
     out = np.zeros(len(keys), dtype=bool)
-    for _, view, positions, sub in buffer.iter_shard_segments(keys):
-        out[positions] = view.contains_batch(sub)
+    for _, view, positions, local in buffer.iter_shard_segments(keys):
+        out[positions] = view.backend.contains_batch(local)
     return out
 
 
@@ -100,11 +101,12 @@ def apply_op(buffer, op):
         return buffer.serve_segment(np.asarray(batch, dtype=np.int64),
                                     priority)[2].tolist()
     elif kind in ("set_priority_batch", "demote_batch"):
-        for view, sub in per_shard(buffer, [k for k in batch if k in buffer]):
+        for target, sub in per_shard(buffer,
+                                     [k for k in batch if k in buffer]):
             if kind == "demote_batch":
-                view.demote_batch(sub)
+                target.demote_batch(sub)
             else:
-                view.set_priority_batch(sub, priority)
+                target.set_priority_batch(sub, priority)
     elif kind == "evict":
         shard = home(buffer, key)
         return [shard.evict_one() for _ in range(min(count, len(shard)))]
@@ -118,9 +120,9 @@ def assert_partition_invariants(sharded: ShardedBuffer):
     capacity, their union is scalar membership, and each shard's
     compressed residency bitmap decompresses exactly onto the global
     ids it owns."""
-    # The probe is scattered first (``resident``): a compressed shard
-    # view only speaks for keys that route to it (the per-shard
-    # bijections alias foreign keys by design).
+    # The probe is scattered first (``resident``): a shard's local ids
+    # only speak for keys that route to it (the per-shard bijections
+    # alias foreign keys by design).
     assert np.array_equal(resident(sharded, PROBE),
                           [int(key) in sharded for key in PROBE])
     seen = set()
@@ -128,7 +130,7 @@ def assert_partition_invariants(sharded: ShardedBuffer):
         keys = list(shard.keys())
         assert len(keys) <= shard.capacity == shard.backend.capacity
         for key in keys:
-            assert sharded.shard_id_of(key) == index
+            assert sharded.router.route(key) == index
             assert key not in seen  # a key lives in at most one shard
             seen.add(key)
         # The raw bitmap covers the *compressed* universe; its set bits

@@ -43,8 +43,8 @@ A clock serving differential
 (:func:`test_clock_serve_segment_matches_composed_protocol`, a
 ``hypothesis`` fuzz, and its hand-picked twin) drives twin
 :class:`ClockBuffer` s — dense, empty universe (packed ids included),
-dense with spillover ids, and
-behind the ``CompressedShardView`` s of a sharded buffer — one through
+dense with spillover ids, and the shard backends of a sharded buffer
+fed the local ids of its scatter — one through
 ``serve_segment``, the other through the composed protocol it replaced
 (``contains_batch`` → first-occurrence count →
 ``evict_batch(needed, avoid=piece)`` → an ``insert`` per key, piece by
@@ -445,8 +445,8 @@ def test_dense_victim_queue_survives_rebalance(seed, monkeypatch):
         elif roll < 0.7:
             resident = [key for key in batch if key in ref]
             for buffer in (ref, dense):
-                for view, sub in per_shard(buffer, resident):
-                    view.demote_batch(sub)
+                for target, sub in per_shard(buffer, resident):
+                    target.demote_batch(sub)
         elif roll < 0.92:
             count = 1 if roll < 0.85 else rng.randint(1, 4)
             ref_home, dense_home = home(ref, batch[0]), home(dense, batch[0])
@@ -741,9 +741,9 @@ def test_exact_serve_segment_ignores_scratch_garbage():
 #: them).
 CLOCK_IDS = st.integers(-3, 44)
 #: mode -> (id strategy, twin factory).  "empty" has no universe, so
-#: every id spills — packed ones (>= 2**40) too; "views" serves through
-#: the CompressedShardViews of a 3-shard buffer, so victims must come
-#: back as global ids.
+#: every id spills — packed ones (>= 2**40) too; "views" serves the
+#: shard backends of a 3-shard buffer the local ids of its scatter, so
+#: victims must decompress to global ids of their own shard.
 CLOCK_MODES = {
     "dense": (st.integers(0, 39),
               lambda capacity: ClockBuffer(capacity, key_space=40)),
@@ -793,15 +793,7 @@ def _composed_pass(buffer, segment: np.ndarray, priority: int):
     the rest holds more distinct keys than slots, the longest piece
     with at most half the slots' worth; returns ``(served,
     miss_positions, victims)`` as lists.  ``insert`` shares nothing
-    with ``serve_segment``'s first-touch and store helpers.  A shard
-    view's twin runs the protocol on its backend, in the shard's
-    compressed ids."""
-    if hasattr(buffer, "backend"):
-        router, shard = buffer.router, buffer.shard_index
-        served, misses, victims = _composed_pass(
-            buffer.backend, router.compress(shard, segment), priority)
-        victims = np.asarray(victims, dtype=np.int64)
-        return served, misses, router.decompress(shard, victims).tolist()
+    with ``serve_segment``'s first-touch and store helpers."""
     served, misses, victims = 0, [], []
     while served < segment.size:
         piece = segment[served:]
@@ -831,11 +823,10 @@ CLOCK_PASSES = (_bulk_pass, _composed_pass)
 
 
 def _clock_backends(buffer):
-    """The :class:`ClockBuffer` s under a bare clock, a shard view or a
-    sharded buffer."""
+    """The :class:`ClockBuffer` s of a bare clock or a sharded buffer."""
     if hasattr(buffer, "shards"):
         return [view.backend for view in buffer.shards]
-    return [getattr(buffer, "backend", buffer)]
+    return [buffer]
 
 
 def _assert_twins_agree(twins) -> None:
@@ -845,9 +836,9 @@ def _assert_twins_agree(twins) -> None:
 
 
 def _serve_clock_twins(twins, keys, priority):
-    """Serve ``keys`` on every twin (bare clocks or shard views), each
-    through its own pass, comparing results and state; returns the
-    victims."""
+    """Serve ``keys`` on every twin (bare clocks, or one shard's
+    backends in its local ids), each through its own pass, comparing
+    results and state; returns the victims."""
     segment = np.asarray(keys, dtype=np.int64)
     results = [serve(twin, segment, priority)
                for serve, twin in zip(CLOCK_PASSES, twins)]
@@ -871,16 +862,17 @@ def _apply_clock_twins(twins, op):
                     backend.evict_batch(min(value, len(backend)))
     elif hasattr(twins[0], "iter_shard_segments"):
         block = np.asarray(keys, dtype=np.int64)
+        router = twins[0].router
         for routed in zip(*(twin.iter_shard_segments(block)
                             for twin in twins)):
-            index, view, _, sub = routed[0]
-            held = set(view.keys()) | set(sub.tolist())
-            victims = _serve_clock_twins([item[1] for item in routed],
-                                         sub, value)
-            # Victims come back as global ids, of this very shard.
-            assert set(victims) <= held
-            assert all(twins[0].shard_id_of(key) == index
-                       for key in victims)
+            index, view, positions, local = routed[0]
+            held = set(view.keys()) | set(block[positions].tolist())
+            victims = router.decompress(index, _serve_clock_twins(
+                [item[1].backend for item in routed], local, value))
+            # Victims decompress to global ids, of this very shard.
+            assert set(victims.tolist()) <= held
+            assert all(router.route(key) == index
+                       for key in victims.tolist())
     else:
         _serve_clock_twins(twins, keys, value)
 
@@ -991,8 +983,8 @@ def test_caching_bit_applier_forms_leave_identical_state(backend, size,
     spill-over ids, sizes straddling the crossover: the applier as it
     dispatches, forced scalar and forced bulk must leave the same
     ``export_state()`` (seqnos included) and the same drain.
-    A sharded buffer takes its bits per shard view, as the manager's
-    sink splits them."""
+    A sharded buffer takes its bits per shard backend, in local ids, as
+    the manager's sink splits them."""
     from repro.serving import priorities
 
     assert 63 < priorities.SCALAR_FALLBACK < 65
@@ -1016,9 +1008,9 @@ def test_caching_bit_applier_forms_leave_identical_state(backend, size,
                 if crossover is not None:
                     patch.setattr(priorities, "SCALAR_FALLBACK", crossover)
                 if hasattr(buffer, "iter_shard_segments"):
-                    for _, view, positions, sub in \
+                    for _, view, positions, local in \
                             buffer.iter_shard_segments(keys):
-                        priorities.apply_caching_bits(view, sub,
+                        priorities.apply_caching_bits(view.backend, local,
                                                       bits[positions], 4)
                 else:
                     priorities.apply_caching_bits(buffer, keys, bits, 4)

@@ -44,6 +44,7 @@ from repro.core.training import (
 from repro.cache.buffer import SCALAR_FALLBACK
 from repro.cache.optgen import run_optgen
 from repro.serving import priorities
+from repro.serving.metrics import ServingMetrics
 from repro.serving.priorities import (
     PRIORITY_MODES,
     SyncModelProvider,
@@ -168,7 +169,8 @@ def test_tables_for_dense_covers_spillover(world, small_config):
 # ----------------------------------------------------------------------
 def test_sync_bits_match_offline_predict(world, small_config):
     _, tail, encoder, _, model = world
-    provider = SyncModelProvider(model, encoder)
+    metrics = ServingMetrics()
+    provider = SyncModelProvider(model, encoder, metrics)
     dense = encoder.dense_ids(tail)[:600]
     bits = provider.bits_for(dense)
     expected = model.predict(
@@ -177,7 +179,8 @@ def test_sync_bits_match_offline_predict(world, small_config):
     assert bits.dtype == np.int8
     assert set(np.unique(bits)) <= {0, 1}
     assert provider.bits_for(np.empty(0, dtype=np.int64)) is None
-    assert provider.stats()["inference_batches"] == 1
+    assert metrics.inference_batches == 1
+    assert metrics.inference_keys == dense.size
 
 
 # ----------------------------------------------------------------------

@@ -130,7 +130,7 @@ def test_compress_round_trips_owned_universe(policy, num_shards,
     # (including spillover passthrough).
     probe = np.concatenate([all_ids, [-5, -1, key_space, key_space + 7]])
     routes = router.route_batch(probe)
-    block = router.compress_routed(probe, routes)
+    block = router.compress(routes, probe)
     for shard in range(num_shards):
         mask = routes == shard
         assert np.array_equal(block[mask],
@@ -152,6 +152,117 @@ def test_compress_spillover_passthrough(policy):
         for key in owned.tolist():
             assert router.compress_key(shard, key) == key
             assert router.decompress_key(shard, key) == key
+
+
+#: Router shapes past the default split: ``(policy, N, K, re-drawn
+#: contiguous bounds or None)``.
+ROUTER_CASES = {
+    "contiguous": ("contiguous", 4, 40, None),
+    "modulo": ("modulo", 4, 40, None),
+    "redrawn-empty-shard": ("contiguous", 4, 40, [0, 9, 9, 31, 40]),
+    "contiguous-K<N": ("contiguous", 5, 3, None),
+    "modulo-K<N": ("modulo", 5, 3, None),
+    "contiguous-K=0": ("contiguous", 3, 0, None),
+    "modulo-K=0": ("modulo", 3, 0, None),
+}
+
+#: Ids outside every universe above, in both directions.
+SPILL = np.array([-9, -1, 40, 41, 53, 10**12], dtype=np.int64)
+
+
+def _router(case):
+    policy, num_shards, key_space, bounds = ROUTER_CASES[case]
+    router = make_router(policy, num_shards, key_space)
+    if bounds is not None:
+        router.set_bounds(bounds)
+    return router
+
+
+@pytest.mark.parametrize("case", sorted(ROUTER_CASES))
+def test_router_routes_agree_and_tile_universe(case):
+    """Scalar and batch routes agree key for key, spillover included,
+    and the shards' owned ids tile ``[0, K)`` — as consecutive ranges
+    under the contiguous policy."""
+    router = _router(case)
+    universe = np.arange(router.key_space, dtype=np.int64)
+    probe = np.concatenate([universe, np.arange(-5, 0), SPILL])
+    routes = router.route_batch(probe)
+    assert routes.dtype == np.int64
+    assert routes.tolist() == [router.route(key) for key in probe.tolist()]
+    assert ((routes >= 0) & (routes < router.num_shards)).all()
+    owned = [universe[routes[:universe.size] == shard]
+             for shard in range(router.num_shards)]
+    assert sum(ids.size for ids in owned) == router.key_space
+    for shard, ids in enumerate(owned):
+        assert router.shard_key_space(shard) == max(1, ids.size)
+        if router.name == "contiguous":
+            lo, hi = router.range_of(shard)
+            assert ids.tolist() == list(range(lo, hi))
+    if router.name == "contiguous":
+        assert router.range_of(0)[0] == 0
+        assert router.range_of(router.num_shards - 1)[1] == router.key_space
+
+
+@pytest.mark.parametrize("case", sorted(ROUTER_CASES))
+def test_router_compression_round_trips_in_order(case):
+    """Each shard's owned ids compress onto exactly ``[0, count)`` in
+    their own order, decompress back, and the scalar, per-shard and
+    whole-block forms agree."""
+    router = _router(case)
+    universe = np.arange(router.key_space, dtype=np.int64)
+    routes = router.route_batch(universe)
+    block = router.compress(routes, universe)
+    for shard in range(router.num_shards):
+        owned = universe[routes == shard]
+        local = router.compress(shard, owned)
+        assert local.tolist() == list(range(owned.size))
+        assert np.array_equal(block[routes == shard], local)
+        assert np.array_equal(router.decompress(shard, local), owned)
+        assert [router.compress_key(shard, key)
+                for key in owned.tolist()] == local.tolist()
+        assert [router.decompress_key(shard, key)
+                for key in local.tolist()] == owned.tolist()
+
+
+@pytest.mark.parametrize("case", sorted(ROUTER_CASES))
+def test_router_spillover_passes_through(case):
+    """Ids outside ``[0, K)`` route by ``key mod N`` and pass through
+    compression and decompression unchanged, in every form."""
+    router = _router(case)
+    spill = SPILL[(SPILL < 0) | (SPILL >= router.key_space)]
+    routes = router.route_batch(spill)
+    assert np.array_equal(routes, np.mod(spill, router.num_shards))
+    assert np.array_equal(router.compress(routes, spill), spill)
+    for shard in range(router.num_shards):
+        mine = spill[routes == shard]
+        assert np.array_equal(router.compress(shard, mine), mine)
+        assert np.array_equal(router.decompress(shard, mine), mine)
+        for key in mine.tolist():
+            assert router.compress_key(shard, key) == key
+            assert router.decompress_key(shard, key) == key
+
+
+def test_modulo_partition_cannot_be_redrawn():
+    with pytest.raises(ValueError, match="contiguous"):
+        make_router("modulo", 2, 10).set_bounds([0, 5, 10])
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("impl", ["fast", "clock"])
+@pytest.mark.parametrize("policy", ["contiguous", "modulo"])
+def test_empty_universe_routes_every_id_by_modulo(impl, policy):
+    """``key_space=0``: every id is outside the universe, so it routes
+    by ``key mod N`` without the in-universe rule ever running (the
+    contiguous one divides by the universe size)."""
+    buf = make_buffer(impl, 8, key_space=0, num_shards=2,
+                      shard_policy=policy)
+    served, misses, victims = buf.serve_segment(np.array([5, 6, 7, 5]), 2)
+    assert served == 4
+    assert misses.tolist() == [0, 1, 2] and victims.size == 0
+    assert sorted(buf.shards[0].keys()) == [6]
+    assert sorted(buf.shards[1].keys()) == [5, 7]
+    assert resident(buf, np.array([5, 6, 7, 8])).tolist() == [
+        True, True, True, False]
 
 
 @pytest.mark.parametrize("impl", ["fast", "clock"])
@@ -326,8 +437,8 @@ def test_sharded_serve_segment_serves_each_shard_whole(impl):
     one route: misses come back as ascending positions of the segment,
     victims grouped per shard in shard-id order.  On exact shards it
     equals the scalar serving loop over the sharded buffer, each miss
-    evicting from its own shard; on clock shards, one view call per
-    shard's sub-segment made by hand on a twin."""
+    evicting from its own shard; on clock shards, one backend call per
+    shard's local ids made by hand on a twin."""
     buf = ShardedBuffer(impl, 9, key_space=30, num_shards=3)
     twin = ShardedBuffer(impl, 9, key_space=30, num_shards=3)
     rng = np.random.default_rng(5)
@@ -336,15 +447,17 @@ def test_sharded_serve_segment_serves_each_shard_whole(impl):
         served, misses, victims = buf.serve_segment(segment, 2)
         assert served == segment.size
         assert np.all(np.diff(misses) > 0)
-        shard_ids = [buf.shard_id_of(int(key)) for key in victims]
+        shard_ids = [buf.router.route(int(key)) for key in victims]
         assert shard_ids == sorted(shard_ids)
         expected_misses, grouped = [], [[] for _ in twin.shards]
         if impl == "clock":
-            for index, view, positions, sub in twin.iter_shard_segments(
+            for index, view, positions, local in twin.iter_shard_segments(
                     segment):
-                _, sub_misses, sub_victims = view.serve_segment(sub, 2)
+                _, sub_misses, sub_victims = view.backend.serve_segment(
+                    local, 2)
                 expected_misses += positions[sub_misses].tolist()
-                grouped[index] = sub_victims.tolist()
+                grouped[index] = twin.router.decompress(
+                    index, sub_victims).tolist()
         else:
             for position, key in enumerate(segment.tolist()):
                 view = twin.shard_backend_for(key)
@@ -353,7 +466,7 @@ def test_sharded_serve_segment_serves_each_shard_whole(impl):
                     continue
                 expected_misses.append(position)
                 if view.is_full:
-                    grouped[twin.shard_id_of(key)].append(view.evict_one())
+                    grouped[twin.router.route(key)].append(view.evict_one())
                 view.insert(key, 2)
         assert misses.tolist() == sorted(expected_misses)
         assert victims.tolist() == [key for group in grouped
@@ -443,7 +556,7 @@ def test_sharded_spillover_keys_route_and_serve():
     # 100 -> shard 0, 101 -> shard 1: no shard overflows, no victim.
     assert buf.serve_segment(np.array([1, 100, 101, 7]), 2)[2].size == 0
     assert 100 in buf and 101 in buf
-    assert buf.shard_id_of(100) == 0 and buf.shard_id_of(101) == 1
+    assert buf.router.route(100) == 0 and buf.router.route(101) == 1
     assert np.array_equal(
         resident(buf, np.array([1, 7, 100, 101, 102, -5])),
         np.array([True, True, True, True, False, False]))
@@ -651,8 +764,8 @@ def test_sharded_manager_via_config_knobs():
 
 
 def test_sharded_caching_bits_match_bare():
-    """_apply_caching_bits split per shard view lands the same
-    priorities the bare dense backend gets."""
+    """_apply_caching_bits split per shard backend, in local ids, lands
+    the same priorities the bare dense backend gets."""
     from repro.core import RecMGConfig
     from repro.core.features import FeatureEncoder
     from repro.core.manager import RecMGManager
