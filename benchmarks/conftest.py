@@ -23,8 +23,8 @@ from repro.traces import load_dataset
 
 #: Accesses/sec per hot path recorded by benchmarks/test_perf_hotpaths.py
 #: via the ``record_hotpath`` fixture; merged into BENCH_hotpaths.json at
-#: the end of a passing session so the perf trajectory is tracked across
-#: PRs (CI uploads the file as an artifact).
+#: the end of a passing gated session (``--perf-budget > 0``) so the perf
+#: trajectory is tracked across PRs (CI uploads the file as an artifact).
 _HOTPATH_RESULTS: dict = {}
 
 #: Datasets used by multi-dataset figures (3 of the paper's 5 to bound
@@ -128,7 +128,13 @@ def flush_hotpaths(path: Path, results: dict, exitstatus: int) -> bool:
 
 def pytest_sessionfinish(session, exitstatus):
     """Flush the hot-path throughput numbers to BENCH_hotpaths.json
-    (repo root) whenever the perf benches ran and passed."""
+    (repo root) after a passing *gated* session only: one that ran the
+    perf benches with ``--perf-budget > 0``, so every recorded speedup
+    was also checked against its floor.  Any other session — tier-1
+    and every budget-0 run included — writes nothing, and leaves the
+    committed baseline as it is."""
+    if float(session.config.getoption("--perf-budget")) <= 0:
+        return
     flush_hotpaths(Path(session.config.rootpath) / "BENCH_hotpaths.json",
                    _HOTPATH_RESULTS, int(exitstatus))
 

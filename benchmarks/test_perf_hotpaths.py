@@ -211,7 +211,7 @@ def test_chunk_pass_throughput(perf_trace, perf_budget, benchmark,
     def fused():
         manager = RecMGManager(steady, encoder, config)
         missed, prefetch_hits, evictions, issued = (
-            manager.buffer.serve_chunks(
+            manager.buffer.shards[0].backend.serve_chunks(
                 dense, length, bits, preds, config.eviction_speed,
                 config.max_prefetch_per_chunk, manager._prefetched))
         return len(missed), prefetch_hits, evictions, issued

@@ -31,7 +31,6 @@ from .buffer import (
 from .residency import ResidencyIndex
 from .sharding import (
     SHARD_POLICIES,
-    CompressedShardView,
     ShardRouter,
     ShardedBuffer,
     make_router,
@@ -50,7 +49,7 @@ __all__ = [
     "MockingjayReplacement", "PredictorReplacement",
     "PriorityBuffer", "FastPriorityBuffer", "ClockBuffer",
     "BUFFER_IMPLS", "make_buffer", "ResidencyIndex",
-    "SHARD_POLICIES", "CompressedShardView", "ShardRouter",
+    "SHARD_POLICIES", "ShardRouter",
     "ShardedBuffer", "make_router",
     "split_capacity",
 ]

@@ -10,12 +10,13 @@ lowest priority and then *ages* every entry by decrementing its priority
 Three interchangeable backends implement the buffer protocol
 (``insert`` / ``set_priority`` / ``demote`` / ``evict_one`` /
 ``evict_batch`` / ``serve_segment``); pick one with
-:func:`make_buffer` — the manager passes it
-``RecMGConfig.buffer_impl``, ``repro.dlrm.inference.BufferClassifier``
-and ``repro.prefetch.harness`` their own ``buffer_impl=`` argument.
+:func:`make_buffer` — the manager's
+:class:`~repro.cache.sharding.ShardedBuffer` passes it
+``RecMGConfig.buffer_impl`` per shard,
+``repro.dlrm.inference.BufferClassifier`` and ``repro.prefetch.harness``
+their own ``buffer_impl=`` argument.
 ``serve_segment(segment, priority)`` is
-*total* on all three, and on the sharded wrapper
-(:class:`~repro.cache.sharding.ShardedBuffer`): one call serves the
+*total* on all three, and on the sharded façade: one call serves the
 whole demand segment and returns ``(served, miss_positions,
 victims)`` with ``served == len(segment)`` — the buffer serves a
 segment, the manager folds.
@@ -113,26 +114,11 @@ array-native one over a universe smaller than the fuzzed ids and over
 the empty one — through randomized op sequences, checking bulk/scalar
 residency agreement after every operation.
 
-**Sharding.**  ``make_buffer(..., num_shards=N, shard_policy=...)``
-(N > 1, ``key_space`` required) wraps N independent shards
-in a :class:`~repro.cache.sharding.ShardedBuffer`: every key routes to
-exactly one shard (contiguous-range or modulo partition of
-``[0, key_space)``), ``serve_segment`` runs as one scatter, one
-per-shard call and one gather, and capacity/eviction are **per shard**
-— a full shard evicts its own victim even while another shard has free
-slots, so a sharded ``serve_segment``'s victims come grouped per shard
-in shard-id order, *not* in the global ``(effective_priority, seqno)``
-order above.  Each shard's backend is constructed over the router's
-**compressed** per-shard universe (``backend.key_space`` reports it,
-the sharded constructor asserts it), so per-id state (see
-``per_id_nbytes``) costs the single-shard footprint, not N×.  A block
-is translated once, at the scatter, and each backend serves its
-shard's local ids; the :class:`~repro.cache.sharding.CompressedShardView`
-is the global-id scalar protocol.  ``shard_weights=`` splits the total capacity
-proportionally (largest-remainder, min one slot per shard) instead of
-uniformly.  See :mod:`repro.cache.sharding` for the full routing
-contract; a 1-shard wrapper is differential-tested identical to the
-bare backend in ``tests/test_sharding.py``.
+**Sharding.**  The manager serves through a
+:class:`~repro.cache.sharding.ShardedBuffer` of one or more of these
+backends, each over its shard's compressed universe; with one shard it
+is the identity.  See :mod:`repro.cache.sharding` for the routing,
+compression and per-shard eviction contract.
 
 Each backend also speaks a two-method **state migration** protocol —
 ``export_state()`` / ``import_state(...)`` — used by
@@ -1670,52 +1656,16 @@ BUFFER_IMPLS = {
 
 
 def make_buffer(impl: str, capacity: int,
-                key_space: Optional[int] = None,
-                num_shards: int = 1,
-                shard_policy: str = "contiguous",
-                shard_weights=None):
+                key_space: Optional[int] = None):
     """Instantiate a buffer backend by registry name.
 
     ``key_space`` (dense-id universe size) is forwarded to every
     backend — a :class:`~repro.cache.residency.ResidencyIndex` bitmap
     behind ``contains_batch`` everywhere, plus array-native entries on
     the clock and fast backends; ``None`` is the empty universe.
-
-    ``num_shards > 1`` wraps ``num_shards`` independent backends in a
-    :class:`~repro.cache.sharding.ShardedBuffer` partitioning
-    ``[0, key_space)`` by ``shard_policy`` (see
-    :data:`~repro.cache.sharding.SHARD_POLICIES`); it *requires*
-    ``key_space`` — the routers partition the dense id universe — and
-    raises ``ValueError`` without it.  Each shard's backend is
-    built over the router's *compressed* per-shard universe (so sharded
-    per-id memory matches the single-shard footprint — see the
-    translation boundary in :mod:`repro.cache.sharding`), and
-    ``shard_weights`` (optional, one positive weight per shard) splits
-    the capacity proportionally instead of uniformly.  ``num_shards=1``
-    (the default) returns the bare backend: only real sharding pays the
-    routing layer (``shard_weights`` is rejected there — there is
-    nothing to weight).
+    Sharding is :class:`~repro.cache.sharding.ShardedBuffer`'s, which
+    builds one backend per shard here.
     """
-    num_shards = int(num_shards)
-    if num_shards < 1:
-        raise ValueError("num_shards must be >= 1")
-    if num_shards > 1:
-        if key_space is None:
-            raise ValueError(
-                f"num_shards={num_shards} requires key_space=; the shard "
-                f"routers partition the dense id universe [0, key_space)")
-        if impl not in BUFFER_IMPLS:
-            raise ValueError(
-                f"unknown buffer_impl {impl!r}; choose from "
-                f"{sorted(BUFFER_IMPLS)}")
-        from .sharding import ShardedBuffer  # lazy: sharding imports us
-
-        return ShardedBuffer(impl, capacity, key_space=key_space,
-                             num_shards=num_shards,
-                             shard_policy=shard_policy,
-                             shard_weights=shard_weights)
-    if shard_weights is not None:
-        raise ValueError("shard_weights requires num_shards > 1")
     try:
         cls = BUFFER_IMPLS[impl]
     except KeyError:

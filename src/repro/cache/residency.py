@@ -26,7 +26,7 @@ The index is maintained *incrementally by the buffer backends*
 :class:`~repro.cache.buffer.PriorityBuffer` keeps its index as a
 mirror of its entry dict (over the empty universe when built without
 ``key_space``).  Call sites (``serving.priorities.apply_caching_bits``,
-``prefetch.harness``, the shard views) therefore stay
+``prefetch.harness``, ``ShardedBuffer``) therefore stay
 backend-agnostic.
 """
 

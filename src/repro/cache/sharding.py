@@ -47,15 +47,14 @@ costs the same total memory as a single-shard buffer instead of N×
 it.  Ids are translated once per block, at the scatter:
 
 * :meth:`ShardedBuffer.iter_shard_segments` routes a block and
-  compresses it in one vectorized pass, and yields each shard's local
-  ids; the bulk callers (:meth:`ShardedBuffer.serve_segment` and the
-  manager's caching-bit applier) hand those to the shard's backend and
+  compresses it in one vectorized pass, and yields each shard's backend
+  and local ids; the bulk callers (:meth:`ShardedBuffer.serve_segment`
+  and the manager's caching-bit applier) hand those to the backend and
   decompress the victims through the router;
-* the :class:`CompressedShardView` around each backend is the
-  global-id *scalar* protocol (``insert`` / ``set_priority`` /
-  ``demote`` / ``evict_one`` and the reads), translating one key at a
-  time — what the routed scalar writes of :class:`ShardedBuffer` and
-  the manager's eviction for space use;
+* the scalar protocol (``insert`` / ``set_priority`` / ``demote`` /
+  ``evict_for`` and the reads) translates one key at a time, through
+  one locate step (``router.route`` + ``compress_key``), and
+  decompresses the victims it returns;
 * spillover ids (outside ``[0, key_space)``) pass through *unchanged*:
   they route by ``key mod N`` and always fall outside the compressed
   universe too (negative stays negative; ``id >= key_space >=
@@ -90,18 +89,19 @@ single-buffer global ``(effective_priority, seqno)`` order.  This is
 the documented price of sharding; the single-shard backends keep the
 exact global contract.
 
-**What serving calls.**  A :class:`ShardedBuffer` speaks the scalar
-protocol (``insert`` / ``set_priority`` / ``demote`` and the reads,
-routed per key) and ``serve_segment``, which is one vectorized scatter
-of the segment to shards (:meth:`ShardedBuffer.iter_shard_segments`),
-one backend ``serve_segment`` call per shard's local ids, and one
-gather back — no per-key python loop.  Within a shard the original key
-order is preserved, and shards hold disjoint key sets, so that is
-exactly serving N independent buffers.  Everything else goes to a
-shard directly: eviction for space to the key's own shard view
-(:meth:`ShardedBuffer.shard_backend_for`), and the manager's
-caching-bit applier splits a block along the same scatter and writes
-each shard's bits to its backend in local ids.
+**What serving calls.**  A :class:`ShardedBuffer` is the one buffer
+the manager serves through.  It speaks the scalar protocol
+(``insert`` / ``set_priority`` / ``demote`` and the reads, routed per
+key), eviction for space (:meth:`ShardedBuffer.evict_for`: from the
+key's own shard, victims as global ids) and ``serve_segment``, which is
+one vectorized scatter of the segment to shards
+(:meth:`ShardedBuffer.iter_shard_segments`), one backend
+``serve_segment`` call per shard's local ids, and one gather back — no
+per-key python loop.  Within a shard the original key order is
+preserved, and shards hold disjoint key sets, so that is exactly
+serving N independent buffers.  Only the manager's caching-bit applier
+reaches the backends itself: it splits a block along the same scatter
+and writes each shard's bits to its backend in local ids.
 
 **Rebalancing (live re-splitting).**  The split chosen at construction
 is not forever: :meth:`ShardedBuffer.rebalance` re-splits the capacity
@@ -139,11 +139,17 @@ preservation, occupancy ≤ new capacity, compressed-universe round-trip
 — are fuzz-pinned across 200 random op/rebalance interleavings in
 ``tests/test_rebalancing.py``.
 
-A 1-shard :class:`ShardedBuffer` is decision-for-decision identical to
-the bare backend (200-seed differential in ``tests/test_sharding.py``;
-the compression degenerates to the identity at N=1);
-``make_buffer(..., num_shards=1)`` therefore returns the bare backend
-and only ``num_shards > 1`` pays the routing layer.
+**One shard is the identity.**  With ``num_shards=1`` the router's
+offset is 0 and its stride 1, so compression maps every id to itself,
+and the buffer skips routing on every path: ``serve_segment`` returns
+the backend's own result, the scalar locate hands the key to the
+backend unchanged, and ``iter_shard_segments`` yields the whole block.
+That one branch is what lets the manager always serve through a
+:class:`ShardedBuffer`: a 1-shard buffer is decision-for-decision
+identical to the bare backend (200-seed differential in
+``tests/test_sharding.py``) at the bare backend's per-block cost.
+``make_buffer`` builds the bare backends, one per shard here, and for
+the callers that never shard.
 """
 
 from __future__ import annotations
@@ -155,7 +161,7 @@ import numpy as np
 from .buffer import make_buffer
 
 
-#: The ``shard_policy=`` names (``make_buffer`` and
+#: The ``shard_policy=`` names (``ShardedBuffer`` and
 #: ``RecMGConfig.shard_policy``).
 SHARD_POLICIES = ("contiguous", "modulo")
 
@@ -303,13 +309,13 @@ class ShardRouter:
 
     def compress_key(self, shard: int, key: int) -> int:
         key = int(key)
-        if 0 <= key < self.key_space:
+        if self.num_shards > 1 and 0 <= key < self.key_space:
             return (key - int(self._offset[shard])) // self.stride
         return key
 
     def decompress_key(self, shard: int, local: int) -> int:
         local = int(local)
-        if 0 <= local < self._count[shard]:
+        if self.num_shards > 1 and 0 <= local < self._count[shard]:
             return int(self._offset[shard]) + self.stride * local
         return local
 
@@ -364,96 +370,16 @@ def split_capacity(capacity: int, num_shards: int,
     return split.tolist()
 
 
-class CompressedShardView:
-    """One backend shard behind the global-id scalar protocol.
+class Shard:
+    """One shard's slot in :attr:`ShardedBuffer.shards`: its backend,
+    over the shard's compressed universe, in local ids.  A rebalance
+    swaps ``backend`` for the rebuilt one, so a reference to the slot
+    stays current across it."""
 
-    ``backend`` runs over the compressed universe
-    ``[0, router.shard_key_space(shard_index))``; the methods here take
-    and return global ids, translated one key at a time through the
-    router (spillover ids pass through untouched).  Bulk callers do not
-    come through a view: they take the local ids
-    :meth:`ShardedBuffer.iter_shard_segments` cuts from its one
-    whole-block compression and call ``backend`` directly.
+    __slots__ = ("backend",)
 
-    **Precondition**: keys handed to a view must route to its shard
-    (``router.route(key) == shard_index``; spillover ids included) —
-    the compression is only defined over a shard's own ids, so a
-    foreign key would silently alias a local one.
-    """
-
-    def __init__(self, backend, router: ShardRouter,
-                 shard_index: int) -> None:
+    def __init__(self, backend) -> None:
         self.backend = backend
-        self.router = router
-        self.shard_index = int(shard_index)
-        self.approximate = bool(getattr(backend, "approximate", False))
-        self.residency = getattr(backend, "residency", None)
-
-    @property
-    def capacity(self) -> int:
-        """The backend's capacity, read through — never cached.
-
-        A snapshot taken at construction went stale the moment a
-        rebalance shrank the shard (regression-tested in
-        ``tests/test_rebalancing.py``).
-        """
-        return self.backend.capacity
-
-    def rebind(self, backend) -> None:
-        """Swap in a rebuilt backend (``ShardedBuffer.rebalance`` only).
-
-        The view object itself is stable — engines may hold references
-        across a rebalance — so the residency handle is refreshed here.
-        """
-        self.backend = backend
-        self.residency = getattr(backend, "residency", None)
-
-    @property
-    def key_space(self) -> int:
-        """The backend's (compressed) dense universe size."""
-        return self.backend.key_space
-
-    # -- read protocol -------------------------------------------------
-    def __contains__(self, key: int) -> bool:
-        return self.router.compress_key(self.shard_index,
-                                        int(key)) in self.backend
-
-    def __len__(self) -> int:
-        return len(self.backend)
-
-    def keys(self) -> Iterator[int]:
-        decompress_key = self.router.decompress_key
-        for local in self.backend.keys():
-            yield decompress_key(self.shard_index, int(local))
-
-    def priority_of(self, key: int) -> int:
-        return self.backend.priority_of(
-            self.router.compress_key(self.shard_index, int(key)))
-
-    @property
-    def is_full(self) -> bool:
-        return self.backend.is_full
-
-    def per_id_nbytes(self) -> int:
-        return self.backend.per_id_nbytes()
-
-    # -- writes --------------------------------------------------------
-    def insert(self, key: int, priority: int) -> None:
-        self.backend.insert(
-            self.router.compress_key(self.shard_index, int(key)), priority)
-
-    def set_priority(self, key: int, priority: int) -> None:
-        self.backend.set_priority(
-            self.router.compress_key(self.shard_index, int(key)), priority)
-
-    def demote(self, key: int) -> None:
-        self.backend.demote(
-            self.router.compress_key(self.shard_index, int(key)))
-
-    def evict_one(self) -> int:
-        """The backend's victim, as a global id."""
-        return self.router.decompress_key(self.shard_index,
-                                          int(self.backend.evict_one()))
 
 
 class ShardRebalancer:
@@ -528,11 +454,11 @@ class ShardRebalancer:
         exact = not buf.approximate
         # Step 2: export under the old partition (ids leave global).
         exports = []
-        for index, view in enumerate(buf.shards):
+        for index, shard in enumerate(buf.shards):
             if exact:
-                local_keys, prio, seq = view.backend.export_state()
+                local_keys, prio, seq = shard.backend.export_state()
             else:
-                local_keys, prio = view.backend.export_state()
+                local_keys, prio = shard.backend.export_state()
                 seq = None
             exports.append((router.decompress(index, local_keys), prio, seq))
         # Step 3: re-draw the partition, re-route, regroup.
@@ -557,7 +483,7 @@ class ShardRebalancer:
                 grouped_prio[d].append(sub_prio)
         # Step 4: rebuild every shard over its new universe/capacity.
         evicted: List[int] = []
-        for d, view in enumerate(buf.shards):
+        for d, shard in enumerate(buf.shards):
             keys = (np.concatenate(grouped_keys[d])
                     if grouped_keys[d] else empty)
             prio = (np.concatenate(grouped_prio[d])
@@ -587,7 +513,7 @@ class ShardRebalancer:
                                   key_space=router.shard_key_space(d))
             assert backend.key_space == router.shard_key_space(d)
             self._import(backend, local, prio, exact)
-            view.rebind(backend)
+            shard.backend = backend
         buf.shard_capacities = list(new_caps)
         buf.shard_weights = (None if shard_weights is None
                              else tuple(float(w) for w in shard_weights))
@@ -613,35 +539,37 @@ class ShardedBuffer:
 
     See the module docstring for the routing/compression/capacity/
     eviction contract.  ``impl`` names any registered backend
-    (:data:`repro.cache.buffer.BUFFER_IMPLS`); every shard is built
-    over its *compressed* universe
-    (``router.shard_key_space(s)``) and wrapped in a
-    :class:`CompressedShardView`, the global-id scalar protocol;
-    ``serve_segment`` and the manager's caching-bit applier take the
-    local ids :meth:`iter_shard_segments` yields to the backends.
-    ``approximate`` is inherited from the shard backend (the rebalancer
-    migrates exact and clock state differently).
-    ``shard_weights`` (optional) splits the capacity proportionally
-    instead of uniformly (:func:`split_capacity`).
+    (:data:`repro.cache.buffer.BUFFER_IMPLS`); every shard's backend is
+    built over its *compressed* universe (``router.shard_key_space(s)``)
+    and held in :attr:`shards`.  ``approximate`` is inherited from the
+    shard backend (the rebalancer migrates exact and clock state
+    differently).  ``shard_weights`` (optional) splits the capacity
+    proportionally instead of uniformly (:func:`split_capacity`).
+
+    More than one shard needs ``key_space`` (the routers partition the
+    dense id universe); one shard takes ``None``, the empty universe,
+    as a bare backend does.
     """
 
-    def __init__(self, impl: str, capacity: int, key_space: int,
-                 num_shards: int, shard_policy: str = "contiguous",
+    def __init__(self, impl: str, capacity: int, key_space: Optional[int],
+                 num_shards: int = 1, shard_policy: str = "contiguous",
                  shard_weights: Optional[Sequence[float]] = None) -> None:
         num_shards = int(num_shards)
         if num_shards < 1:
             raise ValueError("num_shards must be >= 1")
-        if key_space is None:
+        if key_space is None and num_shards > 1:
             raise ValueError(
-                "ShardedBuffer requires key_space= (the routers partition "
-                "the dense id universe)")
+                f"num_shards={num_shards} requires key_space=; the shard "
+                f"routers partition the dense id universe [0, key_space)")
+        if shard_weights is not None and num_shards == 1:
+            raise ValueError("shard_weights requires num_shards > 1")
         if capacity < num_shards:
             raise ValueError(
                 f"capacity {capacity} cannot give every one of "
                 f"{num_shards} shards at least one slot")
         self.impl = impl
         self.capacity = int(capacity)
-        self.key_space = int(key_space)
+        self.key_space = int(key_space or 0)
         self.num_shards = num_shards
         self.shard_policy = shard_policy
         self.shard_weights = (None if shard_weights is None
@@ -649,7 +577,7 @@ class ShardedBuffer:
         self.router = make_router(shard_policy, num_shards, self.key_space)
         self.shard_capacities = split_capacity(self.capacity, num_shards,
                                                shard_weights)
-        self.shards: List[CompressedShardView] = []
+        self.shards: List[Shard] = []
         for index, shard_capacity in enumerate(self.shard_capacities):
             backend = make_buffer(impl, shard_capacity,
                                   key_space=self.router.shard_key_space(
@@ -658,18 +586,23 @@ class ShardedBuffer:
             # translation boundary is assertable (an uncompressed shard
             # here would silently cost N× the per-id memory).
             assert backend.key_space == self.router.shard_key_space(index)
-            self.shards.append(CompressedShardView(backend, self.router,
-                                                   index))
+            self.shards.append(Shard(backend))
         #: Victim order approximates/honors the per-shard contract of
         #: the underlying backend; never the cross-shard global order.
-        self.approximate = bool(getattr(self.shards[0], "approximate",
-                                        False))
+        self.approximate = bool(getattr(self.shards[0].backend,
+                                        "approximate", False))
 
     # -- routing -------------------------------------------------------
-    def shard_backend_for(self, key: int):
-        """The shard view owning ``key`` (global-key protocol) — where
-        a scalar serving loop evicts to make room for ``key``."""
-        return self.shards[self.router.route(key)]
+    def _locate(self, key: int) -> Tuple[int, object, int]:
+        """``(shard index, backend, local id)`` of ``key``: the one
+        scalar translation, route + compress — and on one shard the
+        key itself, with no arithmetic."""
+        if self.num_shards == 1:
+            return 0, self.shards[0].backend, key
+        key = int(key)
+        index = self.router.route(key)
+        return (index, self.shards[index].backend,
+                self.router.compress_key(index, key))
 
     def route_batch(self, keys: Sequence[int]) -> np.ndarray:
         """Shard index per key (the manager counts per-shard traffic
@@ -677,13 +610,14 @@ class ShardedBuffer:
         return self.router.route_batch(keys)
 
     def iter_shard_segments(self, keys: np.ndarray):
-        """Scatter ``keys`` to shards: yields ``(shard_index, view,
+        """Scatter ``keys`` to shards: yields ``(shard_index, backend,
         positions, local)`` per non-empty shard, where ``positions``
         indexes ``keys`` (ascending, so per-shard order follows the
         access stream) and ``local`` holds that shard's local ids of
         ``keys[positions]``, cut from one compression of the whole
-        block.  Bulk callers hand ``local`` to ``view.backend`` and
-        decompress what comes back (victims) through the router.
+        block.  Bulk callers hand ``local`` to ``backend`` and
+        decompress what comes back (victims) through the router.  One
+        shard yields the whole block as it is.
 
         **Per-shard bit-split contract** (the manager's caching-bit
         applier): a block of per-access caching bits is split along
@@ -695,54 +629,74 @@ class ShardedBuffer:
         per-shard dedup/apply writes exactly the state of the scalar
         sequence routed key by key."""
         arr = np.asarray(keys, dtype=np.int64)
+        if self.num_shards == 1:
+            if arr.size:
+                yield 0, self.shards[0].backend, np.arange(arr.size), arr
+            return
         shard_ids = self.router.route_batch(arr)
         local = self.router.compress(shard_ids, arr)
         for shard_index in range(self.num_shards):
             positions = np.flatnonzero(shard_ids == shard_index)
             if positions.size:
-                yield (shard_index, self.shards[shard_index], positions,
-                       local[positions])
+                yield (shard_index, self.shards[shard_index].backend,
+                       positions, local[positions])
 
     # -- read protocol -------------------------------------------------
     def __contains__(self, key: int) -> bool:
-        return int(key) in self.shard_backend_for(int(key))
+        _, backend, local = self._locate(key)
+        return local in backend
 
     def __len__(self) -> int:
-        return sum(len(shard) for shard in self.shards)
+        return sum(len(shard.backend) for shard in self.shards)
 
     def keys(self) -> Iterator[int]:
-        for shard in self.shards:
-            yield from shard.keys()
+        for index, shard in enumerate(self.shards):
+            yield from self.router.decompress(
+                index, list(shard.backend.keys())).tolist()
 
     def priority_of(self, key: int) -> int:
-        return self.shard_backend_for(int(key)).priority_of(int(key))
+        _, backend, local = self._locate(key)
+        return backend.priority_of(local)
 
     @property
     def is_full(self) -> bool:
         """True when *every* shard is full.  A single full shard
-        already refuses inserts routed to it — scalar call sites must
-        gate on the routed shard (:meth:`shard_backend_for`), not on
-        this global view."""
-        return all(shard.is_full for shard in self.shards)
+        already refuses inserts routed to it: :meth:`evict_for` makes
+        room in the routed shard."""
+        return all(shard.backend.is_full for shard in self.shards)
 
     def per_id_nbytes(self) -> int:
         """Total per-id dense-state bytes across shards — ≈ the
         single-shard footprint, *not* N× it (the point of compression;
         regression-tested in ``tests/test_sharding.py``)."""
-        return sum(shard.per_id_nbytes() for shard in self.shards)
+        return sum(shard.backend.per_id_nbytes() for shard in self.shards)
 
     # -- scalar writes (route + forward) -------------------------------
     def insert(self, key: int, priority: int) -> None:
         """Insert (or refresh) ``key`` in its shard; the caller must
-        ensure space *in that shard* (``RuntimeError`` otherwise, like
-        the single-shard backends)."""
-        self.shard_backend_for(int(key)).insert(int(key), priority)
+        ensure space *in that shard* (:meth:`evict_for`;
+        ``RuntimeError`` otherwise, like the single-shard backends)."""
+        _, backend, local = self._locate(key)
+        backend.insert(local, priority)
 
     def set_priority(self, key: int, priority: int) -> None:
-        self.shard_backend_for(int(key)).set_priority(int(key), priority)
+        _, backend, local = self._locate(key)
+        backend.set_priority(local, priority)
 
     def demote(self, key: int) -> None:
-        self.shard_backend_for(int(key)).demote(int(key))
+        _, backend, local = self._locate(key)
+        backend.demote(local)
+
+    def evict_for(self, key: int) -> List[int]:
+        """Evict from ``key``'s own shard — the one that will hold it;
+        other shards' free slots are unreachable — until it has room;
+        returns the victims, in eviction order, as global ids."""
+        index, backend, _ = self._locate(key)
+        victims = []
+        while backend.is_full:
+            victims.append(self.router.decompress_key(index,
+                                                      backend.evict_one()))
+        return victims
 
     # -- serving -------------------------------------------------------
     def serve_segment(self, segment: np.ndarray, priority: int
@@ -755,13 +709,16 @@ class ShardedBuffer:
         backend's policy.  Returns the single-buffer result shape:
         ``served == len(segment)``, the ascending miss positions in
         ``segment``, and the victims grouped per shard in shard-id
-        order."""
+        order.  One shard returns its backend's result as it is."""
+        if self.num_shards == 1:
+            return self.shards[0].backend.serve_segment(segment, priority)
         arr = np.asarray(segment, dtype=np.int64)
         misses = [np.zeros(0, dtype=np.int64)]
         victims = [np.zeros(0, dtype=np.int64)]
-        for index, view, positions, local in self.iter_shard_segments(arr):
-            _, sub_misses, sub_victims = view.backend.serve_segment(
-                local, priority)
+        for index, backend, positions, local in self.iter_shard_segments(
+                arr):
+            _, sub_misses, sub_victims = backend.serve_segment(local,
+                                                               priority)
             misses.append(positions[sub_misses])
             victims.append(self.router.decompress(index, sub_victims))
         return (int(arr.size), np.sort(np.concatenate(misses)),

@@ -60,7 +60,7 @@ class RecMGConfig:
     #: :mod:`repro.cache.buffer`.
     buffer_impl: str = "fast"
     #: Number of buffer shards the dense id universe is partitioned
-    #: across (1 = the bare backend; > 1 requires a fitted encoder so
+    #: across (1 = the identity shard; > 1 requires a fitted encoder so
     #: the manager can hand the routers a ``key_space``).  See
     #: :mod:`repro.cache.sharding`.
     num_shards: int = 1

@@ -28,20 +28,22 @@ engine, :meth:`RecMGManager._serve_demand_bulk` — one
 decision-for-decision and state-identical to the scalar audit loop
 (:meth:`~RecMGManager._serve_demand_slow`, what ``fast_serve=False``
 runs).  The 15-key model chunks of :meth:`run` do not reach the engine
-one by one on an unsharded ``"fast"`` buffer with no priority provider
-installed: one
-:meth:`~repro.cache.buffer.FastPriorityBuffer.serve_chunks` pass runs
-serve -> caching bits -> prefetches for the whole block.  Every other
-run keeps the per-chunk triple, which is that pass's oracle.
+one by one when ``config`` names one ``"fast"`` shard and no priority
+provider is installed: one
+:meth:`~repro.cache.buffer.FastPriorityBuffer.serve_chunks` pass on
+that shard's backend runs serve -> caching bits -> prefetches for the
+whole block.  Every other run keeps the per-chunk triple, which is that
+pass's oracle.
 
-``config.num_shards > 1`` (with ``config.shard_policy`` picking the
-router) partitions the dense id universe across independent shards
-(:class:`repro.cache.sharding.ShardedBuffer`), whose
+The buffer is always one :class:`repro.cache.sharding.ShardedBuffer`
+over ``config.num_shards`` independent shards (``config.shard_policy``
+picks the router), and no call site branches on its kind or its
+backend.  With one shard it is the identity; with more, its
 ``serve_segment`` routes the segment shard-wise: one vectorized
 scatter, one ``serve_segment`` call per shard's sub-segment, one
 gather of the misses and victims.  Eviction-for-space is per shard —
-the scalar paths evict from the key's routed shard
-(:meth:`RecMGManager._evict_for_space`), the one that will hold it.
+the scalar paths evict from the key's routed shard, the one that will
+hold it (``ShardedBuffer.evict_for``).
 
 Serving is one thread (scale-out is processes at the shard boundary —
 see :mod:`repro.serving`).  :meth:`RecMGManager.serve_batch` is the
@@ -70,17 +72,16 @@ The manager reaches the buffer through the paper's three writes
 ``serve_segment`` for demand blocks, the scalar ``insert`` (after
 eviction for space) for prefetches, and one caching-bit applier,
 :meth:`RecMGManager._apply_caching_bits`, shared by the offline chunk
-pass and the provider sink.  Past its scalar crossover the applier
-writes through the bulk residency/priority protocol of
-:mod:`repro.cache.buffer` (``contains_batch`` plus
-``set_priority_batch``/``demote_batch``); on a sharded buffer it splits
-the bits along ``ShardedBuffer.iter_shard_segments``' scatter and
-applies each shard's share to that shard's backend, in the local ids
-the scatter compressed once for the whole block.  The manager fits the
-encoder's dense-id universe as the buffer's ``key_space``, so the
-backends classify a whole segment with one gather
+pass and the provider sink.  It splits the bits along
+``ShardedBuffer.iter_shard_segments``' scatter and applies each shard's
+share to that shard's backend, in the local ids the scatter compressed
+once for the whole block; past its scalar crossover through the bulk
+residency/priority protocol of :mod:`repro.cache.buffer`
+(``contains_batch`` plus ``set_priority_batch``/``demote_batch``).  The
+manager fits the encoder's dense-id universe as the buffer's
+``key_space``, so the backends classify a whole segment with one gather
 (:class:`repro.cache.residency.ResidencyIndex`) instead of a per-key
-dict loop, and no call site branches on the backend.
+dict loop.
 """
 
 from __future__ import annotations
@@ -92,7 +93,7 @@ from typing import Deque, List, Optional, Set
 
 import numpy as np
 
-from ..cache.buffer import SCALAR_FALLBACK, FastPriorityBuffer, make_buffer
+from ..cache.buffer import SCALAR_FALLBACK
 from ..cache.sharding import ShardedBuffer
 from ..prefetch.base import Prefetcher
 from ..prefetch.harness import AccessBreakdown
@@ -158,20 +159,20 @@ class RecMGManager:
         # above the vocabulary and spill safely.  ``key_space="auto"``
         # (the default) fits that universe; an int pins an explicit
         # one; ``None`` (also "auto" on an unfitted encoder) gives the
-        # backend the empty universe, where every id spills.
-        # ``config.num_shards > 1`` partitions the universe across
-        # independent shards (see :mod:`repro.cache.sharding`) — it
-        # therefore requires a resolvable key_space (``make_buffer``
-        # rejects otherwise).
+        # backend the empty universe, where every id spills.  The
+        # buffer is one ShardedBuffer over ``config.num_shards`` shards
+        # (see :mod:`repro.cache.sharding`; one shard is the identity):
+        # more than one partitions the universe, so it requires a
+        # resolvable key_space (the constructor rejects otherwise).
         if key_space == "auto":
             key_space = (encoder.vocab_size
                          if getattr(encoder, "fitted", False)
                          and encoder.vocab_size > 0 else None)
-        self.buffer = make_buffer(config.buffer_impl, capacity,
-                                  key_space=key_space,
-                                  num_shards=config.num_shards,
-                                  shard_policy=config.shard_policy,
-                                  shard_weights=config.shard_weights)
+        self.buffer = ShardedBuffer(config.buffer_impl, capacity,
+                                    key_space=key_space,
+                                    num_shards=config.num_shards,
+                                    shard_policy=config.shard_policy,
+                                    shard_weights=config.shard_weights)
         #: Per-batch latency / queue-depth / batch-size telemetry;
         #: :meth:`serve_batch` records into it.
         self.serving_metrics = ServingMetrics()
@@ -190,8 +191,7 @@ class RecMGManager:
         # accumulated per served block, checked every
         # ``config.rebalance_interval`` served accesses, migration via
         # ShardedBuffer.rebalance at a block boundary.  RecMGConfig
-        # refuses a rebalance interval without ``num_shards > 1``, so a
-        # rebalancing manager's buffer is always a ShardedBuffer.
+        # refuses a rebalance interval without ``num_shards > 1``.
         self._shard_traffic = np.zeros(config.num_shards, dtype=np.float64)
         self._accesses_since_rebalance = 0
         self._prefetched: Set[int] = set()
@@ -221,15 +221,12 @@ class RecMGManager:
 
     # ------------------------------------------------------------------
     def _evict_for_space(self, key: int) -> None:
-        """Evict until there is room to insert ``key``: on a sharded
-        buffer space must come from the shard that will hold the key
-        (other shards' free slots are unreachable), so the loop targets
-        ``key``'s routed shard."""
-        buffer = (self.buffer.shard_backend_for(key)
-                  if isinstance(self.buffer, ShardedBuffer) else self.buffer)
-        while buffer.is_full:
-            self._prefetched.discard(buffer.evict_one())
-            self.evictions += 1
+        """Evict until there is room to insert ``key`` in the shard that
+        will hold it; each victim counts once and loses its prefetch
+        tag."""
+        victims = self.buffer.evict_for(key)
+        self.evictions += len(victims)
+        self._prefetched.difference_update(victims)
 
     def _demand_access(self, key: int) -> None:
         """Serve one demand access."""
@@ -258,22 +255,17 @@ class RecMGManager:
         protocol beyond), where the equivalence of its two forms is
         documented.
 
-        On a sharded buffer the bits are split along
-        ``iter_shard_segments``' scatter — the same one route and one
-        compression the engines serve through — and applied per shard
+        The bits are split along ``iter_shard_segments``' scatter —
+        the same one route and one compression the engines serve
+        through, the whole block on one shard — and applied per shard
         to its backend, in the shard's local ids (the split-identity
         argument lives on :func:`apply_caching_bits`).
         """
-        buffer = self.buffer
         speed = self.config.eviction_speed
-        if isinstance(buffer, ShardedBuffer):
-            bits = np.asarray(bits)
-            for _, view, positions, local in buffer.iter_shard_segments(
-                    keys):
-                apply_caching_bits(view.backend, local, bits[positions],
-                                   speed)
-        else:
-            apply_caching_bits(buffer, keys, bits, speed)
+        bits = np.asarray(bits)
+        for _, backend, positions, local in self.buffer.iter_shard_segments(
+                keys):
+            apply_caching_bits(backend, local, bits[positions], speed)
 
     def _sink_provider(self, segment: np.ndarray) -> None:
         """The provider sink: after a block is fully served, apply
@@ -353,8 +345,8 @@ class RecMGManager:
     def _serve_demand_bulk(self, segment: np.ndarray) -> None:
         """The bulk engine: one ``serve_segment`` call — total on every
         buffer: exact on ``reference`` and ``fast``, protected reclaim
-        on ``clock``, one call per routed sub-segment on a
-        :class:`ShardedBuffer` — and one :meth:`_fold`.  With the
+        on ``clock``, one call per routed sub-segment on more than one
+        shard — and one :meth:`_fold`.  With the
         online rebalancer on, the segment's per-shard access counts
         also fold into the traffic EWMA."""
         segment = np.asarray(segment, dtype=np.int64)
@@ -522,7 +514,7 @@ class RecMGManager:
         (:meth:`_serve_demand_slow`), its oracle: the exact backends
         are bit-identical to it, while the ``"clock"`` buffer's victim
         order (and hence hit stream) legitimately differs.  Between
-        model barriers on an unsharded ``"fast"`` buffer the chunk loop
+        model barriers on one ``"fast"`` shard the chunk loop
         (serve, caching bits, prefetches) runs as one fused buffer
         pass; everywhere else it runs chunk by chunk, and is the
         pass's oracle.
@@ -574,12 +566,14 @@ class RecMGManager:
             # setup — sinking each block when a provider is installed.
             tail = 0
         elif (fast_serve and not use_provider
-              and isinstance(self.buffer, FastPriorityBuffer)
+              and self.config.buffer_impl == "fast"
+              and self.config.num_shards == 1
               and length <= SCALAR_FALLBACK):
-            # The exact backend's scalar regime, fused: one buffer pass
-            # runs the loop below for every chunk.
+            # The exact backend's scalar regime, fused: one pass of the
+            # one shard's backend runs the loop below for every chunk.
             tail = num_chunks * length
-            missed, pf_hits, evicted, issued = self.buffer.serve_chunks(
+            backend = self.buffer.shards[0].backend
+            missed, pf_hits, evicted, issued = backend.serve_chunks(
                 dense[:tail], length, bits_all, preds_all,
                 self.config.eviction_speed,
                 self.config.max_prefetch_per_chunk, self._prefetched)

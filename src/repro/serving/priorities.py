@@ -11,9 +11,9 @@ same priority writes (:func:`apply_caching_bits`) the offline pass
 uses — Algorithm 1's ``priority[T[i]] = C[i] + eviction_speed``,
 driven from the live stream.
 
-On a sharded buffer every caching-bit write is **per shard**: the
-block's bits are split along ``ShardedBuffer.iter_shard_segments``'
-scatter and applied to each shard's backend in its local ids (see
+Every caching-bit write is **per shard**: the block's bits are split
+along ``ShardedBuffer.iter_shard_segments``' scatter (the whole block
+on one shard) and applied to each shard's backend in its local ids (see
 :meth:`RecMGManager._apply_caching_bits` and the split-identity
 argument on :func:`apply_caching_bits`).
 
@@ -104,7 +104,7 @@ def apply_caching_bits(buffer, keys: np.ndarray, bits: np.ndarray,
     have silently promoted every unpredicted key as cache-friendly
     (``-1 != 0``).
 
-    ``buffer`` is one backend.  On a sharded buffer
+    ``buffer`` is one backend.
     :meth:`RecMGManager._apply_caching_bits` splits a block along
     ``iter_shard_segments``' scatter and calls this once per shard,
     with that shard's backend and that shard's local ids.  Duplicates

@@ -5,10 +5,12 @@ per shard backend in local ids (as the manager's caching-bit applier
 splits them) and
 evictions from a key's own shard (as its eviction for space does) —
 applied the same way to a bare backend, which is its own one shard,
-and to a :class:`ShardedBuffer`.
+and to a :class:`ShardedBuffer`, whose shards are reached through
+their backends, in local ids.
 """
 
 import random
+from functools import partial
 
 import numpy as np
 
@@ -48,10 +50,22 @@ def gen_ops(rng: random.Random, count: int):
             for _ in range(count)]
 
 
+def shards_of(buffer):
+    """``(backend, to_global)`` per shard: each shard's backend and the
+    map of its local ids back to global ids.  A bare backend is its own
+    one shard, in global ids."""
+    if not isinstance(buffer, ShardedBuffer):
+        return [(buffer, int)]
+    return [(shard.backend, partial(buffer.router.decompress_key, index))
+            for index, shard in enumerate(buffer.shards)]
+
+
 def home(buffer, key):
-    """The shard that holds (or would hold) ``key``."""
-    return (buffer.shard_backend_for(key)
-            if isinstance(buffer, ShardedBuffer) else buffer)
+    """``(backend, to_global)`` of the shard that holds (or would hold)
+    ``key``."""
+    index = (buffer.router.route(key) if isinstance(buffer, ShardedBuffer)
+             else 0)
+    return shards_of(buffer)[index]
 
 
 def per_shard(buffer, keys):
@@ -60,8 +74,8 @@ def per_shard(buffer, keys):
     arr = np.asarray(keys, dtype=np.int64)
     if not isinstance(buffer, ShardedBuffer):
         return [(buffer, arr)]
-    return [(view.backend, local)
-            for _, view, _, local in buffer.iter_shard_segments(arr)]
+    return [(backend, local)
+            for _, backend, _, local in buffer.iter_shard_segments(arr)]
 
 
 def resident(buffer, keys):
@@ -69,16 +83,23 @@ def resident(buffer, keys):
     if not isinstance(buffer, ShardedBuffer):
         return buffer.contains_batch(keys)
     out = np.zeros(len(keys), dtype=bool)
-    for _, view, positions, local in buffer.iter_shard_segments(keys):
-        out[positions] = view.backend.contains_batch(local)
+    for _, backend, positions, local in buffer.iter_shard_segments(keys):
+        out[positions] = backend.contains_batch(local)
     return out
+
+
+def evict(backend, to_global, count):
+    """Up to ``count`` scalar ``evict_one`` victims of one shard, as
+    global ids."""
+    return [to_global(backend.evict_one())
+            for _ in range(min(count, len(backend)))]
 
 
 def drain(buffer):
     """Empty ``buffer`` shard by shard with scalar ``evict_one``; returns
     the victims."""
-    shards = buffer.shards if isinstance(buffer, ShardedBuffer) else [buffer]
-    return [shard.evict_one() for shard in shards for _ in range(len(shard))]
+    return [victim for backend, to_global in shards_of(buffer)
+            for victim in evict(backend, to_global, len(backend))]
 
 
 def apply_op(buffer, op):
@@ -89,7 +110,7 @@ def apply_op(buffer, op):
     if kind == "insert":
         if key in buffer:
             buffer.set_priority(key, priority)
-        elif not home(buffer, key).is_full:
+        elif not home(buffer, key)[0].is_full:
             buffer.insert(key, priority)
     elif kind == "set_priority":
         if key in buffer:
@@ -108,8 +129,7 @@ def apply_op(buffer, op):
             else:
                 target.set_priority_batch(sub, priority)
     elif kind == "evict":
-        shard = home(buffer, key)
-        return [shard.evict_one() for _ in range(min(count, len(shard)))]
+        return evict(*home(buffer, key), count)
     return None
 
 
@@ -127,15 +147,16 @@ def assert_partition_invariants(sharded: ShardedBuffer):
                           [int(key) in sharded for key in PROBE])
     seen = set()
     for index, shard in enumerate(sharded.shards):
-        keys = list(shard.keys())
-        assert len(keys) <= shard.capacity == shard.backend.capacity
+        backend = shard.backend
+        keys = sharded.router.decompress(index, list(backend.keys())).tolist()
+        assert len(keys) <= backend.capacity
         for key in keys:
             assert sharded.router.route(key) == index
             assert key not in seen  # a key lives in at most one shard
             seen.add(key)
         # The raw bitmap covers the *compressed* universe; its set bits
         # decompress exactly onto the shard's in-universe residents.
-        bitmap_ids = np.flatnonzero(shard.residency.bitmap)
+        bitmap_ids = np.flatnonzero(backend.residency.bitmap)
         decompressed = sharded.router.decompress(index, bitmap_ids)
         assert sorted(decompressed.tolist()) == sorted(
             key for key in keys if 0 <= key < sharded.key_space)

@@ -8,6 +8,11 @@ it measured and carries the rest over (by name, under ``carried_over``,
 which ``compare_bench.py`` reads — see ``tests/test_compare_bench.py``);
 a failed session writes nothing.  Each entry (``hotpath_entry``)
 carries its best time, its repeat count and its median.
+
+Only a *gated* session (``--perf-budget > 0``) reaches the writer at
+all (``pytest_sessionfinish``): a budget-0 session — tier-1 among them
+— measured under whatever load the host had and checked no floor, so
+it leaves the committed file as it is.
 """
 
 import importlib.util
@@ -15,6 +20,7 @@ import json
 import os
 import platform
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -115,3 +121,27 @@ def test_entry_records_repeats_and_median_beside_best(bench_conftest):
     once = bench_conftest.hotpath_entry(10, 0.5)
     assert once["repeats"] == 1 and once["seconds_median"] == 0.5
     json.dumps(entry)
+
+
+def _session(root, budget):
+    """The slice of a pytest session ``pytest_sessionfinish`` reads."""
+    options = {"--perf-budget": budget}
+    return SimpleNamespace(config=SimpleNamespace(
+        rootpath=root, getoption=options.__getitem__))
+
+
+def test_budget_zero_session_leaves_the_file_untouched(bench_conftest,
+                                                       tmp_path,
+                                                       monkeypatch):
+    """A passing session at ``--perf-budget 0`` that recorded entries
+    writes nothing; the same session gated at 5 merges them."""
+    path = tmp_path / "BENCH_hotpaths.json"
+    bench_conftest.flush_hotpaths(path, {"optgen": _entry(20.0)}, 0)
+    committed = path.read_bytes()
+    monkeypatch.setattr(bench_conftest, "_HOTPATH_RESULTS",
+                        {"optgen": _entry(1.1)})
+    bench_conftest.pytest_sessionfinish(_session(tmp_path, 0.0), 0)
+    assert path.read_bytes() == committed
+    bench_conftest.pytest_sessionfinish(_session(tmp_path, 5.0), 0)
+    assert json.loads(path.read_text())["hot_paths"] == {
+        "optgen": _entry(1.1)}

@@ -95,8 +95,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.cache import (ClockBuffer, FastPriorityBuffer, PriorityBuffer,
-                         buffer as buffer_module, make_buffer)
-from sharded_ops import drain, home, per_shard
+                         ShardedBuffer, buffer as buffer_module, make_buffer)
+from sharded_ops import drain, evict, home, per_shard, shards_of
 
 NUM_SEQUENCES = 200
 OPS_PER_SEQUENCE = 120
@@ -164,9 +164,9 @@ def _scalar_serve(buffer, keys, priority):
         if key in buffer:
             buffer.set_priority(key, priority)
             continue
-        shard = home(buffer, key)
-        if shard.is_full:
-            victims.append(shard.evict_one())
+        backend, to_global = home(buffer, key)
+        if backend.is_full:
+            victims.append(to_global(backend.evict_one()))
         buffer.insert(key, priority)
     return victims
 
@@ -433,8 +433,8 @@ def test_dense_victim_queue_survives_rebalance(seed, monkeypatch):
     kwargs = dict(key_space=DENSE_SPACE, num_shards=rng.choice([2, 3]),
                   shard_policy=rng.choice(["contiguous", "modulo"]))
     capacity = rng.randint(kwargs["num_shards"], 18)
-    ref = make_buffer("reference", capacity, **kwargs)
-    dense = make_buffer("fast", capacity, **kwargs)
+    ref = ShardedBuffer("reference", capacity, **kwargs)
+    dense = ShardedBuffer("fast", capacity, **kwargs)
     for _ in range(OPS_PER_SEQUENCE):
         roll = rng.random()
         batch = [rng.randrange(KEY_SPACE) for _ in range(rng.randint(1, 8))]
@@ -449,9 +449,8 @@ def test_dense_victim_queue_survives_rebalance(seed, monkeypatch):
                     target.demote_batch(sub)
         elif roll < 0.92:
             count = 1 if roll < 0.85 else rng.randint(1, 4)
-            ref_home, dense_home = home(ref, batch[0]), home(dense, batch[0])
-            for _ in range(min(count, len(ref_home))):
-                assert dense_home.evict_one() == ref_home.evict_one()
+            assert (evict(*home(dense, batch[0]), count)
+                    == evict(*home(ref, batch[0]), count))
         else:
             weights = [rng.random() + 0.1
                        for _ in range(kwargs["num_shards"])]
@@ -752,8 +751,8 @@ CLOCK_MODES = {
     "spillover": (CLOCK_IDS,
                   lambda capacity: ClockBuffer(capacity, key_space=20)),
     "views": (CLOCK_IDS,
-              lambda capacity: make_buffer("clock", 3 * capacity,
-                                           key_space=20, num_shards=3)),
+              lambda capacity: ShardedBuffer("clock", 3 * capacity,
+                                             key_space=20, num_shards=3)),
 }
 
 
@@ -824,9 +823,7 @@ CLOCK_PASSES = (_bulk_pass, _composed_pass)
 
 def _clock_backends(buffer):
     """The :class:`ClockBuffer` s of a bare clock or a sharded buffer."""
-    if hasattr(buffer, "shards"):
-        return [view.backend for view in buffer.shards]
-    return [buffer]
+    return [backend for backend, _ in shards_of(buffer)]
 
 
 def _assert_twins_agree(twins) -> None:
@@ -865,10 +862,11 @@ def _apply_clock_twins(twins, op):
         router = twins[0].router
         for routed in zip(*(twin.iter_shard_segments(block)
                             for twin in twins)):
-            index, view, positions, local = routed[0]
-            held = set(view.keys()) | set(block[positions].tolist())
+            index, backend, positions, local = routed[0]
+            stored = router.decompress(index, list(backend.keys()))
+            held = set(stored.tolist()) | set(block[positions].tolist())
             victims = router.decompress(index, _serve_clock_twins(
-                [item[1].backend for item in routed], local, value))
+                [item[1] for item in routed], local, value))
             # Victims decompress to global ids, of this very shard.
             assert set(victims.tolist()) <= held
             assert all(router.route(key) == index
@@ -952,12 +950,16 @@ APPLIER_CAPACITY = 256
 APPLIER_SPACE = 300
 APPLIER_IDS = 360
 APPLIER_BACKENDS = {
-    "reference": dict(impl="reference"),
-    "fast-dense": dict(impl="fast", key_space=APPLIER_SPACE),
+    "reference": lambda: make_buffer("reference", APPLIER_CAPACITY),
+    "fast-dense": lambda: make_buffer("fast", APPLIER_CAPACITY,
+                                      key_space=APPLIER_SPACE),
     # No universe: every id in the spillover dict.
-    "fast-dict": dict(impl="fast"),
-    "clock": dict(impl="clock", key_space=APPLIER_SPACE),
-    "shard-views": dict(impl="fast", key_space=APPLIER_SPACE, num_shards=2),
+    "fast-dict": lambda: make_buffer("fast", APPLIER_CAPACITY),
+    "clock": lambda: make_buffer("clock", APPLIER_CAPACITY,
+                                 key_space=APPLIER_SPACE),
+    "shard-views": lambda: ShardedBuffer("fast", APPLIER_CAPACITY,
+                                         key_space=APPLIER_SPACE,
+                                         num_shards=2),
 }
 
 
@@ -965,9 +967,8 @@ def _backend_states(buffer):
     """``export_state()`` of every backend under ``buffer`` as lists —
     exact backends sorted by key (their export order is unspecified),
     the clock's kept as is (hand order is its state)."""
-    backends = [view.backend for view in getattr(buffer, "shards", ())]
     states = []
-    for backend in backends or [buffer]:
+    for backend, _ in shards_of(buffer):
         columns = backend.export_state()
         order = (slice(None) if getattr(backend, "approximate", False)
                  else np.argsort(columns[0]))
@@ -997,20 +998,19 @@ def test_caching_bit_applier_forms_leave_identical_state(backend, size,
         bits = rng.integers(-1, 2, size=size).astype(np.int8)
         outcomes = []
         for crossover in (None, 10 ** 9, -1):
-            buffer = make_buffer(capacity=APPLIER_CAPACITY,
-                                 **APPLIER_BACKENDS[backend])
+            buffer = APPLIER_BACKENDS[backend]()
             for key, level in zip(resident.tolist(), levels.tolist()):
                 _scalar_serve(buffer, [key], level)  # a full shard evicts
-            for shard in getattr(buffer, "shards", [buffer]):
+            for shard, _ in shards_of(buffer):
                 for _ in range(3):  # dense fast: demotes meet a live queue
                     shard.evict_one()
             with monkeypatch.context() as patch:
                 if crossover is not None:
                     patch.setattr(priorities, "SCALAR_FALLBACK", crossover)
                 if hasattr(buffer, "iter_shard_segments"):
-                    for _, view, positions, local in \
+                    for _, shard, positions, local in \
                             buffer.iter_shard_segments(keys):
-                        priorities.apply_caching_bits(view.backend, local,
+                        priorities.apply_caching_bits(shard, local,
                                                       bits[positions], 4)
                 else:
                     priorities.apply_caching_bits(buffer, keys, bits, 4)
@@ -1076,7 +1076,8 @@ def test_exact_serving_decision_equivalence(seed):
                           scalar_manager.last_decisions)
     # Identical buffer state: same residents, priorities, and victim
     # order for a full drain.
-    b_buf, s_buf = batched_manager.buffer, scalar_manager.buffer
+    b_buf, s_buf = (manager.buffer.shards[0].backend
+                    for manager in (batched_manager, scalar_manager))
     assert sorted(b_buf.keys()) == sorted(s_buf.keys())
     for key in s_buf.keys():
         assert b_buf.priority_of(key) == s_buf.priority_of(key)
@@ -1126,8 +1127,8 @@ def test_tagged_victim_re_miss_is_one_on_demand_miss(engine):
             server._apply_caching_bits(demoted, np.zeros(3, dtype=np.int8))
             assert server._prefetched == {tagged}
             buffer = server.buffer
-        target = (buffer.shards[0].backend if engine == "sharded"
-                  else buffer)
+        target = (buffer if engine == "classifier"
+                  else buffer.shards[0].backend)
         bulk = getattr(target, "_serve_bulk", None)
         if bulk is not None:
             target._serve_bulk = (lambda seg, prio, bulk=bulk:
@@ -1212,11 +1213,11 @@ def test_short_fast_subsegments_take_the_scalar_loop():
     manager = RecMGManager(400, FeatureEncoder(config), config,
                            key_space=400)
     passes: list = []
-    for view in manager.buffer.shards:
-        bulk = view.backend._serve_bulk
-        view.backend._serve_bulk = (lambda arr, prio, bulk=bulk:
-                                    passes.append(arr.size)
-                                    or bulk(arr, prio))
+    for shard in manager.buffer.shards:
+        bulk = shard.backend._serve_bulk
+        shard.backend._serve_bulk = (lambda arr, prio, bulk=bulk:
+                                     passes.append(arr.size)
+                                     or bulk(arr, prio))
     # 60 keys per shard, then 80 keys all routed to shard 0.
     manager.serve_batch(np.concatenate((np.arange(0, 60),
                                         np.arange(200, 260))))

@@ -41,12 +41,19 @@ def _pair(head_rows, capacity, **config):
     models = _Scripted()
     managers = [RecMGManager(capacity, encoder, config, caching_model=models,
                              prefetch_model=models) for _ in range(2)]
-    assert all(manager.buffer.residency is not None for manager in managers)
+    assert all(_backend(manager).residency is not None
+               for manager in managers)
     return encoder, models, managers
 
 
+def _backend(manager):
+    """The manager's one shard backend, the buffer the fused pass runs
+    on."""
+    return manager.buffer.shards[0].backend
+
+
 def _state(manager):
-    buffer = manager.buffer
+    buffer = _backend(manager)
     breakdown = manager.breakdown
     return {
         "bitmap": buffer.residency.bitmap.tobytes(),
@@ -73,13 +80,14 @@ def _run_both(models, managers, rows, bits, preds):
     models.preds = np.asarray(preds, dtype=np.int64)
     trace = _trace(rows)
     passes = []
-    inner = type(fused.buffer).serve_chunks.__get__(fused.buffer)
-    fused.buffer.serve_chunks = lambda *args: passes.append(1) or inner(*args)
+    backend = _backend(fused)
+    inner = type(backend).serve_chunks.__get__(backend)
+    backend.serve_chunks = lambda *args: passes.append(1) or inner(*args)
     fused.run(trace, record_decisions=True)
     oracle.run(trace, fast_serve=False, record_decisions=True)
     assert passes == [1]
     assert _state(fused) == _state(oracle)
-    assert len(fused.buffer) == fused.buffer.residency.count()
+    assert len(fused.buffer) == backend.residency.count()
     return fused
 
 
@@ -113,7 +121,7 @@ def test_random_blocks_match_the_oracle(seed, capacity):
     assert conflicts > 0
     assert fused.evictions > 0 and fused.breakdown.prefetch_hits > 0
     assert 0 < fused.prefetches_useful < fused.prefetches_issued
-    assert np.any(pool[fused.buffer.contains_batch(pool)]
+    assert np.any(pool[_backend(fused).contains_batch(pool)]
                   >= encoder.vocab_size)
 
 
@@ -139,7 +147,7 @@ def test_victim_queue_drains_and_refills_inside_one_pass():
     encoder, models, managers = _pair(np.arange(40), 6)
     length = encoder.config.input_len
     refills = []
-    buffer = managers[0].buffer
+    buffer = _backend(managers[0])
     inner = buffer._refill_victims
     buffer._refill_victims = lambda: refills.append(1) or inner()
     rows = rng.integers(0, 60, size=40 * length)
@@ -164,14 +172,15 @@ def test_demotes_cross_the_queue_bound_and_the_queue_is_dropped():
                          np.full(chunks.shape, bit), chunks[:, :1])
 
     fused = serve(rng.integers(0, 60, size=10 * length), 1)
-    assert fused.evictions > 0 and fused.buffer._victims is not None
+    assert fused.evictions > 0 and _backend(fused)._victims is not None
     resident = sorted(key for key in fused.buffer.keys()
                       if key < encoder.vocab_size)[:length]
     evictions = fused.evictions
     serve(np.tile(resident, (1024 + capacity) // length + 2), 0)
-    assert fused.evictions == evictions and fused.buffer._victims is None
+    assert fused.evictions == evictions and _backend(fused)._victims is None
     serve(rng.integers(0, 60, size=10 * length), 0)
-    assert fused.evictions > evictions and fused.buffer._victims is not None
+    assert (fused.evictions > evictions
+            and _backend(fused)._victims is not None)
 
 
 def test_priorities_far_above_the_eviction_count_leave_the_queue_unbuilt():
@@ -185,7 +194,7 @@ def test_priorities_far_above_the_eviction_count_leave_the_queue_unbuilt():
     chunks = encoder.dense_ids(_trace(rows))[:12 * length].reshape(12, length)
     fused = _run_both(models, managers, rows,
                       rng.choice([-1, 1], size=chunks.shape), chunks[:, :3])
-    assert fused.evictions > 50 and fused.buffer._victims is None
+    assert fused.evictions > 50 and _backend(fused)._victims is None
 
 
 def test_replay_shape_takes_the_fused_pass(trained_recmg, tiny_trace,

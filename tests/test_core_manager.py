@@ -127,7 +127,7 @@ class TestBufferImplKnob:
 
         config = replace(trained_recmg.config, buffer_impl="clock")
         manager = RecMGManager(tiny_capacity, trained_recmg.encoder, config)
-        assert isinstance(manager.buffer, ClockBuffer)
+        assert isinstance(manager.buffer.shards[0].backend, ClockBuffer)
         with pytest.raises(ValueError):
             replace(trained_recmg.config, buffer_impl="nope")
 
@@ -233,8 +233,9 @@ class TestBufferImplKnob:
             for key in resident:
                 assert (bulk.buffer.priority_of(key)
                         == scalar.buffer.priority_of(key))
-            assert (bulk.buffer.evict_batch(len(resident))
-                    == scalar.buffer.evict_batch(len(resident)))
+            assert (bulk.buffer.shards[0].backend.evict_batch(len(resident))
+                    == scalar.buffer.shards[0].backend.evict_batch(
+                        len(resident)))
 
     def test_clock_degenerate_segment_wider_than_buffer(self, trained_recmg,
                                                         tiny_trace):

@@ -21,10 +21,10 @@ rebalance` and the manager's online driver:
   residents in canonical order (the module docstring's canonical-
   rebuild contract; the committed end-to-end counters live in
   ``tests/test_golden_backends.py``).
-* **Capacity read-through** — a :class:`CompressedShardView` once
-  snapshotted ``capacity`` at construction, so a donor shard shrunk by
-  a rebalance kept its stale larger capacity; ``capacity`` is a
-  delegating property, pinned here.
+* **Capacity read-through** — a shard view once snapshotted
+  ``capacity`` at construction, so a donor shard shrunk by a rebalance
+  kept its stale larger capacity; a shard's slot in
+  ``ShardedBuffer.shards`` holds the rebuilt backend, pinned here.
 
 The manager's online driver is checked through ``serve_batch`` here and
 end to end through ``run()`` by the committed counters of
@@ -181,8 +181,8 @@ def test_rebalanced_matches_fresh_preseeded_buffer(impl, policy, seed):
     # seqnos (rank = insertion order), the clock backend returns hand
     # order directly — either way inserting in that order reproduces
     # the post-migration packed state.
-    for index, view in enumerate(lived.shards):
-        state = view.backend.export_state()
+    for index, shard in enumerate(lived.shards):
+        state = shard.backend.export_state()
         if lived.approximate:
             local, prio = state
         else:
@@ -204,16 +204,17 @@ def test_rebalanced_matches_fresh_preseeded_buffer(impl, policy, seed):
 
 
 # ---------------------------------------------------------------------------
-# Shard views read their capacity through.
+# Shard slots read their capacity through the rebuilt backend.
 
 
 def test_view_capacity_tracks_rebalanced_backend():
     buf = ShardedBuffer("fast", 8, key_space=16, num_shards=2)
-    view = buf.shards[1]
-    assert view.capacity == 4
+    shard = buf.shards[1]
+    assert shard.backend.capacity == 4
     buf.rebalance((3.0, 1.0))
-    # The view must delegate, not replay its construction snapshot.
-    assert view.capacity == view.backend.capacity == 2
+    # The slot must hold the rebuilt backend, not its construction one.
+    assert shard is buf.shards[1]
+    assert shard.backend.capacity == 2
     assert buf.shard_capacities == [6, 2]
 
 
@@ -224,15 +225,15 @@ def test_rebalance_shrink_reports_every_victim():
     seeded = [0, 1, 2, 3, 8, 9, 10, 11]  # both shards at capacity
     for key in seeded:
         buf.insert(key, 0)
-    assert len(buf.shards[0]) == 4 and len(buf.shards[1]) == 4
+    assert [len(shard.backend) for shard in buf.shards] == [4, 4]
     stats = buf.rebalance((1.0, 3.0))
     # The shrunk donor's overflow left through evict_batch and the
     # union is preserved.
     assert stats["changed"]
     assert set(buf.keys()) | set(stats["evicted"]) == set(seeded)
     assert len(buf) + len(stats["evicted"]) == len(seeded)
-    for index, shard in enumerate(buf.shards):
-        assert len(shard) <= shard.capacity
+    for shard in buf.shards:
+        assert len(shard.backend) <= shard.backend.capacity
 
 
 # ---------------------------------------------------------------------------

@@ -4,9 +4,8 @@ Three layers of checking for :mod:`repro.cache.sharding`:
 
 * **Unit** — router totality/determinism (scalar == batch, every int64
   key maps to exactly one shard, contiguous ranges tile the universe),
-  ``make_buffer`` validation (``num_shards > 1`` without ``key_space``
-  is rejected with a clear error, mirroring the PR 4 ``key_space``
-  rejection).
+  ``ShardedBuffer`` validation (``num_shards > 1`` without
+  ``key_space`` is rejected with a clear error).
 * **Op-level differential (200-seed fuzz)** — a 1-shard
   :class:`ShardedBuffer` must be decision-for-decision identical to
   the bare backend it wraps (victims, resident sets, priorities, after
@@ -22,8 +21,9 @@ Three layers of checking for :mod:`repro.cache.sharding`:
   decision-for-decision identical to the scalar audit loop over the
   same sharded buffer for exact shards (the clock engine is
   approximate by contract: totals conserved, capacity never exceeded),
-  and a 1-shard sharded manager must reproduce the bare dense-fast
-  manager exactly.
+  a 1-shard manager must reproduce a bare dense-fast backend driven by
+  the scalar serving loop exactly, and the scalar eviction path hands
+  the manager global victim ids.
 """
 
 import random
@@ -47,10 +47,17 @@ from sharded_ops import (
     drain,
     gen_ops,
     resident,
+    shards_of,
 )
 
 NUM_SEQUENCES = 200
 OPS_PER_SEQUENCE = 90
+
+
+def _shard_keys(buffer, index):
+    """The global ids resident in shard ``index``."""
+    backend, to_global = shards_of(buffer)[index]
+    return sorted(to_global(key) for key in backend.keys())
 
 
 # ---------------------------------------------------------------------------
@@ -254,13 +261,13 @@ def test_empty_universe_routes_every_id_by_modulo(impl, policy):
     """``key_space=0``: every id is outside the universe, so it routes
     by ``key mod N`` without the in-universe rule ever running (the
     contiguous one divides by the universe size)."""
-    buf = make_buffer(impl, 8, key_space=0, num_shards=2,
-                      shard_policy=policy)
+    buf = ShardedBuffer(impl, 8, key_space=0, num_shards=2,
+                        shard_policy=policy)
     served, misses, victims = buf.serve_segment(np.array([5, 6, 7, 5]), 2)
     assert served == 4
     assert misses.tolist() == [0, 1, 2] and victims.size == 0
-    assert sorted(buf.shards[0].keys()) == [6]
-    assert sorted(buf.shards[1].keys()) == [5, 7]
+    assert _shard_keys(buf, 0) == [6]
+    assert _shard_keys(buf, 1) == [5, 7]
     assert resident(buf, np.array([5, 6, 7, 8])).tolist() == [
         True, True, True, False]
 
@@ -274,8 +281,8 @@ def test_sharded_per_id_memory_matches_single_shard(impl, policy):
     compression every shard spanned the full universe, costing 4×."""
     key_space, capacity = 4096, 512
     single = make_buffer(impl, capacity, key_space=key_space)
-    sharded = make_buffer(impl, capacity, key_space=key_space,
-                          num_shards=4, shard_policy=policy)
+    sharded = ShardedBuffer(impl, capacity, key_space=key_space,
+                            num_shards=4, shard_policy=policy)
     assert single.per_id_nbytes() > 0
     # The compressed shard universes tile the global one exactly, so
     # the summed footprint matches to the byte here (the per-shard
@@ -334,10 +341,10 @@ def test_split_capacity_weighted_validation():
 
 
 def test_make_buffer_shard_weights():
-    buf = make_buffer("clock", 20, key_space=128, num_shards=4,
-                      shard_weights=(0.85, 0.05, 0.05, 0.05))
+    buf = ShardedBuffer("clock", 20, key_space=128, num_shards=4,
+                        shard_weights=(0.85, 0.05, 0.05, 0.05))
     assert buf.shard_capacities == [17, 1, 1, 1]
-    assert [s.capacity for s in buf.shards] == [17, 1, 1, 1]
+    assert [s.backend.capacity for s in buf.shards] == [17, 1, 1, 1]
     assert buf.shard_weights == (0.85, 0.05, 0.05, 0.05)
     # Fill each shard to its weighted capacity (contiguous routing:
     # shard i owns [32*i, 32*(i+1))) — the global contract holds.
@@ -346,7 +353,7 @@ def test_make_buffer_shard_weights():
         buf.insert(key, 2)
     assert len(buf) == 20 and buf.is_full
     with pytest.raises(ValueError, match="num_shards > 1"):
-        make_buffer("clock", 8, key_space=64, shard_weights=(1.0,))
+        ShardedBuffer("clock", 8, key_space=64, shard_weights=(1.0,))
 
 
 def test_config_shard_weights_validation():
@@ -384,51 +391,57 @@ def test_manager_shard_weights_via_config():
 
 
 # ---------------------------------------------------------------------------
-# make_buffer validation (both error paths of the sharding knob).
+# ShardedBuffer validation (both error paths of the sharding knob).
 
 
 def test_make_buffer_rejects_shards_without_key_space():
     """The routers partition [0, key_space); without it there is no id
     universe to shard — must raise, not silently build one shard."""
     with pytest.raises(ValueError, match="key_space"):
-        make_buffer("clock", 8, num_shards=2)
+        ShardedBuffer("clock", 8, key_space=None, num_shards=2)
     with pytest.raises(ValueError, match="key_space"):
-        make_buffer("fast", 8, num_shards=4, shard_policy="modulo")
+        ShardedBuffer("fast", 8, key_space=None, num_shards=4,
+                      shard_policy="modulo")
 
 
 def test_make_buffer_shard_validation():
     with pytest.raises(ValueError, match="num_shards"):
-        make_buffer("clock", 8, key_space=32, num_shards=0)
+        ShardedBuffer("clock", 8, key_space=32, num_shards=0)
     with pytest.raises(ValueError, match="at least one slot"):
-        make_buffer("clock", 3, key_space=32, num_shards=4)
+        ShardedBuffer("clock", 3, key_space=32, num_shards=4)
     with pytest.raises(ValueError, match="shard_policy"):
-        make_buffer("clock", 8, key_space=32, num_shards=2,
-                    shard_policy="nope")
+        ShardedBuffer("clock", 8, key_space=32, num_shards=2,
+                      shard_policy="nope")
     with pytest.raises(ValueError, match="unknown buffer_impl"):
-        make_buffer("nope", 8, key_space=32, num_shards=2)
+        ShardedBuffer("nope", 8, key_space=32, num_shards=2)
 
 
 def test_make_buffer_one_shard_returns_bare_backend():
-    buf = make_buffer("clock", 8, key_space=32, num_shards=1)
-    assert isinstance(buf, ClockBuffer)
+    """``make_buffer`` is the backend registry; a 1-shard
+    ``ShardedBuffer`` holds one such backend over the whole universe
+    (the identity compression), and takes the empty universe too."""
+    assert isinstance(make_buffer("clock", 8, key_space=32), ClockBuffer)
     assert make_buffer("fast", 8, key_space=32).residency is not None
+    buf = ShardedBuffer("clock", 8, key_space=32)
+    assert isinstance(buf.shards[0].backend, ClockBuffer)
+    assert buf.shards[0].backend.key_space == 32
+    assert ShardedBuffer("fast", 8, key_space=None).key_space == 0
 
 
 def test_make_buffer_sharded_partitions_capacity():
-    buf = make_buffer("fast", 11, key_space=64, num_shards=4)
-    assert isinstance(buf, ShardedBuffer)
+    buf = ShardedBuffer("fast", 11, key_space=64, num_shards=4)
     assert buf.shard_capacities == [3, 3, 3, 2]  # remainder to low ids
     assert sum(buf.shard_capacities) == buf.capacity == 11
     assert all(isinstance(s.backend, FastPriorityBuffer)
                for s in buf.shards)
-    assert all(s.residency is not None for s in buf.shards)
+    assert all(s.backend.residency is not None for s in buf.shards)
     # Each backend runs over the router's compressed universe, not the
     # full [0, key_space) — this is the N×-memory fix.
     assert all(s.backend.key_space == buf.router.shard_key_space(i)
                for i, s in enumerate(buf.shards))
     assert sum(s.backend.key_space for s in buf.shards) == buf.key_space
     assert not buf.approximate
-    assert make_buffer("clock", 8, key_space=64, num_shards=2).approximate
+    assert ShardedBuffer("clock", 8, key_space=64, num_shards=2).approximate
 
 
 @pytest.mark.parametrize("impl", ["reference", "fast", "clock"])
@@ -451,23 +464,20 @@ def test_sharded_serve_segment_serves_each_shard_whole(impl):
         assert shard_ids == sorted(shard_ids)
         expected_misses, grouped = [], [[] for _ in twin.shards]
         if impl == "clock":
-            for index, view, positions, local in twin.iter_shard_segments(
-                    segment):
-                _, sub_misses, sub_victims = view.backend.serve_segment(
-                    local, 2)
+            for index, backend, positions, local in \
+                    twin.iter_shard_segments(segment):
+                _, sub_misses, sub_victims = backend.serve_segment(local, 2)
                 expected_misses += positions[sub_misses].tolist()
                 grouped[index] = twin.router.decompress(
                     index, sub_victims).tolist()
         else:
             for position, key in enumerate(segment.tolist()):
-                view = twin.shard_backend_for(key)
-                if key in view:
-                    view.set_priority(key, 2)
+                if key in twin:
+                    twin.set_priority(key, 2)
                     continue
                 expected_misses.append(position)
-                if view.is_full:
-                    grouped[twin.router.route(key)].append(view.evict_one())
-                view.insert(key, 2)
+                grouped[twin.router.route(key)] += twin.evict_for(key)
+                twin.insert(key, 2)
         assert misses.tolist() == sorted(expected_misses)
         assert victims.tolist() == [key for group in grouped
                                     for key in group]
@@ -641,26 +651,48 @@ def test_sharded_exact_serving_decision_equivalence(seed):
     assert drain(b_buf) == drain(s_buf)
 
 
+def _bare_scalar_serve(capacity, encoder, trace, speed):
+    """The independent oracle of a 1-shard manager: a bare dense
+    ``fast`` backend over the encoder's universe, driven key by key by
+    the buffer-level scalar serving loop.  Returns ``(hits, evictions,
+    backend)``."""
+    key_space = encoder.vocab_size if encoder.vocab_size > 0 else None
+    backend = FastPriorityBuffer(capacity, key_space=key_space or 0)
+    hits, evictions = [], 0
+    for key in encoder.dense_ids(trace).tolist():
+        hit = key in backend
+        hits.append(hit)
+        if hit:
+            backend.set_priority(key, speed)
+            continue
+        if backend.is_full:
+            backend.evict_one()
+            evictions += 1
+        backend.insert(key, speed)
+    return np.array(hits, dtype=bool), evictions, backend
+
+
 @pytest.mark.parametrize("seed", range(0, MANAGER_SEEDS, 2))
 def test_one_shard_manager_matches_bare_backend(seed):
-    """A 1-shard sharded manager is the bare dense-fast manager:
-    identical counters, decisions, and buffer state."""
+    """A 1-shard manager serves exactly as a bare dense-fast backend
+    driven by the scalar serving loop: identical counters, decisions,
+    residents and priorities (the façade is the identity)."""
     from repro.core.manager import RecMGManager
 
     trace, config, encoder, capacity, _, policy = _manager_setup(seed)
 
-    bare = RecMGManager(capacity, encoder,
-                        replace(config, buffer_impl="fast"))
-    bare_stats = bare.run(trace, record_decisions=True)
+    hits, evictions, bare = _bare_scalar_serve(capacity, encoder, trace,
+                                               config.eviction_speed)
     one = RecMGManager(capacity, encoder, replace(
         config, buffer_impl="fast", num_shards=1, shard_policy=policy))
     one_stats = one.run(trace, record_decisions=True)
-    # num_shards=1 never builds the wrapper: only real sharding pays
-    # the routing layer.
-    assert not isinstance(one.buffer, ShardedBuffer)
-    assert one_stats == bare_stats
-    assert np.array_equal(one.last_decisions, bare.last_decisions)
-    assert sorted(one.buffer.keys()) == sorted(bare.buffer.keys())
+    assert np.array_equal(one.last_decisions, hits)
+    assert one_stats.breakdown.cache_hits == int(hits.sum())
+    assert one_stats.breakdown.on_demand == int((~hits).sum())
+    assert one_stats.evictions == evictions
+    assert sorted(one.buffer.keys()) == sorted(bare.keys())
+    for key in bare.keys():
+        assert one.buffer.priority_of(key) == bare.priority_of(key)
 
 
 @pytest.mark.parametrize("seed", range(0, MANAGER_SEEDS, 2))
@@ -681,7 +713,7 @@ def test_sharded_clock_serving_contract(seed):
     buffer = manager.buffer
     assert len(buffer) <= capacity
     for shard in buffer.shards:
-        assert len(shard) <= shard.capacity
+        assert len(shard.backend) <= shard.backend.capacity
     seen = resident(buffer, encoder.dense_ids(trace))
     # Everything resident at the end was served from this trace.
     assert len(buffer) == len({int(k) for k in buffer.keys()})
@@ -727,9 +759,56 @@ def test_sharded_prefetch_accounting_matches_scalar(seed):
     assert batched.breakdown.total == len(trace)
 
 
+@pytest.mark.parametrize("policy, shard_keys", [
+    ("contiguous", (21, 22, 23, 24)),  # shard 2 owns [20, 30)
+    ("modulo", (6, 10, 14, 18)),       # shard 2 owns 2 mod 4
+])
+def test_prefetch_eviction_hands_the_manager_global_victim_ids(policy,
+                                                               shard_keys):
+    """A prefetch ``insert`` into full shard 2 while every other shard
+    has free slots evicts from shard 2 only, and ``evict_for`` returns
+    the victims as *global* ids: the evicted prefetched key loses its
+    tag, no tag is ever a local id (here 1-4, which are other shards'
+    global ids), and each victim counts exactly once."""
+    from repro.core import RecMGConfig
+    from repro.core.features import FeatureEncoder
+    from repro.core.manager import RecMGManager
+
+    config = RecMGConfig(eviction_speed=2, buffer_impl="fast",
+                         num_shards=4, shard_policy=policy)
+    manager = RecMGManager(8, FeatureEncoder(config), config, key_space=40)
+    buffer = manager.buffer
+    resident, tagged, first, second = shard_keys
+    local_ids = {buffer.router.compress_key(2, key) for key in shard_keys}
+    assert local_ids == {1, 2, 3, 4} and not local_ids & set(shard_keys)
+    assert {buffer.router.route(key) for key in shard_keys} == {2}
+
+    manager.serve_batch(np.array([resident]))
+    manager._apply_prefetches(np.array([tagged]))
+    manager._apply_caching_bits(np.array([tagged]), np.array([0]))
+    assert manager._prefetched == {tagged}
+    assert buffer.shards[2].backend.is_full and not buffer.is_full
+    assert [len(shard.backend) for shard in buffer.shards] == [0, 0, 2, 0]
+
+    returned = []
+    evict_for = buffer.evict_for
+    buffer.evict_for = lambda key: returned.append(evict_for(key)) or \
+        returned[-1]
+    evictions = manager.evictions
+    manager._apply_prefetches(np.array([first, second]))
+
+    # The demoted prefetched key goes first, then the oldest resident.
+    assert returned == [[tagged], [resident]]
+    assert manager.evictions - evictions == 2
+    assert manager._prefetched == {first, second}
+    assert not manager._prefetched & local_ids
+    assert sorted(buffer.keys()) == [first, second]
+    assert [len(shard.backend) for shard in buffer.shards] == [0, 0, 2, 0]
+
+
 def test_sharded_manager_requires_fitted_encoder():
     """num_shards > 1 with an unfitted encoder (no dense universe)
-    surfaces make_buffer's key_space rejection."""
+    surfaces the ShardedBuffer constructor's key_space rejection."""
     from repro.core import RecMGConfig
     from repro.core.features import FeatureEncoder
     from repro.core.manager import RecMGManager

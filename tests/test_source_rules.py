@@ -10,6 +10,12 @@ The ``nn`` substrate trains and serves in float32: no module under
 every float32 step it meets) or brings back ``float32_twin``, the
 cached float32 copy serving kept while training ran in float64.
 
+The manager and the serving layer reach the buffer through one façade,
+``ShardedBuffer`` (one shard is the identity): no module under
+``src/repro/core`` or ``src/repro/serving`` asks ``isinstance`` whether
+a buffer is a ``ShardedBuffer`` or one of the backends
+(``FastPriorityBuffer``, ``ClockBuffer``, ``PriorityBuffer``).
+
 ``repro.nn`` exports only what the library uses: every name in
 ``repro.nn.__all__`` is imported from the package by some module under
 ``src/repro`` outside ``nn/`` (a model, a loss site or a baseline).
@@ -24,18 +30,29 @@ import repro.nn
 SRC = Path(__file__).resolve().parents[1] / "src" / "repro"
 GC_USE = re.compile(r"\bimport\s+gc\b|\bfrom\s+gc\s+import\b|\bgc\.")
 NN_FLOAT64 = re.compile(r"\b(?:np|numpy)\.float64\b|float32_twin")
+#: ``isinstance(...)`` naming a buffer class anywhere in its arguments,
+#: across line breaks, at the top level or one level of parentheses down
+#: (a tuple of classes).
+BUFFER_ISINSTANCE = re.compile(
+    r"\bisinstance\s*\((?:[^()]|\([^()]*\))*?(?:\([^()]*)?"
+    r"\b(?:ShardedBuffer|FastPriorityBuffer|ClockBuffer|PriorityBuffer)\b")
 
 
 def _offenders(root: Path, pattern: re.Pattern) -> list:
+    """Every match of ``pattern`` in the sources under ``root``, as
+    ``path:line: text`` of the line the match starts on (a match may
+    span lines)."""
     sources = sorted(root.rglob("*.py"))
     assert sources, f"no library sources under {root}"
-    return [
-        f"{path.relative_to(SRC.parent)}:{number}: {line.strip()}"
-        for path in sources
-        for number, line in enumerate(
-            path.read_text(encoding="utf-8").splitlines(), start=1)
-        if pattern.search(line)
-    ]
+    found = []
+    for path in sources:
+        text = path.read_text(encoding="utf-8")
+        lines = text.splitlines()
+        for match in pattern.finditer(text):
+            number = text.count("\n", 0, match.start()) + 1
+            found.append(f"{path.relative_to(SRC.parent)}:{number}: "
+                         f"{lines[number - 1].strip()}")
+    return found
 
 
 def _dead_exports(root: Path, exports) -> list:
@@ -86,6 +103,28 @@ def test_gc_pattern_catches_each_form():
         assert GC_USE.search(line), line
     for line in ("import gcd", "logic.collect()", "self.gcount = 1"):
         assert not GC_USE.search(line), line
+
+
+def test_core_and_serving_never_test_a_buffer_class():
+    offenders = [line for package in ("core", "serving")
+                 for line in _offenders(SRC / package, BUFFER_ISINSTANCE)]
+    assert not offenders, "\n".join(offenders)
+
+
+def test_buffer_isinstance_pattern_catches_each_form():
+    for text in ("isinstance(self.buffer, ShardedBuffer)",
+                 "if isinstance(buffer, FastPriorityBuffer):",
+                 "isinstance(buf, (ClockBuffer, PriorityBuffer))",
+                 "isinstance(\n    self.buffer,\n    ShardedBuffer)",
+                 "isinstance(getattr(self, 'buffer'), ClockBuffer)",
+                 "isinstance(buf, buffer.PriorityBuffer)"):
+        assert BUFFER_ISINSTANCE.search(text), text
+    for text in ("isinstance(segment, np.ndarray)",
+                 "isinstance(x, int) and ClockBuffer",
+                 "buffer = ShardedBuffer(impl, capacity, key_space)",
+                 "isinstance(buf, MyShardedBufferLike)",
+                 "# a ClockBuffer is never tested with isinstance"):
+        assert not BUFFER_ISINSTANCE.search(text), text
 
 
 def test_nn_exports_only_what_the_library_imports():
