@@ -30,7 +30,7 @@ def drive(buffer_cls, keys, capacity):
 
 def drive_batched(keys, capacity, key_space, block=512):
     """Clock serving the way the manager does: one ``serve_segment``
-    call per block — classify off the residency bitmap, one protected
+    call per block — classify off the ``id -> slot`` vector, one protected
     sweep for the space the block's new keys need, store."""
     buffer = ClockBuffer(capacity, key_space=key_space)
     keys = np.asarray(keys, dtype=np.int64)
@@ -57,8 +57,8 @@ def test_buffer_impl(benchmark, dataset0_full, perf_budget):
     fast_s = _best_of(lambda: drive(FastPriorityBuffer, keys, capacity))
     clock_scalar_s = _best_of(lambda: drive(ClockBuffer, keys, capacity))
 
-    # Remap keys to [0, unique) so membership runs off the
-    # ResidencyIndex bitmap.
+    # Remap keys to [0, unique) so membership runs off the clock's
+    # ``id -> slot`` vector.
     dense = np.unique(keys, return_inverse=True)[1].astype(np.int64)
     key_space = int(dense.max()) + 1
     clock_dense_s = _best_of(

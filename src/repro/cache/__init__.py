@@ -28,12 +28,10 @@ from .buffer import (
     BUFFER_IMPLS,
     make_buffer,
 )
-from .residency import ResidencyIndex
 from .sharding import (
     SHARD_POLICIES,
     ShardRouter,
     ShardedBuffer,
-    make_router,
     split_capacity,
 )
 
@@ -48,8 +46,7 @@ __all__ = [
     "BRRIPReplacement", "DRRIPReplacement", "HawkeyeReplacement",
     "MockingjayReplacement", "PredictorReplacement",
     "PriorityBuffer", "FastPriorityBuffer", "ClockBuffer",
-    "BUFFER_IMPLS", "make_buffer", "ResidencyIndex",
+    "BUFFER_IMPLS", "make_buffer",
     "SHARD_POLICIES", "ShardRouter",
-    "ShardedBuffer", "make_router",
-    "split_capacity",
+    "ShardedBuffer", "split_capacity",
 ]

@@ -30,9 +30,9 @@ segment, the manager folds.
   represented implicitly: each entry stores the *age at which its
   priority reaches zero* (``expiry = age_now + priority``), so
   ``effective_priority = max(0, expiry - age_now)``.  Entries live in
-  dense ``id -> (expiry, seqno)`` vectors plus a
-  :class:`~repro.cache.residency.ResidencyIndex` bitmap (ids outside
-  the universe spill to a side dict).  The bulk protocol runs as
+  dense ``id -> (expiry, seqno)`` vectors with a membership bit per id
+  (ids outside the universe spill to a side dict, whose keys are the
+  resident spillover ids).  The bulk protocol runs as
   numpy gathers/scatters, ``evict_batch(n)`` computes the whole victim
   sequence with one vectorized selection over the resident entries
   (identical, victim for victim, to ``n`` scalar ``evict_one`` calls
@@ -68,25 +68,27 @@ segment, the manager folds.
   victim is a segment key) and stores it, in a single array pass — in
   one pass per piece of at most half the slots' worth of distinct keys
   when the segment holds more distinct keys than slots — trading exact
-  victim order for array-speed eviction.  Membership is a dense
-  ``id → slot`` vector plus a
-  :class:`repro.cache.residency.ResidencyIndex` bitmap, so that pass
-  and bulk membership run as numpy gathers and scatters with no sort
-  and no per-key dict traffic (ids outside the universe spill to a
-  side dict, preserving correctness for unseen keys).
+  victim order for array-speed eviction.  Membership is the dense
+  ``id → slot`` vector itself (``-1``: not resident), so that pass and
+  bulk membership run as numpy gathers and scatters with no sort and
+  no per-key dict traffic (ids outside the universe spill to a side
+  dict, preserving correctness for unseen keys).
 
-**Id universe.**  Every backend keeps its residency bitmap, and the
-fast and clock backends their per-id state, over the ids of
-``[0, key_space)`` — the paper treats each embedding-vector index as a
-memory address, and the manager fits that universe from the encoder's
-vocabulary.  ``key_space=0`` (the default) is the empty universe: every
-id, raw packed keys included, takes the spillover path, which is exact
-for any int64 key and differs from an in-universe id only in speed.
+**One membership record per backend.**  The fast and clock backends
+keep their per-id state over the ids of ``[0, key_space)`` — the paper
+treats each embedding-vector index as a memory address, and the
+manager fits that universe from the encoder's vocabulary — and spill
+every other id to a side dict.  ``key_space=0`` (the default) is the
+empty universe: every id, raw packed keys included, spills, which is
+exact for any int64 key and differs from an in-universe id only in
+speed.  Each backend answers membership from the state it keeps per
+entry anyway: the reference backend its entry dict, the fast and
+clock backends their per-id vectors and side dict.
 
-**Bulk residency / priority protocol.**  All backends answer
-``contains_batch(keys) -> bool[:]`` (residency of a whole segment in
-one call — a bitmap gather, spillover ids answered by a set lookup)
-and accept ``set_priority_batch(keys, priority)`` and
+**Bulk membership / priority protocol.**  All backends answer
+``contains_batch(keys) -> bool[:]`` (membership of a whole segment in
+one call — a gather over the per-id state, spillover ids answered by a
+dict lookup) and accept ``set_priority_batch(keys, priority)`` and
 ``demote_batch(keys)``: the caching-bit writes of
 ``serving.priorities.apply_caching_bits`` past its scalar crossover.
 On the exact backends the batch forms are *defined* as the scalar
@@ -111,8 +113,9 @@ A property-based test asserts trace-level equivalence of the exact
 pair, and a differential fuzz suite
 (``tests/test_buffer_differential.py``) drives all backends — each
 array-native one over a universe smaller than the fuzzed ids and over
-the empty one — through randomized op sequences, checking bulk/scalar
-residency agreement after every operation.
+the empty one — through randomized op sequences, checking after every
+operation that bulk membership, scalar membership and the resident
+keys agree.
 
 **Sharding.**  The manager serves through a
 :class:`~repro.cache.sharding.ShardedBuffer` of one or more of these
@@ -141,8 +144,6 @@ from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .residency import ResidencyIndex
-
 #: Depth of the dense ``fast`` buffer's victim queue: one O(resident)
 #: selection buys up to this many scalar evictions.
 _VICTIM_QUEUE = 1024
@@ -159,6 +160,18 @@ def _last_occurrence(arr: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
     are applied in order."""
     uniq, first_rev = np.unique(arr[::-1], return_index=True)
     return uniq, arr.size - 1 - first_rev
+
+
+def _drop_spilled(keys: np.ndarray, key_space: int,
+                   over: Dict[int, object]) -> np.ndarray:
+    """Delete the spillover ids among the resident ``keys`` from the
+    side dict ``over``; returns the in-universe rest."""
+    if not over:
+        return keys  # nothing spilled: every resident id is in range
+    inside = (keys >= 0) & (keys < key_space)
+    for key in keys[~inside].tolist():
+        del over[key]
+    return keys[inside]
 
 
 def _first_touch_mask(scratch: np.ndarray, arr: np.ndarray) -> np.ndarray:
@@ -282,11 +295,9 @@ def _exact_victim_sequence(expiry: np.ndarray, seq: np.ndarray, age: int,
 class PriorityBuffer:
     """Reference implementation of Algorithms 1–2 (O(n) eviction).
 
-    A :class:`ResidencyIndex` over ``[0, key_space)`` mirrors the entry
-    dict so ``contains_batch`` answers from the bitmap (one gather);
-    without a universe (``key_space=0``, the default) every key goes to
-    the index's spillover set.  Everything else — including the O(n)
-    audit eviction — runs off the entry dicts.
+    Everything, membership and the O(n) audit eviction included, runs
+    off the entry dicts.  ``key_space`` is only recorded: sharded
+    construction asserts it against the router's per-shard universe.
     """
 
     #: Exact Algorithm 2 semantics (victims follow the documented
@@ -296,12 +307,14 @@ class PriorityBuffer:
     def __init__(self, capacity: int, key_space: int = 0) -> None:
         if capacity < 1:
             raise ValueError("capacity must be >= 1")
+        if key_space < 0:
+            raise ValueError("key_space must be >= 0")
         self.capacity = capacity
+        self.key_space = int(key_space)
         self._priority: Dict[int, int] = {}
         self._seqno: Dict[int, int] = {}
         self._next_seq = 0
         self._min_seq = 0
-        self.residency = ResidencyIndex(key_space)
 
     def __contains__(self, key: int) -> bool:
         return key in self._priority
@@ -313,9 +326,10 @@ class PriorityBuffer:
         return iter(self._priority)
 
     def contains_batch(self, keys: Sequence[int]) -> np.ndarray:
-        """Residency of each key as a boolean array (one bitmap
-        gather)."""
-        return self.residency.contains_batch(np.asarray(keys, dtype=np.int64))
+        """Membership of each key as a boolean array."""
+        arr = np.asarray(keys, dtype=np.int64)
+        return np.fromiter(map(self._priority.__contains__, arr.tolist()),
+                           dtype=bool, count=arr.size)
 
     def priority_of(self, key: int) -> int:
         return self._priority[key]
@@ -324,18 +338,10 @@ class PriorityBuffer:
     def is_full(self) -> bool:
         return len(self._priority) >= self.capacity
 
-    @property
-    def key_space(self) -> int:
-        """Dense-id universe this backend was built over (0 without
-        one).  Sharded construction asserts this against the router's
-        per-shard universe — see the translation boundary in
-        :mod:`repro.cache.sharding`."""
-        return self.residency.key_space
-
     def per_id_nbytes(self) -> int:
-        """Bytes of state that scale with ``key_space`` (the residency
-        mirror's bitmap; the entry dicts scale with occupancy)."""
-        return self.residency.nbytes
+        """Bytes of state that scale with ``key_space``: none (the
+        entry dicts scale with occupancy)."""
+        return 0
 
     def insert(self, key: int, priority: int) -> None:
         """Insert (or refresh) ``key``; caller must ensure space."""
@@ -344,7 +350,6 @@ class PriorityBuffer:
         self._priority[key] = priority
         self._seqno[key] = self._next_seq
         self._next_seq += 1
-        self.residency.add(key)
 
     def set_priority(self, key: int, priority: int) -> None:
         """Update priority; also refreshes recency (LRU tie-breaking)."""
@@ -419,7 +424,6 @@ class PriorityBuffer:
                              seq_arr.tolist()):
             self._priority[key] = p
             self._seqno[key] = s
-            self.residency.add(key)
         if keys_arr.size:
             self._next_seq = max(self._next_seq, int(seq_arr.max()) + 1)
             self._min_seq = min(self._min_seq, int(seq_arr.min()))
@@ -440,7 +444,6 @@ class PriorityBuffer:
             self._priority[key] = max(0, self._priority[key] - 1)
         del self._priority[victim]
         del self._seqno[victim]
-        self.residency.discard(victim)
         return victim
 
     def evict_batch(self, n: int) -> List[int]:
@@ -460,10 +463,11 @@ class FastPriorityBuffer:
     ``_age`` is the count of evictions so far; an entry set to priority
     ``p`` at age ``a`` has effective priority ``max(0, (a + p) - _age)``.
     Entries live in dense ``id -> expiry`` / ``id -> seqno`` vectors
-    over ``[0, key_space)`` plus a
-    :class:`~repro.cache.residency.ResidencyIndex` bitmap; ids outside
-    the universe (every id when ``key_space=0``) spill to a side dict
-    keyed by id, holding the same ``(expiry, seqno)`` pair.
+    over ``[0, key_space)``, with one membership bool per id; ids
+    outside the universe (every id when ``key_space=0``) spill to a
+    side dict keyed by id, holding the same ``(expiry, seqno)`` pair —
+    its keys are exactly the resident spillover ids.  That is the one
+    membership record: a store sets it, an eviction clears it.
 
     Victim choice follows the same documented ``(effective_priority,
     seqno)`` total order as the reference, selected per *batch* instead
@@ -492,11 +496,12 @@ class FastPriorityBuffer:
         self._age = 0
         self._next_seq = 0
         self._min_seq = 0
-        self.residency = ResidencyIndex(key_space)
-        self._key_space = self.residency.key_space
+        self._key_space = int(key_space)
+        self._resident = np.zeros(self._key_space, dtype=bool)
         self._expiry_of = np.zeros(self._key_space, dtype=np.int64)
         self._seq_of = np.zeros(self._key_space, dtype=np.int64)
-        # Spillover ids outside the universe: id -> (expiry, seqno).
+        # Resident spillover ids outside the universe: id -> (expiry,
+        # seqno).
         self._over: Dict[int, Tuple[int, int]] = {}
         self._size = 0
         # Reusable id -> segment-position map for serve_segment's
@@ -508,26 +513,38 @@ class FastPriorityBuffer:
         self._victims: Optional[List[List[int]]] = None
 
     def __contains__(self, key: int) -> bool:
-        # Inlined ResidencyIndex.__contains__ (scalar-loop hot spot).
         if 0 <= key < self._key_space:
-            return bool(self.residency.bitmap[key])
+            return bool(self._resident[key])
         return key in self._over
 
     def __len__(self) -> int:
         return self._size
 
     def keys(self) -> Iterator[int]:
-        return self.residency.resident_keys()
+        return iter(np.flatnonzero(self._resident).tolist()
+                    + list(self._over))
 
     def contains_batch(self, keys: Sequence[int]) -> np.ndarray:
-        """Residency of each key as a boolean array (one bitmap gather;
-        spillover ids answer from the index's overflow set)."""
-        return self.residency.contains_batch(np.asarray(keys, dtype=np.int64))
+        """Membership of each key as a boolean array (one gather when
+        every key is in the universe; spillover ids answer from the
+        side dict)."""
+        arr = np.asarray(keys, dtype=np.int64)
+        if arr.size and arr.min() >= 0 and arr.max() < self._key_space:
+            return self._resident[arr]
+        in_range = (arr >= 0) & (arr < self._key_space)
+        out = np.zeros(arr.size, dtype=bool)
+        out[in_range] = self._resident[arr[in_range]]
+        if self._over:
+            spill = ~in_range
+            out[spill] = np.fromiter(
+                map(self._over.__contains__, arr[spill].tolist()),
+                dtype=bool, count=int(np.count_nonzero(spill)))
+        return out
 
     def priority_of(self, key: int) -> int:
         key = int(key)
         if 0 <= key < self._key_space:
-            if not self.residency.bitmap[key]:
+            if not self._resident[key]:
                 raise KeyError(key)
             return max(0, int(self._expiry_of[key]) - self._age)
         expiry, _ = self._over[key]
@@ -546,10 +563,10 @@ class FastPriorityBuffer:
         return self._key_space
 
     def per_id_nbytes(self) -> int:
-        """Bytes of state that scale with ``key_space``: the expiry/
-        seqno/scratch vectors plus the residency bitmap."""
-        return int(self._expiry_of.nbytes + self._seq_of.nbytes
-                   + self._scratch_pos.nbytes) + self.residency.nbytes
+        """Bytes of state that scale with ``key_space``: the
+        membership, expiry, seqno and scratch vectors."""
+        return int(self._resident.nbytes + self._expiry_of.nbytes
+                   + self._seq_of.nbytes + self._scratch_pos.nbytes)
 
     def insert(self, key: int, priority: int) -> None:
         if key in self:
@@ -557,10 +574,8 @@ class FastPriorityBuffer:
             return
         if self.is_full:
             raise RuntimeError("buffer full; evict first")
-        key = int(key)
-        self._store(key, priority, self._next_seq)
+        self._store(int(key), priority, self._next_seq)
         self._next_seq += 1
-        self.residency.add(key)
         self._size += 1
 
     def set_priority(self, key: int, priority: int) -> None:
@@ -574,7 +589,7 @@ class FastPriorityBuffer:
                                   ) -> Tuple[np.ndarray, np.ndarray]:
         """:func:`_last_occurrence` of a batch whose keys must all be
         resident (``KeyError`` before anything is mutated otherwise)."""
-        resident = self.residency.contains_batch(arr)
+        resident = self.contains_batch(arr)
         if not resident.all():
             raise KeyError(int(arr[~resident][0]))
         return _last_occurrence(arr)
@@ -616,27 +631,30 @@ class FastPriorityBuffer:
             self._push_demoted(arr.tolist(), base - 1)
 
     def _store(self, key: int, priority: int, seq: int) -> None:
-        """Write one entry's (expiry, seqno); membership bookkeeping
-        (residency bit, ``_size``) is the caller's job."""
+        """Write one resident entry: (expiry, seqno) and membership
+        (``_size`` is the caller's job)."""
         expiry = self._age + priority
         if 0 <= key < self._key_space:
+            self._resident[key] = True
             self._expiry_of[key] = expiry
             self._seq_of[key] = seq
         else:
             self._over[key] = (expiry, seq)
 
     def _store_batch(self, keys: np.ndarray, expiry, seq) -> None:
-        """Write the distinct ``keys``' absolute ``expiry`` and ``seq``
-        (arrays aligned with them, or scalars): one scatter per vector,
-        spillover ids into the side dict.  Membership bookkeeping is
-        the caller's job, as for :meth:`_store`."""
+        """Write the distinct ``keys`` as resident entries with absolute
+        ``expiry`` and ``seq`` (arrays aligned with them, or scalars):
+        one scatter per vector, spillover ids into the side dict
+        (``_size`` is the caller's job, as for :meth:`_store`)."""
         if keys.size and keys.min() >= 0 and keys.max() < self._key_space:
+            self._resident[keys] = True
             self._expiry_of[keys] = expiry
             self._seq_of[keys] = seq
             return
         in_range = (keys >= 0) & (keys < self._key_space)
         expiry = np.broadcast_to(expiry, keys.shape)
         seq = np.broadcast_to(seq, keys.shape)
+        self._resident[keys[in_range]] = True
         self._expiry_of[keys[in_range]] = expiry[in_range]
         self._seq_of[keys[in_range]] = seq[in_range]
         spill = ~in_range
@@ -648,7 +666,7 @@ class FastPriorityBuffer:
         """All resident entries as (keys, expiry, seqno) arrays —
         the candidate pool for victim selection (in-universe ids
         ascending, then the spillover ids)."""
-        ids = np.flatnonzero(self.residency.bitmap)
+        ids = np.flatnonzero(self._resident)
         expiry = self._expiry_of[ids]
         seq = self._seq_of[ids]
         if self._over:
@@ -692,7 +710,6 @@ class FastPriorityBuffer:
         if keys_arr.size == 0:
             return
         self._store_batch(keys_arr, self._age + prio_arr, seq_arr)
-        self.residency.add_batch(keys_arr)
         self._size = int(keys_arr.size)
         # Imported seqnos are arbitrary: stale records could match.
         self._victims = None
@@ -700,15 +717,10 @@ class FastPriorityBuffer:
         self._min_seq = min(self._min_seq, int(seq_arr.min()))
 
     def _remove_victims(self, victims: np.ndarray, count: int) -> None:
-        """Drop ``victims`` (residency + spillover entries) and apply
-        the ``count`` aging steps their evictions carry."""
-        self.residency.discard_batch(victims)
-        if self._over:
-            over = self._over
-            key_space = self._key_space
-            for key in victims.tolist():
-                if not 0 <= key < key_space:
-                    del over[key]
+        """Drop ``victims`` and apply the ``count`` aging steps their
+        evictions carry."""
+        self._resident[_drop_spilled(victims, self._key_space,
+                                     self._over)] = False
         self._size -= count
         self._age += count
 
@@ -738,7 +750,7 @@ class FastPriorityBuffer:
         and every resident entry without a valid record has a seqno
         above every record's.  Every operation keeps them: a store
         draws a fresh seqno above all others (the key's old record
-        goes stale), an eviction clears the residency bit, aging only
+        goes stale), an eviction clears the membership, aging only
         ripens live entries — which hold no record — and a demote
         draws a seqno *below* all others, so its record goes on top
         (:meth:`_push_demoted`).  Stale records are skipped as they
@@ -746,7 +758,7 @@ class FastPriorityBuffer:
         """
         if not self._size:
             raise RuntimeError("cannot evict from an empty buffer")
-        bitmap = self.residency.bitmap
+        resident = self._resident
         seq_of = self._seq_of
         over = self._over
         key_space = self._key_space
@@ -757,12 +769,14 @@ class FastPriorityBuffer:
                     break
             victim, seq = self._victims.pop()
             if 0 <= victim < key_space:
-                if bitmap[victim] and seq_of[victim] == seq:
+                if resident[victim] and seq_of[victim] == seq:
                     break
             elif victim in over and over[victim][1] == seq:
                 break
-        self.residency.discard(victim)
-        over.pop(victim, None)
+        if 0 <= victim < key_space:
+            resident[victim] = False
+        else:
+            del over[victim]
         self._size -= 1
         self._age += 1
         return victim
@@ -837,8 +851,7 @@ class FastPriorityBuffer:
         keys = np.asarray(dense, dtype=np.int64).tolist()
         bits = None if bits_all is None else np.asarray(bits_all).tolist()
         preds = None if preds_all is None else np.asarray(preds_all).tolist()
-        bitmap = self.residency.bitmap
-        overflow = self.residency._overflow
+        resident = self._resident
         expiry_of, seq_of, over = self._expiry_of, self._seq_of, self._over
         key_space = self._key_space
         capacity = self.capacity
@@ -857,12 +870,11 @@ class FastPriorityBuffer:
                 if self._victims:
                     victim, seq = self._victims.pop()
                     if 0 <= victim < key_space:
-                        if bitmap[victim] and seq_of[victim] == seq:
-                            bitmap[victim] = False
+                        if resident[victim] and seq_of[victim] == seq:
+                            resident[victim] = False
                         else:
                             victim = None
                     elif victim in over and over[victim][1] == seq:
-                        overflow.discard(victim)
                         del over[victim]
                     else:
                         victim = None
@@ -878,11 +890,10 @@ class FastPriorityBuffer:
             else:
                 size += 1
             if in_range:
-                bitmap[key] = True
+                resident[key] = True
                 expiry_of[key] = age + speed
                 seq_of[key] = next_seq
             else:
-                overflow.add(key)
                 over[key] = (age + speed, next_seq)
             next_seq += 1
 
@@ -892,7 +903,7 @@ class FastPriorityBuffer:
                 chunk = keys[start:start + length]
                 for position, key in enumerate(chunk, start):
                     in_range = 0 <= key < key_space
-                    if bitmap[key] if in_range else key in over:
+                    if resident[key] if in_range else key in over:
                         if key in prefetched:
                             prefetched.discard(key)
                             prefetch_hits += 1
@@ -913,7 +924,7 @@ class FastPriorityBuffer:
                             last[key] = bit
                     for key, bit in last.items():
                         in_range = 0 <= key < key_space
-                        if not (bitmap[key] if in_range else key in over):
+                        if not (resident[key] if in_range else key in over):
                             continue
                         if bit:
                             expiry, seq = age + speed + 1, next_seq
@@ -939,7 +950,7 @@ class FastPriorityBuffer:
                         if room <= 0:
                             break
                         in_range = 0 <= key < key_space
-                        if bitmap[key] if in_range else key in over:
+                        if resident[key] if in_range else key in over:
                             continue
                         room -= 1
                         issued += 1
@@ -998,7 +1009,7 @@ class FastPriorityBuffer:
 
     def _serve_bulk(self, arr: np.ndarray, priority: int
                     ) -> Tuple[int, np.ndarray, np.ndarray]:
-        """The bulk pass under :meth:`serve_segment`: one residency
+        """The bulk pass under :meth:`serve_segment`: one membership
         gather, one victim selection over the priority-zero pool —
         iterated to a fixed point when victims re-miss later in the
         segment — and one bulk store.  Returns the
@@ -1059,10 +1070,10 @@ class FastPriorityBuffer:
             first_mask = _first_touch_mask(self._scratch_pos, arr)
             first_idx = np.flatnonzero(first_mask)
             uniq = arr[first_idx]
-            res_u = self.residency.bitmap[uniq]
+            res_u = self._resident[uniq]
         else:
             uniq, first_idx = np.unique(arr, return_index=True)
-            res_u = self.residency.contains_batch(uniq)
+            res_u = self.contains_batch(uniq)
         if int(uniq.size) > capacity:
             # Wider than the buffer: trim to the longest prefix whose
             # distinct keys fit, so bulk serving still covers everything
@@ -1217,7 +1228,6 @@ class FastPriorityBuffer:
             expiry_vals = np.full(uniq.size, age0 + int(priority),
                                   dtype=np.int64)
         self._store_batch(uniq, expiry_vals, seq_vals)
-        self.residency.add_batch(uniq)
         self._size += int(misses.size)
         self._next_seq = base + length
         return length, misses, victims
@@ -1232,16 +1242,16 @@ class ClockBuffer:
     priority (the multi-bit analogue of CLOCK's reference bit),
     ``demote`` zeroes it.
 
-    Membership is a dense ``id → slot`` int vector over
-    ``[0, key_space)`` plus a
-    :class:`~repro.cache.residency.ResidencyIndex` bitmap maintained
-    incrementally on every insert/eviction: ``contains_batch`` is a
-    bitmap gather, ``set_priority_batch`` a pure numpy scatter, and
-    the sweep clears victims in bulk — no per-key dict traffic anywhere
-    on the serving hot path.  Ids outside the
-    universe (the manager's unseen-key ids above the vocabulary; every
-    id when ``key_space=0``) spill to a side dict, with identical
-    behavior (fuzz-checked in ``tests/test_buffer_differential.py``).
+    Membership is the dense ``id → slot`` int vector over
+    ``[0, key_space)`` (``-1``: not resident), the one membership
+    record, written on every insert/eviction: ``contains_batch`` is a
+    slot gather, ``set_priority_batch`` a pure numpy scatter, and the
+    sweep clears victims in bulk — no per-key dict traffic anywhere on
+    the serving hot path.  Ids outside the universe (the manager's
+    unseen-key ids above the vocabulary; every id when
+    ``key_space=0``) spill to an ``id → slot`` side dict, with
+    identical behavior (fuzz-checked in
+    ``tests/test_buffer_differential.py``).
 
     The batched sweep is the point of the backend
     (:meth:`serve_segment`'s protected reclaim, :meth:`evict_batch`):
@@ -1279,50 +1289,19 @@ class ClockBuffer:
         self._free_slots = np.arange(capacity - 1, -1, -1, dtype=np.int64)
         self._free_top = capacity
         self._hand = 0
-        self.residency = ResidencyIndex(key_space)
-        self._key_space = self.residency.key_space
+        self._key_space = int(key_space)
         self._slot_of = np.full(self._key_space, -1, dtype=np.int64)
-        # Spillover ids outside the universe: id -> slot.
+        # Resident spillover ids outside the universe: id -> slot.
         self._slot_over: Dict[int, int] = {}
         # id -> segment position map of :func:`_first_touch_mask`.
         self._scratch = np.empty(self._key_space, dtype=np.int32)
 
-    # -- membership bookkeeping ----------------------------------------
     def _slot_for(self, key: int) -> int:
         """Slot of ``key``, or -1 when not resident."""
         if 0 <= key < self._key_space:
             return int(self._slot_of[key])
         return self._slot_over.get(key, -1)
 
-    def _map_add(self, key: int, slot: int) -> None:
-        if 0 <= key < self._key_space:
-            self._slot_of[key] = slot
-        else:
-            self._slot_over[key] = slot
-        self.residency.add(key)
-
-    def _map_discard_batch(self, victim_keys: np.ndarray) -> None:
-        if not self._slot_over:
-            # Nothing spilled: every resident id fits the bitmap.
-            self._slot_of[victim_keys] = -1
-            self.residency.bitmap[victim_keys] = False
-            return
-        if self._key_space:
-            in_range = ((victim_keys >= 0)
-                        & (victim_keys < self._key_space))
-            inside = victim_keys[in_range]
-            self._slot_of[inside] = -1
-            self.residency.bitmap[inside] = False
-            victim_keys = victim_keys[~in_range]
-        # Spillover victims skip the index's array masks: on the scalar
-        # path they come one at a time, where masks cost more than sets.
-        spill = victim_keys.tolist()
-        over = self._slot_over
-        for key in spill:
-            del over[key]
-        self.residency._overflow.difference_update(spill)
-
-    # ------------------------------------------------------------------
     def __contains__(self, key: int) -> bool:
         return self._slot_for(int(key)) >= 0
 
@@ -1333,9 +1312,9 @@ class ClockBuffer:
         return iter(self._key[self._valid].tolist())
 
     def contains_batch(self, keys: Sequence[int]) -> np.ndarray:
-        """Residency of each key as a boolean array (one bitmap gather;
-        spillover ids answer from the index's overflow set)."""
-        return self.residency.contains_batch(np.asarray(keys, dtype=np.int64))
+        """Membership of each key as a boolean array (one slot gather,
+        :meth:`_locate`)."""
+        return self._locate(np.asarray(keys, dtype=np.int64))[0] >= 0
 
     def priority_of(self, key: int) -> int:
         slot = self._slot_for(int(key))
@@ -1357,10 +1336,9 @@ class ClockBuffer:
 
     def per_id_nbytes(self) -> int:
         """Bytes of state that scale with ``key_space``: the id→slot
-        and scratch vectors plus the residency bitmap (the slot arrays
-        scale with capacity, not the universe)."""
-        return (int(self._slot_of.nbytes + self._scratch.nbytes)
-                + self.residency.nbytes)
+        and scratch vectors (the slot arrays scale with capacity, not
+        the universe)."""
+        return int(self._slot_of.nbytes + self._scratch.nbytes)
 
     def insert(self, key: int, priority: int) -> None:
         """Insert (or refresh) ``key``; caller must ensure space.
@@ -1378,7 +1356,10 @@ class ClockBuffer:
             raise RuntimeError("buffer full; evict first")
         self._free_top -= 1
         slot = int(self._free_slots[self._free_top])
-        self._map_add(key, slot)
+        if 0 <= key < self._key_space:
+            self._slot_of[key] = slot
+        else:
+            self._slot_over[key] = slot
         self._key[slot] = key
         self._prio[slot] = max(0, priority)
         self._valid[slot] = True
@@ -1414,15 +1395,15 @@ class ClockBuffer:
 
     # -- bulk classify / store (serve_segment's steps) -----------------
     def _locate(self, arr: np.ndarray) -> Tuple[np.ndarray, bool]:
-        """Slot of every key of the non-empty ``arr`` (-1 = not
-        resident) and whether the segment is *dense* — every id inside
+        """Slot of every key of ``arr`` (-1 = not resident) and whether
+        the non-empty segment is *dense* — every id inside
         ``[0, key_space)``, the one range check that keeps negative ids
         (which a bare gather would wrap) and spillover ids off the
         dense vectors.  Dense segments take the gather/scatter forms
         below; spillover segments take the slow forms of the same
         steps (here: the in-range gather plus one side-dict lookup per
         spillover id)."""
-        if arr.min() >= 0 and arr.max() < self._key_space:
+        if arr.size and arr.min() >= 0 and arr.max() < self._key_space:
             return self._slot_of[arr], True
         in_range = (arr >= 0) & (arr < self._key_space)
         slots = np.full(arr.size, -1, dtype=np.int64)
@@ -1456,14 +1437,12 @@ class ClockBuffer:
         new_slots = self._free_slots[self._free_top:top][::-1]
         if dense:
             self._slot_of[new_keys] = new_slots
-            self.residency.bitmap[new_keys] = True
         else:
             in_range = (new_keys >= 0) & (new_keys < self._key_space)
             self._slot_of[new_keys[in_range]] = new_slots[in_range]
             spill = ~in_range
             self._slot_over.update(zip(new_keys[spill].tolist(),
                                        new_slots[spill].tolist()))
-            self.residency.add_batch(new_keys)
         self._key[new_slots] = new_keys
         self._prio[new_slots] = priority
         self._valid[new_slots] = True
@@ -1619,7 +1598,8 @@ class ClockBuffer:
                 valid[take] = False
                 if eligible is not valid:
                     eligible[take] = False
-                self._map_discard_batch(victim_keys)
+                self._slot_of[_drop_spilled(victim_keys, self._key_space,
+                                            self._slot_over)] = -1
                 top = self._free_top
                 self._free_top = top + take.size
                 self._free_slots[top:self._free_top] = take
@@ -1660,9 +1640,9 @@ def make_buffer(impl: str, capacity: int,
     """Instantiate a buffer backend by registry name.
 
     ``key_space`` (dense-id universe size) is forwarded to every
-    backend — a :class:`~repro.cache.residency.ResidencyIndex` bitmap
-    behind ``contains_batch`` everywhere, plus array-native entries on
-    the clock and fast backends; ``None`` is the empty universe.
+    backend — the universe of the array-native per-id state on the
+    clock and fast backends, recorded only on the reference one;
+    ``None`` is the empty universe.
     Sharding is :class:`~repro.cache.sharding.ShardedBuffer`'s, which
     builds one backend per shard here.
     """

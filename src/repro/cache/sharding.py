@@ -8,8 +8,8 @@ that layer on top of the single-shard backends in
 :mod:`repro.cache.buffer`.
 
 **Routing contract.**  A :class:`ShardedBuffer` is constructed over a
-dense id universe ``[0, key_space)`` (the same universe the
-:class:`~repro.cache.residency.ResidencyIndex` bitmaps cover) and a
+dense id universe ``[0, key_space)`` (the universe the backends keep
+their per-id state and membership record over) and a
 :class:`ShardRouter` under one of :data:`SHARD_POLICIES`:
 
 * ``"contiguous"`` — shard ``s`` owns the contiguous id range
@@ -42,7 +42,7 @@ backend is built over the *compressed* per-shard universe
 owns the in-universe ids ``offset[s] + stride * j`` for ``j <
 count[s]`` (contiguous: stride 1, offset the range start; modulo:
 stride N, offset ``s``), and its backend stores ``j``.  So per-id
-backend state (slot vectors, expiry/seqno vectors, residency bitmaps)
+backend state (slot vectors, expiry/seqno vectors, membership bits)
 costs the same total memory as a single-shard buffer instead of N×
 it.  Ids are translated once per block, at the scatter:
 
@@ -192,6 +192,10 @@ class ShardRouter:
     """
 
     def __init__(self, policy: str, num_shards: int, key_space: int) -> None:
+        if policy not in SHARD_POLICIES:
+            raise ValueError(
+                f"unknown shard_policy {policy!r}; choose from "
+                f"{sorted(SHARD_POLICIES)}")
         self.name = policy
         self.num_shards = int(num_shards)
         self.key_space = int(key_space)
@@ -276,8 +280,8 @@ class ShardRouter:
     # -- compression (exact bijection onto the local universe) ---------
     def shard_key_space(self, shard: int) -> int:
         """Size of ``shard``'s compressed universe (>= 1 even for a
-        shard that owns no id, so the dense backends always have a
-        bitmap)."""
+        shard that owns no id, so the dense backends always have
+        per-id vectors)."""
         return max(1, int(self._count[shard]))
 
     def compress(self, shard, keys: Sequence[int]) -> np.ndarray:
@@ -318,16 +322,6 @@ class ShardRouter:
         if self.num_shards > 1 and 0 <= local < self._count[shard]:
             return int(self._offset[shard]) + self.stride * local
         return local
-
-
-def make_router(shard_policy: str, num_shards: int,
-                key_space: int) -> ShardRouter:
-    """Build a shard router by policy name."""
-    if shard_policy not in SHARD_POLICIES:
-        raise ValueError(
-            f"unknown shard_policy {shard_policy!r}; choose from "
-            f"{sorted(SHARD_POLICIES)}")
-    return ShardRouter(shard_policy, num_shards, key_space)
 
 
 def split_capacity(capacity: int, num_shards: int,
@@ -574,7 +568,7 @@ class ShardedBuffer:
         self.shard_policy = shard_policy
         self.shard_weights = (None if shard_weights is None
                               else tuple(float(w) for w in shard_weights))
-        self.router = make_router(shard_policy, num_shards, self.key_space)
+        self.router = ShardRouter(shard_policy, num_shards, self.key_space)
         self.shard_capacities = split_capacity(self.capacity, num_shards,
                                                shard_weights)
         self.shards: List[Shard] = []

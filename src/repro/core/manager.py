@@ -76,12 +76,12 @@ pass and the provider sink.  It splits the bits along
 ``ShardedBuffer.iter_shard_segments``' scatter and applies each shard's
 share to that shard's backend, in the local ids the scatter compressed
 once for the whole block; past its scalar crossover through the bulk
-residency/priority protocol of :mod:`repro.cache.buffer`
+membership/priority protocol of :mod:`repro.cache.buffer`
 (``contains_batch`` plus ``set_priority_batch``/``demote_batch``).  The
 manager fits the encoder's dense-id universe as the buffer's
 ``key_space``, so the backends classify a whole segment with one gather
-(:class:`repro.cache.residency.ResidencyIndex`) instead of a per-key
-dict loop.
+over the per-id membership record each keeps instead of a per-key dict
+loop.
 """
 
 from __future__ import annotations

@@ -30,10 +30,6 @@ class TrainResult:
     num_parameters: int
     final_metric: float  # accuracy (caching) or correctness (prefetch)
 
-    @property
-    def final_loss(self) -> float:
-        return self.losses[-1] if self.losses else float("nan")
-
 
 def _train_split(n: int, holdout: float, rng: np.random.Generator
                  ) -> Tuple[np.ndarray, np.ndarray]:

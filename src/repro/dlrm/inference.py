@@ -72,7 +72,7 @@ class AccessClassifier(Protocol):
 
     Classifiers may additionally expose ``access_batch(keys, pcs) ->
     bool[:]`` — :class:`InferenceEngine` then classifies each serving
-    batch with one call (residency-bitmap gathers on the clock-backed
+    batch with one call (``id -> slot`` gathers on the clock-backed
     classifiers) instead of a per-access loop.
     """
 
@@ -143,10 +143,10 @@ class BufferClassifier:
     inference engine a buffer-managed baseline between plain
     :class:`~repro.cache.lru.LRUCache` and a fully trained RecMG
     manager.  With ``buffer_impl="clock"`` this is the cheapest serving
-    configuration: array-backed residency with second-chance eviction;
+    configuration: array-backed slots with second-chance eviction;
     pass ``key_space`` (dense key universe) and membership runs off the
-    residency bitmap — without it (raw packed keys) every key takes the
-    spillover path, with identical decisions.
+    backend's ``id -> slot`` vector — without it (raw packed keys) every
+    key takes the spillover dict, with identical decisions.
 
     :meth:`access_batch` serves a whole engine batch with one
     ``serve_segment`` call, total on every buffer: bit-identical to

@@ -75,7 +75,7 @@ class LRUBufferWithPrefetch:
     capacity for prefetcher metadata (the paper notes Domino "consumes
     excessive GPU buffer capacity for metadata recording").
 
-    ``buffer_impl`` selects the residency backend: ``"ordered"`` (the
+    ``buffer_impl`` selects the buffer backend: ``"ordered"`` (the
     default) keeps the OrderedDict LRU; ``"reference"``/``"fast"`` run
     the same *exact* LRU on a priority-buffer backend (constant
     priority 0, so the victim is always the oldest-touched entry —
@@ -83,9 +83,8 @@ class LRUBufferWithPrefetch:
     second-chance CLOCK approximation of LRU (insert and re-reference
     at priority 1) on the array-backed buffer.  ``key_space`` (when the
     keys are dense, e.g. after ``remap_to_dense``) is the id universe
-    every backend indexes its residency by — a
-    :class:`~repro.cache.residency.ResidencyIndex` bitmap instead of
-    the spillover path, with identical behavior.
+    the backend keeps its per-id membership over — one gather instead
+    of the spillover dict, with identical behavior.
     """
 
     def __init__(self, capacity: int, prefetcher: Optional[Prefetcher] = None,
@@ -100,7 +99,7 @@ class LRUBufferWithPrefetch:
         self.prefetcher = prefetcher
         self.max_prefetches_per_access = max_prefetches_per_access
         self.buffer_impl = buffer_impl
-        # Exactly one residency state exists: the OrderedDict (key ->
+        # Exactly one membership state exists: the OrderedDict (key ->
         # prefetched?) for the classic path, or a priority-buffer
         # backend plus a prefetch-tag set.
         if buffer_impl == "ordered":
@@ -207,7 +206,7 @@ def run_breakdown(trace: Trace, capacity: int,
     breakdown in closed form from vectorized reuse distances (see module
     docstring) — bit-identical to the simulation loop, which
     ``engine="reference"`` forces.  ``buffer_impl`` selects the
-    residency backend (see :class:`LRUBufferWithPrefetch`); the
+    buffer backend (see :class:`LRUBufferWithPrefetch`); the
     closed-form path only models the exact-LRU backends (``"ordered"``,
     ``"reference"``, ``"fast"``), so the approximate ``"clock"`` backend
     always simulates.
@@ -231,8 +230,8 @@ def run_breakdown(trace: Trace, capacity: int,
                                on_demand=len(keys) - hits)
     tables = trace.table_ids
     # Dense-remapped keys span exactly [0, num_unique): hand the dense
-    # universe to the backend so residency runs off its bitmap instead
-    # of the spillover path.
+    # universe to the backend so membership runs off its per-id vector
+    # instead of the spillover dict.
     key_space = (int(keys.max()) + 1
                  if use_dense_keys and len(keys) else None)
     buffer = LRUBufferWithPrefetch(capacity, prefetcher=prefetcher,

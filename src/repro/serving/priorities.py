@@ -90,7 +90,7 @@ def apply_caching_bits(buffer, keys: np.ndarray, bits: np.ndarray,
     backend — run exactly that loop (``run()``'s model chunks too,
     wherever they are served chunk by chunk; ``run()``'s fused pass
     writes the same state inside ``FastPriorityBuffer.serve_chunks``);
-    longer ones its vectorized form, one ``contains_batch`` residency
+    longer ones its vectorized form, one ``contains_batch`` membership
     gather classifying the block and the classes landing via
     ``set_priority_batch`` / ``demote_batch``: the same state on every
     backend.  The crossover holds for the applier too (dense ``fast``

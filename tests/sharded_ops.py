@@ -138,8 +138,8 @@ def assert_partition_invariants(sharded: ShardedBuffer):
     drawn now): every key routes to exactly one shard, the per-shard
     resident sets are pairwise disjoint and within their shard's
     capacity, their union is scalar membership, and each shard's
-    compressed residency bitmap decompresses exactly onto the global
-    ids it owns."""
+    membership over its compressed universe decompresses exactly onto
+    the global ids it owns."""
     # The probe is scattered first (``resident``): a shard's local ids
     # only speak for keys that route to it (the per-shard bijections
     # alias foreign keys by design).
@@ -154,10 +154,12 @@ def assert_partition_invariants(sharded: ShardedBuffer):
             assert sharded.router.route(key) == index
             assert key not in seen  # a key lives in at most one shard
             seen.add(key)
-        # The raw bitmap covers the *compressed* universe; its set bits
-        # decompress exactly onto the shard's in-universe residents.
-        bitmap_ids = np.flatnonzero(backend.residency.bitmap)
-        decompressed = sharded.router.decompress(index, bitmap_ids)
+        # The backend's universe is the *compressed* one; its members
+        # there decompress exactly onto the shard's in-universe
+        # residents.
+        local_ids = np.flatnonzero(backend.contains_batch(
+            np.arange(backend.key_space)))
+        decompressed = sharded.router.decompress(index, local_ids)
         assert sorted(decompressed.tolist()) == sorted(
             key for key in keys if 0 <= key < sharded.key_space)
     assert len(seen) == len(sharded) <= sharded.capacity

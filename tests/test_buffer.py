@@ -479,26 +479,26 @@ class TestClockBatchAgingStep:
 
 
 class TestClockDenseMode:
-    """key_space mode: residency bitmap + dense slot vector."""
+    """key_space mode: the dense id -> slot vector is the membership."""
 
     def test_make_buffer_forwards_key_space_to_every_backend(self):
         for impl in ("clock", "fast", "reference"):
             buf = make_buffer(impl, 4, key_space=32)
-            assert buf.residency is not None
-            assert buf.residency.key_space == 32
             assert buf.key_space == 32
+            # The universe sizes the array backends' per-id state; the
+            # reference backend keeps none.
+            assert (buf.per_id_nbytes() > 0) == (impl != "reference")
         # Without one: the empty universe on every backend.
         for impl in ("clock", "fast", "reference"):
             assert make_buffer(impl, 4).key_space == 0
-            assert make_buffer(impl, 4).residency.key_space == 0
+            assert make_buffer(impl, 4).per_id_nbytes() == 0
 
     def test_rejects_bad_key_space(self):
         """0 is the empty universe; only a negative one is refused."""
-        from repro.cache import ResidencyIndex
-
         assert ClockBuffer(4, key_space=0).key_space == 0
-        assert ResidencyIndex(0).count() == 0
-        for make in (ResidencyIndex, lambda k: ClockBuffer(4, key_space=k),
+        assert len(ClockBuffer(4, key_space=0)) == 0
+        for make in (lambda k: PriorityBuffer(4, key_space=k),
+                     lambda k: ClockBuffer(4, key_space=k),
                      lambda k: FastPriorityBuffer(4, key_space=k)):
             with pytest.raises(ValueError):
                 make(-1)
@@ -515,7 +515,8 @@ class TestClockDenseMode:
             buf.contains_batch(np.array([2, 100, 101, 5])),
             np.array([True, True, True, False]))
         assert sorted(buf.evict_batch(3)) == [2, 100, 101]
-        assert buf.residency.count() == 0
+        assert len(buf) == 0
+        assert not buf._slot_over and (buf._slot_of < 0).all()
 
     def test_set_priority_batch_scatter(self):
         buf = ClockBuffer(4, key_space=16)
@@ -528,8 +529,8 @@ class TestClockDenseMode:
 
 
 class TestFastDenseMode:
-    """key_space mode of the exact pair: residency bitmap + dense
-    (expiry, seqno) vectors on the fast backend, bitmap mirror on the
+    """key_space mode of the exact pair: membership bits + dense
+    (expiry, seqno) vectors on the fast backend, the entry dict on the
     reference backend.  Exhaustive equivalence with the reference lives
     in tests/test_buffer_differential.py; these pin the contracts the
     batched serving engine builds on."""
@@ -559,7 +560,8 @@ class TestFastDenseMode:
         # Exact victim order: 2 first (zero, oldest seqno); the aging
         # step then ripens 100, whose older seqno beats 101.
         assert buf.evict_batch(3) == [2, 100, 101]
-        assert buf.residency.count() == 0
+        assert len(buf) == 0
+        assert not buf._over and not buf._resident.any()
 
     def test_dense_mode_keeps_exact_eviction_contract(self):
         """The documented (effective_priority, seqno) order, spot-wise:

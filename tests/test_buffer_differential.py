@@ -21,12 +21,13 @@ its whole segment, on every backend) drive every backend behind the
   victims come out in nondecreasing pre-call priority and never outrank
   a survivor ("evictions prefer lower priority within a sweep");
 * the clock backend runs twice — over the empty universe and over a
-  ``key_space`` residency bitmap — and the two must agree
+  ``key_space`` smaller than the fuzzed ids — and the two must agree
   victim-for-victim: identical resident sets, priorities and eviction
   order;
-* after **every** op, every backend's ``contains_batch`` must agree
-  with scalar ``in`` membership over a probe range that includes
-  out-of-range and negative ids (bulk/scalar residency agreement).
+* after **every** op, every backend's one membership record must give
+  one answer over a probe range that includes out-of-range and
+  negative ids: ``contains_batch``, scalar ``in`` and the resident
+  ``keys()`` agree, and ``len`` counts each resident key once.
 
 A queue differential (:func:`test_dense_victim_queue_matches_reference`
 and its sharded twin) stresses what scalar ``evict_one`` on the dense
@@ -143,11 +144,25 @@ def _gen_ops(rng: random.Random, op_weights=OP_WEIGHTS,
 
 
 def _assert_contains_batch_agrees(buffer, probe=PROBE) -> None:
-    """contains_batch must match scalar ``in`` over the probe range."""
+    """contains_batch, scalar ``in`` and the resident keys agree over
+    the probe range, and ``len`` counts each resident key once."""
+    keys = set(buffer.keys())
+    assert len(buffer) == len(keys)
     bulk = buffer.contains_batch(probe)
     scalar = np.array([int(key) in buffer for key in probe], dtype=bool)
+    listed = np.array([int(key) in keys for key in probe], dtype=bool)
     assert bulk.dtype == np.bool_ and bulk.shape == scalar.shape
     assert np.array_equal(bulk, scalar)
+    assert np.array_equal(listed, scalar)
+
+
+def _recorded_members(buffer) -> int:
+    """Resident ids as an array backend's own membership record counts
+    them: the in-universe vector plus the spillover dict."""
+    if isinstance(buffer, ClockBuffer):
+        return (int(np.count_nonzero(buffer._slot_of >= 0))
+                + len(buffer._slot_over))
+    return int(np.count_nonzero(buffer._resident)) + len(buffer._over)
 
 
 def _assert_same_state(ref, other) -> None:
@@ -244,7 +259,7 @@ def _assert_clock_modes_agree(clock: ClockBuffer, dense: ClockBuffer):
     assert sorted(clock.keys()) == sorted(dense.keys())
     for key in clock.keys():
         assert clock.priority_of(key) == dense.priority_of(key)
-    assert dense.residency.count() == len(dense)
+    assert _recorded_members(dense) == len(dense)
 
 
 def _apply_clock(clock: ClockBuffer, dense: ClockBuffer,
@@ -351,7 +366,7 @@ def test_differential_op_sequences(seed, monkeypatch):
     _assert_same_state(packed_ref, packed)
     assert sorted(packed.keys()) == [PACKED + key for key in sorted(ref.keys())]
     fast_dense = exact_others[-1]
-    assert fast_dense.residency.count() == len(ref)
+    assert _recorded_members(fast_dense) == len(ref)
     # Drain everything: the remaining victim order must agree too.
     remaining = len(ref)
     if remaining:
@@ -360,7 +375,7 @@ def test_differential_op_sequences(seed, monkeypatch):
             assert buffer.evict_batch(remaining) == drained
         assert packed.evict_batch(remaining) == [PACKED + key
                                                  for key in drained]
-    assert fast_dense.residency.count() == 0
+    assert _recorded_members(fast_dense) == 0
     clock_remaining = len(clock)
     if clock_remaining:
         drained = clock.evict_batch(clock_remaining)
@@ -368,7 +383,7 @@ def test_differential_op_sequences(seed, monkeypatch):
         assert dense.evict_batch(clock_remaining) == drained
     assert len(clock) == 0
     assert len(dense) == 0
-    assert dense.residency.count() == 0
+    assert _recorded_members(dense) == 0
 
 
 def test_exact_group_priority_parity_mid_sequence():
@@ -485,11 +500,11 @@ def test_victim_queue_stays_bounded_without_scalar_evictions():
     buffer.evict_one()                  # the one scalar eviction: queue live
     peak = 0
     for step in range(100_000):
-        resident = np.flatnonzero(buffer.residency.bitmap)
+        resident = np.flatnonzero(buffer._resident)
         buffer.demote_batch(rng.choice(resident, 15))
         if step % 64 == 0:              # churn through the bulk protocol
             buffer.evict_batch(4)
-            absent = np.flatnonzero(~buffer.residency.bitmap)
+            absent = np.flatnonzero(~buffer._resident)
             for key in rng.choice(absent, 4, replace=False).tolist():
                 buffer.insert(key, 2)
         peak = max(peak, len(buffer._victims or ()))
@@ -514,9 +529,9 @@ CASCADE_CASES = ("whole", "whole_remiss", "whole_chain", "ripening",
 def _fast_state(buffer: FastPriorityBuffer):
     """Everything a dense :class:`FastPriorityBuffer` is, short of its
     scratch map and its victim queue (bulk serving never pops it)."""
-    return (buffer.residency.bitmap.tolist(), buffer._expiry_of.tolist(),
+    return (buffer._resident.tolist(), buffer._expiry_of.tolist(),
             buffer._seq_of.tolist(), sorted(buffer._over.items()),
-            sorted(buffer.residency._overflow), buffer._age, buffer._size,
+            buffer._age, buffer._size,
             buffer._next_seq, buffer._min_seq)
 
 
@@ -771,12 +786,11 @@ def _clock_ops(ids):
 
 def _clock_state(buffer: ClockBuffer):
     """Everything a :class:`ClockBuffer` is — slot arrays, hand, the
-    free stack in order, the id→slot maps and the residency index."""
+    free stack in order and the id→slot maps (its membership)."""
     return [buffer._key.tolist(), buffer._prio.tolist(),
             buffer._valid.tolist(), buffer._hand,
             buffer._free_slots[:buffer._free_top].tolist(),
-            buffer._slot_of.tolist(), buffer._slot_over,
-            buffer.residency.bitmap.tolist(), buffer.residency._overflow]
+            buffer._slot_of.tolist(), buffer._slot_over]
 
 
 def _bulk_pass(buffer, segment: np.ndarray, priority: int):

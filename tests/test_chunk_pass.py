@@ -41,8 +41,7 @@ def _pair(head_rows, capacity, **config):
     models = _Scripted()
     managers = [RecMGManager(capacity, encoder, config, caching_model=models,
                              prefetch_model=models) for _ in range(2)]
-    assert all(_backend(manager).residency is not None
-               for manager in managers)
+    assert all(_backend(manager).key_space > 0 for manager in managers)
     return encoder, models, managers
 
 
@@ -52,15 +51,20 @@ def _backend(manager):
     return manager.buffer.shards[0].backend
 
 
+def _recorded_members(buffer):
+    """Resident ids as the backend's own membership record counts them:
+    the in-universe bits plus the spillover dict."""
+    return int(np.count_nonzero(buffer._resident)) + len(buffer._over)
+
+
 def _state(manager):
     buffer = _backend(manager)
     breakdown = manager.breakdown
     return {
-        "bitmap": buffer.residency.bitmap.tobytes(),
+        "resident": buffer._resident.tobytes(),
         "expiry": buffer._expiry_of.tobytes(),
         "seqno": buffer._seq_of.tobytes(),
         "over": list(buffer._over.items()),
-        "overflow": sorted(buffer.residency._overflow),
         "scalars": (buffer._age, buffer._next_seq, buffer._min_seq,
                     buffer._size),
         "victims": buffer._victims,
@@ -87,7 +91,7 @@ def _run_both(models, managers, rows, bits, preds):
     oracle.run(trace, fast_serve=False, record_decisions=True)
     assert passes == [1]
     assert _state(fused) == _state(oracle)
-    assert len(fused.buffer) == backend.residency.count()
+    assert len(fused.buffer) == _recorded_members(backend)
     return fused
 
 
@@ -242,7 +246,7 @@ def test_a_raising_pass_leaves_the_buffer_consistent(fault):
         buffer.serve_chunks(rng.integers(0, 70, size=8 * length), length,
                             bits, preds, 4, 5, set())
     assert buffer._age > age
-    assert len(buffer) == buffer.residency.count() == capacity
+    assert len(buffer) == _recorded_members(buffer) == capacity
     _, _, seqnos = buffer.export_state()
     assert buffer._min_seq <= seqnos.min() and seqnos.max() < buffer._next_seq
     reference = PriorityBuffer(capacity)

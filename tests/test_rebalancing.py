@@ -8,8 +8,8 @@ rebalance` and the manager's online driver:
   and clock backends under both routers.  After *every* rebalance: the
   partition invariants hold (disjoint per-shard resident sets whose
   union is scalar membership, every resident routes to its shard,
-  compressed residency bitmaps decompress exactly onto the owned
-  residents), the resident union is
+  each shard's members over its compressed universe decompress
+  exactly onto the owned residents), the resident union is
   preserved (``after ∪ evicted == before``, disjointly), every shard's
   occupancy respects its *new* capacity, and — when no donor-shrink
   eviction ran — every survivor keeps its exact effective priority.

@@ -1,105 +1,132 @@
-"""ResidencyIndex: the dense-id membership bitmap behind the clock
-backend's array-native serving path."""
+"""Membership of the three buffer backends, each answered from the one
+record the backend keeps per entry: the reference backend's entry dict,
+the fast backend's membership bits plus spillover dict, the clock
+backend's ``id -> slot`` vector plus spillover dict.  Every test runs
+on all three: ids inside the universe, ids above it, negative ids and
+the empty universe must answer alike."""
 
 import numpy as np
 import pytest
 
-from repro.cache import ResidencyIndex
+from repro.cache import BUFFER_IMPLS, make_buffer
+
+
+def _backends(key_space, capacity=8):
+    return [make_buffer(impl, capacity, key_space=key_space)
+            for impl in sorted(BUFFER_IMPLS)]
 
 
 class TestScalarProtocol:
     def test_add_discard_contains(self):
-        idx = ResidencyIndex(16)
-        assert 3 not in idx
-        idx.add(3)
-        assert 3 in idx
-        idx.discard(3)
-        assert 3 not in idx
+        for buf in _backends(16):
+            assert 3 not in buf
+            buf.insert(3, 1)
+            assert 3 in buf
+            assert buf.evict_one() == 3
+            assert 3 not in buf
 
     def test_idempotent_set_semantics(self):
-        idx = ResidencyIndex(8)
-        idx.add(5)
-        idx.add(5)
-        assert idx.count() == 1
-        idx.discard(5)
-        idx.discard(5)
-        assert idx.count() == 0
+        """A second insert of a resident id refreshes it; it is still
+        one member, and one eviction removes it."""
+        for buf in _backends(8):
+            buf.insert(5, 1)
+            buf.insert(5, 2)
+            assert len(buf) == 1 and list(buf.keys()) == [5]
+            assert buf.evict_batch(1) == [5]
+            assert len(buf) == 0 and 5 not in buf
+            with pytest.raises(RuntimeError):
+                buf.evict_one()
 
     def test_overflow_keys_spill(self):
-        """Ids outside [0, key_space) are tracked correctly, just not
-        in the bitmap (the manager's unseen-key ids land here)."""
-        idx = ResidencyIndex(4)
-        idx.add(100)
-        idx.add(-7)
-        assert 100 in idx and -7 in idx
-        assert idx.count() == 2
-        idx.discard(100)
-        assert 100 not in idx and -7 in idx
+        """Ids outside [0, key_space) are members like any other (the
+        manager's unseen-key ids land there)."""
+        for buf in _backends(4):
+            buf.insert(100, 0)
+            buf.insert(-7, 5)
+            assert 100 in buf and -7 in buf
+            assert len(buf) == 2
+            assert buf.contains_batch([100, -7, 3]).tolist() == [
+                True, True, False]
+            assert buf.evict_one() == 100
+            assert 100 not in buf and -7 in buf
 
     def test_empty_key_space_spills_every_key(self):
-        idx = ResidencyIndex(0)
-        idx.add(0)
-        idx.add_batch(np.array([5, 3 << 40], dtype=np.int64))
-        assert idx.bitmap.size == 0 and idx.count() == 3
-        assert idx.contains_batch([0, 1, 3 << 40]).tolist() == [
-            True, False, True]
+        for buf in _backends(0):
+            buf.insert(0, 1)
+            buf.insert(5, 1)
+            buf.insert(3 << 40, 1)
+            assert buf.per_id_nbytes() == 0 and len(buf) == 3
+            assert buf.contains_batch([0, 1, 3 << 40]).tolist() == [
+                True, False, True]
 
     def test_rejects_negative_key_space(self):
-        with pytest.raises(ValueError):
-            ResidencyIndex(-1)
+        for cls in BUFFER_IMPLS.values():
+            with pytest.raises(ValueError):
+                cls(4, key_space=-1)
 
 
 class TestBatchProtocol:
     def test_contains_batch_matches_scalar(self):
-        idx = ResidencyIndex(32)
         rng = np.random.default_rng(7)
         resident = rng.choice(32, size=10, replace=False)
-        idx.add_batch(resident)
         probe = np.arange(-4, 40, dtype=np.int64)
-        bulk = idx.contains_batch(probe)
-        assert bulk.dtype == np.bool_
-        assert np.array_equal(
-            bulk, np.array([int(k) in idx for k in probe]))
+        for buf in _backends(32, capacity=10):
+            buf.serve_segment(resident, 1)
+            bulk = buf.contains_batch(probe)
+            assert bulk.dtype == np.bool_
+            assert np.array_equal(
+                bulk, np.array([int(k) in buf for k in probe]))
 
     def test_add_discard_batch_with_overflow(self):
-        idx = ResidencyIndex(8)
         keys = np.array([1, 5, 20, -3, 5], dtype=np.int64)  # dup + spill
-        idx.add_batch(keys)
-        assert idx.count() == 4
-        assert np.array_equal(idx.contains_batch(keys),
-                              np.ones(5, dtype=bool))
-        idx.discard_batch(np.array([5, 20], dtype=np.int64))
-        assert 1 in idx and -3 in idx
-        assert 5 not in idx and 20 not in idx
+        for buf in _backends(8, capacity=6):
+            buf.serve_segment(keys, 1)
+            assert len(buf) == 4
+            assert np.array_equal(buf.contains_batch(keys),
+                                  np.ones(5, dtype=bool))
+            buf.demote_batch(np.array([5, 20], dtype=np.int64))
+            assert sorted(buf.evict_batch(2)) == [5, 20]
+            assert 1 in buf and -3 in buf
+            assert 5 not in buf and 20 not in buf
 
     def test_empty_batches_are_noops(self):
-        idx = ResidencyIndex(8)
         empty = np.zeros(0, dtype=np.int64)
-        idx.add_batch(empty)
-        idx.discard_batch(empty)
-        assert idx.contains_batch(empty).shape == (0,)
-        assert idx.count() == 0
+        for buf in _backends(8):
+            assert buf.serve_segment(empty, 1)[0] == 0
+            buf.set_priority_batch(empty, 1)
+            buf.demote_batch(empty)
+            assert buf.evict_batch(0) == []
+            found = buf.contains_batch(empty)
+            assert found.shape == (0,) and found.dtype == np.bool_
+            assert len(buf) == 0
 
     def test_bitmap_gather_is_exposed(self):
-        """Hot call sites may gather ``bitmap[segment]`` directly for
-        in-range segments."""
-        idx = ResidencyIndex(16)
-        idx.add_batch(np.array([2, 3, 9]))
+        """An in-universe segment's membership is one gather over the
+        array backends' own per-id vector."""
         segment = np.array([9, 2, 4], dtype=np.int64)
-        assert np.array_equal(idx.bitmap[segment],
-                              np.array([True, True, False]))
+        for buf in _backends(16):
+            buf.serve_segment(np.array([2, 3, 9]), 1)
+            assert buf.contains_batch(segment).tolist() == [
+                True, True, False]
+        fast = make_buffer("fast", 8, key_space=16)
+        clock = make_buffer("clock", 8, key_space=16)
+        for buf in (fast, clock):
+            buf.serve_segment(np.array([2, 3, 9]), 1)
+        assert fast._resident[segment].tolist() == [True, True, False]
+        assert (clock._slot_of[segment] >= 0).tolist() == [
+            True, True, False]
 
 
 class TestBookkeeping:
     def test_resident_keys_iterates_both_ranges(self):
-        idx = ResidencyIndex(8)
-        idx.add_batch(np.array([6, 1, 99]))
-        assert sorted(idx.resident_keys()) == [1, 6, 99]
+        for buf in _backends(8):
+            buf.serve_segment(np.array([6, 1, 99]), 1)
+            assert sorted(buf.keys()) == [1, 6, 99]
 
     def test_clear_resets_everything(self):
-        idx = ResidencyIndex(8)
-        idx.add_batch(np.array([0, 7, 50]))
-        idx.clear()
-        assert idx.count() == 0
-        assert not idx.bitmap.any()
-        assert 50 not in idx
+        for buf in _backends(8):
+            buf.serve_segment(np.array([0, 7, 50]), 1)
+            assert sorted(buf.evict_batch(len(buf))) == [0, 7, 50]
+            assert len(buf) == 0 and list(buf.keys()) == []
+            assert not buf.contains_batch(np.arange(-2, 60)).any()
+            assert 50 not in buf

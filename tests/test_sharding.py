@@ -35,9 +35,9 @@ import pytest
 from repro.cache import (
     ClockBuffer,
     FastPriorityBuffer,
+    ShardRouter,
     ShardedBuffer,
     make_buffer,
-    make_router,
 )
 from sharded_ops import (
     DENSE_SPACE,
@@ -67,7 +67,7 @@ def _shard_keys(buffer, index):
 @pytest.mark.parametrize("policy", ["contiguous", "modulo"])
 @pytest.mark.parametrize("num_shards", [1, 2, 3, 5])
 def test_router_total_and_batch_consistent(policy, num_shards):
-    router = make_router(policy, num_shards, 40)
+    router = ShardRouter(policy, num_shards, 40)
     keys = np.arange(-15, 120, dtype=np.int64)
     batch = router.route_batch(keys)
     assert batch.dtype == np.int64
@@ -77,7 +77,7 @@ def test_router_total_and_batch_consistent(policy, num_shards):
 
 
 def test_contiguous_ranges_tile_universe():
-    router = make_router("contiguous", 3, 10)
+    router = ShardRouter("contiguous", 3, 10)
     covered = []
     for shard in range(3):
         lo, hi = router.range_of(shard)
@@ -88,14 +88,21 @@ def test_contiguous_ranges_tile_universe():
 
 
 def test_modulo_router_stripes():
-    router = make_router("modulo", 4, 100)
+    router = ShardRouter("modulo", 4, 100)
     assert router.route(0) == 0 and router.route(7) == 3
     assert router.route(103) == 3  # spillover ids stripe identically
 
 
 def test_make_router_rejects_unknown_policy():
     with pytest.raises(ValueError, match="shard_policy"):
-        make_router("hash-ring", 2, 10)
+        ShardRouter("hash-ring", 2, 10)
+
+
+def test_shard_router_rejects_unknown_policy():
+    """The router itself refuses a policy it does not implement, rather
+    than building a modulo partition under the unknown name."""
+    with pytest.raises(ValueError, match="unknown shard_policy"):
+        ShardRouter("Modulo", 2, 10)
 
 
 # ---------------------------------------------------------------------------
@@ -111,7 +118,7 @@ def test_compress_round_trips_owned_universe(policy, num_shards,
     shard's owned in-universe ids onto a dense prefix of
     ``[0, shard_key_space)``; ``decompress`` inverts it; scalar and
     batch forms agree key for key."""
-    router = make_router(policy, num_shards, key_space)
+    router = ShardRouter(policy, num_shards, key_space)
     all_ids = np.arange(key_space, dtype=np.int64)
     routes = router.route_batch(all_ids)
     total_owned = 0
@@ -150,7 +157,7 @@ def test_compress_spillover_passthrough(policy):
     decompression unchanged — they live in the backends' spillover
     side paths under their global identity, so decompression stays
     unambiguous."""
-    router = make_router(policy, 3, 12)
+    router = ShardRouter(policy, 3, 12)
     spill = np.array([-9, -1, 12, 13, 40, 10**12], dtype=np.int64)
     for shard in range(3):
         owned = spill[router.route_batch(spill) == shard]
@@ -179,7 +186,7 @@ SPILL = np.array([-9, -1, 40, 41, 53, 10**12], dtype=np.int64)
 
 def _router(case):
     policy, num_shards, key_space, bounds = ROUTER_CASES[case]
-    router = make_router(policy, num_shards, key_space)
+    router = ShardRouter(policy, num_shards, key_space)
     if bounds is not None:
         router.set_bounds(bounds)
     return router
@@ -251,7 +258,7 @@ def test_router_spillover_passes_through(case):
 
 def test_modulo_partition_cannot_be_redrawn():
     with pytest.raises(ValueError, match="contiguous"):
-        make_router("modulo", 2, 10).set_bounds([0, 5, 10])
+        ShardRouter("modulo", 2, 10).set_bounds([0, 5, 10])
 
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")
@@ -301,7 +308,7 @@ def test_per_id_nbytes_counts_every_per_id_array(impl):
               if isinstance(value, np.ndarray)
               and value.shape == (key_space,)}
     assert any("scratch" in name for name in per_id)
-    assert buffer.per_id_nbytes() == buffer.residency.nbytes + sum(
+    assert buffer.per_id_nbytes() == sum(
         value.nbytes for value in per_id.values())
 
 
@@ -421,7 +428,7 @@ def test_make_buffer_one_shard_returns_bare_backend():
     ``ShardedBuffer`` holds one such backend over the whole universe
     (the identity compression), and takes the empty universe too."""
     assert isinstance(make_buffer("clock", 8, key_space=32), ClockBuffer)
-    assert make_buffer("fast", 8, key_space=32).residency is not None
+    assert make_buffer("fast", 8, key_space=32).key_space == 32
     buf = ShardedBuffer("clock", 8, key_space=32)
     assert isinstance(buf.shards[0].backend, ClockBuffer)
     assert buf.shards[0].backend.key_space == 32
@@ -434,7 +441,7 @@ def test_make_buffer_sharded_partitions_capacity():
     assert sum(buf.shard_capacities) == buf.capacity == 11
     assert all(isinstance(s.backend, FastPriorityBuffer)
                for s in buf.shards)
-    assert all(s.backend.residency is not None for s in buf.shards)
+    assert all(s.backend.per_id_nbytes() > 0 for s in buf.shards)
     # Each backend runs over the router's compressed universe, not the
     # full [0, key_space) — this is the N×-memory fix.
     assert all(s.backend.key_space == buf.router.shard_key_space(i)

@@ -16,6 +16,12 @@ The manager and the serving layer reach the buffer through one façade,
 a buffer is a ``ShardedBuffer`` or one of the backends
 (``FastPriorityBuffer``, ``ClockBuffer``, ``PriorityBuffer``).
 
+Each buffer backend answers membership from the one record it keeps
+per entry: no module under ``src/repro`` brings back a separate
+membership index (``ResidencyIndex``), reaches for one through a
+``.residency`` attribute, or writes a duplicate spillover set
+(``._overflow``).
+
 ``repro.nn`` exports only what the library uses: every name in
 ``repro.nn.__all__`` is imported from the package by some module under
 ``src/repro`` outside ``nn/`` (a model, a loss site or a baseline).
@@ -36,6 +42,8 @@ NN_FLOAT64 = re.compile(r"\b(?:np|numpy)\.float64\b|float32_twin")
 BUFFER_ISINSTANCE = re.compile(
     r"\bisinstance\s*\((?:[^()]|\([^()]*\))*?(?:\([^()]*)?"
     r"\b(?:ShardedBuffer|FastPriorityBuffer|ClockBuffer|PriorityBuffer)\b")
+SECOND_MEMBERSHIP = re.compile(
+    r"\bResidencyIndex\b|\.residency\b|\._overflow\b")
 
 
 def _offenders(root: Path, pattern: re.Pattern) -> list:
@@ -125,6 +133,25 @@ def test_buffer_isinstance_pattern_catches_each_form():
                  "isinstance(buf, MyShardedBufferLike)",
                  "# a ClockBuffer is never tested with isinstance"):
         assert not BUFFER_ISINSTANCE.search(text), text
+
+
+def test_backends_keep_one_membership_record():
+    offenders = _offenders(SRC, SECOND_MEMBERSHIP)
+    assert not offenders, "\n".join(offenders)
+
+
+def test_second_membership_pattern_catches_each_form():
+    for text in ("from .residency import ResidencyIndex",
+                 "self.residency = ResidencyIndex(key_space)",
+                 "bitmap = self.residency.bitmap",
+                 "self.residency._overflow.difference_update(spill)",
+                 "overflow = index._overflow",
+                 ":class:`~repro.cache.residency.ResidencyIndex` bitmap"):
+        assert SECOND_MEMBERSHIP.search(text), text
+    for text in ("residency of a whole segment", "self._over[key] = entry",
+                 "self._overflow_count += 1", "self.residency_share = 0",
+                 "# up to the overflowing first touch"):
+        assert not SECOND_MEMBERSHIP.search(text), text
 
 
 def test_nn_exports_only_what_the_library_imports():

@@ -111,17 +111,17 @@ class TestScenarioGenerators:
     def test_hot_shard_maps_to_one_contiguous_router_shard(self):
         """The point of the generator: under contiguous routing of the
         dense-remapped universe, one shard absorbs the hot traffic."""
-        from repro.cache import make_router
+        from repro.cache import ShardRouter
         from repro.traces.access import remap_to_dense
 
         trace = generate_hot_shard_trace(self.BASE, num_shards=4,
                                          hot_shard=1, hot_fraction=0.85)
         dense, _ = remap_to_dense(trace)
-        router = make_router("contiguous", 4, int(dense.max()) + 1)
+        router = ShardRouter("contiguous", 4, int(dense.max()) + 1)
         shares = np.bincount(router.route_batch(dense), minlength=4) \
             / dense.size
         assert shares.max() > 0.6  # one shard dominates
-        modulo = make_router("modulo", 4, int(dense.max()) + 1)
+        modulo = ShardRouter("modulo", 4, int(dense.max()) + 1)
         mod_shares = np.bincount(modulo.route_batch(dense), minlength=4) \
             / dense.size
         assert mod_shares.max() < shares.max()  # striping spreads it
