@@ -16,13 +16,19 @@ Per access we build three channels:
 
 The dense vocabulary comes from :func:`repro.traces.access.remap_to_dense`,
 which keeps same-table rows contiguous so nearby dense ids are
-semantically related (see DESIGN.md).
+semantically related (see DESIGN.md).  The encoder keeps it as the one
+sorted array of distinct packed keys that call returns: a key's dense
+id is its rank there, and every lookup (keys to dense ids, dense ids to
+table features) is an ``np.searchsorted`` or a gather over arrays fixed
+at fit time.  Both encode paths — :meth:`FeatureEncoder.encode_chunks`
+over a trace and :meth:`FeatureEncoder.encode_dense_chunks` over a
+serving segment — derive every channel from the dense ids alone.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Optional
+from typing import Optional, Tuple
 
 import numpy as np
 
@@ -91,59 +97,89 @@ def chunk_inputs(chunks: EncodedChunks, sel: Optional[np.ndarray],
     return out
 
 
+def _ranks(sorted_values: np.ndarray, values: np.ndarray
+           ) -> Tuple[np.ndarray, np.ndarray]:
+    """Each value's insertion index in ``sorted_values`` (distinct,
+    ascending) and whether it is there — its rank when it is."""
+    idx = np.searchsorted(sorted_values, values)
+    size = len(sorted_values)
+    if size == 0:
+        return idx, np.zeros(idx.shape, dtype=bool)
+    return idx, (idx < size) & (sorted_values[np.minimum(idx, size - 1)]
+                                == values)
+
+
 class FeatureEncoder:
-    """Maps traces to model inputs over a fixed dense vocabulary."""
+    """Maps traces to model inputs over a fixed dense vocabulary.
+
+    The vocabulary is one sorted array of the distinct packed keys seen
+    at fit time: dense id ``i`` is ``keys[i]``, so every key lookup is
+    an ``np.searchsorted`` over it.  Beside it the encoder keeps the
+    frequency per dense id and, per table, the sorted distinct table ids
+    and the first dense id of each — arrays only, no per-key Python
+    object and no second per-key record.
+    """
 
     def __init__(self, config: RecMGConfig) -> None:
         self.config = config
-        self._key_to_dense: Optional[Dict[int, int]] = None
-        self._table_to_id: Optional[Dict[int, int]] = None
+        self._keys: Optional[np.ndarray] = None
+        self._tables: Optional[np.ndarray] = None
         self._freq_table: Optional[np.ndarray] = None
-        # Sorted-key mirrors of the two dicts: dense ids are assigned in
-        # sorted-key order, so bulk lookups reduce to np.searchsorted.
-        self._sorted_keys: Optional[np.ndarray] = None
-        self._sorted_tables: Optional[np.ndarray] = None
-        #: Lazily built table-feature index per in-vocabulary dense id
-        #: (serving segments carry dense ids only; see
-        #: :meth:`tables_for_dense`).
-        self._dense_tables: Optional[np.ndarray] = None
+        #: First dense id of each fitted table: the keys sort by table
+        #: first, so a table's keys hold one contiguous dense-id range.
+        self._table_starts: Optional[np.ndarray] = None
         self.vocab_size = 0
         self.num_tables = 0
 
     @property
     def fitted(self) -> bool:
-        return self._key_to_dense is not None
+        return self._keys is not None
 
     def fit(self, trace: Trace) -> "FeatureEncoder":
         """Learn the dense vocabulary, table universe and per-vector
         access frequencies from ``trace``."""
-        dense, mapping = remap_to_dense(trace)
-        self._key_to_dense = mapping
-        self._sorted_keys = None    # invalidate searchsorted mirrors
-        self._sorted_tables = None
-        self._dense_tables = None
-        self.vocab_size = len(mapping)
-        tables = np.unique(trace.table_ids)
-        self._table_to_id = {int(t): i for i, t in enumerate(tables)}
-        self.num_tables = len(tables)
-        counts = np.bincount(dense, minlength=self.vocab_size).astype(np.float64)
+        dense, keys = remap_to_dense(trace)
+        counts = np.bincount(dense, minlength=len(keys)).astype(np.float64)
         log_counts = np.log1p(counts)
         peak = log_counts.max() if log_counts.size else 1.0
-        self._freq_table = log_counts / max(peak, 1e-9)
+        return self.set_vocabulary(keys, np.unique(trace.table_ids),
+                                   log_counts / max(peak, 1e-9))
+
+    def vocabulary(self) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """``(keys, tables, freq)``: the sorted distinct packed keys and
+        table ids, and the normalized log-frequency per dense id — all
+        :meth:`set_vocabulary` needs to restore this encoder."""
+        if not self.fitted:
+            raise RuntimeError("encoder not fitted")
+        return self._keys, self._tables, self._freq_table
+
+    def set_vocabulary(self, keys: np.ndarray, tables: np.ndarray,
+                       freq: np.ndarray) -> "FeatureEncoder":
+        """Install a vocabulary as :meth:`vocabulary` returns it (what
+        :meth:`fit` learns and a saved system restores)."""
+        self._keys = np.asarray(keys, dtype=np.int64)
+        self._tables = np.asarray(tables, dtype=np.int64)
+        self._freq_table = np.asarray(freq, dtype=np.float64)
+        self.vocab_size = len(self._keys)
+        self.num_tables = len(self._tables)
+        self._table_starts = np.searchsorted(self._keys,
+                                             self._tables << ROW_BITS)
         return self
 
     def freq_values(self, dense: np.ndarray) -> np.ndarray:
         """Normalized log-frequency per dense id (0 for unseen ids)."""
-        if self._freq_table is None:
+        if not self.fitted:
             raise RuntimeError("encoder not fitted")
         dense = np.asarray(dense, dtype=np.int64)
+        if self.vocab_size == 0:
+            return np.zeros(dense.shape)
         clipped = np.clip(dense, 0, self.vocab_size - 1)
         values = self._freq_table[clipped]
         return np.where(dense < self.vocab_size, values, 0.0)
 
     # ------------------------------------------------------------------
     def dense_ids(self, trace: Trace) -> np.ndarray:
-        """Dense id per access.
+        """Dense id per access: the key's rank in the vocabulary.
 
         Keys unseen at fit time receive *unique* ids above the
         vocabulary (``vocab_size + packed_key``): they still flow
@@ -153,64 +189,31 @@ class FeatureEncoder:
         if not self.fitted:
             raise RuntimeError("encoder not fitted")
         keys = trace.keys()
-        if self._sorted_keys is None:
-            self._sorted_keys = np.sort(
-                np.fromiter(self._key_to_dense, dtype=np.int64,
-                            count=len(self._key_to_dense)))
-        vocab = self.vocab_size
-        if vocab == 0:
-            return keys.copy()
-        idx = np.searchsorted(self._sorted_keys, keys)
-        known = ((idx < vocab)
-                 & (self._sorted_keys[np.minimum(idx, vocab - 1)] == keys))
-        return np.where(known, idx, vocab + keys)
-
-    def table_indices(self, trace: Trace) -> np.ndarray:
-        return self._map_tables(trace.table_ids)
+        idx, known = _ranks(self._keys, keys)
+        return np.where(known, idx, self.vocab_size + keys)
 
     def _map_tables(self, tables: np.ndarray) -> np.ndarray:
         """Raw table ids -> model table-feature indices (tables unseen
         at fit time wrap into the embedding by modulo)."""
-        num = max(1, self.num_tables)
-        if self._sorted_tables is None:
-            self._sorted_tables = np.sort(
-                np.fromiter(self._table_to_id, dtype=np.int64,
-                            count=len(self._table_to_id)))
-        if self.num_tables == 0:
-            return tables % num
-        idx = np.searchsorted(self._sorted_tables, tables)
-        known = ((idx < self.num_tables)
-                 & (self._sorted_tables[np.minimum(idx, self.num_tables - 1)]
-                    == tables))
-        return np.where(known, idx, tables % num)
+        idx, known = _ranks(self._tables, tables)
+        return np.where(known, idx, tables % max(1, self.num_tables))
 
     def tables_for_dense(self, dense: np.ndarray) -> np.ndarray:
-        """Model table-feature index per *dense* id — the lookup the
-        online serving path needs, where segments carry dense ids but
-        no trace.
+        """Model table-feature index per (non-negative) *dense* id — the
+        lookup every encode path uses, since a dense id carries its
+        table.
 
-        In-vocabulary ids resolve through a lazily built per-id table
-        (dense id ``i`` is the ``i``-th sorted packed key, whose high
-        bits are its table).  Spillover ids (``>= vocab_size``) encode
+        An in-vocabulary id's table is the fitted table whose dense-id
+        range holds it.  Spillover ids (``>= vocab_size``) encode
         ``vocab_size + packed_key`` (:meth:`dense_ids`), so their table
-        is recovered from the packed key they carry — identical to
-        what :meth:`table_indices` would produce from the source trace.
+        is recovered from the packed key they carry.
         """
         if not self.fitted:
             raise RuntimeError("encoder not fitted")
         dense = np.asarray(dense, dtype=np.int64)
         vocab = self.vocab_size
-        if vocab == 0:
-            return self._map_tables(dense >> ROW_BITS)
-        if self._dense_tables is None:
-            if self._sorted_keys is None:
-                self._sorted_keys = np.sort(
-                    np.fromiter(self._key_to_dense, dtype=np.int64,
-                                count=len(self._key_to_dense)))
-            self._dense_tables = np.ascontiguousarray(
-                self._map_tables(self._sorted_keys >> ROW_BITS))
         in_vocab = dense < vocab
-        known = self._dense_tables[np.clip(dense, 0, vocab - 1)]
+        known = np.searchsorted(self._table_starts, dense, side="right") - 1
         if in_vocab.all():
             return known
         # Negative packed keys where in_vocab — masked out by the where.
@@ -225,11 +228,6 @@ class FeatureEncoder:
         values = dense.astype(np.float64) / max(1, self.vocab_size - 1)
         return np.clip(values, 0.0, 1.0)
 
-    def denormalize(self, values: np.ndarray) -> np.ndarray:
-        """Model outputs back to dense ids (rounded, clipped)."""
-        scaled = np.clip(values, 0.0, 1.0) * max(1, self.vocab_size - 1)
-        return np.rint(scaled).astype(np.int64)
-
     # ------------------------------------------------------------------
     def encode_chunks(self, trace: Trace, stride: Optional[int] = None
                       ) -> EncodedChunks:
@@ -243,7 +241,7 @@ class FeatureEncoder:
             raise ValueError(
                 f"trace shorter ({len(dense)}) than one chunk ({length})"
             )
-        return self._chunked(dense, self.table_indices(trace),
+        return self._chunked(dense, self.tables_for_dense(dense),
                              stride or length)
 
     def _chunked(self, dense: np.ndarray, tables: np.ndarray,

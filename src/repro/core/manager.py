@@ -105,6 +105,12 @@ from .config import RecMGConfig
 from .features import FeatureEncoder
 from .prefetch_model import PrefetchModel
 
+#: Chunks per tape-free model call in :meth:`RecMGManager.run`.  It
+#: bounds the per-call blocks (the prefetch logits are ``chunks *
+#: output_len`` rows by ``hash_buckets``); per chunk, 64 costs within
+#: 10 % of 128 and 32 up to 30 % more, with identical outputs.
+INFERENCE_BATCH = 64
+
 
 def _joined(chunks: List[np.ndarray], dtype) -> np.ndarray:
     """``chunks`` end to end; an empty ``dtype`` array when there are
@@ -496,13 +502,13 @@ class RecMGManager:
         return (self._serve_demand_bulk if fast_serve
                 else self._serve_demand_slow)
 
-    def run(self, trace: Trace, inference_batch: int = 64,
-            fast_serve: bool = True,
+    def run(self, trace: Trace, fast_serve: bool = True,
             record_decisions: bool = False) -> ManagerStats:
         """Serve ``trace`` end to end; returns the access breakdown.
 
-        The trace is cut by :meth:`FeatureEncoder.encode_chunks` and
-        inference is batched up front, ``inference_batch`` chunks per
+        The trace's dense ids are cut by
+        :meth:`FeatureEncoder.encode_dense_chunks` and inference is
+        batched up front, :data:`INFERENCE_BATCH` chunks per
         tape-free ``predict`` / ``predict_indices`` call — identical to
         per-chunk inference (the models are stateless across chunks)
         but an order of magnitude faster, mirroring the paper's batched
@@ -543,19 +549,17 @@ class RecMGManager:
             # The dense ids are in hand: cut them, not the trace again.
             chunks = self.encoder.encode_dense_chunks(
                 dense[:num_chunks * length])
+            batches = [np.arange(lo, min(lo + INFERENCE_BATCH, num_chunks))
+                       for lo in range(0, num_chunks, INFERENCE_BATCH)]
             if self.caching_model is not None and not use_provider:
-                parts = [self.caching_model.predict(
-                            chunks, sel=np.arange(lo, min(lo + inference_batch,
-                                                          num_chunks)))
-                         for lo in range(0, num_chunks, inference_batch)]
-                bits_all = np.concatenate(parts, axis=0)
+                bits_all = np.concatenate(
+                    [self.caching_model.predict(chunks, sel=sel)
+                     for sel in batches], axis=0)
             if self.prefetch_model is not None:
-                parts = [self.prefetch_model.predict_indices(
-                            chunks, self.encoder,
-                            sel=np.arange(lo, min(lo + inference_batch,
-                                                  num_chunks)))
-                         for lo in range(0, num_chunks, inference_batch)]
-                preds_all = np.concatenate(parts, axis=0)
+                preds_all = np.concatenate(
+                    [self.prefetch_model.predict_indices(
+                        chunks, self.encoder, sel=sel)
+                     for sel in batches], axis=0)
 
         serve = self._select_engine(fast_serve)
         if bits_all is None and preds_all is None:

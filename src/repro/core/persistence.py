@@ -40,15 +40,13 @@ def save_recmg(system: RecMG, path: Union[str, os.PathLike]) -> None:
     """Serialize a fitted RecMG system to ``path`` (.npz)."""
     if not system.fitted:
         raise RuntimeError("cannot save an unfitted system")
-    encoder = system.encoder
+    keys, tables, freq = system.encoder.vocabulary()
     decoder = system.prefetch_model.decoder
     payload = {
         "config_json": np.array(json.dumps(asdict(system.config))),
-        "encoder_keys": np.array(sorted(encoder._key_to_dense),
-                                 dtype=np.int64),
-        "encoder_tables": np.array(sorted(encoder._table_to_id),
-                                   dtype=np.int64),
-        "encoder_freq": encoder._freq_table,
+        "encoder_keys": keys,
+        "encoder_tables": tables,
+        "encoder_freq": freq,
         "decoder_bucket_hot": decoder.bucket_hot,
         "decoder_fallback": np.array(decoder.fallback, dtype=np.int64),
         "prefetch_codebook": system.prefetch_model.target_table.data,
@@ -72,14 +70,9 @@ def load_recmg(path: Union[str, os.PathLike]) -> RecMG:
         config = RecMGConfig(**fields)
         system = RecMG(config)
 
-        encoder = FeatureEncoder(config)
-        keys = archive["encoder_keys"]
-        tables = archive["encoder_tables"]
-        encoder._key_to_dense = {int(k): i for i, k in enumerate(keys)}
-        encoder._table_to_id = {int(t): i for i, t in enumerate(tables)}
-        encoder._freq_table = archive["encoder_freq"]
-        encoder.vocab_size = len(keys)
-        encoder.num_tables = len(tables)
+        encoder = FeatureEncoder(config).set_vocabulary(
+            archive["encoder_keys"], archive["encoder_tables"],
+            archive["encoder_freq"])
         system.encoder = encoder
 
         system.caching_model = CachingModel(config, encoder.num_tables)

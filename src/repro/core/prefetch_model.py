@@ -28,13 +28,13 @@ from .features import EncodedChunks, chunk_inputs
 
 
 class BucketDecoder:
-    """Maps emitted vectors to embedding-vector ids.
+    """Maps bucket scores to embedding-vector ids.
 
     ``bucket_hot[b]`` is the dense id of the most frequently *missing*
     vector whose hash bucket is ``b`` (or -1 when no miss candidate
-    hashes there).  Decoding = nearest bucket embedding (L1), then the
-    bucket's hot candidate; bucketless outputs fall back to the global
-    hottest miss candidate.
+    hashes there).  Decoding = the highest-scoring bucket that has a
+    candidate, then that candidate; when no bucket has one, the global
+    hottest miss candidate (``fallback``).
     """
 
     def __init__(self, bucket_hot: np.ndarray, fallback: int) -> None:
@@ -62,19 +62,6 @@ class BucketDecoder:
         bucket_hot[buckets[first]] = ranked[first]
         fallback = int(ids[np.argmax(counts)]) if len(ids) else 0
         return cls(bucket_hot, fallback)
-
-    def decode(self, vectors: np.ndarray, bucket_embeddings: np.ndarray
-               ) -> np.ndarray:
-        """``vectors``: (..., d) emitted points; returns dense ids."""
-        flat = vectors.reshape(-1, vectors.shape[-1])
-        # L1 nearest bucket; restrict to buckets that have a candidate.
-        valid = np.nonzero(self.bucket_hot >= 0)[0]
-        if len(valid) == 0:
-            return np.full(vectors.shape[:-1], self.fallback, dtype=np.int64)
-        candidates = bucket_embeddings[valid]                 # (V, d)
-        dists = np.abs(flat[:, None, :] - candidates[None, :, :]).sum(axis=2)
-        nearest = valid[np.argmin(dists, axis=1)]
-        return self.bucket_hot[nearest].reshape(vectors.shape[:-1])
 
     def decode_buckets(self, logits: np.ndarray) -> np.ndarray:
         """``logits``: (..., num_buckets) scores, left untouched;

@@ -11,7 +11,7 @@ a single flat integer *key* per vector; we pack the pair into an int64
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Iterator, NamedTuple, Optional, Sequence, Tuple
+from typing import Iterator, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -145,16 +145,17 @@ class Trace:
         )
 
 
-def remap_to_dense(trace: Trace) -> Tuple[np.ndarray, Dict[int, int]]:
+def remap_to_dense(trace: Trace) -> Tuple[np.ndarray, np.ndarray]:
     """Map packed keys to a dense [0, num_unique) vocabulary.
 
-    Returns the remapped int64 array and the key->dense-id mapping.
-    Dense ids are assigned in sorted-key order, which keeps rows of the
-    same table (and within a table, nearby rows) adjacent — the property
-    the prefetch model's index regression relies on.
+    Returns the remapped int64 array and the sorted distinct packed
+    keys: dense id ``i`` is ``keys[i]``, so the key array is the whole
+    vocabulary and a key's dense id is its ``np.searchsorted`` rank.
+    Sorted-key order keeps rows of the same table (and within a table,
+    nearby rows) adjacent — the property the prefetch model's index
+    regression relies on.
     """
     keys = trace.keys()
     unique = np.unique(keys)
     dense = np.searchsorted(unique, keys)
-    mapping = {int(k): int(i) for i, k in enumerate(unique)}
-    return dense.astype(np.int64), mapping
+    return dense.astype(np.int64), unique

@@ -1,10 +1,12 @@
 """Feature encoding for the RecMG models."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from repro.core import FeatureEncoder, RecMGConfig
-from repro.traces import Trace
+from repro.traces import ROW_BITS, Trace
 
 
 @pytest.fixture(scope="module")
@@ -38,8 +40,13 @@ class TestEncoder:
         assert encoder.normalize(dense)[0] == 1.0
 
     def test_vectorized_lookups_match_dicts(self, encoder, tiny_trace):
-        """The searchsorted bulk lookups must agree with the fitted
-        dictionaries access-for-access, including unseen keys/tables."""
+        """The searchsorted bulk lookups must agree with key->dense and
+        table->id dictionaries over the fit trace access-for-access,
+        including unseen keys/tables."""
+        key_to_dense = {int(key): i
+                        for i, key in enumerate(np.unique(tiny_trace.keys()))}
+        table_to_id = {int(table): i for i, table
+                       in enumerate(np.unique(tiny_trace.table_ids))}
         mixed = Trace(
             np.concatenate([tiny_trace.table_ids[:300],
                             np.array([991, 992], dtype=np.int64)]),
@@ -49,34 +56,79 @@ class TestEncoder:
         keys = mixed.keys()
         vocab = encoder.vocab_size
         expected_dense = np.array(
-            [encoder._key_to_dense.get(int(key), vocab + int(key))
+            [key_to_dense.get(int(key), vocab + int(key))
              for key in keys], dtype=np.int64)
-        assert np.array_equal(encoder.dense_ids(mixed), expected_dense)
+        dense = encoder.dense_ids(mixed)
+        assert np.array_equal(dense, expected_dense)
         num = max(1, encoder.num_tables)
         expected_tables = np.array(
-            [encoder._table_to_id.get(int(t), int(t) % num)
+            [table_to_id.get(int(t), int(t) % num)
              for t in mixed.table_ids], dtype=np.int64)
-        assert np.array_equal(encoder.table_indices(mixed), expected_tables)
+        assert np.array_equal(encoder.tables_for_dense(dense),
+                              expected_tables)
+        every = np.arange(vocab)
+        assert np.array_equal(
+            encoder.tables_for_dense(every),
+            [table_to_id[int(key) >> ROW_BITS] for key in key_to_dense])
+        chunks = encoder.encode_chunks(mixed, stride=1)
+        assert np.array_equal(np.concatenate([chunks.table_ids[:, 0],
+                                              chunks.table_ids[-1, 1:]]),
+                              expected_tables)
 
     def test_refit_invalidates_lookup_mirrors(self, tiny_trace,
                                               tiny_recmg_config):
-        """Regression: re-fitting must rebuild the searchsorted mirrors,
-        not serve lookups from the previous vocabulary."""
+        """Regression: re-fitting must replace the whole vocabulary,
+        not serve lookups from the previous one."""
         enc = FeatureEncoder(tiny_recmg_config)
         small = Trace.from_pairs([(0, 1), (0, 2), (1, 3)])
         enc.fit(small)
-        enc.dense_ids(small)        # populate the cached mirrors
+        enc.dense_ids(small)
         enc.fit(tiny_trace)
         dense = enc.dense_ids(tiny_trace)
         assert dense.min() >= 0
         assert dense.max() < enc.vocab_size
-        assert enc.table_indices(tiny_trace).max() < enc.num_tables
+        assert enc.tables_for_dense(dense).max() < enc.num_tables
 
     def test_normalize_roundtrip(self, encoder):
         dense = np.array([0, encoder.vocab_size // 2, encoder.vocab_size - 1])
         values = encoder.normalize(dense)
         assert values.min() >= 0.0 and values.max() <= 1.0
-        assert np.array_equal(encoder.denormalize(values), dense)
+        scaled = np.rint(values * (encoder.vocab_size - 1)).astype(np.int64)
+        assert np.array_equal(scaled, dense)
+
+    def test_empty_fit_encodes_every_id_as_unseen(self, tiny_recmg_config):
+        """An encoder fitted on an empty trace has no vocabulary, so
+        every id is unseen: frequency 0, never an ``IndexError``."""
+        enc = FeatureEncoder(tiny_recmg_config).fit(Trace.from_pairs([]))
+        assert enc.fitted and enc.vocab_size == 0 and enc.num_tables == 0
+        ids = np.arange(tiny_recmg_config.input_len)
+        assert np.array_equal(enc.freq_values(ids), np.zeros(len(ids)))
+        chunks = enc.encode_dense_chunks(ids)
+        assert np.array_equal(chunks.freq, np.zeros((1, len(ids))))
+        assert np.array_equal(chunks.table_ids, np.zeros((1, len(ids))))
+        foreign = Trace.from_pairs([(3, 7), (5, 1)])
+        assert np.array_equal(enc.dense_ids(foreign), foreign.keys())
+
+    def test_fit_retains_arrays_not_per_key_objects(self, tiny_recmg_config):
+        """The fitted vocabulary is a few int64/float64 arrays: under
+        48 bytes per key once fitted (a key->id dict alone costs over
+        100), measured after a warm-up fit so one-time allocations are
+        not billed to it."""
+        rng = np.random.default_rng(7)
+        trace = Trace(rng.integers(0, 16, size=60_000),
+                      rng.integers(0, 1 << 30, size=60_000))
+        FeatureEncoder(tiny_recmg_config).fit(trace)
+        started = not tracemalloc.is_tracing()
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            enc = FeatureEncoder(tiny_recmg_config).fit(trace)
+            retained = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            if started:
+                tracemalloc.stop()
+        assert enc.vocab_size > 50_000
+        assert retained / enc.vocab_size < 48, retained / enc.vocab_size
 
     def test_freq_reflects_popularity(self, encoder, tiny_trace):
         dense = encoder.dense_ids(tiny_trace)

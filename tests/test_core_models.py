@@ -145,12 +145,3 @@ class TestBucketDecoder:
             expected = np.where(first_best >= 0, first_best, 7)
             assert np.array_equal(decoder.decode_buckets(logits), expected)
         assert np.all(empty.decode_buckets(logits) == 7)
-        assert np.all(empty.decode(rng.normal(size=(3, 2)),
-                                   rng.normal(size=(K, 2))) == 7)
-
-    def test_decode_nearest_codeword(self, rng):
-        K, D = 8, 4
-        codebook = rng.normal(size=(K, D))
-        decoder = BucketDecoder.from_miss_ids(np.arange(K), K)
-        out = decoder.decode(codebook[2].reshape(1, D), codebook)
-        assert out[0] == 2

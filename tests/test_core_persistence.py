@@ -7,6 +7,7 @@ import pytest
 
 from repro.core import RecMG
 from repro.core.persistence import load_recmg, save_recmg
+from repro.traces import Trace
 
 
 def _rewrite_config(src, dst, **updates):
@@ -47,6 +48,37 @@ class TestPersistence:
             restored.prefetch_model.predict_indices(
                 chunks_b, restored.encoder, sel=sel),
         )
+
+    def test_roundtrip_restores_the_vocabulary(self, trained_recmg,
+                                               tiny_trace, tmp_path):
+        """The restored encoder maps keys, tables and frequencies as the
+        saved one does, unseen keys and tables included, and the archive
+        keeps the vocabulary under its three ``encoder_*`` keys."""
+        path = tmp_path / "recmg.npz"
+        save_recmg(trained_recmg, path)
+        restored = load_recmg(path).encoder
+        saved = trained_recmg.encoder
+        train, test = tiny_trace.split(0.6)
+        with np.load(path, allow_pickle=False) as archive:
+            assert np.array_equal(archive["encoder_keys"],
+                                  np.unique(train.keys()))
+            assert np.array_equal(archive["encoder_tables"],
+                                  np.unique(train.table_ids))
+            assert archive["encoder_freq"].shape == (saved.vocab_size,)
+        foreign = Trace(np.array([991, 992, 0], dtype=np.int64),
+                        np.array([123456, 99, 10 ** 9], dtype=np.int64))
+        mixed = Trace.concatenate([test.head(597), foreign])
+        dense = saved.dense_ids(mixed)
+        assert (dense >= saved.vocab_size).sum() >= len(foreign)
+        assert np.array_equal(restored.dense_ids(mixed), dense)
+        assert np.array_equal(restored.tables_for_dense(dense),
+                              saved.tables_for_dense(dense))
+        chunks_a = saved.encode_dense_chunks(dense)
+        chunks_b = restored.encode_dense_chunks(dense)
+        for field in ("table_ids", "hashed_rows", "norm_index", "freq",
+                      "dense_ids", "starts"):
+            assert np.array_equal(getattr(chunks_a, field),
+                                  getattr(chunks_b, field)), field
 
     def test_roundtrip_deployment_identical(self, trained_recmg, tiny_trace,
                                             tiny_capacity, tmp_path):

@@ -158,7 +158,10 @@ def test_tables_for_dense_covers_spillover(world, small_config):
     from the packed key they carry — identical to trace-side encoding."""
     head, tail, encoder, _, _ = world
     dense = encoder.dense_ids(tail)
-    expected = encoder.table_indices(tail)
+    tables = np.unique(head.table_ids)
+    rank = {int(table): i for i, table in enumerate(tables)}
+    expected = np.array([rank.get(int(t), int(t) % len(tables))
+                         for t in tail.table_ids], dtype=np.int64)
     np.testing.assert_array_equal(encoder.tables_for_dense(dense), expected)
     assert (dense >= encoder.vocab_size).any(), \
         "fixture should exercise spillover ids"

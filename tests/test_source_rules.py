@@ -22,6 +22,10 @@ membership index (``ResidencyIndex``), reaches for one through a
 ``.residency`` attribute, or writes a duplicate spillover set
 (``._overflow``).
 
+The feature encoder's dense vocabulary is one sorted key array: no
+module under ``src/repro`` brings back a key->dense dict
+(``_key_to_dense``) or a table->id dict (``_table_to_id``) beside it.
+
 ``repro.nn`` exports only what the library uses: every name in
 ``repro.nn.__all__`` is imported from the package by some module under
 ``src/repro`` outside ``nn/`` (a model, a loss site or a baseline).
@@ -44,6 +48,8 @@ BUFFER_ISINSTANCE = re.compile(
     r"\b(?:ShardedBuffer|FastPriorityBuffer|ClockBuffer|PriorityBuffer)\b")
 SECOND_MEMBERSHIP = re.compile(
     r"\bResidencyIndex\b|\.residency\b|\._overflow\b")
+
+VOCABULARY_DICT = re.compile(r"\b_(?:key_to_dense|table_to_id)\b")
 
 
 def _offenders(root: Path, pattern: re.Pattern) -> list:
@@ -152,6 +158,23 @@ def test_second_membership_pattern_catches_each_form():
                  "self._overflow_count += 1", "self.residency_share = 0",
                  "# up to the overflowing first touch"):
         assert not SECOND_MEMBERSHIP.search(text), text
+
+
+def test_encoder_keeps_one_vocabulary_record():
+    offenders = _offenders(SRC, VOCABULARY_DICT)
+    assert not offenders, "\n".join(offenders)
+
+
+def test_vocabulary_dict_pattern_catches_each_form():
+    for text in ("self._key_to_dense: Optional[Dict[int, int]] = None",
+                 "encoder._table_to_id = {int(t): i for i, t in x}",
+                 "np.fromiter(self._key_to_dense, dtype=np.int64)",
+                 "sorted(encoder._table_to_id)"):
+        assert VOCABULARY_DICT.search(text), text
+    for text in ("key_to_dense = {int(k): i for i, k in enumerate(keys)}",
+                 "self._keys = np.asarray(keys)", "table_to_identity",
+                 "self._dense_tables = tables", "_key_to_dense_ids()"):
+        assert not VOCABULARY_DICT.search(text), text
 
 
 def test_nn_exports_only_what_the_library_imports():

@@ -76,9 +76,10 @@ class TestTrace:
 class TestRemap:
     def test_dense_ids_contiguous(self):
         trace = Trace.from_pairs([(1, 5), (0, 3), (1, 5), (2, 1)])
-        dense, mapping = remap_to_dense(trace)
+        dense, keys = remap_to_dense(trace)
         assert set(dense.tolist()) == {0, 1, 2}
-        assert len(mapping) == 3
+        assert np.array_equal(keys, np.unique(trace.keys()))
+        assert np.array_equal(keys[dense], trace.keys())
 
     def test_dense_order_is_sorted_by_key(self):
         trace = Trace.from_pairs([(1, 0), (0, 0)])
