@@ -123,17 +123,27 @@ backends, each over its shard's compressed universe; with one shard it
 is the identity.  See :mod:`repro.cache.sharding` for the routing,
 compression and per-shard eviction contract.
 
-Each backend also speaks a two-method **state migration** protocol —
-``export_state()`` / ``import_state(...)`` — used by
-``ShardedBuffer.rebalance`` to move resident entries between shard
-backends when the capacity split (and, under the contiguous router,
-the partition itself) changes at runtime.  The exact backends carry
-``(key, effective_priority, seqno)`` triples (future victim choices
-depend only on the priorities and the *relative* seqno order, so
-re-ranked seqnos preserve eviction order); the clock backend carries
-``(key, priority)`` pairs in circular hand order (slot assignment on
-import preserves the sweep sequence).  See "Rebalancing" in
-:mod:`repro.cache.sharding` for the full migration contract.
+**One migration record.**  Under Algorithm 2 a buffer's future
+victims depend only on each entry's priority and its place in the
+tie-breaking order, so every backend exports its residents as one
+record, ``export_state() -> (keys, priorities)`` in eviction-tie
+order, and ``import_state(keys, priorities)`` loads such a record into
+an empty backend:
+
+* the exact backends export in ascending seqno order, with effective
+  priorities (aging applied, floored at 0), and import by drawing
+  fresh ascending seqnos, so the relative seqno order — all that
+  eviction reads — survives;
+* the clock backend exports in circular hand order from the hand, and
+  a fresh one imports entry ``i`` into slot ``i`` with the hand at 0,
+  so its sweep visits the entries in the same order.
+
+So a fresh backend loaded with ``import_state(*export_state())`` holds
+the same keys and priorities and drains in the same victim order
+(property-tested over all three backends in
+``tests/test_buffer_differential.py``).
+:meth:`~repro.cache.sharding.ShardedBuffer.rebalance` moves residents
+between shards through this record.
 """
 
 from __future__ import annotations
@@ -152,6 +162,20 @@ _VICTIM_QUEUE = 1024
 def _as_key_list(keys: Sequence[int]) -> List[int]:
     return (keys.tolist() if isinstance(keys, np.ndarray)
             else [int(key) for key in keys])
+
+
+def _insert_all(buffer, keys: Sequence[int],
+                priorities: Sequence[int]) -> None:
+    """``import_state`` as scalar inserts in record order, into an
+    empty ``buffer``."""
+    if len(buffer):
+        raise RuntimeError("import_state requires an empty buffer")
+    keys_arr = np.asarray(keys, dtype=np.int64)
+    if keys_arr.size > buffer.capacity:
+        raise RuntimeError("buffer full; evict first")
+    for key, priority in zip(keys_arr.tolist(),
+                             np.asarray(priorities, dtype=np.int64).tolist()):
+        buffer.insert(key, priority)
 
 
 def _last_occurrence(arr: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
@@ -391,42 +415,18 @@ class PriorityBuffer:
         return _serve_scalar(self, np.asarray(segment, dtype=np.int64),
                              priority)
 
-    def export_state(self) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """All resident entries as ``(keys, priority, seqno)`` arrays
-        (order unspecified) — the export half of the shard-rebalancing
-        migration protocol (see "Rebalancing" in
-        :mod:`repro.cache.sharding`)."""
-        count = len(self._priority)
-        keys = np.fromiter(self._priority, dtype=np.int64, count=count)
-        prio = np.fromiter((self._priority[k] for k in keys.tolist()),
-                           dtype=np.int64, count=count)
-        seq = np.fromiter((self._seqno[k] for k in keys.tolist()),
-                          dtype=np.int64, count=count)
-        return keys, prio, seq
+    def export_state(self) -> Tuple[np.ndarray, np.ndarray]:
+        """The migration record: resident ``(keys, priorities)`` in
+        ascending seqno order (module docstring)."""
+        order = sorted(self._seqno, key=self._seqno.__getitem__)
+        return (np.array(order, dtype=np.int64),
+                np.array([self._priority[k] for k in order], dtype=np.int64))
 
-    def import_state(self, keys: Sequence[int], priorities: Sequence[int],
-                     seqnos: Sequence[int]) -> None:
-        """Load exported entries into an *empty* buffer verbatim.
-
-        Keys must be unique and fit the capacity; seqnos must be unique
-        per entry.  Future victim choices depend only on the priorities
-        and the relative seqno order, so a caller may re-rank seqnos
-        (e.g. to ``0..n-1``) without changing eviction behavior.
-        """
-        if len(self._priority):
-            raise RuntimeError("import_state requires an empty buffer")
-        keys_arr = np.asarray(keys, dtype=np.int64)
-        prio_arr = np.asarray(priorities, dtype=np.int64)
-        seq_arr = np.asarray(seqnos, dtype=np.int64)
-        if keys_arr.size > self.capacity:
-            raise RuntimeError("buffer full; evict first")
-        for key, p, s in zip(keys_arr.tolist(), prio_arr.tolist(),
-                             seq_arr.tolist()):
-            self._priority[key] = p
-            self._seqno[key] = s
-        if keys_arr.size:
-            self._next_seq = max(self._next_seq, int(seq_arr.max()) + 1)
-            self._min_seq = min(self._min_seq, int(seq_arr.min()))
+    def import_state(self, keys: Sequence[int],
+                     priorities: Sequence[int]) -> None:
+        """Load a migration record into an *empty* buffer: entry ``i``
+        draws the ``i``-th fresh seqno (module docstring)."""
+        _insert_all(self, keys, priorities)
 
     def evict_one(self) -> int:
         """Algorithm 2: evict min-(priority, seqno) entry, age the rest.
@@ -681,40 +681,31 @@ class FastPriorityBuffer:
             seq = np.concatenate((seq, oseq))
         return ids, expiry, seq
 
-    def export_state(self) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """All resident entries as ``(keys, effective_priority, seqno)``
-        arrays (order unspecified) — the export half of the
-        shard-rebalancing migration protocol (see "Rebalancing" in
-        :mod:`repro.cache.sharding`).  Priorities come out *effective*
-        (aging already applied, floored at 0), so an import into a
-        fresh backend reproduces the same future victim sequence."""
+    def export_state(self) -> Tuple[np.ndarray, np.ndarray]:
+        """The migration record: resident ``(keys, priorities)`` in
+        ascending seqno order, priorities *effective* (aging applied,
+        floored at 0; module docstring)."""
         ids, expiry, seq = self._gather_entries()
-        return ids, np.maximum(0, expiry - self._age), seq
+        order = np.argsort(seq)
+        return ids[order], np.maximum(0, expiry[order] - self._age)
 
-    def import_state(self, keys: Sequence[int], priorities: Sequence[int],
-                     seqnos: Sequence[int]) -> None:
-        """Load exported entries into an *empty* buffer.
-
-        Keys must be unique and fit the capacity; seqnos must be unique
-        per entry.  Future victim choices depend only on the priorities
-        and the relative seqno order, so a caller may re-rank seqnos
-        (e.g. to ``0..n-1``) without changing eviction behavior.
-        """
+    def import_state(self, keys: Sequence[int],
+                     priorities: Sequence[int]) -> None:
+        """Load a migration record into an *empty* buffer: entry ``i``
+        draws the ``i``-th fresh seqno (module docstring)."""
         if len(self):
             raise RuntimeError("import_state requires an empty buffer")
         keys_arr = np.asarray(keys, dtype=np.int64)
-        prio_arr = np.asarray(priorities, dtype=np.int64)
-        seq_arr = np.asarray(seqnos, dtype=np.int64)
         if keys_arr.size > self.capacity:
             raise RuntimeError("buffer full; evict first")
-        if keys_arr.size == 0:
-            return
-        self._store_batch(keys_arr, self._age + prio_arr, seq_arr)
+        base = self._next_seq
+        self._store_batch(keys_arr,
+                          self._age + np.asarray(priorities, dtype=np.int64),
+                          np.arange(base, base + keys_arr.size))
         self._size = int(keys_arr.size)
-        # Imported seqnos are arbitrary: stale records could match.
+        self._next_seq = base + int(keys_arr.size)
+        # The old queue holds only records of evicted entries.
         self._victims = None
-        self._next_seq = max(self._next_seq, int(seq_arr.max()) + 1)
-        self._min_seq = min(self._min_seq, int(seq_arr.min()))
 
     def _remove_victims(self, victims: np.ndarray, count: int) -> None:
         """Drop ``victims`` and apply the ``count`` aging steps their
@@ -1518,12 +1509,9 @@ class ClockBuffer:
         return arr.size, miss_positions, victims
 
     def export_state(self) -> Tuple[np.ndarray, np.ndarray]:
-        """Resident ``(keys, priority)`` arrays in circular hand order
-        (starting at the slot the sweep would examine next) — the
-        export half of the shard-rebalancing migration protocol (see
-        "Rebalancing" in :mod:`repro.cache.sharding`).  An import in
-        this order into a fresh backend reproduces the same sweep
-        sequence."""
+        """The migration record: resident ``(keys, priorities)`` in
+        circular hand order, from the slot the sweep examines next
+        (module docstring)."""
         slots = np.flatnonzero(self._valid)
         split = int(np.searchsorted(slots, self._hand))
         ordered = np.concatenate((slots[split:], slots[:split]))
@@ -1531,19 +1519,11 @@ class ClockBuffer:
 
     def import_state(self, keys: Sequence[int],
                      priorities: Sequence[int]) -> None:
-        """Load exported ``(key, priority)`` pairs into an *empty*
-        buffer, preserving order: entry ``i`` takes slot ``i`` and the
-        hand starts at 0, so the sweep visits the entries in the order
-        given (hand-order tie-breaking is part of the migration
-        contract).  Keys must be unique and fit the capacity."""
-        if len(self):
-            raise RuntimeError("import_state requires an empty buffer")
-        keys_arr = np.asarray(keys, dtype=np.int64)
-        prio_arr = np.asarray(priorities, dtype=np.int64)
-        if keys_arr.size > self.capacity:
-            raise RuntimeError("buffer full; evict first")
-        for key, p in zip(keys_arr.tolist(), prio_arr.tolist()):
-            self.insert(key, p)
+        """Load a migration record into an *empty* buffer: in a fresh
+        one entry ``i`` takes slot ``i`` and the hand starts at 0, so
+        the sweep visits the entries in the order given (module
+        docstring)."""
+        _insert_all(self, keys, priorities)
 
     def evict_one(self) -> int:
         if not len(self):

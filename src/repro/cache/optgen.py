@@ -15,24 +15,24 @@ RecMG uses OPTgen offline to label its training data (paper §VI-A):
 * **prefetch trace** — the subsequence of accesses that still miss under
   OPT, which the prefetch model learns to predict.
 
-Engines (all bit-identical; property tests enforce it):
+Two implementations (bit-identical; property tests enforce it):
 
-* ``engine="fast"`` (default) — reuse intervals are precomputed in bulk
+* :func:`run_optgen` — reuse intervals are precomputed in bulk
   (:func:`repro.traces.reuse.prev_occurrence_indices`, an
   ``np.argsort``-based last-seen pass), the ``cache_friendly``
   back-propagation is a vectorized gather, and the per-access
   feasibility pass is picked by a cost model over the precomputed
   interval lengths:
 
-  - short mean intervals → ``"slices"``: the occupancy vector is a flat
-    numpy array and each feasibility check is one C-level slice
+  - short mean intervals → the slice pass: the occupancy vector is a
+    flat numpy array and each feasibility check is one C-level slice
     max / slice increment (O(interval) memory-bandwidth work, which on
     real traces beats any pointer structure in Python);
-  - long mean intervals → ``"tree"``: a flat *iterative* lazy segment
-    tree (:class:`_MaxSegmentTree`, no recursion, fused query+update),
-    keeping the pass O(n log n) in the adversarial case.
+  - long mean intervals → the tree pass: a flat *iterative* lazy
+    segment tree (:class:`_MaxSegmentTree`, no recursion, fused
+    query+update), keeping the pass O(n log n) in the adversarial case.
 
-* ``engine="reference"`` — the original per-access loop over a
+* :func:`run_optgen_reference` — the original per-access loop over a
   recursive segment tree (:class:`_RecursiveMaxSegmentTree`), kept as
   the audit reference.
 """
@@ -261,8 +261,8 @@ class OptgenResult:
         return self.stats.hit_rate
 
 
-#: Mean reuse-interval length above which the fast engine switches from
-#: the numpy occupancy-slice pass to the iterative segment tree (the
+#: Mean reuse-interval length above which :func:`run_optgen` switches
+#: from the numpy occupancy-slice pass to the iterative segment tree (the
 #: slice pass does O(interval) memory-bandwidth work per access, the
 #: tree ~O(log n) interpreted steps; the break-even sits in the
 #: thousands of elements on current hardware).
@@ -301,23 +301,15 @@ def _optgen_pass_tree(prev_list: List[int], n: int, capacity: int,
     return hits
 
 
-def run_optgen(trace: Trace, capacity: int,
-               engine: str = "fast") -> OptgenResult:
+def run_optgen(trace: Trace, capacity: int) -> OptgenResult:
     """Run OPTgen over ``trace`` with a fully associative budget.
 
     The paper sets the OPTgen budget to 80% of the physical GPU buffer,
     reserving headroom for prefetched vectors; callers apply that scaling.
-
-    ``engine`` is ``"fast"`` (cost-model choice between the two batched
-    passes), ``"slices"``, ``"tree"``, or ``"reference"`` (the
-    per-access audit loop); all produce bit-identical results.
+    Bit-identical to :func:`run_optgen_reference`.
     """
     if capacity < 1:
         raise ValueError("capacity must be >= 1")
-    if engine == "reference":
-        return run_optgen_reference(trace, capacity)
-    if engine not in ("fast", "slices", "tree"):
-        raise ValueError(f"unknown optgen engine: {engine!r}")
 
     keys = trace.keys()
     n = len(keys)
@@ -325,13 +317,11 @@ def run_optgen(trace: Trace, capacity: int,
     opt_list = [False] * n
     hits = 0
     if n:
-        if engine == "fast":
-            warm = prev >= 0
-            total_len = int((np.nonzero(warm)[0] - prev[warm]).sum())
-            mean_len = total_len / max(1, int(warm.sum()))
-            engine = ("slices" if mean_len <= _SLICE_ENGINE_MAX_MEAN_INTERVAL
-                      else "tree")
-        run_pass = (_optgen_pass_slices if engine == "slices"
+        warm = prev >= 0
+        total_len = int((np.nonzero(warm)[0] - prev[warm]).sum())
+        mean_len = total_len / max(1, int(warm.sum()))
+        run_pass = (_optgen_pass_slices
+                    if mean_len <= _SLICE_ENGINE_MAX_MEAN_INTERVAL
                     else _optgen_pass_tree)
         hits = run_pass(prev.tolist(), n, capacity, opt_list)
     opt_hits = np.asarray(opt_list, dtype=bool)

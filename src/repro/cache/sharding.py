@@ -106,30 +106,35 @@ and writes each shard's bits to its backend in local ids.
 **Rebalancing (live re-splitting).**  The split chosen at construction
 is not forever: :meth:`ShardedBuffer.rebalance` re-splits the capacity
 (largest-remainder over new weights) and — contiguous router only —
-re-draws the owned ranges by the same apportionment over ``key_space``,
-migrating resident keys between shards without a global rebuild.  The
-migration contract, executed by :class:`ShardRebalancer`:
+re-draws the owned ranges by the same apportionment over
+``key_space``, migrating resident keys between shards without a global
+rebuild.  Residents move through the backends' one migration record,
+``(keys, priorities)`` in eviction-tie order (``export_state`` /
+``import_state``, see :mod:`repro.cache.buffer`), so the migration
+never asks which backend it moves:
 
-* residents are **exported** from each shard's compressed universe
-  under the old partition (backend ``export_state``: exact backends
-  carry ``(key, effective_priority, seqno)``, the clock backend
-  ``(key, priority)`` in hand order), decompressed to global ids,
-  **re-routed** under the new partition and **re-imported** into the
-  rebuilt destination backends — priorities carry over exactly, so no
-  key gains or loses standing by moving;
-* relative eviction order *within* a source shard is preserved
-  (seqnos re-rank monotonically; hand order re-packs in sweep order);
-  *across* source shards merged into one destination the order is the
-  deterministic (source shard asc, per-source order) concatenation —
-  the **eviction-order caveat across migration**: there is no global
-  recency clock to interleave two shards' histories by;
-* a destination whose new capacity undercuts its assembled population
-  (the donor-shrink path) evicts the overflow through a real
-  ``evict_batch`` on the merged population, so the victims are exactly
-  the backend's own choices, and reports them to the caller;
+* every shard's record is exported under the old partition and
+  decompressed to global ids; the partition is re-drawn and every key
+  re-routed, and each destination's population is the records
+  concatenated in source-shard order, each keeping its record order.
+  Priorities carry over exactly and the eviction order within a source
+  shard is preserved; *across* source shards merged into one
+  destination the order is that concatenation — the **eviction-order
+  caveat across migration**: there is no global recency clock to
+  interleave two shards' histories by;
+* a destination whose new capacity undercuts its population (the
+  donor-shrink path) loads it into a population-sized scratch backend
+  and runs a real ``evict_batch``, so the victims are exactly the
+  backend's own choices, reported to the caller; the survivors'
+  record is what the rebuilt shard imports;
+* every shard is rebuilt from its record, so serving afterwards
+  matches a fresh buffer rebalanced empty onto the same weights and
+  seeded by inserting each shard's record in order (pinned in
+  ``tests/test_golden_backends.py`` and ``tests/test_rebalancing.py``);
 * a rebalance whose target split equals the current state is a
-  **no-op** (bit-identical to not calling it), and spillover ids never
-  migrate (``key mod N`` routing is partition-invariant);
+  **no-op** (it returns before any export, bit-identical to not
+  calling it), and spillover ids never migrate (``key mod N`` routing
+  is partition-invariant);
 * rebalancing is **not safe against in-flight serving** — the
   manager's online driver runs it at block boundaries only, on the
   serving thread.
@@ -329,21 +334,21 @@ def split_capacity(capacity: int, num_shards: int,
                    ) -> List[int]:
     """Per-shard capacities for a total of ``capacity`` slots.
 
-    Uniform (``shard_weights=None``): ``capacity // N`` each, the
-    remainder to the lowest shard ids — the historical split, kept
-    bit-exact so weighted support cannot drift the default goldens.
-    Weighted: largest-remainder apportionment of
-    ``capacity * w_s / sum(w)`` (floors first, leftover slots to the
-    largest fractional parts, ties to the lowest shard id), then a
-    deterministic rebalance so every shard keeps at least one slot
-    (possible because ``ShardedBuffer`` requires ``capacity >= N``).
+    Largest-remainder apportionment of ``capacity * w_s / sum(w)``
+    (floors first, leftover slots to the largest fractional parts, ties
+    to the lowest shard id), then a deterministic rebalance so every
+    shard keeps at least one slot.  ``shard_weights=None`` means equal
+    weights: ``capacity // N`` each, the remainder to the lowest shard
+    ids.
     """
     capacity = int(capacity)
     num_shards = int(num_shards)
+    if capacity < num_shards:
+        raise ValueError(
+            f"capacity {capacity} cannot give every one of "
+            f"{num_shards} shards at least one slot")
     if shard_weights is None:
-        base, remainder = divmod(capacity, num_shards)
-        return [base + (1 if s < remainder else 0)
-                for s in range(num_shards)]
+        shard_weights = np.ones(num_shards)
     weights = np.asarray(shard_weights, dtype=np.float64)
     if weights.shape != (num_shards,):
         raise ValueError(
@@ -376,158 +381,6 @@ class Shard:
         self.backend = backend
 
 
-class ShardRebalancer:
-    """Plans and executes one :meth:`ShardedBuffer.rebalance`.
-
-    The migration runs in four steps (see "Rebalancing" in the module
-    docstring for the contract):
-
-    1. **Plan** — the target capacity split (largest-remainder over the
-       new weights) and, when the router supports repartitioning, the
-       target range boundaries (the same largest-remainder apportionment
-       over ``key_space``; ``weights=None`` restores the construction
-       defaults).  If neither differs from the current state the
-       rebalance is a no-op and returns without touching any backend.
-    2. **Export** — every shard's residents leave through the backend
-       migration protocol (``export_state``) and are decompressed to
-       global ids under the *old* partition.
-    3. **Re-route** — the partition is re-drawn, every exported key is
-       routed under the new bounds, and each destination's population
-       is assembled: exact backends' entries ordered by (source shard
-       asc, seqno asc), the clock backend's in (source shard asc, hand
-       order) — relative eviction order *within* a source shard is
-       preserved exactly; *across* source shards it is this
-       deterministic merge (the eviction-order caveat).
-    4. **Import / shrink** — each shard's backend is rebuilt over its
-       new compressed universe and capacity.  A destination whose
-       assembled population overflows its new capacity (the donor-shrink
-       path) first imports into a population-sized scratch backend and
-       runs a real ``evict_batch`` — aging included, so the overflow
-       victims are exactly the ones the backend itself would choose —
-       then imports the survivors.  Victims are reported in the stats
-       so manager-level eviction accounting stays consistent.
-    """
-
-    def __init__(self, buffer: "ShardedBuffer") -> None:
-        self.buffer = buffer
-
-    def plan(self, shard_weights: Optional[Sequence[float]]
-             ) -> Tuple[List[int], Optional[np.ndarray]]:
-        """Target ``(shard_capacities, range_bounds)`` for the given
-        weights; ``range_bounds`` is None when the partition cannot
-        change (modulo router, or a universe smaller than the shard
-        count)."""
-        buf = self.buffer
-        new_caps = split_capacity(buf.capacity, buf.num_shards,
-                                  shard_weights)
-        new_bounds: Optional[np.ndarray] = None
-        if (buf.router.name == "contiguous"
-                and buf.key_space >= buf.num_shards):
-            if shard_weights is None:
-                new_bounds = ShardRouter.default_bounds(
-                    buf.num_shards, buf.key_space)
-            else:
-                sizes = split_capacity(buf.key_space, buf.num_shards,
-                                       shard_weights)
-                new_bounds = np.concatenate(
-                    ([0], np.cumsum(sizes))).astype(np.int64)
-        return new_caps, new_bounds
-
-    def apply(self, shard_weights: Optional[Sequence[float]]) -> Dict:
-        buf = self.buffer
-        router = buf.router
-        new_caps, new_bounds = self.plan(shard_weights)
-        bounds_unchanged = (new_bounds is None
-                            or np.array_equal(new_bounds, router._bounds))
-        if new_caps == buf.shard_capacities and bounds_unchanged:
-            # No-op: the target state is the current state.  Returning
-            # here (before any export) is what makes a same-weights
-            # rebalance bit-identical to never calling it.
-            return {"changed": False, "migrated_keys": 0, "evicted": [],
-                    "shard_capacities": list(buf.shard_capacities)}
-        exact = not buf.approximate
-        # Step 2: export under the old partition (ids leave global).
-        exports = []
-        for index, shard in enumerate(buf.shards):
-            if exact:
-                local_keys, prio, seq = shard.backend.export_state()
-            else:
-                local_keys, prio = shard.backend.export_state()
-                seq = None
-            exports.append((router.decompress(index, local_keys), prio, seq))
-        # Step 3: re-draw the partition, re-route, regroup.
-        if new_bounds is not None and not bounds_unchanged:
-            router.set_bounds(new_bounds)
-        empty = np.empty(0, dtype=np.int64)
-        grouped_keys: List[List[np.ndarray]] = [[] for _ in buf.shards]
-        grouped_prio: List[List[np.ndarray]] = [[] for _ in buf.shards]
-        migrated = 0
-        for source, (keys, prio, seq) in enumerate(exports):
-            if keys.size == 0:
-                continue
-            dest = router.route_batch(keys)
-            migrated += int(np.count_nonzero(dest != source))
-            for d in np.unique(dest).tolist():
-                mask = dest == d
-                sub_keys, sub_prio = keys[mask], prio[mask]
-                if exact:
-                    order = np.argsort(seq[mask], kind="stable")
-                    sub_keys, sub_prio = sub_keys[order], sub_prio[order]
-                grouped_keys[d].append(sub_keys)
-                grouped_prio[d].append(sub_prio)
-        # Step 4: rebuild every shard over its new universe/capacity.
-        evicted: List[int] = []
-        for d, shard in enumerate(buf.shards):
-            keys = (np.concatenate(grouped_keys[d])
-                    if grouped_keys[d] else empty)
-            prio = (np.concatenate(grouped_prio[d])
-                    if grouped_prio[d] else empty)
-            local = router.compress(d, keys)
-            cap = new_caps[d]
-            if keys.size > cap:
-                # Donor shrink: a real evict_batch on the assembled
-                # population (scratch backend sized to hold it all)
-                # picks the overflow victims the backend itself would.
-                scratch = make_buffer(
-                    buf.impl, int(keys.size),
-                    key_space=router.shard_key_space(d))
-                self._import(scratch, local, prio, exact)
-                victims = np.asarray(
-                    scratch.evict_batch(int(keys.size) - cap),
-                    dtype=np.int64)
-                evicted.extend(
-                    router.decompress(d, victims).tolist())
-                if exact:
-                    local, prio, seq = scratch.export_state()
-                    order = np.argsort(seq, kind="stable")
-                    local, prio = local[order], prio[order]
-                else:
-                    local, prio = scratch.export_state()
-            backend = make_buffer(buf.impl, cap,
-                                  key_space=router.shard_key_space(d))
-            assert backend.key_space == router.shard_key_space(d)
-            self._import(backend, local, prio, exact)
-            shard.backend = backend
-        buf.shard_capacities = list(new_caps)
-        buf.shard_weights = (None if shard_weights is None
-                             else tuple(float(w) for w in shard_weights))
-        return {"changed": True, "migrated_keys": migrated,
-                "evicted": evicted, "shard_capacities": list(new_caps)}
-
-    @staticmethod
-    def _import(backend, local_keys: np.ndarray, prio: np.ndarray,
-                exact: bool) -> None:
-        """Load an assembled population, re-ranking exact seqnos to
-        ``0..n-1`` (relative order — all that eviction behavior depends
-        on — is already encoded in the array order)."""
-        if exact:
-            backend.import_state(
-                local_keys, prio,
-                np.arange(local_keys.size, dtype=np.int64))
-        else:
-            backend.import_state(local_keys, prio)
-
-
 class ShardedBuffer:
     """N independent backend shards behind the single-buffer protocol.
 
@@ -535,10 +388,9 @@ class ShardedBuffer:
     eviction contract.  ``impl`` names any registered backend
     (:data:`repro.cache.buffer.BUFFER_IMPLS`); every shard's backend is
     built over its *compressed* universe (``router.shard_key_space(s)``)
-    and held in :attr:`shards`.  ``approximate`` is inherited from the
-    shard backend (the rebalancer migrates exact and clock state
-    differently).  ``shard_weights`` (optional) splits the capacity
-    proportionally instead of uniformly (:func:`split_capacity`).
+    and held in :attr:`shards`.  ``shard_weights`` (optional) splits
+    the capacity proportionally instead of uniformly
+    (:func:`split_capacity`).
 
     More than one shard needs ``key_space`` (the routers partition the
     dense id universe); one shard takes ``None``, the empty universe,
@@ -557,10 +409,6 @@ class ShardedBuffer:
                 f"routers partition the dense id universe [0, key_space)")
         if shard_weights is not None and num_shards == 1:
             raise ValueError("shard_weights requires num_shards > 1")
-        if capacity < num_shards:
-            raise ValueError(
-                f"capacity {capacity} cannot give every one of "
-                f"{num_shards} shards at least one slot")
         self.impl = impl
         self.capacity = int(capacity)
         self.key_space = int(key_space or 0)
@@ -581,10 +429,6 @@ class ShardedBuffer:
             # here would silently cost N× the per-id memory).
             assert backend.key_space == self.router.shard_key_space(index)
             self.shards.append(Shard(backend))
-        #: Victim order approximates/honors the per-shard contract of
-        #: the underlying backend; never the cross-shard global order.
-        self.approximate = bool(getattr(self.shards[0].backend,
-                                        "approximate", False))
 
     # -- routing -------------------------------------------------------
     def _locate(self, key: int) -> Tuple[int, object, int]:
@@ -722,38 +566,59 @@ class ShardedBuffer:
     def rebalance(self, shard_weights: Optional[Sequence[float]] = None
                   ) -> Dict:
         """Re-split capacity (and, under the contiguous router, the
-        partition) to ``shard_weights``, migrating residents live.
-
-        See "Rebalancing" in the module docstring and
-        :class:`ShardRebalancer` for the migration contract.  In brief:
-
-        * ``shard_weights=None`` targets the construction defaults
-          (uniform capacity split, ceil-split ranges); weights target
-          the largest-remainder apportionment of both capacity and —
-          contiguous router only — the key range.
-        * A rebalance whose target equals the current state is a
-          **no-op**: it returns before touching any backend, so calling
-          it is bit-identical to not calling it.
-        * A real rebalance rebuilds *every* shard into canonical
-          packed state: residents keep their exact effective
-          priorities, relative eviction order within each source shard
-          is preserved, and populations merged from several source
-          shards are ordered (source shard asc, then per-source order)
-          — the **eviction-order caveat across migration**.  Serving
-          decisions afterwards match a fresh ``ShardedBuffer`` built
-          with the new weights (partition re-drawn) and pre-seeded
-          with the same residents in that canonical order (pinned in
-          ``tests/test_golden_backends.py``).
-        * Shards whose new capacity undercuts their assembled
-          population evict the overflow through their own backend's
-          eviction order; the victims come back in ``"evicted"`` so
-          callers can keep eviction accounting consistent.
-        * **Not thread-safe against in-flight serving** — call it
-          between serves, from the serving thread, as the manager's
-          online driver does.
+        partition) to ``shard_weights``, migrating residents live under
+        the contract of "Rebalancing" in the module docstring.
+        ``shard_weights=None`` targets the construction defaults (equal
+        capacity split, ceil-split ranges).
 
         Returns a stats dict: ``changed``, ``migrated_keys`` (keys
         whose shard assignment changed), ``evicted`` (donor-shrink
         victims, global ids), ``shard_capacities`` (the new split).
         """
-        return ShardRebalancer(self).apply(shard_weights)
+        router = self.router
+        new_caps = split_capacity(self.capacity, self.num_shards,
+                                  shard_weights)
+        new_bounds = None
+        if router.name == "contiguous" and self.key_space >= self.num_shards:
+            if shard_weights is None:
+                new_bounds = ShardRouter.default_bounds(self.num_shards,
+                                                        self.key_space)
+            else:
+                sizes = split_capacity(self.key_space, self.num_shards,
+                                       shard_weights)
+                new_bounds = np.concatenate(([0], np.cumsum(sizes)))
+        if new_caps == self.shard_capacities and (
+                new_bounds is None
+                or np.array_equal(new_bounds, router._bounds)):
+            return {"changed": False, "migrated_keys": 0, "evicted": [],
+                    "shard_capacities": list(self.shard_capacities)}
+        records = [shard.backend.export_state() for shard in self.shards]
+        keys = np.concatenate([router.decompress(index, local)
+                               for index, (local, _) in enumerate(records)])
+        priorities = np.concatenate([prio for _, prio in records])
+        source = np.repeat(np.arange(self.num_shards),
+                           [local.size for local, _ in records])
+        if new_bounds is not None:
+            router.set_bounds(new_bounds)
+        dest = router.route_batch(keys)
+        evicted: List[int] = []
+        for index, shard in enumerate(self.shards):
+            mine = dest == index
+            local = router.compress(index, keys[mine])
+            prio = priorities[mine]
+            key_space = router.shard_key_space(index)
+            if local.size > new_caps[index]:
+                scratch = make_buffer(self.impl, local.size, key_space)
+                scratch.import_state(local, prio)
+                victims = scratch.evict_batch(local.size - new_caps[index])
+                evicted.extend(router.decompress(index, victims).tolist())
+                local, prio = scratch.export_state()
+            shard.backend = make_buffer(self.impl, new_caps[index],
+                                        key_space)
+            shard.backend.import_state(local, prio)
+        self.shard_capacities = new_caps
+        self.shard_weights = (None if shard_weights is None
+                              else tuple(float(w) for w in shard_weights))
+        return {"changed": True,
+                "migrated_keys": int(np.count_nonzero(dest != source)),
+                "evicted": evicted, "shard_capacities": list(new_caps)}

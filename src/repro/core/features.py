@@ -223,10 +223,11 @@ class FeatureEncoder:
     def normalize(self, dense: np.ndarray) -> np.ndarray:
         """Dense ids -> [0, 1] scalars (the regression target space).
 
-        Unseen ids (>= vocab_size) clip to 1.0.
+        Unseen ids (>= vocab_size) map to 1.0.
         """
-        values = dense.astype(np.float64) / max(1, self.vocab_size - 1)
-        return np.clip(values, 0.0, 1.0)
+        values = np.clip(dense / max(1, self.vocab_size - 1), 0.0, 1.0)
+        values[dense >= self.vocab_size] = 1.0
+        return values
 
     # ------------------------------------------------------------------
     def encode_chunks(self, trace: Trace, stride: Optional[int] = None

@@ -6,7 +6,7 @@ from hypothesis import given, settings, strategies as st
 
 from repro.cache import (
     LRUCache, NEVER, next_use_indices, prefetch_trace_from, run_optgen,
-    simulate, simulate_belady,
+    run_optgen_reference, simulate, simulate_belady,
 )
 from repro.traces import Trace
 
@@ -102,8 +102,8 @@ class TestDegenerateIntervals:
         # The repeat of 3 must not be starved by the surrounding
         # occupancy of key 7's intervals.
         result = run_optgen(trace_of([7, 7, 3, 3, 7]), capacity=1)
-        reference = run_optgen(trace_of([7, 7, 3, 3, 7]), capacity=1,
-                               engine="reference")
+        reference = run_optgen_reference(trace_of([7, 7, 3, 3, 7]),
+                                         capacity=1)
         assert np.array_equal(result.opt_hits, reference.opt_hits)
         assert result.opt_hits.tolist() == [False, True, False, True, False]
 

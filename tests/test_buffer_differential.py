@@ -97,7 +97,8 @@ from hypothesis import given, settings, strategies as st
 
 from repro.cache import (ClockBuffer, FastPriorityBuffer, PriorityBuffer,
                          ShardedBuffer, buffer as buffer_module, make_buffer)
-from sharded_ops import drain, evict, home, per_shard, shards_of
+from sharded_ops import (apply_op, drain, evict, gen_ops, home, per_shard,
+                         shards_of)
 
 NUM_SEQUENCES = 200
 OPS_PER_SEQUENCE = 120
@@ -233,14 +234,14 @@ def _apply_exact_group(ref: PriorityBuffer, others, op, probe=PROBE):
             assert served == len(batch)
             assert victims.tolist() == expected
     elif kind == "import_state" and len(ref):
-        # Drain, then reload the drained population in reversed seqno
+        # Drain, then reload the drained population in reversed record
         # order — what a rebalance does to a shard, on the same object.
-        keys, prio, seq = ref.export_state()
+        keys, prio = ref.export_state()
         drained = ref.evict_batch(len(ref))
-        ref.import_state(keys, prio, -seq)
+        ref.import_state(keys[::-1], prio[::-1])
         for buffer in others:
             assert buffer.evict_batch(len(buffer)) == drained
-            buffer.import_state(keys, prio, -seq)
+            buffer.import_state(keys[::-1], prio[::-1])
     for buffer in others:
         assert len(buffer) == len(ref)
     for buffer in group:
@@ -475,15 +476,41 @@ def test_dense_victim_queue_survives_rebalance(seed, monkeypatch):
 
 
 def test_import_state_resets_victim_queue():
-    """A record of the pre-import numbering may match an imported
-    ``(key, seqno)`` pair whose priority is no longer zero."""
+    """An import draws fresh seqnos above every record of the old
+    numbering and drops the queue those records sit on."""
     buffer = FastPriorityBuffer(4, key_space=8)
     for key in range(4):
         buffer.insert(key, 0)
     assert buffer.evict_one() == 0      # builds the queue: 1, 2, 3 pending
     buffer.evict_batch(3)
-    buffer.import_state([1, 2, 3], [5, 0, 0], [1, 2, 3])
+    first = buffer._next_seq
+    buffer.import_state([1, 2, 3], [5, 0, 0])
+    assert buffer._victims is None
+    assert buffer._seq_of[[1, 2, 3]].tolist() == [first, first + 1,
+                                                  first + 2]
+    assert buffer._next_seq == first + 3
     assert buffer.evict_one() == 2      # 1 is live now; (1, 1) is stale
+
+
+@pytest.mark.parametrize("impl", ["reference", "fast", "clock"])
+@given(rng=st.randoms(use_true_random=False),
+       capacity=st.integers(1, 12),
+       key_space=st.sampled_from([0, DENSE_SPACE]))
+@settings(max_examples=60, deadline=None)
+def test_migration_record_round_trips(impl, rng, capacity, key_space):
+    """After random ops (spillover ids, demotes, evictions, served
+    segments), a fresh backend loaded with
+    ``import_state(*export_state())`` holds the same keys and
+    priorities and drains in the same victim order."""
+    lived = make_buffer(impl, capacity, key_space=key_space)
+    for op in gen_ops(rng, 40):
+        apply_op(lived, op)
+    copy = make_buffer(impl, capacity, key_space=key_space)
+    copy.import_state(*lived.export_state())
+    assert sorted(copy.keys()) == sorted(lived.keys())
+    for key in lived.keys():
+        assert copy.priority_of(key) == lived.priority_of(key)
+    assert copy.evict_batch(len(copy)) == lived.evict_batch(len(lived))
 
 
 def test_victim_queue_stays_bounded_without_scalar_evictions():
@@ -542,7 +569,7 @@ def _replay(buffer, segment, priority):
     at the start ripens before the last eviction, and counts: re-misses
     (misses of keys resident at the start) and chains (evictions fired
     *by* a re-miss whose victim re-misses later)."""
-    keys, prio, _ = buffer.export_state()
+    keys, prio = buffer.export_state()
     start = dict(zip(keys.tolist(), prio.tolist()))
     touched: set = set()
     decisions, victims, fired_by = [], [], []
@@ -602,8 +629,7 @@ def _cascade_segment(rng: random.Random, buffer, capacity: int,
     oldest residents — the first victims — in age order, each re-miss
     evicting the next; ``"mixed"`` draws residents and fresh ids at
     random; ``"wide"`` holds more distinct keys than slots."""
-    keys, _, seq = buffer.export_state()
-    by_age = keys[np.argsort(seq)].tolist()
+    by_age = buffer.export_state()[0].tolist()
     fresh = [key for key in ids if key not in buffer]
     shape = rng.choice(["cascade", "cascade", "mixed", "wide"])
     if shape == "cascade" and fresh:
@@ -977,16 +1003,26 @@ APPLIER_BACKENDS = {
 }
 
 
+def _seqno(backend, key: int) -> int:
+    """An exact backend's seqno of resident ``key``, read from its own
+    fields (the migration record keeps only the seqno order)."""
+    if isinstance(backend, PriorityBuffer):
+        return backend._seqno[key]
+    if 0 <= key < backend.key_space:
+        return int(backend._seq_of[key])
+    return backend._over[key][1]
+
+
 def _backend_states(buffer):
-    """``export_state()`` of every backend under ``buffer`` as lists —
-    exact backends sorted by key (their export order is unspecified),
-    the clock's kept as is (hand order is its state)."""
+    """The migration record of every backend under ``buffer`` as lists,
+    with each exact entry's seqno beside it."""
     states = []
     for backend, _ in shards_of(buffer):
-        columns = backend.export_state()
-        order = (slice(None) if getattr(backend, "approximate", False)
-                 else np.argsort(columns[0]))
-        states.append([column[order].tolist() for column in columns])
+        keys, prio = backend.export_state()
+        state = [keys.tolist(), prio.tolist()]
+        if not backend.approximate:
+            state.append([_seqno(backend, key) for key in state[0]])
+        states.append(state)
     return states
 
 

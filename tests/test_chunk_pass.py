@@ -247,7 +247,9 @@ def test_a_raising_pass_leaves_the_buffer_consistent(fault):
                             bits, preds, 4, 5, set())
     assert buffer._age > age
     assert len(buffer) == _recorded_members(buffer) == capacity
-    _, _, seqnos = buffer.export_state()
+    seqnos = np.concatenate((
+        buffer._seq_of[buffer._resident],
+        np.array([seq for _, seq in buffer._over.values()], dtype=np.int64)))
     assert buffer._min_seq <= seqnos.min() and seqnos.max() < buffer._next_seq
     reference = PriorityBuffer(capacity)
     reference.import_state(*buffer.export_state())

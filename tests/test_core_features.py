@@ -109,6 +109,13 @@ class TestEncoder:
         foreign = Trace.from_pairs([(3, 7), (5, 1)])
         assert np.array_equal(enc.dense_ids(foreign), foreign.keys())
 
+    def test_empty_fit_normalizes_every_id_to_one(self, tiny_recmg_config):
+        """With no vocabulary every id is unseen, the unseen key
+        ``(0, 0)`` (dense id 0) included, so every id maps to 1.0."""
+        enc = FeatureEncoder(tiny_recmg_config).fit(Trace.from_pairs([]))
+        dense = enc.dense_ids(Trace.from_pairs([(0, 0), (1, 2)]))
+        assert np.array_equal(enc.normalize(dense), [1.0, 1.0])
+
     def test_fit_retains_arrays_not_per_key_objects(self, tiny_recmg_config):
         """The fitted vocabulary is a few int64/float64 arrays: under
         48 bytes per key once fitted (a key->id dict alone costs over

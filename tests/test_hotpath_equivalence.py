@@ -3,12 +3,13 @@ references: OPTgen labeling, bulk manager serving, the vectorized LRU
 breakdown, and the reuse-distance kernel they share."""
 
 from dataclasses import replace
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.cache import run_optgen, run_optgen_reference
+from repro.cache import optgen, run_optgen, run_optgen_reference
 from repro.cache.buffer import SCALAR_FALLBACK
 from repro.core import RecMGConfig, RecMGManager
 from repro.core.features import FeatureEncoder
@@ -23,22 +24,26 @@ def trace_of(keys):
     return Trace.from_pairs([(0, k) for k in keys])
 
 
+#: The mean-interval threshold per case: ``run_optgen``'s own cost
+#: model, or one pass forced on every trace.
+OPTGEN_PASSES = {"fast": optgen._SLICE_ENGINE_MAX_MEAN_INTERVAL,
+                 "slices": float("inf"), "tree": -1}
+
+
 class TestOptgenEngines:
-    @pytest.mark.parametrize("engine", ["fast", "slices", "tree"])
+    @pytest.mark.parametrize("engine", sorted(OPTGEN_PASSES))
     @given(keys=KEY_LISTS, capacity=st.integers(1, 20))
     @settings(max_examples=40, deadline=None)
     def test_bit_identical_to_reference(self, engine, keys, capacity):
         trace = trace_of(keys)
         ref = run_optgen_reference(trace, capacity)
-        fast = run_optgen(trace, capacity, engine=engine)
+        with mock.patch.object(optgen, "_SLICE_ENGINE_MAX_MEAN_INTERVAL",
+                               OPTGEN_PASSES[engine]):
+            fast = run_optgen(trace, capacity)
         assert np.array_equal(fast.opt_hits, ref.opt_hits)
         assert np.array_equal(fast.cache_friendly, ref.cache_friendly)
         assert fast.stats.hits == ref.stats.hits
         assert fast.stats.misses == ref.stats.misses
-
-    def test_unknown_engine_rejected(self):
-        with pytest.raises(ValueError):
-            run_optgen(trace_of([1, 2]), 2, engine="warp-drive")
 
 
 class TestReuseDistanceKernel:

@@ -73,7 +73,7 @@ def _checked_rebalance(sharded: ShardedBuffer, weights):
     assert sum(sharded.shard_capacities) == sharded.capacity
     assert all(cap >= 1 for cap in sharded.shard_capacities)
     assert_partition_invariants(sharded)
-    if not evicted and not sharded.approximate:
+    if not evicted and not sharded.shards[0].backend.approximate:
         # No donor-shrink aging ran: exact survivors carry their
         # effective priorities bit-for-bit across the migration.
         for key in after:
@@ -176,19 +176,11 @@ def test_rebalanced_matches_fresh_preseeded_buffer(impl, policy, seed):
                           num_shards=num_shards, shard_policy=policy)
     fresh.rebalance(weights)
     assert fresh.shard_capacities == lived.shard_capacities
-    # Pre-seed in canonical order.  export_state speaks the backend's
-    # own eviction-order encoding: exact backends carry explicit
-    # seqnos (rank = insertion order), the clock backend returns hand
-    # order directly — either way inserting in that order reproduces
-    # the post-migration packed state.
+    # Pre-seed in canonical order: each shard's migration record
+    # (keys, priorities) in eviction-tie order, inserted in that order,
+    # reproduces the post-migration packed state.
     for index, shard in enumerate(lived.shards):
-        state = shard.backend.export_state()
-        if lived.approximate:
-            local, prio = state
-        else:
-            local, prio, seq = state
-            order = np.argsort(seq, kind="stable")
-            local, prio = local[order], prio[order]
+        local, prio = shard.backend.export_state()
         for key, priority in zip(
                 lived.router.decompress(index, local).tolist(),
                 prio.tolist()):

@@ -447,8 +447,9 @@ def test_make_buffer_sharded_partitions_capacity():
     assert all(s.backend.key_space == buf.router.shard_key_space(i)
                for i, s in enumerate(buf.shards))
     assert sum(s.backend.key_space for s in buf.shards) == buf.key_space
-    assert not buf.approximate
-    assert ShardedBuffer("clock", 8, key_space=64, num_shards=2).approximate
+    assert not buf.shards[0].backend.approximate
+    assert ShardedBuffer("clock", 8, key_space=64,
+                         num_shards=2).shards[0].backend.approximate
 
 
 @pytest.mark.parametrize("impl", ["reference", "fast", "clock"])

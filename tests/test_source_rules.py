@@ -22,6 +22,12 @@ membership index (``ResidencyIndex``), reaches for one through a
 ``.residency`` attribute, or writes a duplicate spillover set
 (``._overflow``).
 
+Shard rebalancing moves every backend through the one migration record
+(``export_state`` / ``import_state``), so ``cache/sharding.py`` never
+asks which backend it holds: no ``.approximate`` read, no ``isinstance``
+on a backend class, no comparison against a backend name (``"clock"``,
+``"fast"``, ``"reference"``).
+
 The feature encoder's dense vocabulary is one sorted key array: no
 module under ``src/repro`` brings back a key->dense dict
 (``_key_to_dense``) or a table->id dict (``_table_to_id``) beside it.
@@ -50,13 +56,20 @@ SECOND_MEMBERSHIP = re.compile(
     r"\bResidencyIndex\b|\.residency\b|\._overflow\b")
 
 VOCABULARY_DICT = re.compile(r"\b_(?:key_to_dense|table_to_id)\b")
+BACKEND_NAME = r"[\"'](?:clock|fast|reference)[\"']"
+BACKEND_KIND = re.compile(
+    r"\.approximate\b|[\"']approximate[\"']"
+    r"|\bisinstance\s*\((?:[^()]|\([^()]*\))*?(?:\([^()]*)?"
+    r"\b(?:FastPriorityBuffer|ClockBuffer|PriorityBuffer)\b"
+    rf"|(?:==|!=|\bin)\s*[(\[{{]?\s*{BACKEND_NAME}"
+    rf"|{BACKEND_NAME}\s*(?:==|!=)")
 
 
 def _offenders(root: Path, pattern: re.Pattern) -> list:
     """Every match of ``pattern`` in the sources under ``root``, as
     ``path:line: text`` of the line the match starts on (a match may
     span lines)."""
-    sources = sorted(root.rglob("*.py"))
+    sources = sorted(root.rglob("*.py")) if root.is_dir() else [root]
     assert sources, f"no library sources under {root}"
     found = []
     for path in sources:
@@ -158,6 +171,29 @@ def test_second_membership_pattern_catches_each_form():
                  "self._overflow_count += 1", "self.residency_share = 0",
                  "# up to the overflowing first touch"):
         assert not SECOND_MEMBERSHIP.search(text), text
+
+
+def test_sharding_never_reads_a_backend_kind():
+    offenders = _offenders(SRC / "cache" / "sharding.py", BACKEND_KIND)
+    assert not offenders, "\n".join(offenders)
+
+
+def test_backend_kind_pattern_catches_each_form():
+    for text in ("exact = not buf.approximate",
+                 "if self.shards[0].backend.approximate:",
+                 "getattr(backend, 'approximate', False)",
+                 "isinstance(backend, ClockBuffer)",
+                 "isinstance(b, (FastPriorityBuffer, buffer.PriorityBuffer))",
+                 "if self.impl == 'clock':", 'exact = impl != "clock"',
+                 'if impl in ("reference", "fast"):', "'fast' == self.impl",
+                 "impl in ['clock']"):
+        assert BACKEND_KIND.search(text), text
+    for text in ("make_buffer(self.impl, capacity, key_space)",
+                 'policy == "contiguous"', "isinstance(arr, np.ndarray)",
+                 "# the clock backend exports in hand order",
+                 'ShardedBuffer("clock", 8, key_space=64)',
+                 "victims approximately in order"):
+        assert not BACKEND_KIND.search(text), text
 
 
 def test_encoder_keeps_one_vocabulary_record():
