@@ -13,8 +13,8 @@ Three interchangeable backends implement the buffer protocol
 :func:`make_buffer` — the manager's
 :class:`~repro.cache.sharding.ShardedBuffer` passes it
 ``RecMGConfig.buffer_impl`` per shard,
-``repro.dlrm.inference.BufferClassifier`` and ``repro.prefetch.harness``
-their own ``buffer_impl=`` argument.
+``repro.dlrm.inference.BufferClassifier`` its own ``buffer_impl=``
+argument.
 ``serve_segment(segment, priority)`` is
 *total* on all three, and on the sharded façade: one call serves the
 whole demand segment and returns ``(served, miss_positions,
@@ -30,9 +30,8 @@ segment, the manager folds.
   represented implicitly: each entry stores the *age at which its
   priority reaches zero* (``expiry = age_now + priority``), so
   ``effective_priority = max(0, expiry - age_now)``.  Entries live in
-  dense ``id -> (expiry, seqno)`` vectors with a membership bit per id
-  (ids outside the universe spill to a side dict, whose keys are the
-  resident spillover ids).  The bulk protocol runs as
+  the shared slot layout, ``(expiry, seqno)`` per slot.  The bulk
+  protocol runs as
   numpy gathers/scatters, ``evict_batch(n)`` computes the whole victim
   sequence with one vectorized selection over the resident entries
   (identical, victim for victim, to ``n`` scalar ``evict_one`` calls
@@ -52,7 +51,7 @@ segment, the manager folds.
   above the eviction count) does a call fall back to one O(capacity)
   selection.
 * :class:`ClockBuffer` (``"clock"``) — *approximate* priorities in
-  numpy slot arrays (key / priority / valid) swept by a clock hand.
+  the shared slot layout, one priority per slot, swept by a clock hand.
   :meth:`ClockBuffer.evict_batch` reclaims many slots per sweep: it
   harvests priority-zero slots in hand order and, when a sweep runs
   dry, ages every survivor by the *minimum surviving priority* in a
@@ -68,35 +67,38 @@ segment, the manager folds.
   victim is a segment key) and stores it, in a single array pass — in
   one pass per piece of at most half the slots' worth of distinct keys
   when the segment holds more distinct keys than slots — trading exact
-  victim order for array-speed eviction.  Membership is the dense
-  ``id → slot`` vector itself (``-1``: not resident), so that pass and
-  bulk membership run as numpy gathers and scatters with no sort and
-  no per-key dict traffic (ids outside the universe spill to a side
-  dict, preserving correctness for unseen keys).
+  victim order for array-speed eviction, with no sort on a dense
+  segment.
 
-**One membership record per backend.**  The fast and clock backends
-keep their per-id state over the ids of ``[0, key_space)`` — the paper
-treats each embedding-vector index as a memory address, and the
-manager fits that universe from the encoder's vocabulary — and spill
-every other id to a side dict.  ``key_space=0`` (the default) is the
-empty universe: every id, raw packed keys included, spills, which is
-exact for any int64 key and differs from an in-universe id only in
-speed.  Each backend answers membership from the state it keeps per
-entry anyway: the reference backend its entry dict, the fast and
-clock backends their per-id vectors and side dict.
+**One slot layout for both array backends.**  The fast and clock
+backends store their entries alike (:class:`_SlotLayout`, the only
+code that knows the format): ``capacity``-sized slot arrays, a
+free-slot stack, and one ``id -> slot`` map — a dense vector over the
+ids of ``[0, key_space)`` (the paper treats each embedding-vector index
+as a memory address, and the manager fits that universe from the
+encoder's vocabulary) plus a side dict for every other id.
+``key_space=0`` (the default) is the empty universe: every id, raw
+packed keys included, spills, which is exact for any int64 key and
+differs from an in-universe id only in speed.  The map is the one
+membership record; everything else is per slot — the clock's priority,
+the fast backend's ``(expiry, seqno)`` — so victim selection gathers
+``capacity`` slots, never the universe, and the per-id state is the
+same 12 bytes per id on both.  Both allocate slots as the scalar
+protocol does, an eviction pushing its slot and a store popping one,
+and their bulk passes leave the slot arrays the scalar operations
+would.  The reference backend answers membership from its entry dict.
 
 **Bulk membership / priority protocol.**  All backends answer
 ``contains_batch(keys) -> bool[:]`` (membership of a whole segment in
-one call — a gather over the per-id state, spillover ids answered by a
-dict lookup) and accept ``set_priority_batch(keys, priority)`` and
-``demote_batch(keys)``: the caching-bit writes of
+one call — a gather over the ``id -> slot`` map, spillover ids
+answered by a dict lookup) and accept ``set_priority_batch(keys,
+priority)`` and ``demote_batch(keys)``: the caching-bit writes of
 ``serving.priorities.apply_caching_bits`` past its scalar crossover.
 On the exact backends the batch forms are *defined* as the scalar
 operations applied in order (seqno semantics preserved); on the fast
-backend ``set_priority_batch`` / ``demote_batch`` are one
-last-occurrence ``np.unique`` plus two scatters (spillover ids go
-through the side dict in the same calls).  Serving itself goes through
-``serve_segment``.
+backend ``set_priority_batch`` / ``demote_batch`` are one slot gather
+plus two forward scatters (a repeated key's last position wins).
+Serving itself goes through ``serve_segment``.
 
 **Eviction order (exact backends).**  ``evict_one`` removes the entry
 minimizing the pair ``(effective_priority, seqno)``.  Seqnos are unique
@@ -162,53 +164,6 @@ _VICTIM_QUEUE = 1024
 def _as_key_list(keys: Sequence[int]) -> List[int]:
     return (keys.tolist() if isinstance(keys, np.ndarray)
             else [int(key) for key in keys])
-
-
-def _insert_all(buffer, keys: Sequence[int],
-                priorities: Sequence[int]) -> None:
-    """``import_state`` as scalar inserts in record order, into an
-    empty ``buffer``."""
-    if len(buffer):
-        raise RuntimeError("import_state requires an empty buffer")
-    keys_arr = np.asarray(keys, dtype=np.int64)
-    if keys_arr.size > buffer.capacity:
-        raise RuntimeError("buffer full; evict first")
-    for key, priority in zip(keys_arr.tolist(),
-                             np.asarray(priorities, dtype=np.int64).tolist()):
-        buffer.insert(key, priority)
-
-
-def _last_occurrence(arr: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
-    """Distinct keys of ``arr`` (sorted) and each one's last-occurrence
-    position — the store that survives when scalar per-key operations
-    are applied in order."""
-    uniq, first_rev = np.unique(arr[::-1], return_index=True)
-    return uniq, arr.size - 1 - first_rev
-
-
-def _drop_spilled(keys: np.ndarray, key_space: int,
-                   over: Dict[int, object]) -> np.ndarray:
-    """Delete the spillover ids among the resident ``keys`` from the
-    side dict ``over``; returns the in-universe rest."""
-    if not over:
-        return keys  # nothing spilled: every resident id is in range
-    inside = (keys >= 0) & (keys < key_space)
-    for key in keys[~inside].tolist():
-        del over[key]
-    return keys[inside]
-
-
-def _first_touch_mask(scratch: np.ndarray, arr: np.ndarray) -> np.ndarray:
-    """Sort-free first-occurrence mask of ``arr`` over a persistent
-    ``id -> position`` scratch vector covering every id in ``arr``.
-    The reversed scatter leaves each key's *first* position (duplicate
-    indices: last write wins — pinned by a regression test), so the
-    positions agreeing with the map are the first touches.  The scratch
-    is never cleared: afterwards it holds each ``arr`` key's first
-    position, and stale values for every other id."""
-    idx = np.arange(arr.size, dtype=scratch.dtype)
-    scratch[arr[::-1]] = idx[::-1]
-    return scratch[arr] == idx
 
 
 #: Blocks of at most this many keys take a scalar loop rather than a
@@ -424,9 +379,16 @@ class PriorityBuffer:
 
     def import_state(self, keys: Sequence[int],
                      priorities: Sequence[int]) -> None:
-        """Load a migration record into an *empty* buffer: entry ``i``
-        draws the ``i``-th fresh seqno (module docstring)."""
-        _insert_all(self, keys, priorities)
+        """Load a migration record into an *empty* buffer, one scalar
+        :meth:`insert` per entry: entry ``i`` draws the ``i``-th fresh
+        seqno (module docstring)."""
+        if self._priority:
+            raise RuntimeError("import_state requires an empty buffer")
+        keys = _as_key_list(keys)
+        if len(keys) > self.capacity:
+            raise RuntimeError("buffer full; evict first")
+        for key, priority in zip(keys, _as_key_list(priorities)):
+            self.insert(key, priority)
 
     def evict_one(self) -> int:
         """Algorithm 2: evict min-(priority, seqno) entry, age the rest.
@@ -457,24 +419,258 @@ class PriorityBuffer:
         return [self.evict_one() for _ in range(count)]
 
 
-class FastPriorityBuffer:
+class _SlotLayout:
+    """The storage both array backends share: ``capacity`` slots behind
+    one ``id -> slot`` map.
+
+    Slot ``s`` holds key ``_key[s]`` while ``_valid[s]``; each backend
+    adds its own per-slot priority arrays.  Free slots sit on the stack
+    ``_free_slots[:_free_top]``, popped from the top: slots 0, 1, 2,
+    ... go out first, and a freed slot is reused before an untouched
+    one.  The map is a dense vector ``_slot_of`` over ``[0, key_space)``
+    (``-1``: not resident) plus the side dict ``_slot_over`` for every
+    other id — the ``id -> slot`` map is the one membership record, and
+    this class is the only code that tells the two halves apart
+    (a source rule in ``tests/test_source_rules.py`` pins that).
+    """
+
+    def __init__(self, capacity: int, key_space: int) -> None:
+        if capacity < 1:
+            raise ValueError("capacity must be >= 1")
+        if key_space < 0:
+            raise ValueError("key_space must be >= 0")
+        self.capacity = capacity
+        self._key = np.full(capacity, -1, dtype=np.int64)
+        self._valid = np.zeros(capacity, dtype=bool)
+        self._free_slots = np.arange(capacity - 1, -1, -1, dtype=np.int64)
+        self._free_top = capacity
+        self._key_space = int(key_space)
+        self._slot_of = np.full(self._key_space, -1, dtype=np.int64)
+        self._slot_over: Dict[int, int] = {}
+        # id -> segment position map of :meth:`_first_touches`.
+        self._scratch = np.empty(self._key_space, dtype=np.int32)
+        self._slot_for, self._bind, self._unbind = self._scalar_map()
+
+    def __contains__(self, key: int) -> bool:
+        return self._slot_for(int(key)) >= 0
+
+    def __len__(self) -> int:
+        return self.capacity - self._free_top
+
+    def keys(self) -> Iterator[int]:
+        return iter(self._key[self._valid].tolist())
+
+    def contains_batch(self, keys: Sequence[int]) -> np.ndarray:
+        """Membership of each key as a boolean array (one slot gather,
+        :meth:`_locate`)."""
+        return self._locate(np.asarray(keys, dtype=np.int64))[0] >= 0
+
+    @property
+    def is_full(self) -> bool:
+        return not self._free_top
+
+    @property
+    def key_space(self) -> int:
+        """Dense-id universe this backend was built over (0: the empty
+        universe).  Sharded construction asserts this against the
+        router's per-shard universe — see the translation boundary in
+        :mod:`repro.cache.sharding`."""
+        return self._key_space
+
+    def per_id_nbytes(self) -> int:
+        """Bytes of state that scale with ``key_space``: the id→slot
+        and scratch vectors (the slot arrays scale with capacity, not
+        the universe)."""
+        return int(self._slot_of.nbytes + self._scratch.nbytes)
+
+    # -- the map ---------------------------------------------------------
+    def _scalar_map(self):
+        """The map's scalar operations, bound once as ``_slot_for`` /
+        ``_bind`` / ``_unbind``: closures over its arrays, since the
+        scalar hot loops call one or two per key.  ``slot_for(key)``:
+        the slot of ``key`` (-1: not resident); ``bind(key, slot)``:
+        map ``key`` to ``slot`` and mark the slot occupied;
+        ``unbind(slot)``: vacate the occupied ``slot`` (not pushed on
+        the free stack) and return the key it held."""
+        slot_of, over = self._slot_of, self._slot_over
+        key_at, valid = self._key, self._valid
+        key_space = self._key_space
+
+        def slot_for(key: int) -> int:
+            if 0 <= key < key_space:
+                return slot_of.item(key)
+            return over.get(key, -1)
+
+        def bind(key: int, slot: int) -> None:
+            if 0 <= key < key_space:
+                slot_of[key] = slot
+            else:
+                over[key] = slot
+            key_at[slot] = key
+            valid[slot] = True
+
+        def unbind(slot: int) -> int:
+            key = key_at.item(slot)
+            if 0 <= key < key_space:
+                slot_of[key] = -1
+            else:
+                del over[key]
+            valid[slot] = False
+            return key
+
+        return slot_for, bind, unbind
+
+    def _locate(self, arr: np.ndarray) -> Tuple[np.ndarray, bool]:
+        """Slot of every key of ``arr`` (-1 = not resident) and whether
+        the non-empty segment is *dense* — every id inside
+        ``[0, key_space)``, the one range check that keeps negative ids
+        (which a bare gather would wrap) and spillover ids off the
+        dense vectors.  Dense segments take the gather/scatter forms;
+        spillover segments the slow forms of the same steps (here: the
+        in-range gather plus one side-dict lookup per spillover id)."""
+        if arr.size and arr.min() >= 0 and arr.max() < self._key_space:
+            return self._slot_of[arr], True
+        in_range = (arr >= 0) & (arr < self._key_space)
+        slots = np.full(arr.size, -1, dtype=np.int64)
+        slots[in_range] = self._slot_of[arr[in_range]]
+        spill = np.flatnonzero(~in_range)
+        slots[spill] = np.fromiter(
+            map(self._slot_over.get, arr[spill].tolist(), repeat(-1)),
+            dtype=np.int64, count=spill.size)
+        return slots, False
+
+    def _resident_slot(self, key: int) -> int:
+        """Slot of ``key``, which must be resident (``KeyError``
+        otherwise)."""
+        slot = self._slot_for(int(key))
+        if slot < 0:
+            raise KeyError(key)
+        return slot
+
+    def _resident_slots(self, arr: np.ndarray) -> np.ndarray:
+        """:meth:`_locate` of keys that must all be resident
+        (``KeyError`` before anything is mutated otherwise)."""
+        slots = self._locate(arr)[0]
+        if (slots < 0).any():
+            raise KeyError(int(arr[slots < 0][0]))
+        return slots
+
+    def _first_touches(self, arr: np.ndarray, dense: bool) -> np.ndarray:
+        """First-occurrence mask of ``arr``.  ``flatnonzero`` of it is
+        in segment order, so new keys take slots in *first-touch
+        order* — slot order feeds the clock hand's tie-breaking and
+        must follow the access stream, not hash or sort order
+        (regression-tested).  A dense segment takes the sort-free form:
+        a reversed scatter over the scratch map leaves each key's
+        *first* position (duplicate indices: last write wins — pinned
+        by a regression test), so the positions agreeing with the map
+        are the first touches.  The scratch is never cleared, and only
+        ``arr``'s own ids are read back."""
+        if dense:
+            idx = np.arange(arr.size, dtype=self._scratch.dtype)
+            self._scratch[arr[::-1]] = idx[::-1]
+            return self._scratch[arr] == idx
+        first = np.zeros(arr.size, dtype=bool)
+        first[np.unique(arr, return_index=True)[1]] = True
+        return first
+
+    def _bind_batch(self, keys: np.ndarray, slots: np.ndarray,
+                    dense: bool) -> None:
+        """``_bind`` of the distinct ``keys`` to ``slots``.  ``dense``:
+        every key is known to lie in the universe (:meth:`_locate`'s
+        flag for a segment holding them); False takes the general
+        form."""
+        if dense:
+            self._slot_of[keys] = slots
+        else:
+            in_range = (keys >= 0) & (keys < self._key_space)
+            self._slot_of[keys[in_range]] = slots[in_range]
+            spill = ~in_range
+            self._slot_over.update(zip(keys[spill].tolist(),
+                                       slots[spill].tolist()))
+        self._key[slots] = keys
+        self._valid[slots] = True
+
+    def _unbind_batch(self, slots: np.ndarray) -> np.ndarray:
+        """``_unbind`` of the occupied ``slots``; returns their keys."""
+        keys = self._key[slots]
+        self._valid[slots] = False
+        if self._slot_over:
+            inside = (keys >= 0) & (keys < self._key_space)
+            for key in keys[~inside].tolist():
+                del self._slot_over[key]
+            keys_inside = keys[inside]
+        else:
+            keys_inside = keys  # nothing spilled: every key is in range
+        self._slot_of[keys_inside] = -1
+        return keys
+
+    # -- the free stack --------------------------------------------------
+    def _pop_free(self, count: int) -> np.ndarray:
+        """Pop ``count`` free slots, in pop order (a view, valid until
+        the next push)."""
+        top = self._free_top
+        self._free_top = top - count
+        return self._free_slots[self._free_top:top][::-1]
+
+    def _occupy(self, key: int) -> int:
+        """Pop a free slot for the non-resident ``key`` and bind it."""
+        if not self._free_top:
+            raise RuntimeError("buffer full; evict first")
+        slot = self._pop_free(1).item(0)
+        self._bind(key, slot)
+        return slot
+
+    def _occupy_batch(self, keys: np.ndarray, dense: bool) -> np.ndarray:
+        """Give the distinct non-resident ``keys`` free slots, in order
+        — exactly one :meth:`_occupy` per key (the caller guarantees
+        the room; ``dense`` as for :meth:`_bind_batch`)."""
+        slots = self._pop_free(keys.size)
+        self._bind_batch(keys, slots, dense)
+        return slots
+
+    def _release(self, slots: np.ndarray) -> np.ndarray:
+        """Vacate the occupied ``slots`` and push them on the free
+        stack in order (exactly one eviction per slot); returns their
+        keys."""
+        keys = self._unbind_batch(slots)
+        top = self._free_top
+        self._free_top = top + slots.size
+        self._free_slots[top:self._free_top] = slots
+        return keys
+
+    def _import_keys(self, keys: Sequence[int]) -> np.ndarray:
+        """The storage half of ``import_state``: bind a migration
+        record's keys, in record order, into an *empty* buffer —
+        the slots record-order ``insert`` calls would take (``0..n-1``
+        in a fresh one) — and return those slots."""
+        if len(self):
+            raise RuntimeError("import_state requires an empty buffer")
+        arr = np.asarray(keys, dtype=np.int64)
+        if arr.size > self.capacity:
+            raise RuntimeError("buffer full; evict first")
+        return self._occupy_batch(arr, False)
+
+
+class FastPriorityBuffer(_SlotLayout):
     """Array-native buffer equivalent to :class:`PriorityBuffer`.
 
     ``_age`` is the count of evictions so far; an entry set to priority
     ``p`` at age ``a`` has effective priority ``max(0, (a + p) - _age)``.
-    Entries live in dense ``id -> expiry`` / ``id -> seqno`` vectors
-    over ``[0, key_space)``, with one membership bool per id; ids
-    outside the universe (every id when ``key_space=0``) spill to a
-    side dict keyed by id, holding the same ``(expiry, seqno)`` pair —
-    its keys are exactly the resident spillover ids.  That is the one
-    membership record: a store sets it, an eviction clears it.
+    Entries live in the shared slot layout (:class:`_SlotLayout`), with
+    their ``(expiry, seqno)`` in the per-slot vectors ``_expiry`` /
+    ``_seq``.  Where an entry is stored never matters: victims follow
+    ``(effective_priority, seqno)`` and seqnos are unique.  Slot
+    allocation still follows the scalar protocol step for step — an
+    eviction pushes its slot, a store pops one — so the bulk forms
+    leave the very slot arrays the scalar loop would.
 
     Victim choice follows the same documented ``(effective_priority,
     seqno)`` total order as the reference, selected per *batch* instead
-    of per entry: ``evict_batch(n)`` gathers every resident ``(expiry,
-    seqno)`` once and computes the whole victim sequence with
-    :func:`_exact_victim_sequence` — identical, victim for victim, to
-    ``n`` scalar ``evict_one`` calls — and :meth:`serve_segment`
+    of per entry: ``evict_batch(n)`` gathers every occupied slot's
+    ``(expiry, seqno)`` once and computes the whole victim sequence
+    with :func:`_exact_victim_sequence` — identical, victim for victim,
+    to ``n`` scalar ``evict_one`` calls — and :meth:`serve_segment`
     bulk-serves a whole demand segment bit-identically to the scalar
     serving loop.  Scalar :meth:`evict_one` pops a persistent victim
     queue: one such selection buys up to ``_VICTIM_QUEUE`` exact
@@ -490,131 +686,59 @@ class FastPriorityBuffer:
     approximate = False
 
     def __init__(self, capacity: int, key_space: int = 0) -> None:
-        if capacity < 1:
-            raise ValueError("capacity must be >= 1")
-        self.capacity = capacity
+        super().__init__(capacity, key_space)
         self._age = 0
         self._next_seq = 0
         self._min_seq = 0
-        self._key_space = int(key_space)
-        self._resident = np.zeros(self._key_space, dtype=bool)
-        self._expiry_of = np.zeros(self._key_space, dtype=np.int64)
-        self._seq_of = np.zeros(self._key_space, dtype=np.int64)
-        # Resident spillover ids outside the universe: id -> (expiry,
-        # seqno).
-        self._over: Dict[int, Tuple[int, int]] = {}
-        self._size = 0
-        # Reusable id -> segment-position map for serve_segment's
-        # linear first/last-occurrence scatters (never reset: a
-        # slot read back is fresh or checked against the segment).
-        self._scratch_pos = np.empty(self._key_space, dtype=np.int64)
-        # Victim queue of :meth:`evict_one`: ``[key, seqno]`` records,
+        self._expiry = np.zeros(capacity, dtype=np.int64)
+        self._seq = np.zeros(capacity, dtype=np.int64)
+        # Victim queue of :meth:`evict_one`: ``[slot, seqno]`` records,
         # or None until a scalar eviction builds it.
         self._victims: Optional[List[List[int]]] = None
 
-    def __contains__(self, key: int) -> bool:
-        if 0 <= key < self._key_space:
-            return bool(self._resident[key])
-        return key in self._over
-
-    def __len__(self) -> int:
-        return self._size
-
-    def keys(self) -> Iterator[int]:
-        return iter(np.flatnonzero(self._resident).tolist()
-                    + list(self._over))
-
-    def contains_batch(self, keys: Sequence[int]) -> np.ndarray:
-        """Membership of each key as a boolean array (one gather when
-        every key is in the universe; spillover ids answer from the
-        side dict)."""
-        arr = np.asarray(keys, dtype=np.int64)
-        if arr.size and arr.min() >= 0 and arr.max() < self._key_space:
-            return self._resident[arr]
-        in_range = (arr >= 0) & (arr < self._key_space)
-        out = np.zeros(arr.size, dtype=bool)
-        out[in_range] = self._resident[arr[in_range]]
-        if self._over:
-            spill = ~in_range
-            out[spill] = np.fromiter(
-                map(self._over.__contains__, arr[spill].tolist()),
-                dtype=bool, count=int(np.count_nonzero(spill)))
-        return out
-
     def priority_of(self, key: int) -> int:
-        key = int(key)
-        if 0 <= key < self._key_space:
-            if not self._resident[key]:
-                raise KeyError(key)
-            return max(0, int(self._expiry_of[key]) - self._age)
-        expiry, _ = self._over[key]
-        return max(0, expiry - self._age)
+        return max(0, int(self._expiry[self._resident_slot(key)])
+                   - self._age)
 
-    @property
-    def is_full(self) -> bool:
-        return self._size >= self.capacity
-
-    @property
-    def key_space(self) -> int:
-        """Dense-id universe this backend was built over (0: the empty
-        universe).  Sharded construction asserts this against the
-        router's per-shard universe — see the translation boundary in
-        :mod:`repro.cache.sharding`."""
-        return self._key_space
-
-    def per_id_nbytes(self) -> int:
-        """Bytes of state that scale with ``key_space``: the
-        membership, expiry, seqno and scratch vectors."""
-        return int(self._resident.nbytes + self._expiry_of.nbytes
-                   + self._seq_of.nbytes + self._scratch_pos.nbytes)
+    def _store(self, slot: int, priority: int, seq: int) -> None:
+        """Write the entry of an occupied ``slot``."""
+        self._expiry[slot] = self._age + priority
+        self._seq[slot] = seq
 
     def insert(self, key: int, priority: int) -> None:
-        if key in self:
-            self.set_priority(key, priority)
-            return
-        if self.is_full:
-            raise RuntimeError("buffer full; evict first")
-        self._store(int(key), priority, self._next_seq)
+        key = int(key)
+        slot = self._slot_for(key)
+        if slot < 0:
+            slot = self._occupy(key)
+        self._store(slot, priority, self._next_seq)
         self._next_seq += 1
-        self._size += 1
 
     def set_priority(self, key: int, priority: int) -> None:
         """Update priority; also refreshes recency (LRU tie-breaking)."""
-        if key not in self:
-            raise KeyError(key)
-        self._store(int(key), priority, self._next_seq)
+        self._store(self._resident_slot(key), priority, self._next_seq)
         self._next_seq += 1
-
-    def _resident_last_occurrence(self, arr: np.ndarray
-                                  ) -> Tuple[np.ndarray, np.ndarray]:
-        """:func:`_last_occurrence` of a batch whose keys must all be
-        resident (``KeyError`` before anything is mutated otherwise)."""
-        resident = self.contains_batch(arr)
-        if not resident.all():
-            raise KeyError(int(arr[~resident][0]))
-        return _last_occurrence(arr)
 
     def set_priority_batch(self, keys: Sequence[int], priority: int) -> None:
         """Scalar :meth:`set_priority` per key, in order (exact seqno
-        semantics), as one last-occurrence scatter; every key must be
-        resident (validated before anything is mutated)."""
+        semantics), as forward scatters — a repeated key's last
+        position wins; every key must be resident (validated before
+        anything is mutated)."""
         arr = np.asarray(keys, dtype=np.int64)
         if arr.size == 0:
             return
-        uniq, last_pos = self._resident_last_occurrence(arr)
+        slots = self._resident_slots(arr)
         base = self._next_seq
-        self._store_batch(uniq, self._age + int(priority), base + last_pos)
+        self._expiry[slots] = self._age + int(priority)
+        self._seq[slots] = base + np.arange(arr.size)
         self._next_seq = base + int(arr.size)
 
     def demote(self, key: int) -> None:
         """Mark ``key`` as evict-next: priority 0, older than everything."""
-        if key not in self:
-            raise KeyError(key)
+        slot = self._resident_slot(key)
         self._min_seq -= 1
-        key = int(key)
-        self._store(key, 0, self._min_seq)
+        self._store(slot, 0, self._min_seq)
         if self._victims is not None:
-            self._push_demoted([key], self._min_seq)
+            self._push_demoted([slot], self._min_seq)
 
     def demote_batch(self, keys: Sequence[int]) -> None:
         """Scalar :meth:`demote` per key, in order (reverse-demote
@@ -623,97 +747,41 @@ class FastPriorityBuffer:
         arr = np.asarray(keys, dtype=np.int64)
         if arr.size == 0:
             return
-        uniq, last_pos = self._resident_last_occurrence(arr)
+        slots = self._resident_slots(arr)
         base = self._min_seq
-        self._store_batch(uniq, self._age, base - 1 - last_pos)
+        self._expiry[slots] = self._age
+        self._seq[slots] = base - 1 - np.arange(arr.size)
         self._min_seq = base - int(arr.size)
         if self._victims is not None:
-            self._push_demoted(arr.tolist(), base - 1)
-
-    def _store(self, key: int, priority: int, seq: int) -> None:
-        """Write one resident entry: (expiry, seqno) and membership
-        (``_size`` is the caller's job)."""
-        expiry = self._age + priority
-        if 0 <= key < self._key_space:
-            self._resident[key] = True
-            self._expiry_of[key] = expiry
-            self._seq_of[key] = seq
-        else:
-            self._over[key] = (expiry, seq)
-
-    def _store_batch(self, keys: np.ndarray, expiry, seq) -> None:
-        """Write the distinct ``keys`` as resident entries with absolute
-        ``expiry`` and ``seq`` (arrays aligned with them, or scalars):
-        one scatter per vector, spillover ids into the side dict
-        (``_size`` is the caller's job, as for :meth:`_store`)."""
-        if keys.size and keys.min() >= 0 and keys.max() < self._key_space:
-            self._resident[keys] = True
-            self._expiry_of[keys] = expiry
-            self._seq_of[keys] = seq
-            return
-        in_range = (keys >= 0) & (keys < self._key_space)
-        expiry = np.broadcast_to(expiry, keys.shape)
-        seq = np.broadcast_to(seq, keys.shape)
-        self._resident[keys[in_range]] = True
-        self._expiry_of[keys[in_range]] = expiry[in_range]
-        self._seq_of[keys[in_range]] = seq[in_range]
-        spill = ~in_range
-        self._over.update(zip(keys[spill].tolist(),
-                              zip(expiry[spill].tolist(),
-                                  seq[spill].tolist())))
+            self._push_demoted(slots.tolist(), base - 1)
 
     def _gather_entries(self) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """All resident entries as (keys, expiry, seqno) arrays —
-        the candidate pool for victim selection (in-universe ids
-        ascending, then the spillover ids)."""
-        ids = np.flatnonzero(self._resident)
-        expiry = self._expiry_of[ids]
-        seq = self._seq_of[ids]
-        if self._over:
-            over = self._over
-            okeys = np.fromiter(over, dtype=np.int64, count=len(over))
-            oexp = np.fromiter((entry[0] for entry in over.values()),
-                               dtype=np.int64, count=len(over))
-            oseq = np.fromiter((entry[1] for entry in over.values()),
-                               dtype=np.int64, count=len(over))
-            ids = np.concatenate((ids, okeys))
-            expiry = np.concatenate((expiry, oexp))
-            seq = np.concatenate((seq, oseq))
-        return ids, expiry, seq
+        """All resident entries as (slots, expiry, seqno) arrays — the
+        candidate pool for victim selection, in slot order."""
+        slots = np.flatnonzero(self._valid)
+        return slots, self._expiry[slots], self._seq[slots]
 
     def export_state(self) -> Tuple[np.ndarray, np.ndarray]:
         """The migration record: resident ``(keys, priorities)`` in
         ascending seqno order, priorities *effective* (aging applied,
         floored at 0; module docstring)."""
-        ids, expiry, seq = self._gather_entries()
+        slots, expiry, seq = self._gather_entries()
         order = np.argsort(seq)
-        return ids[order], np.maximum(0, expiry[order] - self._age)
+        return (self._key[slots[order]],
+                np.maximum(0, expiry[order] - self._age))
 
     def import_state(self, keys: Sequence[int],
                      priorities: Sequence[int]) -> None:
         """Load a migration record into an *empty* buffer: entry ``i``
         draws the ``i``-th fresh seqno (module docstring)."""
-        if len(self):
-            raise RuntimeError("import_state requires an empty buffer")
-        keys_arr = np.asarray(keys, dtype=np.int64)
-        if keys_arr.size > self.capacity:
-            raise RuntimeError("buffer full; evict first")
+        slots = self._import_keys(keys)
         base = self._next_seq
-        self._store_batch(keys_arr,
-                          self._age + np.asarray(priorities, dtype=np.int64),
-                          np.arange(base, base + keys_arr.size))
-        self._size = int(keys_arr.size)
-        self._next_seq = base + int(keys_arr.size)
+        self._expiry[slots] = (self._age
+                               + np.asarray(priorities, dtype=np.int64))
+        self._seq[slots] = np.arange(base, base + slots.size)
+        self._next_seq = base + int(slots.size)
         # The old queue holds only records of evicted entries.
         self._victims = None
-
-    def _remove_victims(self, victims: np.ndarray, count: int) -> None:
-        """Drop ``victims`` and apply the ``count`` aging steps their
-        evictions carry."""
-        self._resident[_drop_spilled(victims, self._key_space,
-                                     self._over)] = False
-        self._size -= count
-        self._age += count
 
     def evict_batch(self, n: int) -> List[int]:
         """Evict ``n`` entries; exactly ``n`` consecutive
@@ -722,53 +790,46 @@ class FastPriorityBuffer:
         count = int(n)
         if count <= 0:
             return []
-        if count > self._size:
+        if count > len(self):
             raise RuntimeError("cannot evict more entries than resident")
-        keys, expiry, seq = self._gather_entries()
-        victims = keys[_exact_victim_sequence(expiry, seq, self._age, count)]
-        self._remove_victims(victims, count)
+        slots, expiry, seq = self._gather_entries()
+        victims = self._release(
+            slots[_exact_victim_sequence(expiry, seq, self._age, count)])
+        self._age += count
         return victims.tolist()
 
     def evict_one(self) -> int:
         """Exact scalar eviction, amortised O(1): pop the victim queue.
 
-        The queue is a stack of ``[key, seqno]`` records, seqnos
+        The queue is a stack of ``[slot, seqno]`` records, seqnos
         descending so the smallest sits on top.  A record is *valid*
-        while its key is resident under that very seqno.  Two
+        while its slot is occupied under that very seqno.  Two
         invariants make the topmost valid record the
         ``(effective_priority, seqno)`` minimum, i.e. the reference
         victim: a valid record's entry holds effective priority zero,
         and every resident entry without a valid record has a seqno
         above every record's.  Every operation keeps them: a store
-        draws a fresh seqno above all others (the key's old record
-        goes stale), an eviction clears the membership, aging only
-        ripens live entries — which hold no record — and a demote
-        draws a seqno *below* all others, so its record goes on top
+        draws a fresh seqno above all others (the entry's old record
+        goes stale), an eviction vacates the slot, aging only ripens
+        live entries — which hold no record — and a demote draws a
+        seqno *below* all others, so its record goes on top
         (:meth:`_push_demoted`).  Stale records are skipped as they
         surface; a drained queue is rebuilt (:meth:`_refill_victims`).
         """
-        if not self._size:
+        if not len(self):
             raise RuntimeError("cannot evict from an empty buffer")
-        resident = self._resident
-        seq_of = self._seq_of
-        over = self._over
-        key_space = self._key_space
+        valid, seq_at = self._valid, self._seq
         while True:
             if not self._victims:
-                victim = self._refill_victims()
-                if victim is not None:
+                slot = self._refill_victims()
+                if slot is not None:
                     break
-            victim, seq = self._victims.pop()
-            if 0 <= victim < key_space:
-                if resident[victim] and seq_of[victim] == seq:
-                    break
-            elif victim in over and over[victim][1] == seq:
+            slot, seq = self._victims.pop()
+            if valid[slot] and seq_at[slot] == seq:
                 break
-        if 0 <= victim < key_space:
-            resident[victim] = False
-        else:
-            del over[victim]
-        self._size -= 1
+        victim = self._unbind(slot)
+        self._free_slots[self._free_top] = slot
+        self._free_top += 1
         self._age += 1
         return victim
 
@@ -778,9 +839,9 @@ class FastPriorityBuffer:
         entries whose seqno lies below every live entry's, so that no
         live entry ripening later can preempt a record.  When there is
         no such entry (priorities far above the eviction count) the
-        queue stays unbuilt and the victim is returned instead —
+        queue stays unbuilt and the victim's slot is returned instead —
         :func:`_exact_victim_sequence`'s choice, off the same gather."""
-        keys, expiry, seq = self._gather_entries()
+        slots, expiry, seq = self._gather_entries()
         zero = expiry <= self._age
         pool = np.flatnonzero(zero)
         if 0 < pool.size < zero.size:
@@ -788,29 +849,30 @@ class FastPriorityBuffer:
         if not pool.size:
             self._victims = None
             order = _exact_victim_sequence(expiry, seq, self._age, 1)
-            return int(keys[order[0]])
+            return int(slots[order[0]])
         if pool.size > _VICTIM_QUEUE:
             pool = pool[np.argpartition(seq[pool], _VICTIM_QUEUE - 1)
                         [:_VICTIM_QUEUE]]
         pool = pool[np.argsort(seq[pool])[::-1]]
         # tolist() allocates the stack once, at its final size.
-        self._victims = np.column_stack((keys[pool], seq[pool])).tolist()
+        self._victims = np.column_stack((slots[pool], seq[pool])).tolist()
         return None
 
-    def _push_demoted(self, keys: List[int], first_seq: int) -> None:
-        """Record demotes on the live victim queue: ``keys`` drew the
-        seqnos ``first_seq, first_seq - 1, ...``, each below every
-        seqno before it, so pushing them in order keeps the smallest
-        on top (a repeated key's earlier records are simply stale).
-        Bulk evictions never pop, so the queue is bounded here: past
-        ``_VICTIM_QUEUE + capacity`` records it is dropped — demotes
-        cost nothing again — and the next scalar eviction rebuilds."""
-        if (len(self._victims) + len(keys)
+    def _push_demoted(self, slots: List[int], first_seq: int) -> None:
+        """Record demotes on the live victim queue: the entries of
+        ``slots`` drew the seqnos ``first_seq, first_seq - 1, ...``,
+        each below every seqno before it, so pushing them in order
+        keeps the smallest on top (a repeated entry's earlier records
+        are simply stale).  Bulk evictions never pop, so the queue is
+        bounded here: past ``_VICTIM_QUEUE + capacity`` records it is
+        dropped — demotes cost nothing again — and the next scalar
+        eviction rebuilds."""
+        if (len(self._victims) + len(slots)
                 > _VICTIM_QUEUE + self.capacity):
             self._victims = None
             return
         self._victims.extend(
-            [key, first_seq - step] for step, key in enumerate(keys))
+            [slot, first_seq - step] for step, slot in enumerate(slots))
 
     def serve_chunks(self, dense: np.ndarray, length: int,
                      bits_all: Optional[np.ndarray],
@@ -829,63 +891,58 @@ class FastPriorityBuffer:
         then row ``i`` of ``preds_all`` as prefetches (non-resident
         ones, at most ``budget``, tagged in ``prefetched``; a demand
         hit consumes its key's tag, an eviction drops it).  Either
-        array may be None.  The entry arrays are indexed directly —
-        spillover ids through ``_over``, in the same loop — the victim
-        queue of :meth:`evict_one` is popped inline, and the
-        counters live in locals, written back even when a malformed
-        input raises mid-pass; past a stale top record or a drained
-        queue, :meth:`evict_one` carries on.  Returns the positions
-        of the demand misses, the prefetch hits consumed and the
-        evictions — the manager's per-engine result contract — plus
+        array may be None.  Each key is looked up once through the
+        ``id -> slot`` map and its slot's entry written directly; the
+        victim queue of :meth:`evict_one` is popped inline, a new key
+        taking its victim's slot (the scalar pop after the push), and
+        the counters live in locals, written back even when a
+        malformed input raises mid-pass; past a stale top record or a
+        drained queue, :meth:`evict_one` carries on.  Returns the
+        positions of the demand misses, the prefetch hits consumed and
+        the evictions — the manager's per-engine result contract — plus
         the prefetches issued.
         """
         keys = np.asarray(dense, dtype=np.int64).tolist()
         bits = None if bits_all is None else np.asarray(bits_all).tolist()
         preds = None if preds_all is None else np.asarray(preds_all).tolist()
-        resident = self._resident
-        expiry_of, seq_of, over = self._expiry_of, self._seq_of, self._over
-        key_space = self._key_space
-        capacity = self.capacity
-        queue_bound = _VICTIM_QUEUE + capacity
-        age, size = self._age, self._size
+        slot_for, bind, unbind = self._slot_for, self._bind, self._unbind
+        valid, expiry_at, seq_at = self._valid, self._expiry, self._seq
+        free_slots = self._free_slots
+        queue_bound = _VICTIM_QUEUE + self.capacity
+        age, top = self._age, self._free_top
         next_seq, min_seq = self._next_seq, self._min_seq
         prefetch_hits = evictions = issued = 0
         missed: List[int] = []
 
-        def admit(key: int, in_range: bool) -> None:
+        def admit(key: int) -> None:
             """Insert the non-resident ``key`` at ``speed``, evicting
             first when full."""
-            nonlocal age, size, next_seq, evictions
-            if size >= capacity:
-                victim = None
+            nonlocal age, top, next_seq, evictions
+            if top:
+                top -= 1
+                slot = free_slots.item(top)
+            else:
+                slot = -1
                 if self._victims:
-                    victim, seq = self._victims.pop()
-                    if 0 <= victim < key_space:
-                        if resident[victim] and seq_of[victim] == seq:
-                            resident[victim] = False
-                        else:
-                            victim = None
-                    elif victim in over and over[victim][1] == seq:
-                        del over[victim]
-                    else:
-                        victim = None
-                if victim is None:
+                    slot, seq = self._victims.pop()
+                    if not (valid[slot] and seq_at[slot] == seq):
+                        slot = -1
+                if slot >= 0:
+                    victim = unbind(slot)
+                else:
                     # The top record was stale, or there is none:
                     # evict_one carries on — skips the stale ones,
-                    # rebuilds a drained queue.
-                    self._age, self._size = age, size
+                    # rebuilds a drained queue — and pushes the slot
+                    # it frees, which the insert pops right back.
+                    self._age, self._free_top = age, top
                     victim = self.evict_one()
+                    slot = free_slots.item(top)
                 prefetched.discard(victim)
                 age += 1
                 evictions += 1
-            else:
-                size += 1
-            if in_range:
-                resident[key] = True
-                expiry_of[key] = age + speed
-                seq_of[key] = next_seq
-            else:
-                over[key] = (age + speed, next_seq)
+            bind(key, slot)
+            expiry_at[slot] = age + speed
+            seq_at[slot] = next_seq
             next_seq += 1
 
         try:
@@ -893,20 +950,17 @@ class FastPriorityBuffer:
                 start = index * length
                 chunk = keys[start:start + length]
                 for position, key in enumerate(chunk, start):
-                    in_range = 0 <= key < key_space
-                    if resident[key] if in_range else key in over:
+                    slot = slot_for(key)
+                    if slot >= 0:
                         if key in prefetched:
                             prefetched.discard(key)
                             prefetch_hits += 1
-                        if in_range:
-                            expiry_of[key] = age + speed
-                            seq_of[key] = next_seq
-                        else:
-                            over[key] = (age + speed, next_seq)
+                        expiry_at[slot] = age + speed
+                        seq_at[slot] = next_seq
                         next_seq += 1
                     else:
                         missed.append(position)
-                        admit(key, in_range)
+                        admit(key)
                 if bits is not None:
                     last: Dict[int, int] = {}
                     for key, bit in zip(chunk, bits[index]):
@@ -914,41 +968,37 @@ class FastPriorityBuffer:
                             last.pop(key, None)  # re-insert: last position
                             last[key] = bit
                     for key, bit in last.items():
-                        in_range = 0 <= key < key_space
-                        if not (resident[key] if in_range else key in over):
+                        slot = slot_for(key)
+                        if slot < 0:
                             continue
                         if bit:
-                            expiry, seq = age + speed + 1, next_seq
+                            expiry_at[slot] = age + speed + 1
+                            seq_at[slot] = next_seq
                             next_seq += 1
-                        else:
-                            min_seq -= 1
-                            expiry, seq = age, min_seq
-                            victims = self._victims
-                            if victims is not None:
-                                # _push_demoted's bound, one key at a time.
-                                if len(victims) >= queue_bound:
-                                    self._victims = None
-                                else:
-                                    victims.append([key, seq])
-                        if in_range:
-                            expiry_of[key] = expiry
-                            seq_of[key] = seq
-                        else:
-                            over[key] = (expiry, seq)
+                            continue
+                        min_seq -= 1
+                        expiry_at[slot] = age
+                        seq_at[slot] = min_seq
+                        victims = self._victims
+                        if victims is not None:
+                            # _push_demoted's bound, one entry at a time.
+                            if len(victims) >= queue_bound:
+                                self._victims = None
+                            else:
+                                victims.append([slot, min_seq])
                 if preds is not None:
                     room = budget
                     for key in preds[index]:
                         if room <= 0:
                             break
-                        in_range = 0 <= key < key_space
-                        if resident[key] if in_range else key in over:
+                        if slot_for(key) >= 0:
                             continue
                         room -= 1
                         issued += 1
-                        admit(key, in_range)
+                        admit(key)
                         prefetched.add(key)
         finally:
-            self._age, self._size = age, size
+            self._age, self._free_top = age, top
             self._next_seq, self._min_seq = next_seq, min_seq
         return (np.asarray(missed, dtype=np.int64), prefetch_hits,
                 evictions, issued)
@@ -1033,7 +1083,11 @@ class FastPriorityBuffer:
         either gone already or still the smallest eligible entry).
         Iterating from ``F`` therefore climbs to the least fixed point,
         the scalar loop's misses, adding at least one re-miss per round
-        until nothing changes.
+        until nothing changes.  Each key misses at most once in the
+        pass (a victim is evicted before its first touch, and no
+        stored key is evicted), so the misses take the free slots in
+        pop order and then each victim's slot — the scalar loop's
+        push-then-pop, slot for slot.
 
         The trims that remain, each rare: a segment holding more
         distinct keys than the buffer has slots is served up to the
@@ -1049,68 +1103,31 @@ class FastPriorityBuffer:
         empty = np.zeros(0, dtype=np.int64)
         if length == 0:
             return 0, empty, empty
-        size0 = self._size
         age0 = self._age
         capacity = self.capacity
-        dense_seg = bool(arr.min() >= 0 and arr.max() < self._key_space)
-        if dense_seg:
-            # Linear segment indexing on the reusable scratch map, which
-            # is left holding each segment key's first position for the
-            # touch lookup below.  ``uniq`` comes out in first-touch
-            # order, not sorted.
-            first_mask = _first_touch_mask(self._scratch_pos, arr)
-            first_idx = np.flatnonzero(first_mask)
-            uniq = arr[first_idx]
-            res_u = self._resident[uniq]
-        else:
-            uniq, first_idx = np.unique(arr, return_index=True)
-            res_u = self.contains_batch(uniq)
-        if int(uniq.size) > capacity:
+        slots, dense = self._locate(arr)
+        first_idx = np.flatnonzero(self._first_touches(arr, dense))
+        if first_idx.size > capacity:
             # Wider than the buffer: trim to the longest prefix whose
             # distinct keys fit, so bulk serving still covers everything
             # up to the overflowing first touch.
-            if not dense_seg:
-                first_mask = np.zeros(length, dtype=bool)
-                first_mask[first_idx] = True
-            length = int(np.searchsorted(np.cumsum(first_mask), capacity,
-                                         side="right"))
-            if length == 0:
-                return 0, empty, empty
+            length = int(first_idx[capacity])
             arr = arr[:length]
-            keep = first_idx < length
-            uniq = uniq[keep]
-            first_idx = first_idx[keep]
-            res_u = res_u[keep]
-        fresh = first_idx[~res_u]
-        if not dense_seg:
-            fresh = np.sort(fresh)
+            first_idx = first_idx[:capacity]
+        held = slots[first_idx] >= 0
+        fresh = first_idx[~held]
         misses = fresh
-        free = capacity - size0
+        free = self._free_top
         evict_positions = misses[free:]
-        victims = empty
+        victims = victim_slots = empty
         if evict_positions.size:
-            keys, expiry, seq = self._gather_entries()
+            entries, expiry, seq = self._gather_entries()
             pool = np.flatnonzero(expiry <= age0)
-            # Each pool entry's first in-segment touch (``length``: none).
-            pool_keys = keys[pool]
-            touch = np.full(pool.size, length, dtype=np.int64)
-            if dense_seg:
-                # In-range ids lead the gather (spillover ones cannot be
-                # segment keys).  The scratch map is never cleared, so an
-                # id the segment lacks reads a stale value: the bounds
-                # check and the key check reject it.
-                inside = int(np.searchsorted(pool,
-                                             keys.size - len(self._over)))
-                ids = pool_keys[:inside]
-                pos = self._scratch_pos[ids]
-                ok = (pos >= 0) & (pos < length)
-                ok[ok] = arr[pos[ok]] == ids[ok]
-                touch[:inside][ok] = pos[ok]
-            else:
-                slot = np.minimum(np.searchsorted(uniq, pool_keys),
-                                  uniq.size - 1)
-                ok = uniq[slot] == pool_keys
-                touch[ok] = first_idx[slot[ok]]
+            # Each pool entry's first in-segment touch (``length``:
+            # none), looked up by the slot it held at the start.
+            touch_of = np.full(capacity, length, dtype=np.int64)
+            touch_of[slots[first_idx[held]]] = first_idx[held]
+            touch = touch_of[entries[pool]]
             # The walk takes one pool entry per eviction or per skipped
             # (touched) candidate, and a re-miss turns a skip into one
             # more eviction — so only the smallest (evictions + touched)
@@ -1187,74 +1204,53 @@ class FastPriorityBuffer:
                     return 0, empty, empty
                 length = trim
                 arr = arr[:length]
-                keep = first_idx < length
-                uniq = uniq[keep]
-                first_idx = first_idx[keep]
                 misses = misses[:np.searchsorted(misses, length)]
                 evict_positions = evict_positions[
                     :np.searchsorted(evict_positions, length)]
             n_evict = int(evict_positions.size)
             if n_evict:
-                # Advances _age to age0 + n_evict; the store expiries
-                # below use the per-position interleaved ages.
-                victims = keys[chosen[:n_evict]]
-                self._remove_victims(victims, n_evict)
+                victim_slots = entries[chosen[:n_evict]]
+                victims = self._unbind_batch(victim_slots)
+                self._age += n_evict
+        new_slots = self._pop_free(int(misses.size) - victim_slots.size)
+        self._bind_batch(arr[misses], np.concatenate((new_slots,
+                                                      victim_slots)), dense)
+        # Every key of ``arr`` is resident now: forward scatters over
+        # its slots leave each entry at its key's *last* position
+        # (duplicate indices: last write wins).
+        final = self._locate(arr)[0]
         base = self._next_seq
-        if dense_seg:
-            # Forward scatter: each key's map entry ends at its *last*
-            # position; ``uniq`` keys all occur in (the possibly
-            # trimmed) ``arr``, so every read is fresh.
-            pos = self._scratch_pos
-            pos[arr] = np.arange(length, dtype=np.int64)
-            last_pos = pos[uniq]
-        else:
-            _, last_pos = _last_occurrence(arr)
-        seq_vals = base + last_pos
+        self._seq[final] = base + np.arange(length)
         if victims.size:
             indicator = np.zeros(length, dtype=np.int64)
             indicator[evict_positions] = 1
-            store_age = age0 + np.cumsum(indicator)
-            expiry_vals = store_age[last_pos] + int(priority)
+            self._expiry[final] = age0 + np.cumsum(indicator) + int(priority)
         else:
-            expiry_vals = np.full(uniq.size, age0 + int(priority),
-                                  dtype=np.int64)
-        self._store_batch(uniq, expiry_vals, seq_vals)
-        self._size += int(misses.size)
+            self._expiry[final] = age0 + int(priority)
         self._next_seq = base + length
         return length, misses, victims
 
 
-class ClockBuffer:
+class ClockBuffer(_SlotLayout):
     """Array-backed approximate-priority buffer (CLOCK sweep).
 
-    Entries live in fixed numpy slot arrays (``key`` / ``priority`` /
-    ``valid``) turned into a circular list by a hand position.
-    ``insert`` fills a free slot, ``set_priority`` writes the slot's
-    priority (the multi-bit analogue of CLOCK's reference bit),
-    ``demote`` zeroes it.
-
-    Membership is the dense ``id → slot`` int vector over
-    ``[0, key_space)`` (``-1``: not resident), the one membership
-    record, written on every insert/eviction: ``contains_batch`` is a
-    slot gather, ``set_priority_batch`` a pure numpy scatter, and the
-    sweep clears victims in bulk — no per-key dict traffic anywhere on
-    the serving hot path.  Ids outside the universe (the manager's
-    unseen-key ids above the vocabulary; every id when
-    ``key_space=0``) spill to an ``id → slot`` side dict, with
-    identical behavior (fuzz-checked in
-    ``tests/test_buffer_differential.py``).
+    Entries live in the shared slot layout (:class:`_SlotLayout`),
+    with a ``priority`` per slot, turned into a circular list by a hand
+    position.  ``insert`` fills a free slot, ``set_priority`` writes the
+    slot's priority (the multi-bit analogue of CLOCK's reference bit),
+    ``demote`` zeroes it; the batch forms are slot gathers and
+    scatters.
 
     The batched sweep is the point of the backend
     (:meth:`serve_segment`'s protected reclaim, :meth:`evict_batch`):
     one call reclaims many slots by harvesting priority-zero slots in
     hand order and, whenever a sweep runs dry, aging *every* survivor
     by the minimum surviving priority in a single vectorized
-    subtraction.  Aging
-    therefore happens once per full sweep instead of once per eviction
-    — the approximation that lets a whole batch of evictions cost
-    O(capacity) numpy work rather than O(batch · log n) heap pops —
-    and collapsing the aging passes into one subtraction yields
-    provably identical victims (intermediate −1 passes harvest
+    subtraction.  Aging therefore happens once per full sweep instead
+    of once per eviction — the approximation that lets a whole batch of
+    evictions cost O(capacity) numpy work rather than O(batch · log n)
+    heap pops — and collapsing the aging passes into one subtraction
+    yields provably identical victims (intermediate −1 passes harvest
     nothing).  Within one call the victims come out in nondecreasing
     pre-call priority, and no victim has a higher pre-call priority
     than any survivor; among equal priorities the hand position (not
@@ -1268,68 +1264,12 @@ class ClockBuffer:
     approximate = True
 
     def __init__(self, capacity: int, key_space: int = 0) -> None:
-        if capacity < 1:
-            raise ValueError("capacity must be >= 1")
-        self.capacity = capacity
-        self._key = np.full(capacity, -1, dtype=np.int64)
+        super().__init__(capacity, key_space)
         self._prio = np.zeros(capacity, dtype=np.int64)
-        self._valid = np.zeros(capacity, dtype=bool)
-        # Free-slot stack ``_free_slots[:_free_top]``, popped from the
-        # top: slots 0, 1, 2, ... go out first and a freed slot is
-        # reused before an untouched one.
-        self._free_slots = np.arange(capacity - 1, -1, -1, dtype=np.int64)
-        self._free_top = capacity
         self._hand = 0
-        self._key_space = int(key_space)
-        self._slot_of = np.full(self._key_space, -1, dtype=np.int64)
-        # Resident spillover ids outside the universe: id -> slot.
-        self._slot_over: Dict[int, int] = {}
-        # id -> segment position map of :func:`_first_touch_mask`.
-        self._scratch = np.empty(self._key_space, dtype=np.int32)
-
-    def _slot_for(self, key: int) -> int:
-        """Slot of ``key``, or -1 when not resident."""
-        if 0 <= key < self._key_space:
-            return int(self._slot_of[key])
-        return self._slot_over.get(key, -1)
-
-    def __contains__(self, key: int) -> bool:
-        return self._slot_for(int(key)) >= 0
-
-    def __len__(self) -> int:
-        return self.capacity - self._free_top
-
-    def keys(self) -> Iterator[int]:
-        return iter(self._key[self._valid].tolist())
-
-    def contains_batch(self, keys: Sequence[int]) -> np.ndarray:
-        """Membership of each key as a boolean array (one slot gather,
-        :meth:`_locate`)."""
-        return self._locate(np.asarray(keys, dtype=np.int64))[0] >= 0
 
     def priority_of(self, key: int) -> int:
-        slot = self._slot_for(int(key))
-        if slot < 0:
-            raise KeyError(key)
-        return int(self._prio[slot])
-
-    @property
-    def is_full(self) -> bool:
-        return not self._free_top
-
-    @property
-    def key_space(self) -> int:
-        """Dense-id universe this backend was built over (0: the empty
-        universe).  Sharded construction asserts this against the
-        router's per-shard universe — see the translation boundary in
-        :mod:`repro.cache.sharding`."""
-        return self._key_space
-
-    def per_id_nbytes(self) -> int:
-        """Bytes of state that scale with ``key_space``: the id→slot
-        and scratch vectors (the slot arrays scale with capacity, not
-        the universe)."""
-        return int(self._slot_of.nbytes + self._scratch.nbytes)
+        return int(self._prio[self._resident_slot(key)])
 
     def insert(self, key: int, priority: int) -> None:
         """Insert (or refresh) ``key``; caller must ensure space.
@@ -1340,28 +1280,14 @@ class ClockBuffer:
         """
         key = int(key)
         slot = self._slot_for(key)
-        if slot >= 0:
-            self._prio[slot] = max(0, priority)
-            return
-        if not self._free_top:
-            raise RuntimeError("buffer full; evict first")
-        self._free_top -= 1
-        slot = int(self._free_slots[self._free_top])
-        if 0 <= key < self._key_space:
-            self._slot_of[key] = slot
-        else:
-            self._slot_over[key] = slot
-        self._key[slot] = key
+        if slot < 0:
+            slot = self._occupy(key)
         self._prio[slot] = max(0, priority)
-        self._valid[slot] = True
 
     def set_priority(self, key: int, priority: int) -> None:
         """Update priority, clamped to >= 0 (recency is approximated by
         the hand)."""
-        slot = self._slot_for(int(key))
-        if slot < 0:
-            raise KeyError(key)
-        self._prio[slot] = max(0, priority)
+        self._prio[self._resident_slot(key)] = max(0, priority)
 
     def set_priority_batch(self, keys: Sequence[int], priority: int) -> None:
         """Bulk :meth:`set_priority`: one slot gather and one scatter;
@@ -1370,10 +1296,7 @@ class ClockBuffer:
         arr = np.asarray(keys, dtype=np.int64)
         if arr.size == 0:
             return
-        slots = self._locate(arr)[0]
-        if (slots < 0).any():
-            raise KeyError(int(arr[slots < 0][0]))
-        self._prio[slots] = max(0, int(priority))
+        self._prio[self._resident_slots(arr)] = max(0, int(priority))
 
     def demote(self, key: int) -> None:
         """Mark ``key`` as evict-soon: priority 0, reclaimed by the
@@ -1383,60 +1306,6 @@ class ClockBuffer:
     def demote_batch(self, keys: Sequence[int]) -> None:
         """Bulk :meth:`demote` (priority-zero scatter)."""
         self.set_priority_batch(keys, 0)
-
-    # -- bulk classify / store (serve_segment's steps) -----------------
-    def _locate(self, arr: np.ndarray) -> Tuple[np.ndarray, bool]:
-        """Slot of every key of ``arr`` (-1 = not resident) and whether
-        the non-empty segment is *dense* — every id inside
-        ``[0, key_space)``, the one range check that keeps negative ids
-        (which a bare gather would wrap) and spillover ids off the
-        dense vectors.  Dense segments take the gather/scatter forms
-        below; spillover segments take the slow forms of the same
-        steps (here: the in-range gather plus one side-dict lookup per
-        spillover id)."""
-        if arr.size and arr.min() >= 0 and arr.max() < self._key_space:
-            return self._slot_of[arr], True
-        in_range = (arr >= 0) & (arr < self._key_space)
-        slots = np.full(arr.size, -1, dtype=np.int64)
-        slots[in_range] = self._slot_of[arr[in_range]]
-        spill = np.flatnonzero(~in_range)
-        slots[spill] = np.fromiter(
-            map(self._slot_over.get, arr[spill].tolist(), repeat(-1)),
-            dtype=np.int64, count=spill.size)
-        return slots, False
-
-    def _first_touches(self, arr: np.ndarray, dense: bool) -> np.ndarray:
-        """First-occurrence mask of ``arr``.  ``flatnonzero`` of it is
-        in segment order, so new keys take slots in *first-touch
-        order* — slot order feeds the hand's tie-breaking and must
-        follow the access stream, not hash or sort order
-        (regression-tested)."""
-        if dense:
-            return _first_touch_mask(self._scratch, arr)
-        first = np.zeros(arr.size, dtype=bool)
-        first[np.unique(arr, return_index=True)[1]] = True
-        return first
-
-    def _store_new(self, new_keys: np.ndarray, priority: int,
-                   dense: bool) -> None:
-        """Give the distinct non-resident ``new_keys`` free slots, in
-        order (the caller guarantees ``new_keys.size`` free slots)."""
-        if not new_keys.size:
-            return
-        top = self._free_top
-        self._free_top = top - new_keys.size
-        new_slots = self._free_slots[self._free_top:top][::-1]
-        if dense:
-            self._slot_of[new_keys] = new_slots
-        else:
-            in_range = (new_keys >= 0) & (new_keys < self._key_space)
-            self._slot_of[new_keys[in_range]] = new_slots[in_range]
-            spill = ~in_range
-            self._slot_over.update(zip(new_keys[spill].tolist(),
-                                       new_slots[spill].tolist()))
-        self._key[new_slots] = new_keys
-        self._prio[new_slots] = priority
-        self._valid[new_slots] = True
 
     def serve_segment(self, segment: np.ndarray, priority: int
                       ) -> Tuple[int, np.ndarray, np.ndarray]:
@@ -1504,7 +1373,8 @@ class ClockBuffer:
             eligible = self._valid.copy()
             eligible[slots] = False
             victims = self._sweep(needed, eligible)
-        self._store_new(arr[miss_positions], priority, dense)
+        self._prio[self._occupy_batch(arr[miss_positions],
+                                      dense)] = priority
         self._prio[slots] = priority
         return arr.size, miss_positions, victims
 
@@ -1523,7 +1393,8 @@ class ClockBuffer:
         one entry ``i`` takes slot ``i`` and the hand starts at 0, so
         the sweep visits the entries in the order given (module
         docstring)."""
-        _insert_all(self, keys, priorities)
+        self._prio[self._import_keys(keys)] = np.maximum(
+            np.asarray(priorities, dtype=np.int64), 0)
 
     def evict_one(self) -> int:
         if not len(self):
@@ -1574,16 +1445,9 @@ class ClockBuffer:
                 # Circular hand order: slots at/after the hand first.
                 split = int(np.searchsorted(zeros, self._hand))
                 take = np.concatenate((zeros[split:], zeros[:split]))[:count]
-                victim_keys = self._key[take]
-                valid[take] = False
                 if eligible is not valid:
                     eligible[take] = False
-                self._slot_of[_drop_spilled(victim_keys, self._key_space,
-                                            self._slot_over)] = -1
-                top = self._free_top
-                self._free_top = top + take.size
-                self._free_slots[top:self._free_top] = take
-                victims.append(victim_keys)
+                victims.append(self._release(take))
                 count -= int(take.size)
                 self._hand = int(take[-1] + 1) % self.capacity
             if count:
@@ -1606,8 +1470,7 @@ class ClockBuffer:
 
 
 #: Registry behind the ``buffer_impl`` knob (``RecMGConfig``, dlrm
-#: inference, prefetch harness): exact reference, exact fast,
-#: approximate clock.
+#: inference): exact reference, exact fast, approximate clock.
 BUFFER_IMPLS = {
     "reference": PriorityBuffer,
     "fast": FastPriorityBuffer,
@@ -1620,8 +1483,9 @@ def make_buffer(impl: str, capacity: int,
     """Instantiate a buffer backend by registry name.
 
     ``key_space`` (dense-id universe size) is forwarded to every
-    backend — the universe of the array-native per-id state on the
-    clock and fast backends, recorded only on the reference one;
+    backend — the universe of the ``id -> slot`` map of the clock and
+    fast backends' shared slot layout, recorded only on the reference
+    one;
     ``None`` is the empty universe.
     Sharding is :class:`~repro.cache.sharding.ShardedBuffer`'s, which
     builds one backend per shard here.

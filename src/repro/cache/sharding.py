@@ -42,7 +42,7 @@ backend is built over the *compressed* per-shard universe
 owns the in-universe ids ``offset[s] + stride * j`` for ``j <
 count[s]`` (contiguous: stride 1, offset the range start; modulo:
 stride N, offset ``s``), and its backend stores ``j``.  So per-id
-backend state (slot vectors, expiry/seqno vectors, membership bits)
+backend state (the ``id -> slot`` vector and the first-touch scratch)
 costs the same total memory as a single-shard buffer instead of N×
 it.  Ids are translated once per block, at the scatter:
 

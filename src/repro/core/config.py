@@ -52,7 +52,8 @@ class RecMGConfig:
     #: Cap on prefetch insertions per chunk.
     max_prefetch_per_chunk: int = 5
     #: GPU-buffer backend for the online manager: ``"fast"`` (exact;
-    #: dense per-id vectors, a victim queue and a fixed-point
+    #: per-slot (expiry, seqno) behind the id -> slot map it shares
+    #: with ``"clock"``, a victim queue and a fixed-point
     #: ``serve_segment``),
     #: ``"reference"`` (exact, O(n) audit loop) or
     #: ``"clock"`` (approximate array-backed CLOCK with batched

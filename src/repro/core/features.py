@@ -100,13 +100,14 @@ def chunk_inputs(chunks: EncodedChunks, sel: Optional[np.ndarray],
 def _ranks(sorted_values: np.ndarray, values: np.ndarray
            ) -> Tuple[np.ndarray, np.ndarray]:
     """Each value's insertion index in ``sorted_values`` (distinct,
-    ascending) and whether it is there — its rank when it is."""
+    ascending) and whether it is there — its rank when it is.  Past
+    ``values`` and the indices it holds one full-length temporary: the
+    clip and the gather are one ``np.take`` (an index at the end clips
+    to the last value, which is smaller, so it reads as absent)."""
     idx = np.searchsorted(sorted_values, values)
-    size = len(sorted_values)
-    if size == 0:
+    if len(sorted_values) == 0:
         return idx, np.zeros(idx.shape, dtype=bool)
-    return idx, (idx < size) & (sorted_values[np.minimum(idx, size - 1)]
-                                == values)
+    return idx, np.take(sorted_values, idx, mode="clip") == values
 
 
 class FeatureEncoder:
@@ -190,7 +191,9 @@ class FeatureEncoder:
             raise RuntimeError("encoder not fitted")
         keys = trace.keys()
         idx, known = _ranks(self._keys, keys)
-        return np.where(known, idx, self.vocab_size + keys)
+        # Fill only the unseen positions, in place: no third id array.
+        np.add(keys, self.vocab_size, out=idx, where=~known)
+        return idx
 
     def _map_tables(self, tables: np.ndarray) -> np.ndarray:
         """Raw table ids -> model table-feature indices (tables unseen

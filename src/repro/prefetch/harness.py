@@ -35,7 +35,6 @@ from typing import Dict, List, Optional
 
 import numpy as np
 
-from ..cache.buffer import make_buffer
 from ..traces.access import Trace
 from ..traces.reuse import reuse_distances_from_keys
 from .base import Prefetcher
@@ -73,72 +72,30 @@ class LRUBufferWithPrefetch:
     counted as a *prefetch hit* (and the tag clears).  Demand misses
     fetch on demand.  ``metadata_fraction`` reserves part of the buffer
     capacity for prefetcher metadata (the paper notes Domino "consumes
-    excessive GPU buffer capacity for metadata recording").
-
-    ``buffer_impl`` selects the buffer backend: ``"ordered"`` (the
-    default) keeps the OrderedDict LRU; ``"reference"``/``"fast"`` run
-    the same *exact* LRU on a priority-buffer backend (constant
-    priority 0, so the victim is always the oldest-touched entry —
-    breakdowns are identical to ``"ordered"``); ``"clock"`` runs the
-    second-chance CLOCK approximation of LRU (insert and re-reference
-    at priority 1) on the array-backed buffer.  ``key_space`` (when the
-    keys are dense, e.g. after ``remap_to_dense``) is the id universe
-    the backend keeps its per-id membership over — one gather instead
-    of the spillover dict, with identical behavior.
+    excessive GPU buffer capacity for metadata recording").  The
+    entries are one OrderedDict, key -> prefetched?, in recency order.
+    A priority-buffer backend under the same scalar access loop is
+    ``repro.dlrm.inference.BufferClassifier``.
     """
 
     def __init__(self, capacity: int, prefetcher: Optional[Prefetcher] = None,
                  max_prefetches_per_access: int = 4,
-                 metadata_fraction: float = 0.0,
-                 buffer_impl: str = "ordered",
-                 key_space: Optional[int] = None) -> None:
+                 metadata_fraction: float = 0.0) -> None:
         if capacity < 1:
             raise ValueError("capacity must be >= 1")
         effective = max(1, int(capacity * (1.0 - metadata_fraction)))
         self.capacity = effective
         self.prefetcher = prefetcher
         self.max_prefetches_per_access = max_prefetches_per_access
-        self.buffer_impl = buffer_impl
-        # Exactly one membership state exists: the OrderedDict (key ->
-        # prefetched?) for the classic path, or a priority-buffer
-        # backend plus a prefetch-tag set.
-        if buffer_impl == "ordered":
-            self._buffer = None
-            self._pf_tags: Optional[set] = None
-            self._refresh_priority = 0
-            self._entries: Optional["OrderedDict[int, bool]"] = OrderedDict()
-        else:
-            self._buffer = make_buffer(buffer_impl, effective,
-                                       key_space=key_space)
-            self._pf_tags = set()
-            # Exact backends at constant priority 0 reduce to LRU
-            # (victim = oldest seqno); clock needs priority 1 so a
-            # referenced entry survives one sweep (second chance).
-            self._refresh_priority = (
-                1 if getattr(self._buffer, "approximate", False) else 0)
-            self._entries = None
+        self._entries: "OrderedDict[int, bool]" = OrderedDict()
         self.breakdown = AccessBreakdown()
         self.prefetches_issued = 0
         self.prefetches_useful = 0
 
     def __contains__(self, key: int) -> bool:
-        if self._buffer is not None:
-            return key in self._buffer
         return key in self._entries
 
     def _insert(self, key: int, prefetched: bool) -> None:
-        buffer = self._buffer
-        if buffer is not None:
-            if key in buffer:
-                buffer.set_priority(key, self._refresh_priority)
-                return
-            if buffer.is_full:
-                victim = buffer.evict_one()
-                self._pf_tags.discard(victim)
-            buffer.insert(key, self._refresh_priority)
-            if prefetched:
-                self._pf_tags.add(key)
-            return
         if key in self._entries:
             self._entries.move_to_end(key)
             return
@@ -148,18 +105,7 @@ class LRUBufferWithPrefetch:
 
     def access(self, key: int, pc: int = 0) -> str:
         """Process one demand access; returns its class name."""
-        buffer = self._buffer
-        if buffer is not None:
-            if key in buffer:
-                was_prefetched = key in self._pf_tags
-                self._pf_tags.discard(key)
-                buffer.set_priority(key, self._refresh_priority)
-                hit = True
-            else:
-                was_prefetched = False
-                self._insert(key, prefetched=False)
-                hit = False
-        elif key in self._entries:
+        if key in self._entries:
             was_prefetched = self._entries[key]
             self._entries[key] = False
             self._entries.move_to_end(key)
@@ -194,8 +140,7 @@ def run_breakdown(trace: Trace, capacity: int,
                   prefetcher: Optional[Prefetcher] = None,
                   metadata_fraction: float = 0.0,
                   use_dense_keys: bool = True,
-                  engine: str = "fast",
-                  buffer_impl: str = "ordered") -> AccessBreakdown:
+                  engine: str = "fast") -> AccessBreakdown:
     """Simulate ``trace`` through an LRU buffer (+ optional prefetcher).
 
     ``use_dense_keys`` remaps packed keys into a dense index space so
@@ -205,11 +150,7 @@ def run_breakdown(trace: Trace, capacity: int,
     Without a prefetcher the default ``engine="fast"`` computes the
     breakdown in closed form from vectorized reuse distances (see module
     docstring) — bit-identical to the simulation loop, which
-    ``engine="reference"`` forces.  ``buffer_impl`` selects the
-    buffer backend (see :class:`LRUBufferWithPrefetch`); the
-    closed-form path only models the exact-LRU backends (``"ordered"``,
-    ``"reference"``, ``"fast"``), so the approximate ``"clock"`` backend
-    always simulates.
+    ``engine="reference"`` forces.
     """
     if engine not in ("fast", "reference"):
         raise ValueError(f"unknown breakdown engine: {engine!r}")
@@ -219,8 +160,7 @@ def run_breakdown(trace: Trace, capacity: int,
         keys, _ = remap_to_dense(trace)
     else:
         keys = trace.keys()
-    exact_lru = buffer_impl in ("ordered", "reference", "fast")
-    if prefetcher is None and engine == "fast" and exact_lru:
+    if prefetcher is None and engine == "fast":
         if capacity < 1:
             raise ValueError("capacity must be >= 1")
         effective = max(1, int(capacity * (1.0 - metadata_fraction)))
@@ -229,15 +169,8 @@ def run_breakdown(trace: Trace, capacity: int,
         return AccessBreakdown(cache_hits=hits, prefetch_hits=0,
                                on_demand=len(keys) - hits)
     tables = trace.table_ids
-    # Dense-remapped keys span exactly [0, num_unique): hand the dense
-    # universe to the backend so membership runs off its per-id vector
-    # instead of the spillover dict.
-    key_space = (int(keys.max()) + 1
-                 if use_dense_keys and len(keys) else None)
     buffer = LRUBufferWithPrefetch(capacity, prefetcher=prefetcher,
-                                   metadata_fraction=metadata_fraction,
-                                   buffer_impl=buffer_impl,
-                                   key_space=key_space)
+                                   metadata_fraction=metadata_fraction)
     for i in range(len(keys)):
         buffer.access(int(keys[i]), pc=int(tables[i]))
     return buffer.breakdown

@@ -529,10 +529,11 @@ class TestClockDenseMode:
 
 
 class TestFastDenseMode:
-    """key_space mode of the exact pair: membership bits + dense
-    (expiry, seqno) vectors on the fast backend, the entry dict on the
-    reference backend.  Exhaustive equivalence with the reference lives
-    in tests/test_buffer_differential.py; these pin the contracts the
+    """key_space mode of the exact pair: the shared slot layout's
+    ``id -> slot`` map with per-slot (expiry, seqno) vectors on the
+    fast backend, the entry dict on the reference backend.  Exhaustive
+    equivalence with the reference lives in
+    tests/test_buffer_differential.py; these pin the contracts the
     batched serving engine builds on."""
 
     def test_numpy_duplicate_index_assignment_keeps_last(self):
@@ -561,7 +562,7 @@ class TestFastDenseMode:
         # step then ripens 100, whose older seqno beats 101.
         assert buf.evict_batch(3) == [2, 100, 101]
         assert len(buf) == 0
-        assert not buf._over and not buf._resident.any()
+        assert not buf._slot_over and (buf._slot_of < 0).all()
 
     def test_dense_mode_keeps_exact_eviction_contract(self):
         """The documented (effective_priority, seqno) order, spot-wise:

@@ -159,11 +159,9 @@ def _assert_contains_batch_agrees(buffer, probe=PROBE) -> None:
 
 def _recorded_members(buffer) -> int:
     """Resident ids as an array backend's own membership record counts
-    them: the in-universe vector plus the spillover dict."""
-    if isinstance(buffer, ClockBuffer):
-        return (int(np.count_nonzero(buffer._slot_of >= 0))
-                + len(buffer._slot_over))
-    return int(np.count_nonzero(buffer._resident)) + len(buffer._over)
+    them: the ``id -> slot`` vector's entries plus the spillover dict."""
+    return (int(np.count_nonzero(buffer._slot_of >= 0))
+            + len(buffer._slot_over))
 
 
 def _assert_same_state(ref, other) -> None:
@@ -486,10 +484,50 @@ def test_import_state_resets_victim_queue():
     first = buffer._next_seq
     buffer.import_state([1, 2, 3], [5, 0, 0])
     assert buffer._victims is None
-    assert buffer._seq_of[[1, 2, 3]].tolist() == [first, first + 1,
-                                                  first + 2]
+    assert buffer._seq[buffer._slot_of[[1, 2, 3]]].tolist() == [
+        first, first + 1, first + 2]
     assert buffer._next_seq == first + 3
     assert buffer.evict_one() == 2      # 1 is live now; (1, 1) is stale
+
+
+@pytest.mark.parametrize("impl", ["fast", "clock"])
+def test_array_backends_import_without_scalar_inserts(impl, monkeypatch):
+    """Both array backends load a migration record with array writes
+    into the slots record-order inserts would take, never through
+    their scalar ``insert``: 1000 keys (spillover ids among them) into
+    a fresh backend and into an emptied one, each equal to the insert
+    loop on a twin."""
+    rng = np.random.default_rng(17)
+    keys = rng.permutation(1500)[:1000] - 100
+    priorities = rng.integers(0, 5, size=keys.size)
+    twins = [make_buffer(impl, 1200, key_space=1300) for _ in range(4)]
+    used = rng.permutation(1300)[:1200]
+    for buffer in twins[2:]:           # emptied: a used free stack
+        buffer.serve_segment(used, 1)
+        buffer.evict_batch(1200)
+    for key, priority in zip(keys.tolist(), priorities.tolist()):
+        for looped in twins[1::2]:
+            looped.insert(key, priority)
+
+    def scalar_insert(self, key, priority):
+        raise AssertionError("import_state took a scalar insert")
+
+    monkeypatch.setattr(type(twins[0]), "insert", scalar_insert)
+    for imported, looped in (twins[:2], twins[2:]):
+        imported.import_state(keys, priorities)
+        assert len(imported) == keys.size
+        assert _slot_state(imported) == _slot_state(looped)
+
+
+def _slot_state(buffer):
+    """An array backend's slot layout and per-slot priority state (the
+    exact backend's seqnos included)."""
+    per_slot = ([buffer._prio] if buffer.approximate
+                else [buffer._expiry, buffer._seq])
+    return ([buffer._key.tolist(), buffer._valid.tolist(),
+             buffer._free_slots[:buffer._free_top].tolist(),
+             buffer._slot_of.tolist(), sorted(buffer._slot_over.items())]
+            + [values[buffer._valid].tolist() for values in per_slot])
 
 
 @pytest.mark.parametrize("impl", ["reference", "fast", "clock"])
@@ -527,11 +565,11 @@ def test_victim_queue_stays_bounded_without_scalar_evictions():
     buffer.evict_one()                  # the one scalar eviction: queue live
     peak = 0
     for step in range(100_000):
-        resident = np.flatnonzero(buffer._resident)
+        resident = np.flatnonzero(buffer._slot_of >= 0)
         buffer.demote_batch(rng.choice(resident, 15))
         if step % 64 == 0:              # churn through the bulk protocol
             buffer.evict_batch(4)
-            absent = np.flatnonzero(~buffer._resident)
+            absent = np.flatnonzero(buffer._slot_of < 0)
             for key in rng.choice(absent, 4, replace=False).tolist():
                 buffer.insert(key, 2)
         peak = max(peak, len(buffer._victims or ()))
@@ -544,7 +582,7 @@ def test_victim_queue_stays_bounded_without_scalar_evictions():
 
 CASCADE_SEEDS = 200
 #: Dense universe of the cascade fuzz; ids outside it (negative ones and
-#: up to CASCADE_IDS) spill over into ``_over``.
+#: up to CASCADE_IDS) spill over into ``_slot_over``.
 CASCADE_SPACE = 40
 CASCADE_IDS = 56
 #: What the cascade fuzz must reach (counted per served segment);
@@ -555,10 +593,13 @@ CASCADE_CASES = ("whole", "whole_remiss", "whole_chain", "ripening",
 
 def _fast_state(buffer: FastPriorityBuffer):
     """Everything a dense :class:`FastPriorityBuffer` is, short of its
-    scratch map and its victim queue (bulk serving never pops it)."""
-    return (buffer._resident.tolist(), buffer._expiry_of.tolist(),
-            buffer._seq_of.tolist(), sorted(buffer._over.items()),
-            buffer._age, buffer._size,
+    scratch map and its victim queue (bulk serving never pops it): the
+    slot arrays, the free stack in order and the ``id -> slot`` maps."""
+    return (buffer._key.tolist(), buffer._valid.tolist(),
+            buffer._expiry.tolist(), buffer._seq.tolist(),
+            buffer._free_slots[:buffer._free_top].tolist(),
+            buffer._slot_of.tolist(), sorted(buffer._slot_over.items()),
+            buffer._age, len(buffer),
             buffer._next_seq, buffer._min_seq)
 
 
@@ -656,12 +697,14 @@ def _garbage_scratch(rng: random.Random, buffer, length: int) -> str:
     """Fill the scratch map with what a never-cleared map may hold:
     negative, huge or stale in-segment positions."""
     kind = rng.choice(["clean", "negative", "huge", "stale"])
-    scratch = buffer._scratch_pos
+    scratch = buffer._scratch
+    widest = np.iinfo(scratch.dtype)
     seeded = np.random.default_rng(rng.randrange(1 << 30))
     if kind == "negative":
-        scratch[:] = seeded.integers(-(1 << 62), 0, scratch.size)
+        scratch[:] = seeded.integers(widest.min, 0, scratch.size)
     elif kind == "huge":
-        scratch[:] = seeded.integers(1 << 40, 1 << 62, scratch.size)
+        scratch[:] = seeded.integers(widest.max >> 8, widest.max,
+                                     scratch.size)
     elif kind == "stale":
         scratch[:] = seeded.integers(0, length + 2, scratch.size)
     return kind
@@ -705,7 +748,7 @@ def _cascade_steps(seed: int) -> Counter:
         segment = _cascade_segment(rng, scalar, capacity, ids)
         priority = rng.randint(1, 9)
         stats["wide"] += len(set(segment)) > capacity
-        stats["spill"] += bool(bulk._over) or min(segment) < 0 \
+        stats["spill"] += bool(bulk._slot_over) or min(segment) < 0 \
             or max(segment) >= CASCADE_SPACE
         stats["demoted"] += scalar._min_seq < 0
         stats["garbage"] += _garbage_scratch(rng, bulk,
@@ -737,7 +780,7 @@ def _cascade_steps(seed: int) -> Counter:
 def test_exact_serve_segment_cascades_match_scalar(seed):
     """Small buffers, priorities 1-9, demotes, live entries ripening
     mid-call, re-miss chains, spillover ids in the segment and in
-    ``_over``, wider-than-capacity segments and a garbage-filled
+    ``_slot_over``, wider-than-capacity segments and a garbage-filled
     scratch map: ``serve_segment`` matches the scalar loop decision
     for decision, victim for victim and in full state."""
     _cascade_run(seed)
@@ -752,23 +795,23 @@ def test_exact_serve_segment_cascade_fuzz_covers_every_case():
 
 
 def test_exact_serve_segment_ignores_scratch_garbage():
-    """The touch lookup reads the scratch map for every pool entry, the
-    segment's keys or not: negative, huge and stale values must change
-    nothing against a fresh twin."""
+    """The first-touch mask reads back a scratch map that is never
+    cleared: negative, huge and stale values must change nothing
+    against a fresh twin."""
     rng = np.random.default_rng(3)
     ids = rng.permutation(96)
     # 32 residents at priority zero, a segment over 15 of them and 15
     # fresh ids: evictions and re-misses, never more keys than slots.
     segment = rng.choice(np.concatenate((ids[:15], ids[32:47])), 80)
     outcomes = []
-    for fill in (None, -7, 1 << 62, "stale"):
+    for fill in (None, -7, np.iinfo(np.int32).max, "stale"):
         buffer = FastPriorityBuffer(32, key_space=96)
         for key in ids[:32].tolist():
             buffer.insert(key, 0)
         if fill == "stale":
-            buffer._scratch_pos[:] = np.arange(96) % segment.size
+            buffer._scratch[:] = np.arange(96) % segment.size
         elif fill is not None:
-            buffer._scratch_pos[:] = fill
+            buffer._scratch[:] = fill
         served, misses, victims = buffer.serve_segment(segment, 2)
         outcomes.append((served, misses.tolist(), victims.tolist(),
                          _fast_state(buffer)))
@@ -1008,9 +1051,7 @@ def _seqno(backend, key: int) -> int:
     fields (the migration record keeps only the seqno order)."""
     if isinstance(backend, PriorityBuffer):
         return backend._seqno[key]
-    if 0 <= key < backend.key_space:
-        return int(backend._seq_of[key])
-    return backend._over[key][1]
+    return int(backend._seq[backend._slot_for(key)])
 
 
 def _backend_states(buffer):

@@ -53,20 +53,21 @@ def _backend(manager):
 
 def _recorded_members(buffer):
     """Resident ids as the backend's own membership record counts them:
-    the in-universe bits plus the spillover dict."""
-    return int(np.count_nonzero(buffer._resident)) + len(buffer._over)
+    the ``id -> slot`` vector's entries plus the spillover dict."""
+    return int(np.count_nonzero(buffer._slot_of >= 0)) + len(buffer._slot_over)
 
 
 def _state(manager):
     buffer = _backend(manager)
     breakdown = manager.breakdown
     return {
-        "resident": buffer._resident.tobytes(),
-        "expiry": buffer._expiry_of.tobytes(),
-        "seqno": buffer._seq_of.tobytes(),
-        "over": list(buffer._over.items()),
+        "slots": (buffer._key.tobytes(), buffer._valid.tobytes()),
+        "expiry": buffer._expiry.tobytes(),
+        "seqno": buffer._seq.tobytes(),
+        "free": buffer._free_slots[:buffer._free_top].tobytes(),
+        "map": (buffer._slot_of.tobytes(), list(buffer._slot_over.items())),
         "scalars": (buffer._age, buffer._next_seq, buffer._min_seq,
-                    buffer._size),
+                    len(buffer)),
         "victims": buffer._victims,
         "tags": sorted(manager._prefetched),
         "counters": (breakdown.cache_hits, breakdown.prefetch_hits,
@@ -227,7 +228,9 @@ def test_replay_shape_takes_the_fused_pass(trained_recmg, tiny_trace,
                                    "missing bits row"])
 def test_a_raising_pass_leaves_the_buffer_consistent(fault):
     """Counters live in locals during the pass; an input that raises
-    midway must not leave them behind the bitmap."""
+    midway must not leave them behind the slot map.  A non-integer key
+    raises ``TypeError`` from the map lookup, a missing row
+    ``IndexError``."""
     rng = np.random.default_rng(11)
     capacity, length = 30, 15
     buffer = FastPriorityBuffer(capacity, key_space=50)
@@ -242,14 +245,13 @@ def test_a_raising_pass_leaves_the_buffer_consistent(fault):
         preds = preds.astype(object)
         preds[5, 2] = 2.5
     age = buffer._age
-    with pytest.raises(IndexError):
+    raised = TypeError if fault == "non-integer prediction" else IndexError
+    with pytest.raises(raised):
         buffer.serve_chunks(rng.integers(0, 70, size=8 * length), length,
                             bits, preds, 4, 5, set())
     assert buffer._age > age
     assert len(buffer) == _recorded_members(buffer) == capacity
-    seqnos = np.concatenate((
-        buffer._seq_of[buffer._resident],
-        np.array([seq for _, seq in buffer._over.values()], dtype=np.int64)))
+    seqnos = buffer._seq[buffer._valid]
     assert buffer._min_seq <= seqnos.min() and seqnos.max() < buffer._next_seq
     reference = PriorityBuffer(capacity)
     reference.import_state(*buffer.export_state())

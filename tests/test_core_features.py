@@ -137,6 +137,36 @@ class TestEncoder:
         assert enc.vocab_size > 50_000
         assert retained / enc.vocab_size < 48, retained / enc.vocab_size
 
+    def test_dense_ids_peak_holds_three_id_arrays(self, tiny_recmg_config):
+        """``dense_ids`` on a 100k-access trace, half of it unseen, peaks
+        under three full-length int64 arrays (the keys, the ranks and
+        one lookup temporary) plus one bool mask and a small slack;
+        the ids are the ranks, and ``vocab_size + key`` where unseen."""
+        rng = np.random.default_rng(5)
+        n = 100_000
+        trace = Trace(rng.integers(0, 8, size=n),
+                      rng.integers(0, 20_000, size=n))
+        enc = FeatureEncoder(tiny_recmg_config).fit(trace[:n // 2])
+        expected = enc.dense_ids(trace)  # warm-up, and the reference ids
+        started = not tracemalloc.is_tracing()
+        tracemalloc.start()
+        try:
+            tracemalloc.reset_peak()
+            before = tracemalloc.get_traced_memory()[0]
+            dense = enc.dense_ids(trace)
+            peak = tracemalloc.get_traced_memory()[1] - before
+        finally:
+            if started:
+                tracemalloc.stop()
+        assert peak < 3 * 8 * n + n + (1 << 16), peak / (8 * n)
+        keys = trace.keys()
+        known = np.isin(keys, np.unique(trace[:n // 2].keys()))
+        assert 0.2 < known.mean() < 0.8
+        assert np.array_equal(dense, expected)
+        assert np.array_equal(dense[~known], enc.vocab_size + keys[~known])
+        assert np.array_equal(
+            dense[known], np.searchsorted(enc.vocabulary()[0], keys[known]))
+
     def test_freq_reflects_popularity(self, encoder, tiny_trace):
         dense = encoder.dense_ids(tiny_trace)
         counts = np.bincount(dense, minlength=encoder.vocab_size)

@@ -33,8 +33,9 @@ import pytest
 from repro.core import RecMGConfig
 from repro.core.features import FeatureEncoder
 from repro.core.manager import RecMGManager
+from repro.dlrm import BufferClassifier
 from repro.prefetch import run_breakdown
-from repro.traces import SyntheticTraceConfig, generate_trace
+from repro.traces import SyntheticTraceConfig, generate_trace, remap_to_dense
 
 #: (cache_hits, on_demand, evictions) per (buffer_impl, key_space) at
 #: a 20% buffer on the golden trace below; ``None`` gives the backend no
@@ -231,10 +232,22 @@ def test_lru_harness_matches_golden(golden_trace, golden_capacity):
     simulated = run_breakdown(golden_trace, golden_capacity,
                               engine="reference")
     assert simulated == closed
-    for impl in ("reference", "fast"):
-        assert run_breakdown(golden_trace, golden_capacity,
-                             engine="reference",
-                             buffer_impl=impl) == closed
-    clock = run_breakdown(golden_trace, golden_capacity,
-                          buffer_impl="clock")
-    assert (clock.cache_hits, clock.on_demand) == GOLDEN_LRU_CLOCK
+    # The backends under the same scalar access loop, on the dense ids:
+    # the exact ones at constant priority 0 are LRU; the clock, with
+    # insert and re-reference at priority 1, is second-chance CLOCK.
+    keys, _ = remap_to_dense(golden_trace)
+    key_space = int(keys.max()) + 1
+    for impl, priority in (("reference", 0), ("fast", 0)):
+        assert _classified(keys, golden_capacity, impl, priority,
+                           key_space) == (closed.cache_hits, closed.on_demand)
+    assert _classified(keys, golden_capacity, "clock", 1,
+                       key_space) == GOLDEN_LRU_CLOCK
+
+
+def _classified(keys, capacity, impl, priority, key_space):
+    """``(cache_hits, on_demand)`` of a :class:`BufferClassifier` on
+    ``impl`` serving ``keys`` one scalar access at a time."""
+    classifier = BufferClassifier(capacity, impl, priority=priority,
+                                  key_space=key_space)
+    hits = sum(classifier.access(key) for key in keys.tolist())
+    return hits, len(keys) - hits

@@ -10,7 +10,8 @@ from repro.prefetch import (
     VoyagerPrefetcher, VoyagerScaleError, estimate_memory_bytes,
     evaluate_prefetcher, run_breakdown,
 )
-from repro.traces import Trace
+from repro.dlrm import BufferClassifier
+from repro.traces import Trace, remap_to_dense
 
 
 def trace_of(keys, tables=None):
@@ -195,23 +196,27 @@ class TestBreakdownHarness:
 
     @pytest.mark.parametrize("impl", ["reference", "fast"])
     def test_exact_buffer_impls_reproduce_lru(self, tiny_trace, impl):
-        """Priority backends at constant priority 0 are exact LRU: the
-        breakdown matches both the OrderedDict loop and the closed
-        form, with and without a prefetcher in the loop."""
+        """Priority backends at constant priority 0 are exact LRU: under
+        the same scalar access loop (``BufferClassifier``) their hits
+        match both the OrderedDict loop and the closed form."""
         head = tiny_trace.head(2000)
         closed_form = run_breakdown(head, capacity=200)
-        assert run_breakdown(head, capacity=200, engine="reference",
-                             buffer_impl=impl) == closed_form
-        ordered = run_breakdown(head, capacity=200,
-                                prefetcher=DominoPrefetcher())
         assert run_breakdown(head, capacity=200,
-                             prefetcher=DominoPrefetcher(),
-                             buffer_impl=impl) == ordered
+                             engine="reference") == closed_form
+        keys, _ = remap_to_dense(head)
+        classifier = BufferClassifier(200, impl, priority=0)
+        hits = [classifier.access(key) for key in keys.tolist()]
+        assert sum(hits) == closed_form.cache_hits
+        assert hits.count(False) == closed_form.on_demand
 
     def test_clock_buffer_impl_approximates_lru(self, tiny_trace):
-        """Second-chance CLOCK: conserved totals, hit rate near LRU."""
+        """Second-chance CLOCK (insert and re-reference at priority 1):
+        hit rate near LRU."""
         head = tiny_trace.head(2000)
         lru = run_breakdown(head, capacity=200)
-        clock = run_breakdown(head, capacity=200, buffer_impl="clock")
-        assert clock.total == len(head)
-        assert abs(clock.hit_rate - lru.hit_rate) < 0.08
+        keys, _ = remap_to_dense(head)
+        classifier = BufferClassifier(200, "clock", priority=1,
+                                      key_space=int(keys.max()) + 1)
+        hits = [classifier.access(key) for key in keys.tolist()]
+        assert len(hits) == len(head)
+        assert abs(np.mean(hits) - lru.hit_rate) < 0.08

@@ -1,7 +1,7 @@
 """Membership of the three buffer backends, each answered from the one
 record the backend keeps per entry: the reference backend's entry dict,
-the fast backend's membership bits plus spillover dict, the clock
-backend's ``id -> slot`` vector plus spillover dict.  Every test runs
+and the ``id -> slot`` map (a vector over the universe plus a spillover
+dict) of the slot layout the fast and clock backends share.  Every test runs
 on all three: ids inside the universe, ids above it, negative ids and
 the empty universe must answer alike."""
 
@@ -112,9 +112,9 @@ class TestBatchProtocol:
         clock = make_buffer("clock", 8, key_space=16)
         for buf in (fast, clock):
             buf.serve_segment(np.array([2, 3, 9]), 1)
-        assert fast._resident[segment].tolist() == [True, True, False]
-        assert (clock._slot_of[segment] >= 0).tolist() == [
-            True, True, False]
+        for buf in (fast, clock):
+            assert (buf._slot_of[segment] >= 0).tolist() == [
+                True, True, False]
 
 
 class TestBookkeeping:
@@ -130,3 +130,13 @@ class TestBookkeeping:
             assert len(buf) == 0 and list(buf.keys()) == []
             assert not buf.contains_batch(np.arange(-2, 60)).any()
             assert 50 not in buf
+
+    def test_array_backends_share_one_per_id_footprint(self):
+        """The fast and clock backends keep the same per-id state for
+        one universe — the shared layout's ``id -> slot`` vector and
+        first-touch scratch, 12 bytes per id — and every other array
+        scales with capacity."""
+        key_space = 4096
+        fast = make_buffer("fast", 64, key_space=key_space)
+        clock = make_buffer("clock", 64, key_space=key_space)
+        assert fast.per_id_nbytes() == clock.per_id_nbytes() == 12 * key_space

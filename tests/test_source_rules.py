@@ -22,6 +22,12 @@ membership index (``ResidencyIndex``), reaches for one through a
 ``.residency`` attribute, or writes a duplicate spillover set
 (``._overflow``).
 
+The two array backends keep their entries in one slot layout: in
+``cache/buffer.py`` only the ``_SlotLayout`` class names the spillover
+dict (``_slot_over``, or the per-backend ``_over`` it replaced) or
+checks an id against the universe (``< key_space``), so the
+in-universe/spillover split is written once.
+
 Shard rebalancing moves every backend through the one migration record
 (``export_state`` / ``import_state``), so ``cache/sharding.py`` never
 asks which backend it holds: no ``.approximate`` read, no ``isinstance``
@@ -55,6 +61,11 @@ BUFFER_ISINSTANCE = re.compile(
 SECOND_MEMBERSHIP = re.compile(
     r"\bResidencyIndex\b|\.residency\b|\._overflow\b")
 
+#: The spillover dict by name, or a ``< key_space`` bound (the upper
+#: half of every ``0 <= key < key_space`` range check).
+SPILL_SPLIT = re.compile(
+    r"\b_(?:slot_)?over\b|<\s*(?:self\.)?_?key_space\b")
+
 VOCABULARY_DICT = re.compile(r"\b_(?:key_to_dense|table_to_id)\b")
 BACKEND_NAME = r"[\"'](?:clock|fast|reference)[\"']"
 BACKEND_KIND = re.compile(
@@ -68,7 +79,7 @@ BACKEND_KIND = re.compile(
 def _offenders(root: Path, pattern: re.Pattern) -> list:
     """Every match of ``pattern`` in the sources under ``root``, as
     ``path:line: text`` of the line the match starts on (a match may
-    span lines)."""
+    span lines; ``path`` relative to ``src/`` when under it)."""
     sources = sorted(root.rglob("*.py")) if root.is_dir() else [root]
     assert sources, f"no library sources under {root}"
     found = []
@@ -77,9 +88,23 @@ def _offenders(root: Path, pattern: re.Pattern) -> list:
         lines = text.splitlines()
         for match in pattern.finditer(text):
             number = text.count("\n", 0, match.start()) + 1
-            found.append(f"{path.relative_to(SRC.parent)}:{number}: "
+            label = (path.relative_to(SRC.parent)
+                     if path.is_relative_to(SRC.parent) else path)
+            found.append(f"{label}:{number}: "
                          f"{lines[number - 1].strip()}")
     return found
+
+
+def _outside_class(path: Path, pattern: re.Pattern, name: str) -> list:
+    """:func:`_offenders` of ``pattern`` in ``path`` that lie outside
+    the body of its top-level class ``name``."""
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    spans = [(node.lineno, node.end_lineno) for node in tree.body
+             if isinstance(node, ast.ClassDef) and node.name == name]
+    assert len(spans) == 1, f"no one class {name} in {path}"
+    first, last = spans[0]
+    return [line for line in _offenders(path, pattern)
+            if not first <= int(line.split(":")[1]) <= last]
 
 
 def _dead_exports(root: Path, exports) -> list:
@@ -171,6 +196,41 @@ def test_second_membership_pattern_catches_each_form():
                  "self._overflow_count += 1", "self.residency_share = 0",
                  "# up to the overflowing first touch"):
         assert not SECOND_MEMBERSHIP.search(text), text
+
+
+def test_spillover_split_lives_in_the_slot_layout():
+    offenders = _outside_class(SRC / "cache" / "buffer.py", SPILL_SPLIT,
+                               "_SlotLayout")
+    assert not offenders, "\n".join(offenders)
+
+
+def test_spill_split_pattern_catches_each_form():
+    for text in ("if 0 <= key < self._key_space:",
+                 "in_range = (keys >= 0) & (keys < self._key_space)",
+                 "arr.max() < self.key_space", "0 <= victim < key_space",
+                 "self._slot_over[key] = slot", "over = self._over",
+                 "del self._over[victim]"):
+        assert SPILL_SPLIT.search(text), text
+    for text in ("make_buffer(impl, capacity, key_space=key_space)",
+                 "self._overflow_count += 1", "self._slot_overs = []",
+                 "if self.key_space >= self.num_shards:",
+                 "ids of ``[0, key_space)`` spill to a side dict",
+                 "len(buffer) < capacity"):
+        assert not SPILL_SPLIT.search(text), text
+
+
+def test_outside_class_skips_only_that_class(tmp_path):
+    path = tmp_path / "buffer.py"
+    path.write_text("class _SlotLayout:\n"
+                    "    def find(self, key):\n"
+                    "        return self._slot_over.get(key)\n"
+                    "\n"
+                    "class Backend(_SlotLayout):\n"
+                    "    def find(self, key):\n"
+                    "        return 0 <= key < self._key_space\n")
+    offenders = _outside_class(path, SPILL_SPLIT, "_SlotLayout")
+    assert len(offenders) == 1 and offenders[0].endswith(
+        ":7: return 0 <= key < self._key_space")
 
 
 def test_sharding_never_reads_a_backend_kind():
