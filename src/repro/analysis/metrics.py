@@ -28,9 +28,3 @@ def reduction(baseline: float, improved: float) -> float:
     if baseline <= 0:
         return 0.0
     return (baseline - improved) / baseline
-
-
-def normalize_to(values: Sequence[float], reference: float) -> np.ndarray:
-    if reference == 0:
-        raise ValueError("reference must be nonzero")
-    return np.asarray(list(values), dtype=np.float64) / reference

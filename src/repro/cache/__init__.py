@@ -8,7 +8,6 @@ from .optgen import (
     OptgenResult,
     run_optgen,
     run_optgen_reference,
-    prefetch_trace_from,
 )
 from .set_assoc import SetAssociativeCache, PrefetchStats, mix64
 from .replacement import (
@@ -40,7 +39,6 @@ __all__ = [
     "LRUCache", "LFUCache",
     "simulate_belady", "belady_hit_rate", "next_use_indices", "NEVER",
     "OptgenResult", "run_optgen", "run_optgen_reference",
-    "prefetch_trace_from",
     "SetAssociativeCache", "PrefetchStats", "mix64",
     "ReplacementPolicy", "LRUReplacement", "SRRIPReplacement",
     "BRRIPReplacement", "DRRIPReplacement", "HawkeyeReplacement",

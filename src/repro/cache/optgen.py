@@ -19,18 +19,13 @@ Two implementations (bit-identical; property tests enforce it):
 
 * :func:`run_optgen` — reuse intervals are precomputed in bulk
   (:func:`repro.traces.reuse.prev_occurrence_indices`, an
-  ``np.argsort``-based last-seen pass), the ``cache_friendly``
-  back-propagation is a vectorized gather, and the per-access
-  feasibility pass is picked by a cost model over the precomputed
-  interval lengths:
-
-  - short mean intervals → the slice pass: the occupancy vector is a
-    flat numpy array and each feasibility check is one C-level slice
-    max / slice increment (O(interval) memory-bandwidth work, which on
-    real traces beats any pointer structure in Python);
-  - long mean intervals → the tree pass: a flat *iterative* lazy
-    segment tree (:class:`_MaxSegmentTree`, no recursion, fused
-    query+update), keeping the pass O(n log n) in the adversarial case.
+  ``np.argsort``-based last-seen pass), the occupancy vector is a flat
+  numpy array, each feasibility check is one C-level slice max / slice
+  increment, and the ``cache_friendly`` back-propagation is a
+  vectorized gather.  A slice is O(interval) memory-bandwidth work per
+  access; timed over whole passes it beat an iterative segment tree
+  even at mean reuse intervals of 13k-33k, the longest any caller
+  labels.
 
 * :func:`run_optgen_reference` — the original per-access loop over a
   recursive segment tree (:class:`_RecursiveMaxSegmentTree`), kept as
@@ -40,7 +35,7 @@ Two implementations (bit-identical; property tests enforce it):
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List
+from typing import Dict
 
 import numpy as np
 
@@ -49,150 +44,11 @@ from ..traces.reuse import next_occurrence_indices, prev_occurrence_indices
 from .base import CacheStats
 
 
-class _MaxSegmentTree:
-    """Flat iterative lazy segment tree: range add, range max.
-
-    Layout: ``t[n:2n]`` are the leaves, ``t[1:n]`` the internal nodes,
-    ``d[x]`` the pending add of internal node ``x`` (not yet applied to
-    its children, already applied to ``t[x]``).  All operations walk the
-    two border paths with plain integer arithmetic — no recursion, no
-    stack — which is what makes per-access use affordable in Python.
-
-    Empty ranges (``lo > hi``) are explicitly legal: ``range_max``
-    returns 0 (an empty interval has no occupied slot) and ``add`` is a
-    no-op.  This guards the degenerate ``prev == now`` self-reuse case.
-    """
-
-    def __init__(self, size: int) -> None:
-        self.n = max(1, size)
-        self.h = self.n.bit_length()
-        self.t: List[int] = [0] * (2 * self.n)
-        self.d: List[int] = [0] * self.n
-
-    def _push_to(self, leaf: int) -> None:
-        """Apply pending adds on the path from the root down to ``leaf``."""
-        t, d, n = self.t, self.d, self.n
-        for s in range(self.h, 0, -1):
-            x = leaf >> s
-            if x >= 1 and d[x]:
-                v = d[x]
-                c = 2 * x
-                t[c] += v
-                if c < n:
-                    d[c] += v
-                c += 1
-                t[c] += v
-                if c < n:
-                    d[c] += v
-                d[x] = 0
-
-    def _rebuild_from(self, leaf: int) -> None:
-        """Recompute maxima on the path from ``leaf``'s parent to the root."""
-        t, d = self.t, self.d
-        x = leaf >> 1
-        while x:
-            left, right = t[2 * x], t[2 * x + 1]
-            t[x] = (left if left >= right else right) + d[x]
-            x >>= 1
-
-    def add(self, lo: int, hi: int, value: int) -> None:
-        """Add ``value`` over [lo, hi] inclusive (no-op when empty)."""
-        if lo > hi:
-            return
-        t, d, n = self.t, self.d, self.n
-        lf, r = lo + n, hi + n + 1
-        ll, rr = lf, r - 1
-        while lf < r:
-            if lf & 1:
-                t[lf] += value
-                if lf < n:
-                    d[lf] += value
-                lf += 1
-            if r & 1:
-                r -= 1
-                t[r] += value
-                if r < n:
-                    d[r] += value
-            lf >>= 1
-            r >>= 1
-        self._rebuild_from(ll)
-        self._rebuild_from(rr)
-
-    def range_max(self, lo: int, hi: int) -> int:
-        """Max over [lo, hi] inclusive; 0 for the empty interval."""
-        if lo > hi:
-            return 0
-        t, n = self.t, self.n
-        lf, r = lo + n, hi + n + 1
-        self._push_to(lf)
-        self._push_to(r - 1)
-        result = -(1 << 62)
-        while lf < r:
-            if lf & 1:
-                if t[lf] > result:
-                    result = t[lf]
-                lf += 1
-            if r & 1:
-                r -= 1
-                if t[r] > result:
-                    result = t[r]
-            lf >>= 1
-            r >>= 1
-        return result
-
-    def query_below_then_add(self, lo: int, hi: int, cap: int) -> bool:
-        """Fused OPTgen step: if ``max([lo, hi]) < cap``, add +1 over the
-        range and return True (hit); else leave the tree untouched.
-
-        One border push serves both the query and the update, halving
-        the traversal work of the hot loop.  An empty interval (the
-        ``prev == now`` self-reuse guard) is trivially feasible and has
-        nothing to occupy, so it returns True without touching the tree.
-        """
-        if lo > hi:
-            return True
-        t, d, n = self.t, self.d, self.n
-        lf, r = lo + n, hi + n + 1
-        self._push_to(lf)
-        self._push_to(r - 1)
-        best = -(1 << 62)
-        ll, rr = lf, r
-        while ll < rr:
-            if ll & 1:
-                if t[ll] > best:
-                    best = t[ll]
-                ll += 1
-            if rr & 1:
-                rr -= 1
-                if t[rr] > best:
-                    best = t[rr]
-            ll >>= 1
-            rr >>= 1
-        if best >= cap:
-            return False
-        ll, rr = lf, r
-        while ll < rr:
-            if ll & 1:
-                t[ll] += 1
-                if ll < n:
-                    d[ll] += 1
-                ll += 1
-            if rr & 1:
-                rr -= 1
-                t[rr] += 1
-                if rr < n:
-                    d[rr] += 1
-            ll >>= 1
-            rr >>= 1
-        self._rebuild_from(lf)
-        self._rebuild_from(r - 1)
-        return True
-
-
 class _RecursiveMaxSegmentTree:
-    """Recursive lazy segment tree — the audit reference for
-    :class:`_MaxSegmentTree` (same API, O(log n) per op, but paying a
-    Python call stack per level)."""
+    """Recursive lazy segment tree: range add, range max — the occupancy
+    structure of :func:`run_optgen_reference`, the audit oracle for
+    :func:`run_optgen` (O(log n) per op, but paying a Python call stack
+    per level)."""
 
     def __init__(self, size: int) -> None:
         self.n = max(1, size)
@@ -261,46 +117,6 @@ class OptgenResult:
         return self.stats.hit_rate
 
 
-#: Mean reuse-interval length above which :func:`run_optgen` switches
-#: from the numpy occupancy-slice pass to the iterative segment tree (the
-#: slice pass does O(interval) memory-bandwidth work per access, the
-#: tree ~O(log n) interpreted steps; the break-even sits in the
-#: thousands of elements on current hardware).
-_SLICE_ENGINE_MAX_MEAN_INTERVAL = 8192
-
-
-def _optgen_pass_slices(prev_list: List[int], n: int, capacity: int,
-                        opt_list: List[bool]) -> int:
-    """Feasibility pass over a flat numpy occupancy vector."""
-    occupancy = np.zeros(n, dtype=np.int32)
-    hits = 0
-    for i, p in enumerate(prev_list):
-        if p >= 0:
-            # Interval [p, i) must have spare occupancy everywhere; an
-            # empty slice (degenerate self-reuse) maxes to the initial 0
-            # and increments nothing, i.e. it trivially hits.
-            window = occupancy[p:i]
-            if window.max(initial=0) < capacity:
-                window += 1
-                opt_list[i] = True
-                hits += 1
-    return hits
-
-
-def _optgen_pass_tree(prev_list: List[int], n: int, capacity: int,
-                      opt_list: List[bool]) -> int:
-    """Feasibility pass over the flat iterative segment tree."""
-    decide = _MaxSegmentTree(n).query_below_then_add
-    hits = 0
-    for i, p in enumerate(prev_list):
-        # The empty interval (p >= i, degenerate self-reuse) is handled
-        # inside the fused query.
-        if p >= 0 and decide(p, i - 1, capacity):
-            opt_list[i] = True
-            hits += 1
-    return hits
-
-
 def run_optgen(trace: Trace, capacity: int) -> OptgenResult:
     """Run OPTgen over ``trace`` with a fully associative budget.
 
@@ -314,16 +130,19 @@ def run_optgen(trace: Trace, capacity: int) -> OptgenResult:
     keys = trace.keys()
     n = len(keys)
     prev = prev_occurrence_indices(keys)
+    occupancy = np.zeros(n, dtype=np.int32)
     opt_list = [False] * n
     hits = 0
-    if n:
-        warm = prev >= 0
-        total_len = int((np.nonzero(warm)[0] - prev[warm]).sum())
-        mean_len = total_len / max(1, int(warm.sum()))
-        run_pass = (_optgen_pass_slices
-                    if mean_len <= _SLICE_ENGINE_MAX_MEAN_INTERVAL
-                    else _optgen_pass_tree)
-        hits = run_pass(prev.tolist(), n, capacity, opt_list)
+    for i, p in enumerate(prev.tolist()):
+        if p >= 0:
+            # Interval [p, i) must have spare occupancy everywhere; an
+            # empty slice (degenerate self-reuse) maxes to the initial 0
+            # and increments nothing, i.e. it trivially hits.
+            window = occupancy[p:i]
+            if window.max(initial=0) < capacity:
+                window += 1
+                opt_list[i] = True
+                hits += 1
     opt_hits = np.asarray(opt_list, dtype=bool)
     stats = CacheStats(hits=hits, misses=n - hits)
 
@@ -377,11 +196,3 @@ def run_optgen_reference(trace: Trace, capacity: int) -> OptgenResult:
     return OptgenResult(opt_hits=opt_hits, cache_friendly=cache_friendly,
                         stats=stats)
 
-
-def prefetch_trace_from(result: OptgenResult, trace: Trace) -> np.ndarray:
-    """Indices (into ``trace``) of accesses that miss under OPT.
-
-    Per the paper: "The prefetch trace, derived from the caching trace,
-    consists of embedding vectors leading to cache misses".
-    """
-    return np.nonzero(~result.opt_hits)[0]

@@ -4,8 +4,6 @@ from .access import Access, Trace, pack_key, unpack_key, remap_to_dense, ROW_BIT
 from .synthetic import (
     SyntheticTraceConfig,
     generate_trace,
-    skew_sweep_configs,
-    generate_skew_sweep,
     generate_hot_shard_trace,
     generate_drifting_hot_band_trace,
     generate_multi_tenant_trace,
@@ -16,7 +14,6 @@ from .datasets import (
     TABLE1_CONFIGS,
     dataset_config,
     load_dataset,
-    load_all_datasets,
     table1_trace,
 )
 from .reuse import (
@@ -37,27 +34,21 @@ from .stats import (
     TraceSummary,
     access_frequencies,
     top_fraction_share,
-    hot_set,
-    per_table_counts,
     summarize,
 )
-from .io import save_trace, load_trace
 
 __all__ = [
     "Access", "Trace", "pack_key", "unpack_key", "remap_to_dense", "ROW_BITS",
     "SyntheticTraceConfig", "generate_trace",
-    "skew_sweep_configs", "generate_skew_sweep",
     "generate_hot_shard_trace", "generate_drifting_hot_band_trace",
     "generate_multi_tenant_trace",
     "model_guided_scenarios",
     "DATASET_NAMES", "TABLE1_CONFIGS", "dataset_config", "load_dataset",
-    "load_all_datasets", "table1_trace",
+    "table1_trace",
     "COLD_MISS", "FenwickTree", "count_left_leq",
     "prev_occurrence_indices", "next_occurrence_indices",
     "reuse_distances", "reuse_distances_fast", "reuse_distances_from_keys",
     "reuse_histogram",
     "lru_hit_rate", "lru_hit_rate_curve", "long_reuse_fraction",
-    "TraceSummary", "access_frequencies", "top_fraction_share", "hot_set",
-    "per_table_counts", "summarize",
-    "save_trace", "load_trace",
+    "TraceSummary", "access_frequencies", "top_fraction_share", "summarize",
 ]

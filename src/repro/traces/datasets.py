@@ -84,10 +84,6 @@ def load_dataset(name: str, scale: float = 1.0) -> Trace:
     return trace
 
 
-def load_all_datasets(scale: float = 1.0) -> Dict[str, Trace]:
-    return {name: load_dataset(name, scale=scale) for name in DATASET_NAMES}
-
-
 def table1_trace(name: str, scale: float = 1.0) -> Trace:
     """Trace for one of the Table I configurations DS1-DS4."""
     if name not in TABLE1_CONFIGS:

@@ -1,9 +1,9 @@
-"""Trace statistics: popularity skew, pooling factors, table breakdowns."""
+"""Trace statistics: popularity skew and pooling factors."""
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Tuple
+from typing import Tuple
 
 import numpy as np
 
@@ -41,21 +41,6 @@ def top_fraction_share(trace: Trace, fraction: float = 0.2) -> float:
         return 0.0
     k = max(1, int(np.ceil(counts.size * fraction)))
     return float(counts[:k].sum() / counts.sum())
-
-
-def hot_set(trace: Trace, coverage: float = 0.8) -> np.ndarray:
-    """Smallest prefix of most-popular keys covering ``coverage`` of accesses."""
-    keys, counts = access_frequencies(trace)
-    if counts.size == 0:
-        return keys
-    cum = np.cumsum(counts) / counts.sum()
-    cut = int(np.searchsorted(cum, coverage)) + 1
-    return keys[:cut]
-
-
-def per_table_counts(trace: Trace) -> Dict[int, int]:
-    tables, counts = np.unique(trace.table_ids, return_counts=True)
-    return {int(t): int(c) for t, c in zip(tables, counts)}
 
 
 def summarize(trace: Trace) -> TraceSummary:

@@ -24,7 +24,7 @@ indices are semantically related.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import List, Optional, Sequence
 
 import numpy as np
@@ -230,24 +230,6 @@ def _band_draw(rng: np.random.Generator, lo: int, hi: int, count: int,
     """``count`` Zipf-skewed draws from the flat-grid band [lo, hi)."""
     weights = _zipf_popularity(hi - lo, zipf_s)
     return lo + rng.choice(hi - lo, size=count, p=weights)
-
-
-def skew_sweep_configs(base: SyntheticTraceConfig,
-                       exponents: Sequence[float]
-                       ) -> List[SyntheticTraceConfig]:
-    """One config per Zipf exponent, all else (seed included) shared —
-    the knob sweep behind the sharded-serving skew benchmarks."""
-    return [replace(base, zipf_s=float(s)) for s in exponents]
-
-
-def generate_skew_sweep(base: SyntheticTraceConfig,
-                        exponents: Sequence[float]) -> List[Trace]:
-    """Generate one trace per Zipf exponent (see
-    :func:`skew_sweep_configs`): a popularity-skew sweep over otherwise
-    identical workloads, from near-uniform (small ``s``) to hammering a
-    few clusters (large ``s``)."""
-    return [generate_trace(config)
-            for config in skew_sweep_configs(base, exponents)]
 
 
 def generate_hot_shard_trace(config: SyntheticTraceConfig,

@@ -1,10 +1,9 @@
 """Aggregate metrics and ASCII rendering."""
 
-import numpy as np
 import pytest
 
 from repro.analysis import (
-    ascii_bars, ascii_table, geomean, normalize_to, reduction, speedup,
+    ascii_bars, ascii_table, geomean, reduction, speedup,
     stacked_fractions,
 )
 
@@ -21,12 +20,6 @@ class TestMetrics:
         assert reduction(10.0, 7.0) == pytest.approx(0.3)
         with pytest.raises(ValueError):
             speedup(1.0, 0.0)
-
-    def test_normalize(self):
-        out = normalize_to([2.0, 4.0], 2.0)
-        assert np.allclose(out, [1.0, 2.0])
-        with pytest.raises(ValueError):
-            normalize_to([1.0], 0.0)
 
 
 class TestRendering:

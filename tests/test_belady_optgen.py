@@ -5,9 +5,12 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.cache import (
-    LRUCache, NEVER, next_use_indices, prefetch_trace_from, run_optgen,
-    run_optgen_reference, simulate, simulate_belady,
+    LRUCache, NEVER, next_use_indices, run_optgen, run_optgen_reference,
+    simulate, simulate_belady,
 )
+from repro.core import RecMGConfig
+from repro.core.features import FeatureEncoder
+from repro.core.labeling import build_labels
 from repro.traces import Trace
 
 
@@ -78,10 +81,27 @@ class TestOptgen:
 
     def test_prefetch_trace_is_miss_complement(self, tiny_trace):
         trace = tiny_trace.head(1500)
-        result = run_optgen(trace, capacity=100)
-        misses = prefetch_trace_from(result, trace)
+        config = RecMGConfig()
+        labels = build_labels(trace, 100, config,
+                              FeatureEncoder(config).fit(trace))
+        result = run_optgen(trace, max(1, int(100 * config.optgen_fraction)))
+        misses = labels.miss_positions
         assert len(misses) == result.stats.misses
-        assert not result.opt_hits[misses].any()
+        assert not labels.opt_hits[misses].any()
+        assert np.array_equal(labels.opt_hits, result.opt_hits)
+
+    @pytest.mark.parametrize("capacity", [1, 2_000, 9_999, 10_000, 20_000])
+    def test_two_lap_cyclic_trace(self, capacity):
+        """Mean reuse interval ``P`` — the long-interval regime.  Every
+        second-lap interval covers slot ``P - 1``, so OPT admits exactly
+        the first ``min(capacity, P)`` of them."""
+        period = 10_000
+        keys = np.arange(2 * period) % period
+        result = run_optgen(Trace.from_keys(keys), capacity)
+        admitted = min(capacity, period)
+        assert result.stats.hits == admitted
+        assert np.array_equal(result.cache_friendly[:period],
+                              np.arange(period) < admitted)
 
     def test_capacity_validation(self):
         with pytest.raises(ValueError):
@@ -116,27 +136,11 @@ class TestDegenerateIntervals:
         assert result.stats.misses == 1
 
     def test_trees_accept_empty_interval(self):
-        from repro.cache.optgen import (_MaxSegmentTree,
-                                        _RecursiveMaxSegmentTree)
+        from repro.cache.optgen import _RecursiveMaxSegmentTree
 
-        for tree in (_MaxSegmentTree(8), _RecursiveMaxSegmentTree(8)):
-            tree.add(2, 1, 5)            # empty: must be a no-op
-            assert tree.range_max(2, 1) == 0   # empty: trivially feasible
-            assert tree.range_max(0, 7) == 0
-            tree.add(1, 3, 2)
-            assert tree.range_max(0, 7) == 2
-
-    def test_iterative_tree_matches_recursive(self):
-        from repro.cache.optgen import (_MaxSegmentTree,
-                                        _RecursiveMaxSegmentTree)
-
-        rng = np.random.default_rng(5)
-        flat, recursive = _MaxSegmentTree(33), _RecursiveMaxSegmentTree(33)
-        for _ in range(300):
-            lo, hi = sorted(int(v) for v in rng.integers(0, 33, size=2))
-            if rng.random() < 0.5:
-                value = int(rng.integers(-3, 4))
-                flat.add(lo, hi, value)
-                recursive.add(lo, hi, value)
-            else:
-                assert flat.range_max(lo, hi) == recursive.range_max(lo, hi)
+        tree = _RecursiveMaxSegmentTree(8)
+        tree.add(2, 1, 5)            # empty: must be a no-op
+        assert tree.range_max(2, 1) == 0   # empty: trivially feasible
+        assert tree.range_max(0, 7) == 0
+        tree.add(1, 3, 2)
+        assert tree.range_max(0, 7) == 2

@@ -3,13 +3,12 @@ references: OPTgen labeling, bulk manager serving, the vectorized LRU
 breakdown, and the reuse-distance kernel they share."""
 
 from dataclasses import replace
-from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.cache import optgen, run_optgen, run_optgen_reference
+from repro.cache import run_optgen, run_optgen_reference
 from repro.cache.buffer import SCALAR_FALLBACK
 from repro.core import RecMGConfig, RecMGManager
 from repro.core.features import FeatureEncoder
@@ -24,22 +23,13 @@ def trace_of(keys):
     return Trace.from_pairs([(0, k) for k in keys])
 
 
-#: The mean-interval threshold per case: ``run_optgen``'s own cost
-#: model, or one pass forced on every trace.
-OPTGEN_PASSES = {"fast": optgen._SLICE_ENGINE_MAX_MEAN_INTERVAL,
-                 "slices": float("inf"), "tree": -1}
-
-
 class TestOptgenEngines:
-    @pytest.mark.parametrize("engine", sorted(OPTGEN_PASSES))
     @given(keys=KEY_LISTS, capacity=st.integers(1, 20))
     @settings(max_examples=40, deadline=None)
-    def test_bit_identical_to_reference(self, engine, keys, capacity):
+    def test_bit_identical_to_reference(self, keys, capacity):
         trace = trace_of(keys)
         ref = run_optgen_reference(trace, capacity)
-        with mock.patch.object(optgen, "_SLICE_ENGINE_MAX_MEAN_INTERVAL",
-                               OPTGEN_PASSES[engine]):
-            fast = run_optgen(trace, capacity)
+        fast = run_optgen(trace, capacity)
         assert np.array_equal(fast.opt_hits, ref.opt_hits)
         assert np.array_equal(fast.cache_friendly, ref.cache_friendly)
         assert fast.stats.hits == ref.stats.hits

@@ -38,6 +38,13 @@ The feature encoder's dense vocabulary is one sorted key array: no
 module under ``src/repro`` brings back a key->dense dict
 (``_key_to_dense``) or a table->id dict (``_table_to_id``) beside it.
 
+OPTgen has one feasibility pass, the numpy slice pass inside
+``run_optgen``, beside the recursive audit oracle
+(``_RecursiveMaxSegmentTree``): no module under ``src/repro`` brings
+back the flat segment tree (``_MaxSegmentTree``), its pass
+(``_optgen_pass_tree``) or the mean-interval threshold that chose
+between them (``_SLICE_ENGINE_MAX_MEAN_INTERVAL``).
+
 ``repro.nn`` exports only what the library uses: every name in
 ``repro.nn.__all__`` is imported from the package by some module under
 ``src/repro`` outside ``nn/`` (a model, a loss site or a baseline).
@@ -67,6 +74,8 @@ SPILL_SPLIT = re.compile(
     r"\b_(?:slot_)?over\b|<\s*(?:self\.)?_?key_space\b")
 
 VOCABULARY_DICT = re.compile(r"\b_(?:key_to_dense|table_to_id)\b")
+SECOND_OPTGEN_PASS = re.compile(
+    r"\b_(?:MaxSegmentTree|optgen_pass_tree|SLICE_ENGINE_MAX_MEAN_INTERVAL)\b")
 BACKEND_NAME = r"[\"'](?:clock|fast|reference)[\"']"
 BACKEND_KIND = re.compile(
     r"\.approximate\b|[\"']approximate[\"']"
@@ -271,6 +280,25 @@ def test_vocabulary_dict_pattern_catches_each_form():
                  "self._keys = np.asarray(keys)", "table_to_identity",
                  "self._dense_tables = tables", "_key_to_dense_ids()"):
         assert not VOCABULARY_DICT.search(text), text
+
+
+def test_optgen_keeps_one_feasibility_pass():
+    offenders = _offenders(SRC, SECOND_OPTGEN_PASS)
+    assert not offenders, "\n".join(offenders)
+
+
+def test_second_optgen_pass_pattern_catches_each_form():
+    for text in ("class _MaxSegmentTree:",
+                 "decide = _MaxSegmentTree(n).query_below_then_add",
+                 "run_pass = _optgen_pass_tree",
+                 "if mean_len <= _SLICE_ENGINE_MAX_MEAN_INTERVAL:",
+                 "optgen._SLICE_ENGINE_MAX_MEAN_INTERVAL = 8192"):
+        assert SECOND_OPTGEN_PASS.search(text), text
+    for text in ("class _RecursiveMaxSegmentTree:",
+                 "tree = _RecursiveMaxSegmentTree(n)",
+                 "def run_optgen_reference(trace, capacity):",
+                 "_optgen_pass_slices", "MaxSegmentTree"):
+        assert not SECOND_OPTGEN_PASS.search(text), text
 
 
 def test_nn_exports_only_what_the_library_imports():

@@ -1,11 +1,11 @@
-"""Trace datatypes, statistics and persistence."""
+"""Trace datatypes and statistics."""
 
 import numpy as np
 import pytest
 
 from repro.traces import (
-    Access, Trace, load_trace, pack_key, remap_to_dense, save_trace,
-    summarize, top_fraction_share, hot_set, per_table_counts, unpack_key,
+    Access, Trace, pack_key, remap_to_dense, summarize, top_fraction_share,
+    unpack_key,
 )
 
 
@@ -98,27 +98,9 @@ class TestStats:
         with pytest.raises(ValueError):
             top_fraction_share(tiny_trace, 0.0)
 
-    def test_hot_set_covers(self, tiny_trace):
-        keys = hot_set(tiny_trace, coverage=0.5)
-        counts = dict(zip(*np.unique(tiny_trace.keys(), return_counts=True)))
-        covered = sum(counts[k] for k in keys) / len(tiny_trace)
-        assert covered >= 0.5
-
-    def test_per_table_counts_total(self, tiny_trace):
-        assert sum(per_table_counts(tiny_trace).values()) == len(tiny_trace)
-
     def test_summarize(self, tiny_trace):
         summary = summarize(tiny_trace)
         assert summary.num_accesses == len(tiny_trace)
         assert summary.num_unique == tiny_trace.num_unique
         assert summary.mean_pooling > 1
 
-
-class TestIO:
-    def test_save_load_roundtrip(self, tiny_trace, tmp_path):
-        path = tmp_path / "trace.npz"
-        save_trace(tiny_trace, path)
-        loaded = load_trace(path)
-        assert np.array_equal(loaded.table_ids, tiny_trace.table_ids)
-        assert np.array_equal(loaded.row_ids, tiny_trace.row_ids)
-        assert np.array_equal(loaded.query_offsets, tiny_trace.query_offsets)

@@ -6,8 +6,7 @@ import pytest
 from repro.traces import (
     DATASET_NAMES, SyntheticTraceConfig, dataset_config,
     generate_hot_shard_trace, generate_multi_tenant_trace,
-    generate_skew_sweep, generate_trace, load_dataset,
-    long_reuse_fraction, reuse_distances, skew_sweep_configs,
+    generate_trace, load_dataset, long_reuse_fraction, reuse_distances,
     table1_trace, top_fraction_share,
 )
 
@@ -79,19 +78,6 @@ class TestScenarioGenerators:
     @staticmethod
     def _flat(trace, rows_per_table=256):
         return trace.table_ids * rows_per_table + trace.row_ids
-
-    def test_skew_sweep_varies_only_the_exponent(self):
-        configs = skew_sweep_configs(self.BASE, [0.4, 1.1, 2.2])
-        assert [c.zipf_s for c in configs] == [0.4, 1.1, 2.2]
-        assert all(c.seed == self.BASE.seed
-                   and c.num_accesses == self.BASE.num_accesses
-                   for c in configs)
-
-    def test_skew_sweep_concentrates_with_exponent(self):
-        mild, heavy = generate_skew_sweep(self.BASE, [0.2, 2.5])
-        assert len(mild) == len(heavy) == self.BASE.num_accesses
-        assert (top_fraction_share(heavy, 0.05)
-                > top_fraction_share(mild, 0.05))
 
     def test_hot_shard_band_concentration(self):
         trace = generate_hot_shard_trace(self.BASE, num_shards=4,
