@@ -23,17 +23,60 @@ def trace_of(keys):
     return Trace.from_pairs([(0, k) for k in keys])
 
 
+def plain_list_optgen(trace, capacity):
+    """OPTgen straight from its definition: a Python-list occupancy
+    vector, one slot per access, checked and bumped element by element."""
+    keys = [int(k) for k in trace.keys()]
+    occupancy = [0] * len(keys)
+    opt_hits = np.zeros(len(keys), dtype=bool)
+    last = {}
+    for i, key in enumerate(keys):
+        p = last.get(key)
+        if p is not None and all(occ < capacity for occ in occupancy[p:i]):
+            for t in range(p, i):
+                occupancy[t] += 1
+            opt_hits[i] = True
+        last[key] = i
+    cache_friendly = np.zeros(len(keys), dtype=bool)
+    nxt = {}
+    for i in range(len(keys) - 1, -1, -1):
+        j = nxt.get(keys[i])
+        cache_friendly[i] = j is not None and opt_hits[j]
+        nxt[keys[i]] = i
+    return opt_hits, cache_friendly
+
+
+#: Per case: the implementation under test and the oracle it must
+#: match.  ``run_optgen`` is the numpy slice pass; the reference walks
+#: a recursive segment tree; the plain-list pass audits both.
+OPTGEN_PAIRS = {
+    "fast": ("run_optgen", "reference"),
+    "slices": ("run_optgen", "plain"),
+    "tree": ("reference", "plain"),
+}
+
+
+def _optgen_labels(impl, trace, capacity):
+    if impl == "plain":
+        return plain_list_optgen(trace, capacity)
+    run = run_optgen if impl == "run_optgen" else run_optgen_reference
+    result = run(trace, capacity)
+    assert result.stats.hits == int(result.opt_hits.sum())
+    assert result.stats.misses == len(trace) - result.stats.hits
+    return result.opt_hits, result.cache_friendly
+
+
 class TestOptgenEngines:
+    @pytest.mark.parametrize("engine", sorted(OPTGEN_PAIRS))
     @given(keys=KEY_LISTS, capacity=st.integers(1, 20))
     @settings(max_examples=40, deadline=None)
-    def test_bit_identical_to_reference(self, keys, capacity):
+    def test_bit_identical_to_reference(self, engine, keys, capacity):
         trace = trace_of(keys)
-        ref = run_optgen_reference(trace, capacity)
-        fast = run_optgen(trace, capacity)
-        assert np.array_equal(fast.opt_hits, ref.opt_hits)
-        assert np.array_equal(fast.cache_friendly, ref.cache_friendly)
-        assert fast.stats.hits == ref.stats.hits
-        assert fast.stats.misses == ref.stats.misses
+        subject, oracle = OPTGEN_PAIRS[engine]
+        got_hits, got_friendly = _optgen_labels(subject, trace, capacity)
+        want_hits, want_friendly = _optgen_labels(oracle, trace, capacity)
+        assert np.array_equal(got_hits, want_hits)
+        assert np.array_equal(got_friendly, want_friendly)
 
 
 class TestReuseDistanceKernel:
