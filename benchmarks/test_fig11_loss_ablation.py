@@ -27,8 +27,8 @@ def run_loss(kind, trace, config):
     miss_dense = labels.dense_ids[labels.miss_positions]
     model.set_decoder(BucketDecoder.from_miss_ids(miss_dense,
                                                   config.hash_buckets))
-    sel, norm, dense = prefetch_targets(chunks, labels, config, encoder)
-    result = train_prefetch_model(model, chunks, sel, norm, dense,
+    sel, dense = prefetch_targets(chunks, labels, config)
+    result = train_prefetch_model(model, chunks, sel, dense,
                                   encoder, config, loss_kind=kind)
     collapse = output_collapse_ratio(model, chunks, sel[:100], encoder)
     return result, collapse

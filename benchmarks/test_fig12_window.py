@@ -36,8 +36,8 @@ def test_fig12(benchmark, datasets, bench_config):
         miss_dense = labels.dense_ids[labels.miss_positions]
         model.set_decoder(BucketDecoder.from_miss_ids(
             miss_dense, config.hash_buckets))
-        sel, norm, dense = prefetch_targets(chunks, labels, config, encoder)
-        train_prefetch_model(model, chunks, sel, norm, dense,
+        sel, dense = prefetch_targets(chunks, labels, config)
+        train_prefetch_model(model, chunks, sel, dense,
                              encoder, config)
         correctness, coverage = prefetch_metrics(
             model, chunks, sel, dense, encoder)

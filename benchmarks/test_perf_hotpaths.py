@@ -36,8 +36,10 @@ from repro.core.features import FeatureEncoder
 from repro.core.labeling import build_labels, caching_targets
 from repro.core.manager import RecMGManager
 from repro.core.prefetch_model import BucketDecoder, PrefetchModel
-from repro.core.training import _chamfer_ce_loss, train_caching_model
-from repro.nn import Adam, Tensor, bce_with_logits, clip_grad_norm
+from repro.core.training import (
+    _chamfer_ce_loss, optimizer_step, train_caching_model,
+)
+from repro.nn import Adam, Tensor, bce_with_logits
 from repro.prefetch import run_breakdown, run_breakdown_sweep
 from repro.traces import (
     SyntheticTraceConfig,
@@ -885,16 +887,18 @@ def test_model_inference_throughput(perf_trace, perf_budget, benchmark,
 
 def test_training_tape_step(perf_trace, benchmark, record_hotpath):
     """One float32 optimizer step of each model on a fixed 32-chunk batch:
-    forward, loss, ``backward()``, clip, Adam — the loop body of
-    ``train_caching_model`` / ``train_prefetch_model``.
+    forward, loss, ``backward()``, clip, Adam — ``optimizer_step``, the
+    loop body of ``train_caching_model`` / ``train_prefetch_model``.
 
     Recorded ungated: best-of-N step time, the ``Tensor`` nodes one
-    forward builds (``tape_nodes_per_forward``), and what one step
-    leaves behind with the cycle collector off (live ``Tensor`` census
-    and ``tracemalloc`` bytes, numpy buffers included).  The tape is
-    acyclic, so a step's graph dies by reference count when ``loss`` is
-    rebound; the census assertion is a count, not a wall-clock gate, so
-    it holds under ``--perf-budget 0`` too.
+    forward builds (``tape_nodes_per_forward``), the ``tracemalloc``
+    peak of one step above its start (``peak_mb_per_step``, numpy
+    buffers included), and what one step leaves behind with the cycle
+    collector off (live ``Tensor`` census and traced bytes).  The tape
+    is acyclic and the loss is local to ``optimizer_step``, so a step's
+    graph dies by reference count when the step returns; the census
+    assertion is a count, not a wall-clock gate, so it holds under
+    ``--perf-budget 0`` too.
     """
     config = RecMGConfig()
     encoder = FeatureEncoder(config).fit(perf_trace)
@@ -909,20 +913,14 @@ def test_training_tape_step(perf_trace, benchmark, record_hotpath):
 
     def stepper(model, loss_of):
         optimizer = Adam(model.parameters(), lr=config.learning_rate)
-
-        def step():
-            loss = loss_of(model)
-            optimizer.zero_grad()
-            loss.backward()
-            clip_grad_norm(model.parameters(), config.grad_clip)
-            optimizer.step()
-        return step
+        return lambda: optimizer_step(optimizer, config.grad_clip,
+                                      lambda: loss_of(model))
 
     steps = {
         "caching": stepper(caching, lambda model: bce_with_logits(
             model(chunks, sel=sel), targets)),
         "prefetch": stepper(prefetch, lambda model: _chamfer_ce_loss(
-            model, chunks, sel, windows, config, alpha=config.alpha)),
+            model, chunks, sel, windows, alpha=config.alpha)),
     }
 
     def census():
@@ -938,6 +936,7 @@ def test_training_tape_step(perf_trace, benchmark, record_hotpath):
     tape_nodes_per_forward = {"caching": tape_nodes(caching),
                               "prefetch": tape_nodes(prefetch)}
     step_seconds = {}
+    peak_mb = {}
     retained_tensors = 0
     retained_bytes = 0
     for name, step in steps.items():
@@ -950,8 +949,11 @@ def test_training_tape_step(perf_trace, benchmark, record_hotpath):
             step()  # every array a step replaces is now a traced one
             tensors = census()
             traced = tracemalloc.get_traced_memory()[0]
+            tracemalloc.reset_peak()
             step()
-            retained_bytes += tracemalloc.get_traced_memory()[0] - traced
+            traced_after, peak = tracemalloc.get_traced_memory()
+            peak_mb[name] = (peak - traced) / 2 ** 20
+            retained_bytes += traced_after - traced
             retained_tensors += census() - tensors
         finally:
             tracemalloc.stop()
@@ -966,15 +968,17 @@ def test_training_tape_step(perf_trace, benchmark, record_hotpath):
         caching_step_ms=step_ms["caching"],
         prefetch_step_ms=step_ms["prefetch"],
         tape_nodes_per_forward=tape_nodes_per_forward,
+        peak_mb_per_step=peak_mb,
         retained_tensors_per_step=retained_tensors,
         retained_mb_per_step=retained_bytes / 2 ** 20,
         cpu_cores=os.cpu_count())
-    rows = [[name, len(sel), ms, tape_nodes_per_forward[name]]
+    rows = [[name, len(sel), ms, tape_nodes_per_forward[name], peak_mb[name]]
             for name, ms in step_ms.items()]
     rows.append(["retained tensors / MB (collector off)", retained_tensors,
-                 retained_bytes / 2 ** 20, ""])
+                 retained_bytes / 2 ** 20, "", ""])
     print()
-    print(ascii_table(["model", "chunks", "step ms", "tape nodes / forward"],
+    print(ascii_table(["model", "chunks", "step ms", "tape nodes / forward",
+                       "peak MB / step"],
                       rows,
                       title="Training tape: one optimizer step, and what "
                             "it strands without the cycle collector"))

@@ -28,7 +28,7 @@ def test_table3(benchmark, datasets, bench_config):
     labels = build_labels(trace, capacity, config, encoder)
     chunks = encoder.encode_chunks(trace)
     targets = caching_targets(chunks, labels)
-    sel, norm, dense = prefetch_targets(chunks, labels, config, encoder)
+    sel, dense = prefetch_targets(chunks, labels, config)
     miss_dense = labels.dense_ids[labels.miss_positions]
 
     rows = []
@@ -45,7 +45,7 @@ def test_table3(benchmark, datasets, bench_config):
                                  rng=np.random.default_rng(0))
         prefetch.set_decoder(BucketDecoder.from_miss_ids(
             miss_dense, p_config.hash_buckets))
-        p_result = train_prefetch_model(prefetch, chunks, sel, norm, dense,
+        p_result = train_prefetch_model(prefetch, chunks, sel, dense,
                                         encoder, p_config)
         caching_params.append(c_result.num_parameters)
         prefetch_params.append(p_result.num_parameters)

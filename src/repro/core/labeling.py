@@ -106,15 +106,14 @@ def caching_targets(chunks: EncodedChunks,
 
 
 def prefetch_targets(chunks: EncodedChunks, labels: TrainingLabels,
-                     config: RecMGConfig, encoder: FeatureEncoder,
-                     window: Optional[int] = None
-                     ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+                     config: RecMGConfig, window: Optional[int] = None
+                     ) -> Tuple[np.ndarray, np.ndarray]:
     """Evaluation windows of upcoming OPT misses per chunk.
 
-    Returns ``(sel, windows_norm, windows_dense)`` where ``sel`` indexes
-    chunks that have a full window of future misses, ``windows_norm`` is
-    (len(sel), window) of normalized targets for the Chamfer loss, and
-    ``windows_dense`` holds the raw dense ids for metric computation.
+    Returns ``(sel, windows_dense)`` where ``sel`` indexes chunks that
+    have a full window of future misses and ``windows_dense`` is
+    (len(sel), window) of their dense ids: the Chamfer loss hashes them
+    into buckets, the metrics compare against them raw.
     """
     window = window or config.eval_window
     length = chunks.table_ids.shape[1]
@@ -129,5 +128,4 @@ def prefetch_targets(chunks: EncodedChunks, labels: TrainingLabels,
         raise ValueError("no chunk has a full window of future misses; "
                          "use a longer trace or a smaller window")
     future = miss_positions[lo[full, None] + np.arange(window)[None, :]]
-    dense_arr = labels.dense_ids[future]
-    return sel_arr, encoder.normalize(dense_arr), dense_arr
+    return sel_arr, labels.dense_ids[future]

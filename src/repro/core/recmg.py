@@ -89,12 +89,10 @@ class RecMG:
         self.prefetch_model.set_decoder(
             BucketDecoder.from_miss_ids(miss_dense, config.hash_buckets)
         )
-        sel, windows_norm, windows_dense = prefetch_targets(
-            chunks, self.labels, config, self.encoder
-        )
+        sel, windows_dense = prefetch_targets(chunks, self.labels, config)
         prefetch_result = train_prefetch_model(
-            self.prefetch_model, chunks, sel, windows_norm, windows_dense,
-            self.encoder, config, loss_kind=loss_kind,
+            self.prefetch_model, chunks, sel, windows_dense, self.encoder,
+            config, loss_kind=loss_kind,
         )
         self.report = FitReport(
             caching=caching_result,

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass
-from typing import List, Optional, Tuple
+from typing import Callable, List, Optional, Tuple
 
 import numpy as np
 
@@ -14,7 +14,9 @@ from ..nn import (
     bce_with_logits,
     clip_grad_norm,
     l2_loss,
+    log_softmax,
 )
+from ..nn.functional import softmax_
 from .caching_model import CachingModel
 from .config import RecMGConfig
 from .features import EncodedChunks, FeatureEncoder
@@ -36,6 +38,22 @@ def _train_split(n: int, holdout: float, rng: np.random.Generator
     order = rng.permutation(n)
     cut = max(1, int(n * (1.0 - holdout)))
     return order[:cut], order[cut:] if cut < n else order[:1]
+
+
+def optimizer_step(optimizer: Adam, grad_clip: float,
+                   loss_of: Callable[[], Tensor]) -> float:
+    """One training step: build the loss, backpropagate, clip and take
+    an Adam step; returns the loss value.
+
+    The loss is local to the step, so its graph dies when the step
+    returns, before the next step's forward is built (a loop that
+    rebinds ``loss`` keeps two graphs alive at once)."""
+    loss = loss_of()
+    optimizer.zero_grad()
+    loss.backward()
+    clip_grad_norm(optimizer.params, grad_clip)
+    optimizer.step()
+    return loss.item()
 
 
 # ----------------------------------------------------------------------
@@ -78,12 +96,9 @@ def train_caching_model(model: CachingModel, chunks: EncodedChunks,
         rng.shuffle(train_sel)
         for lo in range(0, len(train_sel), config.batch_size):
             sel = train_sel[lo:lo + config.batch_size]
-            loss = _weighted_bce(model, chunks, targets, sel, class_weights)
-            optimizer.zero_grad()
-            loss.backward()
-            clip_grad_norm(model.parameters(), config.grad_clip)
-            optimizer.step()
-            losses.append(loss.item())
+            losses.append(optimizer_step(
+                optimizer, config.grad_clip, lambda: _weighted_bce(
+                    model, chunks, targets, sel, class_weights)))
     duration = time.perf_counter() - start
     accuracy = caching_accuracy(model, chunks, targets, sel=test_sel)
     return TrainResult(losses=losses, duration_s=duration,
@@ -126,12 +141,9 @@ def finetune_caching_model(model: CachingModel, chunks: EncodedChunks,
         rng.shuffle(train_sel)
         for lo in range(0, n, config.batch_size):
             sel = train_sel[lo:lo + config.batch_size]
-            loss = _weighted_bce(model, chunks, targets, sel, class_weights)
-            optimizer.zero_grad()
-            loss.backward()
-            clip_grad_norm(model.parameters(), config.grad_clip)
-            optimizer.step()
-            losses.append(loss.item())
+            losses.append(optimizer_step(
+                optimizer, config.grad_clip, lambda: _weighted_bce(
+                    model, chunks, targets, sel, class_weights)))
     duration = time.perf_counter() - start
     accuracy = caching_accuracy(model, chunks, targets)
     return TrainResult(losses=losses, duration_s=duration,
@@ -185,7 +197,7 @@ def caching_accuracy(model: CachingModel, chunks: EncodedChunks,
 # ----------------------------------------------------------------------
 def _chamfer_ce_loss(model: PrefetchModel, chunks: EncodedChunks,
                      sel_rows: np.ndarray, windows_hashed: np.ndarray,
-                     config: RecMGConfig, alpha: Optional[float]) -> "Tensor":
+                     alpha: Optional[float]) -> Tensor:
     """Bidirectional Chamfer loss (Eq. 5) with cross-entropy distance.
 
     The prefetch output ``PO`` is scored against a longer evaluation
@@ -201,16 +213,15 @@ def _chamfer_ce_loss(model: PrefetchModel, chunks: EncodedChunks,
     plain L1 on expected codewords cannot (it stalls at the codebook
     centroid).  ``alpha=None`` gives the forward-only ablation (Eq. 4),
     which collapses outputs, reproducing the paper's shortcut problem.
+    The matching probabilities come from the tape-free ``softmax_``
+    (the taped softmax's values bit for bit), so no softmax graph is
+    built only to be read.
     """
-    from ..nn import log_softmax
-
     logits = model.forward_logits(chunks, sel=sel_rows)    # (B, P, K)
     batch, steps, num_buckets = logits.shape
     codebook = model.target_table.data                      # (K, D)
 
-    from ..nn import softmax as _softmax
-    probs = _softmax(logits, axis=-1).data
-    points = probs @ codebook                               # (B, P, D)
+    points = softmax_(logits.data.copy()) @ codebook        # (B, P, D)
     targets = codebook[windows_hashed]                      # (B, W, D)
     dist = np.abs(points[:, :, None, :] - targets[:, None, :, :]).mean(axis=3)
 
@@ -234,9 +245,9 @@ def _chamfer_ce_loss(model: PrefetchModel, chunks: EncodedChunks,
 
 
 def train_prefetch_model(model: PrefetchModel, chunks: EncodedChunks,
-                         sel: np.ndarray, windows_norm: np.ndarray,
-                         windows_dense: np.ndarray, encoder: FeatureEncoder,
-                         config: RecMGConfig, loss_kind: str = "chamfer",
+                         sel: np.ndarray, windows_dense: np.ndarray,
+                         encoder: FeatureEncoder, config: RecMGConfig,
+                         loss_kind: str = "chamfer",
                          holdout: float = 0.15) -> TrainResult:
     """Train with the bidirectional Chamfer loss (or ablation variants).
 
@@ -248,11 +259,18 @@ def train_prefetch_model(model: PrefetchModel, chunks: EncodedChunks,
         raise ValueError(f"unknown loss kind {loss_kind!r}")
     rng = np.random.default_rng(config.seed + 7)
     n = min(len(sel), config.max_train_chunks)
-    order = rng.permutation(n)
-    cut = max(1, int(n * (1.0 - holdout)))
-    train_rows, test_rows = order[:cut], order[cut:] if cut < n else order[:1]
+    train_rows, test_rows = _train_split(n, holdout, rng)
 
     windows_hashed = windows_dense % config.hash_buckets
+    alpha = config.alpha if loss_kind == "chamfer" else None
+
+    def loss_of(rows: np.ndarray) -> Tensor:
+        if loss_kind == "l2":
+            return l2_loss(model(chunks, sel=sel[rows]),
+                           model.target_points(windows_hashed[rows]))
+        return _chamfer_ce_loss(model, chunks, sel[rows],
+                                windows_hashed[rows], alpha=alpha)
+
     optimizer = Adam(model.parameters(), lr=config.learning_rate)
     losses: List[float] = []
     start = time.perf_counter()
@@ -260,23 +278,8 @@ def train_prefetch_model(model: PrefetchModel, chunks: EncodedChunks,
         rng.shuffle(train_rows)
         for lo in range(0, len(train_rows), config.batch_size):
             rows = train_rows[lo:lo + config.batch_size]
-            if loss_kind == "chamfer":
-                loss = _chamfer_ce_loss(model, chunks, sel[rows],
-                                        windows_hashed[rows], config,
-                                        alpha=config.alpha)
-            elif loss_kind == "chamfer_forward":
-                loss = _chamfer_ce_loss(model, chunks, sel[rows],
-                                        windows_hashed[rows], config,
-                                        alpha=None)
-            else:
-                outputs = model(chunks, sel=sel[rows])
-                window = model.target_points(windows_hashed[rows])
-                loss = l2_loss(outputs, window)
-            optimizer.zero_grad()
-            loss.backward()
-            clip_grad_norm(model.parameters(), config.grad_clip)
-            optimizer.step()
-            losses.append(loss.item())
+            losses.append(optimizer_step(optimizer, config.grad_clip,
+                                         lambda: loss_of(rows)))
     duration = time.perf_counter() - start
     correctness, _ = prefetch_metrics(model, chunks, sel[test_rows],
                                       windows_dense[test_rows], encoder)

@@ -7,7 +7,7 @@ from typing import Dict, Iterator, List, Optional, Tuple
 import numpy as np
 
 from . import init as initializers
-from .tensor import DTYPE, Tensor
+from .tensor import DTYPE, Tensor, matmul_backward, unbroadcast
 
 
 class Module:
@@ -101,9 +101,19 @@ class Linear(Module):
                      if bias else None)
 
     def forward(self, x: Tensor) -> Tensor:
-        out = x @ self.weight
-        if self.bias is not None:
-            out = out + self.bias
+        """``x @ W + b`` as one tape node holding only its output; its
+        backward is the primitive pair's walk (the bias grad, then the
+        matmul's), so values and grads are theirs bit for bit."""
+        weight, bias = self.weight, self.bias
+        parents = (x, weight) if bias is None else (x, weight, bias)
+        out = x._make_child(self.infer(x.data), parents)
+
+        def backward(g: np.ndarray) -> None:
+            if bias is not None and bias.requires_grad:
+                bias._accumulate(unbroadcast(g, bias.shape))
+            matmul_backward(x, weight, g)
+
+        out._backward = backward
         return out
 
     def infer(self, x: np.ndarray) -> np.ndarray:

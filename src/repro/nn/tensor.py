@@ -13,10 +13,13 @@ run (leaf grads and the root's stay).  No reference cycle exists, so a
 graph -- backpropagated or forward-only -- is freed by reference count
 the moment its last name is rebound, without the cycle collector.  A
 layer may record one coarse node with a hand-written closure under the
-same contract (the LSTM recurrence in :mod:`repro.nn.rnn`) if it runs
-the primitive ops' arithmetic in their order and sums each leaf's grads
-in the walk's order, so its results are the primitive graph's in any
-dtype.  The elementwise non-linearities are one node shape
+same contract if it runs the primitive ops' arithmetic in their order
+and sums each leaf's grads in the walk's order, so its results are the
+primitive graph's in any dtype.  Three do: the LSTM recurrence
+(:mod:`repro.nn.rnn`), ``Linear`` (``x @ W + b`` through
+:func:`matmul_backward`, :mod:`repro.nn.modules`) and ``log_softmax``
+(:mod:`repro.nn.functional`), which keeps no ``exp`` array on the tape.
+The elementwise non-linearities are one node shape
 (:meth:`Tensor._unary`) registered per op with its forward and its
 ``grad(g, x, out)``, as the tinygrad core registers its functions.
 
@@ -202,34 +205,7 @@ class Tensor:
     def __matmul__(self, other: "Tensor") -> "Tensor":
         other_t = self._lift(other)
         out = self._make_child(self.data @ other_t.data, (self, other_t))
-
-        def backward(g: np.ndarray) -> None:
-            a, b = self.data, other_t.data
-            if self.requires_grad:
-                if a.ndim == 1:
-                    # (n,) @ (n, m) -> (m,); gA = B @ g
-                    ga = b @ g
-                elif b.ndim == 1:
-                    # (..., n, k) @ (k,) -> (..., n); gA = g[..., None] * b
-                    ga = g[..., None] * b
-                else:
-                    ga = g @ np.swapaxes(b, -1, -2)
-                if ga.shape != a.shape:
-                    ga = unbroadcast(ga, a.shape)
-                self._accumulate(ga)
-            if other_t.requires_grad:
-                if b.ndim == 1:
-                    # (..., n, k) @ (k,) -> (..., n); gB = sum over batch of A^T g
-                    gb = (a * g[..., None]).reshape(-1, b.shape[0]).sum(axis=0)
-                elif a.ndim == 1:
-                    gb = np.outer(a, g)
-                else:
-                    gb = np.swapaxes(a, -1, -2) @ g
-                if gb.shape != b.shape:
-                    gb = unbroadcast(gb, b.shape)
-                other_t._accumulate(gb)
-
-        out._backward = backward
+        out._backward = lambda g: matmul_backward(self, other_t, g)
         return out
 
     # ------------------------------------------------------------------
@@ -377,6 +353,36 @@ class Tensor:
                 node._backward(node.grad)
                 if node is not self:
                     node.grad = None  # consumed: only leaves and the root keep one
+
+
+def matmul_backward(a_t: Tensor, b_t: Tensor, g: np.ndarray) -> None:
+    """Accumulate the grads of ``a_t @ b_t`` from the output grad ``g``
+    into whichever operand requires one: the one backward of every
+    matmul, taped alone or inside :class:`~repro.nn.modules.Linear`."""
+    a, b = a_t.data, b_t.data
+    if a_t.requires_grad:
+        if a.ndim == 1:
+            # (n,) @ (n, m) -> (m,); gA = B @ g
+            ga = b @ g
+        elif b.ndim == 1:
+            # (..., n, k) @ (k,) -> (..., n); gA = g[..., None] * b
+            ga = g[..., None] * b
+        else:
+            ga = g @ np.swapaxes(b, -1, -2)
+        if ga.shape != a.shape:
+            ga = unbroadcast(ga, a.shape)
+        a_t._accumulate(ga)
+    if b_t.requires_grad:
+        if b.ndim == 1:
+            # (..., n, k) @ (k,) -> (..., n); gB = sum over batch of A^T g
+            gb = (a * g[..., None]).reshape(-1, b.shape[0]).sum(axis=0)
+        elif a.ndim == 1:
+            gb = np.outer(a, g)
+        else:
+            gb = np.swapaxes(a, -1, -2) @ g
+        if gb.shape != b.shape:
+            gb = unbroadcast(gb, b.shape)
+        b_t._accumulate(gb)
 
 
 def _register(name: str, forward: Callable[[np.ndarray], np.ndarray],

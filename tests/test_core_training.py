@@ -1,5 +1,6 @@
 """Training pipelines: labeling, losses, metrics."""
 
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -7,13 +8,15 @@ import pytest
 
 from repro.cache import capacity_from_fraction
 from repro.core import (
-    CachingModel, FeatureEncoder, PrefetchModel, build_labels,
+    CachingModel, FeatureEncoder, PrefetchModel, RecMG, build_labels,
     caching_accuracy, caching_targets, prefetch_metrics, prefetch_targets,
     train_caching_model, train_prefetch_model, output_collapse_ratio,
 )
 from repro.core import training
 from repro.core.prefetch_model import BucketDecoder
-from repro.nn import Adam, Tensor
+from repro.nn import Adam, Linear, Tensor, softmax
+from test_nn_modules import primitive_linear
+from test_nn_tensor import primitive_log_softmax
 
 
 @pytest.fixture(scope="module")
@@ -39,15 +42,23 @@ class TestLabeling:
         assert np.all(np.diff(labels.miss_positions) > 0)
 
     def test_prefetch_windows(self, pipeline):
+        """One row of OPT-miss dense ids per selected chunk; a shorter
+        window selects more chunks and is the longer one's prefix."""
         config, encoder, labels, chunks = pipeline
-        sel, norm, dense = prefetch_targets(chunks, labels, config, encoder)
-        assert norm.shape == (len(sel), config.eval_window)
-        assert dense.shape == norm.shape
-        assert norm.min() >= 0.0 and norm.max() <= 1.0
+        sel, dense = prefetch_targets(chunks, labels, config)
+        assert dense.shape == (len(sel), config.eval_window)
+        assert dense.dtype == np.int64
+        assert np.all(np.diff(sel) > 0)
+        assert np.isin(dense, labels.dense_ids[labels.miss_positions]).all()
+        short_sel, short = prefetch_targets(chunks, labels, config, window=3)
+        assert short.shape == (len(short_sel), 3)
+        rows = np.searchsorted(short_sel, sel)
+        assert np.array_equal(short_sel[rows], sel)
+        assert np.array_equal(short[rows], dense[:, :3])
 
     def test_windows_are_future_misses(self, pipeline):
         config, encoder, labels, chunks = pipeline
-        sel, _, dense = prefetch_targets(chunks, labels, config, encoder)
+        sel, dense = prefetch_targets(chunks, labels, config)
         # First window entry must be a miss occurring after the chunk.
         first_chunk_end = chunks.starts[sel[0]] + config.input_len
         miss_after = labels.miss_positions[
@@ -85,8 +96,8 @@ class TestPrefetchTraining:
         miss_dense = labels.dense_ids[labels.miss_positions]
         model.set_decoder(BucketDecoder.from_miss_ids(miss_dense,
                                                       config.hash_buckets))
-        sel, norm, dense = prefetch_targets(chunks, labels, config, encoder)
-        result = train_prefetch_model(model, chunks, sel, norm, dense,
+        sel, dense = prefetch_targets(chunks, labels, config)
+        result = train_prefetch_model(model, chunks, sel, dense,
                                       encoder, config, loss_kind=loss_kind)
         assert len(result.losses) > 0
         assert np.isfinite(result.losses).all()
@@ -94,10 +105,82 @@ class TestPrefetchTraining:
     def test_unknown_loss_rejected(self, pipeline, rng):
         config, encoder, labels, chunks = pipeline
         model = PrefetchModel(config, encoder.num_tables, rng=rng)
-        sel, norm, dense = prefetch_targets(chunks, labels, config, encoder)
+        sel, dense = prefetch_targets(chunks, labels, config)
         with pytest.raises(ValueError):
-            train_prefetch_model(model, chunks, sel, norm, dense, encoder,
+            train_prefetch_model(model, chunks, sel, dense, encoder,
                                  config, loss_kind="huber")
+
+    def test_training_peak_holds_ten_logits(self, pipeline):
+        """At the default 2048 hash buckets, ``train_prefetch_model``
+        peaks under ten logits arrays (batch x output_len x buckets
+        float32) above its start, model and Adam moments included:
+        one step's graph is alive at a time, and it keeps two of them
+        (the head's output and the log-softmax).  Measured after a
+        warm-up run, so one-time allocations are not billed to it."""
+        config, encoder, labels, chunks = pipeline
+        config = replace(config, hash_buckets=2048)
+        sel, dense = prefetch_targets(chunks, labels, config)
+        decoder = BucketDecoder.from_miss_ids(
+            labels.dense_ids[labels.miss_positions], config.hash_buckets)
+
+        def train():
+            model = PrefetchModel(config, encoder.num_tables,
+                                  rng=np.random.default_rng(0))
+            model.set_decoder(decoder)
+            return train_prefetch_model(model, chunks, sel, dense, encoder,
+                                        config)
+
+        train()
+        started = not tracemalloc.is_tracing()
+        tracemalloc.start()
+        try:
+            tracemalloc.reset_peak()
+            before = tracemalloc.get_traced_memory()[0]
+            result = train()
+            peak = tracemalloc.get_traced_memory()[1] - before
+        finally:
+            if started:
+                tracemalloc.stop()
+        logits = config.batch_size * config.output_len * config.hash_buckets * 4
+        assert len(result.losses) >= 2
+        assert peak < 10 * logits, peak / logits
+
+
+class TestFusedNodes:
+    def test_fit_trains_the_primitive_nodes_weights(
+            self, tiny_trace, tiny_capacity, tiny_recmg_config, monkeypatch):
+        """``RecMG.fit`` with every ``Linear`` and ``log_softmax`` one
+        tape node and the Chamfer matching on the tape-free softmax
+        trains both models' weights bit for bit as the primitive ops
+        do, loss curve included."""
+        train, _ = tiny_trace.split(0.6)
+
+        def fit():
+            system = RecMG(tiny_recmg_config)
+            report = system.fit(train, buffer_capacity=tiny_capacity)
+            return ([report.caching.losses, report.prefetch.losses],
+                    [system.caching_model.state_dict(),
+                     system.prefetch_model.state_dict()])
+
+        fused_losses, fused = fit()
+        primitive_calls = []
+
+        def linear_forward(layer, x):
+            primitive_calls.append(layer)
+            return primitive_linear(layer, x)
+
+        monkeypatch.setattr(Linear, "forward", linear_forward)
+        monkeypatch.setattr(training, "log_softmax", primitive_log_softmax)
+        monkeypatch.setattr(training, "softmax_",
+                            lambda a: softmax(Tensor(a), axis=-1).data)
+        primitive_losses, primitive = fit()
+        assert primitive_calls
+        assert fused_losses == primitive_losses
+        for got, want in zip(fused, primitive):
+            assert got.keys() == want.keys()
+            for name in got:
+                assert got[name].dtype == want[name].dtype == np.float32
+                assert np.array_equal(got[name], want[name]), name
 
 
 class TestFloat32Training:
@@ -127,13 +210,13 @@ class TestFloat32Training:
         assert targets.dtype == np.float64  # the trainer narrows them
         train_caching_model(CachingModel(config, encoder.num_tables), chunks,
                             targets, config)
-        sel, norm, dense = prefetch_targets(chunks, labels, config, encoder)
+        sel, dense = prefetch_targets(chunks, labels, config)
         loss_kinds = ("chamfer", "chamfer_forward", "l2")
         for loss_kind in loss_kinds:
             model = PrefetchModel(config, encoder.num_tables)
             model.set_decoder(BucketDecoder.from_miss_ids(
                 labels.dense_ids[labels.miss_positions], config.hash_buckets))
-            train_prefetch_model(model, chunks, sel, norm, dense, encoder,
+            train_prefetch_model(model, chunks, sel, dense, encoder,
                                  config, loss_kind=loss_kind)
         assert losses == [np.float32] * (1 + len(loss_kinds))
         assert len(optimizers) == 1 + len(loss_kinds)
@@ -149,7 +232,7 @@ class TestFloat32Training:
 class TestPrefetchMetrics:
     def test_oracle_predictions_score_one(self, pipeline, rng):
         config, encoder, labels, chunks = pipeline
-        sel, _, dense = prefetch_targets(chunks, labels, config, encoder)
+        sel, dense = prefetch_targets(chunks, labels, config)
 
         class Oracle:
             def predict_indices(self, chunks_, encoder_, sel=None):
@@ -165,7 +248,7 @@ class TestPrefetchMetrics:
 
     def test_collapse_ratio_detects_constant(self, pipeline, rng):
         config, encoder, labels, chunks = pipeline
-        sel, _, dense = prefetch_targets(chunks, labels, config, encoder)
+        sel, dense = prefetch_targets(chunks, labels, config)
 
         class Constant:
             def predict_indices(self, chunks_, encoder_, sel=None):

@@ -3,7 +3,15 @@
 import numpy as np
 import pytest
 
+from decisions import float64_copy
 from repro.nn import Adam, Embedding, Linear, MLP, Module, Tensor, clip_grad_norm
+
+
+def primitive_linear(layer, x):
+    """The oracle: ``x @ W + b`` over primitive ``Tensor`` ops, as
+    ``Linear.forward`` taped it before it became one node."""
+    out = x @ layer.weight
+    return out if layer.bias is None else out + layer.bias
 
 
 class TwoLayers(Module):
@@ -16,6 +24,32 @@ class TestLinearAndEmbedding:
         layer = Linear(4, 7, rng=rng)
         out = layer(Tensor(rng.normal(size=(5, 4))))
         assert out.shape == (5, 7)
+
+    @pytest.mark.parametrize("bias", [True, False])
+    @pytest.mark.parametrize("shape", [(6, 4), (3, 5, 4)], ids=["2d", "3d"])
+    def test_fused_linear_is_the_primitive_pair_bit_for_bit(self, rng, shape,
+                                                            bias):
+        """Values and the grads of the input, weight and bias, with the
+        input also read past the layer so its grads sum."""
+        layer32 = Linear(4, 7, rng=rng, bias=bias)
+        x0 = rng.normal(size=shape)
+        weight = rng.normal(size=shape[:-1] + (7,))
+        for layer, dtype in ((float64_copy(layer32), np.float64),
+                             (layer32, np.float32)):
+            results = []
+            for forward in (layer, lambda x: primitive_linear(layer, x)):
+                layer.zero_grad()
+                x = Tensor(x0.astype(dtype), requires_grad=True)
+                out = forward(x)
+                root = ((out * Tensor(weight.astype(dtype))).tanh().sum()
+                        + (x * x).sum())
+                root.backward()
+                results.append([out.data, x.grad]
+                               + [p.grad for p in layer.parameters()])
+            assert len(results[0]) == 3 + bias
+            for got, want in zip(*results):
+                assert got.dtype == want.dtype == dtype
+                assert np.array_equal(got, want)
 
     def test_linear_no_bias(self, rng):
         layer = Linear(4, 7, rng=rng, bias=False)

@@ -17,10 +17,13 @@ from repro.cache import capacity_from_fraction
 from repro.core import (
     CachingModel, FeatureEncoder, PrefetchModel, build_labels,
     caching_targets, prefetch_targets, train_caching_model,
+    train_prefetch_model,
 )
+from repro.core.prefetch_model import BucketDecoder
 from repro.core.training import _chamfer_ce_loss
 from repro.nn import (
-    LSTM, Tensor, concat, softmax, log_softmax, bce_with_logits, cross_entropy,
+    LSTM, Linear, Tensor, concat, softmax, log_softmax, bce_with_logits,
+    cross_entropy,
 )
 from repro.nn.tensor import stack, unbroadcast
 
@@ -211,7 +214,39 @@ class TestReductionsAndShapes:
                        rng.normal(size=(2, 3)))
 
 
+def primitive_log_softmax(x, axis=-1):
+    """The oracle: log-softmax over primitive ``Tensor`` ops, as
+    ``log_softmax`` taped it before it became one node."""
+    shifted = x - x.max(axis=axis, keepdims=True).detach()
+    return shifted - shifted.exp().sum(axis=axis, keepdims=True).log()
+
+
 class TestLossGradients:
+    @pytest.mark.parametrize("shape, axis", [
+        ((6, 9), -1), ((6, 9), 0), ((2, 3, 7), -1)])
+    def test_fused_log_softmax_is_the_primitive_chain_bit_for_bit(
+            self, rng, shape, axis):
+        """Values and input grads through a root that reads the output
+        three times (two row gathers, as the Chamfer loss's, and a
+        weighted sum)."""
+        x0 = rng.normal(size=shape) * 4.0
+        weight = rng.normal(size=shape)
+        rows = np.arange(shape[0])
+        picks = rng.integers(0, shape[1], size=(2, shape[0]))
+        for dtype in (np.float64, np.float32):
+            results = []
+            for fn in (log_softmax, primitive_log_softmax):
+                x = Tensor(x0.astype(dtype), requires_grad=True)
+                out = fn(x * 1.0, axis=axis)
+                root = (out[rows, picks[0]].mean() * -1.0
+                        + out[rows, picks[1]].mean() * -0.5
+                        + (out * Tensor(weight.astype(dtype))).sum())
+                root.backward()
+                results.append([out.data, x.grad])
+            for got, want in zip(*results):
+                assert got.dtype == want.dtype == dtype
+                assert np.array_equal(got, want)
+
     def test_softmax_rows_sum_to_one(self, rng):
         probs = softmax(Tensor(rng.normal(size=(5, 7))), axis=-1)
         assert np.allclose(probs.data.sum(axis=-1), 1.0)
@@ -326,6 +361,27 @@ def lstm_graph(rng):
     return build
 
 
+def linear_graph(rng):
+    """The fused ``Linear`` node over a 3-D input, and a root."""
+    layer = Linear(4, 5, rng=rng)
+    x = Tensor(rng.normal(size=(2, 3, 4)), requires_grad=True)
+
+    def build():
+        out = layer(x * 1.0)
+        return [out._prev[0], out, out.tanh().sum()]
+    return build
+
+
+def log_softmax_graph(rng):
+    """The fused ``log_softmax`` node, and a root gathering rows of it."""
+    x = Tensor(rng.normal(size=(3, 6)), requires_grad=True)
+
+    def build():
+        out = log_softmax(x * 2.0)
+        return [out._prev[0], out, out[np.arange(3), [0, 2, 5]].sum()]
+    return build
+
+
 @pytest.fixture()
 def collector_off():
     """Everything below must be freed by reference count alone."""
@@ -348,6 +404,10 @@ class TestTapeLifetime:
         pytest.param(chain_graph, False, id="False"),
         pytest.param(lstm_graph, True, id="lstm-True"),
         pytest.param(lstm_graph, False, id="lstm-False"),
+        pytest.param(linear_graph, True, id="linear-True"),
+        pytest.param(linear_graph, False, id="linear-False"),
+        pytest.param(log_softmax_graph, True, id="log_softmax-True"),
+        pytest.param(log_softmax_graph, False, id="log_softmax-False"),
     ])
     def test_graph_dies_with_its_last_name(self, rng, graph, backpropagate):
         build = graph(rng)
@@ -376,7 +436,10 @@ class TestTapeLifetime:
         assert np.max(np.abs(numeric - x.grad)) < 1e-4
 
     def test_training_steps_strand_no_tensor(self, tiny_trace,
-                                             tiny_recmg_config):
+                                             tiny_recmg_config, monkeypatch):
+        """No tensor outlives training, and no array of step k's graph
+        is alive when step k+1's forward starts: a weakref on each
+        step's logits is dead by then."""
         config = replace(tiny_recmg_config, max_train_chunks=64)
         train, _ = tiny_trace.split(0.6)
         encoder = FeatureEncoder(config).fit(train)
@@ -384,6 +447,23 @@ class TestTapeLifetime:
                               config, encoder)
         chunks = encoder.encode_chunks(train)
         targets = caching_targets(chunks, labels)
+        live_at_forward = []
+
+        def spied(forward):
+            logits = []
+
+            def spy(self, *args, **kwargs):
+                live_at_forward.append(
+                    sum(ref() is not None for ref in logits))
+                out = forward(self, *args, **kwargs)
+                logits.append(weakref.ref(out.data))
+                return out
+            return spy
+
+        monkeypatch.setattr(CachingModel, "forward",
+                            spied(CachingModel.forward))
+        monkeypatch.setattr(PrefetchModel, "forward_logits",
+                            spied(PrefetchModel.forward_logits))
         caching = CachingModel(config, encoder.num_tables)
         train_caching_model(caching, chunks, targets, config)
         baseline = tensor_census()
@@ -391,11 +471,18 @@ class TestTapeLifetime:
         assert tensor_census() == baseline
 
         prefetch = PrefetchModel(config, encoder.num_tables)
-        sel, _, dense = prefetch_targets(chunks, labels, config, encoder)
+        sel, dense = prefetch_targets(chunks, labels, config)
+        prefetch.set_decoder(BucketDecoder.from_miss_ids(
+            labels.dense_ids[labels.miss_positions], config.hash_buckets))
+        train_prefetch_model(prefetch, chunks, sel, dense, encoder, config)
+        steps = len(live_at_forward)
+        assert steps >= 8
+        assert live_at_forward == [0] * steps
+
         rows = np.arange(config.batch_size)
         baseline = tensor_census()
         loss = _chamfer_ce_loss(prefetch, chunks, sel[rows],
-                                dense[rows] % config.hash_buckets, config,
+                                dense[rows] % config.hash_buckets,
                                 alpha=config.alpha)
         loss.backward()
         del loss
