@@ -18,8 +18,8 @@ import numpy as np
 import pytest
 
 from repro.cache import capacity_from_fraction
-from repro.core import RecMG, RecMGConfig
-from repro.traces import load_dataset
+from repro.core import ModelPrefetcher, RecMG, RecMGConfig
+from repro.traces import Trace, load_dataset
 
 #: Accesses/sec per hot path recorded by benchmarks/test_perf_hotpaths.py
 #: via the ``record_hotpath`` fixture; merged into BENCH_hotpaths.json at
@@ -182,3 +182,32 @@ def per_dataset_systems(datasets, bench_config):
         system.fit(train, buffer_capacity=capacity)
         systems[name] = (system, capacity)
     return systems
+
+
+class _RecordingModelPrefetcher(ModelPrefetcher):
+    """A system's prefetch-model adapter that keeps every key it
+    observes in ``observed``."""
+
+    def __init__(self, system) -> None:
+        super().__init__(system.prefetch_model, system.encoder,
+                         system.config)
+        self.observed = []
+
+    def observe(self, key, pc=0, hit=True):
+        self.observed.append(key)
+        return super().observe(key, pc=pc, hit=hit)
+
+
+@pytest.fixture(scope="session")
+def model_adapter():
+    """``model_adapter(system, trace)`` -> ``(adapter, inputs)``: the
+    system's prefetch model as a :class:`ModelPrefetcher`, and ``trace``
+    in the id space that model was trained in — ``Trace.from_keys`` of
+    the encoder's dense ids.  Run ``inputs`` with no second remap
+    (``use_dense_keys=False``), which would scramble those ids.  The
+    adapter records the keys it observes in ``adapter.observed``, so a
+    bench asserts they are ``system.encoder.dense_ids(trace)``."""
+    def _make(system, trace: Trace):
+        inputs = Trace.from_keys(system.encoder.dense_ids(trace))
+        return _RecordingModelPrefetcher(system), inputs
+    return _make

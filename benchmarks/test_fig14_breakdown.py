@@ -8,13 +8,12 @@ import numpy as np
 
 from repro.analysis import stacked_fractions
 from repro.cache import capacity_from_fraction
-from repro.core import ModelPrefetcher
 from repro.prefetch import (
     BingoPrefetcher, DominoPrefetcher, TransFetchPrefetcher, run_breakdown,
 )
 
 
-def test_fig14(benchmark, datasets, per_dataset_systems):
+def test_fig14(benchmark, datasets, per_dataset_systems, model_adapter):
     labels = []
     parts = []
     on_demand = {}
@@ -25,8 +24,7 @@ def test_fig14(benchmark, datasets, per_dataset_systems):
 
         transfetch = TransFetchPrefetcher(predict_every=4)
         transfetch.train(train, epochs=1, max_samples=500)
-        pm_adapter = ModelPrefetcher(system.prefetch_model, system.encoder,
-                                     system.config)
+        pm_adapter, pm_inputs = model_adapter(system, test)
         configs = {
             # Domino pays its metadata tax out of the buffer (paper VII-E).
             "Domino": run_breakdown(test, capacity,
@@ -34,8 +32,12 @@ def test_fig14(benchmark, datasets, per_dataset_systems):
                                     metadata_fraction=0.10),
             "Bingo": run_breakdown(test, capacity, BingoPrefetcher()),
             "TransFetch": run_breakdown(test, capacity, transfetch),
-            "LRU+PF": run_breakdown(test, capacity, pm_adapter),
+            # The adapter reads the encoder's dense ids: no second remap.
+            "LRU+PF": run_breakdown(pm_inputs, capacity, pm_adapter,
+                                    use_dense_keys=False),
         }
+        assert pm_adapter.observed == (
+            system.encoder.dense_ids(test).tolist())
         recmg = system.evaluate(test, capacity=capacity)
         for strategy, breakdown in configs.items():
             labels.append(f"{name}/{strategy}")

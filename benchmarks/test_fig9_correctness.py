@@ -9,7 +9,6 @@ import numpy as np
 import pytest
 
 from repro.analysis import ascii_table
-from repro.core import ModelPrefetcher
 from repro.prefetch import (
     BingoPrefetcher, DominoPrefetcher, TransFetchPrefetcher,
     evaluate_prefetcher,
@@ -25,7 +24,7 @@ def dense_trace(system, trace):
 
 
 @pytest.fixture(scope="module")
-def evaluations(datasets, per_dataset_systems, bench_config):
+def evaluations(datasets, per_dataset_systems, bench_config, model_adapter):
     results = {}
     for name, trace in datasets.items():
         system, _ = per_dataset_systems[name]
@@ -45,10 +44,12 @@ def evaluations(datasets, per_dataset_systems, bench_config):
             dtest, window=window)
         per_dataset["TransFetch"] = evaluate_prefetcher(
             transfetch, dtest, window=window)
-        per_dataset["RecMG"] = evaluate_prefetcher(
-            ModelPrefetcher(system.prefetch_model, system.encoder,
-                            system.config),
-            dtest, window=window)
+        # The model's adapter reads the encoder's dense ids, the ids it
+        # was trained on; ``dtest`` packs the table into each key.
+        adapter, inputs = model_adapter(system, test)
+        per_dataset["RecMG"] = evaluate_prefetcher(adapter, inputs,
+                                                   window=window)
+        assert adapter.observed == system.encoder.dense_ids(test).tolist()
         results[name] = per_dataset
     return results
 

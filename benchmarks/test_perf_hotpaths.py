@@ -36,10 +36,9 @@ from repro.core.features import FeatureEncoder
 from repro.core.labeling import build_labels, caching_targets
 from repro.core.manager import RecMGManager
 from repro.core.prefetch_model import BucketDecoder, PrefetchModel
-from repro.core.training import (
-    _chamfer_ce_loss, optimizer_step, train_caching_model,
-)
+from repro.core.training import _chamfer_ce_loss, train_caching_model
 from repro.nn import Adam, Tensor, bce_with_logits
+from repro.nn.optim import optimizer_step
 from repro.prefetch import run_breakdown, run_breakdown_sweep
 from repro.traces import (
     SyntheticTraceConfig,
@@ -888,7 +887,7 @@ def test_model_inference_throughput(perf_trace, perf_budget, benchmark,
 def test_training_tape_step(perf_trace, benchmark, record_hotpath):
     """One float32 optimizer step of each model on a fixed 32-chunk batch:
     forward, loss, ``backward()``, clip, Adam — ``optimizer_step``, the
-    loop body of ``train_caching_model`` / ``train_prefetch_model``.
+    body of ``repro.nn.train_minibatches``, the loop every trainer runs.
 
     Recorded ungated: best-of-N step time, the ``Tensor`` nodes one
     forward builds (``tape_nodes_per_forward``), the ``tracemalloc``

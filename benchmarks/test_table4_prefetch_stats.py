@@ -8,7 +8,6 @@ import numpy as np
 
 from repro.analysis import ascii_table
 from repro.cache import capacity_from_fraction
-from repro.core import ModelPrefetcher
 from repro.prefetch import (
     BertiPrefetcher, BestOffsetPrefetcher, LRUBufferWithPrefetch,
     MicroArmedBanditPrefetcher,
@@ -16,8 +15,10 @@ from repro.prefetch import (
 from repro.traces.access import remap_to_dense
 
 
-def run(trace, capacity, prefetcher):
-    dense, _ = remap_to_dense(trace)
+def run(trace, capacity, prefetcher, use_dense_keys=True):
+    """LRU + ``prefetcher`` over ``trace``, its keys remapped to dense
+    ids unless ``use_dense_keys`` is off (the inputs already are)."""
+    dense = remap_to_dense(trace)[0] if use_dense_keys else trace.keys()
     buffer = LRUBufferWithPrefetch(capacity, prefetcher=prefetcher)
     tables = trace.table_ids
     for i in range(len(dense)):
@@ -27,23 +28,23 @@ def run(trace, capacity, prefetcher):
     return accuracy, buffer.prefetches_issued
 
 
-def test_table4(benchmark, datasets, per_dataset_systems):
+def test_table4(benchmark, datasets, per_dataset_systems, model_adapter):
     accs = {}
     vols = {}
     for name, trace in list(datasets.items())[:2]:
         system, _ = per_dataset_systems[name]
         _, test = trace.split(0.6)
         capacity = capacity_from_fraction(trace, 0.20)
-        adapter = ModelPrefetcher(system.prefetch_model, system.encoder,
-                                  system.config)
+        adapter, inputs = model_adapter(system, test)
         recmg = system.evaluate(test, capacity=capacity)
         strategies = {
             "Berti + LRU": run(test, capacity, BertiPrefetcher()),
             "Mab + LRU": run(test, capacity, MicroArmedBanditPrefetcher()),
             "BOP + LRU": run(test, capacity, BestOffsetPrefetcher(degree=2)),
-            "PM + LRU": run(test, capacity, adapter),
+            "PM + LRU": run(inputs, capacity, adapter, use_dense_keys=False),
             "RecMG": (recmg.prefetch_accuracy, recmg.prefetches_issued),
         }
+        assert adapter.observed == system.encoder.dense_ids(test).tolist()
         for strategy, (accuracy, issued) in strategies.items():
             accs.setdefault(strategy, []).append(accuracy)
             vols.setdefault(strategy, []).append(issued)

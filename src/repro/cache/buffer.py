@@ -886,7 +886,7 @@ class FastPriorityBuffer(_SlotLayout):
         calls per chunk.  Per chunk: the demand accesses (hit: refresh
         at ``speed``; miss: evict when full, insert at ``speed``), then
         row ``i`` of ``bits_all`` as caching bits (resident keys only,
-        a repeated key's last bit ``>= 0`` wins; friendly to
+        a repeated key's last bit wins; friendly to
         ``speed + 1``, averse demoted, each class in positional order),
         then row ``i`` of ``preds_all`` as prefetches (non-resident
         ones, at most ``budget``, tagged in ``prefetched``; a demand
@@ -964,9 +964,8 @@ class FastPriorityBuffer(_SlotLayout):
                 if bits is not None:
                     last: Dict[int, int] = {}
                     for key, bit in zip(chunk, bits[index]):
-                        if bit >= 0:
-                            last.pop(key, None)  # re-insert: last position
-                            last[key] = bit
+                        last.pop(key, None)  # re-insert: last position
+                        last[key] = bit
                     for key, bit in last.items():
                         slot = slot_for(key)
                         if slot < 0:

@@ -20,9 +20,12 @@ semantically related (see DESIGN.md).  The encoder keeps it as the one
 sorted array of distinct packed keys that call returns: a key's dense
 id is its rank there, and every lookup (keys to dense ids, dense ids to
 table features) is an ``np.searchsorted`` or a gather over arrays fixed
-at fit time.  Both encode paths — :meth:`FeatureEncoder.encode_chunks`
-over a trace and :meth:`FeatureEncoder.encode_dense_chunks` over a
-serving segment — derive every channel from the dense ids alone.
+at fit time.  Every model input — training chunks, the priority
+provider's served blocks, the prefetch adapter's window — is built by
+one path, :meth:`FeatureEncoder.encode_dense_chunks`, which derives
+every channel from the dense ids alone (a trace goes through
+:meth:`FeatureEncoder.encode_chunks`, its dense ids' whole-chunk
+prefix).
 """
 
 from __future__ import annotations
@@ -57,15 +60,6 @@ class EncodedChunks:
 
     def __len__(self) -> int:
         return int(self.table_ids.shape[0])
-
-    @classmethod
-    def single(cls, table_ids: np.ndarray, hashed_rows: np.ndarray,
-               norm_index: np.ndarray, freq: np.ndarray) -> "EncodedChunks":
-        """One raw chunk as a batch of one (its dense ids unknown)."""
-        return cls(table_ids.reshape(1, -1), hashed_rows.reshape(1, -1),
-                   norm_index.reshape(1, -1), freq.reshape(1, -1),
-                   dense_ids=np.zeros_like(table_ids).reshape(1, -1),
-                   starts=np.zeros(1, dtype=np.int64))
 
 
 def chunk_inputs(chunks: EncodedChunks, sel: Optional[np.ndarray],
@@ -233,10 +227,10 @@ class FeatureEncoder:
         return values
 
     # ------------------------------------------------------------------
-    def encode_chunks(self, trace: Trace, stride: Optional[int] = None
-                      ) -> EncodedChunks:
-        """Cut the trace into ``input_len`` chunks (stride defaults to
-        the chunk length, i.e. non-overlapping)."""
+    def encode_chunks(self, trace: Trace) -> EncodedChunks:
+        """Cut the trace into non-overlapping ``input_len`` chunks, the
+        ragged tail dropped: :meth:`encode_dense_chunks` of the dense
+        ids of its whole-chunk prefix."""
         if not self.fitted:
             raise RuntimeError("encoder not fitted")
         length = self.config.input_len
@@ -245,44 +239,21 @@ class FeatureEncoder:
             raise ValueError(
                 f"trace shorter ({len(dense)}) than one chunk ({length})"
             )
-        return self._chunked(dense, self.tables_for_dense(dense),
-                             stride or length)
-
-    def _chunked(self, dense: np.ndarray, tables: np.ndarray,
-                 stride: int) -> EncodedChunks:
-        """Per-access channels cut into ``input_len`` chunks every
-        ``stride`` accesses: reshaped views of the per-access arrays
-        when the chunks do not overlap, a gather otherwise."""
-        length = self.config.input_len
-        starts = np.arange(0, len(dense) - length + 1, stride)
-        idx = None if stride == length else starts[:, None] + np.arange(length)
-
-        def cut(values: np.ndarray) -> np.ndarray:
-            if idx is None:
-                return values[:len(starts) * length].reshape(-1, length)
-            return values[idx]
-
-        return EncodedChunks(
-            table_ids=cut(tables),
-            hashed_rows=cut(dense % self.config.hash_buckets),
-            norm_index=cut(self.normalize(dense)),
-            freq=cut(self.freq_values(dense)),
-            dense_ids=cut(dense),
-            starts=starts,
-        )
+        whole = len(dense) - len(dense) % length
+        return self.encode_dense_chunks(dense[:whole])
 
     def encode_dense_chunks(self, dense: np.ndarray) -> EncodedChunks:
-        """Encode a live *dense-id* segment into non-overlapping chunks
-        — the serving-side twin of :meth:`encode_chunks`, for call
-        sites that hold a stream of dense ids rather than a trace (the
-        priority provider, capacity-matched fine-tuning).
+        """Encode a *dense-id* segment into non-overlapping chunks — the
+        one path every model input takes: :meth:`encode_chunks` over a
+        trace, the priority provider over a served block, the prefetch
+        adapter over its window, capacity-matched fine-tuning over a
+        recent stream.
 
         The tail is right-padded by repeating the segment's last access
         so any length >= 1 encodes; pad positions are real features of
         a repeated access, and callers slice per-position model outputs
-        back to the true length.  For a segment whose length is a
-        multiple of ``input_len``, the features are identical to what
-        :meth:`encode_chunks` produces from the source trace.
+        back to the true length.  Every channel is a per-access array
+        reshaped to ``(chunks, input_len)``.
         """
         if not self.fitted:
             raise RuntimeError("encoder not fitted")
@@ -293,4 +264,12 @@ class FeatureEncoder:
         pad = (-dense.size) % length
         if pad:
             dense = np.concatenate([dense, np.full(pad, dense[-1])])
-        return self._chunked(dense, self.tables_for_dense(dense), length)
+        shape = (-1, length)
+        return EncodedChunks(
+            table_ids=self.tables_for_dense(dense).reshape(shape),
+            hashed_rows=(dense % self.config.hash_buckets).reshape(shape),
+            norm_index=self.normalize(dense).reshape(shape),
+            freq=self.freq_values(dense).reshape(shape),
+            dense_ids=dense.reshape(shape),
+            starts=np.arange(0, dense.size, length),
+        )

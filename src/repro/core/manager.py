@@ -275,14 +275,13 @@ class RecMGManager:
 
     def _sink_provider(self, segment: np.ndarray) -> None:
         """The provider sink: after a block is fully served, apply
-        whatever caching bits the priority provider has for it —
+        the priority provider's caching bits for it —
         Algorithm 1's priority write, driven from the live stream
         instead of the offline chunk pass.
 
-        Tri-state bits: positions ``>= 0`` apply through
-        :meth:`_apply_caching_bits`; ``-1`` ("no prediction") keeps its
-        recency priority, so a position without a prediction keeps its
-        model-free behavior.
+        Every position carries a bit (``1`` friendly, ``0`` averse:
+        ``CachingModel.predict`` thresholds every logit), and all of
+        them apply through :meth:`_apply_caching_bits`.
 
         Called per block from :meth:`_serve_block` — never from inside
         an engine.
@@ -290,14 +289,8 @@ class RecMGManager:
         segment = np.asarray(segment, dtype=np.int64)
         if segment.size == 0:
             return
-        bits = self.priority_provider.bits_for(segment)
-        valid = bits >= 0
-        if not valid.all():
-            if not valid.any():
-                return
-            segment = segment[valid]
-            bits = bits[valid]
-        self._apply_caching_bits(segment, bits)
+        self._apply_caching_bits(segment,
+                                 self.priority_provider.bits_for(segment))
 
     def _serve_block(self, serve, segment: np.ndarray) -> None:
         """Serve one block through the engine ``serve`` — the serve
@@ -616,7 +609,12 @@ class RecMGManager:
 
 class ModelPrefetcher(Prefetcher):
     """Adapts the RecMG prefetch model to the :class:`Prefetcher`
-    interface over *dense* keys (for LRU+PF and PM+LRU baselines)."""
+    interface over the encoder's *dense* ids (for the LRU+PF and PM+LRU
+    baselines).  Every ``input_len``-th observed id, the window of the
+    last ``input_len`` goes through ``encoder.encode_dense_chunks`` —
+    the one input path, so the table channel comes from the dense id
+    and ``pc`` is ignored — and the first ``max_prefetch_per_chunk``
+    predicted ids come back."""
 
     name = "PM"
 
@@ -625,31 +623,18 @@ class ModelPrefetcher(Prefetcher):
         self.model = model
         self.encoder = encoder
         self.config = config
-        self._tables: Deque[int] = deque(maxlen=config.input_len)
         self._dense: Deque[int] = deque(maxlen=config.input_len)
         self._step = 0
 
     def reset(self) -> None:
-        self._tables.clear()
         self._dense.clear()
         self._step = 0
 
     def observe(self, key: int, pc: int = 0, hit: bool = True) -> List[int]:
-        config = self.config
-        num_tables = max(1, self.encoder.num_tables)
-        self._tables.append(pc % num_tables)
         self._dense.append(key)
         self._step += 1
-        if (len(self._dense) < config.input_len
-                or self._step % config.input_len != 0):
+        if self._step % self.config.input_len:
             return []
-        dense = np.asarray(self._dense, dtype=np.int64)
-        tables = np.asarray(self._tables, dtype=np.int64)
-        predicted = self.model.predict_single(
-            tables,
-            dense % config.hash_buckets,
-            self.encoder.normalize(dense),
-            self.encoder.freq_values(dense),
-            self.encoder,
-        )
-        return [int(p) for p in predicted[: config.max_prefetch_per_chunk]]
+        chunks = self.encoder.encode_dense_chunks(self._dense)
+        predicted = self.model.predict_indices(chunks, self.encoder)[0]
+        return predicted[:self.config.max_prefetch_per_chunk].tolist()

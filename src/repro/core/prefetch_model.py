@@ -167,9 +167,3 @@ class PrefetchModel(Module):
             raise RuntimeError("no decoder attached; call set_decoder()")
         return self.decoder.decode_buckets_(
             self.infer_logits(chunks, sel=sel))
-
-    def predict_single(self, table_ids: np.ndarray, hashed_rows: np.ndarray,
-                       norm_index: np.ndarray, freq: np.ndarray,
-                       encoder) -> np.ndarray:
-        chunk = EncodedChunks.single(table_ids, hashed_rows, norm_index, freq)
-        return self.predict_indices(chunk, encoder)[0]

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass
-from typing import Callable, List, Optional, Tuple
+from typing import List, Optional, Tuple
 
 import numpy as np
 
@@ -12,9 +12,9 @@ from ..nn import (
     Adam,
     Tensor,
     bce_with_logits,
-    clip_grad_norm,
     l2_loss,
     log_softmax,
+    train_minibatches,
 )
 from ..nn.functional import softmax_
 from .caching_model import CachingModel
@@ -38,22 +38,6 @@ def _train_split(n: int, holdout: float, rng: np.random.Generator
     order = rng.permutation(n)
     cut = max(1, int(n * (1.0 - holdout)))
     return order[:cut], order[cut:] if cut < n else order[:1]
-
-
-def optimizer_step(optimizer: Adam, grad_clip: float,
-                   loss_of: Callable[[], Tensor]) -> float:
-    """One training step: build the loss, backpropagate, clip and take
-    an Adam step; returns the loss value.
-
-    The loss is local to the step, so its graph dies when the step
-    returns, before the next step's forward is built (a loop that
-    rebinds ``loss`` keeps two graphs alive at once)."""
-    loss = loss_of()
-    optimizer.zero_grad()
-    loss.backward()
-    clip_grad_norm(optimizer.params, grad_clip)
-    optimizer.step()
-    return loss.item()
 
 
 # ----------------------------------------------------------------------
@@ -90,15 +74,11 @@ def train_caching_model(model: CachingModel, chunks: EncodedChunks,
     class_weights = _class_weights(targets[:n])
 
     optimizer = Adam(model.parameters(), lr=config.learning_rate)
-    losses: List[float] = []
     start = time.perf_counter()
-    for _ in range(config.caching_epochs):
-        rng.shuffle(train_sel)
-        for lo in range(0, len(train_sel), config.batch_size):
-            sel = train_sel[lo:lo + config.batch_size]
-            losses.append(optimizer_step(
-                optimizer, config.grad_clip, lambda: _weighted_bce(
-                    model, chunks, targets, sel, class_weights)))
+    losses = train_minibatches(
+        optimizer, train_sel,
+        lambda sel: _weighted_bce(model, chunks, targets, sel, class_weights),
+        config.caching_epochs, config.batch_size, rng, config.grad_clip)
     duration = time.perf_counter() - start
     accuracy = caching_accuracy(model, chunks, targets, sel=test_sel)
     return TrainResult(losses=losses, duration_s=duration,
@@ -134,16 +114,11 @@ def finetune_caching_model(model: CachingModel, chunks: EncodedChunks,
     class_weights = _class_weights(targets[:n])
 
     optimizer = Adam(model.parameters(), lr=lr)
-    losses: List[float] = []
-    train_sel = np.arange(n)
     start = time.perf_counter()
-    for _ in range(epochs):
-        rng.shuffle(train_sel)
-        for lo in range(0, n, config.batch_size):
-            sel = train_sel[lo:lo + config.batch_size]
-            losses.append(optimizer_step(
-                optimizer, config.grad_clip, lambda: _weighted_bce(
-                    model, chunks, targets, sel, class_weights)))
+    losses = train_minibatches(
+        optimizer, np.arange(n),
+        lambda sel: _weighted_bce(model, chunks, targets, sel, class_weights),
+        epochs, config.batch_size, rng, config.grad_clip)
     duration = time.perf_counter() - start
     accuracy = caching_accuracy(model, chunks, targets)
     return TrainResult(losses=losses, duration_s=duration,
@@ -272,14 +247,10 @@ def train_prefetch_model(model: PrefetchModel, chunks: EncodedChunks,
                                 windows_hashed[rows], alpha=alpha)
 
     optimizer = Adam(model.parameters(), lr=config.learning_rate)
-    losses: List[float] = []
     start = time.perf_counter()
-    for _ in range(config.prefetch_epochs):
-        rng.shuffle(train_rows)
-        for lo in range(0, len(train_rows), config.batch_size):
-            rows = train_rows[lo:lo + config.batch_size]
-            losses.append(optimizer_step(optimizer, config.grad_clip,
-                                         lambda: loss_of(rows)))
+    losses = train_minibatches(optimizer, train_rows, loss_of,
+                               config.prefetch_epochs, config.batch_size,
+                               rng, config.grad_clip)
     duration = time.perf_counter() - start
     correctness, _ = prefetch_metrics(model, chunks, sel[test_rows],
                                       windows_dense[test_rows], encoder)

@@ -1,8 +1,15 @@
-"""The Adam optimizer and gradient-norm clipping."""
+"""The Adam optimizer, gradient-norm clipping and the one training loop.
+
+Every trainer in the library — the RecMG caching and prefetch models and
+the Voyager and TransFetch baselines — runs :func:`train_minibatches`:
+epochs of an in-place ``rng.shuffle`` of its rows, each cut into
+minibatches, one :func:`optimizer_step` per minibatch.  So this module
+is the only place that calls ``backward`` or ``Adam.step``.
+"""
 
 from __future__ import annotations
 
-from typing import Iterable, List
+from typing import Callable, Iterable, List, Optional
 
 import numpy as np
 
@@ -59,3 +66,39 @@ def clip_grad_norm(params: Iterable[Tensor], max_norm: float) -> float:
         for p in params:
             p.grad = p.grad * scale
     return total
+
+
+def optimizer_step(optimizer: Adam, grad_clip: Optional[float],
+                   loss_of: Callable[[], Tensor]) -> float:
+    """One training step: build the loss, backpropagate, clip the
+    gradients' global norm to ``grad_clip`` (``None``: no clip) and take
+    an Adam step; returns the loss value.
+
+    The loss is local to the step, so its graph dies when the step
+    returns, before the next step's forward is built (a loop that
+    rebinds ``loss`` keeps two graphs alive at once)."""
+    loss = loss_of()
+    optimizer.zero_grad()
+    loss.backward()
+    if grad_clip is not None:
+        clip_grad_norm(optimizer.params, grad_clip)
+    optimizer.step()
+    return loss.item()
+
+
+def train_minibatches(optimizer: Adam, rows: np.ndarray,
+                      loss_of: Callable[[np.ndarray], Tensor], epochs: int,
+                      batch_size: int, rng: np.random.Generator,
+                      grad_clip: Optional[float] = None) -> List[float]:
+    """``epochs`` passes over ``rows``: each shuffles ``rows`` in place
+    with ``rng`` and takes one :func:`optimizer_step` on
+    ``loss_of(batch)`` per ``batch_size`` slice.  Returns every step's
+    loss, in order."""
+    losses: List[float] = []
+    for _ in range(epochs):
+        rng.shuffle(rows)
+        for lo in range(0, len(rows), batch_size):
+            batch = rows[lo:lo + batch_size]
+            losses.append(optimizer_step(optimizer, grad_clip,
+                                         lambda: loss_of(batch)))
+    return losses

@@ -18,7 +18,8 @@ from typing import Deque, List
 
 import numpy as np
 
-from ..nn import Adam, Linear, Module, SelfAttention, Tensor, bce_with_logits
+from ..nn import (Adam, Linear, Module, SelfAttention, Tensor, bce_with_logits,
+                  train_minibatches)
 from ..traces.access import Trace
 from .base import Prefetcher
 
@@ -109,21 +110,15 @@ class TransFetchPrefetcher(Prefetcher):
         valid = np.arange(self.context, n - horizon - 1)
         if len(valid) > max_samples:
             valid = rng.choice(valid, size=max_samples, replace=False)
-        optimizer = Adam(self.model.parameters(), lr=lr)
-        losses: List[float] = []
-        for _ in range(epochs):
-            rng.shuffle(valid)
-            for start in range(0, len(valid), batch_size):
-                batch_pos = valid[start:start + batch_size]
-                inputs = np.stack([keys[p - self.context:p] for p in batch_pos])
-                labels = np.stack([self._labels_for(keys, p, horizon)
-                                   for p in batch_pos])
-                logits = self.model(inputs)
-                loss = bce_with_logits(logits, Tensor(labels))
-                optimizer.zero_grad()
-                loss.backward()
-                optimizer.step()
-                losses.append(loss.item())
+
+        def loss_of(batch_pos: np.ndarray) -> Tensor:
+            inputs = np.stack([keys[p - self.context:p] for p in batch_pos])
+            labels = np.stack([self._labels_for(keys, p, horizon)
+                               for p in batch_pos])
+            return bce_with_logits(self.model(inputs), Tensor(labels))
+
+        losses = train_minibatches(Adam(self.model.parameters(), lr=lr),
+                                   valid, loss_of, epochs, batch_size, rng)
         self.trained = True
         return losses
 

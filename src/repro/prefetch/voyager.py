@@ -22,7 +22,8 @@ from typing import Deque, Dict, List, Optional, Tuple
 
 import numpy as np
 
-from ..nn import Adam, Embedding, Linear, LSTM, Module, Tensor, cross_entropy
+from ..nn import (Adam, Embedding, Linear, LSTM, Module, Tensor, cross_entropy,
+                  train_minibatches)
 from ..traces.access import Trace
 from .base import Prefetcher
 
@@ -119,23 +120,17 @@ class VoyagerPrefetcher(Prefetcher):
         valid = np.arange(self.context, n - 1)
         if len(valid) > max_samples:
             valid = rng.choice(valid, size=max_samples, replace=False)
-        optimizer = Adam(self.model.parameters(), lr=lr)
-        losses: List[float] = []
-        for _ in range(epochs):
-            rng.shuffle(valid)
-            for start in range(0, len(valid), batch_size):
-                batch_pos = valid[start:start + batch_size]
-                in_pages = np.stack([page_ids[p - self.context:p] for p in batch_pos])
-                in_offsets = np.stack([offset_ids[p - self.context:p]
-                                       for p in batch_pos])
-                page_logits, offset_logits = self.model(in_pages, in_offsets)
-                loss = (cross_entropy(page_logits, page_ids[batch_pos])
-                        + cross_entropy(offset_logits, offset_ids[batch_pos]))
-                optimizer.zero_grad()
-                loss.backward()
-                optimizer.step()
-                losses.append(loss.item())
-        return losses
+
+        def loss_of(batch_pos: np.ndarray) -> Tensor:
+            in_pages = np.stack([page_ids[p - self.context:p] for p in batch_pos])
+            in_offsets = np.stack([offset_ids[p - self.context:p]
+                                   for p in batch_pos])
+            page_logits, offset_logits = self.model(in_pages, in_offsets)
+            return (cross_entropy(page_logits, page_ids[batch_pos])
+                    + cross_entropy(offset_logits, offset_ids[batch_pos]))
+
+        return train_minibatches(Adam(self.model.parameters(), lr=lr), valid,
+                                 loss_of, epochs, batch_size, rng)
 
     def observe(self, key: int, pc: int = 0, hit: bool = True) -> List[int]:
         from ..traces.access import unpack_key, pack_key

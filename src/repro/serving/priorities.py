@@ -36,10 +36,10 @@ refresh thread gets no second core, and one measured a worse p99 than
 this provider (4.2–4.9 vs 1.9–2.9 ms on a 2-core host) for a tenth of
 its hit-rate lift.
 
-Bits are *tri-state* ``int8``: ``1`` cache-friendly, ``0`` cache-
-averse, ``-1`` no prediction.  The sink applies only ``>= 0``
-positions; everything else keeps its recency priority, so a position
-without a prediction keeps its model-free behavior, never garbage.
+Bits are ``int8``: ``1`` cache-friendly, ``0`` cache-averse.
+``CachingModel.predict``, their only source, thresholds every logit,
+so every position of a served block carries a bit and the sink applies
+them all.
 
 The model is trained offline and never changes while it serves — an
 inline fine-tune-and-swap loop lost hit rate on three of four measured
@@ -97,13 +97,6 @@ def apply_caching_bits(buffer, keys: np.ndarray, bits: np.ndarray,
     buffer): bulk ~37-55 us fixed + 0.13 us/key, scalar ~0.7 us/key —
     15 keys 54 vs 14 us, 64 keys 56 vs 50, 128 keys 74 vs 90.
 
-    Tri-state safe: ``-1`` ("no prediction") positions are masked out
-    *here*, not just by the manager's pre-filter — a ``-1`` bit must
-    keep its key's recency priority, and before this mask a caller
-    that skipped the pre-filter (a hand-rolled offline pass) would
-    have silently promoted every unpredicted key as cache-friendly
-    (``-1 != 0``).
-
     ``buffer`` is one backend.
     :meth:`RecMGManager._apply_caching_bits` splits a block along
     ``iter_shard_segments``' scatter and calls this once per shard,
@@ -123,7 +116,7 @@ def apply_caching_bits(buffer, keys: np.ndarray, bits: np.ndarray,
     if keys.size <= SCALAR_FALLBACK:
         last: Dict[int, int] = {}
         for key, bit in zip(keys.tolist(), bits.tolist()):
-            if bit >= 0 and key in buffer:
+            if key in buffer:
                 last.pop(key, None)  # re-insert at the last position
                 last[key] = bit
         for key, bit in last.items():
@@ -133,12 +126,6 @@ def apply_caching_bits(buffer, keys: np.ndarray, bits: np.ndarray,
             if not bit:
                 buffer.demote(key)
         return
-    predicted = bits >= 0
-    if not predicted.all():
-        if not predicted.any():
-            return
-        keys = keys[predicted]
-        bits = bits[predicted]
     bits = bits != 0
     resident = buffer.contains_batch(keys)
     if not resident.any():
@@ -164,8 +151,7 @@ class SyncModelProvider:
     Contract with the sink (:meth:`RecMGManager._sink_provider`): after
     each block is served, the sink calls :meth:`bits_for` once.  It
     returns an ``int8`` array of the block's length — ``1`` friendly,
-    ``0`` averse, ``-1`` no prediction — or ``None`` for an empty
-    block.
+    ``0`` averse — or ``None`` for an empty block.
     """
 
     def __init__(self, model, encoder, metrics=None) -> None:
@@ -193,5 +179,5 @@ class SyncModelProvider:
         if self.metrics is not None:
             self.metrics.record_inference(time.perf_counter() - begin,
                                           int(keys.size))
-        return bits.astype(np.int8)
+        return bits
 

@@ -33,13 +33,15 @@ def _trace(rows):
     return Trace.from_pairs([(0, int(row)) for row in rows])
 
 
-def _pair(head_rows, capacity, **config):
+def _pair(head_rows, capacity, caching=True, **config):
     """The encoder fitted on ``head_rows``, the scripted stub, and a
-    (fused, oracle) manager pair serving through it."""
+    (fused, oracle) manager pair serving through it (as the prefetch
+    model only, with ``caching=False``)."""
     config = RecMGConfig(**config)
     encoder = FeatureEncoder(config).fit(_trace(head_rows))
     models = _Scripted()
-    managers = [RecMGManager(capacity, encoder, config, caching_model=models,
+    managers = [RecMGManager(capacity, encoder, config,
+                             caching_model=models if caching else None,
                              prefetch_model=models) for _ in range(2)]
     assert all(_backend(manager).key_space > 0 for manager in managers)
     return encoder, models, managers
@@ -81,7 +83,7 @@ def _run_both(models, managers, rows, bits, preds):
     """One ``run()`` call on each side; the fused side must really
     take the pass, and the two states must be equal."""
     fused, oracle = managers
-    models.bits = np.asarray(bits, dtype=np.int8)
+    models.bits = None if bits is None else np.asarray(bits, dtype=np.int8)
     models.preds = np.asarray(preds, dtype=np.int64)
     trace = _trace(rows)
     passes = []
@@ -101,7 +103,7 @@ def _run_both(models, managers, rows, bits, preds):
 def test_random_blocks_match_the_oracle(seed, capacity):
     """Seeded fuzz over four ``run()`` calls with a ragged tail each:
     >= 15 % spillover ids, keys repeated inside a chunk under
-    conflicting bits, ``-1`` bits, and predictions that are resident,
+    conflicting bits, and predictions that are resident,
     repeated within their row, spillover, and more than the budget."""
     rng = np.random.default_rng(seed)
     encoder, models, managers = _pair(np.arange(60), capacity)
@@ -114,7 +116,7 @@ def test_random_blocks_match_the_oracle(seed, capacity):
         dense = encoder.dense_ids(_trace(rows))
         assert np.mean(dense >= encoder.vocab_size) >= 0.15
         chunks = dense[:30 * length].reshape(30, length)
-        bits = rng.integers(-1, 2, size=chunks.shape)
+        bits = rng.integers(0, 2, size=chunks.shape)
         preds = rng.choice(pool, size=(30, 7))
         preds[:, 1] = preds[:, 0]        # repeated within one row
         preds[:, 2] = chunks[:, -1]      # just served: resident
@@ -134,11 +136,11 @@ def test_prefetch_tag_dropped_by_eviction_and_consumed_by_hit():
     """Two keys prefetched in one row: one is demanded while resident
     (a prefetch hit), the other is evicted first and then re-misses."""
     rows = [1, 2, 3, 10, 4, 5, 6, 7, 11]
-    encoder, models, managers = _pair(sorted(set(rows)), 4, input_len=3,
-                                      output_len=2)
+    encoder, models, managers = _pair(sorted(set(rows)), 4, caching=False,
+                                      input_len=3, output_len=2)
     of = dict(zip(rows, encoder.dense_ids(_trace(rows)).tolist()))
     preds = [[of[10], of[11]], [of[10], of[10]], [of[6], of[7]]]
-    fused = _run_both(models, managers, rows, np.full((3, 3), -1), preds)
+    fused = _run_both(models, managers, rows, None, preds)
     assert (fused.prefetches_issued, fused.prefetches_useful) == (2, 1)
     assert fused.last_decisions.tolist() == [
         False, False, False, True, False, False, False, False, False]
@@ -197,8 +199,8 @@ def test_priorities_far_above_the_eviction_count_leave_the_queue_unbuilt():
     length = encoder.config.input_len
     rows = rng.integers(0, 60, size=12 * length + 4)
     chunks = encoder.dense_ids(_trace(rows))[:12 * length].reshape(12, length)
-    fused = _run_both(models, managers, rows,
-                      rng.choice([-1, 1], size=chunks.shape), chunks[:, :3])
+    fused = _run_both(models, managers, rows, np.ones(chunks.shape),
+                      chunks[:, :3])
     assert fused.evictions > 50 and _backend(fused)._victims is None
 
 

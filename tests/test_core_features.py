@@ -70,9 +70,8 @@ class TestEncoder:
         assert np.array_equal(
             encoder.tables_for_dense(every),
             [table_to_id[int(key) >> ROW_BITS] for key in key_to_dense])
-        chunks = encoder.encode_chunks(mixed, stride=1)
-        assert np.array_equal(np.concatenate([chunks.table_ids[:, 0],
-                                              chunks.table_ids[-1, 1:]]),
+        chunks = encoder.encode_dense_chunks(dense)
+        assert np.array_equal(chunks.table_ids.reshape(-1)[:dense.size],
                               expected_tables)
 
     def test_refit_invalidates_lookup_mirrors(self, tiny_trace,
@@ -192,25 +191,28 @@ class TestChunks:
         chunks = encoder.encode_chunks(tiny_trace.head(500))
         assert np.all(np.diff(chunks.starts) == tiny_recmg_config.input_len)
 
-    def test_custom_stride(self, encoder, tiny_trace):
-        chunks = encoder.encode_chunks(tiny_trace.head(500), stride=3)
-        assert np.all(np.diff(chunks.starts) == 3)
-
     def test_reshaped_chunks_match_the_gather(self, encoder, tiny_trace,
                                               tiny_recmg_config):
-        """Non-overlapping chunks are reshaped views; they must hold
-        what the per-chunk gather (any other stride) selects, with the
-        ragged tail dropped."""
+        """Chunks are reshaped per-access arrays; they must hold what a
+        per-chunk slice of each channel, computed access by access,
+        selects, with the ragged tail dropped."""
         length = tiny_recmg_config.input_len
         head = tiny_trace.head(50 * length + 3)
-        views = encoder.encode_chunks(head)
-        gathered = encoder.encode_chunks(head, stride=1)
-        assert len(views) == 50
-        for field in ("table_ids", "hashed_rows", "norm_index", "freq",
-                      "dense_ids"):
-            assert np.array_equal(getattr(views, field),
-                                  getattr(gathered, field)[::length])
-        assert np.array_equal(views.starts, gathered.starts[::length])
+        chunks = encoder.encode_chunks(head)
+        dense = encoder.dense_ids(head)
+        channels = {
+            "table_ids": encoder.tables_for_dense(dense),
+            "hashed_rows": dense % tiny_recmg_config.hash_buckets,
+            "norm_index": encoder.normalize(dense),
+            "freq": encoder.freq_values(dense),
+            "dense_ids": dense,
+        }
+        assert len(chunks) == 50
+        for index, start in enumerate(range(0, 50 * length, length)):
+            assert chunks.starts[index] == start
+            for field, values in channels.items():
+                assert np.array_equal(getattr(chunks, field)[index],
+                                      values[start:start + length]), field
 
     def test_too_short_trace_raises(self, encoder, tiny_trace):
         with pytest.raises(ValueError):

@@ -418,34 +418,25 @@ class TestModelPrefetcherAdapter:
                 fired.append(step)
         assert fired == [config.input_len, 2 * config.input_len]
 
-    def test_streaming_matches_direct_chunk_inference(self, trained_recmg):
-        """Equivalence: feeding the adapter one access at a time must
-        reproduce ``predict_single`` on each aligned chunk."""
+    def test_streaming_matches_direct_chunk_inference(self, trained_recmg,
+                                                      tiny_trace):
+        """Equivalence: feeding the adapter a trace's dense ids one at
+        a time must reproduce ``predict_indices`` over the trace's
+        ``encode_chunks``, chunk by chunk — the adapter's input is the
+        encoder's."""
         config = trained_recmg.config
         encoder = trained_recmg.encoder
         model = trained_recmg.prefetch_model
         adapter = ModelPrefetcher(model, encoder, config)
-        rng = np.random.default_rng(9)
-        keys = rng.integers(0, max(2, encoder.vocab_size), size=3 * config.input_len)
-        tables = rng.integers(0, max(1, encoder.num_tables), size=keys.size)
+        _, held_out = tiny_trace.split(0.6)
+        trace = held_out.head(5 * config.input_len + 3)
         streamed = []
-        for key, table in zip(keys.tolist(), tables.tolist()):
-            out = adapter.observe(key, pc=table)
+        for key in encoder.dense_ids(trace).tolist():
+            out = adapter.observe(key, pc=12345)
             if out:
                 streamed.append(out)
-        expected = []
-        for start in range(0, keys.size, config.input_len):
-            dense = np.asarray(keys[start:start + config.input_len],
-                               dtype=np.int64)
-            chunk_tables = (tables[start:start + config.input_len]
-                            % max(1, encoder.num_tables))
-            predicted = model.predict_single(
-                chunk_tables.astype(np.int64),
-                dense % config.hash_buckets,
-                encoder.normalize(dense),
-                encoder.freq_values(dense),
-                encoder,
-            )
-            expected.append(
-                [int(p) for p in predicted[:config.max_prefetch_per_chunk]])
+        predicted = model.predict_indices(encoder.encode_chunks(trace),
+                                          encoder)
+        expected = predicted[:, :config.max_prefetch_per_chunk].tolist()
+        assert len(expected) == 5
         assert streamed == expected

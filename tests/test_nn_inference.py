@@ -6,9 +6,9 @@ without building the tape: they are the same operations in the same
 order, so within 1e-12 in float64 and bit for bit at the default sizes,
 and bit for bit in float32, the dtype the models train and serve in.
 
-(ii) Decisions.  ``predict`` / ``predict_indices`` / ``predict_single``
-run ``infer`` on the float32 model itself, so their *decisions* must be
-those of the model's float64 copy wherever float64 was not a near-tie
+(ii) Decisions.  ``predict`` / ``predict_indices`` run ``infer`` on
+the float32 model itself, so their *decisions* must be those of the
+model's float64 copy wherever float64 was not a near-tie
 (``float64_copy`` / ``bits_agree`` / ``indices_agree`` in
 ``decisions.py``, shared with the benchmark gate), and every way the
 repo replaces weights must show in the next ``predict``.
@@ -367,10 +367,9 @@ class TestFloat32Decisions:
         assert np.array_equal(
             prefetch.predict_indices(chunks, encoder),
             prefetch.decoder.decode_buckets(wide_prefetch.infer_logits(chunks)))
-        first = (chunks.table_ids[0], chunks.hashed_rows[0],
-                 chunks.norm_index[0], chunks.freq[0])
+        first = encoder.encode_dense_chunks(chunks.dense_ids[0])
         assert np.array_equal(
-            prefetch.predict_single(*first, encoder),
+            prefetch.predict_indices(first, encoder)[0],
             prefetch.predict_indices(chunks, encoder)[0])
 
 

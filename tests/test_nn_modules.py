@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 
 from decisions import float64_copy
-from repro.nn import Adam, Embedding, Linear, MLP, Module, Tensor, clip_grad_norm
+from repro.nn import Adam, Embedding, Linear, MLP, Module, Tensor
+from repro.nn.optim import clip_grad_norm
 
 
 def primitive_linear(layer, x):

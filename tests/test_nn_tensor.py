@@ -21,6 +21,9 @@ from repro.core import (
 )
 from repro.core.prefetch_model import BucketDecoder
 from repro.core.training import _chamfer_ce_loss
+from repro.prefetch import TransFetchPrefetcher, VoyagerPrefetcher
+from repro.prefetch.transfetch import _TransFetchModel
+from repro.prefetch.voyager import _VoyagerModel
 from repro.nn import (
     LSTM, Linear, Tensor, concat, softmax, log_softmax, bce_with_logits,
     cross_entropy,
@@ -439,7 +442,8 @@ class TestTapeLifetime:
                                              tiny_recmg_config, monkeypatch):
         """No tensor outlives training, and no array of step k's graph
         is alive when step k+1's forward starts: a weakref on each
-        step's logits is dead by then."""
+        step's logits is dead by then — in the RecMG trainers and in
+        both baselines (Voyager, TransFetch), which run the same loop."""
         config = replace(tiny_recmg_config, max_train_chunks=64)
         train, _ = tiny_trace.split(0.6)
         encoder = FeatureEncoder(config).fit(train)
@@ -456,7 +460,9 @@ class TestTapeLifetime:
                 live_at_forward.append(
                     sum(ref() is not None for ref in logits))
                 out = forward(self, *args, **kwargs)
-                logits.append(weakref.ref(out.data))
+                # Voyager's forward returns (page, offset) logits.
+                first = out[0] if isinstance(out, tuple) else out
+                logits.append(weakref.ref(first.data))
                 return out
             return spy
 
@@ -487,6 +493,15 @@ class TestTapeLifetime:
         loss.backward()
         del loss
         assert tensor_census() == baseline
+
+        for model in (_VoyagerModel, _TransFetchModel):
+            monkeypatch.setattr(model, "forward", spied(model.forward))
+        for prefetcher in (VoyagerPrefetcher(hidden=16),
+                           TransFetchPrefetcher()):
+            live_at_forward.clear()
+            prefetcher.train(train, epochs=2, max_samples=96)
+            assert len(live_at_forward) == 6
+            assert live_at_forward == [0] * 6
 
     def test_long_chain_backpropagates_and_frees(self):
         x = Tensor(np.ones(3), requires_grad=True)

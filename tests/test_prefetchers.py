@@ -11,6 +11,8 @@ from repro.prefetch import (
     evaluate_prefetcher, run_breakdown,
 )
 from repro.dlrm import BufferClassifier
+from repro.nn import Adam, Tensor, bce_with_logits, cross_entropy
+from repro.prefetch.voyager import _VoyagerModel
 from repro.traces import Trace, remap_to_dense
 
 
@@ -171,6 +173,104 @@ class TestVoyager:
             out.extend(pf.observe(access.key))
         # Predictions are packed (table, row) keys.
         assert all(isinstance(k, (int, np.integer)) for k in out)
+
+
+def _inline_voyager_train(pf, trace, epochs, batch_size, lr, max_samples,
+                          seed):
+    """``VoyagerPrefetcher.train`` as written before the library's one
+    training loop: its own epoch / shuffle / minibatch loop, rebinding
+    ``loss`` each step, no clip."""
+    pages, offsets = trace.table_ids, trace.row_ids
+    page_of = {int(p): i for i, p in enumerate(np.unique(pages))}
+    offset_of = {int(o): i for i, o in enumerate(np.unique(offsets))}
+    rng = np.random.default_rng(seed)
+    pf.model = _VoyagerModel(len(page_of), len(offset_of), pf.dim,
+                             pf.hidden, rng)
+    page_ids = np.array([page_of[int(p)] for p in pages])
+    offset_ids = np.array([offset_of[int(o)] for o in offsets])
+    valid = np.arange(pf.context, len(page_ids) - 1)
+    if len(valid) > max_samples:
+        valid = rng.choice(valid, size=max_samples, replace=False)
+    optimizer = Adam(pf.model.parameters(), lr=lr)
+    losses = []
+    for _ in range(epochs):
+        rng.shuffle(valid)
+        for start in range(0, len(valid), batch_size):
+            batch_pos = valid[start:start + batch_size]
+            in_pages = np.stack([page_ids[p - pf.context:p]
+                                 for p in batch_pos])
+            in_offsets = np.stack([offset_ids[p - pf.context:p]
+                                   for p in batch_pos])
+            page_logits, offset_logits = pf.model(in_pages, in_offsets)
+            loss = (cross_entropy(page_logits, page_ids[batch_pos])
+                    + cross_entropy(offset_logits, offset_ids[batch_pos]))
+            optimizer.zero_grad()
+            loss.backward()
+            optimizer.step()
+            losses.append(loss.item())
+    return losses
+
+
+def _inline_transfetch_train(pf, trace, epochs, batch_size, horizon, lr,
+                             max_samples, seed):
+    """``TransFetchPrefetcher.train`` as written before the library's
+    one training loop."""
+    keys, _ = remap_to_dense(trace)
+    rng = np.random.default_rng(seed)
+    valid = np.arange(pf.context, len(keys) - horizon - 1)
+    if len(valid) > max_samples:
+        valid = rng.choice(valid, size=max_samples, replace=False)
+    optimizer = Adam(pf.model.parameters(), lr=lr)
+    losses = []
+    for _ in range(epochs):
+        rng.shuffle(valid)
+        for start in range(0, len(valid), batch_size):
+            batch_pos = valid[start:start + batch_size]
+            inputs = np.stack([keys[p - pf.context:p] for p in batch_pos])
+            labels = np.stack([pf._labels_for(keys, p, horizon)
+                               for p in batch_pos])
+            loss = bce_with_logits(pf.model(inputs), Tensor(labels))
+            optimizer.zero_grad()
+            loss.backward()
+            optimizer.step()
+            losses.append(loss.item())
+    return losses
+
+
+class TestSharedTrainingLoop:
+    """Both baselines train through ``repro.nn.train_minibatches``; the
+    RNG draws and the op order are those of the loops it replaced, so
+    the loss curve and every trained weight are bit-identical."""
+
+    @staticmethod
+    def _weights(pf):
+        return [p.data for p in pf.model.parameters()]
+
+    def test_voyager_matches_its_inline_loop(self, tiny_trace):
+        trace = tiny_trace.head(800)
+        shared, inline = (VoyagerPrefetcher(context=4, dim=8, hidden=12)
+                          for _ in range(2))
+        losses = shared.train(trace, epochs=2, batch_size=16, lr=3e-3,
+                              max_samples=120, seed=3)
+        expected = _inline_voyager_train(inline, trace, 2, 16, 3e-3, 120, 3)
+        assert len(losses) == 16 and losses == expected
+        for got, want in zip(self._weights(shared), self._weights(inline),
+                             strict=True):
+            assert np.array_equal(got, want)
+
+    def test_transfetch_matches_its_inline_loop(self, tiny_trace):
+        trace = tiny_trace.head(800)
+        shared, inline = (TransFetchPrefetcher(context=4, dim=8,
+                                               delta_range=16)
+                          for _ in range(2))
+        losses = shared.train(trace, epochs=2, batch_size=16, horizon=8,
+                              lr=3e-3, max_samples=120, seed=3)
+        expected = _inline_transfetch_train(inline, trace, 2, 16, 8, 3e-3,
+                                            120, 3)
+        assert len(losses) == 16 and losses == expected
+        for got, want in zip(self._weights(shared), self._weights(inline),
+                             strict=True):
+            assert np.array_equal(got, want)
 
 
 class TestBreakdownHarness:

@@ -3,9 +3,9 @@ and the capacity-matched labels its models can be tuned on.
 
 The contract under test, in three layers:
 
-* **Providers in isolation** — the tri-state bit protocol: sync bits
-  equal an offline predict over the same dense segment; ``-1`` ("no
-  prediction") positions keep their recency priority in the applier.
+* **Providers in isolation** — the bit protocol: sync bits equal an
+  offline predict over the same dense segment; the applier writes the
+  same state in its scalar and bulk forms.
 * **The manager seam** — ``priority_mode="sync"`` run() is replayed
   decision-for-decision by a model-free manager plus a manual per-block
   predict/apply loop (the provider is *only* a refactoring of that
@@ -468,18 +468,6 @@ class _RecordingBuffer:
         self.demoted.extend(np.asarray(keys).tolist())
 
 
-def test_apply_caching_bits_masks_no_prediction_inline():
-    """The applier itself must drop ``-1`` ("no prediction") positions
-    — not rely on the manager's pre-filter.  Before the mask a direct
-    caller would have promoted every unpredicted key (``-1 != 0``)."""
-    buffer = _RecordingBuffer()
-    keys = np.array([10, 11, 12, 13, 14], dtype=np.int64)
-    bits = np.array([1, -1, 0, -1, 1], dtype=np.int8)
-    apply_caching_bits(buffer, keys, bits, speed=4)
-    assert buffer.promoted == [10, 14]
-    assert buffer.demoted == [12]
-
-
 @pytest.mark.parametrize("size", [1, 15, 64, 65, 200])
 def test_apply_caching_bits_picks_its_form_by_block_length(size):
     """Up to ``repro.cache.buffer.SCALAR_FALLBACK`` keys the applier
@@ -487,25 +475,17 @@ def test_apply_caching_bits_picks_its_form_by_block_length(size):
     the same keys land in the same order, last occurrence winning."""
     rng = np.random.default_rng(size)
     keys = rng.integers(0, max(2, size // 2), size=size)
-    bits = rng.integers(-1, 2, size=size).astype(np.int8)
+    bits = rng.integers(0, 2, size=size).astype(np.int8)
     buffer = _RecordingBuffer()
     apply_caching_bits(buffer, keys, bits, speed=4)
     assert (buffer.bulk_calls == 0) == (size <= SCALAR_FALLBACK)
     assert buffer.bulk_calls in (0, 3)
     last = {}
     for position, (key, bit) in enumerate(zip(keys.tolist(), bits.tolist())):
-        if bit >= 0:
-            last[key] = (position, bit)
+        last[key] = (position, bit)
     ordered = sorted(last, key=lambda key: last[key][0])
     assert buffer.promoted == [key for key in ordered if last[key][1]]
     assert buffer.demoted == [key for key in ordered if not last[key][1]]
-
-
-def test_apply_caching_bits_all_unpredicted_is_noop():
-    buffer = _RecordingBuffer()
-    apply_caching_bits(buffer, np.array([1, 2, 3], dtype=np.int64),
-                       np.full(3, -1, dtype=np.int8), speed=4)
-    assert buffer.promoted == [] and buffer.demoted == []
 
 
 # ----------------------------------------------------------------------

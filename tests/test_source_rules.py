@@ -48,6 +48,15 @@ between them (``_SLICE_ENGINE_MAX_MEAN_INTERVAL``).
 ``repro.nn`` exports only what the library uses: every name in
 ``repro.nn.__all__`` is imported from the package by some module under
 ``src/repro`` outside ``nn/`` (a model, a loss site or a baseline).
+
+Every trainer runs the one loop in ``nn/optim.py``
+(``train_minibatches`` and its ``optimizer_step``): no other module
+under ``src/repro`` calls ``.backward(`` or an optimizer's ``.step()``.
+
+Every model input goes through ``FeatureEncoder.encode_dense_chunks``:
+no module under ``src/repro`` brings back ``predict_single``, the
+one-chunk constructor ``EncodedChunks.single`` or a ``stride`` on
+``encode_chunks``.
 """
 
 import ast
@@ -76,6 +85,14 @@ SPILL_SPLIT = re.compile(
 VOCABULARY_DICT = re.compile(r"\b_(?:key_to_dense|table_to_id)\b")
 SECOND_OPTGEN_PASS = re.compile(
     r"\b_(?:MaxSegmentTree|optgen_pass_tree|SLICE_ENGINE_MAX_MEAN_INTERVAL)\b")
+#: A backward pass or an optimizer step: ``.backward(`` with any
+#: argument, ``.step()`` with none.
+TRAINING_STEP = re.compile(r"\.backward\s*\(|\.step\s*\(\s*\)")
+#: A second model-input path: the one-chunk predict and constructor,
+#: or a ``stride`` inside an ``encode_chunks(...)`` signature or call.
+SECOND_INPUT_PATH = re.compile(
+    r"\bpredict_single\b|\bEncodedChunks\.single\b"
+    r"|\bdef\s+single\s*\(|\bencode_chunks\s*\([^)]*\bstride\b")
 BACKEND_NAME = r"[\"'](?:clock|fast|reference)[\"']"
 BACKEND_KIND = re.compile(
     r"\.approximate\b|[\"']approximate[\"']"
@@ -319,3 +336,41 @@ def test_dead_export_rule_catches_an_unused_export(tmp_path):
         "def fit():\n    from repro.nn import stack\n    from . import nn\n")
     assert _dead_exports(root, ["Tensor", "stack", "unused"]) == [
         "repro.nn.__all__: unused has no caller outside nn/"]
+
+
+def test_only_the_training_loop_steps_an_optimizer():
+    offenders = [line for line in _offenders(SRC, TRAINING_STEP)
+                 if not line.startswith("repro/nn/optim.py:")]
+    assert not offenders, "\n".join(offenders)
+
+
+def test_training_step_pattern_catches_each_form():
+    for text in ("loss.backward()", "root.backward(grad)",
+                 "(a + b).backward ()", "optimizer.step()",
+                 "self._optimizer.step( )", "opt.step()"):
+        assert TRAINING_STEP.search(text), text
+    for text in ("def backward(g: np.ndarray) -> None:",
+                 "out._backward = backward", "def step(self) -> None:",
+                 "self._step += 1", "losses.append(optimizer_step(",
+                 "rows = range(0, n, step)", "walker.step(node)"):
+        assert not TRAINING_STEP.search(text), text
+
+
+def test_models_take_one_input_path():
+    offenders = _offenders(SRC, SECOND_INPUT_PATH)
+    assert not offenders, "\n".join(offenders)
+
+
+def test_second_input_path_pattern_catches_each_form():
+    for text in ("def predict_single(self, tables, rows, norm, freq):",
+                 "self.model.predict_single(tables, rows, norm, freq, enc)",
+                 "chunk = EncodedChunks.single(tables, rows, norm, freq)",
+                 "    def single(cls, table_ids):",
+                 "def encode_chunks(self, trace, stride=None):",
+                 "encoder.encode_chunks(trace,\n    stride=1)"):
+        assert SECOND_INPUT_PATH.search(text), text
+    for text in ("predict_indices(chunks, encoder)[0]",
+                 "encoder.encode_dense_chunks(window)",
+                 "encoder.encode_chunks(trace)", "self.stride = 1",
+                 "single_shard = True", "encode_chunks(trace)  # stride 1"):
+        assert not SECOND_INPUT_PATH.search(text), text
