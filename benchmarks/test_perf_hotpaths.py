@@ -20,6 +20,7 @@ longer drop entries from the committed baseline.
 import gc
 import importlib.util
 import os
+import resource
 import time
 import tracemalloc
 from dataclasses import replace
@@ -104,6 +105,11 @@ def _timed(fn, repeats=1):
         if gc_was_enabled:
             gc.enable()
     return Timing(times), result
+
+
+def _minor_faults() -> int:
+    """This process's minor page faults so far (``ru_minflt``)."""
+    return resource.getrusage(resource.RUSAGE_SELF).ru_minflt
 
 
 def _report(title, fast_seconds, ref_seconds):
@@ -813,6 +819,13 @@ def test_model_inference_throughput(perf_trace, perf_budget, benchmark,
     copy wherever float64 was not a near-tie; it must stay >= 1.3x
     faster than the tape at the default budget (the floor scales down
     with ``--perf-budget``).
+
+    Each side's minor page faults per call (``ru_minflt``) are recorded
+    beside its time, ungated: the ratio depends on whether the heap
+    still has to map the pages a forward's arrays take (hundreds of
+    faults per call in a fresh process, tens once earlier allocations
+    have grown it), which is the mechanism behind the ratio moving with
+    what ran before the test in the session.
     """
     config = RecMGConfig()
     encoder = FeatureEncoder(config).fit(perf_trace)
@@ -854,11 +867,16 @@ def test_model_inference_throughput(perf_trace, perf_budget, benchmark,
         # Interleaved best-of, as in the sharded gate: a noise window
         # inflates both sides instead of skewing the ratio.
         runs, taped_runs = [], []
+        faults = taped_faults = 0
         for _ in range(15):
+            start = _minor_faults()
             seconds, out = _timed(lambda: predict(sel))
             runs.append(seconds)
+            middle = _minor_faults()
             seconds, taped_out = _timed(lambda: taped(sel))
             taped_runs.append(seconds)
+            faults += middle - start
+            taped_faults += _minor_faults() - middle
         seconds = _best_of(runs)
         taped_seconds = _best_of(taped_runs)
         assert np.array_equal(out, taped_out)
@@ -868,17 +886,20 @@ def test_model_inference_throughput(perf_trace, perf_budget, benchmark,
                        ref_seconds=taped_seconds, chunks=len(sel),
                        us_per_chunk=seconds / len(sel) * 1e6,
                        taped_us_per_chunk=taped_seconds / len(sel) * 1e6,
+                       minor_faults_per_call=faults / len(runs),
+                       taped_minor_faults_per_call=taped_faults / len(runs),
                        gated=True)
         speedup = taped_seconds / seconds
         rows.append([name, len(sel), taped_seconds * 1e3, seconds * 1e3,
-                     speedup])
+                     speedup, taped_faults / len(runs), faults / len(runs)])
         if perf_budget > 0:
             assert speedup >= floor, (
                 f"tape-free {name} inference is only {speedup:.2f}x the "
                 f"taped forward (contract: >= {floor:.2f}x)")
     print()
     print(ascii_table(
-        ["model", "chunks", "taped ms", "predict ms", "speedup vs tape"],
+        ["model", "chunks", "taped ms", "predict ms", "speedup vs tape",
+         "taped faults/call", "predict faults/call"],
         rows,
         title="Model inference (float32): taped forward vs predict"))
     benchmark(lambda: rows)

@@ -76,17 +76,30 @@ class CachingModel(Module):
         path): the same operations in the same order on plain arrays in
         the weights' dtype, with no autograd graph, so the logits are
         the tape's bit for bit.  :meth:`predict` thresholds them.
+
+        Layout: each LSTM layer steps over time-major blocks and
+        returns its states as a transposed time-major buffer
+        (:meth:`LSTM.infer`); per-step ``h`` writes into a strided
+        ``[states | context]`` row cost more than this one copy.  The
+        states are copied once into the first half of a ``(batch, len,
+        2 * hidden)`` buffer; the attention reads that half and writes
+        its context straight into the second, and ``combine`` reads the
+        whole buffer, so nothing is concatenated.  The attention softmax
+        takes its row maxima from column maxima while the score axis is
+        short (:func:`~repro.nn.functional.row_max`; ``len`` is 15 by
+        default), which is exact in any order.
         """
         states = chunk_inputs(chunks, sel, self.table_embedding,
                               self.row_embedding)
         for layer in self.lstm_layers:
             states, _ = layer.infer(states)           # (B, L, H)
         batch, length, hidden = states.shape
-        projected = states @ self.att_weight.data
-        weights = softmax_(projected @ states.transpose(0, 2, 1))
         combined = np.empty((batch, length, 2 * hidden), dtype=states.dtype)
         combined[:, :, :hidden] = states
-        combined[:, :, hidden:] = weights @ states
+        states = combined[:, :, :hidden]
+        projected = states @ self.att_weight.data
+        weights = softmax_(projected @ states.transpose(0, 2, 1))
+        np.matmul(weights, states, out=combined[:, :, hidden:])
         hidden_out = self.combine.infer(
             combined.reshape(batch * length, 2 * hidden))
         logits = self.head.infer(np.tanh(hidden_out, out=hidden_out))

@@ -68,17 +68,19 @@ def chunk_inputs(chunks: EncodedChunks, sel: Optional[np.ndarray],
     """Both models' input: ``[table emb | row emb | norm index | freq]``
     per access of the ``sel`` chunks (``None``: all), shape (batch,
     input_len, 2 * embed_dim + 2).  A plain array in the embeddings'
-    dtype for inference; with ``taped`` the same values as a graph node
-    (a row gather and ``concat``) so embedding gradients flow.
-    Out-of-range ids raise ``IndexError``.
+    dtype for inference, a transposed view of a time-major buffer, so
+    the time-major copy :meth:`LSTM.infer` steps over costs nothing;
+    with ``taped`` the same values as a graph node (a row gather and
+    ``concat``) so embedding gradients flow.  Out-of-range ids raise
+    ``IndexError``.
     """
     if sel is None:
         sel = slice(None)
     tables, rows = chunks.table_ids[sel], chunks.hashed_rows[sel]
     batch, length = tables.shape
     dim = table_embedding.dim
-    out = np.empty((batch, length, 2 * dim + 2),
-                   dtype=table_embedding.weight.data.dtype)
+    out = np.empty((length, batch, 2 * dim + 2),
+                   dtype=table_embedding.weight.data.dtype).transpose(1, 0, 2)
     out[:, :, 2 * dim] = chunks.norm_index[sel]
     out[:, :, 2 * dim + 1] = chunks.freq[sel]
     if taped:

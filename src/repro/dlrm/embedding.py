@@ -52,14 +52,6 @@ class EmbeddingBagCollection:
     def __len__(self) -> int:
         return len(self.tables)
 
-    @property
-    def total_rows(self) -> int:
-        return sum(t.num_rows for t in self.tables)
-
-    @property
-    def memory_bytes(self) -> int:
-        return sum(t.weights.nbytes for t in self.tables)
-
     def pooled_lookup(self, per_table_rows: Dict[int, np.ndarray]) -> np.ndarray:
         """Pooled vector per table, shape (num_tables, dim); tables
         absent from the query pool to zero."""

@@ -17,10 +17,6 @@ class InferenceQuery:
     dense: np.ndarray
     sparse: Dict[int, np.ndarray]
 
-    @property
-    def pooling_factor(self) -> int:
-        return int(sum(len(rows) for rows in self.sparse.values()))
-
 
 def queries_from_trace(trace: Trace, num_dense: int = 8,
                        seed: int = 0) -> List[InferenceQuery]:

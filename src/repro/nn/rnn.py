@@ -24,7 +24,7 @@ import numpy as np
 
 from . import init as initializers
 from .attention import LuongAttention
-from .functional import sigmoid_
+from .functional import sigmoid_, sigmoid_saturating_
 from .modules import Module
 from .tensor import DTYPE, Tensor, stack
 
@@ -110,20 +110,29 @@ class LSTMCell(Module):
         bit for bit.  ``c`` is advanced in place, the new ``h`` is a
         fresh array; ``scratch`` is a caller-owned ``(2, batch, 4 *
         hidden)`` buffer, ``x``'s dtype."""
+        with np.errstate(over="ignore"):
+            return self.step_(x, h, c, scratch, np.empty_like(c))
+
+    def step_(self, x: np.ndarray, h: np.ndarray, c: np.ndarray,
+              scratch: np.ndarray, h_out: np.ndarray) -> np.ndarray:
+        """:meth:`infer` writing the new ``h`` into ``h_out`` (any
+        ``(batch, hidden)`` view; it may be ``h``, which the step has
+        read by then), for a loop that holds ``np.errstate(over=
+        "ignore")`` around all its steps."""
         hs = self.hidden_size
         gates = np.matmul(x, self.w_x.data, out=scratch[0])
         gates += np.matmul(h, self.w_h.data, out=scratch[1])
         gates += self.bias.data
-        g_gate = np.tanh(gates[:, 2 * hs:3 * hs])
+        g_gate = np.tanh(gates[:, 2 * hs:3 * hs], out=h_out)
         # One contiguous pass over all four blocks beats two strided
         # ones even though the cell block's sigmoid is never read.
-        sigmoid_(gates)
+        sigmoid_saturating_(gates)
         c *= gates[:, hs:2 * hs]                      # forget
         g_gate *= gates[:, :hs]                       # input
         c += g_gate
-        h_new = np.tanh(c, out=g_gate)
-        h_new *= gates[:, 3 * hs:]                    # output
-        return h_new
+        np.tanh(c, out=h_out)
+        h_out *= gates[:, 3 * hs:]                    # output
+        return h_out
 
 
 class LSTM(Module):
@@ -170,15 +179,26 @@ class LSTM(Module):
 
     def infer(self, x: np.ndarray
               ) -> Tuple[np.ndarray, Tuple[np.ndarray, np.ndarray]]:
-        """Tape-free :meth:`forward` from the zero state."""
+        """Tape-free :meth:`forward` from the zero state: the states of
+        every step, ``(batch, time, hidden)``, and the final ``(h, c)``.
+
+        Layout: the steps run over a time-major copy of ``x`` (free when
+        ``x`` is a time-major array transposed, as ``chunk_inputs`` and
+        this method return), so each step's GEMM reads one contiguous
+        ``(batch, features)`` block, and each step writes its ``h`` into
+        one contiguous block of a time-major buffer, which the next step
+        reads.  The states returned are that buffer transposed, a view.
+        """
         batch, steps, _ = x.shape
         hs = self.hidden_size
-        outputs = np.empty((batch, steps, hs), dtype=x.dtype)
+        x_steps = np.ascontiguousarray(x.transpose(1, 0, 2))
+        states = np.empty((steps, batch, hs), dtype=x.dtype)
         h, c = np.zeros((2, batch, hs), dtype=x.dtype)
         scratch = np.empty((2, batch, 4 * hs), dtype=x.dtype)
-        for t in range(steps):
-            h = outputs[:, t, :] = self.cell.infer(x[:, t, :], h, c, scratch)
-        return outputs, (h, c)
+        with np.errstate(over="ignore"):
+            for t in range(steps):
+                h = self.cell.step_(x_steps[t], h, c, scratch, states[t])
+        return states.transpose(1, 0, 2), (h, c)
 
 
 class Seq2SeqStack(Module):
@@ -210,15 +230,22 @@ class Seq2SeqStack(Module):
         return stack(outputs, axis=1)
 
     def infer(self, x: np.ndarray) -> np.ndarray:
-        """Tape-free :meth:`forward` on a plain array."""
+        """Tape-free :meth:`forward` on a plain array.  The attention
+        reads the encoder states batch-major, as the tape lays them out:
+        its batched matrix-vector products are not bit-stable across
+        layouts (at 7 x 8 x 6 a time-major view rounds differently)."""
         enc_states, (h, c) = self.encoder.infer(x)
+        enc_states = np.ascontiguousarray(enc_states)
         batch, hs = x.shape[0], self.hidden_size
         outputs = np.empty((batch, self.out_steps, hs), dtype=x.dtype)
         scratch = np.empty((2, batch, 4 * hs), dtype=x.dtype)
         step_input = h
-        for t in range(self.out_steps):
-            h = self.decoder_cell.infer(step_input, h, c, scratch)
-            step_input = outputs[:, t, :] = self.attention.infer(h, enc_states)
+        with np.errstate(over="ignore"):
+            for t in range(self.out_steps):
+                h = self.decoder_cell.step_(step_input, h, c, scratch,
+                                            np.empty_like(c))
+                step_input = outputs[:, t, :] = self.attention.infer(
+                    h, enc_states)
         return outputs
 
 

@@ -133,9 +133,15 @@ class Tensor:
             return other
         return Tensor(np.asarray(other, dtype=self.data.dtype))
 
-    def _accumulate(self, grad: np.ndarray) -> None:
+    def _accumulate(self, grad: np.ndarray, owned: bool = False) -> None:
+        """Add ``grad`` into this tensor's grad.  The grad a tensor keeps
+        is always its own array, so a ``grad`` of its shape and dtype is
+        added in place; an ``owned`` one (built for this call alone) is
+        kept without a copy."""
         if self.grad is None:
-            self.grad = grad.copy()
+            self.grad = grad if owned else grad.copy()
+        elif self.grad.shape == grad.shape and self.grad.dtype == grad.dtype:
+            self.grad += grad
         else:
             self.grad = self.grad + grad
 
@@ -311,7 +317,7 @@ class Tensor:
                     grad[idx] = g
                 else:
                     np.add.at(grad, idx, g)
-                self._accumulate(grad)
+                self._accumulate(grad, owned=True)
 
         out._backward = backward
         return out
@@ -330,7 +336,7 @@ class Tensor:
                     "backward() without an explicit gradient requires a scalar"
                 )
             grad = np.ones_like(self.data)
-        self.grad = np.asarray(grad, dtype=self.data.dtype).reshape(self.shape)
+        self.grad = np.array(grad, dtype=self.data.dtype).reshape(self.shape)
 
         topo: List[Tensor] = []
         visited = set()

@@ -22,14 +22,14 @@ The one provider, :class:`SyncModelProvider`, is installed when
 provider and never invokes the sink.  The provider runs batched
 feature encoding + ``CachingModel.predict`` per served block, on the
 serving thread.  Amortized like every other bulk op, but inference
-cost lands on the serving critical path: 1920-key blocks serve at
-~250 k keys/s vs ~1.0 M model-free on the exact ``fast`` backend
-(~4x), ~390 k vs ~7.0 M on ``clock`` (~18x — inference-bound, so it
-did not move when ``ClockBuffer.serve_segment`` doubled the
-model-free side; 2-core AVX-512 host, one BLAS thread, numpy 2.4;
-``predict`` is the model's float32 ``infer``, with no tape); decisions
-are deterministic, which makes model-guided serving
-differential-testable.
+cost lands on the serving critical path: ``bench/``'s ``model-sync``
+workload (1920-key blocks on the exact ``fast`` backend) serves a
+median ~520 k keys/s over seeds 1-10, and its traced run puts ~3/4 of
+each op in the caching forward (``core.caching_model.busy_share``;
+2-core host, one BLAS thread, numpy 2.4; ``predict`` is the model's
+float32 ``infer``, with no tape).  ``bench/README.md`` has the
+commands.  Decisions are deterministic, which makes model-guided
+serving differential-testable.
 
 Model guidance runs on the serving thread only: under the GIL a
 refresh thread gets no second core, and one measured a worse p99 than

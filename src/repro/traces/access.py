@@ -98,12 +98,6 @@ class Trace:
     def num_tables(self) -> int:
         return int(np.unique(self.table_ids).shape[0])
 
-    @property
-    def num_queries(self) -> int:
-        if self.query_offsets is None:
-            return 0
-        return int(len(self.query_offsets) - 1)
-
     def pooling_factors(self) -> np.ndarray:
         """Accesses per query (the paper's pooling factor distribution)."""
         if self.query_offsets is None:

@@ -29,8 +29,8 @@ class TestEmbeddings:
 
     def test_collection_memory(self):
         bags = EmbeddingBagCollection(3, 100, 8)
-        assert bags.total_rows == 300
-        assert bags.memory_bytes == 3 * 100 * 8 * 8  # float64
+        assert len(bags) == 3
+        assert sum(t.weights.nbytes for t in bags.tables) == 3 * 100 * 8 * 8
 
 
 class TestDLRM:
@@ -57,9 +57,10 @@ class TestDLRM:
 class TestQueries:
     def test_reconstruction_matches_pooling(self, tiny_trace):
         queries = queries_from_trace(tiny_trace)
-        assert len(queries) == tiny_trace.num_queries
-        total = sum(q.pooling_factor for q in queries)
-        assert total == len(tiny_trace)
+        factors = tiny_trace.pooling_factors()
+        assert [sum(len(rows) for rows in q.sparse.values())
+                for q in queries] == factors.tolist()
+        assert factors.sum() == len(tiny_trace)
 
     def test_batched_covers_all(self, tiny_trace):
         queries = queries_from_trace(tiny_trace)

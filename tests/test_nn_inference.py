@@ -36,7 +36,7 @@ from repro.nn import (
     softmax,
 )
 from repro.nn.attention import LuongAttention
-from repro.nn.functional import sigmoid_, softmax_
+from repro.nn.functional import row_max, sigmoid_, softmax_
 from repro.nn.rnn import LSTMCell, Seq2SeqStack
 
 NUM_TABLES = 5
@@ -119,6 +119,23 @@ class TestLayers:
             assert sig.dtype == soft.dtype == dtype
             assert np.array_equal(sigmoid_(x.copy()), sig)
             assert np.array_equal(softmax_(x.copy()), soft)
+
+    @pytest.mark.parametrize("length", (1, 2, 15, 32, 33, 64))
+    def test_row_max_by_columns_is_exact(self, rng, length):
+        """Column maxima (axes up to ``COLUMN_MAX_LEN``) and ``max`` give
+        the same row maxima, NaN, infinities and signed zeros included,
+        and ``softmax_`` stays the tape's softmax bit for bit."""
+        x = normal(rng, (6, 5, length), np.float32) * 4.0
+        x[0, 0, -1] = np.nan
+        x[1, 1, :] = 0.0
+        x[1, 1, ::2] = -0.0
+        x[2, 2, 0] = np.inf
+        x[3, 3, :] = -np.inf
+        assert np.array_equal(row_max(x), x.max(axis=-1, keepdims=True),
+                              equal_nan=True)
+        finite = x[4:]
+        assert np.array_equal(softmax_(finite.copy()),
+                              softmax(Tensor(finite)).data)
 
     @pytest.mark.parametrize("dtype", DTYPES)
     def test_sigmoid_saturates_without_warning(self, dtype):
@@ -260,6 +277,45 @@ class TestModels:
             assert close(logits64, wide.forward(chunks, sel=sel))
             bits_agree(model.predict(chunks, sel=sel), logits64)
         bits_agree(model.predict(chunks), wide.forward(chunks).data)
+
+    @pytest.mark.parametrize("input_len", (1, 2, 7, 8, 15, 16))
+    @pytest.mark.parametrize("batch", (1, 64))
+    def test_caching_model_input_lengths(self, rng, input_len, batch):
+        """Score axes 1 to 16 wide (the column-max softmax runs them all)
+        and as many LSTM steps, a batch of one included: ``infer`` is
+        the tape's logits bit for bit, on one and two stacks."""
+        for stacks in (1, 2):
+            config = replace(SMALL, input_len=input_len, output_len=1,
+                             caching_stacks=stacks)
+            chunks = random_chunks(rng, config, count=64)
+            model = caching_model(config, rng)
+            for sel in selections(rng, len(chunks), batch):
+                assert close(model.infer(chunks, sel=sel),
+                             model.forward(chunks, sel=sel))
+
+    @pytest.mark.parametrize("stacks", (1, 2))
+    def test_predict_returns_fresh_arrays(self, rng, stacks):
+        """A second ``predict`` leaves the first one's result as it was
+        (no buffer outlives a call), and ``predict`` leaves ``chunks``
+        untouched."""
+        config = replace(SMALL, caching_stacks=stacks)
+        chunks = random_chunks(rng, config)
+        before = copy.deepcopy(chunks)
+        model = caching_model(config, rng)
+        first_sel, second_sel = np.arange(64), np.arange(64, 128)
+        first = model.predict(chunks, sel=first_sel)
+        logits = model.infer(chunks, sel=first_sel)
+        kept = first.copy(), logits.copy()
+        model.predict(chunks, sel=second_sel)
+        model.infer(chunks, sel=second_sel)
+        assert np.array_equal(first, kept[0])
+        assert np.array_equal(logits, kept[1])
+        assert not np.array_equal(first, model.predict(chunks,
+                                                       sel=second_sel))
+        for field in ("table_ids", "hashed_rows", "norm_index", "freq",
+                      "dense_ids", "starts"):
+            assert np.array_equal(getattr(chunks, field),
+                                  getattr(before, field)), field
 
     @pytest.mark.parametrize("stacks", (1, 2, 3))
     @pytest.mark.parametrize("batch", BATCHES)

@@ -45,6 +45,10 @@ def numeric_gradient(fn, x0, eps=1e-6):
     return grad
 
 
+def normal32(rng, shape):
+    return rng.normal(size=shape).astype(np.float32)
+
+
 def check_gradient(fn, x0, tol=1e-4):
     x0 = np.array(x0, dtype=np.float64)
     x = Tensor(x0.copy(), requires_grad=True)
@@ -205,6 +209,39 @@ class TestReductionsAndShapes:
         assert np.allclose(w.grad[1], [2.0, 2.0])
         assert np.allclose(w.grad[3], [1.0, 1.0])
         assert np.allclose(w.grad[0], 0.0)
+
+    def test_two_gathers_accumulate_the_scatter_add_sum(self, rng):
+        """Two gathers of one parent, each with repeated indices: the
+        first backward hands its scatter over as the parent's grad and
+        the second adds into it in place.  The result is exactly the
+        dense scatter-add sum, and the upstream grads are left as they
+        were."""
+        w = Tensor(normal32(rng, (5, 3)), requires_grad=True)
+        first, second = np.array([4, 1, 1, 0, 4]), np.array([1, 2, 1, 4])
+        up_first, up_second = normal32(rng, (5, 3)), normal32(rng, (4, 3))
+        kept = up_first.copy(), up_second.copy()
+        ((w[first] * Tensor(up_first)).sum()
+         + (w[second] * Tensor(up_second)).sum()).backward()
+        dense_first, dense_second = np.zeros((2, 5, 3), dtype=np.float32)
+        np.add.at(dense_first, first, up_first)
+        np.add.at(dense_second, second, up_second)
+        assert w.grad.dtype == np.float32
+        assert np.array_equal(w.grad, dense_first + dense_second)
+        assert np.array_equal(up_first, kept[0])
+        assert np.array_equal(up_second, kept[1])
+
+    def test_root_grad_is_a_copy(self, rng):
+        """``backward(grad)`` keeps a copy, so a later walk that adds
+        into the root's grad in place leaves the caller's array alone."""
+        w = Tensor(normal32(rng, (4, 2)), requires_grad=True)
+        y = w[np.array([0, 0, 3])]
+        grad = np.ones((3, 2), dtype=np.float32)
+        y.backward(grad)
+        (y * 2.0).sum().backward()
+        assert np.array_equal(grad, np.ones((3, 2)))
+        # The root keeps its grad, so the second walk sends 1 + 2 per row.
+        assert np.array_equal(w.grad, [[8.0, 8.0], [0.0, 0.0], [0.0, 0.0],
+                                       [4.0, 4.0]])
 
     def test_concat_gradient(self, rng):
         a0 = rng.normal(size=(2, 3))
